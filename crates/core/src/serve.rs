@@ -332,6 +332,16 @@ impl ServeReport {
     /// the same options produce identical bytes.
     pub fn trace_json(&self) -> String {
         let o = &self.outcome;
+        // The `"key": value` pairs of one counter block: the ledger
+        // rows declared under it, in declaration order.
+        let block = |name: &str| {
+            let pairs: Vec<String> = o
+                .ledger()
+                .filter(|(row, _)| row.trace.0 == name)
+                .map(|(row, value)| format!("\"{}\": {value}", row.trace.1))
+                .collect();
+            pairs.join(", ")
+        };
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"seed\": {},\n", self.options.seed));
         out.push_str(&format!("  \"nodes\": {},\n", self.config.nodes));
@@ -361,53 +371,13 @@ impl ServeReport {
             .collect();
         out.push_str(&plan_lines.join(",\n"));
         out.push_str("\n  ],\n");
-        out.push_str(&format!(
-            "  \"counts\": {{\"offered\": {}, \"admitted\": {}, \"completed\": {}, \
-             \"failed\": {}, \"shed_rate_limited\": {}, \"shed_queue_full\": {}, \
-             \"shed_static\": {}, \"shed_overloaded\": {}, \"shed_brownout\": {}, \
-             \"shed_deadline\": {}, \"slo_violations\": {}}},\n",
-            o.offered,
-            o.admitted,
-            o.completed,
-            o.failed,
-            o.shed_rate_limited,
-            o.shed_queue_full,
-            o.shed_static,
-            o.shed_overloaded,
-            o.shed_brownout,
-            o.shed_deadline,
-            o.slo_violations
-        ));
-        out.push_str(&format!(
-            "  \"lifecycle\": {{\"retries\": {}, \"retry_denied\": {}, \"hedges\": {}, \
-             \"hedge_wins\": {}, \"hedge_cancelled\": {}, \"hedge_denied\": {}, \
-             \"brownout_transitions\": {}, \"brownout_peak_tier\": {}}},\n",
-            o.retries,
-            o.retry_denied,
-            o.hedges,
-            o.hedge_wins,
-            o.hedge_cancelled,
-            o.hedge_denied,
-            o.brownout_transitions,
-            o.brownout_peak_tier
-        ));
+        out.push_str(&format!("  \"counts\": {{{}}},\n", block("counts")));
+        out.push_str(&format!("  \"lifecycle\": {{{}}},\n", block("lifecycle")));
         if self.options.partition > 0 {
             out.push_str(&format!(
-                "  \"cluster\": {{\"partition_cycles\": {}, \"gossip_rounds\": {}, \
-                 \"suspects\": {}, \"confirms\": {}, \"refutations\": {}, \"failovers\": {}, \
-                 \"degraded_grants\": {}, \"fencing_epoch\": {}, \"shed_partitioned\": {}, \
-                 \"partition_orphans\": {}, \"fenced_batches\": {}}},\n",
+                "  \"cluster\": {{\"partition_cycles\": {}, {}}},\n",
                 self.options.partition,
-                o.gossip_rounds,
-                o.suspects,
-                o.confirms,
-                o.refutations,
-                o.failovers,
-                o.degraded_grants,
-                o.cluster_epoch,
-                o.shed_partitioned,
-                o.partition_orphans,
-                o.fenced_batches
+                block("cluster")
             ));
         }
         out.push_str(&format!(
@@ -474,14 +444,11 @@ impl ServeReport {
         out.push_str("\n  ],\n");
         let ceilings: Vec<String> = o.final_max_batch.iter().map(usize::to_string).collect();
         out.push_str(&format!(
-            "  \"autotuner\": {{\"retunes\": {}, \"final_batch\": [{}]}},\n",
-            o.retunes,
+            "  \"autotuner\": {{{}, \"final_batch\": [{}]}},\n",
+            block("autotuner"),
             ceilings.join(", ")
         ));
-        out.push_str(&format!(
-            "  \"breakers\": {{\"opens\": {}, \"probes\": {}}},\n",
-            o.breaker_opens, o.probes
-        ));
+        out.push_str(&format!("  \"breakers\": {{{}}},\n", block("breakers")));
         out.push_str(&format!("  \"conserved\": {}\n", o.conserved()));
         out.push('}');
         out

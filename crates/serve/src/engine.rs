@@ -90,6 +90,8 @@ use everest_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::batcher::{BatchPolicy, DynamicBatcher, OfferOutcome};
+pub use crate::ledger::ServeOutcome;
+use crate::ledger::{Layer, Metric, Role};
 use crate::lifecycle::{
     AimdLimiter, BrownoutController, LatencyWindow, LifecycleConfig, RetryBudget,
 };
@@ -233,117 +235,7 @@ pub struct TenantOutcome {
     pub retried: u64,
 }
 
-/// The result of a serving run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeOutcome {
-    /// Requests offered by the arrival trace.
-    pub offered: u64,
-    /// Requests past admission control.
-    pub admitted: u64,
-    /// Requests served to completion.
-    pub completed: u64,
-    /// Requests lost to faults after admission.
-    pub failed: u64,
-    /// Sheds at the door: empty token bucket.
-    pub shed_rate_limited: u64,
-    /// Sheds at the door: queue-depth backpressure.
-    pub shed_queue_full: u64,
-    /// Sheds at the door: class statically proven unable to meet its
-    /// deadline (worst-case bound from `everest-analysis` exceeds the
-    /// class deadline).
-    pub shed_static: u64,
-    /// Sheds at the door: the adaptive concurrency limiter's cap
-    /// (observed batch latency says the cluster is past its useful
-    /// concurrency).
-    pub shed_overloaded: u64,
-    /// Sheds at the door: a brownout tier sacrificed the tenant to
-    /// keep higher-weight tenants inside their deadlines.
-    pub shed_brownout: u64,
-    /// Sheds at the door: the tenant's shard holds no live lease (its
-    /// owner is partitioned away, or the coordinator's component lost
-    /// quorum) — refused typed, before any token or queue slot is
-    /// spent.
-    pub shed_partitioned: u64,
-    /// Sheds in queue: class deadline lapsed before dispatch.
-    pub shed_deadline: u64,
-    /// Completions that finished past their class deadline.
-    pub slo_violations: u64,
-    /// Fault-failed requests re-enqueued by the retry layer (charged
-    /// to their tenant's retry budget).
-    pub retries: u64,
-    /// Fault-failed requests the retry layer refused (attempt cap or
-    /// budget exhausted) and failed terminally.
-    pub retry_denied: u64,
-    /// Hedge duplicates dispatched.
-    pub hedges: u64,
-    /// Hedge races the duplicate won.
-    pub hedge_wins: u64,
-    /// Losing legs cancelled after a hedge race resolved (primary or
-    /// duplicate).
-    pub hedge_cancelled: u64,
-    /// Hedge timers that fired but found no healthy idle node.
-    pub hedge_denied: u64,
-    /// Brownout tier changes during the run.
-    pub brownout_transitions: u64,
-    /// Highest brownout tier the run reached (0 = never browned out).
-    pub brownout_peak_tier: u8,
-    /// Breaker trips during the run.
-    pub breaker_opens: u64,
-    /// Half-open probe dispatches.
-    pub probes: u64,
-    /// Gossip rounds the membership layer ran (0 with the cluster
-    /// layer off).
-    pub gossip_rounds: u64,
-    /// Alive→Suspect transitions across all observer views.
-    pub suspects: u64,
-    /// Suspect→Dead confirms (suspicion outlived the suspect timeout).
-    pub confirms: u64,
-    /// Incarnation-bump refutations (a probed node cleared its own
-    /// suspicion).
-    pub refutations: u64,
-    /// Shard lease failovers (each bumps the fencing epoch).
-    pub failovers: u64,
-    /// Lease grants made through the degraded-mode escape hatch
-    /// (no quorum, grace expired).
-    pub degraded_grants: u64,
-    /// Requests whose in-flight leg was fenced off a confirmed-dead
-    /// node and re-enqueued into the fair queue. Not a terminal state:
-    /// each re-enqueued request still ends completed, failed or
-    /// deadline-shed exactly once.
-    pub partition_orphans: u64,
-    /// Batch legs fenced by a membership confirm (completion
-    /// cancelled; the partitioned node's result can never land).
-    pub fenced_batches: u64,
-    /// Final fencing epoch (0 when no failover ever happened).
-    pub cluster_epoch: u64,
-    /// Autotuner retune evaluations.
-    pub retunes: u64,
-    /// Per-tenant accounting, in tenant-table order.
-    pub tenants: Vec<TenantOutcome>,
-    /// Every dispatched batch, in dispatch order.
-    pub batches: Vec<BatchRecord>,
-    /// End-to-end latency of every completion, in completion order.
-    pub latencies_us: Vec<f64>,
-    /// Arrival horizon, microseconds.
-    pub horizon_us: f64,
-    /// Virtual time the last event settled, microseconds.
-    pub end_us: f64,
-    /// Final autotuned batch ceiling per class.
-    pub final_max_batch: Vec<usize>,
-}
-
 impl ServeOutcome {
-    /// Requests shed for any reason.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_rate_limited
-            + self.shed_queue_full
-            + self.shed_static
-            + self.shed_overloaded
-            + self.shed_brownout
-            + self.shed_partitioned
-            + self.shed_deadline
-    }
-
     /// Shed fraction of offered load, in `[0, 1]`.
     pub fn shed_rate(&self) -> f64 {
         if self.offered == 0 {
@@ -391,15 +283,8 @@ impl ServeOutcome {
     /// a door-side terminal state, and a fenced orphan re-enters the
     /// queue without leaving the `admitted` population.
     pub fn conserved(&self) -> bool {
-        let door = self.offered
-            == self.admitted
-                + self.shed_rate_limited
-                + self.shed_queue_full
-                + self.shed_static
-                + self.shed_overloaded
-                + self.shed_brownout
-                + self.shed_partitioned;
-        let queue = self.admitted == self.completed + self.failed + self.shed_deadline;
+        let door = self.offered == self.admitted + self.role_sum(Role::DoorShed);
+        let queue = self.admitted == self.role_sum(Role::Terminal) + self.role_sum(Role::QueueShed);
         let hedges = self.hedge_wins <= self.hedges
             && self.hedge_cancelled <= self.hedges
             && self.hedge_wins <= self.hedge_cancelled;
@@ -507,30 +392,14 @@ enum EventKind {
 /// latency vector are never sampled.
 const REQUEST_SAMPLE_EVERY: u64 = 8;
 
-/// Pre-resolved `serve.*` instruments: one name lookup each at
-/// construction, atomic increments on the hot path.
+/// Pre-resolved handles for the `serve.*` instruments recorded at
+/// event time: one name lookup each at construction, no lookups on the
+/// hot path. Every other `serve.*` / `cluster.*` metric mirrors a
+/// [`ServeOutcome`] counter and is published once, by name, from the
+/// ledger ([`Sim::flush_metrics`]).
 #[derive(Debug)]
 struct ServeMetrics {
-    requests_offered: CounterHandle,
-    requests_admitted: CounterHandle,
-    requests_completed: CounterHandle,
-    requests_shed: CounterHandle,
-    requests_failed: CounterHandle,
-    /// Indexed by [`ShedReason::index`].
-    shed_reason: [CounterHandle; ShedReason::COUNT],
-    slo_violations: CounterHandle,
-    batches_dispatched: CounterHandle,
-    probes: CounterHandle,
-    breaker_opens: CounterHandle,
-    retunes: CounterHandle,
     faults: CounterHandle,
-    retry_attempts: CounterHandle,
-    retry_denied: CounterHandle,
-    hedge_launched: CounterHandle,
-    hedge_wins: CounterHandle,
-    hedge_cancelled: CounterHandle,
-    hedge_denied: CounterHandle,
-    brownout_transitions: CounterHandle,
     queue_depth: GaugeHandle,
     brownout_tier: GaugeHandle,
     limiter_limit: GaugeHandle,
@@ -542,33 +411,7 @@ struct ServeMetrics {
 impl ServeMetrics {
     fn new(registry: &Registry) -> ServeMetrics {
         ServeMetrics {
-            requests_offered: registry.counter_handle("serve.requests_offered"),
-            requests_admitted: registry.counter_handle("serve.requests_admitted"),
-            requests_completed: registry.counter_handle("serve.requests_completed"),
-            requests_shed: registry.counter_handle("serve.requests_shed"),
-            requests_failed: registry.counter_handle("serve.requests_failed"),
-            shed_reason: [
-                registry.counter_handle("serve.shed.rate_limited"),
-                registry.counter_handle("serve.shed.queue_full"),
-                registry.counter_handle("serve.shed.deadline_lapsed"),
-                registry.counter_handle("serve.shed.statically_infeasible"),
-                registry.counter_handle("serve.shed.overloaded"),
-                registry.counter_handle("serve.shed.brownout"),
-                registry.counter_handle("serve.shed.partitioned_away"),
-            ],
-            slo_violations: registry.counter_handle("serve.slo_violations"),
-            batches_dispatched: registry.counter_handle("serve.batches_dispatched"),
-            probes: registry.counter_handle("serve.probes"),
-            breaker_opens: registry.counter_handle("serve.breaker_opens"),
-            retunes: registry.counter_handle("serve.retunes"),
             faults: registry.counter_handle("serve.faults"),
-            retry_attempts: registry.counter_handle("serve.retry.attempts"),
-            retry_denied: registry.counter_handle("serve.retry.denied"),
-            hedge_launched: registry.counter_handle("serve.hedge.launched"),
-            hedge_wins: registry.counter_handle("serve.hedge.wins"),
-            hedge_cancelled: registry.counter_handle("serve.hedge.cancelled"),
-            hedge_denied: registry.counter_handle("serve.hedge.denied"),
-            brownout_transitions: registry.counter_handle("serve.brownout.transitions"),
             queue_depth: registry.gauge_handle("serve.queue_depth"),
             brownout_tier: registry.gauge_handle("serve.brownout.tier"),
             limiter_limit: registry.gauge_handle("serve.limiter.limit"),
@@ -576,44 +419,6 @@ impl ServeMetrics {
                 .histogram_handle_sampled("serve.queue_wait_us", REQUEST_SAMPLE_EVERY),
             latency_us: registry.histogram_handle_sampled("serve.latency_us", REQUEST_SAMPLE_EVERY),
             batch_size: registry.histogram_handle("serve.batch_size"),
-        }
-    }
-}
-
-/// Pre-resolved `cluster.*` instruments. Registered only when the
-/// cluster layer is on, so a features-off run records exactly the same
-/// telemetry namespace as before.
-#[derive(Debug)]
-struct ClusterMetrics {
-    gossip_rounds: CounterHandle,
-    probes: CounterHandle,
-    probe_failures: CounterHandle,
-    suspects: CounterHandle,
-    confirms: CounterHandle,
-    refutations: CounterHandle,
-    lease_renewals: CounterHandle,
-    failovers: CounterHandle,
-    degraded_grants: CounterHandle,
-    orphaned_requests: CounterHandle,
-    fenced_batches: CounterHandle,
-    fencing_epoch: GaugeHandle,
-}
-
-impl ClusterMetrics {
-    fn new(registry: &Registry) -> ClusterMetrics {
-        ClusterMetrics {
-            gossip_rounds: registry.counter_handle("cluster.gossip_rounds"),
-            probes: registry.counter_handle("cluster.probes"),
-            probe_failures: registry.counter_handle("cluster.probe_failures"),
-            suspects: registry.counter_handle("cluster.suspects"),
-            confirms: registry.counter_handle("cluster.confirms"),
-            refutations: registry.counter_handle("cluster.refutations"),
-            lease_renewals: registry.counter_handle("cluster.lease_renewals"),
-            failovers: registry.counter_handle("cluster.failovers"),
-            degraded_grants: registry.counter_handle("cluster.degraded_grants"),
-            orphaned_requests: registry.counter_handle("cluster.orphaned_requests"),
-            fenced_batches: registry.counter_handle("cluster.fenced_batches"),
-            fencing_epoch: registry.gauge_handle("cluster.fencing_epoch"),
         }
     }
 }
@@ -728,8 +533,6 @@ struct Sim<'a> {
     metrics: ServeMetrics,
     /// Partition-tolerant membership + shard leases, when enabled.
     membership: Option<ClusterController>,
-    /// `cluster.*` instruments, present exactly when `membership` is.
-    cluster_metrics: Option<ClusterMetrics>,
     /// Last depth published to the `serve.queue_depth` gauge; the
     /// store is skipped while the depth is unchanged.
     last_depth: usize,
@@ -787,38 +590,6 @@ impl<'a> Sim<'a> {
         )
         .into_requests();
         let outcome = ServeOutcome {
-            offered: 0,
-            admitted: 0,
-            completed: 0,
-            failed: 0,
-            shed_rate_limited: 0,
-            shed_queue_full: 0,
-            shed_static: 0,
-            shed_overloaded: 0,
-            shed_brownout: 0,
-            shed_partitioned: 0,
-            shed_deadline: 0,
-            slo_violations: 0,
-            retries: 0,
-            retry_denied: 0,
-            hedges: 0,
-            hedge_wins: 0,
-            hedge_cancelled: 0,
-            hedge_denied: 0,
-            brownout_transitions: 0,
-            brownout_peak_tier: 0,
-            breaker_opens: 0,
-            probes: 0,
-            gossip_rounds: 0,
-            suspects: 0,
-            confirms: 0,
-            refutations: 0,
-            failovers: 0,
-            degraded_grants: 0,
-            partition_orphans: 0,
-            fenced_batches: 0,
-            cluster_epoch: 0,
-            retunes: 0,
             tenants: cfg
                 .tenants
                 .iter()
@@ -833,17 +604,14 @@ impl<'a> Sim<'a> {
                     retried: 0,
                 })
                 .collect(),
-            batches: Vec::new(),
-            latencies_us: Vec::new(),
             horizon_us: cfg.horizon_us,
-            end_us: 0.0,
             final_max_batch: cfg.batch.iter().map(|p| p.max_batch).collect(),
+            ..ServeOutcome::zero()
         };
         let metrics = ServeMetrics::new(&registry);
         let membership = cfg
             .cluster
             .map(|c| ClusterController::new(c, cfg.nodes, plan));
-        let cluster_metrics = cfg.cluster.map(|_| ClusterMetrics::new(&registry));
         let retry_budgets: Vec<RetryBudget> = match &cfg.lifecycle.retry {
             Some(retry) => cfg
                 .tenants
@@ -907,7 +675,6 @@ impl<'a> Sim<'a> {
             inflight_count: 0,
             metrics,
             membership,
-            cluster_metrics,
             last_depth: usize::MAX,
             scratch_idle: Vec::with_capacity(cfg.nodes),
             scratch_admitted: Vec::with_capacity(cfg.nodes),
@@ -1067,55 +834,37 @@ impl<'a> Sim<'a> {
         self.wfq.len() + self.batcher.pending()
     }
 
-    /// Publishes the counters whose totals mirror [`ServeOutcome`]
-    /// fields exactly. Publishing once after the drain instead of
-    /// incrementing per request keeps the final registry values
-    /// identical while dropping several atomic adds from every
-    /// arrival and completion. `serve.faults` (no outcome mirror) and
-    /// the histograms are still recorded at event time.
+    /// Publishes every ledger counter that has a telemetry mirror, by
+    /// name, plus the few flushed values that have no outcome field.
+    /// Publishing once after the drain instead of incrementing per
+    /// request keeps the final registry values identical while keeping
+    /// atomic adds (and, here, name lookups) off every arrival and
+    /// completion. `cluster.*` rows are skipped with the layer off, so
+    /// a features-off run registers none of them. `serve.faults` (no
+    /// outcome mirror) and the histograms are recorded at event time.
     fn flush_metrics(&self) {
         let o = &self.outcome;
-        self.metrics.requests_offered.add(o.offered);
-        self.metrics.requests_admitted.add(o.admitted);
-        self.metrics.requests_completed.add(o.completed);
-        self.metrics.requests_shed.add(o.shed_total());
-        self.metrics.requests_failed.add(o.failed);
-        self.metrics.shed_reason[ShedReason::RateLimited.index()].add(o.shed_rate_limited);
-        self.metrics.shed_reason[ShedReason::QueueFull.index()].add(o.shed_queue_full);
-        self.metrics.shed_reason[ShedReason::DeadlineLapsed.index()].add(o.shed_deadline);
-        self.metrics.shed_reason[ShedReason::StaticallyInfeasible.index()].add(o.shed_static);
-        self.metrics.shed_reason[ShedReason::Overloaded.index()].add(o.shed_overloaded);
-        self.metrics.shed_reason[ShedReason::Brownout.index()].add(o.shed_brownout);
-        self.metrics.shed_reason[ShedReason::PartitionedAway.index()].add(o.shed_partitioned);
-        self.metrics.retry_attempts.add(o.retries);
-        self.metrics.retry_denied.add(o.retry_denied);
-        self.metrics.hedge_launched.add(o.hedges);
-        self.metrics.hedge_wins.add(o.hedge_wins);
-        self.metrics.hedge_cancelled.add(o.hedge_cancelled);
-        self.metrics.hedge_denied.add(o.hedge_denied);
-        self.metrics
-            .brownout_transitions
-            .add(o.brownout_transitions);
-        self.metrics.slo_violations.add(o.slo_violations);
-        self.metrics.batches_dispatched.add(o.batches.len() as u64);
-        self.metrics.probes.add(o.probes);
-        self.metrics.breaker_opens.add(o.breaker_opens);
-        self.metrics.retunes.add(o.retunes);
-        if let (Some(cm), Some(ctrl)) = (&self.cluster_metrics, &self.membership) {
-            let swim = ctrl.swim_stats();
-            let lease = ctrl.lease_stats();
-            cm.gossip_rounds.add(swim.rounds);
-            cm.probes.add(swim.probes);
-            cm.probe_failures.add(swim.probe_failures);
-            cm.suspects.add(swim.suspects);
-            cm.confirms.add(swim.confirms);
-            cm.refutations.add(swim.refutations);
-            cm.lease_renewals.add(lease.renewals);
-            cm.failovers.add(lease.failovers);
-            cm.degraded_grants.add(lease.degraded_grants);
-            cm.orphaned_requests.add(o.partition_orphans);
-            cm.fenced_batches.add(o.fenced_batches);
-            cm.fencing_epoch.set(ctrl.fencing_epoch() as f64);
+        for (row, value) in o.ledger() {
+            if row.layer == Layer::Cluster && self.membership.is_none() {
+                continue;
+            }
+            match row.metric {
+                Metric::Counter(name) => self.registry.counter_add(name, value),
+                Metric::Gauge(name) => self.registry.gauge_set(name, value as f64),
+                Metric::None => {}
+            }
+        }
+        self.registry
+            .counter_add("serve.requests_shed", o.shed_total());
+        self.registry
+            .counter_add("serve.batches_dispatched", o.batches.len() as u64);
+        if let Some(ctrl) = &self.membership {
+            let (swim, lease) = (ctrl.swim_stats(), ctrl.lease_stats());
+            self.registry.counter_add("cluster.probes", swim.probes);
+            self.registry
+                .counter_add("cluster.probe_failures", swim.probe_failures);
+            self.registry
+                .counter_add("cluster.lease_renewals", lease.renewals);
         }
     }
 
@@ -1170,15 +919,7 @@ impl<'a> Sim<'a> {
     }
 
     fn shed(&mut self, request: &Request, reason: ShedReason) {
-        match reason {
-            ShedReason::RateLimited => self.outcome.shed_rate_limited += 1,
-            ShedReason::QueueFull => self.outcome.shed_queue_full += 1,
-            ShedReason::StaticallyInfeasible => self.outcome.shed_static += 1,
-            ShedReason::Overloaded => self.outcome.shed_overloaded += 1,
-            ShedReason::Brownout => self.outcome.shed_brownout += 1,
-            ShedReason::PartitionedAway => self.outcome.shed_partitioned += 1,
-            ShedReason::DeadlineLapsed => self.outcome.shed_deadline += 1,
-        }
+        *self.outcome.shed_slot(reason) += 1;
         self.outcome.tenants[request.tenant].shed += 1;
     }
 

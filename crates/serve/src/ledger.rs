@@ -1,0 +1,261 @@
+//! The serve counter ledger: every scalar counter of a serving run,
+//! declared exactly once.
+//!
+//! Each row of the [`ledger!`] declaration below names a counter, its
+//! doc, its part in the conservation equations ([`Role`]), the
+//! telemetry instrument that mirrors it ([`Metric`]), the `(block,
+//! key)` it is written under in the `basecamp serve --trace` replay
+//! trace, and the engine layer that publishes it ([`Layer`]). From the
+//! rows the macro generates the [`ServeOutcome`] fields, the all-zero
+//! initial value, the [`ShedReason`] → counter accessor and the
+//! [`ServeOutcome::LEDGER`] table; the conservation sums, the
+//! end-of-run telemetry flush, the trace blocks and the observability
+//! contract test all iterate that table. Adding a counter is one row
+//! here plus its increment in the engine.
+
+use crate::engine::{BatchRecord, TenantOutcome};
+use crate::request::ShedReason;
+
+/// A counter's part in the conservation equations checked by
+/// [`ServeOutcome::conserved`]: `offered == admitted + Σ DoorShed` and
+/// `admitted == Σ Terminal + Σ QueueShed`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Refused before admission; terminal.
+    DoorShed,
+    /// Admitted, then dropped while queued; terminal.
+    QueueShed,
+    /// Any other terminal state of an admitted request.
+    Terminal,
+    /// Not a term of either equation.
+    None,
+}
+
+/// The telemetry instrument a counter is published to, once, after the
+/// event loop drains (`docs/OBSERVABILITY.md`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Metric {
+    /// A monotonic counter of this name.
+    Counter(&'static str),
+    /// A gauge of this name.
+    Gauge(&'static str),
+    /// Not published.
+    None,
+}
+
+/// The engine layer that publishes a counter's metric. `Core` and
+/// `Lifecycle` rows are published by every run (a features-off run
+/// registers the lifecycle names at zero); `Cluster` rows only when
+/// `ServeConfig::cluster` is `Some`. A run with a layer off leaves
+/// that layer's counters at zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// Door, fair queue, batcher, dispatch, breakers, autotuner.
+    Core,
+    /// Retry budgets, hedging, AIMD limiter, brownout tiers.
+    Lifecycle,
+    /// Gossip membership, shard leases, fencing.
+    Cluster,
+}
+
+/// One declared counter; see the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LedgerRow {
+    /// The [`ServeOutcome`] field name.
+    pub field: &'static str,
+    /// Conservation role.
+    pub role: Role,
+    /// Mirroring telemetry instrument.
+    pub metric: Metric,
+    /// `(block, key)` in the replay trace.
+    pub trace: (&'static str, &'static str),
+    /// Publishing layer.
+    pub layer: Layer,
+}
+
+/// Declares the outcome struct. A counter row reads
+/// `field: type = Role[(ShedReason)], Metric[("name")], block[("key")], Layer;`
+/// — the trace key defaults to the field name.
+macro_rules! ledger {
+    (
+        $(#[$struct_doc:meta])*
+        pub struct $name:ident {
+            counters {$(
+                $(#[$doc:meta])*
+                $field:ident : $ty:ty = $role:ident $(($reason:ident))?,
+                    $kind:ident $(($metric:literal))?, $block:ident $(($key:literal))?, $layer:ident;
+            )*}
+            $($(#[$rest_doc:meta])* pub $rest:ident : $rest_ty:ty,)*
+        }
+    ) => {
+        $(#[$struct_doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct $name {
+            $($(#[$doc])* pub $field: $ty,)*
+            $($(#[$rest_doc])* pub $rest: $rest_ty,)*
+        }
+
+        impl $name {
+            /// One row per scalar counter, in declaration order.
+            pub const LEDGER: &'static [LedgerRow] = &[$(LedgerRow {
+                field: stringify!($field),
+                role: Role::$role,
+                metric: Metric::$kind $(($metric))?,
+                trace: (stringify!($block), ledger!(@key $field $($key)?)),
+                layer: Layer::$layer,
+            }),*];
+
+            /// Every counter zero, every collection empty.
+            pub(crate) fn zero() -> $name {
+                $name {
+                    $($field: 0,)*
+                    $($rest: Default::default(),)*
+                }
+            }
+
+            /// Every ledger row paired with this outcome's value for
+            /// it, in declaration order.
+            #[allow(clippy::useless_conversion)]
+            pub fn ledger(&self) -> impl Iterator<Item = (&'static LedgerRow, u64)> {
+                Self::LEDGER.iter().zip([$(u64::from(self.$field)),*])
+            }
+
+            /// The counter a shed for `reason` increments.
+            pub(crate) fn shed_slot(&mut self, reason: ShedReason) -> &mut u64 {
+                match reason {
+                    $($(ShedReason::$reason => &mut self.$field,)?)*
+                }
+            }
+        }
+    };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+}
+
+ledger! {
+    /// The result of a serving run.
+    pub struct ServeOutcome {
+        counters {
+            /// Requests offered by the arrival trace.
+            offered: u64 = None, Counter("serve.requests_offered"), counts, Core;
+            /// Requests past admission control.
+            admitted: u64 = None, Counter("serve.requests_admitted"), counts, Core;
+            /// Requests served to completion.
+            completed: u64 = Terminal, Counter("serve.requests_completed"), counts, Core;
+            /// Requests lost to faults after admission.
+            failed: u64 = Terminal, Counter("serve.requests_failed"), counts, Core;
+            /// Sheds at the door: empty token bucket.
+            shed_rate_limited: u64 =
+                DoorShed(RateLimited), Counter("serve.shed.rate_limited"), counts, Core;
+            /// Sheds at the door: queue-depth backpressure.
+            shed_queue_full: u64 =
+                DoorShed(QueueFull), Counter("serve.shed.queue_full"), counts, Core;
+            /// Sheds at the door: class statically proven unable to meet its
+            /// deadline (worst-case bound from `everest-analysis` exceeds the
+            /// class deadline).
+            shed_static: u64 = DoorShed(StaticallyInfeasible),
+                Counter("serve.shed.statically_infeasible"), counts, Core;
+            /// Sheds at the door: the adaptive concurrency limiter's cap
+            /// (observed batch latency says the cluster is past its useful
+            /// concurrency).
+            shed_overloaded: u64 =
+                DoorShed(Overloaded), Counter("serve.shed.overloaded"), counts, Lifecycle;
+            /// Sheds at the door: a brownout tier sacrificed the tenant to
+            /// keep higher-weight tenants inside their deadlines.
+            shed_brownout: u64 =
+                DoorShed(Brownout), Counter("serve.shed.brownout"), counts, Lifecycle;
+            /// Sheds in queue: class deadline lapsed before dispatch.
+            shed_deadline: u64 =
+                QueueShed(DeadlineLapsed), Counter("serve.shed.deadline_lapsed"), counts, Core;
+            /// Completions that finished past their class deadline.
+            slo_violations: u64 = None, Counter("serve.slo_violations"), counts, Core;
+            /// Fault-failed requests re-enqueued by the retry layer (charged
+            /// to their tenant's retry budget).
+            retries: u64 = None, Counter("serve.retry.attempts"), lifecycle, Lifecycle;
+            /// Fault-failed requests the retry layer refused (attempt cap or
+            /// budget exhausted) and failed terminally.
+            retry_denied: u64 = None, Counter("serve.retry.denied"), lifecycle, Lifecycle;
+            /// Hedge duplicates dispatched.
+            hedges: u64 = None, Counter("serve.hedge.launched"), lifecycle, Lifecycle;
+            /// Hedge races the duplicate won.
+            hedge_wins: u64 = None, Counter("serve.hedge.wins"), lifecycle, Lifecycle;
+            /// Losing legs cancelled after a hedge race resolved (primary or
+            /// duplicate).
+            hedge_cancelled: u64 = None, Counter("serve.hedge.cancelled"), lifecycle, Lifecycle;
+            /// Hedge timers that fired but found no healthy idle node.
+            hedge_denied: u64 = None, Counter("serve.hedge.denied"), lifecycle, Lifecycle;
+            /// Brownout tier changes during the run.
+            brownout_transitions: u64 =
+                None, Counter("serve.brownout.transitions"), lifecycle, Lifecycle;
+            /// Highest brownout tier the run reached (0 = never browned out).
+            brownout_peak_tier: u8 = None, None, lifecycle, Lifecycle;
+            /// Breaker trips during the run.
+            breaker_opens: u64 = None, Counter("serve.breaker_opens"), breakers("opens"), Core;
+            /// Half-open probe dispatches.
+            probes: u64 = None, Counter("serve.probes"), breakers, Core;
+            /// Gossip rounds the membership layer ran (0 with the cluster
+            /// layer off).
+            gossip_rounds: u64 = None, Counter("cluster.gossip_rounds"), cluster, Cluster;
+            /// Alive→Suspect transitions across all observer views.
+            suspects: u64 = None, Counter("cluster.suspects"), cluster, Cluster;
+            /// Suspect→Dead confirms (suspicion outlived the suspect timeout).
+            confirms: u64 = None, Counter("cluster.confirms"), cluster, Cluster;
+            /// Incarnation-bump refutations (a probed node cleared its own
+            /// suspicion).
+            refutations: u64 = None, Counter("cluster.refutations"), cluster, Cluster;
+            /// Shard lease failovers (each bumps the fencing epoch).
+            failovers: u64 = None, Counter("cluster.failovers"), cluster, Cluster;
+            /// Lease grants made through the degraded-mode escape hatch
+            /// (no quorum, grace expired).
+            degraded_grants: u64 = None, Counter("cluster.degraded_grants"), cluster, Cluster;
+            /// Final fencing epoch (0 when no failover ever happened).
+            cluster_epoch: u64 =
+                None, Gauge("cluster.fencing_epoch"), cluster("fencing_epoch"), Cluster;
+            /// Sheds at the door: the tenant's shard holds no live lease (its
+            /// owner is partitioned away, or the coordinator's component lost
+            /// quorum) — refused typed, before any token or queue slot is
+            /// spent. Published with the rest of the `serve.shed.*` family,
+            /// whether or not the cluster layer is on.
+            shed_partitioned: u64 = DoorShed(PartitionedAway),
+                Counter("serve.shed.partitioned_away"), cluster, Core;
+            /// Requests whose in-flight leg was fenced off a confirmed-dead
+            /// node and re-enqueued into the fair queue. Not a terminal state:
+            /// each re-enqueued request still ends completed, failed or
+            /// deadline-shed exactly once.
+            partition_orphans: u64 =
+                None, Counter("cluster.orphaned_requests"), cluster, Cluster;
+            /// Batch legs fenced by a membership confirm (completion
+            /// cancelled; the partitioned node's result can never land).
+            fenced_batches: u64 = None, Counter("cluster.fenced_batches"), cluster, Cluster;
+            /// Autotuner retune evaluations.
+            retunes: u64 = None, Counter("serve.retunes"), autotuner, Core;
+        }
+        /// Per-tenant accounting, in tenant-table order.
+        pub tenants: Vec<TenantOutcome>,
+        /// Every dispatched batch, in dispatch order.
+        pub batches: Vec<BatchRecord>,
+        /// End-to-end latency of every completion, in completion order.
+        pub latencies_us: Vec<f64>,
+        /// Arrival horizon, microseconds.
+        pub horizon_us: f64,
+        /// Virtual time the last event settled, microseconds.
+        pub end_us: f64,
+        /// Final autotuned batch ceiling per class.
+        pub final_max_batch: Vec<usize>,
+    }
+}
+
+impl ServeOutcome {
+    /// Sum of the counters playing `role` in the conservation equations.
+    pub(crate) fn role_sum(&self, role: Role) -> u64 {
+        self.ledger()
+            .filter(|(row, _)| row.role == role)
+            .map(|(_, value)| value)
+            .sum()
+    }
+
+    /// Requests shed for any reason.
+    pub fn shed_total(&self) -> u64 {
+        self.role_sum(Role::DoorShed) + self.role_sum(Role::QueueShed)
+    }
+}

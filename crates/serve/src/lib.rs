@@ -48,6 +48,7 @@
 pub mod admission;
 pub mod batcher;
 pub mod engine;
+pub mod ledger;
 pub mod lifecycle;
 pub mod request;
 pub mod wfq;
@@ -56,6 +57,7 @@ pub use admission::{AdmissionConfig, AdmissionController, TokenBucket};
 pub use batcher::{Batch, BatchPolicy, DynamicBatcher, OfferOutcome};
 pub use engine::{BatchRecord, ServeConfig, ServeEngine, ServeOutcome, TenantOutcome};
 pub use everest_cluster::ClusterConfig;
+pub use ledger::{Layer, LedgerRow, Metric, Role};
 pub use lifecycle::{
     AimdLimiter, BrownoutConfig, BrownoutController, HedgeConfig, LatencyWindow, LifecycleConfig,
     LimiterConfig, RetryBudget, RetryConfig,

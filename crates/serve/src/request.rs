@@ -243,23 +243,6 @@ impl ShedReason {
             ShedReason::PartitionedAway => "partitioned_away",
         }
     }
-
-    /// Dense index of the reason, `0..ShedReason::COUNT`. Lets hot
-    /// paths key per-reason counters by array slot instead of by name.
-    pub fn index(&self) -> usize {
-        match self {
-            ShedReason::RateLimited => 0,
-            ShedReason::QueueFull => 1,
-            ShedReason::DeadlineLapsed => 2,
-            ShedReason::StaticallyInfeasible => 3,
-            ShedReason::Overloaded => 4,
-            ShedReason::Brownout => 5,
-            ShedReason::PartitionedAway => 6,
-        }
-    }
-
-    /// Number of distinct shed reasons ([`ShedReason::index`] range).
-    pub const COUNT: usize = 7;
 }
 
 /// Terminal state of an offered request. The conservation invariant —
