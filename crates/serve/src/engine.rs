@@ -27,9 +27,13 @@
 //!   events that can no longer matter — the wait-timeout of a batch
 //!   that closed on size, the completion of a batch a fault already
 //!   failed — instead of popping tombstones;
-//! * `serve.*` telemetry goes through pre-resolved
-//!   [`everest_telemetry::CounterHandle`]s (no name lookups), and the
-//!   two per-request histograms are deterministically sampled;
+//! * the `serve.*` / `cluster.*` counters that mirror a
+//!   [`ServeOutcome`] field are not touched per event at all: they are
+//!   published once, by name, from the counter ledger
+//!   ([`crate::ledger`]) after the loop drains. Only the instruments
+//!   recorded at event time (`serve.faults`, three gauges, three
+//!   histograms) hold pre-resolved handles, and the two per-request
+//!   histograms are deterministically sampled;
 //! * the autotuner is fed through resolved [`TunerSlot`]s, cached per
 //!   class until a retune changes the active operating point.
 //!
@@ -442,36 +446,46 @@ struct NodeState {
     creep: Option<(f64, f64)>,
 }
 
-/// A hedge duplicate running alongside a batch's primary leg. Exactly
-/// one may exist per batch (the hedge timer fires once); whichever leg
-/// completes first wins and the other is cancelled.
+/// One execution of a batch on one node. A batch always has a primary
+/// leg; while a hedge race is on it also has a duplicate. Exactly one
+/// duplicate may exist per batch (the hedge timer fires once);
+/// whichever leg completes first wins and the other is cancelled.
 #[derive(Debug)]
-struct HedgeLeg {
+struct Leg {
     node: usize,
     start_us: f64,
     expected_us: f64,
     actual_us: f64,
     fpga_path: bool,
     record: usize,
+    /// The scheduled completion event, cancelled if the leg is lost to
+    /// a fault or a fence first, or the other leg wins the race.
     completion: EventToken,
+}
+
+/// Why a leg stopped before its completion event: the one difference
+/// between a fault and a membership fence is how the loss is recorded
+/// and what becomes of a sole leg's requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LegLoss {
+    /// A fault killed the leg: the record is `failed`, and a sole
+    /// leg's requests are retried or failed.
+    Fault,
+    /// A membership confirm fenced the node: the record is `fenced`,
+    /// and a sole leg's requests re-enter the fair queue.
+    Fence,
 }
 
 #[derive(Debug)]
 struct Inflight {
-    node: usize,
     class: usize,
     requests: Vec<Request>,
-    start_us: f64,
-    expected_us: f64,
-    actual_us: f64,
     probe: bool,
-    fpga_path: bool,
-    record: usize,
-    /// The scheduled completion event, cancelled if a fault fails the
-    /// batch first or a hedge duplicate wins the race.
-    completion: EventToken,
-    /// The hedge duplicate, once one has been dispatched.
-    hedge: Option<HedgeLeg>,
+    /// The leg whose completion settles the batch.
+    primary: Leg,
+    /// The hedge duplicate, once one has been dispatched. Promoted to
+    /// `primary` when it wins the race or the primary leg is lost.
+    hedge: Option<Leg>,
     /// Pending hedge-delay timer, cancelled when the batch reaches a
     /// terminal state (or consumed when it fires).
     hedge_timer: Option<EventToken>,
@@ -530,6 +544,10 @@ struct Sim<'a> {
     /// Batches currently executing (primary legs; hedge duplicates do
     /// not count — the limiter bounds admitted work, not copies).
     inflight_count: usize,
+    /// Retry events scheduled but not yet fired; a term of the running
+    /// conservation check only.
+    #[cfg(debug_assertions)]
+    pending_retries: u64,
     metrics: ServeMetrics,
     /// Partition-tolerant membership + shard leases, when enabled.
     membership: Option<ClusterController>,
@@ -673,6 +691,8 @@ impl<'a> Sim<'a> {
             lowest_weight,
             chosen_batch: cfg.batch.iter().map(|p| p.max_batch).collect(),
             inflight_count: 0,
+            #[cfg(debug_assertions)]
+            pending_retries: 0,
             metrics,
             membership,
             last_depth: usize::MAX,
@@ -757,6 +777,8 @@ impl<'a> Sim<'a> {
         }
         let mut now = 0.0_f64;
         loop {
+            #[cfg(debug_assertions)]
+            self.assert_running_conservation();
             // Merge the arrival cursor against the event queue;
             // arrivals win timestamp ties (they were pushed first in
             // the single-heap design, so they carried the lowest seqs).
@@ -832,6 +854,34 @@ impl<'a> Sim<'a> {
 
     fn queue_depth(&self) -> usize {
         self.wfq.len() + self.batcher.pending()
+    }
+
+    /// The conservation equations, checked between events rather than
+    /// only at the end of the run: every offered request is admitted
+    /// or shed at the door, and every admitted request is terminal or
+    /// still in the system — queued, batched, executing, or waiting
+    /// out a retry backoff. Debug builds only.
+    #[cfg(debug_assertions)]
+    fn assert_running_conservation(&self) {
+        let o = &self.outcome;
+        assert_eq!(
+            o.offered,
+            o.admitted + o.role_sum(Role::DoorShed),
+            "door equation"
+        );
+        // Each executing batch counts once, on its primary leg's node.
+        let executing: usize = (self.nodes.iter().enumerate())
+            .filter_map(|(index, node)| {
+                let inflight = self.inflight[node.current? as usize].as_ref()?;
+                (inflight.primary.node == index).then_some(inflight.requests.len())
+            })
+            .sum();
+        let in_system = (self.queue_depth() + executing) as u64 + self.pending_retries;
+        assert_eq!(
+            o.admitted,
+            o.role_sum(Role::Terminal) + o.role_sum(Role::QueueShed) + in_system,
+            "queue equation"
+        );
     }
 
     /// Publishes every ledger counter that has a telemetry mirror, by
@@ -936,7 +986,7 @@ impl<'a> Sim<'a> {
     /// idle breaker-admitted nodes. Runs to a fixed point at each event.
     fn pump(&mut self, now: f64) {
         if self.nodes.iter().all(|n| n.crashed) {
-            self.drain_all_failed(now);
+            self.drain_all_failed();
             return;
         }
         loop {
@@ -1062,56 +1112,22 @@ impl<'a> Sim<'a> {
             if probe {
                 self.outcome.probes += 1;
             }
-            let expected = self.healthy_service_us(node, batch.class, size);
-            let actual = self.actual_service_us(node, batch.class, size, now);
-            let finish = now + actual;
-            self.nodes[node].free_at_us = finish;
-            self.nodes[node].current = Some(batch.id);
             for request in &batch.requests {
                 self.metrics.queue_wait_us.record(now - request.arrival_us);
             }
             self.metrics.batch_size.record(size as f64);
-            self.outcome.batches.push(BatchRecord {
-                id: batch.id,
-                class: batch.class,
-                node,
-                size,
-                start_us: now,
-                finish_us: finish,
-                probe,
-                failed: false,
-                hedge: false,
-                cancelled: false,
-                epoch: self
-                    .membership
-                    .as_ref()
-                    .map_or(0, ClusterController::fencing_epoch),
-                fenced: false,
-            });
-            let completion = self.push_event(
-                finish,
-                EventKind::Completion {
-                    batch: batch.id,
-                    hedged: false,
-                },
-            );
+            let primary = self.launch_leg(batch.id, batch.class, size, node, probe, false, now);
             let hedge_timer = if self.hedge_eligible(batch.class, probe) {
-                let delay = self.hedge_delay_us(batch.class, expected);
+                let delay = self.hedge_delay_us(batch.class, primary.expected_us);
                 Some(self.push_event(now + delay, EventKind::HedgeTimer { batch: batch.id }))
             } else {
                 None
             };
             *Self::slot(&mut self.inflight, batch.id) = Some(Inflight {
-                node,
                 class: batch.class,
                 requests: batch.requests,
-                start_us: now,
-                expected_us: expected,
-                actual_us: actual,
                 probe,
-                fpga_path: self.nodes[node].fpga,
-                record: self.outcome.batches.len() - 1,
-                completion,
+                primary,
                 hedge: None,
                 hedge_timer,
             });
@@ -1119,6 +1135,54 @@ impl<'a> Sim<'a> {
             dispatched += 1;
         }
         dispatched
+    }
+
+    /// Starts one leg of `batch` on `node`: prices it (placement model
+    /// and gray-aware actual), occupies the node, appends the
+    /// [`BatchRecord`] and schedules the completion event. `hedged`
+    /// marks the duplicate leg of a hedge race.
+    #[allow(clippy::too_many_arguments)]
+    fn launch_leg(
+        &mut self,
+        batch: u64,
+        class: usize,
+        size: usize,
+        node: usize,
+        probe: bool,
+        hedged: bool,
+        now: f64,
+    ) -> Leg {
+        let expected = self.healthy_service_us(node, class, size);
+        let actual = self.actual_service_us(node, class, size, now);
+        let finish = now + actual;
+        self.nodes[node].free_at_us = finish;
+        self.nodes[node].current = Some(batch);
+        self.outcome.batches.push(BatchRecord {
+            id: batch,
+            class,
+            node,
+            size,
+            start_us: now,
+            finish_us: finish,
+            probe,
+            failed: false,
+            hedge: hedged,
+            cancelled: false,
+            epoch: self
+                .membership
+                .as_ref()
+                .map_or(0, ClusterController::fencing_epoch),
+            fenced: false,
+        });
+        Leg {
+            node,
+            start_us: now,
+            expected_us: expected,
+            actual_us: actual,
+            fpga_path: self.nodes[node].fpga,
+            record: self.outcome.batches.len() - 1,
+            completion: self.push_event(finish, EventKind::Completion { batch, hedged }),
+        }
     }
 
     /// Whether a freshly dispatched batch gets a hedge timer: hedging
@@ -1220,30 +1284,19 @@ impl<'a> Sim<'a> {
         if let Some(token) = inflight.hedge_timer.take() {
             self.queue.cancel(token);
         }
-        // Resolve the hedge race. Four cases: the duplicate won (cancel
-        // the primary, promote the duplicate's leg), the primary won
-        // with the duplicate still running (cancel the duplicate), a
-        // promoted duplicate completed as the only surviving leg
-        // (`hedged` but no duplicate left), or there never was a race.
-        if hedged && inflight.hedge.is_some() {
-            let leg = inflight
-                .hedge
-                .take()
-                .expect("checked hedge leg present above");
-            self.queue.cancel(inflight.completion);
-            self.nodes[inflight.node].current = None;
-            self.nodes[inflight.node].free_at_us = now;
-            self.outcome.batches[inflight.record].cancelled = true;
-            self.outcome.batches[inflight.record].finish_us = now;
-            self.outcome.hedge_wins += 1;
-            self.outcome.hedge_cancelled += 1;
-            inflight.node = leg.node;
-            inflight.start_us = leg.start_us;
-            inflight.expected_us = leg.expected_us;
-            inflight.actual_us = leg.actual_us;
-            inflight.fpga_path = leg.fpga_path;
-            inflight.record = leg.record;
-        } else if let Some(leg) = inflight.hedge.take() {
+        // Resolve the hedge race. Four cases: the duplicate won
+        // (promote it, cancel the primary), the primary won with the
+        // duplicate still running (cancel the duplicate), a promoted
+        // duplicate completed as the only surviving leg (`hedged` but
+        // no duplicate left), or there never was a race.
+        let loser = match inflight.hedge.take() {
+            Some(duplicate) if hedged => {
+                self.outcome.hedge_wins += 1;
+                Some(std::mem::replace(&mut inflight.primary, duplicate))
+            }
+            other => other,
+        };
+        if let Some(leg) = loser {
             self.queue.cancel(leg.completion);
             self.nodes[leg.node].current = None;
             self.nodes[leg.node].free_at_us = now;
@@ -1251,11 +1304,18 @@ impl<'a> Sim<'a> {
             self.outcome.batches[leg.record].finish_us = now;
             self.outcome.hedge_cancelled += 1;
         }
-        let node = inflight.node;
+        let Inflight {
+            class,
+            requests,
+            probe,
+            primary: leg,
+            ..
+        } = inflight;
+        let node = leg.node;
         self.nodes[node].current = None;
         let mut latency_sum = 0.0;
         let mut latency_max = 0.0_f64;
-        for request in &inflight.requests {
+        for request in &requests {
             let latency = now - request.arrival_us;
             latency_sum += latency;
             latency_max = latency_max.max(latency);
@@ -1270,37 +1330,37 @@ impl<'a> Sim<'a> {
         // Completions earn retry-budget refill: a tenant that keeps
         // finishing work keeps the right to retry its failures.
         if !self.retry_budgets.is_empty() {
-            for request in &inflight.requests {
+            for request in &requests {
                 self.retry_budgets[request.tenant].on_success();
             }
         }
-        let service_us = now - inflight.start_us;
+        let service_us = now - leg.start_us;
         if self.cfg.lifecycle.hedge.is_some() {
-            self.hedge_windows[inflight.class].push(service_us);
+            self.hedge_windows[class].push(service_us);
         }
         if let Some(limiter) = self.limiter.as_mut() {
             // The limiter watches end-to-end latency (queue wait
             // included), not bare service time: under overload the
             // deadline is lost in the queue, and that is exactly the
             // signal that must pull the door in.
-            let deadline = self.cfg.classes[inflight.class].deadline_us;
+            let deadline = self.cfg.classes[class].deadline_us;
             if limiter.on_batch(latency_max, deadline) {
                 self.metrics.limiter_limit.set(limiter.limit() as f64);
             }
         }
         self.inflight_count -= 1;
-        let size = inflight.requests.len();
-        let inflation = if inflight.expected_us > 0.0 {
-            inflight.actual_us / inflight.expected_us
+        let size = requests.len();
+        let inflation = if leg.expected_us > 0.0 {
+            leg.actual_us / leg.expected_us
         } else {
             1.0
         };
         self.monitor.record_task(node, inflation, now);
-        if inflight.fpga_path {
+        if leg.fpga_path {
             self.monitor
-                .record_fpga(node, self.creep_factor(node, inflight.start_us), now);
+                .record_fpga(node, self.creep_factor(node, leg.start_us), now);
         }
-        if inflight.probe {
+        if probe {
             if inflation <= self.cfg.health.straggler_ratio {
                 self.nodes[node].breaker.probe_succeeded();
                 self.registry
@@ -1315,10 +1375,9 @@ impl<'a> Sim<'a> {
         self.apply_verdicts(now);
         // Feed the tuner what the active operating point achieved,
         // through slots resolved once per (class, active-ceiling).
-        let class = inflight.class;
         let cache = self.tuner_slots(class);
         self.tuners[class].observe_slot(cache.latency, latency_sum / size as f64);
-        self.tuners[class].observe_slot(cache.per_request, inflight.actual_us / size as f64);
+        self.tuners[class].observe_slot(cache.per_request, leg.actual_us / size as f64);
         self.class_completions[class] += 1;
         if self.cfg.autotune && self.class_completions[class].is_multiple_of(self.cfg.retune_every)
         {
@@ -1462,7 +1521,7 @@ impl<'a> Sim<'a> {
             FaultKind::NodeCrash => {
                 self.nodes[node].crashed = true;
                 self.nodes[node].fpga = false;
-                self.fail_current(node, now);
+                self.lose_leg(node, now, LegLoss::Fault);
             }
             FaultKind::LinkDegrade {
                 factor,
@@ -1494,8 +1553,8 @@ impl<'a> Sim<'a> {
                         .and_then(|b| self.inflight.get(b as usize))
                         .and_then(|slot| slot.as_ref())
                         .map(|i| {
-                            if i.node == node {
-                                i.fpga_path
+                            if i.primary.node == node {
+                                i.primary.fpga_path
                             } else {
                                 i.hedge.as_ref().is_some_and(|leg| leg.fpga_path)
                             }
@@ -1503,11 +1562,11 @@ impl<'a> Sim<'a> {
                         .unwrap_or(false);
                 self.nodes[node].fpga = false;
                 if lost_inflight {
-                    self.fail_current(node, now);
+                    self.lose_leg(node, now, LegLoss::Fault);
                 }
             }
             FaultKind::DmaTimeout | FaultKind::TransientKernelError | FaultKind::MemoryEcc => {
-                self.fail_current(node, now);
+                self.lose_leg(node, now, LegLoss::Fault);
             }
             FaultKind::PartitionSym { .. }
             | FaultKind::PartitionAsym { .. }
@@ -1562,7 +1621,7 @@ impl<'a> Sim<'a> {
             // the brownout ladder sees the node exactly as it would a
             // gray conviction.
             self.monitor.flag(VerdictKind::Unreachable, node, now, 1.0);
-            self.orphan_node(node, now);
+            self.lose_leg(node, now, LegLoss::Fence);
         }
         for &node in &tick.revived {
             self.registry.event(
@@ -1590,193 +1649,79 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Fences `node` out of the serving tier after a membership
-    /// confirm. A partitioned node is not crashed: the simulation's
-    /// completion event for its in-flight leg would still fire, and —
-    /// after the shard fails over — would complete the same requests a
-    /// new owner may also serve. That is exactly the double execution
-    /// the fence exists to prevent, so the leg's completion is
-    /// cancelled here (the cancelled event *is* the fence) and the
-    /// record marked. A sole surviving leg's requests re-enter the
-    /// fair queue: admitted exactly once, terminal exactly once, no
-    /// retry budget burned and no attempt charged — the tenant did
-    /// nothing wrong.
-    fn orphan_node(&mut self, node: usize, now: f64) {
+    /// Stops whatever leg is executing on `node` right now, for either
+    /// cause. A hedged batch only ends with its *last* surviving leg:
+    /// losing the primary promotes the duplicate, losing the duplicate
+    /// leaves the primary running, and only a sole leg's loss decides
+    /// the requests' fate. The lost leg's completion event is
+    /// cancelled in every case.
+    ///
+    /// For [`LegLoss::Fence`] that cancellation *is* the fence. A
+    /// partitioned node is not crashed: the simulation's completion
+    /// event for its in-flight leg would still fire, and — after the
+    /// shard fails over — would complete the same requests a new owner
+    /// may also serve. A sole fenced leg's requests re-enter the fair
+    /// queue: admitted exactly once, terminal exactly once, no retry
+    /// budget burned and no attempt charged — the tenant did nothing
+    /// wrong. For [`LegLoss::Fault`] a sole leg's requests are retried
+    /// when the retry layer is on and allows it, else failed.
+    fn lose_leg(&mut self, node: usize, now: f64, cause: LegLoss) {
+        if !self.nodes[node].crashed {
+            self.nodes[node].free_at_us = now;
+        }
         let Some(batch) = self.nodes[node].current.take() else {
-            if !self.nodes[node].crashed {
-                self.nodes[node].free_at_us = now;
-            }
             return;
         };
-        enum OrphanFate {
-            /// The sole surviving leg ran on the fenced node:
-            /// re-enqueue its requests.
-            Requeue,
-            /// The primary ran there but a hedge duplicate survives
-            /// elsewhere: promote the duplicate.
-            PromoteHedge,
-            /// Only the hedge duplicate ran there; the primary keeps
-            /// running.
-            DropHedgeLeg,
-            /// The slot was already drained (stale `current`).
-            Gone,
-        }
-        let fate = match Self::slot(&mut self.inflight, batch).as_ref() {
-            None => OrphanFate::Gone,
-            Some(inflight) if inflight.node != node => OrphanFate::DropHedgeLeg,
-            Some(inflight) if inflight.hedge.is_some() => OrphanFate::PromoteHedge,
-            Some(_) => OrphanFate::Requeue,
+        let Some(mut inflight) = Self::slot(&mut self.inflight, batch).take() else {
+            // The slot was already drained (stale `current`).
+            return;
         };
-        match fate {
-            OrphanFate::Gone => {}
-            OrphanFate::DropHedgeLeg => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .as_mut()
-                    .expect("fate checked the slot is live");
-                let leg = inflight
-                    .hedge
-                    .take()
-                    .expect("DropHedgeLeg implies the duplicate runs here");
-                self.queue.cancel(leg.completion);
-                self.outcome.batches[leg.record].fenced = true;
-                self.outcome.batches[leg.record].finish_us = now;
-                self.outcome.fenced_batches += 1;
+        let lost = match inflight.hedge.take() {
+            Some(duplicate) => {
+                // The other leg survives. If the primary ran here,
+                // promote the duplicate (its hedge timer already fired,
+                // so it will not be hedged again); else the duplicate
+                // itself ran here and the primary keeps running.
+                let lost = if inflight.primary.node == node {
+                    std::mem::replace(&mut inflight.primary, duplicate)
+                } else {
+                    duplicate
+                };
+                *Self::slot(&mut self.inflight, batch) = Some(inflight);
+                lost
             }
-            OrphanFate::PromoteHedge => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .as_mut()
-                    .expect("fate checked the slot is live");
-                let leg = inflight
-                    .hedge
-                    .take()
-                    .expect("PromoteHedge implies a hedge leg");
-                let dead_completion = inflight.completion;
-                let dead_record = inflight.record;
-                let dead_timer = inflight.hedge_timer.take();
-                inflight.node = leg.node;
-                inflight.start_us = leg.start_us;
-                inflight.expected_us = leg.expected_us;
-                inflight.actual_us = leg.actual_us;
-                inflight.fpga_path = leg.fpga_path;
-                inflight.record = leg.record;
-                inflight.completion = leg.completion;
-                self.queue.cancel(dead_completion);
-                if let Some(token) = dead_timer {
-                    self.queue.cancel(token);
-                }
-                self.outcome.batches[dead_record].fenced = true;
-                self.outcome.batches[dead_record].finish_us = now;
-                self.outcome.fenced_batches += 1;
-            }
-            OrphanFate::Requeue => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .take()
-                    .expect("fate checked the slot is live");
-                self.queue.cancel(inflight.completion);
+            None => {
+                // The sole surviving leg: the batch is over.
                 if let Some(token) = inflight.hedge_timer {
                     self.queue.cancel(token);
                 }
                 self.inflight_count -= 1;
-                self.outcome.batches[inflight.record].fenced = true;
-                self.outcome.batches[inflight.record].finish_us = now;
+                match cause {
+                    LegLoss::Fault => {
+                        for request in &inflight.requests {
+                            self.retry_or_fail(*request, now);
+                        }
+                    }
+                    LegLoss::Fence => {
+                        self.outcome.partition_orphans += inflight.requests.len() as u64;
+                        for request in inflight.requests {
+                            self.wfq.push(request);
+                        }
+                    }
+                }
+                inflight.primary
+            }
+        };
+        debug_assert_eq!(lost.node, node, "the lost leg ran on the node");
+        self.queue.cancel(lost.completion);
+        let record = &mut self.outcome.batches[lost.record];
+        record.finish_us = now;
+        match cause {
+            LegLoss::Fault => record.failed = true,
+            LegLoss::Fence => {
+                record.fenced = true;
                 self.outcome.fenced_batches += 1;
-                self.outcome.partition_orphans += inflight.requests.len() as u64;
-                for request in inflight.requests {
-                    self.wfq.push(request);
-                }
             }
-        }
-        if !self.nodes[node].crashed {
-            self.nodes[node].free_at_us = now;
-        }
-    }
-
-    /// Fails whatever leg is executing on `node` right now. A hedged
-    /// batch only dies with its *last* surviving leg: losing the
-    /// primary promotes the duplicate, losing the duplicate leaves the
-    /// primary running, and only a sole leg's death makes the requests
-    /// terminal (or retried, when the retry layer is on).
-    fn fail_current(&mut self, node: usize, now: f64) {
-        let Some(batch) = self.nodes[node].current.take() else {
-            if !self.nodes[node].crashed {
-                self.nodes[node].free_at_us = now;
-            }
-            return;
-        };
-        enum LegFate {
-            /// The sole surviving leg died: the batch is over.
-            Terminal,
-            /// The primary died but the duplicate survives: promote it.
-            PrimaryDied,
-            /// The duplicate died; the primary keeps running.
-            HedgeDied,
-            /// The slot was already drained (stale `current`).
-            Gone,
-        }
-        let fate = match Self::slot(&mut self.inflight, batch).as_ref() {
-            None => LegFate::Gone,
-            Some(inflight) if inflight.node != node => LegFate::HedgeDied,
-            Some(inflight) if inflight.hedge.is_some() => LegFate::PrimaryDied,
-            Some(_) => LegFate::Terminal,
-        };
-        match fate {
-            LegFate::Gone => {}
-            LegFate::PrimaryDied => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .as_mut()
-                    .expect("fate checked the slot is live");
-                let leg = inflight
-                    .hedge
-                    .take()
-                    .expect("PrimaryDied implies a hedge leg");
-                let dead_completion = inflight.completion;
-                let dead_record = inflight.record;
-                // A promoted duplicate will not be hedged again.
-                let dead_timer = inflight.hedge_timer.take();
-                inflight.node = leg.node;
-                inflight.start_us = leg.start_us;
-                inflight.expected_us = leg.expected_us;
-                inflight.actual_us = leg.actual_us;
-                inflight.fpga_path = leg.fpga_path;
-                inflight.record = leg.record;
-                inflight.completion = leg.completion;
-                self.queue.cancel(dead_completion);
-                if let Some(token) = dead_timer {
-                    self.queue.cancel(token);
-                }
-                self.outcome.batches[dead_record].failed = true;
-                self.outcome.batches[dead_record].finish_us = now;
-            }
-            LegFate::HedgeDied => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .as_mut()
-                    .expect("fate checked the slot is live");
-                let leg = inflight
-                    .hedge
-                    .take()
-                    .expect("HedgeDied implies the hedge leg runs here");
-                self.queue.cancel(leg.completion);
-                self.outcome.batches[leg.record].failed = true;
-                self.outcome.batches[leg.record].finish_us = now;
-            }
-            LegFate::Terminal => {
-                let inflight = Self::slot(&mut self.inflight, batch)
-                    .take()
-                    .expect("fate checked the slot is live");
-                self.queue.cancel(inflight.completion);
-                if let Some(token) = inflight.hedge_timer {
-                    self.queue.cancel(token);
-                }
-                self.inflight_count -= 1;
-                for request in &inflight.requests {
-                    self.retry_or_fail(*request, now);
-                }
-                self.outcome.batches[inflight.record].failed = true;
-                self.outcome.batches[inflight.record].finish_us = now;
-            }
-        }
-        if !self.nodes[node].crashed {
-            self.nodes[node].free_at_us = now;
         }
     }
 
@@ -1809,6 +1754,10 @@ impl<'a> Sim<'a> {
         }
         self.outcome.retries += 1;
         self.outcome.tenants[request.tenant].retried += 1;
+        #[cfg(debug_assertions)]
+        {
+            self.pending_retries += 1;
+        }
         let mut next = request;
         next.attempt += 1;
         self.push_event(now + backoff, EventKind::Retry(next));
@@ -1820,6 +1769,10 @@ impl<'a> Sim<'a> {
     /// still holds because the retried request ends completed, failed
     /// or deadline-shed like any other queued request.
     fn handle_retry(&mut self, request: Request) {
+        #[cfg(debug_assertions)]
+        {
+            self.pending_retries -= 1;
+        }
         self.wfq.push(request);
     }
 
@@ -1835,7 +1788,11 @@ impl<'a> Sim<'a> {
             if inflight.hedge.is_some() {
                 return;
             }
-            (inflight.node, inflight.class, inflight.requests.len())
+            (
+                inflight.primary.node,
+                inflight.class,
+                inflight.requests.len(),
+            )
         };
         // The tier may have climbed past hedging since the timer was
         // scheduled.
@@ -1874,55 +1831,17 @@ impl<'a> Sim<'a> {
             self.outcome.hedge_denied += 1;
             return;
         };
-        let expected = self.healthy_service_us(node, class, size);
-        let actual = self.actual_service_us(node, class, size, now);
-        let finish = now + actual;
-        self.nodes[node].free_at_us = finish;
-        self.nodes[node].current = Some(batch);
-        let fpga_path = self.nodes[node].fpga;
-        self.outcome.batches.push(BatchRecord {
-            id: batch,
-            class,
-            node,
-            size,
-            start_us: now,
-            finish_us: finish,
-            probe: false,
-            failed: false,
-            hedge: true,
-            cancelled: false,
-            epoch: self
-                .membership
-                .as_ref()
-                .map_or(0, ClusterController::fencing_epoch),
-            fenced: false,
-        });
-        let record = self.outcome.batches.len() - 1;
-        let completion = self.push_event(
-            finish,
-            EventKind::Completion {
-                batch,
-                hedged: true,
-            },
-        );
-        let inflight = Self::slot(&mut self.inflight, batch)
+        let leg = self.launch_leg(batch, class, size, node, false, true, now);
+        Self::slot(&mut self.inflight, batch)
             .as_mut()
-            .expect("slot verified live at the top of the handler");
-        inflight.hedge = Some(HedgeLeg {
-            node,
-            start_us: now,
-            expected_us: expected,
-            actual_us: actual,
-            fpga_path,
-            record,
-            completion,
-        });
+            .expect("slot verified live at the top of the handler")
+            .hedge = Some(leg);
         self.outcome.hedges += 1;
     }
 
     /// The whole cluster is gone: every queued or batched request is
     /// terminal `Failed` (conservation still holds; nothing vanishes).
-    fn drain_all_failed(&mut self, _now: f64) {
+    fn drain_all_failed(&mut self) {
         let queued = self.wfq.drain();
         for request in &queued {
             self.fail(request);
@@ -2439,6 +2358,118 @@ mod tests {
         assert!(a.conserved(), "{a:?}");
         let b = ServeEngine::new(config).with_plan(plan).run();
         assert_eq!(a, b, "chaos + partitions must replay identically");
+    }
+
+    /// Drives [`Sim::lose_leg`] through every fate by hand: one
+    /// two-request batch in flight, optionally hedged, loses the leg on
+    /// one of its nodes to a fault or a fence.
+    #[test]
+    fn lose_leg_settles_every_fate_for_both_causes() {
+        struct Case {
+            name: &'static str,
+            hedged: bool,
+            /// Lose the duplicate's node rather than the primary's.
+            lose_duplicate: bool,
+            /// Index of the lost leg's [`BatchRecord`].
+            lost_record: usize,
+            /// A surviving leg (or, fenced, a re-dispatch) completes.
+            survives: [bool; 2],
+        }
+        // `survives` is indexed by cause: [Fault, Fence].
+        let cases = [
+            Case {
+                name: "sole leg",
+                hedged: false,
+                lose_duplicate: false,
+                lost_record: 0,
+                survives: [false, true],
+            },
+            Case {
+                name: "primary with surviving hedge",
+                hedged: true,
+                lose_duplicate: false,
+                lost_record: 0,
+                survives: [true, true],
+            },
+            Case {
+                name: "hedge leg only",
+                hedged: true,
+                lose_duplicate: true,
+                lost_record: 1,
+                survives: [true, true],
+            },
+        ];
+        // No synthesized arrivals: the test feeds the door by hand.
+        let cfg = ServeConfig {
+            offered_rps: 0.0,
+            batch: vec![BatchPolicy::new(2, 1.0e6), BatchPolicy::new(2, 1.0e6)],
+            autotune: false,
+            ..ServeConfig::default()
+        };
+        let plan = FaultPlan::new(1);
+        for case in &cases {
+            for (cause, survives) in [LegLoss::Fault, LegLoss::Fence]
+                .into_iter()
+                .zip(case.survives)
+            {
+                let label = format!("{} / {cause:?}", case.name);
+                let mut sim = Sim::new(&cfg, &plan, Registry::new());
+                for id in 0..2 {
+                    let request = Request {
+                        id,
+                        tenant: 0,
+                        class: 0,
+                        arrival_us: 0.0,
+                        attempt: 0,
+                    };
+                    assert!(sim.handle_arrival(request, 0.0), "{label}: admitted");
+                }
+                sim.pump(0.0);
+                if case.hedged {
+                    sim.handle_hedge_timer(0, 10.0);
+                }
+                let inflight = sim.inflight[0].as_ref().expect("batch 0 dispatched");
+                assert_eq!(inflight.hedge.is_some(), case.hedged, "{label}");
+                let lost = match &inflight.hedge {
+                    Some(duplicate) if case.lose_duplicate => duplicate,
+                    _ => &inflight.primary,
+                };
+                assert_eq!(lost.record, case.lost_record, "{label}");
+                let (node, completion) = (lost.node, lost.completion);
+                // The engine pumps after every handler that loses a leg.
+                sim.lose_leg(node, 20.0, cause);
+                sim.pump(20.0);
+                assert!(
+                    !sim.queue.cancel(completion),
+                    "{label}: the lost leg's completion must already be cancelled"
+                );
+                let fenced = cause == LegLoss::Fence;
+                let sole = !case.hedged;
+                let outcome = sim.run();
+                assert!(outcome.conserved(), "{label}: {outcome:?}");
+                assert_eq!(outcome.admitted, 2, "{label}");
+                assert_eq!(outcome.completed, if survives { 2 } else { 0 }, "{label}");
+                assert_eq!(outcome.failed, if survives { 0 } else { 2 }, "{label}");
+                assert_eq!(outcome.hedges, u64::from(case.hedged), "{label}");
+                assert_eq!(outcome.hedge_wins, 0, "{label}: a lost leg is not a race");
+                assert_eq!(outcome.hedge_cancelled, 0, "{label}");
+                assert_eq!(outcome.fenced_batches, u64::from(fenced), "{label}");
+                let orphans = if fenced && sole { 2 } else { 0 };
+                assert_eq!(outcome.partition_orphans, orphans, "{label}");
+                for (index, record) in outcome.batches.iter().enumerate() {
+                    let is_lost = index == case.lost_record;
+                    assert_eq!(record.failed, is_lost && !fenced, "{label}: record {index}");
+                    assert_eq!(record.fenced, is_lost && fenced, "{label}: record {index}");
+                    assert!(!record.cancelled, "{label}: record {index}");
+                    if is_lost {
+                        assert_eq!(record.finish_us, 20.0, "{label}: lost at the loss time");
+                    }
+                }
+                // Legs of batch 0, plus the re-dispatch of a fenced sole leg.
+                let records = 1 + usize::from(case.hedged) + usize::from(fenced && sole);
+                assert_eq!(outcome.batches.len(), records, "{label}");
+            }
+        }
     }
 
     #[test]
