@@ -259,3 +259,56 @@ impl ServeOutcome {
         self.role_sum(Role::DoorShed) + self.role_sum(Role::QueueShed)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use super::*;
+    use crate::{ServeConfig, ServeEngine};
+
+    #[test]
+    fn rows_are_unambiguous() {
+        let rows = ServeOutcome::LEDGER;
+        let fields: BTreeSet<_> = rows.iter().map(|r| r.field).collect();
+        let keys: BTreeSet<_> = rows.iter().map(|r| r.trace).collect();
+        assert_eq!(fields.len(), rows.len(), "a field is declared twice");
+        assert_eq!(keys.len(), rows.len(), "two rows share a trace key");
+        let names: Vec<&str> = rows
+            .iter()
+            .filter_map(|r| match r.metric {
+                Metric::Counter(name) | Metric::Gauge(name) => Some(name),
+                Metric::None => None,
+            })
+            .collect();
+        let unique: BTreeSet<_> = names.iter().collect();
+        assert_eq!(unique.len(), names.len(), "two rows share a metric name");
+        // Cluster rows publish under `cluster.*`, every other row under
+        // `serve.*`: the flush gates the former on the layer being on.
+        for row in rows {
+            if let Metric::Counter(name) | Metric::Gauge(name) = row.metric {
+                let prefix = match row.layer {
+                    Layer::Cluster => "cluster.",
+                    Layer::Core | Layer::Lifecycle => "serve.",
+                };
+                assert!(name.starts_with(prefix), "{}: {name}", row.field);
+            }
+        }
+    }
+
+    #[test]
+    fn a_layer_that_is_off_leaves_its_counters_at_zero() {
+        let outcome = ServeEngine::new(ServeConfig {
+            offered_rps: 40_000.0,
+            horizon_us: 60_000.0,
+            ..ServeConfig::default()
+        })
+        .run();
+        assert!(outcome.shed_total() > 0 && outcome.completed > 0);
+        for (row, value) in outcome.ledger() {
+            if row.layer != Layer::Core {
+                assert_eq!(value, 0, "{} moved with its layer off", row.field);
+            }
+        }
+    }
+}

@@ -21,7 +21,8 @@ use everest_sdk::basecamp::{Basecamp, CompileOptions};
 use everest_sdk::chaos::{run_chaos, ChaosOptions};
 use everest_sdk::heal::{run_heal, HealOptions};
 use everest_sdk::query::{run_query, QueryOptions};
-use everest_sdk::serve::{run_serve, ServeOptions};
+use everest_sdk::serve::{run_serve, ServeOptions, ServeReport};
+use everest_serve::{Layer, Metric, ServeEngine, ServeOutcome};
 use everest_telemetry::Registry;
 
 const CONTRACT: &str = include_str!("../docs/OBSERVABILITY.md");
@@ -48,9 +49,87 @@ fn documented(name: &str) -> bool {
     false
 }
 
+/// Every `serve.*` name a serving run registers on a fresh registry,
+/// whichever lifecycle features are on. Pinned: tooling keys on these.
+const SERVE_NAMES: [&str; 31] = [
+    "serve.batch_size",
+    "serve.batches_dispatched",
+    "serve.breaker_opens",
+    "serve.brownout.tier",
+    "serve.brownout.transitions",
+    "serve.faults",
+    "serve.hedge.cancelled",
+    "serve.hedge.denied",
+    "serve.hedge.launched",
+    "serve.hedge.wins",
+    "serve.latency_us",
+    "serve.limiter.limit",
+    "serve.probes",
+    "serve.queue_depth",
+    "serve.queue_wait_us",
+    "serve.requests_admitted",
+    "serve.requests_completed",
+    "serve.requests_failed",
+    "serve.requests_offered",
+    "serve.requests_shed",
+    "serve.retry.attempts",
+    "serve.retry.denied",
+    "serve.retunes",
+    "serve.shed.brownout",
+    "serve.shed.deadline_lapsed",
+    "serve.shed.overloaded",
+    "serve.shed.partitioned_away",
+    "serve.shed.queue_full",
+    "serve.shed.rate_limited",
+    "serve.shed.statically_infeasible",
+    "serve.slo_violations",
+];
+
+/// The `cluster.*` names a run adds when (and only when) the
+/// membership layer is on. Pinned like [`SERVE_NAMES`].
+const CLUSTER_NAMES: [&str; 12] = [
+    "cluster.confirms",
+    "cluster.degraded_grants",
+    "cluster.failovers",
+    "cluster.fenced_batches",
+    "cluster.fencing_epoch",
+    "cluster.gossip_rounds",
+    "cluster.lease_renewals",
+    "cluster.orphaned_requests",
+    "cluster.probe_failures",
+    "cluster.probes",
+    "cluster.refutations",
+    "cluster.suspects",
+];
+
+/// The names in the first column of the metric table under
+/// `### <heading>` in the contract document.
+fn doc_table(heading: &str) -> BTreeSet<&'static str> {
+    let start = CONTRACT
+        .find(&format!("### {heading}\n"))
+        .unwrap_or_else(|| panic!("docs/OBSERVABILITY.md lost its {heading} table"));
+    let section = &CONTRACT[start + 4..];
+    let section = &section[..section.find("\n##").unwrap_or(section.len())];
+    section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect()
+}
+
+/// The `serve.*` and `cluster.*` counters, gauges and histograms in a
+/// registry.
+fn serve_names(registry: &Registry) -> BTreeSet<String> {
+    let mut names = registry.counter_names();
+    names.extend(registry.gauge_names());
+    names.extend(registry.histogram_names());
+    names.retain(|n| n.starts_with("serve.") || n.starts_with("cluster."));
+    names.into_iter().collect()
+}
+
 /// Exercises every instrumented subsystem so the global registry holds
-/// a representative sample of the whole namespace.
-fn exercise_sdk() {
+/// a representative sample of the whole namespace. Returns the three
+/// serving campaigns it ran: features off, full lifecycle, partition.
+fn exercise_sdk() -> [ServeReport; 3] {
     let basecamp = Basecamp::new();
     let source = "
         kernel contract_probe {
@@ -196,7 +275,7 @@ fn exercise_sdk() {
     // The serving front end through the SDK facade (basecamp.serve):
     // overload sheds at the door and in queue, chaos exercises the
     // fault and breaker paths, the autotuner retunes the batch ceiling.
-    run_serve(&ServeOptions {
+    let features_off = run_serve(&ServeOptions {
         load: 4.0,
         chaos: 4,
         horizon_ms: 80.0,
@@ -205,7 +284,7 @@ fn exercise_sdk() {
 
     // The same front end with the full request-lifecycle layer on, so
     // the retry, hedge, limiter and brownout names are all recorded.
-    run_serve(&ServeOptions {
+    let lifecycle = run_serve(&ServeOptions {
         load: 4.0,
         chaos: 4,
         horizon_ms: 80.0,
@@ -219,7 +298,7 @@ fn exercise_sdk() {
     // And with the partition-tolerance layer on: gossip rounds, SWIM
     // probes and confirms, shard failovers, fencing and the typed
     // partitioned-away shed all record their `cluster.*` names.
-    run_serve(&ServeOptions {
+    let partition = run_serve(&ServeOptions {
         chaos: 3,
         partition: 3,
         horizon_ms: 80.0,
@@ -255,12 +334,14 @@ fn exercise_sdk() {
         tuner.observe(&fpga, "time_us", 60_000.0);
     }
     tuner.best(&Features::new()).expect("decides again");
+
+    [features_off, lifecycle, partition]
 }
 
 #[test]
 fn every_recorded_name_is_documented() {
     let registry = Registry::global();
-    exercise_sdk();
+    let campaigns = exercise_sdk();
 
     let mut names: BTreeSet<String> = BTreeSet::new();
     names.extend(registry.spans().into_iter().map(|s| s.name));
@@ -298,18 +379,6 @@ fn every_recorded_name_is_documented() {
         "autotuner.switches",
         "basecamp.serve",
         "serve.run",
-        "serve.requests_offered",
-        "serve.requests_completed",
-        "serve.batches_dispatched",
-        "serve.queue_depth",
-        "serve.latency_us",
-        "serve.batch_size",
-        "serve.faults",
-        "serve.retry.attempts",
-        "serve.hedge.launched",
-        "serve.shed.overloaded",
-        "serve.brownout.tier",
-        "serve.limiter.limit",
         "basecamp.query",
         "query.parse",
         "query.optimize",
@@ -330,6 +399,80 @@ fn every_recorded_name_is_documented() {
         undocumented.is_empty(),
         "names recorded but missing from docs/OBSERVABILITY.md: {undocumented:?}"
     );
+
+    // The serve tier's share of the probe comes from the ledger, not a
+    // hand-kept list: every ledger counter with a telemetry mirror was
+    // recorded, and reads exactly what the campaigns' outcomes say
+    // (counters accumulate over the campaigns that publish the row; a
+    // gauge keeps the last store).
+    for (index, row) in ServeOutcome::LEDGER.iter().enumerate() {
+        let values = campaigns
+            .iter()
+            .filter(|c| row.layer != Layer::Cluster || c.config.cluster.is_some())
+            .map(|c| c.outcome.ledger().nth(index).expect("one value per row").1);
+        match row.metric {
+            Metric::Counter(name) => {
+                assert!(names.contains(name), "{name} ({}) not recorded", row.field);
+                assert_eq!(registry.counter(name), values.sum::<u64>(), "{name}");
+            }
+            Metric::Gauge(name) => {
+                assert!(names.contains(name), "{name} ({}) not recorded", row.field);
+                let last = values.last().expect("a campaign publishes the gauge");
+                assert_eq!(registry.gauge(name), Some(last as f64), "{name}");
+            }
+            Metric::None => {}
+        }
+    }
+
+    // On a fresh registry each campaign registers exactly the pinned
+    // names: all of `serve.*` whatever features are on, `cluster.*`
+    // only with the membership layer.
+    for campaign in &campaigns {
+        let fresh = Registry::new();
+        let replay = ServeEngine::new(campaign.config.clone())
+            .with_plan(campaign.plan.clone())
+            .with_registry(fresh.clone())
+            .run();
+        assert_eq!(replay, campaign.outcome, "campaigns replay");
+        let mut pinned: BTreeSet<String> = SERVE_NAMES.iter().map(|n| n.to_string()).collect();
+        if campaign.config.cluster.is_some() {
+            pinned.extend(CLUSTER_NAMES.iter().map(|n| n.to_string()));
+        }
+        assert_eq!(serve_names(&fresh), pinned, "{:?}", campaign.options);
+    }
+}
+
+#[test]
+fn serve_metric_tables_mirror_the_ledger() {
+    let counters = doc_table("Counters");
+    let gauges = doc_table("Gauges");
+    // Every ledger metric is a row of the matching doc table ...
+    for row in ServeOutcome::LEDGER {
+        match row.metric {
+            Metric::Counter(name) => assert!(
+                counters.contains(name),
+                "{name} ({}) is missing from the Counters table",
+                row.field
+            ),
+            Metric::Gauge(name) => assert!(
+                gauges.contains(name),
+                "{name} ({}) is missing from the Gauges table",
+                row.field
+            ),
+            Metric::None => {}
+        }
+    }
+    // ... and every `serve.*` / `cluster.*` row of those tables is a
+    // name a run really registers: a ledger metric, or one of the few
+    // pinned instruments with no outcome field.
+    for name in counters.iter().chain(&gauges) {
+        if name.starts_with("serve.") || name.starts_with("cluster.") {
+            assert!(
+                SERVE_NAMES.contains(name) || CLUSTER_NAMES.contains(name),
+                "{name} is documented but no serving run registers it"
+            );
+        }
+    }
 }
 
 #[test]
