@@ -1,13 +1,13 @@
 //! The serve counter ledger: every scalar counter of a serving run,
 //! declared exactly once.
 //!
-//! Each row of the [`ledger!`] declaration below names a counter, its
+//! Each row of the `ledger!` declaration below names a counter, its
 //! doc, its part in the conservation equations ([`Role`]), the
 //! telemetry instrument that mirrors it ([`Metric`]), the `(block,
 //! key)` it is written under in the `basecamp serve --trace` replay
 //! trace, and the engine layer that publishes it ([`Layer`]). From the
-//! rows the macro generates the [`ServeOutcome`] fields, the all-zero
-//! initial value, the [`ShedReason`] → counter accessor and the
+//! rows the macro generates the [`ServeOutcome`] fields (all zero by
+//! `Default`), the [`ShedReason`] → counter accessor and the
 //! [`ServeOutcome::LEDGER`] table; the conservation sums, the
 //! end-of-run telemetry flush, the trace blocks and the observability
 //! contract test all iterate that table. Adding a counter is one row
@@ -89,7 +89,7 @@ macro_rules! ledger {
         }
     ) => {
         $(#[$struct_doc])*
-        #[derive(Debug, Clone, PartialEq)]
+        #[derive(Debug, Clone, PartialEq, Default)]
         pub struct $name {
             $($(#[$doc])* pub $field: $ty,)*
             $($(#[$rest_doc])* pub $rest: $rest_ty,)*
@@ -105,17 +105,8 @@ macro_rules! ledger {
                 layer: Layer::$layer,
             }),*];
 
-            /// Every counter zero, every collection empty.
-            pub(crate) fn zero() -> $name {
-                $name {
-                    $($field: 0,)*
-                    $($rest: Default::default(),)*
-                }
-            }
-
             /// Every ledger row paired with this outcome's value for
             /// it, in declaration order.
-            #[allow(clippy::useless_conversion)]
             pub fn ledger(&self) -> impl Iterator<Item = (&'static LedgerRow, u64)> {
                 Self::LEDGER.iter().zip([$(u64::from(self.$field)),*])
             }

@@ -230,37 +230,6 @@ pub enum ShedReason {
     PartitionedAway,
 }
 
-impl ShedReason {
-    /// Stable identifier used in traces and telemetry events.
-    pub fn id(&self) -> &'static str {
-        match self {
-            ShedReason::RateLimited => "rate_limited",
-            ShedReason::QueueFull => "queue_full",
-            ShedReason::DeadlineLapsed => "deadline_lapsed",
-            ShedReason::StaticallyInfeasible => "statically_infeasible",
-            ShedReason::Overloaded => "overloaded",
-            ShedReason::Brownout => "brownout",
-            ShedReason::PartitionedAway => "partitioned_away",
-        }
-    }
-}
-
-/// Terminal state of an offered request. The conservation invariant —
-/// every offered request reaches exactly one terminal state — is
-/// checked by [`crate::ServeOutcome::conserved`] and property-tested.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Outcome {
-    /// Served to completion after `latency_us` end-to-end.
-    Completed {
-        /// Arrival-to-completion latency, microseconds.
-        latency_us: f64,
-    },
-    /// Refused admission or dropped from queue, with a typed reason.
-    Shed(ShedReason),
-    /// Admitted but lost to a fault (node crash, transient error).
-    Failed,
-}
-
 /// A seeded open-loop arrival trace: the workload side of a serving
 /// run. Open-loop means arrivals do not slow down when the system
 /// saturates — exactly the regime where admission control and load

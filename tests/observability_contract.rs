@@ -406,7 +406,7 @@ fn every_recorded_name_is_documented() {
     // (counters accumulate over the campaigns that publish the row; a
     // gauge keeps the last store).
     for (index, row) in ServeOutcome::LEDGER.iter().enumerate() {
-        let values = campaigns
+        let mut values = campaigns
             .iter()
             .filter(|c| row.layer != Layer::Cluster || c.config.cluster.is_some())
             .map(|c| c.outcome.ledger().nth(index).expect("one value per row").1);
@@ -417,7 +417,7 @@ fn every_recorded_name_is_documented() {
             }
             Metric::Gauge(name) => {
                 assert!(names.contains(name), "{name} ({}) not recorded", row.field);
-                let last = values.last().expect("a campaign publishes the gauge");
+                let last = values.next_back().expect("a campaign publishes the gauge");
                 assert_eq!(registry.gauge(name), Some(last as f64), "{name}");
             }
             Metric::None => {}
