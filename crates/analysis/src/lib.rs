@@ -64,6 +64,8 @@
 //! [`AnalysisPass`]; to analyze a ConDRust program before lowering,
 //! call [`Analyzer::run_graph`].
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod dataflow;
 pub mod diagnostics;
 pub mod escape;

@@ -105,6 +105,18 @@ fn check_free_order(module: &Module, out: &mut Collector<'_>) {
 
 /// Allocations with no dealloc and no escaping use.
 fn check_leaks(module: &Module, out: &mut Collector<'_>) {
+    // One sweep over every live op, attached or not, marks the values
+    // some user deallocates or hands to another owner.
+    let mut released = vec![false; module.num_values()];
+    for (_, user) in module.live_ops() {
+        if user.name == "memref.dealloc" || ESCAPE_OPS.contains(&user.name.as_str()) {
+            for v in &user.operands {
+                if let Some(slot) = released.get_mut(v.index()) {
+                    *slot = true;
+                }
+            }
+        }
+    }
     for op in module.walk_ops() {
         let Some(operation) = module.op(op) else {
             continue;
@@ -115,20 +127,7 @@ fn check_leaks(module: &Module, out: &mut Collector<'_>) {
         let Some(&buf) = operation.results.first() else {
             continue;
         };
-        let mut deallocated = false;
-        let mut escapes = false;
-        for (user, _) in module.uses(buf) {
-            let Some(u) = module.op(user) else {
-                continue;
-            };
-            if u.name == "memref.dealloc" {
-                deallocated = true;
-            }
-            if ESCAPE_OPS.contains(&u.name.as_str()) {
-                escapes = true;
-            }
-        }
-        if !deallocated && !escapes {
+        if !released[buf.index()] {
             out.emit(
                 "memref-leak",
                 op,
@@ -252,6 +251,34 @@ mod tests {
             .append_to(top);
         let report = run(&m);
         assert_eq!(report.by_lint("memref-leak").len(), 1);
+    }
+
+    #[test]
+    fn every_alloc_is_judged_by_its_own_users_attached_or_not() {
+        let mut m = Module::new();
+        let top = m.top_block();
+        let (_f, entry) = core::build_func(&mut m, top, "f", &[], &[]);
+        let freed_in_loop = core::alloc(&mut m, entry, buf_ty());
+        let returned = core::alloc(&mut m, entry, buf_ty());
+        let leaked = core::alloc(&mut m, entry, buf_ty());
+        let freed_by_detached = core::alloc(&mut m, entry, buf_ty());
+        let lb = core::const_index(&mut m, entry, 0);
+        let (_loop, body) = core::build_for(&mut m, entry, lb, lb, lb);
+        // A user in another block releases it; a plain use does not.
+        m.build_op("memref.dealloc", [freed_in_loop], [])
+            .append_to(body);
+        m.build_op("memref.load", [leaked, lb], [Type::F64])
+            .append_to(body);
+        m.build_op("scf.yield", [], []).append_to(body);
+        m.build_op("func.return", [returned], []).append_to(entry);
+        // A rewrite in flight: built, not yet inserted, still a user.
+        m.build_op("memref.dealloc", [freed_by_detached], [])
+            .detached();
+        let report = run(&m);
+        let leaks = report.by_lint("memref-leak");
+        assert_eq!(leaks.len(), 1);
+        let leaked_at = leaks[0].path.as_ref().unwrap().leaf().unwrap().position;
+        assert_eq!(leaked_at, 2, "the third alloc of the entry block");
     }
 
     #[test]

@@ -47,6 +47,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod attr;
 pub mod base2;
 pub mod dialects;

@@ -411,36 +411,65 @@ impl Module {
 
     /// Erases an operation (and recursively its regions) from the module.
     ///
+    /// Costs one compaction of the op's block; a pass that erases many
+    /// ops batches them through [`Module::erase_ops`] instead.
+    ///
     /// # Errors
     ///
     /// Returns [`IrError::InvalidId`] if the op was already erased.
     pub fn erase_op(&mut self, op: OpId) -> IrResult<()> {
+        self.erase_ops(&[op])
+    }
+
+    /// Erases a batch of operations (and recursively their regions),
+    /// compacting each block that held one of them once — linear in the
+    /// batch plus the touched blocks, however many ops are erased. The
+    /// ops must be distinct and not nested in one another.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`IrError::InvalidId`] for the first op that was already
+    /// erased; the ops before it are erased and their blocks compacted.
+    pub fn erase_ops(&mut self, ops: &[OpId]) -> IrResult<()> {
+        let mut touched = Vec::new();
+        let result = ops.iter().try_for_each(|&op| {
+            touched.extend(self.free_op(op)?);
+            Ok(())
+        });
+        touched.sort_unstable();
+        touched.dedup();
+        for block in touched {
+            let arena = &self.ops;
+            self.blocks[block.index()]
+                .ops
+                .retain(|o| arena[o.index()].is_some());
+        }
+        result
+    }
+
+    /// Frees the arena slot of `op` and of every op nested under it, and
+    /// returns the block `op` was attached to — whose op list still
+    /// names it until the caller compacts it.
+    fn free_op(&mut self, op: OpId) -> IrResult<Option<BlockId>> {
         let operation = self.ops[op.index()]
             .take()
             .ok_or_else(|| IrError::InvalidId(format!("op {op} already erased")))?;
-        if let Some(block) = operation.parent_block {
-            self.blocks[block.index()].ops.retain(|&o| o != op);
-        }
         for region in operation.regions {
-            let blocks = std::mem::take(&mut self.regions[region.index()].blocks);
-            for block in blocks {
-                let ops = std::mem::take(&mut self.blocks[block.index()].ops);
-                for nested in ops {
-                    // Nested ops were attached to this block; detach first so
-                    // the recursive call does not touch the drained list.
-                    if let Some(inner) = self.ops[nested.index()].as_mut() {
-                        inner.parent_block = None;
-                    }
-                    self.erase_op(nested)?;
+            for block in std::mem::take(&mut self.regions[region.index()].blocks) {
+                for nested in std::mem::take(&mut self.blocks[block.index()].ops) {
+                    self.free_op(nested)?;
                 }
             }
         }
-        Ok(())
+        Ok(operation.parent_block)
     }
 
     /// Replaces every use of `from` with `to` across the whole module.
     ///
-    /// Returns the number of operand slots rewritten.
+    /// Returns the number of operand slots rewritten. One scan of every
+    /// live op per call: a pass that merges many values records them in
+    /// a forwarding table and calls [`Module::forward_uses`] once; this
+    /// per-value form is the naive reference its tests compare against.
     pub fn replace_all_uses(&mut self, from: ValueId, to: ValueId) -> usize {
         let mut count = 0;
         for slot in self.ops.iter_mut().flatten() {
@@ -454,22 +483,20 @@ impl Module {
         count
     }
 
-    /// Collects all `(op, operand_index)` uses of a value.
-    pub fn uses(&self, value: ValueId) -> Vec<(OpId, usize)> {
-        let mut uses = Vec::new();
-        for (i, slot) in self.ops.iter().enumerate() {
-            if let Some(op) = slot {
-                for (j, &operand) in op.operands.iter().enumerate() {
-                    if operand == value {
-                        uses.push((OpId::from_raw(i as u32), j));
-                    }
-                }
+    /// Rewrites every operand `v` of every live op (attached or not) to
+    /// `forward[v.index()]` in one sweep. `forward` is a dense table over
+    /// the module's values in which unmerged values map to themselves;
+    /// values beyond its end are left alone.
+    pub fn forward_uses(&mut self, forward: &[ValueId]) {
+        for operation in self.ops.iter_mut().flatten() {
+            for operand in &mut operation.operands {
+                *operand = forward.get(operand.index()).copied().unwrap_or(*operand);
             }
         }
-        uses
     }
 
-    /// Returns `true` if the value has no uses.
+    /// Returns `true` if the value has no uses. Scans every live op, so
+    /// per-value loops keep a dense use count instead (as DCE does).
     pub fn is_unused(&self, value: ValueId) -> bool {
         self.ops
             .iter()
@@ -631,8 +658,9 @@ mod tests {
         let add = m
             .build_op("arith.addf", [va, vb], [Type::F64])
             .append_to(block);
-        assert_eq!(m.uses(va), vec![(add, 0)]);
-        assert_eq!(m.uses(vb), vec![(add, 1)]);
+        assert_eq!(m.op(add).unwrap().operands, vec![va, vb]);
+        assert!(!m.is_unused(va));
+        assert!(!m.is_unused(vb));
         assert!(m.is_unused(single_result(&m, add)));
     }
 
@@ -663,6 +691,54 @@ mod tests {
         assert!(m.op(c).is_none());
         assert!(m.block(m.top_block()).ops.is_empty());
         assert!(m.erase_op(c).is_err());
+    }
+
+    #[test]
+    fn erase_ops_compacts_each_touched_block_once() {
+        let mut m = Module::new();
+        let top = m.top_block();
+        let outer = m.build_op("scf.for", [], []).regions(1).append_to(top);
+        let region = m.op(outer).unwrap().regions[0];
+        let body = m.add_block(region, &[]);
+        let a = constant(&mut m, 1.0);
+        let b = constant(&mut m, 2.0);
+        let c = constant(&mut m, 3.0);
+        let inner: Vec<OpId> = (0..3)
+            .map(|_| {
+                m.build_op("arith.constant", [], [Type::F64])
+                    .attr("value", Attribute::Float(0.0))
+                    .append_to(body)
+            })
+            .collect();
+        m.erase_ops(&[a, inner[1], c, inner[0]]).unwrap();
+        assert_eq!(m.block(top).ops, vec![outer, b]);
+        assert_eq!(m.block(body).ops, vec![inner[2]]);
+        // A stale id fails the batch, but what was erased before it is
+        // still compacted out of its block.
+        assert!(m.erase_ops(&[b, a]).is_err());
+        assert_eq!(m.block(top).ops, vec![outer]);
+    }
+
+    #[test]
+    fn forward_uses_matches_per_value_replacement() {
+        let mut m = Module::new();
+        let block = m.top_block();
+        let [va, vb, vc] = [1.0, 2.0, 3.0].map(|v| {
+            let op = constant(&mut m, v);
+            single_result(&m, op)
+        });
+        let attached = m
+            .build_op("arith.addf", [va, vc], [Type::F64])
+            .append_to(block);
+        let detached = m.build_op("arith.negf", [vc], [Type::F64]).detached();
+        let mut naive = m.clone();
+        naive.replace_all_uses(vc, vb);
+        // A table shorter than the value arena leaves the rest alone.
+        m.forward_uses(&[va, vb, vb]);
+        for op in [attached, detached] {
+            assert_eq!(m.op(op).unwrap().operands, naive.op(op).unwrap().operands);
+        }
+        assert!(m.is_unused(vc));
     }
 
     #[test]

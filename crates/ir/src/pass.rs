@@ -4,10 +4,12 @@
 //! pipeline, optionally verifying between passes (as the EVEREST flow
 //! does between dialect lowerings), and records per-pass statistics.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::attr::Attribute;
 use crate::error::{IrError, IrResult};
+use crate::ids::{BlockId, ValueId};
+use crate::intern::Symbol;
 use crate::module::Module;
 use crate::registry::{Context, OpTrait};
 
@@ -228,10 +230,10 @@ pub fn canonicalization_pipeline() -> PassManager {
 /// Dead-code elimination: erases [`OpTrait::Pure`] ops with no used results.
 ///
 /// Iterates to a fixed point so chains of dead ops disappear in one run.
-/// Each round builds one dense use-count vector indexed by `ValueId`
-/// (one pass over the live ops) and decrements it as ops are erased —
-/// instead of re-scanning the whole module per candidate result, which
-/// made the old liveness check quadratic in module size.
+/// Each round is linear in module size: one dense use-count vector
+/// indexed by `ValueId` (one pass over the live ops), decremented as
+/// ops die, and one [`Module::erase_ops`] batch at the end of the round
+/// that compacts every touched block once.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Dce;
 
@@ -243,8 +245,6 @@ impl Pass for Dce {
     fn run(&self, ctx: &Context, module: &mut Module) -> IrResult<PassStats> {
         let mut stats = PassStats::default();
         loop {
-            let mut erased_this_round = 0;
-            let ops = module.walk_ops();
             // Use counts over every live op (attached or detached), so
             // the check agrees exactly with `Module::is_unused`.
             let mut use_counts = vec![0u32; module.num_values()];
@@ -253,30 +253,26 @@ impl Pass for Dce {
                     use_counts[operand.index()] += 1;
                 }
             }
-            for op in ops.into_iter().rev() {
+            let mut dead = Vec::new();
+            for op in module.walk_ops().into_iter().rev() {
                 let Some(operation) = module.op(op) else {
                     continue;
                 };
-                if !ctx.has_trait(operation.name, OpTrait::Pure) {
+                if !ctx.has_trait(operation.name, OpTrait::Pure) || !operation.regions.is_empty() {
                     continue;
                 }
-                if !operation.regions.is_empty() {
-                    continue;
-                }
-                let dead = operation.results.iter().all(|r| use_counts[r.index()] == 0);
-                if dead {
-                    let operands = operation.operands.clone();
-                    for operand in operands {
+                if operation.results.iter().all(|r| use_counts[r.index()] == 0) {
+                    for &operand in &operation.operands {
                         use_counts[operand.index()] -= 1;
                     }
-                    module.erase_op(op)?;
-                    erased_this_round += 1;
+                    dead.push(op);
                 }
             }
-            stats.ops_erased += erased_this_round;
-            if erased_this_round == 0 {
+            if dead.is_empty() {
                 break;
             }
+            module.erase_ops(&dead)?;
+            stats.ops_erased += dead.len();
         }
         Ok(stats)
     }
@@ -290,18 +286,22 @@ impl Pass for Dce {
 ///
 /// Two pure ops are equivalent when they share name, operands and
 /// attributes. Commutative ops are keyed on sorted operands.
+///
+/// The scan never mutates the module. A merge records
+/// `forward[duplicate result] = kept result` in a dense table, and
+/// every key reads its operands *through* that table, so keys equal
+/// what rewriting the uses on the spot would have produced — also for
+/// blocks visited later. One [`Module::forward_uses`] sweep and one
+/// [`Module::erase_ops`] batch then apply all merges, which keeps the
+/// pass linear in module size however many duplicates it finds.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cse;
 
 /// Structural CSE equivalence key: interned op name (`Copy`, hashed by
-/// id — no per-key string clone), (possibly sorted) operands, and
-/// attributes keyed through [`crate::attr::AttrKey`] so distinct
-/// attributes can never collide the way rendered strings could.
-type CseKey = (
-    crate::intern::Symbol,
-    Vec<crate::ids::ValueId>,
-    Vec<(String, crate::attr::AttrKey)>,
-);
+/// id — no per-key string clone), forwarded (possibly sorted) operands,
+/// and attributes by borrowed name and [`crate::attr::AttrKey`], so
+/// distinct attributes can never collide the way rendered strings could.
+type CseKey<'m> = (Symbol, Vec<ValueId>, Vec<(&'m str, crate::attr::AttrKey)>);
 
 impl Pass for Cse {
     fn name(&self) -> &str {
@@ -309,16 +309,15 @@ impl Pass for Cse {
     }
 
     fn run(&self, ctx: &Context, module: &mut Module) -> IrResult<PassStats> {
-        let mut stats = PassStats::default();
+        let mut forward: Vec<ValueId> = (0..module.num_values() as u32)
+            .map(ValueId::from_raw)
+            .collect();
+        let mut duplicates = Vec::new();
         // Process each block independently (no cross-block CSE: that would
         // require dominance analysis beyond single blocks).
-        let all_blocks: Vec<crate::ids::BlockId> = (0..module.num_blocks() as u32)
-            .map(crate::ids::BlockId::from_raw)
-            .collect();
-        for block in all_blocks {
-            let mut seen: HashMap<CseKey, Vec<crate::ids::ValueId>> = HashMap::new();
-            let ops = module.block(block).ops.clone();
-            for op in ops {
+        for block in (0..module.num_blocks() as u32).map(BlockId::from_raw) {
+            let mut seen: HashMap<CseKey<'_>, &[ValueId]> = HashMap::new();
+            for &op in &module.block(block).ops {
                 let Some(operation) = module.op(op) else {
                     continue;
                 };
@@ -326,30 +325,38 @@ impl Pass for Cse {
                 if !ctx.has_trait(name, OpTrait::Pure) || !operation.regions.is_empty() {
                     continue;
                 }
-                let mut operands = operation.operands.clone();
+                let mut operands: Vec<ValueId> = operation
+                    .operands
+                    .iter()
+                    .map(|&v| forward.get(v.index()).copied().unwrap_or(v))
+                    .collect();
                 if ctx.has_trait(name, OpTrait::Commutative) {
                     operands.sort();
                 }
-                let attrs: Vec<(String, crate::attr::AttrKey)> = operation
+                let attrs = operation
                     .attributes
                     .iter()
-                    .map(|(k, v)| (k.clone(), v.structural_key()))
+                    .map(|(k, v)| (k.as_str(), v.structural_key()))
                     .collect();
-                let key: CseKey = (name, operands, attrs);
-                let results = operation.results.clone();
-                if let Some(prev_results) = seen.get(&key) {
-                    let prev_results = prev_results.clone();
-                    for (from, to) in results.iter().zip(&prev_results) {
-                        module.replace_all_uses(*from, *to);
+                match seen.entry((name, operands, attrs)) {
+                    Entry::Occupied(kept) => {
+                        for (from, to) in operation.results.iter().zip(*kept.get()) {
+                            forward[from.index()] = *to;
+                        }
+                        duplicates.push(op);
                     }
-                    module.erase_op(op)?;
-                    stats.ops_erased += 1;
-                } else {
-                    seen.insert(key, results);
+                    Entry::Vacant(first) => {
+                        first.insert(&operation.results);
+                    }
                 }
             }
         }
-        Ok(stats)
+        module.forward_uses(&forward);
+        module.erase_ops(&duplicates)?;
+        Ok(PassStats {
+            ops_erased: duplicates.len(),
+            ops_rewritten: 0,
+        })
     }
 }
 
@@ -385,7 +392,7 @@ impl Pass for LoopInvariantCodeMotion {
                 // Values defined inside the loop (results + block args of
                 // every nested block).
                 let nested = module.walk_nested(loop_op);
-                let mut inside: std::collections::HashSet<crate::ids::ValueId> =
+                let mut inside: std::collections::HashSet<ValueId> =
                     std::collections::HashSet::new();
                 for &op in &nested {
                     if let Some(o) = module.op(op) {
@@ -441,7 +448,7 @@ impl Pass for LoopInvariantCodeMotion {
 pub struct ConstantFolding;
 
 impl ConstantFolding {
-    fn const_value(module: &Module, v: crate::ids::ValueId) -> Option<f64> {
+    fn const_value(module: &Module, v: ValueId) -> Option<f64> {
         match module.value(v).def {
             crate::module::ValueDef::OpResult { op, .. } => {
                 let operation = module.op(op)?;
@@ -501,6 +508,7 @@ impl Pass for ConstantFolding {
 
     fn run(&self, _ctx: &Context, module: &mut Module) -> IrResult<PassStats> {
         let mut stats = PassStats::default();
+        let constant = Symbol::new("arith.constant");
         loop {
             let mut changed = false;
             for op in module.walk_ops() {
@@ -522,17 +530,16 @@ impl Pass for ConstantFolding {
                     _ => None,
                 };
                 if let Some(value) = folded {
-                    let operation = module.op(op).expect("still live");
-                    let result = operation.results[0];
-                    let ty = module.value_type(result).clone();
-                    let constant = module
-                        .build_op("arith.constant", [], [ty])
-                        .attr("value", Attribute::Float(value))
-                        .detached();
-                    module.insert_op_before(op, constant);
-                    let new_value = crate::module::single_result(module, constant);
-                    module.replace_all_uses(result, new_value);
-                    module.erase_op(op)?;
+                    // The op becomes the constant in place: same slot in
+                    // its block, same result value, so no use needs
+                    // rewriting and nothing is inserted or erased.
+                    let operation = module.op_mut(op).expect("still live");
+                    operation.name = constant;
+                    operation.operands.clear();
+                    operation.attributes.clear();
+                    operation
+                        .attributes
+                        .insert("value".to_string(), Attribute::Float(value));
                     stats.ops_rewritten += 1;
                     changed = true;
                 }

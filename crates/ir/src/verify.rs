@@ -5,13 +5,40 @@
 //! attributes, terminator placement, SSA dominance within a block) and
 //! per-op custom verifiers supplied by the dialects.
 
-use std::collections::HashSet;
-
 use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::location::OpPath;
-use crate::module::{Module, ValueDef};
+use crate::module::{Block, Module, ValueDef};
 use crate::registry::{Context, OpTrait};
+
+/// Which SSA values are in scope, as one dense buffer for the whole run.
+///
+/// `depth_of[v]` is the isolation depth at which `v` is currently in
+/// scope, or 0 when it is not. Entering an [`OpTrait::IsolatedFromAbove`]
+/// region raises `depth` and leaving restores it, so everything the
+/// enclosing scopes defined is hidden inside without being touched. A
+/// block takes its values out of scope when it ends, hence no two live
+/// scopes ever share a depth.
+struct Scope {
+    depth_of: Vec<u32>,
+    depth: u32,
+}
+
+impl Scope {
+    /// `false` for ids past the end of the value arena too: the verifier
+    /// must reject a malformed operand, not index with it.
+    fn contains(&self, v: ValueId) -> bool {
+        self.depth_of.get(v.index()) == Some(&self.depth)
+    }
+
+    fn set(&mut self, values: &[ValueId], depth: u32) {
+        for v in values {
+            if let Some(slot) = self.depth_of.get_mut(v.index()) {
+                *slot = depth;
+            }
+        }
+    }
+}
 
 /// Verifies every live op in the module.
 ///
@@ -19,36 +46,30 @@ use crate::registry::{Context, OpTrait};
 ///
 /// Returns the first violation found, in program order.
 pub fn verify_module(ctx: &Context, module: &Module) -> IrResult<()> {
-    let mut visible: HashSet<ValueId> = HashSet::new();
-    verify_region(ctx, module, module.top_region(), &mut visible)
+    let mut scope = Scope {
+        depth_of: vec![0; module.num_values()],
+        depth: 1,
+    };
+    verify_region(ctx, module, module.top_region(), &mut scope)
 }
 
 fn verify_region(
     ctx: &Context,
     module: &Module,
     region: RegionId,
-    visible: &mut HashSet<ValueId>,
+    scope: &mut Scope,
 ) -> IrResult<()> {
     for &block in &module.region(region).blocks {
-        verify_block(ctx, module, block, visible)?;
+        verify_block(ctx, module, block, scope)?;
     }
     Ok(())
 }
 
-fn verify_block(
-    ctx: &Context,
-    module: &Module,
-    block: BlockId,
-    visible: &mut HashSet<ValueId>,
-) -> IrResult<()> {
-    let added_args: Vec<ValueId> = module.block(block).args.clone();
-    for &arg in &added_args {
-        visible.insert(arg);
-    }
-    let ops = module.block(block).ops.clone();
-    let mut defined_here: Vec<ValueId> = Vec::new();
+fn verify_block(ctx: &Context, module: &Module, block: BlockId, scope: &mut Scope) -> IrResult<()> {
+    let Block { args, ops, .. } = module.block(block);
+    scope.set(args, scope.depth);
     for (position, &op) in ops.iter().enumerate() {
-        verify_op(ctx, module, op, visible).map_err(|e| attach_path(module, op, e))?;
+        verify_op(ctx, module, op, scope).map_err(|e| attach_path(module, op, e))?;
         let operation = module.op(op).expect("blocks hold live ops");
         // Terminator placement.
         let is_term = ctx.has_trait(operation.name, OpTrait::Terminator);
@@ -63,28 +84,20 @@ fn verify_block(
             ));
         }
         // Results become visible to later ops (dominance within a block).
-        for &r in &operation.results {
-            visible.insert(r);
-            defined_here.push(r);
-        }
+        scope.set(&operation.results, scope.depth);
         // Nested regions see the enclosing scope unless isolated.
         let isolated = ctx.has_trait(operation.name, OpTrait::IsolatedFromAbove);
+        scope.depth += u32::from(isolated);
         for &region in &operation.regions {
-            if isolated {
-                let mut fresh = HashSet::new();
-                verify_region(ctx, module, region, &mut fresh)?;
-            } else {
-                verify_region(ctx, module, region, visible)?;
-            }
+            verify_region(ctx, module, region, scope)?;
         }
+        scope.depth -= u32::from(isolated);
     }
     // Values defined in this block go out of scope when it ends.
-    for v in defined_here {
-        visible.remove(&v);
+    for operation in ops.iter().filter_map(|&op| module.op(op)) {
+        scope.set(&operation.results, 0);
     }
-    for arg in added_args {
-        visible.remove(&arg);
-    }
+    scope.set(args, 0);
     Ok(())
 }
 
@@ -98,7 +111,7 @@ fn attach_path(module: &Module, op: OpId, err: IrError) -> IrError {
     }
 }
 
-fn verify_op(ctx: &Context, module: &Module, op: OpId, visible: &HashSet<ValueId>) -> IrResult<()> {
+fn verify_op(ctx: &Context, module: &Module, op: OpId, scope: &Scope) -> IrResult<()> {
     let operation = module
         .op(op)
         .ok_or_else(|| IrError::InvalidId(format!("block references erased op {op}")))?;
@@ -150,7 +163,7 @@ fn verify_op(ctx: &Context, module: &Module, op: OpId, visible: &HashSet<ValueId
     }
     // SSA visibility: every operand must dominate this op.
     for &operand in &operation.operands {
-        if !visible.contains(&operand) {
+        if !scope.contains(operand) {
             // Block arguments of enclosing non-isolated regions were added
             // when entering those blocks; anything else is a violation.
             return Err(IrError::Verification {
@@ -252,6 +265,51 @@ mod tests {
         m.build_op("func.return", [], []).append_to(entry);
         let err = verify_module(&ctx(), &m).unwrap_err();
         assert!(err.to_string().contains("does not dominate"));
+    }
+
+    #[test]
+    fn value_of_one_function_is_not_visible_in_the_next() {
+        let mut m = Module::new();
+        let top = m.top_block();
+        let outside = crate::dialects::core::const_f64(&mut m, top, 0.0);
+        let (_f, f_entry) = crate::dialects::core::build_func(&mut m, top, "f", &[], &[]);
+        let in_f = crate::dialects::core::const_f64(&mut m, f_entry, 1.0);
+        m.build_op("func.return", [], []).append_to(f_entry);
+        let (_g, g_entry) = crate::dialects::core::build_func(&mut m, top, "g", &[], &[]);
+        // Fine on its own: leaving `f` restored the enclosing scope.
+        let in_g = crate::dialects::core::const_f64(&mut m, g_entry, 2.0);
+        m.build_op("arith.negf", [in_g], [Type::F64])
+            .append_to(g_entry);
+        let ret = m.build_op("func.return", [], []).append_to(g_entry);
+        // Hidden inside both functions, visible again after them.
+        m.build_op("arith.negf", [outside], [Type::F64])
+            .append_to(top);
+        verify_module(&ctx(), &m).unwrap();
+        // `f` and `g` are isolated at the same depth; `f`'s value went
+        // out of scope when its block ended.
+        let leak = m.build_op("arith.negf", [in_f], [Type::F64]).detached();
+        m.insert_op_before(ret, leak);
+        let err = verify_module(&ctx(), &m).unwrap_err();
+        assert!(err.to_string().contains("does not dominate"));
+        assert_eq!(err.path().unwrap().steps[0].position, 2, "inside g");
+    }
+
+    #[test]
+    fn operand_past_the_value_arena_is_rejected_not_indexed() {
+        let mut m = Module::new();
+        let top = m.top_block();
+        let (_f, entry) = crate::dialects::core::build_func(&mut m, top, "f", &[], &[]);
+        let bogus = ValueId::from_raw(m.num_values() as u32 + 7);
+        m.build_op("arith.negf", [bogus], [Type::F64])
+            .append_to(entry);
+        m.build_op("func.return", [], []).append_to(entry);
+        assert!(bogus.index() >= m.num_values());
+        let err = verify_module(&ctx(), &m).unwrap_err();
+        assert!(matches!(err, IrError::Verification { .. }));
+        assert!(err.to_string().contains("does not dominate its use"));
+        let path = err.path().expect("verifier attaches a path");
+        assert_eq!(path.leaf().unwrap().op_name, "arith.negf");
+        assert_eq!(path.depth(), 2);
     }
 
     #[test]

@@ -1,29 +1,69 @@
 //! Property-based tests over the IR core: printer/parser round-trips,
-//! canonicalization idempotence, base2 numeric invariants and broadcast
+//! canonicalization idempotence, the linear-time passes against their
+//! naive per-item references, base2 numeric invariants and broadcast
 //! shape algebra.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use everest_ir::attr::{AttrKey, Attribute};
 use everest_ir::base2::{Fixed, Posit};
 use everest_ir::dialects::core;
 use everest_ir::dialects::tensorlang::broadcast_shapes;
-use everest_ir::module::Module;
-use everest_ir::pass::canonicalization_pipeline;
+use everest_ir::module::{single_result, Module};
+use everest_ir::pass::{canonicalization_pipeline, ConstantFolding, Cse, Dce, Pass, PassStats};
 use everest_ir::print::print_module;
-use everest_ir::registry::Context;
+use everest_ir::registry::{Context, OpTrait};
 use everest_ir::types::{FixedFormat, PositFormat, Type};
 use everest_ir::verify::verify_module;
+use everest_ir::{BlockId, ValueId};
 
 /// Builds a random but well-formed module: a DAG of float arithmetic over
-/// a pool of constants, with a store keeping part of it alive.
+/// a pool of constants and buffer loads, with stores keeping part of it
+/// alive.
+///
+/// `kind % 5` picks the op; `kind / 5 % 5` picks its shape: a single op,
+/// the same op twice (a duplicate for CSE), a commutative-style pair with
+/// swapped operands, a load (a leaf folding cannot remove), or a step
+/// into a new `scf.for` body nested in the current block (out again once
+/// two deep). Loop bodies read values of the enclosing blocks, so a
+/// value CSE merges or folding replaces is also used from a *different*
+/// block than the one it was merged in.
 fn random_module(consts: &[f64], ops: &[(u8, usize, usize)], keep: usize) -> Module {
     let mut m = Module::new();
     let top = m.top_block();
-    let mut values: Vec<everest_ir::ValueId> = consts
+    let buf = core::alloc(
+        &mut m,
+        top,
+        Type::memref(&[4], Type::F64, everest_ir::MemorySpace::Host),
+    );
+    let mut values: Vec<ValueId> = consts
         .iter()
         .map(|&c| core::const_f64(&mut m, top, c))
         .collect();
+    // Open loop bodies, innermost last, each with the number of values
+    // that were in scope when it was entered.
+    let mut open: Vec<(BlockId, usize)> = Vec::new();
+    // Leaves every open loop: each body stores the last value in scope
+    // (keeping part of the body alive) and loses the values it defined.
+    fn close(
+        m: &mut Module,
+        open: &mut Vec<(BlockId, usize)>,
+        values: &mut Vec<ValueId>,
+        buf: ValueId,
+    ) {
+        while let Some((body, outer_values)) = open.pop() {
+            let last = *values.last().expect("at least one constant");
+            let slot = core::const_index(m, body, open.len() as i64);
+            m.build_op("memref.store", [last, buf, slot], [])
+                .append_to(body);
+            m.build_op("scf.yield", [], []).append_to(body);
+            values.truncate(outer_values);
+        }
+    }
     for &(kind, a, b) in ops {
+        let block = open.last().map_or(top, |&(body, _)| body);
         let lhs = values[a % values.len()];
         let rhs = values[b % values.len()];
         let name = match kind % 5 {
@@ -33,17 +73,153 @@ fn random_module(consts: &[f64], ops: &[(u8, usize, usize)], keep: usize) -> Mod
             3 => "arith.maxf",
             _ => "arith.minf",
         };
-        values.push(core::binary(&mut m, top, name, lhs, rhs));
+        match kind / 5 % 5 {
+            0 => values.push(core::binary(&mut m, block, name, lhs, rhs)),
+            1 => {
+                values.push(core::binary(&mut m, block, name, lhs, rhs));
+                values.push(core::binary(&mut m, block, name, lhs, rhs));
+            }
+            2 => {
+                values.push(core::binary(&mut m, block, name, lhs, rhs));
+                values.push(core::binary(&mut m, block, name, rhs, lhs));
+            }
+            3 => {
+                let slot = core::const_index(&mut m, block, (a % 4) as i64);
+                let load = m
+                    .build_op("memref.load", [buf, slot], [Type::F64])
+                    .append_to(block);
+                values.push(single_result(&m, load));
+            }
+            _ if open.len() == 2 => close(&mut m, &mut open, &mut values, buf),
+            _ => {
+                let lb = core::const_index(&mut m, block, 0);
+                let ub = core::const_index(&mut m, block, 4);
+                let step = core::const_index(&mut m, block, 1);
+                let (_loop, body) = core::build_for(&mut m, block, lb, ub, step);
+                open.push((body, values.len()));
+            }
+        }
     }
+    close(&mut m, &mut open, &mut values, buf);
     // Keep one value alive through an impure store.
     let kept = values[keep % values.len()];
-    let buf = core::alloc(
-        &mut m,
-        top,
-        Type::memref(&[], Type::F64, everest_ir::MemorySpace::Host),
-    );
-    m.build_op("memref.store", [kept, buf], []).append_to(top);
+    let slot = core::const_index(&mut m, top, 3);
+    m.build_op("memref.store", [kept, buf, slot], [])
+        .append_to(top);
     m
+}
+
+/// Today's passes replaced one scan of the module *per item* (per
+/// folded op, per merged duplicate, per dead op) with one sweep per
+/// pass. These are the per-item algorithms they replaced, kept as the
+/// reference the new ones must match byte for byte.
+mod naive {
+    use super::*;
+
+    pub fn constant_folding(_ctx: &Context, m: &mut Module) -> PassStats {
+        fn constant_of(m: &Module, v: ValueId) -> Option<f64> {
+            let everest_ir::module::ValueDef::OpResult { op, .. } = m.value(v).def else {
+                return None;
+            };
+            let op = m.op(op)?;
+            if op.name != "arith.constant" {
+                return None;
+            }
+            op.attr("value")?.as_float()
+        }
+        let mut stats = PassStats::default();
+        loop {
+            let mut changed = false;
+            for op in m.walk_ops() {
+                let Some(operation) = m.op(op) else { continue };
+                let &[a, b] = operation.operands.as_slice() else {
+                    continue;
+                };
+                let (Some(a), Some(b)) = (constant_of(m, a), constant_of(m, b)) else {
+                    continue;
+                };
+                let value = match operation.name.as_str() {
+                    "arith.addf" => a + b,
+                    "arith.subf" => a - b,
+                    "arith.mulf" => a * b,
+                    "arith.maxf" => a.max(b),
+                    "arith.minf" => a.min(b),
+                    _ => continue,
+                };
+                let result = operation.results[0];
+                let ty = m.value_type(result).clone();
+                let constant = m
+                    .build_op("arith.constant", [], [ty])
+                    .attr("value", Attribute::Float(value))
+                    .detached();
+                m.insert_op_before(op, constant);
+                let new_value = single_result(m, constant);
+                m.replace_all_uses(result, new_value);
+                m.erase_op(op).expect("live op");
+                stats.ops_rewritten += 1;
+                changed = true;
+            }
+            if !changed {
+                return stats;
+            }
+        }
+    }
+
+    pub fn cse(ctx: &Context, m: &mut Module) -> PassStats {
+        type Key = (String, Vec<ValueId>, Vec<(String, AttrKey)>);
+        let mut stats = PassStats::default();
+        for block in (0..m.num_blocks() as u32).map(BlockId::from_raw) {
+            let mut seen: HashMap<Key, Vec<ValueId>> = HashMap::new();
+            for op in m.block(block).ops.clone() {
+                let Some(operation) = m.op(op) else { continue };
+                let name = operation.name;
+                if !ctx.has_trait(name, OpTrait::Pure) || !operation.regions.is_empty() {
+                    continue;
+                }
+                let mut operands = operation.operands.clone();
+                if ctx.has_trait(name, OpTrait::Commutative) {
+                    operands.sort();
+                }
+                let attrs = operation
+                    .attributes
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.structural_key()))
+                    .collect();
+                let key = (name.to_string(), operands, attrs);
+                let results = operation.results.clone();
+                if let Some(kept) = seen.get(&key).cloned() {
+                    for (from, to) in results.iter().zip(kept) {
+                        m.replace_all_uses(*from, to);
+                    }
+                    m.erase_op(op).expect("live op");
+                    stats.ops_erased += 1;
+                } else {
+                    seen.insert(key, results);
+                }
+            }
+        }
+        stats
+    }
+
+    pub fn dce(ctx: &Context, m: &mut Module) -> PassStats {
+        let mut stats = PassStats::default();
+        loop {
+            let before = stats.ops_erased;
+            for op in m.walk_ops().into_iter().rev() {
+                let Some(operation) = m.op(op) else { continue };
+                let dead = ctx.has_trait(operation.name, OpTrait::Pure)
+                    && operation.regions.is_empty()
+                    && operation.results.iter().all(|&r| m.is_unused(r));
+                if dead {
+                    m.erase_op(op).expect("live op");
+                    stats.ops_erased += 1;
+                }
+            }
+            if stats.ops_erased == before {
+                return stats;
+            }
+        }
+    }
 }
 
 /// Builds `func @k(%buf: memref<8xf64>)`: a random DAG of float
@@ -60,7 +236,7 @@ fn random_function(
     let buf_ty = Type::memref(&[8], Type::F64, everest_ir::MemorySpace::Host);
     let (_f, body) = core::build_func(&mut m, top, "k", &[buf_ty], &[]);
     let buf = m.block(body).args[0];
-    let mut values: Vec<everest_ir::ValueId> = consts
+    let mut values: Vec<ValueId> = consts
         .iter()
         .map(|&c| core::const_f64(&mut m, body, c))
         .collect();
@@ -70,7 +246,7 @@ fn random_function(
         let load = m
             .build_op("memref.load", [buf, i], [Type::F64])
             .append_to(body);
-        values.push(everest_ir::module::single_result(&m, load));
+        values.push(single_result(&m, load));
     }
     for &(kind, a, b) in ops {
         let lhs = values[a % values.len()];
@@ -315,6 +491,42 @@ proptest! {
                 x == y || (x.is_nan() && y.is_nan()),
                 "slot {i} diverged after canonicalization: {x} vs {y}"
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn linear_passes_match_the_naive_per_item_rewrites(
+        consts in proptest::collection::vec(-4.0f64..4.0, 1..4),
+        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..32),
+        keep in any::<usize>(),
+    ) {
+        type Reference = fn(&Context, &mut Module) -> PassStats;
+        let ctx = Context::with_all_dialects();
+        let mut fast = random_module(&consts, &ops, keep);
+        let mut slow = fast.clone();
+        // The shipped pipeline's order, pass by pass.
+        for _round in 0..2 {
+            let passes: [(&dyn Pass, Reference); 3] = [
+                (&ConstantFolding, naive::constant_folding),
+                (&Cse, naive::cse),
+                (&Dce, naive::dce),
+            ];
+            for (pass, reference) in passes {
+                let got = pass.run(&ctx, &mut fast).expect("pass runs on a verified module");
+                let want = reference(&ctx, &mut slow);
+                prop_assert_eq!(got, want, "stats of {} differ", pass.name());
+                prop_assert_eq!(
+                    print_module(&fast),
+                    print_module(&slow),
+                    "IR after {} differs",
+                    pass.name()
+                );
+                prop_assert!(verify_module(&ctx, &fast).is_ok());
+            }
         }
     }
 }
