@@ -43,6 +43,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod ast;
 pub mod cfdlang;
 pub mod check;

@@ -40,6 +40,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod cdfg;
 pub mod engine;
 pub mod resources;

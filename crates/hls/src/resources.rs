@@ -11,7 +11,7 @@
 use everest_ir::types::{FixedFormat, PositFormat, Type};
 
 /// The numeric format a kernel's floating-point arithmetic is mapped to.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NumericFormat {
     /// IEEE binary32.
     F32,

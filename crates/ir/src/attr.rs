@@ -230,10 +230,14 @@ impl fmt::Display for Attribute {
         match self {
             Attribute::Int(v) => write!(f, "{v}"),
             Attribute::Float(v) => {
-                if v.fract() == 0.0 && v.is_finite() && v.abs() < 1e15 {
+                // Every spelling keeps a '.' or an 'e', which is how the
+                // parser tells a float from an integer.
+                if v.fract() != 0.0 || !v.is_finite() {
+                    write!(f, "{v}")
+                } else if v.abs() < 1e15 {
                     write!(f, "{v:.1}")
                 } else {
-                    write!(f, "{v}")
+                    write!(f, "{v:e}")
                 }
             }
             Attribute::Str(s) => write!(f, "\"{}\"", escape(s)),

@@ -31,6 +31,7 @@ pub fn parse_module(text: &str) -> IrResult<Module> {
         chars: text.chars().collect(),
         pos: 0,
         values: Vec::new(),
+        depth: 0,
     };
     // Roughly one op per non-empty line; pre-size the arenas so large
     // round-trips don't regrow mid-parse.
@@ -48,11 +49,16 @@ pub fn parse_module(text: &str) -> IrResult<Module> {
     Ok(module)
 }
 
+/// Deepest nesting of regions, types and attributes the parser follows.
+const MAX_NESTING: usize = 64;
+
 struct Parser {
     chars: Vec<char>,
     pos: usize,
     /// `%N` → ValueId mapping (dense, indexed by N).
     values: Vec<Option<ValueId>>,
+    /// Recursive productions currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -198,6 +204,35 @@ impl Parser {
         self.values[n] = Some(v);
     }
 
+    /// Parses the `N` of a `%N` definition. The printer numbers values
+    /// densely, so a number past the length of the text is malformed —
+    /// and would size the `%N` table, so it is refused here.
+    fn parse_value_number(&mut self) -> IrResult<usize> {
+        let n = self.parse_usize()?;
+        if n >= self.chars.len() {
+            return Err(self.error(format!("value number %{n} out of range")));
+        }
+        Ok(n)
+    }
+
+    fn parse_u32(&mut self) -> IrResult<u32> {
+        let n = self.parse_usize()?;
+        u32::try_from(n).map_err(|_| self.error("number out of range"))
+    }
+
+    /// Runs one level of a recursive production, refusing input nested
+    /// deeper than any printed module so the parser cannot exhaust the
+    /// stack.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> IrResult<T>) -> IrResult<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error("nesting too deep"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn parse_usize(&mut self) -> IrResult<usize> {
         self.skip_ws();
         let start = self.pos;
@@ -237,9 +272,22 @@ impl Parser {
         Ok(self.chars[start..self.pos].iter().collect())
     }
 
+    /// A float literal must denote a finite value: the printer has no
+    /// spelling for the infinity an out-of-range literal rounds to.
+    fn finite_f64(&self, tok: &str) -> IrResult<f64> {
+        tok.parse::<f64>()
+            .ok()
+            .filter(|v| v.is_finite())
+            .ok_or_else(|| self.error(format!("bad float literal '{tok}'")))
+    }
+
     // -- types ---------------------------------------------------------------
 
     fn parse_type(&mut self) -> IrResult<Type> {
+        self.nested(Self::parse_type_inner)
+    }
+
+    fn parse_type_inner(&mut self) -> IrResult<Type> {
         self.skip_ws();
         if self.peek() == Some('(') {
             return self.parse_function_type();
@@ -250,9 +298,9 @@ impl Parser {
                 Some('u') => false,
                 _ => return Err(self.error("expected 's' or 'u' in fixed format")),
             };
-            let int_bits = self.parse_usize()? as u32;
+            let int_bits = self.parse_u32()?;
             self.expect_char(',')?;
-            let frac_bits = self.parse_usize()? as u32;
+            let frac_bits = self.parse_u32()?;
             self.expect_char('>')?;
             return Ok(Type::Fixed(FixedFormat {
                 signed,
@@ -261,10 +309,13 @@ impl Parser {
             }));
         }
         if self.eat_str("!base2.posit<") {
-            let width = self.parse_usize()? as u32;
+            let width = self.parse_u32()?;
             self.expect_char(',')?;
-            let es = self.parse_usize()? as u32;
+            let es = self.parse_u32()?;
             self.expect_char('>')?;
+            if width < 2 {
+                return Err(self.error("posit width must be at least 2"));
+            }
             return Ok(Type::Posit(PositFormat::new(width, es)));
         }
         if self.eat_str("!dfg.stream<") {
@@ -376,6 +427,10 @@ impl Parser {
     // -- attributes -----------------------------------------------------------
 
     fn parse_attr(&mut self) -> IrResult<Attribute> {
+        self.nested(Self::parse_attr_inner)
+    }
+
+    fn parse_attr_inner(&mut self) -> IrResult<Attribute> {
         self.skip_ws();
         match self.peek() {
             Some('"') => Ok(Attribute::Str(self.parse_string()?)),
@@ -420,9 +475,7 @@ impl Parser {
             Some(c) if c == '-' || c.is_ascii_digit() => {
                 let tok = self.parse_number_token()?;
                 if tok.contains('.') || tok.contains('e') || tok.contains('E') {
-                    tok.parse::<f64>()
-                        .map(Attribute::Float)
-                        .map_err(|_| self.error(format!("bad float literal '{tok}'")))
+                    self.finite_f64(&tok).map(Attribute::Float)
                 } else {
                     tok.parse::<i64>()
                         .map(Attribute::Int)
@@ -441,9 +494,7 @@ impl Parser {
                         if !self.eat_char('>') {
                             loop {
                                 let tok = self.parse_number_token()?;
-                                data.push(tok.parse::<f64>().map_err(|_| {
-                                    self.error(format!("bad float '{tok}' in dense_f64"))
-                                })?);
+                                data.push(self.finite_f64(&tok)?);
                                 if self.eat_char(',') {
                                     continue;
                                 }
@@ -507,13 +558,17 @@ impl Parser {
     }
 
     fn parse_op(&mut self, module: &mut Module, block: BlockId) -> IrResult<()> {
+        self.nested(|p| p.parse_op_inner(module, block))
+    }
+
+    fn parse_op_inner(&mut self, module: &mut Module, block: BlockId) -> IrResult<()> {
         // Optional result list: %0, %1 = ...
         let mut result_names = Vec::new();
         self.skip_ws();
         if self.peek() == Some('%') {
             loop {
                 self.expect_char('%')?;
-                result_names.push(self.parse_usize()?);
+                result_names.push(self.parse_value_number()?);
                 if self.eat_char(',') {
                     continue;
                 }
@@ -624,7 +679,7 @@ impl Parser {
             if !self.eat_char(')') {
                 loop {
                     self.expect_char('%')?;
-                    arg_names.push(self.parse_usize()?);
+                    arg_names.push(self.parse_value_number()?);
                     self.expect_char(':')?;
                     arg_types.push(self.parse_type()?);
                     if self.eat_char(',') {
@@ -853,6 +908,105 @@ mod tests {
         let text = "module {\n  \"arith.negf\"(%0) : (f64) -> (f64)\n}\n";
         let err = parse_module(text).unwrap_err();
         assert!(err.to_string().contains("undefined value"));
+    }
+
+    /// Inputs that used to abort or panic instead of returning an error.
+    #[test]
+    fn malformed_input_is_a_parse_error_not_a_panic() {
+        let op = |body: &str| format!("module {{\n  {body}\n}}\n");
+        let deep_attr = format!(
+            "\"t.op\"() {{a = {}1{}}} : () -> ()",
+            "[".repeat(5000),
+            "]".repeat(5000)
+        );
+        let deep_type = format!(
+            "%0 = \"t.op\"() : () -> ({}f64{})",
+            "tensor<".repeat(5000),
+            ">".repeat(5000)
+        );
+        let deep_region = format!(
+            "{}{}",
+            "\"t.op\"() ({ ^bb(): ".repeat(2000),
+            "}) : () -> ()".repeat(2000)
+        );
+        for (text, expected) in [
+            (
+                op("%99999999999999 = \"t.op\"() : () -> (f64)"),
+                "out of range",
+            ),
+            (
+                op("\"t.op\"() ({ ^bb(%99999999999999: f64): }) : () -> ()"),
+                "out of range",
+            ),
+            (
+                op("%0 = \"t.op\"() : () -> (!base2.posit<1,0>)"),
+                "posit width",
+            ),
+            (
+                op("%0 = \"t.op\"() : () -> (!base2.fixed<s4294967296,0>)"),
+                "out of range",
+            ),
+            (op("\"t.op\"() {v = 1e999} : () -> ()"), "bad float"),
+            (
+                op("\"t.op\"() {v = dense_f64<1e999>} : () -> ()"),
+                "bad float",
+            ),
+            (op(&deep_attr), "nesting too deep"),
+            (op(&deep_type), "nesting too deep"),
+            (op(&deep_region), "nesting too deep"),
+        ] {
+            match parse_module(&text) {
+                Err(IrError::Parse { message, .. }) => {
+                    assert!(message.contains(expected), "{message}");
+                }
+                other => panic!("expected a parse error ({expected}), got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_within_the_bound_still_parses() {
+        let depth = 20;
+        let text = format!(
+            "module {{\n  \"t.op\"() {{a = {}1{}}} : () -> ()\n}}\n",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let parsed = parse_module(&text).expect("parses");
+        assert_eq!(print_module(&parsed), text);
+        // The deepest accepted op nest fits the stack of a test thread.
+        let depth = MAX_NESTING - 1;
+        let text = format!(
+            "module {{ {}\"t.leaf\"() : () -> (){} }}",
+            "\"t.op\"() ({ ^bb(): ".repeat(depth),
+            "}) : () -> ()".repeat(depth)
+        );
+        assert_eq!(parse_module(&text).expect("parses").num_ops(), depth + 1);
+    }
+
+    #[test]
+    fn large_integral_floats_stay_floats() {
+        for v in [
+            1e15,
+            2e15,
+            -2e19,
+            123456789012345680.0,
+            1e300,
+            f64::MAX,
+            -0.0,
+        ] {
+            let mut m = Module::new();
+            let top = m.top_block();
+            m.build_op("t.op", [], [])
+                .attr("v", Attribute::Float(v))
+                .append_to(top);
+            let parsed = roundtrip(&m);
+            let op = parsed.block(parsed.top_block()).ops[0];
+            match parsed.op(op).expect("op").attr("v") {
+                Some(Attribute::Float(got)) => assert_eq!(got.to_bits(), v.to_bits()),
+                other => panic!("{v} came back as {other:?}"),
+            }
+        }
     }
 
     #[test]

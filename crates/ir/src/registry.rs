@@ -7,6 +7,7 @@
 //! specs — exactly the role MLIR's ODS-generated verifiers play.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, LazyLock};
 
 use crate::error::{IrError, IrResult};
 use crate::ids::OpId;
@@ -187,8 +188,17 @@ impl Dialect {
 /// instead of a name split plus two tree walks. The cache is plain data
 /// rebuilt at registration time, so a `&Context` stays `Sync` and can
 /// be shared across pass-manager worker threads.
+///
+/// A `Context` is a handle: clones share one registry, and
+/// [`Context::register_dialect`] copies it first when another handle
+/// still points at it, so an extension is private to its caller.
 #[derive(Debug, Clone, Default)]
 pub struct Context {
+    registry: Arc<Registry>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Registry {
     dialects: BTreeMap<String, Dialect>,
     spec_cache: HashMap<Symbol, OpSpec>,
 }
@@ -202,12 +212,17 @@ impl Context {
     /// Creates a context with every EVEREST and core dialect registered.
     ///
     /// This is the configuration the SDK's `basecamp` entry point uses.
+    /// The registry is built once per process; every call returns a
+    /// handle to it.
     pub fn with_all_dialects() -> Self {
-        let mut ctx = Context::new();
-        for d in crate::dialects::all_dialects() {
-            ctx.register_dialect(d);
-        }
-        ctx
+        static STANDARD: LazyLock<Context> = LazyLock::new(|| {
+            let mut ctx = Context::new();
+            for d in crate::dialects::all_dialects() {
+                ctx.register_dialect(d);
+            }
+            ctx
+        });
+        STANDARD.clone()
     }
 
     /// Registers a dialect.
@@ -217,19 +232,20 @@ impl Context {
     /// Panics if a dialect with the same name is already present.
     pub fn register_dialect(&mut self, dialect: Dialect) {
         assert!(
-            !self.dialects.contains_key(&dialect.name),
+            !self.registry.dialects.contains_key(&dialect.name),
             "duplicate dialect registration"
         );
+        let registry = Arc::make_mut(&mut self.registry);
         for spec in dialect.iter() {
             let full = Symbol::new(&format!("{}.{}", dialect.name, spec.name));
-            self.spec_cache.insert(full, spec.clone());
+            registry.spec_cache.insert(full, spec.clone());
         }
-        self.dialects.insert(dialect.name.clone(), dialect);
+        registry.dialects.insert(dialect.name.clone(), dialect);
     }
 
     /// Looks up a dialect by name.
     pub fn dialect(&self, name: &str) -> Option<&Dialect> {
-        self.dialects.get(name)
+        self.registry.dialects.get(name)
     }
 
     /// Resolves the spec for a fully qualified op name.
@@ -241,7 +257,8 @@ impl Context {
         let (dialect, op) = full_name
             .split_once('.')
             .ok_or_else(|| IrError::Unregistered(full_name.to_string()))?;
-        self.dialects
+        self.registry
+            .dialects
             .get(dialect)
             .and_then(|d| d.op_spec(op))
             .ok_or_else(|| IrError::Unregistered(full_name.to_string()))
@@ -257,18 +274,18 @@ impl Context {
     /// Resolves the spec for an interned op name: one hash lookup on
     /// the symbol id, no name splitting. `None` for unregistered ops.
     pub fn spec_of(&self, name: Symbol) -> Option<&OpSpec> {
-        self.spec_cache.get(&name)
+        self.registry.spec_cache.get(&name)
     }
 
     /// Fast-path trait query keyed on the interned op name; the form
     /// passes use per visited op.
     pub fn has_trait(&self, name: Symbol, t: OpTrait) -> bool {
-        self.spec_cache.get(&name).is_some_and(|s| s.has_trait(t))
+        self.spec_of(name).is_some_and(|s| s.has_trait(t))
     }
 
     /// Names of all registered dialects.
     pub fn dialect_names(&self) -> Vec<&str> {
-        self.dialects.keys().map(String::as_str).collect()
+        self.registry.dialects.keys().map(String::as_str).collect()
     }
 }
 
@@ -316,6 +333,46 @@ mod tests {
     fn duplicate_op_panics() {
         let mut d = sample_dialect();
         d.register(OpSpec::new("add", Arity::Exact(2), Arity::Exact(1)));
+    }
+
+    #[test]
+    fn standard_handles_share_storage_and_extension_is_private() {
+        let mut extended = Context::with_all_dialects();
+        let untouched = Context::with_all_dialects();
+        assert!(Arc::ptr_eq(&extended.registry, &untouched.registry));
+
+        extended.register_dialect(sample_dialect());
+        assert!(!Arc::ptr_eq(&extended.registry, &untouched.registry));
+        let add = Symbol::new("toy.add");
+        assert!(extended.dialect("toy").is_some());
+        assert!(extended.op_spec("toy.add").is_ok());
+        assert!(extended.has_trait(add, OpTrait::Pure));
+        assert!(extended.dialect("arith").is_some(), "the copy is complete");
+        for other in [untouched, Context::with_all_dialects()] {
+            assert!(other.dialect("toy").is_none());
+            assert!(other.op_spec("toy.add").is_err());
+            assert!(other.spec_of(add).is_none());
+        }
+
+        // A handle nobody else holds extends in place, as before.
+        let mut own = Context::new();
+        own.register_dialect(sample_dialect());
+        let before = Arc::as_ptr(&own.registry);
+        own.register_dialect(Dialect::new("toy2", "another test dialect"));
+        assert_eq!(before, Arc::as_ptr(&own.registry));
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate dialect registration")]
+    fn duplicate_dialect_panics_on_a_shared_handle() {
+        let mut ctx = Context::with_all_dialects();
+        ctx.register_dialect(Dialect::new("arith", "already there"));
+    }
+
+    #[test]
+    fn context_is_send_and_sync() {
+        fn pass_manager_worker<T: Send + Sync>() {}
+        pass_manager_worker::<Context>();
     }
 
     #[test]

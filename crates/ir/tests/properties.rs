@@ -530,3 +530,109 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Parser totality
+// ---------------------------------------------------------------------------
+
+/// Every type and attribute form the printer can emit, in one module,
+/// so byte mutations reach each branch of the parser.
+const EVERY_FORM: &str = r#"module {
+  "func.func"() ({
+    ^bb(%0: tensor<4x?xf64>, %1: memref<8xi32, plm>):
+      %2 = "arith.constant"() {value = -1.5e-3} : () -> (!base2.posit<16,1>)
+      %3 = "base2.cast"(%2) {dict = {a = [1, true, "s\"q", @sym], t = (f32) -> (index)}} : (!base2.posit<16,1>) -> (!base2.fixed<s7,8>)
+      "dfg.push"(%3) {dense = dense_f64<1.0, 2.5>, ids = dense_i64<-3, 4>, ty = !dfg.stream<!dfg.token>} : (!base2.fixed<s7,8>) -> ()
+      "func.return"() : () -> ()
+  }) {function_type = (tensor<4x?xf64>, memref<8xi32, plm>) -> (), sym_name = "every_form"} : () -> ()
+}
+"#;
+
+/// Bytes the grammar gives meaning to, plus a digit run and a non-ASCII lead byte.
+const MUTATION_BYTES: &[u8] = b"\"(){}%^<>,:-=!@[]?\\x0919e. \n\xc3";
+
+fn mutate(text: &str, edits: &[(usize, u8, u8)]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for &(at, how, with) in edits {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = at % bytes.len();
+        let with = MUTATION_BYTES[with as usize % MUTATION_BYTES.len()];
+        match how % 5 {
+            0 => bytes[at] = with,
+            1 => bytes.insert(at, with),
+            2 => {
+                bytes.remove(at);
+            }
+            3 => bytes.truncate(at),
+            // A long digit run: value numbers and widths far out of range.
+            _ => {
+                bytes.splice(at..at, std::iter::repeat_n(b'9', 1 + with as usize % 24));
+            }
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// `Ok`, or a parse error naming a line of the text; anything else —
+/// a panic, another error kind — fails the case.
+fn assert_parse_is_total(text: &str) -> TestCaseResult {
+    match everest_ir::parse::parse_module(text) {
+        Ok(module) => {
+            // What parsed prints, and prints the same once more.
+            let printed = print_module(&module);
+            let again = everest_ir::parse::parse_module(&printed);
+            prop_assert!(again.is_ok(), "printed form of {:?} does not parse", text);
+            prop_assert_eq!(print_module(&again.expect("checked")), printed);
+        }
+        Err(everest_ir::IrError::Parse { line, message }) => {
+            let lines = text.matches('\n').count() + 1;
+            prop_assert!((1..=lines).contains(&line), "line {} of {}", line, lines);
+            prop_assert!(!message.is_empty());
+        }
+        Err(other) => prop_assert!(false, "not a parse error: {}", other),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn parse_module_is_total_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        shaped in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        assert_parse_is_total(&String::from_utf8_lossy(&bytes))?;
+        // The same, drawn from the grammar's own alphabet.
+        let shaped: Vec<u8> = shaped
+            .iter()
+            .map(|b| MUTATION_BYTES[*b as usize % MUTATION_BYTES.len()])
+            .collect();
+        let shaped = String::from_utf8_lossy(&shaped);
+        assert_parse_is_total(&shaped)?;
+        assert_parse_is_total(&format!("module {{ {shaped} }}"))?;
+    }
+
+    #[test]
+    fn parse_module_is_total_on_mutated_modules(
+        consts in proptest::collection::vec(-100.0f64..100.0, 1..4),
+        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..12),
+        keep in any::<usize>(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>(), any::<u8>()), 1..4),
+    ) {
+        let printed = print_module(&random_module(&consts, &ops, keep));
+        assert_parse_is_total(&mutate(&printed, &edits))?;
+        assert_parse_is_total(&mutate(EVERY_FORM, &edits))?;
+    }
+}
+
+#[test]
+fn the_every_form_seed_parses_before_it_is_mutated() {
+    let module = everest_ir::parse::parse_module(EVERY_FORM).expect("the seed text parses");
+    assert_eq!(module.num_ops(), 5);
+    if let Err(e) = assert_parse_is_total(EVERY_FORM) {
+        panic!("{e}");
+    }
+}

@@ -46,6 +46,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod arch;
 pub mod builder;
 pub mod dosa;

@@ -12,7 +12,10 @@
 //! verify → analysis lints → scheduling → Olympus pipeline as every
 //! hand-written kernel in the SDK.
 
-use everest_hls::{synthesize, HlsOptions, HlsReport};
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
+
+use everest_hls::{synthesize, HlsOptions, HlsReport, NumericFormat};
 use everest_ir::dialects::dataflow::{build_channel, build_graph};
 use everest_ir::module::Module;
 use everest_ir::types::Type;
@@ -30,7 +33,8 @@ pub const MAX_ROWS: usize = 128;
 /// Upper clamp for the build side of the O(n·m) join-probe kernel.
 pub const MAX_BUILD_ROWS: usize = 32;
 
-/// One plan operator lowered to a synthesizable kernel.
+/// One plan operator lowered to a synthesizable kernel, compiled once
+/// and shared (so immutable) across the queries that need its shape.
 #[derive(Debug, Clone)]
 pub struct QueryKernel {
     /// Kernel (and dfg callee) name, deterministic per plan shape.
@@ -51,7 +55,7 @@ pub struct LoweredQuery {
     /// The `dfg` dialect module (one `dfg.graph` named `query`).
     pub module: Module,
     /// Per-operator kernels, in plan post-order.
-    pub kernels: Vec<QueryKernel>,
+    pub kernels: Vec<Arc<QueryKernel>>,
 }
 
 impl LoweredQuery {
@@ -64,7 +68,8 @@ impl LoweredQuery {
     /// report sizes the Olympus memory architecture and the serving
     /// class cost model.
     pub fn dominant_kernel(&self) -> Option<&QueryKernel> {
-        self.kernels.iter().max_by_key(|k| k.hls.cycles)
+        let dominant = self.kernels.iter().max_by_key(|k| k.hls.cycles)?;
+        Some(dominant)
     }
 }
 
@@ -109,6 +114,70 @@ fn kernel_source(name: &str, plan: &LogicalPlan, rows: usize, width: usize) -> S
              let y[i] = x[i]\n  output y\n}}"
         ),
     }
+}
+
+/// Everything a kernel is a function of: its name (which carries the
+/// operator), its extents and every synthesis option.
+type ShapeKey = (
+    String,
+    [usize; 2],
+    NumericFormat,
+    [u32; 2],
+    u64,
+    Option<u32>,
+    [bool; 2],
+);
+
+/// Bound on the process-wide kernel table: default options span a few
+/// thousand keys; past it a new shape is compiled on every use.
+const MAX_SHARED_KERNELS: usize = 4096;
+
+static KERNELS: LazyLock<Mutex<HashMap<ShapeKey, Arc<QueryKernel>>>> =
+    LazyLock::new(Mutex::default);
+
+/// The kernel of one operator shape, and whether this call compiled it
+/// or found it in the process-wide table. A hit is what a miss would
+/// build: [`compile_kernel`] is a pure function of the key.
+fn shared_kernel(
+    name: &str,
+    plan: &LogicalPlan,
+    rows: usize,
+    width: usize,
+    options: &HlsOptions,
+) -> QueryResult<(Arc<QueryKernel>, bool)> {
+    // Destructured in full so a new option cannot be left out of the key.
+    let HlsOptions {
+        format,
+        pipeline,
+        unroll,
+        partition,
+        clock_ns,
+        dsp_limit,
+        licm,
+    } = *options;
+    let key = (
+        name.to_string(),
+        [rows, width],
+        format,
+        [unroll, partition],
+        clock_ns.to_bits(),
+        dsp_limit,
+        [pipeline, licm],
+    );
+    // The only write is one `insert`, so a poisoned lock still guards a
+    // valid map.
+    let lock = || KERNELS.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(kernel) = lock().get(&key) {
+        return Ok((Arc::clone(kernel), false));
+    }
+    // Compiled with the lock released: threads that miss together each
+    // build the same kernel and the first insert is the one kept.
+    let mut kernel = Arc::new(compile_kernel(name, plan, rows, width, options)?);
+    let mut table = lock();
+    if table.len() < MAX_SHARED_KERNELS {
+        kernel = Arc::clone(table.entry(key).or_insert(kernel));
+    }
+    Ok((kernel, true))
 }
 
 /// Compiles one operator kernel through EKL → loop IR → HLS.
@@ -161,8 +230,12 @@ pub fn lower(
         .attr("name", "result")
         .append_to(body);
     module.build_op("dfg.yield", [], []).append_to(body);
-    span.arg("kernels", kernels.len() as u64);
+    let (kernels, compiled): (Vec<_>, Vec<bool>) = kernels.into_iter().unzip();
+    let compiled = compiled.iter().filter(|c| **c).count() as u64;
+    span.arg("kernels", kernels.len() as u64)
+        .arg("kernels_compiled", compiled);
     everest_telemetry::counter_add("query.kernels", kernels.len() as u64);
+    everest_telemetry::counter_add("query.kernels_compiled", compiled);
     Ok(LoweredQuery { module, kernels })
 }
 
@@ -172,7 +245,7 @@ fn lower_node(
     options: &HlsOptions,
     module: &mut Module,
     body: everest_ir::ids::BlockId,
-    kernels: &mut Vec<QueryKernel>,
+    kernels: &mut Vec<(Arc<QueryKernel>, bool)>,
 ) -> QueryResult<everest_ir::ids::ValueId> {
     // Pure-column projections (including the identity wrappers the
     // join reorderer inserts) are wiring, not compute: no kernel, the
@@ -200,7 +273,7 @@ fn lower_node(
                 .append_to(body);
             let name = format!("q{}_scan", kernels.len());
             let width = columns.len().clamp(1, 8);
-            kernels.push(compile_kernel(&name, plan, rows, width, options)?);
+            kernels.push(shared_kernel(&name, plan, rows, width, options)?);
             let out = build_channel(module, body, Type::F64, rows.max(1) as i64);
             module
                 .build_op("dfg.node", [feed, out], [])
@@ -225,7 +298,7 @@ fn lower_node(
     };
     let rows = clamp_rows(optimizer.estimate_rows(plan));
     let name = format!("q{}_{}", kernels.len(), plan.op_name());
-    kernels.push(compile_kernel(&name, plan, rows, 1, options)?);
+    kernels.push(shared_kernel(&name, plan, rows, 1, options)?);
     let out = build_channel(module, body, Type::F64, rows.max(1) as i64);
     let mut operands = inputs;
     operands.push(out);
@@ -242,6 +315,7 @@ mod tests {
     use crate::parser::parse;
     use crate::planner::plan_query;
     use crate::table::{Catalog, DataType, Field, Schema, Table, Value};
+    use everest_ir::print::print_module;
     use everest_ir::registry::Context;
     use everest_ir::verify::verify_module;
 
@@ -282,6 +356,138 @@ mod tests {
         assert!(lowered.dominant_kernel().is_some());
         for kernel in &lowered.kernels {
             assert!(kernel.hls.cycles > 0, "kernel {} scheduled", kernel.name);
+        }
+    }
+
+    /// The lowering contract restated for the test: post-order, one
+    /// kernel per operator except pure-column projections, scans sized
+    /// by their column count.
+    fn kernel_sites<'p>(
+        plan: &'p LogicalPlan,
+        optimizer: &Optimizer,
+        out: &mut Vec<(&'p LogicalPlan, usize, usize)>,
+    ) {
+        for child in plan.children() {
+            kernel_sites(child, optimizer, out);
+        }
+        let width = match plan {
+            LogicalPlan::Project { exprs, .. }
+                if exprs
+                    .iter()
+                    .all(|(e, _)| matches!(e, crate::plan::Expr::Column(_))) =>
+            {
+                return
+            }
+            LogicalPlan::Scan { columns, .. } => columns.len().clamp(1, 8),
+            _ => 1,
+        };
+        out.push((plan, clamp_rows(optimizer.estimate_rows(plan)), width));
+    }
+
+    fn assert_same_kernel(got: &QueryKernel, want: &QueryKernel) {
+        assert_eq!(
+            (&got.name, &got.op, got.rows),
+            (&want.name, &want.op, want.rows)
+        );
+        assert_eq!(
+            print_module(&got.module),
+            print_module(&want.module),
+            "{}",
+            got.name
+        );
+        assert_eq!(got.hls, want.hls, "{}", got.name);
+    }
+
+    #[test]
+    fn a_shared_kernel_is_what_the_miss_path_builds() {
+        let catalog = catalog();
+        let optimizer = Optimizer::for_catalog(&catalog);
+        let fast = HlsOptions {
+            unroll: 2,
+            licm: true,
+            clock_ns: 2.5,
+            ..HlsOptions::default()
+        };
+        for sql in [
+            "SELECT v FROM t WHERE v > 2",
+            "SELECT k, v * 2 AS w FROM t ORDER BY k LIMIT 3",
+            "SELECT t.k, sum(t.v) FROM t JOIN d ON t.k = d.k WHERE t.v > 1 GROUP BY t.k \
+             ORDER BY t.k LIMIT 5",
+        ] {
+            let plan = plan_query(&catalog, &parse(sql).expect("parses")).expect("plans");
+            for plan in [optimizer.optimize(&plan), plan] {
+                let mut sites = Vec::new();
+                kernel_sites(&plan, &optimizer, &mut sites);
+                for options in [HlsOptions::default(), fast] {
+                    let first = lower(&plan, &optimizer, &options).expect("lowers");
+                    let again = lower(&plan, &optimizer, &options).expect("lowers");
+                    assert_eq!(first.kernels.len(), sites.len(), "{sql}");
+                    for (index, (node, rows, width)) in sites.iter().enumerate() {
+                        let shared = &first.kernels[index];
+                        assert!(Arc::ptr_eq(shared, &again.kernels[index]), "{sql}");
+                        let fresh = compile_kernel(&shared.name, node, *rows, *width, &options)
+                            .expect("compiles");
+                        assert_same_kernel(shared, &fresh);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_option_is_part_of_the_key() {
+        let plan = LogicalPlan::Scan {
+            table: "t".to_string(),
+            columns: vec!["t.k".to_string()],
+            projection: None,
+        };
+        let base = HlsOptions::default();
+        let variants = [
+            base,
+            HlsOptions {
+                format: NumericFormat::F32,
+                ..base
+            },
+            HlsOptions {
+                pipeline: false,
+                ..base
+            },
+            HlsOptions { unroll: 2, ..base },
+            HlsOptions {
+                partition: 2,
+                ..base
+            },
+            HlsOptions {
+                clock_ns: 5.0,
+                ..base
+            },
+            HlsOptions {
+                dsp_limit: Some(1),
+                ..base
+            },
+            HlsOptions { licm: true, ..base },
+        ];
+        // A name no query generates, so every first lookup is a miss.
+        let probe = |rows, width, options: &HlsOptions| {
+            shared_kernel("key_probe", &plan, rows, width, options).expect("compiles")
+        };
+        let kernels: Vec<Arc<QueryKernel>> = variants
+            .iter()
+            .map(|options| {
+                let (kernel, compiled) = probe(16, 2, options);
+                assert!(compiled, "{options:?} took another option set's kernel");
+                kernel
+            })
+            .collect();
+        for (i, options) in variants.iter().enumerate() {
+            let (hit, compiled) = probe(16, 2, options);
+            assert!(!compiled && Arc::ptr_eq(&hit, &kernels[i]), "{options:?}");
+        }
+        for (rows, width) in [(17, 2), (16, 3)] {
+            assert!(
+                probe(rows, width, &base).1,
+                "{rows}x{width} is a shape of its own"
+            );
         }
     }
 

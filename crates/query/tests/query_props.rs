@@ -10,6 +10,9 @@
 //!    folding, predicate pushdown, projection pruning, join
 //!    reordering) and the full pipeline preserve the executor's row
 //!    multiset on randomly generated tables.
+//! 3. **Kernel reuse is invisible** — `lower` shares compiled operator
+//!    kernels per shape across calls, options and threads; what it
+//!    returns never depends on what was lowered before.
 //!
 //! The vendored proptest shim has no combinator strategies, so the
 //! SQL generator draws raw integers and maps them onto grammar
@@ -17,7 +20,12 @@
 
 use proptest::prelude::*;
 
+use std::sync::{Arc, Barrier};
+
+use everest_hls::{HlsOptions, HlsReport};
+use everest_ir::print::print_module;
 use everest_query::exec::{execute, row_multiset};
+use everest_query::lower::{lower, LoweredQuery};
 use everest_query::optimizer::{fold_constants, prune_projections, pushdown_predicates, Optimizer};
 use everest_query::planner::plan_query;
 use everest_query::table::{Catalog, DataType, Field, Schema, Table, Value};
@@ -267,6 +275,98 @@ proptest! {
                 rule,
                 sql
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Kernel reuse
+// ---------------------------------------------------------------------------
+
+/// Everything a caller can read off a lowered query, as owned data.
+type Fingerprint = (String, Vec<(String, String, HlsReport)>);
+
+fn fingerprint(lowered: &LoweredQuery) -> Fingerprint {
+    let kernels = lowered
+        .kernels
+        .iter()
+        .map(|k| (k.name.clone(), print_module(&k.module), k.hls.clone()))
+        .collect();
+    (print_module(&lowered.module), kernels)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Lowering twice, under other options in between, and from four
+    /// threads racing on shapes nobody compiled yet, gives one answer.
+    /// (That the shared kernel equals a fresh compile is the unit test
+    /// next to the table in `lower.rs`.)
+    #[test]
+    fn kernel_reuse_is_invisible(draws in proptest::collection::vec(any::<u64>(), 1..24)) {
+        let catalog = props_catalog();
+        let optimizer = Optimizer::for_catalog(&catalog);
+        // The generated query when it plans, otherwise one of the
+        // fixed corpus (joins, sorts) picked by the same draws.
+        let generated = parser::parse(&render_sql(&draws))
+            .ok()
+            .and_then(|q| plan_query(&catalog, &q).ok());
+        let plan = generated.unwrap_or_else(|| {
+            let sql = pick(EQUIVALENCE_QUERIES, draws[0]);
+            plan_query(&catalog, &parser::parse(sql).expect("parses")).expect("plans")
+        });
+        let plans = [optimizer.optimize(&plan), plan];
+        let default = HlsOptions::default();
+        // A clock no other case uses: the threads below start cold.
+        let tuned = HlsOptions {
+            unroll: 2,
+            licm: true,
+            clock_ns: 2.0 + (draws[0] % 4096) as f64 / 4096.0,
+            ..default
+        };
+        let lower_all = || -> Vec<Fingerprint> {
+            let mut out = Vec::new();
+            for plan in &plans {
+                for options in [&default, &tuned] {
+                    out.push(fingerprint(&lower(plan, &optimizer, options).expect("lowers")));
+                }
+            }
+            out
+        };
+
+        let barrier = Barrier::new(4);
+        let threaded: Vec<Vec<Fingerprint>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        lower_all()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("worker lowers"))
+                .collect()
+        });
+        let single = lower_all();
+        prop_assert_eq!(&single, &lower_all());
+        for worker in &threaded {
+            prop_assert_eq!(worker, &single);
+        }
+
+        // Tuned and default lowerings never hand out each other's kernels.
+        for plan in &plans {
+            let with_default = lower(plan, &optimizer, &default).expect("lowers");
+            let with_tuned = lower(plan, &optimizer, &tuned).expect("lowers");
+            prop_assert_eq!(with_default.kernels.len(), with_tuned.kernels.len());
+            for (d, t) in with_default.kernels.iter().zip(&with_tuned.kernels) {
+                prop_assert!(!Arc::ptr_eq(d, t), "{} shared across options", d.name);
+                for (kernel, options) in [(d, &default), (t, &tuned)] {
+                    let time_us = kernel.hls.cycles as f64 * options.clock_ns / 1000.0;
+                    prop_assert_eq!(kernel.hls.time_us, time_us, "{}", kernel.name);
+                }
+            }
         }
     }
 }

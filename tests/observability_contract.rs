@@ -23,7 +23,7 @@ use everest_sdk::heal::{run_heal, HealOptions};
 use everest_sdk::query::{run_query, QueryOptions};
 use everest_sdk::serve::{run_serve, ServeOptions, ServeReport};
 use everest_serve::{Layer, Metric, ServeEngine, ServeOutcome};
-use everest_telemetry::Registry;
+use everest_telemetry::{ArgValue, Registry};
 
 const CONTRACT: &str = include_str!("../docs/OBSERVABILITY.md");
 
@@ -387,11 +387,25 @@ fn every_recorded_name_is_documented() {
         "query.queries",
         "query.rows_out",
         "query.kernels",
+        "query.kernels_compiled",
     ] {
         assert!(
             names.contains(expected),
             "probe failed to record {expected}; recorded: {names:?}"
         );
+    }
+
+    // Lowering compiles a kernel only when no earlier query in the
+    // process used its shape, so how many were compiled depends on what
+    // ran before; that it never exceeds the kernels used does not.
+    assert!(registry.counter("query.kernels_compiled") <= registry.counter("query.kernels"));
+    for span in registry.spans().iter().filter(|s| s.name == "query.lower") {
+        match (span.args.get("kernels_compiled"), span.args.get("kernels")) {
+            (Some(ArgValue::U64(compiled)), Some(ArgValue::U64(kernels))) => {
+                assert!(compiled <= kernels, "{compiled} of {kernels} compiled");
+            }
+            other => panic!("query.lower span without its kernel counts: {other:?}"),
+        }
     }
 
     let undocumented: Vec<&String> = names.iter().filter(|n| !documented(n)).collect();

@@ -77,3 +77,23 @@ fn gate_queries_pass_verification_and_lints_cleanly() {
         );
     }
 }
+
+/// Everything a gate query lowers to — the `dfg` graph and each
+/// operator kernel — survives the textual form unchanged.
+#[test]
+fn lowered_graphs_and_kernels_round_trip_through_text() {
+    use everest_ir::parse::parse_module;
+    use everest_ir::print::print_module;
+
+    for (dataset, sql, _) in CORPUS {
+        let report = run_query(&gate_options(dataset, sql)).expect("gate query runs");
+        let kernels = report.lowered.kernels.iter().map(|k| (&k.name, &k.module));
+        let graph = "query".to_string();
+        for (name, module) in std::iter::once((&graph, &report.lowered.module)).chain(kernels) {
+            let text = print_module(module);
+            let parsed = parse_module(&text)
+                .unwrap_or_else(|e| panic!("{dataset}/{name} does not parse back: {e}\n{text}"));
+            assert_eq!(print_module(&parsed), text, "{dataset}/{name}");
+        }
+    }
+}
