@@ -10,6 +10,7 @@
 
 use std::sync::{Arc, Mutex};
 
+use crate::effects::FaultEffects;
 use crate::plan::{FaultKind, FaultPlan, FaultSpec};
 
 /// The operation classes the platform layer distinguishes when asking
@@ -38,7 +39,7 @@ fn applies(kind: &FaultKind, op: FaultOp) -> bool {
         // device operations.
         FaultKind::VfUnplug { .. } => false,
         // Gray faults never fire as events: they are standing latency
-        // windows queried via the gray_*_factor methods.
+        // effects (`FaultEffects`), queried via the gray_*_factor methods.
         FaultKind::SlowNode { .. } | FaultKind::GrayLink { .. } | FaultKind::VfCreep { .. } => {
             false
         }
@@ -48,52 +49,6 @@ fn applies(kind: &FaultKind, op: FaultOp) -> bool {
         | FaultKind::PartitionAsym { .. }
         | FaultKind::MsgDelay { .. }
         | FaultKind::MsgLoss { .. } => false,
-    }
-}
-
-/// The silent latency effect a fault kind exerts, if any. The mapping
-/// is the single exhaustive `FaultKind` match behind every
-/// `gray_*_factor` query, so a new fault kind is a compile error here
-/// rather than a silently ignored window.
-enum GrayEffect {
-    /// Compute-time multiplier for `duration_us` past onset.
-    Compute { factor: f64, duration_us: f64 },
-    /// Transfer-cost multiplier for `duration_us` past onset.
-    Link { factor: f64, duration_us: f64 },
-    /// Accelerator latency creeping by `per_ms` per millisecond.
-    Creep { per_ms: f64 },
-    /// No silent latency effect.
-    Inert,
-}
-
-fn gray_effect(kind: &FaultKind) -> GrayEffect {
-    match *kind {
-        FaultKind::SlowNode {
-            factor,
-            duration_us,
-        } => GrayEffect::Compute {
-            factor,
-            duration_us,
-        },
-        FaultKind::GrayLink {
-            factor,
-            duration_us,
-        } => GrayEffect::Link {
-            factor,
-            duration_us,
-        },
-        FaultKind::VfCreep { per_ms } => GrayEffect::Creep { per_ms },
-        FaultKind::NodeCrash
-        | FaultKind::LinkDegrade { .. }
-        | FaultKind::DmaTimeout
-        | FaultKind::PartialReconfigFail
-        | FaultKind::TransientKernelError
-        | FaultKind::MemoryEcc
-        | FaultKind::VfUnplug { .. }
-        | FaultKind::PartitionSym { .. }
-        | FaultKind::PartitionAsym { .. }
-        | FaultKind::MsgDelay { .. }
-        | FaultKind::MsgLoss { .. } => GrayEffect::Inert,
     }
 }
 
@@ -108,6 +63,9 @@ struct State {
 pub struct FaultInjector {
     node: usize,
     state: Arc<Mutex<State>>,
+    /// The plan's standing latency effects. Immutable, so the gray
+    /// queries take no lock.
+    effects: Arc<FaultEffects>,
 }
 
 impl FaultInjector {
@@ -117,6 +75,7 @@ impl FaultInjector {
         let fired = vec![false; plan.len()];
         FaultInjector {
             node,
+            effects: Arc::new(FaultEffects::from_plan(&plan, node + 1)),
             state: Arc::new(Mutex::new(State { plan, fired })),
         }
     }
@@ -181,59 +140,21 @@ impl FaultInjector {
     /// healthy). Gray queries never consume faults, never error and
     /// never reach telemetry — invisibility is the point.
     pub fn gray_compute_factor(&self, now_us: f64) -> f64 {
-        let state = self.lock();
-        state
-            .plan
-            .faults()
-            .iter()
-            .filter(|f| f.node == self.node)
-            .filter_map(|f| match gray_effect(&f.kind) {
-                GrayEffect::Compute {
-                    factor,
-                    duration_us,
-                } => (f.at_us <= now_us && now_us < f.at_us + duration_us).then_some(factor),
-                GrayEffect::Link { .. } | GrayEffect::Creep { .. } | GrayEffect::Inert => None,
-            })
-            .fold(1.0, f64::max)
+        self.effects.slow_factor(self.node, now_us)
     }
 
     /// Silent transfer-cost multiplier for this node at `now_us`: the
     /// worst [`FaultKind::GrayLink`] window in effect (1.0 when
     /// healthy).
     pub fn gray_link_factor(&self, now_us: f64) -> f64 {
-        let state = self.lock();
-        state
-            .plan
-            .faults()
-            .iter()
-            .filter(|f| f.node == self.node)
-            .filter_map(|f| match gray_effect(&f.kind) {
-                GrayEffect::Link {
-                    factor,
-                    duration_us,
-                } => (f.at_us <= now_us && now_us < f.at_us + duration_us).then_some(factor),
-                GrayEffect::Compute { .. } | GrayEffect::Creep { .. } | GrayEffect::Inert => None,
-            })
-            .fold(1.0, f64::max)
+        self.effects.gray_link_factor(self.node, now_us)
     }
 
     /// Silent accelerator-latency multiplier from creeping VF
-    /// degradation: `1 + per_ms * elapsed_ms` past each
+    /// degradation: `1 + per_ms * elapsed_ms` past the worst
     /// [`FaultKind::VfCreep`] onset (1.0 when healthy).
     pub fn gray_vf_factor(&self, now_us: f64) -> f64 {
-        let state = self.lock();
-        state
-            .plan
-            .faults()
-            .iter()
-            .filter(|f| f.node == self.node)
-            .filter_map(|f| match gray_effect(&f.kind) {
-                GrayEffect::Creep { per_ms } => {
-                    (f.at_us < now_us).then(|| 1.0 + per_ms * (now_us - f.at_us) / 1_000.0)
-                }
-                GrayEffect::Compute { .. } | GrayEffect::Link { .. } | GrayEffect::Inert => None,
-            })
-            .fold(1.0, f64::max)
+        self.effects.creep_factor(self.node, now_us)
     }
 
     /// Re-arms every fault, so the same plan can drive a fresh replay.

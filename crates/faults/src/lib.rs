@@ -14,6 +14,9 @@
 //!   ECC events, VF hot-unplugs — plus *gray* degradations (slow
 //!   nodes, lossy links, creeping VF latency) that raise no error and
 //!   are only catchable by online detection;
+//! * [`FaultEffects`] — what a plan's standing effects (link, slow-node
+//!   and creep windows, VF loss) cost node *n* at time *t*, declared
+//!   once for the scheduler, the serve engine and the device model;
 //! * [`FaultInjector`] — arms a plan against one node; platform
 //!   operations ([`FaultOp`]) consult it and turn fired faults into
 //!   typed errors or latency penalties;
@@ -45,11 +48,13 @@
 
 #![warn(clippy::unwrap_used)]
 
+pub mod effects;
 pub mod inject;
 pub mod plan;
 pub mod retry;
 pub mod rng;
 
+pub use effects::FaultEffects;
 pub use inject::{FaultInjector, FaultOp};
 pub use plan::{FaultKind, FaultPlan, FaultSpec};
 pub use retry::{RecoveryStats, RetryPolicy};

@@ -37,6 +37,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod device;
 pub mod link;
 pub mod memory;

@@ -42,6 +42,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod cluster;
 pub mod events;
 pub mod scheduler;

@@ -25,7 +25,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use everest_faults::{DetRng, FaultKind, FaultPlan, FaultSpec, RecoveryStats, RetryPolicy};
+use everest_faults::{
+    DetRng, FaultEffects, FaultKind, FaultPlan, FaultSpec, RecoveryStats, RetryPolicy,
+};
 use everest_health::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, HealthConfig, HealthMonitor,
     HealthVerdict, HeartbeatWatchdog, MonitorSnapshot, VerdictKind,
@@ -247,53 +249,36 @@ pub struct HealedOutcome {
     pub checkpoints: Vec<CampaignCheckpoint>,
 }
 
-/// Plan-derived fault context, precomputed per node for one simulation.
+/// Plan-derived fault context for one simulation: the events the
+/// scheduler handles itself, plus the plan's standing effects.
 #[derive(Debug, Clone)]
 struct FaultModel {
     /// Task-level transient faults (DMA timeouts, kernel errors, ECC
     /// events, reconfiguration failures), in plan order.
     transients: Vec<FaultSpec>,
-    /// Link-degradation windows per node: `(from_us, until_us, factor)`.
-    link_windows: Vec<Vec<(f64, f64, f64)>>,
-    /// Virtual time each node loses its FPGA VF (`VfUnplug`); +inf if
-    /// never.
-    fpga_lost_at: Vec<f64>,
     /// Fire times of ambient faults (link flaps, VF unplugs), counted
     /// as injected once the makespan reaches them.
     ambient_at_us: Vec<f64>,
-    /// Gray slow-node windows per node: `(from_us, until_us, factor)`.
-    /// Invisible to the planner's estimates; only committed placements
-    /// pay them.
-    slow_windows: Vec<Vec<(f64, f64, f64)>>,
-    /// Gray lossy-link windows per node: `(from_us, until_us, factor)`.
-    gray_link_windows: Vec<Vec<(f64, f64, f64)>>,
-    /// Creeping-VF onsets per node: `(onset_us, per_ms)`.
-    vf_creep: Vec<Vec<(f64, f64)>>,
+    /// What the plan's windows, creeps and VF losses cost each node.
+    /// The planner reads only the typed part (`link_factor`,
+    /// `fpga_lost_at`); committed placements pay the gray part too.
+    effects: FaultEffects,
     /// Jitter stream for deterministic backoff; cloned fresh per pass.
     jitter: DetRng,
 }
 
 impl FaultModel {
-    fn empty(n_nodes: usize) -> FaultModel {
-        FaultModel {
-            transients: Vec::new(),
-            link_windows: vec![Vec::new(); n_nodes],
-            fpga_lost_at: vec![f64::INFINITY; n_nodes],
-            ambient_at_us: Vec::new(),
-            slow_windows: vec![Vec::new(); n_nodes],
-            gray_link_windows: vec![Vec::new(); n_nodes],
-            vf_creep: vec![Vec::new(); n_nodes],
-            jitter: DetRng::new(0),
-        }
-    }
-
     /// Splits a plan into fail-stop crashes (fed to the lineage
     /// machinery) and everything else. Faults naming nodes outside the
     /// cluster are ignored.
     fn from_plan(plan: &FaultPlan, n_nodes: usize) -> (Vec<Failure>, FaultModel) {
         let mut crashes = Vec::new();
-        let mut model = FaultModel::empty(n_nodes);
-        model.jitter = plan.jitter_rng();
+        let mut model = FaultModel {
+            transients: Vec::new(),
+            ambient_at_us: Vec::new(),
+            effects: FaultEffects::from_plan(plan, n_nodes),
+            jitter: plan.jitter_rng(),
+        };
         for f in plan.faults() {
             if f.node >= n_nodes {
                 continue;
@@ -303,108 +288,29 @@ impl FaultModel {
                     node: f.node,
                     at_us: f.at_us,
                 }),
-                FaultKind::LinkDegrade {
-                    factor,
-                    duration_us,
-                } => {
-                    model.link_windows[f.node].push((
-                        f.at_us,
-                        f.at_us + duration_us,
-                        factor.max(1.0),
-                    ));
+                FaultKind::LinkDegrade { .. } | FaultKind::VfUnplug { .. } => {
                     model.ambient_at_us.push(f.at_us);
                 }
-                FaultKind::VfUnplug { .. } => {
-                    model.fpga_lost_at[f.node] = model.fpga_lost_at[f.node].min(f.at_us);
-                    model.ambient_at_us.push(f.at_us);
-                }
-                // Gray faults raise no error and are never counted as
-                // injected — they exist only as silent latency windows.
-                FaultKind::SlowNode {
-                    factor,
-                    duration_us,
-                } => {
-                    model.slow_windows[f.node].push((
-                        f.at_us,
-                        f.at_us + duration_us,
-                        factor.max(1.0),
-                    ));
-                }
-                FaultKind::GrayLink {
-                    factor,
-                    duration_us,
-                } => {
-                    model.gray_link_windows[f.node].push((
-                        f.at_us,
-                        f.at_us + duration_us,
-                        factor.max(1.0),
-                    ));
-                }
-                FaultKind::VfCreep { per_ms } => {
-                    model.vf_creep[f.node].push((f.at_us, per_ms.max(0.0)));
-                }
+                // Not `FaultKind::is_transient`: the scheduler also
+                // retries a failed reconfiguration, after a full reload.
                 FaultKind::DmaTimeout
                 | FaultKind::PartialReconfigFail
                 | FaultKind::TransientKernelError
                 | FaultKind::MemoryEcc => model.transients.push(f.clone()),
-                // Network faults target a group boundary, not a node;
-                // they are consumed by the cluster connectivity model,
-                // never by the scheduler's per-node timing layer.
-                FaultKind::PartitionSym { .. }
+                // Gray faults raise no error and are never counted as
+                // injected: they exist only in `effects`. Network faults
+                // target a group boundary and belong to the cluster
+                // connectivity model.
+                FaultKind::SlowNode { .. }
+                | FaultKind::GrayLink { .. }
+                | FaultKind::VfCreep { .. }
+                | FaultKind::PartitionSym { .. }
                 | FaultKind::PartitionAsym { .. }
                 | FaultKind::MsgDelay { .. }
                 | FaultKind::MsgLoss { .. } => {}
             }
         }
         (crashes, model)
-    }
-
-    /// Worst link-cost multiplier in effect at `at_us` for transfers
-    /// touching `node` (1.0 when healthy).
-    fn link_factor(&self, node: usize, at_us: f64) -> f64 {
-        self.link_windows[node]
-            .iter()
-            .filter(|(from, until, _)| at_us >= *from && at_us < *until)
-            .map(|(_, _, f)| *f)
-            .fold(1.0, f64::max)
-    }
-
-    /// Worst *gray* compute multiplier in effect on `node` at `at_us`
-    /// (1.0 when healthy). The planner never consults this.
-    fn slow_factor(&self, node: usize, at_us: f64) -> f64 {
-        self.slow_windows[node]
-            .iter()
-            .filter(|(from, until, _)| at_us >= *from && at_us < *until)
-            .map(|(_, _, f)| *f)
-            .fold(1.0, f64::max)
-    }
-
-    /// Worst *gray* link multiplier in effect on `node` at `at_us`
-    /// (1.0 when healthy). The planner never consults this.
-    fn gray_link_factor(&self, node: usize, at_us: f64) -> f64 {
-        self.gray_link_windows[node]
-            .iter()
-            .filter(|(from, until, _)| at_us >= *from && at_us < *until)
-            .map(|(_, _, f)| *f)
-            .fold(1.0, f64::max)
-    }
-
-    /// Accelerator-latency multiplier from creeping VF degradation on
-    /// `node` at `at_us` (1.0 when healthy).
-    fn creep_factor(&self, node: usize, at_us: f64) -> f64 {
-        self.vf_creep[node]
-            .iter()
-            .filter(|(onset, _)| at_us > *onset)
-            .map(|(onset, per_ms)| 1.0 + per_ms * (at_us - onset) / 1_000.0)
-            .fold(1.0, f64::max)
-    }
-
-    /// Whether the plan carries any gray fault at all (lets clean runs
-    /// skip the actualization pass entirely).
-    fn has_gray(&self) -> bool {
-        self.slow_windows.iter().any(|w| !w.is_empty())
-            || self.gray_link_windows.iter().any(|w| !w.is_empty())
-            || self.vf_creep.iter().any(|w| !w.is_empty())
     }
 }
 
@@ -599,23 +505,8 @@ impl Scheduler {
         graph: &TaskGraph,
         failure: Option<Failure>,
     ) -> SimulationResult {
-        let telemetry_span = self.telemetry.span("scheduler.run");
-        telemetry_span
-            .arg("policy", format!("{:?}", self.policy))
-            .arg("tasks", graph.len())
-            .arg("nodes", self.cluster.nodes.len())
-            .arg("failure_injected", failure.is_some());
-        let crashes: Vec<Failure> = failure.into_iter().collect();
-        let model = FaultModel::empty(self.cluster.nodes.len());
-        let result = self.simulate(graph, &crashes, &model, &RecoveryConfig::lineage_only());
-        telemetry_span
-            .arg("recovered", result.recovered_tasks)
-            .record_sim_us(result.makespan_us);
-        self.telemetry
-            .counter_add("scheduler.tasks_scheduled", result.entries.len() as u64);
-        self.telemetry
-            .counter_add("scheduler.recovered_tasks", result.recovered_tasks as u64);
-        result
+        self.run_traced(graph, failure, None, &RecoveryConfig::lineage_only(), None)
+            .result
     }
 
     /// Simulates under a seeded fault plan: node crashes go through the
@@ -630,27 +521,8 @@ impl Scheduler {
         plan: &FaultPlan,
         config: &RecoveryConfig,
     ) -> SimulationResult {
-        let telemetry_span = self.telemetry.span("scheduler.run");
-        telemetry_span
-            .arg("policy", format!("{:?}", self.policy))
-            .arg("tasks", graph.len())
-            .arg("nodes", self.cluster.nodes.len())
-            .arg("failure_injected", !plan.is_empty())
-            .arg("faults", plan.len());
-        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
-        let result = self.simulate(graph, &crashes, &model, config);
-        telemetry_span
-            .arg("recovered", result.recovered_tasks)
-            .record_sim_us(result.makespan_us);
-        self.telemetry
-            .counter_add("scheduler.tasks_scheduled", result.entries.len() as u64);
-        self.telemetry
-            .counter_add("scheduler.recovered_tasks", result.recovered_tasks as u64);
-        self.telemetry.counter_add(
-            "scheduler.degraded_tasks",
-            result.recovery.degraded_to_cpu as u64,
-        );
-        result
+        self.run_traced(graph, None, Some(plan), config, None)
+            .result
     }
 
     /// Runs a seeded campaign with the closed detection → verdict →
@@ -668,30 +540,64 @@ impl Scheduler {
         config: &RecoveryConfig,
         policy: &HealPolicy,
     ) -> HealedOutcome {
-        let telemetry_span = self.telemetry.span("scheduler.run");
-        telemetry_span
-            .arg("policy", format!("{:?}", self.policy))
+        self.run_traced(graph, None, Some(plan), config, Some(policy))
+    }
+
+    /// The one traced entry behind `run_with_failure` (`plan` is
+    /// `None`), `run_with_plan` and `run_self_healing` (`policy` is
+    /// `Some`): the `scheduler.run` span, the simulation, and the
+    /// epilogue counters each of them has always published.
+    fn run_traced(
+        &self,
+        graph: &TaskGraph,
+        failure: Option<Failure>,
+        plan: Option<&FaultPlan>,
+        config: &RecoveryConfig,
+        policy: Option<&HealPolicy>,
+    ) -> HealedOutcome {
+        let n_nodes = self.cluster.nodes.len();
+        let span = self.telemetry.span("scheduler.run");
+        span.arg("policy", format!("{:?}", self.policy))
             .arg("tasks", graph.len())
-            .arg("nodes", self.cluster.nodes.len())
-            .arg("healing", true)
-            .arg("faults", plan.len());
-        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
+            .arg("nodes", n_nodes);
+        if policy.is_some() {
+            span.arg("healing", true);
+        } else {
+            let injected = failure.is_some() || plan.is_some_and(|p| !p.is_empty());
+            span.arg("failure_injected", injected);
+        }
+        if let Some(plan) = plan {
+            span.arg("faults", plan.len());
+        }
+        let no_plan = FaultPlan::new(0);
+        let plan_or_empty = plan.unwrap_or(&no_plan);
+        let (mut crashes, model) = FaultModel::from_plan(plan_or_empty, n_nodes);
+        crashes.extend(failure);
         let (result, checkpoints) = self.simulate_core(
             graph,
             &crashes,
             &model,
             config,
-            Some(policy),
-            plan.seed,
-            policy.checkpoint_every_tasks,
+            policy,
+            plan_or_empty.seed,
+            policy.map_or(0, |p| p.checkpoint_every_tasks),
             None,
         );
-        telemetry_span
-            .arg("verdicts", result.heal.verdicts.len())
-            .arg("migrations", result.heal.migrations)
-            .record_sim_us(result.makespan_us);
-        self.telemetry
-            .counter_add("scheduler.tasks_scheduled", result.entries.len() as u64);
+        match policy {
+            Some(_) => span
+                .arg("verdicts", result.heal.verdicts.len())
+                .arg("migrations", result.heal.migrations),
+            None => span.arg("recovered", result.recovered_tasks),
+        };
+        span.record_sim_us(result.makespan_us);
+        let count = |name, n: usize| self.telemetry.counter_add(name, n as u64);
+        count("scheduler.tasks_scheduled", result.entries.len());
+        if policy.is_none() {
+            count("scheduler.recovered_tasks", result.recovered_tasks);
+            if plan.is_some() {
+                count("scheduler.degraded_tasks", result.recovery.degraded_to_cpu);
+            }
+        }
         HealedOutcome {
             result,
             checkpoints,
@@ -784,17 +690,6 @@ impl Scheduler {
             Some(from),
         )
         .0
-    }
-
-    fn simulate(
-        &self,
-        graph: &TaskGraph,
-        crashes: &[Failure],
-        model: &FaultModel,
-        config: &RecoveryConfig,
-    ) -> SimulationResult {
-        self.simulate_core(graph, crashes, model, config, None, 0, 0, None)
-            .0
     }
 
     /// The shared simulation core: the crash-recovery fixpoint around
@@ -1021,51 +916,17 @@ impl Scheduler {
                 // estimate ranks them; the actualized timing (what the
                 // placement really pays under gray faults) is what gets
                 // committed.
-                let mut cands: Vec<Cand> = Vec::with_capacity(candidates.len());
-                for node in candidates {
-                    let (e_start, e_dur, on_fpga, e_transfer) = self.eft(
-                        graph,
-                        t,
-                        node,
-                        &snap.core_free,
-                        &snap.fpga_free,
-                        &snap.finish,
-                        &snap.location,
-                        model,
-                    );
-                    let (start, dur, transfer, link_obs) = if model.has_gray() {
-                        self.actual_timing(
-                            graph,
-                            t,
-                            node,
-                            on_fpga,
-                            &snap.core_free,
-                            &snap.fpga_free,
-                            &snap.finish,
-                            &snap.location,
-                            model,
-                        )
-                    } else {
-                        (e_start, e_dur, e_transfer, 1.0)
-                    };
+                let cands: Vec<Cand> = candidates
+                    .into_iter()
+                    .map(|node| self.price(graph, t, node, &snap, &model.effects))
                     // Respect the failures: cannot finish after death on
                     // a dead node.
-                    if crashes
-                        .iter()
-                        .any(|c| node == c.node && start + dur > c.at_us)
-                    {
-                        continue;
-                    }
-                    cands.push(Cand {
-                        node,
-                        est_end_us: e_start + e_dur,
-                        start_us: start,
-                        dur_us: dur,
-                        on_fpga,
-                        transfer_us: transfer,
-                        link_obs,
-                    });
-                }
+                    .filter(|cand| {
+                        !crashes
+                            .iter()
+                            .any(|c| cand.node == c.node && cand.start_us + cand.dur_us > c.at_us)
+                    })
+                    .collect();
                 if cands.is_empty() {
                     continue; // try other tasks; maybe later (shouldn't happen)
                 }
@@ -1312,11 +1173,11 @@ impl Scheduler {
     ) -> (f64, bool) {
         let spec = graph.task(task);
         // A lost VF already forced the placement onto the host cores
-        // (see `eft`); account for the degradation here.
+        // (see `price`); account for the degradation here.
         if !on_fpga
             && spec.fpga_us.is_some()
             && self.cluster.nodes[node].fpga.is_some()
-            && model.fpga_lost_at[node] <= start
+            && model.effects.fpga_lost_at(node) <= start
         {
             pass.stats.degraded_to_cpu += 1;
             self.telemetry.event(
@@ -1442,131 +1303,85 @@ impl Scheduler {
         true
     }
 
-    /// Earliest (start, duration, on_fpga, transfer_cost) of `task` on
-    /// `node`, as the planner sees it. Deliberately *gray-blind*: typed
-    /// link flaps are modelled (they fire errors the runtime can see),
-    /// but gray degradations are not — a silently slow node looks
-    /// healthy here.
-    #[allow(clippy::too_many_arguments)]
-    fn eft(
+    /// Prices `task` on `node` in one sweep over its dependencies, two
+    /// ways at once. The *estimate* is what the planner believes and
+    /// ranks by — deliberately gray-blind: typed link flaps and VF
+    /// unplugs are modelled (they fire errors the runtime can see), a
+    /// silently slow node looks healthy. The *actual* timing is what
+    /// the placement really pays and what gets committed: transfers pay
+    /// the worse of the typed and gray link factors, compute pays the
+    /// slow-node factor, accelerator runs additionally pay VF creep.
+    /// The planner's FPGA-or-cores decision stands; only the cost
+    /// changes. Without gray faults the two coincide exactly.
+    fn price(
         &self,
         graph: &TaskGraph,
         task: TaskId,
         node: usize,
-        core_free: &[Vec<f64>],
-        fpga_free: &[f64],
-        finish: &[Option<f64>],
-        location: &[Option<usize>],
-        model: &FaultModel,
-    ) -> (f64, f64, bool, f64) {
+        snap: &EngineSnapshot,
+        effects: &FaultEffects,
+    ) -> Cand {
         let spec = graph.task(task);
-        // Data readiness.
-        let mut data_ready = 0.0f64;
-        let mut transfer_cost = 0.0f64;
+        // Data readiness and transfer cost, as (estimated, actual).
+        let (mut est_ready, mut ready) = (0.0f64, 0.0f64);
+        let (mut est_transfer, mut transfer) = (0.0f64, 0.0f64);
         for &d in &spec.deps {
-            let mut ready = finish[d].expect("dep scheduled");
-            let src = location[d].expect("dep scheduled");
+            let done = snap.finish[d].expect("dep scheduled");
+            let src = snap.location[d].expect("dep scheduled");
+            let (mut est_arrival, mut arrival) = (done, done);
             if src != node {
-                // A link flap on either endpoint inflates the transfer.
-                let factor = model
-                    .link_factor(src, ready)
-                    .max(model.link_factor(node, ready));
-                let t = self.cluster.transfer_us(graph.task(d).output_bytes) * factor;
-                ready += t;
-                transfer_cost += t;
-            }
-            data_ready = data_ready.max(ready);
-        }
-        // Resource readiness + duration. A node whose VF was unplugged
-        // before the accelerator would be free degrades to the cores.
-        let use_fpga = spec.fpga_us.is_some() && self.cluster.nodes[node].fpga.is_some();
-        if use_fpga {
-            let start = data_ready.max(fpga_free[node]);
-            if start < model.fpga_lost_at[node] {
-                return (
-                    start,
-                    spec.fpga_us.expect("checked above"),
-                    true,
-                    transfer_cost,
-                );
-            }
-        }
-        let cores = spec.cores.min(self.cluster.nodes[node].cores) as usize;
-        let mut free: Vec<f64> = core_free[node].clone();
-        free.sort_by(f64::total_cmp);
-        let resource_ready = free
-            .get(cores.saturating_sub(1))
-            .copied()
-            .unwrap_or_else(|| free.last().copied().unwrap_or(0.0));
-        let start = data_ready.max(resource_ready);
-        (start, spec.cpu_us, false, transfer_cost)
-    }
-
-    /// What the placement [`Scheduler::eft`] proposed would *actually*
-    /// cost under the plan's gray faults: transfers pay the worse of the
-    /// typed and gray link factors, compute pays the slow-node factor,
-    /// and accelerator runs additionally pay VF creep. Returns
-    /// `(start, duration, transfer_actual, link_obs)` where `link_obs`
-    /// is achieved-over-planned transfer cost (1.0 without transfers).
-    /// With no gray faults in the plan this is exactly `eft`.
-    #[allow(clippy::too_many_arguments)]
-    fn actual_timing(
-        &self,
-        graph: &TaskGraph,
-        task: TaskId,
-        node: usize,
-        on_fpga: bool,
-        core_free: &[Vec<f64>],
-        fpga_free: &[f64],
-        finish: &[Option<f64>],
-        location: &[Option<usize>],
-        model: &FaultModel,
-    ) -> (f64, f64, f64, f64) {
-        let spec = graph.task(task);
-        let mut data_ready = 0.0f64;
-        let mut transfer_actual = 0.0f64;
-        let mut transfer_planned = 0.0f64;
-        for &d in &spec.deps {
-            let mut ready = finish[d].expect("dep scheduled");
-            let src = location[d].expect("dep scheduled");
-            if src != node {
-                let typed = model
-                    .link_factor(src, ready)
-                    .max(model.link_factor(node, ready));
-                let gray = model
-                    .gray_link_factor(src, ready)
-                    .max(model.gray_link_factor(node, ready));
+                // A degraded link on either endpoint inflates the transfer.
+                let typed = effects
+                    .link_factor(src, done)
+                    .max(effects.link_factor(node, done));
+                let gray = effects
+                    .gray_link_factor(src, done)
+                    .max(effects.gray_link_factor(node, done));
                 let base = self.cluster.transfer_us(graph.task(d).output_bytes);
-                transfer_planned += base * typed;
-                let t = base * typed.max(gray);
-                ready += t;
-                transfer_actual += t;
+                est_arrival += base * typed;
+                est_transfer += base * typed;
+                arrival += base * typed.max(gray);
+                transfer += base * typed.max(gray);
             }
-            data_ready = data_ready.max(ready);
+            est_ready = est_ready.max(est_arrival);
+            ready = ready.max(arrival);
         }
-        let link_obs = if transfer_planned > 0.0 {
-            transfer_actual / transfer_planned
+        // Resource readiness + healthy duration. A node whose VF was
+        // unplugged before the accelerator would be free degrades to
+        // the cores.
+        let on_fpga = spec.fpga_us.is_some()
+            && self.cluster.nodes[node].fpga.is_some()
+            && est_ready.max(snap.fpga_free[node]) < effects.fpga_lost_at(node);
+        let (resource_ready, healthy_us) = if on_fpga {
+            (snap.fpga_free[node], spec.fpga_us.expect("checked above"))
         } else {
-            1.0
+            let cores = spec.cores.min(self.cluster.nodes[node].cores) as usize;
+            let mut free: Vec<f64> = snap.core_free[node].clone();
+            free.sort_by(f64::total_cmp);
+            let nth_free = free
+                .get(cores.saturating_sub(1))
+                .copied()
+                .unwrap_or_else(|| free.last().copied().unwrap_or(0.0));
+            (nth_free, spec.cpu_us)
         };
-        // The planner's mode decision stands; only the cost changes.
+        let start_us = ready.max(resource_ready);
+        let mut dur_us = healthy_us * effects.slow_factor(node, start_us);
         if on_fpga {
-            let start = data_ready.max(fpga_free[node]);
-            let dur = spec.fpga_us.expect("fpga placement")
-                * model.slow_factor(node, start)
-                * model.creep_factor(node, start);
-            return (start, dur, transfer_actual, link_obs);
+            dur_us *= effects.creep_factor(node, start_us);
         }
-        let cores = spec.cores.min(self.cluster.nodes[node].cores) as usize;
-        let mut free: Vec<f64> = core_free[node].clone();
-        free.sort_by(f64::total_cmp);
-        let resource_ready = free
-            .get(cores.saturating_sub(1))
-            .copied()
-            .unwrap_or_else(|| free.last().copied().unwrap_or(0.0));
-        let start = data_ready.max(resource_ready);
-        let dur = spec.cpu_us * model.slow_factor(node, start);
-        (start, dur, transfer_actual, link_obs)
+        Cand {
+            node,
+            est_end_us: est_ready.max(resource_ready) + healthy_us,
+            start_us,
+            dur_us,
+            on_fpga,
+            transfer_us: transfer,
+            link_obs: if est_transfer > 0.0 {
+                transfer / est_transfer
+            } else {
+                1.0
+            },
+        }
     }
 }
 

@@ -83,7 +83,7 @@ use everest_autotuner::{
     config, Autotuner, Constraint, Features, KnobValue, Objective, OperatingPoint, TunerSlot,
 };
 use everest_cluster::{ClusterConfig, ClusterController};
-use everest_faults::{FaultKind, FaultPlan};
+use everest_faults::{FaultEffects, FaultKind, FaultPlan};
 use everest_health::{
     Admission as BreakerAdmission, BreakerConfig, CircuitBreaker, HealthConfig, HealthMonitor,
     VerdictKind,
@@ -437,12 +437,6 @@ struct NodeState {
     free_at_us: f64,
     current: Option<u64>,
     breaker: CircuitBreaker,
-    /// Gray slowdown windows `(from_us, to_us, factor)`.
-    slow: Vec<(f64, f64, f64)>,
-    /// Link degradation windows `(from_us, to_us, factor)`.
-    link: Vec<(f64, f64, f64)>,
-    /// Progressive VF degradation `(onset_us, per_ms)`.
-    creep: Option<(f64, f64)>,
 }
 
 /// One execution of a batch on one node. A batch always has a primary
@@ -560,6 +554,9 @@ struct Sim<'a> {
     /// tick (reused; no per-round allocation).
     scratch_crashed: Vec<bool>,
     plan: &'a FaultPlan,
+    /// What the plan's link, slow-node and creep windows cost each
+    /// node; only actual service times consult it.
+    effects: FaultEffects,
     outcome: ServeOutcome,
 }
 
@@ -583,9 +580,6 @@ impl<'a> Sim<'a> {
                 free_at_us: 0.0,
                 current: None,
                 breaker: CircuitBreaker::new(cfg.breaker),
-                slow: Vec::new(),
-                link: Vec::new(),
-                creep: None,
             })
             .collect();
         let weights: Vec<f64> = cfg.tenants.iter().map(|t| t.weight).collect();
@@ -694,6 +688,7 @@ impl<'a> Sim<'a> {
             scratch_admitted: Vec::with_capacity(cfg.nodes),
             scratch_crashed: Vec::with_capacity(cfg.nodes),
             plan,
+            effects: FaultEffects::from_plan(plan, cfg.nodes),
             outcome,
         }
     }
@@ -1236,33 +1231,21 @@ impl<'a> Sim<'a> {
         compute + self.cluster.transfer_us(class.payload_bytes * size as u64)
     }
 
-    /// What the batch actually costs, with every gray window applied.
+    /// What the batch actually costs, with every standing fault effect
+    /// applied: typed and gray link windows alike inflate the transfer.
     fn actual_service_us(&self, node: usize, class: usize, size: usize, start: f64) -> f64 {
         let spec = &self.cfg.classes[class];
-        let state = &self.nodes[node];
-        let slow = Self::window_factor(&state.slow, start);
-        let link = Self::window_factor(&state.link, start);
-        let compute = if state.fpga {
-            spec.fpga_batch_us(size) * self.creep_factor(node, start)
+        let fx = &self.effects;
+        let link = fx
+            .link_factor(node, start)
+            .max(fx.gray_link_factor(node, start));
+        let compute = if self.nodes[node].fpga {
+            spec.fpga_batch_us(size) * fx.creep_factor(node, start)
         } else {
             spec.cpu_batch_us(size)
         };
-        compute * slow + self.cluster.transfer_us(spec.payload_bytes * size as u64) * link
-    }
-
-    fn window_factor(windows: &[(f64, f64, f64)], t: f64) -> f64 {
-        windows
-            .iter()
-            .filter(|(from, to, _)| t >= *from && t < *to)
-            .map(|(_, _, factor)| *factor)
-            .fold(1.0, f64::max)
-    }
-
-    fn creep_factor(&self, node: usize, t: f64) -> f64 {
-        match self.nodes[node].creep {
-            Some((onset, per_ms)) if t > onset => 1.0 + per_ms * (t - onset) / 1_000.0,
-            _ => 1.0,
-        }
+        compute * fx.slow_factor(node, start)
+            + self.cluster.transfer_us(spec.payload_bytes * size as u64) * link
     }
 
     // -- completions ---------------------------------------------------
@@ -1344,7 +1327,7 @@ impl<'a> Sim<'a> {
         self.monitor.record_task(node, inflation, now);
         if leg.fpga_path {
             self.monitor
-                .record_fpga(node, self.creep_factor(node, leg.start_us), now);
+                .record_fpga(node, self.effects.creep_factor(node, leg.start_us), now);
         }
         if inflight.probe {
             if inflation <= self.cfg.health.straggler_ratio {
@@ -1510,27 +1493,6 @@ impl<'a> Sim<'a> {
                 self.nodes[node].fpga = false;
                 self.lose_leg(node, now, LegLoss::Fault);
             }
-            FaultKind::LinkDegrade {
-                factor,
-                duration_us,
-            }
-            | FaultKind::GrayLink {
-                factor,
-                duration_us,
-            } => {
-                self.nodes[node].link.push((now, now + duration_us, factor));
-            }
-            FaultKind::SlowNode {
-                factor,
-                duration_us,
-            } => {
-                self.nodes[node].slow.push((now, now + duration_us, factor));
-            }
-            FaultKind::VfCreep { per_ms } => {
-                if self.nodes[node].creep.is_none() {
-                    self.nodes[node].creep = Some((now, per_ms));
-                }
-            }
             FaultKind::VfUnplug { .. } | FaultKind::PartialReconfigFail => {
                 // Only an FPGA-path leg is lost with the VF.
                 let lost_inflight =
@@ -1543,15 +1505,20 @@ impl<'a> Sim<'a> {
             FaultKind::DmaTimeout | FaultKind::TransientKernelError | FaultKind::MemoryEcc => {
                 self.lose_leg(node, now, LegLoss::Fault);
             }
-            FaultKind::PartitionSym { .. }
+            FaultKind::LinkDegrade { .. }
+            | FaultKind::GrayLink { .. }
+            | FaultKind::SlowNode { .. }
+            | FaultKind::VfCreep { .. }
+            | FaultKind::PartitionSym { .. }
             | FaultKind::PartitionAsym { .. }
             | FaultKind::MsgDelay { .. }
             | FaultKind::MsgLoss { .. } => {
-                // Network faults act on the membership layer's message
-                // model (`everest_cluster::NetModel`), not on any one
-                // node's compute or link state. The gossip rounds
-                // observe the cut on their own cadence; here there is
-                // nothing to apply.
+                // Standing effects: window and creep faults are priced
+                // by `self.effects` whenever a leg starts inside them,
+                // and network faults act on the membership layer's
+                // message model (`everest_cluster::NetModel`), which the
+                // gossip rounds observe on their own cadence. Here
+                // there is nothing to apply.
             }
         }
         // Crashes (and the breaker churn faults cause downstream) move
@@ -1947,6 +1914,35 @@ mod tests {
         assert!(
             outcome.breaker_opens > 0,
             "an 8x straggler must be convicted: {outcome:?}"
+        );
+    }
+
+    #[test]
+    fn a_second_steeper_creep_on_a_node_is_the_one_charged() {
+        // The scheduler and the device model have always charged the
+        // worst creep in effect; serve used to keep a node's first
+        // onset and drop the rest.
+        let cfg = small_config();
+        let node = cfg.nodes - 1;
+        let creep = |at_us, per_ms| FaultSpec {
+            at_us,
+            node,
+            kind: FaultKind::VfCreep { per_ms },
+        };
+        let plan = FaultPlan::new(1)
+            .with_fault(creep(1_000.0, 0.01))
+            .with_fault(creep(2_000.0, 0.5));
+        let sim = Sim::new(&cfg, &plan, Registry::new());
+        assert!(
+            sim.nodes[node].fpga,
+            "the last node carries the accelerator"
+        );
+        // At 4 ms the shallow creep has reached 1.03x, the steep one 2x:
+        // one extra healthy compute time on top of the healthy batch.
+        let extra = sim.actual_service_us(node, 0, 4, 4_000.0) - sim.healthy_service_us(node, 0, 4);
+        assert!(
+            (extra - cfg.classes[0].fpga_batch_us(4)).abs() < 1e-9,
+            "{extra}"
         );
     }
 

@@ -174,3 +174,148 @@ fn failure_recovery_with_compiled_kernels() {
     assert_eq!(failed.entries.len(), graph.len(), "all tasks complete");
     assert!(failed.makespan_us >= clean.makespan_us);
 }
+
+/// One fault-effect model (`everest_faults::FaultEffects`) behind three
+/// tiers: a slow node, a lossy link and a creeping VF inflate the XRT
+/// device model, the scheduler's committed placement and the serve
+/// engine's batch record by the same number. Each tier is measured at
+/// the same virtual instant (the creep's cost depends on it) and
+/// reports `[compute inflation, transfer inflation]`.
+#[test]
+fn standing_fault_effects_cost_the_same_in_every_tier() {
+    use everest_sdk::everest_platform::{Direction, FpgaDevice, XrtDevice};
+    use everest_sdk::everest_runtime::{
+        Cluster, FaultInjector, FaultKind, FaultPlan, FaultSpec, Policy, RecoveryConfig, Scheduler,
+        TaskGraph, TaskSpec,
+    };
+    use everest_sdk::everest_serve::{ServeConfig, ServeEngine};
+
+    // The FPGA node of a 1 CPU + 1 FPGA cluster.
+    const NODE: usize = 1;
+    const COMPUTE: usize = 0;
+    const TRANSFER: usize = 1;
+    let cluster = || Cluster::everest(1, 1, 4);
+    // A partial reconfiguration is the cheapest way to get a kernel-ready
+    // XRT session; the tiers meet at the first instant past it.
+    let reconfig_us = XrtDevice::open(FpgaDevice::alveo_u55c())
+        .partial_reconfig("role")
+        .expect("clean session");
+
+    // Serve goes first: its first batch on NODE past the reconfiguration
+    // fixes the instant `at_us` the other two tiers are steered to.
+    let serve = |plan: &FaultPlan| -> (f64, [f64; 2]) {
+        let cfg = ServeConfig {
+            seed: 5,
+            nodes: 2,
+            ..ServeConfig::default()
+        };
+        let outcome = ServeEngine::new(cfg.clone()).with_plan(plan.clone()).run();
+        let batch = outcome
+            .batches
+            .iter()
+            .find(|b| b.node == NODE && !b.failed && !b.cancelled && b.start_us >= reconfig_us)
+            .expect("a batch completes on the FPGA node");
+        let class = &cfg.classes[batch.class];
+        let compute = class.fpga_batch_us(batch.size);
+        let transfer = cluster().transfer_us(class.payload_bytes * batch.size as u64);
+        let charged = batch.finish_us - batch.start_us;
+        // Each plan below inflates one of the two terms and leaves the
+        // other at its healthy cost.
+        let inflation = [
+            (charged - transfer) / compute,
+            (charged - compute) / transfer,
+        ];
+        (batch.start_us, inflation)
+    };
+
+    let scheduler = |plan: &FaultPlan, at_us: f64| -> [f64; 2] {
+        const BYTES: u64 = 1 << 20;
+        const FPGA_US: f64 = 100.0;
+        let transfer = cluster().transfer_us(BYTES);
+        let mut graph = TaskGraph::new();
+        // Round-robin puts `feed` on node 0 and `kernel` on NODE; a
+        // healthy transfer lands `kernel` on the accelerator at `at_us`.
+        let feed = graph
+            .add(TaskSpec::new("feed", at_us - transfer).with_output_bytes(BYTES))
+            .expect("adds");
+        graph
+            .add(
+                TaskSpec::new("kernel", 50_000.0)
+                    .after([feed])
+                    .with_fpga(FPGA_US),
+            )
+            .expect("adds");
+        let result = Scheduler::new(cluster(), Policy::RoundRobin).run_with_plan(
+            &graph,
+            plan,
+            &RecoveryConfig::default(),
+        );
+        let (feed, kernel) = (&result.entries[0], &result.entries[1]);
+        assert!(kernel.on_fpga && kernel.node == NODE && feed.node != NODE);
+        [
+            (kernel.finish_us - kernel.start_us) / FPGA_US,
+            (kernel.start_us - feed.finish_us) / transfer,
+        ]
+    };
+
+    let xrt = |plan: &FaultPlan, at_us: f64| -> [f64; 2] {
+        let session = |armed: bool| -> [f64; 2] {
+            let mut dev = XrtDevice::open(FpgaDevice::alveo_u55c());
+            if armed {
+                dev = dev.with_faults(FaultInjector::for_node(plan.clone(), NODE));
+            }
+            // A one-off overhead steers the session clock to `at_us`.
+            dev.per_op_overhead_us = at_us - reconfig_us;
+            dev.partial_reconfig("role").expect("no reconfig fault");
+            dev.per_op_overhead_us = 0.0;
+            let kernel = dev.run_kernel("kernel", 300_000).expect("runs");
+            let bo = dev.alloc_bo(1 << 20, 0).expect("fits");
+            let sync = dev
+                .sync_bo(bo.handle, Direction::HostToDevice)
+                .expect("syncs");
+            [kernel, sync]
+        };
+        let (faulted, clean) = (session(true), session(false));
+        [
+            faulted[COMPUTE] / clean[COMPUTE],
+            faulted[TRANSFER] / clean[TRANSFER],
+        ]
+    };
+
+    let forever = 1e9;
+    let cases = [
+        (
+            FaultKind::SlowNode {
+                factor: 4.0,
+                duration_us: forever,
+            },
+            COMPUTE,
+            Some(4.0),
+        ),
+        (
+            FaultKind::GrayLink {
+                factor: 8.0,
+                duration_us: forever,
+            },
+            TRANSFER,
+            Some(8.0),
+        ),
+        // Shallow enough that the breaker leaves NODE in rotation.
+        (FaultKind::VfCreep { per_ms: 0.002 }, COMPUTE, None),
+    ];
+    for (kind, term, expected) in cases {
+        let plan = FaultPlan::new(5).with_fault(FaultSpec::new(0.0, NODE, kind.clone()));
+        let (at_us, served) = serve(&plan);
+        let scheduled = scheduler(&plan, at_us);
+        let device = xrt(&plan, at_us);
+        let same = |a: f64, b: f64| (a - b).abs() <= 1e-9 * a.abs();
+        assert!(
+            same(served[term], scheduled[term]) && same(served[term], device[term]),
+            "{kind:?} at {at_us}: serve {served:?}, scheduler {scheduled:?}, xrt {device:?}"
+        );
+        assert!(served[term] > 1.0, "{kind:?} must cost something");
+        if let Some(factor) = expected {
+            assert!(same(served[term], factor), "{kind:?}: {served:?}");
+        }
+    }
+}
