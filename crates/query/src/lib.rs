@@ -26,7 +26,8 @@
 //! * [`optimizer`] — constant folding, predicate pushdown, projection
 //!   pruning, and cardinality-based join reordering, each proven
 //!   semantics-preserving against the executor;
-//! * [`exec`] — the seeded, `BTreeMap`-deterministic executor;
+//! * [`exec`] — the deterministic columnar executor, over the typed
+//!   column image [`Catalog::register`] builds of each table;
 //! * [`lower`] — logical plan → `dfg.graph` with HLS-synthesized
 //!   per-operator kernels, feeding the existing verify → analysis →
 //!   Olympus path;
@@ -86,13 +87,32 @@ pub fn plan_sql(catalog: &Catalog, sql: &str) -> QueryResult<LogicalPlan> {
     Ok(plan)
 }
 
+/// Base-table rows under every `Scan` of a plan: what enters the
+/// executor, as `Batch::rows` is what leaves it.
+fn rows_scanned(plan: &LogicalPlan, catalog: &Catalog) -> u64 {
+    match plan {
+        LogicalPlan::Scan { table, .. } => catalog.get(table).map_or(0, |t| t.rows.len() as u64),
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => rows_scanned(input, catalog),
+        LogicalPlan::Join { left, right, .. } => {
+            rows_scanned(left, catalog) + rows_scanned(right, catalog)
+        }
+    }
+}
+
 /// Executes a plan (`query.execute` span, `query.queries` /
-/// `query.rows_out` counters).
+/// `query.rows_scanned` / `query.rows_out` counters).
 pub fn run(catalog: &Catalog, plan: &LogicalPlan) -> QueryResult<Batch> {
     let span = everest_telemetry::span("query.execute");
     let batch = exec::execute(plan, catalog)?;
-    span.arg("rows", batch.rows.len() as u64);
+    let scanned = rows_scanned(plan, catalog);
+    span.arg("rows_scanned", scanned)
+        .arg("rows", batch.rows.len() as u64);
     everest_telemetry::counter_add("query.queries", 1);
+    everest_telemetry::counter_add("query.rows_scanned", scanned);
     everest_telemetry::counter_add("query.rows_out", batch.rows.len() as u64);
     Ok(batch)
 }

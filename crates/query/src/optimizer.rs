@@ -95,11 +95,7 @@ pub fn fold_expr(expr: &Expr) -> Expr {
             }
             if let (Some(a), Some(b)) = (literal_value(&lhs), literal_value(&rhs)) {
                 let folded = match op {
-                    BinOp::Add | BinOp::Sub | BinOp::Mul => arith(*op, &a, &b).ok(),
-                    BinOp::Div => match (a.as_f64(), b.as_f64()) {
-                        (Some(x), Some(y)) => Some(Value::Float(x / y)),
-                        _ => None,
-                    },
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(*op, &a, &b).ok(),
                     BinOp::Eq => Some(Value::Bool(a == b)),
                     BinOp::Ne => Some(Value::Bool(a != b)),
                     BinOp::Lt => Some(Value::Bool(a < b)),

@@ -3,11 +3,14 @@
 //! Tables are row-major and immutable once registered; the catalog is
 //! a `BTreeMap` so iteration order (and therefore every derived
 //! artifact — plan text, EXPLAIN JSON, execution output) is
-//! deterministic.
+//! deterministic. Beside each registered table the catalog keeps its
+//! *column image* — one typed vector per field — which is
+//! what the executor reads; `Table.rows` stays the stored input.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::{QueryError, QueryResult};
 
@@ -174,7 +177,8 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates a table, checking row arity against the schema.
+    /// Creates a table, checking every row's arity and every value's
+    /// type against the schema.
     pub fn new(schema: Schema, rows: Vec<Vec<Value>>) -> QueryResult<Table> {
         let arity = schema.fields.len();
         for (i, row) in rows.iter().enumerate() {
@@ -186,15 +190,126 @@ impl Table {
                     ),
                 });
             }
+            for (field, value) in schema.fields.iter().zip(row) {
+                if value.data_type() != field.ty {
+                    return Err(QueryError::Plan {
+                        message: format!(
+                            "row {i} column '{}' is declared {}, found {}",
+                            field.name,
+                            field.ty,
+                            value.data_type()
+                        ),
+                    });
+                }
+            }
         }
         Ok(Table { schema, rows })
     }
 }
 
+/// One column of values: a table field's slice of the column image, or
+/// what an operator computed for its selected rows.
+///
+/// A column whose values are all of one type is a plain typed vector.
+/// [`Table::new`] guarantees that for every field, so `Mixed` holds only
+/// columns of tables altered through their public fields afterwards
+/// (and what is computed from them); it carries the same operators, one
+/// [`Value`] at a time.
+#[derive(Debug, Clone)]
+pub(crate) enum Column {
+    /// All [`Value::Int`].
+    Int(Vec<i64>),
+    /// All [`Value::Float`].
+    Float(Vec<f64>),
+    /// All [`Value::Str`].
+    Str(Vec<String>),
+    /// All [`Value::Bool`].
+    Bool(Vec<bool>),
+    /// Anything else.
+    Mixed(Vec<Value>),
+}
+
+/// Collects `values` into the typed column `variant` when each of them
+/// is a `Value::variant`.
+macro_rules! typed {
+    ($values:expr, $variant:ident, $get:expr) => {
+        $values
+            .clone()
+            .map(|v| match v {
+                Value::$variant(x) => Some($get(x)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()
+            .map(Column::$variant)
+    };
+}
+
+impl Column {
+    /// The column of `values`: typed `ty` when they all are, `Mixed`
+    /// otherwise.
+    fn of<'v>(ty: DataType, values: impl Iterator<Item = &'v Value> + Clone) -> Column {
+        match ty {
+            DataType::Int => typed!(values, Int, |x: &i64| *x),
+            DataType::Float => typed!(values, Float, |x: &f64| *x),
+            DataType::Str => typed!(values, Str, String::clone),
+            DataType::Bool => typed!(values, Bool, |x: &bool| *x),
+        }
+        .unwrap_or_else(|| Column::Mixed(values.cloned().collect()))
+    }
+
+    /// The value at position `at`.
+    pub(crate) fn value(&self, at: usize) -> Value {
+        match self {
+            Column::Int(v) => Value::Int(v[at]),
+            Column::Float(v) => Value::Float(v[at]),
+            Column::Str(v) => Value::Str(v[at].clone()),
+            Column::Bool(v) => Value::Bool(v[at]),
+            Column::Mixed(v) => v[at].clone(),
+        }
+    }
+
+    /// The values at `positions`, in that order, as a column of the
+    /// same kind.
+    pub(crate) fn gather(&self, positions: impl Iterator<Item = usize>) -> Column {
+        match self {
+            Column::Int(v) => Column::Int(positions.map(|p| v[p]).collect()),
+            Column::Float(v) => Column::Float(positions.map(|p| v[p]).collect()),
+            Column::Str(v) => Column::Str(positions.map(|p| v[p].clone()).collect()),
+            Column::Bool(v) => Column::Bool(positions.map(|p| v[p]).collect()),
+            Column::Mixed(v) => Column::Mixed(positions.map(|p| v[p].clone()).collect()),
+        }
+    }
+}
+
+/// A registered table's column image, or why it has none.
+pub(crate) type ColumnImage = QueryResult<Vec<Arc<Column>>>;
+
+/// Builds the column image of `table`. Only a table altered after
+/// [`Table::new`] can have a row of the wrong arity; `register` cannot
+/// refuse it, so executing a scan of it does.
+fn column_image(name: &str, table: &Table) -> ColumnImage {
+    let arity = table.schema.fields.len();
+    if let Some(i) = table.rows.iter().position(|row| row.len() != arity) {
+        return Err(QueryError::Exec {
+            message: format!(
+                "table '{name}' row {i} has {} values, schema has {arity} columns",
+                table.rows[i].len()
+            ),
+        });
+    }
+    Ok(table
+        .schema
+        .fields
+        .iter()
+        .enumerate()
+        .map(|(j, field)| Arc::new(Column::of(field.ty, table.rows.iter().map(|row| &row[j]))))
+        .collect())
+}
+
 /// The table registry queries resolve against.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, Table>,
+    tables: BTreeMap<String, (Table, ColumnImage)>,
 }
 
 impl Catalog {
@@ -203,14 +318,21 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Registers (or replaces) a table under a name.
+    /// Registers (or replaces) a table under a name, building its
+    /// column image.
     pub fn register(&mut self, name: &str, table: Table) {
-        self.tables.insert(name.to_string(), table);
+        let image = column_image(name, &table);
+        self.tables.insert(name.to_string(), (table, image));
     }
 
     /// Looks a table up by name.
     pub fn get(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+        self.tables.get(name).map(|(table, _)| table)
+    }
+
+    /// A table and its column image, by name.
+    pub(crate) fn columns(&self, name: &str) -> Option<(&Table, &ColumnImage)> {
+        self.tables.get(name).map(|(table, image)| (table, image))
     }
 
     /// Registered table names, sorted.
@@ -223,7 +345,7 @@ impl Catalog {
     pub fn stats(&self) -> BTreeMap<String, usize> {
         self.tables
             .iter()
-            .map(|(name, t)| (name.clone(), t.rows.len()))
+            .map(|(name, (t, _))| (name.clone(), t.rows.len()))
             .collect()
     }
 }
@@ -259,5 +381,50 @@ mod tests {
         let schema = Schema::new(vec![Field::new("a", DataType::Int)]);
         let err = Table::new(schema, vec![vec![Value::Int(1), Value::Int(2)]]);
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn table_checks_every_value_against_its_field() {
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Float),
+        ]);
+        let rows = vec![
+            vec![Value::Int(1), Value::Float(1.0)],
+            vec![Value::Int(2), Value::Int(2)],
+        ];
+        let err = Table::new(schema, rows).expect_err("an int in a float column");
+        let message = "row 1 column 'b' is declared float, found int".to_string();
+        assert_eq!(err, QueryError::Plan { message });
+    }
+
+    #[test]
+    fn only_a_table_altered_after_construction_has_an_untyped_column() {
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("b", DataType::Str),
+        ]);
+        let rows = vec![
+            vec![Value::Int(1), Value::Str("x".to_string())],
+            vec![Value::Int(2), Value::Str("y".to_string())],
+        ];
+        let mut table = Table::new(schema, rows).expect("table");
+        let mut catalog = Catalog::new();
+        catalog.register("typed", table.clone());
+        table.rows[1][0] = Value::Float(2.5);
+        catalog.register("altered", table.clone());
+        table.rows[0].pop();
+        catalog.register("ragged", table);
+
+        let image = |name: &str| catalog.columns(name).expect("registered").1.clone();
+        let typed = image("typed").expect("image");
+        assert!(matches!(&*typed[0], Column::Int(v) if v == &[1, 2]));
+        assert!(matches!(&*typed[1], Column::Str(v) if v == &["x", "y"]));
+        let altered = image("altered").expect("image");
+        assert!(matches!(&*altered[0], Column::Mixed(v) if v[1].data_type() == DataType::Float));
+        assert!(matches!(&*altered[1], Column::Str(_)));
+        // `register` cannot refuse a row of the wrong arity; a scan does.
+        let message = "table 'ragged' row 0 has 1 values, schema has 2 columns".to_string();
+        assert_eq!(image("ragged").err(), Some(QueryError::Exec { message }));
     }
 }

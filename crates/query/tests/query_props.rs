@@ -13,10 +13,16 @@
 //! 3. **Kernel reuse is invisible** — `lower` shares compiled operator
 //!    kernels per shape across calls, options and threads; what it
 //!    returns never depends on what was lowered before.
+//! 4. **The columnar executor is the row interpreter** — on random
+//!    schemas, tables and plans, `exec::execute` and the row-at-a-time
+//!    reference in `naive/` return the same columns and the same rows
+//!    in the same order, bit for bit, or both fail.
 //!
 //! The vendored proptest shim has no combinator strategies, so the
 //! SQL generator draws raw integers and maps them onto grammar
 //! fragments by hand — same coverage, simpler machinery.
+
+mod naive;
 
 use proptest::prelude::*;
 
@@ -29,7 +35,7 @@ use everest_query::lower::{lower, LoweredQuery};
 use everest_query::optimizer::{fold_constants, prune_projections, pushdown_predicates, Optimizer};
 use everest_query::planner::plan_query;
 use everest_query::table::{Catalog, DataType, Field, Schema, Table, Value};
-use everest_query::{parser, plan::LogicalPlan, QueryError};
+use everest_query::{parser, plan::LogicalPlan, AggFunc, Batch, BinOp, Expr, QueryError};
 
 // ---------------------------------------------------------------------------
 // Seeded SQL generation
@@ -368,5 +374,380 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Columnar executor == row reference
+// ---------------------------------------------------------------------------
+
+/// Raw draws handed out one at a time; zeros once they run out.
+struct Draws<'a> {
+    raw: std::slice::Iter<'a, u64>,
+    /// Whether numbers come from the whole range or stay small.
+    extremes: bool,
+}
+
+impl Draws<'_> {
+    fn next(&mut self) -> u64 {
+        self.raw.next().copied().unwrap_or(0)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn one_in(&mut self, n: usize) -> bool {
+        self.below(n) == 0
+    }
+
+    fn pick<'t, T>(&mut self, options: &'t [T]) -> &'t T {
+        &options[self.below(options.len())]
+    }
+
+    /// Few distinct values, so keys repeat and joins match, with both
+    /// ends of the range among them when `extremes` is on. No two of
+    /// them widen to one float: which of two such ints a float equals
+    /// is the one thing `Value::cmp` leaves to the order of insertion.
+    fn int(&mut self) -> i64 {
+        const INTS: [i64; 9] = [-7, -1, 0, 1, 2, 3, 5, i64::MIN, i64::MAX];
+        INTS[self.below(if self.extremes { 9 } else { 7 })]
+    }
+
+    /// Every float oddity, and values equal to the ints above. `NaN` is
+    /// the one this machine's arithmetic produces, not `f64::NAN`: when
+    /// an addition meets two different `NaN`s, which of them it returns
+    /// depends on the operand order the compiler picked, and a sum over
+    /// `-inf`, `inf` and a `NaN` of other bits would differ in sign
+    /// between two builds of the same loop.
+    fn float(&mut self) -> f64 {
+        let zero = std::hint::black_box(0.0_f64);
+        let floats = [
+            zero / std::hint::black_box(0.0),
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            -7.0,
+            -0.0,
+            0.0,
+            0.25,
+            1.0,
+            2.0,
+            2.5,
+            5.0,
+            i64::MAX as f64,
+        ];
+        floats[self.below(if self.extremes { 12 } else { 11 })]
+    }
+}
+
+const STRS: [&str; 5] = ["", "a", "ab", "b", "x"];
+const TYPES: [DataType; 3] = [DataType::Int, DataType::Float, DataType::Str];
+
+fn random_value(ty: DataType, draws: &mut Draws) -> Value {
+    match ty {
+        DataType::Int => Value::Int(draws.int()),
+        DataType::Float => Value::Float(draws.float()),
+        DataType::Str => Value::Str(draws.pick(&STRS).to_string()),
+        DataType::Bool => Value::Bool(draws.one_in(2)),
+    }
+}
+
+/// Registers `name(k, v, c2..)`: two to four columns of random types
+/// and up to `max_rows` rows, possibly none. With `alter`, some values
+/// are then overwritten through the table's public fields with values
+/// of other types — the one way a column stops being a typed vector.
+fn random_table(
+    catalog: &mut Catalog,
+    name: &str,
+    max_rows: usize,
+    alter: bool,
+    draws: &mut Draws,
+) {
+    let names = ["k", "v", "c2", "c3"];
+    let fields: Vec<Field> = (0..2 + draws.below(3))
+        .map(|i| Field::new(names[i], *draws.pick(&TYPES)))
+        .collect();
+    let rows = (0..draws.below(max_rows + 1))
+        .map(|_| fields.iter().map(|f| random_value(f.ty, draws)).collect())
+        .collect();
+    let mut table = Table::new(Schema::new(fields), rows).expect("rows match the schema");
+    if alter {
+        // Numbers only in half the tables: an `Int` equal to a `Float`
+        // in one column is what tells first-of-equals from last.
+        let kinds = [
+            DataType::Int,
+            DataType::Float,
+            DataType::Str,
+            DataType::Bool,
+        ];
+        let kinds = &kinds[..if draws.one_in(2) { 2 } else { 4 }];
+        for row in &mut table.rows {
+            for value in row.iter_mut() {
+                if draws.one_in(3) {
+                    *value = random_value(*draws.pick(kinds), draws);
+                }
+            }
+        }
+    }
+    catalog.register(name, table);
+}
+
+fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
+    Expr::Binary {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
+    }
+}
+
+/// A scalar expression over `columns`, every name bound. Types are
+/// not: it may well add a string to a number, which must then fail in
+/// both executors on the same inputs.
+fn random_value_expr(columns: &[String], depth: usize, draws: &mut Draws) -> Expr {
+    let column = |draws: &mut Draws| Expr::Column(draws.pick(columns).clone());
+    match draws.below(if depth == 0 { 5 } else { 8 }) {
+        0..=2 => column(draws),
+        3 => Expr::Int(draws.int()),
+        4 => match draws.below(3) {
+            0 => Expr::Float(draws.float()),
+            1 => Expr::Str(draws.pick(&STRS).to_string()),
+            _ => Expr::Bool(draws.one_in(2)),
+        },
+        5 => Expr::Neg(Box::new(random_value_expr(columns, depth - 1, draws))),
+        _ => binary(
+            *draws.pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div]),
+            random_value_expr(columns, depth - 1, draws),
+            random_value_expr(columns, depth - 1, draws),
+        ),
+    }
+}
+
+/// A predicate over `columns`: comparisons under `AND` / `OR` / `NOT`,
+/// with now and then a constant or a non-boolean where a boolean goes —
+/// what tells an executor that short-circuits by row from one that
+/// does not.
+fn random_predicate(columns: &[String], depth: usize, draws: &mut Draws) -> Expr {
+    const CMP: [BinOp; 6] = [
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+    ];
+    match draws.below(if depth == 0 { 6 } else { 10 }) {
+        0..=3 => binary(
+            *draws.pick(&CMP),
+            random_value_expr(columns, 1, draws),
+            random_value_expr(columns, 1, draws),
+        ),
+        4 => Expr::Bool(draws.one_in(2)),
+        5 => random_value_expr(columns, 1, draws),
+        6 => Expr::Not(Box::new(random_predicate(columns, depth - 1, draws))),
+        _ => binary(
+            *draws.pick(&[BinOp::And, BinOp::Or]),
+            random_predicate(columns, depth - 1, draws),
+            random_predicate(columns, depth - 1, draws),
+        ),
+    }
+}
+
+/// A scan of `table` under `alias`: every column, or a pushed-down
+/// projection of some of them in any order.
+fn random_scan(catalog: &Catalog, table: &str, alias: &str, draws: &mut Draws) -> LogicalPlan {
+    let fields = &catalog.get(table).expect("registered").schema.fields;
+    let projection: Option<Vec<usize>> = draws.one_in(2).then(|| {
+        (0..1 + draws.below(fields.len()))
+            .map(|_| draws.below(fields.len()))
+            .collect()
+    });
+    let indices = projection.clone().unwrap_or((0..fields.len()).collect());
+    LogicalPlan::Scan {
+        table: table.to_string(),
+        columns: indices
+            .iter()
+            .map(|&i| format!("{alias}.{}", fields[i].name))
+            .collect(),
+        projection,
+    }
+}
+
+/// A plan built operator by operator, bottom up: scan, nested filters,
+/// join, project, aggregate, sort, limit — each stage present or not.
+fn random_plan(catalog: &Catalog, draws: &mut Draws) -> LogicalPlan {
+    let mut plan = random_scan(catalog, "t", "t", draws);
+    for _ in 0..draws.below(3) {
+        plan = LogicalPlan::Filter {
+            predicate: random_predicate(&plan.schema(), 2, draws),
+            input: Box::new(plan),
+        };
+    }
+    if draws.one_in(2) {
+        let right = random_scan(catalog, "d", "d", draws);
+        let (left_key, right_key) = (
+            draws.pick(&plan.schema()).clone(),
+            draws.pick(&right.schema()).clone(),
+        );
+        plan = LogicalPlan::Join {
+            left: Box::new(plan),
+            right: Box::new(right),
+            left_key,
+            right_key,
+        };
+    }
+    if draws.one_in(3) {
+        let columns = plan.schema();
+        let exprs = (0..1 + draws.below(3))
+            .map(|i| match draws.below(3) {
+                0 => (random_value_expr(&columns, 2, draws), format!("e{i}")),
+                1 => (random_predicate(&columns, 1, draws), format!("p{i}")),
+                _ => {
+                    let name = draws.pick(&columns).clone();
+                    (Expr::Column(name.clone()), name)
+                }
+            })
+            .collect();
+        plan = LogicalPlan::Project {
+            input: Box::new(plan),
+            exprs,
+        };
+    }
+    if draws.one_in(2) {
+        let columns = plan.schema();
+        let group_by = (0..draws.below(3))
+            .map(|_| random_value_expr(&columns, draws.below(2), draws))
+            .collect();
+        const FUNCS: [AggFunc; 5] = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ];
+        let aggs = (0..1 + draws.below(3))
+            .map(|_| Expr::Agg {
+                func: *draws.pick(&FUNCS),
+                arg: (!draws.one_in(5))
+                    .then(|| Box::new(random_value_expr(&columns, draws.below(2), draws))),
+            })
+            .collect();
+        plan = LogicalPlan::Aggregate {
+            input: Box::new(plan),
+            group_by,
+            aggs,
+        };
+    }
+    if draws.one_in(2) {
+        let columns = plan.schema();
+        let keys = (0..1 + draws.below(2))
+            .map(|_| {
+                (
+                    random_value_expr(&columns, draws.below(2), draws),
+                    draws.one_in(2),
+                )
+            })
+            .collect();
+        plan = LogicalPlan::Sort {
+            input: Box::new(plan),
+            keys,
+        };
+    }
+    if draws.one_in(2) {
+        plan = LogicalPlan::Limit {
+            input: Box::new(plan),
+            n: draws.below(12),
+        };
+    }
+    plan
+}
+
+/// `Value`'s own equality calls `Int(2)` and `Float(2.0)` equal; this
+/// one is identity, floats by their bits. Any two `NaN`s pass: negation
+/// can still make two of different sign meet in an addition (see
+/// [`floats`]), and then the sign of the result is the compiler's.
+fn identical(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Int(a), Value::Int(b)) => a == b,
+        (Value::Float(a), Value::Float(b)) => {
+            a.to_bits() == b.to_bits() || a.is_nan() && b.is_nan()
+        }
+        (Value::Str(a), Value::Str(b)) => a == b,
+        (Value::Bool(a), Value::Bool(b)) => a == b,
+        _ => false,
+    }
+}
+
+fn identical_batches(a: &Batch, b: &Batch) -> bool {
+    a.columns == b.columns
+        && a.rows.len() == b.rows.len()
+        && a.rows
+            .iter()
+            .zip(&b.rows)
+            .all(|(x, y)| x.len() == y.len() && x.iter().zip(y).all(|(p, q)| identical(p, q)))
+}
+
+/// Runs one generated case through both executors: the SQL the draws
+/// render (when it plans) and one corpus query, each as planned and as
+/// optimized, and three plans built directly.
+fn check_against_the_row_reference(draws: &[u64], alter: bool) -> Result<(), String> {
+    // An altered column can hold an `Int` beside a `Float`; with ints
+    // past 2^53 there too, `Value::cmp` is no longer transitive and a
+    // sort's answer depends on its algorithm. Typed columns cannot.
+    let mut it = Draws {
+        raw: draws.iter(),
+        extremes: !alter,
+    };
+    let mut catalog = Catalog::new();
+    random_table(&mut catalog, "t", 40, alter, &mut it);
+    random_table(&mut catalog, "d", 12, alter, &mut it);
+    let optimizer = Optimizer::for_catalog(&catalog);
+    let mut plans = Vec::new();
+    for sql in [&render_sql(draws), pick(EQUIVALENCE_QUERIES, it.next())] {
+        if let Some(plan) = parser::parse(sql)
+            .ok()
+            .and_then(|query| plan_query(&catalog, &query).ok())
+        {
+            plans.push(optimizer.optimize(&plan));
+            plans.push(plan);
+        }
+    }
+    for _ in 0..3 {
+        plans.push(random_plan(&catalog, &mut it));
+    }
+    for plan in &plans {
+        let verdict = match (naive::execute(plan, &catalog), execute(plan, &catalog)) {
+            (Ok(want), Ok(got)) if identical_batches(&want, &got) => continue,
+            (Err(_), Err(_)) => continue,
+            (want, got) => format!("reference: {want:?}\ncolumnar: {got:?}"),
+        };
+        let tables: Vec<_> = ["t", "d"].iter().map(|t| catalog.get(t)).collect();
+        return Err(format!("{}{verdict}\n{tables:?}", plan.to_text()));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Same columns, same rows in the same order with floats compared
+    /// by their bits, or an error from both.
+    #[test]
+    fn columnar_executor_matches_the_row_reference(
+        draws in proptest::collection::vec(any::<u64>(), 120..400),
+    ) {
+        let outcome = check_against_the_row_reference(&draws, false);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+
+    /// `Table::new` checks every value against its field, so only a
+    /// table altered through its public fields afterwards has a column
+    /// that is not a typed vector. Such a column is carried as plain
+    /// values, under the same operators with the same results.
+    #[test]
+    fn altered_tables_run_on_untyped_columns(
+        draws in proptest::collection::vec(any::<u64>(), 120..400),
+    ) {
+        let outcome = check_against_the_row_reference(&draws, true);
+        prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
 }

@@ -12,6 +12,7 @@ use everest_platform::device::FpgaDevice;
 use everest_platform::link::NetworkModel;
 use everest_platform::memory::AccessPattern;
 use everest_platform::xrt::{Direction, XrtDevice};
+use everest_query::datasets::Dataset;
 use everest_runtime::virt::{IoMode, PhysicalNode};
 use everest_runtime::{
     Cluster, DetRng, Failure, FaultInjector, FaultKind, FaultPlan, FaultSpec, Policy,
@@ -385,6 +386,7 @@ fn every_recorded_name_is_documented() {
         "query.execute",
         "query.lower",
         "query.queries",
+        "query.rows_scanned",
         "query.rows_out",
         "query.kernels",
         "query.kernels_compiled",
@@ -406,6 +408,43 @@ fn every_recorded_name_is_documented() {
             }
             other => panic!("query.lower span without its kernel counts: {other:?}"),
         }
+    }
+
+    // What enters the executor is every base-table row under a scan.
+    // The three `ci/query/` gate queries scan every table of their
+    // dataset once, the join both of its sides — so a join may well
+    // return more rows than were scanned, and the check is against the
+    // tables' sizes, not against `query.rows_out`.
+    let gate = [
+        ("traffic", include_str!("../ci/query/traffic_join.sql")),
+        (
+            "airquality",
+            include_str!("../ci/query/airquality_daily.sql"),
+        ),
+        ("energy", include_str!("../ci/query/energy_capacity.sql")),
+    ];
+    for (dataset, sql) in gate {
+        let options = QueryOptions {
+            dataset: dataset.to_string(),
+            sql: sql.trim().to_string(),
+            ..QueryOptions::default()
+        };
+        let catalog = Dataset::from_name(dataset)
+            .expect("a dataset")
+            .catalog(options.seed)
+            .expect("catalog");
+        let table_rows = catalog.stats().values().sum::<usize>() as u64;
+        let before = registry.counter("query.rows_scanned");
+        run_query(&options).expect("gate query runs");
+        let counted = registry.counter("query.rows_scanned") - before;
+        assert_eq!(counted, table_rows, "{dataset}");
+        let spans = registry.spans();
+        let span = spans.iter().rfind(|s| s.name == "query.execute");
+        let arg = span.and_then(|s| s.args.get("rows_scanned"));
+        assert!(
+            matches!(arg, Some(ArgValue::U64(n)) if *n == table_rows),
+            "{dataset}: query.execute span says {arg:?}, the tables hold {table_rows}"
+        );
     }
 
     let undocumented: Vec<&String> = names.iter().filter(|n| !documented(n)).collect();
