@@ -497,7 +497,13 @@ fn serve(args: &[String]) -> ExitCode {
         eprintln!("error: --load must be a positive number");
         return ExitCode::FAILURE;
     }
-    let report = everest_sdk::serve::run_serve(&options);
+    let report = match everest_sdk::serve::try_run_serve(&options) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     println!("{}", report.summary());
     if let Some(path) = parse_flag(args, "--trace") {
         if let Err(e) = write_output(Some(&path), &report.trace_json()) {

@@ -16,7 +16,7 @@ use everest_ir::module::Module;
 use everest_runtime::FaultPlan;
 use everest_serve::{
     BrownoutConfig, ClusterConfig, HedgeConfig, KernelClass, LifecycleConfig, LimiterConfig,
-    RetryConfig, ServeConfig, ServeEngine, ServeOutcome, TenantSpec,
+    RetryConfig, ServeConfig, ServeConfigError, ServeEngine, ServeOutcome, TenantSpec,
 };
 
 /// Campaign shape. Everything else derives from `seed`.
@@ -113,7 +113,7 @@ fn build_config(options: &ServeOptions) -> ServeConfig {
         nodes,
         tenants,
         offered_rps: 2_500.0 * nodes as f64 * options.load.max(0.0),
-        horizon_us: options.horizon_ms.max(1.0) * 1_000.0,
+        horizon_us: options.horizon_ms * 1_000.0,
         lifecycle: LifecycleConfig {
             retry: options.retries.then(RetryConfig::default),
             hedge: options.hedge.then(HedgeConfig::default),
@@ -153,14 +153,27 @@ pub fn bind_static_latency(class: KernelClass, module: &Module) -> KernelClass {
 
 /// Runs one seeded serving campaign. Deterministic for a given set of
 /// options.
+///
+/// # Panics
+///
+/// Panics when the options describe no runnable campaign; callers
+/// holding outside input use [`try_run_serve`].
 pub fn run_serve(options: &ServeOptions) -> ServeReport {
+    try_run_serve(options).unwrap_or_else(|error| panic!("invalid serve options: {error}"))
+}
+
+/// [`run_serve`] for options that have not been checked: a horizon that
+/// is not a finite, positive time (or any other configuration
+/// [`ServeConfig::validate`] rejects) is an error, not a campaign.
+pub fn try_run_serve(options: &ServeOptions) -> Result<ServeReport, ServeConfigError> {
+    let config = build_config(options);
+    config.validate()?;
     let span = everest_telemetry::span("basecamp.serve");
     span.arg("seed", options.seed)
         .arg("nodes", options.nodes)
         .arg("tenants", options.tenants)
         .arg("load", options.load)
         .arg("chaos", options.chaos);
-    let config = build_config(options);
     let mut plan = if options.chaos > 0 {
         FaultPlan::random_campaign(options.seed, config.nodes, config.horizon_us, options.chaos)
     } else {
@@ -188,12 +201,12 @@ pub fn run_serve(options: &ServeOptions) -> ServeReport {
         .arg("shed", outcome.shed_total())
         .arg("conserved", outcome.conserved())
         .record_sim_us(outcome.end_us);
-    ServeReport {
+    Ok(ServeReport {
         options: *options,
         config,
         plan,
         outcome,
-    }
+    })
 }
 
 impl ServeReport {

@@ -18,8 +18,9 @@
 //! bench measures it in wall events per second), so the engine keeps it
 //! allocation- and string-free:
 //!
-//! * arrivals are not heap events — the sorted trace is walked with a
-//!   cursor, merged against [`everest_runtime::EventQueue::peek_time`]
+//! * arrivals are neither heap events nor a stored trace — the engine
+//!   draws them from an [`ArrivalStream`] one request ahead and merges
+//!   that look-ahead against [`everest_runtime::EventQueue::peek_time`]
 //!   (arrivals win timestamp ties, matching their insertion order in
 //!   the old all-events-in-one-heap design);
 //! * dynamic events (batch timeouts, completions, faults) live in an
@@ -44,6 +45,17 @@
 //! *live* event. The one observable difference is `end_us`, which used
 //! to be the time of the last popped event; the engine now tracks the
 //! maximum scheduled time explicitly so `end_us` is unchanged.
+//!
+//! # Memory
+//!
+//! Apart from the [`ServeOutcome`] it returns, the engine holds what is
+//! in flight and nothing else: the arrival stream keeps one drawn-ahead
+//! request per tenant, the fair queues are bounded by the admission
+//! depth limit, and the two tables keyed by batch id (in-flight batches,
+//! pending wait-timeouts) recycle a slot as soon as its batch settles,
+//! so they never outgrow one entry per node and one per class. A
+//! campaign four times as long needs no more memory to run, only a
+//! longer outcome.
 //!
 //! # Integration
 //!
@@ -77,6 +89,7 @@
 //!   lifecycle features, the cluster layer defaults off and a config
 //!   without it behaves bit-for-bit as before.
 
+use std::iter::Peekable;
 use std::sync::Arc;
 
 use everest_autotuner::{
@@ -98,7 +111,7 @@ use crate::ledger::{Layer, Metric, Role, ServeOutcome};
 use crate::lifecycle::{
     AimdLimiter, BrownoutController, LatencyWindow, LifecycleConfig, RetryBudget,
 };
-use crate::request::{ArrivalTrace, ClassKind, KernelClass, Request, ShedReason, TenantSpec};
+use crate::request::{ArrivalStream, ClassKind, KernelClass, Request, ShedReason, TenantSpec};
 use crate::wfq::WeightedFairQueue;
 
 /// Full configuration of a serving run.
@@ -174,6 +187,83 @@ impl Default for ServeConfig {
             lifecycle: LifecycleConfig::default(),
             cluster: None,
         }
+    }
+}
+
+/// Why a [`ServeConfig`] cannot be run; see [`ServeConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ServeConfigError {
+    /// `nodes` is zero: nothing can serve.
+    NoNodes,
+    /// `tenants` is empty: nobody offers load.
+    NoTenants,
+    /// `classes` is empty: a request has no kernel class to target.
+    NoClasses,
+    /// `batch` is not parallel to `classes`.
+    BatchPolicies {
+        /// `classes.len()`.
+        classes: usize,
+        /// `batch.len()`.
+        policies: usize,
+    },
+    /// `horizon_us` is not a finite, positive time: arrivals are drawn
+    /// until the horizon, so the run would have no work or no end.
+    Horizon(f64),
+    /// `offered_rps` is not a finite, non-negative rate (zero is valid:
+    /// a run with no arrivals).
+    OfferedRate(f64),
+}
+
+impl std::fmt::Display for ServeConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ServeConfigError::NoNodes => write!(f, "serving needs at least one node"),
+            ServeConfigError::NoTenants => write!(f, "serving needs at least one tenant"),
+            ServeConfigError::NoClasses => write!(f, "serving needs at least one kernel class"),
+            ServeConfigError::BatchPolicies { classes, policies } => write!(
+                f,
+                "one batch policy per kernel class: {classes} classes, {policies} policies"
+            ),
+            ServeConfigError::Horizon(us) => write!(
+                f,
+                "the arrival horizon must be finite and positive, got {us} us"
+            ),
+            ServeConfigError::OfferedRate(rps) => write!(
+                f,
+                "the offered load must be finite and not negative, got {rps} rps"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ServeConfigError {}
+
+impl ServeConfig {
+    /// Checks that the configuration describes a run that can start
+    /// and will end. [`ServeEngine::run`] refuses any other.
+    pub fn validate(&self) -> Result<(), ServeConfigError> {
+        if self.nodes == 0 {
+            return Err(ServeConfigError::NoNodes);
+        }
+        if self.tenants.is_empty() {
+            return Err(ServeConfigError::NoTenants);
+        }
+        if self.classes.is_empty() {
+            return Err(ServeConfigError::NoClasses);
+        }
+        if self.batch.len() != self.classes.len() {
+            return Err(ServeConfigError::BatchPolicies {
+                classes: self.classes.len(),
+                policies: self.batch.len(),
+            });
+        }
+        if !(self.horizon_us.is_finite() && self.horizon_us > 0.0) {
+            return Err(ServeConfigError::Horizon(self.horizon_us));
+        }
+        if !(self.offered_rps.is_finite() && self.offered_rps >= 0.0) {
+            return Err(ServeConfigError::OfferedRate(self.offered_rps));
+        }
+        Ok(())
     }
 }
 
@@ -342,7 +432,15 @@ impl ServeEngine {
 
     /// Runs the simulation to completion (arrivals exhausted and the
     /// admitted backlog fully drained).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the configuration does not [`ServeConfig::validate`];
+    /// callers holding outside input check it first.
     pub fn run(&self) -> ServeOutcome {
+        if let Err(error) = self.config.validate() {
+            panic!("invalid serve configuration: {error}");
+        }
         let span = self.registry.span("serve.run");
         span.arg("seed", self.config.seed as f64)
             .arg("nodes", self.config.nodes as f64)
@@ -361,7 +459,7 @@ impl ServeEngine {
 // ---------------------------------------------------------------------
 
 /// Dynamic events on the indexed queue. Arrivals are deliberately not
-/// events: the sorted trace is merged in by cursor.
+/// events: the arrival stream is merged in by look-ahead.
 #[derive(Debug)]
 enum EventKind {
     BatchTimeout {
@@ -484,6 +582,10 @@ struct Inflight {
     hedge_timer: Option<EventToken>,
 }
 
+/// A side table keyed by batch id that holds live entries only; see
+/// [`Sim::slot`].
+type LiveTable<T> = Vec<(u64, Option<T>)>;
+
 /// Cached autotuner slots for one class: valid while the active batch
 /// ceiling is unchanged.
 #[derive(Debug, Clone, Copy)]
@@ -498,8 +600,9 @@ struct Sim<'a> {
     cluster: Cluster,
     registry: Arc<Registry>,
     queue: EventQueue<EventKind>,
-    arrivals: Vec<Request>,
-    cursor: usize,
+    /// The open-loop workload, drawn as the loop consumes it; the
+    /// peeked request is the merge's look-ahead.
+    arrivals: Peekable<ArrivalStream>,
     /// Max time any dynamic event was ever scheduled for; keeps
     /// `end_us` identical whether or not stale events were cancelled.
     max_sched_us: f64,
@@ -507,10 +610,11 @@ struct Sim<'a> {
     wfq: WeightedFairQueue,
     batcher: DynamicBatcher,
     nodes: Vec<NodeState>,
-    /// Indexed by batch id (batcher ids are dense from 0).
-    inflight: Vec<Option<Inflight>>,
-    /// Pending wait-timeout per open batch, indexed by batch id.
-    timeout_tokens: Vec<Option<EventToken>>,
+    /// Batches executing, keyed by batch id: at most one per node.
+    inflight: LiveTable<Inflight>,
+    /// Pending wait-timeout per open batch, keyed by batch id: at most
+    /// one per class.
+    timeout_tokens: LiveTable<EventToken>,
     monitor: HealthMonitor,
     tuners: Vec<Autotuner>,
     tuner_cache: Vec<Option<SlotCache>>,
@@ -562,13 +666,6 @@ struct Sim<'a> {
 
 impl<'a> Sim<'a> {
     fn new(cfg: &'a ServeConfig, plan: &'a FaultPlan, registry: Arc<Registry>) -> Sim<'a> {
-        assert_eq!(
-            cfg.classes.len(),
-            cfg.batch.len(),
-            "one batch policy per kernel class"
-        );
-        assert!(cfg.nodes > 0, "serving needs at least one node");
-        assert!(!cfg.tenants.is_empty(), "serving needs at least one tenant");
         let fpga_nodes = cfg.nodes / 2;
         let cluster = Cluster::everest(cfg.nodes - fpga_nodes, fpga_nodes, cfg.cores);
         let nodes: Vec<NodeState> = cluster
@@ -592,14 +689,14 @@ impl<'a> Sim<'a> {
                 Self::class_tuner(class, policy, &cluster, fpga_nodes > 0, &registry)
             })
             .collect();
-        let arrivals = ArrivalTrace::synthesize(
+        let arrivals = ArrivalStream::new(
             cfg.seed,
             &cfg.tenants,
             &cfg.classes,
             cfg.horizon_us,
             cfg.offered_rps,
         )
-        .into_requests();
+        .peekable();
         let outcome = ServeOutcome {
             tenants: cfg
                 .tenants
@@ -651,14 +748,13 @@ impl<'a> Sim<'a> {
             registry,
             queue: EventQueue::with_capacity(64 + plan.len()),
             arrivals,
-            cursor: 0,
             max_sched_us: 0.0,
             admission: AdmissionController::new(&cfg.tenants, &cfg.classes, &cfg.admission),
             wfq: WeightedFairQueue::new(&weights),
             batcher: DynamicBatcher::new(&cfg.batch),
             nodes,
-            inflight: Vec::new(),
-            timeout_tokens: Vec::new(),
+            inflight: Vec::with_capacity(cfg.nodes),
+            timeout_tokens: Vec::with_capacity(cfg.classes.len()),
             monitor,
             tuners,
             tuner_cache: vec![None; cfg.classes.len()],
@@ -736,14 +832,27 @@ impl<'a> Sim<'a> {
         tuner
     }
 
-    /// Get-or-grow a dense `Option` slot, used for the by-batch-id
-    /// side tables (batcher ids are assigned densely from zero).
-    fn slot<T>(table: &mut Vec<Option<T>>, id: u64) -> &mut Option<T> {
-        let id = id as usize;
-        if table.len() <= id {
-            table.resize_with(id + 1, || None);
-        }
-        &mut table[id]
+    /// Get-or-create the slot of batch `id` in a by-batch-id side
+    /// table: the batch's live entry if it has one, else an empty slot
+    /// now keyed to `id`. Empty slots are recycled before the table
+    /// grows, so its length is the most entries that were ever live at
+    /// once, and a stale id finds `None` as it would in a dense table.
+    fn slot<T>(table: &mut LiveTable<T>, id: u64) -> &mut Option<T> {
+        let index = (table.iter())
+            .position(|(key, value)| *key == id && value.is_some())
+            .or_else(|| table.iter().position(|(_, value)| value.is_none()))
+            .unwrap_or_else(|| {
+                table.push((id, None));
+                table.len() - 1
+            });
+        let (key, value) = &mut table[index];
+        *key = id;
+        value
+    }
+
+    /// The live entry of batch `id`, if any.
+    fn live<T>(table: &LiveTable<T>, id: u64) -> Option<&T> {
+        (table.iter()).find_map(|(key, value)| value.as_ref().filter(|_| *key == id))
     }
 
     fn push_event(&mut self, at_us: f64, kind: EventKind) -> EventToken {
@@ -752,6 +861,13 @@ impl<'a> Sim<'a> {
     }
 
     fn run(mut self) -> ServeOutcome {
+        self.drain();
+        self.outcome
+    }
+
+    /// Runs the event loop until arrivals are exhausted and the backlog
+    /// has drained, then completes `self.outcome`.
+    fn drain(&mut self) {
         for (index, fault) in self.plan.faults().iter().enumerate() {
             self.push_event(fault.at_us, EventKind::Fault(index));
         }
@@ -768,17 +884,12 @@ impl<'a> Sim<'a> {
         loop {
             #[cfg(debug_assertions)]
             self.assert_running_conservation();
-            // Merge the arrival cursor against the event queue;
+            // Merge the next arrival against the event queue;
             // arrivals win timestamp ties (they were pushed first in
             // the single-heap design, so they carried the lowest seqs).
-            let arrival_due = self.cursor < self.arrivals.len()
-                && self
-                    .queue
-                    .peek_time()
-                    .is_none_or(|t| self.arrivals[self.cursor].arrival_us <= t);
-            if arrival_due {
-                let request = self.arrivals[self.cursor];
-                self.cursor += 1;
+            let next_event_us = self.queue.peek_time();
+            let due = |next: &Request| next_event_us.is_none_or(|t| next.arrival_us <= t);
+            if let Some(request) = self.arrivals.next_if(due) {
                 now = now.max(request.arrival_us);
                 if !self.handle_arrival(request, now) {
                     // Shed at the door: no queue, batcher or node state
@@ -818,7 +929,7 @@ impl<'a> Sim<'a> {
         debug_assert!(self.wfq.is_empty(), "fair queues drained");
         debug_assert_eq!(self.batcher.pending(), 0, "batcher drained");
         debug_assert!(
-            self.inflight.iter().all(Option::is_none),
+            self.inflight.iter().all(|(_, slot)| slot.is_none()),
             "no work in flight"
         );
         debug_assert_eq!(self.inflight_count, 0, "inflight count drained");
@@ -838,7 +949,6 @@ impl<'a> Sim<'a> {
         self.outcome.final_max_batch = (0..self.cfg.classes.len())
             .map(|c| self.batcher.max_batch(c))
             .collect();
-        self.outcome
     }
 
     fn queue_depth(&self) -> usize {
@@ -858,7 +968,7 @@ impl<'a> Sim<'a> {
         // Each executing batch counts once, on its primary leg's node.
         let executing: usize = (self.nodes.iter().enumerate())
             .filter_map(|(index, node)| {
-                let inflight = self.inflight[node.current? as usize].as_ref()?;
+                let inflight = Self::live(&self.inflight, node.current?)?;
                 (inflight.primary.node == index).then_some(inflight.requests.len())
             })
             .sum();
@@ -1582,7 +1692,7 @@ impl<'a> Sim<'a> {
         }
         self.apply_verdicts(now);
         self.update_brownout(now);
-        let live = self.cursor < self.arrivals.len()
+        let live = self.arrivals.peek().is_some()
             || self.queue_depth() > 0
             || self.inflight_count > 0
             || self.queue.peek_time().is_some();
@@ -1593,7 +1703,7 @@ impl<'a> Sim<'a> {
 
     /// The leg executing on `node` right now, if any.
     fn leg_on(&self, node: usize) -> Option<&Leg> {
-        let inflight = self.inflight[self.nodes[node].current? as usize].as_ref()?;
+        let inflight = Self::live(&self.inflight, self.nodes[node].current?)?;
         std::iter::once(&inflight.primary)
             .chain(&inflight.hedge)
             .find(|leg| leg.node == node)
@@ -2378,7 +2488,7 @@ mod tests {
                 if case.hedged {
                     sim.handle_hedge_timer(0, 10.0);
                 }
-                let inflight = sim.inflight[0].as_ref().expect("batch 0 dispatched");
+                let inflight = Sim::live(&sim.inflight, 0).expect("batch 0 dispatched");
                 assert_eq!(inflight.hedge.is_some(), case.hedged, "{label}");
                 let lost = match &inflight.hedge {
                     Some(duplicate) if case.lose_duplicate => duplicate,
@@ -2424,6 +2534,104 @@ mod tests {
                 assert_eq!(outcome.batches.len(), records, "{label}");
             }
         }
+    }
+
+    #[test]
+    fn live_tables_never_outgrow_nodes_and_classes() {
+        // Slots are recycled and never removed, so a table's length
+        // after the run is the most entries it ever held at once.
+        let all_on = ServeConfig {
+            classes: vec![
+                KernelClass::new("infer", 400.0, 40.0, 120.0, 5_000.0, 4_096).latency_critical(),
+                KernelClass::new("analytics", 1_600.0, 160.0, 320.0, 20_000.0, 16_384)
+                    .with_kind(ClassKind::Analytics),
+            ],
+            lifecycle: LifecycleConfig::all_on(),
+            ..partition_config(91)
+        };
+        let saturated = ServeConfig {
+            offered_rps: 40_000.0,
+            ..small_config()
+        };
+        let chaos = FaultPlan::random_campaign(91, 4, 60_000.0, 6);
+        for (cfg, plan) in [
+            (small_config(), FaultPlan::new(1)),
+            (saturated, FaultPlan::new(1)),
+            (all_on, chaos),
+        ] {
+            let mut sim = Sim::new(&cfg, &plan, Registry::new());
+            sim.drain();
+            assert!(
+                sim.outcome.batches.len() > 10 * cfg.nodes,
+                "a real campaign"
+            );
+            assert!(sim.inflight.len() <= cfg.nodes, "{}", sim.inflight.len());
+            assert!(
+                sim.timeout_tokens.len() <= cfg.classes.len(),
+                "{}",
+                sim.timeout_tokens.len()
+            );
+        }
+    }
+
+    #[test]
+    fn validate_names_what_is_wrong() {
+        let with = |edit: fn(&mut ServeConfig)| {
+            let mut cfg = ServeConfig::default();
+            edit(&mut cfg);
+            cfg.validate()
+        };
+        assert_eq!(with(|_| {}), Ok(()));
+        assert_eq!(
+            with(|c| c.offered_rps = 0.0),
+            Ok(()),
+            "no arrivals is a run"
+        );
+        assert_eq!(with(|c| c.nodes = 0), Err(ServeConfigError::NoNodes));
+        assert_eq!(
+            with(|c| c.tenants.clear()),
+            Err(ServeConfigError::NoTenants)
+        );
+        assert_eq!(
+            with(|c| c.classes.clear()),
+            Err(ServeConfigError::NoClasses)
+        );
+        assert_eq!(
+            with(|c| c.batch.truncate(1)),
+            Err(ServeConfigError::BatchPolicies {
+                classes: 2,
+                policies: 1
+            })
+        );
+        for horizon_us in [0.0, -5_000.0, f64::INFINITY, f64::NAN] {
+            let cfg = ServeConfig {
+                horizon_us,
+                ..ServeConfig::default()
+            };
+            assert!(
+                matches!(cfg.validate(), Err(ServeConfigError::Horizon(_))),
+                "{horizon_us}"
+            );
+        }
+        for offered_rps in [-1.0, f64::INFINITY, f64::NAN] {
+            let cfg = ServeConfig {
+                offered_rps,
+                ..ServeConfig::default()
+            };
+            let error = cfg.validate().expect_err("rejected");
+            assert!(matches!(error, ServeConfigError::OfferedRate(_)), "{error}");
+            assert!(error.to_string().contains("offered load"), "{error}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid serve configuration: the arrival horizon")]
+    fn run_refuses_a_horizon_that_never_ends() {
+        ServeEngine::new(ServeConfig {
+            horizon_us: f64::INFINITY,
+            ..ServeConfig::default()
+        })
+        .run();
     }
 
     #[test]

@@ -55,12 +55,14 @@ pub mod wfq;
 
 pub use admission::{AdmissionConfig, AdmissionController, TokenBucket};
 pub use batcher::{Batch, BatchPolicy, DynamicBatcher, OfferOutcome};
-pub use engine::{BatchRecord, ServeConfig, ServeEngine, TenantOutcome};
+pub use engine::{BatchRecord, ServeConfig, ServeConfigError, ServeEngine, TenantOutcome};
 pub use everest_cluster::ClusterConfig;
 pub use ledger::{Layer, LedgerRow, Metric, Role, ServeOutcome};
 pub use lifecycle::{
     AimdLimiter, BrownoutConfig, BrownoutController, HedgeConfig, LatencyWindow, LifecycleConfig,
     LimiterConfig, RetryBudget, RetryConfig,
 };
-pub use request::{ArrivalTrace, ClassKind, KernelClass, Request, ShedReason, TenantSpec};
+pub use request::{
+    ArrivalStream, ArrivalTrace, ClassKind, KernelClass, Request, ShedReason, TenantSpec,
+};
 pub use wfq::WeightedFairQueue;

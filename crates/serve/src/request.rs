@@ -1,9 +1,9 @@
 //! Request-plane vocabulary: kernel classes, tenants, requests, typed
-//! shed reasons, and the seeded open-loop arrival trace.
+//! shed reasons, and the seeded open-loop arrival stream.
 //!
-//! Everything here is deterministic by construction: the arrival trace
-//! is synthesized from a seed on the virtual clock, so a serving run is
-//! a pure function of its configuration and replays byte-identically.
+//! Everything here is deterministic by construction: arrivals are drawn
+//! from a seed on the virtual clock, so a serving run is a pure function
+//! of its configuration and replays byte-identically.
 
 use everest_faults::DetRng;
 
@@ -230,34 +230,97 @@ pub enum ShedReason {
     PartitionedAway,
 }
 
-/// A seeded open-loop arrival trace: the workload side of a serving
-/// run. Open-loop means arrivals do not slow down when the system
-/// saturates — exactly the regime where admission control and load
-/// shedding earn their keep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrivalTrace {
-    requests: Vec<Request>,
+/// One tenant's Poisson process inside an [`ArrivalStream`].
+#[derive(Debug, Clone)]
+struct TenantArrivals {
+    tenant: usize,
+    mean_gap_us: f64,
+    rng: DetRng,
+    /// Arrival time and class of the tenant's next request, drawn one
+    /// ahead so the merge has a time to compare; `None` once the
+    /// tenant's clock has passed the horizon.
+    head: Option<(f64, usize)>,
 }
 
-impl ArrivalTrace {
-    /// Synthesizes a Poisson arrival trace over `horizon_us`.
-    ///
-    /// The aggregate offered load `offered_rps` is split across tenants
-    /// in proportion to their weights; each tenant draws exponential
-    /// interarrival gaps and uniform kernel classes from its own forked
-    /// substream, so adding a tenant never perturbs another tenant's
-    /// arrivals. Ids are assigned in global arrival order.
-    pub fn synthesize(
+impl TenantArrivals {
+    /// Draws the request that follows an arrival at `clock_us` into
+    /// `head`.
+    fn draw(&mut self, clock_us: f64, classes: usize, horizon_us: f64) {
+        // Exponential interarrival via inverse transform; the draw is
+        // in [0, 1) so the argument to ln stays in (0, 1] and the gap
+        // is finite and positive.
+        let gap = -self.mean_gap_us * (1.0 - self.rng.next_unit()).ln();
+        let at_us = clock_us + gap;
+        self.head = (at_us < horizon_us).then(|| (at_us, self.rng.index(classes)));
+    }
+}
+
+/// The tenant whose head arrives first. Each tenant's arrivals are
+/// already time-ordered (gaps are non-negative), and `min_by` keeps the
+/// first of equal minima, so taking the earliest head in tenant order
+/// yields the `(arrival_us, tenant)` order a stable sort of the whole
+/// trace would give.
+fn earliest(tenants: &[TenantArrivals]) -> Option<usize> {
+    (tenants.iter().enumerate())
+        .filter_map(|(index, lane)| lane.head.map(|(at_us, _)| (index, at_us)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(index, _)| index)
+}
+
+/// A seeded open-loop Poisson arrival process: the workload side of a
+/// serving run, generated one request at a time. Open-loop means
+/// arrivals do not slow down when the system saturates — exactly the
+/// regime where admission control and load shedding earn their keep.
+///
+/// The aggregate offered load `offered_rps` is split across tenants in
+/// proportion to their weights; each tenant draws exponential
+/// interarrival gaps and uniform kernel classes from a substream forked
+/// from its own index, so a tenant appended to the table takes its share
+/// of the load and perturbs nothing else: at equal rates the other
+/// tenants' arrivals are unchanged.
+///
+/// The stream yields the k-way merge of the tenants' processes —
+/// earliest `arrival_us` first (`f64::total_cmp`), ties to the lower
+/// tenant index — with ids dense from zero in that order. It holds one
+/// generator and one drawn-ahead arrival per tenant, whatever the
+/// horizon.
+///
+/// A tenant with no share of the load (non-positive weight or rate)
+/// yields nothing, and neither does an empty class table. The stream
+/// ends only when `horizon_us` and `offered_rps` are finite, which
+/// [`crate::ServeConfig::validate`] checks on the engine's behalf.
+///
+/// ```
+/// use everest_serve::{ArrivalStream, KernelClass, TenantSpec};
+///
+/// let tenants = [TenantSpec::new("gold", 4.0, 8_000.0, 64.0)];
+/// let classes = [KernelClass::new("infer", 400.0, 40.0, 120.0, 5_000.0, 4_096)];
+/// let first: Vec<_> = ArrivalStream::new(7, &tenants, &classes, 50_000.0, 10_000.0)
+///     .take(3)
+///     .collect();
+/// assert_eq!(first[2].id, 2);
+/// assert!(first[0].arrival_us <= first[1].arrival_us);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ArrivalStream {
+    tenants: Vec<TenantArrivals>,
+    classes: usize,
+    horizon_us: f64,
+    next_id: u64,
+}
+
+impl ArrivalStream {
+    /// Starts the arrival process of `tenants` over `horizon_us`.
+    pub fn new(
         seed: u64,
         tenants: &[TenantSpec],
         classes: &[KernelClass],
         horizon_us: f64,
         offered_rps: f64,
-    ) -> ArrivalTrace {
-        assert!(!classes.is_empty(), "arrival trace needs a kernel class");
+    ) -> ArrivalStream {
         let total_weight: f64 = tenants.iter().map(|t| t.weight.max(0.0)).sum();
         let root = DetRng::new(seed);
-        let mut streams: Vec<Vec<Request>> = Vec::with_capacity(tenants.len());
+        let mut lanes = Vec::with_capacity(tenants.len());
         for (index, tenant) in tenants.iter().enumerate() {
             let share = if total_weight > 0.0 {
                 tenant.weight.max(0.0) / total_weight
@@ -265,76 +328,72 @@ impl ArrivalTrace {
                 1.0 / tenants.len() as f64
             };
             let rate_rps = offered_rps * share;
-            if rate_rps <= 0.0 {
+            if rate_rps <= 0.0 || classes.is_empty() {
                 continue;
             }
-            let mean_gap_us = 1.0e6 / rate_rps;
-            let mut rng = root.fork(0x5E21_u64.wrapping_add(index as u64));
-            let mut at_us = 0.0;
-            let mut stream = Vec::with_capacity((rate_rps * horizon_us / 1.0e6) as usize + 16);
-            loop {
-                // Exponential interarrival via inverse transform; the
-                // draw is in [0, 1) so the argument to ln stays in
-                // (0, 1] and the gap is finite and positive.
-                let gap = -mean_gap_us * (1.0 - rng.next_unit()).ln();
-                at_us += gap;
-                if at_us >= horizon_us {
-                    break;
-                }
-                let class = rng.index(classes.len());
-                stream.push(Request {
-                    id: 0,
-                    tenant: index,
-                    class,
-                    arrival_us: at_us,
-                    attempt: 0,
-                });
-            }
-            streams.push(stream);
+            let mut lane = TenantArrivals {
+                tenant: index,
+                mean_gap_us: 1.0e6 / rate_rps,
+                rng: root.fork(0x5E21_u64.wrapping_add(index as u64)),
+                head: None,
+            };
+            lane.draw(0.0, classes.len(), horizon_us);
+            lanes.push(lane);
         }
-        // Each tenant's stream is already time-ordered (gaps are
-        // non-negative), so a k-way merge replaces the global sort.
-        // Scanning streams in tenant order and replacing the leader
-        // only on a strictly earlier timestamp reproduces the
-        // `(arrival_us, tenant)` order a stable sort would give.
-        let total: usize = streams.iter().map(Vec::len).sum();
-        let mut requests = Vec::with_capacity(total);
-        let mut cursors = vec![0usize; streams.len()];
-        for id in 0..total {
-            let mut leader: Option<usize> = None;
-            for (index, stream) in streams.iter().enumerate() {
-                let Some(head) = stream.get(cursors[index]) else {
-                    continue;
-                };
-                match leader {
-                    None => leader = Some(index),
-                    Some(current) => {
-                        let ahead = streams[current][cursors[current]].arrival_us;
-                        if head.arrival_us.total_cmp(&ahead).is_lt() {
-                            leader = Some(index);
-                        }
-                    }
-                }
-            }
-            let index = leader.expect("cursors exhausted early");
-            let mut request = streams[index][cursors[index]];
-            cursors[index] += 1;
-            request.id = id as u64;
-            requests.push(request);
+        ArrivalStream {
+            tenants: lanes,
+            classes: classes.len(),
+            horizon_us,
+            next_id: 0,
         }
-        ArrivalTrace { requests }
+    }
+}
+
+impl Iterator for ArrivalStream {
+    type Item = Request;
+
+    fn next(&mut self) -> Option<Request> {
+        let leader = earliest(&self.tenants)?;
+        let lane = &mut self.tenants[leader];
+        let (arrival_us, class) = lane.head.take().expect("the leader has a head");
+        lane.draw(arrival_us, self.classes, self.horizon_us);
+        let request = Request {
+            id: self.next_id,
+            tenant: lane.tenant,
+            class,
+            arrival_us,
+            attempt: 0,
+        };
+        self.next_id += 1;
+        Some(request)
+    }
+}
+
+/// An [`ArrivalStream`] run to its horizon and kept: the whole trace in
+/// arrival order, for callers that replay or inspect it. The engine
+/// does not build one — it consumes the stream as it goes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ArrivalTrace {
+    requests: Vec<Request>,
+}
+
+impl ArrivalTrace {
+    /// Collects the [`ArrivalStream`] of the same arguments.
+    pub fn synthesize(
+        seed: u64,
+        tenants: &[TenantSpec],
+        classes: &[KernelClass],
+        horizon_us: f64,
+        offered_rps: f64,
+    ) -> ArrivalTrace {
+        ArrivalTrace {
+            requests: ArrivalStream::new(seed, tenants, classes, horizon_us, offered_rps).collect(),
+        }
     }
 
     /// The requests in arrival order.
     pub fn requests(&self) -> &[Request] {
         &self.requests
-    }
-
-    /// Consumes the trace, yielding the requests in arrival order.
-    /// The engine walks this vector with a cursor instead of pushing
-    /// every arrival through the event queue.
-    pub fn into_requests(self) -> Vec<Request> {
-        self.requests
     }
 
     /// Number of requests in the trace.
@@ -397,6 +456,41 @@ mod tests {
         let low = ArrivalTrace::synthesize(5, &tenants(), &classes(), 100_000.0, 2_000.0);
         let high = ArrivalTrace::synthesize(5, &tenants(), &classes(), 100_000.0, 20_000.0);
         assert!(high.len() > 5 * low.len());
+    }
+
+    #[test]
+    fn a_table_without_classes_or_load_yields_nothing() {
+        assert!(ArrivalTrace::synthesize(7, &tenants(), &[], 50_000.0, 10_000.0).is_empty());
+        assert!(ArrivalTrace::synthesize(7, &tenants(), &classes(), 50_000.0, 0.0).is_empty());
+        assert!(ArrivalTrace::synthesize(7, &[], &classes(), 50_000.0, 10_000.0).is_empty());
+    }
+
+    /// Seeded streams never tie (the gaps are continuous draws), so the
+    /// merge's tie rule is pinned on hand-made heads.
+    #[test]
+    fn ties_go_to_the_lower_tenant_index() {
+        let lanes = |heads: &[Option<f64>]| -> Vec<TenantArrivals> {
+            (heads.iter().enumerate())
+                .map(|(tenant, head)| TenantArrivals {
+                    tenant,
+                    mean_gap_us: 1.0,
+                    rng: DetRng::new(0),
+                    head: head.map(|at_us| (at_us, 0)),
+                })
+                .collect()
+        };
+        assert_eq!(
+            earliest(&lanes(&[Some(5.0), Some(3.0), Some(3.0)])),
+            Some(1)
+        );
+        assert_eq!(
+            earliest(&lanes(&[Some(3.0), Some(3.0), Some(1.0)])),
+            Some(2)
+        );
+        assert_eq!(earliest(&lanes(&[None, Some(2.0), Some(2.0)])), Some(1));
+        assert_eq!(earliest(&lanes(&[Some(4.0), None, Some(4.0)])), Some(0));
+        assert_eq!(earliest(&lanes(&[None, None])), None);
+        assert_eq!(earliest(&[]), None);
     }
 
     #[test]

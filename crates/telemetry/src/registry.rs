@@ -323,20 +323,24 @@ impl GaugeHandle {
 pub struct HistogramHandle {
     cell: Arc<Mutex<Histogram>>,
     every: u64,
-    seen: u64,
+    /// Observations to skip before the next sample. A countdown, not
+    /// `seen % every`: the period is a run-time value, so the modulo
+    /// would be a hardware divide on every observation.
+    skip: u64,
 }
 
 impl HistogramHandle {
     /// Records `value`, honouring the handle's sampling period.
     pub fn record(&mut self, value: f64) {
-        let sample = self.seen.is_multiple_of(self.every);
-        self.seen += 1;
-        if sample {
-            self.cell
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .record(value);
+        if self.skip > 0 {
+            self.skip -= 1;
+            return;
         }
+        self.skip = self.every - 1;
+        self.cell
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .record(value);
     }
 
     /// The sampling period `N` (1 records everything).
@@ -594,7 +598,7 @@ impl Registry {
         HistogramHandle {
             cell: self.histogram_cell(name),
             every: every.max(1),
-            seen: 0,
+            skip: 0,
         }
     }
 
@@ -949,6 +953,26 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].detail, "n2");
         assert_eq!(events[2].detail, "n4");
+    }
+
+    #[test]
+    fn sampled_handle_records_the_modulo_subsequence() {
+        for every in [1u64, 2, 8] {
+            let r = Registry::new();
+            let mut handle = r.histogram_handle_sampled("h", every);
+            let (mut count, mut sum) = (0u64, 0.0);
+            for seen in 0..100u64 {
+                handle.record(seen as f64);
+                if seen % every == 0 {
+                    count += 1;
+                    sum += seen as f64;
+                }
+                // Checked after each observation, so the sample lands
+                // on exactly the observations the definition names.
+                let snapshot = r.histogram("h").expect("registered by the handle");
+                assert_eq!((snapshot.count, snapshot.sum), (count, sum), "1-in-{every}");
+            }
+        }
     }
 
     #[test]
