@@ -5,7 +5,7 @@
 //! expressions built from `+`, `-`, `*` (elementwise), `#` (outer
 //! product) and `.` (contraction over the adjacent dimension pair).
 //! The frontend translates them into EKL items, re-using the validated
-//! EKL pipeline (checker, interpreter, loop lowering) — exactly the
+//! EKL pipeline (checker, evaluator, loop lowering) — exactly the
 //! convergence of input languages the paper's Fig. 5 shows, where both
 //! `cfdlang` and `ekl` lower into `teil`.
 //!
@@ -562,6 +562,20 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("declared as"), "{e}");
+    }
+
+    #[test]
+    fn zero_and_overflowing_dimensions_are_rejected() {
+        // `[0]` used to compile to an index `0..0` whose `let` the
+        // evaluator ran once; a dimension past `i64::MAX` to a reversed one.
+        for dim in ["0", "9223372036854775808"] {
+            let e = compile(
+                &format!("var input u : [{dim}]\nvar output w : [{dim}]\nw = u + u"),
+                "k",
+            )
+            .unwrap_err();
+            assert!(e.message.contains("has empty range"), "{e}");
+        }
     }
 
     #[test]

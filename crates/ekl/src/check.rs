@@ -2,7 +2,7 @@
 //! int/float kind inference.
 //!
 //! Produces a [`Program`], the validated form consumed by the
-//! [interpreter](crate::interp) and the [lowering](crate::lower).
+//! [evaluator](crate::interp) and the [lowering](crate::lower).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -100,8 +100,8 @@ fn err(message: impl Into<String>) -> CheckError {
 /// # Errors
 ///
 /// Returns a [`CheckError`] describing the first violation: duplicate or
-/// unknown names, rank mismatches, unbound indices, or kind errors (e.g.
-/// a float used as a subscript).
+/// unknown names, empty index ranges, rank mismatches, unbound indices,
+/// or kind errors (e.g. a float used as a subscript).
 pub fn check(kernel: &Kernel) -> Result<Program, CheckError> {
     let mut program = Program {
         name: kernel.name.clone(),
@@ -122,6 +122,9 @@ pub fn check(kernel: &Kernel) -> Result<Program, CheckError> {
                     return Err(err(format!(
                         "index '{name}' must start at 0 (got {lo}); shift subscripts instead"
                     )));
+                }
+                if hi <= lo {
+                    return Err(err(format!("index '{name}' has empty range {lo}..{hi}")));
                 }
                 program.indices.insert(name.clone(), (*lo, *hi));
             }
@@ -488,6 +491,32 @@ mod tests {
         let e = check_src("kernel k { index i : 0..4 input i : [4] let y = 1.0 output y }")
             .unwrap_err();
         assert!(e.message.contains("duplicate name 'i'"), "{e}");
+    }
+
+    #[test]
+    fn empty_and_reversed_index_ranges_rejected() {
+        // The parser refuses these in text; a kernel built in memory (as
+        // the CFDlang front end builds them) reaches `check` directly.
+        for hi in [0, -3] {
+            let kernel = Kernel {
+                name: "k".into(),
+                items: vec![
+                    Item::Index {
+                        name: "i".into(),
+                        lo: 0,
+                        hi,
+                    },
+                    Item::Let {
+                        name: "y".into(),
+                        indices: vec!["i".into()],
+                        value: Expr::Float(1.0),
+                    },
+                    Item::Output { name: "y".into() },
+                ],
+            };
+            let e = check(&kernel).unwrap_err();
+            assert!(e.message.contains("index 'i' has empty range"), "{e}");
+        }
     }
 
     #[test]

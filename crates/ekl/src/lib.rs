@@ -10,7 +10,10 @@
 //!
 //! * [`token`] / [`parser`] — lexing and parsing EKL text;
 //! * [`mod@check`] — semantic analysis to a validated [`check::Program`];
-//! * [`interp`] — the reference interpreter defining the semantics;
+//! * [`interp`] — the evaluator defining the semantics: a [`Program`]
+//!   is bound once into an [`interp::Plan`] and run many times (the
+//!   tree-walking interpreter it replaced is the reference under
+//!   `tests/reference/`);
 //! * [`lower`] — lowering to loop-level IR (`everest-ir`) for HLS;
 //! * [`rrtmg`] — the Fig. 3 major-absorber kernel: EKL template,
 //!   synthetic gas-optics inputs and the Fortran-shaped reference

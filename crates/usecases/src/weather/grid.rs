@@ -25,9 +25,7 @@ impl Field {
     /// Value at `(i, j)` (column, row), wrapping at the boundaries
     /// (periodic domain).
     pub fn at(&self, i: isize, j: isize) -> f64 {
-        let i = i.rem_euclid(self.nx as isize) as usize;
-        let j = j.rem_euclid(self.ny as isize) as usize;
-        self.data[j * self.nx + i]
+        self.data[wrap(j, self.ny) * self.nx + wrap(i, self.nx)]
     }
 
     /// Mutable access at `(i, j)` without wrapping.
@@ -68,6 +66,25 @@ impl Field {
             .map(|(a, b)| (a - b).powi(2))
             .sum();
         (sum / self.data.len().max(1) as f64).sqrt()
+    }
+}
+
+/// `index.rem_euclid(extent)`. The model's stencils and its advection
+/// reach at most one domain past either edge, where a comparison and an
+/// add replace the division; any other index takes the division.
+fn wrap(index: isize, extent: usize) -> usize {
+    let n = extent as isize;
+    let shifted = if index < 0 {
+        index.wrapping_add(n)
+    } else if index >= n {
+        index.wrapping_sub(n)
+    } else {
+        index
+    };
+    if (0..n).contains(&shifted) {
+        shifted as usize
+    } else {
+        index.rem_euclid(n) as usize
     }
 }
 
@@ -128,6 +145,21 @@ mod tests {
         assert_eq!(f.at(0, 0), 7.0);
         assert_eq!(f.at(4, 3), 7.0); // wrap both axes
         assert_eq!(f.at(-4, -3), 7.0);
+    }
+
+    #[test]
+    fn wrap_is_rem_euclid_for_any_index() {
+        for extent in [1usize, 2, 3, 16, 24] {
+            let n = extent as isize;
+            let far = [isize::MIN, isize::MIN + 1, isize::MAX - 1, isize::MAX];
+            for index in (-3 * n - 1..=3 * n + 1).chain(far) {
+                assert_eq!(
+                    wrap(index, extent),
+                    index.rem_euclid(n) as usize,
+                    "{index} mod {extent}"
+                );
+            }
+        }
     }
 
     #[test]

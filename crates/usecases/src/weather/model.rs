@@ -101,14 +101,13 @@ impl WeatherModel {
         // Advection: upstream semi-Lagrangian on temperature/humidity,
         // with winds in grid cells per hour (scaled).
         let scale = 0.08 * dt;
-        let old_t = state.temp.clone();
+        // The winds are only read here, so they need no copy.
+        let mut old_t = state.temp.clone();
         let old_q = state.humidity.clone();
-        let old_u = state.u.clone();
-        let old_v = state.v.clone();
         for j in 0..ny {
             for i in 0..nx {
-                let u = old_u.at(i as isize, j as isize) * scale;
-                let v = old_v.at(i as isize, j as isize) * scale;
+                let u = state.u.at(i as isize, j as isize) * scale;
+                let v = state.v.at(i as isize, j as isize) * scale;
                 let src_i = i as f64 - u;
                 let src_j = j as f64 - v;
                 state.temp.set(i, j, bilinear(&old_t, src_i, src_j));
@@ -122,7 +121,11 @@ impl WeatherModel {
             &mut state.temp,
             &mut state.humidity,
         ] {
-            let old = field.clone();
+            // Advection is done with `old_t`: its buffer takes each
+            // field's old values in turn.
+            let old = &mut old_t;
+            (old.nx, old.ny) = (field.nx, field.ny);
+            old.data.clone_from(&field.data);
             for j in 0..ny {
                 for i in 0..nx {
                     let lap = old.at(i as isize + 1, j as isize)
@@ -248,6 +251,17 @@ mod tests {
             d48 > 1e-3,
             "members must not collapse onto each other: {d48}"
         );
+    }
+
+    #[test]
+    fn a_nan_pressure_steps_without_panicking() {
+        // `State`'s fields are public; the tropopause median used to
+        // `expect` every layer pressure to be comparable.
+        let model = WeatherModel::new(ModelConfig::default());
+        let mut state = model.initial_condition(42);
+        state.pressure.set(3, 2, f64::NAN);
+        model.step(&mut state);
+        assert_eq!(state.time_h, 1.0);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! optical depths drive a diurnal heating profile. A cheap parameterized
 //! scheme serves as the CPU fallback variant the autotuner can select.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
-use everest_ekl::interp::{evaluate, Tensor};
-use everest_ekl::rrtmg::{major_absorber_program, synthetic_inputs, RrtmgDims};
+use everest_ekl::interp::{Plan, Tensor};
+use everest_ekl::rrtmg::{major_absorber_program, synthetic_inputs, RrtmgDims, RrtmgInputs};
 
 use super::grid::Field;
 
@@ -70,23 +72,22 @@ fn dims_for(ny: usize) -> RrtmgDims {
 }
 
 thread_local! {
-    /// Compiled kernels and base inputs per layer count — parsing and
-    /// validating the EKL template once per grid size, like a compiled
-    /// bitstream would be reused across invocations.
-    static KERNEL_CACHE: std::cell::RefCell<
-        HashMap<usize, (everest_ekl::Program, everest_ekl::rrtmg::RrtmgInputs)>,
-    > = std::cell::RefCell::new(HashMap::new());
+    /// The bound kernel and its base tables per layer count — parsing,
+    /// validating and binding the EKL template once per grid size, like
+    /// a compiled bitstream would be reused across invocations.
+    static KERNEL_CACHE: RefCell<HashMap<usize, Rc<(Plan, RrtmgInputs)>>> =
+        RefCell::new(HashMap::new());
 }
 
 fn ekl_heating(pressure: &Field, humidity: &Field, time_h: f64) -> (Field, u64) {
     let dims = dims_for(pressure.ny);
-    let (program, mut inputs) = KERNEL_CACHE.with(|cache| {
-        cache
-            .borrow_mut()
-            .entry(dims.nlay)
-            .or_insert_with(|| (major_absorber_program(dims), synthetic_inputs(dims)))
-            .clone()
+    let kernel = KERNEL_CACHE.with(|cache| {
+        Rc::clone(cache.borrow_mut().entry(dims.nlay).or_insert_with(|| {
+            let plan = Plan::bind(&major_absorber_program(dims)).expect("rrtmg kernel binds");
+            Rc::new((plan, synthetic_inputs(dims)))
+        }))
     });
+    let (plan, base) = &*kernel;
 
     // Couple the model state into the kernel inputs: per-row (layer) mean
     // pressure drives `press`; humidity scales the mixing ratios.
@@ -102,19 +103,33 @@ fn ekl_heating(pressure: &Field, humidity: &Field, time_h: f64) -> (Field, u64) 
         press.push(psum / pressure.nx as f64);
         qmean.push(qsum / pressure.nx as f64);
     }
-    inputs.press = Tensor::from_data(&[dims.nlay as u64], press);
-    for (k, r) in inputs.r_mix.data.iter_mut().enumerate() {
+    let press = Tensor::from_data(&[dims.nlay as u64], press);
+    let mut r_mix = base.r_mix.clone();
+    for (k, r) in r_mix.data.iter_mut().enumerate() {
         let layer = (k / 2) % dims.nlay;
         *r *= (qmean[layer] / 7.0).clamp(0.2, 3.0);
     }
     // tropopause threshold for the select(): median pressure
-    let mut sorted = inputs.press.data.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("pressures are finite"));
-    inputs.press_trop = Tensor::from_data(&[], vec![sorted[sorted.len() / 2]]);
+    let mut sorted = press.data.clone();
+    sorted.sort_by(f64::total_cmp);
+    let press_trop = Tensor::from_data(&[], vec![sorted[sorted.len() / 2]]);
 
-    let map: HashMap<String, Tensor> = everest_ekl::rrtmg::input_map(&inputs);
-    let outputs = evaluate(&program, &map).expect("rrtmg kernel evaluates");
-    let tau = &outputs["tau_abs"]; // [ngpt, nlay]
+    // The kernel's inputs in the order `major_absorber_source` declares
+    // them; the six tables the state does not touch are the cached ones.
+    let outputs = plan
+        .run(&[
+            &press,
+            &press_trop,
+            &base.bnd_to_flav,
+            &base.j_temp,
+            &base.j_press,
+            &base.j_eta,
+            &r_mix,
+            &base.f_major,
+            &base.k_major,
+        ])
+        .expect("rrtmg kernel evaluates");
+    let tau = &outputs[plan.position("tau_abs").expect("kernel defines tau_abs")]; // [ngpt, nlay]
 
     // Column absorption per layer: mean over g-points, normalized.
     let mut absorb = vec![0.0; dims.nlay];

@@ -97,3 +97,89 @@ fn lowered_graphs_and_kernels_round_trip_through_text() {
         }
     }
 }
+
+/// FNV-1a over 64-bit words, eight bytes at a time, low byte first.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+fn state_words(state: &everest_usecases::weather::State) -> impl Iterator<Item = u64> + '_ {
+    [
+        &state.u,
+        &state.v,
+        &state.temp,
+        &state.pressure,
+        &state.humidity,
+    ]
+    .into_iter()
+    .flat_map(|field| field.data.iter().map(|value| value.to_bits()))
+    .chain([state.time_h.to_bits()])
+}
+
+/// The catalog rows do not depend on what radiation computes (they read
+/// the winds and the RNG), so the states the weather model reaches are
+/// pinned beside them: every field of a 48 h forecast and of a small
+/// ensemble, by bits, plus every catalog's rows at two seeds. The file
+/// was cut before the EKL evaluator under the radiation step was
+/// replaced; a digest that moves means the simulation changed.
+#[test]
+fn weather_states_and_catalog_rows_match_the_pinned_digests() {
+    use everest_query::datasets::Dataset;
+    use everest_query::table::Value;
+    use everest_usecases::weather::{run_ensemble, EnsembleStrategy, ModelConfig, WeatherModel};
+
+    let model = WeatherModel::new(ModelConfig::default());
+    let (forecast, _) = model.forecast(&model.initial_condition(42), 48);
+    let (members, _) = run_ensemble(EnsembleStrategy::FieldPerturbations, 3, 12, 7);
+    let mut digests = vec![
+        (
+            "forecast_seed42_48h".to_string(),
+            fnv1a(state_words(&forecast)),
+        ),
+        (
+            "ensemble_field_perturbations_3x12h_seed7".to_string(),
+            fnv1a(members.iter().flat_map(state_words)),
+        ),
+    ];
+    for dataset in Dataset::ALL {
+        for seed in [42, 7] {
+            let catalog = dataset.catalog(seed).expect("catalog builds");
+            let mut words = Vec::new();
+            for name in catalog.table_names() {
+                let table = catalog.get(&name).expect("listed table");
+                words.push(table.rows.len() as u64);
+                for value in table.rows.iter().flatten() {
+                    match value {
+                        Value::Int(v) => words.extend([0, *v as u64]),
+                        Value::Float(v) => words.extend([1, v.to_bits()]),
+                        Value::Bool(v) => words.extend([2, u64::from(*v)]),
+                        Value::Str(v) => {
+                            words.push(3);
+                            words.extend(v.bytes().map(u64::from));
+                        }
+                    }
+                }
+            }
+            digests.push((
+                format!("catalog_{}_seed{seed}", dataset.name()),
+                fnv1a(words),
+            ));
+        }
+    }
+    let lines: Vec<String> = digests
+        .iter()
+        .map(|(name, digest)| format!("  \"{name}\": \"{digest:016x}\""))
+        .collect();
+    let rendered = format!("{{\n{}\n}}\n", lines.join(",\n"));
+    assert_eq!(
+        rendered,
+        include_str!("../ci/query/state_digests.json"),
+        "the weather states or catalog rows moved; got:\n{rendered}"
+    );
+}
