@@ -2,8 +2,6 @@
 //! interval or block loop pipelining when the module reaches the HLS
 //! engine.
 
-use std::collections::HashSet;
-
 use everest_ir::ids::{OpId, ValueId};
 use everest_ir::module::{Module, Operation, ValueDef};
 use everest_ir::registry::{Context, OpTrait};
@@ -38,14 +36,48 @@ impl Lint for HlsPreSynthesis {
     }
 
     fn run(&self, ctx: &Context, module: &Module, out: &mut Collector<'_>) {
+        // Built at the first loop: a module without one pays nothing.
+        let mut sets = None;
         for op in module.walk_ops() {
             let Some(operation) = module.op(op) else {
                 continue;
             };
             if operation.name == "scf.for" {
-                check_loop(ctx, module, op, operation, out);
+                let (inside, loaded) =
+                    sets.get_or_insert_with(|| (ValueSet::new(module), ValueSet::new(module)));
+                check_loop(ctx, module, op, operation, inside, loaded, out);
             }
         }
+    }
+}
+
+/// A set of a module's values that is emptied in O(1): one stamp per
+/// [`ValueId`], a member when it carries the current generation. The
+/// lint asks two such sets of every loop, so they are allocated once a
+/// run instead of hashed once a loop.
+struct ValueSet {
+    stamps: Vec<u32>,
+    generation: u32,
+}
+
+impl ValueSet {
+    fn new(module: &Module) -> Self {
+        ValueSet {
+            stamps: vec![0; module.num_values()],
+            generation: 1,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.generation += 1;
+    }
+
+    fn insert(&mut self, v: ValueId) {
+        self.stamps[v.index()] = self.generation;
+    }
+
+    fn contains(&self, v: ValueId) -> bool {
+        self.stamps[v.index()] == self.generation
     }
 }
 
@@ -54,18 +86,22 @@ fn check_loop(
     module: &Module,
     for_op: OpId,
     operation: &Operation,
+    inside: &mut ValueSet,
+    loaded: &mut ValueSet,
     out: &mut Collector<'_>,
 ) {
     // Everything defined inside the loop (op results and block args of
     // every nested block, including inner loops).
     let body_ops = module.walk_nested(for_op);
-    let mut inside: HashSet<ValueId> = HashSet::new();
+    inside.clear();
     for &region in &operation.regions {
-        collect_block_args(module, region, &mut inside);
+        collect_block_args(module, region, inside);
     }
     for &op in &body_ops {
         if let Some(o) = module.op(op) {
-            inside.extend(o.results.iter().copied());
+            for &r in &o.results {
+                inside.insert(r);
+            }
         }
     }
 
@@ -80,19 +116,17 @@ fn check_loop(
         let Some(o) = module.op(op) else {
             continue;
         };
-        check_invariant(ctx, op, o, &inside, out);
+        check_invariant(ctx, op, o, inside, out);
         check_inner_trip_count(ctx, module, op, o, out);
     }
-    check_memory_dependency(module, &body_ops, induction, out);
+    check_memory_dependency(module, &body_ops, induction, loaded, out);
 }
 
-fn collect_block_args(
-    module: &Module,
-    region: everest_ir::ids::RegionId,
-    inside: &mut HashSet<ValueId>,
-) {
+fn collect_block_args(module: &Module, region: everest_ir::ids::RegionId, inside: &mut ValueSet) {
     for &block in &module.region(region).blocks {
-        inside.extend(module.block(block).args.iter().copied());
+        for &arg in &module.block(block).args {
+            inside.insert(arg);
+        }
         for &op in &module.block(block).ops {
             if let Some(o) = module.op(op) {
                 for &nested in &o.regions {
@@ -110,7 +144,7 @@ fn check_invariant(
     ctx: &Context,
     op: OpId,
     operation: &Operation,
-    inside: &HashSet<ValueId>,
+    inside: &ValueSet,
     out: &mut Collector<'_>,
 ) {
     if !ctx.op_has_trait(&operation.name, OpTrait::Pure)
@@ -120,7 +154,7 @@ fn check_invariant(
     {
         return;
     }
-    if operation.operands.iter().all(|v| !inside.contains(v)) {
+    if operation.operands.iter().all(|&v| !inside.contains(v)) {
         out.emit(
             "hls-loop-invariant",
             op,
@@ -174,9 +208,10 @@ fn check_memory_dependency(
     module: &Module,
     body_ops: &[OpId],
     induction: Option<ValueId>,
+    loaded: &mut ValueSet,
     out: &mut Collector<'_>,
 ) {
-    let mut loaded: HashSet<ValueId> = HashSet::new();
+    loaded.clear();
     for &op in body_ops {
         let Some(o) = module.op(op) else {
             continue;
@@ -195,7 +230,7 @@ fn check_memory_dependency(
             continue;
         }
         let buf = o.operands[1];
-        if !loaded.contains(&buf) {
+        if !loaded.contains(buf) {
             continue;
         }
         let computed_index = o.operands[2..]

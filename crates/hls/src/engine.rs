@@ -2,6 +2,7 @@
 //! accelerator model with latency, initiation intervals and resource
 //! usage — the role Vitis HLS / Bambu play in the EVEREST SDK (§IV).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use everest_ir::attr::Attribute;
@@ -147,8 +148,9 @@ impl HlsReport {
 
 /// Synthesizes `func` from `module` under the given options.
 ///
-/// The input module is not modified; unrolling happens on a private
-/// clone.
+/// The input module is not modified: it is borrowed as it stands, and
+/// only the options that rewrite it (`unroll > 1`, `licm`) take a
+/// private copy first.
 ///
 /// # Errors
 ///
@@ -156,17 +158,18 @@ impl HlsReport {
 pub fn synthesize(module: &Module, func: &str, options: HlsOptions) -> IrResult<HlsReport> {
     let telemetry_span = everest_telemetry::span("hls.synthesize");
     telemetry_span.arg("kernel", func);
-    let mut module = module.clone();
+    let mut module = Cow::Borrowed(module);
     if options.unroll > 1 {
         let _unroll = everest_telemetry::span("hls.unroll");
-        unroll_innermost(&mut module, func, options.unroll)?;
+        unroll_innermost(module.to_mut(), func, options.unroll)?;
     }
     if options.licm {
         use everest_ir::pass::Pass as _;
         let _licm = everest_telemetry::span("hls.licm");
         let ctx = everest_ir::registry::Context::with_all_dialects();
-        everest_ir::pass::LoopInvariantCodeMotion.run(&ctx, &mut module)?;
+        everest_ir::pass::LoopInvariantCodeMotion.run(&ctx, module.to_mut())?;
     }
+    let module: &Module = &module;
     let func_op = module
         .lookup_symbol(func)
         .ok_or_else(|| IrError::InvalidId(format!("no function '{func}'")))?;
@@ -184,7 +187,7 @@ pub fn synthesize(module: &Module, func: &str, options: HlsOptions) -> IrResult<
         plm_ports_per_bank: 2 * options.partition.max(1),
     };
     let mut synth = Synthesizer {
-        module: &module,
+        module,
         lib,
         options,
         loops: Vec::new(),

@@ -141,6 +141,8 @@ pub struct Module {
     blocks: Vec<Block>,
     values: Vec<ValueInfo>,
     top: RegionId,
+    /// See [`Module::revision`].
+    revision: u64,
 }
 
 impl Default for Module {
@@ -168,6 +170,7 @@ impl Module {
             // One result per op is the common shape; block args are noise.
             values: Vec::with_capacity(ops),
             top: RegionId::from_raw(0),
+            revision: 0,
         };
         let top = m.alloc_region(None);
         m.top = top;
@@ -185,6 +188,33 @@ impl Module {
         self.regions[self.top.index()].blocks[0]
     }
 
+    /// A counter that moves whenever the module's contents may have:
+    /// two reads that return the same number bracket a span in which
+    /// nothing observable about the module changed, so a pure function
+    /// of the module (the verifier, say) need not be re-run.
+    /// [`PassManager::run`](crate::pass::PassManager::run) skips
+    /// re-verification on exactly that basis.
+    ///
+    /// The arenas are private, so the mutators below are the only ways
+    /// in, and each bumps the counter:
+    /// [`op_mut`](Module::op_mut) (conservatively — handing out the
+    /// `&mut` counts as a change), [`add_block`](Module::add_block),
+    /// [`create_op`](Module::create_op) (and so
+    /// [`build_op`](Module::build_op)), [`append_op`](Module::append_op),
+    /// [`insert_op_before`](Module::insert_op_before) and through it
+    /// [`move_op_before`](Module::move_op_before),
+    /// [`erase_ops`](Module::erase_ops) / [`erase_op`](Module::erase_op)
+    /// when the batch is non-empty, and
+    /// [`replace_all_uses`](Module::replace_all_uses) /
+    /// [`forward_uses`](Module::forward_uses) when an operand slot
+    /// actually changed. Nothing else does; the converse does not hold
+    /// (a bump does not prove a difference). A clone keeps the
+    /// revision of its source. The number orders the states of one
+    /// module; it says nothing about two modules built separately.
+    pub fn revision(&self) -> u64 {
+        self.revision
+    }
+
     // ---- arena accessors -------------------------------------------------
 
     /// Returns the operation for `id`, or `None` if it was erased.
@@ -192,9 +222,12 @@ impl Module {
         self.ops.get(id.index()).and_then(|o| o.as_ref())
     }
 
-    /// Mutable access to an operation.
+    /// Mutable access to an operation. Bumps [`Module::revision`] when
+    /// the op is live, whether or not the caller then writes.
     pub fn op_mut(&mut self, id: OpId) -> Option<&mut Operation> {
-        self.ops.get_mut(id.index()).and_then(|o| o.as_mut())
+        let operation = self.ops.get_mut(id.index()).and_then(|o| o.as_mut())?;
+        self.revision += 1;
+        Some(operation)
     }
 
     /// Returns the region for `id`.
@@ -272,6 +305,7 @@ impl Module {
 
     /// Appends a new block with the given argument types to a region.
     pub fn add_block(&mut self, region: RegionId, arg_types: &[Type]) -> BlockId {
+        self.revision += 1;
         let id = BlockId::from_raw(self.blocks.len() as u32);
         let args = arg_types
             .iter()
@@ -307,6 +341,7 @@ impl Module {
         attributes: BTreeMap<String, Attribute>,
         num_regions: usize,
     ) -> OpId {
+        self.revision += 1;
         let id = OpId::from_raw(self.ops.len() as u32);
         // Reserve the slot first so nested allocations can't race the id.
         self.ops.push(None);
@@ -365,6 +400,7 @@ impl Module {
         );
         operation.parent_block = Some(block);
         self.blocks[block.index()].ops.push(op);
+        self.revision += 1;
     }
 
     /// Inserts a detached op before `before` inside the same block.
@@ -387,6 +423,7 @@ impl Module {
             .expect("cannot insert an erased op");
         operation.parent_block = Some(block);
         self.blocks[block.index()].ops.insert(pos, op);
+        self.revision += 1;
     }
 
     // ---- mutation ---------------------------------------------------------
@@ -436,6 +473,7 @@ impl Module {
             touched.extend(self.free_op(op)?);
             Ok(())
         });
+        self.revision += u64::from(!ops.is_empty());
         touched.sort_unstable();
         touched.dedup();
         for block in touched {
@@ -480,6 +518,7 @@ impl Module {
                 }
             }
         }
+        self.revision += u64::from(count > 0 && from != to);
         count
     }
 
@@ -488,11 +527,15 @@ impl Module {
     /// the module's values in which unmerged values map to themselves;
     /// values beyond its end are left alone.
     pub fn forward_uses(&mut self, forward: &[ValueId]) {
+        let mut changed = false;
         for operation in self.ops.iter_mut().flatten() {
             for operand in &mut operation.operands {
-                *operand = forward.get(operand.index()).copied().unwrap_or(*operand);
+                let to = forward.get(operand.index()).copied().unwrap_or(*operand);
+                changed |= to != *operand;
+                *operand = to;
             }
         }
+        self.revision += u64::from(changed);
     }
 
     /// Returns `true` if the value has no uses. Scans every live op, so
@@ -537,21 +580,42 @@ impl Module {
         }
     }
 
-    /// Finds the first op with the given fully qualified name.
+    /// The first op in pre-order (the order of [`Module::walk_ops`]) that
+    /// `pred` accepts; stops there and allocates nothing.
+    fn find_in_region(
+        &self,
+        region: RegionId,
+        pred: &mut impl FnMut(&Operation) -> bool,
+    ) -> Option<OpId> {
+        for &block in &self.regions[region.index()].blocks {
+            for &op in &self.blocks[block.index()].ops {
+                let Some(operation) = self.op(op) else {
+                    continue;
+                };
+                if pred(operation) {
+                    return Some(op);
+                }
+                for &nested in &operation.regions {
+                    if let Some(found) = self.find_in_region(nested, pred) {
+                        return Some(found);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// Finds the first op (in pre-order) with the given fully qualified
+    /// name.
     pub fn find_op(&self, name: &str) -> Option<OpId> {
-        self.walk_ops()
-            .into_iter()
-            .find(|&id| self.op(id).is_some_and(|o| o.name == name))
+        self.find_in_region(self.top, &mut |o| o.name == name)
     }
 
     /// Finds a symbol-defining op (one with a `sym_name` attribute equal to
-    /// `symbol`), e.g. a `func.func`.
+    /// `symbol`), e.g. a `func.func`. When several ops define the same
+    /// symbol the first in pre-order wins.
     pub fn lookup_symbol(&self, symbol: &str) -> Option<OpId> {
-        self.walk_ops().into_iter().find(|&id| {
-            self.op(id)
-                .and_then(|o| o.str_attr("sym_name"))
-                .is_some_and(|s| s == symbol)
-        })
+        self.find_in_region(self.top, &mut |o| o.str_attr("sym_name") == Some(symbol))
     }
 }
 
@@ -812,5 +876,38 @@ mod tests {
             .append_to(block);
         assert_eq!(m.lookup_symbol("rrtmg"), Some(f));
         assert_eq!(m.lookup_symbol("missing"), None);
+    }
+
+    #[test]
+    fn lookups_return_the_first_match_in_preorder() {
+        let mut m = Module::new();
+        let top = m.top_block();
+        let func = |m: &mut Module, block, name: &str| {
+            m.build_op("func.func", [], [])
+                .attr("sym_name", name)
+                .regions(1)
+                .append_to(block)
+        };
+        let outer = func(&mut m, top, "outer");
+        let region = m.op(outer).unwrap().regions[0];
+        let body = m.add_block(region, &[]);
+        // Nested under `outer`, so ahead of the top-level twin in
+        // pre-order although it was built (and numbered) after it.
+        let twin_at_top = func(&mut m, top, "twin");
+        let twin_nested = func(&mut m, body, "twin");
+        let constant = constant(&mut m, 1.0);
+        assert!(twin_at_top < twin_nested);
+        assert_eq!(m.lookup_symbol("twin"), Some(twin_nested));
+        assert_eq!(m.find_op("func.func"), Some(outer));
+        assert_eq!(m.find_op("arith.constant"), Some(constant));
+        for name in ["outer", "twin", "missing"] {
+            let by_walk = m
+                .walk_ops()
+                .into_iter()
+                .find(|&id| m.op(id).unwrap().str_attr("sym_name") == Some(name));
+            assert_eq!(m.lookup_symbol(name), by_walk, "{name}");
+        }
+        m.erase_op(outer).unwrap();
+        assert_eq!(m.lookup_symbol("twin"), Some(twin_at_top));
     }
 }

@@ -99,6 +99,15 @@ impl PassManager {
 
     /// Runs the full pipeline and returns per-pass statistics in order.
     ///
+    /// With verification on (the default) the module is verified before
+    /// the first pass and again after every pass that touched it, which
+    /// is read off [`Module::revision`]: the verifier is a pure function
+    /// of `(ctx, module)`, so while the revision stands at the value it
+    /// had at the last verification the answer is already known and the
+    /// run is skipped. The test is the module's own record, not the
+    /// pass's [`PassStats::is_noop`] claim — a pass that mutates and
+    /// reports nothing is still re-verified, and the error names it.
+    ///
     /// # Errors
     ///
     /// Stops at the first failing pass or verification error.
@@ -108,17 +117,19 @@ impl PassManager {
         if self.verify_each {
             crate::verify::verify_module(ctx, module)?;
         }
+        let mut verified_at = module.revision();
         let mut all = Vec::new();
         for pass in &self.passes {
             let span = everest_telemetry::span(format!("ir.pass.{}", pass.name()));
             let stats = pass.run(ctx, module)?;
             span.arg("erased", stats.ops_erased)
                 .arg("rewritten", stats.ops_rewritten);
-            if self.verify_each {
+            if self.verify_each && module.revision() != verified_at {
                 crate::verify::verify_module(ctx, module).map_err(|e| IrError::Pass {
                     pass: pass.name().to_string(),
                     message: format!("verification failed after pass: {e}"),
                 })?;
+                verified_at = module.revision();
             }
             all.push((pass.name().to_string(), stats));
         }
@@ -128,8 +139,9 @@ impl PassManager {
     /// Runs the full pipeline over each module independently, returning
     /// per-module statistics in input order.
     ///
-    /// Equivalent to calling [`PassManager::run`] on every module; the
-    /// threaded variant [`PassManager::run_batch_threaded`] produces
+    /// Equivalent to calling [`PassManager::run`] on every module (each
+    /// is verified when it changed, on its own revision); the threaded
+    /// variant [`PassManager::run_batch_threaded`] produces
     /// byte-identical modules and identical statistics.
     ///
     /// # Errors
@@ -314,9 +326,11 @@ impl Pass for Cse {
             .collect();
         let mut duplicates = Vec::new();
         // Process each block independently (no cross-block CSE: that would
-        // require dominance analysis beyond single blocks).
+        // require dominance analysis beyond single blocks): one table,
+        // emptied per block, so its buckets are allocated once a run.
+        let mut seen: HashMap<CseKey<'_>, &[ValueId]> = HashMap::new();
         for block in (0..module.num_blocks() as u32).map(BlockId::from_raw) {
-            let mut seen: HashMap<CseKey<'_>, &[ValueId]> = HashMap::new();
+            seen.clear();
             for &op in &module.block(block).ops {
                 let Some(operation) = module.op(op) else {
                     continue;

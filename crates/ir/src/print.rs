@@ -6,19 +6,26 @@
 //! deterministic (attributes are sorted), so printed text is usable as a
 //! stable golden-file format in tests.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::module::Module;
 
+/// Bytes of text one op prints as, near enough that the output buffer
+/// grows at most once or twice (the corpus kernels average ~75).
+const BYTES_PER_OP: usize = 96;
+
+/// A value the printer has not met yet (a `ValueId` is a `u32`, so no
+/// module has this many values to number).
+const UNNAMED: u32 = u32::MAX;
+
 /// Prints a whole module to text.
 pub fn print_module(module: &Module) -> String {
     let mut printer = Printer {
         module,
-        names: HashMap::new(),
+        names: vec![UNNAMED; module.num_values()],
         next: 0,
-        out: String::new(),
+        out: String::with_capacity(BYTES_PER_OP * module.num_ops()),
     };
     printer.out.push_str("module {\n");
     printer.print_block_body(module.top_block(), 1);
@@ -26,23 +33,25 @@ pub fn print_module(module: &Module) -> String {
     printer.out
 }
 
+/// Borrows everything it prints from the module; the only state of its
+/// own is the output and the print number of each value, dense by
+/// [`ValueId`].
 struct Printer<'m> {
     module: &'m Module,
-    names: HashMap<ValueId, usize>,
-    next: usize,
+    names: Vec<u32>,
+    next: u32,
     out: String,
 }
 
 impl<'m> Printer<'m> {
-    fn name(&mut self, v: ValueId) -> usize {
-        if let Some(&n) = self.names.get(&v) {
-            n
-        } else {
-            let n = self.next;
+    /// The print number of `v`, assigned in order of first appearance.
+    fn name(&mut self, v: ValueId) -> u32 {
+        let slot = &mut self.names[v.index()];
+        if *slot == UNNAMED {
+            *slot = self.next;
             self.next += 1;
-            self.names.insert(v, n);
-            n
         }
+        *slot
     }
 
     fn indent(&mut self, level: usize) {
@@ -51,16 +60,38 @@ impl<'m> Printer<'m> {
         }
     }
 
+    /// Writes `%a, %b, ...` for `values`.
+    fn print_values(&mut self, values: &[ValueId]) {
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            let n = self.name(v);
+            let _ = write!(self.out, "%{n}");
+        }
+    }
+
+    /// Writes `ty, ty, ...` for the types of `values`.
+    fn print_types(&mut self, values: &[ValueId]) {
+        let module = self.module;
+        for (i, &v) in values.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            let _ = write!(self.out, "{}", module.value_type(v));
+        }
+    }
+
     fn print_block(&mut self, block: BlockId, level: usize) {
+        let module = self.module;
         self.indent(level);
-        let args = self.module.block(block).args.clone();
         self.out.push_str("^bb(");
-        for (i, &arg) in args.iter().enumerate() {
+        for (i, &arg) in module.block(block).args.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
             let n = self.name(arg);
-            let ty = self.module.value_type(arg);
+            let ty = module.value_type(arg);
             let _ = write!(self.out, "%{n}: {ty}");
         }
         self.out.push_str("):\n");
@@ -68,16 +99,16 @@ impl<'m> Printer<'m> {
     }
 
     fn print_block_body(&mut self, block: BlockId, level: usize) {
-        let ops = self.module.block(block).ops.clone();
-        for op in ops {
+        let module = self.module;
+        for &op in &module.block(block).ops {
             self.print_op(op, level);
         }
     }
 
     fn print_region(&mut self, region: RegionId, level: usize) {
+        let module = self.module;
         self.out.push_str("({\n");
-        let blocks = self.module.region(region).blocks.clone();
-        for block in blocks {
+        for &block in &module.region(region).blocks {
             self.print_block(block, level + 1);
         }
         self.indent(level);
@@ -85,42 +116,26 @@ impl<'m> Printer<'m> {
     }
 
     fn print_op(&mut self, op: OpId, level: usize) {
-        let Some(operation) = self.module.op(op) else {
+        // `module` outlives `self`'s borrow, so the op is read in place.
+        let module = self.module;
+        let Some(operation) = module.op(op) else {
             return;
         };
-        let name = operation.name;
-        let operands = operation.operands.clone();
-        let results = operation.results.clone();
-        let regions = operation.regions.clone();
-        let attrs = operation.attributes.clone();
-
         self.indent(level);
-        if !results.is_empty() {
-            for (i, &r) in results.iter().enumerate() {
-                if i > 0 {
-                    self.out.push_str(", ");
-                }
-                let n = self.name(r);
-                let _ = write!(self.out, "%{n}");
-            }
+        if !operation.results.is_empty() {
+            self.print_values(&operation.results);
             self.out.push_str(" = ");
         }
-        let _ = write!(self.out, "\"{name}\"(");
-        for (i, &o) in operands.iter().enumerate() {
-            if i > 0 {
-                self.out.push_str(", ");
-            }
-            let n = self.name(o);
-            let _ = write!(self.out, "%{n}");
-        }
+        let _ = write!(self.out, "\"{}\"(", operation.name);
+        self.print_values(&operation.operands);
         self.out.push(')');
-        for &region in &regions {
+        for &region in &operation.regions {
             self.out.push(' ');
             self.print_region(region, level);
         }
-        if !attrs.is_empty() {
+        if !operation.attributes.is_empty() {
             self.out.push_str(" {");
-            for (i, (k, v)) in attrs.iter().enumerate() {
+            for (i, (k, v)) in operation.attributes.iter().enumerate() {
                 if i > 0 {
                     self.out.push_str(", ");
                 }
@@ -129,21 +144,9 @@ impl<'m> Printer<'m> {
             self.out.push('}');
         }
         self.out.push_str(" : (");
-        for (i, &o) in operands.iter().enumerate() {
-            if i > 0 {
-                self.out.push_str(", ");
-            }
-            let ty = self.module.value_type(o);
-            let _ = write!(self.out, "{ty}");
-        }
+        self.print_types(&operation.operands);
         self.out.push_str(") -> (");
-        for (i, &r) in results.iter().enumerate() {
-            if i > 0 {
-                self.out.push_str(", ");
-            }
-            let ty = self.module.value_type(r);
-            let _ = write!(self.out, "{ty}");
-        }
+        self.print_types(&operation.results);
         self.out.push_str(")\n");
     }
 }

@@ -12,12 +12,15 @@ use everest_ir::base2::{Fixed, Posit};
 use everest_ir::dialects::core;
 use everest_ir::dialects::tensorlang::broadcast_shapes;
 use everest_ir::module::{single_result, Module};
-use everest_ir::pass::{canonicalization_pipeline, ConstantFolding, Cse, Dce, Pass, PassStats};
+use everest_ir::pass::{
+    canonicalization_pipeline, ConstantFolding, Cse, Dce, LoopInvariantCodeMotion, Pass,
+    PassManager, PassStats,
+};
 use everest_ir::print::print_module;
 use everest_ir::registry::{Context, OpTrait};
 use everest_ir::types::{FixedFormat, PositFormat, Type};
 use everest_ir::verify::verify_module;
-use everest_ir::{BlockId, ValueId};
+use everest_ir::{BlockId, IrError, IrResult, OpId, ValueId};
 
 /// Builds a random but well-formed module: a DAG of float arithmetic over
 /// a pool of constants and buffer loads, with stores keeping part of it
@@ -528,6 +531,263 @@ proptest! {
                 prop_assert!(verify_module(&ctx, &fast).is_ok());
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Module::revision and the verification it lets the pass manager skip
+// ---------------------------------------------------------------------------
+
+/// Runs one public mutator call and holds it to the revision rule: if
+/// what the module prints moved, so did `revision()`.
+fn watched(m: &mut Module, what: &str, call: impl FnOnce(&mut Module)) -> TestCaseResult {
+    let (text, revision) = (print_module(m), m.revision());
+    call(m);
+    prop_assert!(
+        print_module(m) == text || m.revision() != revision,
+        "{} changed the module and left revision() at {}",
+        what,
+        revision
+    );
+    Ok(())
+}
+
+/// The pass manager's loop as it stood before verification followed
+/// `Module::revision`: verify, then verify again after every pass,
+/// whatever the pass did.
+fn always_verify(
+    passes: &[Box<dyn Pass + Send + Sync>],
+    ctx: &Context,
+    module: &mut Module,
+) -> IrResult<Vec<(String, PassStats)>> {
+    verify_module(ctx, module)?;
+    let mut all = Vec::new();
+    for pass in passes {
+        let stats = pass.run(ctx, module)?;
+        verify_module(ctx, module).map_err(|e| IrError::Pass {
+            pass: pass.name().to_string(),
+            message: format!("verification failed after pass: {e}"),
+        })?;
+        all.push((pass.name().to_string(), stats));
+    }
+    Ok(all)
+}
+
+/// Appends an op no dialect registers and reports that it did nothing.
+struct QuietBreaker(&'static str);
+
+impl Pass for QuietBreaker {
+    fn name(&self) -> &str {
+        self.0
+    }
+
+    fn run(&self, _ctx: &Context, module: &mut Module) -> IrResult<PassStats> {
+        let top = module.top_block();
+        module.build_op("nosuch.op", [], []).append_to(top);
+        Ok(PassStats::default())
+    }
+}
+
+/// Changes the module validly (a new constant nobody uses) and reports
+/// that it did nothing.
+struct QuietWriter;
+
+impl Pass for QuietWriter {
+    fn name(&self) -> &str {
+        "quiet-writer"
+    }
+
+    fn run(&self, _ctx: &Context, module: &mut Module) -> IrResult<PassStats> {
+        let top = module.top_block();
+        let first = module.block(top).ops[0];
+        let constant = module
+            .build_op("arith.constant", [], [Type::F64])
+            .attr("value", Attribute::Float(0.5))
+            .detached();
+        module.insert_op_before(first, constant);
+        Ok(PassStats::default())
+    }
+}
+
+fn pipeline_of(kinds: &[u8]) -> Vec<Box<dyn Pass + Send + Sync>> {
+    kinds
+        .iter()
+        .map(|kind| -> Box<dyn Pass + Send + Sync> {
+            match kind % 8 {
+                0 | 1 => Box::new(ConstantFolding),
+                2 | 3 => Box::new(Cse),
+                4 => Box::new(Dce),
+                5 => Box::new(LoopInvariantCodeMotion),
+                6 => Box::new(QuietWriter),
+                _ => Box::new(QuietBreaker("quiet-breaker")),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn a_quiet_breaker_is_caught_and_named_wherever_it_runs() {
+    let ctx = Context::with_all_dialects();
+    for position in 0..4 {
+        let build = || {
+            let mut passes = pipeline_of(&[0, 2, 4]);
+            passes.insert(position, Box::new(QuietBreaker("the-culprit")));
+            passes
+        };
+        let mut pm = PassManager::new();
+        for pass in build() {
+            pm.add(pass);
+        }
+        let mut got = random_module(&[1.0, 2.0], &[(0, 0, 1), (5, 0, 1)], 2);
+        let mut want = got.clone();
+        let err = pm
+            .run(&ctx, &mut got)
+            .expect_err("nosuch.op is unregistered");
+        assert_eq!(Err(err.clone()), always_verify(&build(), &ctx, &mut want));
+        assert!(
+            matches!(&err, IrError::Pass { pass, .. } if pass == "the-culprit"),
+            "position {position}: {err}"
+        );
+        assert_eq!(print_module(&got), print_module(&want));
+    }
+}
+
+#[test]
+fn read_only_calls_and_empty_mutations_keep_the_revision() {
+    let mut m = random_module(&[1.0, 2.0], &[(0, 0, 1), (20, 0, 1), (0, 1, 2)], 1);
+    let revision = m.revision();
+    assert_eq!(m.clone().revision(), revision);
+    let top = m.top_block();
+    let unused = core::const_f64(&mut m, top, 9.0);
+    let revision_after_build = m.revision();
+    assert_ne!(revision_after_build, revision);
+    let _ = (print_module(&m), m.walk_ops(), m.num_ops(), m.find_op("x"));
+    let _ = (
+        m.lookup_symbol("k"),
+        m.is_unused(unused),
+        m.live_ops().count(),
+    );
+    m.erase_ops(&[]).expect("nothing to erase");
+    let other = ValueId::from_raw(0);
+    assert_eq!(m.replace_all_uses(unused, other), 0);
+    assert!(
+        m.replace_all_uses(other, other) > 0,
+        "%0 is the buffer every store names"
+    );
+    let identity: Vec<ValueId> = (0..m.num_values() as u32).map(ValueId::from_raw).collect();
+    m.forward_uses(&identity);
+    m.forward_uses(&[]);
+    assert!(m.op_mut(OpId::from_raw(u32::MAX)).is_none());
+    assert_eq!(m.revision(), revision_after_build);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn revision_moves_whenever_the_printed_module_does(
+        consts in proptest::collection::vec(-4.0f64..4.0, 1..4),
+        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..12),
+        keep in any::<usize>(),
+        steps in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 1..24),
+    ) {
+        let mut m = random_module(&consts, &ops, keep);
+        // Ops built detached and not yet attached anywhere.
+        let mut pool: Vec<OpId> = Vec::new();
+        for (kind, a, b) in steps {
+            // `random_module` always leaves the buffer, a constant and a
+            // store at the top, and no step below erases the last op.
+            let attached = m.walk_ops();
+            let op = attached[a % attached.len()];
+            let other = attached[b % attached.len()];
+            let value = ValueId::from_raw((b % m.num_values()) as u32);
+            let leaf = |m: &Module, op: OpId| m.op(op).expect("attached").regions.is_empty();
+            match kind % 12 {
+                0 => watched(&mut m, "op_mut (attribute)", |m| {
+                    let operation = m.op_mut(op).expect("attached");
+                    operation.attributes.insert("tag".into(), Attribute::Int(b as i64 % 3));
+                })?,
+                1 => watched(&mut m, "op_mut (operand)", |m| {
+                    if let Some(slot) = m.op_mut(op).expect("attached").operands.first_mut() {
+                        *slot = value;
+                    }
+                })?,
+                2 => watched(&mut m, "op_mut (unused)", |m| {
+                    let _ = m.op_mut(op);
+                })?,
+                3 => {
+                    let region = m.op(op).expect("attached").regions.first().copied();
+                    let region = region.unwrap_or(m.top_region());
+                    watched(&mut m, "add_block", |m| {
+                        m.add_block(region, &[Type::F64]);
+                    })?;
+                }
+                4 => watched(&mut m, "create_op", |m| {
+                    let built = m
+                        .build_op("arith.constant", [], [Type::F64])
+                        .attr("value", Attribute::Float(b as f64))
+                        .detached();
+                    pool.push(built);
+                })?,
+                5 => if let Some(built) = pool.pop() {
+                    let block = m.op(op).expect("attached").parent_block.expect("attached");
+                    watched(&mut m, "append_op", |m| m.append_op(block, built))?;
+                },
+                6 => if let Some(built) = pool.pop() {
+                    watched(&mut m, "insert_op_before", |m| m.insert_op_before(op, built))?;
+                },
+                7 => if op != other && leaf(&m, op) {
+                    watched(&mut m, "move_op_before", |m| m.move_op_before(op, other))?;
+                },
+                8 => if attached.len() > 1 {
+                    watched(&mut m, "erase_op", |m| m.erase_op(op).expect("attached and live"))?;
+                },
+                9 => if attached.len() > 2 && op != other && leaf(&m, op) && leaf(&m, other) {
+                    watched(&mut m, "erase_ops", |m| {
+                        m.erase_ops(&[op, other]).expect("distinct, live, not nested");
+                    })?;
+                },
+                10 => {
+                    let from = ValueId::from_raw((a % m.num_values()) as u32);
+                    watched(&mut m, "replace_all_uses", |m| {
+                        m.replace_all_uses(from, value);
+                    })?;
+                }
+                _ => {
+                    // Identity but for one entry, over a prefix of the values.
+                    let len = 1 + a % m.num_values();
+                    let mut forward: Vec<ValueId> =
+                        (0..len as u32).map(ValueId::from_raw).collect();
+                    forward[b % len] = value;
+                    watched(&mut m, "forward_uses", |m| m.forward_uses(&forward))?;
+                }
+            }
+        }
+        prop_assert_eq!(m.clone().revision(), m.revision());
+    }
+
+    #[test]
+    fn verifying_on_change_matches_verifying_after_every_pass(
+        consts in proptest::collection::vec(-4.0f64..4.0, 1..4),
+        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..24),
+        keep in any::<usize>(),
+        kinds in proptest::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let ctx = Context::with_all_dialects();
+        let mut got = random_module(&consts, &ops, keep);
+        let mut want = got.clone();
+        let mut pm = PassManager::new();
+        for pass in pipeline_of(&kinds) {
+            pm.add(pass);
+        }
+        // Same statistics or the same error (the breaker is named, also
+        // when passes before it were skipped over), and the same module
+        // left behind either way.
+        prop_assert_eq!(
+            pm.run(&ctx, &mut got),
+            always_verify(&pipeline_of(&kinds), &ctx, &mut want)
+        );
+        prop_assert_eq!(print_module(&got), print_module(&want));
     }
 }
 

@@ -6,7 +6,7 @@ use everest_ir::attr::Attribute;
 use everest_ir::dialects::system::build_system;
 use everest_ir::module::Module;
 use everest_ir::types::{MemorySpace, Type};
-use everest_platform::device::FpgaDevice;
+use everest_platform::device::{DeviceResources, FpgaDevice};
 use everest_platform::xrt::{Direction, FabricAllocator, XrtDevice, XrtError};
 
 use crate::arch::{KernelSpec, SystemArchitecture, SystemConfig};
@@ -36,17 +36,20 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Generates a validated system architecture.
+/// Checks a configuration against the platform — parameter ranges,
+/// memory channels, fabric fit — and returns the footprint it would
+/// occupy. This is all of [`generate`] that can fail; it reads the kernel
+/// and builds nothing, so a sweep can ask it of every design point.
 ///
 /// # Errors
 ///
 /// Returns [`BuildError`] when the configuration is invalid or exceeds
 /// the device's fabric resources.
-pub fn generate(
-    kernel: KernelSpec,
+pub fn place(
+    kernel: &KernelSpec,
     device: &FpgaDevice,
     config: SystemConfig,
-) -> Result<SystemArchitecture, BuildError> {
+) -> Result<DeviceResources, BuildError> {
     let telemetry_span = everest_telemetry::span("olympus.generate");
     telemetry_span
         .arg("kernel", kernel.name.as_str())
@@ -70,20 +73,47 @@ pub fn generate(
             "{total_lanes} lanes exceed the {channels} memory channels"
         )));
     }
-    let footprint = SystemArchitecture::footprint(&kernel, &config);
+    let footprint = SystemArchitecture::footprint(kernel, &config);
     let mut allocator = FabricAllocator::new(device);
     if !allocator.place(&kernel.name, footprint) {
         return Err(BuildError::DoesNotFit {
             detail: format!("needs {footprint:?}, device offers {:?}", device.resources),
         });
     }
-    Ok(SystemArchitecture {
+    Ok(footprint)
+}
+
+/// Generates a validated system architecture: [`place`], then the
+/// architecture around the kernel.
+///
+/// # Errors
+///
+/// Returns [`BuildError`] when the configuration is invalid or exceeds
+/// the device's fabric resources.
+pub fn generate(
+    kernel: KernelSpec,
+    device: &FpgaDevice,
+    config: SystemConfig,
+) -> Result<SystemArchitecture, BuildError> {
+    let resources = place(&kernel, device, config)?;
+    Ok(assemble(kernel, device, config, resources))
+}
+
+/// The architecture record for a configuration [`place`] accepted with
+/// footprint `resources`.
+pub(crate) fn assemble(
+    kernel: KernelSpec,
+    device: &FpgaDevice,
+    config: SystemConfig,
+    resources: DeviceResources,
+) -> SystemArchitecture {
+    SystemArchitecture {
         name: format!("{}_sys", kernel.name),
         platform: device.name.clone(),
         kernel,
         config,
-        resources: footprint,
-    })
+        resources,
+    }
 }
 
 /// Emits the `olympus` dialect description of an architecture.

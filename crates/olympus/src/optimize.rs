@@ -3,11 +3,11 @@
 //! replication, lanes, packing, buffering and PLM sharing, keeps
 //! feasible points, and returns the makespan-optimal configuration.
 
-use everest_platform::device::FpgaDevice;
+use everest_platform::device::{DeviceResources, FpgaDevice};
 
 use crate::arch::{KernelSpec, SystemArchitecture, SystemConfig};
-use crate::builder::{generate, BuildError};
-use crate::perf::{estimate_makespan, MakespanReport};
+use crate::builder::{assemble, place, BuildError};
+use crate::perf::{estimate_with_config, MakespanReport};
 
 /// One evaluated design point.
 #[derive(Debug, Clone)]
@@ -51,7 +51,16 @@ pub fn explore(
         .arg("items", items);
     let mut points = Vec::new();
     let mut pruned = 0usize;
-    let mut best: Option<(SystemArchitecture, MakespanReport)> = None;
+    // One architecture record carries the kernel through the sweep: a
+    // design point is priced against it under its own config, and the
+    // winner's config and footprint are filled in at the end.
+    let mut arch = assemble(
+        kernel.clone(),
+        device,
+        SystemConfig::default(),
+        DeviceResources::default(),
+    );
+    let mut best: Option<(SystemConfig, DeviceResources, MakespanReport)> = None;
 
     let channels = device.memories[0].channels;
     for replication in [1u32, 2, 4, 8, 16] {
@@ -70,10 +79,10 @@ pub fn explore(
                             double_buffer,
                             plm_share,
                         };
-                        match generate(kernel.clone(), device, config) {
-                            Ok(arch) => {
-                                let makespan = estimate_makespan(&arch, device, items);
-                                let utilization = device.resources.utilization_of(&arch.resources);
+                        match place(kernel, device, config) {
+                            Ok(footprint) => {
+                                let makespan = estimate_with_config(&arch, &config, device, items);
+                                let utilization = device.resources.utilization_of(&footprint);
                                 points.push(DesignPoint {
                                     config,
                                     makespan,
@@ -81,10 +90,10 @@ pub fn explore(
                                 });
                                 let better = match &best {
                                     None => true,
-                                    Some((_, current)) => makespan.total_us < current.total_us,
+                                    Some((_, _, current)) => makespan.total_us < current.total_us,
                                 };
                                 if better {
-                                    best = Some((arch, makespan));
+                                    best = Some((config, footprint, makespan));
                                 }
                             }
                             Err(_) => pruned += 1,
@@ -99,12 +108,14 @@ pub fn explore(
     telemetry_span
         .arg("feasible", points.len())
         .arg("pruned", pruned);
-    let (best, best_makespan) = best.ok_or_else(|| BuildError::DoesNotFit {
+    let (config, footprint, best_makespan) = best.ok_or_else(|| BuildError::DoesNotFit {
         detail: "no feasible configuration".into(),
     })?;
+    arch.config = config;
+    arch.resources = footprint;
     telemetry_span.record_sim_us(best_makespan.total_us);
     Ok(Exploration {
-        best,
+        best: arch,
         best_makespan,
         points,
         pruned,
