@@ -16,7 +16,7 @@ use everest_ir::module::Module;
 use everest_ir::registry::Context;
 
 use crate::diagnostics::{Diagnostic, LintLevels, Severity};
-use crate::fixpoint::{solve, Direction, FlowGraph, Lattice, WorklistOrder};
+use crate::fixpoint::{solve, FlowGraph, Lattice};
 use crate::lint::{Collector, Lint, LintInfo};
 use crate::report::AnalysisReport;
 
@@ -255,8 +255,6 @@ fn check_channel_capacity(
     let budget = 4 * (actor_set.len() + 1) * (actor_set.len() + 1);
     let reach = solve(
         &graph,
-        Direction::Forward,
-        WorklistOrder::Fifo,
         vec![TokenReach::bottom(); actor_set.len()],
         |node, states: &[TokenReach]| {
             if is_feed(actor_set[node]) {

@@ -36,7 +36,7 @@ use everest_ir::registry::Context;
 use everest_ir::types::{MemorySpace, Type};
 
 use crate::diagnostics::Severity;
-use crate::fixpoint::{solve, Direction, FlowGraph, Lattice, WorklistOrder};
+use crate::fixpoint::{solve, FlowGraph, Lattice};
 use crate::lint::{Collector, Lint, LintInfo};
 
 /// Lints implemented by [`MemorySpaceEscape`].
@@ -215,8 +215,6 @@ pub fn compute(module: &Module) -> Vec<SpaceSet> {
     let budget = 8 * (n + edges) + 8;
     solve(
         &graph,
-        Direction::Forward,
-        WorklistOrder::Fifo,
         vec![SpaceSet::bottom(); n],
         |node, states: &[SpaceSet]| {
             rules[node]

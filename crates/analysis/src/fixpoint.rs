@@ -19,8 +19,9 @@
 //!   deduplicated, so a run is a pure function of the graph and the
 //!   transfer function — no hashing, no pointer order;
 //! * for a monotone transfer function over a finite-height lattice the
-//!   solver reaches the unique least fixpoint regardless of
-//!   [`WorklistOrder`] (property-tested in `tests/solver_props.rs`);
+//!   solver reaches the unique least fixpoint, whatever order the
+//!   edges were inserted in (property-tested in
+//!   `tests/solver_props.rs`);
 //! * a step budget bounds divergent transfer functions: if the budget
 //!   is exhausted the result is flagged `converged == false` and the
 //!   caller must degrade gracefully (e.g. report "unbounded").
@@ -50,27 +51,6 @@ pub trait Lattice: Clone + PartialEq + std::fmt::Debug {
             true
         }
     }
-}
-
-/// Which way facts flow through the graph edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow along edges: updating `u` re-queues its successors.
-    Forward,
-    /// Facts flow against edges: updating `u` re-queues its
-    /// predecessors (e.g. liveness-style analyses).
-    Backward,
-}
-
-/// Worklist discipline. Both orders reach the same least fixpoint for
-/// monotone transfer functions; they differ only in how many
-/// intermediate steps they take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorklistOrder {
-    /// First-in first-out: breadth-first style propagation.
-    Fifo,
-    /// Last-in first-out: depth-first style propagation.
-    Lifo,
 }
 
 /// The dependency graph a fixpoint runs over.
@@ -138,16 +118,13 @@ pub struct Fixpoint<L> {
 /// [`Lattice::bottom`] for "no information"). `transfer` maps a node
 /// index and the current state vector to the node's new fact; the
 /// solver joins that fact into the node's state and, on change,
-/// re-queues the node's dependents (successors for
-/// [`Direction::Forward`], predecessors for [`Direction::Backward`]).
+/// re-queues the node's successors, first in first out.
 ///
 /// `max_steps` bounds the total number of transfer applications; pass
 /// e.g. `64 * graph.len()` for analyses whose lattice height is small
 /// and check [`Fixpoint::converged`] on the way out.
 pub fn solve<L, F>(
     graph: &FlowGraph,
-    direction: Direction,
-    order: WorklistOrder,
     seed: Vec<L>,
     mut transfer: F,
     max_steps: usize,
@@ -161,10 +138,7 @@ where
     let mut queued = vec![true; graph.len()];
     let mut worklist: std::collections::VecDeque<usize> = (0..graph.len()).collect();
     let mut steps = 0usize;
-    while let Some(node) = match order {
-        WorklistOrder::Fifo => worklist.pop_front(),
-        WorklistOrder::Lifo => worklist.pop_back(),
-    } {
+    while let Some(node) = worklist.pop_front() {
         queued[node] = false;
         if steps >= max_steps {
             return Fixpoint {
@@ -176,11 +150,7 @@ where
         steps += 1;
         let fact = transfer(node, &states);
         if states[node].join_with(&fact) {
-            let dependents = match direction {
-                Direction::Forward => graph.succs(node),
-                Direction::Backward => graph.preds(node),
-            };
-            for &dep in dependents {
+            for &dep in graph.succs(node) {
                 if !queued[dep] {
                     queued[dep] = true;
                     worklist.push_back(dep);
@@ -246,60 +216,10 @@ mod tests {
                     .fold(Reach::bottom(), |acc, &p| acc.join(&states[p]))
             }
         };
-        let result = solve(
-            &g,
-            Direction::Forward,
-            WorklistOrder::Fifo,
-            vec![Reach::bottom(); g.len()],
-            transfer,
-            1_000,
-        );
+        let result = solve(&g, vec![Reach::bottom(); g.len()], transfer, 1_000);
         assert!(result.converged);
         assert_eq!(
             result.states,
-            vec![
-                Reach(true),
-                Reach(true),
-                Reach(true),
-                Reach(true),
-                Reach(false)
-            ]
-        );
-    }
-
-    #[test]
-    fn fifo_and_lifo_agree() {
-        let g = diamond();
-        let transfer = |node: usize, states: &[Reach]| {
-            if node == 3 {
-                Reach(true)
-            } else {
-                g.succs(node)
-                    .iter()
-                    .fold(Reach::bottom(), |acc, &s| acc.join(&states[s]))
-            }
-        };
-        let fifo = solve(
-            &g,
-            Direction::Backward,
-            WorklistOrder::Fifo,
-            vec![Reach::bottom(); g.len()],
-            transfer,
-            1_000,
-        );
-        let lifo = solve(
-            &g,
-            Direction::Backward,
-            WorklistOrder::Lifo,
-            vec![Reach::bottom(); g.len()],
-            transfer,
-            1_000,
-        );
-        assert!(fifo.converged && lifo.converged);
-        assert_eq!(fifo.states, lifo.states);
-        // Backward: everything that can reach node 3.
-        assert_eq!(
-            fifo.states,
             vec![
                 Reach(true),
                 Reach(true),
@@ -329,8 +249,6 @@ mod tests {
         g.add_edge(1, 0);
         let result = solve(
             &g,
-            Direction::Forward,
-            WorklistOrder::Fifo,
             vec![Count::bottom(); 2],
             |node, states: &[Count]| Count(states[node].0 + 1),
             64,
@@ -342,14 +260,7 @@ mod tests {
     #[test]
     fn empty_graph_converges_immediately() {
         let g = FlowGraph::new(0);
-        let result = solve(
-            &g,
-            Direction::Forward,
-            WorklistOrder::Fifo,
-            Vec::<Reach>::new(),
-            reach_transfer(0),
-            10,
-        );
+        let result = solve(&g, Vec::<Reach>::new(), reach_transfer(0), 10);
         assert!(result.converged);
         assert!(result.states.is_empty());
     }

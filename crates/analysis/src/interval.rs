@@ -27,7 +27,7 @@ use everest_ir::registry::Context;
 use everest_ir::types::Type;
 
 use crate::diagnostics::Severity;
-use crate::fixpoint::{solve, Direction, FlowGraph, Lattice, WorklistOrder};
+use crate::fixpoint::{solve, FlowGraph, Lattice};
 use crate::lint::{Collector, Lint, LintInfo};
 
 /// Lints implemented by [`IntervalAnalysis`].
@@ -529,8 +529,6 @@ pub fn compute(module: &Module) -> IntervalFacts {
     let budget = 64 * (n + edges) + 64;
     let result = solve(
         &graph,
-        Direction::Forward,
-        WorklistOrder::Fifo,
         vec![Interval::Bottom; n],
         |node, states: &[Interval]| {
             let mut fact = eval(&rules[node], states);

@@ -37,7 +37,7 @@ use everest_ir::module::{Module, Operation};
 use everest_ir::registry::Context;
 
 use crate::diagnostics::Severity;
-use crate::fixpoint::{solve, Direction, FlowGraph, Lattice, WorklistOrder};
+use crate::fixpoint::{solve, FlowGraph, Lattice};
 use crate::interval::{self, Interval, IntervalFacts};
 use crate::lint::{Collector, Lint, LintInfo};
 
@@ -297,8 +297,6 @@ impl<'m> LatencyModel<'m> {
         let budget = 4 * (actors.len() + edges) * (actors.len() + 1) + 16;
         let result = solve(
             &graph,
-            Direction::Forward,
-            WorklistOrder::Fifo,
             vec![PathCycles::Bottom; actors.len()],
             |node, states: &[PathCycles]| {
                 let input = graph

@@ -82,7 +82,7 @@ pub mod typecheck;
 pub use dataflow::{analyze_condrust_graph, DfgStructure};
 pub use diagnostics::{Diagnostic, LintLevels, Severity};
 pub use escape::MemorySpaceEscape;
-pub use fixpoint::{solve, Direction, Fixpoint, FlowGraph, Lattice, WorklistOrder};
+pub use fixpoint::{solve, Fixpoint, FlowGraph, Lattice};
 pub use hls::HlsPreSynthesis;
 pub use interval::{Interval, IntervalAnalysis};
 pub use latency::{LatencyBound, WorstCaseLatency};

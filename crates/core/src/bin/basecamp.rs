@@ -11,15 +11,21 @@
 //! basecamp chaos [--seed N] [--nodes N] [--tasks N] [--faults N] [--trace out.json]
 //! basecamp heal [--seed N] [--nodes N] [--tasks N] [--gray N] [--trace out.json]
 //! basecamp query --sql "SELECT ..." [--dataset D] [--seed N] [--explain] [--json [out.json]] [--no-optimize] [--trace out.json]
-//! basecamp serve [--seed N] [--nodes N] [--tenants N] [--load X] [--horizon-ms N] [--chaos N] [--retries] [--hedge] [--limiter] [--brownout] [--trace out.json]
+//! basecamp serve [--seed N] [--nodes N] [--tenants N] [--load X] [--horizon-ms N] [--chaos N] [--partition-plan N] [--retries] [--hedge] [--limiter] [--brownout] [--trace out.json]
 //! ```
+//!
+//! Every numeric flag has a range (`basecamp` with no arguments prints
+//! them); a value outside it exits 1 naming the flag and the range.
 //!
 //! `--trace` exports the telemetry recorded during the run as Chrome
 //! `trace_event` JSON, loadable in `chrome://tracing` or Perfetto; the
 //! span, metric and event names are documented in
 //! `docs/OBSERVABILITY.md`.
 
+use std::fmt::Display;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use everest_sdk::basecamp::{Basecamp, CompileOptions, Target};
 use everest_sdk::chaos::ChaosOptions;
@@ -107,7 +113,17 @@ Every subcommand above also accepts:
         stable span/metric/event names are listed in
         docs/OBSERVABILITY.md.
 
-TARGETS: alveo_u55c (default), alveo_u280, cloudfpga, cpu"
+TARGETS: alveo_u55c (default), alveo_u280, cloudfpga, cpu
+
+NUMERIC FLAGS take a value in their range, or the command exits 1:
+    chaos  {}
+    heal   {}
+    serve  {}
+    query  {}",
+        flag_ranges(&chaos_flags(&mut ChaosOptions::default())),
+        flag_ranges(&heal_flags(&mut HealOptions::default())),
+        flag_ranges(&serve_flags(&mut ServeOptions::default())),
+        flag_ranges(&query_flags(&mut QueryOptions::default())),
     );
     ExitCode::from(2)
 }
@@ -147,6 +163,109 @@ fn parse_flag(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// One numeric flag of a campaign command: its name, the values it
+/// accepts (`lo..=hi`, both ends included), and the field of the
+/// command's options a value inside that range is stored to.
+struct Flag<'a> {
+    name: &'static str,
+    range: String,
+    /// Stores the text if it parses to a value inside the range.
+    set: Box<dyn FnMut(&str) -> bool + 'a>,
+}
+
+fn row<'a, T>(name: &'static str, slot: &'a mut T, range: RangeInclusive<T>) -> Flag<'a>
+where
+    T: FromStr + PartialOrd + Display + 'a,
+{
+    Flag {
+        name,
+        range: format!("{}..={}", range.start(), range.end()),
+        // A NaN is inside no range and an infinity outside every finite
+        // one, so "not finite" needs no case of its own.
+        set: Box::new(move |text| {
+            let value = text.parse().ok().filter(|v| range.contains(v));
+            value.map(|v| *slot = v).is_some()
+        }),
+    }
+}
+
+/// The numeric flags of one campaign command. The upper bounds keep the
+/// command an interactive one: with every flag of a command at its
+/// bound a debug build answers in under twenty seconds (`serve`; one
+/// second for `chaos` and `heal`), a release build in about one. The
+/// library entry points take anything their own validation accepts.
+type FlagTable<'a> = Vec<Flag<'a>>;
+
+const ANY_SEED: RangeInclusive<u64> = 0..=u64::MAX;
+
+fn chaos_flags(o: &mut ChaosOptions) -> FlagTable<'_> {
+    vec![
+        row("--seed", &mut o.seed, ANY_SEED),
+        row("--nodes", &mut o.nodes, 1..=64),
+        row("--tasks", &mut o.tasks, 1..=2_000),
+        row("--faults", &mut o.faults, 0..=256),
+    ]
+}
+
+fn heal_flags(o: &mut HealOptions) -> FlagTable<'_> {
+    vec![
+        row("--seed", &mut o.seed, ANY_SEED),
+        row("--nodes", &mut o.nodes, 1..=64),
+        row("--tasks", &mut o.tasks, 1..=2_000),
+        row("--gray", &mut o.gray_faults, 0..=256),
+    ]
+}
+
+fn serve_flags(o: &mut ServeOptions) -> FlagTable<'_> {
+    vec![
+        row("--seed", &mut o.seed, ANY_SEED),
+        row("--nodes", &mut o.nodes, 1..=32),
+        row("--tenants", &mut o.tenants, 1..=32),
+        row("--load", &mut o.load, 0.0..=8.0),
+        row("--horizon-ms", &mut o.horizon_ms, 1.0..=2_000.0),
+        row("--chaos", &mut o.chaos, 0..=256),
+        row("--partition-plan", &mut o.partition, 0..=32),
+    ]
+}
+
+fn query_flags(o: &mut QueryOptions) -> FlagTable<'_> {
+    vec![row("--seed", &mut o.seed, ANY_SEED)]
+}
+
+/// Sets every flag of `table` that `args` gives. A flag given without a
+/// value, or with one that does not parse or lies outside the flag's
+/// range, is an error naming the flag and the range.
+fn apply_flags(args: &[String], table: FlagTable<'_>) -> Result<(), String> {
+    for mut flag in table {
+        let Some(at) = args.iter().position(|a| a == flag.name) else {
+            continue;
+        };
+        let given = args.get(at + 1);
+        if !given.is_some_and(|text| (flag.set)(text)) {
+            let got = given.map_or("no value".to_string(), |text| format!("{text:?}"));
+            let (name, range) = (flag.name, flag.range);
+            return Err(format!("{name} wants a number in {range}, got {got}"));
+        }
+    }
+    Ok(())
+}
+
+/// `--flag lo..=hi` for every row, as `usage` prints it.
+fn flag_ranges(table: &FlagTable<'_>) -> String {
+    let rows: Vec<String> = (table.iter())
+        .map(|flag| format!("{} {}", flag.name, flag.range))
+        .collect();
+    rows.join(", ")
+}
+
+/// [`apply_flags`], reporting a refusal the way every subcommand does.
+fn flags_or_exit(args: &[String], table: FlagTable<'_>) -> Result<(), ExitCode> {
+    apply_flags(args, table).map_err(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 /// Writes `content` followed by a newline to `path`, or to stdout when
@@ -334,40 +453,8 @@ fn analyze(args: &[String]) -> ExitCode {
 /// timeline, so two runs with the same options are diffable.
 fn chaos(args: &[String]) -> ExitCode {
     let mut options = ChaosOptions::default();
-    let parse_usize = |flag: &str, default: usize| -> Result<usize, String> {
-        match parse_flag(args, flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("{flag} wants a number, got {v:?}")),
-        }
-    };
-    options.seed = match parse_flag(args, "--seed") {
-        None => options.seed,
-        Some(v) => match v.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("error: --seed wants a number, got {v:?}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    for (flag, slot) in [
-        ("--nodes", &mut options.nodes as &mut usize),
-        ("--tasks", &mut options.tasks),
-        ("--faults", &mut options.faults),
-    ] {
-        match parse_usize(flag, *slot) {
-            Ok(v) => *slot = v,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if options.nodes == 0 || options.tasks == 0 {
-        eprintln!("error: --nodes and --tasks must be at least 1");
-        return ExitCode::FAILURE;
+    if let Err(code) = flags_or_exit(args, chaos_flags(&mut options)) {
+        return code;
     }
     let report = everest_sdk::chaos::run_chaos(&options);
     println!("{}", report.summary());
@@ -386,35 +473,8 @@ fn chaos(args: &[String]) -> ExitCode {
 /// non-zero when the in-process checkpoint-resume check diverges.
 fn heal(args: &[String]) -> ExitCode {
     let mut options = HealOptions::default();
-    options.seed = match parse_flag(args, "--seed") {
-        None => options.seed,
-        Some(v) => match v.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("error: --seed wants a number, got {v:?}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    for (flag, slot) in [
-        ("--nodes", &mut options.nodes as &mut usize),
-        ("--tasks", &mut options.tasks),
-        ("--gray", &mut options.gray_faults),
-    ] {
-        match parse_flag(args, flag) {
-            None => {}
-            Some(v) => match v.parse() {
-                Ok(n) => *slot = n,
-                Err(_) => {
-                    eprintln!("error: {flag} wants a number, got {v:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
-    }
-    if options.nodes == 0 || options.tasks == 0 {
-        eprintln!("error: --nodes and --tasks must be at least 1");
-        return ExitCode::FAILURE;
+    if let Err(code) = flags_or_exit(args, heal_flags(&mut options)) {
+        return code;
     }
     let report = everest_sdk::heal::run_heal(&options);
     println!("{}", report.summary());
@@ -437,47 +497,8 @@ fn heal(args: &[String]) -> ExitCode {
 /// conservation is violated (a request lost or double-counted).
 fn serve(args: &[String]) -> ExitCode {
     let mut options = ServeOptions::default();
-    options.seed = match parse_flag(args, "--seed") {
-        None => options.seed,
-        Some(v) => match v.parse() {
-            Ok(s) => s,
-            Err(_) => {
-                eprintln!("error: --seed wants a number, got {v:?}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    for (flag, slot) in [
-        ("--nodes", &mut options.nodes as &mut usize),
-        ("--tenants", &mut options.tenants),
-        ("--chaos", &mut options.chaos),
-        ("--partition-plan", &mut options.partition),
-    ] {
-        match parse_flag(args, flag) {
-            None => {}
-            Some(v) => match v.parse() {
-                Ok(n) => *slot = n,
-                Err(_) => {
-                    eprintln!("error: {flag} wants a number, got {v:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
-    }
-    for (flag, slot) in [
-        ("--load", &mut options.load as &mut f64),
-        ("--horizon-ms", &mut options.horizon_ms),
-    ] {
-        match parse_flag(args, flag) {
-            None => {}
-            Some(v) => match v.parse() {
-                Ok(x) => *slot = x,
-                Err(_) => {
-                    eprintln!("error: {flag} wants a number, got {v:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
+    if let Err(code) = flags_or_exit(args, serve_flags(&mut options)) {
+        return code;
     }
     for (flag, slot) in [
         ("--retries", &mut options.retries as &mut bool),
@@ -488,14 +509,6 @@ fn serve(args: &[String]) -> ExitCode {
         if args.iter().any(|a| a == flag) {
             *slot = true;
         }
-    }
-    if options.nodes == 0 || options.tenants == 0 {
-        eprintln!("error: --nodes and --tenants must be at least 1");
-        return ExitCode::FAILURE;
-    }
-    if !(options.load > 0.0 && options.load.is_finite()) {
-        eprintln!("error: --load must be a positive number");
-        return ExitCode::FAILURE;
     }
     let report = match everest_sdk::serve::try_run_serve(&options) {
         Ok(report) => report,
@@ -528,14 +541,8 @@ fn query(args: &[String]) -> ExitCode {
         sql,
         ..QueryOptions::default()
     };
-    if let Some(v) = parse_flag(args, "--seed") {
-        match v.parse() {
-            Ok(s) => options.seed = s,
-            Err(_) => {
-                eprintln!("error: --seed wants a number, got {v:?}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Err(code) = flags_or_exit(args, query_flags(&mut options)) {
+        return code;
     }
     if let Some(dataset) = parse_flag(args, "--dataset") {
         options.dataset = dataset;
@@ -603,5 +610,109 @@ fn coordinate(args: &[String]) -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// What the command's table says to `line`.
+    fn parse(command: &str, line: &str) -> Result<(), String> {
+        let args = args(line);
+        match command {
+            "chaos" => apply_flags(&args, chaos_flags(&mut ChaosOptions::default())),
+            "heal" => apply_flags(&args, heal_flags(&mut HealOptions::default())),
+            "serve" => apply_flags(&args, serve_flags(&mut ServeOptions::default())),
+            "query" => apply_flags(&args, query_flags(&mut QueryOptions::default())),
+            other => panic!("no table for {other}"),
+        }
+    }
+
+    #[test]
+    fn every_probe_that_used_to_panic_spin_or_pass_is_refused_by_name_and_range() {
+        // (command, arguments, flag the message names, range it names)
+        let probes = [
+            ("serve", "--nodes 9223372036854775807", "--nodes", "1..=32"),
+            ("serve", "--nodes 100000000", "--nodes", "1..=32"),
+            ("serve", "--tenants 100000000", "--tenants", "1..=32"),
+            ("serve", "--chaos 99999999", "--chaos", "0..=256"),
+            (
+                "serve",
+                "--partition-plan 18446744073709551615",
+                "--partition-plan",
+                "0..=32",
+            ),
+            ("chaos", "--faults 100000000", "--faults", "0..=256"),
+            ("chaos", "--nodes 100000000", "--nodes", "1..=64"),
+            ("heal", "--gray 100000000", "--gray", "0..=256"),
+            // A flag with no value used to run the default seed.
+            (
+                "serve",
+                "--hedge --seed",
+                "--seed",
+                "0..=18446744073709551615",
+            ),
+            ("serve", "--seed --hedge", "--seed", "got \"--hedge\""),
+            // Unparsable, below the range, and not finite.
+            ("serve", "--nodes four", "--nodes", "got \"four\""),
+            ("serve", "--nodes 0", "--nodes", "1..=32"),
+            ("serve", "--tenants -1", "--tenants", "1..=32"),
+            ("serve", "--load -0.5", "--load", "0..=8"),
+            ("serve", "--load nan", "--load", "0..=8"),
+            ("serve", "--load inf", "--load", "0..=8"),
+            ("serve", "--horizon-ms 0", "--horizon-ms", "1..=2000"),
+            ("serve", "--horizon-ms inf", "--horizon-ms", "1..=2000"),
+            ("chaos", "--tasks 0", "--tasks", "1..=2000"),
+            ("heal", "--nodes 65", "--nodes", "1..=64"),
+            ("query", "--seed 1.5", "--seed", "got \"1.5\""),
+        ];
+        for (command, line, flag, detail) in probes {
+            let error = parse(command, line).expect_err(line);
+            assert!(
+                error.starts_with(&format!("{flag} wants a number in ")),
+                "{line}: {error}"
+            );
+            assert!(error.contains(detail), "{line}: {error}");
+        }
+    }
+
+    #[test]
+    fn values_inside_the_range_land_in_their_option_bounds_included() {
+        let mut options = ServeOptions::default();
+        let line = "--seed 18446744073709551615 --nodes 32 --tenants 1 --load 0 \
+                    --horizon-ms 2000 --chaos 256 --partition-plan 0 --trace out.json";
+        apply_flags(&args(line), serve_flags(&mut options)).expect("all inside");
+        let expected = ServeOptions {
+            seed: u64::MAX,
+            nodes: 32,
+            tenants: 1,
+            load: 0.0,
+            horizon_ms: 2_000.0,
+            chaos: 256,
+            partition: 0,
+            ..ServeOptions::default()
+        };
+        assert_eq!(options, expected);
+        // A flag that is absent leaves its default alone.
+        let mut heal = HealOptions::default();
+        apply_flags(&args("--gray 9"), heal_flags(&mut heal)).expect("inside");
+        assert_eq!(
+            (heal.gray_faults, heal.tasks),
+            (9, HealOptions::default().tasks)
+        );
+    }
+
+    #[test]
+    fn usage_lists_every_flag_with_its_range() {
+        let listed = flag_ranges(&chaos_flags(&mut ChaosOptions::default()));
+        assert_eq!(
+            listed,
+            "--seed 0..=18446744073709551615, --nodes 1..=64, --tasks 1..=2000, --faults 0..=256"
+        );
     }
 }

@@ -85,11 +85,14 @@ pub struct ServeReport {
     pub outcome: ServeOutcome,
 }
 
-/// Builds the engine configuration a set of options implies.
+/// Builds the engine configuration a set of options implies, as they
+/// are: options that describe no runnable campaign (no nodes, no
+/// tenants, a negative load) yield a configuration that
+/// [`ServeConfig::validate`] refuses.
 fn build_config(options: &ServeOptions) -> ServeConfig {
-    let nodes = options.nodes.max(1);
+    let nodes = options.nodes;
     let tiers: [(&str, f64); 3] = [("gold", 4.0), ("silver", 2.0), ("bronze", 1.0)];
-    let count = options.tenants.max(1);
+    let count = options.tenants;
     let total_weight: f64 = (0..count).map(|i| tiers[i % 3].1).sum();
     // Admission budgets sum to 1.4× nominal capacity: buckets alone
     // never cap a mildly overloaded run, but cut deep overload at the
@@ -112,7 +115,7 @@ fn build_config(options: &ServeOptions) -> ServeConfig {
         seed: options.seed,
         nodes,
         tenants,
-        offered_rps: 2_500.0 * nodes as f64 * options.load.max(0.0),
+        offered_rps: 2_500.0 * nodes as f64 * options.load,
         horizon_us: options.horizon_ms * 1_000.0,
         lifecycle: LifecycleConfig {
             retry: options.retries.then(RetryConfig::default),
@@ -162,9 +165,10 @@ pub fn run_serve(options: &ServeOptions) -> ServeReport {
     try_run_serve(options).unwrap_or_else(|error| panic!("invalid serve options: {error}"))
 }
 
-/// [`run_serve`] for options that have not been checked: a horizon that
-/// is not a finite, positive time (or any other configuration
-/// [`ServeConfig::validate`] rejects) is an error, not a campaign.
+/// [`run_serve`] for options that have not been checked: no nodes, no
+/// tenants, a negative load, a horizon that is not a finite, positive
+/// time (or any other configuration [`ServeConfig::validate`] rejects)
+/// is an error, not a campaign.
 pub fn try_run_serve(options: &ServeOptions) -> Result<ServeReport, ServeConfigError> {
     let config = build_config(options);
     config.validate()?;
@@ -648,6 +652,47 @@ mod tests {
             &m,
         );
         assert!(tight.statically_infeasible());
+    }
+
+    /// What `try_run_serve` refuses `options` with.
+    fn refused(options: ServeOptions) -> ServeConfigError {
+        try_run_serve(&options).map(|_| ()).unwrap_err()
+    }
+
+    #[test]
+    fn no_nodes_is_a_typed_error_not_one_node() {
+        let options = ServeOptions {
+            nodes: 0,
+            ..ServeOptions::default()
+        };
+        assert_eq!(refused(options), ServeConfigError::NoNodes);
+    }
+
+    #[test]
+    fn no_tenants_is_a_typed_error_not_one_tenant() {
+        let options = ServeOptions {
+            tenants: 0,
+            ..ServeOptions::default()
+        };
+        assert_eq!(refused(options), ServeConfigError::NoTenants);
+    }
+
+    #[test]
+    fn a_negative_load_is_a_typed_error_not_an_idle_campaign() {
+        let load = |load| ServeOptions {
+            load,
+            ..ServeOptions::default()
+        };
+        assert_eq!(
+            refused(load(-1.0)),
+            ServeConfigError::OfferedRate(-10_000.0)
+        );
+        let nan = refused(load(f64::NAN));
+        assert!(matches!(nan, ServeConfigError::OfferedRate(rps) if rps.is_nan()));
+        // Zero load is a campaign: nothing arrives, nothing is lost.
+        let idle = try_run_serve(&load(0.0)).expect("runs");
+        assert_eq!(idle.outcome.offered, 0);
+        assert!(idle.outcome.conserved());
     }
 
     #[test]

@@ -14,15 +14,14 @@
 //!
 //! # Hot path
 //!
-//! The event loop is the SDK's throughput ceiling (the `e16_serving`
-//! bench measures it in wall events per second), so the engine keeps it
-//! allocation- and string-free:
+//! The event loop is the SDK's throughput ceiling (the `serve_*`
+//! benchmark workloads measure it in wall events per second), so the
+//! engine keeps it allocation- and string-free:
 //!
 //! * arrivals are neither heap events nor a stored trace — the engine
 //!   draws them from an [`ArrivalStream`] one request ahead and merges
 //!   that look-ahead against [`everest_runtime::EventQueue::peek_time`]
-//!   (arrivals win timestamp ties, matching their insertion order in
-//!   the old all-events-in-one-heap design);
+//!   (arrivals win timestamp ties);
 //! * dynamic events (batch timeouts, completions, faults) live in an
 //!   indexed [`everest_runtime::EventQueue`], and the engine *cancels*
 //!   events that can no longer matter — the wait-timeout of a batch
@@ -35,16 +34,16 @@
 //!   recorded at event time (`serve.faults`, three gauges, three
 //!   histograms) hold pre-resolved handles, and the two per-request
 //!   histograms are deterministically sampled;
-//! * the autotuner is fed through resolved [`TunerSlot`]s, cached per
-//!   class until a retune changes the active operating point.
+//! * the autotuner is fed through resolved slots, cached per class
+//!   until a retune changes the active operating point.
 //!
 //! Cancelling stale events is outcome-preserving: a stale pop only
 //! re-runs the pull/dispatch pump at a later virtual time, and the
 //! pump is at a fixed point whenever no node freed and no breaker
 //! cooldown elapsed in between — conditions that can only change at a
-//! *live* event. The one observable difference is `end_us`, which used
-//! to be the time of the last popped event; the engine now tracks the
-//! maximum scheduled time explicitly so `end_us` is unchanged.
+//! *live* event. `end_us` is the latest time any event was ever
+//! scheduled for, tracked as events are pushed, so it does not depend
+//! on which of them were cancelled.
 //!
 //! # Memory
 //!
@@ -57,342 +56,56 @@
 //! campaign four times as long needs no more memory to run, only a
 //! longer outcome.
 //!
-//! # Integration
+//! # What the loop holds, and what it asks
 //!
-//! * `everest-health` — per-node [`CircuitBreaker`]s make suspect nodes
-//!   ineligible for dispatch; a [`HealthMonitor`] convicts gray
-//!   failures from achieved batch inflation and trips the breakers.
-//! * `everest-faults` — a [`FaultPlan`] injects crashes, transient
-//!   errors and gray degradations into the run; the dispatcher's
-//!   placement model stays gray-blind while actual timings inflate.
-//! * `everest-autotuner` — one mARGOt tuner per kernel class retunes
-//!   the batch-size ceiling online, minimising per-request cost under
-//!   the class's latency SLO.
-//! * `everest-telemetry` — `serve.*` counters, gauges, histograms and
-//!   events (see `docs/OBSERVABILITY.md`).
-//! * `crate::lifecycle` — optional request-lifecycle robustness:
-//!   per-tenant retry budgets with seeded backoff re-enqueue, hedged
-//!   dispatch for latency-critical classes (losers cancelled through
-//!   the same [`EventToken`] machinery as stale timeouts), an AIMD
-//!   concurrency limiter gating dispatch ahead of the breakers, and
-//!   brownout tiers driven by the health layer. All lifecycle features
-//!   default off; a config without them behaves bit-for-bit as before.
-//! * `everest-cluster` — optional partition tolerance: a SWIM-style
-//!   gossip detector ticks on the virtual clock (the engine's
-//!   `GossipRound` event), lease-based shard ownership gates the door (a
-//!   tenant whose shard holds no live lease is shed typed,
-//!   [`ShedReason::PartitionedAway`]), membership confirms flow into
-//!   the health pipeline as [`VerdictKind::Unreachable`] verdicts, and
-//!   a confirmed-dead node's in-flight leg is *fenced*: its completion
-//!   is cancelled (so the partitioned node's eventual result can never
-//!   double-count) and its requests re-enter the fair queue. Like the
-//!   lifecycle features, the cluster layer defaults off and a config
-//!   without it behaves bit-for-bit as before.
+//! The loop's own state is the clock and event queue, the door
+//! ([`crate::admission`]), the fair queues ([`crate::wfq`]), the batcher
+//! ([`crate::batcher`]) and the nodes with their
+//! [`CircuitBreaker`]s and in-flight legs; a [`HealthMonitor`] convicts
+//! gray failures from achieved batch inflation and trips the breakers,
+//! and a [`FaultPlan`] injects crashes, transient errors and gray
+//! degradations (the placement model stays gray-blind while actual
+//! timings inflate). Everything else is a component the loop asks:
+//!
+//! * [`Lifecycle`] — retry budgets with seeded backoff, hedge delays,
+//!   the AIMD limiter and the brownout ladder. Always present; each
+//!   answer is the neutral one when its feature is off, so a config
+//!   without lifecycle features runs exactly the plain loop.
+//! * batch tuning — one mARGOt tuner per kernel class; the loop
+//!   reports finished batches and applies the ceiling a retune picks,
+//!   capped by the brownout tier.
+//! * `everest-cluster`'s [`ClusterController`], when
+//!   [`ServeConfig::cluster`] is set — SWIM-style gossip on the virtual
+//!   clock (the `GossipRound` event) and leased shard ownership. The
+//!   loop asks who owns a tenant's shard (no live lease: shed typed,
+//!   [`ShedReason::PartitionedAway`]), whether a node is dispatchable,
+//!   the fencing epoch to stamp on a leg, and whether a node is
+//!   confirmed dead. A confirm flows into the health pipeline as a
+//!   [`VerdictKind::Unreachable`] verdict and *fences* the node's
+//!   in-flight leg: its completion is cancelled (the partitioned
+//!   node's eventual result can never double-count) and its requests
+//!   re-enter the fair queue.
 
 use std::iter::Peekable;
 use std::sync::Arc;
 
-use everest_autotuner::{
-    config, Autotuner, Constraint, Features, KnobValue, Objective, OperatingPoint, TunerSlot,
-};
-use everest_cluster::{ClusterConfig, ClusterController};
-use everest_faults::{FaultEffects, FaultKind, FaultPlan};
+use everest_cluster::ClusterController;
+use everest_faults::{FaultKind, FaultPlan};
 use everest_health::{
-    Admission as BreakerAdmission, BreakerConfig, CircuitBreaker, HealthConfig, HealthMonitor,
-    VerdictKind,
+    Admission as BreakerAdmission, BreakerState, CircuitBreaker, HealthMonitor, VerdictKind,
 };
-use everest_runtime::cluster::Cluster;
 use everest_runtime::{EventQueue, EventToken};
 use everest_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
-use crate::admission::{AdmissionConfig, AdmissionController};
-use crate::batcher::{BatchPolicy, DynamicBatcher, OfferOutcome};
-use crate::ledger::{Layer, Metric, Role, ServeOutcome};
-use crate::lifecycle::{
-    AimdLimiter, BrownoutController, LatencyWindow, LifecycleConfig, RetryBudget,
-};
-use crate::request::{ArrivalStream, ClassKind, KernelClass, Request, ShedReason, TenantSpec};
+use crate::admission::AdmissionController;
+use crate::batcher::{DynamicBatcher, OfferOutcome};
+use crate::config::ServeConfig;
+use crate::ledger::{BatchRecord, Layer, Metric, ServeOutcome, TenantOutcome};
+use crate::lifecycle::{Lifecycle, Retry};
+use crate::pricing::Pricing;
+use crate::request::{ArrivalStream, Request, ShedReason};
+use crate::tuning::BatchTuning;
 use crate::wfq::WeightedFairQueue;
-
-/// Full configuration of a serving run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeConfig {
-    /// Seed for the arrival trace and every derived substream.
-    pub seed: u64,
-    /// Cluster size; the second half of the nodes carry FPGAs
-    /// (`Cluster::everest(nodes - nodes/2, nodes/2, cores)`).
-    pub nodes: usize,
-    /// CPU cores per node.
-    pub cores: u32,
-    /// The tenants sharing the cluster.
-    pub tenants: Vec<TenantSpec>,
-    /// The kernel classes requests may target.
-    pub classes: Vec<KernelClass>,
-    /// Per-class batching policy (parallel to `classes`).
-    pub batch: Vec<BatchPolicy>,
-    /// Admission knobs.
-    pub admission: AdmissionConfig,
-    /// Aggregate offered load, requests per second (split across
-    /// tenants by weight).
-    pub offered_rps: f64,
-    /// Arrival horizon on the virtual clock, microseconds. The run
-    /// itself continues past the horizon until the backlog drains.
-    pub horizon_us: f64,
-    /// Whether the per-class autotuners retune the batch ceiling.
-    pub autotune: bool,
-    /// Retune cadence, in completed batches per class.
-    pub retune_every: u64,
-    /// Circuit-breaker tuning for dispatch eligibility.
-    pub breaker: BreakerConfig,
-    /// Health-monitor tuning (gray-failure conviction thresholds).
-    pub health: HealthConfig,
-    /// Request-lifecycle robustness features (retry budgets, hedged
-    /// dispatch, adaptive concurrency, brownout tiers). All default
-    /// off.
-    pub lifecycle: LifecycleConfig,
-    /// Partition-tolerant cluster membership: gossip failure
-    /// detection, lease-based shard ownership and fenced failover.
-    /// `None` (the default) runs the engine exactly as before — no
-    /// gossip events, no ownership gate, no fencing.
-    pub cluster: Option<ClusterConfig>,
-}
-
-impl Default for ServeConfig {
-    /// A 4-node (2 CPU + 2 FPGA) cluster serving three weighted
-    /// tenants (gold 4×, silver 2×, bronze 1×) with two kernel
-    /// classes, 10 000 rps offered over a 200 ms horizon.
-    fn default() -> ServeConfig {
-        ServeConfig {
-            seed: 42,
-            nodes: 4,
-            cores: 4,
-            tenants: vec![
-                TenantSpec::new("gold", 4.0, 8_000.0, 64.0),
-                TenantSpec::new("silver", 2.0, 4_000.0, 32.0),
-                TenantSpec::new("bronze", 1.0, 2_000.0, 16.0),
-            ],
-            classes: vec![
-                KernelClass::new("infer", 400.0, 40.0, 120.0, 5_000.0, 4_096),
-                KernelClass::new("analytics", 1_600.0, 160.0, 320.0, 20_000.0, 16_384)
-                    .with_kind(ClassKind::Analytics),
-            ],
-            batch: vec![BatchPolicy::new(8, 400.0), BatchPolicy::new(8, 800.0)],
-            admission: AdmissionConfig::default(),
-            offered_rps: 10_000.0,
-            horizon_us: 200_000.0,
-            autotune: true,
-            retune_every: 16,
-            breaker: BreakerConfig::default(),
-            health: HealthConfig::default(),
-            lifecycle: LifecycleConfig::default(),
-            cluster: None,
-        }
-    }
-}
-
-/// Why a [`ServeConfig`] cannot be run; see [`ServeConfig::validate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ServeConfigError {
-    /// `nodes` is zero: nothing can serve.
-    NoNodes,
-    /// `tenants` is empty: nobody offers load.
-    NoTenants,
-    /// `classes` is empty: a request has no kernel class to target.
-    NoClasses,
-    /// `batch` is not parallel to `classes`.
-    BatchPolicies {
-        /// `classes.len()`.
-        classes: usize,
-        /// `batch.len()`.
-        policies: usize,
-    },
-    /// `horizon_us` is not a finite, positive time: arrivals are drawn
-    /// until the horizon, so the run would have no work or no end.
-    Horizon(f64),
-    /// `offered_rps` is not a finite, non-negative rate (zero is valid:
-    /// a run with no arrivals).
-    OfferedRate(f64),
-}
-
-impl std::fmt::Display for ServeConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeConfigError::NoNodes => write!(f, "serving needs at least one node"),
-            ServeConfigError::NoTenants => write!(f, "serving needs at least one tenant"),
-            ServeConfigError::NoClasses => write!(f, "serving needs at least one kernel class"),
-            ServeConfigError::BatchPolicies { classes, policies } => write!(
-                f,
-                "one batch policy per kernel class: {classes} classes, {policies} policies"
-            ),
-            ServeConfigError::Horizon(us) => write!(
-                f,
-                "the arrival horizon must be finite and positive, got {us} us"
-            ),
-            ServeConfigError::OfferedRate(rps) => write!(
-                f,
-                "the offered load must be finite and not negative, got {rps} rps"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ServeConfigError {}
-
-impl ServeConfig {
-    /// Checks that the configuration describes a run that can start
-    /// and will end. [`ServeEngine::run`] refuses any other.
-    pub fn validate(&self) -> Result<(), ServeConfigError> {
-        if self.nodes == 0 {
-            return Err(ServeConfigError::NoNodes);
-        }
-        if self.tenants.is_empty() {
-            return Err(ServeConfigError::NoTenants);
-        }
-        if self.classes.is_empty() {
-            return Err(ServeConfigError::NoClasses);
-        }
-        if self.batch.len() != self.classes.len() {
-            return Err(ServeConfigError::BatchPolicies {
-                classes: self.classes.len(),
-                policies: self.batch.len(),
-            });
-        }
-        if !(self.horizon_us.is_finite() && self.horizon_us > 0.0) {
-            return Err(ServeConfigError::Horizon(self.horizon_us));
-        }
-        if !(self.offered_rps.is_finite() && self.offered_rps >= 0.0) {
-            return Err(ServeConfigError::OfferedRate(self.offered_rps));
-        }
-        Ok(())
-    }
-}
-
-/// One dispatched batch, as recorded in the replay trace (dispatch
-/// order; times in virtual µs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchRecord {
-    /// Batcher-unique id.
-    pub id: u64,
-    /// Kernel-class index.
-    pub class: usize,
-    /// Serving node index.
-    pub node: usize,
-    /// Requests coalesced into the batch.
-    pub size: usize,
-    /// Dispatch time.
-    pub start_us: f64,
-    /// Completion (or failure) time.
-    pub finish_us: f64,
-    /// Whether this was a half-open breaker probe.
-    pub probe: bool,
-    /// Whether a fault killed the batch before completion.
-    pub failed: bool,
-    /// Whether this record is a hedge duplicate of another record with
-    /// the same id (hedged batches appear twice in the trace: primary
-    /// leg and hedge leg).
-    pub hedge: bool,
-    /// Whether this leg lost the hedge race and was cancelled; its
-    /// requests completed exactly once, on the winning leg.
-    pub cancelled: bool,
-    /// Cluster fencing epoch at dispatch time (0 when the cluster
-    /// layer is off or no failover has happened yet). Work stamped
-    /// with an old epoch is recognizably stale after a failover.
-    pub epoch: u64,
-    /// Whether a membership confirm fenced this leg: its node was
-    /// declared unreachable while the leg was in flight, the
-    /// completion was cancelled, and (for a sole surviving leg) the
-    /// requests were re-enqueued.
-    pub fenced: bool,
-}
-
-/// Per-tenant accounting.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TenantOutcome {
-    /// Tenant name.
-    pub name: String,
-    /// WFQ weight (copied for reporting).
-    pub weight: f64,
-    /// Requests offered by the arrival trace.
-    pub offered: u64,
-    /// Requests past admission control.
-    pub admitted: u64,
-    /// Requests served to completion.
-    pub completed: u64,
-    /// Requests shed (any [`ShedReason`]).
-    pub shed: u64,
-    /// Requests lost to faults.
-    pub failed: u64,
-    /// Retry re-enqueues charged to this tenant's budget. Not a
-    /// terminal state: a retried request still ends completed, failed
-    /// or deadline-shed.
-    pub retried: u64,
-}
-
-impl ServeOutcome {
-    /// Shed fraction of offered load, in `[0, 1]`.
-    pub fn shed_rate(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.shed_total() as f64 / self.offered as f64
-        }
-    }
-
-    /// Completed requests per second of virtual run time.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.end_us <= 0.0 {
-            0.0
-        } else {
-            self.completed as f64 * 1.0e6 / self.end_us
-        }
-    }
-
-    /// Exact (nearest-rank) latency quantile, `q` in `[0, 1]`.
-    pub fn latency_quantile(&self, q: f64) -> Option<f64> {
-        if self.latencies_us.is_empty() {
-            return None;
-        }
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.max(1).min(sorted.len()) - 1])
-    }
-
-    /// Mean end-to-end latency, microseconds.
-    pub fn mean_latency_us(&self) -> Option<f64> {
-        if self.latencies_us.is_empty() {
-            None
-        } else {
-            Some(self.latencies_us.iter().sum::<f64>() / self.latencies_us.len() as f64)
-        }
-    }
-
-    /// The conservation invariant: every offered request reached
-    /// exactly one terminal state, globally and per tenant. Retries
-    /// and hedges must not bend it: a retried request is still counted
-    /// once at the door and reaches one terminal state, and a hedged
-    /// batch's requests complete exactly once (on the winning leg).
-    /// Partitions must not bend it either: a `PartitionedAway` shed is
-    /// a door-side terminal state, and a fenced orphan re-enters the
-    /// queue without leaving the `admitted` population.
-    pub fn conserved(&self) -> bool {
-        let door = self.offered == self.admitted + self.role_sum(Role::DoorShed);
-        let queue = self.admitted == self.role_sum(Role::Terminal) + self.role_sum(Role::QueueShed);
-        let hedges = self.hedge_wins <= self.hedges
-            && self.hedge_cancelled <= self.hedges
-            && self.hedge_wins <= self.hedge_cancelled;
-        let tenants = self.tenants.iter().all(|t| {
-            t.offered == t.completed + t.shed + t.failed && t.admitted >= t.completed + t.failed
-        });
-        let sums = self.offered == self.tenants.iter().map(|t| t.offered).sum::<u64>()
-            && self.completed == self.tenants.iter().map(|t| t.completed).sum::<u64>()
-            && self.failed == self.tenants.iter().map(|t| t.failed).sum::<u64>()
-            && self.shed_total() == self.tenants.iter().map(|t| t.shed).sum::<u64>()
-            && self.completed as usize == self.latencies_us.len()
-            && self.retries == self.tenants.iter().map(|t| t.retried).sum::<u64>();
-        door && queue && tenants && sums && hedges
-    }
-}
 
 /// The serving engine. Build one from a [`ServeConfig`], optionally
 /// attach a fault plan and a shared telemetry registry, then
@@ -502,6 +215,9 @@ const REQUEST_SAMPLE_EVERY: u64 = 8;
 struct ServeMetrics {
     faults: CounterHandle,
     queue_depth: GaugeHandle,
+    /// Last depth stored to `queue_depth`; the store is skipped while
+    /// the depth is unchanged.
+    last_depth: usize,
     brownout_tier: GaugeHandle,
     limiter_limit: GaugeHandle,
     queue_wait_us: HistogramHandle,
@@ -514,12 +230,20 @@ impl ServeMetrics {
         ServeMetrics {
             faults: registry.counter_handle("serve.faults"),
             queue_depth: registry.gauge_handle("serve.queue_depth"),
+            last_depth: usize::MAX,
             brownout_tier: registry.gauge_handle("serve.brownout.tier"),
             limiter_limit: registry.gauge_handle("serve.limiter.limit"),
             queue_wait_us: registry
                 .histogram_handle_sampled("serve.queue_wait_us", REQUEST_SAMPLE_EVERY),
             latency_us: registry.histogram_handle_sampled("serve.latency_us", REQUEST_SAMPLE_EVERY),
             batch_size: registry.histogram_handle("serve.batch_size"),
+        }
+    }
+
+    fn publish_depth(&mut self, depth: usize) {
+        if depth != self.last_depth {
+            self.last_depth = depth;
+            self.queue_depth.set(depth as f64);
         }
     }
 }
@@ -532,7 +256,8 @@ impl ServeMetrics {
 struct NodeState {
     fpga: bool,
     crashed: bool,
-    free_at_us: f64,
+    /// The batch whose leg is executing here; an alive node with none
+    /// is idle.
     current: Option<u64>,
     breaker: CircuitBreaker,
 }
@@ -582,262 +307,18 @@ struct Inflight {
     hedge_timer: Option<EventToken>,
 }
 
-/// A side table keyed by batch id that holds live entries only; see
-/// [`Sim::slot`].
-type LiveTable<T> = Vec<(u64, Option<T>)>;
+/// A side table keyed by batch id that holds live entries only. Empty
+/// slots are recycled before the table grows, so its length is the
+/// most entries that were ever live at once.
+#[derive(Debug)]
+struct LiveTable<T>(Vec<(u64, Option<T>)>);
 
-/// Cached autotuner slots for one class: valid while the active batch
-/// ceiling is unchanged.
-#[derive(Debug, Clone, Copy)]
-struct SlotCache {
-    batch: usize,
-    latency: TunerSlot,
-    per_request: TunerSlot,
-}
-
-struct Sim<'a> {
-    cfg: &'a ServeConfig,
-    cluster: Cluster,
-    registry: Arc<Registry>,
-    queue: EventQueue<EventKind>,
-    /// The open-loop workload, drawn as the loop consumes it; the
-    /// peeked request is the merge's look-ahead.
-    arrivals: Peekable<ArrivalStream>,
-    /// Max time any dynamic event was ever scheduled for; keeps
-    /// `end_us` identical whether or not stale events were cancelled.
-    max_sched_us: f64,
-    admission: AdmissionController,
-    wfq: WeightedFairQueue,
-    batcher: DynamicBatcher,
-    nodes: Vec<NodeState>,
-    /// Batches executing, keyed by batch id: at most one per node.
-    inflight: LiveTable<Inflight>,
-    /// Pending wait-timeout per open batch, keyed by batch id: at most
-    /// one per class.
-    timeout_tokens: LiveTable<EventToken>,
-    monitor: HealthMonitor,
-    tuners: Vec<Autotuner>,
-    tuner_cache: Vec<Option<SlotCache>>,
-    class_completions: Vec<u64>,
-    /// Per-tenant retry token buckets (empty when retries are off).
-    retry_budgets: Vec<RetryBudget>,
-    /// Jitter substream for retry backoff — the fault plan's dedicated
-    /// stream ([`FaultPlan::jitter_rng`]), so serve-tier retries share
-    /// the scheduler tier's replay-stability contract.
-    retry_rng: everest_faults::DetRng,
-    /// AIMD concurrency limiter, when enabled.
-    limiter: Option<AimdLimiter>,
-    /// Brownout ladder, when enabled.
-    brownout: Option<BrownoutController>,
-    /// Per-class windows of winning-leg service times feeding the
-    /// hedge delay's p95 estimate.
-    hedge_windows: Vec<LatencyWindow>,
-    /// Tenants a tier-3 brownout sheds at the door (strictly lowest
-    /// weight; all-false when every tenant shares one weight).
-    lowest_weight: Vec<bool>,
-    /// The batch ceiling the tuner (or config) chose per class, before
-    /// any brownout cap. Kept so recovery restores the chosen ceiling.
-    chosen_batch: Vec<usize>,
-    /// Batches currently executing (primary legs; hedge duplicates do
-    /// not count — the limiter bounds admitted work, not copies).
-    inflight_count: usize,
-    /// Retry events scheduled but not yet fired; a term of the running
-    /// conservation check only.
-    #[cfg(debug_assertions)]
-    pending_retries: u64,
-    metrics: ServeMetrics,
-    /// Partition-tolerant membership + shard leases, when enabled.
-    membership: Option<ClusterController>,
-    /// Last depth published to the `serve.queue_depth` gauge; the
-    /// store is skipped while the depth is unchanged.
-    last_depth: usize,
-    /// Dispatch scratch (reused across pumps; no per-batch allocation).
-    scratch_idle: Vec<usize>,
-    scratch_admitted: Vec<usize>,
-    /// Gossip scratch: per-node crash flags handed to the membership
-    /// tick (reused; no per-round allocation).
-    scratch_crashed: Vec<bool>,
-    plan: &'a FaultPlan,
-    /// What the plan's link, slow-node and creep windows cost each
-    /// node; only actual service times consult it.
-    effects: FaultEffects,
-    outcome: ServeOutcome,
-}
-
-impl<'a> Sim<'a> {
-    fn new(cfg: &'a ServeConfig, plan: &'a FaultPlan, registry: Arc<Registry>) -> Sim<'a> {
-        let fpga_nodes = cfg.nodes / 2;
-        let cluster = Cluster::everest(cfg.nodes - fpga_nodes, fpga_nodes, cfg.cores);
-        let nodes: Vec<NodeState> = cluster
-            .nodes
-            .iter()
-            .map(|spec| NodeState {
-                fpga: spec.fpga.is_some(),
-                crashed: false,
-                free_at_us: 0.0,
-                current: None,
-                breaker: CircuitBreaker::new(cfg.breaker),
-            })
-            .collect();
-        let weights: Vec<f64> = cfg.tenants.iter().map(|t| t.weight).collect();
-        let monitor = HealthMonitor::new(cfg.nodes, cfg.health.clone(), cfg.seed, registry.clone());
-        let tuners = cfg
-            .classes
-            .iter()
-            .zip(&cfg.batch)
-            .map(|(class, policy)| {
-                Self::class_tuner(class, policy, &cluster, fpga_nodes > 0, &registry)
-            })
-            .collect();
-        let arrivals = ArrivalStream::new(
-            cfg.seed,
-            &cfg.tenants,
-            &cfg.classes,
-            cfg.horizon_us,
-            cfg.offered_rps,
-        )
-        .peekable();
-        let outcome = ServeOutcome {
-            tenants: cfg
-                .tenants
-                .iter()
-                .map(|t| TenantOutcome {
-                    name: t.name.clone(),
-                    weight: t.weight,
-                    ..TenantOutcome::default()
-                })
-                .collect(),
-            horizon_us: cfg.horizon_us,
-            final_max_batch: cfg.batch.iter().map(|p| p.max_batch).collect(),
-            ..ServeOutcome::default()
-        };
-        let metrics = ServeMetrics::new(&registry);
-        let membership = cfg
-            .cluster
-            .map(|c| ClusterController::new(c, cfg.nodes, plan));
-        let retry_budgets: Vec<RetryBudget> = match &cfg.lifecycle.retry {
-            Some(retry) => cfg
-                .tenants
-                .iter()
-                .map(|_| RetryBudget::new(retry))
-                .collect(),
-            None => Vec::new(),
-        };
-        let hedge_window_cap = cfg.lifecycle.hedge.as_ref().map_or(1, |h| h.window);
-        // Tier-3 brownout sheds the strictly-lowest-weight tenants;
-        // when every tenant shares one weight there is no "lowest" to
-        // sacrifice and the tier-3 door stays open.
-        let min_weight = cfg
-            .tenants
-            .iter()
-            .map(|t| t.weight)
-            .fold(f64::INFINITY, f64::min);
-        let max_weight = cfg
-            .tenants
-            .iter()
-            .map(|t| t.weight)
-            .fold(f64::NEG_INFINITY, f64::max);
-        let lowest_weight = cfg
-            .tenants
-            .iter()
-            .map(|t| max_weight > min_weight && t.weight <= min_weight)
-            .collect();
-        Sim {
-            cfg,
-            cluster,
-            registry,
-            queue: EventQueue::with_capacity(64 + plan.len()),
-            arrivals,
-            max_sched_us: 0.0,
-            admission: AdmissionController::new(&cfg.tenants, &cfg.classes, &cfg.admission),
-            wfq: WeightedFairQueue::new(&weights),
-            batcher: DynamicBatcher::new(&cfg.batch),
-            nodes,
-            inflight: Vec::with_capacity(cfg.nodes),
-            timeout_tokens: Vec::with_capacity(cfg.classes.len()),
-            monitor,
-            tuners,
-            tuner_cache: vec![None; cfg.classes.len()],
-            class_completions: vec![0; cfg.classes.len()],
-            retry_budgets,
-            retry_rng: plan.jitter_rng(),
-            limiter: cfg
-                .lifecycle
-                .limiter
-                .clone()
-                .map(|l| AimdLimiter::new(l).with_floor(cfg.nodes.max(1))),
-            brownout: cfg.lifecycle.brownout.clone().map(BrownoutController::new),
-            hedge_windows: cfg
-                .classes
-                .iter()
-                .map(|_| LatencyWindow::new(hedge_window_cap))
-                .collect(),
-            lowest_weight,
-            chosen_batch: cfg.batch.iter().map(|p| p.max_batch).collect(),
-            inflight_count: 0,
-            #[cfg(debug_assertions)]
-            pending_retries: 0,
-            metrics,
-            membership,
-            last_depth: usize::MAX,
-            scratch_idle: Vec::with_capacity(cfg.nodes),
-            scratch_admitted: Vec::with_capacity(cfg.nodes),
-            scratch_crashed: Vec::with_capacity(cfg.nodes),
-            plan,
-            effects: FaultEffects::from_plan(plan, cfg.nodes),
-            outcome,
-        }
-    }
-
-    /// Design-time operating points for one class: batch sizes in
-    /// powers of two up to the configured ceiling, expected latency =
-    /// half the wait window plus batch service, expected per-request
-    /// cost = service amortised over the batch. The tuner minimises
-    /// per-request cost subject to the class deadline.
-    fn class_tuner(
-        class: &KernelClass,
-        policy: &BatchPolicy,
-        cluster: &Cluster,
-        has_fpga: bool,
-        registry: &Arc<Registry>,
-    ) -> Autotuner {
-        let mut tuner = Autotuner::new().with_registry(registry.clone());
-        let mut sizes = Vec::new();
-        let mut b = 1;
-        while b < policy.max_batch {
-            sizes.push(b);
-            b *= 2;
-        }
-        sizes.push(policy.max_batch);
-        for &n in &sizes {
-            let compute = if has_fpga {
-                class.fpga_batch_us(n)
-            } else {
-                class.cpu_batch_us(n)
-            };
-            let service = compute + cluster.transfer_us(class.payload_bytes * n as u64);
-            let wait = if n <= 1 {
-                0.0
-            } else {
-                0.5 * policy.max_wait_us
-            };
-            tuner.add_point(
-                OperatingPoint::new(config([("batch", n as i64)]))
-                    .expect("latency_us", wait + service)
-                    .expect("per_request_us", service / n as f64),
-            );
-        }
-        tuner.set_objective(Objective::minimize("per_request_us"));
-        tuner.add_constraint(Constraint::le("latency_us", class.deadline_us));
-        tuner
-    }
-
-    /// Get-or-create the slot of batch `id` in a by-batch-id side
-    /// table: the batch's live entry if it has one, else an empty slot
-    /// now keyed to `id`. Empty slots are recycled before the table
-    /// grows, so its length is the most entries that were ever live at
-    /// once, and a stale id finds `None` as it would in a dense table.
-    fn slot<T>(table: &mut LiveTable<T>, id: u64) -> &mut Option<T> {
+impl<T> LiveTable<T> {
+    /// Get-or-create the slot of batch `id`: the batch's live entry if
+    /// it has one, else an empty slot now keyed to `id`. A stale id
+    /// finds `None` as it would in a dense table.
+    fn slot(&mut self, id: u64) -> &mut Option<T> {
+        let table = &mut self.0;
         let index = (table.iter())
             .position(|(key, value)| *key == id && value.is_some())
             .or_else(|| table.iter().position(|(_, value)| value.is_none()))
@@ -851,8 +332,109 @@ impl<'a> Sim<'a> {
     }
 
     /// The live entry of batch `id`, if any.
-    fn live<T>(table: &LiveTable<T>, id: u64) -> Option<&T> {
-        (table.iter()).find_map(|(key, value)| value.as_ref().filter(|_| *key == id))
+    fn get(&self, id: u64) -> Option<&T> {
+        (self.0.iter()).find_map(|(key, value)| value.as_ref().filter(|_| *key == id))
+    }
+}
+
+struct Sim<'a> {
+    cfg: &'a ServeConfig,
+    plan: &'a FaultPlan,
+    registry: Arc<Registry>,
+    metrics: ServeMetrics,
+    queue: EventQueue<EventKind>,
+    /// The open-loop workload, drawn as the loop consumes it; the
+    /// peeked request is the merge's look-ahead.
+    arrivals: Peekable<ArrivalStream>,
+    /// Max time any dynamic event was ever scheduled for; keeps
+    /// `end_us` independent of which stale events were cancelled.
+    max_sched_us: f64,
+    admission: AdmissionController,
+    wfq: WeightedFairQueue,
+    batcher: DynamicBatcher,
+    nodes: Vec<NodeState>,
+    /// Batches executing, keyed by batch id: at most one per node.
+    inflight: LiveTable<Inflight>,
+    /// Batches currently executing (primary legs; hedge duplicates do
+    /// not count — the limiter bounds admitted work, not copies).
+    inflight_count: usize,
+    /// Pending wait-timeout per open batch, keyed by batch id: at most
+    /// one per class.
+    timeout_tokens: LiveTable<EventToken>,
+    pricing: Pricing,
+    monitor: HealthMonitor,
+    lifecycle: Lifecycle,
+    tuning: BatchTuning,
+    /// Partition-tolerant membership + shard leases, when enabled.
+    membership: Option<ClusterController>,
+    /// Retry events scheduled but not yet fired; a term of the running
+    /// conservation check only.
+    #[cfg(debug_assertions)]
+    pending_retries: u64,
+    /// Dispatch scratch (reused across pumps; no per-batch allocation).
+    scratch_idle: Vec<usize>,
+    scratch_admitted: Vec<usize>,
+    outcome: ServeOutcome,
+}
+
+impl<'a> Sim<'a> {
+    fn new(cfg: &'a ServeConfig, plan: &'a FaultPlan, registry: Arc<Registry>) -> Sim<'a> {
+        let pricing = Pricing::new(cfg.nodes, cfg.cores, plan);
+        let nodes = (pricing.cluster.nodes.iter())
+            .map(|spec| NodeState {
+                fpga: spec.fpga.is_some(),
+                crashed: false,
+                current: None,
+                breaker: CircuitBreaker::new(cfg.breaker),
+            })
+            .collect();
+        let weights: Vec<f64> = cfg.tenants.iter().map(|t| t.weight).collect();
+        let monitor = HealthMonitor::new(cfg.nodes, cfg.health.clone(), cfg.seed, registry.clone());
+        let tenants = (cfg.tenants.iter())
+            .map(|t| TenantOutcome {
+                name: t.name.clone(),
+                weight: t.weight,
+                ..TenantOutcome::default()
+            })
+            .collect();
+        Sim {
+            cfg,
+            plan,
+            metrics: ServeMetrics::new(&registry),
+            queue: EventQueue::with_capacity(64 + plan.len()),
+            arrivals: ArrivalStream::new(
+                cfg.seed,
+                &cfg.tenants,
+                &cfg.classes,
+                cfg.horizon_us,
+                cfg.offered_rps,
+            )
+            .peekable(),
+            max_sched_us: 0.0,
+            admission: AdmissionController::new(&cfg.tenants, &cfg.classes, &cfg.admission),
+            wfq: WeightedFairQueue::new(&weights),
+            batcher: DynamicBatcher::new(&cfg.batch),
+            nodes,
+            inflight: LiveTable(Vec::with_capacity(cfg.nodes)),
+            inflight_count: 0,
+            timeout_tokens: LiveTable(Vec::with_capacity(cfg.classes.len())),
+            monitor,
+            lifecycle: Lifecycle::new(cfg, plan),
+            tuning: BatchTuning::new(cfg, &pricing, &registry),
+            pricing,
+            membership: (cfg.cluster).map(|c| ClusterController::new(c, cfg.nodes, plan)),
+            #[cfg(debug_assertions)]
+            pending_retries: 0,
+            scratch_idle: Vec::with_capacity(cfg.nodes),
+            scratch_admitted: Vec::with_capacity(cfg.nodes),
+            outcome: ServeOutcome {
+                tenants,
+                horizon_us: cfg.horizon_us,
+                final_max_batch: cfg.batch.iter().map(|p| p.max_batch).collect(),
+                ..ServeOutcome::default()
+            },
+            registry,
+        }
     }
 
     fn push_event(&mut self, at_us: f64, kind: EventKind) -> EventToken {
@@ -871,8 +453,7 @@ impl<'a> Sim<'a> {
         for (index, fault) in self.plan.faults().iter().enumerate() {
             self.push_event(fault.at_us, EventKind::Fault(index));
         }
-        if let Some(ctrl) = &self.membership {
-            let period = ctrl.period_us();
+        if let Some(period) = self.membership.as_ref().map(ClusterController::period_us) {
             self.push_event(period, EventKind::GossipRound);
         }
         if self.cfg.autotune {
@@ -884,9 +465,8 @@ impl<'a> Sim<'a> {
         loop {
             #[cfg(debug_assertions)]
             self.assert_running_conservation();
-            // Merge the next arrival against the event queue;
-            // arrivals win timestamp ties (they were pushed first in
-            // the single-heap design, so they carried the lowest seqs).
+            // Merge the next arrival against the event queue; arrivals
+            // win timestamp ties.
             let next_event_us = self.queue.peek_time();
             let due = |next: &Request| next_event_us.is_none_or(|t| next.arrival_us <= t);
             if let Some(request) = self.arrivals.next_if(due) {
@@ -905,7 +485,7 @@ impl<'a> Sim<'a> {
                 now = now.max(at_us);
                 match kind {
                     EventKind::BatchTimeout { class, batch } => {
-                        *Self::slot(&mut self.timeout_tokens, batch) = None;
+                        *self.timeout_tokens.slot(batch) = None;
                         self.batcher.expire(class, batch, now);
                     }
                     EventKind::Completion { batch, hedged } => {
@@ -920,30 +500,15 @@ impl<'a> Sim<'a> {
                 break;
             }
             self.pump(now);
-            let depth = self.queue_depth();
-            if depth != self.last_depth {
-                self.last_depth = depth;
-                self.metrics.queue_depth.set(depth as f64);
-            }
+            self.metrics.publish_depth(self.queue_depth());
         }
         debug_assert!(self.wfq.is_empty(), "fair queues drained");
         debug_assert_eq!(self.batcher.pending(), 0, "batcher drained");
         debug_assert!(
-            self.inflight.iter().all(|(_, slot)| slot.is_none()),
+            self.inflight.0.iter().all(|(_, slot)| slot.is_none()),
             "no work in flight"
         );
         debug_assert_eq!(self.inflight_count, 0, "inflight count drained");
-        if let Some(ctrl) = &self.membership {
-            let swim = ctrl.swim_stats();
-            let lease = ctrl.lease_stats();
-            self.outcome.gossip_rounds = swim.rounds;
-            self.outcome.suspects = swim.suspects;
-            self.outcome.confirms = swim.confirms;
-            self.outcome.refutations = swim.refutations;
-            self.outcome.failovers = lease.failovers;
-            self.outcome.degraded_grants = lease.degraded_grants;
-            self.outcome.cluster_epoch = ctrl.fencing_epoch();
-        }
         self.flush_metrics();
         self.outcome.end_us = now.max(self.max_sched_us).max(self.cfg.horizon_us);
         self.outcome.final_max_batch = (0..self.cfg.classes.len())
@@ -962,13 +527,14 @@ impl<'a> Sim<'a> {
     /// out a retry backoff. Debug builds only.
     #[cfg(debug_assertions)]
     fn assert_running_conservation(&self) {
+        use crate::ledger::Role;
         let o = &self.outcome;
         let refused = o.role_sum(Role::DoorShed);
         assert_eq!(o.offered, o.admitted + refused, "door equation");
         // Each executing batch counts once, on its primary leg's node.
         let executing: usize = (self.nodes.iter().enumerate())
             .filter_map(|(index, node)| {
-                let inflight = Self::live(&self.inflight, node.current?)?;
+                let inflight = self.inflight.get(node.current?)?;
                 (inflight.primary.node == index).then_some(inflight.requests.len())
             })
             .sum();
@@ -977,16 +543,30 @@ impl<'a> Sim<'a> {
         assert_eq!(o.admitted, settled + in_system, "queue equation");
     }
 
-    /// Publishes every ledger counter that has a telemetry mirror, by
-    /// name, plus the few flushed values that have no outcome field.
+    /// End of run: the membership layer's totals join the outcome, then
+    /// every ledger counter that has a telemetry mirror is published,
+    /// by name, plus the few flushed values that have no outcome field.
     /// Publishing once after the drain instead of incrementing per
     /// request keeps the final registry values identical while keeping
     /// atomic adds (and, here, name lookups) off every arrival and
     /// completion. `cluster.*` rows are skipped with the layer off, so
     /// a features-off run registers none of them. `serve.faults` (no
     /// outcome mirror) and the histograms are recorded at event time.
-    fn flush_metrics(&self) {
-        let (o, registry) = (&self.outcome, &self.registry);
+    fn flush_metrics(&mut self) {
+        let (o, registry) = (&mut self.outcome, &self.registry);
+        if let Some(ctrl) = &self.membership {
+            let (swim, lease) = (ctrl.swim_stats(), ctrl.lease_stats());
+            o.gossip_rounds = swim.rounds;
+            o.suspects = swim.suspects;
+            o.confirms = swim.confirms;
+            o.refutations = swim.refutations;
+            o.failovers = lease.failovers;
+            o.degraded_grants = lease.degraded_grants;
+            o.cluster_epoch = ctrl.fencing_epoch();
+            registry.counter_add("cluster.probes", swim.probes);
+            registry.counter_add("cluster.probe_failures", swim.probe_failures);
+            registry.counter_add("cluster.lease_renewals", lease.renewals);
+        }
         for (row, value) in o.ledger() {
             if row.layer == Layer::Cluster && self.membership.is_none() {
                 continue;
@@ -999,12 +579,6 @@ impl<'a> Sim<'a> {
         }
         registry.counter_add("serve.requests_shed", o.shed_total());
         registry.counter_add("serve.batches_dispatched", o.batches.len() as u64);
-        if let Some(ctrl) = &self.membership {
-            let (swim, lease) = (ctrl.swim_stats(), ctrl.lease_stats());
-            registry.counter_add("cluster.probes", swim.probes);
-            registry.counter_add("cluster.probe_failures", swim.probe_failures);
-            registry.counter_add("cluster.lease_renewals", lease.renewals);
-        }
     }
 
     // -- arrivals ------------------------------------------------------
@@ -1017,44 +591,29 @@ impl<'a> Sim<'a> {
         // A tier-3 brownout sheds the lowest-weight tenants before any
         // stateful admission check: the sacrifice is a policy fact, so
         // it burns neither a token nor a queue slot.
-        if self.lowest_weight[request.tenant]
-            && self
-                .brownout
-                .as_ref()
-                .is_some_and(BrownoutController::shed_lowest_weight)
-        {
-            self.shed(&request, ShedReason::Brownout);
-            return false;
-        }
-        // No live lease over the tenant's shard means no node is
-        // authorized to execute its work: refuse at the door, typed,
-        // before a token or queue slot is spent. Availability returns
-        // when the shard fails over (or degraded mode re-grants it).
-        if self
-            .membership
-            .as_ref()
+        let verdict = if self.lifecycle.sheds_at_door(request.tenant) {
+            Err(ShedReason::Brownout)
+        } else if (self.membership.as_ref())
             .is_some_and(|c| c.tenant_owner(request.tenant, now).is_none())
         {
-            self.shed(&request, ShedReason::PartitionedAway);
+            // No live lease over the tenant's shard means no node is
+            // authorized to execute its work: refuse at the door,
+            // typed, before a token or queue slot is spent.
+            // Availability returns when the shard fails over (or
+            // degraded mode re-grants it).
+            Err(ShedReason::PartitionedAway)
+        } else {
+            let (depth, cap) = (self.queue_depth(), self.lifecycle.door_cap());
+            (self.admission).admit(request.tenant, request.class, now, depth, cap)
+        };
+        if let Err(reason) = verdict {
+            self.shed(&request, reason);
             return false;
         }
-        let depth = self.queue_depth();
-        let overload_cap = self.limiter.as_ref().map(AimdLimiter::door_cap);
-        match self
-            .admission
-            .admit(request.tenant, request.class, now, depth, overload_cap)
-        {
-            Ok(()) => {
-                self.outcome.admitted += 1;
-                self.outcome.tenants[request.tenant].admitted += 1;
-                self.wfq.push(request);
-                true
-            }
-            Err(reason) => {
-                self.shed(&request, reason);
-                false
-            }
-        }
+        self.outcome.admitted += 1;
+        self.outcome.tenants[request.tenant].admitted += 1;
+        self.wfq.push(request);
+        true
     }
 
     fn shed(&mut self, request: &Request, reason: ShedReason) {
@@ -1078,13 +637,7 @@ impl<'a> Sim<'a> {
             self.drain_all_failed();
             return;
         }
-        loop {
-            let pulled = self.pull(now);
-            let dispatched = self.dispatch(now);
-            if pulled == 0 && dispatched == 0 {
-                break;
-            }
-        }
+        while self.pull(now) + self.dispatch(now) > 0 {}
     }
 
     fn pull(&mut self, now: f64) -> usize {
@@ -1103,13 +656,13 @@ impl<'a> Sim<'a> {
                 OfferOutcome::Opened(batch) => {
                     let deadline = now + self.batcher.max_wait_us(class);
                     let token = self.push_event(deadline, EventKind::BatchTimeout { class, batch });
-                    *Self::slot(&mut self.timeout_tokens, batch) = Some(token);
+                    *self.timeout_tokens.slot(batch) = Some(token);
                 }
                 OfferOutcome::Closed(batch) => {
                     // Closed on size: the wait-timeout (if one was ever
                     // scheduled) can no longer matter — drop it from
                     // the queue instead of popping a tombstone later.
-                    if let Some(token) = Self::slot(&mut self.timeout_tokens, batch).take() {
+                    if let Some(token) = self.timeout_tokens.slot(batch).take() {
                         self.queue.cancel(token);
                     }
                 }
@@ -1121,21 +674,15 @@ impl<'a> Sim<'a> {
 
     fn dispatch(&mut self, now: f64) -> usize {
         let mut dispatched = 0;
-        while self.batcher.ready_len() > 0 {
-            // The AIMD limiter gates dispatch *ahead* of the breakers:
-            // when observed latency says the cluster is saturated,
-            // ready batches wait even though idle nodes exist.
-            if self
-                .limiter
-                .as_ref()
-                .is_some_and(|l| self.inflight_count >= l.limit())
-            {
-                break;
-            }
+        // The AIMD limiter gates dispatch *ahead* of the breakers: when
+        // observed latency says the cluster is saturated, ready batches
+        // wait even though idle nodes exist.
+        while self.batcher.ready_len() > 0 && !self.lifecycle.dispatch_at_limit(self.inflight_count)
+        {
             self.scratch_idle.clear();
             self.scratch_admitted.clear();
             for index in 0..self.nodes.len() {
-                if !self.can_start_leg(index, now) {
+                if !self.can_start_leg(index) {
                     continue;
                 }
                 self.scratch_idle.push(index);
@@ -1146,22 +693,15 @@ impl<'a> Sim<'a> {
             if self.scratch_idle.is_empty() {
                 break;
             }
-            let use_idle = if self.scratch_admitted.is_empty() {
-                // Every idle node is breaker-refused. If some other
-                // non-crashed node is still working, wait for it; if the
-                // whole surviving cluster is refused, availability beats
-                // isolation — dispatch anyway rather than deadlock.
-                let busy_exists = self
-                    .nodes
-                    .iter()
-                    .any(|n| !n.crashed && (n.current.is_some() || n.free_at_us > now));
-                if busy_exists {
-                    break;
-                }
-                true
-            } else {
-                false
-            };
+            // Every idle node breaker-refused: if some other
+            // non-crashed node is still working, wait for it; if the
+            // whole surviving cluster is refused, availability beats
+            // isolation — dispatch anyway rather than deadlock.
+            let use_idle = self.scratch_admitted.is_empty();
+            let busy = |n: &NodeState| !n.crashed && n.current.is_some();
+            if use_idle && self.nodes.iter().any(busy) {
+                break;
+            }
             let batch = self.batcher.pop_ready().expect("ready batch");
             let size = batch.requests.len();
             let pool = if use_idle {
@@ -1172,26 +712,20 @@ impl<'a> Sim<'a> {
             let node = self
                 .cheapest_node(pool.iter().copied(), batch.class, size)
                 .expect("pool non-empty");
-            let probe = match self.nodes[node].breaker.admit(now) {
-                BreakerAdmission::Probe => true,
-                // `Refuse` only on the availability-override path.
-                BreakerAdmission::Admit | BreakerAdmission::Refuse => false,
-            };
-            if probe {
-                self.outcome.probes += 1;
-            }
+            // `Refuse` only on the availability-override path.
+            let probe = self.nodes[node].breaker.admit(now) == BreakerAdmission::Probe;
+            self.outcome.probes += u64::from(probe);
             for request in &batch.requests {
                 self.metrics.queue_wait_us.record(now - request.arrival_us);
             }
             self.metrics.batch_size.record(size as f64);
             let primary = self.launch_leg(batch.id, batch.class, size, node, probe, false, now);
-            let hedge_timer = if self.hedge_eligible(batch.class, probe) {
-                let delay = self.hedge_delay_us(batch.class, primary.expected_us);
-                Some(self.push_event(now + delay, EventKind::HedgeTimer { batch: batch.id }))
-            } else {
-                None
-            };
-            *Self::slot(&mut self.inflight, batch.id) = Some(Inflight {
+            let hedge_timer = (self.lifecycle)
+                .hedge_delay_us(batch.class, probe, primary.expected_us)
+                .map(|delay| {
+                    self.push_event(now + delay, EventKind::HedgeTimer { batch: batch.id })
+                });
+            *self.inflight.slot(batch.id) = Some(Inflight {
                 class: batch.class,
                 requests: batch.requests,
                 probe,
@@ -1205,17 +739,16 @@ impl<'a> Sim<'a> {
         dispatched
     }
 
-    /// Whether a new leg may start on node `index` now: alive, idle,
+    /// Whether a new leg may start on node `index`: alive, idle,
     /// and — membership gating dispatch ahead of the breakers — a node
     /// the coordinator sees Alive in a component with quorum (or the
     /// degraded escape hatch). A node failing the last test takes no
     /// new work, full stop: the availability-beats-isolation override
     /// in [`Sim::dispatch`] never reaches across a partition.
-    fn can_start_leg(&self, index: usize, now: f64) -> bool {
+    fn can_start_leg(&self, index: usize) -> bool {
         let node = &self.nodes[index];
         !node.crashed
             && node.current.is_none()
-            && node.free_at_us <= now
             && (self.membership.as_ref()).is_none_or(|c| c.dispatchable(index))
     }
 
@@ -1252,7 +785,6 @@ impl<'a> Sim<'a> {
         let expected = self.healthy_service_us(node, class, size);
         let actual = self.actual_service_us(node, class, size, now);
         let finish = now + actual;
-        self.nodes[node].free_at_us = finish;
         self.nodes[node].current = Some(batch);
         self.outcome.batches.push(BatchRecord {
             id: batch,
@@ -1265,10 +797,7 @@ impl<'a> Sim<'a> {
             failed: false,
             hedge: hedged,
             cancelled: false,
-            epoch: self
-                .membership
-                .as_ref()
-                .map_or(0, ClusterController::fencing_epoch),
+            epoch: (self.membership.as_ref()).map_or(0, ClusterController::fencing_epoch),
             fenced: false,
         });
         Leg {
@@ -1282,86 +811,21 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Whether a freshly dispatched batch gets a hedge timer: hedging
-    /// enabled, the class an interactive latency-critical one, a
-    /// second node exists to duplicate onto, the batch is not a
-    /// breaker probe, and no brownout tier has disabled hedging.
-    ///
-    /// The kind match is deliberately exhaustive (no `_` arm): a new
-    /// [`ClassKind`] forces an explicit hedging decision here.
-    fn hedge_eligible(&self, class: usize, probe: bool) -> bool {
-        let spec = &self.cfg.classes[class];
-        let kind_hedges = match spec.kind {
-            ClassKind::Interactive => spec.latency_critical,
-            // Throughput work never races duplicates: hedging spends
-            // capacity to buy tail latency, which batch analytics and
-            // lowered queries do not pay for.
-            ClassKind::Analytics | ClassKind::Query => false,
-        };
-        self.cfg.lifecycle.hedge.is_some()
-            && !probe
-            && self.nodes.len() > 1
-            && kind_hedges
-            && self
-                .brownout
-                .as_ref()
-                .is_none_or(BrownoutController::hedging_enabled)
-    }
-
-    /// Hedge delay for a class: the observed p95 of winning-leg
-    /// service times once the window is warm, else the dispatcher's
-    /// expected service time scaled by the cold-start factor.
-    fn hedge_delay_us(&self, class: usize, expected_us: f64) -> f64 {
-        let hedge = self
-            .cfg
-            .lifecycle
-            .hedge
-            .as_ref()
-            .expect("hedge_delay_us requires hedging enabled");
-        let window = &self.hedge_windows[class];
-        let base = if window.len() >= hedge.min_samples {
-            window.quantile(0.95).unwrap_or(expected_us)
-        } else {
-            expected_us * hedge.cold_start_factor
-        };
-        (base * hedge.delay_factor).max(1.0)
-    }
-
-    /// The dispatcher's placement model: healthy service time for a
-    /// batch on a node. Deliberately gray-blind — slowdowns, lossy
-    /// links and VF creep never appear here, only in actual timings;
-    /// catching the divergence is the health monitor's job.
+    /// The dispatcher's placement model for a batch on `node`.
     fn healthy_service_us(&self, node: usize, class: usize, size: usize) -> f64 {
-        let class = &self.cfg.classes[class];
-        let compute = if self.nodes[node].fpga {
-            class.fpga_batch_us(size)
-        } else {
-            class.cpu_batch_us(size)
-        };
-        compute + self.cluster.transfer_us(class.payload_bytes * size as u64)
+        (self.pricing).healthy_us(&self.cfg.classes[class], self.nodes[node].fpga, size)
     }
 
-    /// What the batch actually costs, with every standing fault effect
-    /// applied: typed and gray link windows alike inflate the transfer.
+    /// What the batch actually costs when started on `node` at `start`.
     fn actual_service_us(&self, node: usize, class: usize, size: usize, start: f64) -> f64 {
-        let spec = &self.cfg.classes[class];
-        let fx = &self.effects;
-        let link = fx
-            .link_factor(node, start)
-            .max(fx.gray_link_factor(node, start));
-        let compute = if self.nodes[node].fpga {
-            spec.fpga_batch_us(size) * fx.creep_factor(node, start)
-        } else {
-            spec.cpu_batch_us(size)
-        };
-        compute * fx.slow_factor(node, start)
-            + self.cluster.transfer_us(spec.payload_bytes * size as u64) * link
+        let class = &self.cfg.classes[class];
+        (self.pricing).actual_us(class, node, self.nodes[node].fpga, size, start)
     }
 
     // -- completions ---------------------------------------------------
 
     fn handle_completion(&mut self, batch: u64, hedged: bool, now: f64) {
-        let Some(mut inflight) = Self::slot(&mut self.inflight, batch).take() else {
+        let Some(mut inflight) = self.inflight.slot(batch).take() else {
             // A fault already failed the batch and cancelled its
             // completion; only a reused slot can land here.
             return;
@@ -1384,13 +848,13 @@ impl<'a> Sim<'a> {
         if let Some(leg) = loser {
             self.queue.cancel(leg.completion);
             self.nodes[leg.node].current = None;
-            self.nodes[leg.node].free_at_us = now;
             self.outcome.batches[leg.record].cancelled = true;
             self.outcome.batches[leg.record].finish_us = now;
             self.outcome.hedge_cancelled += 1;
         }
-        let leg = &inflight.primary;
+        let (class, leg) = (inflight.class, &inflight.primary);
         let node = leg.node;
+        let deadline_us = self.cfg.classes[class].deadline_us;
         self.nodes[node].current = None;
         let mut latency_sum = 0.0;
         let mut latency_max = 0.0_f64;
@@ -1402,30 +866,18 @@ impl<'a> Sim<'a> {
             self.outcome.tenants[request.tenant].completed += 1;
             self.outcome.latencies_us.push(latency);
             self.metrics.latency_us.record(latency);
-            if latency > self.cfg.classes[request.class].deadline_us {
-                self.outcome.slo_violations += 1;
-            }
-        }
-        // Completions earn retry-budget refill: a tenant that keeps
-        // finishing work keeps the right to retry its failures.
-        if !self.retry_budgets.is_empty() {
-            for request in &inflight.requests {
-                self.retry_budgets[request.tenant].on_success();
-            }
+            self.outcome.slo_violations += u64::from(latency > deadline_us);
         }
         let service_us = now - leg.start_us;
-        if self.cfg.lifecycle.hedge.is_some() {
-            self.hedge_windows[inflight.class].push(service_us);
-        }
-        if let Some(limiter) = self.limiter.as_mut() {
-            // The limiter watches end-to-end latency (queue wait
-            // included), not bare service time: under overload the
-            // deadline is lost in the queue, and that is exactly the
-            // signal that must pull the door in.
-            let deadline = self.cfg.classes[inflight.class].deadline_us;
-            if limiter.on_batch(latency_max, deadline) {
-                self.metrics.limiter_limit.set(limiter.limit() as f64);
-            }
+        let moved = (self.lifecycle).batch_finished(
+            class,
+            &inflight.requests,
+            service_us,
+            latency_max,
+            deadline_us,
+        );
+        if let Some(limit) = moved {
+            self.metrics.limiter_limit.set(limit as f64);
         }
         self.inflight_count -= 1;
         let size = inflight.requests.len();
@@ -1436,8 +888,8 @@ impl<'a> Sim<'a> {
         };
         self.monitor.record_task(node, inflation, now);
         if leg.fpga_path {
-            self.monitor
-                .record_fpga(node, self.effects.creep_factor(node, leg.start_us), now);
+            let creep = self.pricing.effects.creep_factor(node, leg.start_us);
+            self.monitor.record_fpga(node, creep, now);
         }
         if inflight.probe {
             if inflation <= self.cfg.health.straggler_ratio {
@@ -1452,51 +904,41 @@ impl<'a> Sim<'a> {
             }
         }
         self.apply_verdicts(now);
-        // Feed the tuner what the active operating point achieved,
-        // through slots resolved once per (class, active-ceiling).
-        let class = inflight.class;
-        let cache = self.tuner_slots(class);
-        self.tuners[class].observe_slot(cache.latency, latency_sum / size as f64);
-        self.tuners[class].observe_slot(cache.per_request, leg.actual_us / size as f64);
-        self.class_completions[class] += 1;
-        if self.cfg.autotune && self.class_completions[class].is_multiple_of(self.cfg.retune_every)
-        {
+        let retune_due = self.tuning.batch_finished(
+            class,
+            self.batcher.max_batch(class),
+            latency_sum / size as f64,
+            leg.actual_us / size as f64,
+        );
+        if retune_due {
             self.retune(class, now);
         }
         // Probe results and verdicts above may have moved breakers:
         // re-evaluate the brownout tier at this health edge.
-        self.update_brownout(now);
+        self.health_moved(now);
     }
 
-    /// Re-evaluates the brownout ladder against the cluster's current
-    /// health (crashed nodes plus any breaker not Closed). On a tier
+    /// Nodes the brownout ladder counts against the cluster: crashed,
+    /// any breaker not Closed, or confirmed dead by membership.
+    fn unhealthy(nodes: &[NodeState], membership: Option<&ClusterController>) -> usize {
+        let unhealthy = |(index, n): &(usize, &NodeState)| {
+            n.crashed
+                || n.breaker.state() != BreakerState::Closed
+                || membership.is_some_and(|c| c.confirmed_dead(*index))
+        };
+        nodes.iter().enumerate().filter(unhealthy).count()
+    }
+
+    /// Reports a health edge to the brownout ladder. On a tier
     /// transition the batch ceilings are re-capped and the change is
     /// published; recovery walks the ladder back down the same way.
-    fn update_brownout(&mut self, now: f64) {
-        if self.brownout.is_none() {
-            return;
-        }
-        let total = self.nodes.len();
-        let unhealthy = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(index, n)| {
-                n.crashed
-                    || n.breaker.state() != everest_health::BreakerState::Closed
-                    || self
-                        .membership
-                        .as_ref()
-                        .is_some_and(|c| c.confirmed_dead(*index))
-            })
-            .count();
-        let transition = self
-            .brownout
-            .as_mut()
-            .and_then(|b| b.observe(unhealthy, total));
-        let Some((from, to)) = transition else {
+    fn health_moved(&mut self, now: f64) {
+        let (nodes, membership) = (&self.nodes, self.membership.as_ref());
+        let unhealthy = || Self::unhealthy(nodes, membership);
+        let Some((from, to, unhealthy)) = self.lifecycle.health_moved(unhealthy) else {
             return;
         };
+        let total = nodes.len();
         self.outcome.brownout_transitions += 1;
         self.outcome.brownout_peak_tier = self.outcome.brownout_peak_tier.max(to);
         self.metrics.brownout_tier.set(f64::from(to));
@@ -1509,38 +951,18 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Applies the brownout-capped version of the chosen batch ceiling
-    /// to the batcher (the chosen ceiling itself is preserved so a
-    /// recovery restores it).
+    /// Gives the batcher the brownout-capped view of the chosen batch
+    /// ceiling (the choice itself is preserved so a recovery restores
+    /// it; without brownout the cap is the identity).
     fn apply_batch_ceiling(&mut self, class: usize) {
-        let chosen = self.chosen_batch[class];
-        let applied = match self.brownout.as_ref() {
-            Some(b) => b.batch_ceiling(chosen),
-            None => chosen,
-        };
-        if applied != self.batcher.max_batch(class) {
-            self.batcher.set_max_batch(class, applied);
-        }
+        let applied = self.lifecycle.cap_ceiling(self.tuning.chosen(class));
+        self.batcher.set_max_batch(class, applied);
     }
 
-    /// Resolved tuner slots for a class's *active* operating point.
-    /// Cache hit while the batch ceiling is unchanged; a retune that
-    /// moves the ceiling misses once and re-resolves.
-    fn tuner_slots(&mut self, class: usize) -> SlotCache {
-        let active = self.batcher.max_batch(class);
-        if let Some(cache) = self.tuner_cache[class] {
-            if cache.batch == active {
-                return cache;
-            }
-        }
-        let key = config([("batch", active as i64)]);
-        let cache = SlotCache {
-            batch: active,
-            latency: self.tuners[class].resolve_slot(&key, "latency_us"),
-            per_request: self.tuners[class].resolve_slot(&key, "per_request_us"),
-        };
-        self.tuner_cache[class] = Some(cache);
-        cache
+    fn retune(&mut self, class: usize, now: f64) {
+        self.outcome.retunes += 1;
+        self.tuning.retune(class, now);
+        self.apply_batch_ceiling(class);
     }
 
     fn apply_verdicts(&mut self, now: f64) {
@@ -1549,7 +971,7 @@ impl<'a> Sim<'a> {
             if node >= self.nodes.len() || self.nodes[node].crashed {
                 continue;
             }
-            if self.nodes[node].breaker.state() == everest_health::BreakerState::Closed {
+            if self.nodes[node].breaker.state() == BreakerState::Closed {
                 self.nodes[node].breaker.trip(now);
                 self.outcome.breaker_opens += 1;
                 self.registry.event(
@@ -1558,33 +980,6 @@ impl<'a> Sim<'a> {
                 );
             }
         }
-    }
-
-    fn retune(&mut self, class: usize, now: f64) {
-        self.outcome.retunes += 1;
-        let chosen = match self.tuners[class].best(&Features::new()) {
-            Ok(best) => match best.get("batch") {
-                Some(KnobValue::Int(n)) => (*n).max(1) as usize,
-                _ => 1,
-            },
-            // Nothing meets the deadline: serve unbatched, the
-            // lowest-latency point available.
-            Err(_) => 1,
-        };
-        if chosen != self.chosen_batch[class] {
-            self.chosen_batch[class] = chosen;
-            self.registry.event(
-                "serve.retune",
-                format!(
-                    "class={} batch={} at={:.3}",
-                    self.cfg.classes[class].name, chosen, now
-                ),
-            );
-        }
-        // The batcher gets the brownout-capped view of the choice;
-        // without brownout this is the choice itself, preserving the
-        // pre-lifecycle behaviour exactly.
-        self.apply_batch_ceiling(class);
     }
 
     // -- faults --------------------------------------------------------
@@ -1624,7 +1019,7 @@ impl<'a> Sim<'a> {
             | FaultKind::MsgDelay { .. }
             | FaultKind::MsgLoss { .. } => {
                 // Standing effects: window and creep faults are priced
-                // by `self.effects` whenever a leg starts inside them,
+                // by `self.pricing` whenever a leg starts inside them,
                 // and network faults act on the membership layer's
                 // message model (`everest_cluster::NetModel`), which the
                 // gossip rounds observe on their own cadence. Here
@@ -1633,7 +1028,7 @@ impl<'a> Sim<'a> {
         }
         // Crashes (and the breaker churn faults cause downstream) move
         // cluster health; re-check the brownout tier at the edge.
-        self.update_brownout(now);
+        self.health_moved(now);
     }
 
     // -- cluster membership --------------------------------------------
@@ -1649,20 +1044,11 @@ impl<'a> Sim<'a> {
     /// the degraded-mode escape hatch guarantees the backlog drains
     /// even under a permanent partition, so this always terminates.
     fn handle_gossip(&mut self, now: f64) {
-        if self.membership.is_none() {
+        let Some(ctrl) = self.membership.as_mut() else {
             return;
-        }
-        self.scratch_crashed.clear();
-        for node in &self.nodes {
-            self.scratch_crashed.push(node.crashed);
-        }
-        let (tick, period) = {
-            let ctrl = self
-                .membership
-                .as_mut()
-                .expect("checked non-None at handler entry");
-            (ctrl.tick(now, &self.scratch_crashed), ctrl.period_us())
         };
+        let crashed: Vec<bool> = self.nodes.iter().map(|n| n.crashed).collect();
+        let (tick, period) = (ctrl.tick(now, &crashed), ctrl.period_us());
         for &node in &tick.newly_dead {
             self.registry.event(
                 "cluster.member_dead",
@@ -1691,7 +1077,7 @@ impl<'a> Sim<'a> {
             );
         }
         self.apply_verdicts(now);
-        self.update_brownout(now);
+        self.health_moved(now);
         let live = self.arrivals.peek().is_some()
             || self.queue_depth() > 0
             || self.inflight_count > 0
@@ -1703,7 +1089,7 @@ impl<'a> Sim<'a> {
 
     /// The leg executing on `node` right now, if any.
     fn leg_on(&self, node: usize) -> Option<&Leg> {
-        let inflight = Self::live(&self.inflight, self.nodes[node].current?)?;
+        let inflight = self.inflight.get(self.nodes[node].current?)?;
         std::iter::once(&inflight.primary)
             .chain(&inflight.hedge)
             .find(|leg| leg.node == node)
@@ -1726,13 +1112,10 @@ impl<'a> Sim<'a> {
     /// wrong. For [`LegLoss::Fault`] a sole leg's requests are retried
     /// when the retry layer is on and allows it, else failed.
     fn lose_leg(&mut self, node: usize, now: f64, cause: LegLoss) {
-        if !self.nodes[node].crashed {
-            self.nodes[node].free_at_us = now;
-        }
         let Some(batch) = self.nodes[node].current.take() else {
             return;
         };
-        let Some(mut inflight) = Self::slot(&mut self.inflight, batch).take() else {
+        let Some(mut inflight) = self.inflight.slot(batch).take() else {
             // The slot was already drained (stale `current`).
             return;
         };
@@ -1747,7 +1130,7 @@ impl<'a> Sim<'a> {
                 } else {
                     duplicate
                 };
-                *Self::slot(&mut self.inflight, batch) = Some(inflight);
+                *self.inflight.slot(batch) = Some(inflight);
                 lost
             }
             None => {
@@ -1785,33 +1168,19 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// A fault took this request's batch. With retries on, an attempt
-    /// under the policy cap that can take a budget token is re-enqueued
-    /// after seeded backoff; anything else fails terminally.
+    /// A fault took this request's batch: re-enqueued after the backoff
+    /// the retry layer grants, else failed terminally (a refusal is
+    /// counted; a layer that is off refuses nothing).
     fn retry_or_fail(&mut self, request: Request, now: f64) {
-        let Some(retry) = self.cfg.lifecycle.retry.as_ref() else {
-            self.fail(&request);
-            return;
+        let deadline_us = self.cfg.classes[request.class].deadline_us;
+        let backoff = match self.lifecycle.retry(&request, now, deadline_us) {
+            Retry::After(backoff) => backoff,
+            verdict => {
+                self.outcome.retry_denied += u64::from(verdict == Retry::Denied);
+                self.fail(&request);
+                return;
+            }
         };
-        if request.attempt >= retry.policy.max_retries {
-            self.outcome.retry_denied += 1;
-            self.fail(&request);
-            return;
-        }
-        let backoff = retry
-            .policy
-            .backoff_us(request.attempt, &mut self.retry_rng);
-        // Deadline-aware: a retry that would re-enter the queue with
-        // its deadline already spent can only be shed later — refusing
-        // it here keeps doomed work from displacing live requests (and
-        // from burning a budget token).
-        let doomed =
-            now + backoff >= request.arrival_us + self.cfg.classes[request.class].deadline_us;
-        if doomed || !self.retry_budgets[request.tenant].try_take() {
-            self.outcome.retry_denied += 1;
-            self.fail(&request);
-            return;
-        }
         self.outcome.retries += 1;
         self.outcome.tenants[request.tenant].retried += 1;
         #[cfg(debug_assertions)]
@@ -1839,41 +1208,34 @@ impl<'a> Sim<'a> {
     /// The hedge delay elapsed with the batch still in flight: launch
     /// a duplicate on the best healthy idle node, if one exists.
     fn handle_hedge_timer(&mut self, batch: u64, now: f64) {
-        let (primary_node, class, size) = {
-            let Some(inflight) = Self::slot(&mut self.inflight, batch).as_mut() else {
-                // Terminal paths cancel their timer; nothing to do.
-                return;
-            };
-            inflight.hedge_timer = None;
-            if inflight.hedge.is_some() {
-                return;
-            }
-            (
-                inflight.primary.node,
-                inflight.class,
-                inflight.requests.len(),
-            )
+        let Some(inflight) = self.inflight.slot(batch).as_mut() else {
+            // Terminal paths cancel their timer; nothing to do.
+            return;
         };
+        inflight.hedge_timer = None;
         // The tier may have climbed past hedging since the timer was
         // scheduled.
-        if self.brownout.as_ref().is_some_and(|b| !b.hedging_enabled()) {
+        if inflight.hedge.is_some() || !self.lifecycle.may_hedge() {
             return;
         }
+        let (primary_node, class, size) = (
+            inflight.primary.node,
+            inflight.class,
+            inflight.requests.len(),
+        );
         // A duplicate only helps on a node the breakers fully admit:
         // idle, alive, not the primary's node, and not a probe slot.
         let eligible = (0..self.nodes.len()).filter(|&index| {
             index != primary_node
-                && self.can_start_leg(index, now)
+                && self.can_start_leg(index)
                 && self.nodes[index].breaker.peek(now) == BreakerAdmission::Admit
         });
-        let candidate = self.cheapest_node(eligible, class, size);
-        let Some(node) = candidate else {
+        let Some(node) = self.cheapest_node(eligible, class, size) else {
             self.outcome.hedge_denied += 1;
             return;
         };
         let leg = self.launch_leg(batch, class, size, node, false, true, now);
-        Self::slot(&mut self.inflight, batch)
-            .as_mut()
+        (self.inflight.slot(batch).as_mut())
             .expect("slot verified live at the top of the handler")
             .hedge = Some(leg);
         self.outcome.hedges += 1;
@@ -1882,12 +1244,7 @@ impl<'a> Sim<'a> {
     /// The whole cluster is gone: every queued or batched request is
     /// terminal `Failed` (conservation still holds; nothing vanishes).
     fn drain_all_failed(&mut self) {
-        let queued = self.wfq.drain();
-        for request in &queued {
-            self.fail(request);
-        }
-        let batched = self.batcher.drain();
-        for request in &batched {
+        for request in self.wfq.drain().iter().chain(&self.batcher.drain()) {
             self.fail(request);
         }
     }
@@ -1896,7 +1253,9 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BatchPolicy, ClassKind, ClusterConfig, KernelClass, ServeConfigError};
     use everest_faults::FaultSpec;
+    use everest_health::HealthConfig;
 
     fn small_config() -> ServeConfig {
         ServeConfig {
@@ -2488,7 +1847,7 @@ mod tests {
                 if case.hedged {
                     sim.handle_hedge_timer(0, 10.0);
                 }
-                let inflight = Sim::live(&sim.inflight, 0).expect("batch 0 dispatched");
+                let inflight = sim.inflight.get(0).expect("batch 0 dispatched");
                 assert_eq!(inflight.hedge.is_some(), case.hedged, "{label}");
                 let lost = match &inflight.hedge {
                     Some(duplicate) if case.lose_duplicate => duplicate,
@@ -2565,11 +1924,15 @@ mod tests {
                 sim.outcome.batches.len() > 10 * cfg.nodes,
                 "a real campaign"
             );
-            assert!(sim.inflight.len() <= cfg.nodes, "{}", sim.inflight.len());
             assert!(
-                sim.timeout_tokens.len() <= cfg.classes.len(),
+                sim.inflight.0.len() <= cfg.nodes,
                 "{}",
-                sim.timeout_tokens.len()
+                sim.inflight.0.len()
+            );
+            assert!(
+                sim.timeout_tokens.0.len() <= cfg.classes.len(),
+                "{}",
+                sim.timeout_tokens.0.len()
             );
         }
     }

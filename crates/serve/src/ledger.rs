@@ -1,5 +1,6 @@
-//! The serve counter ledger: every scalar counter of a serving run,
-//! declared exactly once.
+//! What a serving run returns: the [`ServeOutcome`], its per-batch and
+//! per-tenant records, and the counter ledger that declares every
+//! scalar counter of a run exactly once.
 //!
 //! Each row of the `ledger!` declaration below names a counter, its
 //! doc, its part in the conservation equations ([`Role`]), the
@@ -13,7 +14,7 @@
 //! contract test all iterate that table. Adding a counter is one row
 //! here plus its increment in the engine.
 
-use crate::engine::{BatchRecord, TenantOutcome};
+use crate::lifecycle::nearest_rank;
 use crate::request::ShedReason;
 
 /// A counter's part in the conservation equations checked by
@@ -71,6 +72,67 @@ pub struct LedgerRow {
     pub trace: (&'static str, &'static str),
     /// Publishing layer.
     pub layer: Layer,
+}
+
+/// One dispatched batch, as recorded in the replay trace (dispatch
+/// order; times in virtual µs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchRecord {
+    /// Batcher-unique id.
+    pub id: u64,
+    /// Kernel-class index.
+    pub class: usize,
+    /// Serving node index.
+    pub node: usize,
+    /// Requests coalesced into the batch.
+    pub size: usize,
+    /// Dispatch time.
+    pub start_us: f64,
+    /// Completion (or failure) time.
+    pub finish_us: f64,
+    /// Whether this was a half-open breaker probe.
+    pub probe: bool,
+    /// Whether a fault killed the batch before completion.
+    pub failed: bool,
+    /// Whether this record is a hedge duplicate of another record with
+    /// the same id (hedged batches appear twice in the trace: primary
+    /// leg and hedge leg).
+    pub hedge: bool,
+    /// Whether this leg lost the hedge race and was cancelled; its
+    /// requests completed exactly once, on the winning leg.
+    pub cancelled: bool,
+    /// Cluster fencing epoch at dispatch time (0 when the cluster
+    /// layer is off or no failover has happened yet). Work stamped
+    /// with an old epoch is recognizably stale after a failover.
+    pub epoch: u64,
+    /// Whether a membership confirm fenced this leg: its node was
+    /// declared unreachable while the leg was in flight, the
+    /// completion was cancelled, and (for a sole surviving leg) the
+    /// requests were re-enqueued.
+    pub fenced: bool,
+}
+
+/// Per-tenant accounting.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct TenantOutcome {
+    /// Tenant name.
+    pub name: String,
+    /// WFQ weight (copied for reporting).
+    pub weight: f64,
+    /// Requests offered by the arrival trace.
+    pub offered: u64,
+    /// Requests past admission control.
+    pub admitted: u64,
+    /// Requests served to completion.
+    pub completed: u64,
+    /// Requests shed (any [`ShedReason`]).
+    pub shed: u64,
+    /// Requests lost to faults.
+    pub failed: u64,
+    /// Retry re-enqueues charged to this tenant's budget. Not a
+    /// terminal state: a retried request still ends completed, failed
+    /// or deadline-shed.
+    pub retried: u64,
 }
 
 /// Declares the outcome struct. A counter row reads
@@ -248,6 +310,64 @@ impl ServeOutcome {
     /// Requests shed for any reason.
     pub fn shed_total(&self) -> u64 {
         self.role_sum(Role::DoorShed) + self.role_sum(Role::QueueShed)
+    }
+
+    /// Shed fraction of offered load, in `[0, 1]`.
+    pub fn shed_rate(&self) -> f64 {
+        if self.offered == 0 {
+            0.0
+        } else {
+            self.shed_total() as f64 / self.offered as f64
+        }
+    }
+
+    /// Completed requests per second of virtual run time.
+    pub fn throughput_rps(&self) -> f64 {
+        if self.end_us <= 0.0 {
+            0.0
+        } else {
+            self.completed as f64 * 1.0e6 / self.end_us
+        }
+    }
+
+    /// Exact (nearest-rank) latency quantile, `q` in `[0, 1]`.
+    pub fn latency_quantile(&self, q: f64) -> Option<f64> {
+        nearest_rank(&self.latencies_us, q)
+    }
+
+    /// Mean end-to-end latency, microseconds.
+    pub fn mean_latency_us(&self) -> Option<f64> {
+        if self.latencies_us.is_empty() {
+            None
+        } else {
+            Some(self.latencies_us.iter().sum::<f64>() / self.latencies_us.len() as f64)
+        }
+    }
+
+    /// The conservation invariant: every offered request reached
+    /// exactly one terminal state, globally and per tenant. Retries
+    /// and hedges must not bend it: a retried request is still counted
+    /// once at the door and reaches one terminal state, and a hedged
+    /// batch's requests complete exactly once (on the winning leg).
+    /// Partitions must not bend it either: a `PartitionedAway` shed is
+    /// a door-side terminal state, and a fenced orphan re-enters the
+    /// queue without leaving the `admitted` population.
+    pub fn conserved(&self) -> bool {
+        let door = self.offered == self.admitted + self.role_sum(Role::DoorShed);
+        let queue = self.admitted == self.role_sum(Role::Terminal) + self.role_sum(Role::QueueShed);
+        let hedges = self.hedge_wins <= self.hedges
+            && self.hedge_cancelled <= self.hedges
+            && self.hedge_wins <= self.hedge_cancelled;
+        let tenants = self.tenants.iter().all(|t| {
+            t.offered == t.completed + t.shed + t.failed && t.admitted >= t.completed + t.failed
+        });
+        let sums = self.offered == self.tenants.iter().map(|t| t.offered).sum::<u64>()
+            && self.completed == self.tenants.iter().map(|t| t.completed).sum::<u64>()
+            && self.failed == self.tenants.iter().map(|t| t.failed).sum::<u64>()
+            && self.shed_total() == self.tenants.iter().map(|t| t.shed).sum::<u64>()
+            && self.completed as usize == self.latencies_us.len()
+            && self.retries == self.tenants.iter().map(|t| t.retried).sum::<u64>();
+        door && queue && tenants && sums && hedges
     }
 }
 

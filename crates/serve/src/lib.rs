@@ -20,7 +20,9 @@
 //! * [`lifecycle`] — optional request-lifecycle robustness: per-tenant
 //!   retry budgets with seeded backoff, hedged dispatch for
 //!   latency-critical classes, an AIMD concurrency limiter, and
-//!   brownout degradation tiers driven by cluster health.
+//!   brownout degradation tiers driven by cluster health;
+//! * [`ledger`] — the [`ServeOutcome`] a run returns: every counter
+//!   declared once, with its records and the conservation check.
 //!
 //! Determinism is the design axiom: a run is a pure function of its
 //! [`ServeConfig`] and fault plan, so `basecamp serve` replays
@@ -47,17 +49,21 @@
 
 pub mod admission;
 pub mod batcher;
+mod config;
 pub mod engine;
 pub mod ledger;
 pub mod lifecycle;
+mod pricing;
 pub mod request;
+mod tuning;
 pub mod wfq;
 
 pub use admission::{AdmissionConfig, AdmissionController, TokenBucket};
 pub use batcher::{Batch, BatchPolicy, DynamicBatcher, OfferOutcome};
-pub use engine::{BatchRecord, ServeConfig, ServeConfigError, ServeEngine, TenantOutcome};
+pub use config::{ServeConfig, ServeConfigError};
+pub use engine::ServeEngine;
 pub use everest_cluster::ClusterConfig;
-pub use ledger::{Layer, LedgerRow, Metric, Role, ServeOutcome};
+pub use ledger::{BatchRecord, Layer, LedgerRow, Metric, Role, ServeOutcome, TenantOutcome};
 pub use lifecycle::{
     AimdLimiter, BrownoutConfig, BrownoutController, HedgeConfig, LatencyWindow, LifecycleConfig,
     LimiterConfig, RetryBudget, RetryConfig,

@@ -28,13 +28,20 @@
 //!   hedging, then shedding the lowest-weight tenants
 //!   ([`crate::ShedReason::Brownout`]) — graceful steps instead of a
 //!   cliff edge.
+//! * [`Lifecycle`] — the four above as one component of a run: it owns
+//!   whichever of them the run's [`LifecycleConfig`] turns on and
+//!   answers the questions the event loop asks, each with a neutral
+//!   answer when the feature behind it is off.
 //!
 //! Everything here is deterministic on the virtual clock: no wall
 //! time, no ambient randomness, every threshold a pure function of
 //! configuration and observed virtual-time history — which is what
 //! lets `basecamp serve --hedge` replay byte-identically.
 
-use everest_faults::RetryPolicy;
+use everest_faults::{DetRng, FaultPlan, RetryPolicy};
+
+use crate::config::ServeConfig;
+use crate::request::{ClassKind, Request};
 
 /// Retry knobs for fault-failed requests at the serve tier.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,6 +144,16 @@ impl Default for HedgeConfig {
     }
 }
 
+/// Nearest-rank quantile of `values`, `q` in `[0, 1]`, over a sorted
+/// scratch copy (`total_cmp`, so replays agree); `None` when empty.
+pub(crate) fn nearest_rank(values: &[f64], q: f64) -> Option<f64> {
+    let last = values.len().checked_sub(1)?;
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.saturating_sub(1).min(last)])
+}
+
 /// A bounded window of recent latency observations with deterministic
 /// nearest-rank quantiles. The ring keeps insertion order; quantiles
 /// sort a scratch copy with `total_cmp`, so two replays of the same
@@ -181,13 +198,7 @@ impl LatencyWindow {
     /// Nearest-rank quantile of the window, `q` in `[0, 1]`; `None`
     /// while empty.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.ring.is_empty() {
-            return None;
-        }
-        let mut sorted = self.ring.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.max(1).min(sorted.len()) - 1])
+        nearest_rank(&self.ring, q)
     }
 }
 
@@ -416,6 +427,213 @@ impl LifecycleConfig {
     }
 }
 
+/// What becomes of a fault-failed request; see [`Lifecycle::retry`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Retry {
+    /// The retry layer is off: the request fails and no denial counts.
+    Off,
+    /// Refused: attempt cap reached, deadline spent by the time the
+    /// backoff would elapse, or the tenant's budget is empty.
+    Denied,
+    /// Re-enqueue after this backoff, microseconds.
+    After(f64),
+}
+
+#[derive(Debug)]
+struct Retries {
+    policy: RetryPolicy,
+    /// One bucket per tenant.
+    budgets: Vec<RetryBudget>,
+    /// The fault plan's dedicated stream ([`FaultPlan::jitter_rng`]),
+    /// so serve-tier retries share the scheduler tier's replay contract.
+    jitter: DetRng,
+}
+
+#[derive(Debug)]
+struct Hedging {
+    cfg: HedgeConfig,
+    /// Per class, the winning-leg service times behind its p95; `None`
+    /// for a class that never hedges.
+    windows: Vec<Option<LatencyWindow>>,
+}
+
+#[derive(Debug)]
+struct Brownout {
+    ladder: BrownoutController,
+    /// Tenants tier 3 sheds at the door: strictly lowest weight, so
+    /// all-false when every tenant shares one weight.
+    lowest_weight: Vec<bool>,
+    nodes: usize,
+}
+
+/// The lifecycle state of one run: each feature present only when its
+/// [`LifecycleConfig`] entry is, each question answered neutrally when
+/// it is not. The event loop holds one and asks; it never looks inside.
+#[derive(Debug)]
+pub struct Lifecycle {
+    retries: Option<Retries>,
+    hedging: Option<Hedging>,
+    limiter: Option<AimdLimiter>,
+    brownout: Option<Brownout>,
+}
+
+impl Lifecycle {
+    /// The state `cfg.lifecycle` asks for, sized to the run's tenants,
+    /// classes and nodes; retry jitter comes from `plan`'s own stream.
+    pub fn new(cfg: &ServeConfig, plan: &FaultPlan) -> Lifecycle {
+        let on = &cfg.lifecycle;
+        let weights = || cfg.tenants.iter().map(|t| t.weight);
+        let min_weight = weights().fold(f64::INFINITY, f64::min);
+        let max_weight = weights().fold(f64::NEG_INFINITY, f64::max);
+        Lifecycle {
+            retries: on.retry.clone().map(|retry| Retries {
+                budgets: vec![RetryBudget::new(&retry); cfg.tenants.len()],
+                jitter: plan.jitter_rng(),
+                policy: retry.policy,
+            }),
+            hedging: on.hedge.clone().map(|hedge| Hedging {
+                windows: (cfg.classes.iter())
+                    .map(|class| {
+                        // Deliberately exhaustive (no `_` arm): a new
+                        // kind forces an explicit hedging decision.
+                        let hedges = match class.kind {
+                            ClassKind::Interactive => class.latency_critical,
+                            // Hedging spends capacity to buy tail
+                            // latency, which throughput work (batch
+                            // analytics, lowered queries) does not pay
+                            // for.
+                            ClassKind::Analytics | ClassKind::Query => false,
+                        };
+                        // A duplicate needs a second node to run on.
+                        (hedges && cfg.nodes > 1).then(|| LatencyWindow::new(hedge.window))
+                    })
+                    .collect(),
+                cfg: hedge,
+            }),
+            // Floored at one batch per node: the limiter throttles
+            // queueing, never idles hardware.
+            limiter: (on.limiter.clone()).map(|l| AimdLimiter::new(l).with_floor(cfg.nodes)),
+            brownout: on.brownout.clone().map(|brownout| Brownout {
+                ladder: BrownoutController::new(brownout),
+                lowest_weight: weights()
+                    .map(|w| max_weight > min_weight && w <= min_weight)
+                    .collect(),
+                nodes: cfg.nodes,
+            }),
+        }
+    }
+
+    /// Whether the brownout ladder sheds this tenant at the door (tier
+    /// 3, and the tenant among the strictly lowest weights).
+    pub fn sheds_at_door(&self, tenant: usize) -> bool {
+        (self.brownout.as_ref())
+            .is_some_and(|b| b.ladder.shed_lowest_weight() && b.lowest_weight[tenant])
+    }
+
+    /// The limiter's cap on admitted-but-unserved requests, if any.
+    pub fn door_cap(&self) -> Option<usize> {
+        self.limiter.as_ref().map(AimdLimiter::door_cap)
+    }
+
+    /// Whether `inflight` executing batches exhaust the limiter.
+    pub fn dispatch_at_limit(&self, inflight: usize) -> bool {
+        (self.limiter.as_ref()).is_some_and(|l| inflight >= l.limit())
+    }
+
+    /// How long after dispatch a batch of `class` earns a duplicate, if
+    /// it does at all: the class hedges, the batch is not a breaker
+    /// probe and no brownout tier has switched hedging off. The delay
+    /// is the class's observed p95 of winning-leg service times once
+    /// the window is warm, else `expected_us` scaled by the cold-start
+    /// factor; never under a microsecond.
+    pub fn hedge_delay_us(&self, class: usize, probe: bool, expected_us: f64) -> Option<f64> {
+        let hedging = self.hedging.as_ref()?;
+        let window = hedging.windows[class].as_ref()?;
+        if probe || !self.may_hedge() {
+            return None;
+        }
+        let hedge = &hedging.cfg;
+        let base = if window.len() >= hedge.min_samples {
+            window.quantile(0.95).unwrap_or(expected_us)
+        } else {
+            expected_us * hedge.cold_start_factor
+        };
+        Some((base * hedge.delay_factor).max(1.0))
+    }
+
+    /// Whether a duplicate may still launch: the tier can climb past
+    /// hedging between a timer's scheduling and its firing.
+    pub fn may_hedge(&self) -> bool {
+        (self.brownout.as_ref()).is_none_or(|b| b.ladder.hedging_enabled())
+    }
+
+    /// A batch of `class` completed on a leg that took `service_us`,
+    /// its slowest request `latency_max_us` after arrival: completions
+    /// earn their tenants retry budget, the service time joins the
+    /// class's hedge window, and the limiter takes one AIMD step.
+    /// Returns the limiter's new limit when the step moved it.
+    pub fn batch_finished(
+        &mut self,
+        class: usize,
+        requests: &[Request],
+        service_us: f64,
+        latency_max_us: f64,
+        deadline_us: f64,
+    ) -> Option<usize> {
+        if let Some(retries) = self.retries.as_mut() {
+            for request in requests {
+                retries.budgets[request.tenant].on_success();
+            }
+        }
+        if let Some(window) = (self.hedging.as_mut()).and_then(|h| h.windows[class].as_mut()) {
+            window.push(service_us);
+        }
+        // The limiter watches end-to-end latency (queue wait included),
+        // not bare service time: under overload the deadline is lost in
+        // the queue, and that is the signal that must pull the door in.
+        let limiter = self.limiter.as_mut()?;
+        (limiter.on_batch(latency_max_us, deadline_us)).then(|| limiter.limit())
+    }
+
+    /// A fault took `request`'s batch at `now_us`. Denial order is
+    /// attempt cap, then deadline, then budget; the backoff is drawn
+    /// before the last two are tested, so every call under the cap
+    /// consumes exactly one jitter draw. Deadline-aware: a retry that
+    /// would re-enter the queue with its deadline spent could only be
+    /// shed later, so it is refused here and burns no budget token.
+    pub fn retry(&mut self, request: &Request, now_us: f64, deadline_us: f64) -> Retry {
+        let Some(retries) = self.retries.as_mut() else {
+            return Retry::Off;
+        };
+        let policy = retries.policy;
+        if request.attempt >= policy.max_retries {
+            return Retry::Denied;
+        }
+        let backoff = policy.backoff_us(request.attempt, &mut retries.jitter);
+        let doomed = now_us + backoff >= request.arrival_us + deadline_us;
+        if doomed || !retries.budgets[request.tenant].try_take() {
+            return Retry::Denied;
+        }
+        Retry::After(backoff)
+    }
+
+    /// Cluster health may have moved: re-evaluates the brownout ladder
+    /// against `unhealthy()` of the run's nodes (counted only when a
+    /// ladder is configured) and returns `(from, to, unhealthy)` on a
+    /// tier change.
+    pub fn health_moved(&mut self, unhealthy: impl FnOnce() -> usize) -> Option<(u8, u8, usize)> {
+        let brownout = self.brownout.as_mut()?;
+        let unhealthy = unhealthy();
+        let (from, to) = brownout.ladder.observe(unhealthy, brownout.nodes)?;
+        Some((from, to, unhealthy))
+    }
+
+    /// The batch ceiling the current tier allows for a chosen ceiling.
+    pub fn cap_ceiling(&self, chosen: usize) -> usize {
+        (self.brownout.as_ref()).map_or(chosen, |b| b.ladder.batch_ceiling(chosen))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,5 +727,219 @@ mod tests {
         let on = LifecycleConfig::all_on();
         assert!(on.retry.is_some() && on.hedge.is_some());
         assert!(on.limiter.is_some() && on.brownout.is_some());
+    }
+
+    // -- the component at its seam: `Lifecycle` alone, no engine -------
+
+    use crate::request::KernelClass;
+
+    fn class(name: &str, kind: ClassKind) -> KernelClass {
+        KernelClass::new(name, 400.0, 40.0, 120.0, 5_000.0, 4_096)
+            .with_kind(kind)
+            .latency_critical()
+    }
+
+    /// Four nodes, gold/silver/bronze tenants, one latency-critical
+    /// class of each kind (only the interactive one may hedge).
+    fn config(lifecycle: LifecycleConfig) -> ServeConfig {
+        ServeConfig {
+            classes: vec![
+                class("infer", ClassKind::Interactive),
+                class("analytics", ClassKind::Analytics),
+                class("query", ClassKind::Query),
+            ],
+            lifecycle,
+            ..ServeConfig::default()
+        }
+    }
+
+    fn request(tenant: usize, attempt: u32, arrival_us: f64) -> Request {
+        Request {
+            id: 0,
+            tenant,
+            class: 0,
+            arrival_us,
+            attempt,
+        }
+    }
+
+    #[test]
+    fn with_every_feature_off_each_answer_is_neutral_and_nothing_is_held() {
+        let mut off = Lifecycle::new(&config(LifecycleConfig::default()), &FaultPlan::new(1));
+        assert!(off.retries.is_none() && off.hedging.is_none());
+        assert!(off.limiter.is_none() && off.brownout.is_none());
+        assert!(!off.sheds_at_door(2));
+        assert_eq!(off.door_cap(), None);
+        assert!(!off.dispatch_at_limit(usize::MAX));
+        assert_eq!(off.hedge_delay_us(0, false, 100.0), None);
+        assert!(off.may_hedge());
+        let done = [request(0, 0, 0.0)];
+        assert_eq!(off.batch_finished(0, &done, 50.0, 9.0e9, 1.0), None);
+        assert_eq!(off.retry(&done[0], 0.0, 5_000.0), Retry::Off);
+        let never = || -> usize { panic!("no ladder, nothing to count") };
+        assert_eq!(off.health_moved(never), None);
+        assert_eq!(off.cap_ceiling(8), 8);
+    }
+
+    #[test]
+    fn the_door_shed_needs_tier_three_and_a_strictly_lowest_weight() {
+        let brownout = LifecycleConfig {
+            brownout: Some(BrownoutConfig::default()),
+            ..LifecycleConfig::default()
+        };
+        let with_weights = |weights: [f64; 3]| {
+            let mut cfg = config(brownout.clone());
+            for (tenant, weight) in cfg.tenants.iter_mut().zip(weights) {
+                tenant.weight = weight;
+            }
+            Lifecycle::new(&cfg, &FaultPlan::new(1))
+        };
+        let shed = |life: &Lifecycle| [0, 1, 2].map(|tenant| life.sheds_at_door(tenant));
+        let mut life = with_weights([4.0, 2.0, 1.0]);
+        assert_eq!(life.health_moved(|| 2), Some((0, 2, 2)));
+        assert_eq!(shed(&life), [false; 3], "tier 2 sheds nobody");
+        assert_eq!(life.cap_ceiling(8), 2, "two tiers halve the ceiling twice");
+        assert_eq!(life.health_moved(|| 3), Some((2, 3, 3)));
+        assert_eq!(shed(&life), [false, false, true], "tier 3 sheds bronze");
+        assert_eq!(life.health_moved(|| 3), None, "no edge, no transition");
+        assert_eq!(life.health_moved(|| 0), Some((3, 0, 0)));
+        assert_eq!(shed(&life), [false; 3], "recovery reopens the door");
+        let mut tied_low = with_weights([4.0, 1.0, 1.0]);
+        tied_low.health_moved(|| 4);
+        assert_eq!(shed(&tied_low), [false, true, true]);
+        let mut all_equal = with_weights([2.0, 2.0, 2.0]);
+        assert_eq!(all_equal.health_moved(|| 4), Some((0, 3, 4)));
+        assert_eq!(shed(&all_equal), [false; 3], "no lowest, none to sacrifice");
+    }
+
+    #[test]
+    fn hedge_delay_is_cold_start_then_the_window_p95_and_only_where_hedging_applies() {
+        let hedged = LifecycleConfig {
+            hedge: Some(HedgeConfig::default()),
+            brownout: Some(BrownoutConfig::default()),
+            ..LifecycleConfig::default()
+        };
+        let plan = FaultPlan::new(1);
+        let mut life = Lifecycle::new(&config(hedged.clone()), &plan);
+        // Cold: expected x cold_start_factor (3), floored at 1 us.
+        assert_eq!(life.hedge_delay_us(0, false, 100.0), Some(300.0));
+        assert_eq!(life.hedge_delay_us(0, false, 0.1), Some(1.0));
+        assert_eq!(
+            life.hedge_delay_us(0, true, 100.0),
+            None,
+            "probes never race"
+        );
+        assert_eq!(life.hedge_delay_us(1, false, 100.0), None, "analytics");
+        assert_eq!(life.hedge_delay_us(2, false, 100.0), None, "query");
+        // Seven samples are one short of `min_samples`; the eighth
+        // switches to the window's nearest-rank p95 (the largest of 8).
+        let done = [request(0, 0, 0.0)];
+        for sample in 1..=8 {
+            assert_eq!(life.hedge_delay_us(0, false, 100.0), Some(300.0));
+            life.batch_finished(0, &done, 10.0 * f64::from(sample), 0.0, 5_000.0);
+            life.batch_finished(1, &done, 1.0e6, 0.0, 5_000.0);
+        }
+        assert_eq!(life.hedge_delay_us(0, false, 100.0), Some(80.0));
+        life.batch_finished(0, &done, 0.2, 0.0, 5_000.0);
+        assert_eq!(life.hedge_delay_us(0, false, 100.0), Some(80.0), "p95 of 9");
+        // Tier 1 still hedges; tier 2 does not, for new batches or for
+        // a timer that is already pending.
+        assert_eq!(life.health_moved(|| 1), Some((0, 1, 1)));
+        assert!(life.may_hedge());
+        assert_eq!(life.hedge_delay_us(0, false, 100.0), Some(80.0));
+        assert_eq!(life.health_moved(|| 2), Some((1, 2, 2)));
+        assert!(!life.may_hedge());
+        assert_eq!(life.hedge_delay_us(0, false, 100.0), None);
+        // A duplicate needs a second node.
+        let single = ServeConfig {
+            nodes: 1,
+            ..config(hedged)
+        };
+        let life = Lifecycle::new(&single, &plan);
+        assert_eq!(life.hedge_delay_us(0, false, 100.0), None);
+    }
+
+    #[test]
+    fn retries_are_denied_by_cap_then_deadline_then_budget_one_jitter_draw_each() {
+        let retry = RetryConfig {
+            budget_cap: 2.0,
+            refill_per_success: 0.5,
+            ..RetryConfig::default()
+        };
+        let policy = retry.policy;
+        let plan = FaultPlan::new(5);
+        let cfg = config(LifecycleConfig {
+            retry: Some(retry),
+            ..LifecycleConfig::default()
+        });
+        let mut life = Lifecycle::new(&cfg, &plan);
+        // What the component must have drawn, replayed beside it.
+        let mut jitter = plan.jitter_rng();
+        let deadline_us = 5_000.0;
+        // At the cap: denied before anything is drawn.
+        let capped = request(0, policy.max_retries, 0.0);
+        assert_eq!(life.retry(&capped, 0.0, deadline_us), Retry::Denied);
+        // Doomed: the backoff is drawn, the budget is not touched.
+        let doomed = request(0, 0, 0.0);
+        policy.backoff_us(0, &mut jitter);
+        assert_eq!(life.retry(&doomed, 4_900.0, deadline_us), Retry::Denied);
+        // Live: both of tenant 0's tokens are still there to take.
+        for attempt in [0, 1] {
+            let backoff = policy.backoff_us(attempt, &mut jitter);
+            let live = request(0, attempt, 0.0);
+            assert_eq!(life.retry(&live, 100.0, deadline_us), Retry::After(backoff));
+        }
+        // Budget spent: denied, after its draw; another tenant's bucket
+        // is its own.
+        policy.backoff_us(0, &mut jitter);
+        assert_eq!(life.retry(&doomed, 100.0, deadline_us), Retry::Denied);
+        let backoff = policy.backoff_us(0, &mut jitter);
+        let other = request(1, 0, 0.0);
+        assert_eq!(
+            life.retry(&other, 100.0, deadline_us),
+            Retry::After(backoff)
+        );
+        // Two completions earn tenant 0 one more retry.
+        life.batch_finished(0, &[doomed, doomed], 50.0, 60.0, deadline_us);
+        let backoff = policy.backoff_us(2, &mut jitter);
+        let earned = request(0, 2, 0.0);
+        assert_eq!(
+            life.retry(&earned, 100.0, deadline_us),
+            Retry::After(backoff)
+        );
+        let drawn = life.retries.as_ref().map(|r| r.jitter.clone());
+        assert_eq!(drawn, Some(jitter), "one draw per call under the cap");
+    }
+
+    #[test]
+    fn the_limiter_reports_its_limit_only_when_a_step_moves_it() {
+        let cfg = config(LifecycleConfig {
+            limiter: Some(LimiterConfig {
+                initial: 1,
+                max_inflight: 6,
+                ..LimiterConfig::default()
+            }),
+            ..LifecycleConfig::default()
+        });
+        let mut life = Lifecycle::new(&cfg, &FaultPlan::new(1));
+        // Floored at one batch per node, whatever `initial` says.
+        assert!(!life.dispatch_at_limit(3) && life.dispatch_at_limit(4));
+        assert_eq!(life.door_cap(), Some(4 * 16));
+        let done = [request(0, 0, 0.0)];
+        // 1 -> 4 under the floor: the integer limit does not move.
+        for _ in 0..3 {
+            assert_eq!(life.batch_finished(0, &done, 50.0, 100.0, 5_000.0), None);
+        }
+        assert_eq!(life.batch_finished(0, &done, 50.0, 100.0, 5_000.0), Some(5));
+        assert_eq!(life.batch_finished(0, &done, 50.0, 100.0, 5_000.0), Some(6));
+        assert_eq!(
+            life.batch_finished(0, &done, 50.0, 100.0, 5_000.0),
+            None,
+            "capped"
+        );
+        assert_eq!(
+            life.batch_finished(0, &done, 50.0, 9_000.0, 5_000.0),
+            Some(4)
+        );
     }
 }
