@@ -241,14 +241,15 @@ fn check_channel_capacity(
     let is_feed = |op: OpId| module.op(op).is_some_and(|o| o.name == "dfg.feed");
 
     // Edges writer -> reader through every channel (any capacity).
-    let mut graph = FlowGraph::new(actor_set.len());
+    let mut edges = Vec::new();
     for usage in channels.values() {
         for &w in &usage.writers {
             for &r in &usage.readers {
-                graph.add_edge(index_of[&w], index_of[&r]);
+                edges.push((index_of[&w] as u32, index_of[&r] as u32));
             }
         }
     }
+    let graph = FlowGraph::from_edges(actor_set.len(), edges);
 
     // Fixpoint: a token can reach an actor iff it is a feed or any
     // predecessor can produce (optimistic single-token reachability).

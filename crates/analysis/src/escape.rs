@@ -31,12 +31,13 @@
 //! are never reported.
 
 use everest_ir::ids::ValueId;
-use everest_ir::module::{Module, Operation};
+use everest_ir::module::Module;
 use everest_ir::registry::Context;
 use everest_ir::types::{MemorySpace, Type};
 
 use crate::diagnostics::Severity;
-use crate::fixpoint::{solve, FlowGraph, Lattice};
+use crate::fixpoint::{solve, Fixpoint, FlowGraph, Lattice};
+use crate::interval::direct_yields;
 use crate::lint::{Collector, Lint, LintInfo};
 
 /// Lints implemented by [`MemorySpaceEscape`].
@@ -108,24 +109,16 @@ fn declared_space(module: &Module, value: ValueId) -> Option<MemorySpace> {
     }
 }
 
-/// Per-value provenance rule: a constant seed unioned with the facts of
-/// `sources`. Uniform shape keeps the transfer trivially monotone.
-#[derive(Debug, Clone, Default)]
-struct Rule {
-    seed: SpaceSet,
-    sources: Vec<ValueId>,
-}
-
-fn build_rules(module: &Module) -> Vec<Rule> {
-    let mut rules: Vec<Rule> = vec![Rule::default(); module.num_values()];
-    // Buffers seed their declared space (their initial contents live
-    // there); everything else starts empty.
-    for (index, rule) in rules.iter_mut().enumerate() {
-        let value = ValueId::from_raw(index as u32);
-        if let Some(space) = declared_space(module, value) {
-            rule.seed = SpaceSet::of(space);
-        }
-    }
+/// The provenance flow of a module as `(source, target)` value pairs:
+/// the data of `target` may come from `source`. Every value's rule is
+/// then uniform — its seed unioned with the facts of what it reads —
+/// which keeps the transfer trivially monotone, and "what it reads" is
+/// the flow graph's predecessor list, so no second copy is kept.
+fn flow_edges(module: &Module) -> Vec<(u32, u32)> {
+    let mut edges = Vec::with_capacity(2 * module.num_values());
+    let mut flow = |source: ValueId, target: ValueId| {
+        edges.push((source.index() as u32, target.index() as u32));
+    };
     for op_id in module.walk_ops() {
         let Some(operation) = module.op(op_id) else {
             continue;
@@ -134,14 +127,14 @@ fn build_rules(module: &Module) -> Vec<Rule> {
             // Stores flow the stored value's provenance into the buffer.
             "memref.store" => {
                 if let [value, base, ..] = operation.operands.as_slice() {
-                    rules[base.index()].sources.push(*value);
+                    flow(*value, *base);
                 }
             }
             // Copies flow the source buffer's provenance into the
             // destination buffer.
             "memref.copy" => {
                 if let [src, dst, ..] = operation.operands.as_slice() {
-                    rules[dst.index()].sources.push(*src);
+                    flow(*src, *dst);
                 }
             }
             // DMA is the sanctioned crossing: provenance is laundered,
@@ -150,36 +143,25 @@ fn build_rules(module: &Module) -> Vec<Rule> {
             "scf.for" => {
                 // Loop results and iter-args alias their init and yield
                 // values, like the interval analysis.
-                let yields: Vec<&Operation> = operation
-                    .regions
-                    .iter()
-                    .flat_map(|&r| module.region(r).blocks.iter())
-                    .flat_map(|&b| module.block(b).ops.iter())
-                    .filter_map(|&o| module.op(o))
-                    .filter(|o| o.name == "scf.yield")
-                    .collect();
+                let yields = direct_yields(module, operation);
                 let inits = &operation.operands[3.min(operation.operands.len())..];
-                for (index, &result) in operation.results.iter().enumerate() {
+                let mut alias = |index: usize, target: ValueId| {
                     if let Some(&init) = inits.get(index) {
-                        rules[result.index()].sources.push(init);
+                        flow(init, target);
                     }
-                    for y in &yields {
+                    for y in yields.clone() {
                         if let Some(&v) = y.operands.get(index) {
-                            rules[result.index()].sources.push(v);
+                            flow(v, target);
                         }
                     }
+                };
+                for (index, &result) in operation.results.iter().enumerate() {
+                    alias(index, result);
                 }
                 if let Some(&region) = operation.regions.first() {
                     if let Some(&entry) = module.region(region).blocks.first() {
                         for (index, &arg) in module.block(entry).args.iter().enumerate().skip(1) {
-                            if let Some(&init) = inits.get(index - 1) {
-                                rules[arg.index()].sources.push(init);
-                            }
-                            for y in &yields {
-                                if let Some(&v) = y.operands.get(index - 1) {
-                                    rules[arg.index()].sources.push(v);
-                                }
-                            }
+                            alias(index - 1, arg);
                         }
                     }
                 }
@@ -189,42 +171,42 @@ fn build_rules(module: &Module) -> Vec<Rule> {
             // selects and casts alias).
             _ => {
                 for &result in &operation.results {
-                    rules[result.index()]
-                        .sources
-                        .extend(operation.operands.iter().copied());
+                    for &operand in &operation.operands {
+                        flow(operand, result);
+                    }
                 }
             }
         }
     }
-    rules
+    edges
 }
 
 /// Computes the provenance fixpoint for every SSA value.
-pub fn compute(module: &Module) -> Vec<SpaceSet> {
-    let rules = build_rules(module);
-    let n = rules.len();
-    let mut graph = FlowGraph::new(n);
-    let mut edges = 0usize;
-    for (index, rule) in rules.iter().enumerate() {
-        for &source in &rule.sources {
-            graph.add_edge(source.index(), index);
-            edges += 1;
-        }
-    }
+pub fn compute(module: &Module) -> Fixpoint<SpaceSet> {
+    let n = module.num_values();
+    // Buffers seed their declared space (their initial contents live
+    // there); everything else starts empty.
+    let seeds: Vec<SpaceSet> = (0..n)
+        .map(|index| {
+            declared_space(module, ValueId::from_raw(index as u32))
+                .map_or_else(SpaceSet::bottom, SpaceSet::of)
+        })
+        .collect();
+    let edges = flow_edges(module);
     // Height-3 lattice: a generous linear budget always converges.
-    let budget = 8 * (n + edges) + 8;
+    let budget = 8 * (n + edges.len()) + 8;
+    let graph = FlowGraph::from_edges(n, edges);
     solve(
         &graph,
         vec![SpaceSet::bottom(); n],
         |node, states: &[SpaceSet]| {
-            rules[node]
-                .sources
+            graph
+                .preds(node)
                 .iter()
-                .fold(rules[node].seed, |acc, v| acc.join(&states[v.index()]))
+                .fold(seeds[node], |acc, &source| acc.join(&states[source]))
         },
         budget,
     )
-    .states
 }
 
 /// The memory-space escape lint. See the module docs.
@@ -241,7 +223,7 @@ impl Lint for MemorySpaceEscape {
     }
 
     fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
-        let facts = compute(module);
+        let facts = compute(module).states;
         let of = |v: ValueId| facts.get(v.index()).copied().unwrap_or_default();
         for op_id in module.walk_ops() {
             let Some(operation) = module.op(op_id) else {

@@ -53,50 +53,129 @@ pub trait Lattice: Clone + PartialEq + std::fmt::Debug {
     }
 }
 
-/// The dependency graph a fixpoint runs over.
-#[derive(Debug, Clone, Default)]
+/// The dependency graph a fixpoint runs over, in compressed sparse
+/// rows: one offset array and one target array per direction, built
+/// once from the whole edge list. A node costs eight bytes whether or
+/// not it has edges, so a graph over every SSA value of a module is two
+/// allocations a direction, not one per value.
+#[derive(Debug, Clone)]
 pub struct FlowGraph {
-    succs: Vec<Vec<usize>>,
-    preds: Vec<Vec<usize>>,
+    succ_offsets: Vec<u32>,
+    succs: Vec<usize>,
+    pred_offsets: Vec<u32>,
+    preds: Vec<usize>,
+}
+
+impl Default for FlowGraph {
+    fn default() -> Self {
+        FlowGraph::new(0)
+    }
 }
 
 impl FlowGraph {
     /// Creates a graph with `nodes` nodes and no edges.
     pub fn new(nodes: usize) -> FlowGraph {
+        FlowGraph::from_edges(nodes, Vec::new())
+    }
+
+    /// Creates a graph with `nodes` nodes and a dependency edge
+    /// `from -> to` ("`to` reads `from`") for each `(from, to)` pair.
+    ///
+    /// A pair that repeats an earlier one is dropped, so re-queueing
+    /// stays linear; what is left keeps its order: [`FlowGraph::succs`]
+    /// of a node lists its readers, and [`FlowGraph::preds`] what it
+    /// reads, in the order the pairs first named them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair names a node outside `0..nodes`.
+    pub fn from_edges(nodes: usize, mut edges: Vec<(u32, u32)>) -> FlowGraph {
+        const DROPPED: u32 = u32::MAX;
+        assert!(
+            edges
+                .iter()
+                .all(|&(from, to)| (from as usize) < nodes && (to as usize) < nodes),
+            "edge out of bounds"
+        );
+        assert!(edges.len() < DROPPED as usize, "edge count fits 32 bits");
+        // Bucket the pairs by source, stably: a counting sort.
+        let mut succ_offsets = vec![0u32; nodes + 1];
+        for &(from, _) in &edges {
+            succ_offsets[from as usize + 1] += 1;
+        }
+        for node in 0..nodes {
+            succ_offsets[node + 1] += succ_offsets[node];
+        }
+        let mut next = succ_offsets.clone();
+        let mut by_source = vec![0u32; edges.len()];
+        for (index, &(from, _)) in edges.iter().enumerate() {
+            by_source[next[from as usize] as usize] = index as u32;
+            next[from as usize] += 1;
+        }
+        // One source's pairs now sit together, so "has this source named
+        // this target before" is one stamp per target. Repeats are marked
+        // in the pair list, the survivors compacted into `succs`. (The
+        // cursor array is done with; its storage holds the stamps.)
+        let mut named_by = next;
+        named_by.clear();
+        named_by.resize(nodes, DROPPED);
+        let mut succs = Vec::with_capacity(edges.len());
+        let mut pred_offsets = vec![0u32; nodes + 1];
+        for from in 0..nodes {
+            let bucket = succ_offsets[from] as usize..succ_offsets[from + 1] as usize;
+            succ_offsets[from] = succs.len() as u32;
+            for &index in &by_source[bucket] {
+                let to = edges[index as usize].1 as usize;
+                if named_by[to] == from as u32 {
+                    edges[index as usize].0 = DROPPED;
+                } else {
+                    named_by[to] = from as u32;
+                    succs.push(to);
+                    pred_offsets[to + 1] += 1;
+                }
+            }
+        }
+        succ_offsets[nodes] = succs.len() as u32;
+        // The survivors again, in the order they were given, by target.
+        for node in 0..nodes {
+            pred_offsets[node + 1] += pred_offsets[node];
+        }
+        let mut next = named_by; // and now the cursors again
+        next.clear();
+        next.extend_from_slice(&pred_offsets[..nodes]);
+        let mut preds = vec![0usize; succs.len()];
+        for &(from, to) in &edges {
+            if from != DROPPED {
+                preds[next[to as usize] as usize] = from as usize;
+                next[to as usize] += 1;
+            }
+        }
         FlowGraph {
-            succs: vec![Vec::new(); nodes],
-            preds: vec![Vec::new(); nodes],
+            succ_offsets,
+            succs,
+            pred_offsets,
+            preds,
         }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.succs.len()
+        self.succ_offsets.len() - 1
     }
 
     /// True when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.succs.is_empty()
-    }
-
-    /// Adds a dependency edge `from -> to` ("`to` reads `from`").
-    /// Duplicate edges are kept out so re-queueing stays linear.
-    pub fn add_edge(&mut self, from: usize, to: usize) {
-        assert!(from < self.len() && to < self.len(), "edge out of bounds");
-        if !self.succs[from].contains(&to) {
-            self.succs[from].push(to);
-            self.preds[to].push(from);
-        }
+        self.len() == 0
     }
 
     /// Successors of `node` (nodes that read its fact).
     pub fn succs(&self, node: usize) -> &[usize] {
-        &self.succs[node]
+        &self.succs[self.succ_offsets[node] as usize..self.succ_offsets[node + 1] as usize]
     }
 
     /// Predecessors of `node` (nodes whose facts it reads).
     pub fn preds(&self, node: usize) -> &[usize] {
-        &self.preds[node]
+        &self.preds[self.pred_offsets[node] as usize..self.pred_offsets[node + 1] as usize]
     }
 }
 
@@ -184,12 +263,7 @@ mod tests {
 
     fn diamond() -> FlowGraph {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3, and an unreachable node 4.
-        let mut g = FlowGraph::new(5);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(1, 3);
-        g.add_edge(2, 3);
-        g
+        FlowGraph::from_edges(5, vec![(0, 1), (0, 2), (1, 3), (2, 3)])
     }
 
     fn reach_transfer(root: usize) -> impl Fn(usize, &[Reach]) -> Reach {
@@ -244,9 +318,7 @@ mod tests {
                 Count(self.0.max(other.0))
             }
         }
-        let mut g = FlowGraph::new(2);
-        g.add_edge(0, 1);
-        g.add_edge(1, 0);
+        let g = FlowGraph::from_edges(2, vec![(0, 1), (1, 0)]);
         let result = solve(
             &g,
             vec![Count::bottom(); 2],

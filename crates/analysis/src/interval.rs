@@ -234,7 +234,7 @@ fn inf_add_hi(a: i64, b: i64) -> i64 {
 /// How one SSA value's fact is computed from others. Precomputed once;
 /// the operands referenced here become the value's flow-graph edges.
 #[derive(Debug, Clone)]
-enum Rule {
+enum Rule<'m> {
     /// Statically unknown.
     Top,
     /// `arith.constant` with an integer payload.
@@ -245,8 +245,8 @@ enum Rule {
     Sub(ValueId, ValueId),
     /// Integer multiplication.
     Mul(ValueId, ValueId),
-    /// `arith.cmpi` under a predicate.
-    Cmp(String, ValueId, ValueId),
+    /// `arith.cmpi` under a predicate (the module's own text).
+    Cmp(&'m str, ValueId, ValueId),
     /// `arith.select cond, a, b`.
     Select(ValueId, ValueId, ValueId),
     /// Value-preserving cast.
@@ -258,17 +258,26 @@ enum Rule {
     Induction { lb: ValueId, ub: ValueId },
 }
 
-impl Rule {
-    fn sources(&self) -> Vec<ValueId> {
+impl Rule<'_> {
+    /// Calls `visit` on each value the rule reads, in operand order.
+    fn for_each_source(&self, mut visit: impl FnMut(ValueId)) {
         match self {
-            Rule::Top | Rule::Const(_) => Vec::new(),
+            Rule::Top | Rule::Const(_) => {}
             Rule::Add(a, b) | Rule::Sub(a, b) | Rule::Mul(a, b) | Rule::Cmp(_, a, b) => {
-                vec![*a, *b]
+                visit(*a);
+                visit(*b);
             }
-            Rule::Select(c, a, b) => vec![*c, *a, *b],
-            Rule::Copy(a) => vec![*a],
-            Rule::Join(vs) => vs.clone(),
-            Rule::Induction { lb, ub } => vec![*lb, *ub],
+            Rule::Select(c, a, b) => {
+                visit(*c);
+                visit(*a);
+                visit(*b);
+            }
+            Rule::Copy(a) => visit(*a),
+            Rule::Join(vs) => vs.iter().copied().for_each(visit),
+            Rule::Induction { lb, ub } => {
+                visit(*lb);
+                visit(*ub);
+            }
         }
     }
 }
@@ -277,6 +286,8 @@ impl Rule {
 #[derive(Debug, Clone)]
 pub struct IntervalFacts {
     states: Vec<Interval>,
+    /// Transfer-function applications the solve took.
+    pub steps: usize,
     /// False when the step budget ran out; facts are then an
     /// under-approximation and must not justify a deny.
     pub converged: bool,
@@ -318,23 +329,22 @@ fn region_terminators<'m>(module: &'m Module, op: OpId, name: &str) -> Vec<&'m O
 }
 
 /// Direct `scf.yield`s of a `scf.for` body (not those of nested loops).
-fn direct_yields<'m>(module: &'m Module, for_op: &Operation) -> Vec<&'m Operation> {
-    let mut found = Vec::new();
-    for &region in &for_op.regions {
-        for &block in &module.region(region).blocks {
-            for &inner in &module.block(block).ops {
-                if let Some(operation) = module.op(inner) {
-                    if operation.name == "scf.yield" {
-                        found.push(operation);
-                    }
-                }
-            }
-        }
-    }
-    found
+/// Shared with the escape analysis, which aliases loop results and
+/// iter-args the same way.
+pub(crate) fn direct_yields<'m>(
+    module: &'m Module,
+    for_op: &'m Operation,
+) -> impl Iterator<Item = &'m Operation> + Clone {
+    for_op
+        .regions
+        .iter()
+        .flat_map(move |&r| module.region(r).blocks.iter())
+        .flat_map(move |&b| module.block(b).ops.iter())
+        .filter_map(move |&o| module.op(o))
+        .filter(|o| o.name == "scf.yield")
 }
 
-fn build_rules(module: &Module) -> Vec<Rule> {
+fn build_rules(module: &Module) -> Vec<Rule<'_>> {
     let mut rules = vec![Rule::Top; module.num_values()];
     for op_id in module.walk_ops() {
         let Some(operation) = module.op(op_id) else {
@@ -355,7 +365,7 @@ fn build_rules(module: &Module) -> Vec<Rule> {
                 if let (Some(&result), [a, b, ..]) =
                     (operation.results.first(), operation.operands.as_slice())
                 {
-                    let pred = operation.str_attr("predicate").unwrap_or("eq").to_string();
+                    let pred = operation.str_attr("predicate").unwrap_or("eq");
                     rules[result.index()] = Rule::Cmp(pred, *a, *b);
                 }
             }
@@ -382,7 +392,7 @@ fn build_rules(module: &Module) -> Vec<Rule> {
                     if let Some(&init) = inits.get(index) {
                         sources.push(init);
                     }
-                    for y in &yields {
+                    for y in yields.clone() {
                         if let Some(&v) = y.operands.get(index) {
                             sources.push(v);
                         }
@@ -392,7 +402,7 @@ fn build_rules(module: &Module) -> Vec<Rule> {
                 // Body block args: induction variable, then iter-args.
                 if let Some(&region) = operation.regions.first() {
                     if let Some(&entry) = module.region(region).blocks.first() {
-                        let args = module.block(entry).args.clone();
+                        let args = &module.block(entry).args;
                         if let (Some(&iv), [lb, ub, ..]) =
                             (args.first(), operation.operands.as_slice())
                         {
@@ -403,7 +413,7 @@ fn build_rules(module: &Module) -> Vec<Rule> {
                             if let Some(&init) = inits.get(index - 1) {
                                 sources.push(init);
                             }
-                            for y in &yields {
+                            for y in yields.clone() {
                                 if let Some(&v) = y.operands.get(index - 1) {
                                     sources.push(v);
                                 }
@@ -473,14 +483,18 @@ fn build_rules(module: &Module) -> Vec<Rule> {
     rules
 }
 
-fn set_binary(rules: &mut [Rule], operation: &Operation, make: fn(ValueId, ValueId) -> Rule) {
+fn set_binary<'m>(
+    rules: &mut [Rule<'m>],
+    operation: &Operation,
+    make: fn(ValueId, ValueId) -> Rule<'m>,
+) {
     if let (Some(&result), [a, b, ..]) = (operation.results.first(), operation.operands.as_slice())
     {
         rules[result.index()] = make(*a, *b);
     }
 }
 
-fn eval(rule: &Rule, states: &[Interval]) -> Interval {
+fn eval(rule: &Rule<'_>, states: &[Interval]) -> Interval {
     let get = |v: &ValueId| states[v.index()];
     match rule {
         Rule::Top => Interval::top(),
@@ -512,21 +526,20 @@ fn eval(rule: &Rule, states: &[Interval]) -> Interval {
 
 /// Runs the interval fixpoint over every SSA value of `module`.
 ///
-/// Shared by the [`IntervalAnalysis`] lint and the worst-case-latency
-/// analysis in [`crate::latency`] (which needs loop trip counts).
+/// The [`IntervalAnalysis`] lint and the worst-case-latency analysis in
+/// [`crate::latency`] (which needs loop trip counts) both read it; within
+/// one [`Analyzer::run`](crate::lint::Analyzer::run) they share one solve
+/// through [`Collector::interval_facts`].
 pub fn compute(module: &Module) -> IntervalFacts {
     let rules = build_rules(module);
     let n = rules.len();
-    let mut graph = FlowGraph::new(n);
-    let mut edges = 0usize;
+    let mut edges = Vec::with_capacity(2 * n);
     for (index, rule) in rules.iter().enumerate() {
-        for source in rule.sources() {
-            graph.add_edge(source.index(), index);
-            edges += 1;
-        }
+        rule.for_each_source(|source| edges.push((source.index() as u32, index as u32)));
     }
     let mut bumps = vec![0u32; n];
-    let budget = 64 * (n + edges) + 64;
+    let budget = 64 * (n + edges.len()) + 64;
+    let graph = FlowGraph::from_edges(n, edges);
     let result = solve(
         &graph,
         vec![Interval::Bottom; n],
@@ -564,6 +577,7 @@ pub fn compute(module: &Module) -> IntervalFacts {
     );
     IntervalFacts {
         states: result.states,
+        steps: result.steps,
         converged: result.converged,
     }
 }
@@ -582,7 +596,7 @@ impl Lint for IntervalAnalysis {
     }
 
     fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
-        let facts = compute(module);
+        let facts = out.interval_facts();
         for op_id in module.walk_ops() {
             let Some(operation) = module.op(op_id) else {
                 continue;
@@ -591,7 +605,7 @@ impl Lint for IntervalAnalysis {
                 // Deny only when the facts are a sound
                 // over-approximation (the solver converged).
                 "memref.load" | "memref.store" if facts.converged => {
-                    check_access(module, &facts, op_id, operation, out);
+                    check_access(module, facts, op_id, operation, out);
                 }
                 "arith.select" => {
                     if let Some(&cond) = operation.operands.first() {
@@ -654,7 +668,6 @@ fn check_access(
     let Type::MemRef { shape, .. } = module.value_type(base) else {
         return;
     };
-    let shape = shape.clone();
     for (dim, &index_value) in operation.operands.iter().skip(first_index).enumerate() {
         // Dynamic extents (`None`) cannot be checked statically.
         let Some(extent) = shape.get(dim).copied().flatten() else {

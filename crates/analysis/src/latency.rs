@@ -98,18 +98,19 @@ impl Lattice for PathCycles {
 struct LatencyModel<'m> {
     module: &'m Module,
     costs: CostLibrary,
-    facts: IntervalFacts,
+    /// The module's interval fixpoint, for loop trip counts.
+    facts: &'m IntervalFacts,
     /// `None` in the map means "analysis in progress or unbounded".
     memo: BTreeMap<String, Option<u64>>,
     in_progress: Vec<String>,
 }
 
 impl<'m> LatencyModel<'m> {
-    fn new(module: &'m Module) -> LatencyModel<'m> {
+    fn new(module: &'m Module, facts: &'m IntervalFacts) -> LatencyModel<'m> {
         LatencyModel {
             module,
             costs: CostLibrary::default(),
-            facts: interval::compute(module),
+            facts,
             memo: BTreeMap::new(),
             in_progress: Vec::new(),
         }
@@ -152,14 +153,16 @@ impl<'m> LatencyModel<'m> {
 
     /// Worst-case cycles of one op, including nested regions.
     fn cycles_of_op(&mut self, op_id: OpId) -> Option<u64> {
-        let operation = self.module.op(op_id)?.clone();
+        // The module outlives the model: borrow from it, not from `self`.
+        let module = self.module;
+        let operation = module.op(op_id)?;
         match operation.name.as_str() {
             "scf.for" => {
-                let trips = self.trip_count(&operation)?;
+                let trips = self.trip_count(operation)?;
                 let mut body = 0u64;
                 for &region in &operation.regions {
-                    for &block in &self.module.region(region).blocks.clone() {
-                        for &inner in &self.module.block(block).ops.clone() {
+                    for &block in &module.region(region).blocks {
+                        for &inner in &module.block(block).ops {
                             body = body.saturating_add(self.cycles_of_op(inner)?);
                         }
                     }
@@ -167,20 +170,13 @@ impl<'m> LatencyModel<'m> {
                 // One cycle of loop control per iteration.
                 Some(trips.saturating_mul(body.saturating_add(1)))
             }
-            "func.call" => {
-                let callee = match operation.attr("callee") {
-                    Some(everest_ir::attr::Attribute::Str(s))
-                    | Some(everest_ir::attr::Attribute::SymbolRef(s)) => s.clone(),
-                    _ => return None,
-                };
-                self.function_cycles(&callee)
-            }
+            "func.call" => self.function_cycles(callee_of(operation)?),
             "dfg.graph" => self.graph_cycles(op_id),
             _ => {
-                let mut total = self.op_cycles(&operation);
+                let mut total = self.op_cycles(operation);
                 for &region in &operation.regions {
-                    for &block in &self.module.region(region).blocks.clone() {
-                        for &inner in &self.module.block(block).ops.clone() {
+                    for &block in &module.region(region).blocks {
+                        for &inner in &module.block(block).ops {
                             total = total.saturating_add(self.cycles_of_op(inner)?);
                         }
                     }
@@ -199,14 +195,14 @@ impl<'m> LatencyModel<'m> {
             // Recursion: no static bound.
             return None;
         }
-        let func = self.module.lookup_symbol(symbol)?;
+        let module = self.module;
+        let func = module.lookup_symbol(symbol)?;
         self.in_progress.push(symbol.to_string());
         let mut total = Some(0u64);
-        let operation = self.module.op(func).cloned();
-        if let Some(operation) = operation {
+        if let Some(operation) = module.op(func) {
             'body: for &region in &operation.regions {
-                for &block in &self.module.region(region).blocks.clone() {
-                    for &inner in &self.module.block(block).ops.clone() {
+                for &block in &module.region(region).blocks {
+                    for &inner in &module.block(block).ops {
                         match (total, self.cycles_of_op(inner)) {
                             (Some(acc), Some(c)) => total = Some(acc.saturating_add(c)),
                             _ => {
@@ -267,34 +263,26 @@ impl<'m> LatencyModel<'m> {
         }
         // Per-actor cost: resolve dfg.node callees to function bounds.
         let mut actor_cost = Vec::with_capacity(actors.len());
+        let module = self.module;
         for &actor in &actors {
-            let operation = self.module.op(actor).cloned();
-            let cost = match operation {
-                Some(op) if op.name == "dfg.node" => {
-                    let callee = match op.attr("callee") {
-                        Some(everest_ir::attr::Attribute::Str(s))
-                        | Some(everest_ir::attr::Attribute::SymbolRef(s)) => Some(s.clone()),
-                        _ => None,
-                    };
-                    callee
-                        .and_then(|c| self.function_cycles(&c))
-                        .unwrap_or(DEFAULT_ACTOR_CYCLES)
-                }
+            let cost = match module.op(actor) {
+                Some(op) if op.name == "dfg.node" => callee_of(op)
+                    .and_then(|callee| self.function_cycles(callee))
+                    .unwrap_or(DEFAULT_ACTOR_CYCLES),
                 _ => 1,
             };
             actor_cost.push(cost);
         }
-        let mut graph = FlowGraph::new(actors.len());
-        let mut edges = 0usize;
+        let mut edges = Vec::new();
         for (index, read) in reads.iter().enumerate() {
             for channel in read {
                 if let Some(&writer) = writer_of.get(channel) {
-                    graph.add_edge(writer, index);
-                    edges += 1;
+                    edges.push((writer as u32, index as u32));
                 }
             }
         }
-        let budget = 4 * (actors.len() + edges) * (actors.len() + 1) + 16;
+        let budget = 4 * (actors.len() + edges.len()) * (actors.len() + 1) + 16;
+        let graph = FlowGraph::from_edges(actors.len(), edges);
         let result = solve(
             &graph,
             vec![PathCycles::Bottom; actors.len()],
@@ -326,10 +314,20 @@ impl<'m> LatencyModel<'m> {
     }
 }
 
+/// The symbol a `func.call` or `dfg.node` names.
+fn callee_of(operation: &Operation) -> Option<&str> {
+    match operation.attr("callee") {
+        Some(everest_ir::attr::Attribute::Str(s))
+        | Some(everest_ir::attr::Attribute::SymbolRef(s)) => Some(s),
+        _ => None,
+    }
+}
+
 /// Proven worst-case latency per named kernel (`func.func` symbols and
 /// `dfg.graph` symbols at module scope). `None` = unbounded.
 pub fn kernel_bounds(module: &Module) -> BTreeMap<String, Option<LatencyBound>> {
-    let mut model = LatencyModel::new(module);
+    let facts = interval::compute(module);
+    let mut model = LatencyModel::new(module, &facts);
     let mut bounds = BTreeMap::new();
     for op_id in module.walk_ops() {
         let Some(operation) = module.op(op_id) else {
@@ -384,7 +382,9 @@ impl Lint for WorstCaseLatency {
     }
 
     fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
-        let mut model = LatencyModel::new(module);
+        // Flow-built IR declares no deadline: then nothing is modelled
+        // and the interval facts are not asked for.
+        let mut model = None;
         for op_id in module.walk_ops() {
             let Some(operation) = module.op(op_id) else {
                 continue;
@@ -392,6 +392,8 @@ impl Lint for WorstCaseLatency {
             let Some(deadline_us) = operation.attr("deadline_us").and_then(|a| a.as_float()) else {
                 continue;
             };
+            let model =
+                model.get_or_insert_with(|| LatencyModel::new(module, out.interval_facts()));
             let cycles = match operation.name.as_str() {
                 "func.func" => operation
                     .str_attr("sym_name")

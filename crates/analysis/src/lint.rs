@@ -6,6 +6,7 @@
 //! runs to completion over the whole module and the report holds all
 //! findings, each tagged with the op's structural path.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use everest_ir::ids::OpId;
@@ -14,6 +15,7 @@ use everest_ir::module::Module;
 use everest_ir::registry::Context;
 
 use crate::diagnostics::{Diagnostic, LintLevels, Severity};
+use crate::interval::{self, IntervalFacts};
 use crate::report::AnalysisReport;
 
 /// Static description of one lint id a [`Lint`] can emit.
@@ -55,6 +57,9 @@ pub struct Collector<'a> {
     defaults: &'a BTreeMap<&'static str, Severity>,
     levels: &'a LintLevels,
     module: &'a Module,
+    /// The module's interval fixpoint, solved by the first lint of the
+    /// run that asks and read by the rest.
+    intervals: &'a OnceCell<IntervalFacts>,
     diagnostics: Vec<Diagnostic>,
 }
 
@@ -63,13 +68,25 @@ impl<'a> Collector<'a> {
         defaults: &'a BTreeMap<&'static str, Severity>,
         levels: &'a LintLevels,
         module: &'a Module,
+        intervals: &'a OnceCell<IntervalFacts>,
     ) -> Self {
         Collector {
             defaults,
             levels,
             module,
+            intervals,
             diagnostics: Vec::new(),
         }
+    }
+
+    /// The interval fixpoint of the module under analysis
+    /// ([`interval::compute`]), solved at most once per
+    /// [`Analyzer::run`] however many lints read it. The borrow is the
+    /// run's, not the collector's, so findings can be emitted while it
+    /// is held.
+    pub fn interval_facts(&self) -> &'a IntervalFacts {
+        self.intervals
+            .get_or_init(|| interval::compute(self.module))
     }
 
     fn severity_of(&self, lint: &str) -> Severity {
@@ -211,8 +228,9 @@ impl Analyzer {
             .map(|info| (info.id, info.default_severity))
             .collect();
         let mut report = AnalysisReport::new();
+        let intervals = OnceCell::new();
         for lint in &self.lints {
-            let mut out = Collector::new(&defaults, &self.levels, module);
+            let mut out = Collector::new(&defaults, &self.levels, module, &intervals);
             lint.run(ctx, module, &mut out);
             report.diagnostics.extend(out.diagnostics);
         }

@@ -1,0 +1,11 @@
+//! The fixpoint layer the CSR graph replaced, kept as the reference the
+//! two value-level analyses are held to
+//! (`value_analyses_solve_as_through_the_adjacency_list_graph` in
+//! `solver_props.rs`): the same states, step count and convergence.
+
+// Kept whole: not every method it had is called from here.
+#![allow(dead_code)]
+
+pub mod escape;
+pub mod fixpoint;
+pub mod interval;

@@ -4,10 +4,20 @@
 //! and reach the same one whatever order the edges were inserted in —
 //! the classical confluence property of Kleene iteration over a
 //! finite-height lattice.
+//!
+//! The CSR [`FlowGraph`] itself is held to the adjacency-list graph it
+//! replaced (`tests/reference/`): the same successor and predecessor
+//! sequences for any edge list, and through the two value-level
+//! analyses the same states in the same number of steps.
+
+mod golden;
+mod reference;
 
 use proptest::prelude::*;
 
-use everest_analysis::{solve, FlowGraph, Lattice};
+use everest_analysis::{escape, interval, solve, FlowGraph, Lattice};
+use everest_ekl::{check::check, lower::lower_to_loops, parser::parse};
+use everest_ir::ids::ValueId;
 
 /// Reachability-from-roots: the simplest useful join-semilattice.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,11 +50,11 @@ impl Lattice for Depth {
 }
 
 fn graph_from_edges(n: usize, edges: &[(usize, usize)]) -> FlowGraph {
-    let mut graph = FlowGraph::new(n);
-    for &(from, to) in edges {
-        graph.add_edge(from % n, to % n);
-    }
-    graph
+    let edges = edges
+        .iter()
+        .map(|&(from, to)| ((from % n) as u32, (to % n) as u32))
+        .collect();
+    FlowGraph::from_edges(n, edges)
 }
 
 /// Node count plus raw edge endpoints; `graph_from_edges` folds the
@@ -131,5 +141,77 @@ proptest! {
         let (a, b) = (run(&in_order), run(&in_reverse));
         prop_assert!(a.converged && b.converged, "budget exceeded");
         prop_assert_eq!(a.states, b.states);
+    }
+
+    /// Duplicates, self-loops and all: each node's successors and
+    /// predecessors are what one `contains`-guarded push per edge
+    /// leaves, in that order. (Endpoints are drawn from 0..64 and
+    /// folded by `% n` with `n < 24`, so repeats are the common case.)
+    #[test]
+    fn csr_graph_lists_what_the_adjacency_lists_list(shape in arbitrary_edges(24)) {
+        let (n, edges) = shape;
+        let graph = graph_from_edges(n, &edges);
+        let mut naive = reference::fixpoint::FlowGraph::new(n);
+        for &(from, to) in &edges {
+            naive.add_edge(from % n, to % n);
+        }
+        prop_assert_eq!(graph.len(), naive.len());
+        for node in 0..n {
+            prop_assert_eq!(graph.succs(node), naive.succs(node), "succs of {}", node);
+            prop_assert_eq!(graph.preds(node), naive.preds(node), "preds of {}", node);
+        }
+    }
+}
+
+/// Modules for the value-level analyses: the golden module, and lowered
+/// EKL kernels with loops, reductions, selects and copies.
+fn analysed_modules() -> Vec<everest_ir::module::Module> {
+    let mut modules = vec![golden::buggy_module()];
+    for source in [
+        "kernel axpy {
+           index i : 0..64
+           input a : [i]
+           input x : [i]
+           let y[i] = 2.0 * a[i] + x[i] * x[i]
+           output y
+         }",
+        "kernel mixed {
+           index i : 0..16
+           index j : 0..4
+           input a : [i]
+           input m : [i, j]
+           let s0[i] = select(a[i] <= 0.3, a[i], 0.2 * a[i])
+           let s1[i] = sum(j)(0.2 * m[i, j] * s0[i]) + 0.1 * a[i]
+           let t[i, j] = m[i, j] * s1[i] + s0[i]
+           let d = sum(i)(sum(j)(t[i, j] * t[i, j]))
+           let out[i] = d * s1[i]
+           output out
+         }",
+    ] {
+        let program = check(&parse(source).expect("parses")).expect("checks");
+        modules.push(lower_to_loops(&program).expect("lowers"));
+    }
+    modules
+}
+
+#[test]
+fn value_analyses_solve_as_through_the_adjacency_list_graph() {
+    for module in analysed_modules() {
+        let values = module.num_values();
+        assert!(values > 10);
+
+        let got = escape::compute(&module);
+        let want = reference::escape::compute(&module);
+        assert_eq!(got.states, want.states);
+        assert_eq!((got.steps, got.converged), (want.steps, want.converged));
+        assert!(got.steps > values, "some value was revisited");
+
+        let got = interval::compute(&module);
+        let want = reference::interval::compute(&module);
+        let states: Vec<_> = (0..values)
+            .map(|index| got.of(ValueId::from_raw(index as u32)))
+            .collect();
+        assert_eq!(states, want.states);
+        assert_eq!((got.steps, got.converged), (want.steps, want.converged));
     }
 }

@@ -421,6 +421,31 @@ mod tests {
         assert!(matches!(err, SdkError::Frontend(_)));
     }
 
+    /// Three nested loops of four billion iterations: the cycle count
+    /// does not fit 64 bits, and a wrapped one must not reach Olympus.
+    #[test]
+    fn cycle_count_overflow_is_an_error_not_a_wrapped_number() {
+        let source = "kernel big {
+            index i : 0..4000000000
+            index j : 0..4000000000
+            index k : 0..4000000000
+            input a : [i]
+            let d = sum(i)(sum(j)(sum(k)(a[i])))
+            output d
+        }";
+        let err = Basecamp::new()
+            .compile_kernel(source, CompileOptions::default())
+            .unwrap_err();
+        let SdkError::Ir(everest_ir::IrError::Pass { pass, message }) = &err else {
+            panic!("expected the scheduler's error, got {err}");
+        };
+        assert_eq!(pass, "hls.schedule");
+        assert!(
+            message.contains("depth 1") && message.contains("4000000000 iterations"),
+            "{message}"
+        );
+    }
+
     #[test]
     fn unknown_platform_is_rejected() {
         assert!(matches!(

@@ -6,13 +6,13 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 
 use everest_ir::attr::Attribute;
-use everest_ir::module::{Module, ValueDef};
+use everest_ir::module::Module;
 use everest_ir::types::Type;
-use everest_ir::{IrError, IrResult, OpId, ValueId};
+use everest_ir::{BlockId, IrError, IrResult, OpId};
 
-use crate::cdfg::BlockCdfg;
+use crate::cdfg::{BlockCdfg, CdfgTables, OpClass, Stamped};
 use crate::resources::{CostLibrary, NumericFormat, Resources};
-use crate::schedule::{bind_units, list_schedule, Constraints, NodeCosts};
+use crate::schedule::{asap, Constraints, ListScheduler, NodeCosts, Schedule, UnitDemand};
 use crate::transform::{is_innermost, trip_count, unroll_innermost};
 
 /// Synthesis options.
@@ -186,25 +186,21 @@ pub fn synthesize(module: &Module, func: &str, options: HlsOptions) -> IrResult<
         clock_ns: options.clock_ns,
         plm_ports_per_bank: 2 * options.partition.max(1),
     };
-    let mut synth = Synthesizer {
-        module,
-        lib,
-        options,
-        loops: Vec::new(),
-        units: HashMap::new(),
-        bram: 0,
-    };
+    let mut synth = Synthesizer::new(module, lib, options);
     let cycles = {
         let _schedule = everest_telemetry::span("hls.schedule");
-        synth.schedule_block(entry, 0)?
+        synth.schedule_nested(entry, 0)?.0
     };
 
     // Area: shared functional units (max concurrency per kind across the
-    // design) plus PLM BRAMs.
+    // design) plus PLM BRAMs. Names are rendered here, once per kind.
     let mut area = Resources::default();
-    for (kind, &count) in &synth.units {
-        let unit = synth.lib.op_cost(kind, None, options.format).area;
-        area = area.add(unit.scale(count));
+    let mut units = HashMap::new();
+    for (kind, &name) in synth.kinds.iter().zip(synth.tables.kinds()) {
+        if kind.units > 0 {
+            area = area.add(kind.area.scale(kind.units));
+            units.insert(name.to_string(), kind.units);
+        }
     }
     area.brams += synth.bram;
 
@@ -235,7 +231,7 @@ pub fn synthesize(module: &Module, func: &str, options: HlsOptions) -> IrResult<
         time_us,
         area,
         fmax_mhz: synth.lib.fmax_mhz(),
-        units: synth.units,
+        units,
         loops: synth.loops,
         bytes_per_call: bytes,
     })
@@ -314,91 +310,183 @@ pub fn synthesize_many(
     results.into_iter().collect()
 }
 
+/// Cycle counts past this are refused: with every latency of a block
+/// summing below it, no start time the list scheduler can reach (the
+/// sum, plus one cycle of port or DSP contention per node pair) wraps.
+const CYCLE_LIMIT: u64 = 1 << 62;
+
+/// What the cost library says of one op name, looked up once per
+/// synthesis, and the units bound to it so far.
+struct KindCost {
+    latency: u64,
+    uses_dsp: bool,
+    area: Resources,
+    /// Max concurrency across the blocks scheduled so far: units are
+    /// shared between mutually exclusive program points.
+    units: u64,
+}
+
+/// One block's graph and costs. A block is scheduled while the blocks
+/// around it are half-costed, so each nesting level holds its own;
+/// `Synthesizer::frames` keeps the ones no level is using.
+#[derive(Default)]
+struct Frame {
+    cdfg: BlockCdfg,
+    costs: NodeCosts,
+    /// Whether an `scf.for` sits anywhere under the block.
+    has_loop: bool,
+}
+
+/// A buffer's traffic within one loop body, for the initiation interval.
+#[derive(Clone, Copy)]
+struct BufferAccess {
+    count: u64,
+    /// Earliest ASAP start among its loads (`u64::MAX`: never loaded).
+    first_load: u64,
+}
+
+impl Default for BufferAccess {
+    fn default() -> Self {
+        BufferAccess {
+            count: 0,
+            first_load: u64::MAX,
+        }
+    }
+}
+
+/// One synthesis. Every table below is sized once, here, and reused for
+/// each block: a table per block would make a kernel of many small
+/// loops quadratic.
 struct Synthesizer<'m> {
     module: &'m Module,
     lib: CostLibrary,
     options: HlsOptions,
     loops: Vec<LoopReport>,
-    units: HashMap<String, u64>,
     bram: u64,
+    tables: CdfgTables,
+    /// By [`crate::cdfg::CdfgNode::kind`].
+    kinds: Vec<KindCost>,
+    frames: Vec<Frame>,
+    scheduler: ListScheduler,
+    schedule: Schedule,
+    demand: Vec<UnitDemand>,
+    /// By `ValueId::index()` of the buffer.
+    accesses: Stamped<BufferAccess>,
+    ii_latency: Vec<u64>,
+    ii_asap: Schedule,
 }
 
 impl<'m> Synthesizer<'m> {
-    /// Schedules one block; returns its total cycle count.
-    fn schedule_block(&mut self, block: everest_ir::BlockId, depth: usize) -> IrResult<u64> {
-        let cdfg = BlockCdfg::build(self.module, block);
-        let mut latency = Vec::with_capacity(cdfg.nodes.len());
-        let mut memory_buffer = Vec::with_capacity(cdfg.nodes.len());
-        let mut uses_dsp = Vec::with_capacity(cdfg.nodes.len());
+    fn new(module: &'m Module, lib: CostLibrary, options: HlsOptions) -> Self {
+        Synthesizer {
+            module,
+            lib,
+            options,
+            loops: Vec::new(),
+            bram: 0,
+            tables: CdfgTables::new(module),
+            kinds: Vec::new(),
+            frames: Vec::new(),
+            scheduler: ListScheduler::default(),
+            schedule: Schedule::default(),
+            demand: Vec::new(),
+            accesses: Stamped::new(module.num_values()),
+            ii_latency: Vec::new(),
+            ii_asap: Schedule::default(),
+        }
+    }
 
-        for node in &cdfg.nodes {
+    /// Schedules one block in a spare frame; returns its total cycle
+    /// count and whether it holds a loop.
+    fn schedule_nested(&mut self, block: BlockId, depth: usize) -> IrResult<(u64, bool)> {
+        let mut frame = self.frames.pop().unwrap_or_default();
+        let cycles = self.schedule_block(block, depth, &mut frame)?;
+        let has_loop = frame.has_loop;
+        self.frames.push(frame);
+        Ok((cycles, has_loop))
+    }
+
+    /// Schedules one block into `frame`; returns its total cycle count.
+    fn schedule_block(&mut self, block: BlockId, depth: usize, frame: &mut Frame) -> IrResult<u64> {
+        self.tables.build(self.module, block, &mut frame.cdfg);
+        for name in &self.tables.kinds()[self.kinds.len()..] {
+            let cost = self.lib.op_cost(name, None, self.options.format);
+            self.kinds.push(KindCost {
+                latency: cost.latency as u64,
+                uses_dsp: cost.area.dsps > 0,
+                area: cost.area,
+                units: 0,
+            });
+        }
+        frame.costs.clear();
+        frame.has_loop = false;
+        let mut total = 0u64;
+
+        for node in &frame.cdfg.nodes {
             let operation = self.module.op(node.op).expect("live");
-            let (lat, buffer, dsp) = match node.name.as_str() {
-                "scf.for" => (self.loop_latency(node.op, depth)?, None, false),
-                "scf.if" => {
+            let kind = &self.kinds[node.kind as usize];
+            let (lat, buffer, dsp) = match node.class {
+                OpClass::For => {
+                    frame.has_loop = true;
+                    (self.loop_latency(node.op, depth)?, None, false)
+                }
+                OpClass::If => {
                     let mut branch_max = 0;
                     for &r in &operation.regions {
                         if let Some(&b) = self.module.region(r).blocks.first() {
-                            branch_max = branch_max.max(self.schedule_block(b, depth)?);
+                            let (cycles, has_loop) = self.schedule_nested(b, depth)?;
+                            branch_max = branch_max.max(cycles);
+                            frame.has_loop |= has_loop;
                         }
                     }
                     (branch_max + 1, None, false)
                 }
-                "memref.load" => {
-                    let cost = self.node_cost(node.op);
-                    (cost, Some(buffer_of(operation.operands[0])), false)
-                }
-                "memref.store" => {
-                    let cost = self.node_cost(node.op);
-                    (cost, Some(buffer_of(operation.operands[1])), false)
-                }
-                "memref.alloc" => {
+                OpClass::Load => (kind.latency, Some(operation.operands[0]), false),
+                OpClass::Store => (kind.latency, Some(operation.operands[1]), false),
+                OpClass::Alloc => {
                     let ty = self.module.value_type(operation.results[0]);
                     self.bram += CostLibrary::bram_cost(ty);
                     (0, None, false)
                 }
-                "memref.copy" => {
+                OpClass::Copy => {
                     // Burst copy: one element per cycle after setup.
                     let n = self
                         .module
                         .value_type(operation.operands[0])
                         .num_elements()
                         .unwrap_or(1);
-                    (n + 2, Some(buffer_of(operation.operands[1])), false)
+                    (n.saturating_add(2), Some(operation.operands[1]), false)
                 }
-                _ => {
-                    let cost = self.lib.op_cost(
-                        &node.name,
-                        operation
-                            .results
-                            .first()
-                            .map(|&r| self.module.value_type(r)),
-                        self.options.format,
-                    );
-                    (cost.latency as u64, None, cost.area.dsps > 0)
+                OpClass::Other => {
+                    // Not scheduled into, but a loop in there still
+                    // makes the loop around this block an outer one.
+                    frame.has_loop |= node.has_regions && !is_innermost(self.module, node.op);
+                    (kind.latency, None, kind.uses_dsp)
                 }
             };
-            latency.push(lat);
-            memory_buffer.push(buffer);
-            uses_dsp.push(dsp);
+            total = total
+                .checked_add(lat)
+                .filter(|&total| total <= CYCLE_LIMIT)
+                .ok_or_else(|| {
+                    cycle_overflow(format!(
+                        "the latencies of the block at loop depth {depth} sum past 2^62 cycles"
+                    ))
+                })?;
+            frame.costs.push(lat, buffer, dsp);
         }
-        let costs = NodeCosts {
-            latency,
-            memory_buffer,
-            uses_dsp,
-        };
         let constraints = Constraints {
             ports_per_buffer: self.lib.plm_ports_per_bank,
             dsp_issues_per_cycle: self.options.dsp_limit,
         };
-        let schedule = list_schedule(&cdfg, &costs, constraints);
-        // Merge functional-unit requirements (max across blocks: units are
-        // shared between mutually exclusive program points).
-        for (kind, count) in bind_units(&cdfg, &costs, &schedule) {
-            let entry = self.units.entry(kind).or_insert(0);
-            *entry = (*entry).max(count);
+        self.scheduler
+            .schedule(&frame.cdfg, &frame.costs, constraints, &mut self.schedule);
+        self.scheduler
+            .bind_units(&frame.cdfg, &frame.costs, &self.schedule, &mut self.demand);
+        for demand in &self.demand {
+            let units = &mut self.kinds[demand.kind as usize].units;
+            *units = (*units).max(demand.units);
         }
-        Ok(schedule.length)
+        Ok(self.schedule.length)
     }
 
     /// Total latency of a loop, recording a [`LoopReport`].
@@ -407,17 +495,31 @@ impl<'m> Synthesizer<'m> {
         let region = operation.regions[0];
         let body = self.module.region(region).blocks[0];
         let trip = trip_count(self.module, for_op).unwrap_or(0);
-        let body_cycles = self.schedule_block(body, depth + 1)?;
+        let mut frame = self.frames.pop().unwrap_or_default();
+        let body_cycles = self.schedule_block(body, depth + 1, &mut frame)?;
 
-        let innermost = is_innermost(self.module, for_op);
-        let (total, pipelined, ii) = if innermost && self.options.pipeline && trip > 0 {
-            let ii = self.initiation_interval(body, body_cycles);
-            (body_cycles + (trip - 1) * ii, true, ii)
+        let iteration = body_cycles + 1;
+        let (total, pipelined, ii) = if !frame.has_loop && self.options.pipeline && trip > 0 {
+            let ii = self.initiation_interval(&frame, body_cycles);
+            let total = (trip - 1)
+                .checked_mul(ii)
+                .and_then(|rest| rest.checked_add(body_cycles));
+            (total, true, ii)
         } else if trip > 0 {
-            (trip * (body_cycles + 1) + 1, false, body_cycles + 1)
+            let total = trip
+                .checked_mul(iteration)
+                .and_then(|all| all.checked_add(1));
+            (total, false, iteration)
         } else {
-            (body_cycles + 2, false, body_cycles + 1)
+            (Some(body_cycles + 2), false, iteration)
         };
+        self.frames.push(frame);
+        let total = total.ok_or_else(|| {
+            cycle_overflow(format!(
+                "the loop at depth {depth} runs {trip} iterations of {body_cycles} cycles: \
+                 its cycle count does not fit 64 bits"
+            ))
+        })?;
         self.loops.push(LoopReport {
             depth,
             trip_count: trip,
@@ -429,114 +531,70 @@ impl<'m> Synthesizer<'m> {
         Ok(total)
     }
 
-    /// Initiation interval: max(resource MII, recurrence MII).
-    fn initiation_interval(&self, body: everest_ir::BlockId, body_cycles: u64) -> u64 {
-        let cdfg = BlockCdfg::build(self.module, body);
+    /// Initiation interval of the innermost loop whose body `frame`
+    /// holds, graph and latencies as scheduled: max(resource MII,
+    /// recurrence MII).
+    fn initiation_interval(&mut self, frame: &Frame, body_cycles: u64) -> u64 {
+        let Frame { cdfg, costs, .. } = frame;
+        // Inside an II a nested region op counts one cycle and a copy
+        // its issue cycle, not the burst it was scheduled as.
+        self.ii_latency.clear();
+        for (node, &scheduled) in cdfg.nodes.iter().zip(&costs.latency) {
+            self.ii_latency.push(if node.has_regions {
+                1
+            } else if node.class == OpClass::Copy {
+                self.kinds[node.kind as usize].latency
+            } else {
+                scheduled
+            });
+        }
+        asap(cdfg, &self.ii_latency, &mut self.ii_asap);
+        let start = &self.ii_asap.start;
+        let latency = &self.ii_latency;
+
         // Resource MII: accesses per buffer / ports.
-        let mut per_buffer: HashMap<ValueId, u64> = HashMap::new();
-        for node in &cdfg.nodes {
-            let operation = self.module.op(node.op).expect("live");
-            match node.name.as_str() {
-                "memref.load" => {
-                    *per_buffer
-                        .entry(buffer_of(operation.operands[0]))
-                        .or_insert(0) += 1;
-                }
-                "memref.store" => {
-                    *per_buffer
-                        .entry(buffer_of(operation.operands[1]))
-                        .or_insert(0) += 1;
-                }
-                _ => {}
+        self.accesses.reset();
+        let mut busiest = 0;
+        for (i, node) in cdfg.nodes.iter().enumerate() {
+            if !matches!(node.class, OpClass::Load | OpClass::Store) {
+                continue;
+            }
+            let buffer = costs.memory_buffer[i].expect("loads and stores name a buffer");
+            let access = self.accesses.slot(buffer.index());
+            access.count += 1;
+            busiest = busiest.max(access.count);
+            if node.class == OpClass::Load {
+                access.first_load = access.first_load.min(start[i]);
             }
         }
         let ports = self.lib.plm_ports_per_bank as u64;
-        let res_mii = per_buffer
-            .values()
-            .map(|&n| n.div_ceil(ports))
-            .max()
-            .unwrap_or(1)
-            .max(1);
+        let res_mii = busiest.div_ceil(ports).max(1);
 
         // Recurrence MII: loop-carried dependence through a buffer that is
         // both loaded and stored in the body (e.g. accumulator cells): the
         // path from the load to the store must complete before the next
-        // iteration's load.
+        // iteration's load. Approximated by the ASAP distance from a load
+        // to a store no earlier than it, plus the store latency; the
+        // earliest load of the buffer gives the longest such span.
         let mut rec_mii = 1u64;
-        let mut loaded: HashMap<ValueId, Vec<usize>> = HashMap::new();
-        let mut stored: HashMap<ValueId, Vec<usize>> = HashMap::new();
         for (i, node) in cdfg.nodes.iter().enumerate() {
-            let operation = self.module.op(node.op).expect("live");
-            match node.name.as_str() {
-                "memref.load" => loaded
-                    .entry(buffer_of(operation.operands[0]))
-                    .or_default()
-                    .push(i),
-                "memref.store" => stored
-                    .entry(buffer_of(operation.operands[1]))
-                    .or_default()
-                    .push(i),
-                _ => {}
+            if node.class != OpClass::Store {
+                continue;
             }
-        }
-        // Approximate the recurrence length with the ASAP distance between
-        // the load and the store plus the store latency.
-        let mut latencies = Vec::with_capacity(cdfg.nodes.len());
-        for node in &cdfg.nodes {
-            latencies.push(self.node_cost(node.op));
-        }
-        let costs = NodeCosts {
-            latency: latencies,
-            memory_buffer: vec![None; cdfg.nodes.len()],
-            uses_dsp: vec![false; cdfg.nodes.len()],
-        };
-        let asap = crate::schedule::asap(&cdfg, &costs);
-        for (buffer, loads) in &loaded {
-            if let Some(stores) = stored.get(buffer) {
-                for &l in loads {
-                    for &s in stores {
-                        if asap.start[s] >= asap.start[l] {
-                            let span = asap.start[s] + costs.latency[s] - asap.start[l];
-                            rec_mii = rec_mii.max(span);
-                        }
-                    }
-                }
+            let buffer = costs.memory_buffer[i].expect("stores name a buffer");
+            let first_load = self.accesses.slot(buffer.index()).first_load;
+            if start[i] >= first_load {
+                rec_mii = rec_mii.max(start[i] + latency[i] - first_load);
             }
         }
         res_mii.max(rec_mii).min(body_cycles.max(1))
     }
-
-    /// Latency of a leaf op.
-    fn node_cost(&self, op: OpId) -> u64 {
-        let operation = self.module.op(op).expect("live");
-        if !operation.regions.is_empty() {
-            // Nested region ops inside an II computation: use body length 1.
-            return 1;
-        }
-        self.lib
-            .op_cost(
-                &operation.name,
-                operation
-                    .results
-                    .first()
-                    .map(|&r| self.module.value_type(r)),
-                self.options.format,
-            )
-            .latency as u64
-    }
 }
 
-/// Buffer identity for port constraints: the SSA value of the memref.
-fn buffer_of(v: ValueId) -> ValueId {
-    v
-}
-
-/// Convenience: a `ValueDef`-based root lookup may be added later; today
-/// buffers are identified by their defining SSA value.
-#[allow(dead_code)]
-fn root(module: &Module, v: ValueId) -> ValueId {
-    match module.value(v).def {
-        ValueDef::OpResult { .. } | ValueDef::BlockArg { .. } => v,
+fn cycle_overflow(message: String) -> IrError {
+    IrError::Pass {
+        pass: "hls.schedule".into(),
+        message,
     }
 }
 
@@ -753,6 +811,74 @@ mod tests {
         )
         .unwrap();
         assert!(licm_seq.cycles <= base_seq.cycles);
+    }
+
+    /// `sum(i)(sum(j)(sum(k)(..)))` over `0..trip` each, lowered.
+    fn triple_reduction(trip: u64) -> Module {
+        let source = format!(
+            "kernel big {{
+               index i : 0..{trip}
+               index j : 0..{trip}
+               index k : 0..{trip}
+               input a : [i]
+               let d = sum(i)(sum(j)(sum(k)(a[i])))
+               output d
+             }}"
+        );
+        lower_to_loops(&check(&parse(&source).unwrap()).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn cycle_counts_past_64_bits_are_refused_with_depth_and_trip_count() {
+        // In range: the unchecked arithmetic this replaced agrees.
+        let report = synthesize(&triple_reduction(1000), "big", HlsOptions::default()).unwrap();
+        let [inner, middle, outer] = &report.loops[..] else {
+            panic!("three loops: {:?}", report.loops);
+        };
+        assert_eq!(
+            inner.total_cycles,
+            inner.body_cycles + (inner.trip_count - 1) * inner.ii
+        );
+        assert!(middle.body_cycles > inner.total_cycles);
+        assert_eq!(middle.total_cycles, 1000 * (middle.body_cycles + 1) + 1);
+        assert_eq!(outer.total_cycles, 1000 * (outer.body_cycles + 1) + 1);
+
+        let module = triple_reduction(4_000_000_000);
+        for pipeline in [true, false] {
+            let options = HlsOptions {
+                pipeline,
+                ..HlsOptions::default()
+            };
+            let err = synthesize(&module, "big", options).unwrap_err();
+            let IrError::Pass { pass, message } = &err else {
+                panic!("expected a scheduling error, got {err}");
+            };
+            assert_eq!(pass, "hls.schedule");
+            assert!(
+                message.contains("depth 1") && message.contains("4000000000 iterations"),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn sibling_loops_summing_past_the_cycle_limit_are_refused() {
+        // Each loop nest takes some 3e18 cycles, which fits; the block
+        // that schedules the two one after the other adds them.
+        let source = "kernel twice {
+            index i : 0..300000000
+            index j : 0..1000000000
+            input a : [i]
+            let d = sum(i)(sum(j)(a[i]))
+            let e = sum(i)(sum(j)(a[i] * d))
+            output e
+        }";
+        let module = lower_to_loops(&check(&parse(source).unwrap()).unwrap()).unwrap();
+        let err = synthesize(&module, "twice", HlsOptions::default()).unwrap_err();
+        assert!(
+            matches!(&err, IrError::Pass { message, .. } if message.contains("2^62")),
+            "{err}"
+        );
     }
 
     #[test]

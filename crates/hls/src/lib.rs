@@ -8,9 +8,11 @@
 //! Components:
 //!
 //! * [`resources`] — functional-unit cost library (f32/f64/fixed/posit);
-//! * [`cdfg`] — control/data-flow graph with memory dependences;
+//! * [`cdfg`] — control/data-flow graph with memory dependences, one
+//!   CSR array of predecessors per block, built through tables indexed
+//!   by op and value id that one synthesis sizes once;
 //! * [`schedule`] — ASAP/ALAP and resource-constrained list scheduling,
-//!   plus functional-unit binding;
+//!   plus functional-unit binding, into storage the caller keeps;
 //! * [`transform`] — verified loop unrolling;
 //! * [`engine`] — the synthesis driver: loop pipelining with II search
 //!   (resource MII vs recurrence MII), nested-loop latency roll-up,

@@ -2,7 +2,11 @@
 //! options it copies nothing, so what it allocates follows the function
 //! it schedules and not the module around it; the options that rewrite
 //! the IR (`unroll`, `licm`) work on a private copy and leave the
-//! caller's module as it was.
+//! caller's module as it was. What it does allocate is sized per
+//! synthesis — the CDFG tables, one frame per nesting level, the
+//! scheduler's scratch — so a kernel of many small loops costs well
+//! under an allocation an op, and twice the loops nowhere near twice
+//! the allocations.
 //!
 //! This test binary (and no other: the SDK itself never installs an
 //! allocator) counts heap allocations through its own global allocator.
@@ -11,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use everest_ekl::{check::check, lower::lower_to_loops, parser::parse};
 use everest_hls::engine::{synthesize, HlsOptions};
 use everest_hls::transform::unroll_innermost;
 use everest_ir::dialects::core;
@@ -92,6 +97,31 @@ fn module_with_ballast(ballast: usize) -> Module {
     m
 }
 
+/// A lowered EKL kernel of `statements` lets — elementwise, `select`
+/// and `sum` in turn, each its own loop nest — as the compile corpus
+/// generates them.
+fn generated_kernel(statements: usize) -> Module {
+    let mut src = String::from(
+        "kernel g {\n  index i : 0..16\n  index j : 0..4\n  \
+         input a : [i]\n  input b : [i]\n  input m : [i, j]\n",
+    );
+    for k in 0..statements {
+        let prev = if k == 0 {
+            "a".to_string()
+        } else {
+            format!("s{}", k - 1)
+        };
+        src += &match k % 3 {
+            0 => format!("  let s{k}[i] = 0.5 * {prev}[i] + 0.25 * b[i]\n"),
+            1 => format!("  let s{k}[i] = select({prev}[i] <= 0.5, b[i], 0.25 * {prev}[i])\n"),
+            _ => format!("  let s{k}[i] = sum(j)(0.25 * m[i, j] * {prev}[i]) + 0.5 * a[i]\n"),
+        };
+    }
+    src += &format!("  output s{}\n}}\n", statements - 1);
+    let program = check(&parse(&src).expect("parses")).expect("checks");
+    lower_to_loops(&program).expect("lowers")
+}
+
 #[test]
 fn synthesize_borrows_its_input_and_copies_only_to_rewrite() {
     // The first call also pays for the telemetry registry's tables.
@@ -110,6 +140,28 @@ fn synthesize_borrows_its_input_and_copies_only_to_rewrite() {
     assert!(
         counts[1] <= counts[0] + 2,
         "allocations beside 16 and 2048 ballast statements: {counts:?}"
+    );
+
+    // Tables per synthesis, not per block or per node: a kernel of 64
+    // loop nests makes about an allocation per eight ops (4.7 an op with
+    // a hash map per block and a `Vec` per node; measured 158 for 1,278
+    // ops), and one of 128 pays for little more than its longer report
+    // (166).
+    let mut counts = Vec::new();
+    for statements in [64, 128] {
+        let module = generated_kernel(statements);
+        let ops = module.num_ops();
+        let (count, report) = allocations(|| synthesize(&module, "g", HlsOptions::default()));
+        assert!(report.expect("synthesizes").loops.len() >= statements);
+        assert!(
+            count * 4 <= ops,
+            "{count} allocations for the {ops} ops of {statements} statements"
+        );
+        counts.push(count);
+    }
+    assert!(
+        counts[1] * 2 <= counts[0] * 3,
+        "allocations for 64 and 128 statements: {counts:?}"
     );
 
     // Every option set leaves the caller's module printing what it did,

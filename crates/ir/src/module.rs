@@ -267,6 +267,13 @@ impl Module {
         self.ops.iter().filter(|o| o.is_some()).count()
     }
 
+    /// Total number of operation slots ever allocated, erased ones
+    /// included (slots are never reclaimed). Dense per-op analysis
+    /// state can be indexed by `OpId::index()` up to this bound.
+    pub fn num_op_slots(&self) -> usize {
+        self.ops.len()
+    }
+
     /// Iterates every live operation in the arena (attached or
     /// detached) with its id, in id order. This is the complete use
     /// universe: analyses that count operand uses over it (e.g. DCE's
