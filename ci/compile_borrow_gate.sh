@@ -6,10 +6,14 @@
 # workload and compares layers of the same run:
 #
 # * canonicalizing a module (six passes and the verifier runs between
-#   them) must cost less than one and a half times linting it (eight
-#   lints): the pipeline verifies after a pass only when
-#   `Module::revision` moved, which on the corpus is once, after the
-#   first `cse`;
+#   them) must cost less than linting it (eight lints) and less than
+#   lowering the kernel that produced it: the pipeline verifies after a
+#   pass only when `Module::revision` moved, which on the corpus is
+#   once, after the first `cse`; an op's spec is a load from a table
+#   indexed by its name's id; and CSE hashes and compares ops where they
+#   sit, with no key built per op;
+# * verifying a module must cost less than a fifth of lowering it: one
+#   spec lookup an op, nothing allocated but the scope table;
 # * printing the modules must cost less than lowering the kernel that
 #   produced them: the printer borrows each op and numbers values
 #   through a dense table;
@@ -21,11 +25,13 @@
 #
 # Readings of small / large on one host (`--quick --seconds 3`):
 #
-#   ratio                                 PR 20    PR 21    PR 23
-#   ir.canonicalize_s / analysis.run_s     1.33     0.79     1.13
-#   ir.print_s / ekl.lower_s               1.18     0.67     0.67
-#   hls.synthesize_s / ekl.lower_s            -     1.41     0.40
-#   hls.synthesize_s / analysis.run_s         -     0.78     0.32
+#   ratio                                 PR 20    PR 21    PR 23    PR 24
+#   ir.canonicalize_s / analysis.run_s     1.33     0.79     1.13     0.41
+#   ir.canonicalize_s / ekl.lower_s           -        -     1.42     0.50
+#   ir.verify_s / ekl.lower_s                 -        -     0.27     0.12
+#   ir.print_s / ekl.lower_s               1.18     0.67     0.67     0.66
+#   hls.synthesize_s / ekl.lower_s            -     1.41     0.40     0.41
+#   hls.synthesize_s / analysis.run_s         -     0.78     0.32     0.34
 #
 # At PR 20 the pass manager verified seven times a module whatever the
 # passes did (58 % of the layer) and the printer cloned every op's
@@ -33,11 +39,13 @@
 # every innermost body's CDFG twice, through three SipHash maps a block
 # and a `Vec` a node. PR 23 also made the lints 0.69x what they cost
 # (CSR flow graphs, interval facts solved once a run), which is all that
-# moved the first ratio: canonicalization itself read the same, and
-# verifying after every pass again would read 1.9 against the lints as
-# they are now, so that bound is 1.5, not 1. All are ratios of timings
-# on the same host, so the gate holds on a slow or noisy runner where
-# absolute times would not.
+# moved the first ratio: canonicalization itself read the same. At
+# PR 23 every `spec_of` / `has_trait` was a SipHash probe (three an op
+# in the verifier, two in CSE, one in DCE) and CSE built two vectors and
+# a cloned attribute key per pure op; PR 24 removed both, which is what
+# lets the first bound return to 1 and adds the two bounds against
+# lowering. All are ratios of timings on the same host, so the gate
+# holds on a slow or noisy runner where absolute times would not.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,7 +59,9 @@ if not result["correct"] or result["failed"]:
     sys.exit("FAIL compile_corpus: %d operations failed" % result["failed"])
 over = False
 for small, factor, large in (
-    ("ir.canonicalize_s", 1.5, "analysis.run_s"),
+    ("ir.canonicalize_s", 1.0, "analysis.run_s"),
+    ("ir.canonicalize_s", 1.0, "ekl.lower_s"),
+    ("ir.verify_s", 0.2, "ekl.lower_s"),
     ("ir.print_s", 1.0, "ekl.lower_s"),
     ("hls.synthesize_s", 1.0, "ekl.lower_s"),
     ("hls.synthesize_s", 1.0, "analysis.run_s"),

@@ -500,7 +500,7 @@ mod tests {
         // Claim half the proven bound: statically infeasible.
         if let Some(op) = m.op_mut(func) {
             op.attributes
-                .insert("deadline_us".into(), Attribute::Float(bound_us / 2.0));
+                .insert("deadline_us", Attribute::Float(bound_us / 2.0));
         }
         let report = analyzer().run(&ctx, &m);
         assert_eq!(report.by_lint(DEADLINE).len(), 1, "{}", report.to_text());
@@ -508,7 +508,7 @@ mod tests {
         // Relax to double the bound: provably feasible.
         if let Some(op) = m.op_mut(func) {
             op.attributes
-                .insert("deadline_us".into(), Attribute::Float(bound_us * 2.0));
+                .insert("deadline_us", Attribute::Float(bound_us * 2.0));
         }
         let report = analyzer().run(&ctx, &m);
         assert!(report.is_clean(), "{}", report.to_text());
@@ -526,8 +526,7 @@ mod tests {
         build_for(&mut m, body, lb, n, step);
         m.build_op("func.return", vec![], vec![]).append_to(body);
         if let Some(op) = m.op_mut(func) {
-            op.attributes
-                .insert("deadline_us".into(), Attribute::Float(10.0));
+            op.attributes.insert("deadline_us", Attribute::Float(10.0));
         }
         assert_eq!(kernel_bounds(&m)["k"], None);
         assert_eq!(module_worst_case_us(&m), None);
@@ -578,8 +577,7 @@ mod tests {
             .append_to(gbody);
         m.build_op("dfg.yield", vec![], vec![]).append_to(gbody);
         if let Some(op) = m.op_mut(graph) {
-            op.attributes
-                .insert("deadline_us".into(), Attribute::Float(10.0));
+            op.attributes.insert("deadline_us", Attribute::Float(10.0));
         }
         assert_eq!(kernel_bounds(&m)["ring"], None);
         let report = analyzer().run(&ctx, &m);

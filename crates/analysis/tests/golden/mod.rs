@@ -58,8 +58,7 @@ pub fn buggy_module() -> Module {
     m.build_op("func.return", vec![], vec![]).append_to(body);
     // A deadline no execution can meet (the loop alone costs more).
     if let Some(op) = m.op_mut(func) {
-        op.attributes
-            .insert("deadline_us".into(), Attribute::Float(0.01));
+        op.attributes.insert("deadline_us", Attribute::Float(0.01));
     }
     m
 }

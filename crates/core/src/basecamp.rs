@@ -446,6 +446,27 @@ mod tests {
         );
     }
 
+    /// Twenty thousand parentheses, and two hundred thousand terms the
+    /// operator loop would chain into a left-deep tree: both used to
+    /// overflow the stack; both are a parse error naming the line.
+    #[test]
+    fn hostile_expression_depth_is_a_frontend_error_not_an_abort() {
+        let around = |expr: String| {
+            format!("kernel deep {{\n index i : 0..4\n input a : [i]\n let y[i] = {expr}\n output y\n}}")
+        };
+        let parens = format!("{}a[i]{}", "(".repeat(20_000), ")".repeat(20_000));
+        let chain = vec!["a[i]"; 200_000].join(" + ");
+        for source in [around(parens), around(chain)] {
+            let err = Basecamp::new()
+                .compile_kernel(&source, CompileOptions::default())
+                .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "frontend: parse error at line 4: expression nests deeper than 256 levels"
+            );
+        }
+    }
+
     #[test]
     fn unknown_platform_is_rejected() {
         assert!(matches!(

@@ -56,30 +56,48 @@ impl From<crate::token::LexError> for ParseError {
 /// ```
 pub fn parse(source: &str) -> Result<Kernel, ParseError> {
     let tokens = tokenize(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        nesting: 0,
+    };
     let kernel = p.parse_kernel()?;
     p.expect_eof()?;
     Ok(kernel)
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+/// Deepest expression the parser accepts, counted in levels of its
+/// tree with a leaf as one and a pair of parentheses as a level of its
+/// own. Checking, lowering and dropping an expression recurse once per
+/// level, so the bound is what keeps a hostile source — ten thousand
+/// parentheses, or `a + a + a + ...` over a hundred thousand terms,
+/// which the operator loops would happily turn into a left-deep tree —
+/// from overflowing the stack. No kernel in the repository comes near
+/// it (RRTMG, the generated corpus, the query kernels and the examples
+/// all stay under twenty).
+pub const MAX_EXPR_DEPTH: usize = 256;
+
+/// An expression and the height of its tree.
+type Tall = (Expr, usize);
+
+struct Parser<'s> {
+    tokens: Vec<Spanned<'s>>,
     pos: usize,
+    /// Expressions open on the parser's own stack.
+    nesting: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].token
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Token<'s> {
+        self.tokens[self.pos.min(self.tokens.len() - 1)].token
     }
 
     fn line(&self) -> usize {
         self.tokens[self.pos.min(self.tokens.len() - 1)].line
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)]
-            .token
-            .clone();
+    fn bump(&mut self) -> Token<'s> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
@@ -113,7 +131,7 @@ impl Parser {
 
     fn expect_ident(&mut self) -> Result<String, ParseError> {
         match self.bump() {
-            Token::Ident(s) => Ok(s),
+            Token::Ident(s) => Ok(s.to_string()),
             other => Err(ParseError {
                 line: self.tokens[self.pos - 1].line,
                 message: format!("expected identifier, found {other}"),
@@ -132,7 +150,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
-        if matches!(self.peek(), Token::Punct(got) if *got == p) {
+        if matches!(self.peek(), Token::Punct(got) if got == p) {
             self.pos += 1;
             true
         } else {
@@ -141,7 +159,7 @@ impl Parser {
     }
 
     fn expect_eof(&mut self) -> Result<(), ParseError> {
-        if self.peek() == &Token::Eof {
+        if self.peek() == Token::Eof {
             Ok(())
         } else {
             Err(self.error(format!("unexpected {} after kernel", self.peek())))
@@ -154,18 +172,18 @@ impl Parser {
         self.expect_punct("{")?;
         let mut items = Vec::new();
         loop {
-            match self.peek().clone() {
+            match self.peek() {
                 Token::Punct("}") => {
                     self.pos += 1;
                     break;
                 }
-                Token::Keyword(k) => match k.as_str() {
-                    "index" => items.push(self.parse_index()?),
-                    "input" => items.push(self.parse_input()?),
-                    "let" => items.push(self.parse_let()?),
-                    "output" => items.push(self.parse_output()?),
-                    other => return Err(self.error(format!("unexpected keyword '{other}'"))),
-                },
+                Token::Keyword("index") => items.push(self.parse_index()?),
+                Token::Keyword("input") => items.push(self.parse_input()?),
+                Token::Keyword("let") => items.push(self.parse_let()?),
+                Token::Keyword("output") => items.push(self.parse_output()?),
+                Token::Keyword(other) => {
+                    return Err(self.error(format!("unexpected keyword '{other}'")))
+                }
                 other => return Err(self.error(format!("expected item, found {other}"))),
             }
         }
@@ -201,7 +219,7 @@ impl Parser {
                             message: format!("dimension must be positive, got {v}"),
                         })
                     }
-                    Token::Ident(s) => dims.push(Dim::Index(s)),
+                    Token::Ident(s) => dims.push(Dim::Index(s.to_string())),
                     other => {
                         return Err(ParseError {
                             line: self.tokens[self.pos - 1].line,
@@ -217,7 +235,7 @@ impl Parser {
             }
         }
         let mut integer = false;
-        if self.peek() == &Token::Keyword("of".into()) {
+        if self.peek() == Token::Keyword("of") {
             self.pos += 1;
             self.expect_keyword("int")?;
             integer = true;
@@ -244,7 +262,7 @@ impl Parser {
             }
         }
         self.expect_punct("=")?;
-        let value = self.parse_expr()?;
+        let (value, _) = self.parse_expr()?;
         Ok(Item::Let {
             name,
             indices,
@@ -259,13 +277,60 @@ impl Parser {
     }
 
     // ---- expressions ------------------------------------------------------
+    //
+    // Every function returns the expression with its height, and every
+    // node is sized through `over` as it is built, so no tree taller
+    // than `MAX_EXPR_DEPTH` ever exists; `nested` bounds the parser's
+    // own recursion on the way down, before there is a tree to measure.
 
-    fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        self.parse_compare()
+    /// Names the line of the token just read, which is part of the
+    /// expression that went too deep (the next one may not be).
+    fn too_deep(&self) -> ParseError {
+        ParseError {
+            line: self.tokens[self.pos - 1].line,
+            message: format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+        }
     }
 
-    fn parse_compare(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.parse_addsub()?;
+    /// The height of a node (or a pair of parentheses) whose tallest
+    /// child is `below` high.
+    fn over(&self, below: usize) -> Result<usize, ParseError> {
+        if below < MAX_EXPR_DEPTH {
+            Ok(below + 1)
+        } else {
+            Err(self.too_deep())
+        }
+    }
+
+    /// Runs `parse` one level further down the parser's stack.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.nesting == MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        parsed
+    }
+
+    fn binary(&self, op: BinOp, (lhs, l): Tall, (rhs, r): Tall) -> Result<Tall, ParseError> {
+        let expr = Expr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+        };
+        Ok((expr, self.over(l.max(r))?))
+    }
+
+    fn parse_expr(&mut self) -> Result<Tall, ParseError> {
+        self.nested(Self::parse_compare)
+    }
+
+    fn parse_compare(&mut self) -> Result<Tall, ParseError> {
+        let (lhs, l) = self.parse_addsub()?;
         let op = match self.peek() {
             Token::Punct("<=") => Some(CmpOp::Le),
             Token::Punct("<") => Some(CmpOp::Lt),
@@ -277,18 +342,19 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            let rhs = self.parse_addsub()?;
-            Ok(Expr::Compare {
+            let (rhs, r) = self.parse_addsub()?;
+            let expr = Expr::Compare {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
-            })
+            };
+            Ok((expr, self.over(l.max(r))?))
         } else {
-            Ok(lhs)
+            Ok((lhs, l))
         }
     }
 
-    fn parse_addsub(&mut self) -> Result<Expr, ParseError> {
+    fn parse_addsub(&mut self) -> Result<Tall, ParseError> {
         let mut lhs = self.parse_muldiv()?;
         loop {
             let op = match self.peek() {
@@ -298,16 +364,12 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.parse_muldiv()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_muldiv(&mut self) -> Result<Expr, ParseError> {
+    fn parse_muldiv(&mut self) -> Result<Tall, ParseError> {
         let mut lhs = self.parse_unary()?;
         loop {
             let op = match self.peek() {
@@ -317,118 +379,130 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.parse_unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseError> {
+    fn parse_unary(&mut self) -> Result<Tall, ParseError> {
         if self.eat_punct("-") {
-            let inner = self.parse_unary()?;
-            return Ok(Expr::Neg(Box::new(inner)));
+            let (inner, height) = self.nested(Self::parse_unary)?;
+            return Ok((Expr::Neg(Box::new(inner)), self.over(height)?));
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ParseError> {
+    /// Dispatches on the first token. Each form that recurses lives in a
+    /// function of its own, so a level of nesting costs the stack that
+    /// form's locals and not every form's.
+    fn parse_primary(&mut self) -> Result<Tall, ParseError> {
         match self.bump() {
-            Token::Int(v) => Ok(Expr::Int(v)),
-            Token::Float(v) => Ok(Expr::Float(v)),
+            Token::Int(v) => Ok((Expr::Int(v), 1)),
+            Token::Float(v) => Ok((Expr::Float(v), 1)),
             Token::Punct("(") => {
-                let inner = self.parse_expr()?;
+                let (inner, height) = self.parse_expr()?;
                 self.expect_punct(")")?;
-                Ok(inner)
+                Ok((inner, self.over(height)?))
             }
-            Token::Keyword(k) if k == "select" => {
-                self.expect_punct("(")?;
-                let cond = self.parse_expr()?;
-                self.expect_punct(",")?;
-                let then = self.parse_expr()?;
-                self.expect_punct(",")?;
-                let otherwise = self.parse_expr()?;
-                self.expect_punct(")")?;
-                Ok(Expr::Select {
-                    cond: Box::new(cond),
-                    then: Box::new(then),
-                    otherwise: Box::new(otherwise),
-                })
-            }
-            Token::Keyword(k) if k == "sum" => {
-                self.expect_punct("(")?;
-                let mut indices = vec![self.expect_ident()?];
-                while self.eat_punct(",") {
-                    indices.push(self.expect_ident()?);
-                }
-                self.expect_punct(")")?;
-                self.expect_punct("(")?;
-                let body = self.parse_expr()?;
-                self.expect_punct(")")?;
-                Ok(Expr::Sum {
-                    indices,
-                    body: Box::new(body),
-                })
-            }
-            Token::Keyword(k) if k == "min" || k == "max" => {
-                let op = if k == "min" { BinOp::Min } else { BinOp::Max };
-                self.expect_punct("(")?;
-                let lhs = self.parse_expr()?;
-                self.expect_punct(",")?;
-                let rhs = self.parse_expr()?;
-                self.expect_punct(")")?;
-                Ok(Expr::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                })
-            }
-            Token::Keyword(k) if k == "exp" || k == "log" || k == "sqrt" || k == "abs" => {
-                let builtin = match k.as_str() {
-                    "exp" => Builtin::Exp,
-                    "log" => Builtin::Log,
-                    "sqrt" => Builtin::Sqrt,
-                    _ => Builtin::Abs,
-                };
-                self.expect_punct("(")?;
-                let arg = self.parse_expr()?;
-                self.expect_punct(")")?;
-                Ok(Expr::Call {
-                    builtin,
-                    arg: Box::new(arg),
-                })
-            }
-            Token::Ident(name) => {
-                if self.eat_punct("[") {
-                    let mut subscripts = Vec::new();
-                    if !self.eat_punct("]") {
-                        loop {
-                            subscripts.push(self.parse_expr()?);
-                            if self.eat_punct(",") {
-                                continue;
-                            }
-                            self.expect_punct("]")?;
-                            break;
-                        }
-                    }
-                    Ok(Expr::Ref {
-                        name,
-                        subscripts: Some(subscripts),
-                    })
-                } else {
-                    Ok(Expr::Ref {
-                        name,
-                        subscripts: None,
-                    })
-                }
-            }
+            Token::Keyword("select") => self.parse_select(),
+            Token::Keyword("sum") => self.parse_sum(),
+            Token::Keyword("min") => self.parse_min_max(BinOp::Min),
+            Token::Keyword("max") => self.parse_min_max(BinOp::Max),
+            Token::Keyword("exp") => self.parse_call(Builtin::Exp),
+            Token::Keyword("log") => self.parse_call(Builtin::Log),
+            Token::Keyword("sqrt") => self.parse_call(Builtin::Sqrt),
+            Token::Keyword("abs") => self.parse_call(Builtin::Abs),
+            Token::Ident(name) => self.parse_ref(name),
             other => Err(ParseError {
                 line: self.tokens[self.pos - 1].line,
                 message: format!("expected expression, found {other}"),
             }),
         }
+    }
+
+    fn parse_select(&mut self) -> Result<Tall, ParseError> {
+        self.expect_punct("(")?;
+        let (cond, c) = self.parse_expr()?;
+        self.expect_punct(",")?;
+        let (then, t) = self.parse_expr()?;
+        self.expect_punct(",")?;
+        let (otherwise, o) = self.parse_expr()?;
+        self.expect_punct(")")?;
+        let expr = Expr::Select {
+            cond: Box::new(cond),
+            then: Box::new(then),
+            otherwise: Box::new(otherwise),
+        };
+        Ok((expr, self.over(c.max(t).max(o))?))
+    }
+
+    fn parse_sum(&mut self) -> Result<Tall, ParseError> {
+        self.expect_punct("(")?;
+        let mut indices = vec![self.expect_ident()?];
+        while self.eat_punct(",") {
+            indices.push(self.expect_ident()?);
+        }
+        self.expect_punct(")")?;
+        self.expect_punct("(")?;
+        let (body, height) = self.parse_expr()?;
+        self.expect_punct(")")?;
+        let expr = Expr::Sum {
+            indices,
+            body: Box::new(body),
+        };
+        Ok((expr, self.over(height)?))
+    }
+
+    fn parse_min_max(&mut self, op: BinOp) -> Result<Tall, ParseError> {
+        self.expect_punct("(")?;
+        let lhs = self.parse_expr()?;
+        self.expect_punct(",")?;
+        let rhs = self.parse_expr()?;
+        self.expect_punct(")")?;
+        self.binary(op, lhs, rhs)
+    }
+
+    fn parse_call(&mut self, builtin: Builtin) -> Result<Tall, ParseError> {
+        self.expect_punct("(")?;
+        let (arg, height) = self.parse_expr()?;
+        self.expect_punct(")")?;
+        let expr = Expr::Call {
+            builtin,
+            arg: Box::new(arg),
+        };
+        Ok((expr, self.over(height)?))
+    }
+
+    fn parse_ref(&mut self, name: &str) -> Result<Tall, ParseError> {
+        let name = name.to_string();
+        if !self.eat_punct("[") {
+            return Ok((
+                Expr::Ref {
+                    name,
+                    subscripts: None,
+                },
+                1,
+            ));
+        }
+        let mut subscripts = Vec::new();
+        let mut tallest = 0;
+        if !self.eat_punct("]") {
+            loop {
+                let (subscript, height) = self.parse_expr()?;
+                subscripts.push(subscript);
+                tallest = tallest.max(height);
+                if self.eat_punct(",") {
+                    continue;
+                }
+                self.expect_punct("]")?;
+                break;
+            }
+        }
+        let expr = Expr::Ref {
+            name,
+            subscripts: Some(subscripts),
+        };
+        Ok((expr, self.over(tallest)?))
     }
 }
 
@@ -543,5 +617,74 @@ mod tests {
             panic!()
         };
         assert!(matches!(value, Expr::Binary { op: BinOp::Min, .. }));
+    }
+
+    /// `let y[i] = <expr>` in a kernel that declares `a`, on line 4.
+    fn kernel_around(expr: &str) -> String {
+        format!("kernel deep {{\n  index i : 0..4\n  input a : [i]\n  let y[i] = {expr}\n  output y\n}}")
+    }
+
+    fn assert_too_deep(expr: &str) {
+        let err = parse(&kernel_around(expr)).unwrap_err();
+        assert_eq!(err.line, 4);
+        assert_eq!(
+            err.to_string(),
+            format!("parse error at line 4: expression nests deeper than {MAX_EXPR_DEPTH} levels")
+        );
+    }
+
+    #[test]
+    fn parentheses_nest_to_the_bound_and_no_further() {
+        let wrapped = |n: usize| format!("{}a[i]{}", "(".repeat(n), ")".repeat(n));
+        // The subscripted leaf is two levels (`a[..]` over `i`).
+        parse(&kernel_around(&wrapped(MAX_EXPR_DEPTH - 2))).expect("at the bound");
+        assert_too_deep(&wrapped(MAX_EXPR_DEPTH - 1));
+        assert_too_deep(&wrapped(20_000));
+        // A call or a subscript is one level, its brackets included.
+        let called = |n: usize| format!("{}a[i]{}", "abs(".repeat(n), ")".repeat(n));
+        parse(&kernel_around(&called(MAX_EXPR_DEPTH - 2))).expect("at the bound");
+        assert_too_deep(&called(MAX_EXPR_DEPTH - 1));
+        let indexed = |n: usize| format!("{}i{}", "a[".repeat(n), "]".repeat(n));
+        parse(&kernel_around(&indexed(MAX_EXPR_DEPTH - 1))).expect("at the bound");
+        assert_too_deep(&indexed(MAX_EXPR_DEPTH));
+    }
+
+    #[test]
+    fn unary_minus_chains_to_the_bound_and_no_further() {
+        let negated = |n: usize| format!("{}a[i]", "-".repeat(n));
+        parse(&kernel_around(&negated(MAX_EXPR_DEPTH - 2))).expect("at the bound");
+        assert_too_deep(&negated(MAX_EXPR_DEPTH - 1));
+        assert_too_deep(&negated(200_000));
+    }
+
+    #[test]
+    fn operator_chains_grow_a_tree_to_the_bound_and_no_further() {
+        let summed = |terms: usize| vec!["a[i]"; terms].join(" + ");
+        // `terms - 1` additions over a two-level leaf.
+        parse(&kernel_around(&summed(MAX_EXPR_DEPTH - 1))).expect("at the bound");
+        assert_too_deep(&summed(MAX_EXPR_DEPTH));
+        assert_too_deep(&summed(200_000));
+        let multiplied = |terms: usize| vec!["a[i]"; terms].join(" * ");
+        parse(&kernel_around(&multiplied(MAX_EXPR_DEPTH - 1))).expect("at the bound");
+        assert_too_deep(&multiplied(MAX_EXPR_DEPTH));
+        // A chain that is wide, not deep, is no deeper for its length.
+        let wide = vec![format!("({})", summed(8)); 24].join(" * ");
+        parse(&kernel_around(&format!("({wide}) + ({wide})"))).expect("wide");
+    }
+
+    #[test]
+    fn an_expression_at_the_bound_checks_and_lowers() {
+        let wrapped = format!(
+            "{}a[i]{}",
+            "(".repeat(MAX_EXPR_DEPTH - 2),
+            ")".repeat(MAX_EXPR_DEPTH - 2)
+        );
+        let summed = vec!["a[i]"; MAX_EXPR_DEPTH - 1].join(" - ");
+        for expr in [wrapped, summed] {
+            let kernel = parse(&kernel_around(&expr)).expect("parses");
+            let program = crate::check::check(&kernel).expect("checks");
+            let module = crate::lower::lower_to_loops(&program).expect("lowers");
+            assert!(module.num_ops() > 0);
+        }
     }
 }

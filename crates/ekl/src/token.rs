@@ -1,15 +1,19 @@
 //! Tokens and lexer for the EVEREST Kernel Language.
+//!
+//! The lexer walks the source's bytes and lends words out of it: a
+//! [`Token`] borrows its text from the source string, so lexing
+//! allocates the token vector and nothing per token.
 
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+/// A lexical token, borrowing its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'s> {
     /// Keywords: `kernel`, `index`, `input`, `let`, `output`, `of`,
     /// `int`, `select`, `sum`.
-    Keyword(String),
+    Keyword(&'s str),
     /// An identifier.
-    Ident(String),
+    Ident(&'s str),
     /// An integer literal.
     Int(i64),
     /// A float literal.
@@ -20,7 +24,7 @@ pub enum Token {
     Eof,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Keyword(k) => write!(f, "keyword '{k}'"),
@@ -34,10 +38,10 @@ impl fmt::Display for Token {
 }
 
 /// A token plus its source line (1-based), for diagnostics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spanned<'s> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'s>,
     /// 1-based source line.
     pub line: usize,
 }
@@ -69,69 +73,61 @@ impl std::error::Error for LexError {}
 /// # Errors
 ///
 /// Returns a [`LexError`] on unknown characters or malformed numbers.
-pub fn tokenize(source: &str) -> Result<Vec<Spanned>, LexError> {
+pub fn tokenize(source: &str) -> Result<Vec<Spanned<'_>>, LexError> {
     let mut tokens = Vec::new();
-    let chars: Vec<char> = source.chars().collect();
+    let bytes = source.as_bytes();
     let mut i = 0;
     let mut line = 1;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '\n' {
+    while i < bytes.len() {
+        let b = bytes[i];
+        if b == b'\n' {
             line += 1;
             i += 1;
             continue;
         }
-        if c.is_whitespace() {
+        // The ASCII characters `char::is_whitespace` accepts.
+        if matches!(b, b' ' | b'\t'..=b'\r') {
             i += 1;
             continue;
         }
-        if c == '#' {
-            while i < chars.len() && chars[i] != '\n' {
+        if b == b'#' {
+            while i < bytes.len() && bytes[i] != b'\n' {
                 i += 1;
             }
             continue;
         }
-        if c.is_ascii_alphabetic() || c == '_' {
+        if b.is_ascii_alphabetic() || b == b'_' {
             let start = i;
-            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
+            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            let word: String = chars[start..i].iter().collect();
-            if KEYWORDS.contains(&word.as_str()) {
-                tokens.push(Spanned {
-                    token: Token::Keyword(word),
-                    line,
-                });
+            let word = &source[start..i];
+            let token = if KEYWORDS.contains(&word) {
+                Token::Keyword(word)
             } else {
-                tokens.push(Spanned {
-                    token: Token::Ident(word),
-                    line,
-                });
-            }
+                Token::Ident(word)
+            };
+            tokens.push(Spanned { token, line });
             continue;
         }
-        if c.is_ascii_digit() {
+        if b.is_ascii_digit() {
             let start = i;
             let mut is_float = false;
-            while i < chars.len()
-                && (chars[i].is_ascii_digit()
-                    || chars[i] == '.'
-                    || chars[i] == 'e'
-                    || chars[i] == 'E'
-                    || ((chars[i] == '-' || chars[i] == '+')
+            while i < bytes.len()
+                && (bytes[i].is_ascii_digit()
+                    || matches!(bytes[i], b'.' | b'e' | b'E')
+                    || (matches!(bytes[i], b'-' | b'+')
                         && i > start
-                        && (chars[i - 1] == 'e' || chars[i - 1] == 'E')))
+                        && matches!(bytes[i - 1], b'e' | b'E')))
             {
                 // `0..8` range syntax: stop before `..`
-                if chars[i] == '.' && chars.get(i + 1) == Some(&'.') {
+                if bytes[i] == b'.' && bytes.get(i + 1) == Some(&b'.') {
                     break;
                 }
-                if chars[i] == '.' || chars[i] == 'e' || chars[i] == 'E' {
-                    is_float = true;
-                }
+                is_float |= matches!(bytes[i], b'.' | b'e' | b'E');
                 i += 1;
             }
-            let text: String = chars[start..i].iter().collect();
+            let text = &source[start..i];
             let token = if is_float {
                 Token::Float(text.parse().map_err(|_| LexError {
                     line,
@@ -147,13 +143,12 @@ pub fn tokenize(source: &str) -> Result<Vec<Spanned>, LexError> {
             continue;
         }
         // multi-char punctuation first
-        let two: String = chars[i..(i + 2).min(chars.len())].iter().collect();
-        let punct = match two.as_str() {
-            ".." => Some(".."),
-            "<=" => Some("<="),
-            ">=" => Some(">="),
-            "==" => Some("=="),
-            "!=" => Some("!="),
+        let punct = match bytes.get(i..i + 2) {
+            Some(b"..") => Some(".."),
+            Some(b"<=") => Some("<="),
+            Some(b">=") => Some(">="),
+            Some(b"==") => Some("=="),
+            Some(b"!=") => Some("!="),
             _ => None,
         };
         if let Some(p) = punct {
@@ -164,27 +159,36 @@ pub fn tokenize(source: &str) -> Result<Vec<Spanned>, LexError> {
             i += 2;
             continue;
         }
-        let single = match c {
-            '{' => "{",
-            '}' => "}",
-            '[' => "[",
-            ']' => "]",
-            '(' => "(",
-            ')' => ")",
-            ',' => ",",
-            ':' => ":",
-            '=' => "=",
-            '+' => "+",
-            '-' => "-",
-            '*' => "*",
-            '/' => "/",
-            '<' => "<",
-            '>' => ">",
-            other => {
+        let single = match b {
+            b'{' => "{",
+            b'}' => "}",
+            b'[' => "[",
+            b']' => "]",
+            b'(' => "(",
+            b')' => ")",
+            b',' => ",",
+            b':' => ":",
+            b'=' => "=",
+            b'+' => "+",
+            b'-' => "-",
+            b'*' => "*",
+            b'/' => "/",
+            b'<' => "<",
+            b'>' => ">",
+            _ => {
+                // Whatever is left is judged as a character, not a byte:
+                // every token above ends on an ASCII byte, so `i` is on a
+                // character boundary. Unicode whitespace (U+00A0, U+2003,
+                // ...) separates tokens as the ASCII kinds above do.
+                let other = source[i..].chars().next().expect("i < len");
+                if other.is_whitespace() {
+                    i += other.len_utf8();
+                    continue;
+                }
                 return Err(LexError {
                     line,
                     message: format!("unexpected character '{other}'"),
-                })
+                });
             }
         };
         tokens.push(Spanned {
@@ -204,7 +208,7 @@ pub fn tokenize(source: &str) -> Result<Vec<Spanned>, LexError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Token> {
+    fn kinds(src: &str) -> Vec<Token<'_>> {
         tokenize(src)
             .unwrap()
             .into_iter()
@@ -218,8 +222,8 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Keyword("index".into()),
-                Token::Ident("x".into()),
+                Token::Keyword("index"),
+                Token::Ident("x"),
                 Token::Punct(":"),
                 Token::Int(0),
                 Token::Punct(".."),
@@ -253,11 +257,11 @@ mod tests {
     #[test]
     fn comments_are_skipped_and_lines_tracked() {
         let toks = tokenize("# header\nlet y = 1 # trailing\nlet z = 2").unwrap();
-        assert_eq!(toks[0].token, Token::Keyword("let".into()));
+        assert_eq!(toks[0].token, Token::Keyword("let"));
         assert_eq!(toks[0].line, 2);
         let z_let = toks
             .iter()
-            .filter(|t| t.token == Token::Keyword("let".into()))
+            .filter(|t| t.token == Token::Keyword("let"))
             .nth(1)
             .unwrap();
         assert_eq!(z_let.line, 3);

@@ -2,7 +2,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
+use crate::intern::Symbol;
 use crate::types::Type;
 
 /// A compile-time constant attached to an operation under a name.
@@ -127,8 +129,72 @@ impl Attribute {
         )
     }
 
-    /// Converts this attribute into its hashable structural mirror,
-    /// suitable for use in map keys (e.g. CSE equivalence classes).
+    /// Structural equality: the relation [`AttrKey`] has, decided in
+    /// place. Floats compare by bit pattern — `0.0` and `-0.0` differ, a
+    /// NaN equals the same NaN — and variants never mix (`Int(1)`,
+    /// `Float(1.0)`, `Str("1")` and `Bool(true)` are four attributes),
+    /// so two attributes are equal exactly when they print the same.
+    /// This is what CSE merges on; `==` is IEEE on floats and is not.
+    pub fn structural_eq(&self, other: &Attribute) -> bool {
+        use Attribute::*;
+        let bits_eq = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        match (self, other) {
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
+            (Str(a), Str(b)) | (SymbolRef(a), SymbolRef(b)) => a == b,
+            (Bool(a), Bool(b)) => a == b,
+            (Ty(a), Ty(b)) => a == b,
+            (Array(a), Array(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.structural_eq(y))
+            }
+            (Dict(a), Dict(b)) => {
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b)
+                        .all(|((ka, va), (kb, vb))| ka == kb && va.structural_eq(vb))
+            }
+            (DenseF64(a), DenseF64(b)) => bits_eq(a, b),
+            (DenseI64(a), DenseI64(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    /// Feeds `state` what [`Attribute::structural_eq`] compares: the
+    /// variant, then the payload with floats as bit patterns. Equal
+    /// attributes hash equally; nothing is cloned.
+    pub fn structural_hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Attribute::Int(v) => v.hash(state),
+            Attribute::Float(v) => v.to_bits().hash(state),
+            Attribute::Str(s) | Attribute::SymbolRef(s) => s.hash(state),
+            Attribute::Bool(b) => b.hash(state),
+            Attribute::Ty(t) => t.hash(state),
+            Attribute::Array(items) => {
+                items.len().hash(state);
+                items.iter().for_each(|item| item.structural_hash(state));
+            }
+            Attribute::Dict(entries) => {
+                entries.len().hash(state);
+                for (k, v) in entries {
+                    k.hash(state);
+                    v.structural_hash(state);
+                }
+            }
+            Attribute::DenseF64(data) => {
+                data.len().hash(state);
+                data.iter().for_each(|v| v.to_bits().hash(state));
+            }
+            Attribute::DenseI64(data) => data.hash(state),
+        }
+    }
+
+    /// Converts this attribute into its hashable structural mirror: an
+    /// owned copy whose derived `Eq` / `Hash` are the relation
+    /// [`Attribute::structural_eq`] / [`Attribute::structural_hash`]
+    /// decide in place. Tests hold the two to each other.
     pub fn structural_key(&self) -> AttrKey {
         match self {
             Attribute::Int(v) => AttrKey::Int(*v),
@@ -183,6 +249,119 @@ pub enum AttrKey {
     DenseF64(Vec<u64>),
     /// Mirror of [`Attribute::DenseI64`].
     DenseI64(Vec<i64>),
+}
+
+/// The named attributes of one operation: a vector of `(name, value)`
+/// kept sorted by the name's *text*, so iteration — and with it the
+/// printed IR — is in the byte-wise order a `BTreeMap<String, _>` gives.
+///
+/// Most ops carry zero to three attributes. An empty map owns no heap
+/// memory; a populated one is a single allocation of 72 bytes an entry,
+/// where a `BTreeMap<String, Attribute>` is a ~1 KB leaf plus one
+/// `String` per key. Names are interned [`Symbol`]s: cloning a map
+/// copies no text and comparing two names is an id compare. They join
+/// the process-wide interner, which is never freed — attribute names
+/// are a closed vocabulary in every producer in this repository, but
+/// [`parse_module`](crate::parse::parse_module) interns whatever names
+/// its input spells (bounded by the input's size).
+///
+/// # Examples
+///
+/// ```
+/// use everest_ir::attr::{AttrMap, Attribute};
+///
+/// let mut attrs = AttrMap::new();
+/// attrs.insert("value", Attribute::Int(1));
+/// attrs.insert("sym_name", Attribute::from("k"));
+/// assert_eq!(attrs.insert("value", Attribute::Int(2)), Some(Attribute::Int(1)));
+/// assert_eq!(attrs.get("value"), Some(&Attribute::Int(2)));
+/// let names: Vec<&str> = attrs.iter().map(|(name, _)| name).collect();
+/// assert_eq!(names, ["sym_name", "value"]);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct AttrMap {
+    entries: Vec<(Symbol, Attribute)>,
+}
+
+impl AttrMap {
+    /// An empty map; allocates nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The attribute stored under `name`.
+    pub fn get(&self, name: &str) -> Option<&Attribute> {
+        self.entries
+            .iter()
+            .find(|(key, _)| key.as_str() == name)
+            .map(|(_, value)| value)
+    }
+
+    /// `true` when an attribute is stored under `name`.
+    pub fn contains_key(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// Stores `value` under `name`, returning what it replaced.
+    pub fn insert(&mut self, name: &str, value: Attribute) -> Option<Attribute> {
+        match self
+            .entries
+            .binary_search_by(|(key, _)| key.as_str().cmp(name))
+        {
+            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
+            Err(at) => {
+                // Most ops that have an attribute have exactly one: hold
+                // it in 72 bytes, not in `Vec`'s first step of four.
+                if self.entries.is_empty() {
+                    self.entries.reserve_exact(1);
+                }
+                self.entries.insert(at, (Symbol::new(name), value));
+                None
+            }
+        }
+    }
+
+    /// The entries in byte-wise order of their names.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&'static str, &Attribute)> {
+        self.entries
+            .iter()
+            .map(|(key, value)| (key.as_str(), value))
+    }
+
+    /// Removes every entry, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// `true` when the map has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// [`Attribute::structural_eq`] over whole maps: the same names
+    /// carrying structurally equal values.
+    pub fn structural_eq(&self, other: &AttrMap) -> bool {
+        self.entries.len() == other.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|((ka, va), (kb, vb))| ka == kb && va.structural_eq(vb))
+    }
+
+    /// Feeds `state` every name and value, as
+    /// [`Attribute::structural_hash`] does one value.
+    pub fn structural_hash<H: Hasher>(&self, state: &mut H) {
+        for (key, value) in &self.entries {
+            key.hash(state);
+            value.structural_hash(state);
+        }
+    }
 }
 
 impl From<i64> for Attribute {
@@ -336,5 +515,97 @@ mod tests {
         let d = Attribute::DenseF64(vec![1.0, 2.0]);
         assert_eq!(d.as_dense_f64(), Some(&[1.0, 2.0][..]));
         assert_eq!(d.as_dense_i64(), None);
+    }
+
+    /// Pairs a careless comparison conflates, nested ones included.
+    fn colliding() -> Vec<Attribute> {
+        let dict = |k: &str, v: Attribute| Attribute::Dict([(k.to_string(), v)].into());
+        vec![
+            Attribute::Float(0.0),
+            Attribute::Float(-0.0),
+            Attribute::Float(f64::NAN),
+            Attribute::Float(f64::from_bits(f64::NAN.to_bits() ^ 1)),
+            Attribute::Int(1),
+            Attribute::Float(1.0),
+            Attribute::Str("1".into()),
+            Attribute::SymbolRef("1".into()),
+            Attribute::Bool(true),
+            Attribute::Ty(Type::F64),
+            Attribute::Ty(Type::F32),
+            Attribute::Array(vec![]),
+            Attribute::Array(vec![Attribute::Int(1)]),
+            Attribute::Array(vec![Attribute::Float(1.0)]),
+            Attribute::Array(vec![Attribute::Int(1), Attribute::Int(1)]),
+            Attribute::DenseF64(vec![]),
+            Attribute::DenseF64(vec![0.0]),
+            Attribute::DenseF64(vec![-0.0]),
+            Attribute::DenseI64(vec![]),
+            Attribute::DenseI64(vec![0]),
+            dict("x", Attribute::Int(1)),
+            dict("x", Attribute::Float(1.0)),
+            dict("y", Attribute::Int(1)),
+            Attribute::Dict(BTreeMap::new()),
+        ]
+    }
+
+    #[test]
+    fn structural_eq_and_hash_decide_the_attr_key_relation_in_place() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash_of = |a: &Attribute| {
+            let mut state = DefaultHasher::new();
+            a.structural_hash(&mut state);
+            state.finish()
+        };
+        let all = colliding();
+        for a in &all {
+            for b in &all {
+                let same = a.structural_key() == b.structural_key();
+                assert_eq!(a.structural_eq(b), same, "{a} vs {b}");
+                assert_eq!(hash_of(a) == hash_of(b), same, "{a} vs {b}");
+            }
+            assert!(a.structural_eq(&a.clone()), "{a}");
+        }
+    }
+
+    #[test]
+    fn attr_map_iterates_in_byte_order_of_the_names() {
+        let mut attrs = AttrMap::new();
+        // Interned, and inserted, in an order that is not theirs.
+        for name in ["value", "b", "a", "Z", "a_b", "a.b", "aa"] {
+            assert_eq!(attrs.insert(name, Attribute::from(name)), None);
+        }
+        let names: Vec<&str> = attrs.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["Z", "a", "a.b", "a_b", "aa", "b", "value"]);
+        assert_eq!(attrs.len(), 7);
+        assert_eq!(attrs.get("a.b"), Some(&Attribute::from("a.b")));
+        assert_eq!(attrs.get("missing"), None);
+        assert!(attrs.contains_key("Z") && !attrs.contains_key("z"));
+        attrs.clear();
+        assert!(attrs.is_empty());
+    }
+
+    #[test]
+    fn attr_map_equality_follows_names_and_structure() {
+        let one = |name: &str, value: Attribute| {
+            let mut attrs = AttrMap::new();
+            attrs.insert(name, value);
+            attrs
+        };
+        let base = one("value", Attribute::Float(0.0));
+        assert!(base.structural_eq(&one("value", Attribute::Float(0.0))));
+        assert!(!base.structural_eq(&one("value", Attribute::Float(-0.0))));
+        assert!(!base.structural_eq(&one("tag", Attribute::Float(0.0))));
+        assert!(!base.structural_eq(&AttrMap::new()));
+        let nan = one("value", Attribute::Float(f64::NAN));
+        assert!(nan.structural_eq(&nan.clone()));
+    }
+
+    /// The clone and drop savings rest on these: a later field or a
+    /// fatter key would undo them silently.
+    #[test]
+    fn attr_map_is_one_pointer_triple_of_72_byte_entries() {
+        assert_eq!(std::mem::size_of::<AttrMap>(), 24);
+        assert_eq!(std::mem::size_of::<(Symbol, Attribute)>(), 72);
+        assert_eq!(std::mem::size_of::<Attribute>(), 48);
     }
 }

@@ -1,12 +1,14 @@
-//! Interned operation-name symbols.
+//! Interned operation and attribute names.
 //!
 //! Op names are a tiny closed vocabulary (`"arith.addf"`, `"scf.for"`,
-//! ...) yet the pre-interning IR cloned them as `String`s on every op
-//! build, CSE key, and pass dispatch — a heap allocation per touch on
-//! the hottest compiler paths. A [`Symbol`] is a process-wide interned
-//! name: 16 bytes, `Copy`, equality and hashing on a dense `u32` id,
-//! with the backing text leaked once per distinct name so
-//! [`Symbol::as_str`] is a free pointer read (no lock, no lookup).
+//! ...) and so are attribute names (`"value"`, `"sym_name"`, ...), yet
+//! the pre-interning IR cloned them as `String`s on every op build, CSE
+//! key, and pass dispatch — a heap allocation per touch on the hottest
+//! compiler paths. A [`Symbol`] is a process-wide interned name: 24
+//! bytes (a `u32` id, padding, and the `&'static str`), `Copy`,
+//! equality and hashing on the dense id, with the backing text leaked
+//! once per distinct name so [`Symbol::as_str`] is a free pointer read
+//! (no lock, no lookup).
 //!
 //! Deliberate non-features:
 //!
@@ -15,7 +17,10 @@
 //!   nondeterministic across runs. Anything needing a stable order
 //!   (printing, error listings) must sort by [`Symbol::as_str`].
 //! * **No eviction.** The vocabulary is bounded by the dialect
-//!   registry; leaking it for the process lifetime is the point.
+//!   registry; leaking it for the process lifetime is the point. The
+//!   text parser interns every op and attribute name it reads, so on
+//!   hostile text the table grows with the distinct names in the input
+//!   (bounded by its size, never freed).
 //!
 //! # Examples
 //!
@@ -33,7 +38,8 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-/// A process-wide interned string, used for operation names.
+/// A process-wide interned string, used for operation and attribute
+/// names.
 ///
 /// Equality and hashing compare the `u32` id (two symbols are equal iff
 /// their text is equal); `Deref<Target = str>` and [`Symbol::as_str`]
@@ -80,6 +86,18 @@ impl Symbol {
     /// symbol.
     pub fn as_str(&self) -> &'static str {
         self.text
+    }
+
+    /// The symbol's dense id: `0, 1, 2, ...` in first-intern order, so
+    /// a table indexed by it (the registry's op specs) has a slot for
+    /// every symbol interned before it was sized and none past its end
+    /// for one interned later. Ids depend on execution order — which
+    /// name the process happened to intern first — so they are an
+    /// index, never an order: anything that must come out the same on
+    /// every run sorts by [`Symbol::as_str`] (the type has no `Ord` for
+    /// that reason).
+    pub fn index(&self) -> usize {
+        self.id as usize
     }
 }
 
@@ -191,6 +209,19 @@ mod tests {
         assert_eq!(a.as_str(), "test.intern_a");
         // The leaked text is shared, not re-leaked per intern.
         assert!(std::ptr::eq(a.as_str(), b.as_str()));
+    }
+
+    #[test]
+    fn indices_are_dense_and_name_the_symbol() {
+        let a = Symbol::new("test.index_a");
+        let b = Symbol::new("test.index_b");
+        assert_eq!(Symbol::new("test.index_a").index(), a.index());
+        assert_ne!(a.index(), b.index());
+        // Dense: a fresh name takes the next free id, so every id in
+        // use is below the number of distinct names interned so far.
+        let table_len = interner().lock().unwrap().map.len();
+        assert!(a.index() < table_len && b.index() < table_len);
+        assert_eq!(std::mem::size_of::<Symbol>(), 24);
     }
 
     #[test]

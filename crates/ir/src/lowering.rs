@@ -235,7 +235,7 @@ impl<'s> Lowerer<'s> {
                     .op_mut(alloc_op)
                     .expect("live")
                     .attributes
-                    .insert(attr_name.to_string(), value);
+                    .insert(attr_name, value);
                 Ok(())
             }
             "teil.add" | "teil.sub" | "teil.mul" | "teil.div" | "teil.max" | "teil.min" => {

@@ -6,9 +6,7 @@
 //! the graph acyclic from the borrow checker's point of view and makes
 //! destructive rewrites (erase, replace-all-uses) cheap and safe.
 
-use std::collections::BTreeMap;
-
-use crate::attr::Attribute;
+use crate::attr::{AttrMap, Attribute};
 use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::intern::Symbol;
@@ -57,8 +55,8 @@ pub struct Operation {
     pub operands: Vec<ValueId>,
     /// SSA results.
     pub results: Vec<ValueId>,
-    /// Named attributes (sorted map for deterministic printing).
-    pub attributes: BTreeMap<String, Attribute>,
+    /// Named attributes, sorted by name for deterministic printing.
+    pub attributes: AttrMap,
     /// Nested regions.
     pub regions: Vec<RegionId>,
     /// The block containing this op, if attached.
@@ -345,7 +343,7 @@ impl Module {
         name: impl Into<Symbol>,
         operands: Vec<ValueId>,
         result_types: Vec<Type>,
-        attributes: BTreeMap<String, Attribute>,
+        attributes: AttrMap,
         num_regions: usize,
     ) -> OpId {
         self.revision += 1;
@@ -387,7 +385,7 @@ impl Module {
             name: Symbol::new(name),
             operands: operands.into_iter().collect(),
             result_types: result_types.into_iter().collect(),
-            attributes: BTreeMap::new(),
+            attributes: AttrMap::new(),
             num_regions: 0,
         }
     }
@@ -558,7 +556,8 @@ impl Module {
 
     /// Walks all live ops in the module in pre-order (region nesting order).
     pub fn walk_ops(&self) -> Vec<OpId> {
-        let mut out = Vec::new();
+        // Every attached op has a slot, so the walk never regrows.
+        let mut out = Vec::with_capacity(self.ops.len());
         self.walk_region(self.top, &mut out);
         out
     }
@@ -635,14 +634,14 @@ pub struct OpBuilder<'m> {
     name: Symbol,
     operands: Vec<ValueId>,
     result_types: Vec<Type>,
-    attributes: BTreeMap<String, Attribute>,
+    attributes: AttrMap,
     num_regions: usize,
 }
 
 impl<'m> OpBuilder<'m> {
     /// Adds an attribute.
     pub fn attr(mut self, name: &str, value: impl Into<Attribute>) -> Self {
-        self.attributes.insert(name.to_string(), value.into());
+        self.attributes.insert(name, value.into());
         self
     }
 
@@ -703,6 +702,15 @@ mod tests {
         m.build_op("arith.constant", [], [Type::F64])
             .attr("value", Attribute::Float(v))
             .append_to(block)
+    }
+
+    /// Cloning and dropping a module is per-op memory traffic; these are
+    /// the sizes the measured costs in docs/PERFORMANCE.md go with.
+    #[test]
+    fn arena_entries_keep_their_sizes() {
+        assert_eq!(std::mem::size_of::<Operation>(), 128);
+        assert_eq!(std::mem::size_of::<ValueInfo>(), 64);
+        assert_eq!(std::mem::size_of::<Type>(), 48);
     }
 
     #[test]

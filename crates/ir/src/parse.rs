@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::attr::Attribute;
+use crate::attr::{AttrMap, Attribute};
 use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, ValueId};
 use crate::module::Module;
@@ -600,14 +600,14 @@ impl Parser {
             }
         }
         // Attributes.
-        let mut attrs = BTreeMap::new();
+        let mut attrs = AttrMap::new();
         self.skip_ws();
         if self.eat_char('{') && !self.eat_char('}') {
             loop {
                 let key = self.parse_ident()?;
                 self.expect_char('=')?;
                 let value = self.parse_attr()?;
-                attrs.insert(key, value);
+                attrs.insert(&key, value);
                 if self.eat_char(',') {
                     continue;
                 }

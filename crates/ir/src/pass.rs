@@ -4,13 +4,13 @@
 //! pipeline, optionally verifying between passes (as the EVEREST flow
 //! does between dialect lowerings), and records per-pass statistics.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hasher;
 
 use crate::attr::Attribute;
 use crate::error::{IrError, IrResult};
-use crate::ids::{BlockId, ValueId};
+use crate::ids::{BlockId, OpId, ValueId};
 use crate::intern::Symbol;
-use crate::module::Module;
+use crate::module::{Module, Operation};
 use crate::registry::{Context, OpTrait};
 
 /// Statistics reported by one pass execution.
@@ -118,7 +118,7 @@ impl PassManager {
             crate::verify::verify_module(ctx, module)?;
         }
         let mut verified_at = module.revision();
-        let mut all = Vec::new();
+        let mut all = Vec::with_capacity(self.passes.len());
         for pass in &self.passes {
             let span = everest_telemetry::span(format!("ir.pass.{}", pass.name()));
             let stats = pass.run(ctx, module)?;
@@ -297,23 +297,166 @@ impl Pass for Dce {
 /// Common-subexpression elimination over pure ops within each block.
 ///
 /// Two pure ops are equivalent when they share name, operands and
-/// attributes. Commutative ops are keyed on sorted operands.
+/// attributes — attributes by [`Attribute::structural_eq`], so `0.0`
+/// and `-0.0`, or `Int(1)` and `Float(1.0)`, never merge. Commutative
+/// ops compare on sorted operands.
 ///
 /// The scan never mutates the module. A merge records
 /// `forward[duplicate result] = kept result` in a dense table, and
-/// every key reads its operands *through* that table, so keys equal
-/// what rewriting the uses on the spot would have produced — also for
-/// blocks visited later. One [`Module::forward_uses`] sweep and one
-/// [`Module::erase_ops`] batch then apply all merges, which keeps the
-/// pass linear in module size however many duplicates it finds.
+/// every op reads its operands *through* that table, so what is
+/// compared equals what rewriting the uses on the spot would have
+/// produced — also for blocks visited later. One
+/// [`Module::forward_uses`] sweep and one [`Module::erase_ops`] batch
+/// then apply all merges, which keeps the pass linear in module size
+/// however many duplicates it finds.
+///
+/// No key is built per op: an op is hashed where it sits (name id,
+/// forwarded operands, attribute names and payloads) and, on a hash
+/// hit, compared in place with the op already kept. The kept ops of
+/// the current block are chained per bucket through one table that is
+/// reused from block to block, so a run allocates a handful of vectors
+/// however many ops it visits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cse;
 
-/// Structural CSE equivalence key: interned op name (`Copy`, hashed by
-/// id — no per-key string clone), forwarded (possibly sorted) operands,
-/// and attributes by borrowed name and [`crate::attr::AttrKey`], so
-/// distinct attributes can never collide the way rendered strings could.
-type CseKey<'m> = (Symbol, Vec<ValueId>, Vec<(&'m str, crate::attr::AttrKey)>);
+/// A multiply-rotate hasher for [`CseTable`]. A collision costs a
+/// longer chain walk and an in-place compare, never a wrong merge.
+#[derive(Default)]
+struct OpHasher(u64);
+
+impl Hasher for OpHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, byte: u8) {
+        self.write_u64(byte as u64);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// The ops one block has kept so far, findable by what CSE compares.
+struct CseTable {
+    /// First entry of each bucket's chain, [`CseTable::END`] when empty;
+    /// a power of two long, indexed by the hash's top bits.
+    heads: Vec<u32>,
+    entries: Vec<CseEntry>,
+    /// Every entry's forwarded (sorted, when commutative) operands back
+    /// to back, as they read when the entry was made. The op being
+    /// looked up writes its own at the tail, which is kept on a miss
+    /// and cut off again on a hit.
+    operands: Vec<ValueId>,
+}
+
+struct CseEntry {
+    hash: u64,
+    op: OpId,
+    /// Where this entry's operands start in [`CseTable::operands`].
+    operands_at: usize,
+    /// Next entry of the same bucket.
+    next: u32,
+}
+
+impl CseTable {
+    const END: u32 = u32::MAX;
+
+    /// A table with room for a block of `ops` operations, most of them
+    /// binary at most, so that no block of the run regrows it.
+    fn with_room_for(ops: usize) -> Self {
+        CseTable {
+            heads: Vec::with_capacity(Self::buckets(ops)),
+            entries: Vec::with_capacity(ops),
+            operands: Vec::with_capacity(2 * ops),
+        }
+    }
+
+    fn buckets(ops: usize) -> usize {
+        (2 * ops).next_power_of_two().max(2)
+    }
+
+    /// Empties the table and sizes it for a block of `ops` operations.
+    fn reset(&mut self, ops: usize) {
+        self.heads.clear();
+        self.heads.resize(Self::buckets(ops), Self::END);
+        self.entries.clear();
+        self.operands.clear();
+    }
+
+    /// The op kept earlier in this block that `operation` duplicates;
+    /// when there is none, `op` is kept and `None` returned.
+    fn kept_or_keep<'m>(
+        &mut self,
+        module: &'m Module,
+        (op, operation): (OpId, &Operation),
+        commutative: bool,
+        forward: &[ValueId],
+    ) -> Option<&'m Operation> {
+        let operands_at = self.operands.len();
+        self.operands.extend(
+            operation
+                .operands
+                .iter()
+                .map(|&v| forward.get(v.index()).copied().unwrap_or(v)),
+        );
+        if commutative {
+            self.operands[operands_at..].sort_unstable();
+        }
+        let mut hasher = OpHasher::default();
+        hasher.write_usize(operation.name.index());
+        for operand in &self.operands[operands_at..] {
+            hasher.write_usize(operand.index());
+        }
+        operation.attributes.structural_hash(&mut hasher);
+        let hash = hasher.finish();
+
+        let bucket = (hash >> (64 - self.heads.len().trailing_zeros())) as usize;
+        let mut at = self.heads[bucket];
+        while at != Self::END {
+            let entry = &self.entries[at as usize];
+            at = entry.next;
+            if entry.hash != hash {
+                continue;
+            }
+            let kept = module.op(entry.op).expect("kept ops are live");
+            let arity = operation.operands.len();
+            if kept.name == operation.name
+                && kept.operands.len() == arity
+                && self.operands[entry.operands_at..][..arity] == self.operands[operands_at..]
+                && kept.attributes.structural_eq(&operation.attributes)
+            {
+                self.operands.truncate(operands_at);
+                return Some(kept);
+            }
+        }
+        self.entries.push(CseEntry {
+            hash,
+            op,
+            operands_at,
+            next: self.heads[bucket],
+        });
+        self.heads[bucket] = (self.entries.len() - 1) as u32;
+        None
+    }
+}
 
 impl Pass for Cse {
     fn name(&self) -> &str {
@@ -327,41 +470,32 @@ impl Pass for Cse {
         let mut duplicates = Vec::new();
         // Process each block independently (no cross-block CSE: that would
         // require dominance analysis beyond single blocks): one table,
-        // emptied per block, so its buckets are allocated once a run.
-        let mut seen: HashMap<CseKey<'_>, &[ValueId]> = HashMap::new();
-        for block in (0..module.num_blocks() as u32).map(BlockId::from_raw) {
-            seen.clear();
-            for &op in &module.block(block).ops {
+        // sized for the largest block and emptied per block, so its
+        // vectors are allocated once a run.
+        let blocks = (0..module.num_blocks() as u32).map(BlockId::from_raw);
+        let largest = blocks.clone().map(|b| module.block(b).ops.len()).max();
+        let mut table = CseTable::with_room_for(largest.unwrap_or(0));
+        for block in blocks {
+            let ops = &module.block(block).ops;
+            table.reset(ops.len());
+            for &op in ops {
                 let Some(operation) = module.op(op) else {
                     continue;
                 };
-                let name = operation.name;
-                if !ctx.has_trait(name, OpTrait::Pure) || !operation.regions.is_empty() {
+                let Some(spec) = ctx.spec_of(operation.name) else {
+                    continue;
+                };
+                if !spec.has_trait(OpTrait::Pure) || !operation.regions.is_empty() {
                     continue;
                 }
-                let mut operands: Vec<ValueId> = operation
-                    .operands
-                    .iter()
-                    .map(|&v| forward.get(v.index()).copied().unwrap_or(v))
-                    .collect();
-                if ctx.has_trait(name, OpTrait::Commutative) {
-                    operands.sort();
-                }
-                let attrs = operation
-                    .attributes
-                    .iter()
-                    .map(|(k, v)| (k.as_str(), v.structural_key()))
-                    .collect();
-                match seen.entry((name, operands, attrs)) {
-                    Entry::Occupied(kept) => {
-                        for (from, to) in operation.results.iter().zip(*kept.get()) {
-                            forward[from.index()] = *to;
-                        }
-                        duplicates.push(op);
+                let commutative = spec.has_trait(OpTrait::Commutative);
+                if let Some(kept) =
+                    table.kept_or_keep(module, (op, operation), commutative, &forward)
+                {
+                    for (from, to) in operation.results.iter().zip(&kept.results) {
+                        forward[from.index()] = *to;
                     }
-                    Entry::Vacant(first) => {
-                        first.insert(&operation.results);
-                    }
+                    duplicates.push(op);
                 }
             }
         }
@@ -553,7 +687,7 @@ impl Pass for ConstantFolding {
                     operation.attributes.clear();
                     operation
                         .attributes
-                        .insert("value".to_string(), Attribute::Float(value));
+                        .insert("value", Attribute::Float(value));
                     stats.ops_rewritten += 1;
                     changed = true;
                 }

@@ -6,7 +6,7 @@
 //! [verifier](crate::verify) checks every op in a module against these
 //! specs — exactly the role MLIR's ODS-generated verifiers play.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock};
 
 use crate::error::{IrError, IrResult};
@@ -181,13 +181,13 @@ impl Dialect {
 
 /// The registry of dialects available to verification and passes.
 ///
-/// Alongside the per-dialect spec trees, the context keeps a flat cache
-/// from interned full op name ([`Symbol`]) to spec, so the hot queries
-/// passes and the verifier issue per op — [`Context::spec_of`],
-/// [`Context::has_trait`] — are a single hash lookup on a `u32` id
-/// instead of a name split plus two tree walks. The cache is plain data
-/// rebuilt at registration time, so a `&Context` stays `Sync` and can
-/// be shared across pass-manager worker threads.
+/// Alongside the per-dialect spec trees, the context keeps a flat table
+/// of specs indexed by the interned full op name's dense id
+/// ([`Symbol::index`]), so the hot queries passes and the verifier issue
+/// per op — [`Context::spec_of`], [`Context::has_trait`] — are one
+/// bounds-checked load, with no hashing and no name split. The table is
+/// plain data extended at registration time, so a `&Context` stays
+/// `Sync` and can be shared across pass-manager worker threads.
 ///
 /// A `Context` is a handle: clones share one registry, and
 /// [`Context::register_dialect`] copies it first when another handle
@@ -200,7 +200,10 @@ pub struct Context {
 #[derive(Debug, Clone, Default)]
 struct Registry {
     dialects: BTreeMap<String, Dialect>,
-    spec_cache: HashMap<Symbol, OpSpec>,
+    /// `specs[name.index()]` is the spec registered under `name`. A
+    /// symbol that names no registered op reads `None`, either from its
+    /// slot or — interned after the last registration — past the end.
+    specs: Vec<Option<OpSpec>>,
 }
 
 impl Context {
@@ -237,8 +240,11 @@ impl Context {
         );
         let registry = Arc::make_mut(&mut self.registry);
         for spec in dialect.iter() {
-            let full = Symbol::new(&format!("{}.{}", dialect.name, spec.name));
-            registry.spec_cache.insert(full, spec.clone());
+            let slot = Symbol::new(&format!("{}.{}", dialect.name, spec.name)).index();
+            if registry.specs.len() <= slot {
+                registry.specs.resize(slot + 1, None);
+            }
+            registry.specs[slot] = Some(spec.clone());
         }
         registry.dialects.insert(dialect.name.clone(), dialect);
     }
@@ -271,10 +277,10 @@ impl Context {
             .unwrap_or(false)
     }
 
-    /// Resolves the spec for an interned op name: one hash lookup on
-    /// the symbol id, no name splitting. `None` for unregistered ops.
+    /// Resolves the spec for an interned op name: one load from the
+    /// table indexed by the symbol's id. `None` for unregistered ops.
     pub fn spec_of(&self, name: Symbol) -> Option<&OpSpec> {
-        self.registry.spec_cache.get(&name)
+        self.registry.specs.get(name.index())?.as_ref()
     }
 
     /// Fast-path trait query keyed on the interned op name; the form
@@ -360,6 +366,26 @@ mod tests {
         let before = Arc::as_ptr(&own.registry);
         own.register_dialect(Dialect::new("toy2", "another test dialect"));
         assert_eq!(before, Arc::as_ptr(&own.registry));
+    }
+
+    #[test]
+    fn unregistered_symbols_read_no_spec_inside_the_table_and_past_it() {
+        // Interned before the table is sized: a hole inside it.
+        let early = Symbol::new("late.never_registered");
+        let mut ctx = Context::new();
+        let mut dialect = Dialect::new("late", "sized after `early` was interned");
+        dialect.register(OpSpec::new("op", Arity::Exact(0), Arity::Exact(0)));
+        ctx.register_dialect(dialect);
+        let registered = Symbol::new("late.op");
+        assert!(early.index() < registered.index());
+        assert_eq!(ctx.registry.specs.len(), registered.index() + 1);
+        assert_eq!(ctx.spec_of(registered).map(|s| s.name.as_str()), Some("op"));
+        assert!(ctx.spec_of(early).is_none());
+        // Interned after it: past its end.
+        let after = Symbol::new("late.interned_after_registration");
+        assert!(after.index() >= ctx.registry.specs.len());
+        assert!(ctx.spec_of(after).is_none());
+        assert!(!ctx.has_trait(after, OpTrait::Pure));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::location::OpPath;
 use crate::module::{Block, Module, ValueDef};
-use crate::registry::{Context, OpTrait};
+use crate::registry::{Context, OpSpec, OpTrait};
 
 /// Which SSA values are in scope, as one dense buffer for the whole run.
 ///
@@ -69,11 +69,10 @@ fn verify_block(ctx: &Context, module: &Module, block: BlockId, scope: &mut Scop
     let Block { args, ops, .. } = module.block(block);
     scope.set(args, scope.depth);
     for (position, &op) in ops.iter().enumerate() {
-        verify_op(ctx, module, op, scope).map_err(|e| attach_path(module, op, e))?;
+        let spec = verify_op(ctx, module, op, scope).map_err(|e| attach_path(module, op, e))?;
         let operation = module.op(op).expect("blocks hold live ops");
         // Terminator placement.
-        let is_term = ctx.has_trait(operation.name, OpTrait::Terminator);
-        if is_term && position + 1 != ops.len() {
+        if spec.has_trait(OpTrait::Terminator) && position + 1 != ops.len() {
             return Err(attach_path(
                 module,
                 op,
@@ -86,7 +85,7 @@ fn verify_block(ctx: &Context, module: &Module, block: BlockId, scope: &mut Scop
         // Results become visible to later ops (dominance within a block).
         scope.set(&operation.results, scope.depth);
         // Nested regions see the enclosing scope unless isolated.
-        let isolated = ctx.has_trait(operation.name, OpTrait::IsolatedFromAbove);
+        let isolated = spec.has_trait(OpTrait::IsolatedFromAbove);
         scope.depth += u32::from(isolated);
         for &region in &operation.regions {
             verify_region(ctx, module, region, scope)?;
@@ -111,12 +110,17 @@ fn attach_path(module: &Module, op: OpId, err: IrError) -> IrError {
     }
 }
 
-fn verify_op(ctx: &Context, module: &Module, op: OpId, scope: &Scope) -> IrResult<()> {
+/// Checks one op against its spec, which it returns: the block driver
+/// reads the op's traits off it instead of looking the name up again.
+fn verify_op<'c>(
+    ctx: &'c Context,
+    module: &Module,
+    op: OpId,
+    scope: &Scope,
+) -> IrResult<&'c OpSpec> {
     let operation = module
         .op(op)
         .ok_or_else(|| IrError::InvalidId(format!("block references erased op {op}")))?;
-    // Interned fast path: one hash lookup instead of a name split plus
-    // two tree walks, once per verified op.
     let spec = ctx
         .spec_of(operation.name)
         .ok_or_else(|| IrError::Unregistered(operation.name.to_string()))?;
@@ -189,7 +193,7 @@ fn verify_op(ctx: &Context, module: &Module, op: OpId, scope: &Scope) -> IrResul
     if let Some(custom) = spec.verify {
         custom(module, op)?;
     }
-    Ok(())
+    Ok(spec)
 }
 
 #[cfg(test)]

@@ -3,11 +3,11 @@
 //! naive per-item references, base2 numeric invariants and broadcast
 //! shape algebra.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
-use everest_ir::attr::{AttrKey, Attribute};
+use everest_ir::attr::{AttrKey, AttrMap, Attribute};
 use everest_ir::base2::{Fixed, Posit};
 use everest_ir::dialects::core;
 use everest_ir::dialects::tensorlang::broadcast_shapes;
@@ -112,6 +112,86 @@ fn random_module(consts: &[f64], ops: &[(u8, usize, usize)], keep: usize) -> Mod
     m
 }
 
+/// Attribute payloads a careless CSE key conflates: zeros of both signs,
+/// two NaNs, "one" spelt five ways, and containers differing only in
+/// such an element.
+fn colliding_payloads() -> Vec<Attribute> {
+    let dict = |v: Attribute| Attribute::Dict([("x".to_string(), v)].into_iter().collect());
+    vec![
+        Attribute::Float(0.0),
+        Attribute::Float(-0.0),
+        Attribute::Float(f64::from_bits(0x7ff8_0000_0000_0000)),
+        Attribute::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+        Attribute::Int(1),
+        Attribute::Float(1.0),
+        Attribute::Str("1".into()),
+        Attribute::SymbolRef("1".into()),
+        Attribute::Bool(true),
+        Attribute::Array(vec![Attribute::Int(1)]),
+        Attribute::Array(vec![Attribute::Float(1.0)]),
+        Attribute::DenseF64(vec![0.0]),
+        Attribute::DenseF64(vec![-0.0]),
+        Attribute::DenseI64(vec![1]),
+        Attribute::Ty(Type::F64),
+        Attribute::Ty(Type::F32),
+        dict(Attribute::Int(1)),
+        dict(Attribute::Float(1.0)),
+    ]
+}
+
+/// Appends to the top block of a [`random_module`] pure ops that a
+/// careless CSE would merge or keep apart wrongly — constants carrying
+/// the [`colliding_payloads`], the same payload under different
+/// attribute names, `arith.cmpf` under different predicates, binary ops
+/// with their operands swapped — and a store of every float constant
+/// among them, so dead-code elimination leaves the survivors in the
+/// print. An integer payload makes an `index` constant, as everywhere
+/// else in the repository: CSE does not look at result types, so an
+/// `f64` constant spelt `Int(1)` would merge with the generator's own
+/// `index` constants and the module would stop verifying.
+fn add_colliding_ops(m: &mut Module, consts: usize, picks: &[(u8, u8)]) {
+    let top = m.top_block();
+    // `random_module` starts with its buffer, then its constants.
+    let start = m.block(top).ops[..=consts].to_vec();
+    let buf = single_result(m, start[0]);
+    let x = single_result(m, start[1]);
+    let y = single_result(m, start[1 + picks.len() % consts]);
+    let payloads = colliding_payloads();
+    for &(kind, pick) in picks {
+        let payload = payloads[pick as usize % payloads.len()].clone();
+        let ty = match payload {
+            Attribute::Int(_) if kind % 4 == 0 => Type::Index,
+            _ => Type::F64,
+        };
+        let op = match kind % 4 {
+            0 => m
+                .build_op("arith.constant", [], [ty.clone()])
+                .attr("value", payload),
+            1 => m
+                .build_op("arith.constant", [], [Type::F64])
+                .attr("value", 1.0)
+                .attr(["tag", "label", "value2"][kind as usize / 4 % 3], payload),
+            2 => {
+                let (a, b) = if pick % 2 == 0 { (x, y) } else { (y, x) };
+                m.build_op("arith.cmpf", [a, b], [Type::bool()])
+                    .attr("predicate", ["olt", "ole", "oeq"][kind as usize / 4 % 3])
+            }
+            _ => {
+                let (a, b) = if pick % 2 == 0 { (x, y) } else { (y, x) };
+                let name = ["arith.addf", "arith.subf", "arith.maxf"][kind as usize / 4 % 3];
+                m.build_op(name, [a, b], [Type::F64])
+            }
+        };
+        let op = op.append_to(top);
+        let value = single_result(m, op);
+        if kind % 4 < 2 && ty == Type::F64 {
+            let slot = core::const_index(m, top, 0);
+            m.build_op("memref.store", [value, buf, slot], [])
+                .append_to(top);
+        }
+    }
+}
+
 /// Today's passes replaced one scan of the module *per item* (per
 /// folded op, per merged duplicate, per dead op) with one sweep per
 /// pass. These are the per-item algorithms they replaced, kept as the
@@ -186,7 +266,7 @@ mod naive {
                 let attrs = operation
                     .attributes
                     .iter()
-                    .map(|(k, v)| (k.clone(), v.structural_key()))
+                    .map(|(k, v)| (k.to_string(), v.structural_key()))
                     .collect();
                 let key = (name.to_string(), operands, attrs);
                 let results = operation.results.clone();
@@ -506,10 +586,12 @@ proptest! {
         consts in proptest::collection::vec(-4.0f64..4.0, 1..4),
         ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..32),
         keep in any::<usize>(),
+        colliding in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..24),
     ) {
         type Reference = fn(&Context, &mut Module) -> PassStats;
         let ctx = Context::with_all_dialects();
         let mut fast = random_module(&consts, &ops, keep);
+        add_colliding_ops(&mut fast, consts.len(), &colliding);
         let mut slow = fast.clone();
         // The shipped pipeline's order, pass by pass.
         for _round in 0..2 {
@@ -528,8 +610,58 @@ proptest! {
                     "IR after {} differs",
                     pass.name()
                 );
-                prop_assert!(verify_module(&ctx, &fast).is_ok());
+                let verified = verify_module(&ctx, &fast);
+                prop_assert!(verified.is_ok(), "{:?} after {}", verified, pass.name());
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// AttrMap against the BTreeMap<String, Attribute> it replaced
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn attr_map_behaves_as_the_btree_map_it_replaced(
+        steps in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<i64>()), 0..48),
+    ) {
+        // Not in byte order, and first used in whatever order the steps
+        // draw them: the order names were interned in is not theirs.
+        const NAMES: [&str; 12] = [
+            "value", "sym_name", "a", "Z", "_x", "a.b", "a_b", "aa", "a0", "B", "value2", "",
+        ];
+        let mut map = AttrMap::new();
+        let mut model: BTreeMap<String, Attribute> = BTreeMap::new();
+        for (kind, name, payload) in steps {
+            let name = NAMES[name as usize % NAMES.len()];
+            match kind % 8 {
+                0 => {
+                    map.clear();
+                    model.clear();
+                }
+                1 | 2 => {
+                    prop_assert_eq!(map.get(name), model.get(name));
+                    prop_assert_eq!(map.contains_key(name), model.contains_key(name));
+                }
+                _ => {
+                    let value = match kind % 3 {
+                        0 => Attribute::Int(payload),
+                        1 => Attribute::Float(payload as f64),
+                        _ => Attribute::Str(payload.to_string()),
+                    };
+                    let replaced = map.insert(name, value.clone());
+                    prop_assert_eq!(replaced, model.insert(name.to_string(), value));
+                }
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+            let listed: Vec<(&str, &Attribute)> = map.iter().collect();
+            let expected: Vec<(&str, &Attribute)> =
+                model.iter().map(|(k, v)| (k.as_str(), v)).collect();
+            prop_assert_eq!(listed, expected);
         }
     }
 }
@@ -705,7 +837,7 @@ proptest! {
             match kind % 12 {
                 0 => watched(&mut m, "op_mut (attribute)", |m| {
                     let operation = m.op_mut(op).expect("attached");
-                    operation.attributes.insert("tag".into(), Attribute::Int(b as i64 % 3));
+                    operation.attributes.insert("tag", Attribute::Int(b as i64 % 3));
                 })?,
                 1 => watched(&mut m, "op_mut (operand)", |m| {
                     if let Some(slot) = m.op_mut(op).expect("attached").operands.first_mut() {
