@@ -95,6 +95,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest parameter or return type the parser accepts, a bare name
+/// being one level and each `<...>` one more (the same bound as the
+/// textual IR parser's).
+const MAX_TYPE_DEPTH: usize = 64;
+
 struct Lexer {
     tokens: Vec<(String, usize)>,
     pos: usize,
@@ -209,12 +214,18 @@ impl Lexer {
         }
     }
 
-    /// Skips a type expression: IDENT (`<` type (`,` type)* `>`)?.
-    fn skip_type(&mut self) -> Result<(), ParseError> {
+    /// Skips a type expression: IDENT (`<` type (`,` type)* `>`)?, found
+    /// `level` levels deep (a bare name is one). The recursion stops at
+    /// [`MAX_TYPE_DEPTH`], so `Vec<Vec<...>>` nested a hundred thousand
+    /// times is an error and not a stack overflow.
+    fn skip_type(&mut self, level: usize) -> Result<(), ParseError> {
         self.expect_ident()?;
         if self.eat("<") {
+            if level == MAX_TYPE_DEPTH {
+                return Err(self.error(format!("type nests deeper than {MAX_TYPE_DEPTH} levels")));
+            }
             loop {
-                self.skip_type()?;
+                self.skip_type(level + 1)?;
                 if self.eat(",") {
                     continue;
                 }
@@ -242,10 +253,10 @@ pub fn parse_function(source: &str) -> Result<Function, ParseError> {
     lx.expect("(")?;
     let param = lx.expect_ident()?;
     lx.expect(":")?;
-    lx.skip_type()?;
+    lx.skip_type(1)?;
     lx.expect(")")?;
     lx.expect("->")?;
-    lx.skip_type()?;
+    lx.skip_type(1)?;
     lx.expect("{")?;
 
     // Preamble: `let mut out = Vec::new();` plus state declarations.
@@ -509,6 +520,22 @@ mod tests {
         )
         .unwrap();
         assert_eq!(f.param, "xs");
+    }
+
+    #[test]
+    fn types_nest_to_the_bound_and_no_further() {
+        let function = |levels: usize| {
+            let ty = format!("{}f64{}", "Vec<".repeat(levels - 1), ">".repeat(levels - 1));
+            format!("fn f(\n  xs: {ty}) -> Vec<f64> {{\n  let mut out = Vec::new();\n  for x in xs {{\n    out.push(x);\n  }}\n  out\n}}")
+        };
+        parse_function(&function(MAX_TYPE_DEPTH)).expect("at the bound");
+        for levels in [MAX_TYPE_DEPTH + 1, 200_000] {
+            let err = parse_function(&function(levels)).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("condrust parse error at line 2: type nests deeper than {MAX_TYPE_DEPTH} levels")
+            );
+        }
     }
 
     #[test]

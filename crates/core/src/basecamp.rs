@@ -235,7 +235,7 @@ impl Basecamp {
     }
 
     /// Compiles a legacy CFDlang program end to end (the second input
-    /// language of Fig. 5, converging with EKL into `teil`).
+    /// language of Fig. 5, translated to EKL and lowered as EKL is).
     ///
     /// # Errors
     ///

@@ -5,9 +5,10 @@
 //! expressions built from `+`, `-`, `*` (elementwise), `#` (outer
 //! product) and `.` (contraction over the adjacent dimension pair).
 //! The frontend translates them into EKL items, re-using the validated
-//! EKL pipeline (checker, evaluator, loop lowering) — exactly the
-//! convergence of input languages the paper's Fig. 5 shows, where both
-//! `cfdlang` and `ekl` lower into `teil`.
+//! EKL pipeline (checker, evaluator, loop lowering). The paper's Fig. 5
+//! has both input languages converge at the `teil` tensor level; here
+//! they converge at EKL's checked AST, which lowers straight to
+//! `scf`/`arith`/`memref`.
 //!
 //! ```text
 //! var input  A : [4 8]
@@ -21,6 +22,7 @@ use std::fmt;
 
 use crate::ast::{BinOp, Dim, Expr, Item, Kernel};
 use crate::check::{check, Program};
+use crate::parser::MAX_EXPR_DEPTH;
 
 /// CFDlang front-end errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -326,13 +328,29 @@ fn translate(
     }
 }
 
-/// Expression parser: `.` binds tighter than `#`, which binds tighter
-/// than `*`, then `+`/`-`; parentheses group.
+/// An expression and the height of the EKL tree it translates to.
+type Tall = (CExpr, usize);
+
+/// Parses one assignment's right-hand side; parentheses group.
+///
+/// The expression may nest at most [`MAX_EXPR_DEPTH`] levels, the bound
+/// EKL's own parser sets, counted on the EKL tree it translates to: a
+/// variable is two levels (`A[i, ..]`), an operator adds one, a
+/// contraction two (a sum over a product) and a pair of parentheses one,
+/// as in EKL. That keeps the parser's recursion, the shape inference and
+/// translation below and EKL's `check` and `lower` inside the depth EKL
+/// source may reach — ten thousand parentheses, or `A + A + ...` over a
+/// hundred thousand terms, are an error and not a stack overflow.
 fn parse_expr(text: &str, line: usize) -> Result<CExpr, CfdError> {
     let tokens = tokenize(text, line)?;
-    let mut pos = 0;
-    let expr = parse_addsub(&tokens, &mut pos, line)?;
-    if pos != tokens.len() {
+    let mut parser = ExprParser {
+        tokens: &tokens,
+        pos: 0,
+        line,
+        open: 0,
+    };
+    let (expr, _) = parser.parse_binary(0)?;
+    if parser.pos != tokens.len() {
         return Err(err(line, "trailing tokens after expression"));
     }
     Ok(expr)
@@ -365,73 +383,94 @@ fn tokenize(text: &str, line: usize) -> Result<Vec<String>, CfdError> {
     Ok(tokens)
 }
 
-fn parse_addsub(tokens: &[String], pos: &mut usize, line: usize) -> Result<CExpr, CfdError> {
-    let mut lhs = parse_elemmul(tokens, pos, line)?;
-    while *pos < tokens.len() && (tokens[*pos] == "+" || tokens[*pos] == "-") {
-        let op = tokens[*pos].clone();
-        *pos += 1;
-        let rhs = parse_elemmul(tokens, pos, line)?;
-        lhs = if op == "+" {
-            CExpr::Add(Box::new(lhs), Box::new(rhs))
+/// How tightly a binary operator binds: `.` tighter than `#`, which
+/// binds tighter than `*`, then `+` and `-`.
+fn precedence(op: &str) -> Option<usize> {
+    match op {
+        "+" | "-" => Some(0),
+        "*" => Some(1),
+        "#" => Some(2),
+        "." => Some(3),
+        _ => None,
+    }
+}
+
+struct ExprParser<'t> {
+    tokens: &'t [String],
+    pos: usize,
+    line: usize,
+    /// Parentheses open on the parser's own stack.
+    open: usize,
+}
+
+impl<'t> ExprParser<'t> {
+    fn peek(&self) -> Option<&'t str> {
+        self.tokens.get(self.pos).map(String::as_str)
+    }
+
+    /// The height of `levels` levels over a tallest child `below` high.
+    fn over(&self, below: usize, levels: usize) -> Result<usize, CfdError> {
+        if below + levels <= MAX_EXPR_DEPTH {
+            Ok(below + levels)
         } else {
-            CExpr::Sub(Box::new(lhs), Box::new(rhs))
-        };
-    }
-    Ok(lhs)
-}
-
-fn parse_elemmul(tokens: &[String], pos: &mut usize, line: usize) -> Result<CExpr, CfdError> {
-    let mut lhs = parse_outer(tokens, pos, line)?;
-    while *pos < tokens.len() && tokens[*pos] == "*" {
-        *pos += 1;
-        let rhs = parse_outer(tokens, pos, line)?;
-        lhs = CExpr::Mul(Box::new(lhs), Box::new(rhs));
-    }
-    Ok(lhs)
-}
-
-fn parse_outer(tokens: &[String], pos: &mut usize, line: usize) -> Result<CExpr, CfdError> {
-    let mut lhs = parse_contract(tokens, pos, line)?;
-    while *pos < tokens.len() && tokens[*pos] == "#" {
-        *pos += 1;
-        let rhs = parse_contract(tokens, pos, line)?;
-        lhs = CExpr::Outer(Box::new(lhs), Box::new(rhs));
-    }
-    Ok(lhs)
-}
-
-fn parse_contract(tokens: &[String], pos: &mut usize, line: usize) -> Result<CExpr, CfdError> {
-    let mut lhs = parse_primary(tokens, pos, line)?;
-    while *pos < tokens.len() && tokens[*pos] == "." {
-        *pos += 1;
-        let rhs = parse_primary(tokens, pos, line)?;
-        lhs = CExpr::Contract(Box::new(lhs), Box::new(rhs));
-    }
-    Ok(lhs)
-}
-
-fn parse_primary(tokens: &[String], pos: &mut usize, line: usize) -> Result<CExpr, CfdError> {
-    if *pos >= tokens.len() {
-        return Err(err(line, "unexpected end of expression"));
-    }
-    let token = tokens[*pos].clone();
-    if token == "(" {
-        *pos += 1;
-        let inner = parse_addsub(tokens, pos, line)?;
-        if *pos >= tokens.len() || tokens[*pos] != ")" {
-            return Err(err(line, "missing ')'"));
+            Err(err(
+                self.line,
+                format!("expression nests deeper than {MAX_EXPR_DEPTH} levels"),
+            ))
         }
-        *pos += 1;
-        Ok(inner)
-    } else if token
-        .chars()
-        .next()
-        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-    {
-        *pos += 1;
-        Ok(CExpr::Var(token))
-    } else {
-        Err(err(line, format!("unexpected token '{token}'")))
+    }
+
+    /// A left-associative chain of operators that bind at least `min`
+    /// tightly. Precedence climbing recurses only into a parenthesis or a
+    /// tighter operator's right operand, so a pair of parentheses costs
+    /// two or three frames of the stack, not one per precedence level.
+    fn parse_binary(&mut self, min: usize) -> Result<Tall, CfdError> {
+        let (mut lhs, mut height) = self.parse_primary()?;
+        while let Some(op) = self.peek() {
+            let Some(tier) = precedence(op).filter(|&tier| tier >= min) else {
+                break;
+            };
+            self.pos += 1;
+            let (rhs, r) = self.parse_binary(tier + 1)?;
+            let (a, b) = (Box::new(lhs), Box::new(rhs));
+            let (expr, levels) = match op {
+                "+" => (CExpr::Add(a, b), 1),
+                "-" => (CExpr::Sub(a, b), 1),
+                "*" => (CExpr::Mul(a, b), 1),
+                "#" => (CExpr::Outer(a, b), 1),
+                _ => (CExpr::Contract(a, b), 2),
+            };
+            lhs = expr;
+            height = self.over(height.max(r), levels)?;
+        }
+        Ok((lhs, height))
+    }
+
+    fn parse_primary(&mut self) -> Result<Tall, CfdError> {
+        let Some(token) = self.peek() else {
+            return Err(err(self.line, "unexpected end of expression"));
+        };
+        self.pos += 1;
+        if token == "(" {
+            // Checked on the way down: the height is known only on the way up.
+            self.over(self.open, 1)?;
+            self.open += 1;
+            let (inner, height) = self.parse_binary(0)?;
+            self.open -= 1;
+            if self.peek() != Some(")") {
+                return Err(err(self.line, "missing ')'"));
+            }
+            self.pos += 1;
+            Ok((inner, self.over(height, 1)?))
+        } else if token
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        {
+            Ok((CExpr::Var(token.to_string()), 2))
+        } else {
+            Err(err(self.line, format!("unexpected token '{token}'")))
+        }
     }
 }
 
@@ -586,5 +625,42 @@ mod tests {
         assert!(e.message.contains("undefined variable"));
         let e = compile("frobnicate", "cfd").unwrap_err();
         assert!(e.message.contains("cannot parse"));
+    }
+
+    /// `C = <expr>` over a square `A`, on line 3.
+    fn program_around(expr: &str) -> String {
+        format!("var input A : [2 2]\nvar output C : [2 2]\nC = {expr}\n")
+    }
+
+    fn assert_too_deep(expr: &str) {
+        let e = compile(&program_around(expr), "deep").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            format!(
+                "cfdlang error at line 3: expression nests deeper than {MAX_EXPR_DEPTH} levels"
+            )
+        );
+    }
+
+    #[test]
+    fn expressions_nest_to_the_bound_and_no_further() {
+        let wrapped = |n: usize| format!("{}A{}", "(".repeat(n), ")".repeat(n));
+        let summed = |terms: usize| vec!["A"; terms].join(" + ");
+        let contracted = |terms: usize| vec!["A"; terms].join(" . ");
+        // A variable is two levels, `+` one more and `.` two.
+        for at_bound in [
+            wrapped(MAX_EXPR_DEPTH - 2),
+            summed(MAX_EXPR_DEPTH - 1),
+            contracted(MAX_EXPR_DEPTH / 2),
+        ] {
+            let program = compile(&program_around(&at_bound), "deep").expect("at the bound");
+            let module = crate::lower::lower_to_loops(&program).expect("lowers");
+            assert!(module.num_ops() > 0);
+        }
+        assert_too_deep(&wrapped(MAX_EXPR_DEPTH - 1));
+        assert_too_deep(&summed(MAX_EXPR_DEPTH));
+        assert_too_deep(&contracted(MAX_EXPR_DEPTH / 2 + 1));
+        assert_too_deep(&wrapped(20_000));
+        assert_too_deep(&summed(200_000));
     }
 }

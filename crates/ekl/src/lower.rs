@@ -1,11 +1,12 @@
 //! Lowering of validated EKL programs to loop-level IR.
 //!
 //! The compilation path of paper Fig. 5 is `ekl → teil/esn → loops`;
-//! this module implements the composed lowering in one step: each `let`
+//! this module is the reproduction's only lowering to loops and does it
+//! in one step from the checked AST, which carries Fig. 5's tensor level
+//! (Einstein notation, broadcasting, subscripted subscripts): each `let`
 //! statement becomes a loop nest over its free indices, with explicit
-//! summation loops accumulating through a rank-0 cell — exactly the form
-//! produced by composing the dialect lowerings in `everest-ir`, and the
-//! form the HLS engine (`everest-hls`) schedules.
+//! summation loops accumulating through a rank-0 cell — the form the HLS
+//! engine (`everest-hls`) schedules.
 //!
 //! Conventions:
 //! * function arguments: input memrefs (declaration order), then one

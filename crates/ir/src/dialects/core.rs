@@ -1,5 +1,5 @@
-//! Core (green, MLIR-mirroring) dialects: `builtin`, `func`, `arith`,
-//! `scf`, `memref` and `tensor`.
+//! Core (green, MLIR-mirroring) dialects: `func`, `arith`, `scf` and
+//! `memref`.
 //!
 //! These reproduce the subset of upstream MLIR that the EVEREST lowerings
 //! target: structured control flow and scalar arithmetic are what the HLS
@@ -11,19 +11,6 @@ use crate::ids::{BlockId, OpId, ValueId};
 use crate::module::{single_result, Module};
 use crate::registry::{Arity, Dialect, OpSpec, OpTrait};
 use crate::types::Type;
-
-// ---------------------------------------------------------------------------
-// builtin
-// ---------------------------------------------------------------------------
-
-/// The `builtin` dialect: module-level glue ops.
-pub fn builtin_dialect() -> Dialect {
-    let mut d = Dialect::new("builtin", "module-level glue operations");
-    d.register(
-        OpSpec::new("unrealized_cast", Arity::Exact(1), Arity::Exact(1)).with_trait(OpTrait::Pure),
-    );
-    d
-}
 
 // ---------------------------------------------------------------------------
 // func
@@ -402,25 +389,6 @@ pub fn memref_dialect() -> Dialect {
 pub fn alloc(m: &mut Module, block: BlockId, ty: Type) -> ValueId {
     let op = m.build_op("memref.alloc", [], [ty]).append_to(block);
     single_result(m, op)
-}
-
-// ---------------------------------------------------------------------------
-// tensor
-// ---------------------------------------------------------------------------
-
-/// The `tensor` dialect: immutable tensor values.
-pub fn tensor_dialect() -> Dialect {
-    let mut d = Dialect::new("tensor", "immutable tensor values");
-    d.register(OpSpec::new("empty", Arity::Exact(0), Arity::Exact(1)).with_trait(OpTrait::Pure));
-    d.register(
-        OpSpec::new("extract", Arity::AtLeast(1), Arity::Exact(1)).with_trait(OpTrait::Pure),
-    );
-    d.register(OpSpec::new("insert", Arity::AtLeast(2), Arity::Exact(1)).with_trait(OpTrait::Pure));
-    d.register(OpSpec::new("dim", Arity::Exact(2), Arity::Exact(1)).with_trait(OpTrait::Pure));
-    d.register(
-        OpSpec::new("from_elements", Arity::Variadic, Arity::Exact(1)).with_trait(OpTrait::Pure),
-    );
-    d
 }
 
 #[cfg(test)]

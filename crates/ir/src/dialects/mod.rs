@@ -1,15 +1,21 @@
-//! The EVEREST dialect stack (paper Fig. 5).
+//! The dialects the EVEREST flows build (paper Fig. 5).
 //!
-//! Blue (EVEREST-contributed) dialects: `ekl`, `cfdlang`, `teil`, `esn`,
-//! `dfg`, `base2`, `bit`, `cyclic`, `ub`, `evp`, `olympus`. Green (core
-//! MLIR) dialects reimplemented here at the granularity the lowerings
-//! need: `func`, `arith`, `scf`, `memref`, `tensor` and `builtin`.
+//! Blue (EVEREST-contributed) dialects: `dfg` (ConDRust dataflow graphs),
+//! `base2` (custom numeral formats) and `olympus` (system architecture).
+//! Green (core MLIR) dialects reimplemented here at the granularity the
+//! lowerings need: `func`, `arith`, `scf` and `memref`.
+//!
+//! Fig. 5's tensor level (`ekl`, `cfdlang`, `teil`, `esn`) is not an IR
+//! level here: Einstein notation, broadcasting and subscripted
+//! subscripts live in EKL's typed AST and checker (crate `everest-ekl`),
+//! which lowers straight to `scf`/`arith`/`memref`, and CFDlang
+//! translates to EKL. An op kind is registered only if code outside this
+//! crate builds, consumes, costs or tests it.
 
 pub mod core;
 pub mod dataflow;
 pub mod numerics;
 pub mod system;
-pub mod tensorlang;
 
 use crate::registry::Dialect;
 
@@ -17,22 +23,12 @@ use crate::registry::Dialect;
 /// [`Context`](crate::registry::Context).
 pub fn all_dialects() -> Vec<Dialect> {
     vec![
-        core::builtin_dialect(),
         core::func_dialect(),
         core::arith_dialect(),
         core::scf_dialect(),
         core::memref_dialect(),
-        core::tensor_dialect(),
-        tensorlang::ekl_dialect(),
-        tensorlang::cfdlang_dialect(),
-        tensorlang::teil_dialect(),
-        tensorlang::esn_dialect(),
         dataflow::dfg_dialect(),
         numerics::base2_dialect(),
-        numerics::bit_dialect(),
-        numerics::cyclic_dialect(),
-        numerics::ub_dialect(),
-        system::evp_dialect(),
         system::olympus_dialect(),
     ]
 }
@@ -42,8 +38,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seventeen_dialects_registered() {
-        assert_eq!(all_dialects().len(), 17);
+    fn seven_dialects_registered() {
+        let dialects = all_dialects();
+        assert_eq!(dialects.len(), 7);
+        assert_eq!(dialects.iter().map(Dialect::len).sum::<usize>(), 61);
     }
 
     #[test]

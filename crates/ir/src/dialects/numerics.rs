@@ -1,12 +1,10 @@
-//! Numeric-representation dialects: `base2`, `bit`, `cyclic`, `ub`.
+//! The numeric-representation dialect `base2`.
 //!
 //! `base2` (Friebel et al., HEART 2023) models binary numeral types —
 //! fixed-point and posit — so the compiler can trade accuracy for FPGA
 //! resources (paper §V-B and the "custom data formats" technical
-//! highlight in §VIII). `bit` provides bit-level manipulation, `cyclic`
-//! modular index arithmetic for ring buffers, and `ub` explicit
-//! undefined-behaviour values (being upstreamed to core MLIR per the
-//! paper).
+//! highlight in §VIII). Fig. 5's `bit`, `cyclic` and `ub` dialects have
+//! no producer in this reproduction and are not registered.
 
 use crate::error::{IrError, IrResult};
 use crate::ids::OpId;
@@ -108,139 +106,9 @@ pub fn base2_dialect() -> Dialect {
     d
 }
 
-fn verify_int_only(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    for &v in operation.operands.iter().chain(&operation.results) {
-        let ty = m.value_type(v);
-        if !matches!(ty, Type::Int(_)) {
-            return Err(IrError::Verification {
-                op: operation.name.to_string(),
-                path: None,
-                message: format!("bit ops require integer types, got {ty}"),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn verify_extract(m: &Module, op: OpId) -> IrResult<()> {
-    verify_int_only(m, op)?;
-    let operation = m.op(op).expect("verifier receives live ops");
-    let lo = operation.int_attr("lo").unwrap_or(0);
-    let hi = operation.int_attr("hi").unwrap_or(0);
-    let src_width = m.value_type(operation.operands[0]).bit_width().unwrap_or(0) as i64;
-    if lo > hi || hi >= src_width {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("bit range [{lo}, {hi}] invalid for width {src_width}"),
-        });
-    }
-    let want = (hi - lo + 1) as u32;
-    let got = m.value_type(operation.results[0]).bit_width().unwrap_or(0);
-    if want != got {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("extract of {want} bits must produce i{want}, got i{got}"),
-        });
-    }
-    Ok(())
-}
-
-/// The `bit` dialect.
-pub fn bit_dialect() -> Dialect {
-    let mut d = Dialect::new("bit", "bit-level manipulation");
-    for name in ["and", "or", "xor", "shl", "shr"] {
-        d.register(
-            OpSpec::new(name, Arity::Exact(2), Arity::Exact(1))
-                .with_trait(OpTrait::Pure)
-                .with_verifier(verify_int_only),
-        );
-    }
-    d.register(
-        OpSpec::new("not", Arity::Exact(1), Arity::Exact(1))
-            .with_trait(OpTrait::Pure)
-            .with_verifier(verify_int_only),
-    );
-    d.register(OpSpec::new("popcount", Arity::Exact(1), Arity::Exact(1)).with_trait(OpTrait::Pure));
-    d.register(
-        OpSpec::new("extract", Arity::Exact(1), Arity::Exact(1))
-            .with_attr("lo")
-            .with_attr("hi")
-            .with_trait(OpTrait::Pure)
-            .with_verifier(verify_extract),
-    );
-    d.register(OpSpec::new("concat", Arity::AtLeast(1), Arity::Exact(1)).with_trait(OpTrait::Pure));
-    d
-}
-
-fn verify_modulus(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let modulus = operation
-        .int_attr("modulus")
-        .ok_or_else(|| IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: "missing 'modulus' attribute".into(),
-        })?;
-    if modulus <= 0 {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("modulus must be positive, got {modulus}"),
-        });
-    }
-    Ok(())
-}
-
-/// The `cyclic` dialect: modular index arithmetic for ring buffers.
-pub fn cyclic_dialect() -> Dialect {
-    let mut d = Dialect::new("cyclic", "modular index arithmetic");
-    for name in ["inc", "dec"] {
-        d.register(
-            OpSpec::new(name, Arity::Exact(1), Arity::Exact(1))
-                .with_attr("modulus")
-                .with_trait(OpTrait::Pure)
-                .with_verifier(verify_modulus),
-        );
-    }
-    d.register(
-        OpSpec::new("dist", Arity::Exact(2), Arity::Exact(1))
-            .with_attr("modulus")
-            .with_trait(OpTrait::Pure)
-            .with_verifier(verify_modulus),
-    );
-    d
-}
-
-/// The `ub` dialect: explicit undefined-behaviour values.
-pub fn ub_dialect() -> Dialect {
-    let mut d = Dialect::new("ub", "explicit undefined behaviour");
-    d.register(OpSpec::new("poison", Arity::Exact(0), Arity::Exact(1)).with_trait(OpTrait::Pure));
-    d.register(OpSpec::new("freeze", Arity::Exact(1), Arity::Exact(1)));
-    d
-}
-
-/// Evaluates `cyclic.inc` semantics: `(v + 1) mod modulus`.
-pub fn cyclic_inc(v: i64, modulus: i64) -> i64 {
-    (v + 1).rem_euclid(modulus)
-}
-
-/// Evaluates `cyclic.dec` semantics: `(v - 1) mod modulus`.
-pub fn cyclic_dec(v: i64, modulus: i64) -> i64 {
-    (v - 1).rem_euclid(modulus)
-}
-
-/// Evaluates `cyclic.dist` semantics: forward distance from `a` to `b`.
-pub fn cyclic_dist(a: i64, b: i64, modulus: i64) -> i64 {
-    (b - a).rem_euclid(modulus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attr::Attribute;
     use crate::module::single_result;
     use crate::registry::Context;
     use crate::types::{FixedFormat, PositFormat};
@@ -305,65 +173,5 @@ mod tests {
         )
         .append_to(top);
         assert!(verify_module(&ctx(), &m).is_err());
-    }
-
-    #[test]
-    fn bit_extract_range_checked() {
-        let mut m = Module::new();
-        let top = m.top_block();
-        let c = m
-            .build_op("arith.constant", [], [Type::Int(16)])
-            .attr("value", Attribute::Int(0x1234))
-            .append_to(top);
-        let v = single_result(&m, c);
-        m.build_op("bit.extract", [v], [Type::Int(4)])
-            .attr("lo", Attribute::Int(4))
-            .attr("hi", Attribute::Int(7))
-            .append_to(top);
-        verify_module(&ctx(), &m).unwrap();
-
-        let mut m2 = Module::new();
-        let top2 = m2.top_block();
-        let c2 = m2
-            .build_op("arith.constant", [], [Type::Int(8)])
-            .attr("value", Attribute::Int(1))
-            .append_to(top2);
-        let v2 = single_result(&m2, c2);
-        m2.build_op("bit.extract", [v2], [Type::Int(4)])
-            .attr("lo", Attribute::Int(6))
-            .attr("hi", Attribute::Int(9))
-            .append_to(top2);
-        assert!(verify_module(&ctx(), &m2).is_err());
-    }
-
-    #[test]
-    fn cyclic_semantics() {
-        assert_eq!(cyclic_inc(7, 8), 0);
-        assert_eq!(cyclic_inc(3, 8), 4);
-        assert_eq!(cyclic_dec(0, 8), 7);
-        assert_eq!(cyclic_dist(6, 2, 8), 4);
-        assert_eq!(cyclic_dist(2, 6, 8), 4);
-        assert_eq!(cyclic_dist(5, 5, 8), 0);
-    }
-
-    #[test]
-    fn cyclic_requires_positive_modulus() {
-        let mut m = Module::new();
-        let top = m.top_block();
-        let i = crate::dialects::core::const_index(&mut m, top, 0);
-        m.build_op("cyclic.inc", [i], [Type::Index])
-            .attr("modulus", Attribute::Int(0))
-            .append_to(top);
-        assert!(verify_module(&ctx(), &m).is_err());
-    }
-
-    #[test]
-    fn ub_poison_freeze() {
-        let mut m = Module::new();
-        let top = m.top_block();
-        let p = m.build_op("ub.poison", [], [Type::F64]).append_to(top);
-        let pv = single_result(&m, p);
-        m.build_op("ub.freeze", [pv], [Type::F64]).append_to(top);
-        verify_module(&ctx(), &m).unwrap();
     }
 }

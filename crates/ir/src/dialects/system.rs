@@ -1,11 +1,12 @@
-//! System-level dialects: `evp` (EVEREST platform integration) and
-//! `olympus` (FPGA system-architecture generation).
+//! The system-level dialect `olympus` (FPGA system-architecture
+//! generation).
 //!
 //! `olympus` captures kernel interactions and the data-movement structure
 //! Olympus materializes around them (paper §V-C): private local memories,
 //! DMA transfers, double buffering, kernel replication, memory lanes and
-//! data packing. `evp` binds compiled kernels to concrete platform
-//! resources for deployment.
+//! data packing. Fig. 5's `evp` platform dialect has no producer in this
+//! reproduction (the platform is chosen by `CompileOptions::target`) and
+//! is not registered.
 
 use crate::error::{IrError, IrResult};
 use crate::ids::OpId;
@@ -146,36 +147,6 @@ pub fn olympus_dialect() -> Dialect {
     d
 }
 
-/// The `evp` dialect: EVEREST platform integration.
-pub fn evp_dialect() -> Dialect {
-    let mut d = Dialect::new("evp", "EVEREST platform integration");
-    d.register(
-        OpSpec::new("platform", Arity::Exact(0), Arity::Exact(0))
-            .with_regions(1)
-            .with_attr("name")
-            .with_trait(OpTrait::IsolatedFromAbove),
-    );
-    // kernel_instance {kernel = @sym, target = "alveo_u55c" | "cloudfpga" | "cpu"}
-    d.register(
-        OpSpec::new("kernel_instance", Arity::Exact(0), Arity::Exact(0))
-            .with_attr("kernel")
-            .with_attr("target"),
-    );
-    // bind_memory {kernel = @sym, port, channel}
-    d.register(
-        OpSpec::new("bind_memory", Arity::Exact(0), Arity::Exact(0))
-            .with_attr("kernel")
-            .with_attr("port")
-            .with_attr("channel"),
-    );
-    // launch(args...) -> token
-    d.register(OpSpec::new("launch", Arity::Variadic, Arity::Exact(1)).with_attr("kernel"));
-    d.register(
-        OpSpec::new("yield", Arity::Variadic, Arity::Exact(0)).with_trait(OpTrait::Terminator),
-    );
-    d
-}
-
 /// Builds an `olympus.system` and returns `(system_op, body_block)`.
 pub fn build_system(
     m: &mut Module,
@@ -303,15 +274,5 @@ mod tests {
             .attr("kernel", Attribute::SymbolRef("k".into()))
             .append_to(top);
         assert!(verify_module(&ctx(), &m).is_err());
-    }
-
-    #[test]
-    fn evp_launch_produces_token() {
-        let mut m = Module::new();
-        let top = m.top_block();
-        m.build_op("evp.launch", [], [Type::Token])
-            .attr("kernel", Attribute::SymbolRef("rrtmg".into()))
-            .append_to(top);
-        verify_module(&ctx(), &m).unwrap();
     }
 }

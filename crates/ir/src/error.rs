@@ -120,9 +120,9 @@ mod tests {
 
     #[test]
     fn display_is_lowercase_and_informative() {
-        let err = IrError::verification("teil.contract", "rank mismatch");
+        let err = IrError::verification("memref.load", "rank mismatch");
         let text = err.to_string();
-        assert!(text.contains("teil.contract"));
+        assert!(text.contains("memref.load"));
         assert!(text.contains("rank mismatch"));
         assert!(!text.contains(" (at "), "no path yet: {text}");
     }

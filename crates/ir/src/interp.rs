@@ -3,8 +3,8 @@
 //! Executes functions consisting of `scf.for`/`scf.if`, `arith`, `memref`
 //! and `base2` ops on concrete buffers. This is the functional-simulation
 //! backend the HLS flow uses to check that scheduling transformations
-//! preserve semantics, and the oracle the teil-to-loops lowering is tested
-//! against.
+//! preserve semantics, and the oracle EKL's lowering to loops is tested
+//! against (its module runs here and must match EKL's own evaluator).
 
 use std::collections::HashMap;
 
@@ -217,7 +217,7 @@ impl Interpreter {
 
         match name.as_str() {
             // -- terminators -----------------------------------------------
-            "func.return" | "scf.yield" | "ekl.yield" => {
+            "func.return" | "scf.yield" => {
                 return Ok(Some(operands));
             }
             // -- constants --------------------------------------------------
@@ -337,7 +337,6 @@ impl Interpreter {
                 };
                 set!(Value::F64(v));
             }
-            "builtin.unrealized_cast" => set!(operands[0].clone()),
             // -- base2 -------------------------------------------------------
             "base2.quantize" | "base2.dequantize" | "base2.convert" => {
                 let v = operands[0].as_f64()?;

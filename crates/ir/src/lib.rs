@@ -16,9 +16,11 @@
 //!   [parser](parse) for the generic textual form;
 //! * a [pass manager](pass) with canonicalization passes (constant
 //!   folding, CSE, DCE);
-//! * the EVEREST [dialects]: `ekl`, `cfdlang`, `teil`, `esn`, `dfg`,
-//!   `base2`, `bit`, `cyclic`, `ub`, `evp`, `olympus`, and the core
-//!   dialects (`func`, `arith`, `scf`, `memref`, `tensor`) they lower to.
+//! * the [dialects] the EVEREST flows build: `dfg`, `base2` and `olympus`,
+//!   and the core dialects (`func`, `arith`, `scf`, `memref`) that EKL
+//!   and CFDlang kernels lower to — EKL's checked AST goes straight to
+//!   loops (crate `everest-ekl`), so Fig. 5's tensor level is not an IR
+//!   level here.
 //!
 //! # Examples
 //!
@@ -57,7 +59,6 @@ pub mod ids;
 pub mod intern;
 pub mod interp;
 pub mod location;
-pub mod lowering;
 pub mod module;
 pub mod parse;
 pub mod pass;

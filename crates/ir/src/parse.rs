@@ -839,7 +839,7 @@ mod tests {
         let top = m.top_block();
         let mut dict = BTreeMap::new();
         dict.insert("x".to_string(), Attribute::Int(1));
-        m.build_op("evp.kernel_instance", [], [])
+        m.build_op("olympus.kernel", [], [])
             .attr("kernel", Attribute::SymbolRef("rrtmg".into()))
             .attr("target", "alveo_u55c")
             .attr("replicas", Attribute::Int(4))

@@ -1,8 +1,8 @@
 //! The pass manager and built-in canonicalization passes.
 //!
 //! Passes transform a [`Module`] in place. The [`PassManager`] runs a
-//! pipeline, optionally verifying between passes (as the EVEREST flow
-//! does between dialect lowerings), and records per-pass statistics.
+//! pipeline, verifying between passes (as the EVEREST flow does between
+//! dialect lowerings), and records per-pass statistics.
 
 use std::hash::Hasher;
 
@@ -48,10 +48,9 @@ pub trait Pass {
     fn run(&self, ctx: &Context, module: &mut Module) -> IrResult<PassStats>;
 }
 
-/// Runs a pipeline of passes with optional inter-pass verification.
+/// Runs a pipeline of passes with inter-pass verification.
 pub struct PassManager {
     passes: Vec<Box<dyn Pass + Send + Sync>>,
-    verify_each: bool,
 }
 
 impl std::fmt::Debug for PassManager {
@@ -65,7 +64,6 @@ impl std::fmt::Debug for PassManager {
                     .map(|p| p.name().to_string())
                     .collect::<Vec<_>>(),
             )
-            .field("verify_each", &self.verify_each)
             .finish()
     }
 }
@@ -77,18 +75,9 @@ impl Default for PassManager {
 }
 
 impl PassManager {
-    /// Creates an empty pipeline with inter-pass verification enabled.
+    /// Creates an empty pipeline.
     pub fn new() -> Self {
-        PassManager {
-            passes: Vec::new(),
-            verify_each: true,
-        }
-    }
-
-    /// Disables verification between passes (for benchmarking).
-    pub fn without_verification(mut self) -> Self {
-        self.verify_each = false;
-        self
+        PassManager { passes: Vec::new() }
     }
 
     /// Appends a pass to the pipeline.
@@ -99,12 +88,12 @@ impl PassManager {
 
     /// Runs the full pipeline and returns per-pass statistics in order.
     ///
-    /// With verification on (the default) the module is verified before
-    /// the first pass and again after every pass that touched it, which
-    /// is read off [`Module::revision`]: the verifier is a pure function
-    /// of `(ctx, module)`, so while the revision stands at the value it
-    /// had at the last verification the answer is already known and the
-    /// run is skipped. The test is the module's own record, not the
+    /// The module is verified before the first pass and again after
+    /// every pass that touched it, which is read off
+    /// [`Module::revision`]: the verifier is a pure function of `(ctx,
+    /// module)`, so while the revision stands at the value it had at the
+    /// last verification the answer is already known and the run is
+    /// skipped. The test is the module's own record, not the
     /// pass's [`PassStats::is_noop`] claim — a pass that mutates and
     /// reports nothing is still re-verified, and the error names it.
     ///
@@ -114,9 +103,7 @@ impl PassManager {
     pub fn run(&self, ctx: &Context, module: &mut Module) -> IrResult<Vec<(String, PassStats)>> {
         let pipeline = everest_telemetry::span("ir.pipeline");
         pipeline.arg("passes", self.passes.len());
-        if self.verify_each {
-            crate::verify::verify_module(ctx, module)?;
-        }
+        crate::verify::verify_module(ctx, module)?;
         let mut verified_at = module.revision();
         let mut all = Vec::with_capacity(self.passes.len());
         for pass in &self.passes {
@@ -124,7 +111,7 @@ impl PassManager {
             let stats = pass.run(ctx, module)?;
             span.arg("erased", stats.ops_erased)
                 .arg("rewritten", stats.ops_rewritten);
-            if self.verify_each && module.revision() != verified_at {
+            if module.revision() != verified_at {
                 crate::verify::verify_module(ctx, module).map_err(|e| IrError::Pass {
                     pass: pass.name().to_string(),
                     message: format!("verification failed after pass: {e}"),
@@ -296,10 +283,11 @@ impl Pass for Dce {
 
 /// Common-subexpression elimination over pure ops within each block.
 ///
-/// Two pure ops are equivalent when they share name, operands and
-/// attributes — attributes by [`Attribute::structural_eq`], so `0.0`
-/// and `-0.0`, or `Int(1)` and `Float(1.0)`, never merge. Commutative
-/// ops compare on sorted operands.
+/// Two pure ops are equivalent when they share name, operands,
+/// attributes and result types — attributes by
+/// [`Attribute::structural_eq`], so `0.0` and `-0.0`, or `Int(1)` and
+/// `Float(1.0)`, never merge, and neither do `{value = 1} : f64` and
+/// `{value = 1} : index`. Commutative ops compare on sorted operands.
 ///
 /// The scan never mutates the module. A merge records
 /// `forward[duplicate result] = kept result` in a dense table, and
@@ -312,10 +300,10 @@ impl Pass for Dce {
 ///
 /// No key is built per op: an op is hashed where it sits (name id,
 /// forwarded operands, attribute names and payloads) and, on a hash
-/// hit, compared in place with the op already kept. The kept ops of
-/// the current block are chained per bucket through one table that is
-/// reused from block to block, so a run allocates a handful of vectors
-/// however many ops it visits.
+/// hit, compared in place with the op already kept, result types
+/// included. The kept ops of the current block are chained per bucket
+/// through one table that is reused from block to block, so a run
+/// allocates a handful of vectors however many ops it visits.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Cse;
 
@@ -442,6 +430,9 @@ impl CseTable {
                 && kept.operands.len() == arity
                 && self.operands[entry.operands_at..][..arity] == self.operands[operands_at..]
                 && kept.attributes.structural_eq(&operation.attributes)
+                && kept.results.len() == operation.results.len()
+                && (kept.results.iter().zip(&operation.results))
+                    .all(|(&a, &b)| module.value_type(a) == module.value_type(b))
             {
                 self.operands.truncate(operands_at);
                 return Some(kept);
@@ -826,6 +817,30 @@ mod tests {
             stats.ops_erased, 0,
             "distinct attribute kinds must not merge"
         );
+    }
+
+    #[test]
+    fn cse_keeps_constants_of_different_result_types_apart() {
+        // The same payload at `index` and at `f64`: merged, the store
+        // would write an index into an f64 buffer and stop verifying.
+        let mut m = Module::new();
+        let top = m.top_block();
+        let slot = core::const_index(&mut m, top, 1);
+        let one = m
+            .build_op("arith.constant", [], [Type::F64])
+            .attr("value", Attribute::Int(1))
+            .append_to(top);
+        let one = crate::module::single_result(&m, one);
+        let buf = core::alloc(
+            &mut m,
+            top,
+            Type::memref(&[2], Type::F64, crate::types::MemorySpace::Host),
+        );
+        m.build_op("memref.store", [one, buf, slot], [])
+            .append_to(top);
+        let stats = Cse.run(&ctx(), &mut m).unwrap();
+        assert_eq!(stats.ops_erased, 0, "f64 and index constants stay apart");
+        crate::verify::verify_module(&ctx(), &m).unwrap();
     }
 
     #[test]

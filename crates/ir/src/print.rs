@@ -193,7 +193,7 @@ mod tests {
         let mut m = Module::new();
         let top = m.top_block();
         let op = m
-            .build_op("evp.kernel_instance", [], [])
+            .build_op("olympus.kernel", [], [])
             .attr("target", "alveo_u55c")
             .attr("kernel", Attribute::SymbolRef("k".into()))
             .append_to(top);

@@ -147,14 +147,16 @@ fn verify_op<'c>(
             ),
         });
     }
-    if let Some(n) = spec.num_regions {
-        if operation.regions.len() != n {
-            return Err(IrError::Verification {
-                op: operation.name.to_string(),
-                path: None,
-                message: format!("expected {n} regions, found {}", operation.regions.len()),
-            });
-        }
+    if operation.regions.len() != spec.num_regions {
+        return Err(IrError::Verification {
+            op: operation.name.to_string(),
+            path: None,
+            message: format!(
+                "expected {} regions, found {}",
+                spec.num_regions,
+                operation.regions.len()
+            ),
+        });
     }
     for attr in &spec.required_attrs {
         if !operation.attributes.contains_key(attr) {
@@ -214,6 +216,18 @@ mod tests {
         m.build_op("nosuch.op", [], []).append_to(top);
         let err = verify_module(&ctx(), &m).unwrap_err();
         assert!(matches!(err, IrError::Unregistered(_)));
+    }
+
+    #[test]
+    fn ops_no_flow_builds_are_not_registered() {
+        // `ub.poison` verified until the dialects nothing outside this
+        // crate named were dropped; text naming it now reads like any
+        // other unknown op.
+        let parsed =
+            crate::parse::parse_module("module {\n  %0 = \"ub.poison\"() : () -> (f64)\n}\n")
+                .unwrap();
+        let err = verify_module(&ctx(), &parsed).unwrap_err();
+        assert_eq!(err.to_string(), "unregistered dialect or op: ub.poison");
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property-based tests over the IR core: printer/parser round-trips,
 //! canonicalization idempotence, the linear-time passes against their
-//! naive per-item references, base2 numeric invariants and broadcast
-//! shape algebra.
+//! naive per-item references and base2 numeric invariants.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -10,7 +9,6 @@ use proptest::prelude::*;
 use everest_ir::attr::{AttrKey, AttrMap, Attribute};
 use everest_ir::base2::{Fixed, Posit};
 use everest_ir::dialects::core;
-use everest_ir::dialects::tensorlang::broadcast_shapes;
 use everest_ir::module::{single_result, Module};
 use everest_ir::pass::{
     canonicalization_pipeline, ConstantFolding, Cse, Dce, LoopInvariantCodeMotion, Pass,
@@ -145,10 +143,10 @@ fn colliding_payloads() -> Vec<Attribute> {
 /// attribute names, `arith.cmpf` under different predicates, binary ops
 /// with their operands swapped — and a store of every float constant
 /// among them, so dead-code elimination leaves the survivors in the
-/// print. An integer payload makes an `index` constant, as everywhere
-/// else in the repository: CSE does not look at result types, so an
-/// `f64` constant spelt `Int(1)` would merge with the generator's own
-/// `index` constants and the module would stop verifying.
+/// print. An integer payload makes a pair of constants that differ only
+/// in result type, `index` first and `f64` second: merged, the `f64`
+/// one's store would write an index (the generator's own slot constants
+/// are `index` as well) and the module would stop verifying.
 fn add_colliding_ops(m: &mut Module, consts: usize, picks: &[(u8, u8)]) {
     let top = m.top_block();
     // `random_module` starts with its buffer, then its constants.
@@ -159,14 +157,16 @@ fn add_colliding_ops(m: &mut Module, consts: usize, picks: &[(u8, u8)]) {
     let payloads = colliding_payloads();
     for &(kind, pick) in picks {
         let payload = payloads[pick as usize % payloads.len()].clone();
-        let ty = match payload {
-            Attribute::Int(_) if kind % 4 == 0 => Type::Index,
-            _ => Type::F64,
-        };
         let op = match kind % 4 {
-            0 => m
-                .build_op("arith.constant", [], [ty.clone()])
-                .attr("value", payload),
+            0 => {
+                if let Attribute::Int(_) = payload {
+                    m.build_op("arith.constant", [], [Type::Index])
+                        .attr("value", payload.clone())
+                        .append_to(top);
+                }
+                m.build_op("arith.constant", [], [Type::F64])
+                    .attr("value", payload)
+            }
             1 => m
                 .build_op("arith.constant", [], [Type::F64])
                 .attr("value", 1.0)
@@ -184,7 +184,7 @@ fn add_colliding_ops(m: &mut Module, consts: usize, picks: &[(u8, u8)]) {
         };
         let op = op.append_to(top);
         let value = single_result(m, op);
-        if kind % 4 < 2 && ty == Type::F64 {
+        if kind % 4 < 2 {
             let slot = core::const_index(m, top, 0);
             m.build_op("memref.store", [value, buf, slot], [])
                 .append_to(top);
@@ -249,7 +249,7 @@ mod naive {
     }
 
     pub fn cse(ctx: &Context, m: &mut Module) -> PassStats {
-        type Key = (String, Vec<ValueId>, Vec<(String, AttrKey)>);
+        type Key = (String, Vec<ValueId>, Vec<(String, AttrKey)>, Vec<Type>);
         let mut stats = PassStats::default();
         for block in (0..m.num_blocks() as u32).map(BlockId::from_raw) {
             let mut seen: HashMap<Key, Vec<ValueId>> = HashMap::new();
@@ -268,8 +268,9 @@ mod naive {
                     .iter()
                     .map(|(k, v)| (k.to_string(), v.structural_key()))
                     .collect();
-                let key = (name.to_string(), operands, attrs);
                 let results = operation.results.clone();
+                let types = results.iter().map(|&r| m.value_type(r).clone()).collect();
+                let key = (name.to_string(), operands, attrs, types);
                 if let Some(kept) = seen.get(&key).cloned() {
                     for (from, to) in results.iter().zip(kept) {
                         m.replace_all_uses(*from, to);
@@ -498,31 +499,6 @@ proptest! {
         let re = Posit::from_f64(decoded, fmt);
         prop_assert_eq!(re.raw, p.raw,
             "bits {:#06x} decoded to {} re-encoded to {:#06x}", p.raw, decoded, re.raw);
-    }
-
-    #[test]
-    fn broadcast_is_commutative(
-        a in proptest::collection::vec(1u64..5, 0..4),
-        b in proptest::collection::vec(1u64..5, 0..4),
-    ) {
-        let sa: Vec<Option<u64>> = a.iter().map(|&d| Some(d)).collect();
-        let sb: Vec<Option<u64>> = b.iter().map(|&d| Some(d)).collect();
-        let ab = broadcast_shapes(&sa, &sb);
-        let ba = broadcast_shapes(&sb, &sa);
-        match (ab, ba) {
-            (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
-            (Err(_), Err(_)) => {}
-            (x, y) => prop_assert!(false, "asymmetric results: {x:?} vs {y:?}"),
-        }
-    }
-
-    #[test]
-    fn broadcast_with_self_is_identity(
-        a in proptest::collection::vec(1u64..6, 0..4),
-    ) {
-        let sa: Vec<Option<u64>> = a.iter().map(|&d| Some(d)).collect();
-        let out = broadcast_shapes(&sa, &sa).expect("self-broadcast always works");
-        prop_assert_eq!(out, sa);
     }
 
     #[test]
