@@ -147,8 +147,8 @@ fn check_invariant(
     inside: &ValueSet,
     out: &mut Collector<'_>,
 ) {
-    if !ctx.op_has_trait(&operation.name, OpTrait::Pure)
-        || ctx.op_has_trait(&operation.name, OpTrait::ConstantLike)
+    if !ctx.has_trait(operation.name, OpTrait::Pure)
+        || ctx.has_trait(operation.name, OpTrait::ConstantLike)
         || !operation.regions.is_empty()
         || operation.operands.is_empty()
     {
@@ -190,7 +190,7 @@ fn check_inner_trip_count(
     };
     let constant = module
         .op(def)
-        .is_some_and(|o| ctx.op_has_trait(&o.name, OpTrait::ConstantLike));
+        .is_some_and(|o| ctx.has_trait(o.name, OpTrait::ConstantLike));
     if !constant {
         out.emit(
             "hls-unpipelinable",

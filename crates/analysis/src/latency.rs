@@ -256,7 +256,7 @@ impl<'m> LatencyModel<'m> {
                 }
                 "dfg.sink" => {
                     actors.push(nested);
-                    reads.push(operation.operands.clone());
+                    reads.push(operation.operands.to_vec());
                 }
                 _ => {}
             }

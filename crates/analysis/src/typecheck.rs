@@ -82,7 +82,7 @@ fn check_same_operand_result_types(
     operation: &Operation,
     out: &mut Collector<'_>,
 ) {
-    if !ctx.op_has_trait(&operation.name, OpTrait::SameOperandResultTypes) {
+    if !ctx.has_trait(operation.name, OpTrait::SameOperandResultTypes) {
         return;
     }
     let mut types = operation

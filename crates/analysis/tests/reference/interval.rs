@@ -188,7 +188,7 @@ fn build_rules(module: &Module) -> Vec<Rule> {
                 for other in module.walk_ops() {
                     if let Some(call) = module.op(other) {
                         if call.name == "func.call" && symbol_attr(call, "callee") == Some(symbol) {
-                            call_operands.push(call.operands.clone());
+                            call_operands.push(call.operands.to_vec());
                         }
                     }
                 }

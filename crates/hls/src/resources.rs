@@ -228,8 +228,7 @@ impl CostLibrary {
                 }
             }
             ("memref", "copy") => OpCost::new(1, 1, 50, 50, 0),
-            ("scf", _) | ("func", _) | ("builtin", _) => OpCost::new(0, 1, 0, 0, 0),
-            ("bit", _) | ("cyclic", _) | ("ub", _) => OpCost::new(1, 1, 32, 32, 0),
+            ("scf", _) | ("func", _) => OpCost::new(0, 1, 0, 0, 0),
             _ => OpCost::new(1, 1, 64, 64, 0),
         }
     }

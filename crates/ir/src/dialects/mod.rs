@@ -11,6 +11,13 @@
 //! which lowers straight to `scf`/`arith`/`memref`, and CFDlang
 //! translates to EKL. An op kind is registered only if code outside this
 //! crate builds, consumes, costs or tests it.
+//!
+//! Every op name registered here and every attribute name an `OpSpec`
+//! requires (`with_attr`) is also listed in the interner's constant
+//! name table (`intern::REGISTERED`), which seeds those names at fixed
+//! ids and answers them without a lock. Adding or removing an op or a
+//! required attribute means editing that list too; `registry`'s tests
+//! fail until the two agree.
 
 pub mod core;
 pub mod dataflow;

@@ -6,21 +6,40 @@
 //! key, and pass dispatch — a heap allocation per touch on the hottest
 //! compiler paths. A [`Symbol`] is a process-wide interned name: 24
 //! bytes (a `u32` id, padding, and the `&'static str`), `Copy`,
-//! equality and hashing on the dense id, with the backing text leaked
-//! once per distinct name so [`Symbol::as_str`] is a free pointer read
-//! (no lock, no lookup).
+//! equality and hashing on the dense id, with the backing text static
+//! (or leaked once per distinct name) so [`Symbol::as_str`] is a free
+//! pointer read (no lock, no lookup).
+//!
+//! Two paths lead to a symbol:
+//!
+//! * **Registered names, lock-free.** The 61 op kinds
+//!   [`Context::with_all_dialects`](crate::registry::Context::with_all_dialects)
+//!   registers and the attribute names their specs require are a
+//!   constant table, seeded into the interner at ids `0..74` in table
+//!   order. [`Symbol::new`] finds them by one multiply-shift hash of the
+//!   name's length and last eight bytes into a 256-slot open-addressing
+//!   index built at compile time: no lock, no SipHash, nothing leaked.
+//!   Every op a flow builds and every attribute a spec demands takes
+//!   this path.
+//! * **Everything else, under a mutex.** Any other name — an attribute
+//!   only some producers set (`capacity`, `deadline_us`, ...), a test
+//!   dialect's op, whatever a textual module spells — is looked up in a
+//!   `Mutex<HashMap>` with the default hasher and, the first time,
+//!   leaked and given the next id. A text can spell any name, so this
+//!   map keeps SipHash.
 //!
 //! Deliberate non-features:
 //!
-//! * **No `Ord`.** Symbol ids are assigned in first-intern order, which
-//!   depends on execution order; sorting by id would be
-//!   nondeterministic across runs. Anything needing a stable order
-//!   (printing, error listings) must sort by [`Symbol::as_str`].
+//! * **No `Ord`.** Past the table, symbol ids are assigned in
+//!   first-intern order, which depends on execution order; sorting by
+//!   id would be nondeterministic across runs. Anything needing a
+//!   stable order (printing, error listings) must sort by
+//!   [`Symbol::as_str`].
 //! * **No eviction.** The vocabulary is bounded by the dialect
 //!   registry; leaking it for the process lifetime is the point. The
 //!   text parser interns every op and attribute name it reads, so on
-//!   hostile text the table grows with the distinct names in the input
-//!   (bounded by its size, never freed).
+//!   hostile text the locked map grows with the distinct names in the
+//!   input (bounded by its size, never freed).
 //!
 //! # Examples
 //!
@@ -50,6 +69,168 @@ pub struct Symbol {
     text: &'static str,
 }
 
+/// The names [`Symbol::new`] answers without the lock, at ids
+/// `0..REGISTERED.len()` in this order: every op kind
+/// `Context::with_all_dialects` registers, then every attribute name an
+/// `OpSpec` of theirs requires. An op or required attribute added to or
+/// removed from a dialect in [`crate::dialects`] is added to or removed
+/// from this list too; `registry`'s tests hold the two to each other,
+/// both ways.
+pub(crate) const REGISTERED: [&str; 74] = [
+    // func
+    "func.func",
+    "func.return",
+    "func.call",
+    // arith
+    "arith.constant",
+    "arith.addf",
+    "arith.subf",
+    "arith.mulf",
+    "arith.divf",
+    "arith.maxf",
+    "arith.minf",
+    "arith.addi",
+    "arith.subi",
+    "arith.muli",
+    "arith.divsi",
+    "arith.remsi",
+    "arith.andi",
+    "arith.ori",
+    "arith.xori",
+    "arith.negf",
+    "arith.absf",
+    "arith.sqrt",
+    "arith.exp",
+    "arith.log",
+    "arith.cmpf",
+    "arith.cmpi",
+    "arith.select",
+    "arith.index_cast",
+    "arith.sitofp",
+    "arith.fptosi",
+    "arith.extf",
+    "arith.truncf",
+    // scf
+    "scf.for",
+    "scf.if",
+    "scf.yield",
+    // memref
+    "memref.alloc",
+    "memref.dealloc",
+    "memref.load",
+    "memref.store",
+    "memref.copy",
+    // dfg
+    "dfg.graph",
+    "dfg.channel",
+    "dfg.node",
+    "dfg.feed",
+    "dfg.sink",
+    "dfg.yield",
+    // base2
+    "base2.quantize",
+    "base2.dequantize",
+    "base2.add",
+    "base2.sub",
+    "base2.mul",
+    "base2.div",
+    "base2.convert",
+    // olympus
+    "olympus.system",
+    "olympus.kernel",
+    "olympus.plm",
+    "olympus.dma",
+    "olympus.replicate",
+    "olympus.lane",
+    "olympus.pack",
+    "olympus.double_buffer",
+    "olympus.yield",
+    // attributes the specs require
+    "sym_name",
+    "function_type",
+    "callee",
+    "value",
+    "predicate",
+    "name",
+    "platform",
+    "banks",
+    "direction",
+    "factor",
+    "kernel",
+    "width_bits",
+    "layout",
+];
+
+/// `log2` of the index's slot count: 256 slots for 74 names, so a
+/// probe rarely looks past its first slot.
+const SLOT_BITS: u32 = 8;
+
+/// `SLOTS[h]` is `1 +` the [`REGISTERED`] position of a name hashed to
+/// `h` or probed on to it, `0` an empty slot.
+static SLOTS: [u8; 1 << SLOT_BITS] = {
+    let mut slots = [0u8; 1 << SLOT_BITS];
+    let mut id = 0;
+    while id < REGISTERED.len() {
+        let mut at = slot_of(REGISTERED[id].as_bytes());
+        while slots[at] != 0 {
+            at = (at + 1) % slots.len();
+        }
+        slots[at] = id as u8 + 1;
+        id += 1;
+    }
+    slots
+};
+
+/// The home slot of a name: its length plus its last eight bytes read
+/// as one big-endian word (the whole name when shorter), spread by a
+/// Fibonacci multiply. Registered names share prefixes (`arith.`), not
+/// tails, and a collision only costs a probe.
+const fn slot_of(name: &[u8]) -> usize {
+    let n = name.len();
+    // Eight bytes or more: one load. Fewer: byte by byte.
+    let word = if n >= 8 {
+        u64::from_be_bytes([
+            name[n - 8],
+            name[n - 7],
+            name[n - 6],
+            name[n - 5],
+            name[n - 4],
+            name[n - 3],
+            name[n - 2],
+            name[n - 1],
+        ])
+    } else {
+        let mut word = 0u64;
+        let mut at = 0;
+        while at < n {
+            word = (word << 8) | name[at] as u64;
+            at += 1;
+        }
+        word
+    };
+    let mixed = word
+        .wrapping_add(n as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (mixed >> (64 - SLOT_BITS)) as usize
+}
+
+/// The symbol of a [`REGISTERED`] name, found without the lock; `None`
+/// for every other name, which this never interns.
+pub(crate) fn registered(name: &str) -> Option<Symbol> {
+    let mut at = slot_of(name.as_bytes());
+    loop {
+        let id = SLOTS[at].checked_sub(1)? as usize;
+        let text = REGISTERED[id];
+        if text == name {
+            return Some(Symbol {
+                id: id as u32,
+                text,
+            });
+        }
+        at = (at + 1) % SLOTS.len();
+    }
+}
+
 struct Interner {
     map: HashMap<&'static str, Symbol>,
 }
@@ -57,17 +238,26 @@ struct Interner {
 fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
     INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            map: HashMap::new(),
-        })
+        let map = REGISTERED
+            .iter()
+            .map(|&name| (name, registered(name).expect("seeded by name")))
+            .collect();
+        Mutex::new(Interner { map })
     })
 }
 
 impl Symbol {
-    /// Interns `name`, returning the canonical symbol for it. The first
-    /// intern of a distinct name leaks one copy of the text; every
-    /// subsequent intern is a map hit.
+    /// Interns `name`, returning the canonical symbol for it. A
+    /// registered op or required attribute name is answered from a
+    /// constant table without the lock; any other name takes the
+    /// interner's mutex, and its first intern leaks one copy of the
+    /// text.
     pub fn new(name: &str) -> Symbol {
+        registered(name).unwrap_or_else(|| Symbol::intern(name))
+    }
+
+    /// The locked path: a map hit, or a fresh id and leaked text.
+    fn intern(name: &str) -> Symbol {
         let mut interner = interner().lock().expect("symbol interner poisoned");
         if let Some(&sym) = interner.map.get(name) {
             return sym;
@@ -81,6 +271,19 @@ impl Symbol {
         sym
     }
 
+    /// The locked path even for a registered name, which the seeding
+    /// must have given the table's id.
+    #[cfg(test)]
+    pub(crate) fn intern_locked(name: &str) -> Symbol {
+        Symbol::intern(name)
+    }
+
+    /// Whether `name` has been interned, without interning it.
+    #[cfg(test)]
+    pub(crate) fn is_interned(name: &str) -> bool {
+        registered(name).is_some() || interner().lock().unwrap().map.contains_key(name)
+    }
+
     /// The interned text. `&'static` because interned names live for
     /// the process: callers can hold the `&str` without borrowing the
     /// symbol.
@@ -88,14 +291,15 @@ impl Symbol {
         self.text
     }
 
-    /// The symbol's dense id: `0, 1, 2, ...` in first-intern order, so
-    /// a table indexed by it (the registry's op specs) has a slot for
-    /// every symbol interned before it was sized and none past its end
-    /// for one interned later. Ids depend on execution order — which
-    /// name the process happened to intern first — so they are an
-    /// index, never an order: anything that must come out the same on
-    /// every run sorts by [`Symbol::as_str`] (the type has no `Ord` for
-    /// that reason).
+    /// The symbol's dense id: the registered names first, at fixed ids
+    /// `0..74`, then `74, 75, ...` in first-intern order, so a table
+    /// indexed by it (the registry's op specs) has a slot for every
+    /// symbol interned before it was sized and none past its end for
+    /// one interned later. Past the registered names, ids depend on
+    /// execution order — which name the process happened to intern
+    /// first — so they are an index, never an order: anything that must
+    /// come out the same on every run sorts by [`Symbol::as_str`] (the
+    /// type has no `Ord` for that reason).
     pub fn index(&self) -> usize {
         self.id as usize
     }
@@ -222,6 +426,43 @@ mod tests {
         let table_len = interner().lock().unwrap().map.len();
         assert!(a.index() < table_len && b.index() < table_len);
         assert_eq!(std::mem::size_of::<Symbol>(), 24);
+    }
+
+    #[test]
+    fn the_table_finds_each_registered_name_at_its_position_and_nothing_else() {
+        for (id, &name) in REGISTERED.iter().enumerate() {
+            let symbol = registered(name).expect("in the table");
+            assert_eq!((symbol.index(), symbol.as_str()), (id, name));
+        }
+        let mut distinct = REGISTERED.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), REGISTERED.len());
+        // Near misses: a changed last byte, one byte short or long at
+        // either end, another case, the empty name.
+        for name in [
+            "arith.addg",
+            "arith.add",
+            "arith.addff",
+            "xarith.addf",
+            "rith.addf",
+            "ARITH.ADDF",
+            "values",
+            "",
+            "test.not_registered",
+        ] {
+            assert!(registered(name).is_none(), "{name:?}");
+        }
+    }
+
+    #[test]
+    fn names_off_the_table_intern_past_it() {
+        let name = "test.off_the_table";
+        assert!(!Symbol::is_interned(name));
+        let symbol = Symbol::new(name);
+        assert!(symbol.index() >= REGISTERED.len());
+        assert!(Symbol::is_interned(name));
+        assert_eq!(Symbol::intern_locked("value"), Symbol::new("value"));
     }
 
     #[test]

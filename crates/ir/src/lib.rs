@@ -65,6 +65,7 @@ pub mod pass;
 pub mod print;
 pub mod registry;
 pub mod types;
+pub mod value_list;
 pub mod verify;
 
 pub use attr::Attribute;
@@ -75,3 +76,4 @@ pub use location::{OpPath, PathStep};
 pub use module::{Module, Operation};
 pub use registry::{Context, Dialect, OpSpec, OpTrait};
 pub use types::{FixedFormat, MemorySpace, PositFormat, Type};
+pub use value_list::ValueList;

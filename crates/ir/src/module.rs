@@ -11,6 +11,7 @@ use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::intern::Symbol;
 use crate::types::Type;
+use crate::value_list::ValueList;
 
 /// Where an SSA value comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,10 +52,10 @@ pub struct Operation {
     /// is `Copy` and compares by id, so hot paths (CSE keys, trait
     /// dispatch) never clone or hash the text.
     pub name: Symbol,
-    /// SSA operands.
-    pub operands: Vec<ValueId>,
-    /// SSA results.
-    pub results: Vec<ValueId>,
+    /// SSA operands: up to four in place, more in one boxed slice.
+    pub operands: ValueList,
+    /// SSA results, stored as the operands are.
+    pub results: ValueList,
     /// Named attributes, sorted by name for deterministic printing.
     pub attributes: AttrMap,
     /// Nested regions.
@@ -341,8 +342,8 @@ impl Module {
     pub fn create_op(
         &mut self,
         name: impl Into<Symbol>,
-        operands: Vec<ValueId>,
-        result_types: Vec<Type>,
+        operands: impl Into<ValueList>,
+        result_types: impl IntoIterator<Item = Type>,
         attributes: AttrMap,
         num_regions: usize,
     ) -> OpId {
@@ -365,7 +366,7 @@ impl Module {
             .collect();
         self.ops[id.index()] = Some(Operation {
             name: name.into(),
-            operands,
+            operands: operands.into(),
             results,
             attributes,
             regions,
@@ -380,11 +381,13 @@ impl Module {
         O: IntoIterator<Item = ValueId>,
         T: IntoIterator<Item = Type>,
     {
+        let mut result_types = result_types.into_iter();
         OpBuilder {
             module: self,
             name: Symbol::new(name),
             operands: operands.into_iter().collect(),
-            result_types: result_types.into_iter().collect(),
+            result_type: result_types.next(),
+            more_result_types: result_types.collect(),
             attributes: AttrMap::new(),
             num_regions: 0,
         }
@@ -632,8 +635,11 @@ impl Module {
 pub struct OpBuilder<'m> {
     module: &'m mut Module,
     name: Symbol,
-    operands: Vec<ValueId>,
-    result_types: Vec<Type>,
+    operands: ValueList,
+    /// The first result type, held in place: nearly every op has at
+    /// most one, so `more_result_types` stays empty and unallocated.
+    result_type: Option<Type>,
+    more_result_types: Vec<Type>,
     attributes: AttrMap,
     num_regions: usize,
 }
@@ -653,27 +659,26 @@ impl<'m> OpBuilder<'m> {
 
     /// Builds the op and appends it to `block`; returns the op id.
     pub fn append_to(self, block: BlockId) -> OpId {
-        let module = self.module;
-        let id = module.create_op(
-            self.name,
-            self.operands,
-            self.result_types,
-            self.attributes,
-            self.num_regions,
-        );
+        let (module, id) = self.create();
         module.append_op(block, id);
         id
     }
 
     /// Builds the op detached from any block; returns the op id.
     pub fn detached(self) -> OpId {
-        self.module.create_op(
+        self.create().1
+    }
+
+    fn create(self) -> (&'m mut Module, OpId) {
+        let result_types = self.result_type.into_iter().chain(self.more_result_types);
+        let id = self.module.create_op(
             self.name,
             self.operands,
-            self.result_types,
+            result_types,
             self.attributes,
             self.num_regions,
-        )
+        );
+        (self.module, id)
     }
 }
 
@@ -709,6 +714,7 @@ mod tests {
     #[test]
     fn arena_entries_keep_their_sizes() {
         assert_eq!(std::mem::size_of::<Operation>(), 128);
+        assert_eq!(std::mem::size_of::<ValueList>(), 24);
         assert_eq!(std::mem::size_of::<ValueInfo>(), 64);
         assert_eq!(std::mem::size_of::<Type>(), 48);
     }

@@ -264,7 +264,8 @@ impl Context {
             .ok_or_else(|| IrError::Unregistered(full_name.to_string()))
     }
 
-    /// Returns `true` if the op declares the given trait.
+    /// Returns `true` if the op declares the given trait. Per-op code
+    /// holds the op's [`Symbol`] and asks [`Context::has_trait`].
     pub fn op_has_trait(&self, full_name: &str, t: OpTrait) -> bool {
         self.op_spec(full_name)
             .map(|s| s.has_trait(t))
@@ -326,6 +327,118 @@ mod tests {
     fn trait_query_on_unknown_op_is_false() {
         let ctx = Context::new();
         assert!(!ctx.op_has_trait("toy.add", OpTrait::Pure));
+    }
+
+    const TRAITS: [OpTrait; 7] = [
+        OpTrait::Pure,
+        OpTrait::Terminator,
+        OpTrait::Symbol,
+        OpTrait::SameOperandResultTypes,
+        OpTrait::IsolatedFromAbove,
+        OpTrait::ConstantLike,
+        OpTrait::Commutative,
+    ];
+
+    /// Every full op name `ctx` registers, in dialect order.
+    fn op_names(ctx: &Context) -> Vec<String> {
+        let dialects = ctx
+            .dialect_names()
+            .into_iter()
+            .map(|d| ctx.dialect(d).unwrap());
+        dialects
+            .flat_map(|d| d.iter().map(|spec| format!("{}.{}", d.name, spec.name)))
+            .collect()
+    }
+
+    #[test]
+    fn trait_queries_by_text_answer_as_by_symbol_and_intern_nothing() {
+        let ctx = Context::with_all_dialects();
+        for name in op_names(&ctx) {
+            for t in TRAITS {
+                let by_symbol = ctx.has_trait(Symbol::new(&name), t);
+                assert_eq!(ctx.op_has_trait(&name, t), by_symbol, "{name} {t:?}");
+            }
+            assert!(ctx.op_spec(&name).is_ok());
+        }
+        assert!(ctx.op_has_trait("arith.addf", OpTrait::Commutative));
+        assert!(!ctx.op_has_trait("arith.subf", OpTrait::Commutative));
+        // Unregistered and malformed names: no spec, no trait. The
+        // first five were never interned and still are not; the rest
+        // are ones other code may intern, or a registered attribute
+        // name, which names no op.
+        let fresh = [
+            "probe.unregistered",
+            "probe",
+            "probe.",
+            ".probe",
+            "arith.addf.probe",
+        ];
+        let others = [
+            "",
+            ".",
+            "arith",
+            "arith.",
+            ".addf",
+            "ARITH.ADDF",
+            "arith..addf",
+        ];
+        for name in fresh.into_iter().chain(others).chain(["sym_name", "value"]) {
+            for t in TRAITS {
+                assert!(!ctx.op_has_trait(name, t), "{name:?} {t:?}");
+            }
+            assert!(ctx.op_spec(name).is_err(), "{name:?}");
+        }
+        for name in fresh {
+            assert!(!Symbol::is_interned(name), "{name:?} was interned");
+        }
+        // A context answers for the dialects registered in it, whether
+        // or not their names are on the interner's lock-free table.
+        let mut own = Context::new();
+        own.register_dialect(sample_dialect());
+        assert!(own.op_has_trait("toy.add", OpTrait::Pure));
+        assert!(own.op_has_trait("toy.ret", OpTrait::Terminator));
+        assert!(!own.op_has_trait("toy.ret", OpTrait::Pure));
+        assert!(!own.op_has_trait("arith.addf", OpTrait::Pure));
+        assert!(own.op_spec("arith.addf").is_err());
+    }
+
+    #[test]
+    fn registered_names_take_the_same_id_without_the_lock_as_with_it() {
+        let ctx = Context::with_all_dialects();
+        let mut names = op_names(&ctx);
+        assert_eq!(names.len(), 61);
+        let dialects = ctx
+            .dialect_names()
+            .into_iter()
+            .map(|d| ctx.dialect(d).unwrap());
+        for attr in dialects.flat_map(|d| d.iter().flat_map(|s| s.required_attrs.clone())) {
+            if !names.contains(&attr) {
+                names.push(attr);
+            }
+        }
+        let mut ids = Vec::new();
+        for name in &names {
+            let fast = crate::intern::registered(name)
+                .unwrap_or_else(|| panic!("{name} is not in the lock-free table"));
+            assert_eq!(fast.as_str(), name);
+            assert_eq!(fast.index(), Symbol::intern_locked(name).index(), "{name}");
+            assert_eq!(fast.index(), Symbol::new(name).index(), "{name}");
+            ids.push(fast.index());
+        }
+        // The table holds these names and no others, at ids 0..n.
+        ids.sort_unstable();
+        assert_eq!(ids, (0..names.len()).collect::<Vec<_>>());
+        assert_eq!(crate::intern::REGISTERED.len(), names.len());
+        // The standard spec table is exactly as long as the op names.
+        assert_eq!(ctx.registry.specs.len(), 61);
+
+        // An unregistered name still interns, past the table, and
+        // collides with nothing.
+        let other = Symbol::new("toy.not_in_the_table");
+        assert!(crate::intern::registered(other.as_str()).is_none());
+        assert!(other.index() >= names.len());
+        assert_eq!(other, Symbol::new("toy.not_in_the_table"));
+        assert!(names.iter().all(|name| Symbol::new(name) != other));
     }
 
     #[test]

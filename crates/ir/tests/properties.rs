@@ -18,7 +18,7 @@ use everest_ir::print::print_module;
 use everest_ir::registry::{Context, OpTrait};
 use everest_ir::types::{FixedFormat, PositFormat, Type};
 use everest_ir::verify::verify_module;
-use everest_ir::{BlockId, IrError, IrResult, OpId, ValueId};
+use everest_ir::{BlockId, IrError, IrResult, OpId, ValueId, ValueList};
 
 /// Builds a random but well-formed module: a DAG of float arithmetic over
 /// a pool of constants and buffer loads, with stores keeping part of it
@@ -259,7 +259,7 @@ mod naive {
                 if !ctx.has_trait(name, OpTrait::Pure) || !operation.regions.is_empty() {
                     continue;
                 }
-                let mut operands = operation.operands.clone();
+                let mut operands = operation.operands.to_vec();
                 if ctx.has_trait(name, OpTrait::Commutative) {
                     operands.sort();
                 }
@@ -268,7 +268,7 @@ mod naive {
                     .iter()
                     .map(|(k, v)| (k.to_string(), v.structural_key()))
                     .collect();
-                let results = operation.results.clone();
+                let results = operation.results.to_vec();
                 let types = results.iter().map(|&r| m.value_type(r).clone()).collect();
                 let key = (name.to_string(), operands, attrs, types);
                 if let Some(kept) = seen.get(&key).cloned() {
@@ -640,6 +640,191 @@ proptest! {
             prop_assert_eq!(listed, expected);
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// ValueList against the Vec<ValueId> it replaced
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lengths wander across the four ids held in place, both ways:
+    /// pushes and extends spill past them, truncates and clears come
+    /// back under them with the spilled slice kept, `from_iter` and
+    /// `clone` rebuild at the live length, and writes land through the
+    /// slice either side of the boundary.
+    #[test]
+    fn value_list_behaves_as_the_vec_it_replaced(
+        steps in proptest::collection::vec((any::<u8>(), any::<u32>()), 0..64),
+    ) {
+        let mut list = ValueList::new();
+        let mut model: Vec<ValueId> = Vec::new();
+        for (kind, payload) in steps {
+            let value = ValueId::from_raw(payload);
+            let run = (0..payload % 7).map(|k| ValueId::from_raw(payload.wrapping_add(k)));
+            match kind % 10 {
+                0..=2 => {
+                    list.push(value);
+                    model.push(value);
+                }
+                3 => {
+                    list.extend(run.clone());
+                    model.extend(run);
+                }
+                4 => {
+                    // A length the iterator does not tell up front.
+                    let unsized_run = run.filter(|v| v.index() % 3 != 0);
+                    list.extend(unsized_run.clone());
+                    model.extend(unsized_run);
+                }
+                5 => {
+                    let len = payload as usize % (model.len() + 2);
+                    list.truncate(len);
+                    model.truncate(len);
+                }
+                6 => {
+                    list.clear();
+                    model.clear();
+                }
+                7 => {
+                    list = model.iter().copied().chain(run.clone()).collect();
+                    model.extend(run);
+                }
+                8 => list = list.clone(),
+                _ => {
+                    if !model.is_empty() {
+                        let at = payload as usize % model.len();
+                        list[at] = ValueId::from_raw(!payload);
+                        model[at] = ValueId::from_raw(!payload);
+                    }
+                }
+            }
+            prop_assert_eq!(list.as_slice(), model.as_slice());
+            prop_assert!(list.capacity() >= list.len());
+            prop_assert_eq!(list.clone(), model.clone());
+            prop_assert_eq!(list.clone().into_iter().collect::<Vec<_>>(), model.clone());
+            prop_assert_eq!(ValueList::from(model.clone()), model.clone());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Ops past the four operands a ValueList holds in place
+// ---------------------------------------------------------------------------
+
+/// A function over a rank-3 buffer whose load and stores carry three
+/// subscripts (four and five operands) and whose return carries six
+/// values, then a dataflow graph whose node reads six channels and
+/// writes five. Returns the module and the values the test forwards:
+/// the function's second and third arguments, the three subscripts and
+/// the six channels.
+fn wide_module() -> (Module, Vec<ValueId>) {
+    let mut m = Module::new();
+    let top = m.top_block();
+    let buf = Type::memref(&[2, 2, 2], Type::F64, everest_ir::MemorySpace::Plm);
+    let mut inputs = vec![buf];
+    inputs.extend(vec![Type::F64; 5]);
+    let (_f, entry) = core::build_func(&mut m, top, "wide", &inputs, &vec![Type::F64; 6]);
+    let args = m.block(entry).args.clone();
+    let [i, j, k] = [0, 1, 1].map(|v| core::const_index(&mut m, entry, v));
+    let load = m
+        .build_op("memref.load", [args[0], i, j, k], [Type::F64])
+        .append_to(entry);
+    let loaded = single_result(&m, load);
+    m.build_op("memref.store", [args[1], args[0], k, j, i], [])
+        .append_to(entry);
+    m.build_op("memref.store", [loaded, args[0], i, i, k], [])
+        .append_to(entry);
+    let returned = [loaded, args[1], args[2], args[3], args[4], args[5]];
+    m.build_op("func.return", returned, []).append_to(entry);
+
+    let (_g, body) = everest_ir::dialects::dataflow::build_graph(&mut m, top, "fan");
+    let channels: Vec<ValueId> = (0..6)
+        .map(|n| everest_ir::dialects::dataflow::build_channel(&mut m, body, Type::F64, n + 1))
+        .collect();
+    let stream = Type::Stream(Box::new(Type::F64));
+    m.build_op("dfg.node", channels.clone(), vec![stream; 5])
+        .attr("callee", Attribute::SymbolRef("fan_in".into()))
+        .append_to(body);
+    m.build_op("dfg.yield", [], []).append_to(body);
+    let mut values = vec![args[1], args[2], i, j, k];
+    values.extend(channels);
+    (m, values)
+}
+
+/// What [`wide_module`] printed when operands and results were `Vec`s.
+const WIDE: &str = r#"module {
+  "func.func"() ({
+    ^bb(%0: memref<2x2x2xf64, plm>, %1: f64, %2: f64, %3: f64, %4: f64, %5: f64):
+      %6 = "arith.constant"() {value = 0} : () -> (index)
+      %7 = "arith.constant"() {value = 1} : () -> (index)
+      %8 = "arith.constant"() {value = 1} : () -> (index)
+      %9 = "memref.load"(%0, %6, %7, %8) : (memref<2x2x2xf64, plm>, index, index, index) -> (f64)
+      "memref.store"(%1, %0, %8, %7, %6) : (f64, memref<2x2x2xf64, plm>, index, index, index) -> ()
+      "memref.store"(%9, %0, %6, %6, %8) : (f64, memref<2x2x2xf64, plm>, index, index, index) -> ()
+      "func.return"(%9, %1, %2, %3, %4, %5) : (f64, f64, f64, f64, f64, f64) -> ()
+  }) {function_type = (memref<2x2x2xf64, plm>, f64, f64, f64, f64, f64) -> (f64, f64, f64, f64, f64, f64), sym_name = "wide"} : () -> ()
+  "dfg.graph"() ({
+    ^bb():
+      %10 = "dfg.channel"() {capacity = 1} : () -> (!dfg.stream<f64>)
+      %11 = "dfg.channel"() {capacity = 2} : () -> (!dfg.stream<f64>)
+      %12 = "dfg.channel"() {capacity = 3} : () -> (!dfg.stream<f64>)
+      %13 = "dfg.channel"() {capacity = 4} : () -> (!dfg.stream<f64>)
+      %14 = "dfg.channel"() {capacity = 5} : () -> (!dfg.stream<f64>)
+      %15 = "dfg.channel"() {capacity = 6} : () -> (!dfg.stream<f64>)
+      %16, %17, %18, %19, %20 = "dfg.node"(%10, %11, %12, %13, %14, %15) {callee = @fan_in} : (!dfg.stream<f64>, !dfg.stream<f64>, !dfg.stream<f64>, !dfg.stream<f64>, !dfg.stream<f64>, !dfg.stream<f64>) -> (!dfg.stream<f64>, !dfg.stream<f64>, !dfg.stream<f64>, !dfg.stream<f64>, !dfg.stream<f64>)
+      "dfg.yield"() : () -> ()
+  }) {sym_name = "fan"} : () -> ()
+}
+"#;
+
+#[test]
+fn ops_past_four_operands_print_parse_clone_and_forward_as_vecs_did() {
+    let ctx = Context::with_all_dialects();
+    let (mut m, values) = wide_module();
+    verify_module(&ctx, &m).expect("verifies");
+    let text = print_module(&m);
+    assert_eq!(text, WIDE);
+    let widths: Vec<(usize, usize)> = m
+        .live_ops()
+        .map(|(_, o)| (o.operands.len(), o.results.len()))
+        .filter(|&(operands, results)| operands > 4 || results > 4)
+        .collect();
+    assert_eq!(widths, [(5, 0), (5, 0), (6, 0), (6, 5)]);
+
+    let parsed = everest_ir::parse::parse_module(&text).expect("parses");
+    assert_eq!(print_module(&parsed), WIDE);
+    let copy = m.clone();
+    assert_eq!(print_module(&copy), WIDE);
+    for ((_, a), (_, b)) in m.live_ops().zip(copy.live_ops()) {
+        assert_eq!((&a.operands, &a.results), (&b.operands, &b.results));
+    }
+
+    // The second argument, the last subscript and the last channel,
+    // forwarded onto values that are not forwarded themselves: one
+    // sweep, as the per-value rewrite does it, into the same text.
+    let pairs = [
+        (values[0], values[1]),
+        (values[4], values[2]),
+        (values[10], values[5]),
+    ];
+    let mut naive = m.clone();
+    let mut forward: Vec<ValueId> = (0..m.num_values() as u32).map(ValueId::from_raw).collect();
+    for (from, to) in pairs {
+        forward[from.index()] = to;
+        naive.replace_all_uses(from, to);
+    }
+    m.forward_uses(&forward);
+    let expected = WIDE
+        .replace("(%0, %6, %7, %8)", "(%0, %6, %7, %6)")
+        .replace("(%1, %0, %8, %7, %6)", "(%2, %0, %6, %7, %6)")
+        .replace("(%9, %0, %6, %6, %8)", "(%9, %0, %6, %6, %6)")
+        .replace("(%9, %1, %2,", "(%9, %2, %2,")
+        .replace("%14, %15)", "%14, %10)");
+    assert_eq!(print_module(&m), expected);
+    assert_eq!(print_module(&naive), expected);
+    verify_module(&ctx, &m).expect("still verifies");
 }
 
 // ---------------------------------------------------------------------------
