@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Fails when the query path goes back to paying per query for what it
-# needs once per process, or per row for what it needs once per column.
+# needs once per process, or per name for what it needs once per query.
 #
 # Runs a short traced pass of the repository benchmark's query_small
 # workload and compares layers of the same run:
@@ -9,24 +9,31 @@
 #   context) must cost less than linting it;
 # * lowering (which includes obtaining the operator kernels) must cost
 #   less than synthesizing the kernels it returned would;
-# * executing a small query must cost less than parsing, planning and
-#   optimizing it.
+# * parsing, planning and optimizing a small query must cost less than
+#   1.3 times executing it: the lexer borrows its names, the planner
+#   builds each qualified name once and moves the parsed expressions
+#   into the plan, and the optimizer rewrites one copy of the plan in
+#   place.
 #
-# Readings of small / large on one host (`--quick --seconds 3`):
+# Readings of small / large on one host (`--quick --seconds 3`): (a)
+# before the dialect context and the operator kernels were shared, (b)
+# after, (c) after the columnar executor, (d) at the parent of *Query
+# path* and (e) after it (docs/PERFORMANCE.md):
 #
-#   ratio                               before PR 14   PR 14-15   PR 16
-#   ir.verify_s / analysis.run_s            4.4          0.11      0.11
-#   lower_s / hls.synthesize_s              2.3          0.18      0.14
-#   execute_s / (parse + plan + optimize)   not read     2.27      0.51
+#   ratio                                   (a)     (b)     (c)     (d)     (e)
+#   ir.verify_s / analysis.run_s            4.4    0.11    0.11    0.08    0.11
+#   lower_s / hls.synthesize_s              2.3    0.18    0.14    0.24    0.21
+#   (parse + plan + optimize) / execute_s     -    0.44    1.96    1.75    1.02
 #
-# Before PR 14 every query built a dialect context and compiled its own
-# kernels; PR 14 shared both; PR 16 replaced the row-at-a-time executor
-# with the columnar one. The second ratio used to take executing the
-# query as its yardstick (3.0, then 0.24): the columnar executor is a
-# fifth of that yardstick (0.82), so lowering is held to one the
-# executor does not move. All three are ratios of timings on the same
-# host, so the gate holds on a slow or noisy runner where absolute
-# times would not.
+# Until (e) the third relation ran the other way, execute_s < parse +
+# plan + optimize, and it read 0.51 at (c). Naming the query cost more
+# than running it; (e) brings the two level, and the bound of 1.3 keeps
+# a quarter's margin over the highest of six readings (1.02). The
+# second ratio used to take executing the query as its yardstick (3.0,
+# then 0.24): the columnar executor is a fifth of that yardstick
+# (0.82), so lowering is held to one the executor does not move. All
+# three are ratios of timings on the same host, so the gate holds on a
+# slow or noisy runner where absolute times would not.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,15 +47,15 @@ if not result["correct"] or result["failed"]:
     sys.exit("FAIL query_small: %d operations failed" % result["failed"])
 front_end = ("query.parser.parse_s", "query.planner.plan_s", "query.optimizer.optimize_s")
 over = False
-for small, large in (
-    ("ir.verify_s", ("analysis.run_s",)),
-    ("query.lower.lower_s", ("hls.synthesize_s",)),
-    ("query.exec.execute_s", front_end),
+for small, factor, large in (
+    (("ir.verify_s",), 1.0, "analysis.run_s"),
+    (("query.lower.lower_s",), 1.0, "hls.synthesize_s"),
+    (front_end, 1.3, "query.exec.execute_s"),
 ):
-    a = result["metrics"][small]["value"]
-    b = sum(result["metrics"][name]["value"] for name in large)
-    verdict = "ok" if 0.0 < a < b else "FAIL"
+    a = sum(result["metrics"][name]["value"] for name in small)
+    b = result["metrics"][large]["value"]
+    verdict = "ok" if 0.0 < a < factor * b else "FAIL"
     over |= verdict == "FAIL"
-    print("%s %s = %.5f s < %s = %.5f s" % (verdict, small, a, " + ".join(large), b))
+    print("%s %s = %.5f s < %.1f x %s = %.5f s" % (verdict, " + ".join(small), a, factor, large, b))
 sys.exit(1 if over else 0)
 '

@@ -8,7 +8,7 @@
 //! deadlock/buffer-sizing analysis: rings no feed can reach are certain
 //! deadlocks, and reachable rings get a minimal-capacity suggestion.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use everest_condrust::graph::{DataflowGraph, NodeKind};
 use everest_ir::ids::{OpId, ValueId};
@@ -63,137 +63,286 @@ impl Lint for DfgStructure {
 
     fn run(&self, ctx: &Context, module: &Module, out: &mut Collector<'_>) {
         let _ = ctx;
-        for op in module.walk_ops() {
+        let ops = module.walk_ops();
+        for (at, &op) in ops.iter().enumerate() {
             let Some(operation) = module.op(op) else {
                 continue;
             };
             if operation.name == "dfg.graph" {
-                analyze_graph_op(module, op, out);
+                // The walk is pre-order: what `walk_nested` would list
+                // follows the graph op.
+                let body = &ops[at + 1..at + 1 + nested_ops(module, operation)];
+                analyze_graph_op(module, body, out);
             }
         }
     }
 }
 
-#[derive(Debug, Default)]
-struct ChannelUse {
-    /// Ops producing into this channel.
-    writers: Vec<OpId>,
-    /// Ops consuming from this channel.
-    readers: Vec<OpId>,
-    /// FIFO capacity (`capacity` attr; 1 when absent).
-    capacity: i64,
-    /// The defining `dfg.channel` op.
-    def: Option<OpId>,
+/// How many ops are nested under `operation`, at any depth.
+fn nested_ops(module: &Module, operation: &everest_ir::module::Operation) -> usize {
+    let mut count = 0;
+    for &region in &operation.regions {
+        for &block in &module.region(region).blocks {
+            for &op in &module.block(block).ops {
+                count += 1 + module.op(op).map_or(0, |nested| nested_ops(module, nested));
+            }
+        }
+    }
+    count
 }
 
-fn analyze_graph_op(module: &Module, graph: OpId, out: &mut Collector<'_>) {
-    let mut channels: BTreeMap<ValueId, ChannelUse> = BTreeMap::new();
-    let body_ops = module.walk_nested(graph);
+/// Marks an unused slot of a dense table.
+const NONE: u32 = u32::MAX;
 
-    for &op in &body_ops {
+/// What an op of a graph does to one channel.
+#[derive(Debug, Clone, Copy)]
+enum Use {
+    /// A `dfg.channel` defines it, with this FIFO capacity (`capacity`
+    /// attr; 1 when absent).
+    Define(i64),
+    /// A `dfg.feed`, or a `dfg.node` through its last operand, writes it.
+    Write,
+    /// A `dfg.sink`, or a `dfg.node` through any other operand, reads it.
+    Read,
+}
+
+/// Calls `f` with every channel use of `ops`, in order.
+fn for_each_use(module: &Module, ops: &[OpId], mut f: impl FnMut(OpId, ValueId, Use)) {
+    for &op in ops {
         let Some(operation) = module.op(op) else {
             continue;
         };
         match operation.name.as_str() {
             "dfg.channel" => {
                 if let Some(&c) = operation.results.first() {
-                    let entry = channels.entry(c).or_default();
-                    entry.capacity = operation.int_attr("capacity").unwrap_or(1);
-                    entry.def = Some(op);
+                    f(
+                        op,
+                        c,
+                        Use::Define(operation.int_attr("capacity").unwrap_or(1)),
+                    );
                 }
             }
             "dfg.feed" => {
                 if let Some(&c) = operation.operands.first() {
-                    channels.entry(c).or_default().writers.push(op);
+                    f(op, c, Use::Write);
                 }
             }
             "dfg.sink" => {
                 if let Some(&c) = operation.operands.first() {
-                    channels.entry(c).or_default().readers.push(op);
+                    f(op, c, Use::Read);
                 }
             }
             "dfg.node" => {
-                let Some((&output, inputs)) = operation.operands.split_last() else {
-                    continue;
-                };
-                channels.entry(output).or_default().writers.push(op);
-                for &c in inputs {
-                    channels.entry(c).or_default().readers.push(op);
+                if let Some((&output, inputs)) = operation.operands.split_last() {
+                    f(op, output, Use::Write);
+                    for &c in inputs {
+                        f(op, c, Use::Read);
+                    }
                 }
             }
             _ => {}
         }
     }
+}
 
-    for usage in channels.values() {
-        let Some(def) = usage.def else {
+/// One channel of a graph.
+#[derive(Debug, Clone, Copy)]
+struct Channel {
+    /// FIFO capacity: the defining op's, 0 for a value no `dfg.channel`
+    /// of the graph defines.
+    capacity: i64,
+    /// The defining `dfg.channel` op.
+    def: Option<OpId>,
+    /// Start and length of its run in [`Channels::writer_ops`].
+    writers: [u32; 2],
+    /// Start and length of its run in [`Channels::reader_ops`].
+    readers: [u32; 2],
+}
+
+/// The channels of one `dfg.graph` in dense tables sized once for the
+/// graph: one record per channel in value order, and every channel's
+/// writers (and readers) as one run of a flat list, in walk order.
+#[derive(Debug)]
+struct Channels {
+    list: Vec<Channel>,
+    writer_ops: Vec<OpId>,
+    reader_ops: Vec<OpId>,
+}
+
+impl Channels {
+    /// Three passes over the graph's ops: which values are channels,
+    /// how many writers and readers each has, then who they are.
+    fn of(module: &Module, ops: &[OpId]) -> Channels {
+        let mut slot = vec![NONE; module.num_values()];
+        let mut count = 0;
+        for_each_use(module, ops, |_, value, _| {
+            let index = &mut slot[value.index()];
+            count += usize::from(*index == NONE);
+            *index = 0;
+        });
+        let mut list = Vec::with_capacity(count);
+        for index in slot.iter_mut().filter(|index| **index != NONE) {
+            *index = list.len() as u32;
+            list.push(Channel {
+                capacity: 0,
+                def: None,
+                writers: [0; 2],
+                readers: [0; 2],
+            });
+        }
+        for_each_use(module, ops, |op, value, usage| {
+            let channel = &mut list[slot[value.index()] as usize];
+            match usage {
+                Use::Define(capacity) => {
+                    channel.capacity = capacity;
+                    channel.def = Some(op);
+                }
+                Use::Write => channel.writers[1] += 1,
+                Use::Read => channel.readers[1] += 1,
+            }
+        });
+        // Runs one after another; the lengths count again as cursors.
+        let (mut writers, mut readers) = (0, 0);
+        for channel in &mut list {
+            let counts = (channel.writers[1], channel.readers[1]);
+            channel.writers = [writers, 0];
+            channel.readers = [readers, 0];
+            writers += counts.0;
+            readers += counts.1;
+        }
+        // Every place is written below: the runs cover the lists.
+        let mut writer_ops = vec![OpId::from_raw(0); writers as usize];
+        let mut reader_ops = vec![OpId::from_raw(0); readers as usize];
+        for_each_use(module, ops, |op, value, usage| {
+            let channel = &mut list[slot[value.index()] as usize];
+            let ([start, len], ops) = match usage {
+                Use::Define(_) => return,
+                Use::Write => (&mut channel.writers, &mut writer_ops),
+                Use::Read => (&mut channel.readers, &mut reader_ops),
+            };
+            ops[(*start + *len) as usize] = op;
+            *len += 1;
+        });
+        Channels {
+            list,
+            writer_ops,
+            reader_ops,
+        }
+    }
+
+    fn writers(&self, channel: &Channel) -> &[OpId] {
+        let [start, len] = channel.writers;
+        &self.writer_ops[start as usize..(start + len) as usize]
+    }
+
+    fn readers(&self, channel: &Channel) -> &[OpId] {
+        let [start, len] = channel.readers;
+        &self.reader_ops[start as usize..(start + len) as usize]
+    }
+
+    /// Writer → reader edges through every channel whose capacity
+    /// passes `keep`, between actor indices.
+    fn edges(&self, actors: &Actors, keep: impl Fn(i64) -> bool) -> Vec<(u32, u32)> {
+        let kept = || self.list.iter().filter(|c| keep(c.capacity));
+        let count = kept()
+            .map(|c| self.writers(c).len() * self.readers(c).len())
+            .sum();
+        let mut edges = Vec::with_capacity(count);
+        for channel in kept() {
+            for &w in self.writers(channel) {
+                for &r in self.readers(channel) {
+                    edges.push((actors.index[w.index()], actors.index[r.index()]));
+                }
+            }
+        }
+        edges
+    }
+}
+
+/// The ops that write or read a channel of a graph, numbered in op
+/// order, with the number of each op in a table indexed by `OpId`.
+#[derive(Debug)]
+struct Actors {
+    index: Vec<u32>,
+    ops: Vec<OpId>,
+}
+
+impl Actors {
+    fn of(module: &Module, channels: &Channels) -> Actors {
+        let mut index = vec![NONE; module.num_op_slots()];
+        let mut count = 0;
+        for op in channels.writer_ops.iter().chain(&channels.reader_ops) {
+            count += usize::from(index[op.index()] == NONE);
+            index[op.index()] = 0;
+        }
+        let mut ops = Vec::with_capacity(count);
+        for (raw, slot) in index.iter_mut().enumerate() {
+            if *slot != NONE {
+                *slot = ops.len() as u32;
+                ops.push(OpId::from_raw(raw as u32));
+            }
+        }
+        Actors { index, ops }
+    }
+}
+
+/// The lints over one `dfg.graph`, given every op nested under it.
+fn analyze_graph_op(module: &Module, body_ops: &[OpId], out: &mut Collector<'_>) {
+    let channels = Channels::of(module, body_ops);
+
+    for channel in &channels.list {
+        let Some(def) = channel.def else {
             continue;
         };
-        if usage.writers.len() > 1 {
+        let writers = channels.writers(channel).len();
+        if writers > 1 {
             out.emit(
                 "dfg-multiple-writers",
                 def,
                 format!(
-                    "{} producers write this channel; FIFO merge order is nondeterministic",
-                    usage.writers.len()
+                    "{writers} producers write this channel; FIFO merge order is nondeterministic"
                 ),
             );
         }
-        if usage.writers.is_empty() {
+        if writers == 0 {
             out.emit("dfg-dangling-port", def, "channel is never written");
         }
-        if usage.readers.is_empty() {
+        if channels.readers(channel).is_empty() {
             out.emit("dfg-dangling-port", def, "channel is never read");
         }
     }
 
-    check_unbuffered_cycles(&channels, out);
-    check_channel_capacity(module, &channels, out);
+    let actors = Actors::of(module, &channels);
+    check_unbuffered_cycles(&channels, &actors, out);
+    check_channel_capacity(module, &channels, &actors, out);
 }
 
 /// Deadlock heuristic: consider only edges through channels whose FIFO
 /// capacity is 1 (rendezvous semantics). Any node cycle in that
 /// subgraph can fill-and-block regardless of schedule, so every node
 /// on such a cycle is flagged.
-fn check_unbuffered_cycles(channels: &BTreeMap<ValueId, ChannelUse>, out: &mut Collector<'_>) {
+fn check_unbuffered_cycles(channels: &Channels, actors: &Actors, out: &mut Collector<'_>) {
     // Edges writer -> reader over capacity-1 channels.
-    let mut succs: HashMap<OpId, Vec<OpId>> = HashMap::new();
-    let mut indegree: HashMap<OpId, usize> = HashMap::new();
-    for usage in channels.values() {
-        if usage.capacity > 1 {
-            continue;
-        }
-        for &w in &usage.writers {
-            for &r in &usage.readers {
-                succs.entry(w).or_default().push(r);
-                *indegree.entry(r).or_insert(0) += 1;
-                indegree.entry(w).or_insert(0);
-            }
-        }
+    let edges = channels.edges(actors, |capacity| capacity <= 1);
+    if edges.is_empty() {
+        return;
     }
+    let graph = FlowGraph::from_edges(actors.ops.len(), edges);
     // Kahn pruning: whatever survives sits on a cycle.
-    let mut queue: Vec<OpId> = indegree
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&n, _)| n)
-        .collect();
+    let mut indegree: Vec<usize> = (0..graph.len()).map(|n| graph.preds(n).len()).collect();
+    let mut queue: Vec<usize> = (0..graph.len()).filter(|&n| indegree[n] == 0).collect();
     while let Some(n) = queue.pop() {
-        indegree.remove(&n);
-        for &s in succs.get(&n).into_iter().flatten() {
-            if let Some(d) = indegree.get_mut(&s) {
-                *d -= 1;
-                if *d == 0 {
-                    queue.push(s);
-                }
+        for &s in graph.succs(n) {
+            indegree[s] -= 1;
+            if indegree[s] == 0 {
+                queue.push(s);
             }
         }
     }
-    let mut cyclic: Vec<OpId> = indegree.into_keys().collect();
-    cyclic.sort();
-    for op in cyclic {
+    for (n, _) in indegree.iter().enumerate().filter(|(_, &d)| d > 0) {
         out.emit(
             "dfg-unbuffered-cycle",
-            op,
+            actors.ops[n],
             "node sits on a cycle of capacity-1 channels; the FIFOs can \
              fill and block in a ring (deadlock)",
         );
@@ -225,40 +374,30 @@ impl Lattice for TokenReach {
 ///   suggestion on the ring's first channel definition.
 fn check_channel_capacity(
     module: &Module,
-    channels: &BTreeMap<ValueId, ChannelUse>,
+    channels: &Channels,
+    actors: &Actors,
     out: &mut Collector<'_>,
 ) {
-    // Actor universe, deterministically ordered by OpId.
-    let mut actor_set: Vec<OpId> = Vec::new();
-    for usage in channels.values() {
-        actor_set.extend(usage.writers.iter().copied());
-        actor_set.extend(usage.readers.iter().copied());
-    }
-    actor_set.sort();
-    actor_set.dedup();
-    let index_of: BTreeMap<OpId, usize> =
-        actor_set.iter().enumerate().map(|(i, &o)| (o, i)).collect();
     let is_feed = |op: OpId| module.op(op).is_some_and(|o| o.name == "dfg.feed");
 
     // Edges writer -> reader through every channel (any capacity).
-    let mut edges = Vec::new();
-    for usage in channels.values() {
-        for &w in &usage.writers {
-            for &r in &usage.readers {
-                edges.push((index_of[&w] as u32, index_of[&r] as u32));
-            }
-        }
+    let n = actors.ops.len();
+    let graph = FlowGraph::from_edges(n, channels.edges(actors, |_| true));
+    let components = Components::of(&graph);
+    let self_edge = |node: usize| graph.succs(node).contains(&node);
+    if components.count == n && !(0..n).any(self_edge) {
+        // Every component one actor on no edge to itself: no ring.
+        return;
     }
-    let graph = FlowGraph::from_edges(actor_set.len(), edges);
 
     // Fixpoint: a token can reach an actor iff it is a feed or any
     // predecessor can produce (optimistic single-token reachability).
-    let budget = 4 * (actor_set.len() + 1) * (actor_set.len() + 1);
+    let budget = 4 * (n + 1) * (n + 1);
     let reach = solve(
         &graph,
-        vec![TokenReach::bottom(); actor_set.len()],
+        vec![TokenReach::bottom(); n],
         |node, states: &[TokenReach]| {
-            if is_feed(actor_set[node]) {
+            if is_feed(actors.ops[node]) {
                 TokenReach(true)
             } else {
                 graph
@@ -270,19 +409,20 @@ fn check_channel_capacity(
         budget,
     );
 
-    for scc in strongly_connected(&graph) {
-        let nontrivial = scc.len() > 1 || scc.first().is_some_and(|&n| graph.succs(n).contains(&n));
+    let (start, nodes) = components.runs();
+    for (c, run) in start.windows(2).enumerate() {
+        let scc = &nodes[run[0]..run[1]];
+        let nontrivial = scc.len() > 1 || scc.first().is_some_and(|&n| self_edge(n));
         if !nontrivial {
             continue;
         }
         let reachable = scc.iter().any(|&n| reach.states[n].0);
         if !reachable {
-            let mut ring: Vec<OpId> = scc.iter().map(|&n| actor_set[n]).collect();
-            ring.sort();
-            for op in ring {
+            // Actors are numbered in op order: the ring is sorted.
+            for &node in scc {
                 out.emit(
                     "dfg-channel-capacity",
-                    op,
+                    actors.ops[node],
                     "actor sits on a ring no feed can reach; no token can ever \
                      enter the cycle (certain deadlock) — feed the ring or seed \
                      an initial token",
@@ -292,13 +432,15 @@ fn check_channel_capacity(
         }
         // Internal capacity of the ring: channels whose writer and
         // reader both sit inside the SCC.
-        let in_scc = |op: &OpId| index_of.get(op).is_some_and(|i| scc.contains(i));
+        let in_scc = |op: &OpId| components.of[actors.index[op.index()] as usize] == c;
         let mut capacity = 0i64;
         let mut anchor: Option<OpId> = None;
-        for usage in channels.values() {
-            if usage.writers.iter().any(in_scc) && usage.readers.iter().any(in_scc) {
-                capacity += usage.capacity.max(0);
-                if let Some(def) = usage.def {
+        for channel in &channels.list {
+            if channels.writers(channel).iter().any(in_scc)
+                && channels.readers(channel).iter().any(in_scc)
+            {
+                capacity += channel.capacity.max(0);
+                if let Some(def) = channel.def {
                     anchor = Some(anchor.map_or(def, |a: OpId| a.min(def)));
                 }
             }
@@ -323,60 +465,84 @@ fn check_channel_capacity(
     }
 }
 
-/// Iterative Kosaraju SCC over a [`FlowGraph`], deterministic in node
-/// index order. Returns components as sorted index lists.
-fn strongly_connected(graph: &FlowGraph) -> Vec<Vec<usize>> {
-    let n = graph.len();
-    // Pass 1: finish order by iterative DFS on successors.
-    let mut visited = vec![false; n];
-    let mut finish: Vec<usize> = Vec::with_capacity(n);
-    for root in 0..n {
-        if visited[root] {
-            continue;
-        }
-        let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-        visited[root] = true;
-        while let Some(&(node, next)) = stack.last() {
-            if next < graph.succs(node).len() {
-                stack.last_mut().expect("nonempty").1 += 1;
-                let succ = graph.succs(node)[next];
-                if !visited[succ] {
-                    visited[succ] = true;
-                    stack.push((succ, 0));
-                }
-            } else {
-                finish.push(node);
-                stack.pop();
+/// The strongly connected components of a [`FlowGraph`] (iterative
+/// Kosaraju), numbered in the order the second pass finds them.
+#[derive(Debug)]
+struct Components {
+    /// The component of each node.
+    of: Vec<usize>,
+    count: usize,
+}
+
+impl Components {
+    fn of(graph: &FlowGraph) -> Components {
+        let n = graph.len();
+        // Pass 1: finish order by iterative DFS on successors.
+        let mut visited = vec![false; n];
+        let mut finish: Vec<usize> = Vec::with_capacity(n);
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        for root in 0..n {
+            if visited[root] {
+                continue;
             }
-        }
-    }
-    // Pass 2: DFS on predecessors in reverse finish order.
-    let mut component = vec![usize::MAX; n];
-    let mut count = 0usize;
-    for &root in finish.iter().rev() {
-        if component[root] != usize::MAX {
-            continue;
-        }
-        let mut stack = vec![root];
-        component[root] = count;
-        while let Some(node) = stack.pop() {
-            for &pred in graph.preds(node) {
-                if component[pred] == usize::MAX {
-                    component[pred] = count;
-                    stack.push(pred);
+            stack.push((root, 0));
+            visited[root] = true;
+            while let Some((node, next)) = stack.last_mut() {
+                let node = *node;
+                if let Some(&succ) = graph.succs(node).get(*next) {
+                    *next += 1;
+                    if !visited[succ] {
+                        visited[succ] = true;
+                        stack.push((succ, 0));
+                    }
+                } else {
+                    finish.push(node);
+                    stack.pop();
                 }
             }
         }
-        count += 1;
+        // Pass 2: DFS on predecessors in reverse finish order.
+        let mut of = vec![usize::MAX; n];
+        let mut count = 0usize;
+        let mut stack: Vec<usize> = Vec::new();
+        for &root in finish.iter().rev() {
+            if of[root] != usize::MAX {
+                continue;
+            }
+            stack.push(root);
+            of[root] = count;
+            while let Some(node) = stack.pop() {
+                for &pred in graph.preds(node) {
+                    if of[pred] == usize::MAX {
+                        of[pred] = count;
+                        stack.push(pred);
+                    }
+                }
+            }
+            count += 1;
+        }
+        Components { of, count }
     }
-    let mut sccs: Vec<Vec<usize>> = vec![Vec::new(); count];
-    for (node, &c) in component.iter().enumerate() {
-        sccs[c].push(node);
+
+    /// Every component's nodes, ascending, as one run of `nodes` each:
+    /// component `c` is `nodes[start[c]..start[c + 1]]`. A counting
+    /// sort of the nodes by component.
+    fn runs(&self) -> (Vec<usize>, Vec<usize>) {
+        let mut start = vec![0usize; self.count + 1];
+        for &c in &self.of {
+            start[c + 1] += 1;
+        }
+        for c in 0..self.count {
+            start[c + 1] += start[c];
+        }
+        let mut next = start.clone();
+        let mut nodes = vec![0usize; self.of.len()];
+        for (node, &c) in self.of.iter().enumerate() {
+            nodes[next[c]] = node;
+            next[c] += 1;
+        }
+        (start, nodes)
     }
-    for scc in &mut sccs {
-        scc.sort_unstable();
-    }
-    sccs
 }
 
 // ---------------------------------------------------------------------------

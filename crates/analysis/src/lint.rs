@@ -7,7 +7,6 @@
 //! findings, each tagged with the op's structural path.
 
 use std::cell::OnceCell;
-use std::collections::BTreeMap;
 
 use everest_ir::ids::OpId;
 use everest_ir::location::OpPath;
@@ -52,9 +51,9 @@ pub trait Lint {
 /// Resolves each emission's severity (default + configured override),
 /// drops [`Severity::Allow`] findings, and attaches the op's
 /// structural path — the same [`OpPath`] verification errors carry.
-#[derive(Debug)]
 pub struct Collector<'a> {
-    defaults: &'a BTreeMap<&'static str, Severity>,
+    /// The run's lints, whose [`LintInfo`]s give each id its default.
+    lints: &'a [Box<dyn Lint + Send + Sync>],
     levels: &'a LintLevels,
     module: &'a Module,
     /// The module's interval fixpoint, solved by the first lint of the
@@ -63,15 +62,24 @@ pub struct Collector<'a> {
     diagnostics: Vec<Diagnostic>,
 }
 
+impl std::fmt::Debug for Collector<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Collector")
+            .field("levels", &self.levels)
+            .field("diagnostics", &self.diagnostics)
+            .finish_non_exhaustive()
+    }
+}
+
 impl<'a> Collector<'a> {
     fn new(
-        defaults: &'a BTreeMap<&'static str, Severity>,
+        lints: &'a [Box<dyn Lint + Send + Sync>],
         levels: &'a LintLevels,
         module: &'a Module,
         intervals: &'a OnceCell<IntervalFacts>,
     ) -> Self {
         Collector {
-            defaults,
+            lints,
             levels,
             module,
             intervals,
@@ -89,8 +97,17 @@ impl<'a> Collector<'a> {
             .get_or_init(|| interval::compute(self.module))
     }
 
+    /// The configured severity of `lint`, over the default the last
+    /// registered lint declaring the id gives it (warn when none does).
+    /// The defaults are the lints' own static [`LintInfo`] tables,
+    /// searched in place: a run builds no table of them.
     fn severity_of(&self, lint: &str) -> Severity {
-        let default = self.defaults.get(lint).copied().unwrap_or(Severity::Warn);
+        let default = self
+            .lints
+            .iter()
+            .rev()
+            .find_map(|l| l.lints().iter().rev().find(|info| info.id == lint))
+            .map_or(Severity::Warn, |info| info.default_severity);
         self.levels.effective(lint, default)
     }
 
@@ -174,15 +191,18 @@ impl Analyzer {
     /// HLS pre-synthesis lints, and the fixpoint-powered analyses
     /// (interval propagation, memory-space escape, worst-case latency).
     pub fn with_default_lints() -> Self {
-        Analyzer::new()
-            .with_lint(Box::new(crate::typecheck::TypeCheck))
-            .with_lint(Box::new(crate::typecheck::MemorySpaceCheck))
-            .with_lint(Box::new(crate::lifetime::MemrefLifetime))
-            .with_lint(Box::new(crate::dataflow::DfgStructure))
-            .with_lint(Box::new(crate::hls::HlsPreSynthesis))
-            .with_lint(Box::new(crate::interval::IntervalAnalysis))
-            .with_lint(Box::new(crate::escape::MemorySpaceEscape))
-            .with_lint(Box::new(crate::latency::WorstCaseLatency))
+        Analyzer {
+            lints: Vec::with_capacity(8),
+            levels: LintLevels::new(),
+        }
+        .with_lint(Box::new(crate::typecheck::TypeCheck))
+        .with_lint(Box::new(crate::typecheck::MemorySpaceCheck))
+        .with_lint(Box::new(crate::lifetime::MemrefLifetime))
+        .with_lint(Box::new(crate::dataflow::DfgStructure))
+        .with_lint(Box::new(crate::hls::HlsPreSynthesis))
+        .with_lint(Box::new(crate::interval::IntervalAnalysis))
+        .with_lint(Box::new(crate::escape::MemorySpaceEscape))
+        .with_lint(Box::new(crate::latency::WorstCaseLatency))
     }
 
     /// Adds a lint. Lints are `Send + Sync` (they take `&self` and all
@@ -222,15 +242,10 @@ impl Analyzer {
     /// skipped by individual lints); use the verifier for hard
     /// structural errors.
     pub fn run(&self, ctx: &Context, module: &Module) -> AnalysisReport {
-        let defaults: BTreeMap<&'static str, Severity> = self
-            .catalogue()
-            .into_iter()
-            .map(|info| (info.id, info.default_severity))
-            .collect();
         let mut report = AnalysisReport::new();
         let intervals = OnceCell::new();
         for lint in &self.lints {
-            let mut out = Collector::new(&defaults, &self.levels, module, &intervals);
+            let mut out = Collector::new(&self.lints, &self.levels, module, &intervals);
             lint.run(ctx, module, &mut out);
             report.diagnostics.extend(out.diagnostics);
         }

@@ -61,23 +61,17 @@ impl AnalysisReport {
     ///
     /// [`OpPath`]: everest_ir::location::OpPath
     pub fn normalize(&mut self) {
+        // Paths compare step by step in place: sorting builds nothing.
+        fn steps(d: &Diagnostic) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+            d.path
+                .iter()
+                .flat_map(|p| &p.steps)
+                .map(|s| (s.region, s.block, s.position))
+        }
         self.diagnostics.sort_by(|a, b| {
-            let key = |d: &Diagnostic| {
-                (
-                    d.path.is_none(),
-                    d.path
-                        .as_ref()
-                        .map(|p| {
-                            p.steps
-                                .iter()
-                                .map(|s| (s.region, s.block, s.position))
-                                .collect::<Vec<_>>()
-                        })
-                        .unwrap_or_default(),
-                )
-            };
-            key(a)
-                .cmp(&key(b))
+            (a.path.is_none())
+                .cmp(&b.path.is_none())
+                .then_with(|| steps(a).cmp(steps(b)))
                 .then_with(|| a.lint.cmp(&b.lint))
                 .then_with(|| a.message.cmp(&b.message))
         });

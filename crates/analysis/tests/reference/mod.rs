@@ -1,11 +1,13 @@
 //! The fixpoint layer the CSR graph replaced, kept as the reference the
 //! two value-level analyses are held to
 //! (`value_analyses_solve_as_through_the_adjacency_list_graph` in
-//! `solver_props.rs`): the same states, step count and convergence.
+//! `solver_props.rs`): the same states, step count and convergence; and
+//! the map-based dataflow structure lint the dense-table one replaced.
 
 // Kept whole: not every method it had is called from here.
 #![allow(dead_code)]
 
+pub mod dataflow;
 pub mod escape;
 pub mod fixpoint;
 pub mod interval;

@@ -8,16 +8,24 @@
 //! The CSR [`FlowGraph`] itself is held to the adjacency-list graph it
 //! replaced (`tests/reference/`): the same successor and predecessor
 //! sequences for any edge list, and through the two value-level
-//! analyses the same states in the same number of steps.
+//! analyses the same states in the same number of steps. The dataflow
+//! structure lint on dense tables is held to the map-based one it
+//! replaced: the same normalized findings on random `dfg` graphs.
 
 mod golden;
 mod reference;
 
 use proptest::prelude::*;
 
-use everest_analysis::{escape, interval, solve, FlowGraph, Lattice};
+use everest_analysis::{escape, interval, solve, Analyzer, DfgStructure, FlowGraph, Lattice};
 use everest_ekl::{check::check, lower::lower_to_loops, parser::parse};
+use everest_ir::attr::Attribute;
+use everest_ir::dialects::core;
+use everest_ir::dialects::dataflow::{build_channel, build_graph};
 use everest_ir::ids::ValueId;
+use everest_ir::module::{single_result, Module};
+use everest_ir::registry::Context;
+use everest_ir::types::Type;
 
 /// Reachability-from-roots: the simplest useful join-semilattice.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,4 +222,132 @@ fn value_analyses_solve_as_through_the_adjacency_list_graph() {
         assert_eq!(states, want.states);
         assert_eq!((got.steps, got.converged), (want.steps, want.converged));
     }
+}
+
+/// A module of one or two `dfg.graph`s (the second inside the first or
+/// beside it) built from raw draws: channels of capacity -1 to 16 or
+/// none, now and then a value no `dfg.channel` defines, and feeds, sinks
+/// and nodes over channels picked at random — so cycles, rings with and
+/// without a feed, several writers on one channel and channels nobody
+/// reads or writes are all common.
+fn random_dfg_module(draws: &[u64]) -> Module {
+    let mut draws = draws.iter().copied();
+    let mut below = |n: usize| (draws.next().unwrap_or(0) % n as u64) as usize;
+    let mut m = Module::new();
+    let mut parent = m.top_block();
+    for g in 0..1 + below(2) {
+        let (_, body) = build_graph(&mut m, parent, &format!("g{g}"));
+        let mut channels = Vec::new();
+        for _ in 0..1 + below(7) {
+            channels.push(match below(9) {
+                0 => {
+                    let stream = Type::Stream(Box::new(Type::F64));
+                    let op = m.build_op("dfg.channel", [], [stream]).append_to(body);
+                    single_result(&m, op)
+                }
+                1 => core::const_f64(&mut m, body, 0.0),
+                k => build_channel(&mut m, body, Type::F64, [-1, 0, 1, 1, 1, 2, 16][k - 2]),
+            });
+        }
+        for _ in 0..below(10) {
+            let c = channels[below(channels.len())];
+            match below(5) {
+                0 => {
+                    m.build_op("dfg.feed", [c], [])
+                        .attr("name", "in")
+                        .append_to(body);
+                }
+                1 => {
+                    m.build_op("dfg.sink", [c], [])
+                        .attr("name", "out")
+                        .append_to(body);
+                }
+                _ => {
+                    let mut operands: Vec<ValueId> = (0..below(3))
+                        .map(|_| channels[below(channels.len())])
+                        .collect();
+                    operands.push(c);
+                    m.build_op("dfg.node", operands, [])
+                        .attr("callee", Attribute::SymbolRef("k".into()))
+                        .append_to(body);
+                }
+            }
+        }
+        m.build_op("dfg.yield", [], []).append_to(body);
+        if below(2) == 0 {
+            parent = body;
+        }
+    }
+    m
+}
+
+/// Both lints' normalized findings on the module.
+fn dfg_findings(
+    module: &Module,
+) -> (
+    everest_analysis::AnalysisReport,
+    everest_analysis::AnalysisReport,
+) {
+    let ctx = Context::with_all_dialects();
+    let dense = Analyzer::new().with_lint(Box::new(DfgStructure));
+    let maps = Analyzer::new().with_lint(Box::new(reference::dataflow::DfgStructure));
+    (dense.run(&ctx, module), maps.run(&ctx, module))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The same findings, in the same normalized order, as through the
+    /// channel map, the hash-map Kahn pruning and the per-component
+    /// vectors of the lint it replaced.
+    #[test]
+    fn dfg_structure_finds_what_the_map_reference_finds(
+        draws in proptest::collection::vec(any::<u64>(), 8..96),
+    ) {
+        let module = random_dfg_module(&draws);
+        let (dense, maps) = dfg_findings(&module);
+        prop_assert_eq!(&dense, &maps, "{}", everest_ir::print::print_module(&module));
+    }
+}
+
+/// The generator reaches every finding the lint has, so the property
+/// above compares all of them.
+#[test]
+fn random_dfg_graphs_raise_every_structure_finding() {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    for _ in 0..256 {
+        let draws: Vec<u64> = (0..64)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                state >> 11
+            })
+            .collect();
+        let (dense, maps) = dfg_findings(&random_dfg_module(&draws));
+        assert_eq!(dense, maps);
+        seen.extend(
+            dense
+                .diagnostics
+                .iter()
+                .map(|d| (d.lint.clone(), d.message.clone())),
+        );
+    }
+    let lints: std::collections::BTreeSet<&str> = seen.iter().map(|(l, _)| l.as_str()).collect();
+    assert_eq!(
+        lints.into_iter().collect::<Vec<_>>(),
+        [
+            "dfg-channel-capacity",
+            "dfg-dangling-port",
+            "dfg-multiple-writers",
+            "dfg-unbuffered-cycle"
+        ]
+    );
+    // Both kinds of ring: one no feed reaches, one too small for its
+    // wavefront.
+    assert!(seen.iter().any(|(_, m)| m.contains("no feed can reach")));
+    assert!(seen
+        .iter()
+        .any(|(_, m)| m.contains("raise total ring capacity")));
 }

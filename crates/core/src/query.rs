@@ -33,7 +33,6 @@ use everest_query::{Batch, LogicalPlan};
 use everest_serve::{BatchPolicy, ClassKind, KernelClass, ServeConfig};
 
 use crate::error::SdkError;
-use crate::serve::bind_static_latency;
 
 /// Options for one query run.
 #[derive(Debug, Clone)]
@@ -198,13 +197,17 @@ impl QueryReport {
 /// Derives the serving class a lowered query registers as: per-request
 /// costs from the dominant kernel's HLS schedule, kind
 /// [`ClassKind::Query`], and a statically proven worst-case latency
-/// bound from the analysis fixpoint over the kernel's loop module.
+/// bound from the analysis fixpoint over the kernel's loop module — the
+/// bound the kernel carries from when it was compiled
+/// ([`QueryKernel::static_bound_us`](everest_query::QueryKernel::static_bound_us)),
+/// what [`bind_static_latency`](crate::serve::bind_static_latency) would
+/// prove again.
 pub fn query_class(lowered: &LoweredQuery) -> KernelClass {
-    let (fpga_us, payload, module) = match lowered.dominant_kernel() {
+    let (fpga_us, payload, bound_us) = match lowered.dominant_kernel() {
         Some(k) => (
             k.hls.time_us.max(1.0),
             k.hls.bytes_per_call,
-            Some(&k.module),
+            k.static_bound_us,
         ),
         None => (1.0, 0, None),
     };
@@ -220,8 +223,8 @@ pub fn query_class(lowered: &LoweredQuery) -> KernelClass {
         payload.max(1_024),
     )
     .with_kind(ClassKind::Query);
-    match module {
-        Some(m) => bind_static_latency(class, m),
+    match bound_us {
+        Some(bound_us) => class.with_static_bound(bound_us),
         None => class,
     }
 }
@@ -315,6 +318,33 @@ mod tests {
             assert!(!report.lowered.kernels.is_empty(), "{dataset}");
             assert!(!report.batch.rows.is_empty(), "{dataset}");
             assert_eq!(report.class.kind, ClassKind::Query);
+        }
+    }
+
+    #[test]
+    fn the_class_bound_is_the_one_the_kernel_was_compiled_with() {
+        for dataset in ["traffic", "airquality", "energy"] {
+            let options = QueryOptions {
+                dataset: dataset.to_string(),
+                sql: match dataset {
+                    "traffic" => "SELECT count(*) FROM segments",
+                    "airquality" => "SELECT day, max(prob) FROM air_quality GROUP BY day",
+                    _ => "SELECT hour FROM wind_power ORDER BY hour LIMIT 3",
+                }
+                .to_string(),
+                ..QueryOptions::default()
+            };
+            let report = run_query(&options).expect("query runs");
+            let dominant = report.lowered.dominant_kernel().expect("a kernel");
+            let proven = crate::serve::bind_static_latency(
+                KernelClass::new("probe", 1.0, 1.0, 1.0, 1.0, 1),
+                &dominant.module,
+            );
+            assert!(proven.static_bound_us.is_some(), "{dataset}");
+            assert_eq!(
+                report.class.static_bound_us, proven.static_bound_us,
+                "{dataset}"
+            );
         }
     }
 

@@ -81,8 +81,7 @@ pub use table::{Catalog, DataType, Field, Schema, Table, Value};
 /// Parses and plans SQL against a catalog (`query.parse` span).
 pub fn plan_sql(catalog: &Catalog, sql: &str) -> QueryResult<LogicalPlan> {
     let span = everest_telemetry::span("query.parse");
-    let query = parser::parse(sql)?;
-    let plan = planner::plan_query(catalog, &query)?;
+    let plan = planner::plan_owned(catalog, parser::parse(sql)?)?;
     span.arg("op", plan.op_name());
     Ok(plan)
 }

@@ -47,6 +47,12 @@ pub struct QueryKernel {
     pub module: Module,
     /// The HLS schedule and resource report.
     pub hls: HlsReport,
+    /// The worst-case latency the analysis fixpoint proves for the
+    /// kernel's module
+    /// ([`module_worst_case_us`](everest_analysis::latency::module_worst_case_us)),
+    /// in microseconds; `None` when nothing is boundable. Proven once,
+    /// when the kernel is compiled, for every query that shares it.
+    pub static_bound_us: Option<f64>,
 }
 
 /// A fully lowered query: the dataflow graph plus its kernels.
@@ -116,17 +122,21 @@ fn kernel_source(name: &str, plan: &LogicalPlan, rows: usize, width: usize) -> S
     }
 }
 
-/// Everything a kernel is a function of: its name (which carries the
-/// operator), its extents and every synthesis option.
-type ShapeKey = (
-    String,
-    [usize; 2],
-    NumericFormat,
-    [u32; 2],
-    u64,
-    Option<u32>,
-    [bool; 2],
-);
+/// Everything a kernel is a function of: its place in the plan's
+/// post-order and its operator (which together give its name), its
+/// extents and every synthesis option. Plain values, so looking a
+/// kernel up builds no name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ShapeKey {
+    index: usize,
+    op: &'static str,
+    extents: [usize; 2],
+    format: NumericFormat,
+    factors: [u32; 2],
+    clock_bits: u64,
+    dsp_limit: Option<u32>,
+    flags: [bool; 2],
+}
 
 /// Bound on the process-wide kernel table: default options span a few
 /// thousand keys; past it a new shape is compiled on every use.
@@ -139,7 +149,7 @@ static KERNELS: LazyLock<Mutex<HashMap<ShapeKey, Arc<QueryKernel>>>> =
 /// or found it in the process-wide table. A hit is what a miss would
 /// build: [`compile_kernel`] is a pure function of the key.
 fn shared_kernel(
-    name: &str,
+    index: usize,
     plan: &LogicalPlan,
     rows: usize,
     width: usize,
@@ -155,15 +165,16 @@ fn shared_kernel(
         dsp_limit,
         licm,
     } = *options;
-    let key = (
-        name.to_string(),
-        [rows, width],
+    let key = ShapeKey {
+        index,
+        op: plan.op_name(),
+        extents: [rows, width],
         format,
-        [unroll, partition],
-        clock_ns.to_bits(),
+        factors: [unroll, partition],
+        clock_bits: clock_ns.to_bits(),
         dsp_limit,
-        [pipeline, licm],
-    );
+        flags: [pipeline, licm],
+    };
     // The only write is one `insert`, so a poisoned lock still guards a
     // valid map.
     let lock = || KERNELS.lock().unwrap_or_else(PoisonError::into_inner);
@@ -172,7 +183,8 @@ fn shared_kernel(
     }
     // Compiled with the lock released: threads that miss together each
     // build the same kernel and the first insert is the one kept.
-    let mut kernel = Arc::new(compile_kernel(name, plan, rows, width, options)?);
+    let name = format!("q{index}_{}", plan.op_name());
+    let mut kernel = Arc::new(compile_kernel(&name, plan, rows, width, options)?);
     let mut table = lock();
     if table.len() < MAX_SHARED_KERNELS {
         kernel = Arc::clone(table.entry(key).or_insert(kernel));
@@ -201,12 +213,14 @@ fn compile_kernel(
     let hls = synthesize(&module, name, *options).map_err(|e| QueryError::Plan {
         message: format!("generated kernel '{name}' failed to synthesize: {e}"),
     })?;
+    let static_bound_us = everest_analysis::latency::module_worst_case_us(&module);
     Ok(QueryKernel {
         name: name.to_string(),
         op: plan.op_name().to_string(),
         rows,
         module,
         hls,
+        static_bound_us,
     })
 }
 
@@ -223,20 +237,45 @@ pub fn lower(
     let mut module = Module::new();
     let top = module.top_block();
     let (_graph, body) = build_graph(&mut module, top, "query");
-    let mut kernels = Vec::new();
+    let mut kernels = Kernels::default();
     let root = lower_node(plan, optimizer, options, &mut module, body, &mut kernels)?;
     module
         .build_op("dfg.sink", [root], [])
         .attr("name", "result")
         .append_to(body);
     module.build_op("dfg.yield", [], []).append_to(body);
-    let (kernels, compiled): (Vec<_>, Vec<bool>) = kernels.into_iter().unzip();
-    let compiled = compiled.iter().filter(|c| **c).count() as u64;
+    let Kernels { kernels, compiled } = kernels;
     span.arg("kernels", kernels.len() as u64)
         .arg("kernels_compiled", compiled);
     everest_telemetry::counter_add("query.kernels", kernels.len() as u64);
     everest_telemetry::counter_add("query.kernels_compiled", compiled);
     Ok(LoweredQuery { module, kernels })
+}
+
+/// The kernels a lowering has called so far, and how many of them it
+/// compiled.
+#[derive(Default)]
+struct Kernels {
+    kernels: Vec<Arc<QueryKernel>>,
+    compiled: u64,
+}
+
+impl Kernels {
+    /// The shared kernel of the next operator, and the callee attribute
+    /// naming it.
+    fn next(
+        &mut self,
+        plan: &LogicalPlan,
+        rows: usize,
+        width: usize,
+        options: &HlsOptions,
+    ) -> QueryResult<everest_ir::attr::Attribute> {
+        let (kernel, compiled) = shared_kernel(self.kernels.len(), plan, rows, width, options)?;
+        self.compiled += u64::from(compiled);
+        let callee = everest_ir::attr::Attribute::SymbolRef(kernel.name.clone());
+        self.kernels.push(kernel);
+        Ok(callee)
+    }
 }
 
 fn lower_node(
@@ -245,7 +284,7 @@ fn lower_node(
     options: &HlsOptions,
     module: &mut Module,
     body: everest_ir::ids::BlockId,
-    kernels: &mut Vec<(Arc<QueryKernel>, bool)>,
+    kernels: &mut Kernels,
 ) -> QueryResult<everest_ir::ids::ValueId> {
     // Pure-column projections (including the identity wrappers the
     // join reorderer inserts) are wiring, not compute: no kernel, the
@@ -263,7 +302,7 @@ fn lower_node(
     // one output channel and a `dfg.node` whose operands are
     // `[input channels..., output channel]` — exactly one writer and
     // at least one reader per channel, so the structural lints hold.
-    let inputs: Vec<everest_ir::ids::ValueId> = match plan {
+    let (first, second) = match plan {
         LogicalPlan::Scan { table, columns, .. } => {
             let rows = clamp_rows(optimizer.estimate_rows(plan));
             let feed = build_channel(module, body, Type::F64, rows.max(1) as i64);
@@ -271,40 +310,36 @@ fn lower_node(
                 .build_op("dfg.feed", [feed], [])
                 .attr("name", table.as_str())
                 .append_to(body);
-            let name = format!("q{}_scan", kernels.len());
             let width = columns.len().clamp(1, 8);
-            kernels.push(shared_kernel(&name, plan, rows, width, options)?);
+            let callee = kernels.next(plan, rows, width, options)?;
             let out = build_channel(module, body, Type::F64, rows.max(1) as i64);
             module
                 .build_op("dfg.node", [feed, out], [])
-                .attr("callee", everest_ir::attr::Attribute::SymbolRef(name))
+                .attr("callee", callee)
                 .append_to(body);
             return Ok(out);
         }
         LogicalPlan::Join { left, right, .. } => {
             let l = lower_node(left, optimizer, options, module, body, kernels)?;
             let r = lower_node(right, optimizer, options, module, body, kernels)?;
-            vec![l, r]
+            (l, Some(r))
         }
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Project { input, .. }
         | LogicalPlan::Aggregate { input, .. }
         | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => {
-            vec![lower_node(
-                input, optimizer, options, module, body, kernels,
-            )?]
-        }
+        | LogicalPlan::Limit { input, .. } => (
+            lower_node(input, optimizer, options, module, body, kernels)?,
+            None,
+        ),
     };
     let rows = clamp_rows(optimizer.estimate_rows(plan));
-    let name = format!("q{}_{}", kernels.len(), plan.op_name());
-    kernels.push(shared_kernel(&name, plan, rows, 1, options)?);
+    let callee = kernels.next(plan, rows, 1, options)?;
     let out = build_channel(module, body, Type::F64, rows.max(1) as i64);
-    let mut operands = inputs;
-    operands.push(out);
+    let operands = [first].into_iter().chain(second).chain([out]);
     module
         .build_op("dfg.node", operands, [])
-        .attr("callee", everest_ir::attr::Attribute::SymbolRef(name))
+        .attr("callee", callee)
         .append_to(body);
     Ok(out)
 }
@@ -396,6 +431,7 @@ mod tests {
             got.name
         );
         assert_eq!(got.hls, want.hls, "{}", got.name);
+        assert_eq!(got.static_bound_us, want.static_bound_us, "{}", got.name);
     }
 
     #[test]
@@ -467,9 +503,9 @@ mod tests {
             },
             HlsOptions { licm: true, ..base },
         ];
-        // A name no query generates, so every first lookup is a miss.
+        // A place no query's plan reaches, so every first lookup is a miss.
         let probe = |rows, width, options: &HlsOptions| {
-            shared_kernel("key_probe", &plan, rows, width, options).expect("compiles")
+            shared_kernel(9_999, &plan, rows, width, options).expect("compiles")
         };
         let kernels: Vec<Arc<QueryKernel>> = variants
             .iter()

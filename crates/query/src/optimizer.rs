@@ -20,8 +20,21 @@
 //! [`Optimizer::optimize`] applies them in the order fold → pushdown →
 //! prune → reorder (prune before reorder so the reorder wrapper does
 //! not pin already-pruned columns).
+//!
+//! # Owned rewrites
+//!
+//! `optimize` clones its input once; every rule then rewrites that
+//! owned tree where it stands. A folded expression replaces its node,
+//! a merged or pushed filter moves its input's box instead of copying
+//! the subtree, and pruning tracks required columns as names borrowed
+//! from the expressions that read them, in one buffer for the whole
+//! walk. The public per-rule functions clone and rewrite the same way.
+//! The clone-per-rule optimizer this replaced is kept in
+//! `tests/reference/optimizer.rs`, and the property suite holds every
+//! rule and the pipeline to it: equal plans and equal plan text.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::exec::arith;
 use crate::plan::{conjoin, split_conjunction, BinOp, Expr, LogicalPlan};
@@ -62,318 +75,351 @@ fn value_to_expr(value: Value) -> Expr {
     }
 }
 
+/// Takes a node out of the tree, leaving a scan that owns nothing.
+fn take(plan: &mut LogicalPlan) -> LogicalPlan {
+    let empty = LogicalPlan::Scan {
+        table: String::new(),
+        columns: Vec::new(),
+        projection: None,
+    };
+    std::mem::replace(plan, empty)
+}
+
+/// A node's inputs, in order.
+fn inputs_mut(plan: &mut LogicalPlan) -> impl Iterator<Item = &mut LogicalPlan> {
+    let (first, second) = match plan {
+        LogicalPlan::Scan { .. } => (None, None),
+        LogicalPlan::Join { left, right, .. } => (Some(&mut **left), Some(&mut **right)),
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => (Some(&mut **input), None),
+    };
+    first.into_iter().chain(second)
+}
+
+/// What a binary node with folded operands folds to.
+enum Folded {
+    /// A literal.
+    Value(Value),
+    /// Its left operand (the right was an identity).
+    Lhs,
+    /// Its right operand (the left was an identity).
+    Rhs,
+}
+
+/// How a binary node whose operands are folded folds, if it does.
+fn fold_binary(op: BinOp, lhs: &Expr, rhs: &Expr) -> Option<Folded> {
+    // Short-circuit identities. The left operand is evaluated first at
+    // runtime, so a literal left side folds freely; a literal identity
+    // is only dropped when the surviving operand is guaranteed
+    // boolean-shaped (otherwise folding could turn a type error into a
+    // value).
+    if op == BinOp::And {
+        match (lhs, rhs) {
+            (Expr::Bool(false), _) => return Some(Folded::Value(Value::Bool(false))),
+            (Expr::Bool(true), other) if returns_bool(other) => return Some(Folded::Rhs),
+            (other, Expr::Bool(true)) if returns_bool(other) => return Some(Folded::Lhs),
+            _ => {}
+        }
+    }
+    if op == BinOp::Or {
+        match (lhs, rhs) {
+            (Expr::Bool(true), _) => return Some(Folded::Value(Value::Bool(true))),
+            (Expr::Bool(false), other) if returns_bool(other) => return Some(Folded::Rhs),
+            (other, Expr::Bool(false)) if returns_bool(other) => return Some(Folded::Lhs),
+            _ => {}
+        }
+    }
+    let (a, b) = (literal_value(lhs)?, literal_value(rhs)?);
+    let folded = match op {
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(op, &a, &b).ok(),
+        BinOp::Eq => Some(Value::Bool(a == b)),
+        BinOp::Ne => Some(Value::Bool(a != b)),
+        BinOp::Lt => Some(Value::Bool(a < b)),
+        BinOp::Le => Some(Value::Bool(a <= b)),
+        BinOp::Gt => Some(Value::Bool(a > b)),
+        BinOp::Ge => Some(Value::Bool(a >= b)),
+        BinOp::And | BinOp::Or => match (a, b) {
+            (Value::Bool(x), Value::Bool(y)) => {
+                Some(Value::Bool(if op == BinOp::And { x && y } else { x || y }))
+            }
+            _ => None,
+        },
+    };
+    folded.map(Folded::Value)
+}
+
 /// Folds constant sub-expressions, mirroring executor semantics
 /// exactly (shared arithmetic, short-circuit logical operators).
 pub fn fold_expr(expr: &Expr) -> Expr {
-    match expr {
-        Expr::Column(_) | Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_) => {
-            expr.clone()
-        }
+    let mut folded = expr.clone();
+    fold_in_place(&mut folded);
+    folded
+}
+
+/// [`fold_expr`] on an expression it owns: a folded node is replaced
+/// where it stands, and the operand an identity keeps moves up.
+fn fold_in_place(expr: &mut Expr) {
+    let folded = match expr {
+        Expr::Column(_) | Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_) => return,
         Expr::Binary { op, lhs, rhs } => {
-            let lhs = fold_expr(lhs);
-            let rhs = fold_expr(rhs);
-            // Short-circuit identities. The left operand is evaluated
-            // first at runtime, so a literal left side folds freely; a
-            // literal identity is only dropped when the surviving
-            // operand is guaranteed boolean-shaped (otherwise folding
-            // could turn a type error into a value).
-            if *op == BinOp::And {
-                match (&lhs, &rhs) {
-                    (Expr::Bool(false), _) => return Expr::Bool(false),
-                    (Expr::Bool(true), other) if returns_bool(other) => return other.clone(),
-                    (other, Expr::Bool(true)) if returns_bool(other) => return other.clone(),
-                    _ => {}
-                }
-            }
-            if *op == BinOp::Or {
-                match (&lhs, &rhs) {
-                    (Expr::Bool(true), _) => return Expr::Bool(true),
-                    (Expr::Bool(false), other) if returns_bool(other) => return other.clone(),
-                    (other, Expr::Bool(false)) if returns_bool(other) => return other.clone(),
-                    _ => {}
-                }
-            }
-            if let (Some(a), Some(b)) = (literal_value(&lhs), literal_value(&rhs)) {
-                let folded = match op {
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(*op, &a, &b).ok(),
-                    BinOp::Eq => Some(Value::Bool(a == b)),
-                    BinOp::Ne => Some(Value::Bool(a != b)),
-                    BinOp::Lt => Some(Value::Bool(a < b)),
-                    BinOp::Le => Some(Value::Bool(a <= b)),
-                    BinOp::Gt => Some(Value::Bool(a > b)),
-                    BinOp::Ge => Some(Value::Bool(a >= b)),
-                    BinOp::And | BinOp::Or => match (a, b) {
-                        (Value::Bool(x), Value::Bool(y)) => {
-                            Some(Value::Bool(if *op == BinOp::And { x && y } else { x || y }))
-                        }
-                        _ => None,
-                    },
-                };
-                if let Some(v) = folded {
-                    return value_to_expr(v);
-                }
-            }
-            Expr::Binary {
-                op: *op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+            fold_in_place(lhs);
+            fold_in_place(rhs);
+            match fold_binary(*op, lhs, rhs) {
+                Some(Folded::Value(v)) => value_to_expr(v),
+                Some(Folded::Lhs) => std::mem::replace(&mut **lhs, Expr::Bool(false)),
+                Some(Folded::Rhs) => std::mem::replace(&mut **rhs, Expr::Bool(false)),
+                None => return,
             }
         }
         Expr::Not(inner) => {
-            let inner = fold_expr(inner);
-            if let Expr::Bool(v) = inner {
-                Expr::Bool(!v)
-            } else {
-                Expr::Not(Box::new(inner))
+            fold_in_place(inner);
+            match **inner {
+                Expr::Bool(v) => Expr::Bool(!v),
+                _ => return,
             }
         }
         Expr::Neg(inner) => {
-            let inner = fold_expr(inner);
-            match inner {
+            fold_in_place(inner);
+            match **inner {
                 Expr::Int(v) => Expr::Int(v.wrapping_neg()),
                 Expr::Float(v) => Expr::Float(-v),
-                other => Expr::Neg(Box::new(other)),
+                _ => return,
             }
         }
-        Expr::Agg { func, arg } => Expr::Agg {
-            func: *func,
-            arg: arg.as_ref().map(|a| Box::new(fold_expr(a))),
-        },
-    }
+        Expr::Agg { arg, .. } => {
+            if let Some(a) = arg {
+                fold_in_place(a);
+            }
+            return;
+        }
+    };
+    *expr = folded;
 }
 
-fn map_exprs(plan: &LogicalPlan, f: &impl Fn(&Expr) -> Expr) -> LogicalPlan {
+/// Rule 1 on a plan it owns.
+fn fold_plan(plan: &mut LogicalPlan) {
     match plan {
-        LogicalPlan::Scan { .. } => plan.clone(),
-        LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-            input: Box::new(map_exprs(input, f)),
-            predicate: f(predicate),
-        },
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(map_exprs(input, f)),
-            exprs: exprs.iter().map(|(e, name)| (f(e), name.clone())).collect(),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_exprs(input, f)),
-            group_by: group_by.iter().map(f).collect(),
-            aggs: aggs.iter().map(f).collect(),
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => LogicalPlan::Join {
-            left: Box::new(map_exprs(left, f)),
-            right: Box::new(map_exprs(right, f)),
-            left_key: left_key.clone(),
-            right_key: right_key.clone(),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_exprs(input, f)),
-            keys: keys.iter().map(|(e, desc)| (f(e), *desc)).collect(),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(map_exprs(input, f)),
-            n: *n,
-        },
+        LogicalPlan::Filter { predicate, .. } => fold_in_place(predicate),
+        LogicalPlan::Project { exprs, .. } => {
+            exprs.iter_mut().for_each(|(e, _)| fold_in_place(e));
+        }
+        LogicalPlan::Aggregate { group_by, aggs, .. } => {
+            group_by.iter_mut().chain(aggs).for_each(fold_in_place);
+        }
+        LogicalPlan::Sort { keys, .. } => keys.iter_mut().for_each(|(e, _)| fold_in_place(e)),
+        LogicalPlan::Scan { .. } | LogicalPlan::Join { .. } | LogicalPlan::Limit { .. } => {}
     }
+    inputs_mut(plan).for_each(fold_plan);
 }
 
 /// Rule 1: constant folding over every expression in the plan.
 pub fn fold_constants(plan: &LogicalPlan) -> LogicalPlan {
-    map_exprs(plan, &fold_expr)
+    let mut plan = plan.clone();
+    fold_plan(&mut plan);
+    plan
+}
+
+/// Rule 2 on a plan it owns, inputs first.
+fn push_down(plan: &mut LogicalPlan) {
+    inputs_mut(plan).for_each(push_down);
+    let movable = matches!(
+        plan,
+        LogicalPlan::Filter { input, .. }
+            if matches!(**input, LogicalPlan::Filter { .. } | LogicalPlan::Join { .. })
+    );
+    if movable {
+        if let LogicalPlan::Filter { input, predicate } = take(plan) {
+            *plan = filter_pushed(input, predicate);
+        }
+    }
+}
+
+/// What rule 2 makes of `predicate` filtering `input`, which it has
+/// already rewritten (and so does not walk again): merged into the
+/// filters below it, split across a join below those.
+fn filter_pushed(mut input: Box<LogicalPlan>, mut predicate: Expr) -> LogicalPlan {
+    loop {
+        match *input {
+            // The inner filter ran first at runtime; its conjuncts stay
+            // on the left of the merged conjunction so short-circuit
+            // evaluation order is unchanged.
+            LogicalPlan::Filter {
+                input: inner,
+                predicate: inner_predicate,
+            } => {
+                predicate = Expr::Binary {
+                    op: BinOp::And,
+                    lhs: Box::new(inner_predicate),
+                    rhs: Box::new(predicate),
+                };
+                input = inner;
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+            } => {
+                let mut conjuncts = Vec::new();
+                split_conjunction(predicate, &mut conjuncts);
+                let mut push_left = Vec::new();
+                let mut push_right = Vec::new();
+                let mut keep = Vec::new();
+                for conjunct in conjuncts {
+                    if reads_only(&conjunct, &left) {
+                        push_left.push(conjunct);
+                    } else if reads_only(&conjunct, &right) {
+                        push_right.push(conjunct);
+                    } else {
+                        keep.push(conjunct);
+                    }
+                }
+                let joined = LogicalPlan::Join {
+                    left: filtered(left, push_left),
+                    right: filtered(right, push_right),
+                    left_key,
+                    right_key,
+                };
+                if keep.is_empty() {
+                    return joined;
+                }
+                return LogicalPlan::Filter {
+                    input: Box::new(joined),
+                    predicate: conjoin(keep),
+                };
+            }
+            _ => return LogicalPlan::Filter { input, predicate },
+        }
+    }
+}
+
+/// `side` under the conjunction of `conjuncts`, pushed down; `side`
+/// itself when there are none.
+fn filtered(side: Box<LogicalPlan>, conjuncts: Vec<Expr>) -> Box<LogicalPlan> {
+    if conjuncts.is_empty() {
+        side
+    } else {
+        Box::new(filter_pushed(side, conjoin(conjuncts)))
+    }
+}
+
+/// Whether `expr` reads at least one column and only columns `side`
+/// outputs.
+fn reads_only(expr: &Expr, side: &LogicalPlan) -> bool {
+    let (mut any, mut all) = (false, true);
+    expr.visit_columns(&mut |name| {
+        any = true;
+        all = all && side.has_column(name);
+    });
+    any && all
 }
 
 /// Rule 2: merges adjacent filters and pushes conjuncts that
 /// reference only one side of a join below that join.
 pub fn pushdown_predicates(plan: &LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Filter { input, predicate } => {
-            match pushdown_predicates(input) {
-                // Inner filter ran first at runtime; keep its
-                // conjuncts on the left of the merged conjunction so
-                // short-circuit evaluation order is unchanged.
-                LogicalPlan::Filter {
-                    input: inner,
-                    predicate: inner_pred,
-                } => {
-                    let merged = Expr::Binary {
-                        op: BinOp::And,
-                        lhs: Box::new(inner_pred),
-                        rhs: Box::new(predicate.clone()),
-                    };
-                    pushdown_predicates(&LogicalPlan::Filter {
-                        input: inner,
-                        predicate: merged,
-                    })
-                }
-                LogicalPlan::Join {
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                } => {
-                    let left_schema: BTreeSet<String> = left.schema().into_iter().collect();
-                    let right_schema: BTreeSet<String> = right.schema().into_iter().collect();
-                    let mut conjuncts = Vec::new();
-                    split_conjunction(predicate.clone(), &mut conjuncts);
-                    let mut push_left = Vec::new();
-                    let mut push_right = Vec::new();
-                    let mut keep = Vec::new();
-                    for conjunct in conjuncts {
-                        let cols = conjunct.columns();
-                        if !cols.is_empty() && cols.iter().all(|c| left_schema.contains(c)) {
-                            push_left.push(conjunct);
-                        } else if !cols.is_empty() && cols.iter().all(|c| right_schema.contains(c))
-                        {
-                            push_right.push(conjunct);
-                        } else {
-                            keep.push(conjunct);
-                        }
-                    }
-                    let left = wrap_filter(*left, push_left);
-                    let right = wrap_filter(*right, push_right);
-                    let joined = LogicalPlan::Join {
-                        left: Box::new(pushdown_predicates(&left)),
-                        right: Box::new(pushdown_predicates(&right)),
-                        left_key,
-                        right_key,
-                    };
-                    wrap_filter(joined, keep)
-                }
-                other => LogicalPlan::Filter {
-                    input: Box::new(other),
-                    predicate: predicate.clone(),
-                },
-            }
-        }
-        LogicalPlan::Scan { .. } => plan.clone(),
-        LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-            input: Box::new(pushdown_predicates(input)),
-            exprs: exprs.clone(),
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(pushdown_predicates(input)),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => LogicalPlan::Join {
-            left: Box::new(pushdown_predicates(left)),
-            right: Box::new(pushdown_predicates(right)),
-            left_key: left_key.clone(),
-            right_key: right_key.clone(),
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(pushdown_predicates(input)),
-            keys: keys.clone(),
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(pushdown_predicates(input)),
-            n: *n,
-        },
-    }
+    let mut plan = plan.clone();
+    push_down(&mut plan);
+    plan
 }
 
-fn wrap_filter(plan: LogicalPlan, conjuncts: Vec<Expr>) -> LogicalPlan {
-    if conjuncts.is_empty() {
-        plan
-    } else {
-        LogicalPlan::Filter {
-            input: Box::new(plan),
-            predicate: conjoin(conjuncts),
-        }
-    }
+/// The output columns a node's consumer reads.
+#[derive(Debug, Clone, Copy)]
+enum Required {
+    /// The root's: its output stays as it is, a scan's projection too.
+    Root,
+    /// Every output column.
+    All,
+    /// Columns named in the pruning buffer from this index on. A name
+    /// the node does not output is ignored, so a node passes its
+    /// consumer's names on to its inputs unfiltered.
+    Named(usize),
 }
 
 /// Rule 3: required-column analysis; sets `Scan.projection` so base
-/// tables are read narrow. `required = None` keeps a node's full
-/// output schema (the root call).
+/// tables are read narrow. The root keeps its full output schema.
 pub fn prune_projections(plan: &LogicalPlan) -> LogicalPlan {
-    prune(plan, None)
+    let mut plan = plan.clone();
+    prune(&mut plan, Required::Root, &mut Vec::new());
+    plan
 }
 
-fn prune(plan: &LogicalPlan, required: Option<&BTreeSet<String>>) -> LogicalPlan {
+/// Rule 3 on a plan it owns. `names` holds the required column names,
+/// borrowed from the expressions and join keys that read them; each
+/// node appends its own and truncates them away on the way back up.
+fn prune<'p>(plan: &'p mut LogicalPlan, required: Required, names: &mut Vec<&'p str>) {
+    let start = names.len();
+    // What a filter, join or sort, which passes its consumer's needs
+    // on, requires of its input: all of it at the root or below a
+    // consumer reading everything, else the consumer's names and its
+    // own.
+    let widened = |required| match required {
+        Required::Root | Required::All => Required::All,
+        Required::Named(from) => Required::Named(from),
+    };
     match plan {
         LogicalPlan::Scan {
-            table,
             columns,
             projection,
+            ..
         } => {
-            let Some(required) = required else {
-                return plan.clone();
+            let wanted = match required {
+                Required::Root => return,
+                Required::All => &[][..],
+                Required::Named(from) => &names[from..],
             };
-            // Map each currently-exposed column back to its base-table
-            // index, keep the required ones (at least one, so row
-            // counts survive for `count(*)`), in base order.
-            let base_index = |j: usize| match projection {
-                Some(indices) => indices[j],
-                None => j,
+            let keeps = |name: &String| {
+                matches!(required, Required::All) || wanted.contains(&name.as_str())
             };
-            let mut kept: Vec<(usize, String)> = columns
-                .iter()
-                .enumerate()
-                .filter(|(_, name)| required.contains(*name))
-                .map(|(j, name)| (base_index(j), name.clone()))
-                .collect();
-            if kept.is_empty() && !columns.is_empty() {
-                kept.push((base_index(0), columns[0].clone()));
+            // Keep the required columns (at least one, so row counts
+            // survive for `count(*)`), in base-table order.
+            let keep_first = !columns.iter().any(keeps);
+            let base = |j: usize| projection.as_ref().map_or(j, |indices| indices[j]);
+            let mut indices = Vec::with_capacity(columns.len());
+            let mut j = 0;
+            columns.retain(|name| {
+                let kept = if keep_first { j == 0 } else { keeps(name) };
+                if kept {
+                    indices.push(base(j));
+                }
+                j += 1;
+                kept
+            });
+            if !indices.is_sorted() {
+                let mut paired: Vec<(usize, String)> =
+                    indices.drain(..).zip(columns.drain(..)).collect();
+                paired.sort_by_key(|(index, _)| *index);
+                (indices, *columns) = paired.into_iter().unzip();
             }
-            kept.sort_by_key(|(index, _)| *index);
-            LogicalPlan::Scan {
-                table: table.clone(),
-                columns: kept.iter().map(|(_, name)| name.clone()).collect(),
-                projection: Some(kept.into_iter().map(|(i, _)| i).collect()),
-            }
+            *projection = Some(indices);
         }
         LogicalPlan::Filter { input, predicate } => {
-            let mut needed: BTreeSet<String> = match required {
-                Some(set) => set.clone(),
-                None => input.schema().into_iter().collect(),
-            };
-            needed.extend(predicate.columns());
-            LogicalPlan::Filter {
-                input: Box::new(prune(input, Some(&needed))),
-                predicate: predicate.clone(),
+            let required = widened(required);
+            if let Required::Named(_) = required {
+                let predicate: &'p Expr = predicate;
+                predicate.visit_columns(&mut |name| names.push(name));
             }
+            prune(input, required, names);
         }
         LogicalPlan::Project { input, exprs } => {
-            let mut needed = BTreeSet::new();
+            let exprs: &'p [(Expr, String)] = exprs;
             for (expr, _) in exprs {
-                needed.extend(expr.columns());
+                expr.visit_columns(&mut |name| names.push(name));
             }
-            LogicalPlan::Project {
-                input: Box::new(prune(input, Some(&needed))),
-                exprs: exprs.clone(),
-            }
+            prune(input, Required::Named(start), names);
         }
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            let mut needed = BTreeSet::new();
+            let (group_by, aggs): (&'p [Expr], &'p [Expr]) = (group_by, aggs);
             for expr in group_by.iter().chain(aggs) {
-                needed.extend(expr.columns());
+                expr.visit_columns(&mut |name| names.push(name));
             }
-            LogicalPlan::Aggregate {
-                input: Box::new(prune(input, Some(&needed))),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            }
+            prune(input, Required::Named(start), names);
         }
         LogicalPlan::Join {
             left,
@@ -381,61 +427,51 @@ fn prune(plan: &LogicalPlan, required: Option<&BTreeSet<String>>) -> LogicalPlan
             left_key,
             right_key,
         } => {
-            let mut needed: BTreeSet<String> = match required {
-                Some(set) => set.clone(),
-                None => plan.schema().into_iter().collect(),
-            };
-            needed.insert(left_key.clone());
-            needed.insert(right_key.clone());
-            let left_schema: BTreeSet<String> = left.schema().into_iter().collect();
-            let right_schema: BTreeSet<String> = right.schema().into_iter().collect();
-            let left_needed: BTreeSet<String> =
-                needed.intersection(&left_schema).cloned().collect();
-            let right_needed: BTreeSet<String> =
-                needed.intersection(&right_schema).cloned().collect();
-            LogicalPlan::Join {
-                left: Box::new(prune(left, Some(&left_needed))),
-                right: Box::new(prune(right, Some(&right_needed))),
-                left_key: left_key.clone(),
-                right_key: right_key.clone(),
+            let required = widened(required);
+            if let Required::Named(_) = required {
+                names.push(left_key);
+                names.push(right_key);
             }
+            prune(left, required, names);
+            prune(right, required, names);
         }
         LogicalPlan::Sort { input, keys } => {
-            let mut needed: BTreeSet<String> = match required {
-                Some(set) => set.clone(),
-                None => input.schema().into_iter().collect(),
-            };
-            for (expr, _) in keys {
-                needed.extend(expr.columns());
+            let required = widened(required);
+            if let Required::Named(_) = required {
+                let keys: &'p [(Expr, bool)] = keys;
+                for (expr, _) in keys {
+                    expr.visit_columns(&mut |name| names.push(name));
+                }
             }
-            LogicalPlan::Sort {
-                input: Box::new(prune(input, Some(&needed))),
-                keys: keys.clone(),
-            }
+            prune(input, required, names);
         }
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(prune(input, required)),
-            n: *n,
-        },
+        LogicalPlan::Limit { input, .. } => prune(input, required, names),
     }
+    names.truncate(start);
 }
 
 /// The optimizer: rule pipeline plus the cardinality estimates the
 /// join-reorder rule consumes.
 #[derive(Debug, Clone, Default)]
 pub struct Optimizer {
-    stats: BTreeMap<String, usize>,
+    /// Rows per table, shared with the catalog it came from.
+    stats: Arc<BTreeMap<String, usize>>,
 }
 
 impl Optimizer {
     /// Creates an optimizer from table row-count statistics.
     pub fn new(stats: BTreeMap<String, usize>) -> Optimizer {
-        Optimizer { stats }
+        Optimizer {
+            stats: Arc::new(stats),
+        }
     }
 
-    /// Creates an optimizer with the catalog's row counts.
+    /// Creates an optimizer with the catalog's row counts (shared with
+    /// the catalog, not copied).
     pub fn for_catalog(catalog: &Catalog) -> Optimizer {
-        Optimizer::new(catalog.stats())
+        Optimizer {
+            stats: catalog.shared_stats(),
+        }
     }
 
     /// Estimated output rows of a plan node. Deliberately crude —
@@ -477,78 +513,54 @@ impl Optimizer {
     /// `Project` restoring the original column order, so the rewrite
     /// is invisible to parents and output schemas.
     pub fn reorder_joins(&self, plan: &LogicalPlan) -> LogicalPlan {
-        match plan {
-            LogicalPlan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => {
-                let left = self.reorder_joins(left);
-                let right = self.reorder_joins(right);
-                if self.estimate_rows(&left) < self.estimate_rows(&right) {
-                    let original: Vec<String> =
-                        left.schema().into_iter().chain(right.schema()).collect();
-                    let swapped = LogicalPlan::Join {
-                        left: Box::new(right),
-                        right: Box::new(left),
-                        left_key: right_key.clone(),
-                        right_key: left_key.clone(),
-                    };
-                    LogicalPlan::Project {
-                        input: Box::new(swapped),
-                        exprs: original
-                            .into_iter()
-                            .map(|name| (Expr::Column(name.clone()), name))
-                            .collect(),
-                    }
-                } else {
-                    LogicalPlan::Join {
-                        left: Box::new(left),
-                        right: Box::new(right),
-                        left_key: left_key.clone(),
-                        right_key: right_key.clone(),
-                    }
-                }
-            }
-            LogicalPlan::Scan { .. } => plan.clone(),
-            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
-                input: Box::new(self.reorder_joins(input)),
-                predicate: predicate.clone(),
-            },
-            LogicalPlan::Project { input, exprs } => LogicalPlan::Project {
-                input: Box::new(self.reorder_joins(input)),
-                exprs: exprs.clone(),
-            },
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => LogicalPlan::Aggregate {
-                input: Box::new(self.reorder_joins(input)),
-                group_by: group_by.clone(),
-                aggs: aggs.clone(),
-            },
-            LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-                input: Box::new(self.reorder_joins(input)),
-                keys: keys.clone(),
-            },
-            LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-                input: Box::new(self.reorder_joins(input)),
-                n: *n,
-            },
-        }
+        let mut plan = plan.clone();
+        self.reorder(&mut plan);
+        plan
     }
 
-    /// Full pipeline: fold → pushdown → prune → reorder.
+    /// Rule 4 on a plan it owns, inputs first.
+    fn reorder(&self, plan: &mut LogicalPlan) {
+        inputs_mut(plan).for_each(|input| self.reorder(input));
+        let LogicalPlan::Join {
+            left,
+            right,
+            left_key,
+            right_key,
+        } = plan
+        else {
+            return;
+        };
+        if self.estimate_rows(left) >= self.estimate_rows(right) {
+            return;
+        }
+        let mut exprs = Vec::new();
+        for side in [&**left, &**right] {
+            exprs.extend(
+                side.schema()
+                    .into_iter()
+                    .map(|name| (Expr::Column(name.clone()), name)),
+            );
+        }
+        std::mem::swap(left, right);
+        std::mem::swap(left_key, right_key);
+        let swapped = take(plan);
+        *plan = LogicalPlan::Project {
+            input: Box::new(swapped),
+            exprs,
+        };
+    }
+
+    /// Full pipeline: fold → pushdown → prune → reorder, on one copy of
+    /// `plan` rewritten in place.
     pub fn optimize(&self, plan: &LogicalPlan) -> LogicalPlan {
         let span = everest_telemetry::span("query.optimize");
-        let folded = fold_constants(plan);
-        let pushed = pushdown_predicates(&folded);
-        let pruned = prune_projections(&pushed);
-        let reordered = self.reorder_joins(&pruned);
-        span.arg("op", reordered.op_name());
-        reordered
+        let mut plan = plan.clone();
+        fold_plan(&mut plan);
+        push_down(&mut plan);
+        prune(&mut plan, Required::Root, &mut Vec::with_capacity(8));
+        self.reorder(&mut plan);
+        span.arg("op", plan.op_name());
+        plan
     }
 }
 

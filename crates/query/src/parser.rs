@@ -20,7 +20,7 @@
 //! property suite checks over arbitrary token soup.
 
 use crate::error::{QueryError, QueryResult};
-use crate::plan::{AggFunc, BinOp, Expr};
+use crate::plan::{qualified, AggFunc, BinOp, Expr};
 use crate::token::{tokenize, Keyword, Token, TokenKind};
 
 /// One output column of a `SELECT` list.
@@ -97,15 +97,19 @@ pub fn parse(source: &str) -> QueryResult<Query> {
     Ok(query)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     end: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
+    }
+
+    fn peek_kind(&self) -> Option<TokenKind<'a>> {
+        self.peek().map(|t| t.kind)
     }
 
     fn offset(&self) -> usize {
@@ -119,7 +123,7 @@ impl Parser {
         })
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.peek().map(|t| &t.kind) == Some(kind) {
             self.pos += 1;
             true
@@ -140,7 +144,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind, what: &str) -> QueryResult<()> {
+    fn expect(&mut self, kind: TokenKind<'_>, what: &str) -> QueryResult<()> {
         if self.eat(&kind) {
             Ok(())
         } else {
@@ -148,8 +152,8 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self, what: &str) -> QueryResult<String> {
-        match self.peek().map(|t| t.kind.clone()) {
+    fn ident(&mut self, what: &str) -> QueryResult<&'a str> {
+        match self.peek_kind() {
             Some(TokenKind::Ident(name)) => {
                 self.pos += 1;
                 Ok(name)
@@ -208,7 +212,7 @@ impl Parser {
             }
         }
         let limit = if self.eat_keyword(Keyword::Limit) {
-            match self.peek().map(|t| t.kind.clone()) {
+            match self.peek_kind() {
                 Some(TokenKind::Int(n)) if n >= 0 => {
                     self.pos += 1;
                     Some(n as usize)
@@ -238,7 +242,7 @@ impl Parser {
         loop {
             let expr = self.expr()?;
             let alias = if self.eat_keyword(Keyword::As) {
-                Some(self.ident("alias after AS")?)
+                Some(self.ident("alias after AS")?.to_string())
             } else {
                 None
             };
@@ -251,16 +255,19 @@ impl Parser {
     }
 
     fn table_ref(&mut self) -> QueryResult<TableRef> {
-        let table = self.ident("table name")?;
+        let table = self.ident("table name")?.to_string();
         let alias = if self.eat_keyword(Keyword::As) {
             Some(self.ident("alias after AS")?)
-        } else if let Some(TokenKind::Ident(name)) = self.peek().map(|t| t.kind.clone()) {
+        } else if let Some(TokenKind::Ident(name)) = self.peek_kind() {
             self.pos += 1;
             Some(name)
         } else {
             None
         };
-        Ok(TableRef { table, alias })
+        Ok(TableRef {
+            table,
+            alias: alias.map(str::to_string),
+        })
     }
 
     fn expr(&mut self) -> QueryResult<Expr> {
@@ -368,7 +375,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> QueryResult<Expr> {
-        match self.peek().map(|t| t.kind.clone()) {
+        match self.peek_kind() {
             Some(TokenKind::Int(v)) => {
                 self.pos += 1;
                 Ok(Expr::Int(v))
@@ -379,7 +386,7 @@ impl Parser {
             }
             Some(TokenKind::Str(v)) => {
                 self.pos += 1;
-                Ok(Expr::Str(v))
+                Ok(Expr::Str(v.to_string()))
             }
             Some(TokenKind::LParen) => {
                 self.pos += 1;
@@ -396,7 +403,7 @@ impl Parser {
                     return Ok(Expr::Bool(false));
                 }
                 if self.eat(&TokenKind::LParen) {
-                    let func = match AggFunc::from_name(&name) {
+                    let func = match AggFunc::from_name(name) {
                         Some(f) => f,
                         None => {
                             return self.err(format!("unknown function '{name}'"));
@@ -417,9 +424,9 @@ impl Parser {
                     })
                 } else if self.eat(&TokenKind::Dot) {
                     let column = self.ident("column after '.'")?;
-                    Ok(Expr::Column(format!("{name}.{column}")))
+                    Ok(Expr::Column(qualified(name, column)))
                 } else {
-                    Ok(Expr::Column(name))
+                    Ok(Expr::Column(name.to_string()))
                 }
             }
             _ => self.err("expected expression"),

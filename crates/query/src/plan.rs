@@ -7,6 +7,7 @@
 //! `AnalysisReport::normalize()`-style canonical ordering so `EXPLAIN`
 //! output is diffable in CI (`ci/query/` golden corpus).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::table::Value;
@@ -104,14 +105,15 @@ impl AggFunc {
 
     /// Parses a function name (case-insensitive).
     pub fn from_name(name: &str) -> Option<AggFunc> {
-        Some(match name.to_ascii_lowercase().as_str() {
-            "count" => AggFunc::Count,
-            "sum" => AggFunc::Sum,
-            "min" => AggFunc::Min,
-            "max" => AggFunc::Max,
-            "avg" => AggFunc::Avg,
-            _ => return None,
-        })
+        [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Avg,
+        ]
+        .into_iter()
+        .find(|func| func.name().eq_ignore_ascii_case(name))
     }
 }
 
@@ -156,40 +158,84 @@ impl Expr {
     /// gets when no alias is given, and the byte-stable spelling used
     /// by plan text and JSON.
     pub fn text(&self) -> String {
+        let mut out = String::new();
+        self.write_text(&mut out);
+        out
+    }
+
+    /// Appends [`text`](Self::text) to `out`.
+    fn write_text(&self, out: &mut String) {
         match self {
-            Expr::Column(name) => name.clone(),
-            Expr::Int(v) => format!("{v}"),
-            Expr::Float(v) => format!("{}", Value::Float(*v)),
-            Expr::Str(v) => format!("'{v}'"),
-            Expr::Bool(v) => format!("{v}"),
-            Expr::Binary { op, lhs, rhs } => {
-                format!("({} {} {})", lhs.text(), op.symbol(), rhs.text())
+            Expr::Column(name) => out.push_str(name),
+            Expr::Int(v) => {
+                let _ = write!(out, "{v}");
             }
-            Expr::Not(inner) => format!("(NOT {})", inner.text()),
-            Expr::Neg(inner) => format!("(- {})", inner.text()),
-            Expr::Agg { func, arg } => match arg {
-                Some(a) => format!("{}({})", func.name(), a.text()),
-                None => format!("{}(*)", func.name()),
-            },
+            Expr::Float(v) => {
+                let _ = write!(out, "{}", Value::Float(*v));
+            }
+            Expr::Str(v) => {
+                out.push('\'');
+                out.push_str(v);
+                out.push('\'');
+            }
+            Expr::Bool(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                out.push('(');
+                lhs.write_text(out);
+                out.push(' ');
+                out.push_str(op.symbol());
+                out.push(' ');
+                rhs.write_text(out);
+                out.push(')');
+            }
+            Expr::Not(inner) => {
+                out.push_str("(NOT ");
+                inner.write_text(out);
+                out.push(')');
+            }
+            Expr::Neg(inner) => {
+                out.push_str("(- ");
+                inner.write_text(out);
+                out.push(')');
+            }
+            Expr::Agg { func, arg } => {
+                out.push_str(func.name());
+                match arg {
+                    Some(a) => {
+                        out.push('(');
+                        a.write_text(out);
+                        out.push(')');
+                    }
+                    None => out.push_str("(*)"),
+                }
+            }
+        }
+    }
+
+    /// Calls `f` with every column name the expression references, left
+    /// to right, borrowed.
+    pub fn visit_columns<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
+        match self {
+            Expr::Column(name) => f(name),
+            Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_) => {}
+            Expr::Binary { lhs, rhs, .. } => {
+                lhs.visit_columns(f);
+                rhs.visit_columns(f);
+            }
+            Expr::Not(inner) | Expr::Neg(inner) => inner.visit_columns(f),
+            Expr::Agg { arg, .. } => {
+                if let Some(a) = arg {
+                    a.visit_columns(f);
+                }
+            }
         }
     }
 
     /// Collects every column name referenced by the expression.
     pub fn columns_into(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Column(name) => out.push(name.clone()),
-            Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_) => {}
-            Expr::Binary { lhs, rhs, .. } => {
-                lhs.columns_into(out);
-                rhs.columns_into(out);
-            }
-            Expr::Not(inner) | Expr::Neg(inner) => inner.columns_into(out),
-            Expr::Agg { arg, .. } => {
-                if let Some(a) = arg {
-                    a.columns_into(out);
-                }
-            }
-        }
+        self.visit_columns(&mut |name| out.push(name.to_string()));
     }
 
     /// Column names referenced by the expression.
@@ -279,24 +325,63 @@ pub enum LogicalPlan {
 impl LogicalPlan {
     /// Output column names of this node.
     pub fn schema(&self) -> Vec<String> {
+        let mut names = Vec::new();
+        self.visit_schema(&mut |name| names.push(name.into_owned()));
+        names
+    }
+
+    /// [`schema`](Self::schema) without copying a name some node already
+    /// holds: a scan's columns and a projection's output names are
+    /// borrowed, and only an aggregate's (the text of its expressions)
+    /// are built.
+    pub fn schema_names(&self) -> Vec<Cow<'_, str>> {
+        let mut names = Vec::new();
+        self.visit_schema(&mut |name| names.push(name));
+        names
+    }
+
+    fn visit_schema<'p>(&'p self, f: &mut impl FnMut(Cow<'p, str>)) {
         match self {
-            LogicalPlan::Scan { columns, .. } => columns.clone(),
-            LogicalPlan::Filter { input, .. } => input.schema(),
+            LogicalPlan::Scan { columns, .. } => {
+                for name in columns {
+                    f(Cow::Borrowed(name));
+                }
+            }
             LogicalPlan::Project { exprs, .. } => {
-                exprs.iter().map(|(_, name)| name.clone()).collect()
+                for (_, name) in exprs {
+                    f(Cow::Borrowed(name));
+                }
             }
-            LogicalPlan::Aggregate { group_by, aggs, .. } => group_by
-                .iter()
-                .map(Expr::text)
-                .chain(aggs.iter().map(Expr::text))
-                .collect(),
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                for expr in group_by.iter().chain(aggs) {
+                    f(Cow::Owned(expr.text()));
+                }
+            }
             LogicalPlan::Join { left, right, .. } => {
-                let mut cols = left.schema();
-                cols.extend(right.schema());
-                cols
+                left.visit_schema(f);
+                right.visit_schema(f);
             }
-            LogicalPlan::Sort { input, .. } => input.schema(),
-            LogicalPlan::Limit { input, .. } => input.schema(),
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => input.visit_schema(f),
+        }
+    }
+
+    /// Whether `name` is one of this node's output columns: what
+    /// `schema().contains(name)` answers, without building the list.
+    pub fn has_column(&self, name: &str) -> bool {
+        match self {
+            LogicalPlan::Scan { columns, .. } => columns.iter().any(|c| c == name),
+            LogicalPlan::Project { exprs, .. } => exprs.iter().any(|(_, c)| c == name),
+            LogicalPlan::Aggregate { group_by, aggs, .. } => {
+                group_by.iter().chain(aggs).any(|e| e.text() == name)
+            }
+            LogicalPlan::Join { left, right, .. } => {
+                left.has_column(name) || right.has_column(name)
+            }
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => input.has_column(name),
         }
     }
 
@@ -540,6 +625,15 @@ pub fn conjoin(mut conjuncts: Vec<Expr>) -> Expr {
             acc
         }
     }
+}
+
+/// `qualifier.column`, in one allocation of the exact size.
+pub(crate) fn qualified(qualifier: &str, column: &str) -> String {
+    let mut name = String::with_capacity(qualifier.len() + 1 + column.len());
+    name.push_str(qualifier);
+    name.push('.');
+    name.push_str(column);
+    name
 }
 
 /// Escapes a string into a JSON literal.

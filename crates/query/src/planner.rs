@@ -10,120 +10,147 @@
 //! ```
 
 use crate::error::{QueryError, QueryResult};
-use crate::parser::{Query, TableRef};
-use crate::plan::{BinOp, Expr, LogicalPlan};
+use crate::parser::{Query, SelectItem, TableRef};
+use crate::plan::{qualified, BinOp, Expr, LogicalPlan};
 use crate::table::Catalog;
 
-/// Resolves a column reference against a schema, returning the
-/// canonical name. Bare references match any qualified name with the
-/// same final segment, provided the match is unique.
-pub fn resolve_column(schema: &[String], reference: &str) -> QueryResult<String> {
-    if schema.iter().any(|name| name == reference) {
+/// Resolves a column reference against a schema (owned or borrowed
+/// names), returning the canonical name. Bare references match any
+/// qualified name with the same final segment, provided the match is
+/// unique.
+pub fn resolve_column<S: AsRef<str>>(schema: &[S], reference: &str) -> QueryResult<String> {
+    if schema.iter().any(|name| name.as_ref() == reference) {
         return Ok(reference.to_string());
     }
     if !reference.contains('.') {
-        let matches: Vec<&String> = schema
-            .iter()
-            .filter(|name| {
-                name.rsplit_once('.')
-                    .is_some_and(|(_, suffix)| suffix == reference)
-            })
-            .collect();
-        match matches.len() {
-            1 => return Ok(matches[0].clone()),
-            0 => {}
-            _ => {
+        let suffix_matches = |name: &&S| {
+            name.as_ref()
+                .rsplit_once('.')
+                .is_some_and(|(_, suffix)| suffix == reference)
+        };
+        let mut matches = schema.iter().filter(suffix_matches);
+        match (matches.next(), matches.next()) {
+            (Some(only), None) => return Ok(only.as_ref().to_string()),
+            (None, _) => {}
+            (Some(_), Some(_)) => {
+                let names: Vec<&str> = schema
+                    .iter()
+                    .filter(suffix_matches)
+                    .map(AsRef::as_ref)
+                    .collect();
                 return Err(QueryError::Plan {
                     message: format!(
                         "column '{reference}' is ambiguous: matches {}",
-                        matches
-                            .iter()
-                            .map(|s| s.as_str())
-                            .collect::<Vec<_>>()
-                            .join(", ")
+                        names.join(", ")
                     ),
-                })
+                });
             }
         }
     }
+    let available: Vec<&str> = schema.iter().map(AsRef::as_ref).collect();
     Err(QueryError::Plan {
         message: format!(
             "unknown column '{reference}' (available: {})",
-            schema.join(", ")
+            available.join(", ")
         ),
     })
 }
 
 /// Rewrites every column reference in an expression to its canonical
 /// resolved name.
-pub fn resolve_expr(schema: &[String], expr: &Expr) -> QueryResult<Expr> {
-    Ok(match expr {
-        Expr::Column(name) => Expr::Column(resolve_column(schema, name)?),
-        Expr::Int(v) => Expr::Int(*v),
-        Expr::Float(v) => Expr::Float(*v),
-        Expr::Str(v) => Expr::Str(v.clone()),
-        Expr::Bool(v) => Expr::Bool(*v),
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(resolve_expr(schema, lhs)?),
-            rhs: Box::new(resolve_expr(schema, rhs)?),
-        },
-        Expr::Not(inner) => Expr::Not(Box::new(resolve_expr(schema, inner)?)),
-        Expr::Neg(inner) => Expr::Neg(Box::new(resolve_expr(schema, inner)?)),
-        Expr::Agg { func, arg } => Expr::Agg {
-            func: *func,
-            arg: match arg {
-                Some(a) => Some(Box::new(resolve_expr(schema, a)?)),
-                None => None,
-            },
-        },
-    })
+pub fn resolve_expr<S: AsRef<str>>(schema: &[S], expr: &Expr) -> QueryResult<Expr> {
+    let mut resolved = expr.clone();
+    resolve_in_place(schema, &mut resolved)?;
+    Ok(resolved)
+}
+
+/// [`resolve_expr`] on an expression the planner owns: a name that is
+/// already canonical stays where it is, and no node is rebuilt.
+fn resolve_in_place<S: AsRef<str>>(schema: &[S], expr: &mut Expr) -> QueryResult<()> {
+    match expr {
+        Expr::Column(name) => {
+            if !schema.iter().any(|c| c.as_ref() == name) {
+                *name = resolve_column(schema, name)?;
+            }
+        }
+        Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_) => {}
+        Expr::Binary { lhs, rhs, .. } => {
+            resolve_in_place(schema, lhs)?;
+            resolve_in_place(schema, rhs)?;
+        }
+        Expr::Not(inner) | Expr::Neg(inner) => resolve_in_place(schema, inner)?,
+        Expr::Agg { arg, .. } => {
+            if let Some(a) = arg {
+                resolve_in_place(schema, a)?;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Builds a qualified scan for a table reference.
-fn scan_for(catalog: &Catalog, table_ref: &TableRef) -> QueryResult<LogicalPlan> {
-    let table = catalog
-        .get(&table_ref.table)
-        .ok_or_else(|| QueryError::Plan {
+fn scan_for(catalog: &Catalog, table_ref: TableRef) -> QueryResult<LogicalPlan> {
+    let Some(table) = catalog.get(&table_ref.table) else {
+        return Err(QueryError::Plan {
             message: format!(
                 "unknown table '{}' (available: {})",
                 table_ref.table,
                 catalog.table_names().join(", ")
             ),
-        })?;
+        });
+    };
     let qualifier = table_ref.qualifier();
     let columns = table
         .schema
         .fields
         .iter()
-        .map(|f| format!("{qualifier}.{}", f.name))
+        .map(|f| qualified(qualifier, &f.name))
         .collect();
     Ok(LogicalPlan::Scan {
-        table: table_ref.table.clone(),
+        table: table_ref.table,
         columns,
         projection: None,
     })
 }
 
-/// Plans a parsed query against a catalog.
+/// Plans a parsed query against a catalog, from a copy of it
+/// ([`plan_sql`](crate::plan_sql) plans the query it parsed without
+/// one).
 pub fn plan_query(catalog: &Catalog, query: &Query) -> QueryResult<LogicalPlan> {
+    plan_owned(catalog, query.clone())
+}
+
+/// Plans a parsed query the caller gives up, building the plan out of
+/// its parts: each expression is resolved where it stands and moves
+/// into the plan, and each qualified column name is built once, by the
+/// scan that reads it. Resolution looks names up in the borrowed
+/// schemas of the plan built so far ([`LogicalPlan::schema_names`]).
+pub(crate) fn plan_owned(catalog: &Catalog, query: Query) -> QueryResult<LogicalPlan> {
+    let Query {
+        star,
+        items,
+        from,
+        joins,
+        filter,
+        group_by,
+        order_by,
+        limit,
+    } = query;
     // FROM and JOINs: qualifiers must be distinct.
-    let mut qualifiers = vec![query.from.qualifier().to_string()];
-    for join in &query.joins {
-        let q = join.table.qualifier().to_string();
-        if qualifiers.contains(&q) {
+    for (i, join) in joins.iter().enumerate() {
+        let q = join.table.qualifier();
+        let earlier = std::iter::once(&from).chain(joins[..i].iter().map(|j| &j.table));
+        if earlier.map(TableRef::qualifier).any(|seen| seen == q) {
             return Err(QueryError::Plan {
                 message: format!("duplicate table qualifier '{q}'"),
             });
         }
-        qualifiers.push(q);
     }
-    let mut plan = scan_for(catalog, &query.from)?;
-    for join in &query.joins {
-        let right = scan_for(catalog, &join.table)?;
-        let left_schema = plan.schema();
-        let right_schema = right.schema();
-        let (left_key, right_key) = equi_keys(&join.on, &left_schema, &right_schema)?;
+    let mut plan = scan_for(catalog, from)?;
+    for join in joins {
+        let right = scan_for(catalog, join.table)?;
+        let (left_key, right_key) =
+            equi_keys(&join.on, &plan.schema_names(), &right.schema_names())?;
         plan = LogicalPlan::Join {
             left: Box::new(plan),
             right: Box::new(right),
@@ -133,9 +160,8 @@ pub fn plan_query(catalog: &Catalog, query: &Query) -> QueryResult<LogicalPlan> 
     }
 
     // WHERE.
-    if let Some(filter) = &query.filter {
-        let schema = plan.schema();
-        let predicate = resolve_expr(&schema, filter)?;
+    if let Some(mut predicate) = filter {
+        resolve_in_place(&plan.schema_names(), &mut predicate)?;
         if predicate.has_agg() {
             return Err(QueryError::Plan {
                 message: "aggregate calls are not allowed in WHERE".to_string(),
@@ -147,41 +173,43 @@ pub fn plan_query(catalog: &Catalog, query: &Query) -> QueryResult<LogicalPlan> 
         };
     }
 
-    let schema = plan.schema();
-    let has_agg = !query.group_by.is_empty() || query.items.iter().any(|item| item.expr.has_agg());
+    let schema = plan.schema_names();
+    let has_agg = !group_by.is_empty() || items.iter().any(|item| item.expr.has_agg());
 
     let plan = if has_agg {
-        if query.star {
+        if star {
             return Err(QueryError::Plan {
                 message: "SELECT * cannot be combined with GROUP BY".to_string(),
             });
         }
-        let group_by: Vec<Expr> = query
-            .group_by
-            .iter()
-            .map(|e| resolve_expr(&schema, e))
-            .collect::<QueryResult<_>>()?;
+        let mut group_by = group_by;
+        for expr in &mut group_by {
+            resolve_in_place(&schema, expr)?;
+        }
         let group_texts: Vec<String> = group_by.iter().map(Expr::text).collect();
         let mut aggs: Vec<Expr> = Vec::new();
-        let mut project = Vec::new();
-        for item in &query.items {
-            let resolved = resolve_expr(&schema, &item.expr)?;
-            let text = resolved.text();
-            let output = if group_texts.contains(&text) {
-                text.clone()
-            } else if let Expr::Agg { .. } = &resolved {
-                if !aggs.iter().any(|a| a.text() == text) {
-                    aggs.push(resolved.clone());
+        let mut agg_texts: Vec<String> = Vec::new();
+        let mut project = Vec::with_capacity(items.len());
+        for SelectItem { mut expr, alias } in items {
+            resolve_in_place(&schema, &mut expr)?;
+            let text = expr.text();
+            if !group_texts.contains(&text) {
+                if !matches!(expr, Expr::Agg { .. }) {
+                    return Err(QueryError::Plan {
+                        message: format!(
+                            "'{text}' must be a GROUP BY expression or an aggregate call"
+                        ),
+                    });
                 }
-                text.clone()
-            } else {
-                return Err(QueryError::Plan {
-                    message: format!("'{text}' must be a GROUP BY expression or an aggregate call"),
-                });
-            };
-            let name = item.alias.clone().unwrap_or_else(|| output.clone());
-            project.push((Expr::Column(output), name));
+                if !agg_texts.contains(&text) {
+                    aggs.push(expr);
+                    agg_texts.push(text.clone());
+                }
+            }
+            let name = alias.unwrap_or_else(|| text.clone());
+            project.push((Expr::Column(text), name));
         }
+        drop(schema);
         LogicalPlan::Project {
             input: Box::new(LogicalPlan::Aggregate {
                 input: Box::new(plan),
@@ -190,22 +218,24 @@ pub fn plan_query(catalog: &Catalog, query: &Query) -> QueryResult<LogicalPlan> 
             }),
             exprs: project,
         }
-    } else if query.star {
+    } else if star {
         let exprs = schema
             .iter()
-            .map(|name| (Expr::Column(name.clone()), name.clone()))
+            .map(|name| (Expr::Column(name.to_string()), name.to_string()))
             .collect();
+        drop(schema);
         LogicalPlan::Project {
             input: Box::new(plan),
             exprs,
         }
     } else {
-        let mut exprs = Vec::new();
-        for item in &query.items {
-            let resolved = resolve_expr(&schema, &item.expr)?;
-            let name = item.alias.clone().unwrap_or_else(|| resolved.text());
-            exprs.push((resolved, name));
+        let mut exprs = Vec::with_capacity(items.len());
+        for SelectItem { mut expr, alias } in items {
+            resolve_in_place(&schema, &mut expr)?;
+            let name = alias.unwrap_or_else(|| expr.text());
+            exprs.push((expr, name));
         }
+        drop(schema);
         LogicalPlan::Project {
             input: Box::new(plan),
             exprs,
@@ -214,19 +244,19 @@ pub fn plan_query(catalog: &Catalog, query: &Query) -> QueryResult<LogicalPlan> 
 
     // ORDER BY resolves against the select-list output schema.
     let mut plan = plan;
-    if !query.order_by.is_empty() {
-        let out_schema = plan.schema();
-        let mut keys = Vec::new();
-        for (expr, desc) in &query.order_by {
-            let resolved = resolve_expr(&out_schema, expr)?;
-            keys.push((resolved, *desc));
+    if !order_by.is_empty() {
+        let mut keys = order_by;
+        let out_schema = plan.schema_names();
+        for (expr, _) in &mut keys {
+            resolve_in_place(&out_schema, expr)?;
         }
+        drop(out_schema);
         plan = LogicalPlan::Sort {
             input: Box::new(plan),
             keys,
         };
     }
-    if let Some(n) = query.limit {
+    if let Some(n) = limit {
         plan = LogicalPlan::Limit {
             input: Box::new(plan),
             n,
@@ -237,10 +267,10 @@ pub fn plan_query(catalog: &Catalog, query: &Query) -> QueryResult<LogicalPlan> 
 
 /// Extracts the equi-join keys from an `ON` condition of the form
 /// `left.col = right.col` (either operand order).
-fn equi_keys(
+fn equi_keys<S: AsRef<str>>(
     on: &Expr,
-    left_schema: &[String],
-    right_schema: &[String],
+    left_schema: &[S],
+    right_schema: &[S],
 ) -> QueryResult<(String, String)> {
     let (lhs, rhs) = match on {
         Expr::Binary {

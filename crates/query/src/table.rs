@@ -310,6 +310,8 @@ fn column_image(name: &str, table: &Table) -> ColumnImage {
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, (Table, ColumnImage)>,
+    /// Rows per table, kept beside the tables so an optimizer shares it.
+    stats: Arc<BTreeMap<String, usize>>,
 }
 
 impl Catalog {
@@ -322,6 +324,7 @@ impl Catalog {
     /// column image.
     pub fn register(&mut self, name: &str, table: Table) {
         let image = column_image(name, &table);
+        Arc::make_mut(&mut self.stats).insert(name.to_string(), table.rows.len());
         self.tables.insert(name.to_string(), (table, image));
     }
 
@@ -343,10 +346,12 @@ impl Catalog {
     /// Row-count statistics per table — the cardinality estimates the
     /// optimizer's join-reorder rule consumes.
     pub fn stats(&self) -> BTreeMap<String, usize> {
-        self.tables
-            .iter()
-            .map(|(name, (t, _))| (name.clone(), t.rows.len()))
-            .collect()
+        BTreeMap::clone(&self.stats)
+    }
+
+    /// [`stats`](Self::stats), shared rather than copied.
+    pub(crate) fn shared_stats(&self) -> Arc<BTreeMap<String, usize>> {
+        Arc::clone(&self.stats)
     }
 }
 

@@ -17,12 +17,21 @@
 //!    schemas, tables and plans, `exec::execute` and the row-at-a-time
 //!    reference in `naive/` return the same columns and the same rows
 //!    in the same order, bit for bit, or both fail.
+//! 5. **The owned-rewrite optimizer is the clone-per-rule one** — on the
+//!    same random plans, each rule and the pipeline return the plan the
+//!    optimizer kept in `reference/optimizer.rs` returns, with the same
+//!    plan text.
+//! 6. **The borrowing lexer is the owned one** — on arbitrary text and
+//!    on grammar soup, `token::tokenize` and the lexer kept in
+//!    `reference/token.rs` return the same token kinds, payloads and
+//!    offsets, or the same error.
 //!
 //! The vendored proptest shim has no combinator strategies, so the
 //! SQL generator draws raw integers and maps them onto grammar
 //! fragments by hand — same coverage, simpler machinery.
 
 mod naive;
+mod reference;
 
 use proptest::prelude::*;
 
@@ -35,6 +44,7 @@ use everest_query::lower::{lower, LoweredQuery};
 use everest_query::optimizer::{fold_constants, prune_projections, pushdown_predicates, Optimizer};
 use everest_query::planner::plan_query;
 use everest_query::table::{Catalog, DataType, Field, Schema, Table, Value};
+use everest_query::token::{tokenize, TokenKind};
 use everest_query::{parser, plan::LogicalPlan, AggFunc, Batch, BinOp, Expr, QueryError};
 
 // ---------------------------------------------------------------------------
@@ -686,10 +696,10 @@ fn identical_batches(a: &Batch, b: &Batch) -> bool {
             .all(|(x, y)| x.len() == y.len() && x.iter().zip(y).all(|(p, q)| identical(p, q)))
 }
 
-/// Runs one generated case through both executors: the SQL the draws
-/// render (when it plans) and one corpus query, each as planned and as
-/// optimized, and three plans built directly.
-fn check_against_the_row_reference(draws: &[u64], alter: bool) -> Result<(), String> {
+/// One generated case: random tables `t` and `d`, then the SQL the
+/// draws render (when it plans) and one corpus query, each as planned
+/// and as optimized, and three plans built directly.
+fn generated_case(draws: &[u64], alter: bool) -> (Catalog, Vec<LogicalPlan>) {
     // An altered column can hold an `Int` beside a `Float`; with ints
     // past 2^53 there too, `Value::cmp` is no longer transitive and a
     // sort's answer depends on its algorithm. Typed columns cannot.
@@ -714,6 +724,12 @@ fn check_against_the_row_reference(draws: &[u64], alter: bool) -> Result<(), Str
     for _ in 0..3 {
         plans.push(random_plan(&catalog, &mut it));
     }
+    (catalog, plans)
+}
+
+/// Runs one generated case through both executors.
+fn check_against_the_row_reference(draws: &[u64], alter: bool) -> Result<(), String> {
+    let (catalog, plans) = generated_case(draws, alter);
     for plan in &plans {
         let verdict = match (naive::execute(plan, &catalog), execute(plan, &catalog)) {
             (Ok(want), Ok(got)) if identical_batches(&want, &got) => continue,
@@ -749,5 +765,195 @@ proptest! {
     ) {
         let outcome = check_against_the_row_reference(&draws, true);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Optimizer and lexer == the kept references
+// ---------------------------------------------------------------------------
+
+/// Each rule and the pipeline, as the optimizer and as the reference
+/// rewrite `plan`: the same plan (by `==`, and by its debug text, which
+/// also tells a NaN literal from itself) and the same plan text.
+fn rewrites_as_the_reference(catalog: &Catalog, plan: &LogicalPlan) -> Result<(), String> {
+    use reference::optimizer as naive_rules;
+    let optimizer = Optimizer::for_catalog(catalog);
+    let reference = naive_rules::Optimizer::for_catalog(catalog);
+    let rewrites = [
+        (
+            "fold_constants",
+            fold_constants(plan),
+            naive_rules::fold_constants(plan),
+        ),
+        (
+            "pushdown_predicates",
+            pushdown_predicates(plan),
+            naive_rules::pushdown_predicates(plan),
+        ),
+        (
+            "prune_projections",
+            prune_projections(plan),
+            naive_rules::prune_projections(plan),
+        ),
+        (
+            "reorder_joins",
+            optimizer.reorder_joins(plan),
+            reference.reorder_joins(plan),
+        ),
+        (
+            "optimize",
+            optimizer.optimize(plan),
+            reference.optimize(plan),
+        ),
+    ];
+    for (rule, got, want) in rewrites {
+        let (got_debug, want_debug) = (format!("{got:?}"), format!("{want:?}"));
+        let equal = got == want || want_debug.contains("NaN");
+        if !equal || got_debug != want_debug || got.to_text() != want.to_text() {
+            return Err(format!(
+                "{rule} of\n{}rewrote to\n{}the reference to\n{}",
+                plan.to_text(),
+                got.to_text(),
+                want.to_text()
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn the_corpus_rewrites_as_through_the_reference() {
+    let catalog = props_catalog();
+    let optimizer = Optimizer::for_catalog(&catalog);
+    for sql in EQUIVALENCE_QUERIES {
+        let plan = plan_query(&catalog, &parser::parse(sql).expect("parses")).expect("plans");
+        for plan in [optimizer.optimize(&plan), plan] {
+            let outcome = rewrites_as_the_reference(&catalog, &plan);
+            assert!(outcome.is_ok(), "{sql}: {}", outcome.unwrap_err());
+        }
+    }
+}
+
+/// Text over an alphabet that lexes (keywords in any case, digits,
+/// quotes, operators) and one that does not (non-ASCII letters and
+/// spaces, control bytes, `!` alone).
+fn render_alphabet(draws: &[u64]) -> String {
+    const ALPHABET: [&str; 40] = [
+        "SELECT",
+        "select",
+        "FrOm",
+        "where",
+        "AS",
+        "and",
+        "t",
+        "k",
+        "_x1",
+        "v",
+        "0",
+        "7",
+        "42",
+        "1.5",
+        "3.",
+        "99999999999999999999",
+        "'",
+        "'a b'",
+        " ",
+        "\t",
+        "\n",
+        ",",
+        ".",
+        "*",
+        "(",
+        ")",
+        "+",
+        "-",
+        "/",
+        "=",
+        "!=",
+        "!",
+        "<",
+        "<=",
+        "<>",
+        ">",
+        ">=",
+        "é",
+        "\u{a0}",
+        "\u{1}",
+    ];
+    draws.iter().map(|&d| pick(&ALPHABET, d)).collect()
+}
+
+/// The lexer and the reference agree on `sql`: same kinds, payloads and
+/// offsets, or the same error.
+fn lexes_as_the_reference(sql: &str) -> Result<(), String> {
+    use reference::token::TokenKind as Owned;
+    let owned = |kind: TokenKind<'_>| match kind {
+        TokenKind::Keyword(k) => Owned::Keyword(k),
+        TokenKind::Ident(s) => Owned::Ident(s.to_string()),
+        TokenKind::Int(v) => Owned::Int(v),
+        TokenKind::Float(v) => Owned::Float(v),
+        TokenKind::Str(s) => Owned::Str(s.to_string()),
+        TokenKind::Comma => Owned::Comma,
+        TokenKind::Dot => Owned::Dot,
+        TokenKind::Star => Owned::Star,
+        TokenKind::LParen => Owned::LParen,
+        TokenKind::RParen => Owned::RParen,
+        TokenKind::Plus => Owned::Plus,
+        TokenKind::Minus => Owned::Minus,
+        TokenKind::Slash => Owned::Slash,
+        TokenKind::Eq => Owned::Eq,
+        TokenKind::Ne => Owned::Ne,
+        TokenKind::Lt => Owned::Lt,
+        TokenKind::Le => Owned::Le,
+        TokenKind::Gt => Owned::Gt,
+        TokenKind::Ge => Owned::Ge,
+    };
+    let got = tokenize(sql).map(|tokens| {
+        tokens
+            .into_iter()
+            .map(|t| (owned(t.kind), t.offset))
+            .collect::<Vec<_>>()
+    });
+    let want = reference::token::tokenize(sql).map(|tokens| {
+        tokens
+            .into_iter()
+            .map(|t| (t.kind, t.offset))
+            .collect::<Vec<_>>()
+    });
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!(
+            "{sql:?}: lexed to {got:?}, the reference to {want:?}"
+        ))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Rule by rule and as a pipeline, on the plans the executor
+    /// property runs (planned, optimized and built directly).
+    #[test]
+    fn optimizer_rewrites_as_the_clone_per_rule_reference(
+        draws in proptest::collection::vec(any::<u64>(), 120..400),
+    ) {
+        let (catalog, plans) = generated_case(&draws, false);
+        for plan in &plans {
+            let outcome = rewrites_as_the_reference(&catalog, plan);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    /// On arbitrary printable bytes, grammar soup and text mixing what
+    /// lexes with what does not.
+    #[test]
+    fn lexer_tokenizes_as_the_owned_reference(
+        draws in proptest::collection::vec(any::<u64>(), 0..48),
+    ) {
+        for sql in [render_bytes(&draws), render_sql(&draws), render_alphabet(&draws)] {
+            let outcome = lexes_as_the_reference(&sql);
+            prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
     }
 }
