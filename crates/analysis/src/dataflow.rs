@@ -15,7 +15,7 @@ use everest_ir::ids::{OpId, ValueId};
 use everest_ir::module::Module;
 use everest_ir::registry::Context;
 
-use crate::diagnostics::{Diagnostic, LintLevels, Severity};
+use crate::diagnostics::{Diagnostic, Severity};
 use crate::fixpoint::{solve, FlowGraph, Lattice};
 use crate::lint::{Collector, Lint, LintInfo};
 use crate::report::AnalysisReport;
@@ -549,20 +549,6 @@ impl Components {
 // ConDRust graph lints
 // ---------------------------------------------------------------------------
 
-/// Lint ids emitted by [`analyze_condrust_graph`].
-pub const CONDRUST_LINTS: &[LintInfo] = &[
-    LintInfo {
-        id: "condrust-shared-state",
-        description: "two stateful operators share one state object",
-        default_severity: Severity::Warn,
-    },
-    LintInfo {
-        id: "condrust-dead-node",
-        description: "operator output is never consumed",
-        default_severity: Severity::Warn,
-    },
-];
-
 /// Checks an extracted ConDRust dataflow graph before lowering.
 ///
 /// * `condrust-shared-state`: two `StatefulMap` nodes built from the
@@ -571,19 +557,18 @@ pub const CONDRUST_LINTS: &[LintInfo] = &[
 ///   usually a porting mistake.
 /// * `condrust-dead-node`: a non-sink node whose output no one
 ///   consumes is dead work in every iteration.
-pub fn analyze_condrust_graph(graph: &DataflowGraph, levels: &LintLevels) -> AnalysisReport {
+///
+/// Both are warnings.
+pub fn analyze_condrust_graph(graph: &DataflowGraph) -> AnalysisReport {
     let mut report = AnalysisReport::new();
-    let mut emit = |id: &str, default: Severity, message: String| {
-        let severity = levels.effective(id, default);
-        if severity != Severity::Allow {
-            report.diagnostics.push(Diagnostic {
-                lint: id.to_string(),
-                severity,
-                op: None,
-                path: None,
-                message,
-            });
-        }
+    let mut emit = |id: &str, message: String| {
+        report.diagnostics.push(Diagnostic {
+            lint: id.to_string(),
+            severity: Severity::Warn,
+            op: None,
+            path: None,
+            message,
+        });
     };
 
     // Shared state: group stateful nodes by constructor.
@@ -597,7 +582,6 @@ pub fn analyze_condrust_graph(graph: &DataflowGraph, levels: &LintLevels) -> Ana
         if labels.len() > 1 {
             emit(
                 "condrust-shared-state",
-                Severity::Warn,
                 format!(
                     "state '{ctor}' is mutated by {} operators ({}); they \
                      serialize the pipeline and race under replication",
@@ -617,7 +601,6 @@ pub fn analyze_condrust_graph(graph: &DataflowGraph, levels: &LintLevels) -> Ana
         if consumers[node.id].is_empty() {
             emit(
                 "condrust-dead-node",
-                Severity::Warn,
                 format!(
                     "operator '{}' computes a value no downstream node consumes",
                     node.label
@@ -818,7 +801,7 @@ mod tests {
         )
         .unwrap();
         let g = DataflowGraph::from_function(&f).unwrap();
-        let report = analyze_condrust_graph(&g, &LintLevels::new());
+        let report = analyze_condrust_graph(&g);
         assert!(report.is_clean(), "{}", report.to_text());
     }
 
@@ -839,31 +822,12 @@ mod tests {
         )
         .unwrap();
         let g = DataflowGraph::from_function(&f).unwrap();
-        let report = analyze_condrust_graph(&g, &LintLevels::new());
+        let report = analyze_condrust_graph(&g);
         assert_eq!(report.by_lint("condrust-shared-state").len(), 1);
         // `a` and `dead` both have no consumers.
         assert_eq!(report.by_lint("condrust-dead-node").len(), 2);
         assert!(report.by_lint("condrust-shared-state")[0]
             .message
             .contains("mk_acc"));
-    }
-
-    #[test]
-    fn condrust_levels_suppress_findings() {
-        let f = parse_function(
-            "fn f(xs: Vec<f64>) -> Vec<f64> {
-                let mut out = Vec::new();
-                for x in xs {
-                    let a = g(x);
-                    let b = h(x);
-                    out.push(b);
-                }
-                out
-            }",
-        )
-        .unwrap();
-        let g = DataflowGraph::from_function(&f).unwrap();
-        let levels = LintLevels::new().allow("condrust-dead-node");
-        assert!(analyze_condrust_graph(&g, &levels).is_clean());
     }
 }

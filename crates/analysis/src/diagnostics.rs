@@ -1,6 +1,5 @@
-//! Diagnostics: structured findings with configurable severity.
+//! Diagnostics: structured findings with a severity.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use everest_ir::location::OpPath;
@@ -9,8 +8,8 @@ use everest_ir::location::OpPath;
 ///
 /// Mirrors `rustc`'s lint levels: `Allow` suppresses the finding
 /// entirely, `Warn` records it without failing the analysis, `Deny`
-/// records it and makes [`AnalysisReport::has_denials`] true (which the
-/// analysis pass can turn into a hard pipeline error).
+/// records it and makes [`AnalysisReport::has_denials`] true (which
+/// `basecamp analyze` turns into exit status 1).
 ///
 /// [`AnalysisReport::has_denials`]: crate::report::AnalysisReport::has_denials
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,7 +50,7 @@ impl std::str::FromStr for Severity {
 pub struct Diagnostic {
     /// Lint id (e.g. `"memref-use-after-free"`).
     pub lint: String,
-    /// Severity after applying configured levels.
+    /// Severity the lint declares for this id.
     pub severity: Severity,
     /// Fully qualified name of the op the finding is anchored to, when
     /// it concerns a specific op.
@@ -76,54 +75,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Per-lint severity overrides, like `-A`/`-W`/`-D` flags on `rustc`.
-///
-/// Lints declare a default severity; a `LintLevels` maps lint ids to
-/// replacement severities. Unmentioned lints keep their default.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LintLevels {
-    overrides: BTreeMap<String, Severity>,
-}
-
-impl LintLevels {
-    /// No overrides: every lint runs at its default severity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the level for one lint id.
-    pub fn set(&mut self, lint: &str, severity: Severity) -> &mut Self {
-        self.overrides.insert(lint.to_string(), severity);
-        self
-    }
-
-    /// Builder-style [`LintLevels::set`] to [`Severity::Allow`].
-    #[must_use]
-    pub fn allow(mut self, lint: &str) -> Self {
-        self.set(lint, Severity::Allow);
-        self
-    }
-
-    /// Builder-style [`LintLevels::set`] to [`Severity::Warn`].
-    #[must_use]
-    pub fn warn(mut self, lint: &str) -> Self {
-        self.set(lint, Severity::Warn);
-        self
-    }
-
-    /// Builder-style [`LintLevels::set`] to [`Severity::Deny`].
-    #[must_use]
-    pub fn deny(mut self, lint: &str) -> Self {
-        self.set(lint, Severity::Deny);
-        self
-    }
-
-    /// The effective severity of `lint` given its default.
-    pub fn effective(&self, lint: &str, default: Severity) -> Severity {
-        self.overrides.get(lint).copied().unwrap_or(default)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,14 +91,6 @@ mod tests {
             assert_eq!(s.to_string().parse::<Severity>().unwrap(), s);
         }
         assert!("fatal".parse::<Severity>().is_err());
-    }
-
-    #[test]
-    fn levels_override_defaults() {
-        let levels = LintLevels::new().allow("noisy").deny("serious");
-        assert_eq!(levels.effective("noisy", Severity::Warn), Severity::Allow);
-        assert_eq!(levels.effective("serious", Severity::Warn), Severity::Deny);
-        assert_eq!(levels.effective("other", Severity::Warn), Severity::Warn);
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! which `everest-serve` consults at admission). The framework and the
 //! abstract domains are documented in `docs/ANALYSIS.md`.
 //!
-//! Each lint id has a default [`Severity`] that [`LintLevels`] can
-//! override per id (`allow`/`warn`/`deny`, like `rustc` lint flags).
+//! Each lint id declares the [`Severity`] its findings are reported at
+//! (`warn` or `deny`, like `rustc` lint levels).
 //!
 //! ## Examples
 //!
@@ -60,9 +60,8 @@
 //! println!("{}", report.to_text());
 //! ```
 //!
-//! To run the analysis inside a pass pipeline, wrap it in an
-//! [`AnalysisPass`]; to analyze a ConDRust program before lowering,
-//! call [`Analyzer::run_graph`].
+//! To analyze a ConDRust program before lowering, call
+//! [`Analyzer::run_graph`].
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
@@ -75,12 +74,11 @@ pub mod interval;
 pub mod latency;
 pub mod lifetime;
 pub mod lint;
-pub mod pass;
 pub mod report;
 pub mod typecheck;
 
 pub use dataflow::{analyze_condrust_graph, DfgStructure};
-pub use diagnostics::{Diagnostic, LintLevels, Severity};
+pub use diagnostics::{Diagnostic, Severity};
 pub use escape::MemorySpaceEscape;
 pub use fixpoint::{solve, Fixpoint, FlowGraph, Lattice};
 pub use hls::HlsPreSynthesis;
@@ -88,6 +86,5 @@ pub use interval::{Interval, IntervalAnalysis};
 pub use latency::{LatencyBound, WorstCaseLatency};
 pub use lifetime::MemrefLifetime;
 pub use lint::{Analyzer, Collector, Lint, LintInfo};
-pub use pass::AnalysisPass;
 pub use report::AnalysisReport;
 pub use typecheck::{MemorySpaceCheck, TypeCheck};

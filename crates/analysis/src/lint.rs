@@ -13,18 +13,18 @@ use everest_ir::location::OpPath;
 use everest_ir::module::Module;
 use everest_ir::registry::Context;
 
-use crate::diagnostics::{Diagnostic, LintLevels, Severity};
+use crate::diagnostics::{Diagnostic, Severity};
 use crate::interval::{self, IntervalFacts};
 use crate::report::AnalysisReport;
 
 /// Static description of one lint id a [`Lint`] can emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LintInfo {
-    /// Stable kebab-case id used in reports and level configuration.
+    /// Stable kebab-case id used in reports.
     pub id: &'static str,
     /// One-line description for catalogues and docs.
     pub description: &'static str,
-    /// Severity applied when no override is configured.
+    /// Severity every finding of this id is reported at.
     pub default_severity: Severity,
 }
 
@@ -34,7 +34,7 @@ pub struct LintInfo {
 /// the memref lifetime analysis emits use-after-free, double-free,
 /// leak and out-of-bounds findings from a single walk); it declares
 /// them all via [`Lint::lints`] so the analyzer can catalogue them and
-/// resolve severities.
+/// resolve their severities.
 pub trait Lint {
     /// Name of the analysis (pass-style, for debugging/catalogues).
     fn name(&self) -> &'static str;
@@ -48,13 +48,12 @@ pub trait Lint {
 
 /// Findings sink handed to lints.
 ///
-/// Resolves each emission's severity (default + configured override),
+/// Resolves each emission's severity (the declaring lint's default),
 /// drops [`Severity::Allow`] findings, and attaches the op's
 /// structural path — the same [`OpPath`] verification errors carry.
 pub struct Collector<'a> {
     /// The run's lints, whose [`LintInfo`]s give each id its default.
     lints: &'a [Box<dyn Lint + Send + Sync>],
-    levels: &'a LintLevels,
     module: &'a Module,
     /// The module's interval fixpoint, solved by the first lint of the
     /// run that asks and read by the rest.
@@ -65,7 +64,6 @@ pub struct Collector<'a> {
 impl std::fmt::Debug for Collector<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Collector")
-            .field("levels", &self.levels)
             .field("diagnostics", &self.diagnostics)
             .finish_non_exhaustive()
     }
@@ -74,13 +72,11 @@ impl std::fmt::Debug for Collector<'_> {
 impl<'a> Collector<'a> {
     fn new(
         lints: &'a [Box<dyn Lint + Send + Sync>],
-        levels: &'a LintLevels,
         module: &'a Module,
         intervals: &'a OnceCell<IntervalFacts>,
     ) -> Self {
         Collector {
             lints,
-            levels,
             module,
             intervals,
             diagnostics: Vec::new(),
@@ -97,18 +93,16 @@ impl<'a> Collector<'a> {
             .get_or_init(|| interval::compute(self.module))
     }
 
-    /// The configured severity of `lint`, over the default the last
-    /// registered lint declaring the id gives it (warn when none does).
-    /// The defaults are the lints' own static [`LintInfo`] tables,
-    /// searched in place: a run builds no table of them.
+    /// The severity of `lint`: the default the last registered lint
+    /// declaring the id gives it (warn when none does). The defaults
+    /// are the lints' own static [`LintInfo`] tables, searched in place:
+    /// a run builds no table of them.
     fn severity_of(&self, lint: &str) -> Severity {
-        let default = self
-            .lints
+        self.lints
             .iter()
             .rev()
             .find_map(|l| l.lints().iter().rev().find(|info| info.id == lint))
-            .map_or(Severity::Warn, |info| info.default_severity);
-        self.levels.effective(lint, default)
+            .map_or(Severity::Warn, |info| info.default_severity)
     }
 
     /// Emits a finding anchored to a specific op.
@@ -127,21 +121,6 @@ impl<'a> Collector<'a> {
         });
     }
 
-    /// Emits a module-level finding not tied to one op.
-    pub fn emit_module(&mut self, lint: &str, message: impl Into<String>) {
-        let severity = self.severity_of(lint);
-        if severity == Severity::Allow {
-            return;
-        }
-        self.diagnostics.push(Diagnostic {
-            lint: lint.to_string(),
-            severity,
-            op: None,
-            path: None,
-            message: message.into(),
-        });
-    }
-
     /// Number of findings collected so far (used by lints to cap noise).
     pub fn len(&self) -> usize {
         self.diagnostics.len()
@@ -156,7 +135,6 @@ impl<'a> Collector<'a> {
 /// Runs a set of lints over modules and aggregates their findings.
 pub struct Analyzer {
     lints: Vec<Box<dyn Lint + Send + Sync>>,
-    levels: LintLevels,
 }
 
 impl std::fmt::Debug for Analyzer {
@@ -166,7 +144,6 @@ impl std::fmt::Debug for Analyzer {
                 "lints",
                 &self.lints.iter().map(|l| l.name()).collect::<Vec<_>>(),
             )
-            .field("levels", &self.levels)
             .finish()
     }
 }
@@ -180,10 +157,7 @@ impl Default for Analyzer {
 impl Analyzer {
     /// An analyzer with no lints registered.
     pub fn new() -> Self {
-        Analyzer {
-            lints: Vec::new(),
-            levels: LintLevels::new(),
-        }
+        Analyzer { lints: Vec::new() }
     }
 
     /// An analyzer with the full EVEREST lint set: type checking,
@@ -193,7 +167,6 @@ impl Analyzer {
     pub fn with_default_lints() -> Self {
         Analyzer {
             lints: Vec::with_capacity(8),
-            levels: LintLevels::new(),
         }
         .with_lint(Box::new(crate::typecheck::TypeCheck))
         .with_lint(Box::new(crate::typecheck::MemorySpaceCheck))
@@ -206,29 +179,12 @@ impl Analyzer {
     }
 
     /// Adds a lint. Lints are `Send + Sync` (they take `&self` and all
-    /// built-ins are stateless) so an [`AnalysisPass`](crate::pass::AnalysisPass)
-    /// can sit in a thread-shared pipeline.
+    /// built-ins are stateless), so one analyzer can be shared across
+    /// threads.
     #[must_use]
     pub fn with_lint(mut self, lint: Box<dyn Lint + Send + Sync>) -> Self {
         self.lints.push(lint);
         self
-    }
-
-    /// Replaces the configured severity overrides.
-    #[must_use]
-    pub fn with_levels(mut self, levels: LintLevels) -> Self {
-        self.levels = levels;
-        self
-    }
-
-    /// Sets the level of one lint id.
-    pub fn set_level(&mut self, lint: &str, severity: Severity) {
-        self.levels.set(lint, severity);
-    }
-
-    /// The configured severity overrides.
-    pub fn levels(&self) -> &LintLevels {
-        &self.levels
     }
 
     /// Every lint id the registered lints can emit, with metadata.
@@ -245,7 +201,7 @@ impl Analyzer {
         let mut report = AnalysisReport::new();
         let intervals = OnceCell::new();
         for lint in &self.lints {
-            let mut out = Collector::new(&self.lints, &self.levels, module, &intervals);
+            let mut out = Collector::new(&self.lints, module, &intervals);
             lint.run(ctx, module, &mut out);
             report.diagnostics.extend(out.diagnostics);
         }
@@ -253,10 +209,9 @@ impl Analyzer {
         report
     }
 
-    /// Runs the ConDRust graph lints over an extracted dataflow graph,
-    /// honouring the same severity overrides as module lints.
+    /// Runs the ConDRust graph lints over an extracted dataflow graph.
     pub fn run_graph(&self, graph: &everest_condrust::DataflowGraph) -> AnalysisReport {
-        let mut report = crate::dataflow::analyze_condrust_graph(graph, &self.levels);
+        let mut report = crate::dataflow::analyze_condrust_graph(graph);
         report.normalize();
         report
     }
@@ -267,7 +222,8 @@ mod tests {
     use super::*;
     use everest_ir::dialects::core;
 
-    struct CountOps;
+    /// Flags every op under the one `test-count` id its table declares.
+    struct CountOps(&'static [LintInfo]);
 
     const COUNT_LINTS: &[LintInfo] = &[LintInfo {
         id: "test-count",
@@ -281,7 +237,7 @@ mod tests {
         }
 
         fn lints(&self) -> &'static [LintInfo] {
-            COUNT_LINTS
+            self.0
         }
 
         fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
@@ -299,7 +255,7 @@ mod tests {
         let a = core::const_f64(&mut m, top, 1.0);
         let b = core::const_f64(&mut m, top, 2.0);
         core::binary(&mut m, top, "arith.addf", a, b);
-        let analyzer = Analyzer::new().with_lint(Box::new(CountOps));
+        let analyzer = Analyzer::new().with_lint(Box::new(CountOps(COUNT_LINTS)));
         let report = analyzer.run(&ctx, &m);
         assert_eq!(report.diagnostics.len(), 3);
         for d in &report.diagnostics {
@@ -313,23 +269,12 @@ mod tests {
         let mut m = Module::new();
         let top = m.top_block();
         core::const_f64(&mut m, top, 1.0);
-        let analyzer = Analyzer::new()
-            .with_lint(Box::new(CountOps))
-            .with_levels(LintLevels::new().allow("test-count"));
+        const ALLOWED: &[LintInfo] = &[LintInfo {
+            default_severity: Severity::Allow,
+            ..COUNT_LINTS[0]
+        }];
+        let analyzer = Analyzer::new().with_lint(Box::new(CountOps(ALLOWED)));
         assert!(analyzer.run(&ctx, &m).is_clean());
-    }
-
-    #[test]
-    fn deny_override_escalates() {
-        let ctx = Context::with_all_dialects();
-        let mut m = Module::new();
-        let top = m.top_block();
-        core::const_f64(&mut m, top, 1.0);
-        let analyzer = Analyzer::new()
-            .with_lint(Box::new(CountOps))
-            .with_levels(LintLevels::new().deny("test-count"));
-        let report = analyzer.run(&ctx, &m);
-        assert!(report.has_denials());
     }
 
     #[test]

@@ -1,11 +1,4 @@
-//! Datasets and the loading configuration of the detection service.
-//!
-//! Per paper §VII, the service "handles most common data formats, but a
-//! simple configuration file must be provided ... if some specific
-//! subset of data should be processed": [`LoadConfig`] selects columns
-//! and is serializable for exactly that purpose.
-
-use serde::{Deserialize, Serialize};
+//! Datasets of the detection service: dense rows of numeric features.
 
 /// A dense numeric dataset: rows of feature vectors.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -50,99 +43,11 @@ impl Dataset {
     pub fn column(&self, j: usize) -> Vec<f64> {
         self.rows.iter().map(|r| r[j]).collect()
     }
-
-    /// Applies a loading configuration (column subset).
-    pub fn select(&self, config: &LoadConfig) -> Dataset {
-        match &config.columns {
-            None => self.clone(),
-            Some(cols) => Dataset {
-                rows: self
-                    .rows
-                    .iter()
-                    .map(|r| cols.iter().map(|&c| r[c]).collect())
-                    .collect(),
-            },
-        }
-    }
-
-    /// Parses simple CSV text (no quoting; `skip_header` rows dropped).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending line on parse failure.
-    pub fn from_csv(text: &str, skip_header: bool) -> Result<Dataset, String> {
-        let mut rows = Vec::new();
-        for (i, line) in text.lines().enumerate() {
-            if i == 0 && skip_header {
-                continue;
-            }
-            if line.trim().is_empty() {
-                continue;
-            }
-            let row: Result<Vec<f64>, _> =
-                line.split(',').map(|f| f.trim().parse::<f64>()).collect();
-            match row {
-                Ok(r) => rows.push(r),
-                Err(e) => return Err(format!("line {}: {e}", i + 1)),
-            }
-        }
-        if let Some(first) = rows.first() {
-            let d = first.len();
-            if !rows.iter().all(|r| r.len() == d) {
-                return Err("rows have inconsistent column counts".into());
-            }
-        }
-        Ok(Dataset { rows })
-    }
-}
-
-/// Loading configuration: the "simple configuration file" of §VII.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
-pub struct LoadConfig {
-    /// Columns to keep (`None` = all).
-    pub columns: Option<Vec<usize>>,
-    /// Whether the source has a header row.
-    pub has_header: bool,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csv_roundtrip_and_selection() {
-        let csv = "a,b,c\n1,2,3\n4,5,6\n";
-        let d = Dataset::from_csv(csv, true).unwrap();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.dims(), 3);
-        assert_eq!(d.column(1), vec![2.0, 5.0]);
-
-        let config = LoadConfig {
-            columns: Some(vec![2, 0]),
-            has_header: true,
-        };
-        let s = d.select(&config);
-        assert_eq!(s.rows, vec![vec![3.0, 1.0], vec![6.0, 4.0]]);
-    }
-
-    #[test]
-    fn csv_errors_name_the_line() {
-        let err = Dataset::from_csv("1,2\n3,x\n", false).unwrap_err();
-        assert!(err.contains("line 2"));
-        let err = Dataset::from_csv("1,2\n3\n", false).unwrap_err();
-        assert!(err.contains("inconsistent"));
-    }
-
-    #[test]
-    fn load_config_serializes() {
-        let c = LoadConfig {
-            columns: Some(vec![0, 3]),
-            has_header: true,
-        };
-        let json = serde_json::to_string(&c).unwrap();
-        let back: LoadConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, c);
-    }
 
     #[test]
     #[should_panic(expected = "all rows must have")]

@@ -8,8 +8,7 @@
 //! indexes of anomalous points, continuously updating itself on current
 //! data.
 //!
-//! * [`dataset`] — datasets, CSV loading and the column-subset
-//!   configuration file of §VII;
+//! * [`dataset`] — dense numeric datasets;
 //! * [`detectors`] — six detector families (z-score, IQR fences,
 //!   Mahalanobis, isolation forest, LOF, one-class centroids);
 //! * [`tpe`] — the TPE hyperparameter sampler;
@@ -40,13 +39,15 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod dataset;
 pub mod detectors;
 pub mod service;
 pub mod synthetic;
 pub mod tpe;
 
-pub use dataset::{Dataset, LoadConfig};
+pub use dataset::Dataset;
 pub use detectors::Detector;
 pub use service::{select_model, DetectionNode, DetectionReport, SelectedModel, Strategy};
 pub use synthetic::{f1_score, generate, LabelledData, StreamConfig};

@@ -19,13 +19,6 @@ pub struct LabelledData {
     pub labels: Vec<bool>,
 }
 
-impl LabelledData {
-    /// Number of injected anomalies.
-    pub fn num_anomalies(&self) -> usize {
-        self.labels.iter().filter(|&&l| l).count()
-    }
-}
-
 /// Generator parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
@@ -142,7 +135,8 @@ mod tests {
         let b = generate(StreamConfig::default(), 42);
         assert_eq!(a.data, b.data);
         assert_eq!(a.labels, b.labels);
-        let frac = a.num_anomalies() as f64 / a.labels.len() as f64;
+        let anomalies = a.labels.iter().filter(|&&l| l).count();
+        let frac = anomalies as f64 / a.labels.len() as f64;
         assert!((0.02..0.10).contains(&frac), "got {frac}");
     }
 

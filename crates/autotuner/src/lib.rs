@@ -39,6 +39,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod monitor;
 pub mod tuner;
 pub mod types;

@@ -240,12 +240,6 @@ impl ClusterController {
     pub fn lease_stats(&self) -> LeaseStats {
         self.leases.stats
     }
-
-    /// Whether any network window is still open at or after `now_us` —
-    /// once false, connectivity is permanently healed.
-    pub fn network_active_after(&self, now_us: f64) -> bool {
-        self.net.last_window_end_us() > now_us
-    }
 }
 
 #[cfg(test)]

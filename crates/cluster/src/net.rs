@@ -132,28 +132,6 @@ impl NetModel {
             .max(self.loss_prob(to, from, now_us));
         !(loss > 0.0 && self.rng.next_unit() < loss)
     }
-
-    /// Whether any network window is active at `now_us`.
-    pub fn disturbed(&self, now_us: f64) -> bool {
-        let live = |s: f64, e: f64| now_us >= s && now_us < e;
-        self.sym.iter().any(|&(s, e, _)| live(s, e))
-            || self.asym.iter().any(|&(s, e, _)| live(s, e))
-            || self.delay.iter().any(|&(s, e, _, _)| live(s, e))
-            || self.loss.iter().any(|&(s, e, _, _)| live(s, e))
-    }
-
-    /// The instant the last network window closes (0 when none exist):
-    /// past this, connectivity is permanently healed.
-    pub fn last_window_end_us(&self) -> f64 {
-        let ends = self
-            .sym
-            .iter()
-            .map(|&(_, e, _)| e)
-            .chain(self.asym.iter().map(|&(_, e, _)| e))
-            .chain(self.delay.iter().map(|&(_, e, _, _)| e))
-            .chain(self.loss.iter().map(|&(_, e, _, _)| e));
-        ends.fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -228,16 +206,5 @@ mod tests {
         assert!(net.probe_ok(2, 0, 8_500.0, 2_000.0), "generous timeout");
         assert!(!net.probe_ok(3, 0, 10_500.0, 1e9), "loss=1.0 always drops");
         assert!(net.probe_ok(3, 0, 12_000.0, 1e9), "window over");
-    }
-
-    #[test]
-    fn window_bookkeeping() {
-        let net = NetModel::from_plan(&plan());
-        assert!(net.disturbed(1_500.0));
-        assert!(!net.disturbed(4_000.0));
-        assert_eq!(net.last_window_end_us(), 11_000.0);
-        let quiet = NetModel::from_plan(&FaultPlan::new(1));
-        assert_eq!(quiet.last_window_end_us(), 0.0);
-        assert!(!quiet.disturbed(0.0));
     }
 }

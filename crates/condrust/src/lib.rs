@@ -46,6 +46,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod exec;
 pub mod graph;
 pub mod lang;

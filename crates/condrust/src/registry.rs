@@ -133,11 +133,6 @@ impl Registry {
             })
     }
 
-    /// Whether a name refers to a stateful operator.
-    pub fn is_stateful(&self, name: &str) -> bool {
-        self.stateful.contains_key(name)
-    }
-
     /// Whether a name refers to a predicate.
     pub fn is_predicate(&self, name: &str) -> bool {
         self.predicates.contains_key(name)
@@ -173,8 +168,7 @@ mod tests {
         let mut state = init();
         assert_eq!(step(&mut state, &[]), Value::I64(1));
         assert_eq!(step(&mut state, &[]), Value::I64(2));
-        assert!(r.is_stateful("counter"));
-        assert!(!r.is_stateful("double"));
+        assert!(r.stateful("double").is_err());
     }
 
     #[test]

@@ -49,6 +49,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+
 pub mod basecamp;
 pub mod chaos;
 pub mod error;

@@ -2,15 +2,13 @@
 //! workflow of steps; steps marked for FPGA acceleration are offloaded
 //! to FPGA-equipped nodes through the runtime's resource manager.
 
-use serde::{Deserialize, Serialize};
-
 use everest_runtime::{Cluster, Policy, Scheduler, SimulationResult, TaskGraph, TaskSpec};
 
 use crate::basecamp::CompiledKernel;
 use crate::error::SdkError;
 
 /// One workflow step.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkflowStep {
     /// Step name (unique within the workflow).
     pub name: String,
@@ -25,9 +23,8 @@ pub struct WorkflowStep {
     pub accelerate_with: Option<String>,
 }
 
-/// A deployable workflow descriptor (serializable, as a deployment
-/// platform would exchange it).
-#[derive(Debug, Clone, Serialize, Deserialize, Default)]
+/// A deployable workflow descriptor.
+#[derive(Debug, Clone, Default)]
 pub struct Workflow {
     /// Workflow name.
     pub name: String,
@@ -48,24 +45,6 @@ impl Workflow {
     pub fn step(mut self, step: WorkflowStep) -> Workflow {
         self.steps.push(step);
         self
-    }
-
-    /// Serializes to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization failures (cannot occur for this type).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Deserializes from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying parse error.
-    pub fn from_json(text: &str) -> Result<Workflow, serde_json::Error> {
-        serde_json::from_str(text)
     }
 
     /// Converts to a runtime task graph, resolving accelerated steps
@@ -180,15 +159,6 @@ mod tests {
                 output_bytes: 1 << 16,
                 accelerate_with: None,
             })
-    }
-
-    #[test]
-    fn workflow_json_roundtrip() {
-        let w = wrf_workflow();
-        let json = w.to_json().unwrap();
-        let back = Workflow::from_json(&json).unwrap();
-        assert_eq!(back.steps.len(), 3);
-        assert_eq!(back.steps[1].accelerate_with.as_deref(), Some("rrtmg"));
     }
 
     #[test]

@@ -135,44 +135,6 @@ impl FaultKind {
         }
     }
 
-    /// Whether the fault is transient: it hits one operation and a
-    /// retry can succeed. Non-transient faults change the node state
-    /// for the rest of the run (crash, accelerator loss, VF loss).
-    pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::DmaTimeout | FaultKind::TransientKernelError | FaultKind::MemoryEcc
-        )
-    }
-
-    /// Whether the fault is *gray*: it never raises a typed error,
-    /// never fires through a [`crate::FaultInjector`] operation, and is
-    /// invisible to retry/quarantine recovery. Gray faults only show up
-    /// as silently inflated latencies, so the sole countermeasure is
-    /// online detection (the `everest-health` closed loop).
-    pub fn is_gray(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::SlowNode { .. } | FaultKind::GrayLink { .. } | FaultKind::VfCreep { .. }
-        )
-    }
-
-    /// Whether the fault is a *network* fault: it targets a group
-    /// boundary rather than a node, never fires through a per-node
-    /// [`crate::FaultInjector`], and is consumed only by the
-    /// `everest-cluster` connectivity model (membership probes and
-    /// dispatch gating). Network faults raise no device error; their
-    /// entire effect is on who can talk to whom.
-    pub fn is_network(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::PartitionSym { .. }
-                | FaultKind::PartitionAsym { .. }
-                | FaultKind::MsgDelay { .. }
-                | FaultKind::MsgLoss { .. }
-        )
-    }
-
     /// Extra parameters rendered into [`FaultSpec::describe`] beyond
     /// the kind id. Only network kinds carry a detail (the group
     /// bitmask and window length); per-node kinds render `None`, which
@@ -519,8 +481,10 @@ mod tests {
         for seed in 0..16 {
             let plan = FaultPlan::random_gray_campaign(seed, 4, 60_000.0, 6);
             assert_eq!(plan.len(), 6);
-            assert!(plan.faults().iter().all(|f| f.kind.is_gray()));
-            assert!(plan.faults().iter().all(|f| !f.kind.is_transient()));
+            assert!(plan.faults().iter().all(|f| matches!(
+                f.kind,
+                FaultKind::SlowNode { .. } | FaultKind::GrayLink { .. } | FaultKind::VfCreep { .. }
+            )));
             // The anchored straggler: earliest fault, strong and long.
             let first = &plan.faults()[0];
             assert_eq!(first.at_us, 0.02 * 60_000.0);
@@ -545,9 +509,13 @@ mod tests {
         for seed in 0..16 {
             let plan = FaultPlan::random_partition_campaign(seed, 4, 120_000.0, 3);
             assert!(plan.len() >= 3, "seed {seed}: at least one cut per cycle");
-            assert!(plan.faults().iter().all(|f| f.kind.is_network()));
-            assert!(plan.faults().iter().all(|f| !f.kind.is_transient()));
-            assert!(plan.faults().iter().all(|f| !f.kind.is_gray()));
+            assert!(plan.faults().iter().all(|f| matches!(
+                f.kind,
+                FaultKind::PartitionSym { .. }
+                    | FaultKind::PartitionAsym { .. }
+                    | FaultKind::MsgDelay { .. }
+                    | FaultKind::MsgLoss { .. }
+            )));
             for f in plan.faults() {
                 if let FaultKind::PartitionSym { group, .. }
                 | FaultKind::PartitionAsym { group, .. } = f.kind
@@ -582,24 +550,18 @@ mod tests {
             f.describe(),
             "kind=partition_sym node=0 at_us=500.000 group=0x3 duration_us=2000.000"
         );
-        assert!(FaultKind::MsgLoss {
-            group: 1,
-            loss: 0.5,
-            duration_us: 10.0
-        }
-        .is_network());
-        assert!(!FaultKind::NodeCrash.is_network());
     }
 
     #[test]
-    fn typed_kinds_are_not_gray() {
-        assert!(!FaultKind::NodeCrash.is_gray());
-        assert!(!FaultKind::MemoryEcc.is_gray());
-        assert!(FaultKind::SlowNode {
-            factor: 2.0,
-            duration_us: 1.0
-        }
-        .is_gray());
+    fn gray_kinds_have_stable_ids() {
+        assert_eq!(
+            FaultKind::SlowNode {
+                factor: 2.0,
+                duration_us: 1.0
+            }
+            .id(),
+            "slow_node"
+        );
         assert_eq!(
             FaultKind::GrayLink {
                 factor: 2.0,

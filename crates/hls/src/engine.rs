@@ -88,15 +88,6 @@ pub struct HlsReport {
 }
 
 impl HlsReport {
-    /// Throughput in invocations per second.
-    pub fn calls_per_second(&self) -> f64 {
-        if self.time_us == 0.0 {
-            f64::INFINITY
-        } else {
-            1e6 / self.time_us
-        }
-    }
-
     /// Renders a vendor-style synthesis report (the artifact Vitis HLS /
     /// Bambu users read).
     pub fn to_text(&self) -> String {
@@ -767,7 +758,6 @@ mod tests {
         assert!((report.fmax_mhz - 300.0).abs() < 1.0);
         // two input buffers of 256 f64 plus the output buffer
         assert_eq!(report.bytes_per_call, 3 * 256 * 8);
-        assert!(report.calls_per_second() > 0.0);
     }
 
     #[test]

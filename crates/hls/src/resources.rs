@@ -71,14 +71,6 @@ impl Resources {
             brams: self.brams * k,
         }
     }
-
-    /// Whether this fits within a budget.
-    pub fn fits_in(&self, budget: &Resources) -> bool {
-        self.luts <= budget.luts
-            && self.ffs <= budget.ffs
-            && self.dsps <= budget.dsps
-            && self.brams <= budget.brams
-    }
 }
 
 /// Cost of one operation instance.
@@ -300,8 +292,6 @@ mod tests {
         let b = a.add(a).scale(2);
         assert_eq!(b.luts, 40);
         assert_eq!(b.dsps, 4);
-        assert!(a.fits_in(&b));
-        assert!(!b.fits_in(&a));
     }
 
     #[test]

@@ -86,14 +86,6 @@ impl Attribute {
         }
     }
 
-    /// Returns the symbol name, if this is a `SymbolRef`.
-    pub fn as_symbol(&self) -> Option<&str> {
-        match self {
-            Attribute::SymbolRef(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Returns dense f64 data, if this is a `DenseF64`.
     pub fn as_dense_f64(&self) -> Option<&[f64]> {
         match self {
@@ -113,20 +105,6 @@ impl Attribute {
     /// Builds an array attribute of integers.
     pub fn int_array<I: IntoIterator<Item = i64>>(values: I) -> Attribute {
         Attribute::Array(values.into_iter().map(Attribute::Int).collect())
-    }
-
-    /// Builds an array attribute of strings.
-    pub fn str_array<I, S>(values: I) -> Attribute
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Attribute::Array(
-            values
-                .into_iter()
-                .map(|s| Attribute::Str(s.into()))
-                .collect(),
-        )
     }
 
     /// Structural equality: the relation [`AttrKey`] has, decided in
@@ -478,7 +456,6 @@ mod tests {
         assert_eq!(Attribute::Float(2.5).as_float(), Some(2.5));
         assert_eq!(Attribute::from("hi").as_str(), Some("hi"));
         assert_eq!(Attribute::Bool(true).as_bool(), Some(true));
-        assert_eq!(Attribute::SymbolRef("k".into()).as_symbol(), Some("k"));
         assert_eq!(Attribute::Float(2.5).as_int(), None);
     }
 
@@ -502,12 +479,6 @@ mod tests {
         map.insert("b".to_string(), Attribute::Int(2));
         map.insert("a".to_string(), Attribute::Int(1));
         assert_eq!(Attribute::Dict(map).to_string(), "{a = 1, b = 2}");
-    }
-
-    #[test]
-    fn str_array_builder() {
-        let attr = Attribute::str_array(["x", "y"]);
-        assert_eq!(attr.to_string(), "[\"x\", \"y\"]");
     }
 
     #[test]

@@ -82,15 +82,6 @@ impl FixedFormat {
         let steps = (1u128 << (self.int_bits + self.frac_bits)) - 1;
         steps as f64 * self.resolution()
     }
-
-    /// Smallest representable value (0 for unsigned formats).
-    pub fn min_value(&self) -> f64 {
-        if self.signed {
-            -((1u128 << (self.int_bits + self.frac_bits)) as f64) * self.resolution()
-        } else {
-            0.0
-        }
-    }
 }
 
 impl fmt::Display for FixedFormat {
@@ -200,15 +191,6 @@ impl Type {
             elem: Box::new(elem),
             space,
         }
-    }
-
-    /// Returns `true` for scalar numeric types (integers, floats, base2
-    /// formats and `index`).
-    pub fn is_scalar(&self) -> bool {
-        matches!(
-            self,
-            Type::Int(_) | Type::F32 | Type::F64 | Type::Index | Type::Fixed(_) | Type::Posit(_)
-        )
     }
 
     /// Returns `true` for floating-point-like types on which `arith`
@@ -322,11 +304,9 @@ mod tests {
         assert_eq!(q.width(), 16);
         assert!((q.resolution() - 1.0 / 256.0).abs() < 1e-12);
         assert!(q.max_value() > 127.9 && q.max_value() < 128.0);
-        assert_eq!(q.min_value(), -128.0);
 
         let u = FixedFormat::unsigned(8, 8);
         assert_eq!(u.width(), 16);
-        assert_eq!(u.min_value(), 0.0);
     }
 
     #[test]
@@ -368,9 +348,6 @@ mod tests {
 
     #[test]
     fn scalar_classification() {
-        assert!(Type::F64.is_scalar());
-        assert!(Type::Fixed(FixedFormat::signed(3, 4)).is_scalar());
-        assert!(!Type::tensor(&[2], Type::F64).is_scalar());
         assert!(Type::Posit(PositFormat::new(16, 1)).is_float_like());
         assert!(!Type::Int(32).is_float_like());
     }

@@ -2,10 +2,8 @@
 //! PCIe-attached AMD Alveo cards (u55c, u280) with XRT, and IBM
 //! cloudFPGA network-attached nodes.
 
-use serde::{Deserialize, Serialize};
-
 /// Programmable-logic resource capacity of a device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeviceResources {
     /// Lookup tables.
     pub luts: u64,
@@ -53,7 +51,7 @@ impl DeviceResources {
 }
 
 /// External memory technology attached to the device.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MemoryKind {
     /// High-bandwidth memory (many pseudo-channels).
     Hbm2,
@@ -62,7 +60,7 @@ pub enum MemoryKind {
 }
 
 /// External memory subsystem description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemorySystem {
     /// Technology.
     pub kind: MemoryKind,
@@ -84,7 +82,7 @@ impl MemorySystem {
 }
 
 /// How the device attaches to the rest of the system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Attachment {
     /// PCIe-attached accelerator card driven through XRT.
     Pcie {
@@ -102,7 +100,7 @@ pub enum Attachment {
 }
 
 /// A complete FPGA device model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaDevice {
     /// Marketing name (`"alveo_u55c"`, ...).
     pub name: String,
@@ -202,24 +200,9 @@ impl FpgaDevice {
         }
     }
 
-    /// Looks up a preset by name.
-    pub fn by_name(name: &str) -> Option<FpgaDevice> {
-        match name {
-            "alveo_u55c" => Some(Self::alveo_u55c()),
-            "alveo_u280" => Some(Self::alveo_u280()),
-            "cloudfpga" => Some(Self::cloudfpga()),
-            _ => None,
-        }
-    }
-
     /// Total external-memory peak bandwidth in GB/s.
     pub fn total_memory_gbps(&self) -> f64 {
         self.memories.iter().map(MemorySystem::peak_gbps).sum()
-    }
-
-    /// Whether the device is network-attached.
-    pub fn is_network_attached(&self) -> bool {
-        matches!(self.attachment, Attachment::Network { .. })
     }
 }
 
@@ -232,19 +215,11 @@ mod tests {
         let u55c = FpgaDevice::alveo_u55c();
         assert!((u55c.total_memory_gbps() - 460.0).abs() < 1.0);
         assert_eq!(u55c.memories[0].channels, 32);
-        assert!(!u55c.is_network_attached());
+        assert!(matches!(u55c.attachment, Attachment::Pcie { .. }));
 
         let cf = FpgaDevice::cloudfpga();
-        assert!(cf.is_network_attached());
+        assert!(matches!(cf.attachment, Attachment::Network { .. }));
         assert!(cf.resources.luts < u55c.resources.luts);
-    }
-
-    #[test]
-    fn by_name_roundtrip() {
-        for name in ["alveo_u55c", "alveo_u280", "cloudfpga"] {
-            assert_eq!(FpgaDevice::by_name(name).unwrap().name, name);
-        }
-        assert!(FpgaDevice::by_name("virtex2").is_none());
     }
 
     #[test]
@@ -279,13 +254,5 @@ mod tests {
         };
         let u = total.utilization_of(&used);
         assert!((u - 0.5).abs() < 0.01, "got {u}");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let dev = FpgaDevice::alveo_u280();
-        let json = serde_json::to_string(&dev).unwrap();
-        let back: FpgaDevice = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, dev);
     }
 }

@@ -1,12 +1,10 @@
 //! Host-device and node-node link models: PCIe DMA and the cloudFPGA
 //! 10 Gb/s TCP/UDP network stack (paper §III, ref \[20\]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::Attachment;
 
 /// PCIe DMA performance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcieModel {
     /// Generation (3 → 8 GT/s/lane, 4 → 16 GT/s/lane).
     pub gen: u8,
@@ -55,7 +53,7 @@ impl PcieModel {
 }
 
 /// Network stack model for network-attached FPGAs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// Link speed in Gb/s.
     pub gbps: f64,
@@ -91,15 +89,6 @@ impl NetworkModel {
         let packets = (bytes as f64 / self.mtu as f64).ceil();
         // per-packet header cost folded into efficiency; latency once
         self.latency_us + bytes as f64 / (self.effective_gbps() * 1000.0) + packets * 0.05
-    }
-
-    /// ZRLMPI-style collective: broadcast to `n` peers (pipelined tree).
-    pub fn broadcast_time_us(&self, bytes: u64, n: u32) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let depth = (n as f64).log2().ceil().max(1.0);
-        depth * self.message_time_us(bytes)
     }
 }
 
@@ -165,7 +154,7 @@ pub fn link_for(attachment: &Attachment) -> LinkModel {
 }
 
 /// Either link kind.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkModel {
     /// PCIe DMA.
     Pcie(PcieModel),
@@ -251,18 +240,5 @@ mod tests {
         // degrade never improves the link
         health.degrade(0.5, 3_000.0);
         assert!(health.factor_at(2_500.0) >= 1.0);
-    }
-
-    #[test]
-    fn broadcast_scales_logarithmically() {
-        let n = NetworkModel::cloudfpga_tcp();
-        let one = n.broadcast_time_us(4096, 2);
-        let eight = n.broadcast_time_us(4096, 8);
-        assert!(
-            (eight / one - 3.0).abs() < 0.1,
-            "log2(8)=3x, got {}",
-            eight / one
-        );
-        assert_eq!(n.broadcast_time_us(4096, 0), 0.0);
     }
 }

@@ -6,12 +6,10 @@
 //! model captures that with a burst-efficiency curve calibrated to the
 //! shapes reported for Alveo HBM ports.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::MemorySystem;
 
 /// An access pattern against external memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessPattern {
     /// Bytes moved per burst (contiguous run).
     pub burst_bytes: u64,
@@ -32,7 +30,7 @@ impl Default for AccessPattern {
 }
 
 /// Memory performance model for one memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryModel {
     /// The memory being modelled.
     pub system: MemorySystem,

@@ -7,8 +7,6 @@
 //! records an event trace that the virtualization layer and the
 //! experiments inspect.
 
-use serde::{Deserialize, Serialize};
-
 use everest_faults::{DetRng, FaultInjector, FaultKind, FaultOp, RetryPolicy};
 
 use crate::device::{Attachment, DeviceResources, FpgaDevice};
@@ -21,7 +19,7 @@ use crate::memory::{AccessPattern, MemoryModel};
 pub const DMA_TIMEOUT_PENALTY_US: f64 = 1_000.0;
 
 /// Transfer direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Host to device.
     HostToDevice,
@@ -30,7 +28,7 @@ pub enum Direction {
 }
 
 /// One entry of the event trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// Bitstream programmed.
     LoadBitstream {
@@ -77,7 +75,7 @@ pub enum Event {
 }
 
 /// A buffer object on the device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferObject {
     /// Handle.
     pub handle: usize,
@@ -207,16 +205,6 @@ impl XrtDevice {
     pub fn with_faults(mut self, injector: FaultInjector) -> XrtDevice {
         self.faults = Some(injector);
         self
-    }
-
-    /// Arms (or replaces) the fault injector in place.
-    pub fn set_fault_injector(&mut self, injector: FaultInjector) {
-        self.faults = Some(injector);
-    }
-
-    /// Whether the device has been lost to a fail-stop fault.
-    pub fn is_dead(&self) -> bool {
-        self.dead_at.is_some()
     }
 
     /// Current link-health state (degraded by `LinkDegrade` faults).
@@ -589,29 +577,6 @@ impl FabricAllocator {
         true
     }
 
-    /// Maximum number of copies of a kernel that fit alongside what is
-    /// already placed.
-    pub fn max_replicas(&self, need: &DeviceResources) -> u64 {
-        let free = self.total.saturating_sub(self.used);
-        let mut n = u64::MAX;
-        for (have, want) in [
-            (free.luts, need.luts),
-            (free.ffs, need.ffs),
-            (free.dsps, need.dsps),
-            (free.brams, need.brams),
-            (free.urams, need.urams),
-        ] {
-            if let Some(fit) = have.checked_div(want) {
-                n = n.min(fit);
-            }
-        }
-        if n == u64::MAX {
-            0
-        } else {
-            n
-        }
-    }
-
     /// Scarcest-resource utilization in \[0, 1\].
     pub fn utilization(&self) -> f64 {
         self.total.utilization_of(&self.used)
@@ -711,7 +676,6 @@ mod tests {
             dev.sync_bo(bo.handle, Direction::HostToDevice),
             Err(XrtError::DeviceLost)
         );
-        assert!(dev.is_dead());
         // everything else fails fast from now on
         assert_eq!(dev.run_kernel("k", 100), Err(XrtError::DeviceLost));
         assert_eq!(dev.alloc_bo(64, 0), Err(XrtError::DeviceLost));
@@ -899,7 +863,6 @@ mod tests {
             t_run_gray > t_run_clean * 2.9,
             "slow node: {t_run_gray} vs {t_run_clean}"
         );
-        assert!(!gray.is_dead());
         assert!(!gray.link_health().is_degraded_at(gray.now_us()));
 
         // Invisibility is the point: no Fault event is ever recorded.
@@ -923,7 +886,6 @@ mod tests {
             brams: 400,
             urams: 0,
         };
-        assert_eq!(alloc.max_replicas(&kernel), 3); // LUT-bound: 331k/100k
         assert!(alloc.place("k0", kernel));
         assert!(alloc.place("k1", kernel));
         assert!(alloc.place("k2", kernel));

@@ -1,14 +1,13 @@
 //! # everest-query
 //!
-//! The big-data front door of the EVEREST SDK: a SQL and DataFrame
-//! layer (ROADMAP item 2, in the DataFusion mold) that turns
-//! declarative analytic queries into placeable, HLS-schedulable `dfg`
-//! kernels.
+//! The big-data front door of the EVEREST SDK: a SQL layer (ROADMAP
+//! item 2, in the DataFusion mold) that turns declarative analytic
+//! queries into placeable, HLS-schedulable `dfg` kernels.
 //!
 //! The pipeline:
 //!
 //! ```text
-//! SQL text ──parse──▶ AST ──plan──▶ LogicalPlan ◀──build── DataFrame
+//! SQL text ──parse──▶ AST ──plan──▶ LogicalPlan
 //!                                      │
 //!                             optimize (4 rules, each
 //!                             property-proven equivalent)
@@ -22,7 +21,6 @@
 //!   BY/LIMIT, inner JOIN) to a resolved [`plan::LogicalPlan`]; every
 //!   failure is a structured [`QueryError`] with a byte offset, never
 //!   a panic (property-tested over arbitrary inputs);
-//! * [`dataframe`] — the typed builder producing the same plans;
 //! * [`optimizer`] — constant folding, predicate pushdown, projection
 //!   pruning, and cardinality-based join reordering, each proven
 //!   semantics-preserving against the executor;
@@ -58,7 +56,6 @@
 
 #![warn(clippy::unwrap_used)]
 
-pub mod dataframe;
 pub mod datasets;
 pub mod error;
 pub mod exec;
@@ -70,7 +67,6 @@ pub mod planner;
 pub mod table;
 pub mod token;
 
-pub use dataframe::DataFrame;
 pub use error::{QueryError, QueryResult};
 pub use exec::Batch;
 pub use lower::{LoweredQuery, QueryKernel};

@@ -1,9 +1,9 @@
 //! Logical plans and scalar expressions.
 //!
-//! Both front-ends (the SQL parser and the DataFrame builder) produce
-//! this representation; the optimizer rewrites it; the executor and
-//! the dfg lowering consume it. Plan text and JSON are canonical and
-//! byte-stable: [`LogicalPlan::normalize`] applies
+//! The SQL planner produces this representation; the optimizer
+//! rewrites it; the executor and the dfg lowering consume it. Plan
+//! text and JSON are canonical and byte-stable:
+//! [`LogicalPlan::normalize`] applies
 //! `AnalysisReport::normalize()`-style canonical ordering so `EXPLAIN`
 //! output is diffable in CI (`ci/query/` golden corpus).
 

@@ -18,7 +18,7 @@ use crate::table::Catalog;
 /// names), returning the canonical name. Bare references match any
 /// qualified name with the same final segment, provided the match is
 /// unique.
-pub fn resolve_column<S: AsRef<str>>(schema: &[S], reference: &str) -> QueryResult<String> {
+fn resolve_column<S: AsRef<str>>(schema: &[S], reference: &str) -> QueryResult<String> {
     if schema.iter().any(|name| name.as_ref() == reference) {
         return Ok(reference.to_string());
     }
@@ -56,16 +56,9 @@ pub fn resolve_column<S: AsRef<str>>(schema: &[S], reference: &str) -> QueryResu
     })
 }
 
-/// Rewrites every column reference in an expression to its canonical
-/// resolved name.
-pub fn resolve_expr<S: AsRef<str>>(schema: &[S], expr: &Expr) -> QueryResult<Expr> {
-    let mut resolved = expr.clone();
-    resolve_in_place(schema, &mut resolved)?;
-    Ok(resolved)
-}
-
-/// [`resolve_expr`] on an expression the planner owns: a name that is
-/// already canonical stays where it is, and no node is rebuilt.
+/// Rewrites every column reference in an expression the planner owns
+/// to its canonical resolved name: a name that is already canonical
+/// stays where it is, and no node is rebuilt.
 fn resolve_in_place<S: AsRef<str>>(schema: &[S], expr: &mut Expr) -> QueryResult<()> {
     match expr {
         Expr::Column(name) => {

@@ -81,11 +81,6 @@ impl Cluster {
         }
         self.interconnect_latency_us + bytes as f64 / (self.interconnect_gbps * 1000.0)
     }
-
-    /// Index of a node by name.
-    pub fn node_index(&self, name: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n.name == name)
-    }
 }
 
 #[cfg(test)]
@@ -98,8 +93,7 @@ mod tests {
         assert_eq!(c.nodes.len(), 4);
         assert!(c.nodes[0].fpga.is_none());
         assert!(c.nodes[2].fpga.is_some());
-        assert_eq!(c.node_index("fpga1"), Some(3));
-        assert_eq!(c.node_index("nope"), None);
+        assert_eq!(c.nodes[3].name, "fpga1");
     }
 
     #[test]

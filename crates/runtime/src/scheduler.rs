@@ -291,8 +291,8 @@ impl FaultModel {
                 FaultKind::LinkDegrade { .. } | FaultKind::VfUnplug { .. } => {
                     model.ambient_at_us.push(f.at_us);
                 }
-                // Not `FaultKind::is_transient`: the scheduler also
-                // retries a failed reconfiguration, after a full reload.
+                // A failed reconfiguration is retried too, after a
+                // full reload.
                 FaultKind::DmaTimeout
                 | FaultKind::PartialReconfigFail
                 | FaultKind::TransientKernelError

@@ -61,12 +61,6 @@ impl TaskSpec {
         self.output_bytes = bytes;
         self
     }
-
-    /// Declares a core request.
-    pub fn with_cores(mut self, cores: u32) -> TaskSpec {
-        self.cores = cores.max(1);
-        self
-    }
 }
 
 /// A directed acyclic graph of tasks.
@@ -203,10 +197,8 @@ mod tests {
     fn builder_methods_compose() {
         let t = TaskSpec::new("k", 100.0)
             .with_fpga(10.0)
-            .with_output_bytes(1 << 20)
-            .with_cores(4);
+            .with_output_bytes(1 << 20);
         assert_eq!(t.fpga_us, Some(10.0));
         assert_eq!(t.output_bytes, 1 << 20);
-        assert_eq!(t.cores, 4);
     }
 }

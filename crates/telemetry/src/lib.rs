@@ -30,12 +30,10 @@
 //!
 //! ## Sinks
 //!
-//! Three export formats, all derivable from any registry at any time:
+//! Two export formats, both derivable from any registry at any time:
 //!
 //! * [`Registry::to_text`] — human-readable span tree plus metric
 //!   tables;
-//! * [`Registry::to_json_lines`] — one JSON object per record, for
-//!   machine consumption;
 //! * [`Registry::to_chrome_trace`] — Chrome `trace_event` JSON, loadable
 //!   in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev) for
 //!   flamegraph viewing (surfaced as `basecamp ... --trace out.json`).
@@ -69,6 +67,8 @@
 //! assert_eq!(spans[1].parent, Some(spans[0].id));
 //! assert!(registry.to_chrome_trace().contains("\"traceEvents\""));
 //! ```
+
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod monitor;
 pub mod registry;

@@ -57,25 +57,9 @@ impl Monitor {
         }
     }
 
-    /// Windowed standard deviation (`None` with fewer than 2 samples).
-    pub fn stddev(&self) -> Option<f64> {
-        if self.values.len() < 2 {
-            return None;
-        }
-        let mean = self.mean().expect("non-empty");
-        let var = self.values.iter().map(|v| (v - mean).powi(2)).sum::<f64>()
-            / (self.values.len() - 1) as f64;
-        Some(var.sqrt())
-    }
-
     /// Most recent observation.
     pub fn last(&self) -> Option<f64> {
         self.values.back().copied()
-    }
-
-    /// Clears the window (e.g. after an environment change).
-    pub fn reset(&mut self) {
-        self.values.clear();
     }
 }
 
@@ -91,21 +75,11 @@ mod tests {
         m.observe(2.0);
         m.observe(3.0);
         assert_eq!(m.mean(), Some(2.0));
-        assert!((m.stddev().unwrap() - 1.0).abs() < 1e-12);
         // window slides: 1.0 evicted
         m.observe(5.0);
         assert_eq!(m.count(), 3);
         assert!((m.mean().unwrap() - 10.0 / 3.0).abs() < 1e-12);
         assert_eq!(m.last(), Some(5.0));
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut m = Monitor::new(4);
-        m.observe(1.0);
-        m.reset();
-        assert_eq!(m.count(), 0);
-        assert_eq!(m.mean(), None);
     }
 
     #[test]

@@ -696,17 +696,6 @@ impl Registry {
         Some(snapshot)
     }
 
-    /// Clears the monitor `name` (e.g. after an environment change).
-    pub fn reset_monitor(&self, name: &str) {
-        let cell = {
-            let inner = self.lock();
-            inner.monitors.get(name).map(Arc::clone)
-        };
-        if let Some(cell) = cell {
-            cell.lock().unwrap_or_else(|e| e.into_inner()).reset();
-        }
-    }
-
     /// Snapshot of every counter as `(name, value)`, name order.
     pub fn counters_snapshot(&self) -> Vec<(String, u64)> {
         self.lock()
@@ -893,8 +882,6 @@ mod tests {
         let m = r.monitor("m").unwrap();
         assert_eq!(m.count(), 2);
         assert_eq!(m.mean(), Some(2.5));
-        r.reset_monitor("m");
-        assert_eq!(r.monitor("m").unwrap().count(), 0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Export sinks: human text tree, JSON lines, and Chrome `trace_event`
-//! JSON.
+//! Export sinks: human text tree and Chrome `trace_event` JSON.
 //!
-//! All three serialize snapshots of a [`Registry`], so concurrent
+//! Both serialize snapshots of a [`Registry`], so concurrent
 //! recording never tears an individual record in the export. JSON
 //! is emitted with a small built-in writer (escaped strings, finite
 //! numbers only) to keep this crate dependency-free; the Chrome trace
@@ -176,81 +175,6 @@ impl Registry {
         out
     }
 
-    /// Renders every record as one JSON object per line: spans
-    /// (`"type":"span"`), counters, gauges, histograms, monitors and
-    /// events. Machine-friendly and greppable.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for s in self.spans() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"span\",\"id\":{},\"parent\":{},\"name\":\"{}\",\"tid\":{},\"start_us\":{},\"dur_us\":{},\"args\":{}}}",
-                s.id,
-                s.parent.map_or("null".to_string(), |p| p.to_string()),
-                json_escape(&s.name),
-                s.tid,
-                json_f64(s.start_us),
-                s.duration_us().map_or("null".to_string(), json_f64),
-                json_args(&s.args),
-            );
-        }
-        for name in self.counter_names() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{}}}",
-                json_escape(&name),
-                self.counter(&name)
-            );
-        }
-        for name in self.gauge_names() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{}}}",
-                json_escape(&name),
-                json_f64(self.gauge(&name).unwrap_or(0.0))
-            );
-        }
-        for name in self.histogram_names() {
-            if let Some(h) = self.histogram(&name) {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                    json_escape(&name),
-                    h.count,
-                    json_f64(h.sum),
-                    json_f64(h.min),
-                    json_f64(h.max),
-                    h.p50().map_or("null".to_string(), json_f64),
-                    h.p95().map_or("null".to_string(), json_f64),
-                    h.p99().map_or("null".to_string(), json_f64)
-                );
-            }
-        }
-        for name in self.monitor_names() {
-            if let Some(m) = self.monitor(&name) {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"monitor\",\"name\":\"{}\",\"count\":{},\"mean\":{},\"last\":{}}}",
-                    json_escape(&name),
-                    m.count(),
-                    m.mean().map_or("null".to_string(), json_f64),
-                    m.last().map_or("null".to_string(), json_f64)
-                );
-            }
-        }
-        for e in self.events() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"event\",\"name\":\"{}\",\"ts_us\":{},\"tid\":{},\"detail\":\"{}\"}}",
-                json_escape(&e.name),
-                json_f64(e.ts_us),
-                e.tid,
-                json_escape(&e.detail)
-            );
-        }
-        out
-    }
-
     /// Renders the registry as Chrome `trace_event` JSON: complete
     /// (`"ph":"X"`) events for spans (open spans are closed at the
     /// export timestamp), instant (`"ph":"i"`) events for ring events,
@@ -332,25 +256,6 @@ mod tests {
         assert!(text.contains("lat: n=1"));
         assert!(text.contains("mon: n=1"));
         assert!(text.contains("boot"));
-    }
-
-    #[test]
-    fn json_lines_one_object_per_line() {
-        let r = Registry::new();
-        {
-            let _s = r.span("a \"quoted\" name");
-        }
-        r.counter_add("c", 7);
-        r.event("e", "line\nbreak");
-        let rendered = r.to_json_lines();
-        let lines: Vec<&str> = rendered.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].contains("\\\"quoted\\\""));
-        assert!(lines[1].contains("\"value\":7"));
-        assert!(lines[2].contains("\\n"));
-        for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
-        }
     }
 
     #[test]

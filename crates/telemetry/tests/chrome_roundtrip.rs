@@ -88,23 +88,3 @@ fn span_names_in_trace_match_registry() {
     span_names.sort();
     assert_eq!(trace_names, span_names);
 }
-
-#[test]
-fn json_lines_parse_line_by_line() {
-    #[derive(Debug, Serialize, Deserialize)]
-    struct AnyRecord {
-        name: String,
-    }
-    let registry = populated_registry();
-    let rendered = registry.to_json_lines();
-    for line in rendered.lines() {
-        let record: AnyRecord = serde_json::from_str(line).expect("each line is a JSON object");
-        assert!(!record.name.is_empty());
-    }
-    for expected in ["span", "counter", "gauge", "histogram", "event"] {
-        assert!(
-            rendered.contains(&format!("\"type\":\"{expected}\"")),
-            "missing record kind {expected}"
-        );
-    }
-}

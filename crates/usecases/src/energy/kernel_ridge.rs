@@ -138,11 +138,6 @@ impl KernelRidge {
             .map(|(xi, a)| a * rbf(xi, point, self.gamma))
             .sum()
     }
-
-    /// Predicts a batch.
-    pub fn predict_batch(&self, points: &[Vec<f64>]) -> Vec<f64> {
-        points.iter().map(|p| self.predict(p)).collect()
-    }
 }
 
 /// Mean absolute error.

@@ -4,16 +4,15 @@
 //! simulation substrates documented in DESIGN.md:
 //!
 //! * [`weather`] — the WRF stand-in: a mini numerical model whose
-//!   radiation step runs the EKL RRTMG-style kernel, with WRFDA-role
-//!   data assimilation and the three ensemble strategies of §VIII;
+//!   radiation step runs the EKL RRTMG-style kernel, with station
+//!   observations and the three ensemble strategies of §VIII;
 //! * [`energy`] — renewable-energy prediction: wind-farm power curves,
 //!   historical data generation and Kernel Ridge backtesting (§II-B);
 //! * [`airquality`] — Gaussian-plume dispersion (ADMS role), ensemble
 //!   exceedance forecasts and the emission-reduction decision (§II-C);
-//! * [`traffic`] — the traffic ecosystem: road network, FCD/ODM
-//!   generators, HMM map matching (including the ConDRust Fig. 4
-//!   operators), GMM regime prediction, PTDR Monte Carlo routing and a
-//!   CNN speed model (§II-D).
+//! * [`traffic`] — the traffic ecosystem: road network, FCD generator,
+//!   HMM map matching (including the ConDRust Fig. 4 operators) and
+//!   PTDR Monte Carlo routing (§II-D).
 //!
 //! # Examples
 //!
@@ -25,6 +24,8 @@
 //! let dist = monte_carlo(&net, &route, 8.0, 1000, 42);
 //! assert!(dist.quantile(0.95) >= dist.quantile(0.5));
 //! ```
+
+#![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 pub mod airquality;
 pub mod energy;

@@ -1,5 +1,5 @@
-//! Floating-car-data and origin-destination-matrix generators (paper
-//! §II-D: FCD from navigation devices, ODM from mobile operators).
+//! The floating-car-data generator (paper §II-D: FCD from navigation
+//! devices).
 //!
 //! Trajectories follow random walks over the network at profile speeds;
 //! GPS samples are sparse (one every `sample_every_m` meters) and noisy
@@ -115,45 +115,6 @@ fn gaussian(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// An origin-destination matrix over grid zones.
-#[derive(Debug, Clone)]
-pub struct OdMatrix {
-    /// Zones (node groups) count.
-    pub zones: usize,
-    /// `trips[o][d]` = trips from zone o to zone d per day.
-    pub trips: Vec<Vec<f64>>,
-}
-
-/// Generates a gravity-model ODM: trip volume decays with zone distance.
-pub fn generate_odm(net: &RoadNetwork, zones_per_axis: usize, seed: u64) -> OdMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let zones = zones_per_axis * zones_per_axis;
-    let centers: Vec<Point> = (0..zones)
-        .map(|z| {
-            let zx = (z % zones_per_axis) as f64 + 0.5;
-            let zy = (z / zones_per_axis) as f64 + 0.5;
-            Point {
-                x: zx / zones_per_axis as f64 * net.cols as f64 * 100.0,
-                y: zy / zones_per_axis as f64 * net.rows as f64 * 100.0,
-            }
-        })
-        .collect();
-    let masses: Vec<f64> = (0..zones)
-        .map(|_| rng.random_range(500.0..5000.0))
-        .collect();
-    let mut trips = vec![vec![0.0; zones]; zones];
-    for o in 0..zones {
-        for d in 0..zones {
-            if o == d {
-                continue;
-            }
-            let dist = centers[o].distance(&centers[d]).max(100.0);
-            trips[o][d] = masses[o] * masses[d] / (dist * dist) * 1e-3;
-        }
-    }
-    OdMatrix { zones, trips }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,17 +163,5 @@ mod tests {
             let best = net.nearest_segments(&s.position, 1)[0].1;
             assert!(best < 1.0, "clean sample {best} m off-road");
         }
-    }
-
-    #[test]
-    fn odm_is_gravity_shaped() {
-        let net = RoadNetwork::grid(8, 8, 100.0);
-        let odm = generate_odm(&net, 3, 5);
-        assert_eq!(odm.zones, 9);
-        assert_eq!(odm.trips[0][0], 0.0, "no intra-zone trips");
-        // nearby pairs carry more than far pairs on average
-        let near = odm.trips[0][1];
-        let far = odm.trips[0][8];
-        assert!(near > far, "gravity decay: near {near} vs far {far}");
     }
 }

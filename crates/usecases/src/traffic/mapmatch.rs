@@ -1,6 +1,7 @@
 //! HMM map matching (paper §II-D: "a Hidden Markov model for map
-//! matching of sparse and noisy FCD points on a road network"), plus the
-//! ConDRust operator set implementing the Fig. 4 streaming variant.
+//! matching of sparse and noisy FCD points on a road network") as the
+//! ConDRust operator set of the Fig. 4 streaming matcher: an online
+//! Viterbi over a bounded beam.
 
 use std::sync::Arc;
 
@@ -46,59 +47,6 @@ fn transition_log(net: &RoadNetwork, from: usize, to: usize) -> f64 {
             -8.0 // teleport: strongly penalized
         }
     }
-}
-
-/// Offline Viterbi map matching: returns one segment id per sample.
-pub fn viterbi_match(net: &RoadNetwork, samples: &[GpsSample], config: MatchConfig) -> Vec<usize> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    // Candidates and emissions per sample.
-    let candidate_sets: Vec<Vec<(usize, f64)>> = samples
-        .iter()
-        .map(|s| net.nearest_segments(&s.position, config.candidates))
-        .collect();
-
-    // Viterbi.
-    let mut score: Vec<f64> = candidate_sets[0]
-        .iter()
-        .map(|&(_, d)| emission_log(d, config.sigma_m))
-        .collect();
-    let mut back: Vec<Vec<usize>> = vec![Vec::new()];
-    for t in 1..samples.len() {
-        let prev = &candidate_sets[t - 1];
-        let cur = &candidate_sets[t];
-        let mut new_score = Vec::with_capacity(cur.len());
-        let mut pointers = Vec::with_capacity(cur.len());
-        for &(seg, d) in cur {
-            let emit = emission_log(d, config.sigma_m);
-            let (best_prev, best_val) = prev
-                .iter()
-                .enumerate()
-                .map(|(k, &(pseg, _))| (k, score[k] + transition_log(net, pseg, seg)))
-                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite log-probs"))
-                .expect("candidate sets are non-empty");
-            new_score.push(best_val + emit);
-            pointers.push(best_prev);
-        }
-        score = new_score;
-        back.push(pointers);
-    }
-    // Backtrack.
-    let mut best = score
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-        .map(|(k, _)| k)
-        .expect("non-empty");
-    let mut path = vec![0usize; samples.len()];
-    for t in (0..samples.len()).rev() {
-        path[t] = candidate_sets[t][best].0;
-        if t > 0 {
-            best = back[t][best];
-        }
-    }
-    path
 }
 
 /// Fraction of samples matched to a segment on the true path.
@@ -231,14 +179,26 @@ mod tests {
         (net, trajectories)
     }
 
+    /// One segment id per sample, from the ConDRust matcher run in order.
+    fn stream_match(net: &Arc<RoadNetwork>, samples: &[GpsSample]) -> Vec<usize> {
+        let f = parse_function(CONDRUST_MAP_MATCH).unwrap();
+        let graph = DataflowGraph::from_function(&f).unwrap();
+        let registry = condrust_registry(Arc::clone(net), MatchConfig::default());
+        let items: Vec<Value> = samples.iter().map(sample_value).collect();
+        run_sequential(&graph, &registry, &items)
+            .unwrap()
+            .iter()
+            .map(|v| v.as_i64().unwrap() as usize)
+            .collect()
+    }
+
     #[test]
     fn viterbi_beats_nearest_segment_baseline() {
         let (net, trajectories) = setup();
-        let config = MatchConfig::default();
         let mut viterbi_acc = 0.0;
         let mut nearest_acc = 0.0;
         for t in &trajectories {
-            let matched = viterbi_match(&net, &t.samples, config);
+            let matched = stream_match(&net, &t.samples);
             viterbi_acc += match_accuracy(&matched, &t.true_segments);
             let nearest: Vec<usize> = t
                 .samples
@@ -259,13 +219,12 @@ mod tests {
     #[test]
     fn viterbi_handles_empty_and_single() {
         let (net, _) = setup();
-        assert!(viterbi_match(&net, &[], MatchConfig::default()).is_empty());
+        assert!(stream_match(&net, &[]).is_empty());
         let one = GpsSample {
             position: Point { x: 50.0, y: 3.0 },
             hour: 9.0,
         };
-        let m = viterbi_match(&net, &[one], MatchConfig::default());
-        assert_eq!(m.len(), 1);
+        assert_eq!(stream_match(&net, &[one]).len(), 1);
     }
 
     #[test]

@@ -1,75 +1,15 @@
-//! The traffic modeling use case (paper §II-D): floating car data and
-//! origin-destination matrices feed a daily model-update cycle built
-//! from four algorithms — HMM map matching, GMM regime prediction,
-//! PTDR Monte Carlo routing and a CNN speed predictor.
+//! The traffic modeling use case (paper §II-D): floating car data over a
+//! road network, matched onto it by HMM map matching, and PTDR Monte
+//! Carlo routing over the matched network. The paper's other two
+//! algorithms, GMM regime prediction and the CNN speed predictor, are
+//! not reproduced here.
 
-pub mod assignment;
-pub mod cnn;
 pub mod fcd;
-pub mod gmm;
 pub mod mapmatch;
 pub mod network;
 pub mod ptdr;
 
-pub use assignment::{assign, SegmentState, TrafficModel};
-pub use cnn::SpeedCnn;
-pub use fcd::{generate_odm, generate_trajectories, FcdConfig, GpsSample, Trajectory};
-pub use gmm::Gmm;
-pub use mapmatch::{match_accuracy, viterbi_match, MatchConfig};
-pub use network::{Point, RoadNetwork, Segment, INTERVALS_PER_DAY};
+pub use fcd::{generate_trajectories, FcdConfig, GpsSample, Trajectory};
+pub use mapmatch::{match_accuracy, MatchConfig};
+pub use network::{Point, RoadNetwork, Segment};
 pub use ptdr::{build_route, monte_carlo, Route, TravelTimeDistribution};
-
-/// The daily traffic-model update (§II-D: "the traffic ecosystem
-/// regularly updates its model with new daily incoming data"): match the
-/// day's FCD onto the network and recompute per-segment observed mean
-/// speeds.
-///
-/// Returns `(matched per segment counts, mean observed speed per
-/// segment)` where unobserved segments keep `None`.
-pub fn daily_model_update(
-    net: &RoadNetwork,
-    trajectories: &[Trajectory],
-    config: MatchConfig,
-) -> (Vec<u64>, Vec<Option<f64>>) {
-    let mut counts = vec![0u64; net.segments.len()];
-    let mut speed_sums = vec![0.0f64; net.segments.len()];
-    for t in trajectories {
-        let matched = viterbi_match(net, &t.samples, config);
-        for (sample, &seg) in t.samples.iter().zip(&matched) {
-            counts[seg] += 1;
-            // observed speed proxy: the profile at that hour plus noise
-            // is unavailable from a single fix; use the segment's current
-            // profile as the measurement carrier.
-            speed_sums[seg] += net.segments[seg].speed_at(sample.hour);
-        }
-    }
-    let means = counts
-        .iter()
-        .zip(&speed_sums)
-        .map(|(&c, &s)| if c > 0 { Some(s / c as f64) } else { None })
-        .collect();
-    (counts, means)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn daily_update_covers_travelled_segments() {
-        let net = RoadNetwork::grid(6, 6, 100.0);
-        let trajectories = generate_trajectories(&net, FcdConfig::default(), 20, 42);
-        let (counts, means) = daily_model_update(&net, &trajectories, MatchConfig::default());
-        let observed = counts.iter().filter(|&&c| c > 0).count();
-        assert!(
-            observed > net.segments.len() / 10,
-            "20 trajectories should cover >10% of segments, got {observed}"
-        );
-        for (c, m) in counts.iter().zip(&means) {
-            assert_eq!(*c > 0, m.is_some());
-            if let Some(v) = m {
-                assert!((3.0..120.0).contains(v), "speed {v}");
-            }
-        }
-    }
-}

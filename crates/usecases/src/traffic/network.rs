@@ -4,7 +4,7 @@
 //! interval").
 
 /// Number of 15-minute intervals in a day.
-pub const INTERVALS_PER_DAY: usize = 96;
+const INTERVALS_PER_DAY: usize = 96;
 
 /// A node (intersection) position in meters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,7 +17,7 @@ pub struct Point {
 
 impl Point {
     /// Euclidean distance.
-    pub fn distance(&self, other: &Point) -> f64 {
+    fn distance(&self, other: &Point) -> f64 {
         ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
     }
 }

@@ -1,7 +1,6 @@
-//! Data assimilation: the WRFDA role (paper §II-A): ingest station
-//! observations to improve the initial condition. Implemented as optimal
-//! interpolation (a 3D-Var special case with diagonal covariances and a
-//! Gaussian localization kernel).
+//! Station observations, the input of the WRFDA role (paper §II-A):
+//! noisy surface temperatures drawn from a "truth" state. The
+//! assimilation that would ingest them is not reproduced.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,24 +18,6 @@ pub struct Observation {
     pub temp: f64,
     /// Observation error standard deviation (K).
     pub sigma: f64,
-}
-
-/// Assimilation parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct AssimilationConfig {
-    /// Background error standard deviation (K).
-    pub background_sigma: f64,
-    /// Localization radius in grid cells.
-    pub radius: f64,
-}
-
-impl Default for AssimilationConfig {
-    fn default() -> Self {
-        AssimilationConfig {
-            background_sigma: 1.5,
-            radius: 3.0,
-        }
-    }
 }
 
 /// Draws noisy observations of a "truth" state at `n` pseudo-random
@@ -60,124 +41,4 @@ pub fn observe_truth(truth: &State, n: usize, sigma: f64, seed: u64) -> Vec<Obse
             }
         })
         .collect()
-}
-
-/// Produces the analysis: background blended with observations.
-///
-/// For each observation the Kalman gain
-/// `K = σ_b² / (σ_b² + σ_o²)` is applied with Gaussian spatial
-/// localization, sequentially (observations assimilated one at a time).
-pub fn assimilate(
-    background: &State,
-    observations: &[Observation],
-    config: AssimilationConfig,
-) -> State {
-    let mut analysis = background.clone();
-    let var_b = config.background_sigma * config.background_sigma;
-    for obs in observations {
-        let var_o = obs.sigma * obs.sigma;
-        let gain = var_b / (var_b + var_o);
-        let innovation = obs.temp - analysis.temp.at(obs.i as isize, obs.j as isize);
-        let (nx, ny) = (analysis.temp.nx, analysis.temp.ny);
-        for j in 0..ny {
-            for i in 0..nx {
-                // periodic distance
-                let di = distance_periodic(i as f64, obs.i as f64, nx as f64);
-                let dj = distance_periodic(j as f64, obs.j as f64, ny as f64);
-                let d2 = di * di + dj * dj;
-                let loc = (-d2 / (2.0 * config.radius * config.radius)).exp();
-                if loc > 1e-3 {
-                    let t = analysis.temp.at(i as isize, j as isize);
-                    analysis.temp.set(i, j, t + gain * loc * innovation);
-                }
-            }
-        }
-    }
-    analysis
-}
-
-fn distance_periodic(a: f64, b: f64, period: f64) -> f64 {
-    let d = (a - b).abs();
-    d.min(period - d)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::weather::model::{ModelConfig, WeatherModel};
-
-    /// Assimilation must pull the background toward the truth.
-    #[test]
-    fn analysis_beats_background() {
-        let model = WeatherModel::new(ModelConfig::default());
-        let truth = model.initial_condition(100);
-        // Background: a different initial condition (first-guess error).
-        let background = model.initial_condition(200);
-        let observations = observe_truth(&truth, 40, 0.3, 7);
-        let analysis = assimilate(&background, &observations, AssimilationConfig::default());
-        let before = background.temp.rmse(&truth.temp);
-        let after = analysis.temp.rmse(&truth.temp);
-        assert!(
-            after < before,
-            "assimilation must reduce error: {before:.3} -> {after:.3}"
-        );
-    }
-
-    #[test]
-    fn more_observations_help_more() {
-        let model = WeatherModel::new(ModelConfig::default());
-        let truth = model.initial_condition(101);
-        let background = model.initial_condition(202);
-        let few = assimilate(
-            &background,
-            &observe_truth(&truth, 5, 0.3, 3),
-            AssimilationConfig::default(),
-        );
-        let many = assimilate(
-            &background,
-            &observe_truth(&truth, 80, 0.3, 3),
-            AssimilationConfig::default(),
-        );
-        assert!(many.temp.rmse(&truth.temp) < few.temp.rmse(&truth.temp));
-    }
-
-    #[test]
-    fn noisy_observations_are_downweighted() {
-        let model = WeatherModel::new(ModelConfig::default());
-        let truth = model.initial_condition(103);
-        let background = model.initial_condition(204);
-        let precise = assimilate(
-            &background,
-            &observe_truth(&truth, 30, 0.1, 5),
-            AssimilationConfig::default(),
-        );
-        let sloppy = assimilate(
-            &background,
-            &observe_truth(&truth, 30, 5.0, 5),
-            AssimilationConfig::default(),
-        );
-        assert!(precise.temp.rmse(&truth.temp) <= sloppy.temp.rmse(&truth.temp) + 0.05);
-    }
-
-    #[test]
-    fn assimilated_forecast_improves_short_range_prediction() {
-        // The §II-A claim: better initial conditions -> better forecasts.
-        // Only temperature is observed, so the benefit is a short-range
-        // one (the unobserved wind error eventually dominates both runs).
-        let model = WeatherModel::new(ModelConfig::default());
-        let truth0 = model.initial_condition(300);
-        let background = model.initial_condition(400);
-        let observations = observe_truth(&truth0, 120, 0.2, 9);
-        let analysis = assimilate(&background, &observations, AssimilationConfig::default());
-
-        let (truth6, _) = model.forecast(&truth0, 6);
-        let (from_background, _) = model.forecast(&background, 6);
-        let (from_analysis, _) = model.forecast(&analysis, 6);
-        let err_background = from_background.temp.rmse(&truth6.temp);
-        let err_analysis = from_analysis.temp.rmse(&truth6.temp);
-        assert!(
-            err_analysis < err_background,
-            "assimilation should improve the 6 h forecast: {err_background:.3} vs {err_analysis:.3}"
-        );
-    }
 }

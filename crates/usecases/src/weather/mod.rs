@@ -1,13 +1,13 @@
 //! The WRF-role weather substrate (paper §II-A): a mini numerical model
-//! with the RRTMG-style radiation kernel, plus WRFDA-role data
-//! assimilation and ensemble generation.
+//! with the RRTMG-style radiation kernel, station observations of a
+//! model state, and ensemble generation.
 
 pub mod assimilation;
 pub mod grid;
 pub mod model;
 pub mod radiation;
 
-pub use assimilation::{assimilate, observe_truth, AssimilationConfig, Observation};
+pub use assimilation::{observe_truth, Observation};
 pub use grid::{Field, State};
 pub use model::{ModelConfig, WeatherModel};
 pub use radiation::RadiationScheme;
@@ -60,25 +60,21 @@ pub fn run_ensemble(
     (outputs, cycles)
 }
 
-/// Ensemble spread: mean RMSE of members against the ensemble mean
-/// temperature field.
-pub fn ensemble_spread(members: &[State]) -> f64 {
-    if members.len() < 2 {
-        return 0.0;
-    }
-    let (nx, ny) = (members[0].temp.nx, members[0].temp.ny);
-    let mut mean = Field::constant(nx, ny, 0.0);
-    for m in members {
-        for (dst, src) in mean.data.iter_mut().zip(&m.temp.data) {
-            *dst += src / members.len() as f64;
-        }
-    }
-    members.iter().map(|m| m.temp.rmse(&mean)).sum::<f64>() / members.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean RMSE of members against the ensemble mean temperature field.
+    fn ensemble_spread(members: &[State]) -> f64 {
+        let (nx, ny) = (members[0].temp.nx, members[0].temp.ny);
+        let mut mean = Field::constant(nx, ny, 0.0);
+        for m in members {
+            for (dst, src) in mean.data.iter_mut().zip(&m.temp.data) {
+                *dst += src / members.len() as f64;
+            }
+        }
+        members.iter().map(|m| m.temp.rmse(&mean)).sum::<f64>() / members.len() as f64
+    }
 
     #[test]
     fn all_strategies_produce_spread() {
@@ -96,12 +92,6 @@ mod tests {
                 "{strategy:?} must produce ensemble spread, got {spread}"
             );
         }
-    }
-
-    #[test]
-    fn single_member_has_no_spread() {
-        let (members, _) = run_ensemble(EnsembleStrategy::GlobalForecasts, 1, 6, 1);
-        assert_eq!(ensemble_spread(&members), 0.0);
     }
 
     #[test]
