@@ -1,22 +1,14 @@
 #!/usr/bin/env bash
 # Prints the non-test code lines of each crate under crates/ and their
-# total over crates/*/src. Prints only; it gates nothing.
-#
-# A code line is a non-blank line that does not start with `//` (after
-# indentation) and comes before the first `#[cfg(test)]` of its file;
-# everything from that attribute on is counted as test code.
+# total over crates/*/src. Prints only; it gates nothing. What counts as
+# a non-test code line is defined in ci/non_test_lines.awk.
 #
 #   ci/code_lines.sh            # one "crate lines" row each, then the total
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count() {
-    find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk '
-        FNR == 1 { in_test = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
-        in_test || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
-        { n++ }
-        END { print n + 0 }'
+    find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk -f ci/non_test_lines.awk | wc -l
 }
 
 for dir in crates/*/src; do

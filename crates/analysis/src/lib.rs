@@ -63,7 +63,7 @@
 //! To analyze a ConDRust program before lowering, call
 //! [`Analyzer::run_graph`].
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod dataflow;
 pub mod diagnostics;

@@ -4,6 +4,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use serde::{Serialize, Value};
+
 use crate::diagnostics::{Diagnostic, Severity};
 
 /// The result of running an [`Analyzer`](crate::lint::Analyzer): all
@@ -95,79 +97,55 @@ impl AnalysisReport {
     }
 
     /// Renders a machine-readable JSON summary:
-    /// `{"total":N,"deny":N,"warn":N,"lints":{"<id>":count,...}}`.
-    ///
-    /// Hand-rolled (keys are controlled identifiers, counts are
-    /// integers) so the crate stays dependency-light.
+    /// `{"total":N,"deny":N,"warn":N,"lints":{"<id>":count,...}}`, lint
+    /// ids in ascending order, written compact by `serde_json`.
     pub fn summary_json(&self) -> String {
+        serde_json::to_string(&Value::Object(self.summary()))
+            .expect("a Value tree always serializes")
+    }
+
+    /// Renders the full machine-readable document: the
+    /// [`AnalysisReport::summary_json`] members plus `diagnostics`, one
+    /// `{"lint","severity","op","path","message"}` object per finding
+    /// (`null` for a missing op or path), written compact by
+    /// `serde_json`.
+    ///
+    /// Byte-stable for a normalized report (the CI analysis gate diffs
+    /// this output against checked-in expectations).
+    pub fn to_json(&self) -> String {
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Value::Object(vec![
+                ("lint".into(), d.lint.to_value()),
+                ("severity".into(), Value::Str(d.severity.to_string())),
+                ("op".into(), d.op.to_value()),
+                (
+                    "path".into(),
+                    d.path.as_ref().map(ToString::to_string).to_value(),
+                ),
+                ("message".into(), d.message.to_value()),
+            ])
+        });
+        let mut members = self.summary();
+        members.push(("diagnostics".into(), Value::Array(diagnostics.collect())));
+        serde_json::to_string(&Value::Object(members)).expect("a Value tree always serializes")
+    }
+
+    /// The summary members: finding counts, then one count per lint id.
+    fn summary(&self) -> Vec<(String, Value)> {
         let mut per_lint: BTreeMap<&str, usize> = BTreeMap::new();
         for d in &self.diagnostics {
             *per_lint.entry(d.lint.as_str()).or_insert(0) += 1;
         }
         let lints = per_lint
-            .iter()
-            .map(|(id, n)| format!("\"{id}\":{n}"))
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"total\":{},\"deny\":{},\"warn\":{},\"lints\":{{{}}}}}",
-            self.diagnostics.len(),
-            self.count(Severity::Deny),
-            self.count(Severity::Warn),
-            lints
-        )
+            .into_iter()
+            .map(|(id, n)| (id.to_string(), n.to_value()));
+        vec![
+            ("total".into(), self.diagnostics.len().to_value()),
+            ("deny".into(), self.count(Severity::Deny).to_value()),
+            ("warn".into(), self.count(Severity::Warn).to_value()),
+            ("lints".into(), Value::Object(lints.collect())),
+        ]
     }
-
-    /// Renders the full machine-readable document: the
-    /// [`AnalysisReport::summary_json`] fields plus every diagnostic.
-    ///
-    /// Byte-stable for a normalized report (the CI analysis gate diffs
-    /// this output against checked-in expectations). Hand-rolled like
-    /// the summary; only `message` needs escaping since lint ids, op
-    /// names and paths are controlled identifiers.
-    pub fn to_json(&self) -> String {
-        let diagnostics = self
-            .diagnostics
-            .iter()
-            .map(|d| {
-                let op = match &d.op {
-                    Some(op) => format!("\"{}\"", json_escape(op)),
-                    None => "null".to_string(),
-                };
-                let path = match &d.path {
-                    Some(path) => format!("\"{}\"", json_escape(&path.to_string())),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "{{\"lint\":\"{}\",\"severity\":\"{}\",\"op\":{op},\"path\":{path},\
-                     \"message\":\"{}\"}}",
-                    json_escape(&d.lint),
-                    d.severity,
-                    json_escape(&d.message)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let summary = self.summary_json();
-        let head = summary.strip_suffix('}').unwrap_or(&summary);
-        format!("{head},\"diagnostics\":[{diagnostics}]}}")
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl fmt::Display for AnalysisReport {
@@ -280,12 +258,14 @@ mod tests {
             }],
         };
         r.normalize();
-        let json = r.to_json();
-        assert!(json.starts_with("{\"total\":1,\"deny\":1,\"warn\":0,"));
-        assert!(json.contains("\"diagnostics\":[{\"lint\":\"a\",\"severity\":\"deny\""));
-        assert!(json.contains("quote \\\" and\\nnewline"));
-        assert!(json.contains("\"path\":null"));
-        assert!(json.ends_with("]}"));
+        assert_eq!(
+            r.to_json(),
+            concat!(
+                r#"{"total":1,"deny":1,"warn":0,"lints":{"a":1},"diagnostics":["#,
+                r#"{"lint":"a","severity":"deny","op":"arith.addf","path":null,"#,
+                r#""message":"quote \" and\nnewline"}]}"#,
+            )
+        );
     }
 
     #[test]

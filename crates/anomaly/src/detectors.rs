@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 use crate::dataset::Dataset;
 
 /// A fitted anomaly detector.
-pub trait Detector: Send + Sync {
+pub trait Detector: Send + Sync + std::fmt::Debug {
     /// Anomaly score of one point (higher = more anomalous).
     fn score(&self, point: &[f64]) -> f64;
 
@@ -302,6 +302,7 @@ impl Detector for Mahalanobis {
 // Isolation forest
 // ---------------------------------------------------------------------------
 
+#[derive(Debug)]
 enum ITree {
     Leaf {
         size: usize,
@@ -390,6 +391,7 @@ fn average_path(n: usize) -> f64 {
 }
 
 /// Isolation forest (Liu et al.), seeded for reproducibility.
+#[derive(Debug)]
 pub struct IsolationForest {
     trees: Vec<ITree>,
     sample: usize,
@@ -454,6 +456,7 @@ impl Detector for IsolationForest {
 // ---------------------------------------------------------------------------
 
 /// Local outlier factor (brute-force k-NN).
+#[derive(Debug)]
 pub struct Lof {
     data: Vec<Vec<f64>>,
     k: usize,
@@ -543,6 +546,7 @@ impl Detector for Lof {
 
 /// One-class k-means: distance to the nearest centroid, normalized by
 /// the cluster's mean radius.
+#[derive(Debug)]
 pub struct Centroid {
     centroids: Vec<Vec<f64>>,
     radius: Vec<f64>,

@@ -18,8 +18,6 @@
 //! # Examples
 //!
 //! ```
-//! # use std::error::Error;
-//! # fn main() -> Result<(), Box<dyn Error>> {
 //! use everest_anomaly::dataset::Dataset;
 //! use everest_anomaly::service::{select_model, DetectionNode, Strategy};
 //! use everest_anomaly::synthetic::{generate, StreamConfig};
@@ -33,13 +31,11 @@
 //! let model = select_model(&train, &validation, &labels, 15, Strategy::Tpe, 7);
 //! let mut node = DetectionNode::new(model, 512, 7);
 //! let report = node.detect(&validation);
-//! let json = DetectionNode::to_json(&report)?;
+//! let json = DetectionNode::to_json(&report);
 //! assert!(json.contains("anomalous_indexes"));
-//! # Ok(())
-//! # }
 //! ```
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod dataset;
 pub mod detectors;

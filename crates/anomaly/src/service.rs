@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use serde::{Serialize, Value};
 
 use crate::dataset::Dataset;
 use crate::detectors::{Centroid, Detector, IqrFence, IsolationForest, Lof, Mahalanobis, ZScore};
@@ -100,6 +100,7 @@ pub fn fit_detector(params: &Params, train: &Dataset, seed: u64) -> Box<dyn Dete
 }
 
 /// Result of a model-selection run.
+#[derive(Debug)]
 pub struct SelectedModel {
     /// Winning hyperparameters.
     pub params: Params,
@@ -159,7 +160,7 @@ pub fn select_model(
 /// The JSON document produced by the detection node (§VII: "a JSON file
 /// containing the indexes of data points that are considered
 /// anomalous").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectionReport {
     /// Detector family that produced the report.
     pub model: String,
@@ -169,8 +170,22 @@ pub struct DetectionReport {
     pub anomalous_indexes: Vec<usize>,
 }
 
+impl Serialize for DetectionReport {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("model".into(), self.model.to_value()),
+            ("scanned".into(), self.scanned.to_value()),
+            (
+                "anomalous_indexes".into(),
+                self.anomalous_indexes.to_value(),
+            ),
+        ])
+    }
+}
+
 /// The detection node: holds the current model, scans batches, and
 /// continuously refits on a sliding window of recent data.
+#[derive(Debug)]
 pub struct DetectionNode {
     detector: Box<dyn Detector>,
     params: Params,
@@ -278,13 +293,9 @@ impl DetectionNode {
         }
     }
 
-    /// Serializes a report to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `serde_json` failures (cannot occur for this type).
-    pub fn to_json(report: &DetectionReport) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(report)
+    /// Serializes a report as JSON indented with two spaces.
+    pub fn to_json(report: &DetectionReport) -> String {
+        serde_json::to_string_pretty(report).expect("a Value tree always serializes")
     }
 }
 
@@ -330,9 +341,9 @@ mod tests {
         let mut node = DetectionNode::new(selected, 512, 7);
         let report = node.detect(&validation);
         assert_eq!(report.scanned, validation.len());
-        let json = DetectionNode::to_json(&report).unwrap();
-        let back: DetectionReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, report);
+        let json = DetectionNode::to_json(&report);
+        let back: Value = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, report.to_value());
         assert!(json.contains("anomalous_indexes"));
         // quality on the validation labels
         let mut predictions = vec![false; validation.len()];

@@ -39,7 +39,7 @@
 //! # }
 //! ```
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod monitor;
 pub mod tuner;

@@ -101,7 +101,7 @@ pub fn timings(r: &mut Report) {
     let compiled = compiled_rrtmg(small_dims(), CompileOptions::default());
     let text = everest_ir::print::print_module(&compiled.module);
     r.time("e04_dialects/verify_rrtmg_module", || {
-        everest_ir::verify::verify_module(&ctx, &compiled.module).expect("ok")
+        everest_ir::verify::verify_module(&ctx, &compiled.module).expect("ok");
     });
     r.time("e04_dialects/parse_rrtmg_text", || {
         everest_ir::parse::parse_module(&text).expect("parses")

@@ -31,7 +31,7 @@
 //! surviving component proceeds in *degraded* mode (counted, flagged
 //! in traces). The full protocol is documented in `docs/RESILIENCE.md`.
 
-#![warn(clippy::unwrap_used)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod lease;
 pub mod membership;

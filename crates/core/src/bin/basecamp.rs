@@ -283,6 +283,18 @@ fn write_output(path: Option<&str>, content: &str) -> Result<(), String> {
     }
 }
 
+/// Where `analyze` and `query` send their `--json` document: `None`
+/// without the flag, `Some(None)` for stdout (bare `--json`, or
+/// `--json -`), `Some(Some(path))` for a file.
+fn requested_json(args: &[String]) -> Option<Option<&str>> {
+    let at = args.iter().position(|a| a == "--json")?;
+    Some(
+        args.get(at + 1)
+            .filter(|v| !v.starts_with("--"))
+            .map(String::as_str),
+    )
+}
+
 /// Honors `--trace <path>`: exports the global telemetry registry as
 /// Chrome trace JSON. Returns `false` when the write failed.
 fn write_trace_if_requested(args: &[String]) -> bool {
@@ -421,14 +433,7 @@ fn analyze(args: &[String]) -> ExitCode {
             }
         }
     };
-    // `--json` alone (or with `-`) prints to stdout; `--json <path>`
-    // writes the same document to a file.
-    let json = args.iter().position(|a| a == "--json").map(|i| {
-        args.get(i + 1)
-            .filter(|v| !v.starts_with("--"))
-            .map(String::as_str)
-    });
-    match json {
+    match requested_json(args) {
         Some(path) => {
             if let Err(e) = write_output(path, &report.to_json()) {
                 eprintln!("error: {e}");
@@ -557,14 +562,8 @@ fn query(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(json_at) = args.iter().position(|a| a == "--json") {
-        // `--json` takes an optional path: `--json out.json` or bare
-        // `--json` for stdout (mirroring `analyze`).
-        let path = args
-            .get(json_at + 1)
-            .filter(|a| !a.starts_with("--"))
-            .map(String::as_str);
-        if let Err(e) = write_output(path, report.explain_json().trim_end()) {
+    if let Some(path) = requested_json(args) {
+        if let Err(e) = write_output(path, &report.explain_json()) {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }

@@ -10,9 +10,13 @@
 //! chaos --seed N --trace` is diffable; CI relies on this).
 
 use everest_runtime::cluster::Cluster;
-use everest_runtime::scheduler::{Policy, RecoveryConfig, Scheduler, SimulationResult};
+use everest_runtime::scheduler::{
+    Policy, RecoveryConfig, ScheduleEntry, Scheduler, SimulationResult,
+};
 use everest_runtime::task::{TaskGraph, TaskSpec};
 use everest_runtime::{DetRng, FaultPlan};
+use serde::{Serialize, Value};
+use serde_json::{fixed, int};
 
 /// Campaign shape. Everything else derives from `seed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,57 +156,51 @@ impl ChaosReport {
     /// state, no wall clock, no hash-map iteration order. Two runs with
     /// the same options produce identical bytes.
     pub fn trace_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.options.seed));
-        out.push_str(&format!("  \"nodes\": {},\n", self.options.nodes));
-        out.push_str(&format!("  \"tasks\": {},\n", self.options.tasks));
-        out.push_str("  \"plan\": [\n");
-        let plan_lines: Vec<String> = self
-            .plan
-            .faults()
-            .iter()
-            .map(|f| format!("    \"{}\"", f.describe()))
-            .collect();
-        out.push_str(&plan_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str("  \"schedule\": [\n");
-        let entry_lines: Vec<String> = self
-            .result
-            .entries
-            .iter()
-            .map(|e| {
-                format!(
-                    "    {{\"task\": {}, \"node\": {}, \"start_us\": {:.3}, \
-                     \"finish_us\": {:.3}, \"on_fpga\": {}}}",
-                    e.task, e.node, e.start_us, e.finish_us, e.on_fpga
-                )
-            })
-            .collect();
-        out.push_str(&entry_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str(&format!(
-            "  \"clean_makespan_us\": {:.3},\n",
-            self.clean_makespan_us
-        ));
-        out.push_str(&format!(
-            "  \"makespan_us\": {:.3},\n",
-            self.result.makespan_us
-        ));
         let r = &self.result.recovery;
-        out.push_str(&format!(
-            "  \"recovery\": {{\"faults_injected\": {}, \"retries\": {}, \
-             \"backoff_us_total\": {:.3}, \"degraded_to_cpu\": {}, \
-             \"quarantined_nodes\": {:?}, \"recovered\": {:?}}}\n",
-            r.faults_injected,
-            r.retries,
-            r.backoff_us_total,
-            r.degraded_to_cpu,
-            r.quarantined_nodes,
-            r.recovered
-        ));
-        out.push('}');
-        out
+        let recovery = Value::Object(vec![
+            ("faults_injected".into(), r.faults_injected.to_value()),
+            ("retries".into(), r.retries.to_value()),
+            ("backoff_us_total".into(), fixed(r.backoff_us_total)),
+            ("degraded_to_cpu".into(), r.degraded_to_cpu.to_value()),
+            ("quarantined_nodes".into(), r.quarantined_nodes.to_value()),
+            ("recovered".into(), r.recovered.to_value()),
+        ]);
+        serde_json::to_string_trace(&Value::Object(vec![
+            ("seed".into(), int(self.options.seed)),
+            ("nodes".into(), self.options.nodes.to_value()),
+            ("tasks".into(), self.options.tasks.to_value()),
+            ("plan".into(), plan_rows(&self.plan)),
+            ("schedule".into(), schedule_rows(&self.result.entries)),
+            ("clean_makespan_us".into(), fixed(self.clean_makespan_us)),
+            ("makespan_us".into(), fixed(self.result.makespan_us)),
+            ("recovery".into(), recovery),
+        ]))
     }
+}
+
+/// The `plan` rows of a replay trace: each fault as it describes itself.
+pub(crate) fn plan_rows(plan: &FaultPlan) -> Value {
+    Value::Array(
+        plan.faults()
+            .iter()
+            .map(|f| Value::Str(f.describe()))
+            .collect(),
+    )
+}
+
+/// The `schedule` rows of a chaos or heal trace: where and when each
+/// task ran.
+pub(crate) fn schedule_rows(entries: &[ScheduleEntry]) -> Value {
+    let row = |e: &ScheduleEntry| {
+        Value::Object(vec![
+            ("task".into(), e.task.to_value()),
+            ("node".into(), e.node.to_value()),
+            ("start_us".into(), fixed(e.start_us)),
+            ("finish_us".into(), fixed(e.finish_us)),
+            ("on_fpga".into(), Value::Bool(e.on_fpga)),
+        ])
+    };
+    Value::Array(entries.iter().map(row).collect())
 }
 
 #[cfg(test)]
@@ -240,6 +238,17 @@ mod tests {
         assert_eq!(report.result.entries.len(), 30);
         assert!(report.result.makespan_us >= report.clean_makespan_us);
         assert_eq!(report.plan.len(), 8);
+    }
+
+    #[test]
+    fn the_largest_seed_prints_exactly() {
+        let report = run_chaos(&ChaosOptions {
+            seed: u64::MAX,
+            ..ChaosOptions::default()
+        });
+        assert!(report
+            .trace_json()
+            .starts_with("{\n  \"seed\": 18446744073709551615,\n"));
     }
 
     #[test]

@@ -22,8 +22,10 @@ use everest_runtime::scheduler::{
     HealPolicy, HealedOutcome, Policy, RecoveryConfig, Scheduler, SimulationResult,
 };
 use everest_runtime::{BreakerConfig, FaultPlan, HealthConfig};
+use serde::{Serialize, Value};
+use serde_json::{fixed, int};
 
-use crate::chaos::workload;
+use crate::chaos::{plan_rows, schedule_rows, workload};
 
 /// Campaign shape. Everything else derives from `seed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,74 +220,34 @@ impl HealReport {
     /// state, no wall clock, no hash-map iteration order. Two runs with
     /// the same options produce identical bytes.
     pub fn trace_json(&self) -> String {
-        let h = &self.healed.result.heal;
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.options.seed));
-        out.push_str(&format!("  \"nodes\": {},\n", self.options.nodes));
-        out.push_str(&format!("  \"tasks\": {},\n", self.options.tasks));
-        out.push_str("  \"plan\": [\n");
-        let plan_lines: Vec<String> = self
-            .plan
-            .faults()
-            .iter()
-            .map(|f| format!("    \"{}\"", f.describe()))
-            .collect();
-        out.push_str(&plan_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str(&format!(
-            "  \"clean_makespan_us\": {:.3},\n",
-            self.clean_makespan_us
-        ));
-        out.push_str(&format!(
-            "  \"blind_makespan_us\": {:.3},\n",
-            self.unhealed.makespan_us
-        ));
-        out.push_str(&format!(
-            "  \"healed_makespan_us\": {:.3},\n",
-            self.healed.result.makespan_us
-        ));
-        out.push_str("  \"verdicts\": [\n");
-        let verdict_lines: Vec<String> = h
-            .verdicts
-            .iter()
-            .map(|v| format!("    \"{}\"", v.describe()))
-            .collect();
-        out.push_str(&verdict_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str("  \"schedule\": [\n");
-        let entry_lines: Vec<String> = self
-            .healed
-            .result
-            .entries
-            .iter()
-            .map(|e| {
-                format!(
-                    "    {{\"task\": {}, \"node\": {}, \"start_us\": {:.3}, \
-                     \"finish_us\": {:.3}, \"on_fpga\": {}}}",
-                    e.task, e.node, e.start_us, e.finish_us, e.on_fpga
-                )
-            })
-            .collect();
-        out.push_str(&entry_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str(&format!(
-            "  \"heal\": {{\"breaker_opens\": {}, \"probes\": {}, \
-             \"probe_failures\": {}, \"migrations\": {}, \
-             \"watchdog_timeouts\": {}, \"checkpoints_taken\": {}}},\n",
-            h.breaker_opens,
-            h.probes,
-            h.probe_failures,
-            h.migrations,
-            h.watchdog_timeouts,
-            h.checkpoints_taken
-        ));
-        out.push_str(&format!(
-            "  \"checkpoints\": {},\n",
-            self.healed.checkpoints.len()
-        ));
-        out.push_str(&format!("  \"resume_matched\": {}\n", self.resume_matched));
-        out.push('}');
-        out
+        let healed = &self.healed.result;
+        let h = &healed.heal;
+        let verdicts = h.verdicts.iter().map(|v| Value::Str(v.describe()));
+        let heal = Value::Object(vec![
+            ("breaker_opens".into(), h.breaker_opens.to_value()),
+            ("probes".into(), h.probes.to_value()),
+            ("probe_failures".into(), h.probe_failures.to_value()),
+            ("migrations".into(), h.migrations.to_value()),
+            ("watchdog_timeouts".into(), h.watchdog_timeouts.to_value()),
+            ("checkpoints_taken".into(), h.checkpoints_taken.to_value()),
+        ]);
+        serde_json::to_string_trace(&Value::Object(vec![
+            ("seed".into(), int(self.options.seed)),
+            ("nodes".into(), self.options.nodes.to_value()),
+            ("tasks".into(), self.options.tasks.to_value()),
+            ("plan".into(), plan_rows(&self.plan)),
+            ("clean_makespan_us".into(), fixed(self.clean_makespan_us)),
+            ("blind_makespan_us".into(), fixed(self.unhealed.makespan_us)),
+            ("healed_makespan_us".into(), fixed(healed.makespan_us)),
+            ("verdicts".into(), Value::Array(verdicts.collect())),
+            ("schedule".into(), schedule_rows(&healed.entries)),
+            ("heal".into(), heal),
+            (
+                "checkpoints".into(),
+                self.healed.checkpoints.len().to_value(),
+            ),
+            ("resume_matched".into(), Value::Bool(self.resume_matched)),
+        ]))
     }
 }
 

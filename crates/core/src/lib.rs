@@ -49,7 +49,7 @@
 //! # }
 //! ```
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod basecamp;
 pub mod chaos;

@@ -31,6 +31,8 @@ use everest_query::lower::{lower, LoweredQuery};
 use everest_query::optimizer::Optimizer;
 use everest_query::{Batch, LogicalPlan};
 use everest_serve::{BatchPolicy, ClassKind, KernelClass, ServeConfig};
+use serde::{Serialize, Value};
+use serde_json::{compact, fixed, int};
 
 use crate::error::SdkError;
 
@@ -82,65 +84,46 @@ pub struct QueryReport {
 
 impl QueryReport {
     /// Canonical EXPLAIN JSON: both plans plus kernel and schedule
-    /// facts. Byte-stable for a given `(dataset, seed, sql, optimize)`.
+    /// facts, each plan [normalized](LogicalPlan::normalize) and written
+    /// compact. Byte-stable for a given `(dataset, seed, sql, optimize)`.
     pub fn explain_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!(
-            "  \"dataset\": {},\n",
-            everest_query::plan::json_string(&self.options.dataset)
-        ));
-        out.push_str(&format!("  \"seed\": {},\n", self.options.seed));
-        out.push_str(&format!(
-            "  \"sql\": {},\n",
-            everest_query::plan::json_string(&self.options.sql)
-        ));
-        out.push_str(&format!("  \"optimize\": {},\n", self.options.optimize));
-        out.push_str(&format!("  \"plan\": {},\n", self.plan.to_json()));
-        out.push_str(&format!("  \"optimized\": {},\n", self.optimized.to_json()));
-        out.push_str(&format!("  \"rows\": {},\n", self.batch.rows.len()));
-        out.push_str("  \"kernels\": [\n");
-        let kernel_lines: Vec<String> = self
-            .lowered
-            .kernels
-            .iter()
-            .map(|k| {
-                format!(
-                    "    {{\"name\": {}, \"op\": {}, \"rows\": {}, \"cycles\": {}}}",
-                    everest_query::plan::json_string(&k.name),
-                    everest_query::plan::json_string(&k.op),
-                    k.rows,
-                    k.hls.cycles
-                )
-            })
-            .collect();
-        out.push_str(&kernel_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str(&format!(
-            "  \"total_cycles\": {},\n",
-            self.lowered.total_cycles()
-        ));
-        out.push_str(&format!(
-            "  \"analysis_findings\": {},\n",
-            self.analysis.diagnostics.len()
-        ));
-        out.push_str(&format!(
-            "  \"olympus\": {{\"replication\": {}, \"lanes\": {}, \"pack_bytes\": {}}},\n",
-            self.architecture.config.replication,
-            self.architecture.config.lanes_per_replica,
-            self.architecture.config.pack_bytes
-        ));
-        out.push_str(&format!(
-            "  \"serve_class\": {{\"name\": {}, \"kind\": {}, \"static_bound_us\": {}}}\n",
-            everest_query::plan::json_string(&self.class.name),
-            everest_query::plan::json_string(self.class.kind.id()),
-            match self.class.static_bound_us {
-                Some(b) => format!("{b:.3}"),
-                None => "null".to_string(),
-            }
-        ));
-        out.push_str("}\n");
-        out
+        let kernels = self.lowered.kernels.iter().map(|k| {
+            Value::Object(vec![
+                ("name".into(), k.name.to_value()),
+                ("op".into(), k.op.to_value()),
+                ("rows".into(), k.rows.to_value()),
+                ("cycles".into(), int(k.hls.cycles)),
+            ])
+        });
+        let config = &self.architecture.config;
+        let olympus = Value::Object(vec![
+            ("replication".into(), config.replication.to_value()),
+            ("lanes".into(), config.lanes_per_replica.to_value()),
+            ("pack_bytes".into(), int(config.pack_bytes)),
+        ]);
+        let bound = self.class.static_bound_us;
+        let serve_class = Value::Object(vec![
+            ("name".into(), self.class.name.to_value()),
+            ("kind".into(), self.class.kind.id().to_value()),
+            ("static_bound_us".into(), bound.map_or(Value::Null, fixed)),
+        ]);
+        serde_json::to_string_trace(&Value::Object(vec![
+            ("dataset".into(), self.options.dataset.to_value()),
+            ("seed".into(), int(self.options.seed)),
+            ("sql".into(), self.options.sql.to_value()),
+            ("optimize".into(), Value::Bool(self.options.optimize)),
+            ("plan".into(), compact(&self.plan.normalize())),
+            ("optimized".into(), compact(&self.optimized.normalize())),
+            ("rows".into(), self.batch.rows.len().to_value()),
+            ("kernels".into(), Value::Array(kernels.collect())),
+            ("total_cycles".into(), int(self.lowered.total_cycles())),
+            (
+                "analysis_findings".into(),
+                self.analysis.diagnostics.len().to_value(),
+            ),
+            ("olympus".into(), olympus),
+            ("serve_class".into(), serve_class),
+        ]))
     }
 
     /// Human-readable run summary (also byte-stable).

@@ -18,6 +18,10 @@ use everest_serve::{
     BrownoutConfig, ClusterConfig, HedgeConfig, KernelClass, LifecycleConfig, LimiterConfig,
     RetryConfig, ServeConfig, ServeConfigError, ServeEngine, ServeOutcome, TenantSpec,
 };
+use serde::{Serialize, Value};
+use serde_json::{fixed, int};
+
+use crate::chaos::plan_rows;
 
 /// Campaign shape. Everything else derives from `seed`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -349,126 +353,89 @@ impl ServeReport {
     /// the same options produce identical bytes.
     pub fn trace_json(&self) -> String {
         let o = &self.outcome;
-        // The `"key": value` pairs of one counter block: the ledger
-        // rows declared under it, in declaration order.
-        let block = |name: &str| {
-            let pairs: Vec<String> = o
-                .ledger()
+        // The members of one counter block: the ledger rows declared
+        // under it, in declaration order.
+        let block = |name: &str| -> Vec<(String, Value)> {
+            o.ledger()
                 .filter(|(row, _)| row.trace.0 == name)
-                .map(|(row, value)| format!("\"{}\": {value}", row.trace.1))
-                .collect();
-            pairs.join(", ")
+                .map(|(row, value)| (row.trace.1.to_string(), int(value)))
+                .collect()
         };
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.options.seed));
-        out.push_str(&format!("  \"nodes\": {},\n", self.config.nodes));
-        out.push_str(&format!(
-            "  \"tenant_count\": {},\n",
-            self.config.tenants.len()
-        ));
-        out.push_str(&format!("  \"load\": {:.3},\n", self.options.load));
-        out.push_str(&format!(
-            "  \"offered_rps\": {:.3},\n",
-            self.config.offered_rps
-        ));
-        out.push_str(&format!(
-            "  \"horizon_us\": {:.3},\n",
-            self.config.horizon_us
-        ));
-        out.push_str(&format!(
-            "  \"features\": {{\"retries\": {}, \"hedge\": {}, \"limiter\": {}, \"brownout\": {}}},\n",
-            self.options.retries, self.options.hedge, self.options.limiter, self.options.brownout
-        ));
-        out.push_str("  \"plan\": [\n");
-        let plan_lines: Vec<String> = self
-            .plan
-            .faults()
-            .iter()
-            .map(|f| format!("    \"{}\"", f.describe()))
-            .collect();
-        out.push_str(&plan_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str(&format!("  \"counts\": {{{}}},\n", block("counts")));
-        out.push_str(&format!("  \"lifecycle\": {{{}}},\n", block("lifecycle")));
-        if self.options.partition > 0 {
-            out.push_str(&format!(
-                "  \"cluster\": {{\"partition_cycles\": {}, {}}},\n",
-                self.options.partition,
-                block("cluster")
-            ));
-        }
-        out.push_str(&format!(
-            "  \"latency_us\": {{\"mean\": {:.3}, \"p50\": {:.3}, \"p95\": {:.3}, \"p99\": {:.3}}},\n",
-            o.mean_latency_us().unwrap_or(0.0),
-            o.latency_quantile(0.50).unwrap_or(0.0),
-            o.latency_quantile(0.95).unwrap_or(0.0),
-            o.latency_quantile(0.99).unwrap_or(0.0)
-        ));
-        out.push_str("  \"tenants\": [\n");
-        let tenant_lines: Vec<String> = o
-            .tenants
-            .iter()
-            .map(|t| {
-                format!(
-                    "    {{\"name\": \"{}\", \"weight\": {:.3}, \"offered\": {}, \
-                     \"admitted\": {}, \"completed\": {}, \"shed\": {}, \"failed\": {}, \
-                     \"retried\": {}}}",
-                    t.name,
-                    t.weight,
-                    t.offered,
-                    t.admitted,
-                    t.completed,
-                    t.shed,
-                    t.failed,
-                    t.retried
-                )
-            })
-            .collect();
-        out.push_str(&tenant_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-        out.push_str("  \"batches\": [\n");
+        let features = Value::Object(vec![
+            ("retries".into(), Value::Bool(self.options.retries)),
+            ("hedge".into(), Value::Bool(self.options.hedge)),
+            ("limiter".into(), Value::Bool(self.options.limiter)),
+            ("brownout".into(), Value::Bool(self.options.brownout)),
+        ]);
+        let latency = |us: Option<f64>| fixed(us.unwrap_or(0.0));
+        let latency_us = Value::Object(vec![
+            ("mean".into(), latency(o.mean_latency_us())),
+            ("p50".into(), latency(o.latency_quantile(0.50))),
+            ("p95".into(), latency(o.latency_quantile(0.95))),
+            ("p99".into(), latency(o.latency_quantile(0.99))),
+        ]);
+        let tenants = o.tenants.iter().map(|t| {
+            Value::Object(vec![
+                ("name".into(), t.name.to_value()),
+                ("weight".into(), fixed(t.weight)),
+                ("offered".into(), int(t.offered)),
+                ("admitted".into(), int(t.admitted)),
+                ("completed".into(), int(t.completed)),
+                ("shed".into(), int(t.shed)),
+                ("failed".into(), int(t.failed)),
+                ("retried".into(), int(t.retried)),
+            ])
+        });
         // Fencing fields only appear in partition-mode traces: a run
         // without `--partition-plan` emits the exact pre-0.7 bytes.
         let partitioned = self.options.partition > 0;
-        let batch_lines: Vec<String> = o
-            .batches
-            .iter()
-            .map(|b| {
-                let fencing = if partitioned {
-                    format!(", \"epoch\": {}, \"fenced\": {}", b.epoch, b.fenced)
-                } else {
-                    String::new()
-                };
-                format!(
-                    "    {{\"id\": {}, \"class\": {}, \"node\": {}, \"size\": {}, \
-                     \"start_us\": {:.3}, \"finish_us\": {:.3}, \"probe\": {}, \"failed\": {}, \
-                     \"hedge\": {}, \"cancelled\": {}{}}}",
-                    b.id,
-                    b.class,
-                    b.node,
-                    b.size,
-                    b.start_us,
-                    b.finish_us,
-                    b.probe,
-                    b.failed,
-                    b.hedge,
-                    b.cancelled,
-                    fencing
-                )
-            })
-            .collect();
-        out.push_str(&batch_lines.join(",\n"));
-        out.push_str("\n  ],\n");
-        let ceilings: Vec<String> = o.final_max_batch.iter().map(usize::to_string).collect();
-        out.push_str(&format!(
-            "  \"autotuner\": {{{}, \"final_batch\": [{}]}},\n",
-            block("autotuner"),
-            ceilings.join(", ")
-        ));
-        out.push_str(&format!("  \"breakers\": {{{}}},\n", block("breakers")));
-        out.push_str(&format!("  \"conserved\": {}\n", o.conserved()));
-        out.push('}');
-        out
+        let batches = o.batches.iter().map(|b| {
+            let mut fields = vec![
+                ("id".into(), int(b.id)),
+                ("class".into(), b.class.to_value()),
+                ("node".into(), b.node.to_value()),
+                ("size".into(), b.size.to_value()),
+                ("start_us".into(), fixed(b.start_us)),
+                ("finish_us".into(), fixed(b.finish_us)),
+                ("probe".into(), Value::Bool(b.probe)),
+                ("failed".into(), Value::Bool(b.failed)),
+                ("hedge".into(), Value::Bool(b.hedge)),
+                ("cancelled".into(), Value::Bool(b.cancelled)),
+            ];
+            if partitioned {
+                fields.push(("epoch".into(), int(b.epoch)));
+                fields.push(("fenced".into(), Value::Bool(b.fenced)));
+            }
+            Value::Object(fields)
+        });
+        let mut autotuner = block("autotuner");
+        autotuner.push(("final_batch".into(), o.final_max_batch.to_value()));
+        let mut trace = vec![
+            ("seed".into(), int(self.options.seed)),
+            ("nodes".into(), self.config.nodes.to_value()),
+            ("tenant_count".into(), self.config.tenants.len().to_value()),
+            ("load".into(), fixed(self.options.load)),
+            ("offered_rps".into(), fixed(self.config.offered_rps)),
+            ("horizon_us".into(), fixed(self.config.horizon_us)),
+            ("features".into(), features),
+            ("plan".into(), plan_rows(&self.plan)),
+            ("counts".into(), Value::Object(block("counts"))),
+            ("lifecycle".into(), Value::Object(block("lifecycle"))),
+        ];
+        if partitioned {
+            let mut cluster = vec![("partition_cycles".into(), self.options.partition.to_value())];
+            cluster.extend(block("cluster"));
+            trace.push(("cluster".into(), Value::Object(cluster)));
+        }
+        trace.extend([
+            ("latency_us".into(), latency_us),
+            ("tenants".into(), Value::Array(tenants.collect())),
+            ("batches".into(), Value::Array(batches.collect())),
+            ("autotuner".into(), Value::Object(autotuner)),
+            ("breakers".into(), Value::Object(block("breakers"))),
+            ("conserved".into(), Value::Bool(o.conserved())),
+        ]);
+        serde_json::to_string_trace(&Value::Object(trace))
     }
 }
 

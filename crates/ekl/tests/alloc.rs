@@ -6,6 +6,10 @@
 //! allocator) counts heap allocations through its own global allocator.
 //! One `#[test]`, so nothing else allocates while it measures.
 
+// This crate denies `unsafe_code` (workspace lints); implementing
+// `GlobalAlloc` is the one thing here that cannot be written without it.
+#![allow(unsafe_code)]
+
 mod reference;
 
 use std::alloc::{GlobalAlloc, Layout, System};

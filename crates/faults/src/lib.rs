@@ -46,7 +46,7 @@
 //! assert!(injector.fire(FaultOp::Kernel, 1_500.0).is_none()); // fires once
 //! ```
 
-#![warn(clippy::unwrap_used)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod effects;
 pub mod inject;

@@ -45,7 +45,7 @@
 //! assert_eq!(verdicts[0].kind, VerdictKind::Straggler);
 //! ```
 
-#![warn(clippy::unwrap_used)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod breaker;
 pub mod monitor;

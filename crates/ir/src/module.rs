@@ -632,6 +632,7 @@ impl Module {
 ///
 /// Terminal methods: [`OpBuilder::append_to`] (attach to a block) and
 /// [`OpBuilder::detached`] (leave unattached).
+#[derive(Debug)]
 pub struct OpBuilder<'m> {
     module: &'m mut Module,
     name: Symbol,

@@ -278,6 +278,7 @@ impl IntoIterator for ValueList {
 }
 
 /// The owning iterator of a [`ValueList`].
+#[derive(Debug)]
 pub struct IntoIter {
     list: ValueList,
     next: usize,

@@ -46,7 +46,7 @@
 //! # }
 //! ```
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod arch;
 pub mod builder;

@@ -54,7 +54,7 @@
 //! assert_eq!(batch.rows.len(), 1);
 //! ```
 
-#![warn(clippy::unwrap_used)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod datasets;
 pub mod error;

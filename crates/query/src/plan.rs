@@ -10,6 +10,8 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
+use serde::Serialize;
+
 use crate::table::Value;
 
 /// Binary operators, numeric and logical.
@@ -540,36 +542,6 @@ impl LogicalPlan {
         }
     }
 
-    /// Byte-stable JSON rendering of the (normalized) plan.
-    pub fn to_json(&self) -> String {
-        let normal = self.normalize();
-        let mut out = String::new();
-        normal.write_json(&mut out);
-        out
-    }
-
-    fn write_json(&self, out: &mut String) {
-        let children = self.children();
-        let _ = write!(
-            out,
-            "{{\"op\":{},\"detail\":{},\"schema\":[{}],\"children\":[",
-            json_string(self.op_name()),
-            json_string(&self.describe()),
-            self.schema()
-                .iter()
-                .map(|c| json_string(c))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for (i, child) in children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            child.write_json(out);
-        }
-        out.push_str("]}");
-    }
-
     /// Short operator name for JSON / telemetry.
     pub fn op_name(&self) -> &'static str {
         match self {
@@ -636,25 +608,18 @@ pub(crate) fn qualified(qualifier: &str, column: &str) -> String {
     name
 }
 
-/// Escapes a string into a JSON literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// The plan as JSON: `{"op","detail","schema","children"}`, children in
+/// plan order. EXPLAIN writes the [normalized](LogicalPlan::normalize)
+/// plan compact, so the bytes are canonical.
+impl Serialize for LogicalPlan {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("op".into(), self.op_name().to_value()),
+            ("detail".into(), self.describe().to_value()),
+            ("schema".into(), self.schema().to_value()),
+            ("children".into(), self.children().to_value()),
+        ])
     }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -712,7 +677,7 @@ mod tests {
             },
         };
         assert_eq!(one.normalize(), two.normalize());
-        assert_eq!(one.to_json(), two.to_json());
+        assert_eq!(one.normalize().to_value(), two.normalize().to_value());
     }
 
     #[test]
@@ -729,6 +694,14 @@ mod tests {
 
     #[test]
     fn json_escapes_quotes() {
-        assert_eq!(json_string("a\"b"), "\"a\\\"b\"");
+        let plan = LogicalPlan::Scan {
+            table: "a\"b".to_string(),
+            columns: vec!["a\"b.c".to_string()],
+            projection: None,
+        };
+        assert_eq!(
+            serde_json::to_string(&plan).unwrap(),
+            r#"{"op":"scan","detail":"Scan: a\"b","schema":["a\"b.c"],"children":[]}"#
+        );
     }
 }

@@ -42,7 +42,7 @@
 //! # }
 //! ```
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod cluster;
 pub mod events;

@@ -45,7 +45,7 @@
 //! assert!(outcome.latency_quantile(0.99).expect("completions") > 0.0);
 //! ```
 
-#![warn(clippy::unwrap_used)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod admission;
 pub mod batcher;

@@ -1,7 +1,7 @@
 //! # everest-telemetry
 //!
 //! The observability backbone of the EVEREST SDK reproduction: one
-//! thread-safe, zero-dependency [`Registry`] of **spans**, **metrics**
+//! thread-safe [`Registry`] of **spans**, **metrics**
 //! and **events** shared by every layer of the stack, so a single
 //! compile → deploy → execute flow can be inspected end to end.
 //!
@@ -68,7 +68,7 @@
 //! assert!(registry.to_chrome_trace().contains("\"traceEvents\""));
 //! ```
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod monitor;
 pub mod registry;

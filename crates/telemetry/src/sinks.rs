@@ -1,10 +1,12 @@
 //! Export sinks: human text tree and Chrome `trace_event` JSON.
 //!
 //! Both serialize snapshots of a [`Registry`], so concurrent
-//! recording never tears an individual record in the export. JSON
-//! is emitted with a small built-in writer (escaped strings, finite
-//! numbers only) to keep this crate dependency-free; the Chrome trace
-//! output is verified to round-trip through `serde_json` in tests.
+//! recording never tears an individual record in the export. The
+//! Chrome trace is a `serde::Value` tree printed compact by the
+//! workspace's one JSON writer, `serde_json`: times are microseconds to
+//! three decimals with trailing zeros trimmed (sub-nanosecond for µs
+//! stamps), and a non-finite number prints as `0`, since JSON has no
+//! NaN or Infinity.
 //!
 //! The formats are part of the observability contract documented in
 //! `docs/OBSERVABILITY.md`.
@@ -12,58 +14,27 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use serde::Value;
+use serde_json::{int, trimmed};
+
 use crate::registry::{ArgValue, EventRecord, Registry, SpanRecord};
 
-/// Escapes `s` as JSON string contents (without surrounding quotes).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// A span's args as one JSON object, in key order.
+fn args(args: &BTreeMap<String, ArgValue>) -> Value {
+    let value = |arg: &ArgValue| match arg {
+        ArgValue::U64(v) => int(*v),
+        ArgValue::F64(v) => trimmed(*v),
+        ArgValue::Str(v) => Value::Str(v.clone()),
+        ArgValue::Bool(v) => Value::Bool(*v),
+    };
+    Value::Object(args.iter().map(|(k, v)| (k.clone(), value(v))).collect())
 }
 
-/// Formats a finite JSON number; non-finite values become 0 (JSON has
-/// no NaN/Infinity).
-fn json_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    // Trim the noise: three decimals is sub-nanosecond for µs stamps.
-    let s = format!("{v:.3}");
-    let s = s.trim_end_matches('0').trim_end_matches('.');
-    if s.is_empty() || s == "-" {
-        "0".to_string()
-    } else {
-        s.to_string()
-    }
-}
-
-fn json_arg(value: &ArgValue) -> String {
-    match value {
-        ArgValue::U64(v) => v.to_string(),
-        ArgValue::F64(v) => json_f64(*v),
-        ArgValue::Str(v) => format!("\"{}\"", json_escape(v)),
-        ArgValue::Bool(v) => v.to_string(),
-    }
-}
-
-fn json_args(args: &BTreeMap<String, ArgValue>) -> String {
-    let fields: Vec<String> = args
-        .iter()
-        .map(|(k, v)| format!("\"{}\":{}", json_escape(k), json_arg(v)))
-        .collect();
-    format!("{{{}}}", fields.join(","))
+/// One `trace_event`: `name`, `cat` and `ph`, then `rest` in order.
+fn event(name: &str, cat: &str, ph: &str, rest: Vec<(&str, Value)>) -> Value {
+    let head = [("name", name), ("cat", cat), ("ph", ph)].map(|(k, v)| (k, Value::Str(v.into())));
+    let fields = head.into_iter().chain(rest);
+    Value::Object(fields.map(|(k, v)| (k.into(), v)).collect())
 }
 
 impl Registry {
@@ -183,50 +154,60 @@ impl Registry {
     /// <https://ui.perfetto.dev>.
     pub fn to_chrome_trace(&self) -> String {
         let now = self.now_us();
-        let mut events: Vec<String> = Vec::new();
+        let mut events = Vec::new();
         let mut max_ts = 0.0f64;
         for s in self.spans() {
             let end = s.end_us.unwrap_or(now);
             max_ts = max_ts.max(end);
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{}}}",
-                json_escape(&s.name),
-                s.tid,
-                json_f64(s.start_us),
-                json_f64(end - s.start_us),
-                json_args(&s.args),
+            events.push(event(
+                &s.name,
+                "span",
+                "X",
+                vec![
+                    ("pid", int(1)),
+                    ("tid", int(s.tid)),
+                    ("ts", trimmed(s.start_us)),
+                    ("dur", trimmed(end - s.start_us)),
+                    ("args", args(&s.args)),
+                ],
             ));
         }
         for e in self.events() {
             max_ts = max_ts.max(e.ts_us);
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{\"detail\":\"{}\"}}}}",
-                json_escape(&e.name),
-                e.tid,
-                json_f64(e.ts_us),
-                json_escape(&e.detail),
+            let detail = Value::Object(vec![("detail".into(), Value::Str(e.detail))]);
+            events.push(event(
+                &e.name,
+                "event",
+                "i",
+                vec![
+                    ("s", Value::Str("t".into())),
+                    ("pid", int(1)),
+                    ("tid", int(e.tid)),
+                    ("ts", trimmed(e.ts_us)),
+                    ("args", detail),
+                ],
             ));
         }
-        for name in self.counter_names() {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"counter\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\"args\":{{\"value\":{}}}}}",
-                json_escape(&name),
-                json_f64(max_ts),
-                self.counter(&name),
-            ));
+        // Counters, then gauges: one sample each, at the last timestamp.
+        let counters = self.counters_snapshot().into_iter();
+        let gauges = self.gauges_snapshot().into_iter();
+        let counters = counters.map(|(name, v)| (name, "counter", int(v)));
+        let gauges = gauges.map(|(name, v)| (name, "gauge", trimmed(v)));
+        for (name, cat, value) in counters.chain(gauges) {
+            let args = Value::Object(vec![("value".into(), value)]);
+            let at = [
+                ("pid", int(1)),
+                ("tid", int(0)),
+                ("ts", trimmed(max_ts)),
+                ("args", args),
+            ];
+            events.push(event(&name, cat, "C", at.into()));
         }
-        for name in self.gauge_names() {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"gauge\",\"ph\":\"C\",\"pid\":1,\"tid\":0,\"ts\":{},\"args\":{{\"value\":{}}}}}",
-                json_escape(&name),
-                json_f64(max_ts),
-                json_f64(self.gauge(&name).unwrap_or(0.0)),
-            ));
-        }
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-            events.join(",")
-        )
+        let trace = Value::Object(vec![
+            ("displayTimeUnit".into(), Value::Str("ms".into())),
+            ("traceEvents".into(), Value::Array(events)),
+        ]);
+        serde_json::to_string(&trace).expect("a Value tree always serializes")
     }
 }
 
@@ -287,10 +268,38 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_never_reach_json() {
-        assert_eq!(json_f64(f64::NAN), "0");
-        assert_eq!(json_f64(f64::INFINITY), "0");
-        assert_eq!(json_f64(1.25), "1.25");
-        assert_eq!(json_f64(3.0), "3");
-        assert_eq!(json_f64(-0.5), "-0.5");
+        let r = Registry::new();
+        let gauges = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1.25, 3.0, -0.5];
+        for (i, value) in gauges.into_iter().enumerate() {
+            r.gauge_set(&format!("g{i}"), value);
+        }
+        let trace = r.to_chrome_trace();
+        let values: Vec<&str> = trace
+            .split("\"value\":")
+            .skip(1)
+            .map(|rest| &rest[..rest.find('}').expect("the args object closes")])
+            .collect();
+        assert_eq!(values, ["0", "0", "0", "1.25", "3", "-0.5"]);
+    }
+
+    /// Only counters and gauges, so every sample sits at `ts` 0.
+    #[test]
+    fn counter_and_gauge_samples_are_pinned() {
+        let r = Registry::new();
+        r.counter_add("bytes \"in\"", u64::MAX);
+        r.gauge_set("depth", f64::NAN);
+        r.gauge_set("util", 0.25);
+        assert_eq!(
+            r.to_chrome_trace(),
+            concat!(
+                r#"{"displayTimeUnit":"ms","traceEvents":["#,
+                r#"{"name":"bytes \"in\"","cat":"counter","ph":"C","pid":1,"tid":0,"ts":0,"#,
+                r#""args":{"value":18446744073709551615}},"#,
+                r#"{"name":"depth","cat":"gauge","ph":"C","pid":1,"tid":0,"ts":0,"#,
+                r#""args":{"value":0}},"#,
+                r#"{"name":"util","cat":"gauge","ph":"C","pid":1,"tid":0,"ts":0,"#,
+                r#""args":{"value":0.25}}]}"#,
+            )
+        );
     }
 }

@@ -25,7 +25,7 @@
 //! assert!(dist.quantile(0.95) >= dist.quantile(0.5));
 //! ```
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod airquality;
 pub mod energy;

@@ -10,7 +10,7 @@ use everest_sdk::everest_anomaly::dataset::Dataset;
 use everest_sdk::everest_anomaly::service::{select_model, DetectionNode, Strategy};
 use everest_sdk::everest_anomaly::synthetic::{f1_score, generate, StreamConfig};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     // A sensor-like stream with ~5% injected anomalies.
     let stream = generate(StreamConfig::default(), 7);
     let half = stream.data.len() / 2;
@@ -56,10 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         f1
     );
     println!("\nJSON output (paper: 'a JSON file containing the indexes'):");
-    let json = DetectionNode::to_json(&report)?;
+    let json = DetectionNode::to_json(&report);
     for line in json.lines().take(12) {
         println!("{line}");
     }
     println!("...");
-    Ok(())
 }

@@ -39,10 +39,10 @@ fn gate_options(dataset: &str, sql: &str) -> QueryOptions {
 fn explain_json_matches_the_checked_in_expectations() {
     for (dataset, sql, expected) in CORPUS {
         let report = run_query(&gate_options(dataset, sql)).expect("gate query runs");
-        // The CLI writes `explain_json().trim_end()` plus a newline;
-        // mirror that framing exactly.
+        // The CLI writes `explain_json()` plus a newline; mirror that
+        // framing exactly.
         assert_eq!(
-            format!("{}\n", report.explain_json().trim_end()),
+            format!("{}\n", report.explain_json()),
             **expected,
             "{dataset} expectation drifted; regenerate per ci/query/README.md"
         );
