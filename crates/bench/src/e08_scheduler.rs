@@ -3,7 +3,7 @@
 //! a 200-task workflow.
 
 use crate::{rule, Report};
-use everest_runtime::{Cluster, Failure, Policy, Scheduler, TaskGraph, TaskSpec};
+use everest_runtime::{Cluster, FaultPlan, Policy, RecoveryConfig, Scheduler, TaskGraph, TaskSpec};
 
 /// A 200-task ensemble-like workflow: 20 chains of 10 tasks with mixed
 /// durations, cross-links and data volumes.
@@ -77,13 +77,8 @@ pub fn series(r: &mut Report) {
         .map(|(n, _)| n)
         .expect("nodes exist");
     for frac in [0.25, 0.5, 0.75] {
-        let failed = scheduler.run_with_failure(
-            &graph,
-            Some(Failure {
-                node: busiest,
-                at_us: clean.makespan_us * frac,
-            }),
-        );
+        let crash = FaultPlan::single_node_crash(0, busiest, clean.makespan_us * frac);
+        let failed = scheduler.run_with_plan(&graph, &crash, &RecoveryConfig::default());
         r.pin(format!(
             "  node {busiest} dies at {:>3.0}% of makespan: {:>7.1} ms (+{:>4.1}%), {} tasks recovered",
             frac * 100.0,
@@ -102,12 +97,7 @@ pub fn timings(r: &mut Report) {
     });
     let clean = scheduler.run(&graph);
     r.time("e08_scheduler/recovery_200_tasks", || {
-        scheduler.run_with_failure(
-            &graph,
-            Some(Failure {
-                node: 0,
-                at_us: clean.makespan_us * 0.5,
-            }),
-        )
+        let crash = FaultPlan::single_node_crash(0, 0, clean.makespan_us * 0.5);
+        scheduler.run_with_plan(&graph, &crash, &RecoveryConfig::default())
     });
 }

@@ -127,7 +127,6 @@ pub fn run_heal(options: &HealOptions) -> HealReport {
             ..BreakerConfig::default()
         },
         checkpoint_every_tasks: 6,
-        ..HealPolicy::default()
     };
     let config = RecoveryConfig::default();
 
@@ -200,7 +199,6 @@ impl HealReport {
             h.probes, h.probe_failures
         ));
         out.push_str(&format!("migrations        : {}\n", h.migrations));
-        out.push_str(&format!("watchdog timeouts : {}\n", h.watchdog_timeouts));
         out.push_str(&format!(
             "checkpoints       : {} (every {} tasks)\n",
             h.checkpoints_taken, self.policy.checkpoint_every_tasks
@@ -228,7 +226,6 @@ impl HealReport {
             ("probes".into(), h.probes.to_value()),
             ("probe_failures".into(), h.probe_failures.to_value()),
             ("migrations".into(), h.migrations.to_value()),
-            ("watchdog_timeouts".into(), h.watchdog_timeouts.to_value()),
             ("checkpoints_taken".into(), h.checkpoints_taken.to_value()),
         ]);
         serde_json::to_string_trace(&Value::Object(vec![

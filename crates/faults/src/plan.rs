@@ -259,8 +259,8 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Convenience: the single pre-planned node death the runtime's
-    /// legacy `run_with_failure` API modelled.
+    /// Convenience: a plan whose only fault is `node` dying at `at_us`
+    /// — how the runtime's scheduler is handed a single node crash.
     pub fn single_node_crash(seed: u64, node: usize, at_us: f64) -> FaultPlan {
         FaultPlan::new(seed).with_fault(FaultSpec::new(at_us, node, FaultKind::NodeCrash))
     }

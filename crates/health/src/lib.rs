@@ -13,8 +13,6 @@
 //! * [`breaker`] — per-node [`CircuitBreaker`]s
 //!   (closed / open / half-open with probe placements and exponential
 //!   re-open windows) on the virtual clock;
-//! * [`watchdog`] — [`HeartbeatWatchdog`]s with deterministic deadlines,
-//!   catching nodes that fall silent without ever raising an error;
 //! * [`verdict`] — the verdict vocabulary shared with the scheduler.
 //!
 //! Everything is deterministic: decisions are pure functions of the fed
@@ -50,9 +48,7 @@
 pub mod breaker;
 pub mod monitor;
 pub mod verdict;
-pub mod watchdog;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
 pub use monitor::{HealthConfig, HealthMonitor, MonitorSnapshot};
 pub use verdict::{HealthVerdict, VerdictKind};
-pub use watchdog::HeartbeatWatchdog;

@@ -232,9 +232,10 @@ impl HealthMonitor {
         window.iter().sum::<f64>() / window.len() as f64
     }
 
-    /// Records an externally established verdict (e.g. a heartbeat
-    /// watchdog timeout) with the monitor's once-per-`(node, kind)`
-    /// dedup. Returns the verdict when it is new.
+    /// Records an externally established verdict (e.g. serve's
+    /// membership layer confirming a node [`VerdictKind::Unreachable`])
+    /// with the monitor's once-per-`(node, kind)` dedup. Returns the
+    /// verdict when it is new.
     pub fn flag(
         &mut self,
         kind: VerdictKind,

@@ -10,9 +10,6 @@ pub enum VerdictKind {
     GrayLink,
     /// The node's accelerator latency is creeping upward over time.
     DegradingVf,
-    /// The node stopped producing completions before its heartbeat
-    /// deadline on the virtual clock.
-    MissedHeartbeat,
     /// Cluster membership confirmed the node unreachable: gossip
     /// suspicion outlived the suspect timeout. Established externally
     /// by the membership layer (via [`flag`](crate::HealthMonitor::flag))
@@ -28,7 +25,6 @@ impl VerdictKind {
             VerdictKind::Straggler => "straggler",
             VerdictKind::GrayLink => "gray_link",
             VerdictKind::DegradingVf => "degrading_vf",
-            VerdictKind::MissedHeartbeat => "missed_heartbeat",
             VerdictKind::Unreachable => "unreachable",
         }
     }
@@ -82,6 +78,6 @@ mod tests {
         );
         assert_eq!(VerdictKind::GrayLink.id(), "gray_link");
         assert_eq!(VerdictKind::DegradingVf.id(), "degrading_vf");
-        assert_eq!(VerdictKind::MissedHeartbeat.id(), "missed_heartbeat");
+        assert_eq!(VerdictKind::Unreachable.id(), "unreachable");
     }
 }

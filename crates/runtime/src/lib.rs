@@ -6,8 +6,9 @@
 //!   extensions (FPGA implementations, core counts, output sizes);
 //! * [`cluster`] — heterogeneous cluster models (CPU and FPGA nodes);
 //! * [`scheduler`] — the resource manager: dependency-respecting
-//!   placement, load balancing, transfer-aware scheduling, and
-//!   lineage-based rescheduling around node failures;
+//!   placement, load balancing, transfer-aware scheduling, and recovery
+//!   from seeded fault plans (lineage-based rescheduling around node
+//!   crashes, retries, quarantine and CPU fallback);
 //! * [`virt`] — the SR-IOV virtualization layer of Fig. 6: PF/VF
 //!   management with dynamic hot-plug, libvirt-style queries, and the
 //!   near-native-passthrough vs emulated-I/O performance model.
@@ -53,7 +54,7 @@ pub mod virt;
 pub use cluster::{Cluster, NodeSpec};
 pub use events::{EventQueue, EventToken, QueueStats};
 pub use scheduler::{
-    CampaignCheckpoint, Failure, HealPolicy, HealStats, HealedOutcome, Policy, RecoveryConfig,
+    CampaignCheckpoint, HealPolicy, HealStats, HealedOutcome, Policy, RecoveryConfig,
     ScheduleEntry, Scheduler, SimulationResult,
 };
 pub use task::{TaskGraph, TaskId, TaskSpec};

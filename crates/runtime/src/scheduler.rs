@@ -3,12 +3,12 @@
 //! load-balances, accounts for data transfers between nodes, and
 //! reschedules around node failures (lineage-based re-execution).
 //!
-//! Beyond the single-failure path ([`Scheduler::run_with_failure`]),
-//! the scheduler simulates seeded multi-fault campaigns
-//! ([`Scheduler::run_with_plan`]): transient faults trigger per-task
-//! retries with deterministic exponential backoff, repeatedly faulting
-//! nodes are quarantined, and FPGA tasks degrade gracefully to their
-//! CPU implementation when the retry budget runs out or their VF is
+//! Failures arrive as seeded fault plans ([`Scheduler::run_with_plan`];
+//! a single node death is [`FaultPlan::single_node_crash`]): crashes go
+//! through lineage recovery, transient faults trigger per-task retries
+//! with deterministic exponential backoff, repeatedly faulting nodes
+//! are quarantined, and FPGA tasks degrade gracefully to their CPU
+//! implementation when the retry budget runs out or their VF is
 //! unplugged. See `docs/RESILIENCE.md`.
 //!
 //! Gray failures close the loop ([`Scheduler::run_self_healing`]): the
@@ -30,7 +30,7 @@ use everest_faults::{
 };
 use everest_health::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, HealthConfig, HealthMonitor,
-    HealthVerdict, HeartbeatWatchdog, MonitorSnapshot, VerdictKind,
+    HealthVerdict, MonitorSnapshot,
 };
 use everest_platform::xrt::DMA_TIMEOUT_PENALTY_US;
 use everest_telemetry::Registry;
@@ -47,6 +47,11 @@ pub const ECC_STALL_US: f64 = 60.0;
 /// Repair cost after a failed partial reconfiguration, in µs: the
 /// shell is reloaded in full before the task can retry.
 pub const RECONFIG_REPAIR_US: f64 = 5_000.0;
+
+/// A half-open probe whose achieved inflation stays at or below this
+/// ratio closes the breaker; above it, the breaker re-trips with a
+/// longer window.
+const PROBE_OK_RATIO: f64 = 1.3;
 
 /// Placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +113,6 @@ pub struct HealStats {
     /// Tasks placed elsewhere because a breaker refused the node the
     /// planner would have picked.
     pub migrations: usize,
-    /// Heartbeat-watchdog deadline expiries.
-    pub watchdog_timeouts: usize,
     /// Campaign checkpoints taken.
     pub checkpoints_taken: usize,
 }
@@ -136,16 +139,9 @@ impl SimulationResult {
     }
 }
 
-/// An injected node failure.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Failure {
-    /// Node index that dies.
-    pub node: usize,
-    /// Virtual time of death (µs).
-    pub at_us: f64,
-}
-
 /// Tunables for plan-driven fault recovery (see `docs/RESILIENCE.md`).
+/// An FPGA task that exhausts its retry budget (or loses its VF)
+/// always falls back to its CPU implementation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryConfig {
     /// Per-task retry budget and backoff shape for transient faults.
@@ -153,9 +149,6 @@ pub struct RecoveryConfig {
     /// Faults a node may absorb before the scheduler quarantines it
     /// (no further placements). `u32::MAX` disables quarantine.
     pub quarantine_threshold: u32,
-    /// Whether an FPGA task that exhausts its retry budget (or loses
-    /// its VF) falls back to the CPU implementation.
-    pub cpu_fallback: bool,
 }
 
 impl Default for RecoveryConfig {
@@ -163,19 +156,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             retry: RetryPolicy::default(),
             quarantine_threshold: 3,
-            cpu_fallback: true,
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// Lineage-only recovery: no retries, no quarantine, no fallback —
-    /// exactly the legacy `run_with_failure` behaviour.
-    fn lineage_only() -> RecoveryConfig {
-        RecoveryConfig {
-            retry: RetryPolicy::none(),
-            quarantine_threshold: u32::MAX,
-            cpu_fallback: false,
         }
     }
 }
@@ -188,41 +168,29 @@ pub struct HealPolicy {
     pub health: HealthConfig,
     /// Per-node circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// A half-open probe whose achieved inflation stays at or below
-    /// this ratio closes the breaker; above it, the breaker re-trips
-    /// with a longer window.
-    pub probe_ok_ratio: f64,
-    /// Heartbeat-watchdog timeout on the virtual clock, in µs
-    /// (0 disables the watchdog).
-    pub watchdog_timeout_us: f64,
     /// Checkpoint cadence in completed tasks (0 disables
     /// checkpointing).
     pub checkpoint_every_tasks: usize,
 }
 
 impl Default for HealPolicy {
-    /// Default thresholds, 1.3× probe acceptance, watchdog off,
-    /// checkpoint every 8 completed tasks.
+    /// Default thresholds, checkpoint every 8 completed tasks.
     fn default() -> HealPolicy {
         HealPolicy {
             health: HealthConfig::default(),
             breaker: BreakerConfig::default(),
-            probe_ok_ratio: 1.3,
-            watchdog_timeout_us: 0.0,
             checkpoint_every_tasks: 8,
         }
     }
 }
 
-/// A periodic seeded snapshot of one campaign: the completed-task
-/// frontier plus everything the pass engine needs to resume
-/// deterministically. Taken at scheduling-round boundaries by
-/// [`Scheduler::run_self_healing`] /
-/// [`Scheduler::run_with_plan_checkpointed`]; fed back to
-/// [`Scheduler::resume_self_healing`] / [`Scheduler::resume_with_plan`]
-/// to restart from the frontier instead of re-executing the whole
-/// lineage. Resuming reproduces the uninterrupted run's results
-/// exactly.
+/// A periodic seeded snapshot of one self-healing campaign: the
+/// completed-task frontier plus everything the pass engine needs to
+/// resume deterministically. Taken at scheduling-round boundaries by
+/// [`Scheduler::run_self_healing`]; fed back to
+/// [`Scheduler::resume_self_healing`] to restart from the frontier
+/// instead of re-executing the whole lineage. Resuming reproduces the
+/// uninterrupted run's results exactly.
 #[derive(Debug, Clone)]
 pub struct CampaignCheckpoint {
     /// The plan seed the snapshot belongs to (resume asserts it
@@ -230,17 +198,10 @@ pub struct CampaignCheckpoint {
     pub seed: u64,
     /// Tasks committed when the snapshot was taken.
     pub completed_tasks: usize,
-    /// Latest committed finish time at the snapshot, in µs.
-    pub frontier_us: f64,
-    /// Recovery accounting at the snapshot.
-    pub stats: RecoveryStats,
-    /// Checkpoint cadence of the run that took this snapshot, so a
-    /// resumed campaign keeps checkpointing on the same marks.
-    every: usize,
     state: Box<EngineSnapshot>,
 }
 
-/// Result of a checkpointed (and possibly self-healing) campaign.
+/// Result of a self-healing campaign.
 #[derive(Debug, Clone)]
 pub struct HealedOutcome {
     /// The simulation result.
@@ -253,6 +214,10 @@ pub struct HealedOutcome {
 /// scheduler handles itself, plus the plan's standing effects.
 #[derive(Debug, Clone)]
 struct FaultModel {
+    /// The plan seed: seeds the health monitor and stamps checkpoints.
+    seed: u64,
+    /// Fail-stop node crashes, fed to the lineage machinery.
+    crashes: Vec<FaultSpec>,
     /// Task-level transient faults (DMA timeouts, kernel errors, ECC
     /// events, reconfiguration failures), in plan order.
     transients: Vec<FaultSpec>,
@@ -268,12 +233,12 @@ struct FaultModel {
 }
 
 impl FaultModel {
-    /// Splits a plan into fail-stop crashes (fed to the lineage
-    /// machinery) and everything else. Faults naming nodes outside the
-    /// cluster are ignored.
-    fn from_plan(plan: &FaultPlan, n_nodes: usize) -> (Vec<Failure>, FaultModel) {
-        let mut crashes = Vec::new();
+    /// Sorts a plan's faults by how the scheduler handles them. Faults
+    /// naming nodes outside the cluster are ignored.
+    fn from_plan(plan: &FaultPlan, n_nodes: usize) -> FaultModel {
         let mut model = FaultModel {
+            seed: plan.seed,
+            crashes: Vec::new(),
             transients: Vec::new(),
             ambient_at_us: Vec::new(),
             effects: FaultEffects::from_plan(plan, n_nodes),
@@ -284,10 +249,7 @@ impl FaultModel {
                 continue;
             }
             match f.kind {
-                FaultKind::NodeCrash => crashes.push(Failure {
-                    node: f.node,
-                    at_us: f.at_us,
-                }),
+                FaultKind::NodeCrash => model.crashes.push(f.clone()),
                 FaultKind::LinkDegrade { .. } | FaultKind::VfUnplug { .. } => {
                     model.ambient_at_us.push(f.at_us);
                 }
@@ -310,7 +272,7 @@ impl FaultModel {
                 | FaultKind::MsgLoss { .. } => {}
             }
         }
-        (crashes, model)
+        model
     }
 }
 
@@ -401,17 +363,15 @@ impl EngineSnapshot {
 struct HealSnapshot {
     monitor: MonitorSnapshot,
     breakers: Vec<CircuitBreaker>,
-    watchdog: Option<HeartbeatWatchdog>,
     stats: HealStats,
 }
 
 /// The live control side of the loop during one pass: the monitor, the
-/// per-node breakers, the optional watchdog and the action accounting.
+/// per-node breakers and the action accounting.
 #[derive(Debug)]
 struct HealRuntime {
     monitor: HealthMonitor,
     breakers: Vec<CircuitBreaker>,
-    watchdog: Option<HeartbeatWatchdog>,
     stats: HealStats,
 }
 
@@ -420,8 +380,6 @@ impl HealRuntime {
         HealRuntime {
             monitor: HealthMonitor::new(nodes, policy.health.clone(), seed, registry),
             breakers: vec![CircuitBreaker::new(policy.breaker); nodes],
-            watchdog: (policy.watchdog_timeout_us > 0.0)
-                .then(|| HeartbeatWatchdog::new(nodes, policy.watchdog_timeout_us)),
             stats: HealStats::default(),
         }
     }
@@ -430,7 +388,6 @@ impl HealRuntime {
         HealRuntime {
             monitor: HealthMonitor::restore(snap.monitor, registry),
             breakers: snap.breakers,
-            watchdog: snap.watchdog,
             stats: snap.stats,
         }
     }
@@ -439,7 +396,6 @@ impl HealRuntime {
         HealSnapshot {
             monitor: self.monitor.snapshot(),
             breakers: self.breakers.clone(),
-            watchdog: self.watchdog.clone(),
             stats: self.stats.clone(),
         }
     }
@@ -491,38 +447,32 @@ impl Scheduler {
         self
     }
 
-    /// Simulates the execution of a task graph.
+    /// Simulates the execution of a task graph with no faults: the run
+    /// under an empty plan.
     pub fn run(&self, graph: &TaskGraph) -> SimulationResult {
-        self.run_with_failure(graph, None)
-    }
-
-    /// Simulates with an optional injected node failure: tasks running on
-    /// the dead node are killed, and outputs stranded there are
-    /// recomputed through their lineage, like the resource manager's
-    /// rescheduling behaviour.
-    pub fn run_with_failure(
-        &self,
-        graph: &TaskGraph,
-        failure: Option<Failure>,
-    ) -> SimulationResult {
-        self.run_traced(graph, failure, None, &RecoveryConfig::lineage_only(), None)
-            .result
+        self.run_with_plan(graph, &FaultPlan::new(0), &RecoveryConfig::default())
     }
 
     /// Simulates under a seeded fault plan: node crashes go through the
-    /// lineage machinery, transient faults trigger per-task retries
-    /// with deterministic backoff, repeatedly faulting nodes are
-    /// quarantined, and FPGA tasks degrade to their CPU implementation
-    /// when recovery runs out of budget. The same plan and config
-    /// always produce the same [`SimulationResult`].
+    /// lineage machinery (tasks running on the dead node are killed and
+    /// outputs stranded there are recomputed elsewhere), transient
+    /// faults trigger per-task retries with deterministic backoff,
+    /// repeatedly faulting nodes are quarantined, and FPGA tasks degrade
+    /// to their CPU implementation when recovery runs out of budget.
+    /// The same plan and config always produce the same
+    /// [`SimulationResult`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with `scheduler deadlock` when the plan crashes every node
+    /// a task could still run on before the work is done.
     pub fn run_with_plan(
         &self,
         graph: &TaskGraph,
         plan: &FaultPlan,
         config: &RecoveryConfig,
     ) -> SimulationResult {
-        self.run_traced(graph, None, Some(plan), config, None)
-            .result
+        self.run_traced(graph, plan, config, None).result
     }
 
     /// Runs a seeded campaign with the closed detection → verdict →
@@ -533,6 +483,11 @@ impl Scheduler {
     /// completed-task frontier every `policy.checkpoint_every_tasks`
     /// completions. Fully deterministic: same graph, plan, config and
     /// policy → same outcome, byte for byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `scheduler deadlock` when the plan crashes every node
+    /// a task could still run on before the work is done.
     pub fn run_self_healing(
         &self,
         graph: &TaskGraph,
@@ -540,49 +495,29 @@ impl Scheduler {
         config: &RecoveryConfig,
         policy: &HealPolicy,
     ) -> HealedOutcome {
-        self.run_traced(graph, None, Some(plan), config, Some(policy))
+        self.run_traced(graph, plan, config, Some(policy))
     }
 
-    /// The one traced entry behind `run_with_failure` (`plan` is
-    /// `None`), `run_with_plan` and `run_self_healing` (`policy` is
-    /// `Some`): the `scheduler.run` span, the simulation, and the
-    /// epilogue counters each of them has always published.
+    /// The one traced entry behind `run_with_plan` and
+    /// `run_self_healing` (`policy` is `Some`): the `scheduler.run`
+    /// span, the simulation, and the epilogue counters.
     fn run_traced(
         &self,
         graph: &TaskGraph,
-        failure: Option<Failure>,
-        plan: Option<&FaultPlan>,
+        plan: &FaultPlan,
         config: &RecoveryConfig,
         policy: Option<&HealPolicy>,
     ) -> HealedOutcome {
-        let n_nodes = self.cluster.nodes.len();
         let span = self.telemetry.span("scheduler.run");
         span.arg("policy", format!("{:?}", self.policy))
             .arg("tasks", graph.len())
-            .arg("nodes", n_nodes);
-        if policy.is_some() {
-            span.arg("healing", true);
-        } else {
-            let injected = failure.is_some() || plan.is_some_and(|p| !p.is_empty());
-            span.arg("failure_injected", injected);
-        }
-        if let Some(plan) = plan {
-            span.arg("faults", plan.len());
-        }
-        let no_plan = FaultPlan::new(0);
-        let plan_or_empty = plan.unwrap_or(&no_plan);
-        let (mut crashes, model) = FaultModel::from_plan(plan_or_empty, n_nodes);
-        crashes.extend(failure);
-        let (result, checkpoints) = self.simulate_core(
-            graph,
-            &crashes,
-            &model,
-            config,
-            policy,
-            plan_or_empty.seed,
-            policy.map_or(0, |p| p.checkpoint_every_tasks),
-            None,
-        );
+            .arg("nodes", self.cluster.nodes.len());
+        match policy {
+            Some(_) => span.arg("healing", true),
+            None => span.arg("failure_injected", !plan.is_empty()),
+        };
+        span.arg("faults", plan.len());
+        let (result, checkpoints) = self.simulate_core(graph, plan, config, policy, None);
         match policy {
             Some(_) => span
                 .arg("verdicts", result.heal.verdicts.len())
@@ -594,9 +529,7 @@ impl Scheduler {
         count("scheduler.tasks_scheduled", result.entries.len());
         if policy.is_none() {
             count("scheduler.recovered_tasks", result.recovered_tasks);
-            if plan.is_some() {
-                count("scheduler.degraded_tasks", result.recovery.degraded_to_cpu);
-            }
+            count("scheduler.degraded_tasks", result.recovery.degraded_to_cpu);
         }
         HealedOutcome {
             result,
@@ -625,91 +558,24 @@ impl Scheduler {
             from.seed, plan.seed,
             "checkpoint taken under a different plan seed"
         );
-        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
-        self.simulate_core(
-            graph,
-            &crashes,
-            &model,
-            config,
-            Some(policy),
-            plan.seed,
-            policy.checkpoint_every_tasks,
-            Some(from),
-        )
-        .0
-    }
-
-    /// [`Scheduler::run_with_plan`] with periodic campaign checkpoints
-    /// (every `every` completed tasks; no healing loop). Feed any
-    /// returned checkpoint to [`Scheduler::resume_with_plan`] to restart
-    /// from its frontier instead of re-executing the whole campaign.
-    pub fn run_with_plan_checkpointed(
-        &self,
-        graph: &TaskGraph,
-        plan: &FaultPlan,
-        config: &RecoveryConfig,
-        every: usize,
-    ) -> HealedOutcome {
-        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
-        let (result, checkpoints) = self.simulate_core(
-            graph, &crashes, &model, config, None, plan.seed, every, None,
-        );
-        HealedOutcome {
-            result,
-            checkpoints,
-        }
-    }
-
-    /// Resumes a checkpointed (non-healing) campaign; the counterpart of
-    /// [`Scheduler::run_with_plan_checkpointed`], with the same
-    /// exact-reproduction guarantee as [`Scheduler::resume_self_healing`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the checkpoint was taken under a different plan seed.
-    pub fn resume_with_plan(
-        &self,
-        graph: &TaskGraph,
-        plan: &FaultPlan,
-        config: &RecoveryConfig,
-        from: &CampaignCheckpoint,
-    ) -> SimulationResult {
-        assert_eq!(
-            from.seed, plan.seed,
-            "checkpoint taken under a different plan seed"
-        );
-        let (crashes, model) = FaultModel::from_plan(plan, self.cluster.nodes.len());
-        self.simulate_core(
-            graph,
-            &crashes,
-            &model,
-            config,
-            None,
-            plan.seed,
-            from.every,
-            Some(from),
-        )
-        .0
+        self.simulate_core(graph, plan, config, Some(policy), Some(from))
+            .0
     }
 
     /// The shared simulation core: the crash-recovery fixpoint around
     /// [`Scheduler::run_pass`], optionally with the closed healing loop
-    /// (`policy`), periodic checkpoints (`every` completed tasks,
-    /// stamped with `seed`), and a checkpoint to resume from. The same
-    /// inputs always produce the same outputs; resuming from a
+    /// and its checkpoints (`policy`), and a checkpoint to resume from.
+    /// The same inputs always produce the same outputs; resuming from a
     /// checkpoint reproduces the uninterrupted run exactly.
-    #[allow(clippy::too_many_arguments)]
     fn simulate_core(
         &self,
         graph: &TaskGraph,
-        crashes: &[Failure],
-        model: &FaultModel,
+        plan: &FaultPlan,
         config: &RecoveryConfig,
         policy: Option<&HealPolicy>,
-        seed: u64,
-        every: usize,
         resume: Option<&CampaignCheckpoint>,
     ) -> (SimulationResult, Vec<CampaignCheckpoint>) {
+        let model = FaultModel::from_plan(plan, self.cluster.nodes.len());
         let finish = |mut result: SimulationResult, forced: &HashSet<TaskId>| {
             result.recovered_tasks = forced.len();
             let mut recovered: Vec<TaskId> = forced.iter().copied().collect();
@@ -717,7 +583,6 @@ impl Scheduler {
             result.recovery.recovered = recovered;
             result
         };
-        let ckpt = (every > 0).then_some((every, seed));
         let mut checkpoints: Vec<CampaignCheckpoint> = Vec::new();
         let mut forced_rerun: HashSet<TaskId> = resume
             .map(|c| c.state.forced_rerun.iter().copied().collect())
@@ -729,22 +594,13 @@ impl Scheduler {
             let snap = restored.take().unwrap_or_else(|| {
                 let mut forced: Vec<TaskId> = forced_rerun.iter().copied().collect();
                 forced.sort_unstable();
-                EngineSnapshot::fresh(&self.cluster, graph.len(), model, pass_index, forced)
+                EngineSnapshot::fresh(&self.cluster, graph.len(), &model, pass_index, forced)
             });
             // Only checkpoints of the pass that produced the final
             // result are returned (earlier fixpoint passes are drafts).
             checkpoints.clear();
-            let result = self.run_pass(
-                graph,
-                crashes,
-                model,
-                config,
-                policy,
-                snap,
-                ckpt,
-                &mut checkpoints,
-            );
-            if crashes.is_empty() {
+            let result = self.run_pass(graph, &model, config, policy, snap, &mut checkpoints);
+            if model.crashes.is_empty() {
                 return (result, checkpoints);
             }
             if pass_index > graph.len() {
@@ -762,7 +618,7 @@ impl Scheduler {
             for entry in &result.entries {
                 for &dep in &graph.task(entry.task).deps {
                     let (dep_node, _) = location[&dep];
-                    for c in crashes {
+                    for c in &model.crashes {
                         if dep_node == c.node && entry.start_us > c.at_us {
                             new_forced.insert(dep);
                         }
@@ -778,18 +634,15 @@ impl Scheduler {
     }
 
     /// Runs (or resumes) one scheduling pass over `snap`, optionally
-    /// with the healing loop live and periodic checkpoints appended to
-    /// `checkpoints`.
-    #[allow(clippy::too_many_arguments)]
+    /// with the healing loop live and its periodic checkpoints appended
+    /// to `checkpoints`.
     fn run_pass(
         &self,
         graph: &TaskGraph,
-        crashes: &[Failure],
         model: &FaultModel,
         config: &RecoveryConfig,
         policy: Option<&HealPolicy>,
         mut snap: EngineSnapshot,
-        ckpt: Option<(usize, u64)>,
         checkpoints: &mut Vec<CampaignCheckpoint>,
     ) -> SimulationResult {
         let n_nodes = self.cluster.nodes.len();
@@ -798,14 +651,10 @@ impl Scheduler {
         // resuming, fresh (seeded) otherwise.
         let mut healer: Option<HealRuntime> = policy.map(|p| match snap.heal.take() {
             Some(hs) => HealRuntime::restore(hs, Arc::clone(&self.telemetry)),
-            None => HealRuntime::new(
-                p,
-                n_nodes,
-                ckpt.map_or(0, |(_, seed)| seed),
-                Arc::clone(&self.telemetry),
-            ),
+            None => HealRuntime::new(p, n_nodes, model.seed, Arc::clone(&self.telemetry)),
         });
-        let mut next_mark = ckpt.map(|(every, _)| ((snap.entries.len() / every) + 1) * every);
+        let every = policy.map_or(0, |p| p.checkpoint_every_tasks);
+        let mut next_mark = (every > 0).then(|| (snap.entries.len() / every + 1) * every);
 
         // Priority: upward rank descending, stable by id.
         let ranks = graph.upward_ranks();
@@ -832,30 +681,25 @@ impl Scheduler {
                 }
                 // Commit boundary: a consistent frontier, so this is
                 // where campaign checkpoints are cut.
-                if let (Some((every, seed)), Some(mark)) = (ckpt, next_mark) {
-                    if snap.entries.len() >= mark {
-                        snap.checkpoints_taken += 1;
-                        self.telemetry.counter_add("scheduler.checkpoints", 1);
-                        self.telemetry.event(
-                            "scheduler.checkpoint",
-                            format!(
-                                "completed={} frontier_us={:.1}",
-                                snap.entries.len(),
-                                snap.frontier_us()
-                            ),
-                        );
-                        let mut state = snap.clone();
-                        state.heal = healer.as_ref().map(HealRuntime::snapshot);
-                        checkpoints.push(CampaignCheckpoint {
-                            seed,
-                            every,
-                            completed_tasks: state.entries.len(),
-                            frontier_us: state.frontier_us(),
-                            stats: state.stats.clone(),
-                            state: Box::new(state),
-                        });
-                        next_mark = Some(((snap.entries.len() / every) + 1) * every);
-                    }
+                if next_mark.is_some_and(|mark| snap.entries.len() >= mark) {
+                    snap.checkpoints_taken += 1;
+                    self.telemetry.counter_add("scheduler.checkpoints", 1);
+                    self.telemetry.event(
+                        "scheduler.checkpoint",
+                        format!(
+                            "completed={} frontier_us={:.1}",
+                            snap.entries.len(),
+                            snap.frontier_us()
+                        ),
+                    );
+                    let mut state = snap.clone();
+                    state.heal = healer.as_ref().map(HealRuntime::snapshot);
+                    checkpoints.push(CampaignCheckpoint {
+                        seed: model.seed,
+                        completed_tasks: state.entries.len(),
+                        state: Box::new(state),
+                    });
+                    next_mark = Some((snap.entries.len() / every + 1) * every);
                 }
                 let t = order[snap.sweep_pos];
                 snap.sweep_pos += 1;
@@ -866,52 +710,10 @@ impl Scheduler {
                 if !spec.deps.iter().all(|&d| snap.finish[d].is_some()) {
                     continue;
                 }
-                // Candidate nodes (quarantined nodes are avoided, but
-                // never at the price of a deadlock: when everything
-                // usable is quarantined, plain feasibility wins).
-                let candidates: Vec<usize> = match self.policy {
-                    Policy::RoundRobin => {
-                        let mut c = snap.rr_next % n_nodes;
-                        // skip nodes that cannot take the task at all
-                        let mut tries = 0;
-                        while tries < n_nodes
-                            && (snap.quarantined[c]
-                                || !self.feasible(graph, t, c, crashes, &forced_off_failed))
-                        {
-                            c = (c + 1) % n_nodes;
-                            tries += 1;
-                        }
-                        if tries == n_nodes {
-                            c = snap.rr_next % n_nodes;
-                            tries = 0;
-                            while tries < n_nodes
-                                && !self.feasible(graph, t, c, crashes, &forced_off_failed)
-                            {
-                                c = (c + 1) % n_nodes;
-                                tries += 1;
-                            }
-                        }
-                        snap.rr_next = c + 1;
-                        vec![c]
-                    }
-                    Policy::Heft => {
-                        let open: Vec<usize> = (0..n_nodes)
-                            .filter(|&n| {
-                                self.feasible(graph, t, n, crashes, &forced_off_failed)
-                                    && !snap.quarantined[n]
-                            })
-                            .collect();
-                        if open.is_empty() {
-                            (0..n_nodes)
-                                .filter(|&n| {
-                                    self.feasible(graph, t, n, crashes, &forced_off_failed)
-                                })
-                                .collect()
-                        } else {
-                            open
-                        }
-                    }
-                };
+                let candidates = self.candidates(graph, t, &snap, model, &forced_off_failed);
+                if let (Policy::RoundRobin, Some(&node)) = (self.policy, candidates.first()) {
+                    snap.rr_next = node + 1;
+                }
                 // Evaluate every candidate: the planner's gray-blind
                 // estimate ranks them; the actualized timing (what the
                 // placement really pays under gray faults) is what gets
@@ -922,7 +724,8 @@ impl Scheduler {
                     // Respect the failures: cannot finish after death on
                     // a dead node.
                     .filter(|cand| {
-                        !crashes
+                        !model
+                            .crashes
                             .iter()
                             .any(|c| cand.node == c.node && cand.start_us + cand.dur_us > c.at_us)
                     })
@@ -992,11 +795,7 @@ impl Scheduler {
                 // Plan-driven transients firing inside the execution
                 // window stretch (or degrade) the task; re-runs on a
                 // gray-slow node stay gray-slow.
-                let healthy_dur = if c.on_fpga {
-                    spec.fpga_us.unwrap_or(spec.cpu_us)
-                } else {
-                    spec.cpu_us
-                };
+                let healthy_dur = spec.healthy_us(c.on_fpga);
                 let gray_scale = if healthy_dur > 0.0 {
                     c.dur_us / healthy_dur
                 } else {
@@ -1049,20 +848,12 @@ impl Scheduler {
                 // Feed the committed placement into the health monitor
                 // and let its verdicts drive the breakers.
                 if let Some(h) = &mut healer {
-                    let p = policy.expect("healer implies policy");
-                    let expected = if on_fpga {
-                        spec.fpga_us.unwrap_or(spec.cpu_us)
-                    } else {
-                        spec.cpu_us
-                    };
+                    let expected = spec.healthy_us(on_fpga);
                     let inflation = if expected > 0.0 {
                         (end - start) / expected
                     } else {
                         1.0
                     };
-                    if let Some(w) = &mut h.watchdog {
-                        w.beat(node, end);
-                    }
                     h.monitor.record_task(node, inflation, end);
                     if on_fpga {
                         h.monitor.record_fpga(node, inflation, end);
@@ -1071,7 +862,7 @@ impl Scheduler {
                         h.monitor.record_link(node, c.link_obs, end);
                     }
                     if is_probe {
-                        if inflation <= p.probe_ok_ratio {
+                        if inflation <= PROBE_OK_RATIO {
                             h.breakers[node].probe_succeeded();
                             self.telemetry.event(
                                 "scheduler.breaker_close",
@@ -1086,26 +877,6 @@ impl Scheduler {
                                 "scheduler.breaker_open",
                                 format!("node={node} cause=probe_failed inflation={inflation:.3}"),
                             );
-                        }
-                    }
-                    // Watchdog sweep at the committed frontier.
-                    if let Some(w) = &mut h.watchdog {
-                        for n in 0..n_nodes {
-                            if w.expired(n, end) {
-                                h.stats.watchdog_timeouts += 1;
-                                self.telemetry.counter_add("scheduler.watchdog_timeouts", 1);
-                                self.telemetry.event(
-                                    "scheduler.watchdog_timeout",
-                                    format!("node={n} overdue_us={:.1}", w.overdue_us(n, end)),
-                                );
-                                h.monitor.flag(
-                                    VerdictKind::MissedHeartbeat,
-                                    n,
-                                    end,
-                                    w.overdue_us(n, end),
-                                );
-                                w.beat(n, end); // rearm
-                            }
                         }
                     }
                     // Verdict → action: trip the breaker of any node
@@ -1137,7 +908,7 @@ impl Scheduler {
             .iter()
             .filter(|&&at| at <= makespan)
             .count();
-        snap.stats.faults_injected += crashes.iter().filter(|c| c.at_us <= makespan).count();
+        snap.stats.faults_injected += model.crashes.iter().filter(|c| c.at_us <= makespan).count();
         let mut heal = healer.map(|h| h.stats).unwrap_or_default();
         heal.checkpoints_taken = snap.checkpoints_taken;
         SimulationResult {
@@ -1214,11 +985,7 @@ impl Scheduler {
                     if fault.kind == FaultKind::PartialReconfigFail {
                         penalty += RECONFIG_REPAIR_US;
                     }
-                    let duration = if on_fpga {
-                        spec.fpga_us.unwrap_or(spec.cpu_us)
-                    } else {
-                        spec.cpu_us
-                    } * gray_dur_scale;
+                    let duration = spec.healthy_us(on_fpga) * gray_dur_scale;
                     if attempts < config.retry.max_retries {
                         let backoff = config.retry.backoff_us(attempts, &mut pass.rng);
                         attempts += 1;
@@ -1235,7 +1002,7 @@ impl Scheduler {
                             ),
                         );
                         end = fault.at_us + penalty + backoff + duration;
-                    } else if config.cpu_fallback && on_fpga {
+                    } else if on_fpga {
                         // Budget exhausted: give up on the accelerator
                         // and finish on the host cores.
                         on_fpga = false;
@@ -1285,22 +1052,53 @@ impl Scheduler {
         }
     }
 
-    fn feasible(
+    /// The nodes `task` may be placed on, in policy order (cyclic from
+    /// `rr_next` for round-robin, index order for HEFT): the feasible
+    /// nodes that are not quarantined, else the feasible ones — avoiding
+    /// quarantine never costs a deadlock — else every node whose cores
+    /// are too few, which then runs the task on all it has (as `price`
+    /// models). A node the task was forced off by a crash is never a
+    /// candidate. Round-robin takes the first node, HEFT ranks them all.
+    fn candidates(
         &self,
         graph: &TaskGraph,
         task: TaskId,
-        node: usize,
-        crashes: &[Failure],
+        snap: &EngineSnapshot,
+        model: &FaultModel,
         forced_off_failed: &HashSet<TaskId>,
-    ) -> bool {
+    ) -> Vec<usize> {
         let spec = graph.task(task);
-        if spec.cores > self.cluster.nodes[node].cores && spec.fpga_us.is_none() {
-            return false;
+        let forced = forced_off_failed.contains(&task);
+        let n_nodes = self.cluster.nodes.len();
+        let first = match self.policy {
+            Policy::RoundRobin => snap.rr_next % n_nodes,
+            Policy::Heft => 0,
+        };
+        // Lower tier is preferred; `None` is never a candidate.
+        let tier = |node: usize| {
+            if forced && model.crashes.iter().any(|c| c.node == node) {
+                None
+            } else if spec.fpga_us.is_none() && spec.cores > self.cluster.nodes[node].cores {
+                Some(2)
+            } else {
+                Some(u8::from(snap.quarantined[node]))
+            }
+        };
+        let tiered: Vec<(usize, u8)> = (0..n_nodes)
+            .map(|k| (first + k) % n_nodes)
+            .filter_map(|node| Some((node, tier(node)?)))
+            .collect();
+        let Some(best) = tiered.iter().map(|&(_, t)| t).min() else {
+            return Vec::new();
+        };
+        let nodes = tiered
+            .into_iter()
+            .filter(|&(_, t)| t == best)
+            .map(|(node, _)| node);
+        match self.policy {
+            Policy::RoundRobin => nodes.take(1).collect(),
+            Policy::Heft => nodes.collect(),
         }
-        if forced_off_failed.contains(&task) && crashes.iter().any(|c| node == c.node) {
-            return false;
-        }
-        true
     }
 
     /// Prices `task` on `node` in one sweep over its dependencies, two
@@ -1352,18 +1150,17 @@ impl Scheduler {
         let on_fpga = spec.fpga_us.is_some()
             && self.cluster.nodes[node].fpga.is_some()
             && est_ready.max(snap.fpga_free[node]) < effects.fpga_lost_at(node);
-        let (resource_ready, healthy_us) = if on_fpga {
-            (snap.fpga_free[node], spec.fpga_us.expect("checked above"))
+        let resource_ready = if on_fpga {
+            snap.fpga_free[node]
         } else {
             let cores = spec.cores.min(self.cluster.nodes[node].cores) as usize;
             let mut free: Vec<f64> = snap.core_free[node].clone();
             free.sort_by(f64::total_cmp);
-            let nth_free = free
-                .get(cores.saturating_sub(1))
+            free.get(cores.saturating_sub(1))
                 .copied()
-                .unwrap_or_else(|| free.last().copied().unwrap_or(0.0));
-            (nth_free, spec.cpu_us)
+                .unwrap_or_else(|| free.last().copied().unwrap_or(0.0))
         };
+        let healthy_us = spec.healthy_us(on_fpga);
         let start_us = ready.max(resource_ready);
         let mut dur_us = healthy_us * effects.slow_factor(node, start_us);
         if on_fpga {
@@ -1389,6 +1186,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::task::TaskSpec;
+    use everest_health::VerdictKind;
 
     /// A fan-out/fan-in graph of `width` independent middle tasks.
     fn fork_join(width: usize, task_us: f64, bytes: u64) -> TaskGraph {
@@ -1495,13 +1293,8 @@ mod tests {
         let cluster = Cluster::homogeneous(4, 1);
         let s = Scheduler::new(cluster, Policy::Heft);
         let clean = s.run(&g);
-        let failed = s.run_with_failure(
-            &g,
-            Some(Failure {
-                node: 0,
-                at_us: clean.makespan_us * 0.5,
-            }),
-        );
+        let crash = FaultPlan::single_node_crash(0, 0, clean.makespan_us * 0.5);
+        let failed = s.run_with_plan(&g, &crash, &RecoveryConfig::default());
         // All tasks still complete.
         assert_eq!(failed.entries.len(), g.len());
         // Nothing scheduled on node 0 finishes after the failure.
@@ -1666,7 +1459,6 @@ mod tests {
         let config = RecoveryConfig {
             quarantine_threshold: 1,
             retry: RetryPolicy::none(),
-            ..RecoveryConfig::default()
         };
         let r = s.run_with_plan(&g, &plan, &config);
         assert_eq!(r.entries.len(), g.len(), "must not deadlock");
@@ -1864,24 +1656,82 @@ mod tests {
 
     #[test]
     fn checkpointed_crash_campaign_resumes_identically() {
-        use everest_faults::FaultPlan;
         let g = fork_join(16, 1_500.0, 1 << 12);
         let s = Scheduler::new(Cluster::homogeneous(4, 1), Policy::Heft);
-        // Crashes exercise the multi-pass lineage fixpoint under resume.
-        let plan = FaultPlan::random_campaign(42, 4, 9_000.0, 5);
         let config = RecoveryConfig::default();
-        let plain = s.run_with_plan(&g, &plan, &config);
-        let ckpted = s.run_with_plan_checkpointed(&g, &plan, &config, 5);
-        // Checkpointing never changes the simulation itself.
-        assert_eq!(ckpted.result.entries, plain.entries);
-        assert_eq!(ckpted.result.makespan_us, plain.makespan_us);
-        assert_eq!(ckpted.result.recovery, plain.recovery);
-        assert!(ckpted.result.heal.checkpoints_taken >= 1);
-        let last = ckpted.checkpoints.last().expect("checkpoints taken");
-        let resumed = s.resume_with_plan(&g, &plan, &config, last);
-        assert_eq!(resumed.entries, ckpted.result.entries);
-        assert_eq!(resumed.recovery, ckpted.result.recovery);
-        assert_eq!(resumed.heal, ckpted.result.heal);
+        let policy = HealPolicy {
+            checkpoint_every_tasks: 5,
+            ..heal_policy()
+        };
+        let campaign = FaultPlan::random_campaign(42, 4, 9_000.0, 5);
+        // The campaign's own crash strands nothing; killing the source's
+        // node once its output is in flight makes the lineage fixpoint
+        // re-run the source, so checkpoints of a later pass get resumed.
+        let src_node = s.run(&g).entries[0].node;
+        let stranding =
+            campaign
+                .clone()
+                .with_fault(FaultSpec::new(1_000.0, src_node, FaultKind::NodeCrash));
+        for (plan, strands) in [(campaign, false), (stranding, true)] {
+            let full = s.run_self_healing(&g, &plan, &config, &policy);
+            assert_eq!(full.result.recovered_tasks > 0, strands);
+            assert!(full.checkpoints.len() >= 2, "expected several checkpoints");
+            assert!(full
+                .checkpoints
+                .iter()
+                .all(|c| (c.state.pass_index > 0) == strands));
+            for ckpt in &full.checkpoints {
+                let resumed = s.resume_self_healing(&g, &plan, &config, &policy, ckpt);
+                assert_eq!(resumed.entries, full.result.entries);
+                assert_eq!(resumed.recovery, full.result.recovery);
+                assert_eq!(
+                    resumed.heal, full.result.heal,
+                    "resume from completed={} must match",
+                    ckpt.completed_tasks
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn cores_beyond_every_node_are_clipped_under_both_policies() {
+        let mut g = TaskGraph::new();
+        let small = g.add(TaskSpec::new("small", 100.0)).unwrap();
+        let mut wide = TaskSpec::new("wide", 1_000.0).after([small]);
+        wide.cores = 64;
+        g.add(wide).unwrap();
+        for policy in [Policy::RoundRobin, Policy::Heft] {
+            let r = Scheduler::new(Cluster::homogeneous(2, 4), policy).run(&g);
+            assert_eq!(
+                r.entries.len(),
+                g.len(),
+                "{policy:?} must place the wide task"
+            );
+        }
+    }
+
+    /// Two crashes on a two-node cluster, before the work is done.
+    fn crash_every_node(policy: Policy) {
+        let g = fork_join(6, 1_000.0, 1 << 10);
+        let s = Scheduler::new(Cluster::homogeneous(2, 1), policy);
+        let plan = FaultPlan::single_node_crash(0, 0, 500.0).with_fault(FaultSpec::new(
+            500.0,
+            1,
+            FaultKind::NodeCrash,
+        ));
+        s.run_with_plan(&g, &plan, &RecoveryConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler deadlock")]
+    fn heft_deadlocks_when_the_plan_crashes_every_node() {
+        crash_every_node(Policy::Heft);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler deadlock")]
+    fn round_robin_deadlocks_when_the_plan_crashes_every_node() {
+        crash_every_node(Policy::RoundRobin);
     }
 
     #[test]
@@ -1904,13 +1754,8 @@ mod tests {
         let s = Scheduler::new(Cluster::homogeneous(2, 1), Policy::Heft);
         let clean = s.run(&g);
         let src_node = clean.entries.iter().find(|e| e.task == src).unwrap().node;
-        let failed = s.run_with_failure(
-            &g,
-            Some(Failure {
-                node: src_node,
-                at_us: 1_000.0,
-            }),
-        );
+        let crash = FaultPlan::single_node_crash(0, src_node, 1_000.0);
+        let failed = s.run_with_plan(&g, &crash, &RecoveryConfig::default());
         assert!(
             failed.recovered_tasks >= 1,
             "src output stranded on dead node must be recomputed"

@@ -61,6 +61,16 @@ impl TaskSpec {
         self.output_bytes = bytes;
         self
     }
+
+    /// Fault-free duration of one placement, in µs: the accelerated
+    /// time on the FPGA (the CPU time when there is none), the CPU time
+    /// on the cores.
+    pub(crate) fn healthy_us(&self, on_fpga: bool) -> f64 {
+        match self.fpga_us {
+            Some(fpga_us) if on_fpga => fpga_us,
+            _ => self.cpu_us,
+        }
+    }
 }
 
 /// A directed acyclic graph of tasks.

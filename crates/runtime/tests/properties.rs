@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use everest_runtime::{Cluster, Failure, Policy, Scheduler, TaskGraph, TaskSpec};
+use everest_runtime::{Cluster, FaultPlan, Policy, RecoveryConfig, Scheduler, TaskGraph, TaskSpec};
 
 /// Builds a random DAG from a shape vector: each entry adds a task with
 /// up to two dependencies on earlier tasks.
@@ -83,17 +83,15 @@ proptest! {
         let cluster = Cluster::everest(3, 1, 2);
         let scheduler = Scheduler::new(cluster, Policy::Heft);
         let clean = scheduler.run(&graph);
-        let failure = Failure {
-            node: fail_node % 4,
-            at_us: clean.makespan_us * fail_frac,
-        };
-        let failed = scheduler.run_with_failure(&graph, Some(failure));
+        let (node, at_us) = (fail_node % 4, clean.makespan_us * fail_frac);
+        let crash = FaultPlan::single_node_crash(0, node, at_us);
+        let failed = scheduler.run_with_plan(&graph, &crash, &RecoveryConfig::default());
         // All tasks still complete, none finishing on the dead node after
         // the failure time.
         prop_assert_eq!(failed.entries.len(), graph.len());
         for e in &failed.entries {
-            if e.node == failure.node {
-                prop_assert!(e.finish_us <= failure.at_us + 1e-9,
+            if e.node == node {
+                prop_assert!(e.finish_us <= at_us + 1e-9,
                     "task finishes on dead node after failure");
             }
         }

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use everest_runtime::{
-    Cluster, Failure, FaultPlan, Policy, RecoveryConfig, Scheduler, SimulationResult, TaskGraph,
-    TaskSpec,
+    Cluster, FaultKind, FaultPlan, FaultSpec, Policy, RecoveryConfig, RetryPolicy, Scheduler,
+    SimulationResult, TaskGraph, TaskSpec,
 };
 use everest_telemetry::Registry;
 
@@ -83,37 +83,49 @@ proptest! {
         prop_assert_eq!(trace(&reg_a), trace(&reg_b));
     }
 
-    /// (b) A plan holding a single node crash behaves exactly like the
-    /// legacy single-failure path: every task completes, nothing
-    /// finishes on the dead node after the crash, and the recovered
-    /// accounting matches the lineage set.
+    /// (b) A plan holding a node crash (and maybe a second one) is
+    /// recovered through lineage alone: every task completes, nothing
+    /// finishes on a dead node after its crash, the recovered
+    /// accounting matches the lineage set, and since a crash-only plan
+    /// has no transients, retries and quarantine never fire — turning
+    /// them off changes nothing.
     #[test]
     fn single_crash_plan_matches_lineage_recovery(
         shape in proptest::collection::vec((any::<u8>(), any::<u8>(), 1u16..1000, any::<bool>()), 2..25),
         fail_node in 0usize..4,
         fail_frac in 0.1f64..0.9,
+        // Half the cases add a second crash (nodes 4..8 mean none).
+        second_node in 0usize..8,
+        second_frac in 0.1f64..0.9,
     ) {
         let graph = random_graph(&shape);
         let cluster = Cluster::everest(3, 1, 2);
         let scheduler = Scheduler::new(cluster, Policy::Heft);
         let clean = scheduler.run(&graph);
-        let node = fail_node % 4;
-        let at_us = clean.makespan_us * fail_frac;
-
-        let plan = FaultPlan::single_node_crash(1, node, at_us);
+        let mut crashes = vec![(fail_node, clean.makespan_us * fail_frac)];
+        if second_node < 4 {
+            crashes.push((second_node, clean.makespan_us * second_frac));
+        }
+        let mut plan = FaultPlan::single_node_crash(1, crashes[0].0, crashes[0].1);
+        for &(node, at_us) in &crashes[1..] {
+            plan.push(FaultSpec::new(at_us, node, FaultKind::NodeCrash));
+        }
         let planned = scheduler.run_with_plan(&graph, &plan, &RecoveryConfig::default());
-        let legacy = scheduler.run_with_failure(&graph, Some(Failure { node, at_us }));
 
         prop_assert_eq!(planned.entries.len(), graph.len());
         for e in &planned.entries {
-            if e.node == node {
-                prop_assert!(e.finish_us <= at_us + 1e-9,
-                    "task {} finishes on the dead node after the crash", e.task);
+            for &(node, at_us) in &crashes {
+                if e.node == node {
+                    prop_assert!(e.finish_us <= at_us + 1e-9,
+                        "task {} finishes on the dead node after the crash", e.task);
+                }
             }
         }
-        // One crash, no transients: the plan-driven path must reduce to
-        // the legacy lineage recovery.
-        assert_same_result_ignoring_stats(&planned, &legacy)?;
+        let lineage_only = RecoveryConfig {
+            retry: RetryPolicy::none(),
+            quarantine_threshold: u32::MAX,
+        };
+        assert_same_result(&planned, &scheduler.run_with_plan(&graph, &plan, &lineage_only))?;
         prop_assert_eq!(planned.recovered_tasks, planned.recovery.recovered.len());
         let mut sorted = planned.recovery.recovered.clone();
         sorted.sort_unstable();
@@ -139,19 +151,4 @@ proptest! {
             "plan {:?} sped the schedule up: {} < {}",
             plan, faulty.makespan_us, clean.makespan_us);
     }
-}
-
-/// Like [`assert_same_result`] but ignores the recovery stats, which
-/// legitimately differ between the legacy path (no accounting) and the
-/// plan-driven path (counts the crash).
-fn assert_same_result_ignoring_stats(
-    a: &SimulationResult,
-    b: &SimulationResult,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(&a.entries, &b.entries);
-    prop_assert_eq!(a.makespan_us, b.makespan_us);
-    prop_assert_eq!(a.transfer_us, b.transfer_us);
-    prop_assert_eq!(a.recovered_tasks, b.recovered_tasks);
-    prop_assert_eq!(&a.node_busy_us, &b.node_busy_us);
-    Ok(())
 }

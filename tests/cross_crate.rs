@@ -140,7 +140,9 @@ fn all_flow_ir_roundtrips() {
 /// running a compiled workflow.
 #[test]
 fn failure_recovery_with_compiled_kernels() {
-    use everest_sdk::everest_runtime::{Cluster, Failure, Policy, Scheduler, TaskGraph, TaskSpec};
+    use everest_sdk::everest_runtime::{
+        Cluster, FaultPlan, Policy, RecoveryConfig, Scheduler, TaskGraph, TaskSpec,
+    };
 
     let basecamp = Basecamp::new();
     let compiled = basecamp
@@ -164,13 +166,8 @@ fn failure_recovery_with_compiled_kernels() {
     }
     let scheduler = Scheduler::new(Cluster::everest(2, 2, 4), Policy::Heft);
     let clean = scheduler.run(&graph);
-    let failed = scheduler.run_with_failure(
-        &graph,
-        Some(Failure {
-            node: clean.entries[1].node,
-            at_us: clean.makespan_us * 0.3,
-        }),
-    );
+    let crash = FaultPlan::single_node_crash(0, clean.entries[1].node, clean.makespan_us * 0.3);
+    let failed = scheduler.run_with_plan(&graph, &crash, &RecoveryConfig::default());
     assert_eq!(failed.entries.len(), graph.len(), "all tasks complete");
     assert!(failed.makespan_us >= clean.makespan_us);
 }

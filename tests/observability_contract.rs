@@ -15,8 +15,8 @@ use everest_platform::xrt::{Direction, XrtDevice};
 use everest_query::datasets::Dataset;
 use everest_runtime::virt::{IoMode, PhysicalNode};
 use everest_runtime::{
-    Cluster, DetRng, Failure, FaultInjector, FaultKind, FaultPlan, FaultSpec, Policy,
-    RecoveryConfig, RetryPolicy, Scheduler, TaskGraph, TaskSpec,
+    Cluster, DetRng, FaultInjector, FaultKind, FaultPlan, FaultSpec, Policy, RecoveryConfig,
+    RetryPolicy, Scheduler, TaskGraph, TaskSpec,
 };
 use everest_sdk::basecamp::{Basecamp, CompileOptions};
 use everest_sdk::chaos::{run_chaos, ChaosOptions};
@@ -200,12 +200,10 @@ fn exercise_sdk() -> [ServeReport; 3] {
     }
     let scheduler = Scheduler::new(Cluster::homogeneous(3, 1), Policy::Heft);
     scheduler.run(&graph);
-    scheduler.run_with_failure(
+    scheduler.run_with_plan(
         &graph,
-        Some(Failure {
-            node: 0,
-            at_us: 1_500.0,
-        }),
+        &FaultPlan::single_node_crash(0, 0, 1_500.0),
+        &RecoveryConfig::default(),
     );
 
     // Fault injection across the platform session: DMA hang, transient

@@ -1,12 +1,14 @@
 //! Local mirror of the CI `chaos-replay` and `heal-replay` golden
 //! steps: the replay traces `basecamp chaos --trace` and `basecamp heal
 //! --trace` write at the default seed must reproduce
-//! `ci/chaos_golden.json` and `ci/heal_golden.json` byte-for-byte.
+//! `ci/chaos_golden.json` and `ci/heal_golden.json` byte-for-byte, and
+//! the traces of twelve more campaigns must hash to
+//! `ci/scheduler/outcome_digests.txt`.
 //!
 //! The replay jobs otherwise only diff a run against itself, which
-//! catches non-determinism but not drift between commits; these two
-//! goldens pin the scheduler tier's fault recovery and closed healing
-//! loop the way `tests/serve_gate.rs` pins the serve tier.
+//! catches non-determinism but not drift between commits; these pins
+//! cover the scheduler tier's fault recovery and closed healing loop
+//! the way `tests/serve_gate.rs` covers the serve tier.
 
 use everest_sdk::{run_chaos, run_heal, ChaosOptions, HealOptions};
 
@@ -33,5 +35,50 @@ fn heal_campaign_matches_the_checked_in_golden() {
         format!("{trace}\n"),
         HEAL_GOLDEN,
         "ci/heal_golden.json drifted"
+    );
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Three seeds by two chaos and two heal shapes, each trace pinned by
+/// its FNV-1a digest. A digest that moves means the scheduler placed,
+/// recovered or healed differently somewhere in that campaign.
+#[test]
+fn twelve_campaigns_match_the_pinned_outcome_digests() {
+    let big = ChaosOptions {
+        nodes: 8,
+        tasks: 200,
+        faults: 24,
+        ..ChaosOptions::default()
+    };
+    let gray = HealOptions {
+        gray_faults: 8,
+        ..HealOptions::default()
+    };
+    let mut rendered = String::new();
+    let mut pin = |name: String, trace: String| {
+        rendered.push_str(&format!("{name} {:016x}\n", fnv1a(trace.as_bytes())));
+    };
+    for seed in [7, 42, 1234] {
+        for (shape, options) in [
+            ("defaults", ChaosOptions::default()),
+            ("nodes8_tasks200_faults24", big),
+        ] {
+            let trace = run_chaos(&ChaosOptions { seed, ..options }).trace_json();
+            pin(format!("seed{seed} chaos_{shape}"), trace);
+        }
+        for (shape, options) in [("defaults", HealOptions::default()), ("gray8", gray)] {
+            let trace = run_heal(&HealOptions { seed, ..options }).trace_json();
+            pin(format!("seed{seed} heal_{shape}"), trace);
+        }
+    }
+    assert_eq!(
+        rendered,
+        include_str!("../ci/scheduler/outcome_digests.txt"),
+        "a scheduler campaign's trace moved; got:\n{rendered}"
     );
 }
