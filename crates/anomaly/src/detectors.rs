@@ -29,20 +29,38 @@ pub trait Detector: Send + Sync + std::fmt::Debug {
 }
 
 /// Calibrates a threshold as the `1 - contamination` quantile of the
-/// training scores.
+/// training scores: the order statistic a full sort would put at that
+/// rank, selected in linear time (the slice is left partitioned, not
+/// sorted).
 fn calibrate(scores: &mut [f64], contamination: f64) -> f64 {
     if scores.is_empty() {
         return f64::INFINITY;
     }
-    scores.sort_by(|a, b| a.partial_cmp(b).expect("scores are not NaN"));
     let q = (1.0 - contamination.clamp(0.001, 0.5)).clamp(0.0, 1.0);
     let idx = ((scores.len() - 1) as f64 * q).round() as usize;
-    scores[idx]
+    let (_, nth, _) =
+        scores.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("scores are not NaN"));
+    *nth
 }
 
 // ---------------------------------------------------------------------------
 // z-score
 // ---------------------------------------------------------------------------
+
+/// Mean and standard deviation (floored at `1e-12`) of one feature's
+/// `values` over `n` rows, each accumulated in row order: the
+/// arithmetic [`ZScore`] and [`ScalarZScore`] share.
+fn moments(values: impl Iterator<Item = f64> + Clone, n: f64) -> (f64, f64) {
+    let mut mean = 0.0;
+    for v in values.clone() {
+        mean += v / n;
+    }
+    let mut var = 0.0;
+    for v in values {
+        var += (v - mean).powi(2) / n;
+    }
+    (mean, var.sqrt().max(1e-12))
+}
 
 /// Per-feature z-score detector: score = max |z| across features.
 #[derive(Debug, Clone)]
@@ -55,23 +73,10 @@ pub struct ZScore {
 impl ZScore {
     /// Fits on data with the given contamination rate.
     pub fn fit(data: &Dataset, contamination: f64) -> ZScore {
-        let d = data.dims();
         let n = data.len().max(1) as f64;
-        let mut mean = vec![0.0; d];
-        for row in &data.rows {
-            for (m, v) in mean.iter_mut().zip(row) {
-                *m += v / n;
-            }
-        }
-        let mut std = vec![0.0; d];
-        for row in &data.rows {
-            for ((s, v), m) in std.iter_mut().zip(row).zip(&mean) {
-                *s += (v - m).powi(2) / n;
-            }
-        }
-        for s in &mut std {
-            *s = s.sqrt().max(1e-12);
-        }
+        let (mean, std) = (0..data.dims())
+            .map(|j| moments(data.rows.iter().map(|row| row[j]), n))
+            .unzip();
         let mut det = ZScore {
             mean,
             std,
@@ -80,6 +85,48 @@ impl ZScore {
         let mut scores: Vec<f64> = data.rows.iter().map(|r| det.score(r)).collect();
         det.threshold = calibrate(&mut scores, contamination);
         det
+    }
+}
+
+/// [`ZScore`] over one feature, held inline: the streaming form a
+/// monitor refits every few samples. [`ScalarZScore::fit`] on values
+/// `v` performs exactly the arithmetic of [`ZScore::fit`] on the rows
+/// `[v]`, so the two models agree bit for bit — mean, deviation,
+/// threshold and every decision — without a `Dataset`, a row vector or
+/// a box.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScalarZScore {
+    mean: f64,
+    std: f64,
+    threshold: f64,
+}
+
+impl ScalarZScore {
+    /// Fits on `values` with the given contamination rate. `scores` is
+    /// the caller's scratch for the calibration scores: a buffer kept
+    /// across refits makes a fit allocation-free.
+    pub fn fit(values: &[f64], contamination: f64, scores: &mut Vec<f64>) -> ScalarZScore {
+        let (mean, std) = moments(values.iter().copied(), values.len().max(1) as f64);
+        let mut det = ScalarZScore {
+            mean,
+            std,
+            threshold: 0.0,
+        };
+        scores.clear();
+        scores.extend(values.iter().map(|&v| det.score(v)));
+        det.threshold = calibrate(scores, contamination);
+        det
+    }
+
+    /// Anomaly score of one value: `|z|`, as [`ZScore`] scores a
+    /// one-feature point.
+    pub fn score(&self, value: f64) -> f64 {
+        0.0_f64.max(((value - self.mean) / self.std).abs())
+    }
+
+    /// Whether the value is flagged anomalous.
+    pub fn is_anomalous(&self, value: f64) -> bool {
+        self.score(value) > self.threshold
     }
 }
 
@@ -674,6 +721,54 @@ mod tests {
     fn zscore_flags_outlier() {
         let (data, outlier) = sample();
         check(&ZScore::fit(&data, 0.02), &data, &outlier);
+    }
+
+    #[test]
+    fn one_feature_zscore_is_zscore_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut scratch = Vec::new();
+        for len in [1_usize, 2, 31, 32, 64, 80] {
+            let values: Vec<f64> = (0..len)
+                .map(|i| {
+                    if i % 5 == 0 {
+                        1.0
+                    } else {
+                        rng.random_range(0.5..4.0)
+                    }
+                })
+                .collect();
+            let rows = Dataset::from_rows(values.iter().map(|&v| vec![v]).collect());
+            for contamination in [0.0_f64, 0.05, 0.2, 0.9] {
+                let wide = ZScore::fit(&rows, contamination);
+                let flat = ScalarZScore::fit(&values, contamination, &mut scratch);
+                assert_eq!(flat.mean.to_bits(), wide.mean[0].to_bits());
+                assert_eq!(flat.std.to_bits(), wide.std[0].to_bits());
+                assert_eq!(flat.threshold.to_bits(), wide.threshold.to_bits());
+                for &probe in values.iter().chain(&[0.0, 1.0, 9.0, -3.0]) {
+                    assert_eq!(flat.score(probe).to_bits(), wide.score(&[probe]).to_bits());
+                    assert_eq!(flat.is_anomalous(probe), wide.is_anomalous(&[probe]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn calibration_selects_the_sorted_order_statistic() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for len in 1..70 {
+            // Few distinct values, so ties straddle the selected rank.
+            let scores: Vec<f64> = (0..len)
+                .map(|_| f64::from(rng.random_range(0..6_u8)) * 0.5)
+                .collect();
+            let mut sorted = scores.clone();
+            sorted.sort_by(f64::total_cmp);
+            for contamination in [0.0_f64, 0.01, 0.05, 0.3, 0.7] {
+                let q = (1.0 - contamination.clamp(0.001, 0.5)).clamp(0.0, 1.0);
+                let rank = ((len - 1) as f64 * q).round() as usize;
+                let mut selected = scores.clone();
+                assert_eq!(calibrate(&mut selected, contamination), sorted[rank]);
+            }
+        }
     }
 
     #[test]

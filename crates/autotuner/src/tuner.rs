@@ -11,9 +11,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use everest_telemetry::{MonitorHandle, Registry};
+use everest_telemetry::{CounterHandle, MonitorHandle, Registry};
 
 use crate::monitor::Monitor;
 use crate::types::{Configuration, Constraint, Direction, Features, Objective, OperatingPoint};
@@ -70,15 +71,22 @@ pub struct Autotuner {
     registry: Arc<Registry>,
     /// Monitor window.
     window: usize,
-    /// Last configuration returned by [`Autotuner::best`], for the
-    /// `autotuner.switches` counter.
-    last_choice: Mutex<Option<String>>,
+    /// Index of the point [`Autotuner::best`] last chose
+    /// ([`NO_CHOICE`] before the first), for the `autotuner.switches`
+    /// counter.
+    last_choice: AtomicUsize,
+    /// The `autotuner.decisions` counter, resolved on the first
+    /// decision (so a tuner that never decides registers no counter).
+    decisions: OnceLock<CounterHandle>,
     /// Lazily compiled `(point × metric)` lookup table used by
-    /// [`Autotuner::best`]; rebuilt after any mutation that could
-    /// change it (new point, constraint, objective, or slot). Behind a
-    /// mutex so `best(&self)` can fill it in place.
-    compiled: Mutex<Option<CompiledPlan>>,
+    /// [`Autotuner::best`]; dropped by any mutation that could change
+    /// it (new point, constraint, objective, or slot) and rebuilt by
+    /// the next decision.
+    compiled: OnceLock<CompiledPlan>,
 }
+
+/// `last_choice` before any decision.
+const NO_CHOICE: usize = usize::MAX;
 
 /// One compiled `(point, metric)` entry: the design-time expectation
 /// plus the slot index whose live EMA factor rescales it. `None` when
@@ -141,15 +149,16 @@ impl Autotuner {
             slot_index: BTreeMap::new(),
             registry: Registry::new(),
             window: 8,
-            last_choice: Mutex::new(None),
-            compiled: Mutex::new(None),
+            last_choice: AtomicUsize::new(NO_CHOICE),
+            decisions: OnceLock::new(),
+            compiled: OnceLock::new(),
         }
     }
 
     /// Drops the compiled lookup table; called from every mutation
     /// that could change what [`Autotuner::best`] would see.
-    fn invalidate_plan(&self) {
-        *self.compiled.lock().unwrap_or_else(|e| e.into_inner()) = None;
+    fn invalidate_plan(&mut self) {
+        self.compiled = OnceLock::new();
     }
 
     /// The `(expected, slot)` entry backing [`Autotuner::corrected`]
@@ -186,6 +195,7 @@ impl Autotuner {
     #[must_use]
     pub fn with_registry(mut self, registry: Arc<Registry>) -> Autotuner {
         self.registry = registry;
+        self.decisions = OnceLock::new();
         self
     }
 
@@ -239,11 +249,21 @@ impl Autotuner {
     /// Returns [`TuneError`] when nothing applies, nothing is feasible,
     /// or no objective was set.
     pub fn best(&self, features: &Features) -> Result<Configuration, TuneError> {
+        self.best_point(features).map(|point| point.config.clone())
+    }
+
+    /// [`Autotuner::best`] without the copy: the chosen operating point
+    /// itself. The decision, its counters and its switch event are the
+    /// same.
+    ///
+    /// # Errors
+    ///
+    /// As [`Autotuner::best`].
+    pub fn best_point(&self, features: &Features) -> Result<&OperatingPoint, TuneError> {
         let objective = self.objective.as_ref().ok_or(TuneError::NoObjective)?;
         // Resolve every `(point, metric)` string key once, then decide
         // on slot indexes: the hot retune path never allocates a key.
-        let mut compiled = self.compiled.lock().unwrap_or_else(|e| e.into_inner());
-        let plan = compiled.get_or_insert_with(|| self.compile_plan());
+        let plan = self.compiled.get_or_init(|| self.compile_plan());
         let corrected = |entry: &PlanEntry| {
             entry.map(|(expected, slot)| {
                 expected * slot.map(|i| self.slots[i].factor).unwrap_or(1.0)
@@ -279,7 +299,6 @@ impl Autotuner {
                 best = Some((index, value));
             }
         }
-        drop(compiled);
         if !applicable {
             return Err(TuneError::NothingApplicable);
         }
@@ -287,18 +306,21 @@ impl Autotuner {
             return Err(TuneError::NothingFeasible);
         };
         let best = &self.points[best_index];
-        let chosen = config_key(&best.config);
-        let mut last = self.last_choice.lock().unwrap_or_else(|e| e.into_inner());
-        if last.as_deref() != Some(chosen.as_str()) {
-            if last.is_some() {
+        // A switch is a different configuration key, not merely a
+        // different point: two points with one key are one choice.
+        let last = self.last_choice.swap(best_index, Ordering::Relaxed);
+        if last != best_index {
+            let chosen = config_key(&best.config);
+            if (self.points.get(last)).is_some_and(|p| config_key(&p.config) != chosen) {
                 self.registry.counter_add("autotuner.switches", 1);
                 self.registry
                     .event("autotuner.switch", format!("now {chosen}"));
             }
-            *last = Some(chosen);
         }
-        self.registry.counter_add("autotuner.decisions", 1);
-        Ok(best.config.clone())
+        (self.decisions)
+            .get_or_init(|| self.registry.counter_handle("autotuner.decisions"))
+            .add(1);
+        Ok(best)
     }
 
     /// Resolves the observation slot for `(config, metric)`: one
@@ -339,7 +361,9 @@ impl Autotuner {
     /// completed batch.
     pub fn observe_slot(&mut self, slot: TunerSlot, value: f64) {
         let slot = &mut self.slots[slot.0];
+        // Published at once: `Autotuner::monitor` reads the window back.
         slot.monitor.observe(value);
+        slot.monitor.flush();
         if let Some(expected) = slot.expected {
             if expected > 0.0 {
                 let ratio = value / expected;

@@ -6,8 +6,8 @@
 //!
 //! * [`monitor`] — the streaming [`HealthMonitor`]: per-node sliding
 //!   windows over achieved task latencies, link factors and accelerator
-//!   inflation, scored online through an
-//!   [`everest_anomaly::DetectionNode`], emitting typed
+//!   inflation, scored online by an `everest-anomaly` z-score
+//!   ([`everest_anomaly::detectors::ScalarZScore`]), emitting typed
 //!   [`HealthVerdict`]s (straggler, gray link, degrading VF) the
 //!   moment evidence crosses threshold;
 //! * [`breaker`] — per-node [`CircuitBreaker`]s

@@ -3,12 +3,22 @@
 //! The scheduler feeds every committed placement into the monitor —
 //! achieved compute inflation (actual / healthy-model duration),
 //! observed link factors, and accelerator inflation — as the virtual
-//! clock advances. The monitor keeps per-node sliding windows, scores
-//! samples online through an [`everest_anomaly::DetectionNode`], and
+//! clock advances. The monitor keeps per-node ring windows, scores
+//! inflation samples online against a one-feature z-score
+//! ([`ScalarZScore`]) refit on the recent normal-looking samples, and
 //! emits typed [`HealthVerdict`]s the moment a node's evidence crosses
 //! the configured thresholds. Every sample is mirrored to the telemetry
 //! registry (`health.node<i>.<series>` windowed monitors plus
 //! `health.*` histograms) so operators see what the loop sees.
+//!
+//! Feeding a sample allocates nothing: the windows are fixed-capacity
+//! rings, the detector's window and calibration scratch are sized once,
+//! and a refit is the arithmetic of `ZScore::fit` on a flat slice.
+//! While a node's window holds only samples of exactly `1.0` — every
+//! sample of a healthy node, whose achieved time is its modelled time —
+//! its mean is exactly `1.0` and its creep slope exactly `0.0`, so
+//! neither is summed; and a refit on as many ones as the last one is
+//! skipped, since it would return the same model.
 //!
 //! Determinism: decisions are functions of the fed samples and the seed
 //! only — the monitor *writes* telemetry but never reads it back, so
@@ -18,9 +28,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use everest_anomaly::dataset::Dataset;
-use everest_anomaly::service::{fit_detector, DetectionNode};
-use everest_anomaly::tpe::{ParamValue, Params};
+use everest_anomaly::detectors::ScalarZScore;
 use everest_telemetry::{CounterHandle, HistogramHandle, MonitorHandle, Registry};
 
 use crate::verdict::{HealthVerdict, VerdictKind};
@@ -31,6 +39,13 @@ use crate::verdict::{HealthVerdict, VerdictKind};
 /// byte-identical). The verdict logic, the per-node windowed monitors
 /// and the exact `health.samples` counter are never sampled.
 const HEALTH_SAMPLE_EVERY: u64 = 8;
+
+/// Normal-looking inflation samples a refit sees: the newest this many.
+const DETECTOR_WINDOW: usize = 64;
+
+/// A refit needs at least this many normal-looking samples; with fewer
+/// the detector keeps its current model.
+const DETECTOR_MIN_ROWS: usize = 32;
 
 /// Pre-resolved telemetry handles for the monitor's per-sample hot
 /// path: one registry-map lookup per name at construction instead of
@@ -102,8 +117,8 @@ impl Default for HealthConfig {
 }
 
 /// Plain-data snapshot of a [`HealthMonitor`], sufficient to rebuild it
-/// exactly (detector refits are pure functions of rows + params + seed,
-/// so the snapshot stores rows, not models).
+/// exactly (detector refits are pure functions of the stored samples
+/// and the config, so the snapshot stores samples, not models).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorSnapshot {
     cfg: HealthConfig,
@@ -111,11 +126,198 @@ pub struct MonitorSnapshot {
     inflation: Vec<Vec<f64>>,
     link: Vec<Vec<f64>>,
     fpga: Vec<Vec<(f64, f64)>>,
+    /// The detector's window, one single-feature row per sample.
     detector_window: Vec<Vec<f64>>,
     last_refit_len: Option<usize>,
     samples_since_refit: usize,
     emitted: Vec<(usize, VerdictKind)>,
     verdicts: Vec<HealthVerdict>,
+}
+
+/// One sample's value as the window tracks it: whether it is exactly
+/// `1.0`, bit for bit.
+trait Sample: Copy {
+    fn is_unity(&self) -> bool;
+}
+
+impl Sample for f64 {
+    fn is_unity(&self) -> bool {
+        self.to_bits() == 1.0_f64.to_bits()
+    }
+}
+
+/// An accelerator sample `(at_us, inflation)`: unity is the inflation's.
+impl Sample for (f64, f64) {
+    fn is_unity(&self) -> bool {
+        self.1.is_unity()
+    }
+}
+
+/// The last `cap` samples of one node and series, oldest first: a ring,
+/// so a full window overwrites its oldest sample in place. It counts
+/// the samples that are not exactly `1.0`, which is how the monitor
+/// knows a mean or slope is trivial without looking at the samples.
+#[derive(Debug, Clone)]
+struct Window<T> {
+    buf: Vec<T>,
+    /// Index of the oldest sample once the ring is full (0 before).
+    head: usize,
+    cap: usize,
+    off_unity: usize,
+}
+
+impl<T: Sample> Window<T> {
+    fn new(cap: usize) -> Window<T> {
+        Window {
+            buf: Vec::with_capacity(cap),
+            head: 0,
+            cap,
+            off_unity: 0,
+        }
+    }
+
+    /// One window per node, each holding its `samples` (oldest first;
+    /// at most `cap`).
+    fn all_from(series: Vec<Vec<T>>, cap: usize) -> Vec<Window<T>> {
+        (series.into_iter())
+            .map(|samples| {
+                let mut window = Window::new(cap);
+                samples.into_iter().for_each(|sample| window.push(sample));
+                window
+            })
+            .collect()
+    }
+
+    fn push(&mut self, sample: T) {
+        if self.cap == 0 {
+            return;
+        }
+        self.off_unity += usize::from(!sample.is_unity());
+        if self.buf.len() < self.cap {
+            self.buf.push(sample);
+            return;
+        }
+        let evicted = std::mem::replace(&mut self.buf[self.head], sample);
+        self.off_unity -= usize::from(!evicted.is_unity());
+        self.head = (self.head + 1) % self.cap;
+    }
+
+    fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether the window is non-empty and every sample in it is
+    /// exactly `1.0`.
+    fn all_unity(&self) -> bool {
+        !self.buf.is_empty() && self.off_unity == 0
+    }
+
+    /// The samples, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &T> + Clone {
+        let (newer, older) = self.buf.split_at(self.head);
+        older.iter().chain(newer)
+    }
+
+    fn to_vec(&self) -> Vec<T> {
+        self.iter().copied().collect()
+    }
+}
+
+impl Window<f64> {
+    /// The windowed mean, summed oldest first (0 when empty): exactly
+    /// `1.0`, unsummed, while every sample is `1.0`.
+    fn mean(&self) -> f64 {
+        if self.all_unity() {
+            return 1.0;
+        }
+        if self.buf.is_empty() {
+            return 0.0;
+        }
+        self.iter().sum::<f64>() / self.len() as f64
+    }
+}
+
+impl Window<(f64, f64)> {
+    /// Least-squares inflation slope in 1/ms over the `(at_us,
+    /// inflation)` samples; 0 for degenerate windows, and for a window
+    /// of flat `1.0` samples, whose every residual is exactly zero (for
+    /// finite timestamps).
+    fn slope_per_ms(&self) -> f64 {
+        if self.all_unity() {
+            return 0.0;
+        }
+        let n = self.len() as f64;
+        let mean_t = self.iter().map(|(t, _)| t).sum::<f64>() / n;
+        let mean_y = self.iter().map(|(_, y)| y).sum::<f64>() / n;
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for (t, y) in self.iter() {
+            num += (t - mean_t) * (y - mean_y);
+            den += (t - mean_t) * (t - mean_t);
+        }
+        if den <= 0.0 {
+            return 0.0;
+        }
+        num / den * 1_000.0
+    }
+}
+
+/// The online anomaly detector over single inflation samples: a
+/// z-score fit on a synthetic healthy prior, refit every
+/// `refit_every` fed samples on the newest [`DETECTOR_WINDOW`]
+/// normal-looking ones.
+#[derive(Debug)]
+struct Detector {
+    model: ScalarZScore,
+    contamination: f64,
+    /// Normal-looking samples, oldest first. Trimmed to the newest
+    /// [`DETECTOR_WINDOW`] at each refit, so it never outgrows
+    /// `DETECTOR_WINDOW + refit_every`, its capacity.
+    window: Vec<f64>,
+    /// Samples in `window` that are not exactly `1.0`.
+    off_unity: usize,
+    /// `Some(n)` while `model` is the fit of `n` samples of exactly
+    /// `1.0`: a refit on `n` such samples would return it bit for bit,
+    /// so a healthy campaign's refits cost nothing.
+    fit_on_ones: Option<usize>,
+    /// Calibration scratch, kept across refits.
+    scores: Vec<f64>,
+}
+
+impl Detector {
+    /// The prior: inflation ≈ 1 with a small deterministic spread.
+    fn baseline(cfg: &HealthConfig) -> Detector {
+        let mut scores = Vec::with_capacity(DETECTOR_WINDOW + cfg.refit_every.max(1));
+        let prior: [f64; 32] = std::array::from_fn(|i| 1.0 + 0.02 * ((i % 7) as f64 - 3.0));
+        Detector {
+            model: ScalarZScore::fit(&prior, cfg.contamination, &mut scores),
+            contamination: cfg.contamination,
+            window: Vec::with_capacity(scores.capacity()),
+            off_unity: 0,
+            fit_on_ones: None,
+            scores,
+        }
+    }
+
+    fn push(&mut self, sample: f64) {
+        self.off_unity += usize::from(!sample.is_unity());
+        self.window.push(sample);
+    }
+
+    /// Trims the window to its newest [`DETECTOR_WINDOW`] samples and,
+    /// when enough remain, refits the model on them.
+    fn refit(&mut self) {
+        let excess = self.window.len().saturating_sub(DETECTOR_WINDOW);
+        for sample in self.window.drain(..excess) {
+            self.off_unity -= usize::from(!sample.is_unity());
+        }
+        let len = self.window.len();
+        if len < DETECTOR_MIN_ROWS || (self.off_unity == 0 && self.fit_on_ones == Some(len)) {
+            return;
+        }
+        self.model = ScalarZScore::fit(&self.window, self.contamination, &mut self.scores);
+        self.fit_on_ones = (self.off_unity == 0).then_some(len);
+    }
 }
 
 /// The streaming monitor for one campaign.
@@ -125,18 +327,16 @@ pub struct HealthMonitor {
     cfg: HealthConfig,
     seed: u64,
     /// Per-node compute-inflation windows (actual / healthy duration).
-    inflation: Vec<Vec<f64>>,
+    inflation: Vec<Window<f64>>,
     /// Per-node observed link-factor windows.
-    link: Vec<Vec<f64>>,
+    link: Vec<Window<f64>>,
     /// Per-node `(at_us, inflation)` accelerator samples.
-    fpga: Vec<Vec<(f64, f64)>>,
-    /// Online anomaly detector over single-feature inflation rows.
-    node: DetectionNode,
-    /// Length of the window prefix the detector was last refit on (for
-    /// exact restore). The post-refit window is exactly what the
-    /// detector saw — `update` evicts before fitting — and only grows
-    /// by appends until the next refit, so a length pins it down
-    /// without cloning rows on the hot path.
+    fpga: Vec<Window<(f64, f64)>>,
+    detector: Detector,
+    /// Length of the detector window the model was last refit on (for
+    /// exact restore). The post-refit window is exactly what the model
+    /// saw and only grows by appends until the next refit, so a length
+    /// pins it down.
     last_refit_len: Option<usize>,
     samples_since_refit: usize,
     /// `(node, kind)` pairs already convicted — one verdict each.
@@ -158,23 +358,6 @@ impl std::fmt::Debug for HealthMonitor {
     }
 }
 
-/// Baseline detector: a z-score model fit on a synthetic healthy prior
-/// (inflation ≈ 1 with a small deterministic spread), refit online as
-/// real samples stream in.
-fn baseline_node(cfg: &HealthConfig, seed: u64) -> (DetectionNode, Params) {
-    let mut params = Params::new();
-    params.insert("family".into(), ParamValue::C("zscore".into()));
-    params.insert("contamination".into(), ParamValue::F(cfg.contamination));
-    let rows: Vec<Vec<f64>> = (0..32)
-        .map(|i| vec![1.0 + 0.02 * ((i % 7) as f64 - 3.0)])
-        .collect();
-    let detector = fit_detector(&params, &Dataset::from_rows(rows), seed);
-    (
-        DetectionNode::from_detector(detector, params.clone(), 64, seed),
-        params,
-    )
-}
-
 impl HealthMonitor {
     /// A monitor over `nodes` nodes, mirroring samples into `registry`.
     pub fn new(
@@ -183,16 +366,15 @@ impl HealthMonitor {
         seed: u64,
         registry: Arc<Registry>,
     ) -> HealthMonitor {
-        let (node, _) = baseline_node(&cfg, seed);
         HealthMonitor {
             telemetry: MonitorTelemetry::new(nodes, cfg.window, &registry),
             registry,
+            inflation: (0..nodes).map(|_| Window::new(cfg.window)).collect(),
+            link: (0..nodes).map(|_| Window::new(cfg.window)).collect(),
+            fpga: (0..nodes).map(|_| Window::new(cfg.window)).collect(),
+            detector: Detector::baseline(&cfg),
             cfg,
             seed,
-            inflation: vec![Vec::new(); nodes],
-            link: vec![Vec::new(); nodes],
-            fpga: vec![Vec::new(); nodes],
-            node,
             last_refit_len: None,
             samples_since_refit: 0,
             emitted: BTreeSet::new(),
@@ -215,21 +397,6 @@ impl HealthMonitor {
     /// loop polls this after every fed sample).
     pub fn drain_new(&mut self) -> Vec<HealthVerdict> {
         std::mem::take(&mut self.pending)
-    }
-
-    fn push_window(window: &mut Vec<f64>, cap: usize, value: f64) {
-        window.push(value);
-        if window.len() > cap {
-            let excess = window.len() - cap;
-            window.drain(..excess);
-        }
-    }
-
-    fn mean(window: &[f64]) -> f64 {
-        if window.is_empty() {
-            return 0.0;
-        }
-        window.iter().sum::<f64>() / window.len() as f64
     }
 
     /// Records an externally established verdict (e.g. serve's
@@ -265,27 +432,28 @@ impl HealthMonitor {
         if node >= self.inflation.len() {
             return;
         }
-        Self::push_window(&mut self.inflation[node], self.cfg.window, inflation);
+        self.inflation[node].push(inflation);
         self.telemetry.node_inflation[node].observe(inflation);
         self.telemetry.inflation.record(inflation);
         self.telemetry.samples.add(1);
 
         // Feed the online detector: normal-looking samples become
-        // training data, exactly like DetectionNode::detect.
-        if !self.node.score_row(&[inflation]) {
-            self.node.push_normal(vec![inflation]);
+        // training data.
+        let detector = &mut self.detector;
+        if !detector.model.is_anomalous(inflation) {
+            detector.push(inflation);
         }
         self.samples_since_refit += 1;
         if self.samples_since_refit >= self.cfg.refit_every {
             self.samples_since_refit = 0;
-            self.node.update();
-            self.last_refit_len = Some(self.node.window_rows().len());
+            detector.refit();
+            self.last_refit_len = Some(detector.window.len());
         }
 
         let window = &self.inflation[node];
         if window.len() >= self.cfg.min_samples {
-            let mean = Self::mean(window);
-            if mean >= self.cfg.straggler_ratio && self.node.score_row(&[mean]) {
+            let mean = window.mean();
+            if mean >= self.cfg.straggler_ratio && self.detector.model.is_anomalous(mean) {
                 self.flag(VerdictKind::Straggler, node, at_us, mean);
             }
         }
@@ -297,13 +465,13 @@ impl HealthMonitor {
         if node >= self.link.len() {
             return;
         }
-        Self::push_window(&mut self.link[node], self.cfg.window, factor);
+        self.link[node].push(factor);
         self.telemetry.node_link[node].observe(factor);
         self.telemetry.link_factor.record(factor);
 
         let window = &self.link[node];
         if window.len() >= self.cfg.min_samples {
-            let mean = Self::mean(window);
+            let mean = window.mean();
             if mean >= self.cfg.link_factor {
                 self.flag(VerdictKind::GrayLink, node, at_us, mean);
             }
@@ -317,38 +485,16 @@ impl HealthMonitor {
         if node >= self.fpga.len() {
             return;
         }
-        let samples = &mut self.fpga[node];
-        samples.push((at_us, inflation));
-        if samples.len() > self.cfg.window {
-            let excess = samples.len() - self.cfg.window;
-            samples.drain(..excess);
-        }
+        self.fpga[node].push((at_us, inflation));
         self.telemetry.fpga_inflation.record(inflation);
 
+        let samples = &self.fpga[node];
         if samples.len() >= self.cfg.min_samples {
-            let slope = Self::slope_per_ms(samples);
+            let slope = samples.slope_per_ms();
             if slope >= self.cfg.creep_per_ms {
                 self.flag(VerdictKind::DegradingVf, node, at_us, slope);
             }
         }
-    }
-
-    /// Least-squares inflation slope in 1/ms over `(at_us, inflation)`
-    /// samples; 0 for degenerate windows.
-    fn slope_per_ms(samples: &[(f64, f64)]) -> f64 {
-        let n = samples.len() as f64;
-        let mean_t = samples.iter().map(|(t, _)| t).sum::<f64>() / n;
-        let mean_y = samples.iter().map(|(_, y)| y).sum::<f64>() / n;
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (t, y) in samples {
-            num += (t - mean_t) * (y - mean_y);
-            den += (t - mean_t) * (t - mean_t);
-        }
-        if den <= 0.0 {
-            return 0.0;
-        }
-        num / den * 1_000.0
     }
 
     /// Plain-data snapshot for checkpointing; see
@@ -357,10 +503,10 @@ impl HealthMonitor {
         MonitorSnapshot {
             cfg: self.cfg.clone(),
             seed: self.seed,
-            inflation: self.inflation.clone(),
-            link: self.link.clone(),
-            fpga: self.fpga.clone(),
-            detector_window: self.node.window_rows().to_vec(),
+            inflation: self.inflation.iter().map(Window::to_vec).collect(),
+            link: self.link.iter().map(Window::to_vec).collect(),
+            fpga: self.fpga.iter().map(Window::to_vec).collect(),
+            detector_window: self.detector.window.iter().map(|&v| vec![v]).collect(),
             last_refit_len: self.last_refit_len,
             samples_since_refit: self.samples_since_refit,
             emitted: self.emitted.iter().cloned().collect(),
@@ -370,25 +516,32 @@ impl HealthMonitor {
 
     /// Rebuilds a monitor exactly from a snapshot: the detector is
     /// re-derived by replaying the last refit (a pure function of the
-    /// stored rows), so the restored monitor reaches the same verdicts
-    /// at the same virtual times as one that never stopped.
+    /// stored samples), so the restored monitor reaches the same
+    /// verdicts at the same virtual times as one that never stopped.
     pub fn restore(snap: MonitorSnapshot, registry: Arc<Registry>) -> HealthMonitor {
-        let (mut node, _) = baseline_node(&snap.cfg, snap.seed);
+        // Replay the last refit on the prefix it saw (at most
+        // `DETECTOR_WINDOW` samples, so it trims nothing), then append
+        // what arrived since.
+        let mut detector = Detector::baseline(&snap.cfg);
+        let mut samples = snap.detector_window.iter().map(|row| row[0]);
         if let Some(len) = snap.last_refit_len {
-            let len = len.min(snap.detector_window.len());
-            node.replace_window(snap.detector_window[..len].to_vec());
-            node.update();
+            samples
+                .by_ref()
+                .take(len)
+                .for_each(|sample| detector.push(sample));
+            detector.refit();
         }
-        node.replace_window(snap.detector_window);
+        samples.for_each(|sample| detector.push(sample));
+        let cap = snap.cfg.window;
         HealthMonitor {
-            telemetry: MonitorTelemetry::new(snap.inflation.len(), snap.cfg.window, &registry),
+            telemetry: MonitorTelemetry::new(snap.inflation.len(), cap, &registry),
             registry,
+            inflation: Window::all_from(snap.inflation, cap),
+            link: Window::all_from(snap.link, cap),
+            fpga: Window::all_from(snap.fpga, cap),
+            detector,
             cfg: snap.cfg,
             seed: snap.seed,
-            inflation: snap.inflation,
-            link: snap.link,
-            fpga: snap.fpga,
-            node,
             last_refit_len: snap.last_refit_len,
             samples_since_refit: snap.samples_since_refit,
             emitted: snap.emitted.into_iter().collect(),

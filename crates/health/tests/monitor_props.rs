@@ -1,0 +1,184 @@
+//! `HealthMonitor` against the `DetectionNode`-backed monitor it
+//! replaced (`tests/reference/`): on random inflation, link and creep
+//! streams — mostly exact `1.0` samples, some an ulp off, some noisy,
+//! some convicting —
+//! with a `snapshot` → `restore` at a random point, both reach the same
+//! verdicts (time, node, kind and score, bit for bit), drain them at
+//! the same samples, and take the same snapshots.
+
+mod reference;
+
+use everest_health::{HealthConfig, HealthMonitor};
+use everest_telemetry::Registry;
+
+/// SplitMix64.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+        items[self.below(items.len())]
+    }
+}
+
+fn random_config(rng: &mut Rng) -> HealthConfig {
+    HealthConfig {
+        window: rng.pick(&[0, 1, 3, 12, 16]),
+        min_samples: rng.pick(&[0, 1, 4, 6]),
+        contamination: rng.pick(&[0.0, 0.02, 0.05, 0.2]),
+        straggler_ratio: rng.pick(&[0.9, 1.0, 1.5, 2.5]),
+        link_factor: rng.pick(&[1.0, 2.0]),
+        creep_per_ms: rng.pick(&[-0.01, 0.0, 0.01, 0.05]),
+        refit_every: rng.pick(&[0, 1, 5, 16, 40]),
+    }
+}
+
+/// One sample of a stream: which series, which node, what value.
+#[derive(Debug, Clone, Copy)]
+enum Feed {
+    Task(usize, f64),
+    Link(usize, f64),
+    Fpga(usize, f64),
+}
+
+/// A stream over `nodes` nodes in which one node may turn slow, one
+/// link gray and one accelerator creep part-way through; everything
+/// else is exactly `1.0` or close to it.
+fn random_stream(rng: &mut Rng, nodes: usize) -> Vec<(f64, Feed)> {
+    let len = 20 + rng.below(400);
+    let slow = (rng.below(2) == 0).then(|| (rng.below(nodes), rng.below(len)));
+    let gray = (rng.below(3) == 0).then(|| (rng.below(nodes), rng.below(len)));
+    let creep = (rng.below(2) == 0).then(|| (rng.below(nodes), rng.below(len)));
+    let noisy = rng.below(3) == 0;
+    let mut at_us = 0.0;
+    let mut stream = Vec::with_capacity(len);
+    for step in 0..len {
+        at_us += rng.pick(&[0.0, 1.0, 125.0, 250.0]) + rng.unit();
+        let node = rng.below(nodes);
+        let hit =
+            |fault: Option<(usize, usize)>| fault.is_some_and(|(n, at)| n == node && step >= at);
+        // Mostly exact ones; a unit in the last place either side of
+        // one, where a z-score fit on ones decides by its last bit; or
+        // noise.
+        let base = match rng.below(16) {
+            0 if noisy => 1.0 + 0.1 * (rng.unit() - 0.5),
+            1 => 1.0_f64.next_down(),
+            2 => 1.0_f64.next_up(),
+            _ => 1.0,
+        };
+        let feed = match rng.below(6) {
+            0 => Feed::Link(
+                node,
+                if hit(gray) {
+                    2.0 + 3.0 * rng.unit()
+                } else {
+                    base
+                },
+            ),
+            1 | 2 => {
+                let value = match creep {
+                    Some((n, at)) if n == node && step >= at => 1.0 + 0.2 * (step - at) as f64,
+                    _ => base,
+                };
+                Feed::Fpga(node, value)
+            }
+            _ => Feed::Task(
+                node,
+                if hit(slow) {
+                    3.0 + 2.0 * rng.unit()
+                } else {
+                    base
+                },
+            ),
+        };
+        stream.push((at_us, feed));
+    }
+    stream
+}
+
+/// Feeds the same sample to both monitors and compares what they
+/// drained.
+fn feed_both(
+    new: &mut HealthMonitor,
+    old: &mut reference::monitor::HealthMonitor,
+    at_us: f64,
+    feed: Feed,
+) {
+    match feed {
+        Feed::Task(node, value) => {
+            new.record_task(node, value, at_us);
+            old.record_task(node, value, at_us);
+        }
+        Feed::Link(node, value) => {
+            new.record_link(node, value, at_us);
+            old.record_link(node, value, at_us);
+        }
+        Feed::Fpga(node, value) => {
+            new.record_fpga(node, value, at_us);
+            old.record_fpga(node, value, at_us);
+        }
+    }
+    assert_eq!(
+        format!("{:?}", new.drain_new()),
+        format!("{:?}", old.drain_new()),
+        "drained verdicts after {feed:?} at {at_us}"
+    );
+}
+
+#[test]
+fn monitor_matches_the_detection_node_reference_across_a_restore() {
+    let mut convicting = 0;
+    for case in 0..400_u64 {
+        let mut rng = Rng(case);
+        let nodes = 1 + rng.below(4);
+        let cfg = random_config(&mut rng);
+        let seed = rng.next();
+        let stream = random_stream(&mut rng, nodes);
+        let cut = rng.below(stream.len() + 1);
+
+        let mut new = HealthMonitor::new(nodes, cfg.clone(), seed, Registry::new());
+        let mut old = reference::monitor::HealthMonitor::new(nodes, cfg, seed, Registry::new());
+        for &(at_us, feed) in &stream[..cut] {
+            feed_both(&mut new, &mut old, at_us, feed);
+        }
+        let (snap_new, snap_old) = (new.snapshot(), old.snapshot());
+        assert_eq!(
+            format!("{snap_new:?}"),
+            format!("{snap_old:?}"),
+            "case {case}: snapshot at {cut}"
+        );
+        let mut new = HealthMonitor::restore(snap_new, Registry::new());
+        let mut old = reference::monitor::HealthMonitor::restore(snap_old, Registry::new());
+        for &(at_us, feed) in &stream[cut..] {
+            feed_both(&mut new, &mut old, at_us, feed);
+        }
+        assert_eq!(
+            format!("{:?}", new.verdicts()),
+            format!("{:?}", old.verdicts()),
+            "case {case}: verdicts"
+        );
+        assert_eq!(
+            format!("{:?}", new.snapshot()),
+            format!("{:?}", old.snapshot()),
+            "case {case}: final snapshot"
+        );
+        convicting += usize::from(!new.verdicts().is_empty());
+    }
+    // The streams exercise the verdict paths, not only the quiet one.
+    assert!(convicting >= 100, "{convicting} of 400 cases convicted");
+}

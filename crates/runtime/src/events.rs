@@ -9,7 +9,11 @@
 //! grows past the live event count.
 //!
 //! [`EventQueue`] is an *indexed* binary heap over a slab of event
-//! slots. Each [`EventQueue::push`] returns an [`EventToken`];
+//! slots. The heap holds each event's ordering key `(time, sequence)`
+//! inline beside its slot index, so sifting compares heap entries
+//! without touching the slab, and it moves a hole rather than swapping
+//! pairs: the sifted entry is written once, where it stops. Each
+//! [`EventQueue::push`] returns an [`EventToken`];
 //! [`EventQueue::cancel`] and [`EventQueue::reschedule`] find the
 //! event's heap position through the slab index and repair the heap in
 //! O(log n) — no tombstones, no churn. Slots are recycled through a
@@ -27,8 +31,8 @@
 //! # Accounting
 //!
 //! The queue counts its own work ([`QueueStats`]): pushes, pops,
-//! cancels, reschedules, and total sift steps (each step is one
-//! parent/child exchange while repairing the heap). The regression
+//! cancels, reschedules, and total sift steps (each step is one entry
+//! moving one level while repairing the heap). The regression
 //! test in this module bounds the sift work of a cancel-heavy
 //! workload, so a future change that silently reintroduces
 //! tombstone churn fails the suite without any wall-clock
@@ -73,15 +77,13 @@ pub struct QueueStats {
     pub cancels: u64,
     /// Successful reschedules.
     pub reschedules: u64,
-    /// Total heap-repair steps (one parent/child exchange each) across
+    /// Total heap-repair steps (one entry moved one level each) across
     /// every push, pop, cancel, and reschedule.
     pub sift_steps: u64,
 }
 
 #[derive(Debug)]
 struct Slot<T> {
-    at_us: f64,
-    seq: u64,
     generation: u32,
     /// Index into `heap` while scheduled; `usize::MAX` when free.
     pos: usize,
@@ -90,11 +92,51 @@ struct Slot<T> {
 
 const FREE: usize = usize::MAX;
 
+/// One heap entry: the event's ordering key inline beside its slot
+/// index, so a sift compares entries without reading the slot table.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// `(time, sequence)` as one integer whose unsigned order is the
+    /// pop order: the time's bits, mapped so that integer order is
+    /// `f64::total_cmp` order, above the sequence number.
+    key: u128,
+    slot: u32,
+}
+
+/// Flips the magnitude bits of a negative float: applied to a float's
+/// bits it gives an integer ordered as `f64::total_cmp` orders the
+/// floats, and applied to that integer it gives the bits back.
+fn flip_negative(bits: u64) -> u64 {
+    bits ^ ((bits >> 63).wrapping_neg() >> 1)
+}
+
+const SIGN: u64 = 1 << 63;
+
+impl Entry {
+    fn new(at_us: f64, seq: u64, slot: u32) -> Entry {
+        let time = flip_negative(at_us.to_bits()) ^ SIGN;
+        Entry {
+            key: (u128::from(time) << 64) | u128::from(seq),
+            slot,
+        }
+    }
+
+    fn at_us(&self) -> f64 {
+        f64::from_bits(flip_negative(((self.key >> 64) as u64) ^ SIGN))
+    }
+
+    /// Whether `self` pops before `other`: earlier time, then earlier
+    /// sequence.
+    fn before(&self, other: &Entry) -> bool {
+        self.key < other.key
+    }
+}
+
 /// The indexed event queue. See the module docs for the model.
 #[derive(Debug)]
 pub struct EventQueue<T> {
-    /// Slot indices, heap-ordered by `(at_us, seq)`.
-    heap: Vec<u32>,
+    /// Entries heap-ordered by `(at_us, seq)`.
+    heap: Vec<Entry>,
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
     next_seq: u64,
@@ -145,46 +187,43 @@ impl<T> EventQueue<T> {
     pub fn push(&mut self, at_us: f64, payload: T) -> EventToken {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let pos = self.heap.len();
-        let slot = match self.free.pop() {
+        let token = match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
-                s.at_us = at_us;
-                s.seq = seq;
-                s.pos = pos;
                 s.payload = Some(payload);
-                slot
+                EventToken {
+                    slot,
+                    generation: s.generation,
+                }
             }
             None => {
-                let slot = self.slots.len() as u32;
                 self.slots.push(Slot {
-                    at_us,
-                    seq,
                     generation: 0,
-                    pos,
+                    pos: FREE,
                     payload: Some(payload),
                 });
-                slot
+                EventToken {
+                    slot: (self.slots.len() - 1) as u32,
+                    generation: 0,
+                }
             }
         };
-        self.heap.push(slot);
-        self.sift_up(pos);
+        let pos = self.heap.len();
+        let entry = Entry::new(at_us, seq, token.slot);
+        self.heap.push(entry);
+        self.sift_up(pos, entry);
         self.stats.pushes += 1;
-        EventToken {
-            slot,
-            generation: self.slots[slot as usize].generation,
-        }
+        token
     }
 
     /// Virtual time of the next event, if any.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.first().map(|&s| self.slots[s as usize].at_us)
+        self.heap.first().map(Entry::at_us)
     }
 
     /// Pops the earliest event as `(at_us, payload)`.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        let &slot = self.heap.first()?;
-        let at_us = self.slots[slot as usize].at_us;
+        let at_us = self.heap.first()?.at_us();
         let payload = self.remove_at(0);
         self.stats.pops += 1;
         Some((at_us, payload))
@@ -210,15 +249,16 @@ impl<T> EventQueue<T> {
         let pos = self.live_pos(token)?;
         let seq = self.next_seq;
         self.next_seq += 1;
-        let index = token.slot as usize;
-        self.slots[index].at_us = at_us;
-        self.slots[index].seq = seq;
-        self.slots[index].generation = self.slots[index].generation.wrapping_add(1);
-        self.repair(pos);
+        let slot = &mut self.slots[token.slot as usize];
+        slot.generation = slot.generation.wrapping_add(1);
+        let generation = slot.generation;
+        let entry = Entry::new(at_us, seq, token.slot);
+        self.heap[pos] = entry;
+        self.repair(pos, entry);
         self.stats.reschedules += 1;
         Some(EventToken {
             slot: token.slot,
-            generation: self.slots[index].generation,
+            generation,
         })
     }
 
@@ -232,80 +272,81 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes the heap entry at `pos`, recycles its slot, and repairs
-    /// the heap. Returns the payload.
+    /// the heap with the last entry moved into the gap (at the root it
+    /// can only sink). Returns the payload.
     fn remove_at(&mut self, pos: usize) -> T {
-        let slot = self.heap[pos];
-        let last = self.heap.len() - 1;
-        self.heap.swap(pos, last);
-        self.slots[self.heap[pos] as usize].pos = pos;
-        self.heap.pop();
-        let s = &mut self.slots[slot as usize];
+        let removed = self.heap[pos].slot;
+        let last = self.heap.pop().expect("a live entry is in the heap");
+        if pos == 0 && !self.heap.is_empty() {
+            self.sift_down(0, last);
+        } else if pos < self.heap.len() {
+            self.repair(pos, last);
+        }
+        let s = &mut self.slots[removed as usize];
         s.pos = FREE;
         s.generation = s.generation.wrapping_add(1);
         let payload = s.payload.take().expect("live slot has a payload");
-        self.free.push(slot);
-        if pos < self.heap.len() {
-            self.repair(pos);
-        }
+        self.free.push(removed);
         payload
     }
 
-    /// Re-establishes the heap property for the entry at `pos` after
-    /// its key changed.
-    fn repair(&mut self, pos: usize) {
-        let moved = self.sift_up(pos);
-        if moved == pos {
-            self.sift_down(pos);
+    /// Re-establishes the heap property for `entry`, whose key changed,
+    /// at `pos`.
+    fn repair(&mut self, pos: usize, entry: Entry) {
+        if self.sift_up(pos, entry) == pos {
+            self.sift_down(pos, entry);
         }
     }
 
-    fn before(&self, a: u32, b: u32) -> bool {
-        let (a, b) = (&self.slots[a as usize], &self.slots[b as usize]);
-        match a.at_us.total_cmp(&b.at_us) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => a.seq < b.seq,
-        }
-    }
-
-    fn sift_up(&mut self, mut pos: usize) -> usize {
+    /// Moves `entry`, which belongs at the hole `pos`, up past every
+    /// parent it pops before: each such parent drops into the hole (one
+    /// sift step), and `entry` is written once, where the climb stops.
+    /// Returns that position.
+    fn sift_up(&mut self, mut pos: usize, entry: Entry) -> usize {
         while pos > 0 {
             let parent = (pos - 1) / 2;
-            if !self.before(self.heap[pos], self.heap[parent]) {
+            let above = self.heap[parent];
+            if !entry.before(&above) {
                 break;
             }
-            self.exchange(pos, parent);
+            self.place(pos, above);
+            self.stats.sift_steps += 1;
             pos = parent;
         }
+        self.place(pos, entry);
         pos
     }
 
-    fn sift_down(&mut self, mut pos: usize) {
+    /// The downward twin of [`EventQueue::sift_up`]: the earlier child
+    /// rises into the hole while it pops before `entry`.
+    fn sift_down(&mut self, mut pos: usize, entry: Entry) {
+        let len = self.heap.len();
         loop {
             let left = 2 * pos + 1;
-            if left >= self.heap.len() {
+            if left >= len {
                 break;
             }
             let right = left + 1;
-            let smallest =
-                if right < self.heap.len() && self.before(self.heap[right], self.heap[left]) {
-                    right
-                } else {
-                    left
-                };
-            if !self.before(self.heap[smallest], self.heap[pos]) {
+            let child = if right < len && self.heap[right].before(&self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let below = self.heap[child];
+            if !below.before(&entry) {
                 break;
             }
-            self.exchange(pos, smallest);
-            pos = smallest;
+            self.place(pos, below);
+            self.stats.sift_steps += 1;
+            pos = child;
         }
+        self.place(pos, entry);
     }
 
-    fn exchange(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.slots[self.heap[a] as usize].pos = a;
-        self.slots[self.heap[b] as usize].pos = b;
-        self.stats.sift_steps += 1;
+    /// Writes `entry` at heap position `pos` and points its slot there.
+    fn place(&mut self, pos: usize, entry: Entry) {
+        self.heap[pos] = entry;
+        self.slots[entry.slot as usize].pos = pos;
     }
 }
 

@@ -1,0 +1,3 @@
+//! Implementations the crate replaced, kept as test oracles.
+
+pub mod events;

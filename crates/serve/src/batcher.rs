@@ -86,6 +86,10 @@ pub struct DynamicBatcher {
     ready: VecDeque<Batch>,
     next_id: u64,
     pending: usize,
+    /// Emptied request vectors of settled batches, handed back through
+    /// [`DynamicBatcher::recycle`]; a new batch takes one before it
+    /// allocates. Never more than were ever live at once.
+    spare: Vec<Vec<Request>>,
 }
 
 impl DynamicBatcher {
@@ -103,7 +107,16 @@ impl DynamicBatcher {
             ready: VecDeque::new(),
             next_id: 0,
             pending: 0,
+            spare: Vec::new(),
         }
+    }
+
+    /// Hands back the request vector of a batch that settled, for the
+    /// next batch to open into: a steady campaign allocates no batch
+    /// vectors at all.
+    pub fn recycle(&mut self, mut requests: Vec<Request>) {
+        requests.clear();
+        self.spare.push(requests);
     }
 
     /// Retunes a class's batch-size ceiling (autotuner hook). Takes
@@ -141,9 +154,12 @@ impl DynamicBatcher {
             None => {
                 let id = self.next_id;
                 self.next_id += 1;
+                let mut requests =
+                    (self.spare.pop()).unwrap_or_else(|| Vec::with_capacity(lane.max_batch));
+                requests.push(request);
                 lane.open = Some(OpenBatch {
                     id,
-                    requests: vec![request],
+                    requests,
                     opened_us: now_us,
                 });
                 opened = true;

@@ -27,15 +27,36 @@
 //!   events that can no longer matter — the wait-timeout of a batch
 //!   that closed on size, the completion of a batch a fault already
 //!   failed — instead of popping tombstones;
+//! * the event queue keeps each event's `(time, sequence)` key inline
+//!   in its heap, so sifting never reads the slot table;
+//! * the pump stops at the first dispatch that starts nothing after a
+//!   pull, which is its fixed point, and an empty fair queue answers a
+//!   pop at once;
+//! * a settled batch hands its request vector back to the batcher for
+//!   the next batch to open into;
 //! * the `serve.*` / `cluster.*` counters that mirror a
 //!   [`ServeOutcome`] field are not touched per event at all: they are
 //!   published once, by name, from the counter ledger
 //!   ([`crate::ledger`]) after the loop drains. Only the instruments
 //!   recorded at event time (`serve.faults`, three gauges, three
-//!   histograms) hold pre-resolved handles, and the two per-request
-//!   histograms are deterministically sampled;
+//!   histograms) hold pre-resolved handles; the two per-request
+//!   histograms are deterministically sampled, and every histogram and
+//!   monitor handle buffers its samples and takes its cell's lock once
+//!   per 16 of them;
+//! * the [`HealthMonitor`] a completion feeds keeps ring windows and
+//!   refits a one-feature z-score on a flat window it sized once, and
+//!   skips the arithmetic that a window of exact `1.0` samples makes
+//!   trivial;
 //! * the autotuner is fed through resolved slots, cached per class
-//!   until a retune changes the active operating point.
+//!   until a retune changes the active operating point, and decides by
+//!   point index.
+//!
+//! Once warm, a completion allocates nothing but the outcome's own
+//! records (`crates/serve/tests/memory.rs` holds a nominal campaign to
+//! a small fraction of an allocation a batch). The locks it takes are
+//! the tuner's two windows, which publish each observation at once
+//! because `Autotuner::monitor` reads them back, and one per 16
+//! samples of each buffered handle.
 //!
 //! Cancelling stale events is outcome-preserving: a stale pop only
 //! re-runs the pull/dispatch pump at a later virtual time, and the
@@ -442,6 +463,10 @@ impl<'a> Sim<'a> {
         self.queue.push(at_us, kind)
     }
 
+    /// Runs the loop and returns the outcome. The rest of the loop's
+    /// state drops here, and with it every buffered telemetry handle
+    /// (the engine's, the health monitor's) flushes into the registry:
+    /// all of it is visible before [`ServeEngine::run`] returns.
     fn run(mut self) -> ServeOutcome {
         self.drain();
         self.outcome
@@ -632,21 +657,29 @@ impl<'a> Sim<'a> {
     /// stocked (bounded so WFQ backlog builds queue-depth backpressure
     /// instead of hiding inside batches), dispatch ready batches onto
     /// idle breaker-admitted nodes. Runs to a fixed point at each event.
+    ///
+    /// A pull leaves the fair queues empty or the ready batches at one
+    /// per node; a dispatch that then starts nothing changes neither,
+    /// so another pull would find nothing to do: that is the fixed
+    /// point, with no confirming pass.
     fn pump(&mut self, now: f64) {
         if self.nodes.iter().all(|n| n.crashed) {
             self.drain_all_failed();
             return;
         }
-        while self.pull(now) + self.dispatch(now) > 0 {}
+        loop {
+            self.pull(now);
+            if self.dispatch(now) == 0 {
+                break;
+            }
+        }
     }
 
-    fn pull(&mut self, now: f64) -> usize {
-        let mut pulled = 0;
+    fn pull(&mut self, now: f64) {
         while self.batcher.ready_len() < self.nodes.len() {
             let Some(request) = self.wfq.pop() else {
                 break;
             };
-            pulled += 1;
             let class = request.class;
             if now > request.arrival_us + self.cfg.classes[class].deadline_us {
                 self.shed(&request, ShedReason::DeadlineLapsed);
@@ -669,7 +702,6 @@ impl<'a> Sim<'a> {
                 OfferOutcome::Joined => {}
             }
         }
-        pulled
     }
 
     fn dispatch(&mut self, now: f64) -> usize {
@@ -916,6 +948,7 @@ impl<'a> Sim<'a> {
         // Probe results and verdicts above may have moved breakers:
         // re-evaluate the brownout tier at this health edge.
         self.health_moved(now);
+        self.batcher.recycle(inflight.requests);
     }
 
     /// Nodes the brownout ladder counts against the cluster: crashed,
@@ -1147,11 +1180,12 @@ impl<'a> Sim<'a> {
                     }
                     LegLoss::Fence => {
                         self.outcome.partition_orphans += inflight.requests.len() as u64;
-                        for request in inflight.requests {
+                        for &request in &inflight.requests {
                             self.wfq.push(request);
                         }
                     }
                 }
+                self.batcher.recycle(inflight.requests);
                 inflight.primary
             }
         };

@@ -7,7 +7,8 @@
 use std::sync::Arc;
 
 use everest_autotuner::{
-    config, Autotuner, Constraint, Features, KnobValue, Objective, OperatingPoint, TunerSlot,
+    config, Autotuner, Configuration, Constraint, Features, KnobValue, Objective, OperatingPoint,
+    TunerSlot,
 };
 use everest_telemetry::Registry;
 
@@ -19,6 +20,9 @@ use crate::request::KernelClass;
 #[derive(Debug)]
 struct ClassTuning {
     name: String,
+    /// The class's operating points are `{batch, class}` configurations:
+    /// the `class` knob keeps each class's `autotuner.*` monitors apart
+    /// in a shared registry.
     tuner: Autotuner,
     /// The `latency_us` and `per_request_us` slots of the operating
     /// point at this batch ceiling: valid while it is the active one.
@@ -74,7 +78,7 @@ impl BatchTuning {
         let (_, latency, per_request) = match state.slots {
             Some(cached) if cached.0 == active => cached,
             _ => {
-                let key = config([("batch", active as i64)]);
+                let key = point_config(active, &state.name);
                 let mut slot = |metric| state.tuner.resolve_slot(&key, metric);
                 *(state.slots).insert((active, slot("latency_us"), slot("per_request_us")))
             }
@@ -89,8 +93,8 @@ impl BatchTuning {
     /// [`BatchTuning::chosen`].
     pub(crate) fn retune(&mut self, class: usize, now_us: f64) {
         let state = &mut self.classes[class];
-        let chosen = match state.tuner.best(&Features::new()) {
-            Ok(best) => match best.get("batch") {
+        let chosen = match state.tuner.best_point(&Features::new()) {
+            Ok(best) => match best.config.get("batch") {
                 Some(KnobValue::Int(n)) => (*n).max(1) as usize,
                 _ => 1,
             },
@@ -106,6 +110,15 @@ impl BatchTuning {
             );
         }
     }
+}
+
+/// The configuration of the operating point at batch ceiling `batch`
+/// in the tuner of class `class`.
+fn point_config(batch: usize, class: &str) -> Configuration {
+    config([
+        ("batch", KnobValue::Int(batch as i64)),
+        ("class", KnobValue::from(class)),
+    ])
 }
 
 /// Design-time operating points for one class: batch sizes in powers of
@@ -130,7 +143,7 @@ fn design_points(
             0.5 * policy.max_wait_us
         };
         tuner.add_point(
-            OperatingPoint::new(config([("batch", n as i64)]))
+            OperatingPoint::new(point_config(n, &class.name))
                 .expect("latency_us", wait + service)
                 .expect("per_request_us", service / n as f64),
         );
@@ -138,4 +151,42 @@ fn design_points(
     tuner.set_objective(Objective::minimize("per_request_us"));
     tuner.add_constraint(Constraint::le("latency_us", class.deadline_us));
     tuner
+}
+
+#[cfg(test)]
+mod tests {
+    use everest_faults::FaultPlan;
+
+    use super::*;
+
+    /// Both default classes batch up to 8, so their tuners have points
+    /// at the same ceilings; the `class` knob still keeps every window
+    /// to one class.
+    #[test]
+    fn class_tuners_sharing_a_registry_keep_disjoint_windows() {
+        let cfg = ServeConfig::default();
+        let registry = Registry::new();
+        let pricing = Pricing::new(cfg.nodes, cfg.cores, &FaultPlan::new(cfg.seed));
+        let mut tuning = BatchTuning::new(&cfg, &pricing, &registry);
+        for round in 0..3 {
+            let round = f64::from(round);
+            tuning.batch_finished(0, 4, 100.0 + round, 10.0 + round);
+            tuning.batch_finished(1, 4, 900.0 + round, 90.0 + round);
+        }
+        let window = |class: &str, metric: &str| {
+            let name = format!("autotuner.batch=4,class={class}.{metric}");
+            let monitor = registry.monitor(&name).expect("the class's own monitor");
+            (monitor.count(), monitor.mean())
+        };
+        assert_eq!(window("infer", "latency_us"), (3, Some(101.0)));
+        assert_eq!(window("infer", "per_request_us"), (3, Some(11.0)));
+        assert_eq!(window("analytics", "latency_us"), (3, Some(901.0)));
+        assert_eq!(window("analytics", "per_request_us"), (3, Some(91.0)));
+        let names = registry.monitor_names();
+        assert_eq!(
+            names.iter().filter(|n| n.starts_with("autotuner.")).count(),
+            4,
+            "{names:?}"
+        );
+    }
 }

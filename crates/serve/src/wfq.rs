@@ -78,6 +78,9 @@ impl WeightedFairQueue {
 
     /// Dequeues the request with the smallest head finish tag.
     pub fn pop(&mut self) -> Option<Request> {
+        if self.len == 0 {
+            return None;
+        }
         let mut best: Option<usize> = None;
         for (index, tenant) in self.tenants.iter().enumerate() {
             let Some(head) = tenant.fifo.front() else {

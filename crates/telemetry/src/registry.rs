@@ -138,7 +138,7 @@ struct Histogram {
     max: f64,
     /// `buckets[i]` counts values `<= BUCKET_BASE^i`; one extra
     /// overflow bucket at the end.
-    buckets: Vec<u64>,
+    buckets: [u64; BUCKETS + 1],
 }
 
 impl Histogram {
@@ -148,7 +148,7 @@ impl Histogram {
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            buckets: vec![0; BUCKETS + 1],
+            buckets: [0; BUCKETS + 1],
         }
     }
 
@@ -160,16 +160,24 @@ impl Histogram {
         self.sum += value;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        let mut bound = 1.0;
-        for bucket in self.buckets.iter_mut().take(BUCKETS) {
-            if value <= bound {
-                *bucket += 1;
-                return;
-            }
-            bound *= BUCKET_BASE;
-        }
-        *self.buckets.last_mut().expect("overflow bucket") += 1;
+        self.buckets[bucket(value)] += 1;
     }
+}
+
+/// The bucket of a finite `value`: the smallest `i` with
+/// `value <= BUCKET_BASE^i` (`4^i = 2^(2i)`), or the overflow bucket
+/// past the last. Read off the float's exponent instead of multiplying
+/// bounds up from 1: a value above 1 in `[2^e, 2^(e+1))` first fits
+/// under `2^e` when it is exactly that power, else under `2^(e+1)`.
+fn bucket(value: f64) -> usize {
+    if value <= 1.0 {
+        return 0;
+    }
+    let bits = value.to_bits();
+    let exponent = (bits >> 52) - 1023;
+    let fraction = bits & ((1 << 52) - 1);
+    let power = exponent + u64::from(fraction != 0);
+    (power.div_ceil(2) as usize).min(BUCKETS)
 }
 
 /// A read-only snapshot of one histogram.
@@ -300,15 +308,63 @@ impl GaugeHandle {
     }
 }
 
+/// Samples a [`HistogramHandle`] or [`MonitorHandle`] holds before it
+/// takes its cell's mutex: one lock per this many recorded samples.
+const HANDLE_BUFFER: usize = 16;
+
+/// Samples recorded through a handle and not yet applied to its cell,
+/// oldest first.
+#[derive(Debug)]
+struct Pending {
+    values: [f64; HANDLE_BUFFER],
+    len: usize,
+}
+
+impl Pending {
+    fn new() -> Pending {
+        Pending {
+            values: [0.0; HANDLE_BUFFER],
+            len: 0,
+        }
+    }
+
+    /// Buffers `value`; returns whether the buffer is now full.
+    #[inline]
+    fn push(&mut self, value: f64) -> bool {
+        self.values[self.len] = value;
+        self.len += 1;
+        self.len == HANDLE_BUFFER
+    }
+
+    /// Hands every buffered value, oldest first, to `apply` under the
+    /// cell's lock (taken only when something is buffered), then
+    /// empties the buffer.
+    fn drain_into<C>(&mut self, cell: &Mutex<C>, mut apply: impl FnMut(&mut C, f64)) {
+        if self.len == 0 {
+            return;
+        }
+        let mut cell = cell.lock().unwrap_or_else(|e| e.into_inner());
+        for &value in &self.values[..self.len] {
+            apply(&mut cell, value);
+        }
+        self.len = 0;
+    }
+}
+
 /// A pre-resolved — and optionally *sampled* — handle to one histogram.
 ///
-/// With `every = 1` each [`HistogramHandle::record`] locks only the one
-/// histogram cell (never the registry map). With `every = N > 1` the
-/// handle records every Nth observation deterministically (the 1st,
-/// N+1st, 2N+1st, …), so two same-seed runs sample identical
-/// subsequences; quantiles become estimates over the 1-in-N sample and
-/// `count` reflects samples, not observations — the contract documented
-/// per metric in `docs/OBSERVABILITY.md`.
+/// The handle never touches the registry map, and it locks its one
+/// histogram cell once per 16 recorded samples: it buffers them and
+/// applies them in order when the buffer fills, on
+/// [`HistogramHandle::flush`] and when it drops. Until then a snapshot
+/// does not show them. A cell written by one handle therefore sees
+/// exactly the sequence an unbuffered handle would have written.
+///
+/// With `every = N > 1` the handle records every Nth observation
+/// deterministically (the 1st, N+1st, 2N+1st, …), so two same-seed runs
+/// sample identical subsequences; quantiles become estimates over the
+/// 1-in-N sample and `count` reflects samples, not observations — the
+/// contract documented per metric in `docs/OBSERVABILITY.md`.
 ///
 /// ```
 /// let registry = everest_telemetry::Registry::new();
@@ -316,10 +372,13 @@ impl GaugeHandle {
 /// for v in 0..8 {
 ///     wait.record(v as f64);
 /// }
+/// // Buffered in the handle until it flushes (or drops).
+/// assert_eq!(registry.histogram("serve.queue_wait_us").unwrap().count, 0);
+/// wait.flush();
 /// // Observations 0 and 4 were sampled (1-in-4, deterministic).
 /// assert_eq!(registry.histogram("serve.queue_wait_us").unwrap().count, 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HistogramHandle {
     cell: Arc<Mutex<Histogram>>,
     every: u64,
@@ -327,20 +386,26 @@ pub struct HistogramHandle {
     /// `seen % every`: the period is a run-time value, so the modulo
     /// would be a hardware divide on every observation.
     skip: u64,
+    pending: Pending,
 }
 
 impl HistogramHandle {
     /// Records `value`, honouring the handle's sampling period.
+    #[inline]
     pub fn record(&mut self, value: f64) {
         if self.skip > 0 {
             self.skip -= 1;
             return;
         }
         self.skip = self.every - 1;
-        self.cell
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .record(value);
+        if self.pending.push(value) {
+            self.flush();
+        }
+    }
+
+    /// Applies every buffered sample to the histogram.
+    pub fn flush(&mut self) {
+        self.pending.drain_into(&self.cell, Histogram::record);
     }
 
     /// The sampling period `N` (1 records everything).
@@ -349,24 +414,49 @@ impl HistogramHandle {
     }
 }
 
-/// A pre-resolved handle to one sliding-window monitor.
+impl Drop for HistogramHandle {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
+/// A pre-resolved handle to one sliding-window monitor. Like a
+/// [`HistogramHandle`] it buffers up to 16 observations and feeds them
+/// to the window, in order, when the buffer fills, on
+/// [`MonitorHandle::flush`] and when it drops; a reader that needs each
+/// observation at once flushes after it.
 ///
 /// ```
 /// let registry = everest_telemetry::Registry::new();
-/// let inflation = registry.monitor_handle("health.node0.inflation", 32);
+/// let mut inflation = registry.monitor_handle("health.node0.inflation", 32);
 /// inflation.observe(1.25);
+/// inflation.flush();
 /// assert_eq!(registry.monitor("health.node0.inflation").unwrap().count(), 1);
 /// ```
-#[derive(Debug, Clone)]
-pub struct MonitorHandle(Arc<Mutex<Monitor>>);
+#[derive(Debug)]
+pub struct MonitorHandle {
+    cell: Arc<Mutex<Monitor>>,
+    pending: Pending,
+}
 
 impl MonitorHandle {
-    /// Feeds one observation into the monitor window.
-    pub fn observe(&self, value: f64) {
-        self.0
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .observe(value);
+    /// Feeds one observation towards the monitor window.
+    #[inline]
+    pub fn observe(&mut self, value: f64) {
+        if self.pending.push(value) {
+            self.flush();
+        }
+    }
+
+    /// Feeds every buffered observation into the window.
+    pub fn flush(&mut self) {
+        self.pending.drain_into(&self.cell, Monitor::observe);
+    }
+}
+
+impl Drop for MonitorHandle {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -599,6 +689,7 @@ impl Registry {
             cell: self.histogram_cell(name),
             every: every.max(1),
             skip: 0,
+            pending: Pending::new(),
         }
     }
 
@@ -606,7 +697,10 @@ impl Registry {
     /// monitor with `window` if absent (an existing monitor keeps its
     /// original window).
     pub fn monitor_handle(&self, name: &str, window: usize) -> MonitorHandle {
-        MonitorHandle(self.monitor_cell(name, window))
+        MonitorHandle {
+            cell: self.monitor_cell(name, window),
+            pending: Pending::new(),
+        }
     }
 
     /// Adds `delta` to the monotonic counter `name` (created at 0).
@@ -922,6 +1016,46 @@ mod tests {
     }
 
     #[test]
+    fn bucket_is_the_first_bound_the_value_fits_under() {
+        // The definition: bounds multiplied up from 1, overflow past
+        // the last.
+        let by_bounds = |value: f64| {
+            let mut bound = 1.0;
+            for i in 0..BUCKETS {
+                if value <= bound {
+                    return i;
+                }
+                bound *= BUCKET_BASE;
+            }
+            BUCKETS
+        };
+        let mut values = vec![
+            -1.0,
+            -0.0,
+            0.0,
+            1e-300,
+            0.5,
+            1.0,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+        ];
+        for k in 0..=50 {
+            let power = 2.0_f64.powi(k);
+            values.extend([power, power.next_up(), power.next_down(), 3.0 * power]);
+        }
+        let mut state = 7_u64;
+        for _ in 0..10_000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            values.push(f64::from_bits(state >> 2) % 1e14);
+        }
+        for value in values.into_iter().filter(|v| v.is_finite()) {
+            assert_eq!(bucket(value), by_bounds(value), "{value:e}");
+        }
+    }
+
+    #[test]
     fn histogram_ignores_non_finite() {
         let r = Registry::new();
         r.histogram_record("h", f64::NAN);
@@ -950,6 +1084,7 @@ mod tests {
             let (mut count, mut sum) = (0u64, 0.0);
             for seen in 0..100u64 {
                 handle.record(seen as f64);
+                handle.flush();
                 if seen % every == 0 {
                     count += 1;
                     sum += seen as f64;
@@ -960,6 +1095,40 @@ mod tests {
                 assert_eq!((snapshot.count, snapshot.sum), (count, sum), "1-in-{every}");
             }
         }
+    }
+
+    #[test]
+    fn buffered_handles_apply_samples_in_order_when_full_flushed_or_dropped() {
+        let r = Registry::new();
+        let mut hist = r.histogram_handle("h");
+        let mut window = r.monitor_handle("m", 40);
+        // Values whose float sum depends on the order they are added.
+        let values: Vec<f64> = (0..37).map(|i| 1e16 / f64::from(i + 1)).collect();
+        let (mut count, mut sum) = (0, 0.0);
+        for (seen, &v) in values.iter().enumerate() {
+            hist.record(v);
+            window.observe(v);
+            if (seen + 1) % HANDLE_BUFFER == 0 {
+                // A full buffer has just been applied, and nothing else.
+                for &flushed in &values[count..=seen] {
+                    sum += flushed;
+                }
+                count = seen + 1;
+            }
+            let h = r.histogram("h").expect("registered by the handle");
+            assert_eq!((h.count, h.sum.to_bits()), (count as u64, sum.to_bits()));
+            assert_eq!(r.monitor("m").expect("registered").count(), count);
+        }
+        window.flush();
+        assert_eq!(r.monitor("m").expect("registered").count(), values.len());
+        assert_eq!(
+            r.monitor("m").expect("registered").last(),
+            values.last().copied()
+        );
+        drop(hist);
+        let expected = values.iter().fold(0.0, |acc, v| acc + v);
+        let h = r.histogram("h").expect("registered by the handle");
+        assert_eq!((h.count, h.sum.to_bits()), (37, expected.to_bits()));
     }
 
     #[test]
