@@ -242,24 +242,15 @@ impl Autotuner {
         Some(expected * factor)
     }
 
-    /// Selects the best configuration for the current features.
+    /// Selects the best configuration for the current features: the
+    /// chosen operating point's own, borrowed, so a decision copies
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Returns [`TuneError`] when nothing applies, nothing is feasible,
     /// or no objective was set.
-    pub fn best(&self, features: &Features) -> Result<Configuration, TuneError> {
-        self.best_point(features).map(|point| point.config.clone())
-    }
-
-    /// [`Autotuner::best`] without the copy: the chosen operating point
-    /// itself. The decision, its counters and its switch event are the
-    /// same.
-    ///
-    /// # Errors
-    ///
-    /// As [`Autotuner::best`].
-    pub fn best_point(&self, features: &Features) -> Result<&OperatingPoint, TuneError> {
+    pub fn best(&self, features: &Features) -> Result<&Configuration, TuneError> {
         let objective = self.objective.as_ref().ok_or(TuneError::NoObjective)?;
         // Resolve every `(point, metric)` string key once, then decide
         // on slot indexes: the hot retune path never allocates a key.
@@ -320,7 +311,7 @@ impl Autotuner {
         (self.decisions)
             .get_or_init(|| self.registry.counter_handle("autotuner.decisions"))
             .add(1);
-        Ok(best)
+        Ok(&best.config)
     }
 
     /// Resolves the observation slot for `(config, metric)`: one

@@ -35,7 +35,7 @@ fn run_adaptive() -> (f64, Vec<(usize, String)>) {
     let mut last = String::new();
     for step in 0..60 {
         let phase = step / 20;
-        let cfg: Configuration = tuner.best(&Features::new()).expect("feasible");
+        let cfg: Configuration = tuner.best(&Features::new()).expect("feasible").clone();
         let variant = cfg["variant"].to_string();
         let t = true_time(&variant, phase);
         total += t;

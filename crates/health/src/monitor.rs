@@ -3,7 +3,7 @@
 //! The scheduler feeds every committed placement into the monitor —
 //! achieved compute inflation (actual / healthy-model duration),
 //! observed link factors, and accelerator inflation — as the virtual
-//! clock advances. The monitor keeps per-node ring windows, scores
+//! clock advances. The monitor keeps per-node sliding windows, scores
 //! inflation samples online against a one-feature z-score
 //! ([`ScalarZScore`]) refit on the recent normal-looking samples, and
 //! emits typed [`HealthVerdict`]s the moment a node's evidence crosses
@@ -11,21 +11,25 @@
 //! registry (`health.node<i>.<series>` windowed monitors plus
 //! `health.*` histograms) so operators see what the loop sees.
 //!
-//! Feeding a sample allocates nothing: the windows are fixed-capacity
-//! rings, the detector's window and calibration scratch are sized once,
-//! and a refit is the arithmetic of `ZScore::fit` on a flat slice.
-//! While a node's window holds only samples of exactly `1.0` — every
-//! sample of a healthy node, whose achieved time is its modelled time —
-//! its mean is exactly `1.0` and its creep slope exactly `0.0`, so
-//! neither is summed; and a refit on as many ones as the last one is
-//! skipped, since it would return the same model.
+//! Once the windows have filled, feeding a sample allocates nothing: a
+//! full window drops its oldest sample for the new one in place, the
+//! detector's window and calibration scratch keep their capacity across
+//! refits, and a refit is the arithmetic of `ZScore::fit` on a flat
+//! slice. While a node's window holds only samples of exactly `1.0` —
+//! every sample of a healthy node, whose achieved time is its modelled
+//! time — its mean is exactly `1.0` and its creep slope exactly `0.0`,
+//! so neither is summed.
+//!
+//! The telemetry mirror is buffered: a registry reader sees the
+//! `health.node<i>.*` windows and `health.*` histograms complete after
+//! [`HealthMonitor::flush`] or once the monitor drops.
 //!
 //! Determinism: decisions are functions of the fed samples and the seed
 //! only — the monitor *writes* telemetry but never reads it back, so
 //! two identical campaigns reach identical verdicts even when they
 //! share a global registry.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use everest_anomaly::detectors::ScalarZScore;
@@ -153,15 +157,13 @@ impl Sample for (f64, f64) {
     }
 }
 
-/// The last `cap` samples of one node and series, oldest first: a ring,
-/// so a full window overwrites its oldest sample in place. It counts
-/// the samples that are not exactly `1.0`, which is how the monitor
-/// knows a mean or slope is trivial without looking at the samples.
+/// The last `cap` samples of one node and series, oldest first. It
+/// counts the samples that are not exactly `1.0`, which is how the
+/// monitor knows a mean or slope is trivial without looking at the
+/// samples.
 #[derive(Debug, Clone)]
 struct Window<T> {
-    buf: Vec<T>,
-    /// Index of the oldest sample once the ring is full (0 before).
-    head: usize,
+    samples: VecDeque<T>,
     cap: usize,
     off_unity: usize,
 }
@@ -169,8 +171,7 @@ struct Window<T> {
 impl<T: Sample> Window<T> {
     fn new(cap: usize) -> Window<T> {
         Window {
-            buf: Vec::with_capacity(cap),
-            head: 0,
+            samples: VecDeque::new(),
             cap,
             off_unity: 0,
         }
@@ -192,34 +193,26 @@ impl<T: Sample> Window<T> {
         if self.cap == 0 {
             return;
         }
-        self.off_unity += usize::from(!sample.is_unity());
-        if self.buf.len() < self.cap {
-            self.buf.push(sample);
-            return;
+        if self.samples.len() == self.cap {
+            let evicted = self.samples.pop_front().expect("a full window");
+            self.off_unity -= usize::from(!evicted.is_unity());
         }
-        let evicted = std::mem::replace(&mut self.buf[self.head], sample);
-        self.off_unity -= usize::from(!evicted.is_unity());
-        self.head = (self.head + 1) % self.cap;
+        self.off_unity += usize::from(!sample.is_unity());
+        self.samples.push_back(sample);
     }
 
     fn len(&self) -> usize {
-        self.buf.len()
+        self.samples.len()
     }
 
     /// Whether the window is non-empty and every sample in it is
     /// exactly `1.0`.
     fn all_unity(&self) -> bool {
-        !self.buf.is_empty() && self.off_unity == 0
-    }
-
-    /// The samples, oldest first.
-    fn iter(&self) -> impl Iterator<Item = &T> + Clone {
-        let (newer, older) = self.buf.split_at(self.head);
-        older.iter().chain(newer)
+        !self.samples.is_empty() && self.off_unity == 0
     }
 
     fn to_vec(&self) -> Vec<T> {
-        self.iter().copied().collect()
+        self.samples.iter().copied().collect()
     }
 }
 
@@ -230,10 +223,10 @@ impl Window<f64> {
         if self.all_unity() {
             return 1.0;
         }
-        if self.buf.is_empty() {
+        if self.samples.is_empty() {
             return 0.0;
         }
-        self.iter().sum::<f64>() / self.len() as f64
+        self.samples.iter().sum::<f64>() / self.len() as f64
     }
 }
 
@@ -247,11 +240,11 @@ impl Window<(f64, f64)> {
             return 0.0;
         }
         let n = self.len() as f64;
-        let mean_t = self.iter().map(|(t, _)| t).sum::<f64>() / n;
-        let mean_y = self.iter().map(|(_, y)| y).sum::<f64>() / n;
+        let mean_t = self.samples.iter().map(|(t, _)| t).sum::<f64>() / n;
+        let mean_y = self.samples.iter().map(|(_, y)| y).sum::<f64>() / n;
         let mut num = 0.0;
         let mut den = 0.0;
-        for (t, y) in self.iter() {
+        for (t, y) in &self.samples {
             num += (t - mean_t) * (y - mean_y);
             den += (t - mean_t) * (t - mean_t);
         }
@@ -271,15 +264,9 @@ struct Detector {
     model: ScalarZScore,
     contamination: f64,
     /// Normal-looking samples, oldest first. Trimmed to the newest
-    /// [`DETECTOR_WINDOW`] at each refit, so it never outgrows
-    /// `DETECTOR_WINDOW + refit_every`, its capacity.
+    /// [`DETECTOR_WINDOW`] at each refit; the trim keeps the capacity,
+    /// so a warm window never reallocates.
     window: Vec<f64>,
-    /// Samples in `window` that are not exactly `1.0`.
-    off_unity: usize,
-    /// `Some(n)` while `model` is the fit of `n` samples of exactly
-    /// `1.0`: a refit on `n` such samples would return it bit for bit,
-    /// so a healthy campaign's refits cost nothing.
-    fit_on_ones: Option<usize>,
     /// Calibration scratch, kept across refits.
     scores: Vec<f64>,
 }
@@ -287,36 +274,24 @@ struct Detector {
 impl Detector {
     /// The prior: inflation ≈ 1 with a small deterministic spread.
     fn baseline(cfg: &HealthConfig) -> Detector {
-        let mut scores = Vec::with_capacity(DETECTOR_WINDOW + cfg.refit_every.max(1));
+        let mut scores = Vec::new();
         let prior: [f64; 32] = std::array::from_fn(|i| 1.0 + 0.02 * ((i % 7) as f64 - 3.0));
         Detector {
             model: ScalarZScore::fit(&prior, cfg.contamination, &mut scores),
             contamination: cfg.contamination,
-            window: Vec::with_capacity(scores.capacity()),
-            off_unity: 0,
-            fit_on_ones: None,
+            window: Vec::new(),
             scores,
         }
-    }
-
-    fn push(&mut self, sample: f64) {
-        self.off_unity += usize::from(!sample.is_unity());
-        self.window.push(sample);
     }
 
     /// Trims the window to its newest [`DETECTOR_WINDOW`] samples and,
     /// when enough remain, refits the model on them.
     fn refit(&mut self) {
         let excess = self.window.len().saturating_sub(DETECTOR_WINDOW);
-        for sample in self.window.drain(..excess) {
-            self.off_unity -= usize::from(!sample.is_unity());
+        self.window.drain(..excess);
+        if self.window.len() >= DETECTOR_MIN_ROWS {
+            self.model = ScalarZScore::fit(&self.window, self.contamination, &mut self.scores);
         }
-        let len = self.window.len();
-        if len < DETECTOR_MIN_ROWS || (self.off_unity == 0 && self.fit_on_ones == Some(len)) {
-            return;
-        }
-        self.model = ScalarZScore::fit(&self.window, self.contamination, &mut self.scores);
-        self.fit_on_ones = (self.off_unity == 0).then_some(len);
     }
 }
 
@@ -388,6 +363,17 @@ impl HealthMonitor {
         &self.cfg
     }
 
+    /// Applies every telemetry sample the monitor's handles still
+    /// buffer, so a registry reader sees all of them.
+    pub fn flush(&mut self) {
+        let telemetry = &mut self.telemetry;
+        (telemetry.node_inflation.iter_mut()).for_each(MonitorHandle::flush);
+        (telemetry.node_link.iter_mut()).for_each(MonitorHandle::flush);
+        telemetry.inflation.flush();
+        telemetry.link_factor.flush();
+        telemetry.fpga_inflation.flush();
+    }
+
     /// Every verdict reached so far, in emission order.
     pub fn verdicts(&self) -> &[HealthVerdict] {
         &self.verdicts
@@ -441,7 +427,7 @@ impl HealthMonitor {
         // training data.
         let detector = &mut self.detector;
         if !detector.model.is_anomalous(inflation) {
-            detector.push(inflation);
+            detector.window.push(inflation);
         }
         self.samples_since_refit += 1;
         if self.samples_since_refit >= self.cfg.refit_every {
@@ -525,13 +511,10 @@ impl HealthMonitor {
         let mut detector = Detector::baseline(&snap.cfg);
         let mut samples = snap.detector_window.iter().map(|row| row[0]);
         if let Some(len) = snap.last_refit_len {
-            samples
-                .by_ref()
-                .take(len)
-                .for_each(|sample| detector.push(sample));
+            detector.window.extend(samples.by_ref().take(len));
             detector.refit();
         }
-        samples.for_each(|sample| detector.push(sample));
+        detector.window.extend(samples);
         let cap = snap.cfg.window;
         HealthMonitor {
             telemetry: MonitorTelemetry::new(snap.inflation.len(), cap, &registry),
@@ -639,6 +622,25 @@ mod tests {
 
         assert_eq!(uninterrupted.verdicts(), resumed.verdicts());
         assert_eq!(uninterrupted.snapshot(), resumed.snapshot());
+    }
+
+    #[test]
+    fn flush_publishes_a_live_monitors_samples() {
+        let registry = Registry::new();
+        let mut m = HealthMonitor::new(1, HealthConfig::default(), 5, Arc::clone(&registry));
+        for i in 0..3 {
+            let at = 100.0 * f64::from(i + 1);
+            m.record_task(0, 1.25, at);
+            m.record_link(0, 1.5, at);
+        }
+        m.flush();
+        let window = |name: &str| registry.monitor(name).map(|w| (w.count(), w.mean()));
+        assert_eq!(window("health.node0.inflation"), Some((3, Some(1.25))));
+        assert_eq!(window("health.node0.link"), Some((3, Some(1.5))));
+        // The first of every `HEALTH_SAMPLE_EVERY` samples is recorded.
+        let count = |name: &str| registry.histogram(name).map(|h| h.count);
+        assert_eq!(count("health.inflation"), Some(1));
+        assert_eq!(count("health.link_factor"), Some(1));
     }
 
     #[test]

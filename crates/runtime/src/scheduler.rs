@@ -909,7 +909,12 @@ impl Scheduler {
             .filter(|&&at| at <= makespan)
             .count();
         snap.stats.faults_injected += model.crashes.iter().filter(|c| c.at_us <= makespan).count();
-        let mut heal = healer.map(|h| h.stats).unwrap_or_default();
+        let mut heal = healer
+            .map(|mut h| {
+                h.monitor.flush();
+                h.stats
+            })
+            .unwrap_or_default();
         heal.checkpoints_taken = snap.checkpoints_taken;
         SimulationResult {
             entries: snap.entries,

@@ -13,6 +13,10 @@ use std::collections::VecDeque;
 
 use crate::request::Request;
 
+/// Most requests a new batch's vector reserves room for up front; a
+/// larger ceiling grows the vector as requests join.
+const MAX_RESERVED: usize = 64;
+
 /// Per-class batching knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPolicy {
@@ -154,8 +158,8 @@ impl DynamicBatcher {
             None => {
                 let id = self.next_id;
                 self.next_id += 1;
-                let mut requests =
-                    (self.spare.pop()).unwrap_or_else(|| Vec::with_capacity(lane.max_batch));
+                let mut requests = (self.spare.pop())
+                    .unwrap_or_else(|| Vec::with_capacity(lane.max_batch.min(MAX_RESERVED)));
                 requests.push(request);
                 lane.open = Some(OpenBatch {
                     id,
@@ -297,6 +301,21 @@ mod tests {
         assert_eq!(b.offer(request(0, 0), 0.0), OfferOutcome::Opened(0));
         assert_eq!(b.offer(request(1, 0), 1.0), OfferOutcome::Closed(0));
         assert_eq!(b.ready_len(), 1);
+    }
+
+    /// A ceiling that only the wait closes reserves nothing by it.
+    #[test]
+    fn an_unbounded_ceiling_closes_on_timeout() {
+        let mut b = DynamicBatcher::new(&[BatchPolicy::new(usize::MAX, 100.0)]);
+        assert_eq!(b.offer(request(0, 0), 0.0), OfferOutcome::Opened(0));
+        for id in 1..100 {
+            assert_eq!(b.offer(request(id, 0), 1.0), OfferOutcome::Joined);
+        }
+        assert!(b.expire(0, 0, 100.0));
+        let batch = b.pop_ready().expect("timed out");
+        assert_eq!(batch.requests.len(), 100);
+        b.recycle(batch.requests);
+        assert_eq!(b.offer(request(100, 0), 200.0), OfferOutcome::Opened(1));
     }
 
     #[test]

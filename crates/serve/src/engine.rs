@@ -42,11 +42,11 @@
 //!   histograms) hold pre-resolved handles; the two per-request
 //!   histograms are deterministically sampled, and every histogram and
 //!   monitor handle buffers its samples and takes its cell's lock once
-//!   per 16 of them;
-//! * the [`HealthMonitor`] a completion feeds keeps ring windows and
-//!   refits a one-feature z-score on a flat window it sized once, and
-//!   skips the arithmetic that a window of exact `1.0` samples makes
-//!   trivial;
+//!   per 16 of them, flushed when the loop drains;
+//! * the [`HealthMonitor`] a completion feeds keeps bounded windows and
+//!   refits a one-feature z-score on a flat window that keeps its
+//!   capacity, and skips the mean and slope that a window of exact
+//!   `1.0` samples makes trivial;
 //! * the autotuner is fed through resolved slots, cached per class
 //!   until a retune changes the active operating point, and decides by
 //!   point index.
@@ -463,10 +463,7 @@ impl<'a> Sim<'a> {
         self.queue.push(at_us, kind)
     }
 
-    /// Runs the loop and returns the outcome. The rest of the loop's
-    /// state drops here, and with it every buffered telemetry handle
-    /// (the engine's, the health monitor's) flushes into the registry:
-    /// all of it is visible before [`ServeEngine::run`] returns.
+    /// Runs the loop and returns the outcome.
     fn run(mut self) -> ServeOutcome {
         self.drain();
         self.outcome
@@ -576,7 +573,9 @@ impl<'a> Sim<'a> {
     /// atomic adds (and, here, name lookups) off every arrival and
     /// completion. `cluster.*` rows are skipped with the layer off, so
     /// a features-off run registers none of them. `serve.faults` (no
-    /// outcome mirror) and the histograms are recorded at event time.
+    /// outcome mirror) and the histograms are recorded at event time;
+    /// what their handles and the health monitor's still buffer is
+    /// flushed last.
     fn flush_metrics(&mut self) {
         let (o, registry) = (&mut self.outcome, &self.registry);
         if let Some(ctrl) = &self.membership {
@@ -604,6 +603,12 @@ impl<'a> Sim<'a> {
         }
         registry.counter_add("serve.requests_shed", o.shed_total());
         registry.counter_add("serve.batches_dispatched", o.batches.len() as u64);
+        // What the buffered handles still hold: all of it is visible
+        // before [`ServeEngine::run`] returns.
+        self.metrics.queue_wait_us.flush();
+        self.metrics.latency_us.flush();
+        self.metrics.batch_size.flush();
+        self.monitor.flush();
     }
 
     // -- arrivals ------------------------------------------------------
@@ -1313,6 +1318,32 @@ mod tests {
     fn outcome_is_conserved() {
         let outcome = ServeEngine::new(small_config()).run();
         assert!(outcome.conserved(), "conservation: {outcome:?}");
+    }
+
+    /// Ceilings that mean "never": batches that close only on their
+    /// wait, and a health detector that never refits. Neither reserves
+    /// memory by its ceiling.
+    #[test]
+    fn unbounded_ceilings_run_and_conserve() {
+        let outcome = ServeEngine::new(ServeConfig {
+            batch: vec![
+                BatchPolicy::new(1 << 20, 200.0),
+                BatchPolicy::new(1 << 20, 400.0),
+            ],
+            autotune: false,
+            health: HealthConfig {
+                refit_every: usize::MAX,
+                ..HealthConfig::default()
+            },
+            ..small_config()
+        })
+        .run();
+        assert!(outcome.conserved(), "conservation: {outcome:?}");
+        assert!(outcome.completed > 0);
+        assert!(
+            outcome.batches.iter().any(|b| b.size > 1),
+            "batches still form"
+        );
     }
 
     #[test]

@@ -93,8 +93,8 @@ impl BatchTuning {
     /// [`BatchTuning::chosen`].
     pub(crate) fn retune(&mut self, class: usize, now_us: f64) {
         let state = &mut self.classes[class];
-        let chosen = match state.tuner.best_point(&Features::new()) {
-            Ok(best) => match best.config.get("batch") {
+        let chosen = match state.tuner.best(&Features::new()) {
+            Ok(best) => match best.get("batch") {
                 Some(KnobValue::Int(n)) => (*n).max(1) as usize,
                 _ => 1,
             },
