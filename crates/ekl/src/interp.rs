@@ -21,6 +21,16 @@
 //! computed when first reached and kept until the deepest loop it reads
 //! moves on, so it still runs only where, and only if, the tree-walker
 //! would have run it first — which keeps errors identical too.
+//!
+//! Identical kept sub-expressions share one memo cell: `i_flav[x]`, a
+//! subscript of three loads in RRTMG's `tau_abs`, fills one cell per `x`
+//! instead of three. Whichever occurrence is reached first fills the
+//! cell, and the others read it while its loop stays put. Every loop has
+//! a slot of its own, so occurrences that read two loops over one index
+//! name — the indices of two `sum`s, say — are not identical and never
+//! share. A load reads a subscript that is a loop index, or a cell
+//! already filled for the current iteration, in place rather than
+//! through a recursive `eval`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -114,8 +124,9 @@ pub struct Plan {
     lets: Vec<BoundLet>,
     /// Loop slots: `ROOT`, then one per `let` index and `sum` index.
     slots: usize,
-    /// Memo cells, one per [`Node::Memo`].
-    cells: usize,
+    /// What each memo cell holds, by cell; every [`Node::Memo`] naming
+    /// the cell evaluates this node when the cell is stale.
+    memos: Vec<Node>,
 }
 
 #[derive(Debug)]
@@ -128,7 +139,7 @@ struct BoundLet {
 
 /// One index of a `let` or a `sum`. Every loop has a slot of its own, so
 /// two loops over one index name never share a counter.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Loop {
     slot: usize,
     extent: u64,
@@ -139,15 +150,29 @@ struct Loop {
 const ROOT: usize = 0;
 
 /// Where a load reads from: a caller's input, or an earlier `let`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Source {
     Input(usize),
     Let(usize),
 }
 
-#[derive(Debug)]
+/// A literal. Nodes compare it by bits, so `0.0` and `-0.0` are two
+/// sub-expressions and a NaN equals a NaN of the same bits.
+#[derive(Debug, Clone, Copy)]
+struct Literal(f64);
+
+impl PartialEq for Literal {
+    fn eq(&self, other: &Literal) -> bool {
+        self.0.to_bits() == other.0.to_bits()
+    }
+}
+
+/// Equal nodes read the same loops and compute the same value, or fail
+/// the same way, in each iteration: what lets two kept ones share a
+/// memo cell.
+#[derive(Debug, PartialEq)]
 enum Node {
-    Const(f64),
+    Const(Literal),
     /// The current index of the loop in this slot.
     Index(usize),
     Load {
@@ -179,18 +204,17 @@ enum Node {
         arg: Box<Node>,
     },
     Neg(Box<Node>),
-    /// `inner` reads no loop deeper than the one in slot `per`: its value
-    /// is kept in `cell` until that loop moves.
+    /// `Plan::memos[cell]` reads no loop deeper than the one in slot
+    /// `per`: its value is kept in `cell` until that loop moves.
     Memo {
         cell: usize,
         per: usize,
-        inner: Box<Node>,
     },
 }
 
 /// One subscript of a load, with the extent it is checked against and
 /// the row-major stride it is scaled by.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Dim {
     subscript: Node,
     extent: u64,
@@ -214,7 +238,7 @@ impl Plan {
             tensors: HashMap::new(),
             scope: Vec::new(),
             slots: ROOT + 1,
-            cells: 0,
+            memos: Vec::new(),
         };
         let mut inputs = Vec::with_capacity(program.inputs.len());
         for (i, name) in program.inputs.iter().enumerate() {
@@ -249,7 +273,7 @@ impl Plan {
             inputs,
             lets,
             slots: binder.slots,
-            cells: binder.cells,
+            memos: binder.memos,
         })
     }
 
@@ -286,7 +310,7 @@ impl Plan {
             // Stamps start at 0, so no cell is valid before its loop's
             // first iteration — or, under `ROOT`, before its first use.
             tick: vec![1; self.slots],
-            memo: vec![(0, 0.0); self.cells],
+            memo: vec![(0, 0.0); self.memos.len()],
         };
         for stmt in &self.lets {
             let mut result = Tensor::zeros(&stmt.shape);
@@ -310,7 +334,8 @@ struct Binder<'p> {
     /// Loops in scope, outermost first: index name and slot.
     scope: Vec<(&'p str, usize)>,
     slots: usize,
-    cells: usize,
+    /// What each memo cell holds, by cell.
+    memos: Vec<Node>,
 }
 
 impl<'p> Binder<'p> {
@@ -333,7 +358,8 @@ impl<'p> Binder<'p> {
 
     /// Wraps a node that reads no loop as deep as `under` (the deepest
     /// loop its parent reads, or the loop whose body it is) in a memo
-    /// tied to the deepest loop it does read.
+    /// tied to the deepest loop it does read — in the cell of an equal
+    /// node kept before, if there is one.
     fn keep(&mut self, (node, reads): (Node, Reads), under: Option<usize>) -> Node {
         let deepest = reads.iter().max().copied();
         let trivial = match &node {
@@ -344,12 +370,13 @@ impl<'p> Binder<'p> {
         if trivial || deepest >= under {
             return node;
         }
-        self.cells += 1;
-        Node::Memo {
-            cell: self.cells - 1,
-            per: deepest.map_or(ROOT, |position| self.scope[position].1),
-            inner: Box::new(node),
-        }
+        let per = deepest.map_or(ROOT, |position| self.scope[position].1);
+        let shared = self.memos.iter().position(|kept| *kept == node);
+        let cell = shared.unwrap_or_else(|| {
+            self.memos.push(node);
+            self.memos.len() - 1
+        });
+        Node::Memo { cell, per }
     }
 
     /// Binds the operands of one node, keeping each one whose deepest
@@ -381,8 +408,8 @@ impl<'p> Binder<'p> {
 
     fn bind(&mut self, expr: &'p Expr) -> Result<(Node, Reads), EvalError> {
         Ok(match expr {
-            Expr::Int(v) => (Node::Const(*v as f64), Vec::new()),
-            Expr::Float(v) => (Node::Const(*v), Vec::new()),
+            Expr::Int(v) => (Node::Const(Literal(*v as f64)), Vec::new()),
+            Expr::Float(v) => (Node::Const(Literal(*v)), Vec::new()),
             Expr::Ref { name, subscripts } => {
                 // The innermost loop over a name is the one a reference sees.
                 if let Some(position) = self.scope.iter().rposition(|(n, _)| n == name) {
@@ -518,7 +545,7 @@ impl Frame<'_> {
 
     fn eval(&mut self, node: &Node) -> Eval {
         Ok(match node {
-            Node::Const(v) => *v,
+            Node::Const(v) => v.0,
             Node::Index(slot) => self.index[*slot] as f64,
             Node::Load { source, dims } => {
                 // Every subscript is evaluated before any is checked: an
@@ -526,7 +553,13 @@ impl Frame<'_> {
                 let mut offset = 0usize;
                 let mut out_of_range = None;
                 for (d, dim) in dims.iter().enumerate() {
-                    let i = self.eval(&dim.subscript)? as i64;
+                    let i = match dim.subscript {
+                        Node::Index(slot) => self.index[slot],
+                        Node::Memo { cell, per } if self.memo[cell].0 == self.tick[per] => {
+                            self.memo[cell].1 as i64
+                        }
+                        ref subscript => self.eval(subscript)? as i64,
+                    };
                     if i < 0 || i as u64 >= dim.extent {
                         out_of_range = out_of_range.or(Some((d, i)));
                     } else {
@@ -600,13 +633,14 @@ impl Frame<'_> {
                 }
             }
             Node::Neg(inner) => -self.eval(inner)?,
-            Node::Memo { cell, per, inner } => {
+            Node::Memo { cell, per } => {
                 let now = self.tick[*per];
                 let (stamp, value) = self.memo[*cell];
                 if stamp == now {
                     return Ok(value);
                 }
-                let value = self.eval(inner)?;
+                let plan = self.plan;
+                let value = self.eval(&plan.memos[*cell])?;
                 self.memo[*cell] = (now, value);
                 value
             }
@@ -775,6 +809,41 @@ mod tests {
             &[("x", Tensor::from_data(&[], vec![3.0]))],
         );
         assert!((out["y"].data[0] - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rrtmg_reads_its_flavour_through_one_shared_cell() {
+        // `i_flav[x]` is kept three times under `tau_abs`'s `x`: once per
+        // load it indexes. Unshared, the plan had nine cells.
+        let dims = crate::rrtmg::RrtmgDims::default();
+        let plan = Plan::bind(&crate::rrtmg::major_absorber_program(dims)).unwrap();
+        assert_eq!(plan.memos.len(), 7);
+    }
+
+    #[test]
+    fn equal_sub_expressions_under_two_sums_keep_their_own_cells() {
+        // `a[i] * b[j]` is kept under each `sum(j)`; the two sums are two
+        // loops, so two cells. `a[i]` is kept for `i` in both: one cell.
+        let src = "kernel k {
+               index i : 0..3
+               index j : 0..2
+               index k : 0..2
+               input a : [i]
+               input b : [j]
+               let y[i] = sum(j)(sum(k)(a[i] * b[j] + k)) + sum(j)(sum(k)(a[i] * b[j] - k))
+               output y
+             }";
+        let program = check(&parse(src).unwrap()).unwrap();
+        let plan = Plan::bind(&program).unwrap();
+        assert_eq!(plan.memos.len(), 3);
+        let out = run(
+            src,
+            &[
+                ("a", Tensor::from_data(&[3], vec![1.0, 2.0, 3.0])),
+                ("b", Tensor::from_data(&[2], vec![0.5, -1.0])),
+            ],
+        );
+        assert_eq!(out["y"].data, vec![-2.0, -4.0, -6.0]);
     }
 
     #[test]

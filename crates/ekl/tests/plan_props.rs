@@ -9,9 +9,11 @@
 //! multi-index sums, sums inside `select` arms, scalar lets, all four
 //! builtins and negation, over indices of extent 1 to 4 — and, in a
 //! share of the cases, a raw subscript that leaves its extent, a missing
-//! input or a mis-shaped one. `check` is the oracle for kinds: the
-//! kernel is re-validated as each `let` is added, and every drawn
-//! kernel must validate.
+//! input or a mis-shaped one. Some kernels repeat one sub-expression in
+//! both arms of a `select`, as a subscript and as a value, or under two
+//! `sum`s: the positions where the plan may share one memo cell. `check`
+//! is the oracle for kinds: the kernel is re-validated as each `let` is
+//! added, and every drawn kernel must validate.
 
 mod reference;
 
@@ -68,6 +70,16 @@ struct Gen<'r> {
     tensors: Vec<Declared>,
     /// Positions in `INDEX_NAMES` of the indices bound here.
     scope: Vec<usize>,
+    /// Sub-expressions repeated so far, by [`Repeat`] kind.
+    repeats: [usize; 3],
+}
+
+/// Where [`Gen::repeated`] puts the copies of one sub-expression.
+#[derive(Clone, Copy)]
+enum Repeat {
+    SelectArms,
+    SubscriptAndValue,
+    TwoSums,
 }
 
 fn index(position: usize) -> Expr {
@@ -235,6 +247,66 @@ impl Gen<'_> {
         })
     }
 
+    /// One integer sub-expression in several positions: both arms of a
+    /// `select`, a subscript of a load and an operand beside it, or the
+    /// bodies of two `sum`s over one fresh index. There it is drawn with
+    /// that index in scope: when it reads the index, its two copies read
+    /// two loops.
+    fn repeated(&mut self, depth: u32) -> Expr {
+        let ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Max];
+        let kind = self.pick(&[
+            Repeat::SelectArms,
+            Repeat::SubscriptAndValue,
+            Repeat::TwoSums,
+        ]);
+        self.repeats[kind as usize] += 1;
+        match kind {
+            Repeat::SelectArms => {
+                let shared = self.int(depth);
+                let (first, second) = (self.pick(&ops), self.pick(&ops));
+                let then = binary(first, shared.clone(), self.value(depth));
+                let otherwise = binary(second, self.value(depth), shared);
+                select(self.compare(depth), then, otherwise)
+            }
+            Repeat::SubscriptAndValue => {
+                let shared = self.int(depth);
+                let load = match self.load(false, depth) {
+                    Some(Expr::Ref {
+                        name,
+                        subscripts: Some(mut subscripts),
+                    }) if !subscripts.is_empty() => {
+                        // Raw, so that now and then it leaves the extent.
+                        let d = self.rng.below(subscripts.len());
+                        subscripts[d] = shared.clone();
+                        Expr::Ref {
+                            name,
+                            subscripts: Some(subscripts),
+                        }
+                    }
+                    _ => self.value(depth),
+                };
+                binary(self.pick(&ops), load, shared)
+            }
+            Repeat::TwoSums => {
+                let free: Vec<usize> = (0..4).filter(|p| !self.scope.contains(p)).collect();
+                if free.is_empty() {
+                    let shared = self.int(depth);
+                    return binary(self.pick(&ops), shared.clone(), shared);
+                }
+                let bound = self.pick(&free);
+                self.scope.push(bound);
+                let shared = self.int(depth);
+                let sum = |gen: &mut Self| Expr::Sum {
+                    indices: vec![INDEX_NAMES[bound].to_string()],
+                    body: Box::new(binary(gen.pick(&ops), shared.clone(), gen.value(depth))),
+                };
+                let (first, second) = (sum(self), sum(self));
+                self.scope.pop();
+                binary(self.pick(&ops), first, second)
+            }
+        }
+    }
+
     /// An expression `check` gives kind `Int`.
     fn int(&mut self, depth: u32) -> Expr {
         let literal = Expr::Int(self.rng.below(4) as i64);
@@ -281,7 +353,7 @@ impl Gen<'_> {
                 _ => literal,
             };
         }
-        match self.rng.below(16) {
+        match self.rng.below(18) {
             0 => literal,
             1..=3 => self.load(false, depth - 1).unwrap_or(literal),
             4..=6 => {
@@ -311,14 +383,16 @@ impl Gen<'_> {
             10..=12 => self.sum(depth - 1, false).unwrap_or(literal),
             13 => self.guarded_load(depth - 1).unwrap_or(literal),
             14 => Expr::Neg(Box::new(self.value(depth - 1))),
+            15 | 16 => self.repeated(depth - 1),
             _ => self.int(depth - 1),
         }
     }
 }
 
-/// A random validated program and inputs for it. About one case in
+/// A random validated program, inputs for it, and how many repeated
+/// sub-expressions of each [`Repeat`] kind it holds. About one case in
 /// eight has an input missing or of the wrong shape.
-fn draw(seed: u64) -> (Program, HashMap<String, Tensor>) {
+fn draw(seed: u64) -> (Program, HashMap<String, Tensor>, [usize; 3]) {
     let mut rng = Rng(seed);
     let extents: [u64; 4] = std::array::from_fn(|_| 1 + rng.below(4) as u64);
     let mut items: Vec<Item> = (0..4)
@@ -377,6 +451,7 @@ fn draw(seed: u64) -> (Program, HashMap<String, Tensor>) {
         extents,
         tensors,
         scope: Vec::new(),
+        repeats: [0; 3],
     };
     let mut program = None;
     for n in 0..1 + gen.rng.below(4) {
@@ -416,6 +491,7 @@ fn draw(seed: u64) -> (Program, HashMap<String, Tensor>) {
         program = Some(checked);
     }
     let program = program.expect("at least one let");
+    let repeats = gen.repeats;
 
     if !program.inputs.is_empty() {
         let victim = program.inputs[rng.below(program.inputs.len())].clone();
@@ -431,7 +507,7 @@ fn draw(seed: u64) -> (Program, HashMap<String, Tensor>) {
             _ => {}
         }
     }
-    (program, inputs)
+    (program, inputs, repeats)
 }
 
 type Outcome = Result<BTreeMap<String, Tensor>, EvalError>;
@@ -463,7 +539,7 @@ proptest! {
 
     #[test]
     fn plan_matches_the_tree_walking_reference(seed in any::<u64>()) {
-        let (program, inputs) = draw(seed);
+        let (program, inputs, _) = draw(seed);
         let plan = evaluate(&program, &inputs);
         let reference = reference::evaluate(&program, &inputs);
         if let Err(difference) = same(&plan, &reference) {
@@ -485,12 +561,17 @@ proptest! {
 }
 
 /// The drawn programs do exercise what the property is for: most
-/// evaluate, and the failures cover each kind of error.
+/// evaluate, the failures cover each kind of error, and a share repeat
+/// a sub-expression in each kind of position.
 #[test]
 fn drawn_programs_cover_values_and_every_error_kind() {
     let (mut evaluated, mut out_of_range, mut missing, mut misshaped) = (0, 0, 0, 0);
+    let mut repeating = [0; 3];
     for seed in 0..400 {
-        let (program, inputs) = draw(seed);
+        let (program, inputs, repeats) = draw(seed);
+        for (count, drawn) in repeating.iter_mut().zip(repeats) {
+            *count += usize::from(drawn > 0);
+        }
         match reference::evaluate(&program, &inputs) {
             Ok(_) => evaluated += 1,
             Err(e) if e.message.contains("out of range") => out_of_range += 1,
@@ -502,6 +583,10 @@ fn drawn_programs_cover_values_and_every_error_kind() {
     assert!(evaluated >= 150, "only {evaluated} of 400 evaluate");
     assert!(out_of_range >= 20, "only {out_of_range} leave a dimension");
     assert!(missing >= 5 && misshaped >= 5, "{missing} / {misshaped}");
+    assert!(
+        repeating.iter().all(|&count| count >= 40),
+        "programs repeating in select arms / subscript and value / two sums: {repeating:?}"
+    );
 }
 
 #[test]

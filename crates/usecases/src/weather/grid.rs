@@ -72,7 +72,7 @@ impl Field {
 /// `index.rem_euclid(extent)`. The model's stencils and its advection
 /// reach at most one domain past either edge, where a comparison and an
 /// add replace the division; any other index takes the division.
-fn wrap(index: isize, extent: usize) -> usize {
+pub(crate) fn wrap(index: isize, extent: usize) -> usize {
     let n = extent as isize;
     let shifted = if index < 0 {
         index.wrapping_add(n)

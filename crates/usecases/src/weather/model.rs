@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use super::grid::{Field, State};
+use super::grid::{wrap, State};
 use super::radiation::{self, RadiationScheme};
 
 /// Model configuration.
@@ -95,23 +95,41 @@ impl WeatherModel {
 
     /// Advances the state one time step; returns the radiation cycle
     /// count (the FPGA-offloadable work, used by the offload experiments).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a field of `state` holds fewer values than the
+    /// configured grid has cells.
     pub fn step(&self, state: &mut State) -> u64 {
         let (nx, ny) = (self.config.nx, self.config.ny);
         let dt = self.config.dt_h;
         // Advection: upstream semi-Lagrangian on temperature/humidity,
-        // with winds in grid cells per hour (scaled).
+        // with winds in grid cells per hour (scaled). Both fields leave
+        // from the same departure point, so its corners and weights are
+        // found once per cell.
         let scale = 0.08 * dt;
         // The winds are only read here, so they need no copy.
-        let mut old_t = state.temp.clone();
-        let old_q = state.humidity.clone();
+        let mut old_t = state.temp.data.clone();
+        let old_q = state.humidity.data.clone();
         for j in 0..ny {
             for i in 0..nx {
-                let u = state.u.at(i as isize, j as isize) * scale;
-                let v = state.v.at(i as isize, j as isize) * scale;
-                let src_i = i as f64 - u;
-                let src_j = j as f64 - v;
-                state.temp.set(i, j, bilinear(&old_t, src_i, src_j));
-                state.humidity.set(i, j, bilinear(&old_q, src_i, src_j));
+                let k = j * nx + i;
+                let u = state.u.data[k] * scale;
+                let v = state.v.data[k] * scale;
+                let (x, y) = (i as f64 - u, j as f64 - v);
+                let (x0, y0) = (x.floor(), y.floor());
+                let (fx, fy) = (x - x0, y - y0);
+                let (ci, cj) = (x0 as isize, y0 as isize);
+                let (i0, i1) = (wrap(ci, nx), wrap(ci + 1, nx));
+                let (j0, j1) = (wrap(cj, ny) * nx, wrap(cj + 1, ny) * nx);
+                let bilinear = |f: &[f64]| {
+                    f[j0 + i0] * (1.0 - fx) * (1.0 - fy)
+                        + f[j0 + i1] * fx * (1.0 - fy)
+                        + f[j1 + i0] * (1.0 - fx) * fy
+                        + f[j1 + i1] * fx * fy
+                };
+                state.temp.data[k] = bilinear(&old_t);
+                state.humidity.data[k] = bilinear(&old_q);
             }
         }
         // Diffusion (5-point Laplacian) on all prognostic fields.
@@ -123,18 +141,19 @@ impl WeatherModel {
         ] {
             // Advection is done with `old_t`: its buffer takes each
             // field's old values in turn.
-            let old = &mut old_t;
-            (old.nx, old.ny) = (field.nx, field.ny);
-            old.data.clone_from(&field.data);
+            old_t.clone_from(&field.data);
+            let old = &old_t;
             for j in 0..ny {
+                let row = j * nx;
+                let north = wrap(j as isize + 1, ny) * nx;
+                let south = wrap(j as isize - 1, ny) * nx;
                 for i in 0..nx {
-                    let lap = old.at(i as isize + 1, j as isize)
-                        + old.at(i as isize - 1, j as isize)
-                        + old.at(i as isize, j as isize + 1)
-                        + old.at(i as isize, j as isize - 1)
-                        - 4.0 * old.at(i as isize, j as isize);
-                    *field.at_mut(i, j) =
-                        old.at(i as isize, j as isize) + self.config.diffusion * dt * lap;
+                    let east = if i + 1 == nx { 0 } else { i + 1 };
+                    let west = if i == 0 { nx - 1 } else { i - 1 };
+                    let c = old[row + i];
+                    let lap = old[row + east] + old[row + west] + old[north + i] + old[south + i]
+                        - 4.0 * c;
+                    field.data[row + i] = c + self.config.diffusion * dt * lap;
                 }
             }
         }
@@ -145,20 +164,13 @@ impl WeatherModel {
             state.time_h,
             self.config.radiation,
         );
-        for j in 0..ny {
-            for i in 0..nx {
-                let h = heating.at(i as isize, j as isize);
-                *state.temp.at_mut(i, j) += self.config.radiative_amplitude * h * dt;
-            }
+        for (t, h) in state.temp.data.iter_mut().zip(&heating.data) {
+            *t += self.config.radiative_amplitude * h * dt;
         }
         // Pressure relaxes toward a temperature-consistent value.
-        for j in 0..ny {
-            for i in 0..nx {
-                let t = state.temp.at(i as isize, j as isize);
-                let target = 1013.0 - 0.6 * (t - 288.0);
-                let p = state.pressure.at(i as isize, j as isize);
-                *state.pressure.at_mut(i, j) = p + 0.3 * dt * (target - p);
-            }
+        for (p, &t) in state.pressure.data.iter_mut().zip(&state.temp.data) {
+            let target = 1013.0 - 0.6 * (t - 288.0);
+            *p += 0.3 * dt * (target - *p);
         }
         state.time_h += dt;
         cycles
@@ -175,18 +187,6 @@ impl WeatherModel {
         }
         (state, cycles)
     }
-}
-
-fn bilinear(field: &Field, x: f64, y: f64) -> f64 {
-    let x0 = x.floor();
-    let y0 = y.floor();
-    let fx = x - x0;
-    let fy = y - y0;
-    let (i, j) = (x0 as isize, y0 as isize);
-    field.at(i, j) * (1.0 - fx) * (1.0 - fy)
-        + field.at(i + 1, j) * fx * (1.0 - fy)
-        + field.at(i, j + 1) * (1.0 - fx) * fy
-        + field.at(i + 1, j + 1) * fx * fy
 }
 
 #[cfg(test)]
@@ -262,6 +262,32 @@ mod tests {
         state.pressure.set(3, 2, f64::NAN);
         model.step(&mut state);
         assert_eq!(state.time_h, 1.0);
+    }
+
+    #[test]
+    fn grids_of_one_row_or_none_step() {
+        // The kernel has at least two layers: a single row is repeated
+        // into the second, and a grid without rows heats nothing.
+        for (nx, ny) in [(1, 1), (4, 1), (1, 4), (4, 0), (0, 4)] {
+            for radiation in [RadiationScheme::Ekl, RadiationScheme::Parameterized] {
+                let model = WeatherModel::new(ModelConfig {
+                    nx,
+                    ny,
+                    radiation,
+                    ..ModelConfig::default()
+                });
+                let mut state = model.initial_condition(42);
+                for _ in 0..3 {
+                    model.step(&mut state);
+                }
+                assert_eq!(state.time_h, 3.0);
+                assert_eq!(state.temp.data.len(), nx * ny);
+                if nx * ny > 0 {
+                    let t = state.temp.mean();
+                    assert!((230.0..330.0).contains(&t), "{nx}x{ny}: temperature {t}");
+                }
+            }
+        }
     }
 
     #[test]
