@@ -5,7 +5,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use crate::intern::Symbol;
-use crate::types::Type;
+use crate::types::{write_i64, write_list, Type};
 
 /// A compile-time constant attached to an operation under a name.
 ///
@@ -378,70 +378,85 @@ impl From<Type> for Attribute {
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Writes `s` with a backslash before every backslash and `"`, copying
+/// the runs between them: nothing is allocated.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte == b'\\' || byte == b'"' {
+            out.write_str(&s[run..i])?;
+            out.write_char('\\')?;
+            // The escaped byte starts the next run.
+            run = i;
+        }
+    }
+    out.write_str(&s[run..])
 }
 
-impl fmt::Display for Attribute {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Attribute {
+    /// Writes the attribute as printed IR spells it. This is the one
+    /// spelling: `Display` calls it, and the module printer calls it
+    /// straight into its output. Floats go through `core::fmt` (`{v}`,
+    /// `{v:.1}` or `{v:e}`); everything else is written directly.
+    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Attribute::Int(v) => write!(f, "{v}"),
+            Attribute::Int(v) => write_i64(out, *v),
             Attribute::Float(v) => {
                 // Every spelling keeps a '.' or an 'e', which is how the
                 // parser tells a float from an integer.
                 if v.fract() != 0.0 || !v.is_finite() {
-                    write!(f, "{v}")
+                    write!(out, "{v}")
                 } else if v.abs() < 1e15 {
-                    write!(f, "{v:.1}")
+                    write!(out, "{v:.1}")
                 } else {
-                    write!(f, "{v:e}")
+                    write!(out, "{v:e}")
                 }
             }
-            Attribute::Str(s) => write!(f, "\"{}\"", escape(s)),
-            Attribute::Bool(b) => write!(f, "{b}"),
-            Attribute::Ty(t) => write!(f, "{t}"),
+            Attribute::Str(s) => {
+                out.write_char('"')?;
+                write_escaped(out, s)?;
+                out.write_char('"')
+            }
+            Attribute::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Attribute::Ty(t) => t.write_to(out),
             Attribute::Array(items) => {
-                write!(f, "[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                write!(f, "]")
+                out.write_char('[')?;
+                write_list(out, items, |out, item| item.write_to(out))?;
+                out.write_char(']')
             }
             Attribute::Dict(map) => {
-                write!(f, "{{")?;
+                out.write_char('{')?;
                 for (i, (k, v)) in map.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ", ")?;
+                        out.write_str(", ")?;
                     }
-                    write!(f, "{k} = {v}")?;
+                    out.write_str(k)?;
+                    out.write_str(" = ")?;
+                    v.write_to(out)?;
                 }
-                write!(f, "}}")
+                out.write_char('}')
             }
-            Attribute::SymbolRef(s) => write!(f, "@{s}"),
+            Attribute::SymbolRef(s) => {
+                out.write_char('@')?;
+                out.write_str(s)
+            }
             Attribute::DenseF64(d) => {
-                write!(f, "dense_f64<")?;
-                for (i, v) in d.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, ">")
+                out.write_str("dense_f64<")?;
+                write_list(out, d, |out, v| write!(out, "{v}"))?;
+                out.write_char('>')
             }
             Attribute::DenseI64(d) => {
-                write!(f, "dense_i64<")?;
-                for (i, v) in d.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, ">")
+                out.write_str("dense_i64<")?;
+                write_list(out, d, |out, v| write_i64(out, *v))?;
+                out.write_char('>')
             }
         }
+    }
+}
+
+impl fmt::Display for Attribute {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

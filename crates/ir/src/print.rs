@@ -5,11 +5,17 @@
 //! which the parser in [`crate::parse`] can read back. Printing is
 //! deterministic (attributes are sorted), so printed text is usable as a
 //! stable golden-file format in tests.
-
-use std::fmt::Write as _;
+//!
+//! The printer writes straight into its output `String`: value numbers,
+//! op names, attribute keys, types and every attribute but a float are
+//! spelt without `core::fmt`, through the same writers
+//! ([`Type::write_to`](crate::types::Type::write_to),
+//! [`Attribute::write_to`](crate::attr::Attribute::write_to)) that
+//! their `Display` calls.
 
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::module::Module;
+use crate::types::write_u64;
 
 /// Bytes of text one op prints as, near enough that the output buffer
 /// grows at most once or twice (the corpus kernels average ~75).
@@ -66,9 +72,15 @@ impl<'m> Printer<'m> {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let n = self.name(v);
-            let _ = write!(self.out, "%{n}");
+            self.print_value(v);
         }
+    }
+
+    /// Writes `%n` for `v`.
+    fn print_value(&mut self, v: ValueId) {
+        let n = self.name(v);
+        self.out.push('%');
+        let _ = write_u64(&mut self.out, u64::from(n));
     }
 
     /// Writes `ty, ty, ...` for the types of `values`.
@@ -78,7 +90,7 @@ impl<'m> Printer<'m> {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let _ = write!(self.out, "{}", module.value_type(v));
+            let _ = module.value_type(v).write_to(&mut self.out);
         }
     }
 
@@ -90,9 +102,9 @@ impl<'m> Printer<'m> {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            let n = self.name(arg);
-            let ty = module.value_type(arg);
-            let _ = write!(self.out, "%{n}: {ty}");
+            self.print_value(arg);
+            self.out.push_str(": ");
+            let _ = module.value_type(arg).write_to(&mut self.out);
         }
         self.out.push_str("):\n");
         self.print_block_body(block, level + 1);
@@ -126,7 +138,9 @@ impl<'m> Printer<'m> {
             self.print_values(&operation.results);
             self.out.push_str(" = ");
         }
-        let _ = write!(self.out, "\"{}\"(", operation.name);
+        self.out.push('"');
+        self.out.push_str(operation.name.as_str());
+        self.out.push_str("\"(");
         self.print_values(&operation.operands);
         self.out.push(')');
         for &region in &operation.regions {
@@ -139,7 +153,9 @@ impl<'m> Printer<'m> {
                 if i > 0 {
                     self.out.push_str(", ");
                 }
-                let _ = write!(self.out, "{k} = {v}");
+                self.out.push_str(k);
+                self.out.push_str(" = ");
+                let _ = v.write_to(&mut self.out);
             }
             self.out.push('}');
         }

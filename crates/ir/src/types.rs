@@ -24,13 +24,20 @@ pub enum MemorySpace {
     Plm,
 }
 
+impl MemorySpace {
+    /// The space's keyword in printed IR.
+    fn keyword(self) -> &'static str {
+        match self {
+            MemorySpace::Host => "host",
+            MemorySpace::Device => "device",
+            MemorySpace::Plm => "plm",
+        }
+    }
+}
+
 impl fmt::Display for MemorySpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MemorySpace::Host => write!(f, "host"),
-            MemorySpace::Device => write!(f, "device"),
-            MemorySpace::Plm => write!(f, "plm"),
-        }
+        f.write_str(self.keyword())
     }
 }
 
@@ -84,10 +91,25 @@ impl FixedFormat {
     }
 }
 
+impl FixedFormat {
+    /// Writes `!base2.fixed<s7,8>`: the spelling `Display` and the
+    /// printer share.
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str(if self.signed {
+            "!base2.fixed<s"
+        } else {
+            "!base2.fixed<u"
+        })?;
+        write_u64(out, u64::from(self.int_bits))?;
+        out.write_char(',')?;
+        write_u64(out, u64::from(self.frac_bits))?;
+        out.write_char('>')
+    }
+}
+
 impl fmt::Display for FixedFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = if self.signed { "s" } else { "u" };
-        write!(f, "!base2.fixed<{s}{},{}>", self.int_bits, self.frac_bits)
+        self.write_to(f)
     }
 }
 
@@ -118,9 +140,21 @@ impl PositFormat {
     }
 }
 
+impl PositFormat {
+    /// Writes `!base2.posit<16,1>`: the spelling `Display` and the
+    /// printer share.
+    fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("!base2.posit<")?;
+        write_u64(out, u64::from(self.width))?;
+        out.write_char(',')?;
+        write_u64(out, u64::from(self.es))?;
+        out.write_char('>')
+    }
+}
+
 impl fmt::Display for PositFormat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "!base2.posit<{},{}>", self.width, self.es)
+        self.write_to(f)
     }
 }
 
@@ -241,56 +275,110 @@ impl Type {
     }
 }
 
-fn write_shape(f: &mut fmt::Formatter<'_>, shape: &[Option<u64>]) -> fmt::Result {
+/// Writes `v` in decimal without going through `core::fmt`: the
+/// printer spells every value number, width and dimension this way.
+pub(crate) fn write_u64<W: fmt::Write>(out: &mut W, mut v: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    digits[start..]
+        .iter()
+        .try_for_each(|&d| out.write_char(char::from(d)))
+}
+
+/// Writes `v` in decimal, as `{v}` would, without `core::fmt`.
+pub(crate) fn write_i64<W: fmt::Write>(out: &mut W, v: i64) -> fmt::Result {
+    if v < 0 {
+        out.write_char('-')?;
+    }
+    write_u64(out, v.unsigned_abs())
+}
+
+/// Writes `4x?x` for a shape: each dimension, `?` when dynamic, and an
+/// `x` after it.
+fn write_shape<W: fmt::Write>(out: &mut W, shape: &[Option<u64>]) -> fmt::Result {
     for dim in shape {
         match dim {
-            Some(d) => write!(f, "{d}x")?,
-            None => write!(f, "?x")?,
+            Some(d) => write_u64(out, *d)?,
+            None => out.write_char('?')?,
         }
+        out.write_char('x')?;
     }
     Ok(())
 }
 
-impl fmt::Display for Type {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// Writes `a, b, c`, each item by `write`.
+pub(crate) fn write_list<W: fmt::Write, T>(
+    out: &mut W,
+    items: &[T],
+    mut write: impl FnMut(&mut W, &T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        write(out, item)?;
+    }
+    Ok(())
+}
+
+impl Type {
+    /// Writes the type as printed IR spells it. This is the one
+    /// spelling: `Display` calls it, and the module printer calls it
+    /// straight into its output.
+    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Type::Int(w) => write!(f, "i{w}"),
-            Type::F32 => write!(f, "f32"),
-            Type::F64 => write!(f, "f64"),
-            Type::Index => write!(f, "index"),
-            Type::None => write!(f, "none"),
-            Type::Fixed(fmt) => write!(f, "{fmt}"),
-            Type::Posit(fmt) => write!(f, "{fmt}"),
+            Type::Int(w) => {
+                out.write_char('i')?;
+                write_u64(out, u64::from(*w))
+            }
+            Type::F32 => out.write_str("f32"),
+            Type::F64 => out.write_str("f64"),
+            Type::Index => out.write_str("index"),
+            Type::None => out.write_str("none"),
+            Type::Fixed(fmt) => fmt.write_to(out),
+            Type::Posit(fmt) => fmt.write_to(out),
             Type::Tensor { shape, elem } => {
-                write!(f, "tensor<")?;
-                write_shape(f, shape)?;
-                write!(f, "{elem}>")
+                out.write_str("tensor<")?;
+                write_shape(out, shape)?;
+                elem.write_to(out)?;
+                out.write_char('>')
             }
             Type::MemRef { shape, elem, space } => {
-                write!(f, "memref<")?;
-                write_shape(f, shape)?;
-                write!(f, "{elem}, {space}>")
+                out.write_str("memref<")?;
+                write_shape(out, shape)?;
+                elem.write_to(out)?;
+                out.write_str(", ")?;
+                out.write_str(space.keyword())?;
+                out.write_char('>')
             }
-            Type::Stream(elem) => write!(f, "!dfg.stream<{elem}>"),
-            Type::Token => write!(f, "!dfg.token"),
+            Type::Stream(elem) => {
+                out.write_str("!dfg.stream<")?;
+                elem.write_to(out)?;
+                out.write_char('>')
+            }
+            Type::Token => out.write_str("!dfg.token"),
             Type::Function { inputs, outputs } => {
-                write!(f, "(")?;
-                for (i, t) in inputs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{t}")?;
-                }
-                write!(f, ") -> (")?;
-                for (i, t) in outputs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{t}")?;
-                }
-                write!(f, ")")
+                out.write_char('(')?;
+                write_list(out, inputs, |out, t| t.write_to(out))?;
+                out.write_str(") -> (")?;
+                write_list(out, outputs, |out, t| t.write_to(out))?;
+                out.write_char(')')
             }
         }
+    }
+}
+
+impl fmt::Display for Type {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
     }
 }
 

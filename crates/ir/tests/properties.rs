@@ -1,6 +1,8 @@
 //! Property-based tests over the IR core: printer/parser round-trips,
 //! canonicalization idempotence, the linear-time passes against their
-//! naive per-item references and base2 numeric invariants.
+//! naive per-item references, the direct-write printer against the
+//! `core::fmt` printer it replaced (`reference/print.rs`) and base2
+//! numeric invariants.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -18,7 +20,10 @@ use everest_ir::print::print_module;
 use everest_ir::registry::{Context, OpTrait};
 use everest_ir::types::{FixedFormat, PositFormat, Type};
 use everest_ir::verify::verify_module;
-use everest_ir::{BlockId, IrError, IrResult, OpId, ValueId, ValueList};
+use everest_ir::{BlockId, IrError, IrResult, MemorySpace, OpId, ValueId, ValueList};
+
+#[path = "reference/print.rs"]
+mod reference;
 
 /// Builds a random but well-formed module: a DAG of float arithmetic over
 /// a pool of constants and buffer loads, with stores keeping part of it
@@ -1187,5 +1192,321 @@ fn the_every_form_seed_parses_before_it_is_mutated() {
     assert_eq!(module.num_ops(), 5);
     if let Err(e) = assert_parse_is_total(EVERY_FORM) {
         panic!("{e}");
+    }
+}
+
+/// Draws values from a word stream the test generator supplies (the
+/// vendored proptest has no recursive strategies): a word picks a
+/// variant, the next ones its payload.
+struct Draw<'w> {
+    words: &'w [u64],
+    at: usize,
+}
+
+impl Draw<'_> {
+    fn word(&mut self) -> u64 {
+        // Cycles through the words, salted by position, so a short
+        // stream still draws a deep tree.
+        let word = self.words[self.at % self.words.len()];
+        self.at += 1;
+        word ^ (self.at as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.word() % n
+    }
+
+    /// Floats every spelling branch meets: both zeros, NaN, the
+    /// infinities, the `1e15` switch to `{v:e}`, integers below and
+    /// above it, a subnormal, fractions and raw bit patterns.
+    fn float(&mut self) -> f64 {
+        const SPECIAL: [f64; 16] = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e15,
+            -1e15,
+            999_999_999_999_999.0,
+            1e300,
+            5e-324,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            1.0,
+            -2.5,
+            0.1,
+            123_456.0,
+        ];
+        match self.below(3) {
+            0 => SPECIAL[self.below(SPECIAL.len() as u64) as usize],
+            1 => f64::from_bits(self.word()),
+            _ => (self.word() >> 11) as f64 / 1024.0 - 4e12,
+        }
+    }
+
+    /// Text over an alphabet of quotes, backslashes, punctuation the
+    /// parser cares about and non-ASCII.
+    fn text(&mut self) -> String {
+        const ALPHABET: [&str; 12] = [
+            "a", "Z", "\"", "\\", " ", "=", "{", "}", "é", "\n", "\\\"", "𝄞",
+        ];
+        (0..self.below(6))
+            .map(|_| ALPHABET[self.below(ALPHABET.len() as u64) as usize])
+            .collect()
+    }
+
+    fn shape(&mut self) -> Vec<Option<u64>> {
+        (0..self.below(4))
+            .map(|_| match self.below(4) {
+                0 => None,
+                1 => Some(self.word()),
+                _ => Some(self.below(1024)),
+            })
+            .collect()
+    }
+
+    fn ty(&mut self, depth: u32) -> Type {
+        let variants = if depth == 0 { 8 } else { 12 };
+        match self.below(variants) {
+            0 => Type::Int(self.word() as u32),
+            1 => Type::F32,
+            2 => Type::F64,
+            3 => Type::Index,
+            4 => Type::None,
+            5 => Type::Token,
+            6 => Type::Fixed(FixedFormat {
+                signed: self.below(2) == 0,
+                int_bits: self.word() as u32,
+                frac_bits: self.below(64) as u32,
+            }),
+            7 => Type::Posit(PositFormat::new(
+                2 + self.below(u64::from(u32::MAX - 2)) as u32,
+                self.below(8) as u32,
+            )),
+            8 => Type::Tensor {
+                shape: self.shape(),
+                elem: Box::new(self.ty(depth - 1)),
+            },
+            9 => Type::MemRef {
+                shape: self.shape(),
+                elem: Box::new(self.ty(depth - 1)),
+                space: [MemorySpace::Host, MemorySpace::Device, MemorySpace::Plm]
+                    [self.below(3) as usize],
+            },
+            10 => Type::Stream(Box::new(self.ty(depth - 1))),
+            _ => Type::Function {
+                inputs: (0..self.below(3)).map(|_| self.ty(depth - 1)).collect(),
+                outputs: (0..self.below(3)).map(|_| self.ty(depth - 1)).collect(),
+            },
+        }
+    }
+
+    fn attr(&mut self, depth: u32) -> Attribute {
+        let variants = if depth == 0 { 8 } else { 10 };
+        match self.below(variants) {
+            0 => Attribute::Int(self.word() as i64),
+            1 => Attribute::Float(self.float()),
+            2 => Attribute::Str(self.text()),
+            3 => Attribute::Bool(self.below(2) == 0),
+            4 => Attribute::Ty(self.ty(2)),
+            5 => Attribute::SymbolRef(self.text()),
+            6 => Attribute::DenseF64((0..self.below(5)).map(|_| self.float()).collect()),
+            7 => Attribute::DenseI64((0..self.below(5)).map(|_| self.word() as i64).collect()),
+            8 => Attribute::Array((0..self.below(4)).map(|_| self.attr(depth - 1)).collect()),
+            _ => Attribute::Dict(
+                (0..self.below(4))
+                    .map(|_| (self.text(), self.attr(depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// A module that prints every type in `types` as a result type, an
+/// operand type and a block argument type, and every attribute in
+/// `attrs` under its own key.
+fn module_of(types: &[Type], attrs: &[Attribute]) -> Module {
+    let mut m = Module::new();
+    let top = m.top_block();
+    let holder = m.build_op("test.holder", [], []).regions(1).append_to(top);
+    let region = m.op(holder).expect("attached").regions[0];
+    let body = m.add_block(region, types);
+    let args = m.block(body).args.to_vec();
+    let mut op = m.build_op("test.everything", args, types.to_vec());
+    for (i, attr) in attrs.iter().enumerate() {
+        op = op.attr(&format!("a{i}"), attr.clone());
+    }
+    op.append_to(body);
+    m
+}
+
+/// Every `Type` variant, dynamic dimensions and all three memory
+/// spaces included.
+fn every_type() -> Vec<Type> {
+    let dynamic = vec![Some(4), None, Some(0), Some(u64::MAX)];
+    vec![
+        Type::Int(1),
+        Type::Int(u32::MAX),
+        Type::F32,
+        Type::F64,
+        Type::Index,
+        Type::None,
+        Type::Fixed(FixedFormat::signed(7, 8)),
+        Type::Fixed(FixedFormat::unsigned(0, 32)),
+        Type::Posit(PositFormat::new(16, 1)),
+        Type::Posit(PositFormat::new(2, 0)),
+        Type::Tensor {
+            shape: dynamic.clone(),
+            elem: Box::new(Type::Fixed(FixedFormat::signed(3, 4))),
+        },
+        Type::Tensor {
+            shape: Vec::new(),
+            elem: Box::new(Type::F64),
+        },
+        Type::MemRef {
+            shape: dynamic.clone(),
+            elem: Box::new(Type::F32),
+            space: MemorySpace::Host,
+        },
+        Type::memref(
+            &[1024],
+            Type::Posit(PositFormat::new(8, 0)),
+            MemorySpace::Device,
+        ),
+        Type::MemRef {
+            shape: vec![None],
+            elem: Box::new(Type::Index),
+            space: MemorySpace::Plm,
+        },
+        Type::Stream(Box::new(Type::tensor(&[2, 3], Type::F64))),
+        Type::Token,
+        Type::Function {
+            inputs: vec![Type::F64, Type::memref(&[8], Type::F64, MemorySpace::Plm)],
+            outputs: vec![Type::Token],
+        },
+        Type::Function {
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+        },
+    ]
+}
+
+/// Every `Attribute` variant: strings with quotes and backslashes,
+/// nested arrays and dictionaries, dense arrays, and the floats whose
+/// spelling switches branch.
+fn every_attribute() -> Vec<Attribute> {
+    let floats = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e15,
+        -1e15,
+        1e15 - 1.0,
+        1e300,
+        5e-324,
+        f64::from_bits(0x000f_ffff_ffff_ffff),
+        2.5,
+        -1.0,
+        0.1,
+    ];
+    let nested = Attribute::Dict(
+        [
+            (
+                "inner \"key\"".to_string(),
+                Attribute::Array(vec![Attribute::Int(-1), Attribute::Array(Vec::new())]),
+            ),
+            ("x".to_string(), Attribute::Dict(BTreeMap::new())),
+        ]
+        .into_iter()
+        .collect(),
+    );
+    let mut attrs: Vec<Attribute> = floats.into_iter().map(Attribute::Float).collect();
+    attrs.extend([
+        Attribute::Int(i64::MIN),
+        Attribute::Int(0),
+        Attribute::Int(i64::MAX),
+        Attribute::Str(String::new()),
+        Attribute::Str("plain".into()),
+        Attribute::Str("q\"u\\o\\\"te\"\"".into()),
+        Attribute::Str("\\".into()),
+        Attribute::Str("ünï\"cödé\\".into()),
+        Attribute::Bool(true),
+        Attribute::Bool(false),
+        Attribute::Ty(Type::Function {
+            inputs: vec![Type::F64],
+            outputs: vec![Type::tensor(&[4], Type::F32)],
+        }),
+        Attribute::Array(Vec::new()),
+        Attribute::Array(vec![
+            Attribute::Float(-0.0),
+            Attribute::Str("\"".into()),
+            nested.clone(),
+        ]),
+        nested,
+        Attribute::SymbolRef("kernel".into()),
+        Attribute::DenseF64(floats.to_vec()),
+        Attribute::DenseF64(Vec::new()),
+        Attribute::DenseI64(vec![i64::MIN, -1, 0, 7, i64::MAX]),
+        Attribute::DenseI64(Vec::new()),
+    ]);
+    attrs
+}
+
+#[test]
+fn every_type_and_attribute_prints_as_the_fmt_printer_printed_it() {
+    let types = every_type();
+    let attrs = every_attribute();
+    for ty in &types {
+        assert_eq!(ty.to_string(), reference::ty(ty));
+    }
+    for attr in &attrs {
+        assert_eq!(attr.to_string(), reference::attr(attr), "{attr:?}");
+    }
+    let m = module_of(&types, &attrs);
+    assert_eq!(print_module(&m), reference::print_module(&m));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn print_module_matches_the_fmt_printer_byte_for_byte(
+        consts in proptest::collection::vec(-100.0f64..100.0, 1..6),
+        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..12),
+        keep in any::<usize>(),
+        picks in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..12),
+        stores in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..4),
+    ) {
+        let mut m = random_module(&consts, &ops, keep);
+        add_colliding_ops(&mut m, consts.len(), &picks);
+        prop_assert_eq!(print_module(&m), reference::print_module(&m));
+        let ctx = Context::with_all_dialects();
+        canonicalization_pipeline()
+            .run(&ctx, &mut m)
+            .expect("a generated module canonicalizes");
+        prop_assert_eq!(print_module(&m), reference::print_module(&m));
+        let f = random_function(&consts, &ops, &stores);
+        prop_assert_eq!(print_module(&f), reference::print_module(&f));
+    }
+
+    #[test]
+    fn drawn_types_and_attributes_print_as_the_fmt_printer_printed_them(
+        words in proptest::collection::vec(any::<u64>(), 1..48),
+    ) {
+        let mut draw = Draw { words: &words, at: 0 };
+        let types: Vec<Type> = (0..1 + draw.below(4)).map(|_| draw.ty(3)).collect();
+        let attrs: Vec<Attribute> = (0..1 + draw.below(4)).map(|_| draw.attr(3)).collect();
+        for ty in &types {
+            prop_assert_eq!(ty.to_string(), reference::ty(ty));
+        }
+        for attr in &attrs {
+            prop_assert_eq!(attr.to_string(), reference::attr(attr));
+        }
+        let m = module_of(&types, &attrs);
+        prop_assert_eq!(print_module(&m), reference::print_module(&m));
     }
 }

@@ -85,7 +85,7 @@ use std::sync::Arc;
 /// Opens a span on the [global registry](Registry::global).
 ///
 /// The span ends when the returned guard drops.
-pub fn span(name: impl Into<String>) -> SpanGuard {
+pub fn span(name: impl Into<std::borrow::Cow<'static, str>>) -> SpanGuard {
     Registry::global().span(name)
 }
 

@@ -7,12 +7,20 @@
 //! interleave without tearing; span parenthood is tracked per thread
 //! (a span's parent is the innermost span still open on the *same*
 //! thread and the *same* registry).
+//!
+//! Spans are kept compact, since a compile flow records one for every
+//! design point Olympus evaluates: each span is a fixed-size record
+//! (its name as a `Cow<'static, str>`, so a literal is never copied,
+//! its parent, thread, start and end), and every span's args share one
+//! flat vector of `(span, key, value)` with `&'static str` keys.
+//! [`Registry::spans`] assembles the public [`SpanRecord`]s from them
+//! when it is read.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::ThreadId;
 use std::time::Instant;
 
 use crate::monitor::Monitor;
@@ -252,10 +260,20 @@ impl HistogramSnapshot {
     }
 }
 
-/// Pre-sized capacity for the span buffer: a serving run opens a few
-/// spans but an instrumented compile flow opens hundreds; one page of
-/// records avoids the early re-allocation cascade either way.
-const SPAN_PREALLOC: usize = 128;
+/// One recorded span as the registry keeps it: 64 bytes and no heap
+/// memory of its own unless its name was built at run time. Its id is
+/// its index; its args live in [`Inner::args`].
+#[derive(Debug)]
+struct Span {
+    name: Cow<'static, str>,
+    parent: Option<u32>,
+    tid: u32,
+    start_us: f64,
+    end_us: Option<f64>,
+}
+
+/// A span arg: the span's id, the key and the value.
+type SpanArg = (u32, &'static str, ArgValue);
 
 /// A pre-resolved handle to one monotonic counter.
 ///
@@ -466,36 +484,55 @@ impl Drop for MonitorHandle {
 /// `Arc<Mutex<_>>`) rather than directly in the maps, so a pre-resolved
 /// handle can mutate its cell without touching the registry mutex.
 #[derive(Debug)]
-pub(crate) struct Inner {
-    pub(crate) spans: Vec<SpanRecord>,
+struct Inner {
+    spans: Vec<Span>,
+    /// Every span's args in the order they were set; an arg set twice
+    /// on one span is kept twice, and the later one is what reads see.
+    args: Vec<SpanArg>,
+    /// Bumped by [`Registry::reset`]: a guard or an open-span entry of
+    /// an older generation refers to a span that is gone.
+    generation: u64,
     counters: BTreeMap<String, Arc<AtomicU64>>,
     /// Gauge cells hold `f64::to_bits`.
     gauges: BTreeMap<String, Arc<AtomicU64>>,
     histograms: BTreeMap<String, Arc<Mutex<Histogram>>>,
     monitors: BTreeMap<String, Arc<Mutex<Monitor>>>,
-    pub(crate) events: VecDeque<EventRecord>,
-    threads: HashMap<ThreadId, u64>,
+    events: VecDeque<EventRecord>,
+    /// The `THREAD_KEY` of each thread that recorded here, in the order
+    /// they first did: a thread's tid is its index.
+    threads: Vec<u64>,
 }
 
 impl Inner {
+    /// The span and arg buffers start empty: most registries never
+    /// record a span (an engine's or a tuner's own, before the global
+    /// one replaces it), a serving run records two, and a compile flow
+    /// grows them once and keeps their capacity across `reset`.
     fn new() -> Inner {
         Inner {
-            spans: Vec::with_capacity(SPAN_PREALLOC),
+            spans: Vec::new(),
+            args: Vec::new(),
+            generation: 0,
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
             monitors: BTreeMap::new(),
             events: VecDeque::new(),
-            threads: HashMap::new(),
+            threads: Vec::new(),
         }
     }
 
-    fn tid(&mut self) -> u64 {
-        let next = self.threads.len() as u64;
-        *self
-            .threads
-            .entry(std::thread::current().id())
-            .or_insert(next)
+    /// The calling thread's tid, added to `threads` on its first record.
+    fn tid(&mut self) -> u32 {
+        let key = THREAD_KEY.with(|key| *key);
+        let tid = match self.threads.iter().position(|&k| k == key) {
+            Some(tid) => tid,
+            None => {
+                self.threads.push(key);
+                self.threads.len() - 1
+            }
+        };
+        tid as u32
     }
 }
 
@@ -509,12 +546,25 @@ pub struct Registry {
     uid: u64,
     epoch: Instant,
     event_capacity: usize,
-    pub(crate) inner: Mutex<Inner>,
+    inner: Mutex<Inner>,
+}
+
+/// A span open on this thread, as its stack entry names it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct OpenSpan {
+    registry: u64,
+    generation: u64,
+    id: u32,
 }
 
 thread_local! {
-    /// Stack of `(registry uid, span id)` currently open on this thread.
-    static SPAN_STACK: RefCell<Vec<(u64, u32)>> = const { RefCell::new(Vec::new()) };
+    /// The spans currently open on this thread, innermost last.
+    static SPAN_STACK: RefCell<Vec<OpenSpan>> = const { RefCell::new(Vec::new()) };
+    /// This thread's process-unique key.
+    static THREAD_KEY: u64 = {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    };
 }
 
 fn next_uid() -> u64 {
@@ -563,62 +613,96 @@ impl Registry {
 
     /// Opens a span; it ends when the returned guard drops. The parent
     /// is the innermost span currently open on this thread (for this
-    /// registry).
-    pub fn span(self: &Arc<Self>, name: impl Into<String>) -> SpanGuard {
+    /// registry). A `&'static str` name is kept without a copy.
+    pub fn span(self: &Arc<Self>, name: impl Into<Cow<'static, str>>) -> SpanGuard {
+        self.open_span(name.into())
+    }
+
+    /// [`Registry::span`] past the conversion of its name: one copy of
+    /// the body, not one in every caller's crate.
+    fn open_span(self: &Arc<Self>, name: Cow<'static, str>) -> SpanGuard {
         let now = self.now_us();
         let mut inner = self.lock();
         let tid = inner.tid();
+        let generation = inner.generation;
         let parent = SPAN_STACK.with(|stack| {
             stack
                 .borrow()
                 .iter()
                 .rev()
-                .find(|(uid, _)| *uid == self.uid)
-                .map(|&(_, id)| id)
+                .find(|open| open.registry == self.uid && open.generation == generation)
+                .map(|open| open.id)
         });
         let id = inner.spans.len() as u32;
-        inner.spans.push(SpanRecord {
-            id,
+        inner.spans.push(Span {
+            name,
             parent,
-            name: name.into(),
             tid,
             start_us: now,
             end_us: None,
-            args: BTreeMap::new(),
         });
         drop(inner);
-        SPAN_STACK.with(|stack| stack.borrow_mut().push((self.uid, id)));
+        let open = OpenSpan {
+            registry: self.uid,
+            generation,
+            id,
+        };
+        SPAN_STACK.with(|stack| stack.borrow_mut().push(open));
         SpanGuard {
             registry: Arc::clone(self),
-            id,
+            open,
         }
     }
 
-    fn end_span(&self, id: u32) {
+    /// Ends the span `open` names, unless a reset has dropped it since,
+    /// and takes it off this thread's stack either way.
+    fn end_span(&self, open: OpenSpan) {
         let now = self.now_us();
         let mut inner = self.lock();
-        if let Some(span) = inner.spans.get_mut(id as usize) {
-            span.end_us = Some(now);
+        if inner.generation == open.generation {
+            if let Some(span) = inner.spans.get_mut(open.id as usize) {
+                span.end_us = Some(now);
+            }
         }
         drop(inner);
         SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|&e| e == (self.uid, id)) {
+            if let Some(pos) = stack.iter().rposition(|&e| e == open) {
                 stack.remove(pos);
             }
         });
     }
 
-    fn span_arg(&self, id: u32, key: &str, value: ArgValue) {
+    fn span_arg(&self, open: OpenSpan, key: &'static str, value: ArgValue) {
         let mut inner = self.lock();
-        if let Some(span) = inner.spans.get_mut(id as usize) {
-            span.args.insert(key.to_string(), value);
+        if inner.generation == open.generation {
+            inner.args.push((open.id, key, value));
         }
     }
 
     /// Snapshot of every span recorded so far, in creation order.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.lock().spans.clone()
+        let inner = self.lock();
+        let mut spans: Vec<SpanRecord> = inner
+            .spans
+            .iter()
+            .enumerate()
+            .map(|(id, span)| SpanRecord {
+                id: id as u32,
+                parent: span.parent,
+                name: span.name.to_string(),
+                tid: u64::from(span.tid),
+                start_us: span.start_us,
+                end_us: span.end_us,
+                args: BTreeMap::new(),
+            })
+            .collect();
+        for (id, key, value) in &inner.args {
+            spans[*id as usize]
+                .args
+                .insert((*key).to_string(), value.clone());
+        }
+        spans
     }
 
     // ----------------------------------------------------------------
@@ -836,7 +920,7 @@ impl Registry {
     pub fn event(&self, name: &str, detail: impl Into<String>) {
         let now = self.now_us();
         let mut inner = self.lock();
-        let tid = inner.tid();
+        let tid = u64::from(inner.tid());
         if inner.events.len() == self.event_capacity {
             inner.events.pop_front();
         }
@@ -854,13 +938,18 @@ impl Registry {
     }
 
     /// Drops every recorded span, metric and event (thread ids are
-    /// kept). Meant for standalone registries; resetting the global
-    /// registry discards other components' data too. Handles resolved
-    /// before the reset keep their detached cells: they stay safe to
-    /// use but no longer feed this registry's exports.
+    /// kept, and so is the capacity of the span and arg buffers).
+    /// Meant for standalone registries; resetting the global registry
+    /// discards other components' data too. Handles resolved before the
+    /// reset keep their detached cells: they stay safe to use but no
+    /// longer feed this registry's exports. A span guard opened before
+    /// the reset stays safe too: its args and its end are dropped, and
+    /// it parents no span opened after the reset.
     pub fn reset(&self) {
         let mut inner = self.lock();
         inner.spans.clear();
+        inner.args.clear();
+        inner.generation += 1;
         inner.counters.clear();
         inner.gauges.clear();
         inner.histograms.clear();
@@ -873,18 +962,19 @@ impl Registry {
 #[derive(Debug)]
 pub struct SpanGuard {
     registry: Arc<Registry>,
-    id: u32,
+    open: OpenSpan,
 }
 
 impl SpanGuard {
     /// The span's registry-unique id.
     pub fn id(&self) -> u32 {
-        self.id
+        self.open.id
     }
 
-    /// Attaches a typed argument to the span.
-    pub fn arg(&self, key: &str, value: impl Into<ArgValue>) -> &Self {
-        self.registry.span_arg(self.id, key, value.into());
+    /// Attaches a typed argument to the span. Keys are literals, kept
+    /// without a copy; setting a key twice keeps the later value.
+    pub fn arg(&self, key: &'static str, value: impl Into<ArgValue>) -> &Self {
+        self.registry.span_arg(self.open, key, value.into());
         self
     }
 
@@ -903,7 +993,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        self.registry.end_span(self.id);
+        self.registry.end_span(self.open);
     }
 }
 
@@ -1143,6 +1233,41 @@ mod tests {
         assert!(r.spans().is_empty());
         assert_eq!(r.counter("c"), 0);
         assert!(r.events().is_empty());
+    }
+
+    #[test]
+    fn a_guard_that_outlives_a_reset_neither_parents_nor_ends_later_spans() {
+        let r = Registry::new();
+        let a = r.span("a");
+        a.arg("before", 1u64);
+        r.reset();
+        let b = r.span("b");
+        // `b` reuses id 0, which `a` had; `a` is no longer its parent.
+        assert_eq!(b.id(), 0);
+        assert_eq!(r.spans()[0].parent, None);
+        a.arg("stale", 2u64);
+        drop(a);
+        let spans = r.spans();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].end_us, None, "a stale guard ended a later span");
+        assert!(
+            spans[0].args.is_empty(),
+            "a stale guard annotated a later span"
+        );
+        assert!(r.to_text().contains("  b (open)"), "{}", r.to_text());
+        // The stale guard left this thread's stack: `c` nests under `b`.
+        let c = r.span("c");
+        assert_eq!(r.spans()[c.id() as usize].parent, Some(b.id()));
+        drop(c);
+        drop(b);
+        assert!(r.spans().iter().all(|s| s.end_us.is_some()));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_span_record_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<Span>(), 64);
+        assert_eq!(std::mem::size_of::<SpanArg>(), 48);
     }
 
     #[test]
