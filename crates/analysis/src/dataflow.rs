@@ -559,7 +559,7 @@ impl Components {
 ///   consumes is dead work in every iteration.
 ///
 /// Both are warnings.
-pub fn analyze_condrust_graph(graph: &DataflowGraph) -> AnalysisReport {
+pub(crate) fn analyze_condrust_graph(graph: &DataflowGraph) -> AnalysisReport {
     let mut report = AnalysisReport::new();
     let mut emit = |id: &str, message: String| {
         report.diagnostics.push(Diagnostic {

@@ -1,7 +1,7 @@
 //! Memory-space escape analysis: a provenance fixpoint over SSA values
 //! that tracks which memory spaces a value's *data* may originate from.
 //!
-//! The syntactic `memory-space` lint ([`crate::typecheck`]) inspects
+//! The syntactic `memory-space` lint (`crate::typecheck`) inspects
 //! one op at a time: a host-typed operand on `olympus.kernel`, a
 //! mismatched `olympus.dma` direction, a cross-space `memref.copy`.
 //! What it cannot see is data that *flows*: a scalar loaded from a host
@@ -41,7 +41,7 @@ use crate::interval::direct_yields;
 use crate::lint::{Collector, Lint, LintInfo};
 
 /// Lints implemented by [`MemorySpaceEscape`].
-pub const ESCAPE_LINTS: &[LintInfo] = &[LintInfo {
+pub(crate) const ESCAPE_LINTS: &[LintInfo] = &[LintInfo {
     id: "memory-space-escape",
     description: "data crosses the host/fabric boundary without going through olympus.dma",
     default_severity: Severity::Warn,
@@ -68,12 +68,12 @@ impl SpaceSet {
     }
 
     /// True when the set may include host memory.
-    pub fn has_host(&self) -> bool {
+    pub(crate) fn has_host(&self) -> bool {
         self.0 & HOST != 0
     }
 
     /// True when the set may include fabric memory (device or PLM).
-    pub fn has_fabric(&self) -> bool {
+    pub(crate) fn has_fabric(&self) -> bool {
         self.0 & (DEVICE | PLM) != 0
     }
 

@@ -11,7 +11,7 @@ use crate::lint::{Collector, Lint, LintInfo};
 
 /// Pre-synthesis checks over `scf.for` loops.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HlsPreSynthesis;
+pub(crate) struct HlsPreSynthesis;
 
 const HLS_LINTS: &[LintInfo] = &[
     LintInfo {

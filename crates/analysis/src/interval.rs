@@ -17,7 +17,7 @@
 //!   iterations.
 //!
 //! Indices that are literally `arith.constant` are left to the
-//! syntactic `memref-out-of-bounds` lint in [`crate::lifetime`]; this
+//! syntactic `memref-out-of-bounds` lint in `crate::lifetime`; this
 //! analysis reports the flows that lint misses (arithmetic over
 //! constants, induction variables, values returned from callees).
 
@@ -31,7 +31,7 @@ use crate::fixpoint::{solve, FlowGraph, Lattice};
 use crate::lint::{Collector, Lint, LintInfo};
 
 /// Lints implemented by [`IntervalAnalysis`].
-pub const INTERVAL_LINTS: &[LintInfo] = &[
+pub(crate) const INTERVAL_LINTS: &[LintInfo] = &[
     LintInfo {
         id: "interval-out-of-bounds",
         description: "memref access whose proven index range lies entirely outside the extent",
@@ -526,10 +526,10 @@ fn eval(rule: &Rule<'_>, states: &[Interval]) -> Interval {
 
 /// Runs the interval fixpoint over every SSA value of `module`.
 ///
-/// The [`IntervalAnalysis`] lint and the worst-case-latency analysis in
+/// The `IntervalAnalysis` lint and the worst-case-latency analysis in
 /// [`crate::latency`] (which needs loop trip counts) both read it; within
 /// one [`Analyzer::run`](crate::lint::Analyzer::run) they share one solve
-/// through [`Collector::interval_facts`].
+/// through `Collector::interval_facts`.
 pub fn compute(module: &Module) -> IntervalFacts {
     let rules = build_rules(module);
     let n = rules.len();
@@ -584,7 +584,7 @@ pub fn compute(module: &Module) -> IntervalFacts {
 
 /// Interval/constant-propagation lint. See the module docs.
 #[derive(Debug, Default)]
-pub struct IntervalAnalysis;
+pub(crate) struct IntervalAnalysis;
 
 impl Lint for IntervalAnalysis {
     fn name(&self) -> &'static str {

@@ -42,7 +42,7 @@ use crate::interval::{self, Interval, IntervalFacts};
 use crate::lint::{Collector, Lint, LintInfo};
 
 /// Lints implemented by [`WorstCaseLatency`].
-pub const LATENCY_LINTS: &[LintInfo] = &[
+pub(crate) const LATENCY_LINTS: &[LintInfo] = &[
     LintInfo {
         id: "latency-deadline",
         description: "proven worst-case latency exceeds the declared deadline_us",
@@ -64,7 +64,7 @@ const DEFAULT_ACTOR_CYCLES: u64 = 64;
 
 /// A proven worst-case latency.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyBound {
+pub(crate) struct LatencyBound {
     /// Worst-case cycles at the cost library's clock.
     pub cycles: u64,
     /// The same bound in microseconds.
@@ -325,7 +325,7 @@ fn callee_of(operation: &Operation) -> Option<&str> {
 
 /// Proven worst-case latency per named kernel (`func.func` symbols and
 /// `dfg.graph` symbols at module scope). `None` = unbounded.
-pub fn kernel_bounds(module: &Module) -> BTreeMap<String, Option<LatencyBound>> {
+pub(crate) fn kernel_bounds(module: &Module) -> BTreeMap<String, Option<LatencyBound>> {
     let facts = interval::compute(module);
     let mut model = LatencyModel::new(module, &facts);
     let mut bounds = BTreeMap::new();
@@ -370,7 +370,7 @@ pub fn module_worst_case_us(module: &Module) -> Option<f64> {
 
 /// The worst-case-latency lint. See the module docs.
 #[derive(Debug, Default)]
-pub struct WorstCaseLatency;
+pub(crate) struct WorstCaseLatency;
 
 impl Lint for WorstCaseLatency {
     fn name(&self) -> &'static str {

@@ -15,15 +15,15 @@
 //!
 //! | analysis | lint ids |
 //! |---|---|
-//! | [`TypeCheck`] | `type-mismatch` |
-//! | [`MemorySpaceCheck`] | `memory-space` |
-//! | [`MemrefLifetime`] | `memref-use-after-free`, `memref-double-free`, `memref-leak`, `memref-out-of-bounds` |
+//! | `TypeCheck` | `type-mismatch` |
+//! | `MemorySpaceCheck` | `memory-space` |
+//! | `MemrefLifetime` | `memref-use-after-free`, `memref-double-free`, `memref-leak`, `memref-out-of-bounds` |
 //! | [`DfgStructure`] | `dfg-multiple-writers`, `dfg-unbuffered-cycle`, `dfg-dangling-port`, `dfg-channel-capacity` |
-//! | [`HlsPreSynthesis`] | `hls-loop-invariant`, `hls-unpipelinable` |
-//! | [`IntervalAnalysis`] | `interval-out-of-bounds`, `interval-dead-branch` |
+//! | `HlsPreSynthesis` | `hls-loop-invariant`, `hls-unpipelinable` |
+//! | `IntervalAnalysis` | `interval-out-of-bounds`, `interval-dead-branch` |
 //! | [`MemorySpaceEscape`] | `memory-space-escape` |
-//! | [`WorstCaseLatency`] | `latency-deadline`, `latency-unbounded` |
-//! | [`analyze_condrust_graph`] | `condrust-shared-state`, `condrust-dead-node` |
+//! | `WorstCaseLatency` | `latency-deadline`, `latency-unbounded` |
+//! | `analyze_condrust_graph` | `condrust-shared-state`, `condrust-dead-node` |
 //!
 //! The last four rows are powered by the generic [`fixpoint`] worklist
 //! solver: interval propagation proves out-of-bounds accesses and dead
@@ -72,19 +72,15 @@ pub mod fixpoint;
 pub mod hls;
 pub mod interval;
 pub mod latency;
-pub mod lifetime;
+pub(crate) mod lifetime;
 pub mod lint;
 pub mod report;
-pub mod typecheck;
+pub(crate) mod typecheck;
 
-pub use dataflow::{analyze_condrust_graph, DfgStructure};
+pub use dataflow::DfgStructure;
 pub use diagnostics::{Diagnostic, Severity};
 pub use escape::MemorySpaceEscape;
 pub use fixpoint::{solve, Fixpoint, FlowGraph, Lattice};
-pub use hls::HlsPreSynthesis;
-pub use interval::{Interval, IntervalAnalysis};
-pub use latency::{LatencyBound, WorstCaseLatency};
-pub use lifetime::MemrefLifetime;
+pub use interval::Interval;
 pub use lint::{Analyzer, Collector, Lint, LintInfo};
 pub use report::AnalysisReport;
-pub use typecheck::{MemorySpaceCheck, TypeCheck};

@@ -18,7 +18,7 @@ use crate::lint::{Collector, Lint, LintInfo};
 /// static shape, and reports allocations that neither escape nor get
 /// deallocated.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MemrefLifetime;
+pub(crate) struct MemrefLifetime;
 
 const LIFETIME_LINTS: &[LintInfo] = &[
     LintInfo {

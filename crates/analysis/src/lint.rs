@@ -88,7 +88,7 @@ impl<'a> Collector<'a> {
     /// [`Analyzer::run`] however many lints read it. The borrow is the
     /// run's, not the collector's, so findings can be emitted while it
     /// is held.
-    pub fn interval_facts(&self) -> &'a IntervalFacts {
+    pub(crate) fn interval_facts(&self) -> &'a IntervalFacts {
         self.intervals
             .get_or_init(|| interval::compute(self.module))
     }
@@ -187,11 +187,6 @@ impl Analyzer {
         self
     }
 
-    /// Every lint id the registered lints can emit, with metadata.
-    pub fn catalogue(&self) -> Vec<LintInfo> {
-        self.lints.iter().flat_map(|l| l.lints()).copied().collect()
-    }
-
     /// Runs all lints over the module and collects every finding.
     ///
     /// Never fails: malformed modules simply produce findings (or are
@@ -280,7 +275,12 @@ mod tests {
     #[test]
     fn default_catalogue_has_the_documented_lint_set() {
         let analyzer = Analyzer::with_default_lints();
-        let ids: Vec<&str> = analyzer.catalogue().iter().map(|i| i.id).collect();
+        let ids: Vec<&str> = analyzer
+            .lints
+            .iter()
+            .flat_map(|l| l.lints())
+            .map(|i| i.id)
+            .collect();
         for id in [
             "type-mismatch",
             "memory-space",

@@ -42,7 +42,7 @@ const INT_OPS: &[&str] = &[
 /// do not express (float ops on non-float types, index-typed loop
 /// bounds, return types against the function signature).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TypeCheck;
+pub(crate) struct TypeCheck;
 
 const TYPECHECK_LINTS: &[LintInfo] = &[LintInfo {
     id: "type-mismatch",
@@ -265,7 +265,7 @@ fn check_return_types(module: &Module, op: OpId, operation: &Operation, out: &mu
 /// whose declared direction contradicts their operand spaces, and
 /// cross-space `memref.copy` that should be an `olympus.dma`.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MemorySpaceCheck;
+pub(crate) struct MemorySpaceCheck;
 
 const MEMSPACE_LINTS: &[LintInfo] = &[LintInfo {
     id: "memory-space",

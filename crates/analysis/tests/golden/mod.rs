@@ -12,7 +12,7 @@ use everest_ir::types::{MemorySpace, Type};
 ///   (interval-out-of-bounds),
 /// * a worst-case latency bound above the declared deadline
 ///   (latency-deadline).
-pub fn buggy_module() -> Module {
+pub(crate) fn buggy_module() -> Module {
     let mut m = Module::new();
     let top = m.top_block();
     let (func, body) = build_func(&mut m, top, "buggy", &[], &[]);

@@ -13,7 +13,7 @@ use everest_ir::module::Module;
 use everest_ir::registry::Context;
 
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DfgStructure;
+pub(crate) struct DfgStructure;
 
 const DFG_LINTS: &[LintInfo] = &[
     LintInfo {

@@ -109,7 +109,7 @@ fn build_rules(module: &Module) -> Vec<Rule> {
 }
 
 /// Computes the provenance fixpoint for every SSA value.
-pub fn compute(module: &Module) -> Fixpoint<SpaceSet> {
+pub(crate) fn compute(module: &Module) -> Fixpoint<SpaceSet> {
     let rules = build_rules(module);
     let n = rules.len();
     let mut graph = FlowGraph::new(n);

@@ -7,14 +7,14 @@ use everest_analysis::{Fixpoint, Lattice};
 
 /// The dependency graph a fixpoint runs over.
 #[derive(Debug, Clone, Default)]
-pub struct FlowGraph {
+pub(crate) struct FlowGraph {
     succs: Vec<Vec<usize>>,
     preds: Vec<Vec<usize>>,
 }
 
 impl FlowGraph {
     /// Creates a graph with `nodes` nodes and no edges.
-    pub fn new(nodes: usize) -> FlowGraph {
+    pub(crate) fn new(nodes: usize) -> FlowGraph {
         FlowGraph {
             succs: vec![Vec::new(); nodes],
             preds: vec![Vec::new(); nodes],
@@ -22,18 +22,18 @@ impl FlowGraph {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.succs.len()
     }
 
     /// True when the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.succs.is_empty()
     }
 
     /// Adds a dependency edge `from -> to` ("`to` reads `from`").
     /// Duplicate edges are kept out so re-queueing stays linear.
-    pub fn add_edge(&mut self, from: usize, to: usize) {
+    pub(crate) fn add_edge(&mut self, from: usize, to: usize) {
         assert!(from < self.len() && to < self.len(), "edge out of bounds");
         if !self.succs[from].contains(&to) {
             self.succs[from].push(to);
@@ -42,12 +42,12 @@ impl FlowGraph {
     }
 
     /// Successors of `node` (nodes that read its fact).
-    pub fn succs(&self, node: usize) -> &[usize] {
+    pub(crate) fn succs(&self, node: usize) -> &[usize] {
         &self.succs[node]
     }
 
     /// Predecessors of `node` (nodes whose facts it reads).
-    pub fn preds(&self, node: usize) -> &[usize] {
+    pub(crate) fn preds(&self, node: usize) -> &[usize] {
         &self.preds[node]
     }
 }
@@ -63,7 +63,7 @@ impl FlowGraph {
 /// `max_steps` bounds the total number of transfer applications; pass
 /// e.g. `64 * graph.len()` for analyses whose lattice height is small
 /// and check [`Fixpoint::converged`] on the way out.
-pub fn solve<L, F>(
+pub(crate) fn solve<L, F>(
     graph: &FlowGraph,
     seed: Vec<L>,
     mut transfer: F,

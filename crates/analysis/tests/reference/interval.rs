@@ -275,7 +275,7 @@ fn eval(rule: &Rule, states: &[Interval]) -> Interval {
 }
 
 /// Runs the interval fixpoint over every SSA value of `module`.
-pub fn compute(module: &Module) -> Fixpoint<Interval> {
+pub(crate) fn compute(module: &Module) -> Fixpoint<Interval> {
     let rules = build_rules(module);
     let n = rules.len();
     let mut graph = FlowGraph::new(n);

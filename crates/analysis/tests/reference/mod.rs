@@ -7,7 +7,7 @@
 // Kept whole: not every method it had is called from here.
 #![allow(dead_code)]
 
-pub mod dataflow;
-pub mod escape;
-pub mod fixpoint;
-pub mod interval;
+pub(crate) mod dataflow;
+pub(crate) mod escape;
+pub(crate) mod fixpoint;
+pub(crate) mod interval;

@@ -47,4 +47,4 @@ pub use dataset::Dataset;
 pub use detectors::Detector;
 pub use service::{select_model, DetectionNode, DetectionReport, SelectedModel, Strategy};
 pub use synthetic::{f1_score, generate, LabelledData, StreamConfig};
-pub use tpe::{ParamSpec, ParamValue, Params, SearchSpace, TpeSampler};
+pub use tpe::{ParamValue, Params};

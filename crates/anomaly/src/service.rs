@@ -22,7 +22,7 @@ pub enum Strategy {
 }
 
 /// The AutoML search space over detector families and hyperparameters.
-pub fn detector_space() -> SearchSpace {
+pub(crate) fn detector_space() -> SearchSpace {
     SearchSpace::new()
         .categorical(
             "family",

@@ -13,7 +13,7 @@ use rand::Rng;
 
 /// A hyperparameter domain.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ParamSpec {
+pub(crate) enum ParamSpec {
     /// Continuous in `[lo, hi]`; `log` scales the space.
     Float {
         /// Lower bound.
@@ -81,33 +81,33 @@ pub type Params = BTreeMap<String, ParamValue>;
 
 /// The search space.
 #[derive(Debug, Clone, Default)]
-pub struct SearchSpace {
+pub(crate) struct SearchSpace {
     /// Parameter specs by name.
     pub params: BTreeMap<String, ParamSpec>,
 }
 
 impl SearchSpace {
     /// Creates an empty space.
-    pub fn new() -> SearchSpace {
+    pub(crate) fn new() -> SearchSpace {
         SearchSpace::default()
     }
 
     /// Adds a float parameter.
-    pub fn float(mut self, name: &str, lo: f64, hi: f64, log: bool) -> SearchSpace {
+    pub(crate) fn float(mut self, name: &str, lo: f64, hi: f64, log: bool) -> SearchSpace {
         self.params
             .insert(name.to_string(), ParamSpec::Float { lo, hi, log });
         self
     }
 
     /// Adds an integer parameter.
-    pub fn int(mut self, name: &str, lo: i64, hi: i64) -> SearchSpace {
+    pub(crate) fn int(mut self, name: &str, lo: i64, hi: i64) -> SearchSpace {
         self.params
             .insert(name.to_string(), ParamSpec::Int { lo, hi });
         self
     }
 
     /// Adds a categorical parameter.
-    pub fn categorical<I, S>(mut self, name: &str, options: I) -> SearchSpace
+    pub(crate) fn categorical<I, S>(mut self, name: &str, options: I) -> SearchSpace
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
@@ -122,7 +122,7 @@ impl SearchSpace {
     }
 
     /// Draws a uniform random assignment.
-    pub fn sample_uniform(&self, rng: &mut StdRng) -> Params {
+    pub(crate) fn sample_uniform(&self, rng: &mut StdRng) -> Params {
         self.params
             .iter()
             .map(|(name, spec)| (name.clone(), sample_spec(spec, rng)))
@@ -149,7 +149,7 @@ fn sample_spec(spec: &ParamSpec, rng: &mut StdRng) -> ParamValue {
 
 /// One completed trial.
 #[derive(Debug, Clone)]
-pub struct Trial {
+pub(crate) struct Trial {
     /// The evaluated assignment.
     pub params: Params,
     /// Objective value (higher is better).
@@ -158,7 +158,7 @@ pub struct Trial {
 
 /// The TPE sampler.
 #[derive(Debug, Clone)]
-pub struct TpeSampler {
+pub(crate) struct TpeSampler {
     /// Trials evaluated so far.
     pub history: Vec<Trial>,
     /// Random trials before the model kicks in.
@@ -182,17 +182,17 @@ impl Default for TpeSampler {
 
 impl TpeSampler {
     /// Creates a sampler with Optuna-like defaults.
-    pub fn new() -> TpeSampler {
+    pub(crate) fn new() -> TpeSampler {
         TpeSampler::default()
     }
 
     /// Records a finished trial.
-    pub fn tell(&mut self, params: Params, score: f64) {
+    pub(crate) fn tell(&mut self, params: Params, score: f64) {
         self.history.push(Trial { params, score });
     }
 
     /// Suggests the next assignment to evaluate.
-    pub fn suggest(&self, space: &SearchSpace, rng: &mut StdRng) -> Params {
+    pub(crate) fn suggest(&self, space: &SearchSpace, rng: &mut StdRng) -> Params {
         if self.history.len() < self.n_startup {
             return space.sample_uniform(rng);
         }

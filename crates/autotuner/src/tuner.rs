@@ -230,18 +230,6 @@ impl Autotuner {
         self
     }
 
-    /// The corrected expectation of `metric` under `config`.
-    pub fn corrected(&self, point: &OperatingPoint, metric: &str) -> Option<f64> {
-        let expected = point.expected.get(metric)?;
-        let key = (config_key(&point.config), metric.to_string());
-        let factor = self
-            .slot_index
-            .get(&key)
-            .map(|&i| self.slots[i].factor)
-            .unwrap_or(1.0);
-        Some(expected * factor)
-    }
-
     /// Selects the best configuration for the current features: the
     /// chosen operating point's own, borrowed, so a decision copies
     /// nothing.
@@ -469,7 +457,10 @@ mod tests {
         let mut t = Autotuner::new();
         t.add_point(OperatingPoint::new(config([("q", 1i64)])).expect("accuracy", 0.8));
         t.add_point(OperatingPoint::new(config([("q", 2i64)])).expect("accuracy", 0.95));
-        t.set_objective(Objective::maximize("accuracy"));
+        t.set_objective(Objective {
+            metric: "accuracy".into(),
+            direction: Direction::Maximize,
+        });
         let best = t.best(&Features::new()).unwrap();
         assert_eq!(best["q"].to_string(), "2");
     }

@@ -155,7 +155,7 @@ impl Constraint {
     }
 
     /// Whether a metric value satisfies the constraint.
-    pub fn satisfied(&self, value: f64) -> bool {
+    pub(crate) fn satisfied(&self, value: f64) -> bool {
         match self.cmp {
             Cmp::Le => value <= self.bound,
             Cmp::Ge => value >= self.bound,
@@ -187,14 +187,6 @@ impl Objective {
         Objective {
             metric: metric.to_string(),
             direction: Direction::Minimize,
-        }
-    }
-
-    /// Maximizes a metric.
-    pub fn maximize(metric: &str) -> Objective {
-        Objective {
-            metric: metric.to_string(),
-            direction: Direction::Maximize,
         }
     }
 }

@@ -7,7 +7,7 @@ use std::time::Instant;
 use crate::{compiled_rrtmg, rule, small_dims, Report};
 use everest_sdk::basecamp::{Basecamp, CompileOptions, Target};
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner("E1", "Fig. 2 / IV", "end-to-end SDK flow through basecamp");
     let source = everest_ekl::rrtmg::major_absorber_source(small_dims());
     r.pin(format!(
@@ -82,7 +82,7 @@ pub fn series(r: &mut Report) {
     ));
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let source = everest_ekl::rrtmg::major_absorber_source(small_dims());
     let basecamp = Basecamp::new();
     r.time("e01_sdk_flow/compile_rrtmg_u55c", || {

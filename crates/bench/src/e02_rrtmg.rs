@@ -12,7 +12,7 @@ use everest_ekl::rrtmg::{
 };
 use everest_sdk::basecamp::CompileOptions;
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E2",
         "Fig. 3 / V-A.1",
@@ -63,7 +63,7 @@ pub fn series(r: &mut Report) {
     r.pin(" the compiled u55c model shows the deployed kernel's per-call time)");
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let dims = dims_with_gpt(16);
     let program = major_absorber_program(dims);
     let inputs = synthetic_inputs(dims);

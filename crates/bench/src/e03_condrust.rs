@@ -39,7 +39,7 @@ fn workload(n_points: usize) -> (DataflowGraph, everest_condrust::Registry, Vec<
     (graph, registry, items)
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E3",
         "Fig. 4 / V-A.2",
@@ -92,7 +92,7 @@ pub fn series(r: &mut Report) {
     }
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let (graph, registry, items) = workload(500);
     r.time("e03_condrust/sequential_500", || {
         run_sequential(&graph, &registry, &items).expect("runs")

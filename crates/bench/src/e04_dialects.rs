@@ -19,7 +19,7 @@ var output C : [4 2]
 C = A . B
 ";
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E4",
         "Fig. 5 / V-B",
@@ -96,7 +96,7 @@ fn round_trip(ctx: &Context, module: &Module) -> usize {
     text.lines().count()
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let ctx = Context::with_all_dialects();
     let compiled = compiled_rrtmg(small_dims(), CompileOptions::default());
     let text = everest_ir::print::print_module(&compiled.module);

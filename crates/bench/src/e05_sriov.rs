@@ -25,7 +25,7 @@ fn offload_loop(session: &mut XrtDevice, kernel_cycles: u64, bytes: u64) -> f64 
     session.now_us() - t0
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E5",
         "Fig. 6 / VI-B",
@@ -79,7 +79,7 @@ pub fn series(r: &mut Report) {
     ));
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     r.time("e05_sriov/offload_loop_native_sim", || {
         let mut session = XrtDevice::open(FpgaDevice::alveo_u55c());
         offload_loop(&mut session, 30_000, 1 << 20)

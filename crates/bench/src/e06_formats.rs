@@ -52,7 +52,7 @@ fn accuracy_loss(format: NumericFormat) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E6",
         "VIII",
@@ -111,7 +111,7 @@ pub fn series(r: &mut Report) {
     r.pin(" the price — the trade-off of the paper's technical highlight)");
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let program = everest_ekl::rrtmg::major_absorber_program(small_dims());
     let module = everest_ekl::lower::lower_to_loops(&program).expect("lowers");
     for (label, format) in [

@@ -86,7 +86,7 @@ fn configs() -> Vec<(&'static str, SystemConfig)> {
     ]
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E7",
         "V-C [16][24][25]",
@@ -120,7 +120,7 @@ pub fn series(r: &mut Report) {
     r.pin(" channels, replication scales compute, buffering overlaps phases)");
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let device = FpgaDevice::alveo_u280();
     let kernel = streaming_kernel();
     r.time("e07_olympus/design_space_exploration", || {

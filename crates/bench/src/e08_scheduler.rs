@@ -33,7 +33,7 @@ fn workflow() -> TaskGraph {
     graph
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E8",
         "VI-A",
@@ -89,7 +89,7 @@ pub fn series(r: &mut Report) {
     }
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let graph = workflow();
     let scheduler = Scheduler::new(Cluster::everest(7, 1, 4), Policy::Heft);
     r.time("e08_scheduler/heft_200_tasks_8_nodes", || {

@@ -59,7 +59,7 @@ fn run_static(variant: &str) -> f64 {
     (0..60).map(|step| true_time(variant, step / 20)).sum()
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner("E9", "VI-C", "dynamic autotuning under FPGA contention");
     r.pin("60 kernel invocations; phase 2 (steps 20-39) contends the FPGA 30x\n");
     let (adaptive_total, switches) = run_adaptive();
@@ -92,7 +92,7 @@ pub fn series(r: &mut Report) {
     );
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     r.time("e09_autotuner/adaptive_60_invocations", run_adaptive);
     let tuner = make_tuner();
     r.time("e09_autotuner/single_decision", || {

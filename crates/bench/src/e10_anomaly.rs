@@ -33,7 +33,7 @@ fn mean_best_f1(strategy: Strategy, trials: usize, seeds: &[u64]) -> f64 {
         / seeds.len() as f64
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner("E10", "VII", "AutoML model selection: TPE vs random search");
     let seeds = [3u64, 5, 7, 11];
     r.pin(format!(
@@ -81,7 +81,7 @@ pub fn series(r: &mut Report) {
     ));
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let (train, validation, labels) = split(3);
     r.time("e10_anomaly/tpe_select_10_trials", || {
         select_model(&train, &validation, &labels, 10, Strategy::Tpe, 1)

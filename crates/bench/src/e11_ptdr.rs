@@ -10,7 +10,7 @@ use everest_platform::xrt::XrtDevice;
 use everest_runtime::{IoMode, PhysicalNode};
 use everest_usecases::traffic::{build_route, monte_carlo, ptdr, RoadNetwork};
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E11",
         "VIII traffic",
@@ -95,7 +95,7 @@ pub fn series(r: &mut Report) {
     ));
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let net = RoadNetwork::grid(14, 14, 100.0);
     let route = build_route(&net, 0, 50);
     r.time("e11_ptdr/cpu_monte_carlo_10k", || {

@@ -5,7 +5,7 @@
 use crate::{rule, Report};
 use everest_usecases::energy::{backtest, generate_history, sweep_runs_per_day, WindFarm};
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E12",
         "II-B / VIII energy",
@@ -42,7 +42,7 @@ pub fn series(r: &mut Report) {
     r.pin(" 'increasing the number of WRF runs ... is a crucial advantage')");
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let farm = WindFarm::default();
     let history = generate_history(&farm, 20, 7);
     r.time("e12_energy/kernel_ridge_backtest", || {

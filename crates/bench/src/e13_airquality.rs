@@ -48,7 +48,7 @@ fn site() -> (Stack, Vec<Receptor>) {
     )
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E13",
         "II-C / VIII air",
@@ -145,7 +145,7 @@ pub fn series(r: &mut Report) {
     ));
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     let (stack, receptors) = site();
     r.time("e13_airquality/ensemble8_forecast_12h", || {
         forecast_site(

@@ -6,7 +6,7 @@
 use crate::{rule, Report};
 use everest_sdk::chaos::{run_chaos, ChaosOptions};
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner("E14", "VI", "deterministic fault injection and recovery");
 
     // Makespan and recovery accounting as the campaign intensifies.
@@ -59,7 +59,7 @@ pub fn series(r: &mut Report) {
     ));
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     r.time("e14_resilience/campaign_seed42_6faults", || {
         run_chaos(&ChaosOptions::default())
     });

@@ -44,7 +44,7 @@ fn restart_campaign() -> (TaskGraph, Scheduler, FaultPlan) {
     )
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner("E15", "VI", "closed-loop self-healing under gray failures");
 
     // Makespan with healing off vs on as the campaign intensifies.
@@ -145,7 +145,7 @@ pub fn series(r: &mut Report) {
     ));
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     r.time("e15_selfheal/heal_campaign_seed42", || {
         run_heal(&HealOptions::default())
     });

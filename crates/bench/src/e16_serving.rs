@@ -9,7 +9,7 @@ use crate::{rule, Report};
 use everest_sdk::serve::{run_serve, ServeOptions};
 use everest_serve::{BatchPolicy, ServeConfig, ServeEngine};
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner("E16", "VI", "multi-tenant serving under offered-load sweep");
 
     // The saturation curve: offered load as a multiple of nominal
@@ -148,7 +148,7 @@ pub fn series(r: &mut Report) {
     );
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     r.time("e16_serving/serve_campaign_nominal", || {
         run_serve(&ServeOptions::default())
     });

@@ -37,7 +37,7 @@ fn lifecycle_base() -> ServeConfig {
     }
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner("E17", "VI", "request-lifecycle robustness under chaos");
 
     // Goodput under a transient-fault storm: retries off vs on. A
@@ -262,7 +262,7 @@ pub fn series(r: &mut Report) {
     );
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     r.time("e17_lifecycle/serve_campaign_lifecycle_chaos", || {
         run_serve(&ServeOptions {
             chaos: 6,

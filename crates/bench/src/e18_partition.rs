@@ -32,7 +32,7 @@ fn sym_cut(seed: u64, group: u64, at_us: f64, duration_us: f64) -> FaultPlan {
     })
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner(
         "E18",
         "VI",
@@ -149,7 +149,7 @@ pub fn series(r: &mut Report) {
     ));
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     r.time("e18_partition/serve_campaign_partition_chaos", || {
         run_serve(&ServeOptions {
             chaos: 4,

@@ -37,7 +37,7 @@ fn options(dataset: &str, sql: &str, optimize: bool) -> QueryOptions {
     }
 }
 
-pub fn series(r: &mut Report) {
+pub(crate) fn series(r: &mut Report) {
     r.banner("E19", "IV", "SQL queries lowered to dfg kernel pipelines");
 
     r.pin(format!(
@@ -101,7 +101,7 @@ pub fn series(r: &mut Report) {
     r.pin("\nsame-seed replay: EXPLAIN JSON byte-identical");
 }
 
-pub fn timings(r: &mut Report) {
+pub(crate) fn timings(r: &mut Report) {
     // Executor throughput: plan + optimize + execute against a
     // prebuilt catalog (dataset generation priced out).
     let catalog = Dataset::Energy.catalog(SEED).expect("catalog");

@@ -48,7 +48,7 @@ pub use report::Report;
 /// -- <id>` selects by, and the stem of the pinned file), its `series`,
 /// which writes the tables and asserts their shape, and its `timings`,
 /// which time the representative computation.
-pub type Experiment = (&'static str, fn(&mut Report), fn(&mut Report));
+pub(crate) type Experiment = (&'static str, fn(&mut Report), fn(&mut Report));
 
 /// Every experiment, in paper order. A module left out of the table
 /// fails the build's dead-code lint.
@@ -132,7 +132,7 @@ pub fn small_dims() -> RrtmgDims {
 }
 
 /// RRTMG dimensions scaled by a g-point count.
-pub fn dims_with_gpt(ngpt: usize) -> RrtmgDims {
+pub(crate) fn dims_with_gpt(ngpt: usize) -> RrtmgDims {
     RrtmgDims {
         ngpt,
         ..small_dims()
@@ -144,7 +144,7 @@ pub fn dims_with_gpt(ngpt: usize) -> RrtmgDims {
 /// # Panics
 ///
 /// Panics when compilation fails (a harness bug).
-pub fn compiled_rrtmg(dims: RrtmgDims, options: CompileOptions) -> CompiledKernel {
+pub(crate) fn compiled_rrtmg(dims: RrtmgDims, options: CompileOptions) -> CompiledKernel {
     let source = everest_ekl::rrtmg::major_absorber_source(dims);
     Basecamp::new()
         .compile_kernel(&source, options)

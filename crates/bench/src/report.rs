@@ -38,7 +38,7 @@ impl Report {
     }
 
     /// Pins the experiment banner.
-    pub fn banner(&mut self, id: &str, anchor: &str, title: &str) {
+    pub(crate) fn banner(&mut self, id: &str, anchor: &str, title: &str) {
         self.pin("=".repeat(64));
         self.pin(format!("{id} [{anchor}] {title}"));
         self.pin("=".repeat(64));

@@ -30,7 +30,7 @@ impl Default for LeaseConfig {
 
 /// One shard's current grant.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardLease {
+pub(crate) struct ShardLease {
     /// Owning node.
     pub owner: usize,
     /// Fencing epoch at grant time.
@@ -67,7 +67,7 @@ pub struct LeaseStats {
 
 /// The lease table for a fixed shard count.
 #[derive(Debug, Clone)]
-pub struct LeaseTable {
+pub(crate) struct LeaseTable {
     cfg: LeaseConfig,
     leases: Vec<ShardLease>,
     fencing_epoch: u64,
@@ -78,7 +78,7 @@ pub struct LeaseTable {
 impl LeaseTable {
     /// Grants every shard its initial lease from `ring` (the full
     /// healthy membership) at epoch 0, expiring one TTL out.
-    pub fn new(cfg: LeaseConfig, shards: u32, ring: &HashRing) -> LeaseTable {
+    pub(crate) fn new(cfg: LeaseConfig, shards: u32, ring: &HashRing) -> LeaseTable {
         let leases = (0..shards)
             .map(|shard| ShardLease {
                 owner: ring.place(shard_key(shard)).unwrap_or(0) as usize,
@@ -95,17 +95,12 @@ impl LeaseTable {
     }
 
     /// The global fencing epoch: bumped once per failover.
-    pub fn fencing_epoch(&self) -> u64 {
+    pub(crate) fn fencing_epoch(&self) -> u64 {
         self.fencing_epoch
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> u32 {
-        self.leases.len() as u32
-    }
-
     /// The live grant for `shard` at `now_us`, or `None` once lapsed.
-    pub fn owner(&self, shard: u32, now_us: f64) -> Option<(usize, u64)> {
+    pub(crate) fn owner(&self, shard: u32, now_us: f64) -> Option<(usize, u64)> {
         let lease = self.leases.get(shard as usize)?;
         (now_us < lease.expires_us).then_some((lease.owner, lease.epoch))
     }
@@ -115,7 +110,7 @@ impl LeaseTable {
     /// ring over exactly that set, `quorum` whether the coordinator's
     /// component is a strict majority, and `degraded` whether the
     /// no-quorum grace has run out and grants may proceed anyway.
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         now_us: f64,
         alive: &[usize],
@@ -173,7 +168,7 @@ impl LeaseTable {
 }
 
 /// The stable hash key a shard occupies on the node ring.
-pub fn shard_key(shard: u32) -> u64 {
+pub(crate) fn shard_key(shard: u32) -> u64 {
     0x5A4D_0000_0000_0000 | u64::from(shard)
 }
 

@@ -9,16 +9,16 @@
 //! supplies the membership layer the serving tier stands on, with the
 //! same byte-stable replay guarantee as everything else in the stack:
 //!
-//! * [`NetModel`] — ground-truth connectivity compiled from the
+//! * `NetModel` — ground-truth connectivity compiled from the
 //!   network [`FaultKind`](everest_faults::FaultKind)s in a
 //!   [`everest_faults::FaultPlan`];
-//! * [`SwimDetector`] — a SWIM-style gossip failure detector on the
+//! * `SwimDetector` — a SWIM-style gossip failure detector on the
 //!   shared virtual clock: seeded probe targets, suspect→confirm
 //!   timeouts, incarnation-number refutation;
 //! * [`HashRing`] — consistent-hash placement with virtual nodes
 //!   (tenants onto shards, shards onto live nodes), minimal movement
 //!   on membership change;
-//! * [`LeaseTable`] — time-bounded shard ownership renewed only from a
+//! * `LeaseTable` — time-bounded shard ownership renewed only from a
 //!   quorum component, with a global fencing epoch bumped on every
 //!   failover so stale pre-partition work is recognizable after heal;
 //! * [`ClusterController`] — the per-campaign composition the serve
@@ -36,14 +36,16 @@
 pub mod lease;
 pub mod membership;
 pub mod net;
-pub mod placement;
+pub(crate) mod placement;
 
-pub use lease::{Failover, LeaseConfig, LeaseStats, LeaseTable, ShardLease};
-pub use membership::{MemberState, MembershipConfig, SwimDetector, SwimStats};
-pub use net::NetModel;
+pub use lease::{Failover, LeaseConfig, LeaseStats};
+pub use membership::{MembershipConfig, SwimStats};
 pub use placement::HashRing;
 
 use everest_faults::FaultPlan;
+use lease::LeaseTable;
+use membership::{MemberState, SwimDetector};
+use net::NetModel;
 
 /// Everything the membership/failover layer needs to run one campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -191,7 +193,7 @@ impl ClusterController {
     }
 
     /// The shard `tenant` hashes onto.
-    pub fn shard_of_tenant(&self, tenant: usize) -> u32 {
+    pub(crate) fn shard_of_tenant(&self, tenant: usize) -> u32 {
         self.tenant_ring
             .place(0x7E4A_0000_0000_0000 | tenant as u64)
             .unwrap_or(0)
@@ -214,11 +216,6 @@ impl ClusterController {
     /// Whether `node` is confirmed dead in the coordinator's view.
     pub fn confirmed_dead(&self, node: usize) -> bool {
         self.dead[node]
-    }
-
-    /// The node currently acting as coordinator.
-    pub fn coordinator(&self) -> usize {
-        self.coordinator
     }
 
     /// Whether a strict-majority component exists (as of last tick).

@@ -40,7 +40,7 @@ impl Default for MembershipConfig {
 
 /// One observer's belief about one subject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MemberState {
+pub(crate) enum MemberState {
     /// Believed healthy. (Ordering: later states override earlier ones
     /// at equal incarnation.)
     Alive,
@@ -77,7 +77,7 @@ pub struct SwimStats {
 
 /// The N×N failure detector.
 #[derive(Debug, Clone)]
-pub struct SwimDetector {
+pub(crate) struct SwimDetector {
     cfg: MembershipConfig,
     n: usize,
     /// `views[observer][subject]`.
@@ -92,7 +92,7 @@ pub struct SwimDetector {
 impl SwimDetector {
     /// A detector over `n` nodes, all mutually `Alive` at incarnation
     /// 0, drawing probe targets from a stream forked off `seed`.
-    pub fn new(cfg: MembershipConfig, n: usize, seed: u64) -> SwimDetector {
+    pub(crate) fn new(cfg: MembershipConfig, n: usize, seed: u64) -> SwimDetector {
         let entry = ViewEntry {
             state: MemberState::Alive,
             incarnation: 0,
@@ -108,18 +108,13 @@ impl SwimDetector {
         }
     }
 
-    /// The membership configuration in force.
-    pub fn config(&self) -> MembershipConfig {
-        self.cfg
-    }
-
     /// Observer `o`'s belief about subject `s`.
-    pub fn state(&self, observer: usize, subject: usize) -> MemberState {
+    pub(crate) fn state(&self, observer: usize, subject: usize) -> MemberState {
         self.views[observer][subject].state
     }
 
     /// The subjects observer `o` does not hold `Dead` (includes `o`).
-    pub fn non_dead_count(&self, observer: usize) -> usize {
+    pub(crate) fn non_dead_count(&self, observer: usize) -> usize {
         self.views[observer]
             .iter()
             .filter(|e| e.state != MemberState::Dead)
@@ -127,7 +122,7 @@ impl SwimDetector {
     }
 
     /// The subjects observer `o` holds fully `Alive` (includes `o`).
-    pub fn alive_count(&self, observer: usize) -> usize {
+    pub(crate) fn alive_count(&self, observer: usize) -> usize {
         self.views[observer]
             .iter()
             .filter(|e| e.state == MemberState::Alive)
@@ -186,7 +181,7 @@ impl SwimDetector {
     /// Runs one gossip round at `now_us`. Ground-truth crashed nodes
     /// neither probe nor answer; the detector has no other access to
     /// ground truth — everything else it believes comes off the wire.
-    pub fn tick(&mut self, now_us: f64, net: &mut NetModel, crashed: &[bool]) {
+    pub(crate) fn tick(&mut self, now_us: f64, net: &mut NetModel, crashed: &[bool]) {
         self.stats.rounds += 1;
         // 1. Harden expired suspicions into confirms, per observer.
         for (o, o_crashed) in crashed.iter().enumerate().take(self.n) {
@@ -253,7 +248,7 @@ mod tests {
         from_us: f64,
         rounds: usize,
     ) -> f64 {
-        let period = swim.config().period_us;
+        let period = swim.cfg.period_us;
         let mut now = from_us;
         for _ in 0..rounds {
             now += period;

@@ -2,7 +2,7 @@
 //! windows.
 //!
 //! The cluster layer is the only consumer of the network
-//! [`FaultKind`]s: a [`NetModel`] compiles the plan's partition, delay
+//! [`FaultKind`]s: a `NetModel` compiles the plan's partition, delay
 //! and loss windows into an oracle answering "does a message from `a`
 //! to `b` get through at virtual time `t`?". Probes are the unit of
 //! exchange — a probe succeeds only when both directions deliver
@@ -19,7 +19,7 @@ fn crosses(group: u64, a: usize, b: usize) -> bool {
 
 /// The compiled network-fault windows for one plan.
 #[derive(Debug, Clone)]
-pub struct NetModel {
+pub(crate) struct NetModel {
     /// Symmetric cuts: `(from_us, until_us, group)`.
     sym: Vec<(f64, f64, u64)>,
     /// One-way cuts (outbound from `group` lost): `(from_us, until_us, group)`.
@@ -35,7 +35,7 @@ pub struct NetModel {
 impl NetModel {
     /// Compiles the plan's network faults. Non-network kinds are the
     /// device layers' business and are ignored here.
-    pub fn from_plan(plan: &FaultPlan) -> NetModel {
+    pub(crate) fn from_plan(plan: &FaultPlan) -> NetModel {
         let mut model = NetModel {
             sym: Vec::new(),
             asym: Vec::new(),
@@ -86,7 +86,7 @@ impl NetModel {
 
     /// One-way hard cut: `true` when a symmetric window separates the
     /// pair, or an asymmetric window has the sender on the cut side.
-    pub fn severed(&self, from: usize, to: usize, now_us: f64) -> bool {
+    pub(crate) fn severed(&self, from: usize, to: usize, now_us: f64) -> bool {
         self.sym
             .iter()
             .any(|&(s, e, g)| now_us >= s && now_us < e && crosses(g, from, to))
@@ -100,7 +100,7 @@ impl NetModel {
     }
 
     /// Worst added one-way latency for a message `from -> to` at `now_us`.
-    pub fn delay_us(&self, from: usize, to: usize, now_us: f64) -> f64 {
+    pub(crate) fn delay_us(&self, from: usize, to: usize, now_us: f64) -> f64 {
         self.delay
             .iter()
             .filter(|&&(s, e, g, _)| now_us >= s && now_us < e && crosses(g, from, to))
@@ -109,7 +109,7 @@ impl NetModel {
     }
 
     /// Worst per-message drop probability for `from -> to` at `now_us`.
-    pub fn loss_prob(&self, from: usize, to: usize, now_us: f64) -> f64 {
+    pub(crate) fn loss_prob(&self, from: usize, to: usize, now_us: f64) -> f64 {
         self.loss
             .iter()
             .filter(|&&(s, e, g, _)| now_us >= s && now_us < e && crosses(g, from, to))
@@ -120,7 +120,13 @@ impl NetModel {
     /// One full probe round trip `from -> to -> from` at `now_us`:
     /// fails on a severed direction, on a round-trip delay beyond
     /// `timeout_us`, or on a seeded loss draw.
-    pub fn probe_ok(&mut self, from: usize, to: usize, now_us: f64, timeout_us: f64) -> bool {
+    pub(crate) fn probe_ok(
+        &mut self,
+        from: usize,
+        to: usize,
+        now_us: f64,
+        timeout_us: f64,
+    ) -> bool {
         if self.severed(from, to, now_us) || self.severed(to, from, now_us) {
             return false;
         }

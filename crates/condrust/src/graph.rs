@@ -10,7 +10,7 @@ use std::fmt;
 use crate::lang::{Function, LoopStmt};
 
 /// Node index in a [`DataflowGraph`].
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// The kind of a dataflow node.
 #[derive(Debug, Clone, PartialEq)]

@@ -15,16 +15,16 @@ use std::sync::Arc;
 use crate::value::Value;
 
 /// A pure (stateless) operator: `args -> value`.
-pub type PureFn = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
+pub(crate) type PureFn = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
 
 /// A predicate used by `if p(x) { out.push(x) }` filters.
-pub type PredicateFn = Arc<dyn Fn(&[Value]) -> bool + Send + Sync>;
+pub(crate) type PredicateFn = Arc<dyn Fn(&[Value]) -> bool + Send + Sync>;
 
 /// A stateful operator: `(state, args) -> value`, mutating its state.
-pub type StatefulFn = Arc<dyn Fn(&mut Value, &[Value]) -> Value + Send + Sync>;
+pub(crate) type StatefulFn = Arc<dyn Fn(&mut Value, &[Value]) -> Value + Send + Sync>;
 
 /// Constructor producing the initial state of a stateful operator.
-pub type StateInitFn = Arc<dyn Fn() -> Value + Send + Sync>;
+pub(crate) type StateInitFn = Arc<dyn Fn() -> Value + Send + Sync>;
 
 /// Error returned when a program references an unregistered operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +124,10 @@ impl Registry {
     /// # Errors
     ///
     /// Returns [`UnknownOperator`] if the name is not registered.
-    pub fn stateful(&self, name: &str) -> Result<(StateInitFn, StatefulFn), UnknownOperator> {
+    pub(crate) fn stateful(
+        &self,
+        name: &str,
+    ) -> Result<(StateInitFn, StatefulFn), UnknownOperator> {
         self.stateful
             .get(name)
             .cloned()

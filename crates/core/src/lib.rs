@@ -63,8 +63,8 @@ pub use basecamp::{Basecamp, CompileOptions, CompiledKernel, CoordinationProgram
 pub use chaos::{run_chaos, ChaosOptions, ChaosReport};
 pub use error::SdkError;
 pub use heal::{run_heal, HealOptions, HealReport};
-pub use query::{query_class, register_query_class, run_query, QueryOptions, QueryReport};
-pub use serve::{bind_static_latency, run_serve, try_run_serve, ServeOptions, ServeReport};
+pub use query::{query_class, run_query, QueryOptions, QueryReport};
+pub use serve::{run_serve, try_run_serve, ServeOptions, ServeReport};
 pub use workflow::{Workflow, WorkflowStep};
 
 // Re-export the component crates under the SDK umbrella.

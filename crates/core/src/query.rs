@@ -30,7 +30,7 @@ use everest_query::datasets::Dataset;
 use everest_query::lower::{lower, LoweredQuery};
 use everest_query::optimizer::Optimizer;
 use everest_query::{Batch, LogicalPlan};
-use everest_serve::{BatchPolicy, ClassKind, KernelClass, ServeConfig};
+use everest_serve::{ClassKind, KernelClass};
 use serde::{Serialize, Value};
 use serde_json::{compact, fixed, int};
 
@@ -183,8 +183,8 @@ impl QueryReport {
 /// bound from the analysis fixpoint over the kernel's loop module — the
 /// bound the kernel carries from when it was compiled
 /// ([`QueryKernel::static_bound_us`](everest_query::QueryKernel::static_bound_us)),
-/// what [`bind_static_latency`](crate::serve::bind_static_latency) would
-/// prove again.
+/// what [`module_worst_case_us`](everest_analysis::latency::module_worst_case_us)
+/// proves again.
 pub fn query_class(lowered: &LoweredQuery) -> KernelClass {
     let (fpga_us, payload, bound_us) = match lowered.dominant_kernel() {
         Some(k) => (
@@ -210,14 +210,6 @@ pub fn query_class(lowered: &LoweredQuery) -> KernelClass {
         Some(bound_us) => class.with_static_bound(bound_us),
         None => class,
     }
-}
-
-/// Appends the query class (and an aligned batch policy) to a serving
-/// configuration; arrival classes are drawn uniformly, so the class
-/// receives traffic in any subsequent run.
-pub fn register_query_class(config: &mut ServeConfig, lowered: &LoweredQuery) {
-    config.classes.push(query_class(lowered));
-    config.batch.push(BatchPolicy::new(8, 800.0));
 }
 
 /// Runs one analytic query end to end. Deterministic for a given set
@@ -272,7 +264,6 @@ pub fn run_query(options: &QueryOptions) -> Result<QueryReport, SdkError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use everest_serve::ServeEngine;
 
     #[test]
     fn query_runs_end_to_end_on_every_dataset() {
@@ -319,15 +310,9 @@ mod tests {
             };
             let report = run_query(&options).expect("query runs");
             let dominant = report.lowered.dominant_kernel().expect("a kernel");
-            let proven = crate::serve::bind_static_latency(
-                KernelClass::new("probe", 1.0, 1.0, 1.0, 1.0, 1),
-                &dominant.module,
-            );
-            assert!(proven.static_bound_us.is_some(), "{dataset}");
-            assert_eq!(
-                report.class.static_bound_us, proven.static_bound_us,
-                "{dataset}"
-            );
+            let proven = everest_analysis::latency::module_worst_case_us(&dominant.module);
+            assert!(proven.is_some(), "{dataset}");
+            assert_eq!(report.class.static_bound_us, proven, "{dataset}");
         }
     }
 
@@ -362,12 +347,13 @@ mod tests {
     #[test]
     fn query_class_serves_traffic() {
         let report = run_query(&QueryOptions::default()).expect("query runs");
-        let mut config = ServeConfig::default();
-        register_query_class(&mut config, &report.lowered);
+        let mut config = everest_serve::ServeConfig::default();
+        config.classes.push(query_class(&report.lowered));
+        config.batch.push(everest_serve::BatchPolicy::new(8, 800.0));
         assert_eq!(config.classes.len(), config.batch.len());
         let query_index = config.classes.len() - 1;
         assert_eq!(config.classes[query_index].kind, ClassKind::Query);
-        let outcome = ServeEngine::new(config).run();
+        let outcome = everest_serve::ServeEngine::new(config).run();
         assert!(outcome.completed > 0, "the cluster serves");
         let served_query = outcome
             .batches

@@ -12,11 +12,10 @@
 //! exported trace is byte-identical across replays
 //! (`basecamp serve --seed N --trace` is diffable; CI relies on this).
 
-use everest_ir::module::Module;
 use everest_runtime::FaultPlan;
 use everest_serve::{
-    BrownoutConfig, ClusterConfig, HedgeConfig, KernelClass, LifecycleConfig, LimiterConfig,
-    RetryConfig, ServeConfig, ServeConfigError, ServeEngine, ServeOutcome, TenantSpec,
+    BrownoutConfig, ClusterConfig, HedgeConfig, LifecycleConfig, LimiterConfig, RetryConfig,
+    ServeConfig, ServeConfigError, ServeEngine, ServeOutcome, TenantSpec,
 };
 use serde::{Serialize, Value};
 use serde_json::{fixed, int};
@@ -136,26 +135,6 @@ fn build_config(options: &ServeOptions) -> ServeConfig {
         config.classes[0] = config.classes[0].clone().latency_critical();
     }
     config
-}
-
-/// Attaches a statically proven worst-case latency bound to a serving
-/// class from a compiled kernel's loop-level module (e.g.
-/// `CompiledKernel::module`).
-///
-/// This is the compile-time half of deadline feasibility: the
-/// `everest-analysis` latency fixpoint propagates per-op HLS cycle
-/// estimates to a provable per-module bound, and the serving engine's
-/// admission controller sheds the whole class (typed
-/// `StaticallyInfeasible`) when that bound exceeds the class deadline —
-/// before any token or queue slot is spent on provably-late work. When
-/// the analysis cannot prove a bound (data-dependent loop trip counts,
-/// dataflow cycles), the class is left untouched and admission falls
-/// back to the runtime checks alone.
-pub fn bind_static_latency(class: KernelClass, module: &Module) -> KernelClass {
-    match everest_analysis::latency::module_worst_case_us(module) {
-        Some(bound_us) => class.with_static_bound(bound_us),
-        None => class,
-    }
 }
 
 /// Runs one seeded serving campaign. Deterministic for a given set of
@@ -571,7 +550,9 @@ mod tests {
     #[test]
     fn static_bound_flows_from_analysis_into_admission() {
         use everest_ir::dialects::core::{build_for, build_func, const_index};
+        use everest_ir::module::Module;
         use everest_ir::types::{MemorySpace, Type};
+        use everest_serve::KernelClass;
 
         // A 64-iteration f64-multiply loop: the latency fixpoint can
         // prove its worst case exactly.
@@ -603,21 +584,18 @@ mod tests {
             .append_to(loop_body);
         m.build_op("func.return", vec![], vec![]).append_to(body);
 
-        let generous = bind_static_latency(
-            KernelClass::new("infer", 400.0, 40.0, 120.0, 5_000.0, 4_096),
-            &m,
-        );
-        let bound_us = generous.static_bound_us.expect("analysis proves a bound");
+        let bound_us =
+            everest_analysis::latency::module_worst_case_us(&m).expect("analysis proves a bound");
         assert!(bound_us > 0.0);
+        let generous = KernelClass::new("infer", 400.0, 40.0, 120.0, 5_000.0, 4_096)
+            .with_static_bound(bound_us);
         assert!(!generous.statically_infeasible());
 
         // Same kernel against a deadline below its proven bound: the
         // class becomes statically infeasible and admission would shed
         // it typed, at the door.
-        let tight = bind_static_latency(
-            KernelClass::new("late", 400.0, 40.0, 120.0, bound_us / 2.0, 4_096),
-            &m,
-        );
+        let tight = KernelClass::new("late", 400.0, 40.0, 120.0, bound_us / 2.0, 4_096)
+            .with_static_bound(bound_us);
         assert!(tight.statically_infeasible());
     }
 

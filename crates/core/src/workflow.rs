@@ -54,7 +54,7 @@ impl Workflow {
     ///
     /// Returns [`SdkError::Runtime`] for unknown dependencies or missing
     /// kernels.
-    pub fn to_task_graph(
+    pub(crate) fn to_task_graph(
         &self,
         kernels: &[(&str, &CompiledKernel)],
     ) -> Result<TaskGraph, SdkError> {

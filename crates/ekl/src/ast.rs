@@ -195,82 +195,4 @@ impl Expr {
             subscripts: None,
         }
     }
-
-    /// Collects every free index-variable name used in the expression
-    /// (excluding those bound by nested `sum`s), appending to `out`.
-    pub fn collect_index_uses(&self, index_names: &[String], out: &mut Vec<String>) {
-        match self {
-            Expr::Int(_) | Expr::Float(_) => {}
-            Expr::Ref { name, subscripts } => {
-                if index_names.contains(name) && !out.contains(name) {
-                    out.push(name.clone());
-                }
-                if let Some(subs) = subscripts {
-                    for s in subs {
-                        s.collect_index_uses(index_names, out);
-                    }
-                }
-            }
-            Expr::Binary { lhs, rhs, .. } | Expr::Compare { lhs, rhs, .. } => {
-                lhs.collect_index_uses(index_names, out);
-                rhs.collect_index_uses(index_names, out);
-            }
-            Expr::Select {
-                cond,
-                then,
-                otherwise,
-            } => {
-                cond.collect_index_uses(index_names, out);
-                then.collect_index_uses(index_names, out);
-                otherwise.collect_index_uses(index_names, out);
-            }
-            Expr::Sum { indices, body } => {
-                let mut inner = Vec::new();
-                body.collect_index_uses(index_names, &mut inner);
-                for i in inner {
-                    if !indices.contains(&i) && !out.contains(&i) {
-                        out.push(i);
-                    }
-                }
-            }
-            Expr::Call { arg, .. } | Expr::Neg(arg) => arg.collect_index_uses(index_names, out),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn collect_index_uses_skips_sum_bound() {
-        // sum(t)(k[x, t]) uses x free, t bound.
-        let expr = Expr::Sum {
-            indices: vec!["t".into()],
-            body: Box::new(Expr::Ref {
-                name: "k".into(),
-                subscripts: Some(vec![Expr::name("x"), Expr::name("t")]),
-            }),
-        };
-        let index_names = vec!["x".to_string(), "t".to_string()];
-        let mut out = Vec::new();
-        expr.collect_index_uses(&index_names, &mut out);
-        assert_eq!(out, vec!["x".to_string()]);
-    }
-
-    #[test]
-    fn collect_index_uses_sees_nested_subscripts() {
-        // k[i_flav[x]] uses x via the nested subscript.
-        let expr = Expr::Ref {
-            name: "k".into(),
-            subscripts: Some(vec![Expr::Ref {
-                name: "i_flav".into(),
-                subscripts: Some(vec![Expr::name("x")]),
-            }]),
-        };
-        let index_names = vec!["x".to_string()];
-        let mut out = Vec::new();
-        expr.collect_index_uses(&index_names, &mut out);
-        assert_eq!(out, vec!["x".to_string()]);
-    }
 }

@@ -44,7 +44,7 @@ fn offset(tensor: &Tensor, indices: &[i64]) -> Result<usize, EvalError> {
 ///
 /// Returns an [`EvalError`] if an input is missing or has the wrong shape,
 /// or if a subscript goes out of range during evaluation.
-pub fn evaluate(
+pub(crate) fn evaluate(
     program: &Program,
     inputs: &HashMap<String, Tensor>,
 ) -> Result<BTreeMap<String, Tensor>, EvalError> {

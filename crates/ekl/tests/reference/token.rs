@@ -10,7 +10,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Keywords: `kernel`, `index`, `input`, `let`, `output`, `of`,
     /// `int`, `select`, `sum`.
     Keyword(String),
@@ -41,7 +41,7 @@ impl fmt::Display for Token {
 
 /// A token plus its source line (1-based), for diagnostics.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub(crate) struct Spanned {
     /// The token.
     pub token: Token,
     /// 1-based source line.
@@ -55,7 +55,7 @@ const KEYWORDS: &[&str] = &[
 
 /// Errors produced by the lexer.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// 1-based source line.
     pub line: usize,
     /// Explanation.
@@ -75,7 +75,7 @@ impl std::error::Error for LexError {}
 /// # Errors
 ///
 /// Returns a [`LexError`] on unknown characters or malformed numbers.
-pub fn tokenize(source: &str) -> Result<Vec<Spanned>, LexError> {
+pub(crate) fn tokenize(source: &str) -> Result<Vec<Spanned>, LexError> {
     let mut tokens = Vec::new();
     let chars: Vec<char> = source.chars().collect();
     let mut i = 0;

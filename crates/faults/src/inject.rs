@@ -35,8 +35,9 @@ fn applies(kind: &FaultKind, op: FaultOp) -> bool {
         FaultKind::TransientKernelError => op == FaultOp::Kernel,
         FaultKind::MemoryEcc => matches!(op, FaultOp::Kernel | FaultOp::MemoryStream),
         FaultKind::PartialReconfigFail => op == FaultOp::PartialReconfig,
-        // VF faults are consumed by the virtualization layer, never by
-        // device operations.
+        // VF loss reaches the scheduler and serve as a standing effect
+        // (`FaultEffects::fpga_lost_at`), never as a device-operation
+        // fault.
         FaultKind::VfUnplug { .. } => false,
         // Gray faults never fire as events: they are standing latency
         // effects (`FaultEffects`), queried via the gray_*_factor methods.
@@ -108,33 +109,6 @@ impl FaultInjector {
         Some(fault)
     }
 
-    /// Fires every pending VF hot-unplug fault due by `now_us`,
-    /// returning the unplugged VF indexes. Consumed by the
-    /// virtualization layer.
-    pub fn fire_vf_faults(&self, now_us: f64) -> Vec<u32> {
-        let mut state = self.lock();
-        let mut due = Vec::new();
-        let State { plan, fired } = &mut *state;
-        for (i, f) in plan.faults().iter().enumerate() {
-            if fired[i] || f.node != self.node || f.at_us > now_us {
-                continue;
-            }
-            if let FaultKind::VfUnplug { vf } = f.kind {
-                fired[i] = true;
-                due.push(vf);
-            }
-        }
-        drop(state);
-        for vf in &due {
-            everest_telemetry::counter_add("faults.injected", 1);
-            everest_telemetry::event(
-                "faults.inject",
-                format!("kind=vf_unplug node={} vf={vf}", self.node),
-            );
-        }
-        due
-    }
-
     /// Silent compute-time multiplier for this node at `now_us`: the
     /// worst [`FaultKind::SlowNode`] window in effect (1.0 when
     /// healthy). Gray queries never consume faults, never error and
@@ -156,22 +130,15 @@ impl FaultInjector {
     pub fn gray_vf_factor(&self, now_us: f64) -> f64 {
         self.effects.creep_factor(self.node, now_us)
     }
-
-    /// Re-arms every fault, so the same plan can drive a fresh replay.
-    pub fn rearm(&self) {
-        let mut state = self.lock();
-        state.fired.iter_mut().for_each(|f| *f = false);
-    }
-
-    /// How many faults have fired so far.
-    pub fn fired_count(&self) -> usize {
-        self.lock().fired.iter().filter(|&&f| f).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fired_count(inj: &FaultInjector) -> usize {
+        inj.lock().fired.iter().filter(|&&f| f).count()
+    }
 
     fn plan() -> FaultPlan {
         FaultPlan::new(3)
@@ -196,15 +163,23 @@ mod tests {
         let k = inj.fire(FaultOp::Kernel, 500.0).expect("fires");
         assert_eq!(k.kind, FaultKind::TransientKernelError);
         // node 1 fault never fires through a node-0 injector
-        assert_eq!(inj.fired_count(), 2);
+        assert_eq!(fired_count(&inj), 2);
     }
 
     #[test]
     fn vf_faults_routed_separately() {
-        let inj = FaultInjector::for_node(plan(), 0);
-        assert!(inj.fire_vf_faults(300.0).is_empty());
-        assert_eq!(inj.fire_vf_faults(450.0), vec![2]);
-        assert!(inj.fire_vf_faults(450.0).is_empty(), "fires once");
+        let plan =
+            FaultPlan::new(3).with_fault(FaultSpec::new(400.0, 0, FaultKind::VfUnplug { vf: 2 }));
+        let inj = FaultInjector::for_node(plan, 0);
+        for op in [
+            FaultOp::Sync,
+            FaultOp::Kernel,
+            FaultOp::PartialReconfig,
+            FaultOp::MemoryStream,
+        ] {
+            assert_eq!(inj.fire(op, 10_000.0), None, "{op:?}");
+        }
+        assert_eq!(fired_count(&inj), 0);
     }
 
     #[test]
@@ -237,7 +212,7 @@ mod tests {
         ] {
             assert_eq!(inj.fire(op, 10_000.0), None);
         }
-        assert_eq!(inj.fired_count(), 0);
+        assert_eq!(fired_count(&inj), 0);
         // Windowed factors.
         assert_eq!(inj.gray_compute_factor(50.0), 1.0);
         assert_eq!(inj.gray_compute_factor(150.0), 4.0);
@@ -263,12 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_state_and_rearm_resets() {
+    fn clones_share_state() {
         let inj = FaultInjector::for_node(plan(), 0);
         let clone = inj.clone();
         clone.fire(FaultOp::Sync, 150.0).expect("fires");
         assert_eq!(inj.fire(FaultOp::Sync, 150.0), None, "shared state");
-        inj.rearm();
-        assert!(clone.fire(FaultOp::Sync, 150.0).is_some(), "re-armed");
     }
 }

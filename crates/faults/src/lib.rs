@@ -49,7 +49,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod effects;
-pub mod inject;
+pub(crate) mod inject;
 pub mod plan;
 pub mod retry;
 pub mod rng;

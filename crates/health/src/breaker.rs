@@ -86,12 +86,6 @@ impl CircuitBreaker {
         self.opens
     }
 
-    /// The virtual time the current open window ends (0 when never
-    /// tripped).
-    pub fn open_until_us(&self) -> f64 {
-        self.open_until_us
-    }
-
     /// Trips the breaker at `now_us`: the node is isolated until
     /// `now_us + open_us * backoff_multiplier^streak`.
     pub fn trip(&mut self, now_us: f64) {
@@ -180,7 +174,7 @@ mod tests {
 
         b.trip(1_000.0);
         assert_eq!(b.state(), BreakerState::Open);
-        assert_eq!(b.open_until_us(), 6_000.0);
+        assert_eq!(b.open_until_us, 6_000.0);
         assert_eq!(b.admit(2_000.0), Admission::Refuse);
 
         // Deadline passed: exactly one probe admitted.
@@ -198,23 +192,19 @@ mod tests {
     fn failed_probes_back_off_exponentially() {
         let mut b = CircuitBreaker::new(BreakerConfig::default());
         b.trip(0.0);
-        assert_eq!(b.open_until_us(), 5_000.0);
+        assert_eq!(b.open_until_us, 5_000.0);
         assert_eq!(b.admit(5_000.0), Admission::Probe);
         b.probe_failed(5_000.0);
-        assert_eq!(b.open_until_us(), 15_000.0, "second window doubles");
+        assert_eq!(b.open_until_us, 15_000.0, "second window doubles");
         assert_eq!(b.admit(14_999.0), Admission::Refuse);
         assert_eq!(b.admit(15_000.0), Admission::Probe);
         b.probe_failed(15_000.0);
-        assert_eq!(b.open_until_us(), 35_000.0, "third window doubles again");
+        assert_eq!(b.open_until_us, 35_000.0, "third window doubles again");
         assert_eq!(b.opens(), 3);
         // A success resets the backoff streak.
         assert_eq!(b.admit(40_000.0), Admission::Probe);
         b.probe_succeeded();
         b.trip(50_000.0);
-        assert_eq!(
-            b.open_until_us(),
-            55_000.0,
-            "streak reset to the base window"
-        );
+        assert_eq!(b.open_until_us, 55_000.0, "streak reset to the base window");
     }
 }

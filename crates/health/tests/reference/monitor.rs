@@ -60,7 +60,7 @@ impl MonitorTelemetry {
 /// exactly (detector refits are pure functions of rows + params + seed,
 /// so the snapshot stores rows, not models).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MonitorSnapshot {
+pub(crate) struct MonitorSnapshot {
     cfg: HealthConfig,
     seed: u64,
     inflation: Vec<Vec<f64>>,
@@ -74,7 +74,7 @@ pub struct MonitorSnapshot {
 }
 
 /// The streaming monitor for one campaign.
-pub struct HealthMonitor {
+pub(crate) struct HealthMonitor {
     registry: Arc<Registry>,
     telemetry: MonitorTelemetry,
     cfg: HealthConfig,
@@ -132,7 +132,7 @@ fn baseline_node(cfg: &HealthConfig, seed: u64) -> (DetectionNode, Params) {
 
 impl HealthMonitor {
     /// A monitor over `nodes` nodes, mirroring samples into `registry`.
-    pub fn new(
+    pub(crate) fn new(
         nodes: usize,
         cfg: HealthConfig,
         seed: u64,
@@ -157,18 +157,18 @@ impl HealthMonitor {
     }
 
     /// The monitor's configuration.
-    pub fn config(&self) -> &HealthConfig {
+    pub(crate) fn config(&self) -> &HealthConfig {
         &self.cfg
     }
 
     /// Every verdict reached so far, in emission order.
-    pub fn verdicts(&self) -> &[HealthVerdict] {
+    pub(crate) fn verdicts(&self) -> &[HealthVerdict] {
         &self.verdicts
     }
 
     /// Drains the verdicts emitted since the last drain (the control
     /// loop polls this after every fed sample).
-    pub fn drain_new(&mut self) -> Vec<HealthVerdict> {
+    pub(crate) fn drain_new(&mut self) -> Vec<HealthVerdict> {
         std::mem::take(&mut self.pending)
     }
 
@@ -191,7 +191,7 @@ impl HealthMonitor {
     /// membership layer confirming a node [`VerdictKind::Unreachable`])
     /// with the monitor's once-per-`(node, kind)` dedup. Returns the
     /// verdict when it is new.
-    pub fn flag(
+    pub(crate) fn flag(
         &mut self,
         kind: VerdictKind,
         node: usize,
@@ -216,7 +216,7 @@ impl HealthMonitor {
 
     /// Feeds one completed task: `inflation` is achieved duration over
     /// the healthy model's prediction for the same placement.
-    pub fn record_task(&mut self, node: usize, inflation: f64, at_us: f64) {
+    pub(crate) fn record_task(&mut self, node: usize, inflation: f64, at_us: f64) {
         if node >= self.inflation.len() {
             return;
         }
@@ -248,7 +248,7 @@ impl HealthMonitor {
 
     /// Feeds one observed transfer: `factor` is achieved transfer cost
     /// over the healthy link model's prediction.
-    pub fn record_link(&mut self, node: usize, factor: f64, at_us: f64) {
+    pub(crate) fn record_link(&mut self, node: usize, factor: f64, at_us: f64) {
         if node >= self.link.len() {
             return;
         }
@@ -268,7 +268,7 @@ impl HealthMonitor {
     /// Feeds one accelerator completion: `inflation` as in
     /// [`HealthMonitor::record_task`], timestamped so the monitor can
     /// estimate the latency-creep slope.
-    pub fn record_fpga(&mut self, node: usize, inflation: f64, at_us: f64) {
+    pub(crate) fn record_fpga(&mut self, node: usize, inflation: f64, at_us: f64) {
         if node >= self.fpga.len() {
             return;
         }
@@ -308,7 +308,7 @@ impl HealthMonitor {
 
     /// Plain-data snapshot for checkpointing; see
     /// [`HealthMonitor::restore`].
-    pub fn snapshot(&self) -> MonitorSnapshot {
+    pub(crate) fn snapshot(&self) -> MonitorSnapshot {
         MonitorSnapshot {
             cfg: self.cfg.clone(),
             seed: self.seed,
@@ -327,7 +327,7 @@ impl HealthMonitor {
     /// re-derived by replaying the last refit (a pure function of the
     /// stored rows), so the restored monitor reaches the same verdicts
     /// at the same virtual times as one that never stopped.
-    pub fn restore(snap: MonitorSnapshot, registry: Arc<Registry>) -> HealthMonitor {
+    pub(crate) fn restore(snap: MonitorSnapshot, registry: Arc<Registry>) -> HealthMonitor {
         let (mut node, _) = baseline_node(&snap.cfg, snap.seed);
         if let Some(len) = snap.last_refit_len {
             let len = len.min(snap.detector_window.len());

@@ -8,7 +8,7 @@
 //! Nothing here hashes. A block's predecessors sit in one CSR array;
 //! the lookups a build needs — where in its block an op sits, what was
 //! last stored to a buffer, which loads followed — are tables indexed by
-//! `OpId::index()` / `ValueId::index()` that a [`CdfgTables`] sizes once
+//! `OpId::index()` / `ValueId::index()` that a `CdfgTables` sizes once
 //! and reuses for every block of a synthesis.
 
 use everest_ir::module::{Module, ValueDef};
@@ -25,7 +25,7 @@ pub enum DepKind {
 }
 
 /// What the synthesis flow distinguishes about an op, decided by its
-/// name alone (once per distinct name, see [`CdfgTables`]).
+/// name alone (once per distinct name, see `CdfgTables`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
     /// `scf.for`.
@@ -66,7 +66,7 @@ pub struct CdfgNode {
     pub op: OpId,
     /// Fully qualified op name (cached, interned — `Copy`, no clone).
     pub name: Symbol,
-    /// Dense id of `name` among the names the building [`CdfgTables`]
+    /// Dense id of `name` among the names the building `CdfgTables`
     /// has met, in first-met order: equal ids, equal names.
     pub kind: u32,
     /// The class of `name`.
@@ -101,7 +101,7 @@ impl Default for BlockCdfg {
 
 impl BlockCdfg {
     /// Builds the dependence graph of a block with tables of its own;
-    /// to build many blocks of one module, keep a [`CdfgTables`].
+    /// to build many blocks of one module, keep a `CdfgTables`.
     pub fn build(module: &Module, block: BlockId) -> BlockCdfg {
         let mut cdfg = BlockCdfg::default();
         CdfgTables::new(module).build(module, block, &mut cdfg);
@@ -181,7 +181,7 @@ impl Default for BufferState {
 /// The lookup tables [`BlockCdfg`] builds need, sized for one module
 /// and reused across its blocks.
 #[derive(Debug, Clone)]
-pub struct CdfgTables {
+pub(crate) struct CdfgTables {
     /// Position of each op within its block, by `OpId::index()`. Every
     /// build overwrites its own block's entries and a lookup checks the
     /// block really holds the op there, so the table is never cleared.
@@ -202,7 +202,7 @@ pub struct CdfgTables {
 
 impl CdfgTables {
     /// Tables for the blocks of `module`.
-    pub fn new(module: &Module) -> CdfgTables {
+    pub(crate) fn new(module: &Module) -> CdfgTables {
         CdfgTables {
             position: vec![0; module.num_op_slots()],
             buffers: Stamped::new(module.num_values()),
@@ -216,7 +216,7 @@ impl CdfgTables {
     }
 
     /// The op names met so far, by [`CdfgNode::kind`].
-    pub fn kinds(&self) -> &[Symbol] {
+    pub(crate) fn kinds(&self) -> &[Symbol] {
         &self.kinds
     }
 
@@ -236,7 +236,7 @@ impl CdfgTables {
 
     /// Builds the dependence graph of `block` into `cdfg`, reusing its
     /// storage.
-    pub fn build(&mut self, module: &Module, block: BlockId, cdfg: &mut BlockCdfg) {
+    pub(crate) fn build(&mut self, module: &Module, block: BlockId, cdfg: &mut BlockCdfg) {
         let ops = &module.block(block).ops;
         cdfg.block = block;
         cdfg.nodes.clear();

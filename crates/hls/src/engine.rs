@@ -228,79 +228,6 @@ pub fn synthesize(module: &Module, func: &str, options: HlsOptions) -> IrResult<
     })
 }
 
-/// Synthesizes several functions of `module` on up to `threads` worker
-/// threads, returning one report per function in input order.
-///
-/// Per-function synthesis never mutates the shared module (unrolling
-/// happens on private clones), so functions are embarrassingly
-/// parallel: the batch splits into contiguous chunks, one per worker,
-/// and the reports are joined back by index. The result is identical
-/// for any thread count — the property the replay-equality suite
-/// checks. `threads <= 1` (or a single function) runs inline with no
-/// threads spawned.
-///
-/// ```
-/// # use std::error::Error;
-/// # fn main() -> Result<(), Box<dyn Error>> {
-/// use everest_ekl::{check::check, lower::lower_to_loops, parser::parse};
-/// use everest_hls::engine::{synthesize_many, HlsOptions};
-///
-/// let program = check(&parse(
-///     "kernel scale {
-///        index i : 0..128
-///        input a : [i]
-///        let y[i] = 2.0 * a[i]
-///        output y
-///      }",
-/// )?)?;
-/// let module = lower_to_loops(&program)?;
-/// let reports = synthesize_many(&module, &["scale"], HlsOptions::default(), 4)?;
-/// assert_eq!(reports[0].kernel, "scale");
-/// # Ok(())
-/// # }
-/// ```
-///
-/// # Errors
-///
-/// Returns the error of the failing function with the lowest index;
-/// other chunks still run to completion.
-///
-/// # Panics
-///
-/// Propagates panics from synthesis workers.
-pub fn synthesize_many(
-    module: &Module,
-    funcs: &[&str],
-    options: HlsOptions,
-    threads: usize,
-) -> IrResult<Vec<HlsReport>> {
-    let threads = threads.clamp(1, funcs.len().max(1));
-    if threads <= 1 {
-        return funcs
-            .iter()
-            .map(|f| synthesize(module, f, options))
-            .collect();
-    }
-    let chunk_len = funcs.len().div_ceil(threads);
-    let mut results: Vec<IrResult<HlsReport>> = Vec::with_capacity(funcs.len());
-    std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(threads);
-        for chunk in funcs.chunks(chunk_len) {
-            workers.push(scope.spawn(move || {
-                chunk
-                    .iter()
-                    .map(|f| synthesize(module, f, options))
-                    .collect::<Vec<_>>()
-            }));
-        }
-        // Contiguous chunks joined in spawn order restore input order.
-        for worker in workers {
-            results.extend(worker.join().expect("synthesis worker panicked"));
-        }
-    });
-    results.into_iter().collect()
-}
-
 /// Cycle counts past this are refused: with every latency of a block
 /// summing below it, no start time the list scheduler can reach (the
 /// sum, plus one cycle of port or DSP contention per node pair) wraps.
@@ -626,31 +553,6 @@ mod tests {
         )
         .unwrap();
         lower_to_loops(&program).unwrap()
-    }
-
-    #[test]
-    fn synthesize_many_is_identical_for_any_thread_count() {
-        let m = axpy_module();
-        let funcs = ["axpy"; 5];
-        let sequential = synthesize_many(&m, &funcs, HlsOptions::default(), 1).unwrap();
-        assert_eq!(sequential.len(), funcs.len());
-        for threads in [2, 4, 8] {
-            let threaded = synthesize_many(&m, &funcs, HlsOptions::default(), threads).unwrap();
-            assert_eq!(threaded, sequential, "thread count {threads} diverged");
-        }
-    }
-
-    #[test]
-    fn synthesize_many_reports_error_of_lowest_failing_function() {
-        let m = axpy_module();
-        let funcs = ["axpy", "nosuch_a", "axpy", "nosuch_b"];
-        for threads in [1, 2, 4] {
-            let err = synthesize_many(&m, &funcs, HlsOptions::default(), threads).unwrap_err();
-            assert!(
-                err.to_string().contains("nosuch_a"),
-                "threads={threads} surfaced the wrong function: {err}"
-            );
-        }
     }
 
     #[test]

@@ -50,5 +50,5 @@ pub mod resources;
 pub mod schedule;
 pub mod transform;
 
-pub use engine::{synthesize, synthesize_many, HlsOptions, HlsReport, LoopReport};
+pub use engine::{synthesize, HlsOptions, HlsReport, LoopReport};
 pub use resources::{CostLibrary, NumericFormat, Resources};

@@ -120,7 +120,7 @@ impl Default for CostLibrary {
 
 impl CostLibrary {
     /// Cost of a floating/fixed arithmetic op in the given format.
-    pub fn arith_cost(&self, op: &str, format: NumericFormat) -> OpCost {
+    pub(crate) fn arith_cost(&self, op: &str, format: NumericFormat) -> OpCost {
         match format {
             NumericFormat::F64 => match op {
                 "addf" | "subf" | "maxf" | "minf" => OpCost::new(7, 1, 800, 1200, 3),

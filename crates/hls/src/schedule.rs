@@ -2,7 +2,7 @@
 //! scheduling, plus functional-unit binding estimation.
 //!
 //! Every routine writes into storage its caller keeps (`&mut Schedule`,
-//! a [`ListScheduler`]), so scheduling the thousandth block of a kernel
+//! a `ListScheduler`), so scheduling the thousandth block of a kernel
 //! allocates as little as the first.
 
 use std::collections::HashMap;
@@ -132,7 +132,7 @@ type IdMap<K> = HashMap<K, u32, BuildHasherDefault<IdHasher>>;
 
 /// Functional units one block needs of one operation kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnitDemand {
+pub(crate) struct UnitDemand {
     /// The kind ([`crate::cdfg::CdfgNode::kind`]).
     pub kind: u32,
     /// Its op name.
@@ -144,7 +144,7 @@ pub struct UnitDemand {
 /// The list scheduler and unit binder, with the working storage they
 /// reuse from block to block.
 #[derive(Debug, Default)]
-pub struct ListScheduler {
+pub(crate) struct ListScheduler {
     asap: Schedule,
     alap: Schedule,
     order: Vec<u32>,
@@ -163,7 +163,7 @@ impl ListScheduler {
     /// Priority is ALAP slack (critical ops first). Port and DSP
     /// constraints limit issues per cycle; latency-0 ops are free and
     /// issue with their dependences in the same cycle.
-    pub fn schedule(
+    pub(crate) fn schedule(
         &mut self,
         cdfg: &BlockCdfg,
         costs: &NodeCosts,
@@ -252,7 +252,7 @@ impl ListScheduler {
     /// Estimates the number of functional units needed per operation
     /// kind — the maximum number of simultaneously executing instances —
     /// into `out`, one entry per kind with a latency-carrying node.
-    pub fn bind_units(
+    pub(crate) fn bind_units(
         &mut self,
         cdfg: &BlockCdfg,
         costs: &NodeCosts,

@@ -10,7 +10,7 @@ use everest_ir::{BlockId, OpId, ValueId};
 
 /// A dependence edge kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DepKind {
+pub(crate) enum DepKind {
     /// SSA value flow.
     Data,
     /// Memory ordering (store→load, store→store, load→store on one
@@ -20,7 +20,7 @@ pub enum DepKind {
 
 /// A node in a block-level dependence graph.
 #[derive(Debug, Clone)]
-pub struct CdfgNode {
+pub(crate) struct CdfgNode {
     /// The IR operation.
     pub op: OpId,
     /// Fully qualified op name (cached, interned — `Copy`, no clone).
@@ -31,7 +31,7 @@ pub struct CdfgNode {
 
 /// The dependence graph of one block.
 #[derive(Debug, Clone)]
-pub struct BlockCdfg {
+pub(crate) struct BlockCdfg {
     /// The block.
     pub block: BlockId,
     /// Nodes in program order (a valid topological order).
@@ -40,7 +40,7 @@ pub struct BlockCdfg {
 
 impl BlockCdfg {
     /// Builds the dependence graph of a block.
-    pub fn build(module: &Module, block: BlockId) -> BlockCdfg {
+    pub(crate) fn build(module: &Module, block: BlockId) -> BlockCdfg {
         let ops = module.block(block).ops.clone();
         let index_of: HashMap<OpId, usize> =
             ops.iter().enumerate().map(|(i, &op)| (op, i)).collect();
@@ -152,7 +152,7 @@ impl BlockCdfg {
     }
 
     /// Successor lists (inverse of `preds`).
-    pub fn successors(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn successors(&self) -> Vec<Vec<usize>> {
         let mut succs = vec![Vec::new(); self.nodes.len()];
         for (i, node) in self.nodes.iter().enumerate() {
             for &(p, _) in &node.preds {

@@ -27,7 +27,7 @@ use super::schedule::{bind_units, list_schedule, Constraints, NodeCosts};
 /// # Errors
 ///
 /// Returns [`IrError`] if the function is missing or malformed.
-pub fn synthesize(module: &Module, func: &str, options: HlsOptions) -> IrResult<HlsReport> {
+pub(crate) fn synthesize(module: &Module, func: &str, options: HlsOptions) -> IrResult<HlsReport> {
     let mut module = Cow::Borrowed(module);
     if options.unroll > 1 {
         unroll_innermost(module.to_mut(), func, options.unroll)?;

@@ -9,6 +9,6 @@
 // Kept whole: not every field and function it had is read from here.
 #![allow(dead_code)]
 
-pub mod cdfg;
-pub mod engine;
-pub mod schedule;
+pub(crate) mod cdfg;
+pub(crate) mod engine;
+pub(crate) mod schedule;

@@ -10,7 +10,7 @@ use super::cdfg::BlockCdfg;
 
 /// Per-node scheduling inputs.
 #[derive(Debug, Clone)]
-pub struct NodeCosts {
+pub(crate) struct NodeCosts {
     /// Latency in cycles of each CDFG node (0 allowed for free ops).
     pub latency: Vec<u64>,
     /// For memory ops, the buffer they access (port constraints apply).
@@ -21,7 +21,7 @@ pub struct NodeCosts {
 
 /// Scheduling constraints.
 #[derive(Debug, Clone, Copy)]
-pub struct Constraints {
+pub(crate) struct Constraints {
     /// Concurrent accesses allowed per buffer per cycle.
     pub ports_per_buffer: u32,
     /// Maximum DSP-consuming issues per cycle (`None` = unlimited).
@@ -39,7 +39,7 @@ impl Default for Constraints {
 
 /// A computed schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Schedule {
+pub(crate) struct Schedule {
     /// Start cycle of each node.
     pub start: Vec<u64>,
     /// Total cycles (max finish time).
@@ -47,7 +47,7 @@ pub struct Schedule {
 }
 
 /// As-soon-as-possible schedule (dependences only).
-pub fn asap(cdfg: &BlockCdfg, costs: &NodeCosts) -> Schedule {
+pub(crate) fn asap(cdfg: &BlockCdfg, costs: &NodeCosts) -> Schedule {
     let mut start = vec![0u64; cdfg.nodes.len()];
     let mut length = 0;
     for (i, node) in cdfg.nodes.iter().enumerate() {
@@ -62,7 +62,7 @@ pub fn asap(cdfg: &BlockCdfg, costs: &NodeCosts) -> Schedule {
 }
 
 /// As-late-as-possible schedule for a given deadline.
-pub fn alap(cdfg: &BlockCdfg, costs: &NodeCosts, deadline: u64) -> Schedule {
+pub(crate) fn alap(cdfg: &BlockCdfg, costs: &NodeCosts, deadline: u64) -> Schedule {
     let succs = cdfg.successors();
     let n = cdfg.nodes.len();
     let mut start = vec![0u64; n];
@@ -84,7 +84,11 @@ pub fn alap(cdfg: &BlockCdfg, costs: &NodeCosts, deadline: u64) -> Schedule {
 /// Priority is ALAP slack (critical ops first). Port and DSP constraints
 /// limit issues per cycle; latency-0 ops are free and issue with their
 /// dependences in the same cycle.
-pub fn list_schedule(cdfg: &BlockCdfg, costs: &NodeCosts, constraints: Constraints) -> Schedule {
+pub(crate) fn list_schedule(
+    cdfg: &BlockCdfg,
+    costs: &NodeCosts,
+    constraints: Constraints,
+) -> Schedule {
     let n = cdfg.nodes.len();
     if n == 0 {
         return Schedule {
@@ -165,7 +169,7 @@ pub fn list_schedule(cdfg: &BlockCdfg, costs: &NodeCosts, constraints: Constrain
 
 /// Estimates the number of functional units needed per operation kind:
 /// the maximum number of simultaneously executing instances.
-pub fn bind_units(
+pub(crate) fn bind_units(
     cdfg: &BlockCdfg,
     costs: &NodeCosts,
     schedule: &Schedule,

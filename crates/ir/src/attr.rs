@@ -87,7 +87,7 @@ impl Attribute {
     }
 
     /// Returns dense f64 data, if this is a `DenseF64`.
-    pub fn as_dense_f64(&self) -> Option<&[f64]> {
+    pub(crate) fn as_dense_f64(&self) -> Option<&[f64]> {
         match self {
             Attribute::DenseF64(d) => Some(d),
             _ => None,
@@ -95,16 +95,11 @@ impl Attribute {
     }
 
     /// Returns dense i64 data, if this is a `DenseI64`.
-    pub fn as_dense_i64(&self) -> Option<&[i64]> {
+    pub(crate) fn as_dense_i64(&self) -> Option<&[i64]> {
         match self {
             Attribute::DenseI64(d) => Some(d),
             _ => None,
         }
-    }
-
-    /// Builds an array attribute of integers.
-    pub fn int_array<I: IntoIterator<Item = i64>>(values: I) -> Attribute {
-        Attribute::Array(values.into_iter().map(Attribute::Int).collect())
     }
 
     /// Structural equality: the relation [`AttrKey`] has, decided in
@@ -113,7 +108,7 @@ impl Attribute {
     /// `Float(1.0)`, `Str("1")` and `Bool(true)` are four attributes),
     /// so two attributes are equal exactly when they print the same.
     /// This is what CSE merges on; `==` is IEEE on floats and is not.
-    pub fn structural_eq(&self, other: &Attribute) -> bool {
+    pub(crate) fn structural_eq(&self, other: &Attribute) -> bool {
         use Attribute::*;
         let bits_eq = |a: &[f64], b: &[f64]| {
             a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -142,7 +137,7 @@ impl Attribute {
     /// Feeds `state` what [`Attribute::structural_eq`] compares: the
     /// variant, then the payload with floats as bit patterns. Equal
     /// attributes hash equally; nothing is cloned.
-    pub fn structural_hash<H: Hasher>(&self, state: &mut H) {
+    pub(crate) fn structural_hash<H: Hasher>(&self, state: &mut H) {
         std::mem::discriminant(self).hash(state);
         match self {
             Attribute::Int(v) => v.hash(state),
@@ -171,7 +166,7 @@ impl Attribute {
 
     /// Converts this attribute into its hashable structural mirror: an
     /// owned copy whose derived `Eq` / `Hash` are the relation
-    /// [`Attribute::structural_eq`] / [`Attribute::structural_hash`]
+    /// `Attribute::structural_eq` / `Attribute::structural_hash`
     /// decide in place. Tests hold the two to each other.
     pub fn structural_key(&self) -> AttrKey {
         match self {
@@ -323,7 +318,7 @@ impl AttrMap {
 
     /// [`Attribute::structural_eq`] over whole maps: the same names
     /// carrying structurally equal values.
-    pub fn structural_eq(&self, other: &AttrMap) -> bool {
+    pub(crate) fn structural_eq(&self, other: &AttrMap) -> bool {
         self.entries.len() == other.entries.len()
             && self
                 .entries
@@ -334,7 +329,7 @@ impl AttrMap {
 
     /// Feeds `state` every name and value, as
     /// [`Attribute::structural_hash`] does one value.
-    pub fn structural_hash<H: Hasher>(&self, state: &mut H) {
+    pub(crate) fn structural_hash<H: Hasher>(&self, state: &mut H) {
         for (key, value) in &self.entries {
             key.hash(state);
             value.structural_hash(state);
@@ -398,7 +393,7 @@ impl Attribute {
     /// spelling: `Display` calls it, and the module printer calls it
     /// straight into its output. Floats go through `core::fmt` (`{v}`,
     /// `{v:.1}` or `{v:e}`); everything else is written directly.
-    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    pub(crate) fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
             Attribute::Int(v) => write_i64(out, *v),
             Attribute::Float(v) => {
@@ -480,7 +475,10 @@ mod tests {
         assert_eq!(Attribute::Float(1.0).to_string(), "1.0");
         assert_eq!(Attribute::Float(0.25).to_string(), "0.25");
         assert_eq!(Attribute::from("a\"b").to_string(), "\"a\\\"b\"");
-        assert_eq!(Attribute::int_array([1, 2]).to_string(), "[1, 2]");
+        assert_eq!(
+            Attribute::Array(vec![Attribute::Int(1), Attribute::Int(2)]).to_string(),
+            "[1, 2]"
+        );
         assert_eq!(Attribute::SymbolRef("main".into()).to_string(), "@main");
         assert_eq!(
             Attribute::DenseI64(vec![1, 2, 3]).to_string(),

@@ -197,7 +197,7 @@ pub struct Posit {
 #[allow(clippy::should_implement_trait)]
 impl Posit {
     /// The Not-a-Real bit pattern (`100...0`).
-    pub fn nar(format: PositFormat) -> Self {
+    pub(crate) fn nar(format: PositFormat) -> Self {
         Posit {
             raw: 1u64 << (format.width - 1),
             format,
@@ -416,6 +416,8 @@ mod tests {
         int_bits: 7,
         frac_bits: 8,
     };
+    /// The largest s7.8 value: 32767 steps of 1/256.
+    const Q8_8_MAX: f64 = 127.996_093_75;
 
     #[test]
     fn fixed_roundtrip_exact_values() {
@@ -428,7 +430,7 @@ mod tests {
     #[test]
     fn fixed_saturates() {
         let f = Fixed::from_f64(1e9, Q8_8);
-        assert!((f.to_f64() - Q8_8.max_value()).abs() < 1e-9);
+        assert!((f.to_f64() - Q8_8_MAX).abs() < 1e-9);
         let f = Fixed::from_f64(-1e9, Q8_8);
         assert_eq!(f.to_f64(), -128.0);
     }
@@ -454,9 +456,9 @@ mod tests {
 
     #[test]
     fn fixed_add_saturates_at_bounds() {
-        let max = Fixed::from_f64(Q8_8.max_value(), Q8_8);
+        let max = Fixed::from_f64(Q8_8_MAX, Q8_8);
         let one = Fixed::from_f64(1.0, Q8_8);
-        assert_eq!(max.add(one).to_f64(), Q8_8.max_value());
+        assert_eq!(max.add(one).to_f64(), Q8_8_MAX);
         let min = Fixed::from_f64(-128.0, Q8_8);
         assert_eq!(min.sub(one).to_f64(), -128.0);
     }
@@ -465,7 +467,7 @@ mod tests {
     fn fixed_div_by_zero_saturates() {
         let a = Fixed::from_f64(1.0, Q8_8);
         let z = Fixed::from_f64(0.0, Q8_8);
-        assert_eq!(a.div(z).to_f64(), Q8_8.max_value());
+        assert_eq!(a.div(z).to_f64(), Q8_8_MAX);
         let neg = Fixed::from_f64(-1.0, Q8_8);
         assert_eq!(neg.div(z).to_f64(), -128.0);
     }

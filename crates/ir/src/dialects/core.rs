@@ -72,7 +72,7 @@ fn verify_func(m: &Module, op: OpId) -> IrResult<()> {
 }
 
 /// The `func` dialect: functions, returns and calls.
-pub fn func_dialect() -> Dialect {
+pub(crate) fn func_dialect() -> Dialect {
     let mut d = Dialect::new("func", "functions and calls");
     d.register(
         OpSpec::new("func", Arity::Exact(0), Arity::Exact(0))
@@ -139,7 +139,7 @@ fn verify_same_types(m: &Module, op: OpId) -> IrResult<()> {
 }
 
 /// The `arith` dialect: scalar integer/float arithmetic and comparisons.
-pub fn arith_dialect() -> Dialect {
+pub(crate) fn arith_dialect() -> Dialect {
     let mut d = Dialect::new("arith", "scalar arithmetic");
     d.register(
         OpSpec::new("constant", Arity::Exact(0), Arity::Exact(1))
@@ -267,7 +267,7 @@ fn verify_for(m: &Module, op: OpId) -> IrResult<()> {
 }
 
 /// The `scf` dialect: structured control flow (`for`, `if`, `yield`).
-pub fn scf_dialect() -> Dialect {
+pub(crate) fn scf_dialect() -> Dialect {
     let mut d = Dialect::new("scf", "structured control flow");
     d.register(
         OpSpec::new("for", Arity::AtLeast(3), Arity::Variadic)
@@ -369,7 +369,7 @@ fn verify_store(m: &Module, op: OpId) -> IrResult<()> {
 }
 
 /// The `memref` dialect: mutable buffers.
-pub fn memref_dialect() -> Dialect {
+pub(crate) fn memref_dialect() -> Dialect {
     let mut d = Dialect::new("memref", "mutable buffers");
     d.register(OpSpec::new("alloc", Arity::Exact(0), Arity::Exact(1)));
     d.register(OpSpec::new("dealloc", Arity::Exact(1), Arity::Exact(0)));

@@ -51,7 +51,7 @@ fn verify_node(m: &Module, op: OpId) -> IrResult<()> {
 }
 
 /// The `dfg` dialect.
-pub fn dfg_dialect() -> Dialect {
+pub(crate) fn dfg_dialect() -> Dialect {
     let mut d = Dialect::new("dfg", "coordination-level dataflow graphs");
     d.register(
         OpSpec::new("graph", Arity::Exact(0), Arity::Exact(0))

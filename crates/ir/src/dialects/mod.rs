@@ -21,14 +21,14 @@
 
 pub mod core;
 pub mod dataflow;
-pub mod numerics;
+pub(crate) mod numerics;
 pub mod system;
 
 use crate::registry::Dialect;
 
 /// Returns every dialect in the EVEREST stack, ready for registration in a
 /// [`Context`](crate::registry::Context).
-pub fn all_dialects() -> Vec<Dialect> {
+pub(crate) fn all_dialects() -> Vec<Dialect> {
     vec![
         core::func_dialect(),
         core::arith_dialect(),

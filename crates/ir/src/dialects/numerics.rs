@@ -82,7 +82,7 @@ fn verify_base2_arith(m: &Module, op: OpId) -> IrResult<()> {
 }
 
 /// The `base2` dialect.
-pub fn base2_dialect() -> Dialect {
+pub(crate) fn base2_dialect() -> Dialect {
     let mut d = Dialect::new("base2", "binary numeral types (fixed-point, posit)");
     d.register(
         OpSpec::new("quantize", Arity::Exact(1), Arity::Exact(1))

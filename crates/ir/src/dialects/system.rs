@@ -94,7 +94,7 @@ fn verify_lane(m: &Module, op: OpId) -> IrResult<()> {
 }
 
 /// The `olympus` dialect.
-pub fn olympus_dialect() -> Dialect {
+pub(crate) fn olympus_dialect() -> Dialect {
     let mut d = Dialect::new(
         "olympus",
         "platform-aware FPGA system architecture generation",

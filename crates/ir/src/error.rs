@@ -52,8 +52,8 @@ impl IrError {
     /// Builds a [`IrError::Verification`] without a structural path.
     ///
     /// This is the constructor dialect verifiers use: they see a single
-    /// op and cannot cheaply locate it in the module, so the verifier
-    /// driver attaches the path afterwards via [`IrError::with_path`].
+    /// op and cannot cheaply locate it in the module, so `verify_module`
+    /// attaches the path afterwards via `IrError::with_path`.
     pub fn verification(op: impl Into<String>, message: impl Into<String>) -> IrError {
         IrError::Verification {
             op: op.into(),
@@ -65,7 +65,7 @@ impl IrError {
     /// Attaches a structural path to a [`IrError::Verification`] that
     /// does not already carry one; other variants pass through.
     #[must_use]
-    pub fn with_path(self, new_path: OpPath) -> IrError {
+    pub(crate) fn with_path(self, new_path: OpPath) -> IrError {
         match self {
             IrError::Verification {
                 op,

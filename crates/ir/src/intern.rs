@@ -44,7 +44,7 @@
 //! # Examples
 //!
 //! ```
-//! use everest_ir::intern::Symbol;
+//! use everest_ir::Symbol;
 //!
 //! let a = Symbol::new("arith.addf");
 //! let b = Symbol::new("arith.addf");

@@ -56,7 +56,7 @@ pub mod base2;
 pub mod dialects;
 pub mod error;
 pub mod ids;
-pub mod intern;
+pub(crate) mod intern;
 pub mod interp;
 pub mod location;
 pub mod module;
@@ -68,7 +68,7 @@ pub mod types;
 // The one module with `unsafe` code, which the workspace lints deny
 // everywhere else; its docs say why and what the blocks rely on.
 #[allow(unsafe_code)]
-pub mod value_list;
+pub(crate) mod value_list;
 pub mod verify;
 
 pub use attr::Attribute;

@@ -71,12 +71,6 @@ impl Operation {
         name.split('.').next().unwrap_or(name)
     }
 
-    /// The op suffix of the name (`"addf"` for `"arith.addf"`).
-    pub fn short_name(&self) -> &'static str {
-        let name = self.name.as_str();
-        name.split_once('.').map(|(_, s)| s).unwrap_or(name)
-    }
-
     /// Looks up an attribute by name.
     pub fn attr(&self, name: &str) -> Option<&Attribute> {
         self.attributes.get(name)
@@ -726,7 +720,7 @@ mod tests {
         let c = constant(&mut m, 4.0);
         let op = m.op(c).unwrap();
         assert_eq!(op.dialect(), "arith");
-        assert_eq!(op.short_name(), "constant");
+        assert_eq!(op.name.as_str(), "arith.constant");
         assert_eq!(op.results.len(), 1);
         let v = op.results[0];
         assert_eq!(m.value_type(v), &Type::F64);

@@ -845,7 +845,10 @@ mod tests {
             .attr("replicas", Attribute::Int(4))
             .attr("scale", Attribute::Float(0.5))
             .attr("enabled", Attribute::Bool(true))
-            .attr("dims", Attribute::int_array([1, 2, 3]))
+            .attr(
+                "dims",
+                Attribute::Array((1..=3).map(Attribute::Int).collect()),
+            )
             .attr("meta", Attribute::Dict(dict))
             .attr("weights", Attribute::DenseF64(vec![1.0, 2.5]))
             .attr("lut", Attribute::DenseI64(vec![-1, 7]))

@@ -22,13 +22,6 @@ pub struct PassStats {
     pub ops_rewritten: usize,
 }
 
-impl PassStats {
-    /// Returns `true` if the pass changed nothing.
-    pub fn is_noop(&self) -> bool {
-        self.ops_erased == 0 && self.ops_rewritten == 0
-    }
-}
-
 /// A module transformation.
 ///
 /// Passes take `&self` and are stored as `Send + Sync` trait objects so
@@ -94,8 +87,8 @@ impl PassManager {
     /// module)`, so while the revision stands at the value it had at the
     /// last verification the answer is already known and the run is
     /// skipped. The test is the module's own record, not the
-    /// pass's [`PassStats::is_noop`] claim — a pass that mutates and
-    /// reports nothing is still re-verified, and the error names it.
+    /// pass's [`PassStats`] claim — a pass that mutates and reports
+    /// nothing is still re-verified, and the error names it.
     ///
     /// # Errors
     ///
@@ -285,7 +278,7 @@ impl Pass for Dce {
 ///
 /// Two pure ops are equivalent when they share name, operands,
 /// attributes and result types — attributes by
-/// [`Attribute::structural_eq`], so `0.0` and `-0.0`, or `Int(1)` and
+/// `Attribute::structural_eq`, so `0.0` and `-0.0`, or `Int(1)` and
 /// `Float(1.0)`, never merge, and neither do `{value = 1} : f64` and
 /// `{value = 1} : index`. Commutative ops compare on sorted operands.
 ///

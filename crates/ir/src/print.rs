@@ -9,8 +9,8 @@
 //! The printer writes straight into its output `String`: value numbers,
 //! op names, attribute keys, types and every attribute but a float are
 //! spelt without `core::fmt`, through the same writers
-//! ([`Type::write_to`](crate::types::Type::write_to),
-//! [`Attribute::write_to`](crate::attr::Attribute::write_to)) that
+//! (`Type::write_to`,
+//! `Attribute::write_to`) that
 //! their `Display` calls.
 
 use crate::ids::{BlockId, OpId, RegionId, ValueId};

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock};
 
-use crate::error::{IrError, IrResult};
+use crate::error::IrResult;
 use crate::ids::OpId;
 use crate::intern::Symbol;
 use crate::module::Module;
@@ -56,7 +56,7 @@ impl Arity {
 }
 
 /// Custom verification hook: receives the module and the op being checked.
-pub type VerifyFn = fn(&Module, OpId) -> IrResult<()>;
+pub(crate) type VerifyFn = fn(&Module, OpId) -> IrResult<()>;
 
 /// Static description of one operation kind.
 #[derive(Debug, Clone)]
@@ -92,25 +92,25 @@ impl OpSpec {
     }
 
     /// Sets the exact region count.
-    pub fn with_regions(mut self, n: usize) -> Self {
+    pub(crate) fn with_regions(mut self, n: usize) -> Self {
         self.num_regions = n;
         self
     }
 
     /// Adds a required attribute.
-    pub fn with_attr(mut self, name: &str) -> Self {
+    pub(crate) fn with_attr(mut self, name: &str) -> Self {
         self.required_attrs.push(name.to_string());
         self
     }
 
     /// Adds a trait.
-    pub fn with_trait(mut self, t: OpTrait) -> Self {
+    pub(crate) fn with_trait(mut self, t: OpTrait) -> Self {
         self.traits.push(t);
         self
     }
 
     /// Sets a custom verifier.
-    pub fn with_verifier(mut self, f: VerifyFn) -> Self {
+    pub(crate) fn with_verifier(mut self, f: VerifyFn) -> Self {
         self.verify = Some(f);
         self
     }
@@ -152,11 +152,6 @@ impl Dialect {
         assert!(prev.is_none(), "duplicate op registration");
     }
 
-    /// Looks up an op spec by its short name.
-    pub fn op_spec(&self, short_name: &str) -> Option<&OpSpec> {
-        self.ops.get(short_name)
-    }
-
     /// Iterates all specs in the dialect.
     pub fn iter(&self) -> impl Iterator<Item = &OpSpec> {
         self.ops.values()
@@ -178,13 +173,13 @@ impl Dialect {
 /// Alongside the per-dialect spec trees, the context keeps a flat table
 /// of specs indexed by the interned full op name's dense id
 /// ([`Symbol::index`]), so the hot queries passes and the verifier issue
-/// per op — [`Context::spec_of`], [`Context::has_trait`] — are one
+/// per op — `Context::spec_of`, [`Context::has_trait`] — are one
 /// bounds-checked load, with no hashing and no name split. The table is
 /// plain data extended at registration time, so a `&Context` stays
 /// `Sync` and can be shared across pass-manager worker threads.
 ///
 /// A `Context` is a handle: clones share one registry, and
-/// [`Context::register_dialect`] copies it first when another handle
+/// `Context::register_dialect` copies it first when another handle
 /// still points at it, so an extension is private to its caller.
 #[derive(Debug, Clone, Default)]
 pub struct Context {
@@ -227,7 +222,7 @@ impl Context {
     /// # Panics
     ///
     /// Panics if a dialect with the same name is already present.
-    pub fn register_dialect(&mut self, dialect: Dialect) {
+    pub(crate) fn register_dialect(&mut self, dialect: Dialect) {
         assert!(
             !self.registry.dialects.contains_key(&dialect.name),
             "duplicate dialect registration"
@@ -248,33 +243,9 @@ impl Context {
         self.registry.dialects.get(name)
     }
 
-    /// Resolves the spec for a fully qualified op name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IrError::Unregistered`] if the dialect or op is unknown.
-    pub fn op_spec(&self, full_name: &str) -> IrResult<&OpSpec> {
-        let (dialect, op) = full_name
-            .split_once('.')
-            .ok_or_else(|| IrError::Unregistered(full_name.to_string()))?;
-        self.registry
-            .dialects
-            .get(dialect)
-            .and_then(|d| d.op_spec(op))
-            .ok_or_else(|| IrError::Unregistered(full_name.to_string()))
-    }
-
-    /// Returns `true` if the op declares the given trait. Per-op code
-    /// holds the op's [`Symbol`] and asks [`Context::has_trait`].
-    pub fn op_has_trait(&self, full_name: &str, t: OpTrait) -> bool {
-        self.op_spec(full_name)
-            .map(|s| s.has_trait(t))
-            .unwrap_or(false)
-    }
-
     /// Resolves the spec for an interned op name: one load from the
     /// table indexed by the symbol's id. `None` for unregistered ops.
-    pub fn spec_of(&self, name: Symbol) -> Option<&OpSpec> {
+    pub(crate) fn spec_of(&self, name: Symbol) -> Option<&OpSpec> {
         self.registry.specs.get(name.index())?.as_ref()
     }
 
@@ -316,28 +287,18 @@ mod tests {
     fn context_resolves_specs() {
         let mut ctx = Context::new();
         ctx.register_dialect(sample_dialect());
-        let spec = ctx.op_spec("toy.add").unwrap();
+        let spec = ctx.spec_of(Symbol::new("toy.add")).unwrap();
         assert!(spec.has_trait(OpTrait::Pure));
-        assert!(ctx.op_spec("toy.mul").is_err());
-        assert!(ctx.op_spec("other.add").is_err());
-        assert!(ctx.op_spec("noperiod").is_err());
+        assert!(ctx.spec_of(Symbol::new("toy.mul")).is_none());
+        assert!(ctx.spec_of(Symbol::new("other.add")).is_none());
+        assert!(ctx.spec_of(Symbol::new("noperiod")).is_none());
     }
 
     #[test]
     fn trait_query_on_unknown_op_is_false() {
         let ctx = Context::new();
-        assert!(!ctx.op_has_trait("toy.add", OpTrait::Pure));
+        assert!(!ctx.has_trait(Symbol::new("toy.add"), OpTrait::Pure));
     }
-
-    const TRAITS: [OpTrait; 7] = [
-        OpTrait::Pure,
-        OpTrait::Terminator,
-        OpTrait::Symbol,
-        OpTrait::SameOperandResultTypes,
-        OpTrait::IsolatedFromAbove,
-        OpTrait::ConstantLike,
-        OpTrait::Commutative,
-    ];
 
     /// Every full op name `ctx` registers, in dialect order.
     fn op_names(ctx: &Context) -> Vec<String> {
@@ -348,58 +309,6 @@ mod tests {
         dialects
             .flat_map(|d| d.iter().map(|spec| format!("{}.{}", d.name, spec.name)))
             .collect()
-    }
-
-    #[test]
-    fn trait_queries_by_text_answer_as_by_symbol_and_intern_nothing() {
-        let ctx = Context::with_all_dialects();
-        for name in op_names(&ctx) {
-            for t in TRAITS {
-                let by_symbol = ctx.has_trait(Symbol::new(&name), t);
-                assert_eq!(ctx.op_has_trait(&name, t), by_symbol, "{name} {t:?}");
-            }
-            assert!(ctx.op_spec(&name).is_ok());
-        }
-        assert!(ctx.op_has_trait("arith.addf", OpTrait::Commutative));
-        assert!(!ctx.op_has_trait("arith.subf", OpTrait::Commutative));
-        // Unregistered and malformed names: no spec, no trait. The
-        // first five were never interned and still are not; the rest
-        // are ones other code may intern, or a registered attribute
-        // name, which names no op.
-        let fresh = [
-            "probe.unregistered",
-            "probe",
-            "probe.",
-            ".probe",
-            "arith.addf.probe",
-        ];
-        let others = [
-            "",
-            ".",
-            "arith",
-            "arith.",
-            ".addf",
-            "ARITH.ADDF",
-            "arith..addf",
-        ];
-        for name in fresh.into_iter().chain(others).chain(["sym_name", "value"]) {
-            for t in TRAITS {
-                assert!(!ctx.op_has_trait(name, t), "{name:?} {t:?}");
-            }
-            assert!(ctx.op_spec(name).is_err(), "{name:?}");
-        }
-        for name in fresh {
-            assert!(!Symbol::is_interned(name), "{name:?} was interned");
-        }
-        // A context answers for the dialects registered in it, whether
-        // or not their names are on the interner's lock-free table.
-        let mut own = Context::new();
-        own.register_dialect(sample_dialect());
-        assert!(own.op_has_trait("toy.add", OpTrait::Pure));
-        assert!(own.op_has_trait("toy.ret", OpTrait::Terminator));
-        assert!(!own.op_has_trait("toy.ret", OpTrait::Pure));
-        assert!(!own.op_has_trait("arith.addf", OpTrait::Pure));
-        assert!(own.op_spec("arith.addf").is_err());
     }
 
     #[test]
@@ -458,12 +367,11 @@ mod tests {
         assert!(!Arc::ptr_eq(&extended.registry, &untouched.registry));
         let add = Symbol::new("toy.add");
         assert!(extended.dialect("toy").is_some());
-        assert!(extended.op_spec("toy.add").is_ok());
+        assert!(extended.spec_of(add).is_some());
         assert!(extended.has_trait(add, OpTrait::Pure));
         assert!(extended.dialect("arith").is_some(), "the copy is complete");
         for other in [untouched, Context::with_all_dialects()] {
             assert!(other.dialect("toy").is_none());
-            assert!(other.op_spec("toy.add").is_err());
             assert!(other.spec_of(add).is_none());
         }
 

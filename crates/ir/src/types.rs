@@ -83,12 +83,6 @@ impl FixedFormat {
     pub fn resolution(&self) -> f64 {
         (2.0f64).powi(-(self.frac_bits as i32))
     }
-
-    /// Largest representable value.
-    pub fn max_value(&self) -> f64 {
-        let steps = (1u128 << (self.int_bits + self.frac_bits)) - 1;
-        steps as f64 * self.resolution()
-    }
 }
 
 impl FixedFormat {
@@ -132,11 +126,6 @@ impl PositFormat {
     pub fn new(width: u32, es: u32) -> Self {
         assert!(width >= 2, "posit width must be at least 2");
         Self { width, es }
-    }
-
-    /// `useed = 2^(2^es)`, the regime scaling base.
-    pub fn useed(&self) -> f64 {
-        (2.0f64).powi(1 << self.es)
     }
 }
 
@@ -333,7 +322,7 @@ impl Type {
     /// Writes the type as printed IR spells it. This is the one
     /// spelling: `Display` calls it, and the module printer calls it
     /// straight into its output.
-    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    pub(crate) fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
             Type::Int(w) => {
                 out.write_char('i')?;
@@ -391,17 +380,9 @@ mod tests {
         let q = FixedFormat::signed(7, 8); // s7.8 => 16 bits
         assert_eq!(q.width(), 16);
         assert!((q.resolution() - 1.0 / 256.0).abs() < 1e-12);
-        assert!(q.max_value() > 127.9 && q.max_value() < 128.0);
 
         let u = FixedFormat::unsigned(8, 8);
         assert_eq!(u.width(), 16);
-    }
-
-    #[test]
-    fn posit_useed() {
-        assert_eq!(PositFormat::new(16, 1).useed(), 4.0);
-        assert_eq!(PositFormat::new(32, 2).useed(), 16.0);
-        assert_eq!(PositFormat::new(8, 0).useed(), 2.0);
     }
 
     #[test]

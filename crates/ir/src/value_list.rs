@@ -39,13 +39,13 @@ use std::ops::{Deref, DerefMut};
 use crate::ids::ValueId;
 
 /// How many ids a list holds without allocating.
-pub const INLINE: usize = 4;
+pub(crate) const INLINE: usize = 4;
 
 /// What fills the slots past a list's length; never read.
 const HOLE: ValueId = ValueId(0);
 
-/// A list of SSA values that holds up to [`INLINE`] of them in place;
-/// see the [module docs](self).
+/// A list of SSA values that holds up to `INLINE` of them in place;
+/// see the `value_list` module source.
 ///
 /// Two conditions hold between the fields, and the `unsafe` blocks rely
 /// on them: `data.heap` is the live field exactly when `spilled`, else
@@ -101,7 +101,7 @@ impl ValueList {
     }
 
     /// The values as a mutable slice.
-    pub fn as_mut_slice(&mut self) -> &mut [ValueId] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [ValueId] {
         debug_assert!(self.len as usize <= self.capacity());
         let items = if self.spilled {
             // SAFETY: as in `storage`.
@@ -121,7 +121,7 @@ impl ValueList {
 
     /// Makes room for `additional` more values: in place while they
     /// fit, else one boxed slice of at least twice the current length.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         let len = self.len();
         let needed = len.saturating_add(additional);
         if needed <= self.capacity() {
@@ -193,7 +193,7 @@ impl DerefMut for ValueList {
 }
 
 impl From<&[ValueId]> for ValueList {
-    /// In place up to [`INLINE`] values, else one slice of exactly
+    /// In place up to `INLINE` values, else one slice of exactly
     /// `values.len()`.
     fn from(values: &[ValueId]) -> Self {
         let len = u32::try_from(values.len()).expect("value list overflows u32");
@@ -225,7 +225,7 @@ impl From<Vec<ValueId>> for ValueList {
 
 impl Clone for ValueList {
     /// Copies the live values only: a spilled list that was truncated to
-    /// [`INLINE`] or fewer clones into place.
+    /// `INLINE` or fewer clones into place.
     fn clone(&self) -> Self {
         self.as_slice().into()
     }

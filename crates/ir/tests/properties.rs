@@ -204,7 +204,7 @@ fn add_colliding_ops(m: &mut Module, consts: usize, picks: &[(u8, u8)]) {
 mod naive {
     use super::*;
 
-    pub fn constant_folding(_ctx: &Context, m: &mut Module) -> PassStats {
+    pub(crate) fn constant_folding(_ctx: &Context, m: &mut Module) -> PassStats {
         fn constant_of(m: &Module, v: ValueId) -> Option<f64> {
             let everest_ir::module::ValueDef::OpResult { op, .. } = m.value(v).def else {
                 return None;
@@ -253,7 +253,7 @@ mod naive {
         }
     }
 
-    pub fn cse(ctx: &Context, m: &mut Module) -> PassStats {
+    pub(crate) fn cse(ctx: &Context, m: &mut Module) -> PassStats {
         type Key = (String, Vec<ValueId>, Vec<(String, AttrKey)>, Vec<Type>);
         let mut stats = PassStats::default();
         for block in (0..m.num_blocks() as u32).map(BlockId::from_raw) {
@@ -290,7 +290,7 @@ mod naive {
         stats
     }
 
-    pub fn dce(ctx: &Context, m: &mut Module) -> PassStats {
+    pub(crate) fn dce(ctx: &Context, m: &mut Module) -> PassStats {
         let mut stats = PassStats::default();
         loop {
             let before = stats.ops_erased;

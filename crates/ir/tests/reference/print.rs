@@ -21,7 +21,7 @@ const BYTES_PER_OP: usize = 96;
 const UNNAMED: u32 = u32::MAX;
 
 /// Prints a whole module to text.
-pub fn print_module(module: &Module) -> String {
+pub(crate) fn print_module(module: &Module) -> String {
     let mut printer = Printer {
         module,
         names: vec![UNNAMED; module.num_values()],
@@ -35,18 +35,18 @@ pub fn print_module(module: &Module) -> String {
 }
 
 /// `Type`'s `Display` as it was.
-pub struct Ty<'a>(pub &'a Type);
+pub(crate) struct Ty<'a>(pub &'a Type);
 
 /// `Attribute`'s `Display` as it was.
-pub struct Attr<'a>(pub &'a Attribute);
+pub(crate) struct Attr<'a>(pub &'a Attribute);
 
 /// `ty` spelt as the replaced `Display` spelt it.
-pub fn ty(t: &Type) -> String {
+pub(crate) fn ty(t: &Type) -> String {
     Ty(t).to_string()
 }
 
 /// `a` spelt as the replaced `Display` spelt it.
-pub fn attr(a: &Attribute) -> String {
+pub(crate) fn attr(a: &Attribute) -> String {
     Attr(a).to_string()
 }
 

@@ -3,8 +3,8 @@
 //! Olympus (paper §V-C, ref \[26\]) takes kernel implementations plus
 //! platform details and produces a *system architecture*: the data
 //! movement and organization infrastructure around the kernels. These
-//! types describe that architecture; [`crate::perf`] evaluates it and
-//! [`crate::builder`] materializes it as `olympus`-dialect IR.
+//! types describe that architecture; `crate::perf` evaluates it and
+//! `crate::builder` materializes it as `olympus`-dialect IR.
 
 use everest_hls::{HlsReport, Resources};
 use everest_platform::device::DeviceResources;
@@ -38,13 +38,13 @@ impl KernelSpec {
 
     /// Fabric resources of one kernel instance (converted to platform
     /// resource units).
-    pub fn instance_resources(&self) -> DeviceResources {
+    pub(crate) fn instance_resources(&self) -> DeviceResources {
         to_device(self.report.area)
     }
 }
 
 /// Converts HLS resource usage to platform device-resource units.
-pub fn to_device(r: Resources) -> DeviceResources {
+pub(crate) fn to_device(r: Resources) -> DeviceResources {
     DeviceResources {
         luts: r.luts,
         ffs: r.ffs,
@@ -102,7 +102,7 @@ pub struct SystemArchitecture {
 impl SystemArchitecture {
     /// Resources of the data-movement infrastructure (DMA engines, lane
     /// switches, packing units) — grows with lanes and packing width.
-    pub fn infrastructure_resources(config: &SystemConfig) -> DeviceResources {
+    pub(crate) fn infrastructure_resources(config: &SystemConfig) -> DeviceResources {
         let lanes = (config.replication * config.lanes_per_replica) as u64;
         DeviceResources {
             luts: 5_000 + 2_500 * lanes + (config.pack_bytes / 8) * 64,

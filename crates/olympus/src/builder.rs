@@ -45,7 +45,7 @@ impl std::error::Error for BuildError {}
 ///
 /// Returns [`BuildError`] when the configuration is invalid or exceeds
 /// the device's fabric resources.
-pub fn place(
+pub(crate) fn place(
     kernel: &KernelSpec,
     device: &FpgaDevice,
     config: SystemConfig,
@@ -83,7 +83,7 @@ pub fn place(
     Ok(footprint)
 }
 
-/// Generates a validated system architecture: [`place`], then the
+/// Generates a validated system architecture: `place`, then the
 /// architecture around the kernel.
 ///
 /// # Errors

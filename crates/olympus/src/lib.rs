@@ -8,13 +8,13 @@
 //! * [`arch`] — the architecture model and its knobs: kernel
 //!   replication, memory lanes, data packing (Iris), double buffering
 //!   and PLM sharing;
-//! * [`perf`] — batch makespan estimation with read/execute/write
+//! * `perf` — batch makespan estimation with read/execute/write
 //!   overlap;
-//! * [`builder`] — feasibility checking, `olympus`-dialect IR emission
+//! * `builder` — feasibility checking, `olympus`-dialect IR emission
 //!   and a generated host driver for the simulated XRT runtime;
 //! * [`optimize`] — design-space exploration returning the
 //!   makespan-optimal feasible configuration;
-//! * [`dosa`] — DOSA-style pipeline partitioning across network-attached
+//! * `dosa` — DOSA-style pipeline partitioning across network-attached
 //!   cloudFPGA nodes with ZRLMPI communication costs.
 //!
 //! # Examples
@@ -49,10 +49,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod arch;
-pub mod builder;
-pub mod dosa;
+pub(crate) mod builder;
+pub(crate) mod dosa;
 pub mod optimize;
-pub mod perf;
+pub(crate) mod perf;
 
 pub use arch::{KernelSpec, SystemArchitecture, SystemConfig};
 pub use builder::{emit_ir, generate, run_host_driver, BuildError};

@@ -53,7 +53,7 @@ pub fn estimate_makespan(
 
 /// Estimates the makespan for an explicit configuration (used by the
 /// design-space exploration before an architecture is committed).
-pub fn estimate_with_config(
+pub(crate) fn estimate_with_config(
     arch: &SystemArchitecture,
     config: &SystemConfig,
     device: &FpgaDevice,

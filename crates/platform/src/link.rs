@@ -28,7 +28,7 @@ impl PcieModel {
     }
 
     /// Raw line rate in GB/s.
-    pub fn line_rate_gbps(&self) -> f64 {
+    pub(crate) fn line_rate_gbps(&self) -> f64 {
         let per_lane = match self.gen {
             3 => 0.985, // 8 GT/s, 128b/130b
             4 => 1.969,
@@ -97,7 +97,7 @@ impl NetworkModel {
 /// `LinkDegrade` faults from `everest-faults`; consulted by the
 /// simulated XRT session on every sync.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkHealth {
+pub(crate) struct LinkHealth {
     /// Cost multiplier while degraded (≥ 1).
     pub factor: f64,
     /// Virtual time at which the link recovers, in µs.
@@ -112,7 +112,7 @@ impl Default for LinkHealth {
 
 impl LinkHealth {
     /// A fully healthy link.
-    pub fn healthy() -> LinkHealth {
+    pub(crate) fn healthy() -> LinkHealth {
         LinkHealth {
             factor: 1.0,
             until_us: 0.0,
@@ -122,23 +122,18 @@ impl LinkHealth {
     /// Registers a degradation episode: `factor`× cost until
     /// `until_us`. Overlapping episodes keep the worse factor and the
     /// later deadline.
-    pub fn degrade(&mut self, factor: f64, until_us: f64) {
+    pub(crate) fn degrade(&mut self, factor: f64, until_us: f64) {
         self.factor = self.factor.max(factor.max(1.0));
         self.until_us = self.until_us.max(until_us);
     }
 
     /// The cost multiplier in effect at `now_us` (1.0 once recovered).
-    pub fn factor_at(&self, now_us: f64) -> f64 {
+    pub(crate) fn factor_at(&self, now_us: f64) -> f64 {
         if now_us < self.until_us {
             self.factor
         } else {
             1.0
         }
-    }
-
-    /// Whether the link is degraded at `now_us`.
-    pub fn is_degraded_at(&self, now_us: f64) -> bool {
-        self.factor_at(now_us) > 1.0
     }
 }
 
@@ -232,7 +227,7 @@ mod tests {
         assert_eq!(health.factor_at(0.0), 1.0);
         health.degrade(4.0, 1_000.0);
         assert_eq!(health.factor_at(500.0), 4.0);
-        assert!(health.is_degraded_at(999.9));
+        assert_eq!(health.factor_at(999.9), 4.0);
         assert_eq!(health.factor_at(1_000.0), 1.0, "recovered at deadline");
         // overlapping episode keeps the worse factor and later deadline
         health.degrade(2.0, 2_000.0);

@@ -73,7 +73,7 @@ impl MemoryModel {
     /// (`FaultKind::MemoryEcc`): the controller re-reads the line,
     /// scrubs the row and replays the in-flight bursts. Modelled as a
     /// fixed controller cost plus a latency-proportional replay term.
-    pub fn ecc_scrub_us(&self) -> f64 {
+    pub(crate) fn ecc_scrub_us(&self) -> f64 {
         50.0 + self.system.latency_ns * 0.25
     }
 

@@ -70,7 +70,7 @@ impl Dataset {
 /// Traffic: `segments(seg_id, from_node, to_node, length_m, speed_kmh)`
 /// and `traj_segments(traj_id, seq, seg_id)` from seeded floating-car
 /// trajectories on a grid network.
-pub fn traffic_catalog(seed: u64) -> QueryResult<Catalog> {
+pub(crate) fn traffic_catalog(seed: u64) -> QueryResult<Catalog> {
     let net = RoadNetwork::grid(8, 8, 400.0);
     let segments_schema = Schema::new(vec![
         Field::new("seg_id", DataType::Int),
@@ -120,7 +120,7 @@ pub fn traffic_catalog(seed: u64) -> QueryResult<Catalog> {
 /// Air quality: `air_quality(day, receptor, east_m, north_m, prob,
 /// peak, capacity_limit)` — per-receptor ensemble exceedance forecasts
 /// over several seeded planning days.
-pub fn airquality_catalog(seed: u64) -> QueryResult<Catalog> {
+pub(crate) fn airquality_catalog(seed: u64) -> QueryResult<Catalog> {
     let stack = Stack {
         height_m: 120.0,
         rate_gs: 900.0,
@@ -186,7 +186,7 @@ pub fn airquality_catalog(seed: u64) -> QueryResult<Catalog> {
 
 /// Energy: `wind_power(hour, power_mw, wind_ms, availability)` —
 /// hourly wind-farm history from the seeded truth run.
-pub fn energy_catalog(seed: u64) -> QueryResult<Catalog> {
+pub(crate) fn energy_catalog(seed: u64) -> QueryResult<Catalog> {
     let farm = WindFarm::default();
     let history = generate_history(&farm, 14, seed);
     let schema = Schema::new(vec![

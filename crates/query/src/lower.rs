@@ -27,11 +27,11 @@ use crate::plan::LogicalPlan;
 /// Row-extent clamp for generated kernels: estimates map into
 /// `[MIN_ROWS, MAX_ROWS]` so synthesis cost stays bounded while the
 /// relative sizes of operators remain visible in the schedule.
-pub const MIN_ROWS: usize = 4;
+pub(crate) const MIN_ROWS: usize = 4;
 /// Upper clamp for generated kernel extents.
-pub const MAX_ROWS: usize = 128;
+pub(crate) const MAX_ROWS: usize = 128;
 /// Upper clamp for the build side of the O(n·m) join-probe kernel.
-pub const MAX_BUILD_ROWS: usize = 32;
+pub(crate) const MAX_BUILD_ROWS: usize = 32;
 
 /// One plan operator lowered to a synthesizable kernel, compiled once
 /// and shared (so immutable) across the queries that need its shape.

@@ -43,7 +43,7 @@ pub struct TableRef {
 
 impl TableRef {
     /// The name columns of this reference are qualified with.
-    pub fn qualifier(&self) -> &str {
+    pub(crate) fn qualifier(&self) -> &str {
         self.alias.as_deref().unwrap_or(&self.table)
     }
 }

@@ -218,7 +218,7 @@ impl Expr {
 
     /// Calls `f` with every column name the expression references, left
     /// to right, borrowed.
-    pub fn visit_columns<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
+    pub(crate) fn visit_columns<'e>(&'e self, f: &mut impl FnMut(&'e str)) {
         match self {
             Expr::Column(name) => f(name),
             Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_) => {}
@@ -236,7 +236,7 @@ impl Expr {
     }
 
     /// Collects every column name referenced by the expression.
-    pub fn columns_into(&self, out: &mut Vec<String>) {
+    pub(crate) fn columns_into(&self, out: &mut Vec<String>) {
         self.visit_columns(&mut |name| out.push(name.to_string()));
     }
 
@@ -248,7 +248,7 @@ impl Expr {
     }
 
     /// `true` when the expression contains an aggregate call.
-    pub fn has_agg(&self) -> bool {
+    pub(crate) fn has_agg(&self) -> bool {
         match self {
             Expr::Agg { .. } => true,
             Expr::Column(_) | Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_) => false,
@@ -336,7 +336,7 @@ impl LogicalPlan {
     /// holds: a scan's columns and a projection's output names are
     /// borrowed, and only an aggregate's (the text of its expressions)
     /// are built.
-    pub fn schema_names(&self) -> Vec<Cow<'_, str>> {
+    pub(crate) fn schema_names(&self) -> Vec<Cow<'_, str>> {
         let mut names = Vec::new();
         self.visit_schema(&mut |name| names.push(name));
         names
@@ -371,7 +371,7 @@ impl LogicalPlan {
 
     /// Whether `name` is one of this node's output columns: what
     /// `schema().contains(name)` answers, without building the list.
-    pub fn has_column(&self, name: &str) -> bool {
+    pub(crate) fn has_column(&self, name: &str) -> bool {
         match self {
             LogicalPlan::Scan { columns, .. } => columns.iter().any(|c| c == name),
             LogicalPlan::Project { exprs, .. } => exprs.iter().any(|(_, c)| c == name),

@@ -16,7 +16,7 @@ use everest_query::{Batch, QueryError, QueryResult};
 
 /// Evaluates an expression over one row. Aggregate calls are invalid
 /// here — they are handled by the `Aggregate` operator.
-pub fn eval(expr: &Expr, columns: &[String], row: &[Value]) -> QueryResult<Value> {
+pub(crate) fn eval(expr: &Expr, columns: &[String], row: &[Value]) -> QueryResult<Value> {
     match expr {
         Expr::Column(name) => match columns.iter().position(|c| c == name) {
             Some(i) => Ok(row[i].clone()),
@@ -109,7 +109,7 @@ fn eval_binary(
 /// Numeric arithmetic: int op int stays int (wrapping), anything
 /// involving a float widens to float. Shared with the constant folder
 /// so folding never changes a result.
-pub fn arith(op: BinOp, left: &Value, right: &Value) -> QueryResult<Value> {
+pub(crate) fn arith(op: BinOp, left: &Value, right: &Value) -> QueryResult<Value> {
     match (left, right) {
         (Value::Int(a), Value::Int(b)) => {
             let v = match op {
@@ -230,7 +230,7 @@ fn required(value: Option<&Value>) -> QueryResult<&Value> {
 }
 
 /// Executes a plan against a catalog.
-pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> QueryResult<Batch> {
+pub(crate) fn execute(plan: &LogicalPlan, catalog: &Catalog) -> QueryResult<Batch> {
     match plan {
         LogicalPlan::Scan {
             table,

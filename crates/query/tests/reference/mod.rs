@@ -5,5 +5,5 @@
 // Kept whole: not every item they had is called from here.
 #![allow(dead_code)]
 
-pub mod optimizer;
-pub mod token;
+pub(crate) mod optimizer;
+pub(crate) mod token;

@@ -47,7 +47,7 @@ fn value_to_expr(value: Value) -> Expr {
 
 /// Folds constant sub-expressions, mirroring executor semantics
 /// exactly (shared arithmetic, short-circuit logical operators).
-pub fn fold_expr(expr: &Expr) -> Expr {
+pub(crate) fn fold_expr(expr: &Expr) -> Expr {
     match expr {
         Expr::Column(_) | Expr::Int(_) | Expr::Float(_) | Expr::Str(_) | Expr::Bool(_) => {
             expr.clone()
@@ -168,13 +168,13 @@ fn map_exprs(plan: &LogicalPlan, f: &impl Fn(&Expr) -> Expr) -> LogicalPlan {
 }
 
 /// Rule 1: constant folding over every expression in the plan.
-pub fn fold_constants(plan: &LogicalPlan) -> LogicalPlan {
+pub(crate) fn fold_constants(plan: &LogicalPlan) -> LogicalPlan {
     map_exprs(plan, &fold_expr)
 }
 
 /// Rule 2: merges adjacent filters and pushes conjuncts that
 /// reference only one side of a join below that join.
-pub fn pushdown_predicates(plan: &LogicalPlan) -> LogicalPlan {
+pub(crate) fn pushdown_predicates(plan: &LogicalPlan) -> LogicalPlan {
     match plan {
         LogicalPlan::Filter { input, predicate } => {
             match pushdown_predicates(input) {
@@ -285,7 +285,7 @@ fn wrap_filter(plan: LogicalPlan, conjuncts: Vec<Expr>) -> LogicalPlan {
 /// Rule 3: required-column analysis; sets `Scan.projection` so base
 /// tables are read narrow. `required = None` keeps a node's full
 /// output schema (the root call).
-pub fn prune_projections(plan: &LogicalPlan) -> LogicalPlan {
+pub(crate) fn prune_projections(plan: &LogicalPlan) -> LogicalPlan {
     prune(plan, None)
 }
 
@@ -406,25 +406,25 @@ fn prune(plan: &LogicalPlan, required: Option<&BTreeSet<String>>) -> LogicalPlan
 /// The optimizer: rule pipeline plus the cardinality estimates the
 /// join-reorder rule consumes.
 #[derive(Debug, Clone, Default)]
-pub struct Optimizer {
+pub(crate) struct Optimizer {
     stats: BTreeMap<String, usize>,
 }
 
 impl Optimizer {
     /// Creates an optimizer from table row-count statistics.
-    pub fn new(stats: BTreeMap<String, usize>) -> Optimizer {
+    pub(crate) fn new(stats: BTreeMap<String, usize>) -> Optimizer {
         Optimizer { stats }
     }
 
     /// Creates an optimizer with the catalog's row counts.
-    pub fn for_catalog(catalog: &Catalog) -> Optimizer {
+    pub(crate) fn for_catalog(catalog: &Catalog) -> Optimizer {
         Optimizer::new(catalog.stats())
     }
 
     /// Estimated output rows of a plan node. Deliberately crude —
     /// base-table counts with fixed selectivities — but deterministic
     /// and good enough to order joins.
-    pub fn estimate_rows(&self, plan: &LogicalPlan) -> f64 {
+    pub(crate) fn estimate_rows(&self, plan: &LogicalPlan) -> f64 {
         match plan {
             LogicalPlan::Scan { table, .. } => {
                 self.stats.get(table).copied().unwrap_or(1_000) as f64
@@ -459,7 +459,7 @@ impl Optimizer {
     /// build (right) side. A swapped join is wrapped in an identity
     /// `Project` restoring the original column order, so the rewrite
     /// is invisible to parents and output schemas.
-    pub fn reorder_joins(&self, plan: &LogicalPlan) -> LogicalPlan {
+    pub(crate) fn reorder_joins(&self, plan: &LogicalPlan) -> LogicalPlan {
         match plan {
             LogicalPlan::Join {
                 left,
@@ -524,7 +524,7 @@ impl Optimizer {
     }
 
     /// Full pipeline: fold → pushdown → prune → reorder.
-    pub fn optimize(&self, plan: &LogicalPlan) -> LogicalPlan {
+    pub(crate) fn optimize(&self, plan: &LogicalPlan) -> LogicalPlan {
         let folded = fold_constants(plan);
         let pushed = pushdown_predicates(&folded);
         let pruned = prune_projections(&pushed);

@@ -5,7 +5,7 @@
 //! same token kinds, payloads and offsets, or the same error.
 
 use everest_query::error::{QueryError, QueryResult};
-pub use everest_query::token::Keyword;
+pub(crate) use everest_query::token::Keyword;
 
 fn keyword(word: &str) -> Option<Keyword> {
     let upper = word.to_ascii_uppercase();
@@ -32,7 +32,7 @@ fn keyword(word: &str) -> Option<Keyword> {
 
 /// What a token is.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// A reserved word.
     Keyword(Keyword),
     /// An identifier (table, column, alias).
@@ -75,7 +75,7 @@ pub enum TokenKind {
 
 /// One token with its starting byte offset.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// What the token is.
     pub kind: TokenKind,
     /// Byte offset into the source where the token starts.
@@ -84,7 +84,7 @@ pub struct Token {
 
 /// Tokenizes SQL text. Returns a `Lex` error with the byte offset of
 /// the first character that cannot start any token.
-pub fn tokenize(source: &str) -> QueryResult<Vec<Token>> {
+pub(crate) fn tokenize(source: &str) -> QueryResult<Vec<Token>> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;

@@ -57,7 +57,7 @@ pub use scheduler::{
     CampaignCheckpoint, HealPolicy, HealStats, HealedOutcome, Policy, RecoveryConfig,
     ScheduleEntry, Scheduler, SimulationResult,
 };
-pub use task::{TaskGraph, TaskId, TaskSpec};
+pub use task::{TaskGraph, TaskSpec};
 pub use virt::{IoMode, NodeStatus, PhysicalNode, VirtError};
 
 // Fault-plan vocabulary, re-exported so runtime users can drive

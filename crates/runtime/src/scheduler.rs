@@ -42,11 +42,11 @@ use crate::task::{TaskGraph, TaskId};
 /// (`FaultKind::MemoryEcc`) hits a running task, in µs. Matches the
 /// order of magnitude of the platform model's scrub-and-replay cost
 /// (`MemoryModel::ecc_scrub_us`).
-pub const ECC_STALL_US: f64 = 60.0;
+pub(crate) const ECC_STALL_US: f64 = 60.0;
 
 /// Repair cost after a failed partial reconfiguration, in µs: the
 /// shell is reloaded in full before the task can retry.
-pub const RECONFIG_REPAIR_US: f64 = 5_000.0;
+pub(crate) const RECONFIG_REPAIR_US: f64 = 5_000.0;
 
 /// A half-open probe whose achieved inflation stays at or below this
 /// ratio closes the breaker; above it, the breaker re-trips with a

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// Task identifier within a [`TaskGraph`].
-pub type TaskId = usize;
+pub(crate) type TaskId = usize;
 
 /// One task: durations, dependencies and resource requests.
 #[derive(Debug, Clone)]
@@ -159,7 +159,7 @@ impl TaskGraph {
 
     /// Upward rank (critical-path length to any sink, in µs of CPU time):
     /// the classic HEFT priority.
-    pub fn upward_ranks(&self) -> Vec<f64> {
+    pub(crate) fn upward_ranks(&self) -> Vec<f64> {
         let consumers = self.consumers();
         let mut rank = vec![0.0f64; self.tasks.len()];
         for id in (0..self.tasks.len()).rev() {

@@ -14,7 +14,6 @@ use std::collections::HashMap;
 
 use parking_lot::Mutex;
 
-use everest_faults::FaultInjector;
 use everest_platform::device::FpgaDevice;
 use everest_platform::xrt::XrtDevice;
 
@@ -42,7 +41,7 @@ impl IoMode {
 
 /// A virtual function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VirtualFunction {
+pub(crate) struct VirtualFunction {
     /// Index within the PF.
     pub index: u32,
     /// The VM currently holding it, if any.
@@ -87,9 +86,7 @@ impl std::error::Error for VirtError {}
 
 /// A guest VM.
 #[derive(Debug)]
-pub struct Vm {
-    /// VM id.
-    pub id: u32,
+pub(crate) struct Vm {
     /// vCPU count.
     pub vcpus: u32,
     /// I/O mode for accelerator access.
@@ -160,7 +157,6 @@ impl PhysicalNode {
         self.vms.lock().insert(
             id,
             Vm {
-                id,
                 vcpus,
                 io_mode,
                 vfs: Vec::new(),
@@ -325,17 +321,6 @@ impl PhysicalNode {
             .count();
         everest_telemetry::gauge_set("virt.free_vfs", now_free as f64);
         Ok(())
-    }
-
-    /// Drains pending `VfUnplug` faults from an injector and applies
-    /// them as surprise unplugs. Returns the VF indexes that failed.
-    pub fn apply_vf_faults(&self, injector: &FaultInjector, now_us: f64) -> Vec<u32> {
-        let fired = injector.fire_vf_faults(now_us);
-        for &vf in &fired {
-            // unknown indexes in the plan are ignored
-            let _ = self.surprise_unplug_vf(vf);
-        }
-        fired
     }
 
     /// Opens an accelerator session *from inside* a VM: the returned
@@ -504,23 +489,6 @@ mod tests {
         assert_eq!(n.plug_vf(vm), Err(VirtError::NoFreeVf));
         n.repair_vf(2).unwrap();
         assert_eq!(n.plug_vf(vm), Ok(2));
-    }
-
-    #[test]
-    fn plan_driven_vf_faults_apply_deterministically() {
-        use everest_faults::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
-        let n = node();
-        let vm = n.start_vm(2, IoMode::VfPassthrough);
-        let vf = n.plug_vf(vm).unwrap();
-        let plan =
-            FaultPlan::new(8).with_fault(FaultSpec::new(1_000.0, 0, FaultKind::VfUnplug { vf }));
-        let injector = FaultInjector::for_node(plan, 0);
-        // before the fault's virtual time nothing fires
-        assert!(n.apply_vf_faults(&injector, 500.0).is_empty());
-        assert_eq!(n.apply_vf_faults(&injector, 2_000.0), vec![vf]);
-        assert_eq!(n.status().failed_vfs, 1);
-        // fire-once: draining again is a no-op
-        assert!(n.apply_vf_faults(&injector, 3_000.0).is_empty());
     }
 
     #[test]

@@ -12,14 +12,14 @@
 /// harmless (they refer to a dead generation and every operation on
 /// them reports failure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventToken {
+pub(crate) struct EventToken {
     slot: u32,
     generation: u32,
 }
 
 /// Work counters for one [`EventQueue`]; see the module docs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueueStats {
+pub(crate) struct QueueStats {
     /// Events pushed.
     pub pushes: u64,
     /// Events popped.
@@ -47,7 +47,7 @@ const FREE: usize = usize::MAX;
 
 /// The indexed event queue. See the module docs for the model.
 #[derive(Debug)]
-pub struct EventQueue<T> {
+pub(crate) struct EventQueue<T> {
     /// Slot indices, heap-ordered by `(at_us, seq)`.
     heap: Vec<u32>,
     slots: Vec<Slot<T>>,
@@ -64,13 +64,13 @@ impl<T> Default for EventQueue<T> {
 
 impl<T> EventQueue<T> {
     /// An empty queue.
-    pub fn new() -> EventQueue<T> {
+    pub(crate) fn new() -> EventQueue<T> {
         EventQueue::with_capacity(0)
     }
 
     /// An empty queue pre-sized for `capacity` concurrently scheduled
     /// events.
-    pub fn with_capacity(capacity: usize) -> EventQueue<T> {
+    pub(crate) fn with_capacity(capacity: usize) -> EventQueue<T> {
         EventQueue {
             heap: Vec::with_capacity(capacity),
             slots: Vec::with_capacity(capacity),
@@ -81,23 +81,23 @@ impl<T> EventQueue<T> {
     }
 
     /// Number of scheduled events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Whether no events are scheduled.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 
     /// The queue's work counters so far.
-    pub fn stats(&self) -> QueueStats {
+    pub(crate) fn stats(&self) -> QueueStats {
         self.stats
     }
 
     /// Schedules `payload` at virtual time `at_us`; ties with other
     /// events at the same time resolve in push order.
-    pub fn push(&mut self, at_us: f64, payload: T) -> EventToken {
+    pub(crate) fn push(&mut self, at_us: f64, payload: T) -> EventToken {
         let seq = self.next_seq;
         self.next_seq += 1;
         let pos = self.heap.len();
@@ -132,12 +132,12 @@ impl<T> EventQueue<T> {
     }
 
     /// Virtual time of the next event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
+    pub(crate) fn peek_time(&self) -> Option<f64> {
         self.heap.first().map(|&s| self.slots[s as usize].at_us)
     }
 
     /// Pops the earliest event as `(at_us, payload)`.
-    pub fn pop(&mut self) -> Option<(f64, T)> {
+    pub(crate) fn pop(&mut self) -> Option<(f64, T)> {
         let &slot = self.heap.first()?;
         let at_us = self.slots[slot as usize].at_us;
         let payload = self.remove_at(0);
@@ -148,7 +148,7 @@ impl<T> EventQueue<T> {
     /// Cancels the event behind `token`. Returns `false` (and does
     /// nothing) when the event already popped, cancelled, or
     /// rescheduled away.
-    pub fn cancel(&mut self, token: EventToken) -> bool {
+    pub(crate) fn cancel(&mut self, token: EventToken) -> bool {
         let Some(pos) = self.live_pos(token) else {
             return false;
         };
@@ -161,7 +161,7 @@ impl<T> EventQueue<T> {
     /// The event re-enters the tie-break order as if freshly pushed
     /// (it loses ties against events already scheduled at `at_us`).
     /// Returns the new token, or `None` when the token is stale.
-    pub fn reschedule(&mut self, token: EventToken, at_us: f64) -> Option<EventToken> {
+    pub(crate) fn reschedule(&mut self, token: EventToken, at_us: f64) -> Option<EventToken> {
         let pos = self.live_pos(token)?;
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -1,3 +1,3 @@
 //! Implementations the crate replaced, kept as test oracles.
 
-pub mod events;
+pub(crate) mod events;

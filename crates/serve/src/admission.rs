@@ -13,7 +13,7 @@ use crate::request::{KernelClass, ShedReason, TenantSpec};
 
 /// A token bucket refilled continuously on virtual time.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     rate_per_us: f64,
     capacity: f64,
     tokens: f64,
@@ -22,7 +22,7 @@ pub struct TokenBucket {
 
 impl TokenBucket {
     /// Creates a bucket that starts full (a fresh tenant may burst).
-    pub fn new(rate_rps: f64, burst: f64) -> TokenBucket {
+    pub(crate) fn new(rate_rps: f64, burst: f64) -> TokenBucket {
         let capacity = burst.max(1.0);
         TokenBucket {
             rate_per_us: rate_rps.max(0.0) / 1.0e6,
@@ -41,7 +41,7 @@ impl TokenBucket {
     }
 
     /// Takes one token if available; returns whether the take succeeded.
-    pub fn try_take(&mut self, now_us: f64) -> bool {
+    pub(crate) fn try_take(&mut self, now_us: f64) -> bool {
         self.refill(now_us);
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
@@ -49,12 +49,6 @@ impl TokenBucket {
         } else {
             false
         }
-    }
-
-    /// Tokens currently available (after refilling to `now_us`).
-    pub fn available(&mut self, now_us: f64) -> f64 {
-        self.refill(now_us);
-        self.tokens
     }
 }
 
@@ -158,7 +152,8 @@ mod tests {
     #[test]
     fn bucket_caps_at_capacity() {
         let mut bucket = TokenBucket::new(1_000.0, 2.0);
-        assert!((bucket.available(1.0e9) - 2.0).abs() < 1e-9);
+        bucket.refill(1.0e9);
+        assert!((bucket.tokens - 2.0).abs() < 1e-9);
     }
 
     fn one_class() -> Vec<KernelClass> {

@@ -118,7 +118,7 @@ impl DynamicBatcher {
     /// Hands back the request vector of a batch that settled, for the
     /// next batch to open into: a steady campaign allocates no batch
     /// vectors at all.
-    pub fn recycle(&mut self, mut requests: Vec<Request>) {
+    pub(crate) fn recycle(&mut self, mut requests: Vec<Request>) {
         requests.clear();
         self.spare.push(requests);
     }
@@ -126,7 +126,7 @@ impl DynamicBatcher {
     /// Retunes a class's batch-size ceiling (autotuner hook). Takes
     /// effect from the next close decision; an open batch larger than
     /// the new ceiling closes on its next offer or timeout.
-    pub fn set_max_batch(&mut self, class: usize, max_batch: usize) {
+    pub(crate) fn set_max_batch(&mut self, class: usize, max_batch: usize) {
         self.lanes[class].max_batch = max_batch.max(1);
     }
 
@@ -216,7 +216,7 @@ impl DynamicBatcher {
     }
 
     /// Closed batches awaiting dispatch.
-    pub fn ready_len(&self) -> usize {
+    pub(crate) fn ready_len(&self) -> usize {
         self.ready.len()
     }
 

@@ -88,7 +88,7 @@
 //! degradations (the placement model stays gray-blind while actual
 //! timings inflate). Everything else is a component the loop asks:
 //!
-//! * [`Lifecycle`] — retry budgets with seeded backoff, hedge delays,
+//! * `Lifecycle` — retry budgets with seeded backoff, hedge delays,
 //!   the AIMD limiter and the brownout ladder. Always present; each
 //!   answer is the neutral one when its feature is off, so a config
 //!   without lifecycle features runs exactly the plain loop.

@@ -58,16 +58,13 @@ pub mod request;
 mod tuning;
 pub mod wfq;
 
-pub use admission::{AdmissionConfig, AdmissionController, TokenBucket};
+pub use admission::{AdmissionConfig, AdmissionController};
 pub use batcher::{Batch, BatchPolicy, DynamicBatcher, OfferOutcome};
 pub use config::{ServeConfig, ServeConfigError};
 pub use engine::ServeEngine;
 pub use everest_cluster::ClusterConfig;
 pub use ledger::{BatchRecord, Layer, LedgerRow, Metric, Role, ServeOutcome, TenantOutcome};
-pub use lifecycle::{
-    AimdLimiter, BrownoutConfig, BrownoutController, HedgeConfig, LatencyWindow, LifecycleConfig,
-    LimiterConfig, RetryBudget, RetryConfig,
-};
+pub use lifecycle::{BrownoutConfig, HedgeConfig, LifecycleConfig, LimiterConfig, RetryConfig};
 pub use request::{
     ArrivalStream, ArrivalTrace, ClassKind, KernelClass, Request, ShedReason, TenantSpec,
 };

@@ -6,29 +6,29 @@
 //! primitives that story needs (ExaWorks frames robustness as a
 //! property of the whole stack, not one layer):
 //!
-//! * [`RetryBudget`] — a per-tenant token bucket spent by retries and
+//! * `RetryBudget` — a per-tenant token bucket spent by retries and
 //!   refilled by *successes*, so retry storms self-limit: a tenant that
 //!   stops completing work stops earning the right to retry. Backoff
 //!   reuses [`everest_faults::RetryPolicy`] and draws jitter from the
 //!   fault plan's dedicated substream
 //!   ([`everest_faults::FaultPlan::jitter_rng`]), keeping serve-tier
 //!   retries on the same replay-stable contract as the scheduler's.
-//! * [`HedgeConfig`] + [`LatencyWindow`] — hedged dispatch for
+//! * [`HedgeConfig`] + `LatencyWindow` — hedged dispatch for
 //!   latency-critical classes: when a batch outlives the class's
 //!   observed p95 service time, a duplicate is dispatched to a healthy
 //!   node and the losing copy is cancelled.
-//! * [`AimdLimiter`] — an adaptive concurrency limiter: additive
+//! * `AimdLimiter` — an adaptive concurrency limiter: additive
 //!   increase while observed batch latency meets the class deadline,
 //!   multiplicative decrease when it does not. It gates dispatch ahead
 //!   of the circuit breakers and backs new arrivals off at the door
 //!   with the typed [`crate::ShedReason::Overloaded`].
-//! * [`BrownoutController`] — degradation tiers driven by
+//! * `BrownoutController` — degradation tiers driven by
 //!   `everest-health` state: as the fraction of unhealthy nodes grows
 //!   the tier climbs, shrinking batch ceilings first, then disabling
 //!   hedging, then shedding the lowest-weight tenants
 //!   ([`crate::ShedReason::Brownout`]) — graceful steps instead of a
 //!   cliff edge.
-//! * [`Lifecycle`] — the four above as one component of a run: it owns
+//! * `Lifecycle` — the four above as one component of a run: it owns
 //!   whichever of them the run's [`LifecycleConfig`] turns on and
 //!   answers the questions the event loop asks, each with a neutral
 //!   answer when the feature behind it is off.
@@ -50,7 +50,7 @@ pub struct RetryConfig {
     /// scheduler tier; jitter draws come from the fault plan's
     /// dedicated substream so replays stay byte-identical).
     pub policy: RetryPolicy,
-    /// Token capacity of each tenant's [`RetryBudget`] (buckets start
+    /// Token capacity of each tenant's `RetryBudget` (buckets start
     /// full, so a tenant can absorb one early fault burst).
     pub budget_cap: f64,
     /// Tokens earned back per completed request, up to the cap.
@@ -75,7 +75,7 @@ impl Default for RetryConfig {
 /// bucket drains and stays drained until real work completes again —
 /// exactly the self-limiting behaviour a retry storm needs.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RetryBudget {
+pub(crate) struct RetryBudget {
     tokens: f64,
     cap: f64,
     refill_per_success: f64,
@@ -83,7 +83,7 @@ pub struct RetryBudget {
 
 impl RetryBudget {
     /// A full bucket.
-    pub fn new(config: &RetryConfig) -> RetryBudget {
+    pub(crate) fn new(config: &RetryConfig) -> RetryBudget {
         let cap = config.budget_cap.max(0.0);
         RetryBudget {
             tokens: cap,
@@ -94,7 +94,7 @@ impl RetryBudget {
 
     /// Takes one token for a retry attempt; `false` means the budget
     /// is exhausted and the request must fail terminally.
-    pub fn try_take(&mut self) -> bool {
+    pub(crate) fn try_take(&mut self) -> bool {
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
             true
@@ -104,13 +104,8 @@ impl RetryBudget {
     }
 
     /// Credits one completed request.
-    pub fn on_success(&mut self) {
+    pub(crate) fn on_success(&mut self) {
         self.tokens = (self.tokens + self.refill_per_success).min(self.cap);
-    }
-
-    /// Tokens currently available.
-    pub fn available(&self) -> f64 {
-        self.tokens
     }
 }
 
@@ -159,7 +154,7 @@ pub(crate) fn nearest_rank(values: &[f64], q: f64) -> Option<f64> {
 /// sort a scratch copy with `total_cmp`, so two replays of the same
 /// run always agree.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LatencyWindow {
+pub(crate) struct LatencyWindow {
     ring: Vec<f64>,
     cap: usize,
     next: usize,
@@ -167,7 +162,7 @@ pub struct LatencyWindow {
 
 impl LatencyWindow {
     /// An empty window holding at most `cap` observations.
-    pub fn new(cap: usize) -> LatencyWindow {
+    pub(crate) fn new(cap: usize) -> LatencyWindow {
         LatencyWindow {
             ring: Vec::with_capacity(cap.max(1)),
             cap: cap.max(1),
@@ -176,7 +171,7 @@ impl LatencyWindow {
     }
 
     /// Records one observation, evicting the oldest past capacity.
-    pub fn push(&mut self, value_us: f64) {
+    pub(crate) fn push(&mut self, value_us: f64) {
         if self.ring.len() < self.cap {
             self.ring.push(value_us);
         } else {
@@ -186,18 +181,13 @@ impl LatencyWindow {
     }
 
     /// Observations currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ring.len()
-    }
-
-    /// True when nothing has been observed yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     /// Nearest-rank quantile of the window, `q` in `[0, 1]`; `None`
     /// while empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         nearest_rank(&self.ring, q)
     }
 }
@@ -242,7 +232,7 @@ impl Default for LimiterConfig {
 /// executing batches, raised additively while batches meet their
 /// deadline target and cut multiplicatively when they miss.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AimdLimiter {
+pub(crate) struct AimdLimiter {
     limit: f64,
     floor: usize,
     cfg: LimiterConfig,
@@ -250,7 +240,7 @@ pub struct AimdLimiter {
 
 impl AimdLimiter {
     /// A limiter at its configured initial limit.
-    pub fn new(cfg: LimiterConfig) -> AimdLimiter {
+    pub(crate) fn new(cfg: LimiterConfig) -> AimdLimiter {
         let initial = (cfg.initial.max(1) as f64).min(cfg.max_inflight.max(1) as f64);
         AimdLimiter {
             limit: initial,
@@ -263,27 +253,27 @@ impl AimdLimiter {
     /// The serving engine floors at one batch per node: the limiter
     /// exists to throttle queueing, never to idle hardware.
     #[must_use]
-    pub fn with_floor(mut self, floor: usize) -> AimdLimiter {
+    pub(crate) fn with_floor(mut self, floor: usize) -> AimdLimiter {
         self.floor = floor.max(1);
         self
     }
 
     /// The current whole-batch concurrency limit (never below the
     /// floor).
-    pub fn limit(&self) -> usize {
+    pub(crate) fn limit(&self) -> usize {
         (self.limit.floor() as usize).max(self.floor)
     }
 
     /// Arrivals are shed `Overloaded` at the door once the queue holds
     /// this many admitted-but-unserved requests.
-    pub fn door_cap(&self) -> usize {
+    pub(crate) fn door_cap(&self) -> usize {
         self.limit().saturating_mul(self.cfg.queue_per_slot.max(1))
     }
 
     /// Feeds one completed batch's observed service latency against
     /// its class deadline. Returns `true` when the integer limit
     /// changed (so the caller can publish the gauge only on change).
-    pub fn on_batch(&mut self, latency_us: f64, deadline_us: f64) -> bool {
+    pub(crate) fn on_batch(&mut self, latency_us: f64, deadline_us: f64) -> bool {
         let before = self.limit();
         if latency_us <= deadline_us * self.cfg.headroom {
             self.limit = (self.limit + self.cfg.increase).min(self.cfg.max_inflight.max(1) as f64);
@@ -329,20 +319,20 @@ impl Default for BrownoutConfig {
 /// pure function of the current unhealthy fraction), so recovery walks
 /// back down the same ladder it climbed.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BrownoutController {
+pub(crate) struct BrownoutController {
     cfg: BrownoutConfig,
     tier: u8,
 }
 
 impl BrownoutController {
     /// A controller at tier 0.
-    pub fn new(cfg: BrownoutConfig) -> BrownoutController {
+    pub(crate) fn new(cfg: BrownoutConfig) -> BrownoutController {
         BrownoutController { cfg, tier: 0 }
     }
 
     /// The tier the configured ladder assigns to `unhealthy` of
     /// `total` nodes.
-    pub fn tier_for(&self, unhealthy: usize, total: usize) -> u8 {
+    pub(crate) fn tier_for(&self, unhealthy: usize, total: usize) -> u8 {
         if total == 0 {
             return 0;
         }
@@ -360,7 +350,7 @@ impl BrownoutController {
 
     /// Re-evaluates the tier against the current health state.
     /// Returns `Some((from, to))` when the tier changed.
-    pub fn observe(&mut self, unhealthy: usize, total: usize) -> Option<(u8, u8)> {
+    pub(crate) fn observe(&mut self, unhealthy: usize, total: usize) -> Option<(u8, u8)> {
         let next = self.tier_for(unhealthy, total);
         if next == self.tier {
             return None;
@@ -370,14 +360,9 @@ impl BrownoutController {
         Some((from, next))
     }
 
-    /// Current tier, 0–3.
-    pub fn tier(&self) -> u8 {
-        self.tier
-    }
-
     /// Batch ceiling after the tier's shrink is applied to a chosen
     /// ceiling (tier 0 passes through).
-    pub fn batch_ceiling(&self, chosen: usize) -> usize {
+    pub(crate) fn batch_ceiling(&self, chosen: usize) -> usize {
         let divisor = self
             .cfg
             .batch_divisor
@@ -387,13 +372,13 @@ impl BrownoutController {
     }
 
     /// Whether hedged dispatch is still allowed at this tier.
-    pub fn hedging_enabled(&self) -> bool {
+    pub(crate) fn hedging_enabled(&self) -> bool {
         self.tier < 2
     }
 
     /// Whether lowest-weight tenants are shed at the door at this
     /// tier.
-    pub fn shed_lowest_weight(&self) -> bool {
+    pub(crate) fn shed_lowest_weight(&self) -> bool {
         self.tier >= 3
     }
 }
@@ -429,7 +414,7 @@ impl LifecycleConfig {
 
 /// What becomes of a fault-failed request; see [`Lifecycle::retry`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Retry {
+pub(crate) enum Retry {
     /// The retry layer is off: the request fails and no denial counts.
     Off,
     /// Refused: attempt cap reached, deadline spent by the time the
@@ -470,7 +455,7 @@ struct Brownout {
 /// [`LifecycleConfig`] entry is, each question answered neutrally when
 /// it is not. The event loop holds one and asks; it never looks inside.
 #[derive(Debug)]
-pub struct Lifecycle {
+pub(crate) struct Lifecycle {
     retries: Option<Retries>,
     hedging: Option<Hedging>,
     limiter: Option<AimdLimiter>,
@@ -480,7 +465,7 @@ pub struct Lifecycle {
 impl Lifecycle {
     /// The state `cfg.lifecycle` asks for, sized to the run's tenants,
     /// classes and nodes; retry jitter comes from `plan`'s own stream.
-    pub fn new(cfg: &ServeConfig, plan: &FaultPlan) -> Lifecycle {
+    pub(crate) fn new(cfg: &ServeConfig, plan: &FaultPlan) -> Lifecycle {
         let on = &cfg.lifecycle;
         let weights = || cfg.tenants.iter().map(|t| t.weight);
         let min_weight = weights().fold(f64::INFINITY, f64::min);
@@ -525,18 +510,18 @@ impl Lifecycle {
 
     /// Whether the brownout ladder sheds this tenant at the door (tier
     /// 3, and the tenant among the strictly lowest weights).
-    pub fn sheds_at_door(&self, tenant: usize) -> bool {
+    pub(crate) fn sheds_at_door(&self, tenant: usize) -> bool {
         (self.brownout.as_ref())
             .is_some_and(|b| b.ladder.shed_lowest_weight() && b.lowest_weight[tenant])
     }
 
     /// The limiter's cap on admitted-but-unserved requests, if any.
-    pub fn door_cap(&self) -> Option<usize> {
+    pub(crate) fn door_cap(&self) -> Option<usize> {
         self.limiter.as_ref().map(AimdLimiter::door_cap)
     }
 
     /// Whether `inflight` executing batches exhaust the limiter.
-    pub fn dispatch_at_limit(&self, inflight: usize) -> bool {
+    pub(crate) fn dispatch_at_limit(&self, inflight: usize) -> bool {
         (self.limiter.as_ref()).is_some_and(|l| inflight >= l.limit())
     }
 
@@ -546,7 +531,12 @@ impl Lifecycle {
     /// is the class's observed p95 of winning-leg service times once
     /// the window is warm, else `expected_us` scaled by the cold-start
     /// factor; never under a microsecond.
-    pub fn hedge_delay_us(&self, class: usize, probe: bool, expected_us: f64) -> Option<f64> {
+    pub(crate) fn hedge_delay_us(
+        &self,
+        class: usize,
+        probe: bool,
+        expected_us: f64,
+    ) -> Option<f64> {
         let hedging = self.hedging.as_ref()?;
         let window = hedging.windows[class].as_ref()?;
         if probe || !self.may_hedge() {
@@ -563,7 +553,7 @@ impl Lifecycle {
 
     /// Whether a duplicate may still launch: the tier can climb past
     /// hedging between a timer's scheduling and its firing.
-    pub fn may_hedge(&self) -> bool {
+    pub(crate) fn may_hedge(&self) -> bool {
         (self.brownout.as_ref()).is_none_or(|b| b.ladder.hedging_enabled())
     }
 
@@ -572,7 +562,7 @@ impl Lifecycle {
     /// earn their tenants retry budget, the service time joins the
     /// class's hedge window, and the limiter takes one AIMD step.
     /// Returns the limiter's new limit when the step moved it.
-    pub fn batch_finished(
+    pub(crate) fn batch_finished(
         &mut self,
         class: usize,
         requests: &[Request],
@@ -601,7 +591,7 @@ impl Lifecycle {
     /// consumes exactly one jitter draw. Deadline-aware: a retry that
     /// would re-enter the queue with its deadline spent could only be
     /// shed later, so it is refused here and burns no budget token.
-    pub fn retry(&mut self, request: &Request, now_us: f64, deadline_us: f64) -> Retry {
+    pub(crate) fn retry(&mut self, request: &Request, now_us: f64, deadline_us: f64) -> Retry {
         let Some(retries) = self.retries.as_mut() else {
             return Retry::Off;
         };
@@ -621,7 +611,10 @@ impl Lifecycle {
     /// against `unhealthy()` of the run's nodes (counted only when a
     /// ladder is configured) and returns `(from, to, unhealthy)` on a
     /// tier change.
-    pub fn health_moved(&mut self, unhealthy: impl FnOnce() -> usize) -> Option<(u8, u8, usize)> {
+    pub(crate) fn health_moved(
+        &mut self,
+        unhealthy: impl FnOnce() -> usize,
+    ) -> Option<(u8, u8, usize)> {
         let brownout = self.brownout.as_mut()?;
         let unhealthy = unhealthy();
         let (from, to) = brownout.ladder.observe(unhealthy, brownout.nodes)?;
@@ -629,7 +622,7 @@ impl Lifecycle {
     }
 
     /// The batch ceiling the current tier allows for a chosen ceiling.
-    pub fn cap_ceiling(&self, chosen: usize) -> usize {
+    pub(crate) fn cap_ceiling(&self, chosen: usize) -> usize {
         (self.brownout.as_ref()).map_or(chosen, |b| b.ladder.batch_ceiling(chosen))
     }
 }
@@ -656,13 +649,13 @@ mod tests {
         for _ in 0..100 {
             budget.on_success();
         }
-        assert!(budget.available() <= 2.0, "refill never exceeds the cap");
+        assert!(budget.tokens <= 2.0, "refill never exceeds the cap");
     }
 
     #[test]
     fn latency_window_evicts_oldest_and_ranks() {
         let mut w = LatencyWindow::new(4);
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
         assert_eq!(w.quantile(0.95), None);
         for v in [10.0, 20.0, 30.0, 40.0] {
             w.push(v);
@@ -700,7 +693,7 @@ mod tests {
     #[test]
     fn brownout_ladder_climbs_and_recovers() {
         let mut b = BrownoutController::new(BrownoutConfig::default());
-        assert_eq!(b.tier(), 0);
+        assert_eq!(b.tier, 0);
         assert!(b.hedging_enabled());
         assert_eq!(b.observe(0, 4), None);
         assert_eq!(b.observe(1, 4), Some((0, 1)));

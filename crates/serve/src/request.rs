@@ -149,7 +149,7 @@ impl KernelClass {
 
     /// Service time for a batch of `n` requests on CPU cores
     /// (sequential: the serving node dedicates one core per batch).
-    pub fn cpu_batch_us(&self, n: usize) -> f64 {
+    pub(crate) fn cpu_batch_us(&self, n: usize) -> f64 {
         n as f64 * self.cpu_us
     }
 }

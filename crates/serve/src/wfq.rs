@@ -114,11 +114,6 @@ impl WeightedFairQueue {
         self.len == 0
     }
 
-    /// Queued requests in one tenant's lane.
-    pub fn backlog(&self, tenant: usize) -> usize {
-        self.tenants[tenant].fifo.len()
-    }
-
     /// Lifetime pops per tenant, for fairness accounting.
     pub fn served(&self) -> Vec<u64> {
         self.tenants.iter().map(|t| t.served).collect()

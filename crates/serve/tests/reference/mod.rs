@@ -12,7 +12,7 @@ use everest_serve::{KernelClass, Request, TenantSpec};
 
 /// The body of `ArrivalTrace::synthesize` as of the commit before the
 /// stream, returning the merged requests.
-pub fn synthesize(
+pub(crate) fn synthesize(
     seed: u64,
     tenants: &[TenantSpec],
     classes: &[KernelClass],

@@ -72,12 +72,12 @@
 
 pub mod monitor;
 pub mod registry;
-pub mod sinks;
+pub(crate) mod sinks;
 
 pub use monitor::Monitor;
 pub use registry::{
     ArgValue, CounterHandle, EventRecord, GaugeHandle, HistogramHandle, HistogramSnapshot,
-    MonitorHandle, Registry, SpanGuard, SpanRecord, DEFAULT_MONITOR_WINDOW,
+    MonitorHandle, Registry, SpanGuard, SpanRecord,
 };
 
 use std::sync::Arc;

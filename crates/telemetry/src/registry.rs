@@ -26,7 +26,7 @@ use std::time::Instant;
 use crate::monitor::Monitor;
 
 /// Default sliding window for [`Registry::observe`].
-pub const DEFAULT_MONITOR_WINDOW: usize = 64;
+pub(crate) const DEFAULT_MONITOR_WINDOW: usize = 64;
 
 /// Default capacity of the event ring buffer.
 const DEFAULT_EVENT_CAPACITY: usize = 1024;
@@ -580,7 +580,7 @@ impl Registry {
 
     /// Creates an empty registry whose event ring holds at most
     /// `capacity` events (older events are evicted first).
-    pub fn with_event_capacity(capacity: usize) -> Arc<Registry> {
+    pub(crate) fn with_event_capacity(capacity: usize) -> Arc<Registry> {
         Arc::new(Registry {
             uid: next_uid(),
             epoch: Instant::now(),
@@ -850,14 +850,14 @@ impl Registry {
     }
 
     /// Feeds the sliding-window monitor `name` (window
-    /// [`DEFAULT_MONITOR_WINDOW`] on first use).
+    /// `DEFAULT_MONITOR_WINDOW` on first use).
     pub fn observe(&self, name: &str, value: f64) {
         self.observe_windowed(name, value, DEFAULT_MONITOR_WINDOW);
     }
 
     /// Feeds the monitor `name`, creating it with `window` if absent
     /// (an existing monitor keeps its original window).
-    pub fn observe_windowed(&self, name: &str, value: f64, window: usize) {
+    pub(crate) fn observe_windowed(&self, name: &str, value: f64, window: usize) {
         self.monitor_cell(name, window)
             .lock()
             .unwrap_or_else(|e| e.into_inner())

@@ -35,7 +35,7 @@ impl Inner {
 }
 
 /// The span half of the replaced registry.
-pub struct Registry {
+pub(crate) struct Registry {
     uid: u64,
     epoch: Instant,
     inner: Mutex<Inner>,
@@ -52,7 +52,7 @@ fn next_uid() -> u64 {
 }
 
 impl Registry {
-    pub fn new() -> Arc<Registry> {
+    pub(crate) fn new() -> Arc<Registry> {
         Arc::new(Registry {
             uid: next_uid(),
             epoch: Instant::now(),
@@ -72,7 +72,7 @@ impl Registry {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    pub fn span(self: &Arc<Self>, name: impl Into<String>) -> SpanGuard {
+    pub(crate) fn span(self: &Arc<Self>, name: impl Into<String>) -> SpanGuard {
         let now = self.now_us();
         let mut inner = self.lock();
         let tid = inner.tid();
@@ -132,25 +132,25 @@ impl Registry {
         }
     }
 
-    pub fn spans(&self) -> Vec<SpanRecord> {
+    pub(crate) fn spans(&self) -> Vec<SpanRecord> {
         self.lock().spans.clone()
     }
 
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         let mut inner = self.lock();
         inner.spans.clear();
         inner.generation += 1;
     }
 }
 
-pub struct SpanGuard {
+pub(crate) struct SpanGuard {
     registry: Arc<Registry>,
     id: u32,
     generation: u64,
 }
 
 impl SpanGuard {
-    pub fn arg(&self, key: &str, value: impl Into<ArgValue>) -> &Self {
+    pub(crate) fn arg(&self, key: &str, value: impl Into<ArgValue>) -> &Self {
         self.registry
             .span_arg(self.id, self.generation, key, value.into());
         self

@@ -3,11 +3,12 @@
 //! combining ensemble weather forecasts with plume dispersion, and
 //! decide whether to activate (costly) emission-reduction measures.
 
-pub mod plume;
+pub(crate) mod plume;
 
-pub use plume::{concentration_at, Stability, Stack};
+pub use plume::Stack;
 
 use crate::weather::{run_ensemble, EnsembleStrategy, State};
+use plume::concentration_at;
 
 /// A receptor (village, school, monitoring station) near the site.
 #[derive(Debug, Clone, Copy)]

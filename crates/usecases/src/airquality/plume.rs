@@ -4,7 +4,7 @@
 
 /// Pasquill–Gifford atmospheric stability classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stability {
+pub(crate) enum Stability {
     /// Very unstable (strong daytime convection).
     A,
     /// Unstable.
@@ -22,7 +22,7 @@ pub enum Stability {
 impl Stability {
     /// Classifies from wind speed and hour of day (simplified
     /// Pasquill scheme: daytime convection vs nocturnal stability).
-    pub fn classify(wind_ms: f64, hour: f64) -> Stability {
+    pub(crate) fn classify(wind_ms: f64, hour: f64) -> Stability {
         let daytime = (7.0..19.0).contains(&(hour.rem_euclid(24.0)));
         if daytime {
             if wind_ms < 2.0 {
@@ -70,7 +70,7 @@ pub struct Stack {
 ///
 /// `downwind_m` is the along-wind distance, `crosswind_m` the lateral
 /// offset; `wind_ms` the transport wind (floored at 0.5 m/s calm limit).
-pub fn concentration(
+pub(crate) fn concentration(
     stack: &Stack,
     downwind_m: f64,
     crosswind_m: f64,
@@ -93,7 +93,7 @@ pub fn concentration(
 
 /// Receptor concentration given the wind vector and receptor offset
 /// from the stack (meters east/north).
-pub fn concentration_at(
+pub(crate) fn concentration_at(
     stack: &Stack,
     receptor_east_m: f64,
     receptor_north_m: f64,

@@ -7,7 +7,7 @@
 
 /// A fitted kernel-ridge model.
 #[derive(Debug, Clone)]
-pub struct KernelRidge {
+pub(crate) struct KernelRidge {
     train_x: Vec<Vec<f64>>,
     alpha: Vec<f64>,
     gamma: f64,
@@ -15,7 +15,7 @@ pub struct KernelRidge {
 
 /// Fit errors.
 #[derive(Debug, Clone, PartialEq)]
-pub enum FitError {
+pub(crate) enum FitError {
     /// Training set empty or inconsistent.
     BadInput(String),
     /// Cholesky failed (matrix not positive definite).
@@ -94,7 +94,7 @@ impl KernelRidge {
     ///
     /// Returns [`FitError`] for empty/inconsistent data or a singular
     /// kernel matrix.
-    pub fn fit(
+    pub(crate) fn fit(
         x: &[Vec<f64>],
         y: &[f64],
         gamma: f64,
@@ -131,7 +131,7 @@ impl KernelRidge {
     }
 
     /// Predicts one point.
-    pub fn predict(&self, point: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, point: &[f64]) -> f64 {
         self.train_x
             .iter()
             .zip(&self.alpha)
@@ -141,7 +141,7 @@ impl KernelRidge {
 }
 
 /// Mean absolute error.
-pub fn mae(predictions: &[f64], truth: &[f64]) -> f64 {
+pub(crate) fn mae(predictions: &[f64], truth: &[f64]) -> f64 {
     predictions
         .iter()
         .zip(truth)

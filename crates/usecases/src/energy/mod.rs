@@ -4,10 +4,10 @@
 //! Regression — and quantify how *more WRF runs per day* (the
 //! FPGA-enabled capability highlighted in §VIII) reduce forecast error.
 
-pub mod kernel_ridge;
-pub mod windfarm;
+pub(crate) mod kernel_ridge;
+pub(crate) mod windfarm;
 
-pub use kernel_ridge::{mae, KernelRidge};
+use kernel_ridge::{mae, KernelRidge};
 pub use windfarm::{generate_history, PowerSample, WindFarm};
 
 /// Result of a backtest at a given forecast refresh rate.

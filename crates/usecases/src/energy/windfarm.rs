@@ -47,13 +47,13 @@ impl Default for WindFarm {
 
 impl WindFarm {
     /// Extrapolates 10 m model wind to hub height with a log profile.
-    pub fn hub_wind(&self, wind_10m: f64) -> f64 {
+    pub(crate) fn hub_wind(&self, wind_10m: f64) -> f64 {
         let z0 = 0.05; // roughness length (open terrain)
         wind_10m * ((self.hub_height_m / z0).ln() / (10.0 / z0).ln())
     }
 
     /// Power curve of one turbine (MW) at hub-height wind speed.
-    pub fn turbine_power(&self, wind: f64) -> f64 {
+    pub(crate) fn turbine_power(&self, wind: f64) -> f64 {
         if wind < self.cut_in || wind >= self.cut_out {
             0.0
         } else if wind >= self.rated_speed {
@@ -67,7 +67,7 @@ impl WindFarm {
 
     /// Farm output (MW) given hub wind and turbine availability in
     /// \[0, 1\].
-    pub fn farm_power(&self, hub_wind: f64, availability: f64) -> f64 {
+    pub(crate) fn farm_power(&self, hub_wind: f64, availability: f64) -> f64 {
         self.turbine_power(hub_wind) * self.turbines as f64 * availability.clamp(0.0, 1.0)
     }
 }

@@ -4,7 +4,7 @@
 //! algorithms, GMM regime prediction and the CNN speed predictor, are
 //! not reproduced here.
 
-pub mod fcd;
+pub(crate) mod fcd;
 pub mod mapmatch;
 pub mod network;
 pub mod ptdr;

@@ -43,7 +43,7 @@ pub struct Segment {
 
 impl Segment {
     /// Interval index for an hour-of-day.
-    pub fn interval_of(hour: f64) -> usize {
+    pub(crate) fn interval_of(hour: f64) -> usize {
         ((hour.rem_euclid(24.0) * 4.0) as usize).min(INTERVALS_PER_DAY - 1)
     }
 
@@ -135,12 +135,12 @@ impl RoadNetwork {
     }
 
     /// Outgoing segments of a node.
-    pub fn outgoing(&self, node: usize) -> Vec<&Segment> {
+    pub(crate) fn outgoing(&self, node: usize) -> Vec<&Segment> {
         self.segments.iter().filter(|s| s.from == node).collect()
     }
 
     /// Closest point on a segment to `p`, returning `(point, distance)`.
-    pub fn project_on_segment(&self, segment: &Segment, p: &Point) -> (Point, f64) {
+    pub(crate) fn project_on_segment(&self, segment: &Segment, p: &Point) -> (Point, f64) {
         let a = self.nodes[segment.from];
         let b = self.nodes[segment.to];
         let (abx, aby) = (b.x - a.x, b.y - a.y);
@@ -155,7 +155,7 @@ impl RoadNetwork {
     }
 
     /// The `k` segments nearest to a point (brute force).
-    pub fn nearest_segments(&self, p: &Point, k: usize) -> Vec<(usize, f64)> {
+    pub(crate) fn nearest_segments(&self, p: &Point, k: usize) -> Vec<(usize, f64)> {
         let mut d: Vec<(usize, f64)> = self
             .segments
             .iter()

@@ -86,7 +86,7 @@ pub fn build_route(net: &RoadNetwork, start_node: usize, hops: usize) -> Route {
 /// `N(mean, std)` truncated at 3 km/h; the clock advances so later
 /// segments see later (possibly more congested) intervals — the
 /// *time-dependent* part of PTDR.
-pub fn sample_travel_time(
+pub(crate) fn sample_travel_time(
     net: &RoadNetwork,
     route: &Route,
     depart_hour: f64,

@@ -51,22 +51,6 @@ impl Field {
     pub fn max(&self) -> f64 {
         self.data.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
-
-    /// Root-mean-square difference against another field.
-    ///
-    /// # Panics
-    ///
-    /// Panics if shapes differ.
-    pub fn rmse(&self, other: &Field) -> f64 {
-        assert_eq!(self.data.len(), other.data.len(), "field shapes differ");
-        let sum: f64 = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).powi(2))
-            .sum();
-        (sum / self.data.len().max(1) as f64).sqrt()
-    }
 }
 
 /// `index.rem_euclid(extent)`. The model's stencils and its advection
@@ -107,7 +91,7 @@ pub struct State {
 
 impl State {
     /// A quiescent atmosphere.
-    pub fn uniform(nx: usize, ny: usize) -> State {
+    pub(crate) fn uniform(nx: usize, ny: usize) -> State {
         State {
             u: Field::constant(nx, ny, 5.0),
             v: Field::constant(nx, ny, 0.0),
@@ -119,7 +103,7 @@ impl State {
     }
 
     /// Wind speed (m/s) at `(i, j)`.
-    pub fn wind_speed(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn wind_speed(&self, i: usize, j: usize) -> f64 {
         let u = self.u.at(i as isize, j as isize);
         let v = self.v.at(i as isize, j as isize);
         (u * u + v * v).sqrt()
@@ -127,7 +111,7 @@ impl State {
 
     /// Wind direction in degrees (meteorological: direction the wind
     /// comes *from*, 0 = north).
-    pub fn wind_direction_deg(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn wind_direction_deg(&self, i: usize, j: usize) -> f64 {
         let u = self.u.at(i as isize, j as isize);
         let v = self.v.at(i as isize, j as isize);
         (270.0 - v.atan2(u).to_degrees()).rem_euclid(360.0)
@@ -137,6 +121,21 @@ impl State {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Field {
+        /// Root-mean-square difference against another field of the
+        /// same shape: how the weather tests measure spread.
+        pub(crate) fn rmse(&self, other: &Field) -> f64 {
+            assert_eq!(self.data.len(), other.data.len(), "field shapes differ");
+            let sum: f64 = self
+                .data
+                .iter()
+                .zip(&other.data)
+                .map(|(a, b)| (a - b).powi(2))
+                .sum();
+            (sum / self.data.len().max(1) as f64).sqrt()
+        }
+    }
 
     #[test]
     fn field_wraps_periodically() {

@@ -2,7 +2,7 @@
 //! with the RRTMG-style radiation kernel, station observations of a
 //! model state, and ensemble generation.
 
-pub mod assimilation;
+pub(crate) mod assimilation;
 pub mod grid;
 pub mod model;
 pub mod radiation;

@@ -82,7 +82,7 @@ impl WeatherModel {
 
     /// Perturbs a state's 3-D fields (the third ensemble strategy of
     /// §VIII: "perturbations in initial weather fields").
-    pub fn perturb(&self, state: &State, magnitude: f64, seed: u64) -> State {
+    pub(crate) fn perturb(&self, state: &State, magnitude: f64, seed: u64) -> State {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut out = state.clone();
         for f in [&mut out.u, &mut out.v, &mut out.temp, &mut out.humidity] {

@@ -1,4 +1,4 @@
 //! Implementations the crate replaced, kept as test oracles.
 
-pub mod model;
-pub mod radiation;
+pub(crate) mod model;
+pub(crate) mod radiation;

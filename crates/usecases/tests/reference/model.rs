@@ -11,7 +11,7 @@ use super::radiation;
 
 /// The model: holds configuration and steps states forward.
 #[derive(Debug, Clone)]
-pub struct WeatherModel {
+pub(crate) struct WeatherModel {
     /// Configuration.
     pub config: ModelConfig,
 }
@@ -19,7 +19,7 @@ pub struct WeatherModel {
 impl WeatherModel {
     /// Advances the state one time step; returns the radiation cycle
     /// count (the FPGA-offloadable work, used by the offload experiments).
-    pub fn step(&self, state: &mut State) -> u64 {
+    pub(crate) fn step(&self, state: &mut State) -> u64 {
         let (nx, ny) = (self.config.nx, self.config.ny);
         let dt = self.config.dt_h;
         // Advection: upstream semi-Lagrangian on temperature/humidity,

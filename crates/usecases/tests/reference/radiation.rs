@@ -14,7 +14,7 @@ use everest_usecases::weather::{Field, RadiationScheme};
 
 /// Computes the heating-rate field (K/h) and the equivalent accelerator
 /// work in cycles.
-pub fn heating_rates(
+pub(crate) fn heating_rates(
     pressure: &Field,
     humidity: &Field,
     time_h: f64,
