@@ -31,28 +31,38 @@
 #   synthesizing it: each of the 224 candidates of a sweep records an
 #   `olympus.generate` span, and a span is a 64-byte record with its
 #   args in one flat vector (a literal name and literal keys copied
-#   nowhere), not a `String` name, a `String` a key and a `BTreeMap`.
+#   nowhere), not a `String` name, a `String` a key and a `BTreeMap`;
+# * parsing the printed modules back must cost less than 3 times
+#   lowering the kernels that produced them: the parser reads the text
+#   once, its tokens are slices of it, an op's operand types are checked
+#   and not built, and no block body is scanned ahead and parsed again.
 #
 # Readings of small / large on one host (`--quick --seconds 3`), before
 # *Borrow what is only read* (a), after it (b), after *Dense tables*
 # (c), after *Per-op primitives* (d), after *An op that allocates
-# nothing* (e) and after *What the compile flow writes down* (f, the
-# median of 8 readings), the compile-path sections of
-# docs/PERFORMANCE.md:
+# nothing* (e), after *What the compile flow writes down* (f, the
+# median of 8 readings) and after *One pass over the IR text* (g, the
+# median of 8), the compile-path sections of docs/PERFORMANCE.md:
 #
-#   ratio                                   (a)      (b)      (c)      (d)      (e)      (f)
-#   ir.canonicalize_s / analysis.run_s     1.33     0.79     1.13     0.41     0.57     0.57
-#   ir.canonicalize_s / ekl.lower_s           -        -     1.42     0.50     0.61     0.54
-#   ir.verify_s / ekl.lower_s                 -        -     0.27     0.12     0.15     0.13
-#   ir.print_s / ekl.lower_s               1.18     0.67     0.67     0.66     0.79     0.48
-#   hls.synthesize_s / ekl.lower_s            -     1.41     0.40     0.41     0.45     0.47
-#   hls.synthesize_s / analysis.run_s         -     0.78     0.32     0.34     0.42     0.51
-#   analysis.run_s / hls.synthesize_s         -     1.28     3.13     2.94     2.38     2.14
-#   olympus.explore_s / hls.synthesize_s      -        -        -        -        -     0.77
+#   ratio                                   (a)      (b)      (c)      (d)      (e)      (f)      (g)
+#   ir.canonicalize_s / analysis.run_s     1.33     0.79     1.13     0.41     0.57     0.57     0.59
+#   ir.canonicalize_s / ekl.lower_s           -        -     1.42     0.50     0.61     0.54     0.57
+#   ir.verify_s / ekl.lower_s                 -        -     0.27     0.12     0.15     0.13     0.14
+#   ir.print_s / ekl.lower_s               1.18     0.67     0.67     0.66     0.79     0.48     0.41
+#   hls.synthesize_s / ekl.lower_s            -     1.41     0.40     0.41     0.45     0.47     0.49
+#   hls.synthesize_s / analysis.run_s         -     0.78     0.32     0.34     0.42     0.51     0.50
+#   analysis.run_s / hls.synthesize_s         -     1.28     3.13     2.94     2.38     2.14     2.00
+#   olympus.explore_s / hls.synthesize_s      -        -        -        -        -     0.77     0.73
+#   ir.parse_s / ekl.lower_s                  -        -        -        -        -     6.84     2.00
 #
-# The last two bounds were set from 8 readings a side at (f) and at its
-# parent: printing read 0.37-0.50 after and 0.69-0.81 before (bound
-# 0.6), exploring 0.69-0.79 after and 1.10-1.19 before (bound 0.9).
+# The last three bounds were set from 8 readings a side at the change
+# that added each and at its parent: printing read 0.37-0.50 after and
+# 0.69-0.81 before (bound 0.6), exploring 0.69-0.79 after and 1.10-1.19
+# before (bound 0.9), both at (f); parsing read 1.81-2.12 after and
+# 6.60-6.91 before (bound 3.0), at (g). Before (g) the parser collected
+# the text into a `Vec<char>`, built a `String` per identifier and
+# number, and read each block body twice, once scanning ahead for its
+# end (2,288 allocations for RRTMG's 78 ops; 140 after).
 # Before (f) the printer spelt every value number, name, type and
 # attribute through `core::fmt`, and each `olympus.generate` span cost a
 # `String` name, three `String` keys, a `BTreeMap` leaf and a
@@ -99,6 +109,7 @@ for small, factor, large in (
     ("hls.synthesize_s", 1.0, "analysis.run_s"),
     ("analysis.run_s", 2.7, "hls.synthesize_s"),
     ("olympus.explore_s", 0.9, "hls.synthesize_s"),
+    ("ir.parse_s", 3.0, "ekl.lower_s"),
 ):
     a = result["metrics"][small]["value"]
     b = result["metrics"][large]["value"]

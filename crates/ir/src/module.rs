@@ -307,22 +307,15 @@ impl Module {
     pub fn add_block(&mut self, region: RegionId, arg_types: &[Type]) -> BlockId {
         self.revision += 1;
         let id = BlockId::from_raw(self.blocks.len() as u32);
-        let args = arg_types
-            .iter()
-            .enumerate()
-            .map(|(index, ty)| {
-                self.alloc_value(ValueInfo {
-                    ty: ty.clone(),
-                    def: ValueDef::BlockArg { block: id, index },
-                })
-            })
-            .collect();
         self.blocks.push(Block {
-            args,
+            args: Vec::with_capacity(arg_types.len()),
             ops: Vec::new(),
             parent_region: region,
         });
         self.regions[region.index()].blocks.push(id);
+        for ty in arg_types {
+            self.push_block_arg(id, ty.clone());
+        }
         id
     }
 
@@ -367,6 +360,41 @@ impl Module {
             parent_block: None,
         });
         id
+    }
+
+    /// Appends a new region to `op`. The parser creates an op from its
+    /// name and operands, then adds its regions and results as it reads
+    /// them.
+    pub(crate) fn push_region(&mut self, op: OpId) -> RegionId {
+        self.revision += 1;
+        let region = self.alloc_region(Some(op));
+        let operation = self.ops[op.index()].as_mut().expect("a live op");
+        operation.regions.push(region);
+        region
+    }
+
+    /// Appends a result of type `ty` to `op`.
+    pub(crate) fn push_result(&mut self, op: OpId, ty: Type) -> ValueId {
+        self.revision += 1;
+        let results = &self.ops[op.index()].as_ref().expect("a live op").results;
+        let def = ValueDef::OpResult {
+            op,
+            index: results.len(),
+        };
+        let value = self.alloc_value(ValueInfo { ty, def });
+        let operation = self.ops[op.index()].as_mut().expect("a live op");
+        operation.results.push(value);
+        value
+    }
+
+    /// Appends an argument of type `ty` to `block`.
+    pub(crate) fn push_block_arg(&mut self, block: BlockId, ty: Type) -> ValueId {
+        self.revision += 1;
+        let index = self.blocks[block.index()].args.len();
+        let def = ValueDef::BlockArg { block, index };
+        let value = self.alloc_value(ValueInfo { ty, def });
+        self.blocks[block.index()].args.push(value);
+        value
     }
 
     /// Starts a fluent op builder.

@@ -10,16 +10,29 @@
 //! block     ::= "^bb(" blockargs "):" op*
 //! ```
 //!
+//! The parser reads the text once, byte by byte, by recursive descent:
+//! every token is a slice of the input, an op is created as soon as its
+//! name and operands are read, and each of its regions is filled as it is
+//! parsed, so a block ends at the `^bb(` or `})` the parser reaches.
+//! Whitespace is whatever `char::is_whitespace` accepts, and `//` starts
+//! a comment that runs to the end of its line.
+//!
+//! A value is bound when it is defined, an op's results once its regions
+//! are read: a use of an op's own result inside its regions is a use of
+//! an undefined value, and a value number defined twice is an error.
+//!
 //! Round-tripping `parse(print(m))` preserves structure, which the test
 //! suite exploits heavily (including property tests over random modules).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::attr::{AttrMap, Attribute};
 use crate::error::{IrError, IrResult};
-use crate::ids::{BlockId, ValueId};
+use crate::ids::{BlockId, RegionId, ValueId};
 use crate::module::Module;
 use crate::types::{FixedFormat, MemorySpace, PositFormat, Type};
+use crate::value_list::ValueList;
 
 /// Parses the textual form of a module.
 ///
@@ -28,22 +41,27 @@ use crate::types::{FixedFormat, MemorySpace, PositFormat, Type};
 /// Returns [`IrError::Parse`] with a line number on any syntax error.
 pub fn parse_module(text: &str) -> IrResult<Module> {
     let mut p = Parser {
-        chars: text.chars().collect(),
+        text,
+        bytes: text.as_bytes(),
         pos: 0,
         values: Vec::new(),
+        results: Vec::new(),
+        chars: None,
+        keep_types: true,
         depth: 0,
     };
-    // Roughly one op per non-empty line; pre-size the arenas so large
-    // round-trips don't regrow mid-parse.
-    let mut module = Module::with_capacity(text.lines().count());
-    p.skip_ws();
-    p.expect_word("module")?;
-    p.expect_char('{')?;
+    // Pre-size the arenas so large round-trips don't regrow mid-parse.
+    let mut module = Module::with_capacity(text.len() / BYTES_PER_OP);
+    let keyword = p.ident()?;
+    if keyword != "module" {
+        return Err(p.error(format!("expected 'module', found '{keyword}'")));
+    }
+    p.expect("{")?;
     let top = module.top_block();
-    p.parse_ops_until(&mut module, top, '}')?;
-    p.expect_char('}')?;
+    p.ops(&mut module, top, false)?;
+    p.expect("}")?;
     p.skip_ws();
-    if !p.at_end() {
+    if p.pos < p.bytes.len() {
         return Err(p.error("trailing input after module"));
     }
     Ok(module)
@@ -52,144 +70,162 @@ pub fn parse_module(text: &str) -> IrResult<Module> {
 /// Deepest nesting of regions, types and attributes the parser follows.
 const MAX_NESTING: usize = 64;
 
-struct Parser {
-    chars: Vec<char>,
+/// Fewest bytes of text an op prints as (the corpus kernels average ~75).
+const BYTES_PER_OP: usize = 64;
+
+struct Parser<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
     pos: usize,
     /// `%N` → ValueId mapping (dense, indexed by N).
     values: Vec<Option<ValueId>>,
+    /// The `%N` of the results of every op being parsed, innermost last:
+    /// an op's results are bound once its regions are read.
+    results: Vec<usize>,
+    /// The length of the text in chars, counted when first needed.
+    chars: Option<usize>,
+    /// `false` while an op's operand types are read: they are checked,
+    /// then dropped, so a compound one is not built.
+    keep_types: bool,
     /// Recursive productions currently open.
     depth: usize,
 }
 
-impl Parser {
-    fn at_end(&self) -> bool {
-        self.pos >= self.chars.len()
-    }
-
-    fn line(&self) -> usize {
-        self.chars[..self.pos.min(self.chars.len())]
-            .iter()
-            .filter(|&&c| c == '\n')
-            .count()
-            + 1
-    }
-
+impl<'a> Parser<'a> {
     fn error(&self, msg: impl Into<String>) -> IrError {
+        let before = &self.bytes[..self.pos.min(self.bytes.len())];
         IrError::Parse {
-            line: self.line(),
+            line: 1 + before.iter().filter(|&&b| b == b'\n').count(),
             message: msg.into(),
         }
     }
 
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek();
-        if c.is_some() {
-            self.pos += 1;
-        }
-        c
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while let Some(c) = self.peek() {
-            if c.is_whitespace() {
-                self.pos += 1;
-            } else if c == '/' && self.chars.get(self.pos + 1) == Some(&'/') {
-                while let Some(c) = self.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    self.pos += 1;
+        let mut pos = self.pos;
+        loop {
+            match self.bytes.get(pos) {
+                Some(b' ' | b'\t'..=b'\r') => pos += 1,
+                Some(b'/') if self.bytes.get(pos + 1) == Some(&b'/') => {
+                    let line = &self.bytes[pos..];
+                    pos += line.iter().position(|&b| b == b'\n').unwrap_or(line.len());
                 }
-            } else {
-                break;
+                Some(0x80..) => match self.text.get(pos..).and_then(|s| s.chars().next()) {
+                    Some(c) if c.is_whitespace() => pos += c.len_utf8(),
+                    _ => break,
+                },
+                _ => break,
+            }
+        }
+        self.pos = pos;
+    }
+
+    fn expect(&mut self, token: &str) -> IrResult<()> {
+        if self.eat(token) {
+            return Ok(());
+        }
+        Err(self.error(
+            match self.text.get(self.pos..).and_then(|s| s.chars().next()) {
+                Some(found) => format!("expected '{token}', found '{found}'"),
+                None => format!("expected '{token}', found end of input"),
+            },
+        ))
+    }
+
+    /// Consumes `token` if it comes next, after any whitespace.
+    fn eat(&mut self, token: &str) -> bool {
+        self.skip_ws();
+        let hit = self.bytes[self.pos..].starts_with(token.as_bytes());
+        if hit {
+            self.pos += token.len();
+        }
+        hit
+    }
+
+    /// Parses `item (',' item)* close`, or a bare `close`, and returns
+    /// how many items it read; the opening delimiter is the caller's.
+    fn list(
+        &mut self,
+        close: &str,
+        mut item: impl FnMut(&mut Self) -> IrResult<()>,
+    ) -> IrResult<usize> {
+        if self.eat(close) {
+            return Ok(0);
+        }
+        let mut n = 0;
+        loop {
+            item(self)?;
+            n += 1;
+            if !self.eat(",") {
+                self.expect(close)?;
+                return Ok(n);
             }
         }
     }
 
-    fn expect_char(&mut self, c: char) -> IrResult<()> {
-        self.skip_ws();
-        match self.bump() {
-            Some(x) if x == c => Ok(()),
-            Some(x) => Err(self.error(format!("expected '{c}', found '{x}'"))),
-            None => Err(self.error(format!("expected '{c}', found end of input"))),
-        }
-    }
-
-    fn eat_char(&mut self, c: char) -> bool {
-        self.skip_ws();
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_str(&mut self, s: &str) -> bool {
-        self.skip_ws();
-        let end = self.pos + s.len();
-        if end <= self.chars.len() && self.chars[self.pos..end].iter().collect::<String>() == s {
-            self.pos = end;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_word(&mut self, w: &str) -> IrResult<()> {
-        self.skip_ws();
-        let ident = self.parse_ident()?;
-        if ident == w {
-            Ok(())
-        } else {
-            Err(self.error(format!("expected '{w}', found '{ident}'")))
-        }
-    }
-
-    fn parse_ident(&mut self) -> IrResult<String> {
-        self.skip_ws();
+    /// The run of bytes from the current one on that `part` accepts.
+    fn take_while(&mut self, part: impl Fn(u8) -> bool) -> &'a str {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while self.peek().is_some_and(&part) {
+            self.pos += 1;
         }
-        if self.pos == start {
+        &self.text[start..self.pos]
+    }
+
+    fn ident(&mut self) -> IrResult<&'a str> {
+        self.skip_ws();
+        let ident = self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'.');
+        if ident.is_empty() {
             return Err(self.error("expected identifier"));
         }
-        Ok(self.chars[start..self.pos].iter().collect())
+        Ok(ident)
     }
 
-    fn parse_string(&mut self) -> IrResult<String> {
-        self.expect_char('"')?;
-        let mut out = String::new();
+    /// A quoted string: borrowed from the text unless it holds a `\"` or
+    /// `\\` escape. A backslash before anything else is kept as it is.
+    fn string(&mut self) -> IrResult<Cow<'a, str>> {
+        self.expect("\"")?;
+        let mut owned: Option<String> = None;
+        let mut run = self.pos;
         loop {
-            match self.bump() {
-                Some('"') => return Ok(out),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some(other) => {
-                        out.push('\\');
-                        out.push(other);
+            match self.peek() {
+                Some(b'"') => {
+                    let tail = &self.text[run..self.pos];
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
+                }
+                Some(b'\\') => match self.bytes.get(self.pos + 1) {
+                    Some(b'"' | b'\\') => {
+                        let s = owned.get_or_insert_with(String::new);
+                        s.push_str(&self.text[run..self.pos]);
+                        // The escaped byte starts the next run.
+                        run = self.pos + 1;
+                        self.pos += 2;
                     }
-                    None => return Err(self.error("unterminated escape")),
+                    Some(_) => self.pos += 1,
+                    None => {
+                        self.pos += 1;
+                        return Err(self.error("unterminated escape"));
+                    }
                 },
-                Some(c) => out.push(c),
+                Some(_) => self.pos += 1,
                 None => return Err(self.error("unterminated string")),
             }
         }
     }
 
-    fn parse_value_ref(&mut self) -> IrResult<ValueId> {
-        self.expect_char('%')?;
-        let n = self.parse_usize()?;
+    fn value_ref(&mut self) -> IrResult<ValueId> {
+        self.expect("%")?;
+        let n = self.number()?;
         self.values
             .get(n)
             .copied()
@@ -197,26 +233,33 @@ impl Parser {
             .ok_or_else(|| self.error(format!("use of undefined value %{n}")))
     }
 
-    fn bind_value(&mut self, n: usize, v: ValueId) {
+    fn bind(&mut self, n: usize, v: ValueId) -> IrResult<()> {
         if self.values.len() <= n {
             self.values.resize(n + 1, None);
         }
-        self.values[n] = Some(v);
+        if self.values[n].replace(v).is_some() {
+            return Err(self.error(format!("redefinition of value %{n}")));
+        }
+        Ok(())
     }
 
     /// Parses the `N` of a `%N` definition. The printer numbers values
-    /// densely, so a number past the length of the text is malformed —
-    /// and would size the `%N` table, so it is refused here.
-    fn parse_value_number(&mut self) -> IrResult<usize> {
-        let n = self.parse_usize()?;
-        if n >= self.chars.len() {
+    /// densely, so a number past the length of the text (in chars) is
+    /// malformed — and would size the `%N` table, so it is refused here.
+    /// No text is shorter in chars than a quarter of its bytes.
+    fn value_number(&mut self) -> IrResult<usize> {
+        self.expect("%")?;
+        let n = self.number()?;
+        let text = self.text;
+        let chars = || text.chars().count();
+        if n >= self.bytes.len() / 4 && n >= *self.chars.get_or_insert_with(chars) {
             return Err(self.error(format!("value number %{n} out of range")));
         }
         Ok(n)
     }
 
-    fn parse_u32(&mut self) -> IrResult<u32> {
-        let n = self.parse_usize()?;
+    fn u32(&mut self) -> IrResult<u32> {
+        let n = self.number()?;
         u32::try_from(n).map_err(|_| self.error("number out of range"))
     }
 
@@ -233,43 +276,39 @@ impl Parser {
         out
     }
 
-    fn parse_usize(&mut self) -> IrResult<usize> {
+    fn number(&mut self) -> IrResult<usize> {
         self.skip_ws();
-        let start = self.pos;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
+        let digits = self.take_while(|b| b.is_ascii_digit());
+        if digits.is_empty() {
             return Err(self.error("expected a number"));
         }
-        let text: String = self.chars[start..self.pos].iter().collect();
-        text.parse().map_err(|_| self.error("number out of range"))
+        digits
+            .parse()
+            .map_err(|_| self.error("number out of range"))
     }
 
-    fn parse_number_token(&mut self) -> IrResult<String> {
+    /// A numeric literal: an optional `-`, then digits, `.` and exponent
+    /// markers (an `e` or `E` may carry a sign).
+    fn literal(&mut self) -> IrResult<&'a str> {
         self.skip_ws();
         let start = self.pos;
-        if self.peek() == Some('-') {
-            self.pos += 1;
-        }
+        self.pos += usize::from(self.peek() == Some(b'-'));
         let mut saw_digit = false;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() {
-                saw_digit = true;
-                self.pos += 1;
-            } else if c == '.' || c == 'e' || c == 'E' {
-                self.pos += 1;
-                if self.peek() == Some('-') || self.peek() == Some('+') {
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => saw_digit = true,
+                b'.' | b'e' | b'E' if matches!(self.bytes.get(self.pos + 1), Some(b'-' | b'+')) => {
                     self.pos += 1;
                 }
-            } else {
-                break;
+                b'.' | b'e' | b'E' => {}
+                _ => break,
             }
+            self.pos += 1;
         }
         if !saw_digit {
             return Err(self.error("expected a numeric literal"));
         }
-        Ok(self.chars[start..self.pos].iter().collect())
+        Ok(&self.text[start..self.pos])
     }
 
     /// A float literal must denote a finite value: the printer has no
@@ -283,477 +322,352 @@ impl Parser {
 
     // -- types ---------------------------------------------------------------
 
-    fn parse_type(&mut self) -> IrResult<Type> {
-        self.nested(Self::parse_type_inner)
+    fn ty(&mut self) -> IrResult<Type> {
+        self.nested(Self::ty_inner)
     }
 
-    fn parse_type_inner(&mut self) -> IrResult<Type> {
+    /// A type; while `keep_types` is off, a compound one is checked and
+    /// answered as `Type::None`, with nothing allocated.
+    fn ty_inner(&mut self) -> IrResult<Type> {
         self.skip_ws();
-        if self.peek() == Some('(') {
-            return self.parse_function_type();
+        if self.peek() == Some(b'(') {
+            let inputs = self.types()?;
+            if !self.eat("->") {
+                return Err(self.error("expected '->' in function type"));
+            }
+            let outputs = self.types()?;
+            return Ok(Type::Function { inputs, outputs });
         }
-        if self.eat_str("!base2.fixed<") {
-            let signed = match self.bump() {
-                Some('s') => true,
-                Some('u') => false,
-                _ => return Err(self.error("expected 's' or 'u' in fixed format")),
-            };
-            let int_bits = self.parse_u32()?;
-            self.expect_char(',')?;
-            let frac_bits = self.parse_u32()?;
-            self.expect_char('>')?;
+        if self.eat("!base2.fixed<") {
+            let signed = self.peek() == Some(b's');
+            if !signed && self.peek() != Some(b'u') {
+                self.pos += usize::from(self.pos < self.bytes.len());
+                return Err(self.error("expected 's' or 'u' in fixed format"));
+            }
+            self.pos += 1;
+            let int_bits = self.u32()?;
+            self.expect(",")?;
+            let frac_bits = self.u32()?;
+            self.expect(">")?;
             return Ok(Type::Fixed(FixedFormat {
                 signed,
                 int_bits,
                 frac_bits,
             }));
         }
-        if self.eat_str("!base2.posit<") {
-            let width = self.parse_u32()?;
-            self.expect_char(',')?;
-            let es = self.parse_u32()?;
-            self.expect_char('>')?;
+        if self.eat("!base2.posit<") {
+            let width = self.u32()?;
+            self.expect(",")?;
+            let es = self.u32()?;
+            self.expect(">")?;
             if width < 2 {
                 return Err(self.error("posit width must be at least 2"));
             }
             return Ok(Type::Posit(PositFormat::new(width, es)));
         }
-        if self.eat_str("!dfg.stream<") {
-            let elem = self.parse_type()?;
-            self.expect_char('>')?;
-            return Ok(Type::Stream(Box::new(elem)));
+        if self.eat("!dfg.stream<") {
+            let elem = self.ty()?;
+            self.expect(">")?;
+            return Ok(self.compound(|| Type::Stream(Box::new(elem))));
         }
-        if self.eat_str("!dfg.token") {
+        if self.eat("!dfg.token") {
             return Ok(Type::Token);
         }
-        let ident = self.parse_ident()?;
-        match ident.as_str() {
+        let ident = self.ident()?;
+        match ident {
             "f32" => Ok(Type::F32),
             "f64" => Ok(Type::F64),
             "index" => Ok(Type::Index),
             "none" => Ok(Type::None),
             "tensor" => {
-                self.expect_char('<')?;
-                let (shape, elem) = self.parse_shape_and_elem()?;
-                self.expect_char('>')?;
-                Ok(Type::Tensor {
+                self.expect("<")?;
+                let (shape, elem) = self.shape_and_elem()?;
+                self.expect(">")?;
+                Ok(self.compound(|| Type::Tensor {
                     shape,
                     elem: Box::new(elem),
-                })
+                }))
             }
             "memref" => {
-                self.expect_char('<')?;
-                let (shape, elem) = self.parse_shape_and_elem()?;
-                self.expect_char(',')?;
-                let space = self.parse_ident()?;
-                let space = match space.as_str() {
+                self.expect("<")?;
+                let (shape, elem) = self.shape_and_elem()?;
+                self.expect(",")?;
+                let space = match self.ident()? {
                     "host" => MemorySpace::Host,
                     "device" => MemorySpace::Device,
                     "plm" => MemorySpace::Plm,
                     other => return Err(self.error(format!("unknown memory space '{other}'"))),
                 };
-                self.expect_char('>')?;
-                Ok(Type::MemRef {
+                self.expect(">")?;
+                Ok(self.compound(|| Type::MemRef {
                     shape,
                     elem: Box::new(elem),
                     space,
-                })
+                }))
             }
-            other if other.starts_with('i') => {
-                let width: u32 = other[1..]
-                    .parse()
-                    .map_err(|_| self.error(format!("bad integer type '{other}'")))?;
-                Ok(Type::Int(width))
-            }
-            other => Err(self.error(format!("unknown type '{other}'"))),
+            _ if ident.starts_with('i') => ident[1..]
+                .parse()
+                .map(Type::Int)
+                .map_err(|_| self.error(format!("bad integer type '{ident}'"))),
+            _ => Err(self.error(format!("unknown type '{ident}'"))),
+        }
+    }
+
+    /// Builds a boxed type unless `keep_types` is off.
+    fn compound(&self, build: impl FnOnce() -> Type) -> Type {
+        if self.keep_types {
+            build()
+        } else {
+            Type::None
         }
     }
 
     /// Parses `4x8xf64` / `?x4xi32` shape-plus-element inside `tensor<>`.
-    fn parse_shape_and_elem(&mut self) -> IrResult<(Vec<Option<u64>>, Type)> {
+    fn shape_and_elem(&mut self) -> IrResult<(Vec<Option<u64>>, Type)> {
         let mut shape = Vec::new();
         loop {
             self.skip_ws();
-            if self.peek() == Some('?') {
-                self.pos += 1;
-                self.expect_char('x')?;
-                shape.push(None);
-                continue;
-            }
-            // A dimension is digits followed by 'x'; otherwise it is the
-            // element type (which may itself start with a digit? no —
-            // element types never start with a digit).
-            let save = self.pos;
-            if self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                let n = self.parse_usize()?;
-                if self.peek() == Some('x') {
+            let dim = match self.peek() {
+                Some(b'?') => {
                     self.pos += 1;
-                    shape.push(Some(n as u64));
-                    continue;
+                    self.expect("x")?;
+                    None
                 }
-                self.pos = save;
+                // A dimension is digits followed by 'x'; otherwise it is
+                // the element type, which never starts with a digit.
+                Some(b'0'..=b'9') => {
+                    let save = self.pos;
+                    let n = self.number()?;
+                    if self.peek() != Some(b'x') {
+                        self.pos = save;
+                        return Ok((shape, self.ty()?));
+                    }
+                    self.pos += 1;
+                    Some(n as u64)
+                }
+                _ => return Ok((shape, self.ty()?)),
+            };
+            if self.keep_types {
+                shape.push(dim);
             }
-            let elem = self.parse_type()?;
-            return Ok((shape, elem));
         }
     }
 
-    fn parse_function_type(&mut self) -> IrResult<Type> {
-        let inputs = self.parse_type_list()?;
-        self.skip_ws();
-        if !self.eat_str("->") {
-            return Err(self.error("expected '->' in function type"));
-        }
-        let outputs = self.parse_type_list()?;
-        Ok(Type::Function { inputs, outputs })
-    }
-
-    fn parse_type_list(&mut self) -> IrResult<Vec<Type>> {
-        self.expect_char('(')?;
+    /// `(ty, ...)`.
+    fn types(&mut self) -> IrResult<Vec<Type>> {
         let mut tys = Vec::new();
-        if !self.eat_char(')') {
-            loop {
-                tys.push(self.parse_type()?);
-                if self.eat_char(',') {
-                    continue;
-                }
-                self.expect_char(')')?;
-                break;
+        self.expect("(")?;
+        self.list(")", |p| {
+            let ty = p.ty()?;
+            if p.keep_types {
+                tys.push(ty);
             }
-        }
+            Ok(())
+        })?;
         Ok(tys)
     }
 
     // -- attributes -----------------------------------------------------------
 
-    fn parse_attr(&mut self) -> IrResult<Attribute> {
-        self.nested(Self::parse_attr_inner)
+    fn attr(&mut self) -> IrResult<Attribute> {
+        self.nested(Self::attr_inner)
     }
 
-    fn parse_attr_inner(&mut self) -> IrResult<Attribute> {
+    fn attr_inner(&mut self) -> IrResult<Attribute> {
         self.skip_ws();
-        match self.peek() {
-            Some('"') => Ok(Attribute::Str(self.parse_string()?)),
-            Some('@') => {
+        Ok(match self.peek() {
+            Some(b'"') => Attribute::Str(self.string()?.into_owned()),
+            Some(b'@') => {
                 self.pos += 1;
-                Ok(Attribute::SymbolRef(self.parse_ident()?))
+                Attribute::SymbolRef(self.ident()?.to_owned())
             }
-            Some('[') => {
+            Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
-                if !self.eat_char(']') {
-                    loop {
-                        items.push(self.parse_attr()?);
-                        if self.eat_char(',') {
-                            continue;
-                        }
-                        self.expect_char(']')?;
-                        break;
-                    }
-                }
-                Ok(Attribute::Array(items))
+                self.list("]", |p| {
+                    items.push(p.attr()?);
+                    Ok(())
+                })?;
+                Attribute::Array(items)
             }
-            Some('{') => {
+            Some(b'{') => {
                 self.pos += 1;
                 let mut map = BTreeMap::new();
-                if !self.eat_char('}') {
-                    loop {
-                        let key = self.parse_ident()?;
-                        self.expect_char('=')?;
-                        let value = self.parse_attr()?;
-                        map.insert(key, value);
-                        if self.eat_char(',') {
-                            continue;
-                        }
-                        self.expect_char('}')?;
-                        break;
-                    }
-                }
-                Ok(Attribute::Dict(map))
+                self.list("}", |p| {
+                    let key = p.ident()?;
+                    p.expect("=")?;
+                    map.insert(key.to_owned(), p.attr()?);
+                    Ok(())
+                })?;
+                Attribute::Dict(map)
             }
-            Some('(') | Some('!') => Ok(Attribute::Ty(self.parse_type()?)),
-            Some(c) if c == '-' || c.is_ascii_digit() => {
-                let tok = self.parse_number_token()?;
-                if tok.contains('.') || tok.contains('e') || tok.contains('E') {
-                    self.finite_f64(&tok).map(Attribute::Float)
+            Some(b'(' | b'!') => Attribute::Ty(self.ty()?),
+            Some(b'-' | b'0'..=b'9') => {
+                let tok = self.literal()?;
+                if tok.contains(['.', 'e', 'E']) {
+                    Attribute::Float(self.finite_f64(tok)?)
                 } else {
-                    tok.parse::<i64>()
-                        .map(Attribute::Int)
-                        .map_err(|_| self.error(format!("bad integer literal '{tok}'")))
+                    let int = tok.parse();
+                    Attribute::Int(
+                        int.map_err(|_| self.error(format!("bad integer literal '{tok}'")))?,
+                    )
                 }
             }
             _ => {
                 let save = self.pos;
-                let ident = self.parse_ident()?;
-                match ident.as_str() {
-                    "true" => Ok(Attribute::Bool(true)),
-                    "false" => Ok(Attribute::Bool(false)),
+                match self.ident()? {
+                    "true" => Attribute::Bool(true),
+                    "false" => Attribute::Bool(false),
                     "dense_f64" => {
-                        self.expect_char('<')?;
                         let mut data = Vec::new();
-                        if !self.eat_char('>') {
-                            loop {
-                                let tok = self.parse_number_token()?;
-                                data.push(self.finite_f64(&tok)?);
-                                if self.eat_char(',') {
-                                    continue;
-                                }
-                                self.expect_char('>')?;
-                                break;
-                            }
-                        }
-                        Ok(Attribute::DenseF64(data))
+                        self.expect("<")?;
+                        self.list(">", |p| {
+                            let tok = p.literal()?;
+                            data.push(p.finite_f64(tok)?);
+                            Ok(())
+                        })?;
+                        Attribute::DenseF64(data)
                     }
                     "dense_i64" => {
-                        self.expect_char('<')?;
                         let mut data = Vec::new();
-                        if !self.eat_char('>') {
-                            loop {
-                                let tok = self.parse_number_token()?;
-                                data.push(tok.parse::<i64>().map_err(|_| {
-                                    self.error(format!("bad int '{tok}' in dense_i64"))
-                                })?);
-                                if self.eat_char(',') {
-                                    continue;
-                                }
-                                self.expect_char('>')?;
-                                break;
-                            }
-                        }
-                        Ok(Attribute::DenseI64(data))
+                        self.expect("<")?;
+                        self.list(">", |p| {
+                            let tok = p.literal()?;
+                            let int = tok.parse();
+                            data.push(
+                                int.map_err(|_| p.error(format!("bad int '{tok}' in dense_i64")))?,
+                            );
+                            Ok(())
+                        })?;
+                        Attribute::DenseI64(data)
                     }
                     // Fall back to a type attribute (f64, i32, tensor<...>).
                     _ => {
                         self.pos = save;
-                        Ok(Attribute::Ty(self.parse_type()?))
+                        Attribute::Ty(self.ty()?)
                     }
                 }
             }
-        }
+        })
     }
 
     // -- operations -----------------------------------------------------------
 
-    /// Parses ops and appends them to `block` until `stop` is next.
-    fn parse_ops_until(&mut self, module: &mut Module, block: BlockId, stop: char) -> IrResult<()> {
+    /// Parses ops and appends them to `block` up to the token that ends
+    /// it: `}` for the module's block, `^` (the next `^bb(`) or `})` for
+    /// a block of a region.
+    fn ops(&mut self, module: &mut Module, block: BlockId, in_region: bool) -> IrResult<()> {
         loop {
             self.skip_ws();
             match self.peek() {
-                None => return Err(self.error(format!("expected '{stop}'"))),
-                Some(c) if c == stop => return Ok(()),
-                _ => self.parse_op(module, block)?,
+                None if in_region => return Err(self.error("unterminated region")),
+                None => return Err(self.error("expected '}'")),
+                Some(b'}') if !in_region || self.bytes.get(self.pos + 1) == Some(&b')') => {
+                    return Ok(())
+                }
+                Some(b'^') if in_region => return Ok(()),
+                _ => self.nested(|p| p.op(module, block))?,
             }
         }
     }
 
-    /// Parses ops and appends them to `block` until position `end`.
-    fn parse_ops_limit(&mut self, module: &mut Module, block: BlockId, end: usize) -> IrResult<()> {
-        loop {
-            self.skip_ws();
-            if self.pos >= end {
-                return Ok(());
-            }
-            self.parse_op(module, block)?;
-        }
-    }
-
-    fn parse_op(&mut self, module: &mut Module, block: BlockId) -> IrResult<()> {
-        self.nested(|p| p.parse_op_inner(module, block))
-    }
-
-    fn parse_op_inner(&mut self, module: &mut Module, block: BlockId) -> IrResult<()> {
+    fn op(&mut self, module: &mut Module, block: BlockId) -> IrResult<()> {
         // Optional result list: %0, %1 = ...
-        let mut result_names = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some('%') {
+        let mark = self.results.len();
+        if self.peek() == Some(b'%') {
             loop {
-                self.expect_char('%')?;
-                result_names.push(self.parse_value_number()?);
-                if self.eat_char(',') {
-                    continue;
-                }
-                break;
-            }
-            self.expect_char('=')?;
-        }
-        let name = self.parse_string()?;
-        self.expect_char('(')?;
-        let mut operands = Vec::new();
-        if !self.eat_char(')') {
-            loop {
-                operands.push(self.parse_value_ref()?);
-                if self.eat_char(',') {
-                    continue;
-                }
-                self.expect_char(')')?;
-                break;
-            }
-        }
-        // Regions: zero or more "({ ... })".
-        let mut region_sources: Vec<Vec<RawBlock>> = Vec::new();
-        loop {
-            self.skip_ws();
-            if self.eat_str("({") {
-                region_sources.push(self.parse_region_blocks()?);
-            } else {
-                break;
-            }
-        }
-        // Attributes.
-        let mut attrs = AttrMap::new();
-        self.skip_ws();
-        if self.eat_char('{') && !self.eat_char('}') {
-            loop {
-                let key = self.parse_ident()?;
-                self.expect_char('=')?;
-                let value = self.parse_attr()?;
-                attrs.insert(&key, value);
-                if self.eat_char(',') {
-                    continue;
-                }
-                self.expect_char('}')?;
-                break;
-            }
-        }
-        // Trailing function type.
-        self.expect_char(':')?;
-        let operand_tys = self.parse_type_list()?;
-        if !self.eat_str("->") {
-            return Err(self.error("expected '->' in op type"));
-        }
-        let result_tys = self.parse_type_list()?;
-        if operand_tys.len() != operands.len() {
-            return Err(self.error(format!(
-                "op '{name}' lists {} operand types for {} operands",
-                operand_tys.len(),
-                operands.len()
-            )));
-        }
-        if result_tys.len() != result_names.len() {
-            return Err(self.error(format!(
-                "op '{name}' lists {} result types for {} results",
-                result_tys.len(),
-                result_names.len()
-            )));
-        }
-
-        let op = module.create_op(name, operands, result_tys, attrs, region_sources.len());
-        module.append_op(block, op);
-        let results = module.op(op).expect("just created").results.clone();
-        for (n, v) in result_names.into_iter().zip(results) {
-            self.bind_value(n, v);
-        }
-        // Materialize regions.
-        let regions = module.op(op).expect("just created").regions.clone();
-        for (region, raw_blocks) in regions.into_iter().zip(region_sources) {
-            for raw in raw_blocks {
-                let bb = module.add_block(region, &raw.arg_types);
-                let args = module.block(bb).args.clone();
-                for (n, v) in raw.arg_names.iter().zip(args) {
-                    self.bind_value(*n, v);
-                }
-                // Re-parse the ops of this block from the saved span.
-                let saved = self.pos;
-                self.pos = raw.body_start;
-                self.parse_ops_limit(module, bb, raw.body_end)?;
-                self.pos = saved;
-            }
-        }
-        Ok(())
-    }
-
-    /// Parses region blocks eagerly (single pass): reads block headers and
-    /// bodies directly. The `({` was already consumed.
-    fn parse_region_blocks(&mut self) -> IrResult<Vec<RawBlock>> {
-        let mut blocks = Vec::new();
-        loop {
-            self.skip_ws();
-            if self.eat_str("})") {
-                return Ok(blocks);
-            }
-            if !self.eat_str("^bb(") {
-                return Err(self.error("expected '^bb(' block header or '})'"));
-            }
-            let mut arg_names = Vec::new();
-            let mut arg_types = Vec::new();
-            if !self.eat_char(')') {
-                loop {
-                    self.expect_char('%')?;
-                    arg_names.push(self.parse_value_number()?);
-                    self.expect_char(':')?;
-                    arg_types.push(self.parse_type()?);
-                    if self.eat_char(',') {
-                        continue;
-                    }
-                    self.expect_char(')')?;
+                let n = self.value_number()?;
+                self.results.push(n);
+                if !self.eat(",") {
                     break;
                 }
             }
-            self.expect_char(':')?;
-            // Record the body span: ops until the next '^bb(' at this nesting
-            // level or the region close '})'. We scan forward tracking
-            // nesting of "({" / "})" pairs and strings.
-            let body_start = self.pos;
-            let body_end = self.scan_block_body_end()?;
-            blocks.push(RawBlock {
-                arg_names,
-                arg_types,
-                body_start,
-                body_end,
-            });
-            self.pos = body_end;
+            self.expect("=")?;
         }
+        let name = self.string()?;
+        let mut operands = ValueList::new();
+        self.expect("(")?;
+        self.list(")", |p| {
+            operands.push(p.value_ref()?);
+            Ok(())
+        })?;
+        let num_operands = operands.len();
+        let op = module.create_op(&*name, operands, [], AttrMap::new(), 0);
+        module.append_op(block, op);
+        // Regions: zero or more "({ ... })".
+        while self.eat("({") {
+            let region = module.push_region(op);
+            self.region(module, region)?;
+        }
+        // Attributes.
+        let mut attrs = AttrMap::new();
+        if self.eat("{") {
+            self.list("}", |p| {
+                let key = p.ident()?;
+                p.expect("=")?;
+                attrs.insert(key, p.attr()?);
+                Ok(())
+            })?;
+        }
+        if !attrs.is_empty() {
+            module.op_mut(op).expect("just created").attributes = attrs;
+        }
+        // Trailing function type; the operand types are only checked.
+        self.expect(":")?;
+        self.expect("(")?;
+        self.keep_types = false;
+        let operand_types = self.list(")", |p| p.ty().map(drop));
+        self.keep_types = true;
+        let operand_types = operand_types?;
+        if !self.eat("->") {
+            return Err(self.error("expected '->' in op type"));
+        }
+        self.expect("(")?;
+        let result_types = self.list(")", |p| {
+            let ty = p.ty()?;
+            module.push_result(op, ty);
+            Ok(())
+        })?;
+        let result_names = self.results.len() - mark;
+        if operand_types != num_operands {
+            return Err(self.error(format!(
+                "op '{name}' lists {operand_types} operand types for {num_operands} operands"
+            )));
+        }
+        if result_types != result_names {
+            return Err(self.error(format!(
+                "op '{name}' lists {result_types} result types for {result_names} results"
+            )));
+        }
+        let operation = module.op(op).expect("just created");
+        for (i, &v) in operation.results.iter().enumerate() {
+            self.bind(self.results[mark + i], v)?;
+        }
+        self.results.truncate(mark);
+        Ok(())
     }
 
-    /// Scans forward from the current position to find where the current
-    /// block's op list ends (the position of the next `^bb(` header or the
-    /// closing `})` of this region), without consuming it.
-    fn scan_block_body_end(&mut self) -> IrResult<usize> {
-        let mut depth = 0usize;
-        let mut i = self.pos;
-        while i < self.chars.len() {
-            let c = self.chars[i];
-            match c {
-                '"' => {
-                    // skip string literal
-                    i += 1;
-                    while i < self.chars.len() {
-                        if self.chars[i] == '\\' {
-                            i += 2;
-                        } else if self.chars[i] == '"' {
-                            break;
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                '(' if self.chars.get(i + 1) == Some(&'{') => {
-                    depth += 1;
-                    i += 1;
-                }
-                '}' if self.chars.get(i + 1) == Some(&')') => {
-                    if depth == 0 {
-                        return Ok(i);
-                    }
-                    depth -= 1;
-                    i += 1;
-                }
-                '^' if depth == 0 => {
-                    return Ok(i);
-                }
-                _ => {}
+    /// Parses the blocks of a region up to its `})`; the `({` was
+    /// already consumed.
+    fn region(&mut self, module: &mut Module, region: RegionId) -> IrResult<()> {
+        loop {
+            if self.eat("})") {
+                return Ok(());
             }
-            i += 1;
+            if !self.eat("^bb(") {
+                return Err(self.error("expected '^bb(' block header or '})'"));
+            }
+            let block = module.add_block(region, &[]);
+            self.list(")", |p| {
+                let n = p.value_number()?;
+                p.expect(":")?;
+                let arg = module.push_block_arg(block, p.ty()?);
+                p.bind(n, arg)
+            })?;
+            self.expect(":")?;
+            self.ops(module, block, true)?;
         }
-        Err(self.error("unterminated region"))
     }
-}
-
-struct RawBlock {
-    arg_names: Vec<usize>,
-    arg_types: Vec<Type>,
-    body_start: usize,
-    body_end: usize,
 }
 
 #[cfg(test)]
@@ -911,6 +825,47 @@ mod tests {
         let text = "module {\n  \"arith.negf\"(%0) : (f64) -> (f64)\n}\n";
         let err = parse_module(text).unwrap_err();
         assert!(err.to_string().contains("undefined value"));
+    }
+
+    /// `(line, message)` of the parse error `text` must raise.
+    fn parse_error(text: &str) -> (usize, String) {
+        match parse_module(text) {
+            Err(IrError::Parse { line, message }) => (line, message),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_value_number_defined_twice_is_rejected() {
+        let text = "module {\n  %0 = \"t.a\"() : () -> (f64)\n  %0 = \"t.b\"() : () -> (f64)\n  \"t.c\"(%0) : (f64) -> ()\n}\n";
+        assert_eq!(parse_error(text), (3, "redefinition of value %0".into()));
+        // As a block argument, and twice in one result list.
+        let text = "module {\n  %0 = \"t.a\"() : () -> (f64)\n  \"t.r\"() ({\n  ^bb(%0: f64):\n  }) : () -> ()\n}\n";
+        assert_eq!(parse_error(text), (4, "redefinition of value %0".into()));
+        let text = "module {\n  %0, %0 = \"t.a\"() : () -> (f64, f64)\n}\n";
+        assert_eq!(parse_error(text), (2, "redefinition of value %0".into()));
+    }
+
+    #[test]
+    fn an_op_cannot_use_its_own_result_inside_its_regions() {
+        let text = "module {\n  %0 = \"arith.constant\"() {value = true} : () -> (i1)\n  %1 = \"scf.if\"(%0) ({\n  ^bb():\n    \"scf.yield\"(%1) : (f64) -> ()\n  }) : (i1) -> (f64)\n}\n";
+        assert_eq!(parse_error(text), (5, "use of undefined value %1".into()));
+    }
+
+    #[test]
+    fn a_block_ends_at_the_token_the_parser_reaches() {
+        // A `^` or `})` inside a string or a comment ends nothing.
+        let text = "module {\n  \"t.r\"() ({\n  ^bb():\n    // ^bb(): })\n    \"t.a\"() {s = \"^bb(): })\"} : () -> ()\n  ^bb(%0: f64):\n  }) : () -> ()\n}\n";
+        let m = parse_module(text).expect("parses");
+        let r = m.op(m.block(m.top_block()).ops[0]).unwrap().regions[0];
+        let blocks = &m.region(r).blocks;
+        assert_eq!(blocks.len(), 2);
+        assert_eq!(m.block(blocks[0]).ops.len(), 1);
+        assert_eq!(m.block(blocks[1]).args.len(), 1);
+        assert_eq!(
+            parse_error("module {\n  \"t.r\"() ({\n  ^bb():\n"),
+            (4, "unterminated region".into())
+        );
     }
 
     /// Inputs that used to abort or panic instead of returning an error.

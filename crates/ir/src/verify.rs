@@ -82,8 +82,6 @@ fn verify_block(ctx: &Context, module: &Module, block: BlockId, scope: &mut Scop
                 ),
             ));
         }
-        // Results become visible to later ops (dominance within a block).
-        scope.set(&operation.results, scope.depth);
         // Nested regions see the enclosing scope unless isolated.
         let isolated = spec.has_trait(OpTrait::IsolatedFromAbove);
         scope.depth += u32::from(isolated);
@@ -91,6 +89,9 @@ fn verify_block(ctx: &Context, module: &Module, block: BlockId, scope: &mut Scop
             verify_region(ctx, module, region, scope)?;
         }
         scope.depth -= u32::from(isolated);
+        // Results become visible to later ops (dominance within a
+        // block), not to the op's own regions.
+        scope.set(&operation.results, scope.depth);
     }
     // Values defined in this block go out of scope when it ends.
     for operation in ops.iter().filter_map(|&op| module.op(op)) {
@@ -328,6 +329,29 @@ mod tests {
         let path = err.path().expect("verifier attaches a path");
         assert_eq!(path.leaf().unwrap().op_name, "arith.negf");
         assert_eq!(path.depth(), 2);
+    }
+
+    #[test]
+    fn op_cannot_use_its_own_result_inside_its_regions() {
+        let mut m = Module::new();
+        let top = m.top_block();
+        let cond = m
+            .build_op("arith.constant", [], [Type::bool()])
+            .attr("value", Attribute::Bool(true))
+            .append_to(top);
+        let cond = single_result(&m, cond);
+        let if_op = m
+            .build_op("scf.if", [cond], [Type::F64])
+            .regions(2)
+            .append_to(top);
+        let result = single_result(&m, if_op);
+        for region in m.op(if_op).unwrap().regions.clone() {
+            let block = m.add_block(region, &[]);
+            m.build_op("scf.yield", [result], []).append_to(block);
+        }
+        let err = verify_module(&ctx(), &m).unwrap_err();
+        assert!(err.to_string().contains("does not dominate"), "{err}");
+        assert_eq!(err.path().unwrap().leaf().unwrap().op_name, "scf.yield");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! What `print_module` allocates is the text it returns and one print
-//! number per value: nothing per operation it visits.
+//! number per value: nothing per operation it visits. What
+//! `parse_module` allocates is the module it returns, near enough: at
+//! most twice what cloning that module does.
 //!
 //! This test binary (and no other: the SDK itself never installs an
 //! allocator) counts heap allocations through its own global allocator.
@@ -14,6 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use everest_ir::dialects::core;
 use everest_ir::module::Module;
+use everest_ir::parse::parse_module;
 use everest_ir::print::print_module;
 use everest_ir::types::{MemorySpace, Type};
 
@@ -83,7 +86,7 @@ fn kernel(statements: usize) -> Module {
 }
 
 #[test]
-fn print_module_allocates_its_output_and_nothing_per_op() {
+fn print_and_parse_allocate_about_what_the_module_holds() {
     let mut counts = Vec::new();
     for statements in [64, 1024] {
         let module = kernel(statements);
@@ -92,6 +95,16 @@ fn print_module_allocates_its_output_and_nothing_per_op() {
         // module's own braces.
         assert_eq!(text.lines().count(), module.num_ops() + 6);
         counts.push(count);
+        // Tokens are slices of the text and an op's operand types are
+        // checked, not built: what parsing allocates is the module, its
+        // attributes and the `%N` table.
+        let (cloned, _) = allocations(|| module.clone());
+        let (parsed, module) = allocations(|| parse_module(&text));
+        assert_eq!(print_module(&module.expect("printed text parses")), text);
+        assert!(
+            parsed <= 2 * cloned,
+            "{statements} statements: parse made {parsed} allocations, clone {cloned}"
+        );
     }
     // The value-number table and the output buffer, which is sized from
     // the op count and so grows a step or two at most (four in all here);

@@ -1,8 +1,9 @@
 //! Property-based tests over the IR core: printer/parser round-trips,
 //! canonicalization idempotence, the linear-time passes against their
 //! naive per-item references, the direct-write printer against the
-//! `core::fmt` printer it replaced (`reference/print.rs`) and base2
-//! numeric invariants.
+//! `core::fmt` printer it replaced (`reference/print.rs`), the one-pass
+//! parser against the parser it replaced (`reference/parse.rs`) and
+//! base2 numeric invariants.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -24,6 +25,9 @@ use everest_ir::{BlockId, IrError, IrResult, MemorySpace, OpId, ValueId, ValueLi
 
 #[path = "reference/print.rs"]
 mod reference;
+
+#[path = "reference/parse.rs"]
+mod reference_parse;
 
 /// Builds a random but well-formed module: a DAG of float arithmetic over
 /// a pool of constants and buffer loads, with stores keeping part of it
@@ -1508,5 +1512,192 @@ proptest! {
         }
         let m = module_of(&types, &attrs);
         prop_assert_eq!(print_module(&m), reference::print_module(&m));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The one-pass parser against the parser it replaced
+// ---------------------------------------------------------------------------
+
+/// An `scf.if` whose results are used after it and whose two regions
+/// (the second of two blocks) define and use values of their own:
+/// renumbering a `%N` here makes an op use its own result inside its
+/// regions, or define a number twice.
+const REGIONS_WITH_RESULTS: &str = r#"module {
+  %0 = "arith.constant"() {value = true} : () -> (i1)
+  %1, %2 = "scf.if"(%0) ({
+    ^bb():
+      %3 = "arith.constant"() {scale = -2.5e-3, value = 1.5E+1} : () -> (f64)
+      "scf.yield"(%3, %3) : (f64, f64) -> ()
+  }) ({
+    ^bb(%4: f64, %5: index):
+      "scf.yield"(%4, %4) : (f64, f64) -> ()
+    ^bb(%6: i1):
+      "scf.yield"(%6, %6) : (i1, i1) -> ()
+  }) : (i1) -> (f64, f64)
+  "t.use"(%1, %2) : (f64, f64) -> ()
+}
+"#;
+
+/// Whitespace `char::is_whitespace` accepts, ASCII and not, and a
+/// comment. The comment holds none of `^ " ( { } )`: the reference scans
+/// a block body for its end with comments read as text, so one holding
+/// them can end a block early for it and not for the one-pass parser.
+const SPACES: [&str; 10] = [
+    " ",
+    "\t",
+    "\r\n",
+    "\u{b}",
+    "\u{c}",
+    "\u{85}",
+    "\u{a0}",
+    "\u{2028}",
+    "\u{3000}",
+    "\n// note: a.b = [1, %2] <x> @y\n",
+];
+
+/// `text` with byte `edits` (see [`mutate`]), then `spaces` inserted at
+/// char boundaries, then the number after some `%` replaced.
+fn perturb(
+    text: &str,
+    edits: &[(usize, u8, u8)],
+    spaces: &[(usize, u8)],
+    renumber: &[(usize, u8)],
+) -> String {
+    let mut text = if edits.is_empty() {
+        text.to_string()
+    } else {
+        mutate(text, edits)
+    };
+    for &(at, which) in spaces {
+        let mut at = at % (text.len() + 1);
+        while !text.is_char_boundary(at) {
+            at += 1;
+        }
+        text.insert_str(at, SPACES[which as usize % SPACES.len()]);
+    }
+    for &(at, n) in renumber {
+        let from = at % (text.len() + 1);
+        let Some(percent) = text.as_bytes()[from..]
+            .iter()
+            .position(|&b| b == b'%')
+            .map(|i| from + i)
+            .or_else(|| text.find('%'))
+        else {
+            break;
+        };
+        let digits = text[percent + 1..]
+            .bytes()
+            .take_while(u8::is_ascii_digit)
+            .count();
+        text.replace_range(percent + 1..percent + 1 + digits, &n.to_string());
+    }
+    text
+}
+
+/// Whether some op of `m` uses one of its own results inside its
+/// regions, at any depth.
+fn uses_own_result(m: &Module) -> bool {
+    m.walk_ops().into_iter().any(|op| {
+        let results = &m.op(op).expect("walked ops are live").results;
+        m.walk_nested(op).into_iter().any(|inner| {
+            let operands = &m.op(inner).expect("walked ops are live").operands;
+            operands.iter().any(|v| results.contains(v))
+        })
+    })
+}
+
+/// The reference and the one-pass parser both accept `text` and build
+/// modules that print alike, or both reject it (the one-pass parser at a
+/// line of the text), or the reference accepts one of the two forms the
+/// one-pass parser rejects: a value number defined twice, or an op using
+/// its own result inside its regions.
+fn assert_parsers_agree(text: &str) -> TestCaseResult {
+    let lines = text.matches('\n').count() + 1;
+    match (
+        reference_parse::parse_module(text),
+        everest_ir::parse::parse_module(text),
+    ) {
+        (Ok(want), Ok(got)) => prop_assert_eq!(print_module(&got), print_module(&want)),
+        (Err(_), Err(IrError::Parse { line, .. })) => {
+            prop_assert!((1..=lines).contains(&line), "line {} of {}", line, lines);
+        }
+        (Ok(want), Err(IrError::Parse { message, .. })) => prop_assert!(
+            message.starts_with("redefinition of value %")
+                || (message.starts_with("use of undefined value %") && uses_own_result(&want)),
+            "only the reference accepts {:?}: {}",
+            text,
+            message
+        ),
+        (want, got) => prop_assert!(
+            false,
+            "reference {:?}, one-pass {:?} on {:?}",
+            want.map(|m| print_module(&m)),
+            got.map(|m| print_module(&m)),
+            text
+        ),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn one_pass_parser_agrees_with_the_reference_on_perturbed_modules(
+        consts in proptest::collection::vec(-100.0f64..100.0, 1..4),
+        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..12),
+        keep in any::<usize>(),
+        words in proptest::collection::vec(any::<u64>(), 1..24),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>(), any::<u8>()), 0..3),
+        spaces in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        renumber in proptest::collection::vec((any::<usize>(), 0u8..8), 0..2),
+    ) {
+        let mut draw = Draw { words: &words, at: 0 };
+        let types: Vec<Type> = (0..1 + draw.below(3)).map(|_| draw.ty(2)).collect();
+        let attrs: Vec<Attribute> = (0..draw.below(3)).map(|_| draw.attr(2)).collect();
+        for seed in [
+            print_module(&random_module(&consts, &ops, keep)),
+            print_module(&module_of(&types, &attrs)),
+            EVERY_FORM.to_string(),
+            REGIONS_WITH_RESULTS.to_string(),
+        ] {
+            assert_parsers_agree(&perturb(&seed, &edits, &spaces, &renumber))?;
+        }
+    }
+
+    #[test]
+    fn one_pass_parser_agrees_with_the_reference_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..96),
+        shaped in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        assert_parsers_agree(&String::from_utf8_lossy(&bytes))?;
+        let shaped: Vec<u8> = shaped
+            .iter()
+            .map(|b| MUTATION_BYTES[*b as usize % MUTATION_BYTES.len()])
+            .collect();
+        let shaped = String::from_utf8_lossy(&shaped);
+        assert_parsers_agree(&shaped)?;
+        assert_parsers_agree(&format!("module {{ {shaped} }}"))?;
+    }
+}
+
+#[test]
+fn the_reference_accepts_what_the_one_pass_parser_rejects() {
+    let parse = everest_ir::parse::parse_module;
+    // Unperturbed, the seed parses alike.
+    assert_parsers_agree(REGIONS_WITH_RESULTS).expect("the seed parses alike");
+    let own_result = REGIONS_WITH_RESULTS.replace("\"scf.yield\"(%3, %3)", "\"scf.yield\"(%3, %1)");
+    let redefined = REGIONS_WITH_RESULTS.replace("%5: index", "%3: index");
+    for (text, message) in [
+        (own_result, "use of undefined value %1"),
+        (redefined, "redefinition of value %3"),
+    ] {
+        assert!(reference_parse::parse_module(&text).is_ok());
+        match parse(&text) {
+            Err(IrError::Parse { message: got, .. }) => assert_eq!(got, message),
+            other => panic!("expected {message}, got {other:?}"),
+        }
+        assert_parsers_agree(&text).expect("an allowed difference");
     }
 }

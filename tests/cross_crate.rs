@@ -114,7 +114,9 @@ fn dosa_partitions_compiled_pipeline() {
 }
 
 /// Every IR module produced anywhere in the SDK round-trips through the
-/// textual format.
+/// textual format, and the module read back analyzes as the one printed
+/// did: the order the parser fills its arenas in (an op before its
+/// regions' contents, its results after them) reaches no finding.
 #[test]
 fn all_flow_ir_roundtrips() {
     let basecamp = Basecamp::new();
@@ -133,6 +135,8 @@ fn all_flow_ir_roundtrips() {
         let parsed = everest_sdk::everest_ir::parse::parse_module(&text).unwrap();
         assert_eq!(Basecamp::print_ir(&parsed), text);
         everest_sdk::everest_ir::verify::verify_module(basecamp.context(), &parsed).unwrap();
+        let lints = basecamp.analyze_module(module).to_json();
+        assert_eq!(basecamp.analyze_module(&parsed).to_json(), lints);
     }
 }
 

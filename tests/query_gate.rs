@@ -79,11 +79,14 @@ fn gate_queries_pass_verification_and_lints_cleanly() {
 }
 
 /// Everything a gate query lowers to — the `dfg` graph and each
-/// operator kernel — survives the textual form unchanged.
+/// operator kernel — survives the textual form unchanged, and analyzes
+/// as it did before it was printed.
 #[test]
 fn lowered_graphs_and_kernels_round_trip_through_text() {
     use everest_ir::parse::parse_module;
     use everest_ir::print::print_module;
+
+    let basecamp = everest_sdk::Basecamp::new();
 
     for (dataset, sql, _) in CORPUS {
         let report = run_query(&gate_options(dataset, sql)).expect("gate query runs");
@@ -94,6 +97,12 @@ fn lowered_graphs_and_kernels_round_trip_through_text() {
             let parsed = parse_module(&text)
                 .unwrap_or_else(|e| panic!("{dataset}/{name} does not parse back: {e}\n{text}"));
             assert_eq!(print_module(&parsed), text, "{dataset}/{name}");
+            let lints = basecamp.analyze_module(module).to_json();
+            assert_eq!(
+                basecamp.analyze_module(&parsed).to_json(),
+                lints,
+                "{dataset}/{name}"
+            );
         }
     }
 }
