@@ -14,16 +14,26 @@
 //! * integer tensors use `index`-typed elements, floats use `f64`;
 //! * every defined tensor gets a device buffer; HLS later promotes these
 //!   to PLMs.
+//!
+//! Each name is resolved once. Every index and tensor gets a dense slot
+//! up front; each `let`'s right-hand side is resolved into a flat list
+//! of nodes, post-order, each with its kind computed from its children's
+//! as it is added. Emission then reads the induction variable bound to
+//! an index, and the buffer of a tensor, from a vector by slot, and a
+//! node's kind from its entry. The string-keyed lowering this replaced
+//! (an environment map per `let`, a map of buffers by name, a subtree
+//! walk with a map search per reference for every kind asked) is kept
+//! under `tests/reference/`, and the two print the same IR.
 
 use std::collections::HashMap;
 
 use everest_ir::dialects::core::{binary, build_for, build_func, const_f64, const_index};
-use everest_ir::module::{single_result, Module};
-use everest_ir::types::{MemorySpace, Type};
-use everest_ir::{BlockId, IrError, IrResult, ValueId};
+use everest_ir::module::{single_result, Module, ValueDef};
+use everest_ir::types::{MemorySpace, Type, TypeId};
+use everest_ir::{BlockId, IrError, IrResult, Symbol, ValueId, ValueList};
 
 use crate::ast::{BinOp, Builtin, CmpOp, Expr};
-use crate::check::{Kind, Program};
+use crate::check::{Kind, Program, TensorInfo, TypedLet};
 
 /// Ops reserved per `let` before lowering starts, so the module's arenas
 /// are sized once rather than doubled a dozen times on the way to a
@@ -31,6 +41,35 @@ use crate::check::{Kind, Program};
 /// statement (a loop nest, its bounds, a handful of loads, arithmetic
 /// and a store); a reservation, never a limit.
 const OPS_PER_LET: usize = 24;
+
+// The name of every op the lowering builds, resolved at compile time.
+const ALLOC: Symbol = Symbol::registered("memref.alloc");
+const STORE: Symbol = Symbol::registered("memref.store");
+const LOAD: Symbol = Symbol::registered("memref.load");
+const COPY: Symbol = Symbol::registered("memref.copy");
+const DEALLOC: Symbol = Symbol::registered("memref.dealloc");
+const RETURN: Symbol = Symbol::registered("func.return");
+const YIELD: Symbol = Symbol::registered("scf.yield");
+const CMPI: Symbol = Symbol::registered("arith.cmpi");
+const CMPF: Symbol = Symbol::registered("arith.cmpf");
+const SELECT: Symbol = Symbol::registered("arith.select");
+const SITOFP: Symbol = Symbol::registered("arith.sitofp");
+const NEGF: Symbol = Symbol::registered("arith.negf");
+const ADDI: Symbol = Symbol::registered("arith.addi");
+const SUBI: Symbol = Symbol::registered("arith.subi");
+const MULI: Symbol = Symbol::registered("arith.muli");
+const DIVSI: Symbol = Symbol::registered("arith.divsi");
+const ADDF: Symbol = Symbol::registered("arith.addf");
+const SUBF: Symbol = Symbol::registered("arith.subf");
+const MULF: Symbol = Symbol::registered("arith.mulf");
+const DIVF: Symbol = Symbol::registered("arith.divf");
+const MINF: Symbol = Symbol::registered("arith.minf");
+const MAXF: Symbol = Symbol::registered("arith.maxf");
+const EXP: Symbol = Symbol::registered("arith.exp");
+const LOG: Symbol = Symbol::registered("arith.log");
+const SQRT: Symbol = Symbol::registered("arith.sqrt");
+const ABSF: Symbol = Symbol::registered("arith.absf");
+const PREDICATE: Symbol = Symbol::registered("predicate");
 
 /// Lowers a validated program into a fresh IR module containing one
 /// `func.func` named after the kernel.
@@ -40,36 +79,34 @@ const OPS_PER_LET: usize = 24;
 /// Returns [`IrError`] when the program uses a construct the lowering
 /// does not support (validated programs never do).
 pub fn lower_to_loops(program: &Program) -> IrResult<Module> {
-    let mut module = Module::with_capacity(OPS_PER_LET * program.lets.len());
+    // Past the nests: the function and its return, a copy per output
+    // and at most a dealloc per `let`.
+    let outside = 2 + program.outputs.len() + program.lets.len();
+    let mut module = Module::with_capacity(OPS_PER_LET * program.lets.len() + outside);
     let top = module.top_block();
-
-    let mut arg_types = Vec::new();
-    for name in &program.inputs {
-        let info = &program.tensors[name];
-        arg_types.push(Type::memref(
-            &info.shape,
-            elem_type(info.integer),
-            MemorySpace::Device,
-        ));
-    }
-    for name in &program.outputs {
-        let info = &program.tensors[name];
-        arg_types.push(Type::memref(
-            &info.shape,
-            elem_type(info.integer),
-            MemorySpace::Device,
-        ));
-    }
+    let arg_types: Vec<Type> = (program.inputs.iter())
+        .chain(&program.outputs)
+        .map(|name| memref(&program.tensors[name]))
+        .collect();
     let (_f, entry) = build_func(&mut module, top, &program.name, &arg_types, &[]);
 
+    let names = Names::new(program);
     let mut lowerer = Lowerer {
-        program,
+        buffers: vec![None; names.tensors.len()],
+        env: vec![None; names.extents.len()],
+        names,
         module,
-        buffers: HashMap::new(),
+        nodes: Vec::new(),
+        lists: Vec::new(),
+        pending: Vec::new(),
+        loops: Vec::new(),
+        memrefs: Vec::new(),
+        accumulator: None,
     };
     for (k, name) in program.inputs.iter().enumerate() {
         let arg = lowerer.module.block(entry).args[k];
-        lowerer.buffers.insert(name.clone(), arg);
+        let slot = lowerer.names.tensor(name);
+        lowerer.buffers[slot] = Some(arg);
     }
 
     for stmt in &program.lets {
@@ -78,33 +115,23 @@ pub fn lower_to_loops(program: &Program) -> IrResult<Module> {
 
     for (k, name) in program.outputs.iter().enumerate() {
         let arg = lowerer.module.block(entry).args[program.inputs.len() + k];
-        let src = lowerer.buffers[name];
+        let src = lowerer.buffers[lowerer.names.tensor(name)].expect("outputs are defined");
         lowerer
             .module
-            .build_op("memref.copy", [src, arg], [])
+            .build_op(COPY, [src, arg], [])
             .append_to(entry);
     }
     let mut module = lowerer.module;
     // Scratch buffers (allocs, not the argument buffers) are dead once
     // the outputs are copied out.
-    let mut scratch: Vec<_> = lowerer
-        .buffers
-        .values()
-        .copied()
-        .filter(|&b| {
-            matches!(
-                module.value(b).def,
-                everest_ir::module::ValueDef::OpResult { .. }
-            )
-        })
+    let mut scratch: Vec<ValueId> = (lowerer.buffers.into_iter().flatten())
+        .filter(|&b| matches!(module.value(b).def, ValueDef::OpResult { .. }))
         .collect();
     scratch.sort_by_key(|b| b.index());
     for buf in scratch {
-        module
-            .build_op("memref.dealloc", [buf], [])
-            .append_to(entry);
+        module.build_op(DEALLOC, [buf], []).append_to(entry);
     }
-    module.build_op("func.return", [], []).append_to(entry);
+    module.build_op(RETURN, [], []).append_to(entry);
     Ok(module)
 }
 
@@ -116,279 +143,506 @@ fn elem_type(integer: bool) -> Type {
     }
 }
 
-struct Lowerer<'p> {
-    program: &'p Program,
-    module: Module,
-    /// tensor name → memref value.
-    buffers: HashMap<String, ValueId>,
+/// The device buffer type of a tensor.
+fn memref(info: &TensorInfo) -> Type {
+    Type::memref(&info.shape, elem_type(info.integer), MemorySpace::Device)
 }
 
-/// Environment during expression emission: index name → induction value.
-type Env = HashMap<String, ValueId>;
+/// What a name in the program stands for: its slot in the per-index or
+/// the per-tensor vectors.
+#[derive(Clone, Copy)]
+enum Slot {
+    Index(usize),
+    Tensor(usize),
+}
+
+/// Every index and tensor of the program by dense slot, in the order of
+/// the program's maps.
+struct Names<'p> {
+    slots: HashMap<&'p str, Slot>,
+    /// Index slot → its name and extent.
+    index_names: Vec<&'p str>,
+    extents: Vec<u64>,
+    /// Tensor slot → its name and declaration.
+    tensors: Vec<(&'p str, &'p TensorInfo)>,
+}
+
+impl<'p> Names<'p> {
+    fn new(program: &'p Program) -> Self {
+        let mut slots = HashMap::with_capacity(program.indices.len() + program.tensors.len());
+        let mut index_names = Vec::with_capacity(program.indices.len());
+        let mut extents = Vec::with_capacity(program.indices.len());
+        for (slot, (name, &(lo, hi))) in program.indices.iter().enumerate() {
+            slots.insert(name.as_str(), Slot::Index(slot));
+            index_names.push(name.as_str());
+            extents.push((hi - lo) as u64);
+        }
+        let mut tensors = Vec::with_capacity(program.tensors.len());
+        for (slot, (name, info)) in program.tensors.iter().enumerate() {
+            slots.insert(name.as_str(), Slot::Tensor(slot));
+            tensors.push((name.as_str(), info));
+        }
+        Names {
+            slots,
+            index_names,
+            extents,
+            tensors,
+        }
+    }
+
+    /// The slot of a tensor name the checker validated.
+    fn tensor(&self, name: &str) -> usize {
+        match self.slots.get(name) {
+            Some(&Slot::Tensor(slot)) => slot,
+            _ => panic!("'{name}' is not a tensor of the program"),
+        }
+    }
+
+    /// The slot of an index name the checker validated.
+    fn index(&self, name: &str) -> usize {
+        match self.slots.get(name) {
+            Some(&Slot::Index(slot)) => slot,
+            _ => panic!("'{name}' is not an index of the program"),
+        }
+    }
+}
+
+/// One resolved expression node; children are positions in the same
+/// node list, lists of them (subscripts, summation indices) runs of
+/// [`Lowerer::lists`].
+#[derive(Clone, Copy)]
+enum Node<'p> {
+    Int(i64),
+    Float(f64),
+    /// An index variable by slot.
+    Index(usize),
+    /// A tensor by slot, with `len` subscript nodes at `lists[at..]`.
+    Load {
+        tensor: usize,
+        at: usize,
+        len: usize,
+    },
+    /// A name that is neither an index nor a tensor of the program.
+    Unknown(&'p str),
+    Binary {
+        op: BinOp,
+        lhs: usize,
+        rhs: usize,
+    },
+    Compare {
+        op: CmpOp,
+        lhs: usize,
+        rhs: usize,
+    },
+    Select {
+        cond: usize,
+        then: usize,
+        otherwise: usize,
+    },
+    /// `len` index slots at `lists[at..]`, summed over `body`.
+    Sum {
+        at: usize,
+        len: usize,
+        body: usize,
+    },
+    Call {
+        builtin: Builtin,
+        arg: usize,
+    },
+    Neg(usize),
+}
+
+/// A resolved node, its kind, and the expression it came from (which
+/// only an error message reads).
+#[derive(Clone, Copy)]
+struct Resolved<'p> {
+    node: Node<'p>,
+    kind: Kind,
+    expr: &'p Expr,
+}
+
+struct Lowerer<'p> {
+    names: Names<'p>,
+    module: Module,
+    /// Tensor slot → its buffer, once materialized.
+    buffers: Vec<Option<ValueId>>,
+    /// Index slot → the induction variable bound to it.
+    env: Vec<Option<ValueId>>,
+    /// The current `let`'s right-hand side, resolved.
+    nodes: Vec<Resolved<'p>>,
+    /// Runs of subscript nodes and summation index slots.
+    lists: Vec<usize>,
+    /// Subscript nodes resolved but not yet listed, innermost last.
+    pending: Vec<usize>,
+    /// The open loops, innermost last: induction variable and body.
+    loops: Vec<(ValueId, BlockId)>,
+    /// Buffer types built so far, by shape and element kind.
+    memrefs: Vec<(&'p [u64], bool, TypeId)>,
+    /// The rank-0 `plm` accumulator type, once built.
+    accumulator: Option<TypeId>,
+}
 
 impl<'p> Lowerer<'p> {
-    fn lower_let(&mut self, entry: BlockId, stmt: &crate::check::TypedLet) -> IrResult<()> {
-        let info = &self.program.tensors[&stmt.name];
-        let ty = Type::memref(&info.shape, elem_type(info.integer), MemorySpace::Device);
-        let buffer = everest_ir::dialects::core::alloc(&mut self.module, entry, ty);
-        self.buffers.insert(stmt.name.clone(), buffer);
+    /// Resolves `expr` into `nodes`, children first, and returns its
+    /// position.
+    fn resolve(&mut self, expr: &'p Expr) -> usize {
+        let (node, kind) = match expr {
+            Expr::Int(v) => (Node::Int(*v), Kind::Int),
+            Expr::Float(v) => (Node::Float(*v), Kind::Float),
+            Expr::Ref { name, subscripts } => match self.names.slots.get(name.as_str()) {
+                Some(&Slot::Index(slot)) => (Node::Index(slot), Kind::Int),
+                Some(&Slot::Tensor(tensor)) => {
+                    // Each subscript's own subscripts are listed (and
+                    // popped off `pending`) before it is pushed there.
+                    let subs = subscripts.as_deref().unwrap_or(&[]);
+                    let mark = self.pending.len();
+                    for sub in subs {
+                        let node = self.resolve(sub);
+                        self.pending.push(node);
+                    }
+                    let at = self.lists.len();
+                    self.lists.extend(self.pending.drain(mark..));
+                    let integer = self.names.tensors[tensor].1.integer;
+                    let kind = if integer { Kind::Int } else { Kind::Float };
+                    let len = subs.len();
+                    (Node::Load { tensor, at, len }, kind)
+                }
+                None => (Node::Unknown(name), Kind::Float),
+            },
+            Expr::Binary { op, lhs, rhs } => {
+                let (lhs, rhs) = (self.resolve(lhs), self.resolve(rhs));
+                let kind = self.widest(lhs, rhs);
+                (Node::Binary { op: *op, lhs, rhs }, kind)
+            }
+            Expr::Compare { op, lhs, rhs } => {
+                let (lhs, rhs) = (self.resolve(lhs), self.resolve(rhs));
+                (Node::Compare { op: *op, lhs, rhs }, Kind::Bool)
+            }
+            Expr::Select {
+                cond,
+                then,
+                otherwise,
+            } => {
+                let cond = self.resolve(cond);
+                let (then, otherwise) = (self.resolve(then), self.resolve(otherwise));
+                let kind = self.widest(then, otherwise);
+                let node = Node::Select {
+                    cond,
+                    then,
+                    otherwise,
+                };
+                (node, kind)
+            }
+            Expr::Sum { indices, body } => {
+                let body = self.resolve(body);
+                let at = self.lists.len();
+                for name in indices {
+                    let slot = self.names.index(name);
+                    self.lists.push(slot);
+                }
+                let len = indices.len();
+                (Node::Sum { at, len, body }, self.nodes[body].kind)
+            }
+            Expr::Call { builtin, arg } => {
+                let arg = self.resolve(arg);
+                let node = Node::Call {
+                    builtin: *builtin,
+                    arg,
+                };
+                (node, Kind::Float)
+            }
+            Expr::Neg(inner) => {
+                let inner = self.resolve(inner);
+                (Node::Neg(inner), self.nodes[inner].kind)
+            }
+        };
+        self.nodes.push(Resolved { node, kind, expr });
+        self.nodes.len() - 1
+    }
+
+    /// `Float` when either node is, else `Int`: the kind of a binary op
+    /// or a `select`.
+    fn widest(&self, a: usize, b: usize) -> Kind {
+        if self.nodes[a].kind == Kind::Float || self.nodes[b].kind == Kind::Float {
+            Kind::Float
+        } else {
+            Kind::Int
+        }
+    }
+
+    /// The buffer type of a tensor, built once per shape and element
+    /// kind.
+    fn buffer_type(&mut self, info: &'p TensorInfo) -> TypeId {
+        let known = self.memrefs.iter().find(|(shape, integer, _)| {
+            *shape == info.shape.as_slice() && *integer == info.integer
+        });
+        if let Some(&(_, _, ty)) = known {
+            return ty;
+        }
+        let ty = self.module.intern_type(memref(info));
+        self.memrefs.push((&info.shape, info.integer, ty));
+        ty
+    }
+
+    fn lower_let(&mut self, entry: BlockId, stmt: &'p TypedLet) -> IrResult<()> {
+        let slot = self.names.tensor(&stmt.name);
+        let ty = self.buffer_type(self.names.tensors[slot].1);
+        let alloc = self
+            .module
+            .build_op(ALLOC, [], [])
+            .result(ty)
+            .append_to(entry);
+        let buffer = single_result(&self.module, alloc);
+        self.buffers[slot] = Some(buffer);
+
+        self.nodes.clear();
+        self.lists.clear();
+        let root = self.resolve(&stmt.value);
 
         // Loop nest over the free indices.
-        let bounds: Vec<u64> = stmt
-            .indices
-            .iter()
-            .map(|i| self.program.extent(i))
-            .collect();
-        let (ivs, bodies) = self.open_loop_nest(entry, &bounds);
-        let inner = *bodies.last().unwrap_or(&entry);
-        let mut env: Env = stmt
-            .indices
-            .iter()
-            .cloned()
-            .zip(ivs.iter().copied())
-            .collect();
+        self.env.fill(None);
+        let outer = self.loops.len();
+        let mut current = entry;
+        for index in &stmt.indices {
+            let slot = self.names.index(index);
+            current = self.open_loop(current, self.names.extents[slot]);
+            self.env[slot] = Some(self.loops[self.loops.len() - 1].0);
+        }
+        let inner = current;
 
         let value = if stmt.kind == Kind::Int {
-            self.emit_index_expr(inner, &mut env, &stmt.value)?
+            self.emit_index_expr(inner, root)?
         } else {
-            self.emit_value_expr(inner, &mut env, &stmt.value)?
+            self.emit_value_expr(inner, root)?
         };
-        let mut operands = vec![value, buffer];
-        operands.extend(ivs.iter().copied());
-        self.module
-            .build_op("memref.store", operands, [])
-            .append_to(inner);
-        self.close_loop_nest(&bodies);
+        let mut operands = ValueList::from(&[value, buffer][..]);
+        operands.extend(self.loops[outer..].iter().map(|&(iv, _)| iv));
+        self.module.build_op(STORE, operands, []).append_to(inner);
+        self.close_loops(outer);
         Ok(())
     }
 
-    fn open_loop_nest(&mut self, block: BlockId, bounds: &[u64]) -> (Vec<ValueId>, Vec<BlockId>) {
-        let mut ivs = Vec::new();
-        let mut bodies = Vec::new();
-        let mut current = block;
-        for &bound in bounds {
-            let lb = const_index(&mut self.module, current, 0);
-            let ub = const_index(&mut self.module, current, bound as i64);
-            let step = const_index(&mut self.module, current, 1);
-            let (_op, body) = build_for(&mut self.module, current, lb, ub, step);
-            ivs.push(self.module.block(body).args[0]);
-            bodies.push(body);
-            current = body;
-        }
-        (ivs, bodies)
+    /// Opens one `scf.for` from 0 to `bound` in `block`, pushes it on
+    /// [`Lowerer::loops`] and returns its body.
+    fn open_loop(&mut self, block: BlockId, bound: u64) -> BlockId {
+        let lb = const_index(&mut self.module, block, 0);
+        let ub = const_index(&mut self.module, block, bound as i64);
+        let step = const_index(&mut self.module, block, 1);
+        let (_op, body) = build_for(&mut self.module, block, lb, ub, step);
+        self.loops.push((self.module.block(body).args[0], body));
+        body
     }
 
-    fn close_loop_nest(&mut self, bodies: &[BlockId]) {
-        for &body in bodies.iter().rev() {
-            self.module.build_op("scf.yield", [], []).append_to(body);
+    /// Terminates the loops opened since [`Lowerer::loops`] was `outer`
+    /// long, innermost first, and pops them.
+    fn close_loops(&mut self, outer: usize) {
+        while self.loops.len() > outer {
+            let (_, body) = self.loops.pop().expect("an open loop");
+            self.module.build_op(YIELD, [], []).append_to(body);
         }
     }
 
-    /// The kind of an expression (mirrors the checker's inference).
-    fn kind_of(&self, expr: &Expr) -> Kind {
-        match expr {
-            Expr::Int(_) => Kind::Int,
-            Expr::Float(_) => Kind::Float,
-            Expr::Ref { name, .. } => {
-                if self.program.indices.contains_key(name) || self.program.tensors[name].integer {
-                    Kind::Int
-                } else {
-                    Kind::Float
-                }
-            }
-            Expr::Binary { lhs, rhs, .. }
-            | Expr::Select {
-                then: lhs,
-                otherwise: rhs,
-                ..
-            } => {
-                if self.kind_of(lhs) == Kind::Float || self.kind_of(rhs) == Kind::Float {
-                    Kind::Float
-                } else {
-                    Kind::Int
-                }
-            }
-            Expr::Compare { .. } => Kind::Bool,
-            Expr::Sum { body, .. } => self.kind_of(body),
-            Expr::Call { .. } => Kind::Float,
-            Expr::Neg(inner) => self.kind_of(inner),
-        }
+    /// The error for a name no buffer or induction variable is bound to.
+    fn unbound(name: &str) -> IrError {
+        IrError::Malformed(format!("tensor '{name}' not materialized"))
     }
 
-    /// Emits an expression as an `index`-typed value (subscript position).
-    fn emit_index_expr(&mut self, block: BlockId, env: &mut Env, expr: &Expr) -> IrResult<ValueId> {
-        match expr {
-            Expr::Int(v) => Ok(const_index(&mut self.module, block, *v)),
-            Expr::Float(v) => Err(IrError::Type(format!(
+    /// Emits a node as an `index`-typed value (subscript position).
+    fn emit_index_expr(&mut self, block: BlockId, at: usize) -> IrResult<ValueId> {
+        let Resolved { node, expr, .. } = self.nodes[at];
+        match node {
+            Node::Int(v) => Ok(const_index(&mut self.module, block, v)),
+            Node::Float(v) => Err(IrError::Type(format!(
                 "float literal {v} used where an index is required"
             ))),
-            Expr::Ref { name, subscripts } => {
-                if let Some(&iv) = env.get(name) {
-                    return Ok(iv);
-                }
-                // integer tensor load (element type is already index)
-                self.emit_load(block, env, name, subscripts.as_deref())
+            Node::Index(slot) => {
+                self.env[slot].ok_or_else(|| Self::unbound(self.names.index_names[slot]))
             }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self.emit_index_expr(block, env, lhs)?;
-                let b = self.emit_index_expr(block, env, rhs)?;
+            Node::Load { tensor, at, len } => self.emit_load(block, tensor, at, len),
+            Node::Unknown(name) => Err(Self::unbound(name)),
+            Node::Binary { op, lhs, rhs } => {
+                let a = self.emit_index_expr(block, lhs)?;
+                let b = self.emit_index_expr(block, rhs)?;
                 let arith = match op {
-                    BinOp::Add => "arith.addi",
-                    BinOp::Sub => "arith.subi",
-                    BinOp::Mul => "arith.muli",
-                    BinOp::Div => "arith.divsi",
+                    BinOp::Add => ADDI,
+                    BinOp::Sub => SUBI,
+                    BinOp::Mul => MULI,
+                    BinOp::Div => DIVSI,
                     BinOp::Min | BinOp::Max => {
                         // min/max over indices via cmp+select
-                        let pred = if *op == BinOp::Min { "lt" } else { "gt" };
+                        let pred = if op == BinOp::Min { "lt" } else { "gt" };
                         let cmp = self
                             .module
-                            .build_op("arith.cmpi", [a, b], [Type::bool()])
-                            .attr("predicate", pred)
+                            .build_op(CMPI, [a, b], [])
+                            .result(TypeId::I1)
+                            .attr(PREDICATE, pred)
                             .append_to(block);
                         let c = single_result(&self.module, cmp);
                         let sel = self
                             .module
-                            .build_op("arith.select", [c, a, b], [Type::Index])
+                            .build_op(SELECT, [c, a, b], [])
+                            .result(TypeId::INDEX)
                             .append_to(block);
                         return Ok(single_result(&self.module, sel));
                     }
                 };
                 Ok(binary(&mut self.module, block, arith, a, b))
             }
-            Expr::Select {
+            Node::Select {
                 cond,
                 then,
                 otherwise,
             } => {
-                let c = self.emit_cond(block, env, cond)?;
-                let a = self.emit_index_expr(block, env, then)?;
-                let b = self.emit_index_expr(block, env, otherwise)?;
+                let c = self.emit_cond(block, cond)?;
+                let a = self.emit_index_expr(block, then)?;
+                let b = self.emit_index_expr(block, otherwise)?;
                 let sel = self
                     .module
-                    .build_op("arith.select", [c, a, b], [Type::Index])
+                    .build_op(SELECT, [c, a, b], [])
+                    .result(TypeId::INDEX)
                     .append_to(block);
                 Ok(single_result(&self.module, sel))
             }
-            Expr::Neg(inner) => {
+            Node::Neg(inner) => {
                 let zero = const_index(&mut self.module, block, 0);
-                let v = self.emit_index_expr(block, env, inner)?;
-                Ok(binary(&mut self.module, block, "arith.subi", zero, v))
+                let v = self.emit_index_expr(block, inner)?;
+                Ok(binary(&mut self.module, block, SUBI, zero, v))
             }
-            other => Err(IrError::Type(format!(
-                "expression {other:?} cannot be used as an index"
-            ))),
+            Node::Compare { .. } | Node::Sum { .. } | Node::Call { .. } => Err(IrError::Type(
+                format!("expression {expr:?} cannot be used as an index"),
+            )),
         }
     }
 
-    /// Emits an expression as an `f64`-typed value.
-    fn emit_value_expr(&mut self, block: BlockId, env: &mut Env, expr: &Expr) -> IrResult<ValueId> {
+    /// Emits a node as an `f64`-typed value.
+    fn emit_value_expr(&mut self, block: BlockId, at: usize) -> IrResult<ValueId> {
+        let Resolved { node, kind, .. } = self.nodes[at];
         // Integer-kinded subexpressions are emitted as indices then cast.
-        if self.kind_of(expr) == Kind::Int {
-            let idx = self.emit_index_expr(block, env, expr)?;
+        if kind == Kind::Int {
+            let idx = self.emit_index_expr(block, at)?;
             let cast = self
                 .module
-                .build_op("arith.sitofp", [idx], [Type::F64])
+                .build_op(SITOFP, [idx], [])
+                .result(TypeId::F64)
                 .append_to(block);
             return Ok(single_result(&self.module, cast));
         }
-        match expr {
-            Expr::Float(v) => Ok(const_f64(&mut self.module, block, *v)),
-            Expr::Int(v) => Ok(const_f64(&mut self.module, block, *v as f64)),
-            Expr::Ref { name, subscripts } => {
-                self.emit_load(block, env, name, subscripts.as_deref())
-            }
-            Expr::Binary { op, lhs, rhs } => {
-                let a = self.emit_value_expr(block, env, lhs)?;
-                let b = self.emit_value_expr(block, env, rhs)?;
+        match node {
+            Node::Float(v) => Ok(const_f64(&mut self.module, block, v)),
+            Node::Int(v) => Ok(const_f64(&mut self.module, block, v as f64)),
+            Node::Load { tensor, at, len } => self.emit_load(block, tensor, at, len),
+            Node::Index(slot) => Err(Self::unbound(self.names.index_names[slot])),
+            Node::Unknown(name) => Err(Self::unbound(name)),
+            Node::Binary { op, lhs, rhs } => {
+                let a = self.emit_value_expr(block, lhs)?;
+                let b = self.emit_value_expr(block, rhs)?;
                 let arith = match op {
-                    BinOp::Add => "arith.addf",
-                    BinOp::Sub => "arith.subf",
-                    BinOp::Mul => "arith.mulf",
-                    BinOp::Div => "arith.divf",
-                    BinOp::Min => "arith.minf",
-                    BinOp::Max => "arith.maxf",
+                    BinOp::Add => ADDF,
+                    BinOp::Sub => SUBF,
+                    BinOp::Mul => MULF,
+                    BinOp::Div => DIVF,
+                    BinOp::Min => MINF,
+                    BinOp::Max => MAXF,
                 };
                 Ok(binary(&mut self.module, block, arith, a, b))
             }
-            Expr::Select {
+            Node::Select {
                 cond,
                 then,
                 otherwise,
             } => {
-                let c = self.emit_cond(block, env, cond)?;
-                let a = self.emit_value_expr(block, env, then)?;
-                let b = self.emit_value_expr(block, env, otherwise)?;
+                let c = self.emit_cond(block, cond)?;
+                let a = self.emit_value_expr(block, then)?;
+                let b = self.emit_value_expr(block, otherwise)?;
                 let sel = self
                     .module
-                    .build_op("arith.select", [c, a, b], [Type::F64])
+                    .build_op(SELECT, [c, a, b], [])
+                    .result(TypeId::F64)
                     .append_to(block);
                 Ok(single_result(&self.module, sel))
             }
-            Expr::Sum { indices, body } => {
+            Node::Sum { at, len, body } => {
                 // rank-0 accumulator cell in PLM
-                let acc_ty = Type::memref(&[], Type::F64, MemorySpace::Plm);
-                let acc = everest_ir::dialects::core::alloc(&mut self.module, block, acc_ty);
+                let acc_ty = match self.accumulator {
+                    Some(ty) => ty,
+                    None => {
+                        let ty = Type::memref(&[], Type::F64, MemorySpace::Plm);
+                        *self.accumulator.insert(self.module.intern_type(ty))
+                    }
+                };
+                let alloc = self
+                    .module
+                    .build_op(ALLOC, [], [])
+                    .result(acc_ty)
+                    .append_to(block);
+                let acc = single_result(&self.module, alloc);
                 let zero = const_f64(&mut self.module, block, 0.0);
                 self.module
-                    .build_op("memref.store", [zero, acc], [])
+                    .build_op(STORE, [zero, acc], [])
                     .append_to(block);
-                let bounds: Vec<u64> = indices.iter().map(|i| self.program.extent(i)).collect();
-                let (ivs, bodies) = self.open_loop_nest(block, &bounds);
-                let inner = *bodies.last().unwrap_or(&block);
-                for (name, iv) in indices.iter().zip(&ivs) {
-                    env.insert(name.clone(), *iv);
+                let outer = self.loops.len();
+                let mut inner = block;
+                for k in at..at + len {
+                    inner = self.open_loop(inner, self.names.extents[self.lists[k]]);
                 }
-                let term = self.emit_value_expr(inner, env, body)?;
+                for (k, &(iv, _)) in (at..at + len).zip(&self.loops[outer..]) {
+                    self.env[self.lists[k]] = Some(iv);
+                }
+                let term = self.emit_value_expr(inner, body)?;
                 let load = self
                     .module
-                    .build_op("memref.load", [acc], [Type::F64])
+                    .build_op(LOAD, [acc], [])
+                    .result(TypeId::F64)
                     .append_to(inner);
                 let cur = single_result(&self.module, load);
-                let next = binary(&mut self.module, inner, "arith.addf", cur, term);
+                let next = binary(&mut self.module, inner, ADDF, cur, term);
                 self.module
-                    .build_op("memref.store", [next, acc], [])
+                    .build_op(STORE, [next, acc], [])
                     .append_to(inner);
-                for name in indices {
-                    env.remove(name);
+                for k in at..at + len {
+                    self.env[self.lists[k]] = None;
                 }
-                self.close_loop_nest(&bodies);
+                self.close_loops(outer);
                 let final_load = self
                     .module
-                    .build_op("memref.load", [acc], [Type::F64])
+                    .build_op(LOAD, [acc], [])
+                    .result(TypeId::F64)
                     .append_to(block);
                 Ok(single_result(&self.module, final_load))
             }
-            Expr::Call { builtin, arg } => {
-                let v = self.emit_value_expr(block, env, arg)?;
+            Node::Call { builtin, arg } => {
+                let v = self.emit_value_expr(block, arg)?;
                 let name = match builtin {
-                    Builtin::Exp => "arith.exp",
-                    Builtin::Log => "arith.log",
-                    Builtin::Sqrt => "arith.sqrt",
-                    Builtin::Abs => "arith.absf",
+                    Builtin::Exp => EXP,
+                    Builtin::Log => LOG,
+                    Builtin::Sqrt => SQRT,
+                    Builtin::Abs => ABSF,
                 };
                 let op = self
                     .module
-                    .build_op(name, [v], [Type::F64])
+                    .build_op(name, [v], [])
+                    .result(TypeId::F64)
                     .append_to(block);
                 Ok(single_result(&self.module, op))
             }
-            Expr::Neg(inner) => {
-                let v = self.emit_value_expr(block, env, inner)?;
+            Node::Neg(inner) => {
+                let v = self.emit_value_expr(block, inner)?;
                 let op = self
                     .module
-                    .build_op("arith.negf", [v], [Type::F64])
+                    .build_op(NEGF, [v], [])
+                    .result(TypeId::F64)
                     .append_to(block);
                 Ok(single_result(&self.module, op))
             }
-            Expr::Compare { .. } => Err(IrError::Type(
+            Node::Compare { .. } => Err(IrError::Type(
                 "comparison used outside select (checker bug)".into(),
             )),
         }
     }
 
     /// Emits a comparison as an `i1` condition.
-    fn emit_cond(&mut self, block: BlockId, env: &mut Env, expr: &Expr) -> IrResult<ValueId> {
-        let Expr::Compare { op, lhs, rhs } = expr else {
+    fn emit_cond(&mut self, block: BlockId, at: usize) -> IrResult<ValueId> {
+        let Node::Compare { op, lhs, rhs } = self.nodes[at].node else {
             return Err(IrError::Type(
                 "select condition must be a comparison".into(),
             ));
@@ -401,55 +655,52 @@ impl<'p> Lowerer<'p> {
             CmpOp::Eq => "eq",
             CmpOp::Ne => "ne",
         };
-        let int_cmp = self.kind_of(lhs) == Kind::Int && self.kind_of(rhs) == Kind::Int;
+        let int_cmp = self.nodes[lhs].kind == Kind::Int && self.nodes[rhs].kind == Kind::Int;
         let (a, b, opname) = if int_cmp {
             (
-                self.emit_index_expr(block, env, lhs)?,
-                self.emit_index_expr(block, env, rhs)?,
-                "arith.cmpi",
+                self.emit_index_expr(block, lhs)?,
+                self.emit_index_expr(block, rhs)?,
+                CMPI,
             )
         } else {
             (
-                self.emit_value_expr(block, env, lhs)?,
-                self.emit_value_expr(block, env, rhs)?,
-                "arith.cmpf",
+                self.emit_value_expr(block, lhs)?,
+                self.emit_value_expr(block, rhs)?,
+                CMPF,
             )
         };
         let cmp = self
             .module
-            .build_op(opname, [a, b], [Type::bool()])
-            .attr("predicate", pred)
+            .build_op(opname, [a, b], [])
+            .result(TypeId::I1)
+            .attr(PREDICATE, pred)
             .append_to(block);
         Ok(single_result(&self.module, cmp))
     }
 
-    /// Emits a tensor load (the element type of the memref decides whether
-    /// this is an index or a value load).
+    /// Emits a tensor load: its element type is the tensor's kind.
     fn emit_load(
         &mut self,
         block: BlockId,
-        env: &mut Env,
-        name: &str,
-        subscripts: Option<&[Expr]>,
+        tensor: usize,
+        at: usize,
+        len: usize,
     ) -> IrResult<ValueId> {
-        let buffer = *self
-            .buffers
-            .get(name)
-            .ok_or_else(|| IrError::Malformed(format!("tensor '{name}' not materialized")))?;
-        let subs = subscripts.unwrap_or(&[]);
-        let mut operands = vec![buffer];
-        for s in subs {
-            operands.push(self.emit_index_expr(block, env, s)?);
+        let (name, info) = self.names.tensors[tensor];
+        let buffer = self.buffers[tensor].ok_or_else(|| Self::unbound(name))?;
+        let mut operands = ValueList::from(&[buffer][..]);
+        for k in at..at + len {
+            operands.push(self.emit_index_expr(block, self.lists[k])?);
         }
-        let elem = self
-            .module
-            .value_type(buffer)
-            .elem()
-            .cloned()
-            .expect("buffer is a memref");
+        let elem = if info.integer {
+            TypeId::INDEX
+        } else {
+            TypeId::F64
+        };
         let op = self
             .module
-            .build_op("memref.load", operands, [elem])
+            .build_op(LOAD, operands, [])
+            .result(elem)
             .append_to(block);
         Ok(single_result(&self.module, op))
     }

@@ -126,13 +126,14 @@ fn parse_allocates_the_ast_and_lowering_sizes_its_arenas_once() {
     // whole before the first op was built.
     assert!(ops <= 24 * program.lets.len(), "{ops} ops");
     assert_eq!(regrown, 0, "arena regrowths in lower_to_loops");
-    // What is left an op is its attribute vector (a constant's value),
-    // a region list (a loop's), a block's lists and the types that own
-    // memory (a memref's shape): 1.66 an op. Operands, results and the
-    // builder's result types were three `Vec`s more: 3.48 on the
-    // benchmark's corpus.
+    // What is left an op is a block's op list (a loop body's) and the
+    // lowering's own tables: 0.27 an op. A constant's attribute vector,
+    // a loop's region list, its region's block list and its body's
+    // argument list, and the shape and element of every memref type
+    // made it 1.66; operands, results and the builder's result types
+    // were three `Vec`s more: 3.48 on the benchmark's corpus.
     assert!(
-        lowering * 10 <= ops * 20,
+        lowering * 100 <= ops * 35,
         "{lowering} allocations to lower to {ops} ops"
     );
 

@@ -1,7 +1,9 @@
 //! The bound plan is the tree-walker: on random validated programs
 //! `interp::evaluate` (bind + run) and the interpreter it replaced
 //! (`reference/`) return the same tensors bit for bit, or the same
-//! error, message included.
+//! error, message included. And the dense-slot lowering is the
+//! string-keyed one it replaced (`reference/lower.rs`): on the same
+//! programs both print the same IR byte for byte, or fail alike.
 //!
 //! Programs are drawn as ASTs, not text: einsum-shaped sums with
 //! post-ops, gather chains through integer tensors, subscripts guarded
@@ -16,6 +18,8 @@
 //! added, and every drawn kernel must validate.
 
 mod reference;
+#[path = "reference/lower.rs"]
+mod reference_lower;
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -24,9 +28,11 @@ use proptest::prelude::*;
 use everest_ekl::ast::{BinOp, Builtin, CmpOp, Dim, Expr, Item, Kernel};
 use everest_ekl::check::{check, Program};
 use everest_ekl::interp::{evaluate, EvalError, Plan, Tensor};
+use everest_ekl::lower::lower_to_loops;
 use everest_ekl::rrtmg::{
     input_map, major_absorber_program, major_absorber_reference, synthetic_inputs, RrtmgDims,
 };
+use everest_ir::print::print_module;
 
 /// SplitMix64.
 struct Rng(u64);
@@ -560,18 +566,94 @@ proptest! {
     }
 }
 
-/// The drawn programs do exercise what the property is for: most
-/// evaluate, the failures cover each kind of error, and a share repeat
-/// a sub-expression in each kind of position.
+/// The printed IR of `program` lowered by `lower`, or its error.
+fn lowered(
+    lower: fn(&Program) -> everest_ir::IrResult<everest_ir::Module>,
+    program: &Program,
+) -> Result<String, String> {
+    lower(program)
+        .map(|m| print_module(&m))
+        .map_err(|e| e.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn lowering_prints_what_the_string_keyed_reference_prints(seed in any::<u64>()) {
+        let (program, _, _) = draw(seed);
+        let ours = lowered(lower_to_loops, &program);
+        let reference = lowered(reference_lower::lower_to_loops, &program);
+        prop_assert!(ours == reference, "seed {}:\n{:?}\nvs the reference\n{:?}", seed, ours, reference);
+    }
+}
+
+/// The same on fixed programs: RRTMG at both dimension sets, both
+/// CFDlang examples' shapes, and kernels the lowering refuses (a `sum`
+/// and a comparison where an index is required, an index-typed `let`
+/// over a float).
+#[test]
+fn fixed_programs_lower_as_the_reference_lowers_them() {
+    let coupled = RrtmgDims {
+        nlay: 16,
+        ngpt: 4,
+        ntemp: 6,
+        npres: 12,
+        neta: 5,
+        nflav: 2,
+    };
+    let mut programs = vec![
+        major_absorber_program(coupled),
+        major_absorber_program(RrtmgDims::default()),
+        everest_ekl::cfdlang::compile(
+            "var input A : [16 32]\nvar input B : [32 16]\nvar output C : [16 16]\nC = A . B\n",
+            "mm",
+        )
+        .expect("compiles"),
+    ];
+    let mut refused = 0;
+    for source in [
+        "kernel k { index i : 0..4 index j : 0..3 input n : [j] of int input a : [4] \
+         let s = sum(j)(n[j]) let y[i] = a[s] output y }",
+        "kernel k { index i : 0..4 input n : [i] of int input a : [4] \
+         let y[i] = a[min(n[i], 3) + max(0, -n[i])] output y }",
+        "kernel k { index i : 0..4 input a : [i] \
+         let y[i] = select(a[i] > 0.5, 1, 0) * select(i < 2, 2, 3) output y }",
+    ] {
+        let kernel = everest_ekl::parser::parse(source).expect("parses");
+        if let Ok(program) = check(&kernel) {
+            programs.push(program);
+        } else {
+            refused += 1;
+        }
+    }
+    assert_eq!(refused, 0, "a fixed kernel no longer validates");
+    let mut errors = 0;
+    for program in &programs {
+        let ours = lowered(lower_to_loops, program);
+        let reference = lowered(reference_lower::lower_to_loops, program);
+        assert_eq!(ours, reference, "{}", program.name);
+        errors += usize::from(ours.is_err());
+    }
+    // The `sum` in a subscript.
+    assert_eq!(errors, 1, "lowerings refused");
+}
+
+/// The drawn programs do exercise what the properties are for: most
+/// evaluate, the failures cover each kind of error, a share repeat a
+/// sub-expression in each kind of position, and both lowerings print a
+/// module for some and refuse others.
 #[test]
 fn drawn_programs_cover_values_and_every_error_kind() {
     let (mut evaluated, mut out_of_range, mut missing, mut misshaped) = (0, 0, 0, 0);
     let mut repeating = [0; 3];
+    let mut lowering_errors = 0;
     for seed in 0..400 {
         let (program, inputs, repeats) = draw(seed);
         for (count, drawn) in repeating.iter_mut().zip(repeats) {
             *count += usize::from(drawn > 0);
         }
+        lowering_errors += usize::from(reference_lower::lower_to_loops(&program).is_err());
         match reference::evaluate(&program, &inputs) {
             Ok(_) => evaluated += 1,
             Err(e) if e.message.contains("out of range") => out_of_range += 1,
@@ -586,6 +668,13 @@ fn drawn_programs_cover_values_and_every_error_kind() {
     assert!(
         repeating.iter().all(|&count| count >= 40),
         "programs repeating in select arms / subscript and value / two sums: {repeating:?}"
+    );
+    // The lowering property sees both outcomes: printed modules, and
+    // the refusal of an integer `sum` where an index is required (199
+    // of the 400).
+    assert!(
+        (100..=300).contains(&lowering_errors),
+        "{lowering_errors} of 400 refused by the lowering"
     );
 }
 

@@ -22,8 +22,9 @@ pub enum Attribute {
     Str(String),
     /// A boolean.
     Bool(bool),
-    /// A type attribute (e.g. the function type of a `func.func`).
-    Ty(Type),
+    /// A type attribute (e.g. the function type of a `func.func`),
+    /// boxed so that the largest payload is a `String` or a `Vec`.
+    Ty(Box<Type>),
     /// A homogeneous or heterogeneous list.
     Array(Vec<Attribute>),
     /// A nested dictionary.
@@ -174,7 +175,7 @@ impl Attribute {
             Attribute::Float(v) => AttrKey::Float(v.to_bits()),
             Attribute::Str(s) => AttrKey::Str(s.clone()),
             Attribute::Bool(b) => AttrKey::Bool(*b),
-            Attribute::Ty(t) => AttrKey::Ty(t.clone()),
+            Attribute::Ty(t) => AttrKey::Ty(Type::clone(t)),
             Attribute::Array(items) => {
                 AttrKey::Array(items.iter().map(Attribute::structural_key).collect())
             }
@@ -224,17 +225,19 @@ pub enum AttrKey {
     DenseI64(Vec<i64>),
 }
 
-/// The named attributes of one operation: a vector of `(name, value)`
-/// kept sorted by the name's *text*, so iteration — and with it the
-/// printed IR — is in the byte-wise order a `BTreeMap<String, _>` gives.
+/// The named attributes of one operation, kept sorted by the name's
+/// *text*, so iteration — and with it the printed IR — is in the
+/// byte-wise order a `BTreeMap<String, _>` gives.
 ///
-/// Most ops carry zero to three attributes. An empty map owns no heap
-/// memory; a populated one is a single allocation of 72 bytes an entry,
-/// where a `BTreeMap<String, Attribute>` is a ~1 KB leaf plus one
-/// `String` per key. Names are interned [`Symbol`]s: cloning a map
-/// copies no text and comparing two names is an id compare. They join
-/// the process-wide interner, which is never freed — attribute names
-/// are a closed vocabulary in every producer in this repository, but
+/// Most ops carry zero or one attribute (every `arith.constant` its
+/// `value`). The map holds one entry in place, with no heap block, and
+/// spills to a vector of 40-byte entries from the second on; an empty
+/// map owns no heap memory either. A `BTreeMap<String, Attribute>` was
+/// a ~1 KB leaf plus one `String` per key. Names are interned
+/// [`Symbol`]s: cloning a map copies no text and comparing two names
+/// is a pointer compare. They join the process-wide interner, which is
+/// never freed — attribute names are a closed vocabulary in every
+/// producer in this repository, but
 /// [`parse_module`](crate::parse::parse_module) interns whatever names
 /// its input spells (bounded by the input's size).
 ///
@@ -253,7 +256,15 @@ pub enum AttrKey {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AttrMap {
-    entries: Vec<(Symbol, Attribute)>,
+    entries: Entries,
+}
+
+/// The storage of an [`AttrMap`]: one entry in place, or a sorted
+/// vector (empty, and unallocated, for a map with no entries).
+#[derive(Debug, Clone)]
+enum Entries {
+    One((Symbol, Attribute)),
+    Many(Vec<(Symbol, Attribute)>),
 }
 
 impl AttrMap {
@@ -262,9 +273,24 @@ impl AttrMap {
         Self::default()
     }
 
+    /// The entries in byte-wise order of their names, as a slice.
+    fn entries(&self) -> &[(Symbol, Attribute)] {
+        match &self.entries {
+            Entries::One(entry) => std::slice::from_ref(entry),
+            Entries::Many(entries) => entries,
+        }
+    }
+
+    fn entries_mut(&mut self) -> &mut [(Symbol, Attribute)] {
+        match &mut self.entries {
+            Entries::One(entry) => std::slice::from_mut(entry),
+            Entries::Many(entries) => entries,
+        }
+    }
+
     /// The attribute stored under `name`.
     pub fn get(&self, name: &str) -> Option<&Attribute> {
-        self.entries
+        self.entries()
             .iter()
             .find(|(key, _)| key.as_str() == name)
             .map(|(_, value)| value)
@@ -276,64 +302,80 @@ impl AttrMap {
     }
 
     /// Stores `value` under `name`, returning what it replaced.
-    pub fn insert(&mut self, name: &str, value: Attribute) -> Option<Attribute> {
-        match self
-            .entries
-            .binary_search_by(|(key, _)| key.as_str().cmp(name))
-        {
-            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
-            Err(at) => {
-                // Most ops that have an attribute have exactly one: hold
-                // it in 72 bytes, not in `Vec`'s first step of four.
-                if self.entries.is_empty() {
-                    self.entries.reserve_exact(1);
-                }
-                self.entries.insert(at, (Symbol::new(name), value));
-                None
+    pub fn insert(&mut self, name: impl Into<Symbol>, value: Attribute) -> Option<Attribute> {
+        let name = name.into();
+        let found = self
+            .entries()
+            .binary_search_by(|(key, _)| key.as_str().cmp(name.as_str()));
+        let at = match found {
+            Ok(at) => return Some(std::mem::replace(&mut self.entries_mut()[at].1, value)),
+            Err(at) => at,
+        };
+        self.entries = match std::mem::take(&mut self.entries) {
+            Entries::Many(entries) if entries.capacity() == 0 => Entries::One((name, value)),
+            Entries::One(first) => {
+                let mut entries = Vec::with_capacity(2);
+                entries.push(first);
+                entries.insert(at, (name, value));
+                Entries::Many(entries)
             }
-        }
+            Entries::Many(mut entries) => {
+                entries.insert(at, (name, value));
+                Entries::Many(entries)
+            }
+        };
+        None
     }
 
     /// The entries in byte-wise order of their names.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = (&'static str, &Attribute)> {
-        self.entries
+        self.entries()
             .iter()
             .map(|(key, value)| (key.as_str(), value))
     }
 
-    /// Removes every entry, keeping the allocation.
+    /// Removes every entry, keeping a spilled map's allocation.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        match &mut self.entries {
+            Entries::One(_) => self.entries = Entries::default(),
+            Entries::Many(entries) => entries.clear(),
+        }
     }
 
     /// `true` when the map has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries().is_empty()
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries().len()
     }
 
     /// [`Attribute::structural_eq`] over whole maps: the same names
     /// carrying structurally equal values.
     pub(crate) fn structural_eq(&self, other: &AttrMap) -> bool {
-        self.entries.len() == other.entries.len()
-            && self
-                .entries
+        let (ours, theirs) = (self.entries(), other.entries());
+        ours.len() == theirs.len()
+            && ours
                 .iter()
-                .zip(&other.entries)
+                .zip(theirs)
                 .all(|((ka, va), (kb, vb))| ka == kb && va.structural_eq(vb))
     }
 
     /// Feeds `state` every name and value, as
     /// [`Attribute::structural_hash`] does one value.
     pub(crate) fn structural_hash<H: Hasher>(&self, state: &mut H) {
-        for (key, value) in &self.entries {
+        for (key, value) in self.entries() {
             key.hash(state);
             value.structural_hash(state);
         }
+    }
+}
+
+impl Default for Entries {
+    fn default() -> Self {
+        Entries::Many(Vec::new())
     }
 }
 
@@ -369,7 +411,7 @@ impl From<String> for Attribute {
 
 impl From<Type> for Attribute {
     fn from(v: Type) -> Self {
-        Attribute::Ty(v)
+        Attribute::Ty(Box::new(v))
     }
 }
 
@@ -514,8 +556,8 @@ mod tests {
             Attribute::Str("1".into()),
             Attribute::SymbolRef("1".into()),
             Attribute::Bool(true),
-            Attribute::Ty(Type::F64),
-            Attribute::Ty(Type::F32),
+            Attribute::from(Type::F64),
+            Attribute::from(Type::F32),
             Attribute::Array(vec![]),
             Attribute::Array(vec![Attribute::Int(1)]),
             Attribute::Array(vec![Attribute::Float(1.0)]),
@@ -587,9 +629,31 @@ mod tests {
     /// The clone and drop savings rest on these: a later field or a
     /// fatter key would undo them silently.
     #[test]
-    fn attr_map_is_one_pointer_triple_of_72_byte_entries() {
-        assert_eq!(std::mem::size_of::<AttrMap>(), 24);
-        assert_eq!(std::mem::size_of::<(Symbol, Attribute)>(), 72);
-        assert_eq!(std::mem::size_of::<Attribute>(), 48);
+    fn attr_map_is_one_40_byte_entry_in_place() {
+        assert_eq!(std::mem::size_of::<AttrMap>(), 40);
+        assert_eq!(std::mem::size_of::<(Symbol, Attribute)>(), 40);
+        assert_eq!(std::mem::size_of::<Attribute>(), 32);
+    }
+
+    #[test]
+    fn attr_map_holds_one_entry_in_place_and_spills_at_the_second() {
+        let mut attrs = AttrMap::new();
+        assert!(matches!(attrs.entries, Entries::Many(ref v) if v.capacity() == 0));
+        attrs.insert("value", Attribute::Int(1));
+        assert!(matches!(attrs.entries, Entries::One(_)));
+        assert_eq!(
+            attrs.insert("value", Attribute::Int(2)),
+            Some(Attribute::Int(1))
+        );
+        assert!(matches!(attrs.entries, Entries::One(_)));
+        for name in ["a", "z"] {
+            attrs.insert(name, Attribute::from(name));
+        }
+        assert!(matches!(attrs.entries, Entries::Many(_)));
+        let names: Vec<&str> = attrs.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["a", "value", "z"]);
+        assert_eq!(attrs.get("value"), Some(&Attribute::Int(2)));
+        attrs.clear();
+        assert!(attrs.is_empty());
     }
 }

@@ -8,9 +8,15 @@
 use crate::attr::Attribute;
 use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, OpId, ValueId};
+use crate::intern::Symbol;
 use crate::module::{single_result, Module};
 use crate::registry::{Arity, Dialect, OpSpec, OpTrait};
-use crate::types::Type;
+use crate::types::{Type, TypeId};
+
+/// The names the builders below give every op they build.
+const CONSTANT: Symbol = Symbol::registered("arith.constant");
+const VALUE: Symbol = Symbol::registered("value");
+const FOR: Symbol = Symbol::registered("scf.for");
 
 // ---------------------------------------------------------------------------
 // func
@@ -122,11 +128,12 @@ fn verify_same_types(m: &Module, op: OpId) -> IrResult<()> {
     let mut types = operation
         .operands
         .iter()
-        .map(|&v| m.value_type(v))
-        .chain(operation.results.iter().map(|&v| m.value_type(v)));
+        .chain(operation.results.iter())
+        .map(|&v| m.value_type_id(v));
     if let Some(first) = types.next() {
         for t in types {
             if t != first {
+                let (first, t) = (m.ty(first), m.ty(t));
                 return Err(IrError::Verification {
                     op: operation.name.to_string(),
                     path: None,
@@ -197,8 +204,9 @@ pub(crate) fn arith_dialect() -> Dialect {
 /// Builds an `arith.constant` float and returns its result value.
 pub fn const_f64(m: &mut Module, block: BlockId, v: f64) -> ValueId {
     let op = m
-        .build_op("arith.constant", [], [Type::F64])
-        .attr("value", Attribute::Float(v))
+        .build_op(CONSTANT, [], [])
+        .result(TypeId::F64)
+        .attr(VALUE, Attribute::Float(v))
         .append_to(block);
     single_result(m, op)
 }
@@ -206,16 +214,23 @@ pub fn const_f64(m: &mut Module, block: BlockId, v: f64) -> ValueId {
 /// Builds an `arith.constant` index and returns its result value.
 pub fn const_index(m: &mut Module, block: BlockId, v: i64) -> ValueId {
     let op = m
-        .build_op("arith.constant", [], [Type::Index])
-        .attr("value", Attribute::Int(v))
+        .build_op(CONSTANT, [], [])
+        .result(TypeId::INDEX)
+        .attr(VALUE, Attribute::Int(v))
         .append_to(block);
     single_result(m, op)
 }
 
 /// Builds a binary `arith` op (e.g. `"arith.addf"`) and returns its result.
-pub fn binary(m: &mut Module, block: BlockId, name: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
-    let ty = m.value_type(lhs).clone();
-    let op = m.build_op(name, [lhs, rhs], [ty]).append_to(block);
+pub fn binary(
+    m: &mut Module,
+    block: BlockId,
+    name: impl Into<Symbol>,
+    lhs: ValueId,
+    rhs: ValueId,
+) -> ValueId {
+    let ty = m.value_type_id(lhs);
+    let op = m.build_op(name, [lhs, rhs], []).result(ty).append_to(block);
     single_result(m, op)
 }
 
@@ -292,7 +307,7 @@ pub fn build_for(
     step: ValueId,
 ) -> (OpId, BlockId) {
     let op = m
-        .build_op("scf.for", [lb, ub, step], [])
+        .build_op(FOR, [lb, ub, step], [])
         .regions(1)
         .append_to(block);
     let region = m.op(op).expect("just built").regions[0];

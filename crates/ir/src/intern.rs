@@ -4,11 +4,11 @@
 //! ...) and so are attribute names (`"value"`, `"sym_name"`, ...), yet
 //! the pre-interning IR cloned them as `String`s on every op build, CSE
 //! key, and pass dispatch — a heap allocation per touch on the hottest
-//! compiler paths. A [`Symbol`] is a process-wide interned name: 24
-//! bytes (a `u32` id, padding, and the `&'static str`), `Copy`,
-//! equality and hashing on the dense id, with the backing text static
-//! (or leaked once per distinct name) so [`Symbol::as_str`] is a free
-//! pointer read (no lock, no lookup).
+//! compiler paths. A [`Symbol`] is a process-wide interned name: one
+//! pointer (8 bytes) to a static entry holding its `u32` id and its
+//! `&'static str`, `Copy`, equality on the pointer and hashing on the
+//! dense id, with the entry static (or leaked once per distinct name)
+//! so [`Symbol::as_str`] is two pointer reads (no lock, no lookup).
 //!
 //! Two paths lead to a symbol:
 //!
@@ -60,11 +60,15 @@ use std::sync::{Mutex, OnceLock};
 /// A process-wide interned string, used for operation and attribute
 /// names.
 ///
-/// Equality and hashing compare the `u32` id (two symbols are equal iff
-/// their text is equal); `Deref<Target = str>` and [`Symbol::as_str`]
-/// recover the text without touching the interner.
+/// Equality compares the entry's address and hashing its `u32` id (two
+/// symbols are equal iff their text is equal); `Deref<Target = str>`
+/// and [`Symbol::as_str`] recover the text without touching the
+/// interner.
 #[derive(Clone, Copy)]
-pub struct Symbol {
+pub struct Symbol(&'static Entry);
+
+/// What a [`Symbol`] points at: one per distinct name, for the process.
+struct Entry {
     id: u32,
     text: &'static str,
 }
@@ -161,6 +165,20 @@ pub(crate) const REGISTERED: [&str; 74] = [
     "layout",
 ];
 
+/// The entries of the [`REGISTERED`] names, in table order.
+static ENTRIES: [Entry; REGISTERED.len()] = {
+    let mut entries = [const { Entry { id: 0, text: "" } }; REGISTERED.len()];
+    let mut id = 0;
+    while id < REGISTERED.len() {
+        entries[id] = Entry {
+            id: id as u32,
+            text: REGISTERED[id],
+        };
+        id += 1;
+    }
+    entries
+};
+
 /// `log2` of the index's slot count: 256 slots for 74 names, so a
 /// probe rarely looks past its first slot.
 const SLOT_BITS: u32 = 8;
@@ -180,6 +198,21 @@ static SLOTS: [u8; 1 << SLOT_BITS] = {
     }
     slots
 };
+
+/// `a == b` for byte slices, in a `const fn`.
+const fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut at = 0;
+    while at < a.len() {
+        if a[at] != b[at] {
+            return false;
+        }
+        at += 1;
+    }
+    true
+}
 
 /// The home slot of a name: its length plus its last eight bytes read
 /// as one big-endian word (the whole name when shorter), spread by a
@@ -220,12 +253,8 @@ pub(crate) fn registered(name: &str) -> Option<Symbol> {
     let mut at = slot_of(name.as_bytes());
     loop {
         let id = SLOTS[at].checked_sub(1)? as usize;
-        let text = REGISTERED[id];
-        if text == name {
-            return Some(Symbol {
-                id: id as u32,
-                text,
-            });
+        if REGISTERED[id] == name {
+            return Some(Symbol(&ENTRIES[id]));
         }
         at = (at + 1) % SLOTS.len();
     }
@@ -256,17 +285,47 @@ impl Symbol {
         registered(name).unwrap_or_else(|| Symbol::intern(name))
     }
 
-    /// The locked path: a map hit, or a fresh id and leaked text.
+    /// The symbol of a registered name — an op kind the
+    /// dialects register or an attribute name their specs require —
+    /// found by a scan of the table when the call is evaluated, so a
+    /// `const` of one costs nothing at run time. Builders that name the
+    /// same ops over and over keep their names in such constants.
+    ///
+    /// # Panics
+    ///
+    /// Panics for any other name; in a `const`, that is a compile
+    /// error.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use everest_ir::Symbol;
+    ///
+    /// const LOAD: Symbol = Symbol::registered("memref.load");
+    /// assert_eq!(LOAD, Symbol::new("memref.load"));
+    /// ```
+    pub const fn registered(name: &str) -> Symbol {
+        let mut id = 0;
+        while id < REGISTERED.len() {
+            if same_bytes(REGISTERED[id].as_bytes(), name.as_bytes()) {
+                return Symbol(&ENTRIES[id]);
+            }
+            id += 1;
+        }
+        panic!("not a registered op or attribute name")
+    }
+
+    /// The locked path: a map hit, or a fresh id and a leaked entry.
     fn intern(name: &str) -> Symbol {
         let mut interner = interner().lock().expect("symbol interner poisoned");
         if let Some(&sym) = interner.map.get(name) {
             return sym;
         }
         let text: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let sym = Symbol {
+        let sym = Symbol(Box::leak(Box::new(Entry {
             id: interner.map.len() as u32,
             text,
-        };
+        })));
         interner.map.insert(text, sym);
         sym
     }
@@ -288,7 +347,7 @@ impl Symbol {
     /// the process: callers can hold the `&str` without borrowing the
     /// symbol.
     pub fn as_str(&self) -> &'static str {
-        self.text
+        self.0.text
     }
 
     /// The symbol's dense id: the registered names first, at fixed ids
@@ -301,7 +360,7 @@ impl Symbol {
     /// come out the same on every run sorts by [`Symbol::as_str`] (the
     /// type has no `Ord` for that reason).
     pub fn index(&self) -> usize {
-        self.id as usize
+        self.0.id as usize
     }
 }
 
@@ -309,13 +368,13 @@ impl std::ops::Deref for Symbol {
     type Target = str;
 
     fn deref(&self) -> &str {
-        self.text
+        self.0.text
     }
 }
 
 impl PartialEq for Symbol {
     fn eq(&self, other: &Symbol) -> bool {
-        self.id == other.id
+        std::ptr::eq(self.0, other.0)
     }
 }
 
@@ -323,55 +382,55 @@ impl Eq for Symbol {}
 
 impl std::hash::Hash for Symbol {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.id.hash(state);
+        self.0.id.hash(state);
     }
 }
 
 impl PartialEq<str> for Symbol {
     fn eq(&self, other: &str) -> bool {
-        self.text == other
+        self.0.text == other
     }
 }
 
 impl PartialEq<&str> for Symbol {
     fn eq(&self, other: &&str) -> bool {
-        self.text == *other
+        self.0.text == *other
     }
 }
 
 impl PartialEq<String> for Symbol {
     fn eq(&self, other: &String) -> bool {
-        self.text == other.as_str()
+        self.0.text == other.as_str()
     }
 }
 
 impl PartialEq<Symbol> for str {
     fn eq(&self, other: &Symbol) -> bool {
-        self == other.text
+        self == other.0.text
     }
 }
 
 impl PartialEq<Symbol> for &str {
     fn eq(&self, other: &Symbol) -> bool {
-        *self == other.text
+        *self == other.0.text
     }
 }
 
 impl PartialEq<Symbol> for String {
     fn eq(&self, other: &Symbol) -> bool {
-        self.as_str() == other.text
+        self.as_str() == other.0.text
     }
 }
 
 impl std::fmt::Display for Symbol {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.text)
+        f.write_str(self.0.text)
     }
 }
 
 impl std::fmt::Debug for Symbol {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:?}", self.text)
+        write!(f, "{:?}", self.0.text)
     }
 }
 
@@ -395,7 +454,7 @@ impl From<String> for Symbol {
 
 impl std::borrow::Borrow<str> for Symbol {
     fn borrow(&self) -> &str {
-        self.text
+        self.0.text
     }
 }
 
@@ -425,7 +484,7 @@ mod tests {
         // use is below the number of distinct names interned so far.
         let table_len = interner().lock().unwrap().map.len();
         assert!(a.index() < table_len && b.index() < table_len);
-        assert_eq!(std::mem::size_of::<Symbol>(), 24);
+        assert_eq!(std::mem::size_of::<Symbol>(), 8);
     }
 
     #[test]

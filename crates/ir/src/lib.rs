@@ -79,4 +79,4 @@ pub use location::{OpPath, PathStep};
 pub use module::{Module, Operation};
 pub use registry::{Context, Dialect, OpSpec, OpTrait};
 pub use types::{FixedFormat, MemorySpace, PositFormat, Type};
-pub use value_list::ValueList;
+pub use value_list::{IdList, ValueList};

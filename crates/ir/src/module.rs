@@ -10,8 +10,8 @@ use crate::attr::{AttrMap, Attribute};
 use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
 use crate::intern::Symbol;
-use crate::types::Type;
-use crate::value_list::ValueList;
+use crate::types::{Type, TypeId, TypeTable};
+use crate::value_list::{IdList, ValueList};
 
 /// Where an SSA value comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,22 +21,23 @@ pub enum ValueDef {
         /// Defining operation.
         op: OpId,
         /// Result position.
-        index: usize,
+        index: u32,
     },
     /// The `index`-th argument of block `block`.
     BlockArg {
         /// Owning block.
         block: BlockId,
         /// Argument position.
-        index: usize,
+        index: u32,
     },
 }
 
-/// Metadata for one SSA value.
-#[derive(Debug, Clone)]
+/// Metadata for one SSA value: 16 bytes, copied as they are.
+#[derive(Debug, Clone, Copy)]
 pub struct ValueInfo {
-    /// The value's type.
-    pub ty: Type,
+    /// The value's type, uniqued in its module's table; read it as a
+    /// [`Type`] through [`Module::value_type`].
+    pub ty: TypeId,
     /// The value's definition site.
     pub def: ValueDef,
 }
@@ -58,8 +59,8 @@ pub struct Operation {
     pub results: ValueList,
     /// Named attributes, sorted by name for deterministic printing.
     pub attributes: AttrMap,
-    /// Nested regions.
-    pub regions: Vec<RegionId>,
+    /// Nested regions, up to four in place.
+    pub regions: IdList<RegionId>,
     /// The block containing this op, if attached.
     pub parent_block: Option<BlockId>,
 }
@@ -90,8 +91,9 @@ impl Operation {
 /// A region: a list of blocks nested under an operation.
 #[derive(Debug, Clone)]
 pub struct Region {
-    /// Blocks in order; the first is the entry block.
-    pub blocks: Vec<BlockId>,
+    /// Blocks in order, up to four in place; the first is the entry
+    /// block.
+    pub blocks: IdList<BlockId>,
     /// The operation owning this region (`None` only for the top region).
     pub parent_op: Option<OpId>,
 }
@@ -99,8 +101,9 @@ pub struct Region {
 /// A basic block: arguments plus an ordered list of operations.
 #[derive(Debug, Clone)]
 pub struct Block {
-    /// Block arguments.
-    pub args: Vec<ValueId>,
+    /// Block arguments: a loop body's one induction variable is held
+    /// in place.
+    pub args: ValueList,
     /// Operations in program order.
     pub ops: Vec<OpId>,
     /// The region owning this block.
@@ -133,6 +136,7 @@ pub struct Module {
     regions: Vec<Region>,
     blocks: Vec<Block>,
     values: Vec<ValueInfo>,
+    types: TypeTable,
     top: RegionId,
     /// See [`Module::revision`].
     revision: u64,
@@ -162,6 +166,7 @@ impl Module {
             blocks: Vec::with_capacity(1 + ops / 8),
             // One result per op is the common shape; block args are noise.
             values: Vec::with_capacity(ops),
+            types: TypeTable::default(),
             top: RegionId::from_raw(0),
             revision: 0,
         };
@@ -252,7 +257,30 @@ impl Module {
 
     /// Returns the type of a value.
     pub fn value_type(&self, id: ValueId) -> &Type {
-        &self.values[id.index()].ty
+        self.types.get(self.values[id.index()].ty)
+    }
+
+    /// Returns the uniqued type id of a value: two values of one module
+    /// have equal types exactly when their ids are equal.
+    pub fn value_type_id(&self, id: ValueId) -> TypeId {
+        self.values[id.index()].ty
+    }
+
+    /// The type `id` stands for in this module.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was issued by another module's table.
+    pub fn ty(&self, id: TypeId) -> &Type {
+        self.types.get(id)
+    }
+
+    /// Uniques `ty` in this module's type table and returns its id: the
+    /// id of an equal type already there, or the next one. An op built
+    /// with the id through [`OpBuilder::result`] copies four bytes, not
+    /// the type.
+    pub fn intern_type(&mut self, ty: Type) -> TypeId {
+        self.types.intern(ty)
     }
 
     /// Number of live (non-erased) operations in the module.
@@ -297,7 +325,7 @@ impl Module {
     fn alloc_region(&mut self, parent_op: Option<OpId>) -> RegionId {
         let id = RegionId::from_raw(self.regions.len() as u32);
         self.regions.push(Region {
-            blocks: Vec::new(),
+            blocks: IdList::new(),
             parent_op,
         });
         id
@@ -308,20 +336,21 @@ impl Module {
         self.revision += 1;
         let id = BlockId::from_raw(self.blocks.len() as u32);
         self.blocks.push(Block {
-            args: Vec::with_capacity(arg_types.len()),
+            args: ValueList::new(),
             ops: Vec::new(),
             parent_region: region,
         });
         self.regions[region.index()].blocks.push(id);
         for ty in arg_types {
-            self.push_block_arg(id, ty.clone());
+            let ty = self.types.intern_ref(ty);
+            self.push_block_arg_id(id, ty);
         }
         id
     }
 
-    fn alloc_value(&mut self, info: ValueInfo) -> ValueId {
+    fn alloc_value(&mut self, ty: TypeId, def: ValueDef) -> ValueId {
         let id = ValueId::from_raw(self.values.len() as u32);
-        self.values.push(info);
+        self.values.push(ValueInfo { ty, def });
         id
     }
 
@@ -334,31 +363,48 @@ impl Module {
         attributes: AttrMap,
         num_regions: usize,
     ) -> OpId {
+        let op = OpId::from_raw(self.ops.len() as u32);
+        let mut results = ValueList::new();
+        for (index, ty) in (0..).zip(result_types) {
+            let ty = self.types.intern(ty);
+            results.push(self.alloc_value(ty, ValueDef::OpResult { op, index }));
+        }
+        self.push_op(
+            name.into(),
+            operands.into(),
+            results,
+            attributes,
+            num_regions,
+            None,
+        )
+    }
+
+    /// Pushes an op whose results were allocated for the id it gets,
+    /// the next slot's: the straight line every builder ends in. Its
+    /// regions are allocated only when asked for, and the op is written
+    /// once, into that slot, naming the block the caller appends it to.
+    fn push_op(
+        &mut self,
+        name: Symbol,
+        operands: ValueList,
+        results: ValueList,
+        attributes: AttrMap,
+        num_regions: usize,
+        parent_block: Option<BlockId>,
+    ) -> OpId {
         self.revision += 1;
         let id = OpId::from_raw(self.ops.len() as u32);
-        // Reserve the slot first so nested allocations can't race the id.
-        self.ops.push(None);
-        let results = result_types
-            .into_iter()
-            .enumerate()
-            .map(|(index, ty)| {
-                self.alloc_value(ValueInfo {
-                    ty,
-                    def: ValueDef::OpResult { op: id, index },
-                })
-            })
-            .collect();
         let regions = (0..num_regions)
             .map(|_| self.alloc_region(Some(id)))
             .collect();
-        self.ops[id.index()] = Some(Operation {
-            name: name.into(),
-            operands: operands.into(),
+        self.ops.push(Some(Operation {
+            name,
+            operands,
             results,
             attributes,
             regions,
-            parent_block: None,
-        });
+            parent_block,
+        }));
         id
     }
 
@@ -376,12 +422,13 @@ impl Module {
     /// Appends a result of type `ty` to `op`.
     pub(crate) fn push_result(&mut self, op: OpId, ty: Type) -> ValueId {
         self.revision += 1;
+        let ty = self.types.intern(ty);
         let results = &self.ops[op.index()].as_ref().expect("a live op").results;
         let def = ValueDef::OpResult {
             op,
-            index: results.len(),
+            index: results.len() as u32,
         };
-        let value = self.alloc_value(ValueInfo { ty, def });
+        let value = self.alloc_value(ty, def);
         let operation = self.ops[op.index()].as_mut().expect("a live op");
         operation.results.push(value);
         value
@@ -389,30 +436,44 @@ impl Module {
 
     /// Appends an argument of type `ty` to `block`.
     pub(crate) fn push_block_arg(&mut self, block: BlockId, ty: Type) -> ValueId {
+        let ty = self.types.intern(ty);
+        self.push_block_arg_id(block, ty)
+    }
+
+    fn push_block_arg_id(&mut self, block: BlockId, ty: TypeId) -> ValueId {
         self.revision += 1;
-        let index = self.blocks[block.index()].args.len();
+        let index = self.blocks[block.index()].args.len() as u32;
         let def = ValueDef::BlockArg { block, index };
-        let value = self.alloc_value(ValueInfo { ty, def });
+        let value = self.alloc_value(ty, def);
         self.blocks[block.index()].args.push(value);
         value
     }
 
     /// Starts a fluent op builder.
-    pub fn build_op<O, T>(&mut self, name: &str, operands: O, result_types: T) -> OpBuilder<'_>
+    pub fn build_op<O, T>(
+        &mut self,
+        name: impl Into<Symbol>,
+        operands: O,
+        result_types: T,
+    ) -> OpBuilder<'_>
     where
         O: IntoIterator<Item = ValueId>,
         T: IntoIterator<Item = Type>,
     {
-        let mut result_types = result_types.into_iter();
-        OpBuilder {
-            module: self,
-            name: Symbol::new(name),
+        let mut builder = OpBuilder {
+            name: name.into(),
             operands: operands.into_iter().collect(),
-            result_type: result_types.next(),
-            more_result_types: result_types.collect(),
+            result_type: None,
+            more_result_types: Vec::new(),
             attributes: AttrMap::new(),
             num_regions: 0,
+            module: self,
+        };
+        for ty in result_types {
+            let ty = builder.module.types.intern(ty);
+            builder = builder.result(ty);
         }
+        builder
     }
 
     /// Appends a detached op to the end of a block.
@@ -661,15 +722,26 @@ pub struct OpBuilder<'m> {
     operands: ValueList,
     /// The first result type, held in place: nearly every op has at
     /// most one, so `more_result_types` stays empty and unallocated.
-    result_type: Option<Type>,
-    more_result_types: Vec<Type>,
+    result_type: Option<TypeId>,
+    more_result_types: Vec<TypeId>,
     attributes: AttrMap,
     num_regions: usize,
 }
 
 impl<'m> OpBuilder<'m> {
+    /// Adds a result of a type already uniqued in the module (see
+    /// [`Module::intern_type`]), after those `build_op` was given.
+    pub fn result(mut self, ty: TypeId) -> Self {
+        if self.result_type.is_none() {
+            self.result_type = Some(ty);
+        } else {
+            self.more_result_types.push(ty);
+        }
+        self
+    }
+
     /// Adds an attribute.
-    pub fn attr(mut self, name: &str, value: impl Into<Attribute>) -> Self {
+    pub fn attr(mut self, name: impl Into<Symbol>, value: impl Into<Attribute>) -> Self {
         self.attributes.insert(name, value.into());
         self
     }
@@ -682,26 +754,33 @@ impl<'m> OpBuilder<'m> {
 
     /// Builds the op and appends it to `block`; returns the op id.
     pub fn append_to(self, block: BlockId) -> OpId {
-        let (module, id) = self.create();
-        module.append_op(block, id);
+        let (module, id) = self.create(Some(block));
+        module.blocks[block.index()].ops.push(id);
         id
     }
 
     /// Builds the op detached from any block; returns the op id.
     pub fn detached(self) -> OpId {
-        self.create().1
+        self.create(None).1
     }
 
-    fn create(self) -> (&'m mut Module, OpId) {
-        let result_types = self.result_type.into_iter().chain(self.more_result_types);
-        let id = self.module.create_op(
+    fn create(self, parent_block: Option<BlockId>) -> (&'m mut Module, OpId) {
+        let module = self.module;
+        let op = OpId::from_raw(module.ops.len() as u32);
+        let mut results = ValueList::new();
+        let types = self.result_type.into_iter().chain(self.more_result_types);
+        for (index, ty) in (0..).zip(types) {
+            results.push(module.alloc_value(ty, ValueDef::OpResult { op, index }));
+        }
+        let id = module.push_op(
             self.name,
             self.operands,
-            result_types,
+            results,
             self.attributes,
             self.num_regions,
+            parent_block,
         );
-        (self.module, id)
+        (module, id)
     }
 }
 
@@ -733,12 +812,17 @@ mod tests {
     }
 
     /// Cloning and dropping a module is per-op memory traffic; these are
-    /// the sizes the measured costs in docs/PERFORMANCE.md go with.
+    /// the sizes the measured costs in docs/PERFORMANCE.md go with: an
+    /// op holds an 8-byte name and its one attribute in place, a value
+    /// a type id.
     #[test]
     fn arena_entries_keep_their_sizes() {
         assert_eq!(std::mem::size_of::<Operation>(), 128);
         assert_eq!(std::mem::size_of::<ValueList>(), 24);
-        assert_eq!(std::mem::size_of::<ValueInfo>(), 64);
+        assert_eq!(std::mem::size_of::<AttrMap>(), 40);
+        assert_eq!(std::mem::size_of::<ValueInfo>(), 16);
+        assert_eq!(std::mem::size_of::<ValueDef>(), 12);
+        assert_eq!(std::mem::size_of::<TypeId>(), 4);
         assert_eq!(std::mem::size_of::<Type>(), 48);
     }
 

@@ -44,7 +44,8 @@ pub fn parse_module(text: &str) -> IrResult<Module> {
         text,
         bytes: text.as_bytes(),
         pos: 0,
-        values: Vec::new(),
+        // About one value an op: the `%N` table is sized as the arenas are.
+        values: Vec::with_capacity(text.len() / BYTES_PER_OP),
         results: Vec::new(),
         chars: None,
         keep_types: true,
@@ -501,7 +502,7 @@ impl<'a> Parser<'a> {
                 })?;
                 Attribute::Dict(map)
             }
-            Some(b'(' | b'!') => Attribute::Ty(self.ty()?),
+            Some(b'(' | b'!') => Attribute::from(self.ty()?),
             Some(b'-' | b'0'..=b'9') => {
                 let tok = self.literal()?;
                 if tok.contains(['.', 'e', 'E']) {
@@ -544,7 +545,7 @@ impl<'a> Parser<'a> {
                     // Fall back to a type attribute (f64, i32, tensor<...>).
                     _ => {
                         self.pos = save;
-                        Attribute::Ty(self.ty()?)
+                        Attribute::from(self.ty()?)
                     }
                 }
             }
@@ -766,7 +767,7 @@ mod tests {
             .attr("meta", Attribute::Dict(dict))
             .attr("weights", Attribute::DenseF64(vec![1.0, 2.5]))
             .attr("lut", Attribute::DenseI64(vec![-1, 7]))
-            .attr("ty", Attribute::Ty(Type::tensor(&[2, 2], Type::F32)))
+            .attr("ty", Attribute::from(Type::tensor(&[2, 2], Type::F32)))
             .append_to(top);
         let parsed = roundtrip(&m);
         let op = parsed.walk_ops()[0];

@@ -425,7 +425,7 @@ impl CseTable {
                 && kept.attributes.structural_eq(&operation.attributes)
                 && kept.results.len() == operation.results.len()
                 && (kept.results.iter().zip(&operation.results))
-                    .all(|(&a, &b)| module.value_type(a) == module.value_type(b))
+                    .all(|(&a, &b)| module.value_type_id(a) == module.value_type_id(b))
             {
                 self.operands.truncate(operands_at);
                 return Some(kept);

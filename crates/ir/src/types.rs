@@ -6,7 +6,9 @@
 //! et al., *BASE2: An IR for Binary Numeral Types*, HEART 2023) and the
 //! stream/token types of the `dfg` coordination dialect.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Memory space a `memref` lives in on the target platform.
 ///
@@ -260,6 +262,119 @@ impl Type {
             Type::Fixed(fmt) => Some(fmt.width()),
             Type::Posit(fmt) => Some(fmt.width),
             _ => None,
+        }
+    }
+}
+
+/// A type uniqued in one module's type table: equal types built into
+/// one module get one id, so comparing two values' types is comparing
+/// two `u32`s, and a value holds four bytes, not a [`Type`] with a shape
+/// `Vec` and a boxed element type.
+///
+/// The scalars a lowering builds most sit at fixed ids, the same in
+/// every module ([`TypeId::INDEX`], [`TypeId::F64`], [`TypeId::I1`],
+/// ...), so building an op of one hashes nothing. Any other id means
+/// something only in the module that issued it:
+/// [`Module::intern_type`](crate::module::Module::intern_type) issues
+/// them, [`Module::ty`](crate::module::Module::ty) reads one back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TypeId(u32);
+
+impl TypeId {
+    /// `index`.
+    pub const INDEX: TypeId = TypeId(0);
+    /// `f64`.
+    pub const F64: TypeId = TypeId(1);
+    /// `i1`, the type of a comparison.
+    pub const I1: TypeId = TypeId(2);
+}
+
+/// The types at fixed ids, in id order.
+static FIXED: [Type; 8] = [
+    Type::Index,
+    Type::F64,
+    Type::Int(1),
+    Type::F32,
+    Type::Int(32),
+    Type::Int(64),
+    Type::None,
+    Type::Token,
+];
+
+/// The fixed id of `ty`, if it has one: a match, no hash.
+fn fixed_id(ty: &Type) -> Option<TypeId> {
+    let id = match ty {
+        Type::Index => 0,
+        Type::F64 => 1,
+        Type::Int(1) => 2,
+        Type::F32 => 3,
+        Type::Int(32) => 4,
+        Type::Int(64) => 5,
+        Type::None => 6,
+        Type::Token => 7,
+        _ => return None,
+    };
+    Some(TypeId(id))
+}
+
+/// One module's uniqued types past the fixed ones, and the map that
+/// finds a type's id; nothing is allocated until the first such type.
+///
+/// Clones of a module share one table until either adds a type, which
+/// copies it then (`Arc::make_mut`): cloning a module copies no type,
+/// and an id one of them issues before the copy is valid in both.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TypeTable {
+    uniqued: Option<Arc<Uniqued>>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Uniqued {
+    /// The type of id `FIXED.len() + i` at `i`.
+    types: Vec<Type>,
+    /// The default hasher: the parser interns whatever types its input
+    /// spells.
+    ids: HashMap<Type, TypeId>,
+}
+
+impl TypeTable {
+    /// The type of `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not issued by this table (or a clone of it).
+    pub(crate) fn get(&self, id: TypeId) -> &Type {
+        let at = id.0 as usize;
+        match (at.checked_sub(FIXED.len()), &self.uniqued) {
+            (None, _) => &FIXED[at],
+            (Some(at), Some(uniqued)) => &uniqued.types[at],
+            (Some(_), None) => panic!("type id {} was issued by another module", id.0),
+        }
+    }
+
+    /// The id `ty` already has, if any.
+    fn find(&self, ty: &Type) -> Option<TypeId> {
+        fixed_id(ty).or_else(|| self.uniqued.as_ref()?.ids.get(ty).copied())
+    }
+
+    /// The id of `ty`, issuing the next one the first time; `ty` is
+    /// moved into the table then, and dropped when it is already there.
+    pub(crate) fn intern(&mut self, ty: Type) -> TypeId {
+        if let Some(id) = self.find(&ty) {
+            return id;
+        }
+        let uniqued = Arc::make_mut(self.uniqued.get_or_insert_with(Arc::default));
+        let id = TypeId((FIXED.len() + uniqued.types.len()) as u32);
+        uniqued.types.push(ty.clone());
+        uniqued.ids.insert(ty, id);
+        id
+    }
+
+    /// The id of `ty`, cloning it only the first time it is seen.
+    pub(crate) fn intern_ref(&mut self, ty: &Type) -> TypeId {
+        match self.find(ty) {
+            Some(id) => id,
+            None => self.intern(ty.clone()),
         }
     }
 }

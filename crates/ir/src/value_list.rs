@@ -1,5 +1,6 @@
 //! [`ValueList`]: an operation's operands or results, held in place up
-//! to four.
+//! to four; and the same [`IdList`] over the other arena ids, an op's
+//! regions and a region's blocks.
 //!
 //! A lowered kernel is made of ops with zero to three operands and zero
 //! or one result; as `Vec<ValueId>`s those lists were two heap blocks
@@ -8,7 +9,10 @@
 //! list — a `memref.store` with three subscripts, a `func.return` or a
 //! `dfg.node` over many values — spills to one boxed slice, grown by
 //! doubling as a `Vec` would and copied at its exact length. It derefs
-//! to `[ValueId]`, so reading one is reading a slice.
+//! to `[ValueId]`, so reading one is reading a slice. An op's region
+//! list and a region's block list are `IdList`s too: a loop's one
+//! region and its region's one block cost no heap block each, built,
+//! cloned or dropped.
 //!
 //! The two storages share 16 bytes as a `union` beside a `spilled` flag,
 //! so finding the slice is a select between two addresses with no bounds
@@ -36,16 +40,34 @@ use std::fmt;
 use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 
-use crate::ids::ValueId;
+use crate::ids::{BlockId, RegionId, ValueId};
 
 /// How many ids a list holds without allocating.
 pub(crate) const INLINE: usize = 4;
 
-/// What fills the slots past a list's length; never read.
-const HOLE: ValueId = ValueId(0);
+/// An arena id an [`IdList`] holds: a `u32` index that is `Copy`.
+pub trait ListId: Copy + PartialEq + fmt::Debug {
+    /// What fills the slots past a list's length; never read.
+    const HOLE: Self;
+}
 
-/// A list of SSA values that holds up to `INLINE` of them in place;
-/// see the `value_list` module source.
+impl ListId for ValueId {
+    const HOLE: Self = ValueId(0);
+}
+
+impl ListId for RegionId {
+    const HOLE: Self = RegionId(0);
+}
+
+impl ListId for BlockId {
+    const HOLE: Self = BlockId(0);
+}
+
+/// An op's operands or results.
+pub type ValueList = IdList<ValueId>;
+
+/// A list of arena ids that holds up to `INLINE` of them in place; see
+/// the `value_list` module source.
 ///
 /// Two conditions hold between the fields, and the `unsafe` blocks rely
 /// on them: `data.heap` is the live field exactly when `spilled`, else
@@ -53,37 +75,37 @@ const HOLE: ValueId = ValueId(0);
 /// to match, and `reserve` is the only code that switches); and `len`
 /// never exceeds the live field's length (`push` reserves first,
 /// `truncate` only shrinks, constructors write the length they copy).
-pub struct ValueList {
+pub struct IdList<I: ListId> {
     len: u32,
     spilled: bool,
-    data: Data,
+    data: Data<I>,
 }
 
-/// The storage of a [`ValueList`]: which field is live is the list's
+/// The storage of an [`IdList`]: which field is live is the list's
 /// `spilled` flag.
-union Data {
-    inline: [ValueId; INLINE],
+union Data<I: ListId> {
+    inline: [I; INLINE],
     /// Its length is the capacity.
-    heap: ManuallyDrop<Box<[ValueId]>>,
+    heap: ManuallyDrop<Box<[I]>>,
 }
 
-impl ValueList {
+impl<I: ListId> IdList<I> {
     /// An empty list; allocates nothing.
     pub const fn new() -> Self {
-        ValueList {
+        IdList {
             len: 0,
             spilled: false,
             data: Data {
-                inline: [HOLE; INLINE],
+                inline: [I::HOLE; INLINE],
             },
         }
     }
 
     /// The live storage, capacity included.
-    fn storage(&self) -> &[ValueId] {
+    fn storage(&self) -> &[I] {
         if self.spilled {
             // SAFETY: `heap` is live while `spilled` (the first condition
-            // on `ValueList`).
+            // on `IdList`).
             unsafe { &self.data.heap }
         } else {
             // SAFETY: `inline` is live while not `spilled`.
@@ -91,8 +113,8 @@ impl ValueList {
         }
     }
 
-    /// The values as a slice.
-    pub fn as_slice(&self) -> &[ValueId] {
+    /// The ids as a slice.
+    pub fn as_slice(&self) -> &[I] {
         debug_assert!(self.len as usize <= self.capacity());
         let items = self.storage().as_ptr();
         // SAFETY: `items` starts the live storage, whose first `len` ids
@@ -100,8 +122,8 @@ impl ValueList {
         unsafe { std::slice::from_raw_parts(items, self.len as usize) }
     }
 
-    /// The values as a mutable slice.
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [ValueId] {
+    /// The ids as a mutable slice.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [I] {
         debug_assert!(self.len as usize <= self.capacity());
         let items = if self.spilled {
             // SAFETY: as in `storage`.
@@ -114,21 +136,21 @@ impl ValueList {
         unsafe { std::slice::from_raw_parts_mut(items, self.len as usize) }
     }
 
-    /// How many values the list holds before it next allocates.
+    /// How many ids the list holds before it next allocates.
     pub fn capacity(&self) -> usize {
         self.storage().len()
     }
 
-    /// Makes room for `additional` more values: in place while they
-    /// fit, else one boxed slice of at least twice the current length.
+    /// Makes room for `additional` more ids: in place while they fit,
+    /// else one boxed slice of at least twice the current length.
     pub(crate) fn reserve(&mut self, additional: usize) {
         let len = self.len();
         let needed = len.saturating_add(additional);
         if needed <= self.capacity() {
             return;
         }
-        assert!(u32::try_from(needed).is_ok(), "value list overflows u32");
-        let mut items = vec![HOLE; needed.max(2 * len)].into_boxed_slice();
+        assert!(u32::try_from(needed).is_ok(), "id list overflows u32");
+        let mut items = vec![I::HOLE; needed.max(2 * len)].into_boxed_slice();
         items[..len].copy_from_slice(self);
         if self.spilled {
             // SAFETY: `heap` is live (as in `storage`) and is overwritten
@@ -141,15 +163,15 @@ impl ValueList {
         self.spilled = true;
     }
 
-    /// Appends a value.
-    pub fn push(&mut self, value: ValueId) {
+    /// Appends an id.
+    pub fn push(&mut self, id: I) {
         self.reserve(1);
         let at = self.len();
         self.len += 1;
-        self.as_mut_slice()[at] = value;
+        self.as_mut_slice()[at] = id;
     }
 
-    /// Keeps the first `len` values (all of them when there are fewer);
+    /// Keeps the first `len` ids (all of them when there are fewer);
     /// the storage stays as it is.
     pub fn truncate(&mut self, len: usize) {
         if len < self.len() {
@@ -157,13 +179,13 @@ impl ValueList {
         }
     }
 
-    /// Removes every value, keeping the storage.
+    /// Removes every id, keeping the storage.
     pub fn clear(&mut self) {
         self.truncate(0);
     }
 }
 
-impl Drop for ValueList {
+impl<I: ListId> Drop for IdList<I> {
     fn drop(&mut self) {
         if self.spilled {
             // SAFETY: `heap` is live (as in `storage`) and never read again.
@@ -172,104 +194,104 @@ impl Drop for ValueList {
     }
 }
 
-impl Default for ValueList {
+impl<I: ListId> Default for IdList<I> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Deref for ValueList {
-    type Target = [ValueId];
+impl<I: ListId> Deref for IdList<I> {
+    type Target = [I];
 
-    fn deref(&self) -> &[ValueId] {
+    fn deref(&self) -> &[I] {
         self.as_slice()
     }
 }
 
-impl DerefMut for ValueList {
-    fn deref_mut(&mut self) -> &mut [ValueId] {
+impl<I: ListId> DerefMut for IdList<I> {
+    fn deref_mut(&mut self) -> &mut [I] {
         self.as_mut_slice()
     }
 }
 
-impl From<&[ValueId]> for ValueList {
-    /// In place up to `INLINE` values, else one slice of exactly
-    /// `values.len()`.
-    fn from(values: &[ValueId]) -> Self {
-        let len = u32::try_from(values.len()).expect("value list overflows u32");
-        if values.len() <= INLINE {
-            let mut inline = [HOLE; INLINE];
-            inline[..values.len()].copy_from_slice(values);
-            ValueList {
+impl<I: ListId> From<&[I]> for IdList<I> {
+    /// In place up to `INLINE` ids, else one slice of exactly
+    /// `ids.len()`.
+    fn from(ids: &[I]) -> Self {
+        let len = u32::try_from(ids.len()).expect("id list overflows u32");
+        if ids.len() <= INLINE {
+            let mut inline = [I::HOLE; INLINE];
+            inline[..ids.len()].copy_from_slice(ids);
+            IdList {
                 len,
                 spilled: false,
                 data: Data { inline },
             }
         } else {
-            ValueList {
+            IdList {
                 len,
                 spilled: true,
                 data: Data {
-                    heap: ManuallyDrop::new(values.into()),
+                    heap: ManuallyDrop::new(ids.into()),
                 },
             }
         }
     }
 }
 
-impl From<Vec<ValueId>> for ValueList {
-    fn from(values: Vec<ValueId>) -> Self {
-        values.as_slice().into()
+impl<I: ListId> From<Vec<I>> for IdList<I> {
+    fn from(ids: Vec<I>) -> Self {
+        ids.as_slice().into()
     }
 }
 
-impl Clone for ValueList {
-    /// Copies the live values only: a spilled list that was truncated to
+impl<I: ListId> Clone for IdList<I> {
+    /// Copies the live ids only: a spilled list that was truncated to
     /// `INLINE` or fewer clones into place.
     fn clone(&self) -> Self {
         self.as_slice().into()
     }
 }
 
-impl Extend<ValueId> for ValueList {
-    fn extend<I: IntoIterator<Item = ValueId>>(&mut self, values: I) {
-        let values = values.into_iter();
-        self.reserve(values.size_hint().0);
-        values.for_each(|value| self.push(value));
+impl<I: ListId> Extend<I> for IdList<I> {
+    fn extend<T: IntoIterator<Item = I>>(&mut self, ids: T) {
+        let ids = ids.into_iter();
+        self.reserve(ids.size_hint().0);
+        ids.for_each(|id| self.push(id));
     }
 }
 
-impl FromIterator<ValueId> for ValueList {
-    fn from_iter<I: IntoIterator<Item = ValueId>>(values: I) -> Self {
-        let mut list = ValueList::new();
-        list.extend(values);
+impl<I: ListId> FromIterator<I> for IdList<I> {
+    fn from_iter<T: IntoIterator<Item = I>>(ids: T) -> Self {
+        let mut list = IdList::new();
+        list.extend(ids);
         list
     }
 }
 
-impl<'a> IntoIterator for &'a ValueList {
-    type Item = &'a ValueId;
-    type IntoIter = std::slice::Iter<'a, ValueId>;
+impl<'a, I: ListId> IntoIterator for &'a IdList<I> {
+    type Item = &'a I;
+    type IntoIter = std::slice::Iter<'a, I>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
 }
 
-impl<'a> IntoIterator for &'a mut ValueList {
-    type Item = &'a mut ValueId;
-    type IntoIter = std::slice::IterMut<'a, ValueId>;
+impl<'a, I: ListId> IntoIterator for &'a mut IdList<I> {
+    type Item = &'a mut I;
+    type IntoIter = std::slice::IterMut<'a, I>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.iter_mut()
     }
 }
 
-impl IntoIterator for ValueList {
-    type Item = ValueId;
-    type IntoIter = IntoIter;
+impl<I: ListId> IntoIterator for IdList<I> {
+    type Item = I;
+    type IntoIter = IntoIter<I>;
 
-    fn into_iter(self) -> IntoIter {
+    fn into_iter(self) -> IntoIter<I> {
         IntoIter {
             list: self,
             next: 0,
@@ -277,20 +299,20 @@ impl IntoIterator for ValueList {
     }
 }
 
-/// The owning iterator of a [`ValueList`].
+/// The owning iterator of an [`IdList`].
 #[derive(Debug)]
-pub struct IntoIter {
-    list: ValueList,
+pub struct IntoIter<I: ListId> {
+    list: IdList<I>,
     next: usize,
 }
 
-impl Iterator for IntoIter {
-    type Item = ValueId;
+impl<I: ListId> Iterator for IntoIter<I> {
+    type Item = I;
 
-    fn next(&mut self) -> Option<ValueId> {
-        let value = self.list.get(self.next).copied()?;
+    fn next(&mut self) -> Option<I> {
+        let id = self.list.get(self.next).copied()?;
         self.next += 1;
-        Some(value)
+        Some(id)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -299,23 +321,23 @@ impl Iterator for IntoIter {
     }
 }
 
-impl ExactSizeIterator for IntoIter {}
+impl<I: ListId> ExactSizeIterator for IntoIter<I> {}
 
-impl PartialEq for ValueList {
-    fn eq(&self, other: &ValueList) -> bool {
+impl<I: ListId> PartialEq for IdList<I> {
+    fn eq(&self, other: &IdList<I>) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
-impl Eq for ValueList {}
+impl<I: ListId + Eq> Eq for IdList<I> {}
 
-impl PartialEq<Vec<ValueId>> for ValueList {
-    fn eq(&self, other: &Vec<ValueId>) -> bool {
+impl<I: ListId> PartialEq<Vec<I>> for IdList<I> {
+    fn eq(&self, other: &Vec<I>) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
-impl fmt::Debug for ValueList {
+impl<I: ListId> fmt::Debug for IdList<I> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }

@@ -13,6 +13,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use everest_ekl::check::check;
+use everest_ekl::lower::lower_to_loops;
+use everest_ekl::parser::parse;
 use everest_ir::dialects::core;
 use everest_ir::module::Module;
 use everest_ir::pass::canonicalization_pipeline;
@@ -112,18 +115,21 @@ fn passes_clone_and_verify_allocate_per_module_not_per_op() {
         );
         pipeline_counts.push(count);
 
-        // An attribute vector where an op has attributes (one constant
-        // a statement), the payloads that own memory (a `sym_name`, a
-        // function type), a region list where an op has regions, the
-        // four arenas and the two lists of a block: 88 and 152
-        // allocations for the two sizes (0.33 and 0.29 an op). Operands
-        // and results are held in the op; as `Vec`s they were two more
-        // an op, 476 and 924. A map that owned a `String` per key made
-        // it 545 and 1,057.
+        // The payloads that own memory (a `sym_name`, a function type
+        // and the attribute vector of the one op with two), the four
+        // arenas and a block's op list: 13 allocations for either size,
+        // nothing an op. A constant's one attribute is held in the op,
+        // a value holds a uniqued type id (the table is shared with the
+        // source), and a loop's region list, its region's block list
+        // and its body's argument list hold their one id in place; with
+        // an attribute vector a constant cost one more an op (88 and
+        // 152). Operands and results are held in the op; as `Vec`s they
+        // were two more an op, 476 and 924. A map that owned a `String`
+        // per key made it 545 and 1,057.
         let (count, copy) = allocations(|| module.clone());
         assert_eq!(copy.num_ops(), ops);
         assert!(
-            count <= statements + 24,
+            count <= 16,
             "{count} allocations to clone {ops} ops of {statements} statements"
         );
 
@@ -138,4 +144,35 @@ fn passes_clone_and_verify_allocate_per_module_not_per_op() {
         pipeline_counts[1] * 10 <= pipeline_counts[0] * 22,
         "allocations for 64 and 128 statements: {pipeline_counts:?}"
     );
+
+    // A lowered kernel of the benchmark's shapes (elementwise, select
+    // and sum statements): what is left is a loop body's op list, the
+    // function's attributes and the four arenas, at most 0.35
+    // allocations an op (23 for 84 ops; 0.10 an op on the benchmark's
+    // 48 generated kernels of seed 42). Where each constant's
+    // attribute, each memref-typed value and a loop's region, block
+    // and argument lists were heap blocks of their own, the 48 kernels
+    // made 0.76.
+    let program = check(&parse(MIXED).expect("parses")).expect("checks");
+    let module = lower_to_loops(&program).expect("lowers");
+    let ops = module.num_ops();
+    let (count, copy) = allocations(|| module.clone());
+    assert_eq!(copy.num_ops(), ops);
+    assert!(
+        count * 100 <= ops * 35,
+        "{count} allocations to clone {ops} lowered ops"
+    );
 }
+
+/// Elementwise, `select` and `sum` statements, as the benchmark draws.
+const MIXED: &str = "kernel mixed {
+  index i : 0..16
+  index j : 0..4
+  input a : [i]
+  input m : [i, j]
+  let s0[i] = 0.5 * a[i] + 0.25
+  let s1[i] = select(s0[i] <= 0.3, a[i], 0.3 * s0[i])
+  let s2[i] = sum(j)(0.2 * m[i, j] * s1[i]) + 0.1 * a[i]
+  let s3[i] = sum(j)(m[i, j]) * s2[i]
+  output s3
+}";

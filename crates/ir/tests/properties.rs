@@ -139,8 +139,8 @@ fn colliding_payloads() -> Vec<Attribute> {
         Attribute::DenseF64(vec![0.0]),
         Attribute::DenseF64(vec![-0.0]),
         Attribute::DenseI64(vec![1]),
-        Attribute::Ty(Type::F64),
-        Attribute::Ty(Type::F32),
+        Attribute::from(Type::F64),
+        Attribute::from(Type::F32),
         dict(Attribute::Int(1)),
         dict(Attribute::Float(1.0)),
     ]
@@ -1313,7 +1313,7 @@ impl Draw<'_> {
             1 => Attribute::Float(self.float()),
             2 => Attribute::Str(self.text()),
             3 => Attribute::Bool(self.below(2) == 0),
-            4 => Attribute::Ty(self.ty(2)),
+            4 => Attribute::from(self.ty(2)),
             5 => Attribute::SymbolRef(self.text()),
             6 => Attribute::DenseF64((0..self.below(5)).map(|_| self.float()).collect()),
             7 => Attribute::DenseI64((0..self.below(5)).map(|_| self.word() as i64).collect()),
@@ -1339,7 +1339,7 @@ fn module_of(types: &[Type], attrs: &[Attribute]) -> Module {
     let args = m.block(body).args.to_vec();
     let mut op = m.build_op("test.everything", args, types.to_vec());
     for (i, attr) in attrs.iter().enumerate() {
-        op = op.attr(&format!("a{i}"), attr.clone());
+        op = op.attr(format!("a{i}"), attr.clone());
     }
     op.append_to(body);
     m
@@ -1440,7 +1440,7 @@ fn every_attribute() -> Vec<Attribute> {
         Attribute::Str("ünï\"cödé\\".into()),
         Attribute::Bool(true),
         Attribute::Bool(false),
-        Attribute::Ty(Type::Function {
+        Attribute::from(Type::Function {
             inputs: vec![Type::F64],
             outputs: vec![Type::tensor(&[4], Type::F32)],
         }),
@@ -1512,6 +1512,84 @@ proptest! {
         }
         let m = module_of(&types, &attrs);
         prop_assert_eq!(print_module(&m), reference::print_module(&m));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The per-module type table
+// ---------------------------------------------------------------------------
+
+/// Every value of `module_of`'s `test.everything` op — its operands (the
+/// block arguments) and its results — against the type it was built
+/// with, each `types` drawn twice.
+fn check_type_table(m: &Module, types: &[Type], what: &str) -> TestCaseResult {
+    let op = m.find_op("test.everything").expect("module_of builds one");
+    let op = m.op(op).expect("live");
+    let values: Vec<ValueId> = op
+        .operands
+        .iter()
+        .chain(op.results.iter())
+        .copied()
+        .collect();
+    prop_assert_eq!(values.len(), 2 * types.len());
+    let built = types.iter().chain(types);
+    for (&v, ty) in values.iter().zip(built.clone()) {
+        prop_assert_eq!(m.value_type(v), ty, "{}: {}", what, v);
+        prop_assert_eq!(m.ty(m.value_type_id(v)), ty, "{}: {}", what, v);
+    }
+    for (&a, ta) in values.iter().zip(built.clone()) {
+        for (&b, tb) in values.iter().zip(built.clone()) {
+            let same = m.value_type_id(a) == m.value_type_id(b);
+            prop_assert_eq!(
+                same,
+                ta == tb,
+                "{}: {} and {} ({} / {})",
+                what,
+                a,
+                b,
+                ta,
+                tb
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Equal types get one id, unequal ones two; `value_type` is the
+    /// type a value was built with; and a clone, a clone that then
+    /// interns more types, and the module parsed back from its text
+    /// keep both.
+    #[test]
+    fn equal_types_share_one_id_and_every_value_keeps_its_type(
+        words in proptest::collection::vec(any::<u64>(), 1..48),
+    ) {
+        let mut draw = Draw { words: &words, at: 0 };
+        // A few distinct types, each drawn as several separately built
+        // copies, with the fixed scalars among them.
+        let pool: Vec<Type> = (0..1 + draw.below(5))
+            .map(|k| if k == 0 { Type::Index } else { draw.ty(2) })
+            .collect();
+        let types: Vec<Type> = (0..1 + draw.below(10))
+            .map(|_| pool[draw.below(pool.len() as u64) as usize].clone())
+            .collect();
+        let m = module_of(&types, &[]);
+        check_type_table(&m, &types, "built")?;
+        let mut copy = m.clone();
+        check_type_table(&copy, &types, "cloned")?;
+        // The copy's table is shared until it adds a type; the source
+        // still reads its own afterwards.
+        let extra = Type::memref(&[3, 5], Type::F32, MemorySpace::Plm);
+        let id = copy.intern_type(extra.clone());
+        prop_assert_eq!(copy.ty(id), &extra);
+        prop_assert_eq!(copy.intern_type(extra), id);
+        check_type_table(&copy, &types, "cloned, then grown")?;
+        check_type_table(&m, &types, "the source of a grown clone")?;
+        let parsed = everest_ir::parse::parse_module(&print_module(&m))
+            .map_err(|e| TestCaseError::fail(format!("{e}")))?;
+        check_type_table(&parsed, &types, "parsed")?;
     }
 }
 

@@ -471,7 +471,7 @@ impl Parser {
                 }
                 Ok(Attribute::Dict(map))
             }
-            Some('(') | Some('!') => Ok(Attribute::Ty(self.parse_type()?)),
+            Some('(') | Some('!') => Ok(Attribute::from(self.parse_type()?)),
             Some(c) if c == '-' || c.is_ascii_digit() => {
                 let tok = self.parse_number_token()?;
                 if tok.contains('.') || tok.contains('e') || tok.contains('E') {
@@ -525,7 +525,7 @@ impl Parser {
                     // Fall back to a type attribute (f64, i32, tensor<...>).
                     _ => {
                         self.pos = save;
-                        Ok(Attribute::Ty(self.parse_type()?))
+                        Ok(Attribute::from(self.parse_type()?))
                     }
                 }
             }
