@@ -3,13 +3,21 @@
 //! Diagnostics-collecting static analysis for the EVEREST SDK.
 //!
 //! Verification ([`verify_module`](everest_ir::verify::verify_module))
-//! answers "is this module structurally legal?" and stops at the first
-//! violation. This crate answers a different question — "is this module
-//! *sensible* for the FPGA flow?" — and keeps going: every lint walks
-//! the whole module (or ConDRust dataflow graph) and records all of its
+//! answers "is this module legal?" — its structure, and every op's type
+//! and attribute contract as its spec declares it
+//! ([`Constraint`](everest_ir::constraint::Constraint)) — and stops at
+//! the first violation. This crate keeps going: every lint walks the
+//! whole module (or ConDRust dataflow graph) and records all of its
 //! findings as structured [`Diagnostic`]s carrying the op's structural
 //! [`OpPath`](everest_ir::location::OpPath), the same location type
 //! verification errors use.
+//!
+//! `TypeCheck` is verification's collecting form: it reads the same
+//! declared constraint lists and reports one `type-mismatch` per rule
+//! an op breaks, on every op, so a module's first `type-mismatch` is
+//! the op rule `verify_module` refuses it for. The other lints ask a
+//! different question — "is this module *sensible* for the FPGA
+//! flow?" — of modules that may well verify.
 //!
 //! ## Lint set
 //!
@@ -51,7 +59,8 @@
 //! let mut m = Module::new();
 //! let top = m.top_block();
 //! let i = core::const_index(&mut m, top, 1);
-//! // Float arithmetic on index values: legal arity, nonsense types.
+//! // Float arithmetic on index values: legal arity, but not the
+//! // operand class `arith.addf` declares.
 //! m.build_op("arith.addf", [i, i], [Type::Index]).append_to(top);
 //!
 //! let report = Analyzer::with_default_lints().run(&ctx, &m);

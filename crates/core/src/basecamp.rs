@@ -543,8 +543,9 @@ mod tests {
         let mut m = Module::new();
         let top = m.top_block();
         let i = irc::const_index(&mut m, top, 1);
-        // Float arithmetic over index operands: a type-level bug the
-        // verifier's arity checks cannot see.
+        // Float arithmetic over index operands: legal arity, but it
+        // breaks `arith.addf`'s declared operand class, which the
+        // verifier refuses and the analysis reports.
         m.build_op("arith.addf", [i, i], [Type::Index])
             .append_to(top);
         let report = basecamp.analyze_module(&m);

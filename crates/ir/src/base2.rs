@@ -66,8 +66,8 @@ impl Fixed {
     ///
     /// # Panics
     ///
-    /// Panics if the operand formats differ (the dialect verifier enforces
-    /// equal formats before evaluation).
+    /// Panics if the operand formats differ (the verifier enforces equal
+    /// formats before evaluation).
     pub fn add(self, rhs: Fixed) -> Fixed {
         assert_eq!(self.format, rhs.format, "fixed formats must match");
         let (lo, hi) = Self::raw_range(self.format);

@@ -6,7 +6,7 @@
 //! backend ([`everest-hls`](https://crates.io)) schedules.
 
 use crate::attr::Attribute;
-use crate::error::{IrError, IrResult};
+use crate::constraint::{Constraint, Port, TypeClass};
 use crate::ids::{BlockId, OpId, ValueId};
 use crate::intern::Symbol;
 use crate::module::{single_result, Module};
@@ -22,61 +22,6 @@ const FOR: Symbol = Symbol::registered("scf.for");
 // func
 // ---------------------------------------------------------------------------
 
-fn verify_func(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let ty = operation
-        .attr("function_type")
-        .and_then(Attribute::as_type)
-        .ok_or_else(|| IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: "missing 'function_type' type attribute".into(),
-        })?;
-    let Type::Function { inputs, .. } = ty else {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: "'function_type' must be a function type".into(),
-        });
-    };
-    let region = operation.regions[0];
-    let entry = *m
-        .region(region)
-        .blocks
-        .first()
-        .ok_or_else(|| IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: "function body must have an entry block".into(),
-        })?;
-    let args = &m.block(entry).args;
-    if args.len() != inputs.len() {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!(
-                "entry block has {} arguments but function type expects {}",
-                args.len(),
-                inputs.len()
-            ),
-        });
-    }
-    for (arg, expected) in args.iter().zip(inputs) {
-        if m.value_type(*arg) != expected {
-            return Err(IrError::Verification {
-                op: operation.name.to_string(),
-                path: None,
-                message: format!(
-                    "entry argument type {} does not match function type {}",
-                    m.value_type(*arg),
-                    expected
-                ),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// The `func` dialect: functions, returns and calls.
 pub(crate) fn func_dialect() -> Dialect {
     let mut d = Dialect::new("func", "functions and calls");
@@ -87,7 +32,7 @@ pub(crate) fn func_dialect() -> Dialect {
             .with_attr("function_type")
             .with_trait(OpTrait::Symbol)
             .with_trait(OpTrait::IsolatedFromAbove)
-            .with_verifier(verify_func),
+            .with_constraints(&[Constraint::FuncEntryArgs, Constraint::ReturnsMatchSignature]),
     );
     d.register(
         OpSpec::new("return", Arity::Variadic, Arity::Exact(0)).with_trait(OpTrait::Terminator),
@@ -123,28 +68,6 @@ pub fn build_func(
 // arith
 // ---------------------------------------------------------------------------
 
-fn verify_same_types(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let mut types = operation
-        .operands
-        .iter()
-        .chain(operation.results.iter())
-        .map(|&v| m.value_type_id(v));
-    if let Some(first) = types.next() {
-        for t in types {
-            if t != first {
-                let (first, t) = (m.ty(first), m.ty(t));
-                return Err(IrError::Verification {
-                    op: operation.name.to_string(),
-                    path: None,
-                    message: format!("operand/result types differ: {first} vs {t}"),
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The `arith` dialect: scalar integer/float arithmetic and comparisons.
 pub(crate) fn arith_dialect() -> Dialect {
     let mut d = Dialect::new("arith", "scalar arithmetic");
@@ -154,47 +77,50 @@ pub(crate) fn arith_dialect() -> Dialect {
             .with_trait(OpTrait::Pure)
             .with_trait(OpTrait::ConstantLike),
     );
-    for (name, commutative) in [
-        ("addf", true),
-        ("subf", false),
-        ("mulf", true),
-        ("divf", false),
-        ("maxf", true),
-        ("minf", true),
-        ("addi", true),
-        ("subi", false),
-        ("muli", true),
-        ("divsi", false),
-        ("remsi", false),
-        ("andi", true),
-        ("ori", true),
-        ("xori", true),
+    const FLOAT: &[Constraint] = &[
+        Constraint::SameTypes,
+        Constraint::Class(Port::Operands, TypeClass::FloatLike),
+    ];
+    const INT: &[Constraint] = &[
+        Constraint::SameTypes,
+        Constraint::Class(Port::Operands, TypeClass::IntOrIndex),
+    ];
+    for (names, arity, commutative, rules) in [
+        (&["addf", "mulf", "maxf", "minf"][..], 2, true, FLOAT),
+        (&["subf", "divf"], 2, false, FLOAT),
+        (&["negf", "absf", "sqrt", "exp", "log"], 1, false, FLOAT),
+        (&["addi", "muli", "andi", "ori", "xori"], 2, true, INT),
+        (&["subi", "divsi", "remsi"], 2, false, INT),
     ] {
-        let mut spec = OpSpec::new(name, Arity::Exact(2), Arity::Exact(1))
-            .with_trait(OpTrait::Pure)
-            .with_trait(OpTrait::SameOperandResultTypes)
-            .with_verifier(verify_same_types);
-        if commutative {
-            spec = spec.with_trait(OpTrait::Commutative);
-        }
-        d.register(spec);
-    }
-    for name in ["negf", "absf", "sqrt", "exp", "log"] {
-        d.register(
-            OpSpec::new(name, Arity::Exact(1), Arity::Exact(1))
+        for &name in names {
+            let mut spec = OpSpec::new(name, Arity::Exact(arity), Arity::Exact(1))
                 .with_trait(OpTrait::Pure)
-                .with_trait(OpTrait::SameOperandResultTypes)
-                .with_verifier(verify_same_types),
-        );
+                .with_constraints(rules);
+            if commutative {
+                spec = spec.with_trait(OpTrait::Commutative);
+            }
+            d.register(spec);
+        }
     }
     for name in ["cmpf", "cmpi"] {
         d.register(
             OpSpec::new(name, Arity::Exact(2), Arity::Exact(1))
                 .with_attr("predicate")
-                .with_trait(OpTrait::Pure),
+                .with_trait(OpTrait::Pure)
+                .with_constraints(&[Constraint::Class(Port::Result(0, "result"), TypeClass::I1)]),
         );
     }
-    d.register(OpSpec::new("select", Arity::Exact(3), Arity::Exact(1)).with_trait(OpTrait::Pure));
+    d.register(
+        OpSpec::new("select", Arity::Exact(3), Arity::Exact(1))
+            .with_trait(OpTrait::Pure)
+            .with_constraints(&[
+                Constraint::Class(Port::Operand(0, "condition"), TypeClass::I1),
+                Constraint::Equal(
+                    Port::Operand(1, "true value"),
+                    Port::Operand(2, "false value"),
+                ),
+            ]),
+    );
     for name in ["index_cast", "sitofp", "fptosi", "extf", "truncf"] {
         d.register(OpSpec::new(name, Arity::Exact(1), Arity::Exact(1)).with_trait(OpTrait::Pure));
     }
@@ -238,56 +164,18 @@ pub fn binary(
 // scf
 // ---------------------------------------------------------------------------
 
-fn verify_for(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    if operation.operands.len() < 3 {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: "scf.for needs at least lb, ub and step operands".into(),
-        });
-    }
-    let num_iter_args = operation.operands.len() - 3;
-    if operation.results.len() != num_iter_args {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!(
-                "scf.for with {num_iter_args} iter args must have {num_iter_args} results, got {}",
-                operation.results.len()
-            ),
-        });
-    }
-    let region = operation.regions[0];
-    let entry = *m
-        .region(region)
-        .blocks
-        .first()
-        .ok_or_else(|| IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: "scf.for body must have an entry block".into(),
-        })?;
-    let num_args = m.block(entry).args.len();
-    if num_args != 1 + num_iter_args {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!(
-                "scf.for body must take induction variable plus {num_iter_args} iter args, got {num_args}"
-            ),
-        });
-    }
-    Ok(())
-}
-
 /// The `scf` dialect: structured control flow (`for`, `if`, `yield`).
 pub(crate) fn scf_dialect() -> Dialect {
     let mut d = Dialect::new("scf", "structured control flow");
     d.register(
         OpSpec::new("for", Arity::AtLeast(3), Arity::Variadic)
             .with_regions(1)
-            .with_verifier(verify_for),
+            .with_constraints(&[
+                Constraint::ForBody,
+                Constraint::Class(Port::Operand(0, "lb"), TypeClass::Index),
+                Constraint::Class(Port::Operand(1, "ub"), TypeClass::Index),
+                Constraint::Class(Port::Operand(2, "step"), TypeClass::Index),
+            ]),
     );
     d.register(OpSpec::new("if", Arity::Exact(1), Arity::Variadic).with_regions(2));
     d.register(
@@ -319,70 +207,6 @@ pub fn build_for(
 // memref
 // ---------------------------------------------------------------------------
 
-fn verify_load(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let base = m.value_type(operation.operands[0]);
-    let Type::MemRef { shape, elem, .. } = base else {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("first operand must be a memref, got {base}"),
-        });
-    };
-    if operation.operands.len() - 1 != shape.len() {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!(
-                "memref of rank {} indexed with {} indices",
-                shape.len(),
-                operation.operands.len() - 1
-            ),
-        });
-    }
-    let result = m.value_type(operation.results[0]);
-    if result != elem.as_ref() {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("result type {result} does not match element type {elem}"),
-        });
-    }
-    Ok(())
-}
-
-fn verify_store(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let base = m.value_type(operation.operands[1]);
-    let Type::MemRef { shape, elem, .. } = base else {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("second operand must be a memref, got {base}"),
-        });
-    };
-    if operation.operands.len() - 2 != shape.len() {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!(
-                "memref of rank {} indexed with {} indices",
-                shape.len(),
-                operation.operands.len() - 2
-            ),
-        });
-    }
-    let stored = m.value_type(operation.operands[0]);
-    if stored != elem.as_ref() {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("stored type {stored} does not match element type {elem}"),
-        });
-    }
-    Ok(())
-}
-
 /// The `memref` dialect: mutable buffers.
 pub(crate) fn memref_dialect() -> Dialect {
     let mut d = Dialect::new("memref", "mutable buffers");
@@ -391,10 +215,11 @@ pub(crate) fn memref_dialect() -> Dialect {
     d.register(
         OpSpec::new("load", Arity::AtLeast(1), Arity::Exact(1))
             .with_trait(OpTrait::Pure)
-            .with_verifier(verify_load),
+            .with_constraints(&[Constraint::MemrefAccess { base: 0 }]),
     );
     d.register(
-        OpSpec::new("store", Arity::AtLeast(2), Arity::Exact(0)).with_verifier(verify_store),
+        OpSpec::new("store", Arity::AtLeast(2), Arity::Exact(0))
+            .with_constraints(&[Constraint::MemrefAccess { base: 1 }]),
     );
     d.register(OpSpec::new("copy", Arity::Exact(2), Arity::Exact(0)));
     d

@@ -6,49 +6,11 @@
 //! dialect; Olympus maps `dfg.node`s onto FPGA kernels or CPU tasks.
 
 use crate::attr::Attribute;
-use crate::error::{IrError, IrResult};
+use crate::constraint::{AttrRule, Constraint, Port, TypeClass};
 use crate::ids::OpId;
 use crate::module::Module;
 use crate::registry::{Arity, Dialect, OpSpec, OpTrait};
 use crate::types::Type;
-
-fn verify_channel(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let ty = m.value_type(operation.results[0]);
-    if !matches!(ty, Type::Stream(_)) {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("channel must produce a !dfg.stream type, got {ty}"),
-        });
-    }
-    if let Some(cap) = operation.int_attr("capacity") {
-        if cap <= 0 {
-            return Err(IrError::Verification {
-                op: operation.name.to_string(),
-                path: None,
-                message: format!("channel capacity must be positive, got {cap}"),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn verify_node(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    // All node operands and results must be streams or tokens.
-    for &v in operation.operands.iter().chain(&operation.results) {
-        let ty = m.value_type(v);
-        if !matches!(ty, Type::Stream(_) | Type::Token) {
-            return Err(IrError::Verification {
-                op: operation.name.to_string(),
-                path: None,
-                message: format!("node ports must be streams or tokens, got {ty}"),
-            });
-        }
-    }
-    Ok(())
-}
 
 /// The `dfg` dialect.
 pub(crate) fn dfg_dialect() -> Dialect {
@@ -61,12 +23,15 @@ pub(crate) fn dfg_dialect() -> Dialect {
             .with_trait(OpTrait::IsolatedFromAbove),
     );
     d.register(
-        OpSpec::new("channel", Arity::Exact(0), Arity::Exact(1)).with_verifier(verify_channel),
+        OpSpec::new("channel", Arity::Exact(0), Arity::Exact(1)).with_constraints(&[
+            Constraint::Class(Port::Result(0, "result"), TypeClass::Stream),
+            Constraint::Attr("capacity", AttrRule::Positive),
+        ]),
     );
     d.register(
         OpSpec::new("node", Arity::Variadic, Arity::Variadic)
             .with_attr("callee")
-            .with_verifier(verify_node),
+            .with_constraints(&[Constraint::Class(Port::All, TypeClass::StreamOrToken)]),
     );
     // feed(value-stream) — external input into the graph.
     d.register(OpSpec::new("feed", Arity::Exact(1), Arity::Exact(0)).with_attr("name"));

@@ -12,6 +12,12 @@
 //! translates to EKL. An op kind is registered only if code outside this
 //! crate builds, consumes, costs or tests it.
 //!
+//! Each op's contract is declared once, in its `OpSpec`: arities,
+//! regions, required attributes, traits, and its type and attribute
+//! rules as a [`Constraint`](crate::constraint::Constraint) list
+//! (`with_constraints`). No dialect writes a verifier function; the
+//! verifier and the `type-mismatch` lint both read the lists.
+//!
 //! Every op name registered here and every attribute name an `OpSpec`
 //! requires (`with_attr`) is also listed in the interner's constant
 //! name table (`intern::REGISTERED`), which seeds those names at fixed

@@ -6,80 +6,8 @@
 //! highlight in §VIII). Fig. 5's `bit`, `cyclic` and `ub` dialects have
 //! no producer in this reproduction and are not registered.
 
-use crate::error::{IrError, IrResult};
-use crate::ids::OpId;
-use crate::module::Module;
+use crate::constraint::{Constraint, Port, TypeClass};
 use crate::registry::{Arity, Dialect, OpSpec, OpTrait};
-use crate::types::Type;
-
-fn is_base2_scalar(ty: &Type) -> bool {
-    matches!(ty, Type::Fixed(_) | Type::Posit(_))
-}
-
-fn verify_quantize(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let src = m.value_type(operation.operands[0]);
-    let dst = m.value_type(operation.results[0]);
-    if !matches!(src, Type::F32 | Type::F64) {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("quantize source must be a float, got {src}"),
-        });
-    }
-    if !is_base2_scalar(dst) {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("quantize result must be a base2 type, got {dst}"),
-        });
-    }
-    Ok(())
-}
-
-fn verify_dequantize(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let src = m.value_type(operation.operands[0]);
-    let dst = m.value_type(operation.results[0]);
-    if !is_base2_scalar(src) {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("dequantize source must be a base2 type, got {src}"),
-        });
-    }
-    if !matches!(dst, Type::F32 | Type::F64) {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("dequantize result must be a float, got {dst}"),
-        });
-    }
-    Ok(())
-}
-
-fn verify_base2_arith(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let name = operation.name;
-    let first = m.value_type(operation.operands[0]).clone();
-    if !is_base2_scalar(&first) {
-        return Err(IrError::Verification {
-            op: name.to_string(),
-            path: None,
-            message: format!("base2 arithmetic requires base2 operands, got {first}"),
-        });
-    }
-    for &v in operation.operands.iter().chain(&operation.results) {
-        if m.value_type(v) != &first {
-            return Err(IrError::Verification {
-                op: name.to_string(),
-                path: None,
-                message: "all base2 operands/results must share one format".into(),
-            });
-        }
-    }
-    Ok(())
-}
 
 /// The `base2` dialect.
 pub(crate) fn base2_dialect() -> Dialect {
@@ -87,18 +15,27 @@ pub(crate) fn base2_dialect() -> Dialect {
     d.register(
         OpSpec::new("quantize", Arity::Exact(1), Arity::Exact(1))
             .with_trait(OpTrait::Pure)
-            .with_verifier(verify_quantize),
+            .with_constraints(&[
+                Constraint::Class(Port::Operand(0, "source"), TypeClass::Float),
+                Constraint::Class(Port::Result(0, "result"), TypeClass::Base2),
+            ]),
     );
     d.register(
         OpSpec::new("dequantize", Arity::Exact(1), Arity::Exact(1))
             .with_trait(OpTrait::Pure)
-            .with_verifier(verify_dequantize),
+            .with_constraints(&[
+                Constraint::Class(Port::Operand(0, "source"), TypeClass::Base2),
+                Constraint::Class(Port::Result(0, "result"), TypeClass::Float),
+            ]),
     );
     for name in ["add", "sub", "mul", "div"] {
         d.register(
             OpSpec::new(name, Arity::Exact(2), Arity::Exact(1))
                 .with_trait(OpTrait::Pure)
-                .with_verifier(verify_base2_arith),
+                .with_constraints(&[
+                    Constraint::Class(Port::Operand(0, "lhs"), TypeClass::Base2),
+                    Constraint::SameTypes,
+                ]),
         );
     }
     // convert between two base2 formats
@@ -108,10 +45,9 @@ pub(crate) fn base2_dialect() -> Dialect {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::module::single_result;
+    use crate::module::{single_result, Module};
     use crate::registry::Context;
-    use crate::types::{FixedFormat, PositFormat};
+    use crate::types::{FixedFormat, PositFormat, Type};
     use crate::verify::verify_module;
 
     fn ctx() -> Context {
@@ -158,7 +94,7 @@ mod tests {
         let vb = single_result(&m, qb);
         m.build_op("base2.add", [va, vb], [fa]).append_to(top);
         let err = verify_module(&ctx(), &m).unwrap_err();
-        assert!(err.to_string().contains("share one format"));
+        assert!(err.to_string().contains("types differ"));
     }
 
     #[test]

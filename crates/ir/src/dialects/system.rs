@@ -8,90 +8,10 @@
 //! reproduction (the platform is chosen by `CompileOptions::target`) and
 //! is not registered.
 
-use crate::error::{IrError, IrResult};
+use crate::constraint::{AttrRule, Constraint, Port, TypeClass};
 use crate::ids::OpId;
 use crate::module::Module;
 use crate::registry::{Arity, Dialect, OpSpec, OpTrait};
-use crate::types::{MemorySpace, Type};
-
-fn verify_positive_attr(m: &Module, op: OpId, attr: &str) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let v = operation
-        .int_attr(attr)
-        .ok_or_else(|| IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("missing '{attr}' integer attribute"),
-        })?;
-    if v <= 0 {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("'{attr}' must be positive, got {v}"),
-        });
-    }
-    Ok(())
-}
-
-fn verify_plm(m: &Module, op: OpId) -> IrResult<()> {
-    verify_positive_attr(m, op, "banks")?;
-    let operation = m.op(op).expect("verifier receives live ops");
-    let ty = m.value_type(operation.results[0]);
-    match ty {
-        Type::MemRef { space, .. } if *space == MemorySpace::Plm => Ok(()),
-        other => Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("plm must produce a plm-space memref, got {other}"),
-        }),
-    }
-}
-
-fn verify_dma(m: &Module, op: OpId) -> IrResult<()> {
-    let operation = m.op(op).expect("verifier receives live ops");
-    let dir = operation
-        .str_attr("direction")
-        .ok_or_else(|| IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: "missing 'direction' attribute".into(),
-        })?;
-    if dir != "h2d" && dir != "d2h" && dir != "d2d" {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("direction must be h2d, d2h or d2d, got '{dir}'"),
-        });
-    }
-    for &v in &operation.operands {
-        if !matches!(m.value_type(v), Type::MemRef { .. }) {
-            return Err(IrError::Verification {
-                op: operation.name.to_string(),
-                path: None,
-                message: "dma operands must be memrefs".into(),
-            });
-        }
-    }
-    Ok(())
-}
-
-fn verify_replicate(m: &Module, op: OpId) -> IrResult<()> {
-    verify_positive_attr(m, op, "factor")
-}
-
-fn verify_lane(m: &Module, op: OpId) -> IrResult<()> {
-    verify_positive_attr(m, op, "width_bits")?;
-    let operation = m.op(op).expect("verifier receives live ops");
-    let w = operation.int_attr("width_bits").unwrap_or(0);
-    if !(w as u64).is_power_of_two() {
-        return Err(IrError::Verification {
-            op: operation.name.to_string(),
-            path: None,
-            message: format!("lane width must be a power of two, got {w}"),
-        });
-    }
-    Ok(())
-}
 
 /// The `olympus` dialect.
 pub(crate) fn olympus_dialect() -> Dialect {
@@ -112,24 +32,30 @@ pub(crate) fn olympus_dialect() -> Dialect {
     d.register(
         OpSpec::new("plm", Arity::Exact(0), Arity::Exact(1))
             .with_attr("banks")
-            .with_verifier(verify_plm),
+            .with_constraints(&[
+                Constraint::Attr("banks", AttrRule::Positive),
+                Constraint::Class(Port::Result(0, "result"), TypeClass::PlmMemRef),
+            ]),
     );
     d.register(
         OpSpec::new("dma", Arity::Exact(2), Arity::Exact(0))
             .with_attr("direction")
-            .with_verifier(verify_dma),
+            .with_constraints(&[
+                Constraint::Attr("direction", AttrRule::OneOf(&["h2d", "d2h", "d2d"])),
+                Constraint::Class(Port::Operands, TypeClass::MemRef),
+            ]),
     );
     d.register(
         OpSpec::new("replicate", Arity::Exact(0), Arity::Exact(0))
             .with_attr("factor")
             .with_attr("kernel")
-            .with_verifier(verify_replicate),
+            .with_constraints(&[Constraint::Attr("factor", AttrRule::Positive)]),
     );
     d.register(
         OpSpec::new("lane", Arity::Exact(0), Arity::Exact(0))
             .with_attr("width_bits")
             .with_attr("kernel")
-            .with_verifier(verify_lane),
+            .with_constraints(&[Constraint::Attr("width_bits", AttrRule::PowerOfTwo)]),
     );
     d.register(
         OpSpec::new("pack", Arity::Exact(0), Arity::Exact(0))
@@ -171,6 +97,7 @@ mod tests {
     use crate::attr::Attribute;
     use crate::module::single_result;
     use crate::registry::Context;
+    use crate::types::{MemorySpace, Type};
     use crate::verify::verify_module;
 
     fn ctx() -> Context {

@@ -25,7 +25,7 @@ pub enum IrError {
         op: String,
         /// Human-readable explanation of the violated invariant.
         message: String,
-        /// Structural location of the op, when known. Dialect verifiers
+        /// Structural location of the op, when known. The per-op checks
         /// construct errors without a path (via [`IrError::verification`]);
         /// `verify_module` fills it in before surfacing the error.
         path: Option<OpPath>,
@@ -51,7 +51,7 @@ pub enum IrError {
 impl IrError {
     /// Builds a [`IrError::Verification`] without a structural path.
     ///
-    /// This is the constructor dialect verifiers use: they see a single
+    /// This is the constructor the per-op checks use: they see a single
     /// op and cannot cheaply locate it in the module, so `verify_module`
     /// attaches the path afterwards via `IrError::with_path`.
     pub fn verification(op: impl Into<String>, message: impl Into<String>) -> IrError {

@@ -10,8 +10,9 @@
 //!   values, with def-use queries and destructive rewrites;
 //! * a [type system](types) including the `base2` binary numeral formats
 //!   (fixed-point and posit) with bit-accurate [software semantics](base2);
-//! * a [dialect registry](registry) and a structural + per-op
-//!   [verifier](verify);
+//! * a [dialect registry](registry) whose op specs declare each op's
+//!   type and attribute rules as [constraints](constraint), and a
+//!   [verifier](verify) that checks structure and those rules;
 //! * a deterministic [printer](mod@print) and a round-tripping
 //!   [parser](parse) for the generic textual form;
 //! * a [pass manager](pass) with canonicalization passes (constant
@@ -53,6 +54,7 @@
 
 pub mod attr;
 pub mod base2;
+pub mod constraint;
 pub mod dialects;
 pub mod error;
 pub mod ids;

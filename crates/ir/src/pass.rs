@@ -13,6 +13,9 @@ use crate::intern::Symbol;
 use crate::module::{Module, Operation};
 use crate::registry::{Context, OpTrait};
 
+/// The one pure op that reads memory.
+const LOAD: Symbol = Symbol::registered("memref.load");
+
 /// Statistics reported by one pass execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PassStats {
@@ -282,6 +285,13 @@ impl Pass for Dce {
 /// `Float(1.0)`, never merge, and neither do `{value = 1} : f64` and
 /// `{value = 1} : index`. Commutative ops compare on sorted operands.
 ///
+/// `memref.load` is pure but reads memory: an op that may write it — any
+/// op that is not pure and takes the buffer as an operand — ends the
+/// kept loads of that buffer, and a non-pure op with regions ends them
+/// all, so a load after a store reads what was stored. Distinct SSA
+/// buffers are taken not to alias: allocations are fresh, and kernel
+/// arguments follow the HLS no-alias convention.
+///
 /// The scan never mutates the module. A merge records
 /// `forward[duplicate result] = kept result` in a dense table, and
 /// every op reads its operands *through* that table, so what is
@@ -337,6 +347,8 @@ impl Hasher for OpHasher {
 
 /// The ops one block has kept so far, findable by what CSE compares.
 struct CseTable {
+    /// The entries that are `memref.load`s still live.
+    loads: Vec<u32>,
     /// First entry of each bucket's chain, [`CseTable::END`] when empty;
     /// a power of two long, indexed by the hash's top bits.
     heads: Vec<u32>,
@@ -355,6 +367,8 @@ struct CseEntry {
     operands_at: usize,
     /// Next entry of the same bucket.
     next: u32,
+    /// `false` once a write to its buffer made a kept load unusable.
+    live: bool,
 }
 
 impl CseTable {
@@ -364,6 +378,7 @@ impl CseTable {
     /// binary at most, so that no block of the run regrows it.
     fn with_room_for(ops: usize) -> Self {
         CseTable {
+            loads: Vec::new(),
             heads: Vec::with_capacity(Self::buckets(ops)),
             entries: Vec::with_capacity(ops),
             operands: Vec::with_capacity(2 * ops),
@@ -380,6 +395,25 @@ impl CseTable {
         self.heads.resize(Self::buckets(ops), Self::END);
         self.entries.clear();
         self.operands.clear();
+        self.loads.clear();
+    }
+
+    /// Forgets the kept loads `op` may have written: of a buffer it
+    /// takes as an operand, or every one when it has regions.
+    fn forget_loads(&mut self, op: &Operation, forward: &[ValueId]) {
+        if self.loads.is_empty() {
+            return;
+        }
+        let all = !op.regions.is_empty();
+        let written = |base: &ValueId| {
+            (op.operands.iter()).any(|&v| forward.get(v.index()).copied().unwrap_or(v) == *base)
+        };
+        let (entries, operands) = (&mut self.entries, &self.operands);
+        self.loads.retain(|&at| {
+            let entry = &mut entries[at as usize];
+            entry.live = !all && !operands.get(entry.operands_at).is_some_and(written);
+            entry.live
+        });
     }
 
     /// The op kept earlier in this block that `operation` duplicates;
@@ -414,7 +448,7 @@ impl CseTable {
         while at != Self::END {
             let entry = &self.entries[at as usize];
             at = entry.next;
-            if entry.hash != hash {
+            if entry.hash != hash || !entry.live {
                 continue;
             }
             let kept = module.op(entry.op).expect("kept ops are live");
@@ -436,8 +470,12 @@ impl CseTable {
             op,
             operands_at,
             next: self.heads[bucket],
+            live: true,
         });
         self.heads[bucket] = (self.entries.len() - 1) as u32;
+        if operation.name == LOAD {
+            self.loads.push(self.heads[bucket]);
+        }
         None
     }
 }
@@ -470,6 +508,7 @@ impl Pass for Cse {
                     continue;
                 };
                 if !spec.has_trait(OpTrait::Pure) || !operation.regions.is_empty() {
+                    table.forget_loads(operation, &forward);
                     continue;
                 }
                 let commutative = spec.has_trait(OpTrait::Commutative);
@@ -810,6 +849,64 @@ mod tests {
             stats.ops_erased, 0,
             "distinct attribute kinds must not merge"
         );
+    }
+
+    /// `x = a[iv]; a[iv] = 2x; y = a[iv]; a[iv] = 3y` in a loop body,
+    /// over `a = [1.0]`: 6.0, and the same after canonicalization, which
+    /// must not read `y` as `x` across the store between them. With the
+    /// first store to another buffer `b`, the two loads do merge.
+    #[test]
+    fn cse_does_not_merge_loads_across_a_store_to_their_buffer() {
+        use crate::dialects::core::{build_for, build_func, const_f64, const_index};
+        use crate::interp::{Buffer, Interpreter, Value};
+        let build = |first_store_to_b: bool| {
+            let mut m = Module::new();
+            let top = m.top_block();
+            let ty = Type::memref(&[1], Type::F64, crate::types::MemorySpace::Device);
+            let (_f, entry) = build_func(&mut m, top, "k", &[ty.clone(), ty], &[]);
+            let (a, b) = (m.block(entry).args[0], m.block(entry).args[1]);
+            let lb = const_index(&mut m, entry, 0);
+            let ub = const_index(&mut m, entry, 1);
+            let step = const_index(&mut m, entry, 1);
+            let (_loop, body) = build_for(&mut m, entry, lb, ub, step);
+            let iv = m.block(body).args[0];
+            for (scale, target) in [(2.0, if first_store_to_b { b } else { a }), (3.0, a)] {
+                let k = const_f64(&mut m, body, scale);
+                let load = m
+                    .build_op("memref.load", [a, iv], [Type::F64])
+                    .append_to(body);
+                let x = crate::module::single_result(&m, load);
+                let v = core::binary(&mut m, body, "arith.mulf", k, x);
+                m.build_op("memref.store", [v, target, iv], [])
+                    .append_to(body);
+            }
+            m.build_op("scf.yield", [], []).append_to(body);
+            m.build_op("func.return", [], []).append_to(entry);
+            m
+        };
+        let run = |m: &Module| {
+            let mut interp = Interpreter::new();
+            let args = [1.0, 0.0].map(|v| interp.alloc_buffer(Buffer::from_data(&[1], vec![v])));
+            interp.run_function(m, "k", &args).unwrap();
+            let Value::Buffer(a) = args[0] else {
+                unreachable!()
+            };
+            interp.buffer(a).data[0]
+        };
+        let canonical = |mut m: Module| {
+            canonicalization_pipeline().run(&ctx(), &mut m).unwrap();
+            let loads = m
+                .walk_ops()
+                .into_iter()
+                .filter(|&o| m.op(o).unwrap().name == LOAD);
+            (run(&m), loads.count())
+        };
+        let same_buffer = build(false);
+        assert_eq!(run(&same_buffer), 6.0);
+        assert_eq!(canonical(same_buffer), (6.0, 2));
+        let other_buffer = build(true);
+        assert_eq!(run(&other_buffer), 3.0);
+        assert_eq!(canonical(other_buffer), (3.0, 1));
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Dialect and operation registry.
 //!
 //! A [`Context`] holds the set of registered dialects. Each dialect
-//! declares its operations through [`OpSpec`]s: operand/result arity
-//! constraints, structural traits and an optional custom verifier. The
+//! declares its operations through [`OpSpec`]s: operand/result arity,
+//! region count, required attributes, structural traits and the op's
+//! type and attribute rules as a list of [`Constraint`]s. The
 //! [verifier](crate::verify) checks every op in a module against these
-//! specs — exactly the role MLIR's ODS-generated verifiers play.
+//! specs — exactly the role MLIR's ODS-generated verifiers play — and
+//! the `type-mismatch` lint of `everest-analysis` reads the same
+//! constraint lists, so each rule is declared once, beside its op.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock};
 
-use crate::error::IrResult;
-use crate::ids::OpId;
+use crate::constraint::Constraint;
 use crate::intern::Symbol;
-use crate::module::Module;
 
 /// Structural traits an operation can declare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -23,8 +24,6 @@ pub enum OpTrait {
     Terminator,
     /// Defines a symbol via a `sym_name` attribute.
     Symbol,
-    /// All operand and result types must be identical.
-    SameOperandResultTypes,
     /// The op's regions may not capture values from enclosing scopes.
     IsolatedFromAbove,
     /// The op folds to a constant (has a `value` attribute).
@@ -55,9 +54,6 @@ impl Arity {
     }
 }
 
-/// Custom verification hook: receives the module and the op being checked.
-pub(crate) type VerifyFn = fn(&Module, OpId) -> IrResult<()>;
-
 /// Static description of one operation kind.
 #[derive(Debug, Clone)]
 pub struct OpSpec {
@@ -73,8 +69,8 @@ pub struct OpSpec {
     pub required_attrs: Vec<String>,
     /// Structural traits.
     pub traits: Vec<OpTrait>,
-    /// Optional custom verifier.
-    pub verify: Option<VerifyFn>,
+    /// Type and attribute rules, checked in order.
+    pub constraints: &'static [Constraint],
 }
 
 impl OpSpec {
@@ -87,7 +83,7 @@ impl OpSpec {
             num_regions: 0,
             required_attrs: Vec::new(),
             traits: Vec::new(),
-            verify: None,
+            constraints: &[],
         }
     }
 
@@ -109,9 +105,9 @@ impl OpSpec {
         self
     }
 
-    /// Sets a custom verifier.
-    pub(crate) fn with_verifier(mut self, f: VerifyFn) -> Self {
-        self.verify = Some(f);
+    /// Sets the op's type and attribute rules.
+    pub(crate) fn with_constraints(mut self, constraints: &'static [Constraint]) -> Self {
+        self.constraints = constraints;
         self
     }
 
@@ -253,6 +249,12 @@ impl Context {
     /// passes use per visited op.
     pub fn has_trait(&self, name: Symbol, t: OpTrait) -> bool {
         self.spec_of(name).is_some_and(|s| s.has_trait(t))
+    }
+
+    /// The type and attribute rules an op kind declares; none for an
+    /// unregistered one.
+    pub fn constraints(&self, name: Symbol) -> &'static [Constraint] {
+        self.spec_of(name).map_or(&[], |s| s.constraints)
     }
 
     /// Names of all registered dialects.

@@ -3,7 +3,10 @@
 //! Verification proceeds in two layers, like MLIR: structural checks that
 //! hold for any op (operand/result arity, region counts, required
 //! attributes, terminator placement, SSA dominance within a block) and
-//! per-op custom verifiers supplied by the dialects.
+//! the type and attribute rules each op's spec declares as
+//! [`Constraint`](crate::constraint::Constraint)s, the role MLIR's ODS
+//! type constraints play. An op's first violated rule is the error; the
+//! `type-mismatch` lint of `everest-analysis` reports all of them.
 
 use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, OpId, RegionId, ValueId};
@@ -102,7 +105,7 @@ fn verify_block(ctx: &Context, module: &Module, block: BlockId, scope: &mut Scop
 }
 
 /// Attaches the structural path of `op` to a verification error that
-/// does not already carry one (dialect verifiers build path-less
+/// does not already carry one (the per-op checks build path-less
 /// errors; this driver is the one place that can locate the op).
 fn attach_path(module: &Module, op: OpId, err: IrError) -> IrError {
     match OpPath::of(module, op) {
@@ -193,8 +196,10 @@ fn verify_op<'c>(
             ValueDef::BlockArg { .. } => {}
         }
     }
-    if let Some(custom) = spec.verify {
-        custom(module, op)?;
+    for constraint in spec.constraints {
+        constraint
+            .check(module, operation)
+            .map_err(|message| IrError::verification(operation.name.to_string(), message))?;
     }
     Ok(spec)
 }

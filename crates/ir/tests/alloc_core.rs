@@ -59,16 +59,17 @@ fn allocations<T>(work: impl FnOnce() -> T) -> (usize, T) {
     (ALLOCATIONS.load(Ordering::Relaxed) - before, result)
 }
 
-/// `func @k(%buf)`: a loop whose body loads, multiplies and stores
-/// `statements` times — regions, block arguments, attributes and
-/// memref types, as a lowered kernel has. Every statement loads the
-/// same element, so CSE has a duplicate to merge in each.
+/// `func @k(%buf, %out)`: a loop whose body loads, multiplies and
+/// stores `statements` times — regions, block arguments, attributes
+/// and memref types, as a lowered kernel has. Every statement loads the
+/// same element of `buf` and stores to `out`, so CSE has a duplicate to
+/// merge in each.
 fn kernel(statements: usize) -> Module {
     let mut m = Module::new();
     let top = m.top_block();
     let ty = Type::memref(&[64], Type::F64, MemorySpace::Device);
-    let (_f, entry) = core::build_func(&mut m, top, "k", &[ty], &[]);
-    let buf = m.block(entry).args[0];
+    let (_f, entry) = core::build_func(&mut m, top, "k", &[ty.clone(), ty], &[]);
+    let (buf, out) = (m.block(entry).args[0], m.block(entry).args[1]);
     let lb = core::const_index(&mut m, entry, 0);
     let ub = core::const_index(&mut m, entry, 64);
     let step = core::const_index(&mut m, entry, 1);
@@ -81,7 +82,7 @@ fn kernel(statements: usize) -> Module {
             .append_to(body);
         let loaded = everest_ir::module::single_result(&m, load);
         let product = core::binary(&mut m, body, "arith.mulf", scale, loaded);
-        m.build_op("memref.store", [product, buf, iv], [])
+        m.build_op("memref.store", [product, out, iv], [])
             .append_to(body);
     }
     m.build_op("scf.yield", [], []).append_to(body);
@@ -116,8 +117,9 @@ fn passes_clone_and_verify_allocate_per_module_not_per_op() {
         pipeline_counts.push(count);
 
         // The payloads that own memory (a `sym_name`, a function type
-        // and the attribute vector of the one op with two), the four
-        // arenas and a block's op list: 13 allocations for either size,
+        // of two memrefs and the attribute vector of the one op with
+        // two), the four arenas and a block's op list: 15 allocations
+        // for either size (13 with one memref argument),
         // nothing an op. A constant's one attribute is held in the op,
         // a value holds a uniqued type id (the table is shared with the
         // source), and a loop's region list, its region's block list

@@ -266,6 +266,14 @@ mod naive {
                 let Some(operation) = m.op(op) else { continue };
                 let name = operation.name;
                 if !ctx.has_trait(name, OpTrait::Pure) || !operation.regions.is_empty() {
+                    // An op that may write a buffer ends the loads of it
+                    // kept so far; one with regions ends them all.
+                    let all = !operation.regions.is_empty();
+                    let written = operation.operands.to_vec();
+                    seen.retain(|(kept, operands, ..), _| {
+                        kept != "memref.load"
+                            || !(all || operands.first().is_some_and(|b| written.contains(b)))
+                    });
                     continue;
                 }
                 let mut operands = operation.operands.to_vec();

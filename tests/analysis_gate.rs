@@ -14,6 +14,8 @@ const PROBE_EKL: &str = include_str!("../ci/analysis/probe.ekl");
 const MAPMATCH_RS: &str = include_str!("../ci/analysis/mapmatch.rs");
 const EXPECTED_PROBE: &str = include_str!("../ci/analysis/expected_probe.json");
 const EXPECTED_MAPMATCH: &str = include_str!("../ci/analysis/expected_mapmatch.json");
+const ILL_TYPED_IR: &str = include_str!("../ci/analysis/ill_typed.ir");
+const EXPECTED_ILL_TYPED: &str = include_str!("../ci/analysis/expected_ill_typed.json");
 
 /// The coordination gate input is the paper's Fig. 4 program — the
 /// same text the use-case crate ships. If one side changes, the other
@@ -55,4 +57,29 @@ fn mapmatch_report_matches_the_checked_in_expectation() {
         "mapmatch expectation drifted; regenerate per ci/analysis/README.md"
     );
     assert!(!report.has_denials(), "gate input must stay deny-free");
+}
+
+#[test]
+fn ill_typed_report_matches_and_verification_names_its_first_finding() {
+    let basecamp = Basecamp::new();
+    let module = everest_ir::parse::parse_module(ILL_TYPED_IR).expect("ill_typed.ir parses");
+    let report = basecamp.analyze_module(&module);
+    assert_eq!(
+        report.to_json(),
+        EXPECTED_ILL_TYPED.trim_end(),
+        "ill_typed expectation drifted; regenerate per ci/analysis/README.md"
+    );
+    assert!(
+        report.has_denials(),
+        "every finding is a deny-level type mismatch"
+    );
+    let err = everest_ir::verify::verify_module(basecamp.context(), &module)
+        .expect_err("ill_typed.ir fails verification");
+    let first = &report.diagnostics[0];
+    assert_eq!(first.lint, "type-mismatch");
+    assert!(
+        err.to_string().contains(&first.message),
+        "{err} does not carry {}",
+        first.message
+    );
 }
