@@ -74,19 +74,6 @@ pub struct HealReport {
     pub resume_matched: bool,
 }
 
-/// Field-by-field equality for two simulation results (the struct
-/// holds `f64`s and does not derive `PartialEq`; for replay checks
-/// exact bit equality is precisely what we want).
-fn results_match(a: &SimulationResult, b: &SimulationResult) -> bool {
-    a.entries == b.entries
-        && a.makespan_us == b.makespan_us
-        && a.transfer_us == b.transfer_us
-        && a.recovered_tasks == b.recovered_tasks
-        && a.node_busy_us == b.node_busy_us
-        && a.recovery == b.recovery
-        && a.heal == b.heal
-}
-
 /// Runs one seeded self-healing campaign: clean baseline, gray plan
 /// with healing off, the same plan with healing on, and an in-process
 /// checkpoint-resume verification. Deterministic for a given set of
@@ -132,13 +119,9 @@ pub fn run_heal(options: &HealOptions) -> HealReport {
 
     let unhealed = scheduler.run_with_plan(&graph, &plan, &config);
     let healed = scheduler.run_self_healing(&graph, &plan, &config, &policy);
-    let resume_matched = match healed.checkpoints.last() {
-        Some(last) => {
-            let resumed = scheduler.resume_self_healing(&graph, &plan, &config, &policy, last);
-            results_match(&resumed, &healed.result)
-        }
-        None => false,
-    };
+    let resume_matched = healed.checkpoints.last().is_some_and(|last| {
+        scheduler.resume_self_healing(&graph, &plan, &config, &policy, last) == healed.result
+    });
     span.arg("verdicts", healed.result.heal.verdicts.len())
         .arg("migrations", healed.result.heal.migrations)
         .arg("resume_matched", resume_matched)

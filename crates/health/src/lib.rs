@@ -50,5 +50,5 @@ pub mod monitor;
 pub mod verdict;
 
 pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreaker};
-pub use monitor::{HealthConfig, HealthMonitor, MonitorSnapshot};
+pub use monitor::{HealthConfig, HealthMonitor};
 pub use verdict::{HealthVerdict, VerdictKind};

@@ -56,6 +56,8 @@ const DETECTOR_MIN_ROWS: usize = 32;
 /// one string-keyed lookup (plus a `format!` for the per-node names)
 /// per fed sample.
 struct MonitorTelemetry {
+    registry: Arc<Registry>,
+    window: usize,
     node_inflation: Vec<MonitorHandle>,
     node_link: Vec<MonitorHandle>,
     inflation: HistogramHandle,
@@ -65,7 +67,7 @@ struct MonitorTelemetry {
 }
 
 impl MonitorTelemetry {
-    fn new(nodes: usize, window: usize, registry: &Arc<Registry>) -> MonitorTelemetry {
+    fn new(nodes: usize, window: usize, registry: Arc<Registry>) -> MonitorTelemetry {
         MonitorTelemetry {
             node_inflation: (0..nodes)
                 .map(|n| registry.monitor_handle(&format!("health.node{n}.inflation"), window))
@@ -79,7 +81,18 @@ impl MonitorTelemetry {
             fpga_inflation: registry
                 .histogram_handle_sampled("health.fpga_inflation", HEALTH_SAMPLE_EVERY),
             samples: registry.counter_handle("health.samples"),
+            registry,
+            window,
         }
+    }
+}
+
+/// A clone resolves fresh, empty handles on the same registry: a sample
+/// the original still buffers is published by the original alone.
+impl Clone for MonitorTelemetry {
+    fn clone(&self) -> MonitorTelemetry {
+        let registry = Arc::clone(&self.registry);
+        MonitorTelemetry::new(self.node_inflation.len(), self.window, registry)
     }
 }
 
@@ -118,24 +131,6 @@ impl Default for HealthConfig {
             refit_every: 16,
         }
     }
-}
-
-/// Plain-data snapshot of a [`HealthMonitor`], sufficient to rebuild it
-/// exactly (detector refits are pure functions of the stored samples
-/// and the config, so the snapshot stores samples, not models).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorSnapshot {
-    cfg: HealthConfig,
-    seed: u64,
-    inflation: Vec<Vec<f64>>,
-    link: Vec<Vec<f64>>,
-    fpga: Vec<Vec<(f64, f64)>>,
-    /// The detector's window, one single-feature row per sample.
-    detector_window: Vec<Vec<f64>>,
-    last_refit_len: Option<usize>,
-    samples_since_refit: usize,
-    emitted: Vec<(usize, VerdictKind)>,
-    verdicts: Vec<HealthVerdict>,
 }
 
 /// One sample's value as the window tracks it: whether it is exactly
@@ -177,18 +172,6 @@ impl<T: Sample> Window<T> {
         }
     }
 
-    /// One window per node, each holding its `samples` (oldest first;
-    /// at most `cap`).
-    fn all_from(series: Vec<Vec<T>>, cap: usize) -> Vec<Window<T>> {
-        (series.into_iter())
-            .map(|samples| {
-                let mut window = Window::new(cap);
-                samples.into_iter().for_each(|sample| window.push(sample));
-                window
-            })
-            .collect()
-    }
-
     fn push(&mut self, sample: T) {
         if self.cap == 0 {
             return;
@@ -209,10 +192,6 @@ impl<T: Sample> Window<T> {
     /// exactly `1.0`.
     fn all_unity(&self) -> bool {
         !self.samples.is_empty() && self.off_unity == 0
-    }
-
-    fn to_vec(&self) -> Vec<T> {
-        self.samples.iter().copied().collect()
     }
 }
 
@@ -259,7 +238,7 @@ impl Window<(f64, f64)> {
 /// z-score fit on a synthetic healthy prior, refit every
 /// `refit_every` fed samples on the newest [`DETECTOR_WINDOW`]
 /// normal-looking ones.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Detector {
     model: ScalarZScore,
     contamination: f64,
@@ -295,9 +274,12 @@ impl Detector {
     }
 }
 
-/// The streaming monitor for one campaign.
+/// The streaming monitor for one campaign. A clone carries every
+/// window, the detector and the verdicts, so it reaches the verdicts
+/// the original would from there on; its telemetry handles start
+/// empty on the same registry.
+#[derive(Clone)]
 pub struct HealthMonitor {
-    registry: Arc<Registry>,
     telemetry: MonitorTelemetry,
     cfg: HealthConfig,
     seed: u64,
@@ -308,11 +290,6 @@ pub struct HealthMonitor {
     /// Per-node `(at_us, inflation)` accelerator samples.
     fpga: Vec<Window<(f64, f64)>>,
     detector: Detector,
-    /// Length of the detector window the model was last refit on (for
-    /// exact restore). The post-refit window is exactly what the model
-    /// saw and only grows by appends until the next refit, so a length
-    /// pins it down.
-    last_refit_len: Option<usize>,
     samples_since_refit: usize,
     /// `(node, kind)` pairs already convicted — one verdict each.
     emitted: BTreeSet<(usize, VerdictKind)>,
@@ -342,15 +319,13 @@ impl HealthMonitor {
         registry: Arc<Registry>,
     ) -> HealthMonitor {
         HealthMonitor {
-            telemetry: MonitorTelemetry::new(nodes, cfg.window, &registry),
-            registry,
+            telemetry: MonitorTelemetry::new(nodes, cfg.window, registry),
             inflation: (0..nodes).map(|_| Window::new(cfg.window)).collect(),
             link: (0..nodes).map(|_| Window::new(cfg.window)).collect(),
             fpga: (0..nodes).map(|_| Window::new(cfg.window)).collect(),
             detector: Detector::baseline(&cfg),
             cfg,
             seed,
-            last_refit_len: None,
             samples_since_refit: 0,
             emitted: BTreeSet::new(),
             verdicts: Vec::new(),
@@ -405,8 +380,9 @@ impl HealthMonitor {
             kind,
             score,
         };
-        self.registry.counter_add("health.verdicts", 1);
-        self.registry.event("health.verdict", verdict.describe());
+        let registry = &self.telemetry.registry;
+        registry.counter_add("health.verdicts", 1);
+        registry.event("health.verdict", verdict.describe());
         self.verdicts.push(verdict.clone());
         self.pending.push(verdict.clone());
         Some(verdict)
@@ -433,7 +409,6 @@ impl HealthMonitor {
         if self.samples_since_refit >= self.cfg.refit_every {
             self.samples_since_refit = 0;
             detector.refit();
-            self.last_refit_len = Some(detector.window.len());
         }
 
         let window = &self.inflation[node];
@@ -480,56 +455,6 @@ impl HealthMonitor {
             if slope >= self.cfg.creep_per_ms {
                 self.flag(VerdictKind::DegradingVf, node, at_us, slope);
             }
-        }
-    }
-
-    /// Plain-data snapshot for checkpointing; see
-    /// [`HealthMonitor::restore`].
-    pub fn snapshot(&self) -> MonitorSnapshot {
-        MonitorSnapshot {
-            cfg: self.cfg.clone(),
-            seed: self.seed,
-            inflation: self.inflation.iter().map(Window::to_vec).collect(),
-            link: self.link.iter().map(Window::to_vec).collect(),
-            fpga: self.fpga.iter().map(Window::to_vec).collect(),
-            detector_window: self.detector.window.iter().map(|&v| vec![v]).collect(),
-            last_refit_len: self.last_refit_len,
-            samples_since_refit: self.samples_since_refit,
-            emitted: self.emitted.iter().cloned().collect(),
-            verdicts: self.verdicts.clone(),
-        }
-    }
-
-    /// Rebuilds a monitor exactly from a snapshot: the detector is
-    /// re-derived by replaying the last refit (a pure function of the
-    /// stored samples), so the restored monitor reaches the same
-    /// verdicts at the same virtual times as one that never stopped.
-    pub fn restore(snap: MonitorSnapshot, registry: Arc<Registry>) -> HealthMonitor {
-        // Replay the last refit on the prefix it saw (at most
-        // `DETECTOR_WINDOW` samples, so it trims nothing), then append
-        // what arrived since.
-        let mut detector = Detector::baseline(&snap.cfg);
-        let mut samples = snap.detector_window.iter().map(|row| row[0]);
-        if let Some(len) = snap.last_refit_len {
-            detector.window.extend(samples.by_ref().take(len));
-            detector.refit();
-        }
-        detector.window.extend(samples);
-        let cap = snap.cfg.window;
-        HealthMonitor {
-            telemetry: MonitorTelemetry::new(snap.inflation.len(), cap, &registry),
-            registry,
-            inflation: Window::all_from(snap.inflation, cap),
-            link: Window::all_from(snap.link, cap),
-            fpga: Window::all_from(snap.fpga, cap),
-            detector,
-            cfg: snap.cfg,
-            seed: snap.seed,
-            last_refit_len: snap.last_refit_len,
-            samples_since_refit: snap.samples_since_refit,
-            emitted: snap.emitted.into_iter().collect(),
-            verdicts: snap.verdicts,
-            pending: Vec::new(),
         }
     }
 }
@@ -601,27 +526,53 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_reaches_identical_verdicts() {
-        let feed = |m: &mut HealthMonitor, from: usize, to: usize| {
-            for i in from..to {
-                let at = 400.0 * (i + 1) as f64;
-                // Node 1 degrades late, so the verdict lands after the
-                // snapshot point.
-                let inflation = if i >= 24 && i % 2 == 1 { 4.2 } else { 1.01 };
-                m.record_task(i % 2, inflation, at);
-            }
+    fn a_clone_reaches_the_verdicts_of_the_original() {
+        let sample = |i: usize| {
+            // Node 1 degrades late, so the verdict lands after the
+            // clone is taken.
+            let inflation = if i >= 24 && i % 2 == 1 { 4.2 } else { 1.01 };
+            (i % 2, inflation, 400.0 * (i + 1) as f64)
         };
         let mut uninterrupted = monitor(2);
-        feed(&mut uninterrupted, 0, 48);
+        for (node, inflation, at) in (0..20).map(sample) {
+            uninterrupted.record_task(node, inflation, at);
+        }
+        let mut clone = uninterrupted.clone();
+        for (node, inflation, at) in (20..48).map(sample) {
+            uninterrupted.record_task(node, inflation, at);
+            clone.record_task(node, inflation, at);
+            assert_eq!(uninterrupted.drain_new(), clone.drain_new(), "at {at}");
+        }
+        assert_eq!(uninterrupted.verdicts(), clone.verdicts());
+        assert!(!clone.verdicts().is_empty(), "a verdict after the clone");
+    }
 
-        let mut first = monitor(2);
-        feed(&mut first, 0, 20);
-        let snap = first.snapshot();
-        let mut resumed = HealthMonitor::restore(snap, Registry::new());
-        feed(&mut resumed, 20, 48);
-
-        assert_eq!(uninterrupted.verdicts(), resumed.verdicts());
-        assert_eq!(uninterrupted.snapshot(), resumed.snapshot());
+    #[test]
+    fn a_clone_never_publishes_the_originals_buffered_samples() {
+        let counts = |clone: bool| {
+            let registry = Registry::new();
+            let mut m = HealthMonitor::new(1, HealthConfig::default(), 5, Arc::clone(&registry));
+            for i in 0..3 {
+                let at = 100.0 * f64::from(i + 1);
+                m.record_task(0, 1.25, at);
+                m.record_link(0, 1.5, at);
+            }
+            if clone {
+                drop(m.clone());
+            }
+            drop(m);
+            let window = |name: &str| registry.monitor(name).map(|w| w.count());
+            let histogram = |name: &str| registry.histogram(name).map(|h| h.count);
+            (
+                window("health.node0.inflation"),
+                window("health.node0.link"),
+                histogram("health.inflation"),
+                histogram("health.link_factor"),
+                registry.counter("health.samples"),
+            )
+        };
+        assert_eq!(counts(true), counts(false));
+        assert_eq!(counts(false), (Some(3), Some(3), Some(1), Some(1), 3));
     }
 
     #[test]

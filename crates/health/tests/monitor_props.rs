@@ -1,10 +1,12 @@
 //! `HealthMonitor` against the `DetectionNode`-backed monitor it
 //! replaced (`tests/reference/`): on random inflation, link and creep
 //! streams — mostly exact `1.0` samples, some an ulp off, some noisy,
-//! some convicting —
-//! with a `snapshot` → `restore` at a random point, both reach the same
-//! verdicts (time, node, kind and score, bit for bit), drain them at
-//! the same samples, and take the same snapshots.
+//! some convicting — both reach the same verdicts (time, node, kind
+//! and score, bit for bit) and drain them at the same samples. At a
+//! random point the crate's monitor is cloned and the reference is
+//! restored from its own snapshot; from there on the uninterrupted
+//! monitor, the clone and the restored reference drain the same
+//! verdicts after every sample.
 
 mod reference;
 
@@ -111,34 +113,28 @@ fn random_stream(rng: &mut Rng, nodes: usize) -> Vec<(f64, Feed)> {
     stream
 }
 
-/// Feeds the same sample to both monitors and compares what they
-/// drained.
-fn feed_both(
-    new: &mut HealthMonitor,
-    old: &mut reference::monitor::HealthMonitor,
-    at_us: f64,
-    feed: Feed,
-) {
-    match feed {
-        Feed::Task(node, value) => {
-            new.record_task(node, value, at_us);
-            old.record_task(node, value, at_us);
-        }
-        Feed::Link(node, value) => {
-            new.record_link(node, value, at_us);
-            old.record_link(node, value, at_us);
-        }
-        Feed::Fpga(node, value) => {
-            new.record_fpga(node, value, at_us);
-            old.record_fpga(node, value, at_us);
-        }
-    }
-    assert_eq!(
-        format!("{:?}", new.drain_new()),
-        format!("{:?}", old.drain_new()),
-        "drained verdicts after {feed:?} at {at_us}"
-    );
+/// Feeds one sample and renders the verdicts it drained.
+trait Fed {
+    fn feed(&mut self, at_us: f64, feed: Feed) -> String;
 }
+
+macro_rules! fed {
+    ($monitor:ty) => {
+        impl Fed for $monitor {
+            fn feed(&mut self, at_us: f64, feed: Feed) -> String {
+                match feed {
+                    Feed::Task(node, value) => self.record_task(node, value, at_us),
+                    Feed::Link(node, value) => self.record_link(node, value, at_us),
+                    Feed::Fpga(node, value) => self.record_fpga(node, value, at_us),
+                }
+                format!("{:?}", self.drain_new())
+            }
+        }
+    };
+}
+
+fed!(HealthMonitor);
+fed!(reference::monitor::HealthMonitor);
 
 #[test]
 fn monitor_matches_the_detection_node_reference_across_a_restore() {
@@ -154,18 +150,27 @@ fn monitor_matches_the_detection_node_reference_across_a_restore() {
         let mut new = HealthMonitor::new(nodes, cfg.clone(), seed, Registry::new());
         let mut old = reference::monitor::HealthMonitor::new(nodes, cfg, seed, Registry::new());
         for &(at_us, feed) in &stream[..cut] {
-            feed_both(&mut new, &mut old, at_us, feed);
+            let drained = new.feed(at_us, feed);
+            assert_eq!(
+                drained,
+                old.feed(at_us, feed),
+                "case {case}: {feed:?} at {at_us}"
+            );
         }
-        let (snap_new, snap_old) = (new.snapshot(), old.snapshot());
-        assert_eq!(
-            format!("{snap_new:?}"),
-            format!("{snap_old:?}"),
-            "case {case}: snapshot at {cut}"
-        );
-        let mut new = HealthMonitor::restore(snap_new, Registry::new());
-        let mut old = reference::monitor::HealthMonitor::restore(snap_old, Registry::new());
+        let mut clone = new.clone();
+        let mut old = reference::monitor::HealthMonitor::restore(old.snapshot(), Registry::new());
         for &(at_us, feed) in &stream[cut..] {
-            feed_both(&mut new, &mut old, at_us, feed);
+            let drained = new.feed(at_us, feed);
+            assert_eq!(
+                drained,
+                clone.feed(at_us, feed),
+                "case {case}: clone, {feed:?} at {at_us}"
+            );
+            assert_eq!(
+                drained,
+                old.feed(at_us, feed),
+                "case {case}: {feed:?} at {at_us}"
+            );
         }
         assert_eq!(
             format!("{:?}", new.verdicts()),
@@ -173,9 +178,9 @@ fn monitor_matches_the_detection_node_reference_across_a_restore() {
             "case {case}: verdicts"
         );
         assert_eq!(
-            format!("{:?}", new.snapshot()),
-            format!("{:?}", old.snapshot()),
-            "case {case}: final snapshot"
+            new.verdicts(),
+            clone.verdicts(),
+            "case {case}: clone verdicts"
         );
         convicting += usize::from(!new.verdicts().is_empty());
     }

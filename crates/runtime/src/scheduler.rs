@@ -22,7 +22,6 @@
 //! completed-task frontier so a campaign resumes from the last
 //! checkpoint instead of re-executing the whole lineage.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use everest_faults::{
@@ -30,7 +29,7 @@ use everest_faults::{
 };
 use everest_health::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, HealthConfig, HealthMonitor,
-    HealthVerdict, MonitorSnapshot,
+    HealthVerdict,
 };
 use everest_platform::xrt::DMA_TIMEOUT_PENALTY_US;
 use everest_telemetry::Registry;
@@ -78,7 +77,7 @@ pub struct ScheduleEntry {
 }
 
 /// Result of a simulated execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulationResult {
     /// Final placement per task.
     pub entries: Vec<ScheduleEntry>,
@@ -276,17 +275,16 @@ impl FaultModel {
     }
 }
 
-/// The full mutable state of one scheduling pass, as plain data. A
-/// fresh snapshot starts a pass; cloning one mid-pass *is* a campaign
-/// checkpoint; restoring one resumes the pass exactly where it stopped.
-/// Reset between fixpoint passes so every pass — and every replay with
-/// the same plan — is identical.
+/// The full mutable state of one scheduling pass, healing loop
+/// included. A fresh state starts a pass; a clone taken mid-pass *is* a
+/// campaign checkpoint, and a resume runs the pass on from a clone. Each
+/// lineage fixpoint pass starts fresh, so every pass — and every replay
+/// with the same plan — is identical.
 #[derive(Debug, Clone)]
 struct EngineSnapshot {
-    /// Which fixpoint pass this state belongs to.
-    pass_index: usize,
-    /// Tasks forced off failed nodes at this pass (sorted).
-    forced_rerun: Vec<TaskId>,
+    /// Per task: forced off the crashed nodes in this pass, because an
+    /// earlier pass stranded its output there (none in the first pass).
+    forced: Vec<bool>,
     // Recovery state.
     fired: Vec<bool>,
     rng: DetRng,
@@ -309,96 +307,48 @@ struct EngineSnapshot {
     /// Whether the current sweep has committed anything yet (deadlock
     /// detection must survive a mid-sweep resume).
     progressed: bool,
-    checkpoints_taken: usize,
-    /// Healing state at the snapshot (populated only when checkpointing
-    /// a self-healing run; `None` while a pass is live — the live state
-    /// sits in [`HealRuntime`]).
-    heal: Option<HealSnapshot>,
+    /// The closed loop, in self-healing runs.
+    heal: Option<HealState>,
 }
 
 impl EngineSnapshot {
-    fn fresh(
-        cluster: &Cluster,
-        graph_len: usize,
-        model: &FaultModel,
-        pass_index: usize,
-        forced_rerun: Vec<TaskId>,
-    ) -> EngineSnapshot {
-        let n_nodes = cluster.nodes.len();
-        EngineSnapshot {
-            pass_index,
-            forced_rerun,
-            fired: vec![false; model.transients.len()],
-            rng: model.jitter.clone(),
-            stats: RecoveryStats::default(),
-            node_faults: vec![0; n_nodes],
-            quarantined: vec![false; n_nodes],
-            core_free: cluster
-                .nodes
-                .iter()
-                .map(|n| vec![0.0; n.cores as usize])
-                .collect(),
-            fpga_free: vec![0.0; n_nodes],
-            finish: vec![None; graph_len],
-            location: vec![None; graph_len],
-            entries: Vec::with_capacity(graph_len),
-            node_busy: vec![0.0; n_nodes],
-            transfer_total: 0.0,
-            rr_next: 0,
-            sweep_pos: 0,
-            progressed: false,
-            checkpoints_taken: 0,
-            heal: None,
-        }
-    }
-
     /// Latest committed finish time, in µs (0 before any commit).
     fn frontier_us(&self) -> f64 {
         self.entries.iter().map(|e| e.finish_us).fold(0.0, f64::max)
     }
+
+    /// The finished pass as a result. Ambient faults (link flaps, VF
+    /// unplugs) and crashes count as injected once the simulated
+    /// horizon reaches them; gray faults never do, they raise no error
+    /// by construction.
+    fn into_result(mut self, model: &FaultModel) -> SimulationResult {
+        let makespan_us = self.frontier_us();
+        let reached = model
+            .ambient_at_us
+            .iter()
+            .chain(model.crashes.iter().map(|c| &c.at_us));
+        self.stats.faults_injected += reached.filter(|&&at| at <= makespan_us).count();
+        self.stats.recovered = (0..self.forced.len()).filter(|&t| self.forced[t]).collect();
+        SimulationResult {
+            entries: self.entries,
+            makespan_us,
+            transfer_us: self.transfer_total,
+            recovered_tasks: self.stats.recovered.len(),
+            node_busy_us: self.node_busy,
+            recovery: self.stats,
+            // Dropping the monitor publishes what its handles buffer.
+            heal: self.heal.map(|h| h.stats).unwrap_or_default(),
+        }
+    }
 }
 
-/// Plain-data healing state stored inside a checkpoint.
+/// The control side of the loop: the monitor, the per-node breakers and
+/// the action accounting.
 #[derive(Debug, Clone)]
-struct HealSnapshot {
-    monitor: MonitorSnapshot,
-    breakers: Vec<CircuitBreaker>,
-    stats: HealStats,
-}
-
-/// The live control side of the loop during one pass: the monitor, the
-/// per-node breakers and the action accounting.
-#[derive(Debug)]
-struct HealRuntime {
+struct HealState {
     monitor: HealthMonitor,
     breakers: Vec<CircuitBreaker>,
     stats: HealStats,
-}
-
-impl HealRuntime {
-    fn new(policy: &HealPolicy, nodes: usize, seed: u64, registry: Arc<Registry>) -> HealRuntime {
-        HealRuntime {
-            monitor: HealthMonitor::new(nodes, policy.health.clone(), seed, registry),
-            breakers: vec![CircuitBreaker::new(policy.breaker); nodes],
-            stats: HealStats::default(),
-        }
-    }
-
-    fn restore(snap: HealSnapshot, registry: Arc<Registry>) -> HealRuntime {
-        HealRuntime {
-            monitor: HealthMonitor::restore(snap.monitor, registry),
-            breakers: snap.breakers,
-            stats: snap.stats,
-        }
-    }
-
-    fn snapshot(&self) -> HealSnapshot {
-        HealSnapshot {
-            monitor: self.monitor.snapshot(),
-            breakers: self.breakers.clone(),
-            stats: self.stats.clone(),
-        }
-    }
 }
 
 /// One placement option for a ready task: the planner's gray-blind
@@ -418,6 +368,20 @@ struct Cand {
     transfer_us: f64,
     /// Observed-over-planned transfer ratio (1.0 when no transfers).
     link_obs: f64,
+}
+
+/// The first of `cands` with the least estimated end among those
+/// `admit` lets through: the first wins ties, matching candidate order.
+fn first_min(cands: &[Cand], admit: impl Fn(&Cand) -> bool) -> Option<usize> {
+    (0..cands.len())
+        .filter(|&i| admit(&cands[i]))
+        .reduce(|best, i| {
+            if cands[i].est_end_us < cands[best].est_end_us {
+                i
+            } else {
+                best
+            }
+        })
 }
 
 /// The scheduler.
@@ -472,7 +436,7 @@ impl Scheduler {
         plan: &FaultPlan,
         config: &RecoveryConfig,
     ) -> SimulationResult {
-        self.run_traced(graph, plan, config, None).result
+        self.run_traced(graph, plan, config, None, None).result
     }
 
     /// Runs a seeded campaign with the closed detection → verdict →
@@ -495,18 +459,20 @@ impl Scheduler {
         config: &RecoveryConfig,
         policy: &HealPolicy,
     ) -> HealedOutcome {
-        self.run_traced(graph, plan, config, Some(policy))
+        self.run_traced(graph, plan, config, Some(policy), None)
     }
 
-    /// The one traced entry behind `run_with_plan` and
-    /// `run_self_healing` (`policy` is `Some`): the `scheduler.run`
-    /// span, the simulation, and the epilogue counters.
+    /// The one traced entry behind `run_with_plan`, `run_self_healing`
+    /// (`policy` is `Some`) and `resume_self_healing` (`resume` is
+    /// `Some` too): the `scheduler.run` span, the simulation, and every
+    /// `scheduler.*` counter, published once from the returned result.
     fn run_traced(
         &self,
         graph: &TaskGraph,
         plan: &FaultPlan,
         config: &RecoveryConfig,
         policy: Option<&HealPolicy>,
+        resume: Option<&CampaignCheckpoint>,
     ) -> HealedOutcome {
         let span = self.telemetry.span("scheduler.run");
         span.arg("policy", format!("{:?}", self.policy))
@@ -517,7 +483,10 @@ impl Scheduler {
             None => span.arg("failure_injected", !plan.is_empty()),
         };
         span.arg("faults", plan.len());
-        let (result, checkpoints) = self.simulate_core(graph, plan, config, policy, None);
+        if let Some(from) = resume {
+            span.arg("resumed_from", from.completed_tasks);
+        }
+        let (result, checkpoints) = self.simulate_core(graph, plan, config, policy, resume);
         match policy {
             Some(_) => span
                 .arg("verdicts", result.heal.verdicts.len())
@@ -525,11 +494,21 @@ impl Scheduler {
             None => span.arg("recovered", result.recovered_tasks),
         };
         span.record_sim_us(result.makespan_us);
-        let count = |name, n: usize| self.telemetry.counter_add(name, n as u64);
-        count("scheduler.tasks_scheduled", result.entries.len());
-        if policy.is_none() {
-            count("scheduler.recovered_tasks", result.recovered_tasks);
-            count("scheduler.degraded_tasks", result.recovery.degraded_to_cpu);
+        let (recovery, heal) = (&result.recovery, &result.heal);
+        for (name, n) in [
+            ("scheduler.tasks_scheduled", result.entries.len()),
+            ("scheduler.recovered_tasks", result.recovered_tasks),
+            ("scheduler.degraded_tasks", recovery.degraded_to_cpu),
+            ("scheduler.retries", recovery.retries),
+            (
+                "scheduler.quarantined_nodes",
+                recovery.quarantined_nodes.len(),
+            ),
+            ("scheduler.breaker_opens", heal.breaker_opens),
+            ("scheduler.migrations", heal.migrations),
+            ("scheduler.checkpoints", heal.checkpoints_taken),
+        ] {
+            self.telemetry.counter_add(name, n as u64);
         }
         HealedOutcome {
             result,
@@ -558,8 +537,50 @@ impl Scheduler {
             from.seed, plan.seed,
             "checkpoint taken under a different plan seed"
         );
-        self.simulate_core(graph, plan, config, Some(policy), Some(from))
-            .0
+        self.run_traced(graph, plan, config, Some(policy), Some(from))
+            .result
+    }
+
+    /// A fresh state for the fixpoint pass that runs `forced` off the
+    /// crashed nodes, the healing loop seeded from the plan when
+    /// `policy` is set.
+    fn fresh_pass(
+        &self,
+        model: &FaultModel,
+        policy: Option<&HealPolicy>,
+        forced: Vec<bool>,
+    ) -> EngineSnapshot {
+        let (n_nodes, graph_len) = (self.cluster.nodes.len(), forced.len());
+        EngineSnapshot {
+            forced,
+            fired: vec![false; model.transients.len()],
+            rng: model.jitter.clone(),
+            stats: RecoveryStats::default(),
+            node_faults: vec![0; n_nodes],
+            quarantined: vec![false; n_nodes],
+            core_free: (self.cluster.nodes.iter())
+                .map(|n| vec![0.0; n.cores as usize])
+                .collect(),
+            fpga_free: vec![0.0; n_nodes],
+            finish: vec![None; graph_len],
+            location: vec![None; graph_len],
+            entries: Vec::with_capacity(graph_len),
+            node_busy: vec![0.0; n_nodes],
+            transfer_total: 0.0,
+            rr_next: 0,
+            sweep_pos: 0,
+            progressed: false,
+            heal: policy.map(|p| HealState {
+                monitor: HealthMonitor::new(
+                    n_nodes,
+                    p.health.clone(),
+                    model.seed,
+                    Arc::clone(&self.telemetry),
+                ),
+                breakers: vec![CircuitBreaker::new(p.breaker); n_nodes],
+                stats: HealStats::default(),
+            }),
+        }
     }
 
     /// The shared simulation core: the crash-recovery fixpoint around
@@ -576,83 +597,49 @@ impl Scheduler {
         resume: Option<&CampaignCheckpoint>,
     ) -> (SimulationResult, Vec<CampaignCheckpoint>) {
         let model = FaultModel::from_plan(plan, self.cluster.nodes.len());
-        let finish = |mut result: SimulationResult, forced: &HashSet<TaskId>| {
-            result.recovered_tasks = forced.len();
-            let mut recovered: Vec<TaskId> = forced.iter().copied().collect();
-            recovered.sort_unstable();
-            result.recovery.recovered = recovered;
-            result
+        let mut pass = match resume {
+            Some(from) => (*from.state).clone(),
+            None => self.fresh_pass(&model, policy, vec![false; graph.len()]),
         };
-        let mut checkpoints: Vec<CampaignCheckpoint> = Vec::new();
-        let mut forced_rerun: HashSet<TaskId> = resume
-            .map(|c| c.state.forced_rerun.iter().copied().collect())
-            .unwrap_or_default();
-        let mut pass_index = resume.map(|c| c.state.pass_index).unwrap_or(0);
-        let mut restored: Option<EngineSnapshot> = resume.map(|c| (*c.state).clone());
-        // Iterate passes until no task consumes stranded data.
+        let mut checkpoints = Vec::new();
+        // Iterate passes until no task consumes stranded data. The
+        // forced set only grows, so this ends within `graph.len()`
+        // passes.
         loop {
-            let snap = restored.take().unwrap_or_else(|| {
-                let mut forced: Vec<TaskId> = forced_rerun.iter().copied().collect();
-                forced.sort_unstable();
-                EngineSnapshot::fresh(&self.cluster, graph.len(), &model, pass_index, forced)
-            });
             // Only checkpoints of the pass that produced the final
             // result are returned (earlier fixpoint passes are drafts).
             checkpoints.clear();
-            let result = self.run_pass(graph, &model, config, policy, snap, &mut checkpoints);
-            if model.crashes.is_empty() {
-                return (result, checkpoints);
-            }
-            if pass_index > graph.len() {
-                // Fall back: everything re-ran off the dead nodes.
-                return (finish(result, &forced_rerun), checkpoints);
-            }
-            // Find deps whose data is stranded on a dead node but whose
-            // consumer starts after that node's failure.
-            let mut new_forced = forced_rerun.clone();
-            let location: HashMap<TaskId, (usize, f64)> = result
-                .entries
-                .iter()
-                .map(|e| (e.task, (e.node, e.finish_us)))
-                .collect();
-            for entry in &result.entries {
+            self.run_pass(graph, &model, policy, config, &mut pass, &mut checkpoints);
+            // Force off the dead nodes every dep whose data is stranded
+            // on one and whose consumer starts after that node's failure.
+            let mut forced = pass.forced.clone();
+            for entry in &pass.entries {
                 for &dep in &graph.task(entry.task).deps {
-                    let (dep_node, _) = location[&dep];
-                    for c in &model.crashes {
-                        if dep_node == c.node && entry.start_us > c.at_us {
-                            new_forced.insert(dep);
-                        }
-                    }
+                    let stranded = |c: &FaultSpec| {
+                        pass.location[dep] == Some(c.node) && entry.start_us > c.at_us
+                    };
+                    forced[dep] |= model.crashes.iter().any(stranded);
                 }
             }
-            if new_forced.len() == forced_rerun.len() {
-                return (finish(result, &forced_rerun), checkpoints);
+            if forced == pass.forced {
+                return (pass.into_result(&model), checkpoints);
             }
-            forced_rerun = new_forced;
-            pass_index += 1;
+            pass = self.fresh_pass(&model, policy, forced);
         }
     }
 
-    /// Runs (or resumes) one scheduling pass over `snap`, optionally
-    /// with the healing loop live and its periodic checkpoints appended
-    /// to `checkpoints`.
+    /// Runs (or resumes) one scheduling pass over `snap` to completion,
+    /// with the healing loop live when the state carries one and its
+    /// periodic checkpoints appended to `checkpoints`.
     fn run_pass(
         &self,
         graph: &TaskGraph,
         model: &FaultModel,
-        config: &RecoveryConfig,
         policy: Option<&HealPolicy>,
-        mut snap: EngineSnapshot,
+        config: &RecoveryConfig,
+        snap: &mut EngineSnapshot,
         checkpoints: &mut Vec<CampaignCheckpoint>,
-    ) -> SimulationResult {
-        let n_nodes = self.cluster.nodes.len();
-        let forced_off_failed: HashSet<TaskId> = snap.forced_rerun.iter().copied().collect();
-        // The live control loop: restored from the snapshot when
-        // resuming, fresh (seeded) otherwise.
-        let mut healer: Option<HealRuntime> = policy.map(|p| match snap.heal.take() {
-            Some(hs) => HealRuntime::restore(hs, Arc::clone(&self.telemetry)),
-            None => HealRuntime::new(p, n_nodes, model.seed, Arc::clone(&self.telemetry)),
-        });
+    ) {
         let every = policy.map_or(0, |p| p.checkpoint_every_tasks);
         let mut next_mark = (every > 0).then(|| (snap.entries.len() / every + 1) * every);
 
@@ -680,10 +667,12 @@ impl Scheduler {
                     break;
                 }
                 // Commit boundary: a consistent frontier, so this is
-                // where campaign checkpoints are cut.
+                // where campaign checkpoints are cut (only healing runs
+                // have a cadence, so only they get here).
                 if next_mark.is_some_and(|mark| snap.entries.len() >= mark) {
-                    snap.checkpoints_taken += 1;
-                    self.telemetry.counter_add("scheduler.checkpoints", 1);
+                    if let Some(h) = &mut snap.heal {
+                        h.stats.checkpoints_taken += 1;
+                    }
                     self.telemetry.event(
                         "scheduler.checkpoint",
                         format!(
@@ -692,12 +681,10 @@ impl Scheduler {
                             snap.frontier_us()
                         ),
                     );
-                    let mut state = snap.clone();
-                    state.heal = healer.as_ref().map(HealRuntime::snapshot);
                     checkpoints.push(CampaignCheckpoint {
                         seed: model.seed,
-                        completed_tasks: state.entries.len(),
-                        state: Box::new(state),
+                        completed_tasks: snap.entries.len(),
+                        state: Box::new(snap.clone()),
                     });
                     next_mark = Some((snap.entries.len() / every + 1) * every);
                 }
@@ -710,7 +697,7 @@ impl Scheduler {
                 if !spec.deps.iter().all(|&d| snap.finish[d].is_some()) {
                     continue;
                 }
-                let candidates = self.candidates(graph, t, &snap, model, &forced_off_failed);
+                let candidates = self.candidates(graph, t, snap, model);
                 if let (Policy::RoundRobin, Some(&node)) = (self.policy, candidates.first()) {
                     snap.rr_next = node + 1;
                 }
@@ -720,7 +707,7 @@ impl Scheduler {
                 // committed.
                 let cands: Vec<Cand> = candidates
                     .into_iter()
-                    .map(|node| self.price(graph, t, node, &snap, &model.effects))
+                    .map(|node| self.price(graph, t, node, snap, &model.effects))
                     // Respect the failures: cannot finish after death on
                     // a dead node.
                     .filter(|cand| {
@@ -730,65 +717,44 @@ impl Scheduler {
                             .any(|c| cand.node == c.node && cand.start_us + cand.dur_us > c.at_us)
                     })
                     .collect();
-                if cands.is_empty() {
+                let Some(global) = first_min(&cands, |_| true) else {
                     continue; // try other tasks; maybe later (shouldn't happen)
-                }
-                // First-minimum wins ties, matching candidate order.
-                let best_of = |idxs: &[usize]| -> usize {
-                    let mut best = idxs[0];
-                    for &i in &idxs[1..] {
-                        if cands[i].est_end_us < cands[best].est_end_us {
-                            best = i;
-                        }
-                    }
-                    best
                 };
-                let all: Vec<usize> = (0..cands.len()).collect();
-                let global = best_of(&all);
                 // Breakers veto the planner (HEFT only): the task goes
                 // to the best-estimated node the breakers admit, probes
                 // half-open nodes, and falls back to the raw best when
                 // every candidate is refused (never deadlock).
-                let (chosen, is_probe) =
-                    match healer.as_mut().filter(|_| self.policy == Policy::Heft) {
-                        Some(h) => {
-                            let admitted: Vec<usize> = (0..cands.len())
-                                .filter(|&i| {
-                                    h.breakers[cands[i].node].peek(cands[i].start_us)
-                                        != Admission::Refuse
-                                })
-                                .collect();
-                            if admitted.is_empty() {
-                                (global, false)
-                            } else {
-                                let pick = best_of(&admitted);
-                                if pick != global {
-                                    h.stats.migrations += 1;
-                                    self.telemetry.counter_add("scheduler.migrations", 1);
-                                    self.telemetry.event(
-                                        "scheduler.migrate",
-                                        format!(
-                                            "task={} from_node={} to_node={}",
-                                            spec.name, cands[global].node, cands[pick].node
-                                        ),
-                                    );
-                                }
-                                let probing = h.breakers[cands[pick].node]
-                                    .peek(cands[pick].start_us)
-                                    == Admission::Probe;
-                                if probing {
-                                    h.breakers[cands[pick].node].admit(cands[pick].start_us);
-                                    h.stats.probes += 1;
-                                    self.telemetry.event(
-                                        "scheduler.breaker_probe",
-                                        format!("task={} node={}", spec.name, cands[pick].node),
-                                    );
-                                }
-                                (pick, probing)
-                            }
+                let admitted = (snap.heal.as_mut())
+                    .filter(|_| self.policy == Policy::Heft)
+                    .and_then(|h| {
+                        let admits = |c: &Cand| h.breakers[c.node].peek(c.start_us);
+                        let pick = first_min(&cands, |c| admits(c) != Admission::Refuse)?;
+                        Some((pick, admits(&cands[pick]) == Admission::Probe, h))
+                    });
+                let (chosen, is_probe) = match admitted {
+                    Some((pick, probing, h)) => {
+                        if pick != global {
+                            h.stats.migrations += 1;
+                            self.telemetry.event(
+                                "scheduler.migrate",
+                                format!(
+                                    "task={} from_node={} to_node={}",
+                                    spec.name, cands[global].node, cands[pick].node
+                                ),
+                            );
                         }
-                        None => (global, false),
-                    };
+                        if probing {
+                            h.breakers[cands[pick].node].admit(cands[pick].start_us);
+                            h.stats.probes += 1;
+                            self.telemetry.event(
+                                "scheduler.breaker_probe",
+                                format!("task={} node={}", spec.name, cands[pick].node),
+                            );
+                        }
+                        (pick, probing)
+                    }
+                    None => (global, false),
+                };
                 let c = cands[chosen];
                 let node = c.node;
                 let start = c.start_us;
@@ -810,7 +776,7 @@ impl Scheduler {
                     c.on_fpga,
                     model,
                     config,
-                    &mut snap,
+                    snap,
                     gray_scale,
                 );
                 // Commit resources.
@@ -847,7 +813,7 @@ impl Scheduler {
                 snap.progressed = true;
                 // Feed the committed placement into the health monitor
                 // and let its verdicts drive the breakers.
-                if let Some(h) = &mut healer {
+                if let Some(h) = &mut snap.heal {
                     let expected = spec.healthy_us(on_fpga);
                     let inflation = if expected > 0.0 {
                         (end - start) / expected
@@ -872,7 +838,6 @@ impl Scheduler {
                             h.breakers[node].probe_failed(end);
                             h.stats.probe_failures += 1;
                             h.stats.breaker_opens += 1;
-                            self.telemetry.counter_add("scheduler.breaker_opens", 1);
                             self.telemetry.event(
                                 "scheduler.breaker_open",
                                 format!("node={node} cause=probe_failed inflation={inflation:.3}"),
@@ -885,7 +850,6 @@ impl Scheduler {
                         if h.breakers[v.node].state() == BreakerState::Closed {
                             h.breakers[v.node].trip(v.at_us);
                             h.stats.breaker_opens += 1;
-                            self.telemetry.counter_add("scheduler.breaker_opens", 1);
                             self.telemetry
                                 .event("scheduler.breaker_open", format!("cause={}", v.describe()));
                         }
@@ -898,32 +862,6 @@ impl Scheduler {
                 "scheduler deadlock: no task could be placed"
             );
             snap.sweep_pos = 0;
-        }
-        let makespan = snap.frontier_us();
-        // Ambient faults (link flaps, VF unplugs) and crashes count as
-        // injected once the simulated horizon reaches them. Gray faults
-        // never do: they raise no error by construction.
-        snap.stats.faults_injected += model
-            .ambient_at_us
-            .iter()
-            .filter(|&&at| at <= makespan)
-            .count();
-        snap.stats.faults_injected += model.crashes.iter().filter(|c| c.at_us <= makespan).count();
-        let mut heal = healer
-            .map(|mut h| {
-                h.monitor.flush();
-                h.stats
-            })
-            .unwrap_or_default();
-        heal.checkpoints_taken = snap.checkpoints_taken;
-        SimulationResult {
-            entries: snap.entries,
-            makespan_us: makespan,
-            transfer_us: snap.transfer_total,
-            recovered_tasks: 0,
-            node_busy_us: snap.node_busy,
-            recovery: snap.stats,
-            heal,
         }
     }
 
@@ -996,7 +934,6 @@ impl Scheduler {
                         attempts += 1;
                         pass.stats.retries += 1;
                         pass.stats.backoff_us_total += backoff;
-                        self.telemetry.counter_add("scheduler.retries", 1);
                         self.telemetry
                             .histogram_record("scheduler.backoff_us", backoff);
                         self.telemetry.event(
@@ -1049,7 +986,6 @@ impl Scheduler {
         {
             pass.quarantined[node] = true;
             pass.stats.quarantined_nodes.push(node);
-            self.telemetry.counter_add("scheduler.quarantined_nodes", 1);
             self.telemetry.event(
                 "scheduler.quarantine",
                 format!("node={node} faults={}", pass.node_faults[node]),
@@ -1070,10 +1006,9 @@ impl Scheduler {
         task: TaskId,
         snap: &EngineSnapshot,
         model: &FaultModel,
-        forced_off_failed: &HashSet<TaskId>,
     ) -> Vec<usize> {
         let spec = graph.task(task);
-        let forced = forced_off_failed.contains(&task);
+        let forced = snap.forced[task];
         let n_nodes = self.cluster.nodes.len();
         let first = match self.policy {
             Policy::RoundRobin => snap.rr_next % n_nodes,
@@ -1189,6 +1124,8 @@ impl Scheduler {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::task::TaskSpec;
     use everest_health::VerdictKind;
@@ -1339,9 +1276,7 @@ mod tests {
         let plan = FaultPlan::random_campaign(42, 3, 10_000.0, 6);
         let a = s.run_with_plan(&g, &plan, &RecoveryConfig::default());
         let b = s.run_with_plan(&g, &plan, &RecoveryConfig::default());
-        assert_eq!(a.entries, b.entries);
-        assert_eq!(a.makespan_us, b.makespan_us);
-        assert_eq!(a.recovery, b.recovery);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1626,10 +1561,7 @@ mod tests {
         let config = RecoveryConfig::default();
         let a = s.run_self_healing(&g, &plan, &config, &heal_policy());
         let b = s.run_self_healing(&g, &plan, &config, &heal_policy());
-        assert_eq!(a.result.entries, b.result.entries);
-        assert_eq!(a.result.makespan_us, b.result.makespan_us);
-        assert_eq!(a.result.recovery, b.result.recovery);
-        assert_eq!(a.result.heal, b.result.heal);
+        assert_eq!(a.result, b.result);
         assert_eq!(a.checkpoints.len(), b.checkpoints.len());
     }
 
@@ -1648,11 +1580,8 @@ mod tests {
         );
         for ckpt in &full.checkpoints {
             let resumed = s.resume_self_healing(&g, &plan, &config, &policy, ckpt);
-            assert_eq!(resumed.entries, full.result.entries);
-            assert_eq!(resumed.makespan_us, full.result.makespan_us);
-            assert_eq!(resumed.recovery, full.result.recovery);
             assert_eq!(
-                resumed.heal, full.result.heal,
+                resumed, full.result,
                 "resume from completed={} must match",
                 ckpt.completed_tasks
             );
@@ -1684,13 +1613,11 @@ mod tests {
             assert!(full
                 .checkpoints
                 .iter()
-                .all(|c| (c.state.pass_index > 0) == strands));
+                .all(|c| c.state.forced.contains(&true) == strands));
             for ckpt in &full.checkpoints {
                 let resumed = s.resume_self_healing(&g, &plan, &config, &policy, ckpt);
-                assert_eq!(resumed.entries, full.result.entries);
-                assert_eq!(resumed.recovery, full.result.recovery);
                 assert_eq!(
-                    resumed.heal, full.result.heal,
+                    resumed, full.result,
                     "resume from completed={} must match",
                     ckpt.completed_tasks
                 );
