@@ -7,7 +7,6 @@
 //!
 //! * [`types`] — knobs, configurations, operating points with feature
 //!   regions, constraints and objectives;
-//! * [`monitor`] — sliding-window metric monitors;
 //! * [`tuner`] — constraint-aware selection with EMA-based online
 //!   correction of design-time expectations (the adaptation mechanism
 //!   behind experiment E9).
@@ -41,11 +40,9 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod monitor;
 pub mod tuner;
 pub mod types;
 
-pub use monitor::Monitor;
 pub use tuner::{Autotuner, TuneError, TunerSlot};
 pub use types::{
     config, Configuration, Constraint, Direction, Features, KnobValue, Objective, OperatingPoint,

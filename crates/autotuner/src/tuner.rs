@@ -14,9 +14,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use everest_telemetry::{CounterHandle, MonitorHandle, Registry};
+use everest_telemetry::{CounterHandle, Monitor, MonitorHandle, Registry};
 
-use crate::monitor::Monitor;
 use crate::types::{Configuration, Constraint, Direction, Features, Objective, OperatingPoint};
 
 /// Errors from the tuner.

@@ -9,10 +9,7 @@
 use crate::{rule, Report};
 use everest_runtime::{FaultKind, FaultPlan, FaultSpec};
 use everest_sdk::serve::{run_serve, ServeOptions};
-use everest_serve::{
-    BatchPolicy, BrownoutConfig, HedgeConfig, KernelClass, LifecycleConfig, LimiterConfig,
-    RetryConfig, ServeConfig, ServeEngine,
-};
+use everest_serve::{BatchPolicy, KernelClass, LifecycleConfig, ServeConfig, ServeEngine};
 
 /// A storm of transient kernel errors landing while batches are in
 /// flight: the retryable fault class.
@@ -55,7 +52,7 @@ pub(crate) fn series(r: &mut Report) {
         .run();
     let retried = ServeEngine::new(ServeConfig {
         lifecycle: LifecycleConfig {
-            retry: Some(RetryConfig::default()),
+            retry: true,
             ..LifecycleConfig::default()
         },
         ..lifecycle_base()
@@ -119,7 +116,7 @@ pub(crate) fn series(r: &mut Report) {
     let unhedged = ServeEngine::new(hedge_base()).with_plan(slow_node()).run();
     let hedged = ServeEngine::new(ServeConfig {
         lifecycle: LifecycleConfig {
-            hedge: Some(HedgeConfig::default()),
+            hedge: true,
             ..LifecycleConfig::default()
         },
         ..hedge_base()
@@ -159,7 +156,7 @@ pub(crate) fn series(r: &mut Report) {
         offered_rps: 30_000.0,
         horizon_us: 80_000.0,
         lifecycle: LifecycleConfig {
-            limiter: Some(LimiterConfig::default()),
+            limiter: true,
             ..LifecycleConfig::default()
         },
         ..ServeConfig::default()
@@ -195,7 +192,7 @@ pub(crate) fn series(r: &mut Report) {
     }
     let browned = ServeEngine::new(ServeConfig {
         lifecycle: LifecycleConfig {
-            brownout: Some(BrownoutConfig::default()),
+            brownout: true,
             ..LifecycleConfig::default()
         },
         ..lifecycle_base()

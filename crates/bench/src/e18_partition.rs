@@ -17,7 +17,7 @@ fn partition_base(seed: u64) -> ServeConfig {
         seed,
         offered_rps: 6_000.0,
         horizon_us: 60_000.0,
-        cluster: Some(ClusterConfig::default()),
+        cluster: Some(ClusterConfig),
         ..ServeConfig::default()
     }
 }

@@ -3,9 +3,9 @@
 //! Every shard is owned under a time-bounded lease. Renewal happens
 //! once per cluster tick, but only while the coordinator holds the
 //! owner fully `Alive` *and* a quorum exists — suspicion or quorum
-//! loss starves the lease, and a starved lease lapses `ttl_us` after
-//! its last renewal. A lapsed lease whose shard can be re-placed (a
-//! quorum exists, or the degraded-mode escape hatch is open) fails
+//! loss starves the lease, and a starved lease lapses `LEASE_TTL_US`
+//! after its last renewal. A lapsed lease whose shard can be re-placed
+//! (a quorum exists, or the degraded-mode escape hatch is open) fails
 //! over: the global fencing epoch is bumped and the shard moves to the
 //! consistent-hash pick among the live nodes — minimal movement, since
 //! only the lapsed shard is touched. The epoch is stamped on every
@@ -15,18 +15,8 @@
 
 use crate::placement::HashRing;
 
-/// Lease timing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeaseConfig {
-    /// How long a grant lasts without renewal, in virtual µs.
-    pub ttl_us: f64,
-}
-
-impl Default for LeaseConfig {
-    fn default() -> LeaseConfig {
-        LeaseConfig { ttl_us: 2_500.0 }
-    }
-}
+/// How long a grant lasts without renewal, in virtual µs.
+const LEASE_TTL_US: f64 = 2_500.0;
 
 /// One shard's current grant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +58,6 @@ pub struct LeaseStats {
 /// The lease table for a fixed shard count.
 #[derive(Debug, Clone)]
 pub(crate) struct LeaseTable {
-    cfg: LeaseConfig,
     leases: Vec<ShardLease>,
     fencing_epoch: u64,
     /// Counters.
@@ -78,16 +67,15 @@ pub(crate) struct LeaseTable {
 impl LeaseTable {
     /// Grants every shard its initial lease from `ring` (the full
     /// healthy membership) at epoch 0, expiring one TTL out.
-    pub(crate) fn new(cfg: LeaseConfig, shards: u32, ring: &HashRing) -> LeaseTable {
+    pub(crate) fn new(shards: u32, ring: &HashRing) -> LeaseTable {
         let leases = (0..shards)
             .map(|shard| ShardLease {
                 owner: ring.place(shard_key(shard)).unwrap_or(0) as usize,
                 epoch: 0,
-                expires_us: cfg.ttl_us,
+                expires_us: LEASE_TTL_US,
             })
             .collect();
         LeaseTable {
-            cfg,
             leases,
             fencing_epoch: 0,
             stats: LeaseStats::default(),
@@ -131,7 +119,7 @@ impl LeaseTable {
                     lease.epoch = self.fencing_epoch;
                     self.stats.degraded_grants += 1;
                 }
-                lease.expires_us = now_us + self.cfg.ttl_us;
+                lease.expires_us = now_us + LEASE_TTL_US;
                 self.stats.renewals += 1;
                 continue;
             }
@@ -160,7 +148,7 @@ impl LeaseTable {
             *lease = ShardLease {
                 owner: to,
                 epoch: self.fencing_epoch,
-                expires_us: now_us + self.cfg.ttl_us,
+                expires_us: now_us + LEASE_TTL_US,
             };
         }
         moved
@@ -183,7 +171,7 @@ mod tests {
     #[test]
     fn renewal_keeps_owners_and_epoch_stable() {
         let ring = full_ring(4);
-        let mut table = LeaseTable::new(LeaseConfig::default(), 16, &ring);
+        let mut table = LeaseTable::new(16, &ring);
         let owners: Vec<usize> = (0..16)
             .map(|s| table.owner(s, 0.0).expect("granted").0)
             .collect();
@@ -202,7 +190,7 @@ mod tests {
 
     #[test]
     fn starved_lease_lapses_then_fails_over_with_epoch_bump() {
-        let mut table = LeaseTable::new(LeaseConfig::default(), 16, &full_ring(4));
+        let mut table = LeaseTable::new(16, &full_ring(4));
         let dead_owner = table.owner(0, 0.0).expect("granted").0;
         let alive: Vec<usize> = (0..4).filter(|n| *n != dead_owner).collect();
         let mut ring = full_ring(4);
@@ -236,7 +224,7 @@ mod tests {
     #[test]
     fn no_quorum_starves_until_degraded_mode_opens() {
         let ring = full_ring(4);
-        let mut table = LeaseTable::new(LeaseConfig::default(), 8, &ring);
+        let mut table = LeaseTable::new(8, &ring);
         let alive = [0usize, 1];
         // 2 of 4 is no quorum: nothing renews, everything lapses.
         let moved = table.tick(1_000.0, &alive, false, false, &ring);

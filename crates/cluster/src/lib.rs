@@ -27,9 +27,12 @@
 //! The CP stance: while no strict majority component exists, leases
 //! starve and requests shed with a typed reason rather than risk
 //! split-brain. Liveness is still guaranteed by a bounded escape
-//! hatch — after `no_quorum_grace_us` without quorum, the largest
+//! hatch — after `NO_QUORUM_GRACE_US` without quorum, the largest
 //! surviving component proceeds in *degraded* mode (counted, flagged
 //! in traces). The full protocol is documented in `docs/RESILIENCE.md`.
+//!
+//! The layer has no settings: its cadence, timeouts, lease TTL and ring
+//! sizes are named constants beside the code that reads them.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -38,8 +41,8 @@ pub mod membership;
 pub mod net;
 pub(crate) mod placement;
 
-pub use lease::{Failover, LeaseConfig, LeaseStats};
-pub use membership::{MembershipConfig, SwimStats};
+pub use lease::{Failover, LeaseStats};
+pub use membership::{SwimStats, GOSSIP_PERIOD_US};
 pub use placement::HashRing;
 
 use everest_faults::FaultPlan;
@@ -47,33 +50,15 @@ use lease::LeaseTable;
 use membership::{MemberState, SwimDetector};
 use net::NetModel;
 
-/// Everything the membership/failover layer needs to run one campaign.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterConfig {
-    /// Number of ownership shards tenants hash onto.
-    pub shards: u32,
-    /// Virtual points per member on both rings.
-    pub vnodes: u32,
-    /// Gossip cadence and timeouts.
-    pub membership: MembershipConfig,
-    /// Lease TTL.
-    pub lease: LeaseConfig,
-    /// How long total quorum loss is tolerated before the largest
-    /// component proceeds in degraded mode.
-    pub no_quorum_grace_us: f64,
-}
+/// Ownership shards tenants hash onto.
+const SHARDS: u32 = 16;
 
-impl Default for ClusterConfig {
-    fn default() -> ClusterConfig {
-        ClusterConfig {
-            shards: 16,
-            vnodes: 64,
-            membership: MembershipConfig::default(),
-            lease: LeaseConfig::default(),
-            no_quorum_grace_us: 25_000.0,
-        }
-    }
-}
+/// Virtual points per member on both rings.
+const VNODES: u32 = 64;
+
+/// How long total quorum loss is tolerated, in virtual µs, before the
+/// largest component proceeds in degraded mode.
+const NO_QUORUM_GRACE_US: f64 = 25_000.0;
 
 /// What one cluster tick decided.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -93,7 +78,6 @@ pub struct ClusterTick {
 /// The per-campaign composition: detector + rings + leases.
 #[derive(Debug, Clone)]
 pub struct ClusterController {
-    cfg: ClusterConfig,
     nodes: usize,
     net: NetModel,
     swim: SwimDetector,
@@ -112,27 +96,21 @@ pub struct ClusterController {
 impl ClusterController {
     /// Builds the layer for `nodes` nodes against `plan`'s network
     /// windows, every shard initially placed over the full membership.
-    pub fn new(cfg: ClusterConfig, nodes: usize, plan: &FaultPlan) -> ClusterController {
-        let node_ring = HashRing::with_members(cfg.vnodes, 0..nodes as u32);
+    pub fn new(nodes: usize, plan: &FaultPlan) -> ClusterController {
+        let node_ring = HashRing::with_members(VNODES, 0..nodes as u32);
         ClusterController {
             net: NetModel::from_plan(plan),
-            swim: SwimDetector::new(cfg.membership, nodes, plan.seed),
-            tenant_ring: HashRing::with_members(cfg.vnodes, 0..cfg.shards),
-            leases: LeaseTable::new(cfg.lease, cfg.shards, &node_ring),
+            swim: SwimDetector::new(nodes, plan.seed),
+            tenant_ring: HashRing::with_members(VNODES, 0..SHARDS),
+            leases: LeaseTable::new(SHARDS, &node_ring),
             coordinator: 0,
             quorum: true,
             degraded: false,
             quorum_lost_since_us: None,
             dead: vec![false; nodes],
             dispatchable: vec![true; nodes],
-            cfg,
             nodes,
         }
-    }
-
-    /// The gossip round period, which is also the tick cadence.
-    pub fn period_us(&self) -> f64 {
-        self.cfg.membership.period_us
     }
 
     /// Runs one gossip round + lease pass at `now_us`. `crashed` is
@@ -162,7 +140,7 @@ impl ClusterController {
             self.degraded = false;
         } else {
             let since = *self.quorum_lost_since_us.get_or_insert(now_us);
-            self.degraded = now_us - since >= self.cfg.no_quorum_grace_us;
+            self.degraded = now_us - since >= NO_QUORUM_GRACE_US;
         }
         tick.quorum = self.quorum;
         tick.degraded = self.degraded;
@@ -185,7 +163,7 @@ impl ClusterController {
                 alive.push(n);
             }
         }
-        let node_ring = HashRing::with_members(self.cfg.vnodes, alive.iter().map(|&n| n as u32));
+        let node_ring = HashRing::with_members(VNODES, alive.iter().map(|&n| n as u32));
         tick.failovers = self
             .leases
             .tick(now_us, &alive, self.quorum, self.degraded, &node_ring);
@@ -253,7 +231,7 @@ mod tests {
         let mut now = from_us;
         let mut ticks = Vec::new();
         for _ in 0..rounds {
-            now += ctl.period_us();
+            now += GOSSIP_PERIOD_US;
             ticks.push(ctl.tick(now, crashed));
         }
         (now, ticks)
@@ -262,7 +240,7 @@ mod tests {
     #[test]
     fn healthy_cluster_grants_everywhere() {
         let plan = FaultPlan::new(3);
-        let mut ctl = ClusterController::new(ClusterConfig::default(), 4, &plan);
+        let mut ctl = ClusterController::new(4, &plan);
         let (now, ticks) = run_ticks(&mut ctl, &[false; 4], 0.0, 10);
         assert!(ticks.iter().all(|t| t.quorum && !t.degraded));
         assert!(ticks.iter().all(|t| t.failovers.is_empty()));
@@ -286,7 +264,7 @@ mod tests {
                 duration_us: 30_000.0,
             },
         ));
-        let mut ctl = ClusterController::new(ClusterConfig::default(), 4, &plan);
+        let mut ctl = ClusterController::new(4, &plan);
         let (mid, ticks) = run_ticks(&mut ctl, &[false; 4], 0.0, 12);
         let confirmed: Vec<usize> = ticks.iter().flat_map(|t| t.newly_dead.clone()).collect();
         assert!(confirmed.contains(&0), "the cut node must be confirmed");
@@ -324,10 +302,6 @@ mod tests {
 
     #[test]
     fn even_split_starves_then_degrades() {
-        let cfg = ClusterConfig {
-            no_quorum_grace_us: 10_000.0,
-            ..ClusterConfig::default()
-        };
         let plan = FaultPlan::new(5).with_fault(FaultSpec::new(
             1_000.0,
             0,
@@ -336,7 +310,7 @@ mod tests {
                 duration_us: 1e9,
             },
         ));
-        let mut ctl = ClusterController::new(cfg, 4, &plan);
+        let mut ctl = ClusterController::new(4, &plan);
         let (now, _) = run_ticks(&mut ctl, &[false; 4], 0.0, 12);
         assert!(!ctl.quorum(), "a 2-2 split has no majority");
         assert!(
@@ -349,7 +323,8 @@ mod tests {
         );
         // Grace runs out: the largest component proceeds degraded,
         // re-fencing the lapsed grants it can cover.
-        let (now, ticks) = run_ticks(&mut ctl, &[false; 4], now, 8);
+        let rounds = (NO_QUORUM_GRACE_US / GOSSIP_PERIOD_US) as usize;
+        let (now, ticks) = run_ticks(&mut ctl, &[false; 4], now, rounds);
         assert!(ticks.iter().any(|t| t.degraded));
         assert!(ctl.lease_stats().degraded_grants > 0);
         assert!(
@@ -366,7 +341,7 @@ mod tests {
     fn same_seed_same_decisions() {
         let run = || {
             let plan = FaultPlan::random_partition_campaign(42, 4, 60_000.0, 2);
-            let mut ctl = ClusterController::new(ClusterConfig::default(), 4, &plan);
+            let mut ctl = ClusterController::new(4, &plan);
             let mut crashed = [false; 4];
             let mut log = Vec::new();
             for round in 1..=60 {

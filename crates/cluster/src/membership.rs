@@ -17,26 +17,17 @@ use everest_faults::DetRng;
 
 use crate::net::NetModel;
 
-/// Gossip cadence and timeouts, in virtual µs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MembershipConfig {
-    /// Gossip round period.
-    pub period_us: f64,
-    /// Probe round-trip budget; longer delays read as failures.
-    pub probe_timeout_us: f64,
-    /// How long a suspicion is held before it hardens into `Dead`.
-    pub suspect_timeout_us: f64,
-}
+/// Gossip round period in virtual µs, which is also the cluster tick
+/// cadence.
+pub const GOSSIP_PERIOD_US: f64 = 1_000.0;
 
-impl Default for MembershipConfig {
-    fn default() -> MembershipConfig {
-        MembershipConfig {
-            period_us: 1_000.0,
-            probe_timeout_us: 400.0,
-            suspect_timeout_us: 3_000.0,
-        }
-    }
-}
+/// Probe round-trip budget in virtual µs; longer delays read as
+/// failures.
+const PROBE_TIMEOUT_US: f64 = 400.0;
+
+/// How long a suspicion is held, in virtual µs, before it hardens into
+/// `Dead`.
+const SUSPECT_TIMEOUT_US: f64 = 3_000.0;
 
 /// One observer's belief about one subject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -78,7 +69,6 @@ pub struct SwimStats {
 /// The N×N failure detector.
 #[derive(Debug, Clone)]
 pub(crate) struct SwimDetector {
-    cfg: MembershipConfig,
     n: usize,
     /// `views[observer][subject]`.
     views: Vec<Vec<ViewEntry>>,
@@ -92,14 +82,13 @@ pub(crate) struct SwimDetector {
 impl SwimDetector {
     /// A detector over `n` nodes, all mutually `Alive` at incarnation
     /// 0, drawing probe targets from a stream forked off `seed`.
-    pub(crate) fn new(cfg: MembershipConfig, n: usize, seed: u64) -> SwimDetector {
+    pub(crate) fn new(n: usize, seed: u64) -> SwimDetector {
         let entry = ViewEntry {
             state: MemberState::Alive,
             incarnation: 0,
             since_us: 0.0,
         };
         SwimDetector {
-            cfg,
             n,
             views: vec![vec![entry; n]; n],
             incarnation: vec![0; n],
@@ -190,9 +179,7 @@ impl SwimDetector {
             }
             for s in 0..self.n {
                 let e = self.views[o][s];
-                if e.state == MemberState::Suspect
-                    && now_us - e.since_us >= self.cfg.suspect_timeout_us
-                {
+                if e.state == MemberState::Suspect && now_us - e.since_us >= SUSPECT_TIMEOUT_US {
                     self.set(o, s, MemberState::Dead, e.incarnation, now_us);
                     self.stats.confirms += 1;
                 }
@@ -208,7 +195,7 @@ impl SwimDetector {
                 t += 1;
             }
             self.stats.probes += 1;
-            let ok = !crashed[t] && net.probe_ok(o, t, now_us, self.cfg.probe_timeout_us);
+            let ok = !crashed[t] && net.probe_ok(o, t, now_us, PROBE_TIMEOUT_US);
             if ok {
                 // Full round trip: exchange views both ways, let each
                 // side refute anything it learned about itself, then
@@ -248,10 +235,9 @@ mod tests {
         from_us: f64,
         rounds: usize,
     ) -> f64 {
-        let period = swim.cfg.period_us;
         let mut now = from_us;
         for _ in 0..rounds {
-            now += period;
+            now += GOSSIP_PERIOD_US;
             swim.tick(now, net, crashed);
         }
         now
@@ -259,7 +245,7 @@ mod tests {
 
     #[test]
     fn healthy_cluster_stays_alive() {
-        let mut swim = SwimDetector::new(MembershipConfig::default(), 4, 7);
+        let mut swim = SwimDetector::new(4, 7);
         let mut net = quiet_net();
         run_rounds(&mut swim, &mut net, &[false; 4], 0.0, 20);
         for o in 0..4 {
@@ -273,7 +259,7 @@ mod tests {
 
     #[test]
     fn crash_is_suspected_then_confirmed_by_everyone() {
-        let mut swim = SwimDetector::new(MembershipConfig::default(), 4, 7);
+        let mut swim = SwimDetector::new(4, 7);
         let mut net = quiet_net();
         let crashed = [false, false, true, false];
         run_rounds(&mut swim, &mut net, &crashed, 0.0, 40);
@@ -303,7 +289,7 @@ mod tests {
             },
         ));
         let mut net = NetModel::from_plan(&plan);
-        let mut swim = SwimDetector::new(MembershipConfig::default(), 4, 9);
+        let mut swim = SwimDetector::new(4, 9);
         let crashed = [false; 4];
         // Deep into the partition: both sides confirm each other dead.
         let now = run_rounds(&mut swim, &mut net, &crashed, 0.0, 25);
@@ -334,7 +320,7 @@ mod tests {
     #[test]
     fn same_seed_replays_identically() {
         let run = || {
-            let mut swim = SwimDetector::new(MembershipConfig::default(), 5, 21);
+            let mut swim = SwimDetector::new(5, 21);
             let mut net = quiet_net();
             run_rounds(
                 &mut swim,

@@ -14,8 +14,8 @@
 
 use everest_runtime::FaultPlan;
 use everest_serve::{
-    BrownoutConfig, ClusterConfig, HedgeConfig, LifecycleConfig, LimiterConfig, RetryConfig,
-    ServeConfig, ServeConfigError, ServeEngine, ServeOutcome, TenantSpec,
+    ClusterConfig, LifecycleConfig, ServeConfig, ServeConfigError, ServeEngine, ServeOutcome,
+    TenantSpec,
 };
 use serde::{Serialize, Value};
 use serde_json::{fixed, int};
@@ -121,12 +121,12 @@ fn build_config(options: &ServeOptions) -> ServeConfig {
         offered_rps: 2_500.0 * nodes as f64 * options.load,
         horizon_us: options.horizon_ms * 1_000.0,
         lifecycle: LifecycleConfig {
-            retry: options.retries.then(RetryConfig::default),
-            hedge: options.hedge.then(HedgeConfig::default),
-            limiter: options.limiter.then(LimiterConfig::default),
-            brownout: options.brownout.then(BrownoutConfig::default),
+            retry: options.retries,
+            hedge: options.hedge,
+            limiter: options.limiter,
+            brownout: options.brownout,
         },
-        cluster: (options.partition > 0).then(ClusterConfig::default),
+        cluster: (options.partition > 0).then_some(ClusterConfig),
         ..ServeConfig::default()
     };
     if options.hedge {

@@ -16,7 +16,7 @@
 //! * [`verdict`] — the verdict vocabulary shared with the scheduler.
 //!
 //! Everything is deterministic: decisions are pure functions of the fed
-//! samples and the seed. The monitor mirrors what it sees into
+//! samples and the configuration. The monitor mirrors what it sees into
 //! `everest-telemetry` (`health.*` names, documented in
 //! `docs/OBSERVABILITY.md`) but never reads the registry back, so
 //! identical campaigns reach identical verdicts even on a shared

@@ -24,10 +24,11 @@
 //! `health.node<i>.*` windows and `health.*` histograms complete after
 //! [`HealthMonitor::flush`] or once the monitor drops.
 //!
-//! Determinism: decisions are functions of the fed samples and the seed
-//! only — the monitor *writes* telemetry but never reads it back, so
-//! two identical campaigns reach identical verdicts even when they
-//! share a global registry.
+//! Determinism: decisions are functions of the fed samples and the
+//! configuration only — nothing is drawn at random, and the monitor
+//! *writes* telemetry but never reads it back, so two identical
+//! campaigns reach identical verdicts even when they share a global
+//! registry.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -282,7 +283,6 @@ impl Detector {
 pub struct HealthMonitor {
     telemetry: MonitorTelemetry,
     cfg: HealthConfig,
-    seed: u64,
     /// Per-node compute-inflation windows (actual / healthy duration).
     inflation: Vec<Window<f64>>,
     /// Per-node observed link-factor windows.
@@ -303,7 +303,6 @@ impl std::fmt::Debug for HealthMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HealthMonitor")
             .field("cfg", &self.cfg)
-            .field("seed", &self.seed)
             .field("nodes", &self.inflation.len())
             .field("verdicts", &self.verdicts)
             .finish_non_exhaustive()
@@ -312,10 +311,11 @@ impl std::fmt::Debug for HealthMonitor {
 
 impl HealthMonitor {
     /// A monitor over `nodes` nodes, mirroring samples into `registry`.
+    /// The seed is accepted and ignored: no verdict depends on it.
     pub fn new(
         nodes: usize,
         cfg: HealthConfig,
-        seed: u64,
+        _seed: u64,
         registry: Arc<Registry>,
     ) -> HealthMonitor {
         HealthMonitor {
@@ -325,7 +325,6 @@ impl HealthMonitor {
             fpga: (0..nodes).map(|_| Window::new(cfg.window)).collect(),
             detector: Detector::baseline(&cfg),
             cfg,
-            seed,
             samples_since_refit: 0,
             emitted: BTreeSet::new(),
             verdicts: Vec::new(),
@@ -523,6 +522,30 @@ mod tests {
         let b = run(shared);
         assert_eq!(a, b, "decisions must not read the registry back");
         assert!(a.iter().any(|v| v.kind == VerdictKind::Straggler));
+    }
+
+    #[test]
+    fn verdicts_do_not_depend_on_the_seed() {
+        let run = |seed: u64| {
+            let mut m = HealthMonitor::new(3, HealthConfig::default(), seed, Registry::new());
+            for i in 0..40 {
+                let at = 250.0 * (i + 1) as f64;
+                m.record_task(i % 3, if i % 3 == 2 { 3.5 } else { 1.02 }, at);
+                m.record_link(i % 3, if i % 3 == 1 { 5.0 } else { 1.1 }, at);
+                m.record_fpga(0, 1.0 + 0.1 * at / 1_000.0, at);
+            }
+            m.verdicts().to_vec()
+        };
+        let a = run(7);
+        assert_eq!(a, run(u64::MAX));
+        let kinds: Vec<VerdictKind> = a.iter().map(|v| v.kind).collect();
+        for kind in [
+            VerdictKind::Straggler,
+            VerdictKind::GrayLink,
+            VerdictKind::DegradingVf,
+        ] {
+            assert!(kinds.contains(&kind), "{kind:?} in {kinds:?}");
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! What a serving run is configured with, and why a configuration may
 //! be refused before the run starts.
 
-use everest_cluster::ClusterConfig;
-use everest_health::{BreakerConfig, HealthConfig};
+use everest_health::HealthConfig;
 
 use crate::admission::AdmissionConfig;
 use crate::batcher::BatchPolicy;
@@ -14,11 +13,9 @@ use crate::request::{ClassKind, KernelClass, TenantSpec};
 pub struct ServeConfig {
     /// Seed for the arrival trace and every derived substream.
     pub seed: u64,
-    /// Cluster size; the second half of the nodes carry FPGAs
-    /// (`Cluster::everest(nodes - nodes/2, nodes/2, cores)`).
+    /// Cluster size; the second half of the nodes carry FPGAs, and
+    /// every node has four CPU cores.
     pub nodes: usize,
-    /// CPU cores per node.
-    pub cores: u32,
     /// The tenants sharing the cluster.
     pub tenants: Vec<TenantSpec>,
     /// The kernel classes requests may target.
@@ -35,10 +32,6 @@ pub struct ServeConfig {
     pub horizon_us: f64,
     /// Whether the per-class autotuners retune the batch ceiling.
     pub autotune: bool,
-    /// Retune cadence, in completed batches per class.
-    pub retune_every: u64,
-    /// Circuit-breaker tuning for dispatch eligibility.
-    pub breaker: BreakerConfig,
     /// Health-monitor tuning (gray-failure conviction thresholds).
     pub health: HealthConfig,
     /// Request-lifecycle robustness features (retry budgets, hedged
@@ -52,6 +45,12 @@ pub struct ServeConfig {
     pub cluster: Option<ClusterConfig>,
 }
 
+/// The switch of the membership layer ([`ServeConfig::cluster`]). The
+/// layer has nothing to choose: its gossip cadence, timeouts, lease TTL
+/// and ring sizes are constants of `everest-cluster`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ClusterConfig;
+
 impl Default for ServeConfig {
     /// A 4-node (2 CPU + 2 FPGA) cluster serving three weighted
     /// tenants (gold 4×, silver 2×, bronze 1×) with two kernel
@@ -60,7 +59,6 @@ impl Default for ServeConfig {
         ServeConfig {
             seed: 42,
             nodes: 4,
-            cores: 4,
             tenants: vec![
                 TenantSpec::new("gold", 4.0, 8_000.0, 64.0),
                 TenantSpec::new("silver", 2.0, 4_000.0, 32.0),
@@ -76,8 +74,6 @@ impl Default for ServeConfig {
             offered_rps: 10_000.0,
             horizon_us: 200_000.0,
             autotune: true,
-            retune_every: 16,
-            breaker: BreakerConfig::default(),
             health: HealthConfig::default(),
             lifecycle: LifecycleConfig::default(),
             cluster: None,

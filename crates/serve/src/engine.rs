@@ -110,10 +110,11 @@
 use std::iter::Peekable;
 use std::sync::Arc;
 
-use everest_cluster::ClusterController;
+use everest_cluster::{ClusterController, GOSSIP_PERIOD_US};
 use everest_faults::{FaultKind, FaultPlan};
 use everest_health::{
-    Admission as BreakerAdmission, BreakerState, CircuitBreaker, HealthMonitor, VerdictKind,
+    Admission as BreakerAdmission, BreakerConfig, BreakerState, CircuitBreaker, HealthMonitor,
+    VerdictKind,
 };
 use everest_runtime::{EventQueue, EventToken};
 use everest_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
@@ -400,13 +401,13 @@ struct Sim<'a> {
 
 impl<'a> Sim<'a> {
     fn new(cfg: &'a ServeConfig, plan: &'a FaultPlan, registry: Arc<Registry>) -> Sim<'a> {
-        let pricing = Pricing::new(cfg.nodes, cfg.cores, plan);
+        let pricing = Pricing::new(cfg.nodes, plan);
         let nodes = (pricing.cluster.nodes.iter())
             .map(|spec| NodeState {
                 fpga: spec.fpga.is_some(),
                 crashed: false,
                 current: None,
-                breaker: CircuitBreaker::new(cfg.breaker),
+                breaker: CircuitBreaker::new(BreakerConfig::default()),
             })
             .collect();
         let weights: Vec<f64> = cfg.tenants.iter().map(|t| t.weight).collect();
@@ -443,7 +444,7 @@ impl<'a> Sim<'a> {
             lifecycle: Lifecycle::new(cfg, plan),
             tuning: BatchTuning::new(cfg, &pricing, &registry),
             pricing,
-            membership: (cfg.cluster).map(|c| ClusterController::new(c, cfg.nodes, plan)),
+            membership: (cfg.cluster.is_some()).then(|| ClusterController::new(cfg.nodes, plan)),
             #[cfg(debug_assertions)]
             pending_retries: 0,
             scratch_idle: Vec::with_capacity(cfg.nodes),
@@ -475,8 +476,8 @@ impl<'a> Sim<'a> {
         for (index, fault) in self.plan.faults().iter().enumerate() {
             self.push_event(fault.at_us, EventKind::Fault(index));
         }
-        if let Some(period) = self.membership.as_ref().map(ClusterController::period_us) {
-            self.push_event(period, EventKind::GossipRound);
+        if self.membership.is_some() {
+            self.push_event(GOSSIP_PERIOD_US, EventKind::GossipRound);
         }
         if self.cfg.autotune {
             for class in 0..self.cfg.classes.len() {
@@ -1086,7 +1087,7 @@ impl<'a> Sim<'a> {
             return;
         };
         let crashed: Vec<bool> = self.nodes.iter().map(|n| n.crashed).collect();
-        let (tick, period) = (ctrl.tick(now, &crashed), ctrl.period_us());
+        let tick = ctrl.tick(now, &crashed);
         for &node in &tick.newly_dead {
             self.registry.event(
                 "cluster.member_dead",
@@ -1121,7 +1122,7 @@ impl<'a> Sim<'a> {
             || self.inflight_count > 0
             || self.queue.peek_time().is_some();
         if live {
-            self.push_event(now + period, EventKind::GossipRound);
+            self.push_event(now + GOSSIP_PERIOD_US, EventKind::GossipRound);
         }
     }
 
@@ -1509,7 +1510,6 @@ mod tests {
             batch: vec![BatchPolicy::new(8, 400.0)],
             offered_rps: 6_000.0,
             horizon_us: 80_000.0,
-            retune_every: 4,
             ..ServeConfig::default()
         })
         .run();
@@ -1544,9 +1544,7 @@ mod tests {
         assert!(outcome.batches.iter().all(|b| b.class != 0));
     }
 
-    use crate::lifecycle::{
-        BrownoutConfig, HedgeConfig, LifecycleConfig, LimiterConfig, RetryConfig,
-    };
+    use crate::lifecycle::{LifecycleConfig, RETRY_BUDGET_CAP, RETRY_REFILL_PER_SUCCESS};
 
     /// A burst of transient kernel errors landing while batches are in
     /// flight.
@@ -1567,17 +1565,17 @@ mod tests {
 
     #[test]
     fn retries_reenqueue_fault_failed_requests() {
-        let config = |retry: Option<RetryConfig>| ServeConfig {
+        let config = |retry: bool| ServeConfig {
             lifecycle: LifecycleConfig {
                 retry,
                 ..LifecycleConfig::default()
             },
             ..small_config()
         };
-        let baseline = ServeEngine::new(config(None))
+        let baseline = ServeEngine::new(config(false))
             .with_plan(transient_storm())
             .run();
-        let retried = ServeEngine::new(config(Some(RetryConfig::default())))
+        let retried = ServeEngine::new(config(true))
             .with_plan(transient_storm())
             .run();
         assert!(baseline.conserved() && retried.conserved());
@@ -1590,7 +1588,7 @@ mod tests {
             baseline.failed
         );
         // Replay identity extends to the retry path.
-        let again = ServeEngine::new(config(Some(RetryConfig::default())))
+        let again = ServeEngine::new(config(true))
             .with_plan(transient_storm())
             .run();
         assert_eq!(retried, again);
@@ -1598,26 +1596,44 @@ mod tests {
 
     #[test]
     fn retry_budget_denies_when_spent() {
-        let tight = RetryConfig {
-            budget_cap: 1.0,
-            refill_per_success: 0.0,
-            ..RetryConfig::default()
-        };
+        // A transient error on every node every 100 us for the whole
+        // horizon: no batch is short enough to finish between two, so
+        // tenants earn (almost) nothing back and each burns through its
+        // starting budget.
+        let mut storm = FaultPlan::new(21);
+        for tick in 0..600 {
+            for node in 0..4 {
+                storm.push(FaultSpec {
+                    at_us: 100.0 * f64::from(tick),
+                    node,
+                    kind: FaultKind::TransientKernelError,
+                });
+            }
+        }
         let outcome = ServeEngine::new(ServeConfig {
             lifecycle: LifecycleConfig {
-                retry: Some(tight.clone()),
+                retry: true,
                 ..LifecycleConfig::default()
             },
             ..small_config()
         })
-        .with_plan(transient_storm())
+        .with_plan(storm)
         .run();
         assert!(outcome.conserved(), "{outcome:?}");
         assert!(outcome.retry_denied > 0, "{outcome:?}");
-        // One token per tenant, no refill: at most one retry each.
+        // A tenant retries at most its starting cap plus what its
+        // completions earned back ...
+        let earned =
+            |t: &TenantOutcome| RETRY_BUDGET_CAP + RETRY_REFILL_PER_SUCCESS * t.completed as f64;
         for tenant in &outcome.tenants {
-            assert!(tenant.retried <= 1, "{tenant:?}");
+            assert!(tenant.retried as f64 <= earned(tenant), "{tenant:?}");
         }
+        // ... and the storm spends every whole token of every tenant.
+        assert!(
+            (outcome.tenants.iter()).all(|t| t.retried as f64 > earned(t) - 1.0),
+            "{:?}",
+            outcome.tenants
+        );
     }
 
     #[test]
@@ -1640,7 +1656,7 @@ mod tests {
                 ..HealthConfig::default()
             },
             lifecycle: LifecycleConfig {
-                hedge: Some(HedgeConfig::default()),
+                hedge: true,
                 ..LifecycleConfig::default()
             },
             ..ServeConfig::default()
@@ -1676,12 +1692,7 @@ mod tests {
             offered_rps: 30_000.0,
             horizon_us: 80_000.0,
             lifecycle: LifecycleConfig {
-                limiter: Some(LimiterConfig {
-                    initial: 1,
-                    max_inflight: 1,
-                    queue_per_slot: 4,
-                    ..LimiterConfig::default()
-                }),
+                limiter: true,
                 ..LifecycleConfig::default()
             },
             ..ServeConfig::default()
@@ -1704,7 +1715,7 @@ mod tests {
         }
         let outcome = ServeEngine::new(ServeConfig {
             lifecycle: LifecycleConfig {
-                brownout: Some(BrownoutConfig::default()),
+                brownout: true,
                 ..LifecycleConfig::default()
             },
             ..small_config()
@@ -1752,7 +1763,7 @@ mod tests {
             seed,
             offered_rps: 6_000.0,
             horizon_us: 60_000.0,
-            cluster: Some(ClusterConfig::default()),
+            cluster: Some(ClusterConfig),
             ..ServeConfig::default()
         }
     }

@@ -27,7 +27,8 @@
 //! Determinism is the design axiom: a run is a pure function of its
 //! [`ServeConfig`] and fault plan, so `basecamp serve` replays
 //! byte-identically and CI can diff two runs of the same seed. See
-//! `docs/SERVING.md` for the architecture and knob reference.
+//! `docs/SERVING.md` for the architecture and the table of tuning
+//! constants.
 //!
 //! # Examples
 //!
@@ -60,11 +61,10 @@ pub mod wfq;
 
 pub use admission::{AdmissionConfig, AdmissionController};
 pub use batcher::{Batch, BatchPolicy, DynamicBatcher, OfferOutcome};
-pub use config::{ServeConfig, ServeConfigError};
+pub use config::{ClusterConfig, ServeConfig, ServeConfigError};
 pub use engine::ServeEngine;
-pub use everest_cluster::ClusterConfig;
 pub use ledger::{BatchRecord, Layer, LedgerRow, Metric, Role, ServeOutcome, TenantOutcome};
-pub use lifecycle::{BrownoutConfig, HedgeConfig, LifecycleConfig, LimiterConfig, RetryConfig};
+pub use lifecycle::LifecycleConfig;
 pub use request::{
     ArrivalStream, ArrivalTrace, ClassKind, KernelClass, Request, ShedReason, TenantSpec,
 };

@@ -13,10 +13,10 @@
 //!   fault plan's dedicated substream
 //!   ([`everest_faults::FaultPlan::jitter_rng`]), keeping serve-tier
 //!   retries on the same replay-stable contract as the scheduler's.
-//! * [`HedgeConfig`] + `LatencyWindow` — hedged dispatch for
-//!   latency-critical classes: when a batch outlives the class's
-//!   observed p95 service time, a duplicate is dispatched to a healthy
-//!   node and the losing copy is cancelled.
+//! * `LatencyWindow` — hedged dispatch for latency-critical classes:
+//!   when a batch outlives the class's observed p95 service time, a
+//!   duplicate is dispatched to a healthy node and the losing copy is
+//!   cancelled.
 //! * `AimdLimiter` — an adaptive concurrency limiter: additive
 //!   increase while observed batch latency meets the class deadline,
 //!   multiplicative decrease when it does not. It gates dispatch ahead
@@ -33,9 +33,13 @@
 //!   answers the questions the event loop asks, each with a neutral
 //!   answer when the feature behind it is off.
 //!
+//! Each mechanism is tuned by named constants beside the code that
+//! reads them (the table in `docs/SERVING.md` lists them); a run only
+//! chooses which mechanisms are on.
+//!
 //! Everything here is deterministic on the virtual clock: no wall
 //! time, no ambient randomness, every threshold a pure function of
-//! configuration and observed virtual-time history — which is what
+//! the constants and observed virtual-time history — which is what
 //! lets `basecamp serve --hedge` replay byte-identically.
 
 use everest_faults::{DetRng, FaultPlan, RetryPolicy};
@@ -43,32 +47,14 @@ use everest_faults::{DetRng, FaultPlan, RetryPolicy};
 use crate::config::ServeConfig;
 use crate::request::{ClassKind, Request};
 
-/// Retry knobs for fault-failed requests at the serve tier.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryConfig {
-    /// Backoff schedule and per-request attempt cap (reused from the
-    /// scheduler tier; jitter draws come from the fault plan's
-    /// dedicated substream so replays stay byte-identical).
-    pub policy: RetryPolicy,
-    /// Token capacity of each tenant's `RetryBudget` (buckets start
-    /// full, so a tenant can absorb one early fault burst).
-    pub budget_cap: f64,
-    /// Tokens earned back per completed request, up to the cap.
-    pub refill_per_success: f64,
-}
+/// Tokens in each tenant's retry bucket when a run starts, and the most
+/// it can hold: a tenant can absorb one early fault burst.
+pub const RETRY_BUDGET_CAP: f64 = 32.0;
 
-impl Default for RetryConfig {
-    /// Default scheduler backoff, 32-token budgets, 0.25 tokens per
-    /// success (a sustained fault wave needs four completions per
-    /// retry to keep retrying).
-    fn default() -> RetryConfig {
-        RetryConfig {
-            policy: RetryPolicy::default(),
-            budget_cap: 32.0,
-            refill_per_success: 0.25,
-        }
-    }
-}
+/// Tokens a tenant earns back per completed request, up to the cap: a
+/// sustained fault wave needs four completions per retry to keep
+/// retrying.
+pub const RETRY_REFILL_PER_SUCCESS: f64 = 0.25;
 
 /// A per-tenant retry token bucket, refilled by successes rather than
 /// by time: retries spend, completions earn. Under a fault storm the
@@ -77,18 +63,13 @@ impl Default for RetryConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RetryBudget {
     tokens: f64,
-    cap: f64,
-    refill_per_success: f64,
 }
 
 impl RetryBudget {
     /// A full bucket.
-    pub(crate) fn new(config: &RetryConfig) -> RetryBudget {
-        let cap = config.budget_cap.max(0.0);
+    pub(crate) fn new() -> RetryBudget {
         RetryBudget {
-            tokens: cap,
-            cap,
-            refill_per_success: config.refill_per_success.max(0.0),
+            tokens: RETRY_BUDGET_CAP,
         }
     }
 
@@ -105,39 +86,20 @@ impl RetryBudget {
 
     /// Credits one completed request.
     pub(crate) fn on_success(&mut self) {
-        self.tokens = (self.tokens + self.refill_per_success).min(self.cap);
+        self.tokens = (self.tokens + RETRY_REFILL_PER_SUCCESS).min(RETRY_BUDGET_CAP);
     }
 }
 
-/// Hedged-dispatch knobs for latency-critical classes
-/// ([`crate::KernelClass::latency_critical`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HedgeConfig {
-    /// Multiplier on the p95-derived delay before a duplicate is
-    /// dispatched (1.0 hedges exactly at the observed p95).
-    pub delay_factor: f64,
-    /// Before [`HedgeConfig::min_samples`] service times have been
-    /// observed for a class, the hedge delay falls back to the
-    /// dispatcher's expected service time scaled by this factor.
-    pub cold_start_factor: f64,
-    /// Observed service times retained per class for the p95 estimate.
-    pub window: usize,
-    /// Observations required before the p95 estimate is trusted.
-    pub min_samples: usize,
-}
+/// Winning-leg service times kept per hedging class for its p95.
+const HEDGE_WINDOW: usize = 64;
 
-impl Default for HedgeConfig {
-    /// Hedge at 1× the observed p95 (3× expected while cold), over a
-    /// 64-sample window warmed by 8 observations.
-    fn default() -> HedgeConfig {
-        HedgeConfig {
-            delay_factor: 1.0,
-            cold_start_factor: 3.0,
-            window: 64,
-            min_samples: 8,
-        }
-    }
-}
+/// Service times a class must have observed before its hedge delay is
+/// the window's p95.
+const HEDGE_MIN_SAMPLES: usize = 8;
+
+/// Until then, the hedge delay is the dispatcher's expected service
+/// time times this.
+const HEDGE_COLD_START_FACTOR: f64 = 3.0;
 
 /// Nearest-rank quantile of `values`, `q` in `[0, 1]`, over a sorted
 /// scratch copy (`total_cmp`, so replays agree); `None` when empty.
@@ -192,70 +154,42 @@ impl LatencyWindow {
     }
 }
 
-/// Adaptive-concurrency knobs (AIMD on observed batch latency vs the
-/// class deadline).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LimiterConfig {
-    /// Concurrency limit the run starts at.
-    pub initial: usize,
-    /// Ceiling the additive increase may reach.
-    pub max_inflight: usize,
-    /// Added to the limit after a batch that met its deadline target.
-    pub increase: f64,
-    /// Multiplied into the limit after a batch that missed it (the
-    /// multiplicative-decrease half; clamped to a floor of one).
-    pub decrease: f64,
-    /// Fraction of the class deadline a batch's service latency must
-    /// stay within to count as "good" (1.0 = the whole deadline).
-    pub headroom: f64,
-    /// Queued requests tolerated per concurrency slot before new
-    /// arrivals are shed [`crate::ShedReason::Overloaded`] at the door.
-    pub queue_per_slot: usize,
-}
+/// Concurrency limit a run starts at.
+const LIMITER_INITIAL: usize = 8;
 
-impl Default for LimiterConfig {
-    /// Start at 8 in flight, grow +1 to 64, halve on a deadline miss,
-    /// allow 16 queued requests per slot at the door.
-    fn default() -> LimiterConfig {
-        LimiterConfig {
-            initial: 8,
-            max_inflight: 64,
-            increase: 1.0,
-            decrease: 0.5,
-            headroom: 1.0,
-            queue_per_slot: 16,
-        }
-    }
-}
+/// Ceiling the additive increase may reach.
+const LIMITER_MAX_INFLIGHT: usize = 64;
+
+/// Added to the limit after a batch that met its class deadline.
+const LIMITER_INCREASE: f64 = 1.0;
+
+/// Multiplied into the limit after a batch that missed it (floored at
+/// one).
+const LIMITER_DECREASE: f64 = 0.5;
+
+/// Queued requests tolerated per concurrency slot before new arrivals
+/// are shed [`crate::ShedReason::Overloaded`] at the door.
+const LIMITER_QUEUE_PER_SLOT: usize = 16;
 
 /// The AIMD concurrency limiter: one scalar limit over concurrently
 /// executing batches, raised additively while batches meet their
-/// deadline target and cut multiplicatively when they miss.
+/// deadline and cut multiplicatively when they miss.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AimdLimiter {
     limit: f64,
     floor: usize,
-    cfg: LimiterConfig,
 }
 
 impl AimdLimiter {
-    /// A limiter at its configured initial limit.
-    pub(crate) fn new(cfg: LimiterConfig) -> AimdLimiter {
-        let initial = (cfg.initial.max(1) as f64).min(cfg.max_inflight.max(1) as f64);
+    /// A limiter at [`LIMITER_INITIAL`], never below `floor` batches
+    /// (at least one). The serving engine floors at one batch per
+    /// node: the limiter exists to throttle queueing, never to idle
+    /// hardware.
+    pub(crate) fn new(floor: usize) -> AimdLimiter {
         AimdLimiter {
-            limit: initial,
-            floor: 1,
-            cfg,
+            limit: LIMITER_INITIAL as f64,
+            floor: floor.max(1),
         }
-    }
-
-    /// Raises the lower bound the multiplicative decrease can reach.
-    /// The serving engine floors at one batch per node: the limiter
-    /// exists to throttle queueing, never to idle hardware.
-    #[must_use]
-    pub(crate) fn with_floor(mut self, floor: usize) -> AimdLimiter {
-        self.floor = floor.max(1);
-        self
     }
 
     /// The current whole-batch concurrency limit (never below the
@@ -267,85 +201,50 @@ impl AimdLimiter {
     /// Arrivals are shed `Overloaded` at the door once the queue holds
     /// this many admitted-but-unserved requests.
     pub(crate) fn door_cap(&self) -> usize {
-        self.limit().saturating_mul(self.cfg.queue_per_slot.max(1))
+        self.limit().saturating_mul(LIMITER_QUEUE_PER_SLOT)
     }
 
-    /// Feeds one completed batch's observed service latency against
-    /// its class deadline. Returns `true` when the integer limit
-    /// changed (so the caller can publish the gauge only on change).
+    /// Feeds one completed batch's observed latency against its class
+    /// deadline. Returns `true` when the integer limit changed (so the
+    /// caller can publish the gauge only on change).
     pub(crate) fn on_batch(&mut self, latency_us: f64, deadline_us: f64) -> bool {
         let before = self.limit();
-        if latency_us <= deadline_us * self.cfg.headroom {
-            self.limit = (self.limit + self.cfg.increase).min(self.cfg.max_inflight.max(1) as f64);
+        if latency_us <= deadline_us {
+            self.limit = (self.limit + LIMITER_INCREASE).min(LIMITER_MAX_INFLIGHT as f64);
         } else {
-            self.limit = (self.limit * self.cfg.decrease).max(1.0);
+            self.limit = (self.limit * LIMITER_DECREASE).max(1.0);
         }
         self.limit() != before
     }
 }
 
-/// Brownout-ladder knobs: which unhealthy-node fraction reaches which
-/// tier, and how hard tiered operation shrinks the batch ceilings.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BrownoutConfig {
-    /// Unhealthy fraction at which tier 1 (shrunk batch ceilings)
-    /// engages.
-    pub tier1_frac: f64,
-    /// Unhealthy fraction at which tier 2 (hedging disabled) engages.
-    pub tier2_frac: f64,
-    /// Unhealthy fraction at which tier 3 (lowest-weight tenants shed)
-    /// engages.
-    pub tier3_frac: f64,
-    /// Per-tier divisor applied to batch ceilings while tiered
-    /// (ceiling = configured / divisor^tier, floored at one).
-    pub batch_divisor: usize,
-}
+/// Unhealthy-node fractions at which brownout tiers 1 (shrunk batch
+/// ceilings), 2 (hedging off) and 3 (lowest-weight tenants shed)
+/// engage.
+const BROWNOUT_TIER_FRACS: [f64; 3] = [0.25, 0.5, 0.75];
 
-impl Default for BrownoutConfig {
-    /// Tiers at 25 / 50 / 75 % unhealthy, halving ceilings per tier.
-    fn default() -> BrownoutConfig {
-        BrownoutConfig {
-            tier1_frac: 0.25,
-            tier2_frac: 0.5,
-            tier3_frac: 0.75,
-            batch_divisor: 2,
-        }
-    }
-}
+/// Per-tier divisor of the batch ceilings while tiered: ceiling /
+/// divisor^tier, floored at one.
+const BROWNOUT_BATCH_DIVISOR: usize = 2;
 
 /// Tracks the current brownout tier from the cluster's health state.
 /// Tier 0 is normal operation; tiers 1–3 progressively trade quality
 /// for survival. The controller is memoryless in health (the tier is a
 /// pure function of the current unhealthy fraction), so recovery walks
 /// back down the same ladder it climbed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct BrownoutController {
-    cfg: BrownoutConfig,
     tier: u8,
 }
 
 impl BrownoutController {
-    /// A controller at tier 0.
-    pub(crate) fn new(cfg: BrownoutConfig) -> BrownoutController {
-        BrownoutController { cfg, tier: 0 }
-    }
-
-    /// The tier the configured ladder assigns to `unhealthy` of
-    /// `total` nodes.
+    /// The tier the ladder assigns to `unhealthy` of `total` nodes.
     pub(crate) fn tier_for(&self, unhealthy: usize, total: usize) -> u8 {
         if total == 0 {
             return 0;
         }
         let frac = unhealthy as f64 / total as f64;
-        if frac >= self.cfg.tier3_frac {
-            3
-        } else if frac >= self.cfg.tier2_frac {
-            2
-        } else if frac >= self.cfg.tier1_frac {
-            1
-        } else {
-            0
-        }
+        BROWNOUT_TIER_FRACS.iter().filter(|&&at| frac >= at).count() as u8
     }
 
     /// Re-evaluates the tier against the current health state.
@@ -363,12 +262,7 @@ impl BrownoutController {
     /// Batch ceiling after the tier's shrink is applied to a chosen
     /// ceiling (tier 0 passes through).
     pub(crate) fn batch_ceiling(&self, chosen: usize) -> usize {
-        let divisor = self
-            .cfg
-            .batch_divisor
-            .max(1)
-            .saturating_pow(u32::from(self.tier));
-        (chosen / divisor.max(1)).max(1)
+        (chosen / BROWNOUT_BATCH_DIVISOR.pow(u32::from(self.tier))).max(1)
     }
 
     /// Whether hedged dispatch is still allowed at this tier.
@@ -383,31 +277,31 @@ impl BrownoutController {
     }
 }
 
-/// The lifecycle feature set of a serving run. Every feature defaults
-/// to off, so a [`crate::ServeConfig`] without lifecycle knobs behaves
-/// exactly as before this layer existed (and replays byte-identically
-/// against old traces).
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Which lifecycle mechanisms a serving run turns on. Every one
+/// defaults to off, so a [`crate::ServeConfig`] that names none
+/// behaves exactly as before this layer existed (and replays
+/// byte-identically against old traces).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LifecycleConfig {
     /// Retry fault-failed requests under per-tenant budgets instead of
     /// failing them terminally.
-    pub retry: Option<RetryConfig>,
+    pub retry: bool,
     /// Hedge latency-critical batches after the observed p95.
-    pub hedge: Option<HedgeConfig>,
+    pub hedge: bool,
     /// Gate dispatch behind an AIMD concurrency limit.
-    pub limiter: Option<LimiterConfig>,
+    pub limiter: bool,
     /// Degrade through brownout tiers on health verdicts.
-    pub brownout: Option<BrownoutConfig>,
+    pub brownout: bool,
 }
 
 impl LifecycleConfig {
-    /// Every lifecycle feature enabled at its default tuning.
+    /// Every lifecycle mechanism on.
     pub fn all_on() -> LifecycleConfig {
         LifecycleConfig {
-            retry: Some(RetryConfig::default()),
-            hedge: Some(HedgeConfig::default()),
-            limiter: Some(LimiterConfig::default()),
-            brownout: Some(BrownoutConfig::default()),
+            retry: true,
+            hedge: true,
+            limiter: true,
+            brownout: true,
         }
     }
 }
@@ -426,20 +320,11 @@ pub(crate) enum Retry {
 
 #[derive(Debug)]
 struct Retries {
-    policy: RetryPolicy,
     /// One bucket per tenant.
     budgets: Vec<RetryBudget>,
     /// The fault plan's dedicated stream ([`FaultPlan::jitter_rng`]),
     /// so serve-tier retries share the scheduler tier's replay contract.
     jitter: DetRng,
-}
-
-#[derive(Debug)]
-struct Hedging {
-    cfg: HedgeConfig,
-    /// Per class, the winning-leg service times behind its p95; `None`
-    /// for a class that never hedges.
-    windows: Vec<Option<LatencyWindow>>,
 }
 
 #[derive(Debug)]
@@ -452,12 +337,15 @@ struct Brownout {
 }
 
 /// The lifecycle state of one run: each feature present only when its
-/// [`LifecycleConfig`] entry is, each question answered neutrally when
-/// it is not. The event loop holds one and asks; it never looks inside.
+/// [`LifecycleConfig`] switch is on, each question answered neutrally
+/// when it is not. The event loop holds one and asks; it never looks
+/// inside.
 #[derive(Debug)]
 pub(crate) struct Lifecycle {
     retries: Option<Retries>,
-    hedging: Option<Hedging>,
+    /// Per class, the winning-leg service times behind its p95; `None`
+    /// for a class that never hedges.
+    hedging: Option<Vec<Option<LatencyWindow>>>,
     limiter: Option<AimdLimiter>,
     brownout: Option<Brownout>,
 }
@@ -471,13 +359,12 @@ impl Lifecycle {
         let min_weight = weights().fold(f64::INFINITY, f64::min);
         let max_weight = weights().fold(f64::NEG_INFINITY, f64::max);
         Lifecycle {
-            retries: on.retry.clone().map(|retry| Retries {
-                budgets: vec![RetryBudget::new(&retry); cfg.tenants.len()],
+            retries: on.retry.then(|| Retries {
+                budgets: vec![RetryBudget::new(); cfg.tenants.len()],
                 jitter: plan.jitter_rng(),
-                policy: retry.policy,
             }),
-            hedging: on.hedge.clone().map(|hedge| Hedging {
-                windows: (cfg.classes.iter())
+            hedging: on.hedge.then(|| {
+                (cfg.classes.iter())
                     .map(|class| {
                         // Deliberately exhaustive (no `_` arm): a new
                         // kind forces an explicit hedging decision.
@@ -490,16 +377,15 @@ impl Lifecycle {
                             ClassKind::Analytics | ClassKind::Query => false,
                         };
                         // A duplicate needs a second node to run on.
-                        (hedges && cfg.nodes > 1).then(|| LatencyWindow::new(hedge.window))
+                        (hedges && cfg.nodes > 1).then(|| LatencyWindow::new(HEDGE_WINDOW))
                     })
-                    .collect(),
-                cfg: hedge,
+                    .collect()
             }),
             // Floored at one batch per node: the limiter throttles
             // queueing, never idles hardware.
-            limiter: (on.limiter.clone()).map(|l| AimdLimiter::new(l).with_floor(cfg.nodes)),
-            brownout: on.brownout.clone().map(|brownout| Brownout {
-                ladder: BrownoutController::new(brownout),
+            limiter: on.limiter.then(|| AimdLimiter::new(cfg.nodes)),
+            brownout: on.brownout.then(|| Brownout {
+                ladder: BrownoutController::default(),
                 lowest_weight: weights()
                     .map(|w| max_weight > min_weight && w <= min_weight)
                     .collect(),
@@ -529,26 +415,24 @@ impl Lifecycle {
     /// it does at all: the class hedges, the batch is not a breaker
     /// probe and no brownout tier has switched hedging off. The delay
     /// is the class's observed p95 of winning-leg service times once
-    /// the window is warm, else `expected_us` scaled by the cold-start
-    /// factor; never under a microsecond.
+    /// the window is warm, else `expected_us` scaled by
+    /// [`HEDGE_COLD_START_FACTOR`]; never under a microsecond.
     pub(crate) fn hedge_delay_us(
         &self,
         class: usize,
         probe: bool,
         expected_us: f64,
     ) -> Option<f64> {
-        let hedging = self.hedging.as_ref()?;
-        let window = hedging.windows[class].as_ref()?;
+        let window = self.hedging.as_ref()?[class].as_ref()?;
         if probe || !self.may_hedge() {
             return None;
         }
-        let hedge = &hedging.cfg;
-        let base = if window.len() >= hedge.min_samples {
+        let base = if window.len() >= HEDGE_MIN_SAMPLES {
             window.quantile(0.95).unwrap_or(expected_us)
         } else {
-            expected_us * hedge.cold_start_factor
+            expected_us * HEDGE_COLD_START_FACTOR
         };
-        Some((base * hedge.delay_factor).max(1.0))
+        Some(base.max(1.0))
     }
 
     /// Whether a duplicate may still launch: the tier can climb past
@@ -575,7 +459,7 @@ impl Lifecycle {
                 retries.budgets[request.tenant].on_success();
             }
         }
-        if let Some(window) = (self.hedging.as_mut()).and_then(|h| h.windows[class].as_mut()) {
+        if let Some(window) = (self.hedging.as_mut()).and_then(|windows| windows[class].as_mut()) {
             window.push(service_us);
         }
         // The limiter watches end-to-end latency (queue wait included),
@@ -585,8 +469,9 @@ impl Lifecycle {
         (limiter.on_batch(latency_max_us, deadline_us)).then(|| limiter.limit())
     }
 
-    /// A fault took `request`'s batch at `now_us`. Denial order is
-    /// attempt cap, then deadline, then budget; the backoff is drawn
+    /// A fault took `request`'s batch at `now_us`. The backoff schedule
+    /// and attempt cap are the scheduler tier's, [`RetryPolicy::default`].
+    /// Denial order is attempt cap, then deadline, then budget; the backoff is drawn
     /// before the last two are tested, so every call under the cap
     /// consumes exactly one jitter draw. Deadline-aware: a retry that
     /// would re-enter the queue with its deadline spent could only be
@@ -595,7 +480,7 @@ impl Lifecycle {
         let Some(retries) = self.retries.as_mut() else {
             return Retry::Off;
         };
-        let policy = retries.policy;
+        let policy = RetryPolicy::default();
         if request.attempt >= policy.max_retries {
             return Retry::Denied;
         }
@@ -633,23 +518,24 @@ mod tests {
 
     #[test]
     fn retry_budget_spends_and_earns() {
-        let cfg = RetryConfig {
-            budget_cap: 2.0,
-            refill_per_success: 0.5,
-            ..RetryConfig::default()
-        };
-        let mut budget = RetryBudget::new(&cfg);
-        assert!(budget.try_take());
-        assert!(budget.try_take());
-        assert!(!budget.try_take(), "cap of two is spent");
+        let mut budget = RetryBudget::new();
+        for _ in 0..32 {
+            assert!(budget.try_take());
+        }
+        assert!(!budget.try_take(), "the cap of 32 is spent");
+        for _ in 0..3 {
+            budget.on_success();
+            assert!(!budget.try_take(), "a quarter token is not a retry");
+        }
         budget.on_success();
-        assert!(!budget.try_take(), "half a token is not a retry");
-        budget.on_success();
-        assert!(budget.try_take(), "two successes earn one retry");
-        for _ in 0..100 {
+        assert!(budget.try_take(), "four successes earn one retry");
+        for _ in 0..1_000 {
             budget.on_success();
         }
-        assert!(budget.tokens <= 2.0, "refill never exceeds the cap");
+        assert!(
+            budget.tokens <= RETRY_BUDGET_CAP,
+            "refill never exceeds the cap"
+        );
     }
 
     #[test]
@@ -671,28 +557,24 @@ mod tests {
 
     #[test]
     fn aimd_limiter_grows_additively_and_cuts_multiplicatively() {
-        let mut lim = AimdLimiter::new(LimiterConfig {
-            initial: 4,
-            max_inflight: 8,
-            ..LimiterConfig::default()
-        });
-        assert_eq!(lim.limit(), 4);
-        for _ in 0..10 {
+        let mut lim = AimdLimiter::new(1);
+        assert_eq!(lim.limit(), 8);
+        for _ in 0..100 {
             lim.on_batch(100.0, 1_000.0);
         }
-        assert_eq!(lim.limit(), 8, "additive increase caps at max_inflight");
+        assert_eq!(lim.limit(), 64, "additive increase caps at the maximum");
         assert!(lim.on_batch(2_000.0, 1_000.0));
-        assert_eq!(lim.limit(), 4, "one miss halves the limit");
+        assert_eq!(lim.limit(), 32, "one miss halves the limit");
         for _ in 0..10 {
             lim.on_batch(2_000.0, 1_000.0);
         }
         assert_eq!(lim.limit(), 1, "the floor is one, never zero");
-        assert_eq!(lim.door_cap(), LimiterConfig::default().queue_per_slot);
+        assert_eq!(lim.door_cap(), LIMITER_QUEUE_PER_SLOT);
     }
 
     #[test]
     fn brownout_ladder_climbs_and_recovers() {
-        let mut b = BrownoutController::new(BrownoutConfig::default());
+        let mut b = BrownoutController::default();
         assert_eq!(b.tier, 0);
         assert!(b.hedging_enabled());
         assert_eq!(b.observe(0, 4), None);
@@ -713,13 +595,9 @@ mod tests {
     #[test]
     fn lifecycle_defaults_are_off() {
         let cfg = LifecycleConfig::default();
-        assert!(cfg.retry.is_none());
-        assert!(cfg.hedge.is_none());
-        assert!(cfg.limiter.is_none());
-        assert!(cfg.brownout.is_none());
+        assert!(!cfg.retry && !cfg.hedge && !cfg.limiter && !cfg.brownout);
         let on = LifecycleConfig::all_on();
-        assert!(on.retry.is_some() && on.hedge.is_some());
-        assert!(on.limiter.is_some() && on.brownout.is_some());
+        assert!(on.retry && on.hedge && on.limiter && on.brownout);
     }
 
     // -- the component at its seam: `Lifecycle` alone, no engine -------
@@ -777,11 +655,11 @@ mod tests {
     #[test]
     fn the_door_shed_needs_tier_three_and_a_strictly_lowest_weight() {
         let brownout = LifecycleConfig {
-            brownout: Some(BrownoutConfig::default()),
+            brownout: true,
             ..LifecycleConfig::default()
         };
         let with_weights = |weights: [f64; 3]| {
-            let mut cfg = config(brownout.clone());
+            let mut cfg = config(brownout);
             for (tenant, weight) in cfg.tenants.iter_mut().zip(weights) {
                 tenant.weight = weight;
             }
@@ -808,13 +686,13 @@ mod tests {
     #[test]
     fn hedge_delay_is_cold_start_then_the_window_p95_and_only_where_hedging_applies() {
         let hedged = LifecycleConfig {
-            hedge: Some(HedgeConfig::default()),
-            brownout: Some(BrownoutConfig::default()),
+            hedge: true,
+            brownout: true,
             ..LifecycleConfig::default()
         };
         let plan = FaultPlan::new(1);
-        let mut life = Lifecycle::new(&config(hedged.clone()), &plan);
-        // Cold: expected x cold_start_factor (3), floored at 1 us.
+        let mut life = Lifecycle::new(&config(hedged), &plan);
+        // Cold: expected x the cold-start factor (3), floored at 1 us.
         assert_eq!(life.hedge_delay_us(0, false, 100.0), Some(300.0));
         assert_eq!(life.hedge_delay_us(0, false, 0.1), Some(1.0));
         assert_eq!(
@@ -824,7 +702,7 @@ mod tests {
         );
         assert_eq!(life.hedge_delay_us(1, false, 100.0), None, "analytics");
         assert_eq!(life.hedge_delay_us(2, false, 100.0), None, "query");
-        // Seven samples are one short of `min_samples`; the eighth
+        // Seven samples are one short of the warm-up; the eighth
         // switches to the window's nearest-rank p95 (the largest of 8).
         let done = [request(0, 0, 0.0)];
         for sample in 1..=8 {
@@ -854,15 +732,10 @@ mod tests {
 
     #[test]
     fn retries_are_denied_by_cap_then_deadline_then_budget_one_jitter_draw_each() {
-        let retry = RetryConfig {
-            budget_cap: 2.0,
-            refill_per_success: 0.5,
-            ..RetryConfig::default()
-        };
-        let policy = retry.policy;
+        let policy = RetryPolicy::default();
         let plan = FaultPlan::new(5);
         let cfg = config(LifecycleConfig {
-            retry: Some(retry),
+            retry: true,
             ..LifecycleConfig::default()
         });
         let mut life = Lifecycle::new(&cfg, &plan);
@@ -876,8 +749,9 @@ mod tests {
         let doomed = request(0, 0, 0.0);
         policy.backoff_us(0, &mut jitter);
         assert_eq!(life.retry(&doomed, 4_900.0, deadline_us), Retry::Denied);
-        // Live: both of tenant 0's tokens are still there to take.
-        for attempt in [0, 1] {
+        // Live: all 32 of tenant 0's tokens are still there to take.
+        for retry in 0..32 {
+            let attempt = retry % policy.max_retries;
             let backoff = policy.backoff_us(attempt, &mut jitter);
             let live = request(0, attempt, 0.0);
             assert_eq!(life.retry(&live, 100.0, deadline_us), Retry::After(backoff));
@@ -892,8 +766,11 @@ mod tests {
             life.retry(&other, 100.0, deadline_us),
             Retry::After(backoff)
         );
-        // Two completions earn tenant 0 one more retry.
-        life.batch_finished(0, &[doomed, doomed], 50.0, 60.0, deadline_us);
+        // Four completions earn tenant 0 one more retry.
+        life.batch_finished(0, &[doomed; 3], 50.0, 60.0, deadline_us);
+        policy.backoff_us(0, &mut jitter);
+        assert_eq!(life.retry(&doomed, 100.0, deadline_us), Retry::Denied);
+        life.batch_finished(0, &[doomed], 50.0, 60.0, deadline_us);
         let backoff = policy.backoff_us(2, &mut jitter);
         let earned = request(0, 2, 0.0);
         assert_eq!(
@@ -906,25 +783,28 @@ mod tests {
 
     #[test]
     fn the_limiter_reports_its_limit_only_when_a_step_moves_it() {
-        let cfg = config(LifecycleConfig {
-            limiter: Some(LimiterConfig {
-                initial: 1,
-                max_inflight: 6,
-                ..LimiterConfig::default()
-            }),
-            ..LifecycleConfig::default()
-        });
+        // Twelve nodes: the floor of one batch per node sits above the
+        // initial limit of eight.
+        let cfg = ServeConfig {
+            nodes: 12,
+            ..config(LifecycleConfig {
+                limiter: true,
+                ..LifecycleConfig::default()
+            })
+        };
         let mut life = Lifecycle::new(&cfg, &FaultPlan::new(1));
-        // Floored at one batch per node, whatever `initial` says.
-        assert!(!life.dispatch_at_limit(3) && life.dispatch_at_limit(4));
-        assert_eq!(life.door_cap(), Some(4 * 16));
+        // Floored at one batch per node, whatever the initial limit says.
+        assert!(!life.dispatch_at_limit(11) && life.dispatch_at_limit(12));
+        assert_eq!(life.door_cap(), Some(12 * 16));
         let done = [request(0, 0, 0.0)];
-        // 1 -> 4 under the floor: the integer limit does not move.
-        for _ in 0..3 {
+        // 8 -> 12 under the floor: the integer limit does not move.
+        for _ in 0..4 {
             assert_eq!(life.batch_finished(0, &done, 50.0, 100.0, 5_000.0), None);
         }
-        assert_eq!(life.batch_finished(0, &done, 50.0, 100.0, 5_000.0), Some(5));
-        assert_eq!(life.batch_finished(0, &done, 50.0, 100.0, 5_000.0), Some(6));
+        for limit in 13..=64 {
+            let moved = life.batch_finished(0, &done, 50.0, 100.0, 5_000.0);
+            assert_eq!(moved, Some(limit));
+        }
         assert_eq!(
             life.batch_finished(0, &done, 50.0, 100.0, 5_000.0),
             None,
@@ -932,7 +812,7 @@ mod tests {
         );
         assert_eq!(
             life.batch_finished(0, &done, 50.0, 9_000.0, 5_000.0),
-            Some(4)
+            Some(32)
         );
     }
 }

@@ -16,11 +16,14 @@ pub(crate) struct Pricing {
     pub(crate) effects: FaultEffects,
 }
 
+/// CPU cores of every serving node.
+const CORES_PER_NODE: u32 = 4;
+
 impl Pricing {
     /// The second half of the nodes carry FPGAs.
-    pub(crate) fn new(nodes: usize, cores: u32, plan: &FaultPlan) -> Pricing {
+    pub(crate) fn new(nodes: usize, plan: &FaultPlan) -> Pricing {
         Pricing {
-            cluster: Cluster::everest(nodes - nodes / 2, nodes / 2, cores),
+            cluster: Cluster::everest(nodes - nodes / 2, nodes / 2, CORES_PER_NODE),
             effects: FaultEffects::from_plan(plan, nodes),
         }
     }

@@ -33,12 +33,15 @@ struct ClassTuning {
     chosen: usize,
 }
 
+/// Completed batches of a class between retunes.
+const RETUNE_EVERY: u64 = 16;
+
 #[derive(Debug)]
 pub(crate) struct BatchTuning {
     classes: Vec<ClassTuning>,
-    /// Completed batches of a class between retunes; `None` with
-    /// autotuning off (observations are still fed).
-    retune_every: Option<u64>,
+    /// Whether a class retunes every [`RETUNE_EVERY`] completed
+    /// batches; with autotuning off, observations are still fed.
+    autotune: bool,
 }
 
 impl BatchTuning {
@@ -55,7 +58,7 @@ impl BatchTuning {
                     chosen: policy.max_batch,
                 })
                 .collect(),
-            retune_every: cfg.autotune.then_some(cfg.retune_every),
+            autotune: cfg.autotune,
         }
     }
 
@@ -86,7 +89,7 @@ impl BatchTuning {
         state.tuner.observe_slot(latency, latency_us);
         state.tuner.observe_slot(per_request, per_request_us);
         state.completions += 1;
-        (self.retune_every).is_some_and(|every| state.completions.is_multiple_of(every))
+        self.autotune && state.completions.is_multiple_of(RETUNE_EVERY)
     }
 
     /// Re-evaluates the class's tuner; the choice is read back through
@@ -166,7 +169,7 @@ mod tests {
     fn class_tuners_sharing_a_registry_keep_disjoint_windows() {
         let cfg = ServeConfig::default();
         let registry = Registry::new();
-        let pricing = Pricing::new(cfg.nodes, cfg.cores, &FaultPlan::new(cfg.seed));
+        let pricing = Pricing::new(cfg.nodes, &FaultPlan::new(cfg.seed));
         let mut tuning = BatchTuning::new(&cfg, &pricing, &registry);
         for round in 0..3 {
             let round = f64::from(round);

@@ -17,7 +17,7 @@ fn config(seed: u64, nodes: usize, lifecycle: bool) -> ServeConfig {
         nodes,
         offered_rps: 1_500.0 * nodes as f64,
         horizon_us: 50_000.0,
-        cluster: Some(ClusterConfig::default()),
+        cluster: Some(ClusterConfig),
         lifecycle: if lifecycle {
             LifecycleConfig::all_on()
         } else {

@@ -5,9 +5,9 @@
 use proptest::prelude::*;
 
 use everest_faults::FaultPlan;
+use everest_serve::lifecycle::{RETRY_BUDGET_CAP, RETRY_REFILL_PER_SUCCESS};
 use everest_serve::{
-    BatchPolicy, KernelClass, LifecycleConfig, Request, RetryConfig, ServeConfig, ServeEngine,
-    WeightedFairQueue,
+    BatchPolicy, KernelClass, LifecycleConfig, Request, ServeConfig, ServeEngine, WeightedFairQueue,
 };
 
 proptest! {
@@ -89,7 +89,8 @@ proptest! {
 
     /// (d) Request-lifecycle invariants under arbitrary seeded chaos
     /// with every robustness feature enabled: retries never exceed the
-    /// per-tenant budget earned (cap plus refill per success), hedged
+    /// per-tenant budget earned (cap plus refill per success; storms of
+    /// up to 64 faults so that the 32-token cap can be spent), hedged
     /// duplicates never double-count a completion (`conserved()` plus
     /// the completed/latency cross-check), and the same seed replays
     /// to the identical outcome.
@@ -98,22 +99,14 @@ proptest! {
         seed in any::<u64>(),
         nodes in 2usize..7,
         offered_khz in 2u64..21,
-        faults in 1usize..9,
-        budget_cap in 1u32..9,
+        faults in 8usize..65,
     ) {
-        let retry = RetryConfig {
-            budget_cap: budget_cap as f64,
-            ..RetryConfig::default()
-        };
         let mut config = ServeConfig {
             seed,
             nodes,
             offered_rps: offered_khz as f64 * 1_000.0,
             horizon_us: 30_000.0,
-            lifecycle: LifecycleConfig {
-                retry: Some(retry.clone()),
-                ..LifecycleConfig::all_on()
-            },
+            lifecycle: LifecycleConfig::all_on(),
             ..ServeConfig::default()
         };
         config.classes[0] = config.classes[0].clone().latency_critical();
@@ -132,12 +125,12 @@ proptest! {
         // Budget: a tenant can spend at most its starting cap plus
         // what its completions earned back.
         for tenant in &outcome.tenants {
-            let earned = retry.budget_cap + tenant.completed as f64 * retry.refill_per_success;
+            let earned = RETRY_BUDGET_CAP + tenant.completed as f64 * RETRY_REFILL_PER_SUCCESS;
             prop_assert!(
                 tenant.retried as f64 <= earned + 1e-9,
                 "tenant {} retried {} with cap {} + {} completions refilling {}",
-                tenant.name, tenant.retried, retry.budget_cap,
-                tenant.completed, retry.refill_per_success
+                tenant.name, tenant.retried, RETRY_BUDGET_CAP,
+                tenant.completed, RETRY_REFILL_PER_SUCCESS
             );
         }
         prop_assert_eq!(outcome.clone(), run());

@@ -10,6 +10,9 @@
 //! cover the scheduler tier's fault recovery and closed healing loop
 //! the way `tests/serve_gate.rs` covers the serve tier.
 
+mod common;
+
+use common::fnv1a;
 use everest_sdk::{run_chaos, run_heal, ChaosOptions, HealOptions};
 
 const CHAOS_GOLDEN: &str = include_str!("../ci/chaos_golden.json");
@@ -36,12 +39,6 @@ fn heal_campaign_matches_the_checked_in_golden() {
         HEAL_GOLDEN,
         "ci/heal_golden.json drifted"
     );
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Three seeds by two chaos and two heal shapes, each trace pinned by

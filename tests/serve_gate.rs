@@ -11,6 +11,9 @@
 //! in the serve engine is caught by `cargo test` before the workflow
 //! ever runs.
 
+mod common;
+
+use common::fnv1a;
 use everest_sdk::serve::{run_serve, ServeOptions};
 use everest_serve::ServeEngine;
 use everest_telemetry::Registry;
@@ -61,12 +64,6 @@ fn partition_campaign_matches_the_checked_in_golden() {
         PARTITION_GOLDEN,
         "ci/serve_partition_golden.json drifted"
     );
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-        (hash ^ u64::from(*byte)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Three seeds by five flag sets, named as the digest files name them.
