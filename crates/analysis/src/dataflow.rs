@@ -17,7 +17,7 @@ use everest_ir::registry::Context;
 
 use crate::diagnostics::{Diagnostic, Severity};
 use crate::fixpoint::{solve, FlowGraph, Lattice};
-use crate::lint::{Collector, Lint, LintInfo};
+use crate::lint::{Collector, Lint, LintInfo, OpKinds};
 use crate::report::AnalysisReport;
 
 /// Structural analysis of `dfg.graph` ops.
@@ -61,34 +61,21 @@ impl Lint for DfgStructure {
         DFG_LINTS
     }
 
+    /// Every check is of a graph's body.
+    fn ops(&self) -> OpKinds {
+        const OPS: OpKinds = OpKinds::of(&["dfg.graph"]);
+        OPS
+    }
+
     fn run(&self, ctx: &Context, module: &Module, out: &mut Collector<'_>) {
         let _ = ctx;
-        let ops = module.walk_ops();
-        for (at, &op) in ops.iter().enumerate() {
-            let Some(operation) = module.op(op) else {
-                continue;
-            };
-            if operation.name == "dfg.graph" {
-                // The walk is pre-order: what `walk_nested` would list
-                // follows the graph op.
-                let body = &ops[at + 1..at + 1 + nested_ops(module, operation)];
-                analyze_graph_op(module, body, out);
+        let walk = out.walk();
+        for (at, &op) in walk.iter().enumerate() {
+            if module.op(op).is_some_and(|o| o.name == "dfg.graph") {
+                analyze_graph_op(module, out.nested(at), out);
             }
         }
     }
-}
-
-/// How many ops are nested under `operation`, at any depth.
-fn nested_ops(module: &Module, operation: &everest_ir::module::Operation) -> usize {
-    let mut count = 0;
-    for &region in &operation.regions {
-        for &block in &module.region(region).blocks {
-            for &op in &module.block(block).ops {
-                count += 1 + module.op(op).map_or(0, |nested| nested_ops(module, nested));
-            }
-        }
-    }
-    count
 }
 
 /// Marks an unused slot of a dense table.
@@ -153,20 +140,20 @@ struct Channel {
     capacity: i64,
     /// The defining `dfg.channel` op.
     def: Option<OpId>,
-    /// Start and length of its run in [`Channels::writer_ops`].
+    /// Start and length of its run of writers in [`Channels::users`].
     writers: [u32; 2],
-    /// Start and length of its run in [`Channels::reader_ops`].
+    /// Start and length of its run of readers in [`Channels::users`].
     readers: [u32; 2],
 }
 
 /// The channels of one `dfg.graph` in dense tables sized once for the
 /// graph: one record per channel in value order, and every channel's
-/// writers (and readers) as one run of a flat list, in walk order.
+/// writers (then, past every writer, its readers) as one run of a flat
+/// list, in walk order.
 #[derive(Debug)]
 struct Channels {
     list: Vec<Channel>,
-    writer_ops: Vec<OpId>,
-    reader_ops: Vec<OpId>,
+    users: Vec<OpId>,
 }
 
 impl Channels {
@@ -201,8 +188,10 @@ impl Channels {
                 Use::Read => channel.readers[1] += 1,
             }
         });
-        // Runs one after another; the lengths count again as cursors.
-        let (mut writers, mut readers) = (0, 0);
+        // Runs one after another, every writer's before every reader's;
+        // the lengths count again as cursors.
+        let all_writers: u32 = list.iter().map(|c| c.writers[1]).sum();
+        let (mut writers, mut readers) = (0, all_writers);
         for channel in &mut list {
             let counts = (channel.writers[1], channel.readers[1]);
             channel.writers = [writers, 0];
@@ -210,34 +199,45 @@ impl Channels {
             writers += counts.0;
             readers += counts.1;
         }
-        // Every place is written below: the runs cover the lists.
-        let mut writer_ops = vec![OpId::from_raw(0); writers as usize];
-        let mut reader_ops = vec![OpId::from_raw(0); readers as usize];
+        // Every place is written below: the runs cover the list.
+        let mut users = vec![OpId::from_raw(0); readers as usize];
         for_each_use(module, ops, |op, value, usage| {
             let channel = &mut list[slot[value.index()] as usize];
-            let ([start, len], ops) = match usage {
+            let [start, len] = match usage {
                 Use::Define(_) => return,
-                Use::Write => (&mut channel.writers, &mut writer_ops),
-                Use::Read => (&mut channel.readers, &mut reader_ops),
+                Use::Write => &mut channel.writers,
+                Use::Read => &mut channel.readers,
             };
-            ops[(*start + *len) as usize] = op;
+            users[(*start + *len) as usize] = op;
             *len += 1;
         });
-        Channels {
-            list,
-            writer_ops,
-            reader_ops,
-        }
+        Channels { list, users }
     }
 
     fn writers(&self, channel: &Channel) -> &[OpId] {
         let [start, len] = channel.writers;
-        &self.writer_ops[start as usize..(start + len) as usize]
+        &self.users[start as usize..(start + len) as usize]
     }
 
     fn readers(&self, channel: &Channel) -> &[OpId] {
         let [start, len] = channel.readers;
-        &self.reader_ops[start as usize..(start + len) as usize]
+        &self.users[start as usize..(start + len) as usize]
+    }
+
+    /// Whether every channel's writers all come before its readers in
+    /// op order. Then every writer → reader edge runs forward in a
+    /// total order, so the actor graph has no cycle, no ring and no
+    /// edge to itself — the shape every lowering in the repository
+    /// builds, which the cycle checks need not look at.
+    fn all_forward(&self) -> bool {
+        self.list.iter().all(|channel| {
+            let last_writer = self.writers(channel).iter().map(|op| op.index()).max();
+            let first_reader = self.readers(channel).iter().map(|op| op.index()).min();
+            match (last_writer, first_reader) {
+                (Some(w), Some(r)) => w < r,
+                _ => true,
+            }
+        })
     }
 
     /// Writer → reader edges through every channel whose capacity
@@ -271,7 +271,7 @@ impl Actors {
     fn of(module: &Module, channels: &Channels) -> Actors {
         let mut index = vec![NONE; module.num_op_slots()];
         let mut count = 0;
-        for op in channels.writer_ops.iter().chain(&channels.reader_ops) {
+        for op in &channels.users {
             count += usize::from(index[op.index()] == NONE);
             index[op.index()] = 0;
         }
@@ -312,6 +312,9 @@ fn analyze_graph_op(module: &Module, body_ops: &[OpId], out: &mut Collector<'_>)
         }
     }
 
+    if channels.all_forward() {
+        return;
+    }
     let actors = Actors::of(module, &channels);
     check_unbuffered_cycles(&channels, &actors, out);
     check_channel_capacity(module, &channels, &actors, out);

@@ -30,7 +30,7 @@
 //! On-fabric crossings (device ↔ PLM) are normal datapath traffic and
 //! are never reported.
 
-use everest_ir::ids::ValueId;
+use everest_ir::ids::{OpId, ValueId};
 use everest_ir::module::Module;
 use everest_ir::registry::Context;
 use everest_ir::types::{MemorySpace, Type};
@@ -38,7 +38,7 @@ use everest_ir::types::{MemorySpace, Type};
 use crate::diagnostics::Severity;
 use crate::fixpoint::{solve, Fixpoint, FlowGraph, Lattice};
 use crate::interval::direct_yields;
-use crate::lint::{Collector, Lint, LintInfo};
+use crate::lint::{Collector, Lint, LintInfo, OpKinds};
 
 /// Lints implemented by [`MemorySpaceEscape`].
 pub(crate) const ESCAPE_LINTS: &[LintInfo] = &[LintInfo {
@@ -114,12 +114,12 @@ fn declared_space(module: &Module, value: ValueId) -> Option<MemorySpace> {
 /// then uniform — its seed unioned with the facts of what it reads —
 /// which keeps the transfer trivially monotone, and "what it reads" is
 /// the flow graph's predecessor list, so no second copy is kept.
-fn flow_edges(module: &Module) -> Vec<(u32, u32)> {
+fn flow_edges(module: &Module, walk: &[OpId]) -> Vec<(u32, u32)> {
     let mut edges = Vec::with_capacity(2 * module.num_values());
     let mut flow = |source: ValueId, target: ValueId| {
         edges.push((source.index() as u32, target.index() as u32));
     };
-    for op_id in module.walk_ops() {
+    for &op_id in walk {
         let Some(operation) = module.op(op_id) else {
             continue;
         };
@@ -183,6 +183,11 @@ fn flow_edges(module: &Module) -> Vec<(u32, u32)> {
 
 /// Computes the provenance fixpoint for every SSA value.
 pub fn compute(module: &Module) -> Fixpoint<SpaceSet> {
+    compute_over(module, &module.walk_ops())
+}
+
+/// [`compute`] over `walk`, the module's ops in pre-order.
+fn compute_over(module: &Module, walk: &[OpId]) -> Fixpoint<SpaceSet> {
     let n = module.num_values();
     // Buffers seed their declared space (their initial contents live
     // there); everything else starts empty.
@@ -192,7 +197,7 @@ pub fn compute(module: &Module) -> Fixpoint<SpaceSet> {
                 .map_or_else(SpaceSet::bottom, SpaceSet::of)
         })
         .collect();
-    let edges = flow_edges(module);
+    let edges = flow_edges(module, walk);
     // Height-3 lattice: a generous linear budget always converges.
     let budget = 8 * (n + edges.len()) + 8;
     let graph = FlowGraph::from_edges(n, edges);
@@ -222,10 +227,16 @@ impl Lint for MemorySpaceEscape {
         ESCAPE_LINTS
     }
 
+    /// Findings sit on stores and kernel launches only.
+    fn ops(&self) -> OpKinds {
+        const OPS: OpKinds = OpKinds::of(&["memref.store", "olympus.kernel"]);
+        OPS
+    }
+
     fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
-        let facts = compute(module).states;
+        let facts = compute_over(module, out.walk()).states;
         let of = |v: ValueId| facts.get(v.index()).copied().unwrap_or_default();
-        for op_id in module.walk_ops() {
+        for &op_id in out.walk() {
             let Some(operation) = module.op(op_id) else {
                 continue;
             };

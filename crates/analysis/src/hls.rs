@@ -7,7 +7,7 @@ use everest_ir::module::{Module, Operation, ValueDef};
 use everest_ir::registry::{Context, OpTrait};
 
 use crate::diagnostics::Severity;
-use crate::lint::{Collector, Lint, LintInfo};
+use crate::lint::{Collector, Lint, LintInfo, OpKinds};
 
 /// Pre-synthesis checks over `scf.for` loops.
 #[derive(Debug, Clone, Copy, Default)]
@@ -35,17 +35,25 @@ impl Lint for HlsPreSynthesis {
         HLS_LINTS
     }
 
+    /// Every check is of a loop's body.
+    fn ops(&self) -> OpKinds {
+        const OPS: OpKinds = OpKinds::of(&["scf.for"]);
+        OPS
+    }
+
     fn run(&self, ctx: &Context, module: &Module, out: &mut Collector<'_>) {
         // Built at the first loop: a module without one pays nothing.
         let mut sets = None;
-        for op in module.walk_ops() {
+        let walk = out.walk();
+        for (at, &op) in walk.iter().enumerate() {
             let Some(operation) = module.op(op) else {
                 continue;
             };
             if operation.name == "scf.for" {
                 let (inside, loaded) =
                     sets.get_or_insert_with(|| (ValueSet::new(module), ValueSet::new(module)));
-                check_loop(ctx, module, op, operation, inside, loaded, out);
+                let body_ops = out.nested(at);
+                check_loop(ctx, module, operation, body_ops, inside, loaded, out);
             }
         }
     }
@@ -81,23 +89,24 @@ impl ValueSet {
     }
 }
 
+/// The checks of one loop, whose nested ops (at any depth, in
+/// pre-order) are `body_ops`.
 fn check_loop(
     ctx: &Context,
     module: &Module,
-    for_op: OpId,
     operation: &Operation,
+    body_ops: &[OpId],
     inside: &mut ValueSet,
     loaded: &mut ValueSet,
     out: &mut Collector<'_>,
 ) {
     // Everything defined inside the loop (op results and block args of
     // every nested block, including inner loops).
-    let body_ops = module.walk_nested(for_op);
     inside.clear();
     for &region in &operation.regions {
         collect_block_args(module, region, inside);
     }
-    for &op in &body_ops {
+    for &op in body_ops {
         if let Some(o) = module.op(op) {
             for &r in &o.results {
                 inside.insert(r);
@@ -112,14 +121,14 @@ fn check_loop(
         .and_then(|&b| module.block(b).args.first())
         .copied();
 
-    for &op in &body_ops {
+    for &op in body_ops {
         let Some(o) = module.op(op) else {
             continue;
         };
         check_invariant(ctx, op, o, inside, out);
         check_inner_trip_count(ctx, module, op, o, out);
     }
-    check_memory_dependency(module, &body_ops, induction, loaded, out);
+    check_memory_dependency(module, body_ops, induction, loaded, out);
 }
 
 fn collect_block_args(module: &Module, region: everest_ir::ids::RegionId, inside: &mut ValueSet) {

@@ -28,7 +28,7 @@ use everest_ir::types::Type;
 
 use crate::diagnostics::Severity;
 use crate::fixpoint::{solve, FlowGraph, Lattice};
-use crate::lint::{Collector, Lint, LintInfo};
+use crate::lint::{Collector, Lint, LintInfo, OpKinds};
 
 /// Lints implemented by [`IntervalAnalysis`].
 pub(crate) const INTERVAL_LINTS: &[LintInfo] = &[
@@ -344,9 +344,9 @@ pub(crate) fn direct_yields<'m>(
         .filter(|o| o.name == "scf.yield")
 }
 
-fn build_rules(module: &Module) -> Vec<Rule<'_>> {
+fn build_rules<'m>(module: &'m Module, walk: &[OpId]) -> Vec<Rule<'m>> {
     let mut rules = vec![Rule::Top; module.num_values()];
-    for op_id in module.walk_ops() {
+    for &op_id in walk {
         let Some(operation) = module.op(op_id) else {
             continue;
         };
@@ -431,7 +431,7 @@ fn build_rules(module: &Module) -> Vec<Rule<'_>> {
                     continue;
                 };
                 let mut call_operands: Vec<Vec<ValueId>> = Vec::new();
-                for other in module.walk_ops() {
+                for &other in walk {
                     if let Some(call) = module.op(other) {
                         if call.name == "func.call" && symbol_attr(call, "callee") == Some(symbol) {
                             call_operands.push(call.operands.to_vec());
@@ -531,7 +531,14 @@ fn eval(rule: &Rule<'_>, states: &[Interval]) -> Interval {
 /// one [`Analyzer::run`](crate::lint::Analyzer::run) they share one solve
 /// through `Collector::interval_facts`.
 pub fn compute(module: &Module) -> IntervalFacts {
-    let rules = build_rules(module);
+    compute_over(module, &module.walk_ops())
+}
+
+/// [`compute`] over `walk`, the module's ops in pre-order: an
+/// [`Analyzer::run`](crate::lint::Analyzer::run) passes the one walk
+/// every lint reads.
+pub(crate) fn compute_over(module: &Module, walk: &[OpId]) -> IntervalFacts {
+    let rules = build_rules(module, walk);
     let n = rules.len();
     let mut edges = Vec::with_capacity(2 * n);
     for (index, rule) in rules.iter().enumerate() {
@@ -595,9 +602,16 @@ impl Lint for IntervalAnalysis {
         INTERVAL_LINTS
     }
 
+    /// Findings sit on accesses, selects and loops only.
+    fn ops(&self) -> OpKinds {
+        const OPS: OpKinds =
+            OpKinds::of(&["memref.load", "memref.store", "arith.select", "scf.for"]);
+        OPS
+    }
+
     fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
         let facts = out.interval_facts();
-        for op_id in module.walk_ops() {
+        for &op_id in out.walk() {
             let Some(operation) = module.op(op_id) else {
                 continue;
             };

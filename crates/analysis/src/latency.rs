@@ -385,7 +385,7 @@ impl Lint for WorstCaseLatency {
         // Flow-built IR declares no deadline: then nothing is modelled
         // and the interval facts are not asked for.
         let mut model = None;
-        for op_id in module.walk_ops() {
+        for &op_id in out.walk() {
             let Some(operation) = module.op(op_id) else {
                 continue;
             };

@@ -9,7 +9,7 @@ use everest_ir::registry::Context;
 use everest_ir::types::Type;
 
 use crate::diagnostics::Severity;
-use crate::lint::{Collector, Lint, LintInfo};
+use crate::lint::{Collector, Lint, LintInfo, OpKinds};
 
 /// Lifetime analysis over `memref` buffers.
 ///
@@ -64,6 +64,18 @@ impl Lint for MemrefLifetime {
         LIFETIME_LINTS
     }
 
+    /// A use after free or a double free needs a dealloc, a leak an
+    /// alloc, an out-of-bounds access a load or a store.
+    fn ops(&self) -> OpKinds {
+        const OPS: OpKinds = OpKinds::of(&[
+            "memref.alloc",
+            "memref.dealloc",
+            "memref.load",
+            "memref.store",
+        ]);
+        OPS
+    }
+
     fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
         check_free_order(module, out);
         check_leaks(module, out);
@@ -74,7 +86,7 @@ impl Lint for MemrefLifetime {
 /// Use-after-free and double-free, over the module's program order.
 fn check_free_order(module: &Module, out: &mut Collector<'_>) {
     let mut freed: HashSet<ValueId> = HashSet::new();
-    for op in module.walk_ops() {
+    for &op in out.walk() {
         let Some(operation) = module.op(op) else {
             continue;
         };
@@ -117,7 +129,7 @@ fn check_leaks(module: &Module, out: &mut Collector<'_>) {
             }
         }
     }
-    for op in module.walk_ops() {
+    for &op in out.walk() {
         let Some(operation) = module.op(op) else {
             continue;
         };
@@ -139,7 +151,7 @@ fn check_leaks(module: &Module, out: &mut Collector<'_>) {
 
 /// Constant-index accesses checked against static shapes.
 fn check_bounds(module: &Module, out: &mut Collector<'_>) {
-    for op in module.walk_ops() {
+    for &op in out.walk() {
         let Some(operation) = module.op(op) else {
             continue;
         };

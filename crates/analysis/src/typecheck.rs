@@ -7,7 +7,7 @@ use everest_ir::registry::Context;
 use everest_ir::types::{MemorySpace, Type};
 
 use crate::diagnostics::Severity;
-use crate::lint::{Collector, Lint, LintInfo};
+use crate::lint::{Collector, Lint, LintInfo, OpKinds};
 
 /// The collecting form of the verifier's type and attribute rules: one
 /// `type-mismatch` finding per [`Constraint`](everest_ir::constraint::Constraint)
@@ -33,7 +33,7 @@ impl Lint for TypeCheck {
     }
 
     fn run(&self, ctx: &Context, module: &Module, out: &mut Collector<'_>) {
-        for op in module.walk_ops() {
+        for &op in out.walk() {
             let Some(operation) = module.op(op) else {
                 continue;
             };
@@ -80,8 +80,13 @@ impl Lint for MemorySpaceCheck {
         MEMSPACE_LINTS
     }
 
+    fn ops(&self) -> OpKinds {
+        const OPS: OpKinds = OpKinds::of(&["olympus.kernel", "olympus.dma", "memref.copy"]);
+        OPS
+    }
+
     fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
-        for op in module.walk_ops() {
+        for &op in out.walk() {
             let Some(operation) = module.op(op) else {
                 continue;
             };

@@ -337,11 +337,13 @@ impl Autotuner {
     /// update and the EMA correction run without building a single
     /// string — the hot-path form used by the serving engine once per
     /// completed batch.
+    ///
+    /// The monitor handle buffers the observation: the registry's
+    /// window shows it once the handle flushes — when its buffer
+    /// fills, on [`Autotuner::monitor`] and when the tuner drops.
     pub fn observe_slot(&mut self, slot: TunerSlot, value: f64) {
         let slot = &mut self.slots[slot.0];
-        // Published at once: `Autotuner::monitor` reads the window back.
         slot.monitor.observe(value);
-        slot.monitor.flush();
         if let Some(expected) = slot.expected {
             if expected > 0.0 {
                 let ratio = value / expected;
@@ -358,10 +360,21 @@ impl Autotuner {
     }
 
     /// A snapshot of the monitor for `(config, metric)`, if
-    /// observations exist.
-    pub fn monitor(&self, config: &Configuration, metric: &str) -> Option<Monitor> {
+    /// observations exist. Publishes every slot's buffered
+    /// observations first, so the window holds all of them.
+    pub fn monitor(&mut self, config: &Configuration, metric: &str) -> Option<Monitor> {
+        self.flush_monitors();
         self.registry
             .monitor(&Self::monitor_name(&config_key(config), metric))
+    }
+
+    /// Publishes every slot's buffered observations to the registry's
+    /// monitor windows. A reader of the shared registry that needs the
+    /// windows mid-run calls this first; dropping the tuner does it too.
+    pub fn flush_monitors(&mut self) {
+        for slot in &mut self.slots {
+            slot.monitor.flush();
+        }
     }
 }
 

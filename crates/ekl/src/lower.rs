@@ -101,7 +101,7 @@ pub fn lower_to_loops(program: &Program) -> IrResult<Module> {
         pending: Vec::new(),
         loops: Vec::new(),
         memrefs: Vec::new(),
-        accumulator: None,
+        accumulators: [None; 2],
     };
     for (k, name) in program.inputs.iter().enumerate() {
         let arg = lowerer.module.block(entry).args[k];
@@ -278,8 +278,9 @@ struct Lowerer<'p> {
     loops: Vec<(ValueId, BlockId)>,
     /// Buffer types built so far, by shape and element kind.
     memrefs: Vec<(&'p [u64], bool, TypeId)>,
-    /// The rank-0 `plm` accumulator type, once built.
-    accumulator: Option<TypeId>,
+    /// The rank-0 `plm` accumulator types, once built: `f64` at 0,
+    /// `index` at 1.
+    accumulators: [Option<TypeId>; 2],
 }
 
 impl<'p> Lowerer<'p> {
@@ -508,9 +509,10 @@ impl<'p> Lowerer<'p> {
                 let v = self.emit_index_expr(block, inner)?;
                 Ok(binary(&mut self.module, block, SUBI, zero, v))
             }
-            Node::Compare { .. } | Node::Sum { .. } | Node::Call { .. } => Err(IrError::Type(
-                format!("expression {expr:?} cannot be used as an index"),
-            )),
+            Node::Sum { at, len, body } => self.emit_sum(block, at, len, body, true),
+            Node::Compare { .. } | Node::Call { .. } => Err(IrError::Type(format!(
+                "expression {expr:?} cannot be used as an index"
+            ))),
         }
     }
 
@@ -561,55 +563,7 @@ impl<'p> Lowerer<'p> {
                     .append_to(block);
                 Ok(single_result(&self.module, sel))
             }
-            Node::Sum { at, len, body } => {
-                // rank-0 accumulator cell in PLM
-                let acc_ty = match self.accumulator {
-                    Some(ty) => ty,
-                    None => {
-                        let ty = Type::memref(&[], Type::F64, MemorySpace::Plm);
-                        *self.accumulator.insert(self.module.intern_type(ty))
-                    }
-                };
-                let alloc = self
-                    .module
-                    .build_op(ALLOC, [], [])
-                    .result(acc_ty)
-                    .append_to(block);
-                let acc = single_result(&self.module, alloc);
-                let zero = const_f64(&mut self.module, block, 0.0);
-                self.module
-                    .build_op(STORE, [zero, acc], [])
-                    .append_to(block);
-                let outer = self.loops.len();
-                let mut inner = block;
-                for k in at..at + len {
-                    inner = self.open_loop(inner, self.names.extents[self.lists[k]]);
-                }
-                for (k, &(iv, _)) in (at..at + len).zip(&self.loops[outer..]) {
-                    self.env[self.lists[k]] = Some(iv);
-                }
-                let term = self.emit_value_expr(inner, body)?;
-                let load = self
-                    .module
-                    .build_op(LOAD, [acc], [])
-                    .result(TypeId::F64)
-                    .append_to(inner);
-                let cur = single_result(&self.module, load);
-                let next = binary(&mut self.module, inner, ADDF, cur, term);
-                self.module
-                    .build_op(STORE, [next, acc], [])
-                    .append_to(inner);
-                for k in at..at + len {
-                    self.env[self.lists[k]] = None;
-                }
-                self.close_loops(outer);
-                let final_load = self
-                    .module
-                    .build_op(LOAD, [acc], [])
-                    .result(TypeId::F64)
-                    .append_to(block);
-                Ok(single_result(&self.module, final_load))
-            }
+            Node::Sum { at, len, body } => self.emit_sum(block, at, len, body, false),
             Node::Call { builtin, arg } => {
                 let v = self.emit_value_expr(block, arg)?;
                 let name = match builtin {
@@ -638,6 +592,79 @@ impl<'p> Lowerer<'p> {
                 "comparison used outside select (checker bug)".into(),
             )),
         }
+    }
+
+    /// Emits `sum(lists[at..at + len])(body)` through a rank-0 `plm`
+    /// accumulator cell: `f64`-typed, or `index`-typed for an integer
+    /// sum (one in a subscript, or defining an `of int` tensor), with
+    /// the same loop nest either way.
+    fn emit_sum(
+        &mut self,
+        block: BlockId,
+        at: usize,
+        len: usize,
+        body: usize,
+        integer: bool,
+    ) -> IrResult<ValueId> {
+        let (elem, add) = if integer {
+            (TypeId::INDEX, ADDI)
+        } else {
+            (TypeId::F64, ADDF)
+        };
+        let acc_ty = match self.accumulators[usize::from(integer)] {
+            Some(ty) => ty,
+            None => {
+                let ty = Type::memref(&[], elem_type(integer), MemorySpace::Plm);
+                *self.accumulators[usize::from(integer)].insert(self.module.intern_type(ty))
+            }
+        };
+        let alloc = self
+            .module
+            .build_op(ALLOC, [], [])
+            .result(acc_ty)
+            .append_to(block);
+        let acc = single_result(&self.module, alloc);
+        let zero = if integer {
+            const_index(&mut self.module, block, 0)
+        } else {
+            const_f64(&mut self.module, block, 0.0)
+        };
+        self.module
+            .build_op(STORE, [zero, acc], [])
+            .append_to(block);
+        let outer = self.loops.len();
+        let mut inner = block;
+        for k in at..at + len {
+            inner = self.open_loop(inner, self.names.extents[self.lists[k]]);
+        }
+        for (k, &(iv, _)) in (at..at + len).zip(&self.loops[outer..]) {
+            self.env[self.lists[k]] = Some(iv);
+        }
+        let term = if integer {
+            self.emit_index_expr(inner, body)?
+        } else {
+            self.emit_value_expr(inner, body)?
+        };
+        let load = self
+            .module
+            .build_op(LOAD, [acc], [])
+            .result(elem)
+            .append_to(inner);
+        let cur = single_result(&self.module, load);
+        let next = binary(&mut self.module, inner, add, cur, term);
+        self.module
+            .build_op(STORE, [next, acc], [])
+            .append_to(inner);
+        for k in at..at + len {
+            self.env[self.lists[k]] = None;
+        }
+        self.close_loops(outer);
+        let final_load = self
+            .module
+            .build_op(LOAD, [acc], [])
+            .result(elem)
+            .append_to(block);
+        Ok(single_result(&self.module, final_load))
     }
 
     /// Emits a comparison as an `i1` condition.
@@ -856,6 +883,37 @@ mod tests {
                output flag
              }",
             &[("p", Tensor::from_data(&[4], vec![0.9, 0.1, 0.6, 0.4]))],
+        );
+    }
+
+    /// An integer `sum` where an index is required — a subscript, and
+    /// the integer tensor it defines — accumulates in an `index` cell.
+    #[test]
+    fn lowered_integer_sum_index_matches_interp() {
+        let n = Tensor::from_data(&[3], vec![1.0, 0.0, 2.0]);
+        let a = Tensor::from_data(&[8], (0..8).map(|v| 10.0 + v as f64).collect());
+        assert_lowering_matches(
+            "kernel gather {
+               index i : 0..4
+               index j : 0..3
+               input n : [j] of int
+               input a : [8]
+               let y[i] = a[sum(j)(n[j]) + i]
+               output y
+             }",
+            &[("n", n.clone()), ("a", a.clone())],
+        );
+        assert_lowering_matches(
+            "kernel total {
+               index i : 0..4
+               index j : 0..3
+               input n : [j] of int
+               input a : [8]
+               let s = sum(j)(n[j] * j)
+               let y[i] = a[s] * s
+               output y
+             }",
+            &[("n", n), ("a", a)],
         );
     }
 

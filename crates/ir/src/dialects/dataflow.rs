@@ -5,12 +5,24 @@
 //! deterministic executor in crate `everest-condrust` interprets this
 //! dialect; Olympus maps `dfg.node`s onto FPGA kernels or CPU tasks.
 
+use std::sync::LazyLock;
+
 use crate::attr::Attribute;
 use crate::constraint::{AttrRule, Constraint, Port, TypeClass};
 use crate::ids::OpId;
+use crate::intern::Symbol;
 use crate::module::Module;
 use crate::registry::{Arity, Dialect, OpSpec, OpTrait};
 use crate::types::Type;
+
+const GRAPH: Symbol = Symbol::registered("dfg.graph");
+const CHANNEL: Symbol = Symbol::registered("dfg.channel");
+const SYM_NAME: Symbol = Symbol::registered("sym_name");
+
+/// The `capacity` attribute's name: not one a spec requires, so not in
+/// the interner's constant table; interned once for the process rather
+/// than looked up under the interner's lock for every channel.
+static CAPACITY: LazyLock<Symbol> = LazyLock::new(|| Symbol::new("capacity"));
 
 /// The `dfg` dialect.
 pub(crate) fn dfg_dialect() -> Dialect {
@@ -50,8 +62,8 @@ pub fn build_graph(
     name: &str,
 ) -> (OpId, crate::ids::BlockId) {
     let g = m
-        .build_op("dfg.graph", [], [])
-        .attr("sym_name", name)
+        .build_op(GRAPH, [], [])
+        .attr(SYM_NAME, name)
         .regions(1)
         .append_to(parent);
     let region = m.op(g).expect("just built").regions[0];
@@ -60,15 +72,20 @@ pub fn build_graph(
 }
 
 /// Builds a `dfg.channel` of element type `elem` with a FIFO capacity.
+/// Hashes nothing: the op and attribute names are resolved once for
+/// the process, and the stream type is found in the module's table by
+/// its element.
 pub fn build_channel(
     m: &mut Module,
     block: crate::ids::BlockId,
     elem: Type,
     capacity: i64,
 ) -> crate::ids::ValueId {
+    let stream = m.intern_stream(elem);
     let op = m
-        .build_op("dfg.channel", [], [Type::Stream(Box::new(elem))])
-        .attr("capacity", Attribute::Int(capacity))
+        .build_op(CHANNEL, [], [])
+        .result(stream)
+        .attr(*CAPACITY, Attribute::Int(capacity))
         .append_to(block);
     crate::module::single_result(m, op)
 }

@@ -359,7 +359,7 @@ impl Symbol {
     /// first — so they are an index, never an order: anything that must
     /// come out the same on every run sorts by [`Symbol::as_str`] (the
     /// type has no `Ord` for that reason).
-    pub fn index(&self) -> usize {
+    pub const fn index(&self) -> usize {
         self.0.id as usize
     }
 }

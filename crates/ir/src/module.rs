@@ -283,6 +283,12 @@ impl Module {
         self.types.intern(ty)
     }
 
+    /// [`Module::intern_type`] of `stream<elem>`, without building the
+    /// boxed stream type when the module already has it.
+    pub(crate) fn intern_stream(&mut self, elem: Type) -> TypeId {
+        self.types.intern_stream(elem)
+    }
+
     /// Number of live (non-erased) operations in the module.
     pub fn num_ops(&self) -> usize {
         self.ops.iter().filter(|o| o.is_some()).count()

@@ -318,7 +318,9 @@ fn fixed_id(ty: &Type) -> Option<TypeId> {
 }
 
 /// One module's uniqued types past the fixed ones, and the map that
-/// finds a type's id; nothing is allocated until the first such type.
+/// finds a type's id; nothing is allocated until the first such type,
+/// and the map not until the table outgrows a scan
+/// ([`SCANNED_TYPES`]).
 ///
 /// Clones of a module share one table until either adds a type, which
 /// copies it then (`Arc::make_mut`): cloning a module copies no type,
@@ -332,9 +334,40 @@ pub(crate) struct TypeTable {
 struct Uniqued {
     /// The type of id `FIXED.len() + i` at `i`.
     types: Vec<Type>,
-    /// The default hasher: the parser interns whatever types its input
-    /// spells.
+    /// Every type of `types` once it holds more than [`SCANNED_TYPES`];
+    /// empty until then. The default hasher: the parser interns
+    /// whatever types its input spells.
     ids: HashMap<Type, TypeId>,
+}
+
+/// Uniqued types a table finds by comparing them in turn before it
+/// builds its map: a flow-built module has a few (a query graph one
+/// stream type, a lowered kernel a memref type or three), and
+/// comparing that many costs less than hashing one.
+const SCANNED_TYPES: usize = 8;
+
+impl Uniqued {
+    /// The id of the first type `matches` accepts, by a scan while the
+    /// table is small.
+    fn scan(&self, matches: impl FnMut(&Type) -> bool) -> Option<TypeId> {
+        let at = self.types.iter().position(matches)?;
+        Some(TypeId((FIXED.len() + at) as u32))
+    }
+
+    /// Appends `ty`, which the table does not hold, and returns its id.
+    fn push(&mut self, ty: Type) -> TypeId {
+        let id = TypeId((FIXED.len() + self.types.len()) as u32);
+        if self.types.len() == SCANNED_TYPES {
+            self.ids = (self.types.iter().cloned())
+                .zip((FIXED.len() as u32..).map(TypeId))
+                .collect();
+        }
+        if self.types.len() >= SCANNED_TYPES {
+            self.ids.insert(ty.clone(), id);
+        }
+        self.types.push(ty);
+        id
+    }
 }
 
 impl TypeTable {
@@ -354,27 +387,46 @@ impl TypeTable {
 
     /// The id `ty` already has, if any.
     fn find(&self, ty: &Type) -> Option<TypeId> {
-        fixed_id(ty).or_else(|| self.uniqued.as_ref()?.ids.get(ty).copied())
+        if let Some(id) = fixed_id(ty) {
+            return Some(id);
+        }
+        let uniqued = self.uniqued.as_ref()?;
+        if uniqued.ids.is_empty() {
+            uniqued.scan(|known| known == ty)
+        } else {
+            uniqued.ids.get(ty).copied()
+        }
     }
 
     /// The id of `ty`, issuing the next one the first time; `ty` is
     /// moved into the table then, and dropped when it is already there.
     pub(crate) fn intern(&mut self, ty: Type) -> TypeId {
-        if let Some(id) = self.find(&ty) {
-            return id;
+        match self.find(&ty) {
+            Some(id) => id,
+            None => self.push(ty),
         }
-        let uniqued = Arc::make_mut(self.uniqued.get_or_insert_with(Arc::default));
-        let id = TypeId((FIXED.len() + uniqued.types.len()) as u32);
-        uniqued.types.push(ty.clone());
-        uniqued.ids.insert(ty, id);
-        id
+    }
+
+    /// The id of `stream<elem>`. While the table is scanned the stream
+    /// is found by its element, so no boxed stream type is built unless
+    /// this is its first use.
+    pub(crate) fn intern_stream(&mut self, elem: Type) -> TypeId {
+        let scanned = (self.uniqued.as_ref())
+            .filter(|uniqued| uniqued.ids.is_empty())
+            .and_then(|uniqued| uniqued.scan(|ty| matches!(ty, Type::Stream(e) if **e == elem)));
+        scanned.unwrap_or_else(|| self.intern(Type::Stream(Box::new(elem))))
+    }
+
+    /// Appends a type the table does not hold.
+    fn push(&mut self, ty: Type) -> TypeId {
+        Arc::make_mut(self.uniqued.get_or_insert_with(Arc::default)).push(ty)
     }
 
     /// The id of `ty`, cloning it only the first time it is seen.
     pub(crate) fn intern_ref(&mut self, ty: &Type) -> TypeId {
         match self.find(ty) {
             Some(id) => id,
-            None => self.intern(ty.clone()),
+            None => self.push(ty.clone()),
         }
     }
 }

@@ -19,6 +19,7 @@ use everest_hls::{synthesize, HlsOptions, HlsReport, NumericFormat};
 use everest_ir::dialects::dataflow::{build_channel, build_graph};
 use everest_ir::module::Module;
 use everest_ir::types::Type;
+use everest_ir::Symbol;
 
 use crate::error::{QueryError, QueryResult};
 use crate::optimizer::Optimizer;
@@ -32,6 +33,19 @@ pub(crate) const MIN_ROWS: usize = 4;
 pub(crate) const MAX_ROWS: usize = 128;
 /// Upper clamp for the build side of the O(n·m) join-probe kernel.
 pub(crate) const MAX_BUILD_ROWS: usize = 32;
+
+// The graph ops and attributes the lowering names, resolved at compile
+// time.
+const FEED: Symbol = Symbol::registered("dfg.feed");
+const NODE: Symbol = Symbol::registered("dfg.node");
+const SINK: Symbol = Symbol::registered("dfg.sink");
+const YIELD: Symbol = Symbol::registered("dfg.yield");
+const NAME: Symbol = Symbol::registered("name");
+const CALLEE: Symbol = Symbol::registered("callee");
+
+/// Graph ops an operator lowers to at most: a scan's feed channel and
+/// feed, and every operator's output channel and node.
+const OPS_PER_OPERATOR: usize = 4;
 
 /// One plan operator lowered to a synthesizable kernel, compiled once
 /// and shared (so immutable) across the queries that need its shape.
@@ -234,16 +248,21 @@ pub fn lower(
     options: &HlsOptions,
 ) -> QueryResult<LoweredQuery> {
     let span = everest_telemetry::span("query.lower");
-    let mut module = Module::new();
+    let operators = operators(plan);
+    // Past the operators: the graph, its sink and its yield.
+    let mut module = Module::with_capacity(OPS_PER_OPERATOR * operators + 3);
     let top = module.top_block();
     let (_graph, body) = build_graph(&mut module, top, "query");
-    let mut kernels = Kernels::default();
+    let mut kernels = Kernels {
+        kernels: Vec::with_capacity(operators),
+        compiled: 0,
+    };
     let root = lower_node(plan, optimizer, options, &mut module, body, &mut kernels)?;
     module
-        .build_op("dfg.sink", [root], [])
-        .attr("name", "result")
+        .build_op(SINK, [root], [])
+        .attr(NAME, "result")
         .append_to(body);
-    module.build_op("dfg.yield", [], []).append_to(body);
+    module.build_op(YIELD, [], []).append_to(body);
     let Kernels { kernels, compiled } = kernels;
     span.arg("kernels", kernels.len() as u64)
         .arg("kernels_compiled", compiled);
@@ -252,9 +271,21 @@ pub fn lower(
     Ok(LoweredQuery { module, kernels })
 }
 
+/// How many operators `plan` has.
+fn operators(plan: &LogicalPlan) -> usize {
+    1 + match plan {
+        LogicalPlan::Scan { .. } => 0,
+        LogicalPlan::Join { left, right, .. } => operators(left) + operators(right),
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. } => operators(input),
+    }
+}
+
 /// The kernels a lowering has called so far, and how many of them it
 /// compiled.
-#[derive(Default)]
 struct Kernels {
     kernels: Vec<Arc<QueryKernel>>,
     compiled: u64,
@@ -307,15 +338,15 @@ fn lower_node(
             let rows = clamp_rows(optimizer.estimate_rows(plan));
             let feed = build_channel(module, body, Type::F64, rows.max(1) as i64);
             module
-                .build_op("dfg.feed", [feed], [])
-                .attr("name", table.as_str())
+                .build_op(FEED, [feed], [])
+                .attr(NAME, table.as_str())
                 .append_to(body);
             let width = columns.len().clamp(1, 8);
             let callee = kernels.next(plan, rows, width, options)?;
             let out = build_channel(module, body, Type::F64, rows.max(1) as i64);
             module
-                .build_op("dfg.node", [feed, out], [])
-                .attr("callee", callee)
+                .build_op(NODE, [feed, out], [])
+                .attr(CALLEE, callee)
                 .append_to(body);
             return Ok(out);
         }
@@ -338,8 +369,8 @@ fn lower_node(
     let out = build_channel(module, body, Type::F64, rows.max(1) as i64);
     let operands = [first].into_iter().chain(second).chain([out]);
     module
-        .build_op("dfg.node", operands, [])
-        .attr("callee", callee)
+        .build_op(NODE, operands, [])
+        .attr(CALLEE, callee)
         .append_to(body);
     Ok(out)
 }

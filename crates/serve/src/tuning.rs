@@ -176,6 +176,11 @@ mod tests {
             tuning.batch_finished(0, 4, 100.0 + round, 10.0 + round);
             tuning.batch_finished(1, 4, 900.0 + round, 90.0 + round);
         }
+        // The tuners buffer their observations: publish them before
+        // reading the shared registry mid-run.
+        for class in &mut tuning.classes {
+            class.tuner.flush_monitors();
+        }
         let window = |class: &str, metric: &str| {
             let name = format!("autotuner.batch=4,class={class}.{metric}");
             let monitor = registry.monitor(&name).expect("the class's own monitor");

@@ -86,32 +86,32 @@ use std::sync::Arc;
 ///
 /// The span ends when the returned guard drops.
 pub fn span(name: impl Into<std::borrow::Cow<'static, str>>) -> SpanGuard {
-    Registry::global().span(name)
+    Registry::global_ref().span(name)
 }
 
 /// Increments a monotonic counter on the global registry.
 pub fn counter_add(name: &str, delta: u64) {
-    Registry::global().counter_add(name, delta);
+    Registry::global_ref().counter_add(name, delta);
 }
 
 /// Sets a gauge on the global registry.
 pub fn gauge_set(name: &str, value: f64) {
-    Registry::global().gauge_set(name, value);
+    Registry::global_ref().gauge_set(name, value);
 }
 
 /// Records a histogram observation on the global registry.
 pub fn histogram_record(name: &str, value: f64) {
-    Registry::global().histogram_record(name, value);
+    Registry::global_ref().histogram_record(name, value);
 }
 
 /// Feeds a sliding-window monitor on the global registry.
 pub fn observe(name: &str, value: f64) {
-    Registry::global().observe(name, value);
+    Registry::global_ref().observe(name, value);
 }
 
 /// Appends an event to the global registry's ring buffer.
 pub fn event(name: &str, detail: impl Into<String>) {
-    Registry::global().event(name, detail);
+    Registry::global_ref().event(name, detail);
 }
 
 /// A clone of the global registry handle, for components that hold an

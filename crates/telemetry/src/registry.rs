@@ -592,8 +592,14 @@ impl Registry {
     /// The process-wide registry that instrumented components default
     /// to. Cheap to call: clones an `Arc`.
     pub fn global() -> Arc<Registry> {
+        Arc::clone(Registry::global_ref())
+    }
+
+    /// The process-wide registry, borrowed: what the free functions of
+    /// the crate record into without an `Arc` clone and drop a call.
+    pub(crate) fn global_ref() -> &'static Arc<Registry> {
         static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-        Arc::clone(GLOBAL.get_or_init(Registry::new))
+        GLOBAL.get_or_init(Registry::new)
     }
 
     /// Microseconds elapsed since this registry was created.
@@ -788,8 +794,20 @@ impl Registry {
     }
 
     /// Adds `delta` to the monotonic counter `name` (created at 0).
+    ///
+    /// Bumps the cell it finds under the one lock the lookup takes: no
+    /// `Arc` of the cell is cloned or dropped.
     pub fn counter_add(&self, name: &str, delta: u64) {
-        self.counter_cell(name).fetch_add(delta, Ordering::Relaxed);
+        let mut inner = self.lock();
+        match inner.counters.get(name) {
+            Some(cell) => {
+                cell.fetch_add(delta, Ordering::Relaxed);
+            }
+            None => {
+                let cell = Arc::new(AtomicU64::new(delta));
+                inner.counters.insert(name.to_string(), cell);
+            }
+        }
     }
 
     /// Current value of counter `name` (0 when never incremented).
