@@ -16,6 +16,16 @@ use crate::registry::{Context, OpTrait};
 /// The one pure op that reads memory.
 const LOAD: Symbol = Symbol::registered("memref.load");
 
+/// Whether `op`, one that is not pure or has regions, may write the
+/// buffer a load at `base` reads: any buffer when it has regions, else
+/// each one it takes as an operand (`resolve` maps an operand to the
+/// value it stands for). Distinct SSA buffers are taken not to alias:
+/// allocations are fresh, and kernel arguments follow the HLS no-alias
+/// convention. `Cse` keeps loads and `licm` hoists them by this rule.
+fn may_write(op: &Operation, base: Option<ValueId>, resolve: impl Fn(ValueId) -> ValueId) -> bool {
+    !op.regions.is_empty() || base.is_some_and(|b| op.operands.iter().any(|&v| resolve(v) == b))
+}
+
 /// Statistics reported by one pass execution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PassStats {
@@ -398,20 +408,16 @@ impl CseTable {
         self.loads.clear();
     }
 
-    /// Forgets the kept loads `op` may have written: of a buffer it
-    /// takes as an operand, or every one when it has regions.
+    /// Forgets the kept loads `op` may have written.
     fn forget_loads(&mut self, op: &Operation, forward: &[ValueId]) {
         if self.loads.is_empty() {
             return;
         }
-        let all = !op.regions.is_empty();
-        let written = |base: &ValueId| {
-            (op.operands.iter()).any(|&v| forward.get(v.index()).copied().unwrap_or(v) == *base)
-        };
+        let resolve = |v: ValueId| forward.get(v.index()).copied().unwrap_or(v);
         let (entries, operands) = (&mut self.entries, &self.operands);
         self.loads.retain(|&at| {
             let entry = &mut entries[at as usize];
-            entry.live = !all && !operands.get(entry.operands_at).is_some_and(written);
+            entry.live = !may_write(op, operands.get(entry.operands_at).copied(), resolve);
             entry.live
         });
     }
@@ -536,7 +542,9 @@ impl Pass for Cse {
 // ---------------------------------------------------------------------------
 
 /// Hoists pure, region-free operations out of `scf.for` bodies when all
-/// their operands are defined outside the loop.
+/// their operands are defined outside the loop. A `memref.load` stays
+/// when an op in the loop may write its buffer (see `may_write`): it
+/// reads what the iterations before it stored.
 ///
 /// The EKL lowering materializes constants and loop-invariant index
 /// arithmetic inside loop bodies; hoisting them shortens the body
@@ -578,6 +586,17 @@ impl Pass for LoopInvariantCodeMotion {
                 // handled when the walk reaches them).
                 let body = module.region(region).blocks[0];
                 let body_ops = module.block(body).ops.clone();
+                let writers: Vec<&Operation> = (nested.iter())
+                    .filter_map(|&op| module.op(op))
+                    .filter(|o| !ctx.has_trait(o.name, OpTrait::Pure) || !o.regions.is_empty())
+                    .collect();
+                let clobbered_load = |o: &Operation| {
+                    let base = o.operands.first().copied();
+                    o.name == LOAD && writers.iter().any(|w| may_write(w, base, |v| v))
+                };
+                let pinned: Vec<OpId> = (body_ops.iter().copied())
+                    .filter(|&op| module.op(op).is_some_and(clobbered_load))
+                    .collect();
                 for &op in &body_ops {
                     let Some(o) = module.op(op) else { continue };
                     // Skip terminators by trait, not by position: passes may
@@ -589,7 +608,7 @@ impl Pass for LoopInvariantCodeMotion {
                     if !ctx.has_trait(o.name, OpTrait::Pure) || !o.regions.is_empty() {
                         continue;
                     }
-                    if o.operands.iter().any(|v| inside.contains(v)) {
+                    if pinned.contains(&op) || o.operands.iter().any(|v| inside.contains(v)) {
                         continue;
                     }
                     // Results leave the "inside" set: they are now defined
@@ -1107,6 +1126,49 @@ mod tests {
         let mut optimized = build();
         LoopInvariantCodeMotion.run(&ctx(), &mut optimized).unwrap();
         assert_eq!(run(&optimized), reference);
+    }
+
+    #[test]
+    fn licm_keeps_a_load_of_a_buffer_the_loop_stores_to() {
+        use crate::dialects::core::{build_for, build_func, const_f64, const_index};
+        use crate::interp::{Buffer, Interpreter, Value};
+        // for i in 0..3 { x = a[0]; a[0] = x + 1 }
+        let mut m = Module::new();
+        let top = m.top_block();
+        let ty = Type::memref(&[1], Type::F64, crate::types::MemorySpace::Device);
+        let (_f, entry) = build_func(&mut m, top, "k", &[ty], &[]);
+        let a = m.block(entry).args[0];
+        let (lb, ub, step) = (
+            const_index(&mut m, entry, 0),
+            const_index(&mut m, entry, 3),
+            const_index(&mut m, entry, 1),
+        );
+        let (_loop, body) = build_for(&mut m, entry, lb, ub, step);
+        let zero = const_index(&mut m, body, 0);
+        let load = m
+            .build_op("memref.load", [a, zero], [Type::F64])
+            .append_to(body);
+        let x = crate::module::single_result(&m, load);
+        let one = const_f64(&mut m, body, 1.0);
+        let sum = core::binary(&mut m, body, "arith.addf", x, one);
+        m.build_op("memref.store", [sum, a, zero], [])
+            .append_to(body);
+        m.build_op("scf.yield", [], []).append_to(body);
+        m.build_op("func.return", [], []).append_to(entry);
+
+        let stats = LoopInvariantCodeMotion.run(&ctx(), &mut m).unwrap();
+        assert_eq!(
+            stats.ops_rewritten, 2,
+            "the two constants hoist, the load stays"
+        );
+        crate::verify::verify_module(&ctx(), &m).unwrap();
+        let mut interp = Interpreter::new();
+        let b = interp.alloc_buffer(Buffer::from_data(&[1], vec![0.0]));
+        interp
+            .run_function(&m, "k", std::slice::from_ref(&b))
+            .unwrap();
+        let Value::Buffer(h) = b else { unreachable!() };
+        assert_eq!(interp.buffer(h).data, vec![3.0]);
     }
 
     #[test]

@@ -3,18 +3,22 @@
 //! The executor is the semantic ground truth the optimizer is proven
 //! against: for every rewrite rule, the property suite checks that
 //! optimized and unoptimized plans produce identical row sets on
-//! seeded tables. Determinism comes from `BTreeMap` grouping, stable
-//! sorts and `f64::total_cmp` ordering — no hash-order or NaN surprises.
+//! seeded tables. Determinism comes from ordering codes, stable sorts
+//! and `f64::total_cmp`: groups are numbered in ascending key order and
+//! join matches kept in row order, and the hash table that finds a key's
+//! group or matches is only ever looked up, never iterated.
 //!
 //! Operators exchange a relation: columns shared with the catalog's
 //! column image (or computed, one typed vector per expression) and a
 //! selection naming the rows in play. A scan copies nothing, a filter
 //! shrinks the selection, a sort permutes it, and [`Batch`] rows are
 //! built once, at the root, from the rows that survive. Each operator
-//! resolves the names it uses once, before it looks at a row. The
-//! row-at-a-time interpreter this replaced lives on in `tests/naive/`
-//! as the reference `tests/query_props.rs` holds this one to: same
-//! columns, same rows in the same order, bit for bit.
+//! resolves the names it uses once, before it looks at a row, and picks
+//! one typed loop for the kinds of its columns and the maps of its
+//! selection — never one per row. The row-at-a-time interpreter this
+//! replaced lives on in `tests/naive/` as the reference
+//! `tests/query_props.rs` holds this one to: same columns, same rows in
+//! the same order, bit for bit.
 //!
 //! Semantics notes (documented in `docs/QUERY.md`):
 //! * integer arithmetic wraps (matching the constant folder);
@@ -26,7 +30,6 @@
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::error::{QueryError, QueryResult};
@@ -146,19 +149,6 @@ pub fn arith(op: BinOp, left: &Value, right: &Value) -> QueryResult<Value> {
     }
 }
 
-/// `true` when comparison `op` holds of two values ordered `ord`.
-fn holds(op: BinOp, ord: Ordering) -> bool {
-    match op {
-        BinOp::Eq => ord.is_eq(),
-        BinOp::Ne => ord.is_ne(),
-        BinOp::Lt => ord.is_lt(),
-        BinOp::Le => ord.is_le(),
-        BinOp::Gt => ord.is_gt(),
-        BinOp::Ge => ord.is_ge(),
-        _ => false,
-    }
-}
-
 /// The rows of a relation an operator works on, in output order and
 /// each at most once.
 #[derive(Debug)]
@@ -187,6 +177,14 @@ impl Sel {
             Sel::Prefix(_) => Map::Identity,
             Sel::Rows(rows) => Map::Via(rows),
         }
+    }
+
+    /// The rows of `self` at the ascending indices `kept` (of `0..len`).
+    fn pick(&self, mut kept: Vec<usize>) -> Sel {
+        if let Sel::Rows(rows) = self {
+            kept.iter_mut().for_each(|i| *i = rows[*i]);
+        }
+        Sel::Rows(kept)
     }
 
     /// For each row of `self`, whether it is in `part` — a subsequence
@@ -231,6 +229,115 @@ impl Map<'_> {
     }
 }
 
+/// A [`Map`] as a type: the loops below are compiled once for each kind
+/// of map they read through, so no row asks which kind it is.
+trait At: Copy {
+    fn at(self, i: usize) -> usize;
+}
+
+/// [`Map::Broadcast`].
+#[derive(Clone, Copy)]
+struct Zero;
+
+/// [`Map::Identity`].
+#[derive(Clone, Copy)]
+struct Same;
+
+/// [`Map::Via`].
+#[derive(Clone, Copy)]
+struct Through<'a>(&'a [usize]);
+
+impl At for Zero {
+    #[inline(always)]
+    fn at(self, _: usize) -> usize {
+        0
+    }
+}
+
+impl At for Same {
+    #[inline(always)]
+    fn at(self, i: usize) -> usize {
+        i
+    }
+}
+
+impl At for Through<'_> {
+    #[inline(always)]
+    fn at(self, i: usize) -> usize {
+        self.0[i]
+    }
+}
+
+/// Runs `$body` with `$at` bound to the [`At`] type of `$map`.
+macro_rules! with_at {
+    ($map:expr, $at:ident => $body:expr) => {
+        match $map {
+            Map::Broadcast => {
+                let $at = Zero;
+                $body
+            }
+            Map::Identity => {
+                let $at = Same;
+                $body
+            }
+            Map::Via(rows) => {
+                let $at = Through(rows);
+                $body
+            }
+        }
+    };
+}
+
+/// A typed slice read through a map: one side of a loop.
+type Side<'a, A> = (&'a [A], Map<'a>);
+
+/// `f` of row `i` of `a`, for rows `0..n`, appended to `out`.
+fn extend_rows<'a, A, T>(out: &mut Vec<T>, a: Side<'a, A>, n: usize, f: impl Fn(&'a A) -> T) {
+    let col = a.0;
+    with_at!(a.1, p => out.extend((0..n).map(|i| f(&col[p.at(i)]))));
+}
+
+/// `f` of row `i` of `a`, for rows `0..n`.
+fn map_rows<A, T>(a: Side<A>, n: usize, f: impl Fn(&A) -> T) -> Vec<T> {
+    let mut out = Vec::with_capacity(n);
+    extend_rows(&mut out, a, n, f);
+    out
+}
+
+/// `f` of row `i` of `a` and row `i` of `b`, for rows `0..n`.
+fn zip_rows<A, B, T>(a: Side<A>, b: Side<B>, n: usize, f: impl Fn(&A, &B) -> T) -> Vec<T> {
+    let (x, y) = (a.0, b.0);
+    with_at!(a.1, p => with_at!(b.1, q => {
+        (0..n).map(|i| f(&x[p.at(i)], &y[q.at(i)])).collect()
+    }))
+}
+
+/// `f` folded over rows `0..n` of `a`, in row order, from `init`.
+fn fold_rows<A, T>(a: Side<A>, n: usize, init: T, mut f: impl FnMut(T, usize, &A) -> T) -> T {
+    let col = a.0;
+    with_at!(a.1, p => (0..n).fold(init, |acc, i| f(acc, i, &col[p.at(i)])))
+}
+
+/// The rows `i` of `0..n` on which `keep` holds of row `i` of `a` and row
+/// `i` of `b`, ascending. Every row is written and the count advanced
+/// by the verdict, so no branch depends on the data.
+fn rows_where<A, B>(a: Side<A>, b: Side<B>, n: usize, keep: impl Fn(&A, &B) -> bool) -> Vec<usize> {
+    let (x, y) = (a.0, b.0);
+    let mut rows = vec![0; n];
+    let mut kept = 0;
+    with_at!(a.1, p => with_at!(b.1, q => {
+        for i in 0..n {
+            rows[kept] = i;
+            kept += usize::from(keep(&x[p.at(i)], &y[q.at(i)]));
+        }
+    }));
+    rows.truncate(kept);
+    rows
+}
+
+/// The other side of a one-sided [`rows_where`].
+const NOTHING: Side<'static, ()> = (&[()], Map::Broadcast);
+
 /// One expression's values on a selection: an input column read
 /// through the selection, a one-value literal, or a computed column
 /// with one value per selected row.
@@ -259,7 +366,7 @@ impl<'a> Vector<'a> {
     fn into_column(self, n: usize) -> Column {
         match (self.col, self.map) {
             (Cow::Owned(col), Map::Identity) => col,
-            (col, map) => col.gather((0..n).map(|i| map.at(i))),
+            (col, map) => with_at!(map, p => col.gather((0..n).map(|i| p.at(i)))),
         }
     }
 
@@ -269,30 +376,56 @@ impl<'a> Vector<'a> {
     }
 }
 
+/// Flips the sign bit: `i64` order as `u64` order.
+const SIGN: u64 = 1 << 63;
+
+/// The code of an `Int`: ordered as the ints are.
+#[inline]
+fn int_code(x: i64) -> u64 {
+    x as u64 ^ SIGN
+}
+
+/// The code of a `Float`: ordered as `f64::total_cmp` orders the floats
+/// (its own key, compared as `u64`).
+#[inline]
+fn float_code(x: f64) -> u64 {
+    let bits = x.to_bits() as i64;
+    (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ SIGN
+}
+
 /// One `u64` per row of each part — a vector and how many rows of it —
 /// ordered as `Value::cmp` orders the rows' values, across the parts.
 /// Sorting, grouping, joining and `min`/`max` work on these codes, not
-/// on values: typed columns of one kind are encoded in a pass, anything
-/// else is ranked.
+/// on values: typed numbers and bools of one kind are encoded in a
+/// pass, strings ranked as `&str`, anything else ranked as values.
 fn order_codes(parts: &[(&Vector, usize)]) -> Vec<u64> {
-    const SIGN: u64 = 1 << 63;
     let kind = |part: &(&Vector, usize)| std::mem::discriminant(&*part.0.col);
-    let one_kind = parts.windows(2).all(|w| kind(&w[0]) == kind(&w[1]));
+    if !parts.windows(2).all(|w| kind(&w[0]) == kind(&w[1])) {
+        return rank_codes(parts);
+    }
     let mut codes = Vec::with_capacity(parts.iter().map(|(_, n)| n).sum());
     for (v, n) in parts {
-        let at = (0..*n).map(|i| v.map.at(i));
         match &*v.col {
-            Column::Int(a) if one_kind => codes.extend(at.map(|p| a[p] as u64 ^ SIGN)),
-            // The key `f64::total_cmp` compares as `i64`.
-            Column::Float(a) if one_kind => codes.extend(at.map(|p| {
-                let bits = a[p].to_bits() as i64;
-                (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ SIGN
-            })),
-            Column::Bool(a) if one_kind => codes.extend(at.map(|p| u64::from(a[p]))),
-            _ => return rank_codes(parts),
+            Column::Int(a) => extend_rows(&mut codes, (a, v.map), *n, |&x| int_code(x)),
+            Column::Float(a) => extend_rows(&mut codes, (a, v.map), *n, |&x| float_code(x)),
+            Column::Bool(a) => extend_rows(&mut codes, (a, v.map), *n, |&x| u64::from(x)),
+            Column::Str(_) => return str_codes(parts),
+            Column::Mixed(_) => return rank_codes(parts),
         }
     }
     codes
+}
+
+/// [`order_codes`] for `Str` columns: the dense rank of each row's
+/// string, compared in place.
+fn str_codes(parts: &[(&Vector, usize)]) -> Vec<u64> {
+    let mut strs: Vec<&str> = Vec::with_capacity(parts.iter().map(|(_, n)| n).sum());
+    for (v, n) in parts {
+        if let Column::Str(a) = &*v.col {
+            extend_rows(&mut strs, (a, v.map), *n, String::as_str);
+        }
+    }
+    dense_rank(strs.len(), |a, b| strs[a].cmp(strs[b]))
 }
 
 /// [`order_codes`] for any columns: the dense rank of each row's value.
@@ -338,179 +471,342 @@ fn row_codes(keys: &[Vector], descending: impl Fn(usize) -> bool, n: usize) -> V
     })
 }
 
-/// Numeric read access to a typed `Int` or `Float` column.
-enum Nums<'a> {
-    Int(&'a [i64]),
-    Float(&'a [f64]),
+/// The fixed odd multiplier of [`CodeTable`]'s hash: 2^64 over the
+/// golden ratio.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Distinct codes, numbered as they first arrive: open addressing with
+/// linear probing in a power-of-two table at most half full, each code
+/// slotted by the top bits of its product with [`GOLDEN`]. The hash is
+/// the same in every run and the table is only looked up, never
+/// iterated, so nothing about a result depends on it.
+struct CodeTable {
+    /// One more than the number of the code in each slot; 0 when empty.
+    slots: Vec<usize>,
+    /// The codes, by number.
+    codes: Vec<u64>,
+    shift: u32,
 }
 
-impl Nums<'_> {
-    fn of(col: &Column) -> Option<Nums<'_>> {
-        match col {
-            Column::Int(v) => Some(Nums::Int(v)),
-            Column::Float(v) => Some(Nums::Float(v)),
-            Column::Str(_) | Column::Bool(_) | Column::Mixed(_) => None,
+impl CodeTable {
+    /// A table for up to `n` distinct codes.
+    fn with_room(n: usize) -> CodeTable {
+        let slots = (2 * n).max(2).next_power_of_two();
+        CodeTable {
+            slots: vec![0; slots],
+            codes: Vec::with_capacity(n),
+            shift: u64::BITS - slots.trailing_zeros(),
         }
     }
 
+    /// The number of `code`, or the empty slot where it would go.
     #[inline]
-    fn at(&self, at: usize) -> f64 {
-        match self {
-            Nums::Int(v) => v[at] as f64,
-            Nums::Float(v) => v[at],
+    fn find(&self, code: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (code.wrapping_mul(GOLDEN) >> self.shift) as usize;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                id if self.codes[id - 1] == code => return Ok(id - 1),
+                _ => slot = (slot + 1) & mask,
+            }
         }
     }
-}
 
-/// Calls `each(i, ordering)` with `Value::cmp` of row `i` of `l` against
-/// row `i` of `r`, for rows `0..n`: one typed pass for numeric columns,
-/// a value at a time for the rest.
-fn compare(l: &Vector, r: &Vector, n: usize, mut each: impl FnMut(usize, Ordering)) {
-    let rows = (0..n).map(|i| (i, l.map.at(i), r.map.at(i)));
-    if let (Column::Int(a), Column::Int(b)) = (&*l.col, &*r.col) {
-        rows.for_each(|(i, p, q)| each(i, a[p].cmp(&b[q])));
-    } else if let (Column::Float(a), Column::Float(b)) = (&*l.col, &*r.col) {
-        rows.for_each(|(i, p, q)| each(i, a[p].total_cmp(&b[q])));
-    } else if let (Some(a), Some(b)) = (Nums::of(&l.col), Nums::of(&r.col)) {
-        rows.for_each(|(i, p, q)| each(i, a.at(p).total_cmp(&b.at(q))));
-    } else {
-        rows.for_each(|(i, ..)| each(i, l.value(i).cmp(&r.value(i))));
+    /// The number of `code`, numbering it next when it is new.
+    fn number(&mut self, code: u64) -> usize {
+        self.find(code).unwrap_or_else(|slot| {
+            self.codes.push(code);
+            self.slots[slot] = self.codes.len();
+            self.codes.len() - 1
+        })
+    }
+
+    /// The number of `code`, if it has one.
+    fn get(&self, code: u64) -> Option<usize> {
+        self.find(code).ok()
     }
 }
 
-/// `l op r` on rows `0..n`, by the rules of [`arith`].
+/// `l op r` on rows `0..n`, by the rules of [`arith`]: one loop per
+/// operator, kinds and maps.
 fn arith_columns(op: BinOp, l: &Vector, r: &Vector, n: usize) -> QueryResult<Column> {
-    if let (Column::Int(a), Column::Int(b), Some(f)) = (&*l.col, &*r.col, int_op(op)) {
-        let ints = (0..n).map(|i| f(a[l.map.at(i)], b[r.map.at(i)]));
-        return Ok(Column::Int(ints.collect()));
+    let (lm, rm) = (l.map, r.map);
+    let floats = match (&*l.col, &*r.col) {
+        (Column::Int(a), Column::Int(b)) => {
+            let (a, b) = ((a.as_slice(), lm), (b.as_slice(), rm));
+            match op {
+                BinOp::Add => return Ok(Column::Int(zip_rows(a, b, n, |x, y| x.wrapping_add(*y)))),
+                BinOp::Sub => return Ok(Column::Int(zip_rows(a, b, n, |x, y| x.wrapping_sub(*y)))),
+                BinOp::Mul => return Ok(Column::Int(zip_rows(a, b, n, |x, y| x.wrapping_mul(*y)))),
+                _ => float_rows(op, a, b, n),
+            }
+        }
+        (Column::Int(a), Column::Float(b)) => float_rows(op, (a, lm), (b, rm), n),
+        (Column::Float(a), Column::Int(b)) => float_rows(op, (a, lm), (b, rm), n),
+        (Column::Float(a), Column::Float(b)) => float_rows(op, (a, lm), (b, rm), n),
+        _ => None,
+    };
+    match floats {
+        Some(floats) => Ok(Column::Float(floats)),
+        None => value_arith(op, l, r, n),
     }
-    if let (Some(a), Some(b), Some(f)) = (Nums::of(&l.col), Nums::of(&r.col), float_op(op)) {
-        let floats = (0..n).map(|i| f(a.at(l.map.at(i)), b.at(r.map.at(i))));
-        return Ok(Column::Float(floats.collect()));
+}
+
+/// A number `/` and mixed arithmetic widen to `f64`.
+trait Widen: Copy {
+    fn widen(self) -> f64;
+}
+
+impl Widen for i64 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self as f64
     }
+}
+
+impl Widen for f64 {
+    #[inline(always)]
+    fn widen(self) -> f64 {
+        self
+    }
+}
+
+/// `a op b` on rows `0..n`, widened to floats; `None` when `op` is not
+/// arithmetic.
+fn float_rows<A: Widen, B: Widen>(op: BinOp, a: Side<A>, b: Side<B>, n: usize) -> Option<Vec<f64>> {
+    Some(match op {
+        BinOp::Add => zip_rows(a, b, n, |x, y| x.widen() + y.widen()),
+        BinOp::Sub => zip_rows(a, b, n, |x, y| x.widen() - y.widen()),
+        BinOp::Mul => zip_rows(a, b, n, |x, y| x.widen() * y.widen()),
+        BinOp::Div => zip_rows(a, b, n, |x, y| x.widen() / y.widen()),
+        _ => return None,
+    })
+}
+
+/// `l op r` on rows `0..n`, a value at a time.
+fn value_arith(op: BinOp, l: &Vector, r: &Vector, n: usize) -> QueryResult<Column> {
     let values = (0..n).map(|i| arith(op, &l.value(i), &r.value(i)));
     values.collect::<QueryResult<_>>().map(Column::Mixed)
 }
 
+/// The rows `i` of `0..n` on which comparison `op` holds of row `i` of
+/// `l` and of `r`, ascending: one branch-free loop per pair of kinds
+/// and maps for typed columns, a value at a time for the rest.
+fn compare(op: BinOp, l: &Vector, r: &Vector, n: usize) -> Vec<usize> {
+    // The orderings `op` accepts, one bit each: less, equal, greater.
+    let accepts: u8 = match op {
+        BinOp::Lt => 0b001,
+        BinOp::Le => 0b011,
+        BinOp::Eq => 0b010,
+        BinOp::Ge => 0b110,
+        BinOp::Gt => 0b100,
+        BinOp::Ne => 0b101,
+        _ => 0,
+    };
+    let holds = move |ord: Ordering| (accepts >> (ord as i8 + 1)) & 1 == 1;
+    let (lm, rm) = (l.map, r.map);
+    match (&*l.col, &*r.col) {
+        (Column::Int(a), Column::Int(b)) => rows_where((a, lm), (b, rm), n, |x, y| holds(x.cmp(y))),
+        (Column::Float(a), Column::Float(b)) => {
+            rows_where((a, lm), (b, rm), n, |x, y| holds(x.total_cmp(y)))
+        }
+        (Column::Int(a), Column::Float(b)) => {
+            rows_where((a, lm), (b, rm), n, |x, y| holds((*x as f64).total_cmp(y)))
+        }
+        (Column::Float(a), Column::Int(b)) => {
+            rows_where((a, lm), (b, rm), n, |x, y| holds(x.total_cmp(&(*y as f64))))
+        }
+        (Column::Str(a), Column::Str(b)) => rows_where((a, lm), (b, rm), n, |x, y| holds(x.cmp(y))),
+        (Column::Bool(a), Column::Bool(b)) => {
+            rows_where((a, lm), (b, rm), n, |x, y| holds(x.cmp(y)))
+        }
+        _ => (0..n)
+            .filter(|&i| holds(l.value(i).cmp(&r.value(i))))
+            .collect(),
+    }
+}
+
 /// `-v` on rows `0..n`.
 fn negate(v: &Vector, n: usize) -> QueryResult<Column> {
-    let rows = (0..n).map(|i| v.map.at(i));
     Ok(match &*v.col {
-        Column::Int(a) => Column::Int(rows.map(|p| a[p].wrapping_neg()).collect()),
-        Column::Float(a) => Column::Float(rows.map(|p| -a[p]).collect()),
-        col => Column::Mixed(
-            rows.map(|p| match col.value(p) {
-                Value::Int(x) => Ok(Value::Int(x.wrapping_neg())),
-                Value::Float(x) => Ok(Value::Float(-x)),
-                other => Err(exec_error(format!(
-                    "'-' expects a number, got {}",
-                    other.data_type()
-                ))),
-            })
-            .collect::<QueryResult<_>>()?,
+        Column::Int(a) => Column::Int(map_rows((a, v.map), n, |x| x.wrapping_neg())),
+        Column::Float(a) => Column::Float(map_rows((a, v.map), n, |x| -x)),
+        _ => Column::Mixed(
+            (0..n)
+                .map(|i| match v.value(i) {
+                    Value::Int(x) => Ok(Value::Int(x.wrapping_neg())),
+                    Value::Float(x) => Ok(Value::Float(-x)),
+                    other => Err(exec_error(format!(
+                        "'-' expects a number, got {}",
+                        other.data_type()
+                    ))),
+                })
+                .collect::<QueryResult<_>>()?,
         ),
     })
 }
 
-/// Groups `n` rows by their keys: each row's group, groups numbered in
-/// ascending key order — the order they are emitted in — and each
-/// group's first row. Without keys, every row is in group 0.
-fn group_rows(keys: &[Vector], n: usize) -> (Vec<usize>, Vec<usize>) {
-    let mut group_of = vec![0; n];
-    let mut firsts = Vec::new();
-    if keys.is_empty() {
-        return (group_of, firsts);
-    }
+/// Groups rows by their codes: each row's group, groups numbered in
+/// ascending code order — the order they are emitted in — and each
+/// group's first row.
+fn group_rows(codes: &[u64]) -> (Vec<usize>, Vec<usize>) {
     // Number the groups as they first appear, then renumber them.
-    let mut ids: BTreeMap<u64, usize> = BTreeMap::new();
-    for (row, code) in row_codes(keys, |_| false, n).into_iter().enumerate() {
-        group_of[row] = *ids.entry(code).or_insert_with(|| {
+    let mut table = CodeTable::with_room(codes.len());
+    let mut firsts = Vec::with_capacity(codes.len());
+    let mut group_of = Vec::with_capacity(codes.len());
+    for (row, &code) in codes.iter().enumerate() {
+        let group = table.number(code);
+        if group == firsts.len() {
             firsts.push(row);
-            firsts.len() - 1
-        });
+        }
+        group_of.push(group);
     }
+    // The codes are distinct: sorting them alone orders the groups.
+    let mut ascending = table.codes.clone();
+    ascending.sort_unstable();
     let mut rank = vec![0; firsts.len()];
-    let firsts = ids.values().enumerate().map(|(ordinal, &id)| {
-        rank[id] = ordinal;
-        firsts[id]
-    });
-    let firsts = firsts.collect();
+    let mut ordered = Vec::with_capacity(firsts.len());
+    for (ordinal, &code) in ascending.iter().enumerate() {
+        if let Some(group) = table.get(code) {
+            rank[group] = ordinal;
+            ordered.push(firsts[group]);
+        }
+    }
     group_of.iter_mut().for_each(|g| *g = rank[*g]);
-    (group_of, firsts)
+    (group_of, ordered)
+}
+
+fn not_numeric() -> QueryError {
+    exec_error("aggregate expects a numeric argument".to_string())
+}
+
+fn no_argument() -> QueryError {
+    exec_error("aggregate expects an argument".to_string())
+}
+
+/// `min` or `max` of each group as the index of its first best row.
+fn best_rows(
+    func: AggFunc,
+    codes: &[u64],
+    group_of: &[usize],
+    groups: usize,
+) -> Vec<Option<usize>> {
+    // `max` is the `min` of the complemented codes.
+    let flip = if func == AggFunc::Min { 0 } else { u64::MAX };
+    let mut best: Vec<Option<(u64, usize)>> = vec![None; groups];
+    for (i, (&code, &g)) in codes.iter().zip(group_of).enumerate() {
+        // Strictly better only: of equal values the first stays.
+        if best[g].is_none_or(|(held, _)| code ^ flip < held) {
+            best[g] = Some((code ^ flip, i));
+        }
+    }
+    best.into_iter().map(|b| b.map(|(_, i)| i)).collect()
+}
+
+/// One aggregate of rows `0..n` of `arg`, all in one group: the global
+/// aggregate, folded in row order with its accumulator in a local.
+fn fold_all(func: AggFunc, arg: Option<&Vector>, n: usize) -> QueryResult<Column> {
+    Ok(match func {
+        AggFunc::Count => Column::Int(vec![n as i64]),
+        AggFunc::Sum | AggFunc::Avg => {
+            let sum = match arg.map(|v| (&*v.col, v)) {
+                _ if n == 0 => 0.0,
+                Some((Column::Int(a), v)) => fold_rows((a, v.map), n, 0.0, |s, _, &x| s + x as f64),
+                Some((Column::Float(a), v)) => fold_rows((a, v.map), n, 0.0, |s, _, &x| s + x),
+                Some((_, v)) => (0..n).try_fold(0.0, |s, i| {
+                    Ok::<_, QueryError>(s + v.value(i).as_f64().ok_or_else(not_numeric)?)
+                })?,
+                None => return Err(not_numeric()),
+            };
+            let divide = func == AggFunc::Avg && n > 0;
+            Column::Float(vec![if divide { sum / n as f64 } else { sum }])
+        }
+        AggFunc::Min | AggFunc::Max => {
+            let Some(v) = arg.filter(|_| n > 0) else {
+                // Only the neutral row of an empty input has no best.
+                return if n == 0 {
+                    Ok(Column::Float(vec![0.0]))
+                } else {
+                    Err(no_argument())
+                };
+            };
+            // `max` is the `min` of the complemented codes, and of equal
+            // values `min_by_key` keeps the first.
+            let flip = if func == AggFunc::Min { 0 } else { u64::MAX };
+            let codes = order_codes(&[(v, n)]);
+            let codes = codes.iter().map(|code| code ^ flip).enumerate();
+            let best = codes.min_by_key(|&(_, code)| code).map_or(0, |(i, _)| i);
+            v.col.gather(std::iter::once(v.map.at(best)))
+        }
+    })
 }
 
 /// One aggregate over rows `0..group_of.len()` of `arg`, row `i`
 /// folding into group `group_of[i]` — in row order, so a float sum is
 /// accumulated exactly as a loop over the group's rows would.
-fn fold(
+fn fold_groups(
     func: AggFunc,
     arg: Option<&Vector>,
     group_of: &[usize],
     groups: usize,
 ) -> QueryResult<Column> {
+    let n = group_of.len();
+    let counts = || {
+        let mut counts = vec![0i64; groups];
+        group_of.iter().for_each(|&g| counts[g] += 1);
+        counts
+    };
     Ok(match func {
-        AggFunc::Count => {
-            let mut counts = vec![0i64; groups];
-            for &g in group_of {
-                counts[g] += 1;
-            }
-            Column::Int(counts)
-        }
+        AggFunc::Count => Column::Int(counts()),
         AggFunc::Sum | AggFunc::Avg => {
-            let not_numeric = || exec_error("aggregate expects a numeric argument".to_string());
             let mut sums = vec![0.0f64; groups];
-            let mut counts = vec![0u64; groups];
-            let nums = arg.and_then(|v| Nums::of(&v.col).map(|nums| (nums, v.map)));
-            for (i, &g) in group_of.iter().enumerate() {
-                sums[g] += match (&nums, arg) {
-                    (Some((nums, map)), _) => nums.at(map.at(i)),
-                    (None, Some(v)) => v.value(i).as_f64().ok_or_else(not_numeric)?,
-                    (None, None) => return Err(not_numeric()),
-                };
-                counts[g] += 1;
+            match arg.map(|v| (&*v.col, v)) {
+                _ if n == 0 => {}
+                Some((Column::Int(a), v)) => {
+                    fold_rows((a, v.map), n, (), |(), i, &x| sums[group_of[i]] += x as f64);
+                }
+                Some((Column::Float(a), v)) => {
+                    fold_rows((a, v.map), n, (), |(), i, &x| sums[group_of[i]] += x);
+                }
+                Some((_, v)) => {
+                    for (i, &g) in group_of.iter().enumerate() {
+                        sums[g] += v.value(i).as_f64().ok_or_else(not_numeric)?;
+                    }
+                }
+                None => return Err(not_numeric()),
             }
             if func == AggFunc::Avg {
-                for (sum, &n) in sums.iter_mut().zip(&counts) {
-                    if n > 0 {
-                        *sum /= n as f64;
-                    }
+                for (sum, n) in sums.iter_mut().zip(counts()) {
+                    *sum /= n as f64;
                 }
             }
             Column::Float(sums)
         }
         AggFunc::Min | AggFunc::Max => {
-            let codes = arg.map(|v| order_codes(&[(v, group_of.len())]));
-            let mut best: Vec<Option<usize>> = vec![None; groups];
-            for (i, &g) in group_of.iter().enumerate() {
-                let codes = codes
-                    .as_ref()
-                    .ok_or_else(|| exec_error("aggregate expects an argument".to_string()))?;
-                // Strictly better only: of equal values the first stays.
-                let better = |held: usize| match func {
-                    AggFunc::Min => codes[i] < codes[held],
-                    _ => codes[i] > codes[held],
-                };
-                if best[g].is_none_or(better) {
-                    best[g] = Some(i);
-                }
-            }
-            match (arg, best.into_iter().collect::<Option<Vec<usize>>>()) {
-                (Some(v), Some(rows)) => v.col.gather(rows.into_iter().map(|i| v.map.at(i))),
-                // Only the neutral row of an empty input has no best.
-                _ => Column::Float(vec![0.0; groups]),
-            }
+            let v = match arg {
+                Some(v) => v,
+                None if n == 0 => return Ok(Column::Float(Vec::new())),
+                None => return Err(no_argument()),
+            };
+            let codes = order_codes(&[(v, n)]);
+            let best = best_rows(func, &codes, group_of, groups);
+            // Every group holds a row, so every group has a best.
+            v.col
+                .gather(best.into_iter().flatten().map(|i| v.map.at(i)))
         }
     })
 }
 
 /// What operators exchange: named columns and the rows of them in play.
-struct Relation {
-    names: Vec<String>,
+/// The names are the plan's own, copied once, into the [`Batch`].
+struct Relation<'p> {
+    names: Vec<Cow<'p, str>>,
     cols: Vec<Arc<Column>>,
     sel: Sel,
 }
 
-impl Relation {
+impl Relation<'_> {
     fn index_of(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|c| c == name)
     }
@@ -554,8 +850,10 @@ impl Relation {
             Expr::Binary { op, lhs, rhs } => {
                 let (l, r) = (self.eval(lhs, sel)?, self.eval(rhs, sel)?);
                 Vector::computed(if op.is_predicate() {
-                    let mut bools = Vec::with_capacity(n);
-                    compare(&l, &r, n, |_, ord| bools.push(holds(*op, ord)));
+                    let mut bools = vec![false; n];
+                    compare(*op, &l, &r, n)
+                        .into_iter()
+                        .for_each(|i| bools[i] = true);
                     Column::Bool(bools)
                 } else {
                     arith_columns(*op, &l, &r, n)?
@@ -601,27 +899,30 @@ impl Relation {
             }
             Expr::Binary { op, lhs, rhs } if op.is_predicate() => {
                 let (l, r) = (self.eval(lhs, sel)?, self.eval(rhs, sel)?);
-                let (map, mut rows) = (sel.map(), Vec::with_capacity(sel.len()));
-                compare(&l, &r, sel.len(), |i, ord| {
-                    if holds(*op, ord) {
-                        rows.push(map.at(i));
-                    }
-                });
-                Ok(Sel::Rows(rows))
+                Ok(sel.pick(compare(*op, &l, &r, sel.len())))
             }
             _ => {
-                let v = self.eval(expr, sel)?;
-                let mut rows = Vec::with_capacity(sel.len());
-                for (i, row) in sel.iter().enumerate() {
-                    match v.value(i) {
-                        Value::Bool(true) => rows.push(row),
-                        Value::Bool(false) => {}
-                        other => {
-                            return Err(exec_error(format!("{role}, got {}", other.data_type())))
+                let (v, n) = (self.eval(expr, sel)?, sel.len());
+                let kept = match &*v.col {
+                    Column::Bool(a) => rows_where((a, v.map), NOTHING, n, |&x, ()| x),
+                    _ => {
+                        let mut kept = Vec::with_capacity(n);
+                        for i in 0..n {
+                            match v.value(i) {
+                                Value::Bool(true) => kept.push(i),
+                                Value::Bool(false) => {}
+                                other => {
+                                    return Err(exec_error(format!(
+                                        "{role}, got {}",
+                                        other.data_type()
+                                    )))
+                                }
+                            }
                         }
+                        kept
                     }
-                }
-                Ok(Sel::Rows(rows))
+                };
+                Ok(sel.pick(kept))
             }
         }
     }
@@ -633,61 +934,46 @@ impl Relation {
             rows: rows
                 .map(|row| self.cols.iter().map(|col| col.value(row)).collect())
                 .collect(),
-            columns: self.names,
+            columns: self.names.into_iter().map(Cow::into_owned).collect(),
         }
     }
 }
 
 /// Executes a plan against a catalog.
 pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> QueryResult<Batch> {
-    relation(plan, catalog).map(Relation::into_batch)
+    execute_counted(plan, catalog).map(|(batch, _)| batch)
 }
 
-fn relation(plan: &LogicalPlan, catalog: &Catalog) -> QueryResult<Relation> {
+/// Executes a plan against a catalog; also returns the base-table rows
+/// under every `Scan` of it, what enters the executor as `Batch::rows`
+/// is what leaves it.
+pub(crate) fn execute_counted(plan: &LogicalPlan, catalog: &Catalog) -> QueryResult<(Batch, u64)> {
+    let mut scanned = 0;
+    let rel = relation(plan, catalog, &mut scanned)?;
+    Ok((rel.into_batch(), scanned))
+}
+
+/// The relation `plan` computes, adding the rows each scan reads to
+/// `scanned`.
+fn relation<'p>(
+    plan: &'p LogicalPlan,
+    catalog: &Catalog,
+    scanned: &mut u64,
+) -> QueryResult<Relation<'p>> {
+    let mut child = |plan: &'p LogicalPlan| relation(plan, catalog, scanned);
     match plan {
         LogicalPlan::Scan {
             table,
             columns,
             projection,
-        } => {
-            let (t, image) = catalog
-                .columns(table)
-                .ok_or_else(|| exec_error(format!("unknown table '{table}' at execution")))?;
-            let image = image.as_ref().map_err(Clone::clone)?;
-            let cols: Vec<Arc<Column>> = match projection {
-                None => image.clone(),
-                Some(indices) => indices
-                    .iter()
-                    .map(|&i| {
-                        image.get(i).cloned().ok_or_else(|| {
-                            exec_error(format!(
-                                "scan of '{table}' reads column {i}, the table has {}",
-                                image.len()
-                            ))
-                        })
-                    })
-                    .collect::<QueryResult<_>>()?,
-            };
-            if columns.len() != cols.len() {
-                return Err(exec_error(format!(
-                    "scan of '{table}' names {} columns and reads {}",
-                    columns.len(),
-                    cols.len()
-                )));
-            }
-            Ok(Relation {
-                names: columns.clone(),
-                cols,
-                sel: Sel::Prefix(t.rows.len()),
-            })
-        }
+        } => scan(catalog, table, columns, projection.as_deref(), scanned),
         LogicalPlan::Filter { input, predicate } => {
-            let rel = relation(input, catalog)?;
+            let rel = child(input)?;
             let sel = rel.select(predicate, &rel.sel, "filter predicate must be boolean")?;
             Ok(Relation { sel, ..rel })
         }
         LogicalPlan::Project { input, exprs } => {
-            let rel = relation(input, catalog)?;
+            let rel = child(input)?;
             let n = rel.sel.len();
             // Plain columns are shared as they are. Computed ones are
             // positional: beside them, under a selection that is not a
@@ -702,7 +988,7 @@ fn relation(plan: &LogicalPlan, catalog: &Catalog) -> QueryResult<Relation> {
                 });
             }
             Ok(Relation {
-                names: exprs.iter().map(|(_, name)| name.clone()).collect(),
+                names: exprs.iter().map(|(_, name)| Cow::from(name)).collect(),
                 cols,
                 sel: if plain { rel.sel } else { Sel::Prefix(n) },
             })
@@ -711,103 +997,25 @@ fn relation(plan: &LogicalPlan, catalog: &Catalog) -> QueryResult<Relation> {
             input,
             group_by,
             aggs,
-        } => {
-            let rel = relation(input, catalog)?;
-            let funcs: Vec<(AggFunc, Option<&Expr>)> = aggs
-                .iter()
-                .map(|agg| match agg {
-                    Expr::Agg { func, arg } => Ok((*func, arg.as_deref())),
-                    other => Err(exec_error(format!(
-                        "'{}' is not an aggregate call",
-                        other.text()
-                    ))),
-                })
-                .collect::<QueryResult<_>>()?;
-            let keys: Vec<Vector> = group_by
-                .iter()
-                .map(|expr| rel.eval(expr, &rel.sel))
-                .collect::<QueryResult<_>>()?;
-            let (group_of, firsts) = group_rows(&keys, rel.sel.len());
-            // Without keys there is one group, even of no rows: a global
-            // aggregate over empty input yields one row of neutral values.
-            let groups = if keys.is_empty() { 1 } else { firsts.len() };
-            let mut cols: Vec<Arc<Column>> = keys
-                .iter()
-                .map(|key| Arc::new(key.col.gather(firsts.iter().map(|&i| key.map.at(i)))))
-                .collect();
-            for (func, arg) in funcs {
-                let arg = arg.map(|expr| rel.eval(expr, &rel.sel)).transpose()?;
-                cols.push(Arc::new(fold(func, arg.as_ref(), &group_of, groups)?));
-            }
-            Ok(Relation {
-                names: plan.schema(),
-                cols,
-                sel: Sel::Prefix(groups),
-            })
-        }
+        } => aggregate(child(input)?, group_by, aggs, plan.schema_names()),
         LogicalPlan::Join {
             left,
             right,
             left_key,
             right_key,
         } => {
-            let l = relation(left, catalog)?;
-            let r = relation(right, catalog)?;
-            let key_of = |rel: &Relation, key: &str, side: &str| {
-                rel.index_of(key)
-                    .ok_or_else(|| exec_error(format!("join key '{key}' missing on {side} side")))
-            };
-            let (li, ri) = (
-                key_of(&l, left_key, "left")?,
-                key_of(&r, right_key, "right")?,
-            );
-            let (lkey, rkey) = (l.vector(li), r.vector(ri));
-            // Right rows in key order, equal keys in row order; each left
-            // row then finds its matches as one run of that order.
-            let codes = order_codes(&[(&lkey, l.sel.len()), (&rkey, r.sel.len())]);
-            let (lcodes, rcodes) = codes.split_at(l.sel.len());
-            let mut build: Vec<(u64, usize)> = rcodes.iter().copied().zip(r.sel.iter()).collect();
-            build.sort_by_key(|&(code, _)| code);
-            let (mut lrows, mut rrows) = (Vec::new(), Vec::new());
-            for (lrow, code) in l.sel.iter().zip(lcodes) {
-                let start = build.partition_point(|(built, _)| built < code);
-                let run = build[start..].iter();
-                for &(_, rrow) in run.take_while(|(built, _)| built == code) {
-                    lrows.push(lrow);
-                    rrows.push(rrow);
-                }
-            }
-            let gathered = |rel: &Relation, rows: &[usize]| -> Vec<Arc<Column>> {
-                let cols = rel.cols.iter();
-                cols.map(|col| Arc::new(col.gather(rows.iter().copied())))
-                    .collect()
-            };
-            let mut cols = gathered(&l, &lrows);
-            cols.extend(gathered(&r, &rrows));
-            let mut names = l.names;
-            names.extend(r.names);
-            Ok(Relation {
-                names,
-                cols,
-                sel: Sel::Prefix(lrows.len()),
-            })
+            let l = child(left)?;
+            let r = child(right)?;
+            join(l, r, left_key, right_key)
         }
-        LogicalPlan::Sort { input, keys } => {
-            let rel = relation(input, catalog)?;
-            let vectors: Vec<Vector> = keys
-                .iter()
-                .map(|(expr, _)| rel.eval(expr, &rel.sel))
-                .collect::<QueryResult<_>>()?;
-            let codes = row_codes(&vectors, |k| keys[k].1, rel.sel.len());
-            let mut order: Vec<usize> = (0..codes.len()).collect();
-            order.sort_by_key(|&i| codes[i]);
-            let map = rel.sel.map();
-            let sel = Sel::Rows(order.into_iter().map(|i| map.at(i)).collect());
-            drop(vectors);
-            Ok(Relation { sel, ..rel })
-        }
+        LogicalPlan::Sort { input, keys } => sort(child(input)?, keys, None),
         LogicalPlan::Limit { input, n } => {
-            let mut rel = relation(input, catalog)?;
+            // The first `n` rows of a sort are its top `n`: select them,
+            // then sort only those.
+            if let LogicalPlan::Sort { input, keys } = &**input {
+                return sort(child(input)?, keys, Some(*n));
+            }
+            let mut rel = child(input)?;
             match &mut rel.sel {
                 Sel::Prefix(len) => *len = (*len).min(*n),
                 Sel::Rows(rows) => rows.truncate(*n),
@@ -815,6 +1023,181 @@ fn relation(plan: &LogicalPlan, catalog: &Catalog) -> QueryResult<Relation> {
             Ok(rel)
         }
     }
+}
+
+/// The columns of `table` a scan reads, every row in play.
+fn scan<'p>(
+    catalog: &Catalog,
+    table: &str,
+    columns: &'p [String],
+    projection: Option<&[usize]>,
+    scanned: &mut u64,
+) -> QueryResult<Relation<'p>> {
+    let (t, image) = catalog
+        .columns(table)
+        .ok_or_else(|| exec_error(format!("unknown table '{table}' at execution")))?;
+    let image = image.as_ref().map_err(Clone::clone)?;
+    let cols: Vec<Arc<Column>> = match projection {
+        None => image.clone(),
+        Some(indices) => indices
+            .iter()
+            .map(|&i| {
+                image.get(i).cloned().ok_or_else(|| {
+                    exec_error(format!(
+                        "scan of '{table}' reads column {i}, the table has {}",
+                        image.len()
+                    ))
+                })
+            })
+            .collect::<QueryResult<_>>()?,
+    };
+    if columns.len() != cols.len() {
+        return Err(exec_error(format!(
+            "scan of '{table}' names {} columns and reads {}",
+            columns.len(),
+            cols.len()
+        )));
+    }
+    *scanned += t.rows.len() as u64;
+    Ok(Relation {
+        names: columns.iter().map(Cow::from).collect(),
+        cols,
+        sel: Sel::Prefix(t.rows.len()),
+    })
+}
+
+/// `aggs` of `rel`'s rows, grouped by `group_by`, as columns `names`.
+fn aggregate<'p>(
+    rel: Relation,
+    group_by: &[Expr],
+    aggs: &[Expr],
+    names: Vec<Cow<'p, str>>,
+) -> QueryResult<Relation<'p>> {
+    let funcs: Vec<(AggFunc, Option<&Expr>)> = aggs
+        .iter()
+        .map(|agg| match agg {
+            Expr::Agg { func, arg } => Ok((*func, arg.as_deref())),
+            other => Err(exec_error(format!(
+                "'{}' is not an aggregate call",
+                other.text()
+            ))),
+        })
+        .collect::<QueryResult<_>>()?;
+    let n = rel.sel.len();
+    let keys: Vec<Vector> = group_by
+        .iter()
+        .map(|expr| rel.eval(expr, &rel.sel))
+        .collect::<QueryResult<_>>()?;
+    let mut cols: Vec<Arc<Column>> = Vec::with_capacity(keys.len() + funcs.len());
+    // Without keys there is one group, even of no rows: a global
+    // aggregate over empty input yields one row of neutral values.
+    let grouped = (!keys.is_empty()).then(|| {
+        let (group_of, firsts) = group_rows(&row_codes(&keys, |_| false, n));
+        for key in &keys {
+            cols.push(Arc::new(
+                key.col.gather(firsts.iter().map(|&i| key.map.at(i))),
+            ));
+        }
+        (group_of, firsts.len())
+    });
+    for (func, arg) in funcs {
+        let arg = arg.map(|expr| rel.eval(expr, &rel.sel)).transpose()?;
+        cols.push(Arc::new(match &grouped {
+            Some((group_of, groups)) => fold_groups(func, arg.as_ref(), group_of, *groups)?,
+            None => fold_all(func, arg.as_ref(), n)?,
+        }));
+    }
+    let groups = grouped.map_or(1, |(_, groups)| groups);
+    Ok(Relation {
+        names,
+        cols,
+        sel: Sel::Prefix(groups),
+    })
+}
+
+/// The rows of `l` and `r` whose keys are equal: for each left row in
+/// order, its matching right rows in right-row order.
+fn join<'p>(
+    l: Relation<'p>,
+    r: Relation<'p>,
+    left_key: &str,
+    right_key: &str,
+) -> QueryResult<Relation<'p>> {
+    let key_of = |rel: &Relation, key: &str, side: &str| {
+        rel.index_of(key)
+            .ok_or_else(|| exec_error(format!("join key '{key}' missing on {side} side")))
+    };
+    let (li, ri) = (
+        key_of(&l, left_key, "left")?,
+        key_of(&r, right_key, "right")?,
+    );
+    let (ln, rn) = (l.sel.len(), r.sel.len());
+    let codes = order_codes(&[(&l.vector(li), ln), (&r.vector(ri), rn)]);
+    let (lcodes, rcodes) = codes.split_at(ln);
+    // Each right key's rows as a chain, `first[k]` then `next[row]`,
+    // built back to front so the chain runs in row order.
+    const END: usize = usize::MAX;
+    let (mut keys, mut first, mut next) = (CodeTable::with_room(rn), Vec::new(), vec![END; rn]);
+    for (i, &code) in rcodes.iter().enumerate().rev() {
+        let k = keys.number(code);
+        if k == first.len() {
+            first.push(END);
+        }
+        next[i] = first[k];
+        first[k] = i;
+    }
+    let (lmap, rmap) = (l.sel.map(), r.sel.map());
+    let (mut lrows, mut rrows) = (Vec::with_capacity(ln), Vec::with_capacity(ln));
+    for (i, &code) in lcodes.iter().enumerate() {
+        let Some(k) = keys.get(code) else { continue };
+        let mut j = first[k];
+        while j != END {
+            lrows.push(lmap.at(i));
+            rrows.push(rmap.at(j));
+            j = next[j];
+        }
+    }
+    let gathered = |rel: &Relation, rows: &[usize]| -> Vec<Arc<Column>> {
+        let cols = rel.cols.iter();
+        cols.map(|col| Arc::new(col.gather(rows.iter().copied())))
+            .collect()
+    };
+    let mut cols = gathered(&l, &lrows);
+    cols.extend(gathered(&r, &rrows));
+    let mut names = l.names;
+    names.extend(r.names);
+    Ok(Relation {
+        names,
+        cols,
+        sel: Sel::Prefix(lrows.len()),
+    })
+}
+
+/// `rel` ordered by `keys`, ties in input order; with a `limit`, only
+/// its first `limit` rows. Every key is evaluated on every row first, so
+/// a row the limit drops still raises its error.
+fn sort<'p>(
+    rel: Relation<'p>,
+    keys: &[(Expr, bool)],
+    limit: Option<usize>,
+) -> QueryResult<Relation<'p>> {
+    let vectors: Vec<Vector> = keys
+        .iter()
+        .map(|(expr, _)| rel.eval(expr, &rel.sel))
+        .collect::<QueryResult<_>>()?;
+    let codes = row_codes(&vectors, |k| keys[k].1, rel.sel.len());
+    drop(vectors);
+    // `(code, position)` pairs are distinct, so an unstable selection and
+    // sort of them order ties as a stable sort would.
+    let mut order: Vec<(u64, usize)> = codes.into_iter().zip(0..).collect();
+    if let Some(k) = limit.filter(|&k| k < order.len()) {
+        order.select_nth_unstable(k);
+        order.truncate(k);
+    }
+    order.sort_unstable();
+    let map = rel.sel.map();
+    let sel = Sel::Rows(order.into_iter().map(|(_, i)| map.at(i)).collect());
+    Ok(Relation { sel, ..rel })
 }
 
 #[cfg(test)]

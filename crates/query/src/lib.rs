@@ -82,28 +82,11 @@ pub fn plan_sql(catalog: &Catalog, sql: &str) -> QueryResult<LogicalPlan> {
     Ok(plan)
 }
 
-/// Base-table rows under every `Scan` of a plan: what enters the
-/// executor, as `Batch::rows` is what leaves it.
-fn rows_scanned(plan: &LogicalPlan, catalog: &Catalog) -> u64 {
-    match plan {
-        LogicalPlan::Scan { table, .. } => catalog.get(table).map_or(0, |t| t.rows.len() as u64),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. } => rows_scanned(input, catalog),
-        LogicalPlan::Join { left, right, .. } => {
-            rows_scanned(left, catalog) + rows_scanned(right, catalog)
-        }
-    }
-}
-
 /// Executes a plan (`query.execute` span, `query.queries` /
 /// `query.rows_scanned` / `query.rows_out` counters).
 pub fn run(catalog: &Catalog, plan: &LogicalPlan) -> QueryResult<Batch> {
     let span = everest_telemetry::span("query.execute");
-    let batch = exec::execute(plan, catalog)?;
-    let scanned = rows_scanned(plan, catalog);
+    let (batch, scanned) = exec::execute_counted(plan, catalog)?;
     span.arg("rows_scanned", scanned)
         .arg("rows", batch.rows.len() as u64);
     everest_telemetry::counter_add("query.queries", 1);

@@ -25,6 +25,12 @@
 //!    on grammar soup, `token::tokenize` and the lexer kept in
 //!    `reference/token.rs` return the same token kinds, payloads and
 //!    offsets, or the same error.
+//! 7. **Property 4 reaches every typed loop** — the cases it draws run
+//!    each comparison and arithmetic loop the executor picks by column
+//!    kind and read, global aggregates over rows and over none, groups
+//!    of several keys and of many, join keys repeated on both sides, a
+//!    `LIMIT` cutting a tie of its `ORDER BY`, and float sums whose bits
+//!    show the order they were added in.
 //!
 //! The vendored proptest shim has no combinator strategies, so the
 //! SQL generator draws raw integers and maps them onto grammar
@@ -396,6 +402,10 @@ struct Draws<'a> {
     raw: std::slice::Iter<'a, u64>,
     /// Whether numbers come from the whole range or stay small.
     extremes: bool,
+    /// Whether floats stay finite: drawn per table, so that some float
+    /// columns hold no `NaN` and no infinity, and their sums show the
+    /// order they were added in.
+    finite: bool,
 }
 
 impl Draws<'_> {
@@ -424,7 +434,9 @@ impl Draws<'_> {
         INTS[self.below(if self.extremes { 9 } else { 7 })]
     }
 
-    /// Every float oddity, and values equal to the ints above. `NaN` is
+    /// Every float oddity, values equal to the ints above, and `1e16`,
+    /// which a `1.0` added before it changes and one added after it does
+    /// not: a sum in another order has other bits. `NaN` is
     /// the one this machine's arithmetic produces, not `f64::NAN`: when
     /// an addition meets two different `NaN`s, which of them it returns
     /// depends on the operand order the compiler picked, and a sum over
@@ -444,9 +456,11 @@ impl Draws<'_> {
             2.0,
             2.5,
             5.0,
+            1.0e16,
             i64::MAX as f64,
         ];
-        floats[self.below(if self.extremes { 12 } else { 11 })]
+        let odd = if self.finite { 3 } else { 0 };
+        floats[odd + self.below(if self.extremes { 13 - odd } else { 12 - odd })]
     }
 }
 
@@ -474,6 +488,7 @@ fn random_table(
     draws: &mut Draws,
 ) {
     let names = ["k", "v", "c2", "c3"];
+    draws.finite = draws.one_in(2);
     let fields: Vec<Field> = (0..2 + draws.below(3))
         .map(|i| Field::new(names[i], *draws.pick(&TYPES)))
         .collect();
@@ -535,7 +550,8 @@ fn random_value_expr(columns: &[String], depth: usize, draws: &mut Draws) -> Exp
 /// A predicate over `columns`: comparisons under `AND` / `OR` / `NOT`,
 /// with now and then a constant or a non-boolean where a boolean goes —
 /// what tells an executor that short-circuits by row from one that
-/// does not.
+/// does not. A comparison's operands are one or two levels deep, so
+/// arithmetic on computed values also runs under a row list.
 fn random_predicate(columns: &[String], depth: usize, draws: &mut Draws) -> Expr {
     const CMP: [BinOp; 6] = [
         BinOp::Eq,
@@ -546,11 +562,14 @@ fn random_predicate(columns: &[String], depth: usize, draws: &mut Draws) -> Expr
         BinOp::Ge,
     ];
     match draws.below(if depth == 0 { 6 } else { 10 }) {
-        0..=3 => binary(
-            *draws.pick(&CMP),
-            random_value_expr(columns, 1, draws),
-            random_value_expr(columns, 1, draws),
-        ),
+        0..=3 => {
+            let depth = 1 + draws.below(2);
+            binary(
+                *draws.pick(&CMP),
+                random_value_expr(columns, depth, draws),
+                random_value_expr(columns, depth, draws),
+            )
+        }
         4 => Expr::Bool(draws.one_in(2)),
         5 => random_value_expr(columns, 1, draws),
         6 => Expr::Not(Box::new(random_predicate(columns, depth - 1, draws))),
@@ -706,6 +725,7 @@ fn generated_case(draws: &[u64], alter: bool) -> (Catalog, Vec<LogicalPlan>) {
     let mut it = Draws {
         raw: draws.iter(),
         extremes: !alter,
+        finite: false,
     };
     let mut catalog = Catalog::new();
     random_table(&mut catalog, "t", 40, alter, &mut it);
@@ -742,8 +762,11 @@ fn check_against_the_row_reference(draws: &[u64], alter: bool) -> Result<(), Str
     Ok(())
 }
 
+/// Cases each executor property runs.
+const EXECUTOR_CASES: u32 = 3072;
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases(EXECUTOR_CASES))]
 
     /// Same columns, same rows in the same order with floats compared
     /// by their bits, or an error from both.
@@ -766,6 +789,385 @@ proptest! {
         let outcome = check_against_the_row_reference(&draws, true);
         prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
     }
+}
+
+/// The kind of one operand column, as the executor dispatches on it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Int,
+    Float,
+    Str,
+    Bool,
+    /// Plain values: a column of an altered table, or computed from one.
+    Values,
+}
+
+/// How an operand's rows are read: a literal's one value, a computed
+/// column row by row, or a column through the selection's row list.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Read {
+    Broadcast,
+    Identity,
+    Via,
+}
+
+/// A relation as the classifier sees it: its columns' kinds, whether its
+/// selection is a row list, and how many rows it holds.
+struct Shape {
+    names: Vec<String>,
+    kinds: Vec<Kind>,
+    via: bool,
+    rows: usize,
+}
+
+impl Shape {
+    fn read(&self) -> Read {
+        if self.via {
+            Read::Via
+        } else {
+            Read::Identity
+        }
+    }
+}
+
+/// Names the typed loops `exec::execute` runs on generated plans, one
+/// string per loop: comparison and arithmetic by the kinds and reads of
+/// their operands, global aggregates by function and whether any row
+/// came in, and the group, join and top-k cases the hash table and the
+/// selection have to get right. An operator counts only when its input
+/// holds rows, and a plan only when the row reference runs it.
+struct Reach<'c> {
+    catalog: &'c Catalog,
+    loops: std::collections::BTreeSet<String>,
+}
+
+impl Reach<'_> {
+    fn record(&mut self, live: bool, cell: String) {
+        if live {
+            self.loops.insert(cell);
+        }
+    }
+
+    /// The kind and read of `expr` on `rel`'s rows read `read`.
+    fn vector(&mut self, expr: &Expr, rel: &Shape, read: Read, live: bool) -> (Kind, Read) {
+        match expr {
+            Expr::Column(name) => {
+                let at = rel.names.iter().position(|n| n == name).expect("bound");
+                (rel.kinds[at], read)
+            }
+            Expr::Int(_) => (Kind::Int, Read::Broadcast),
+            Expr::Float(_) => (Kind::Float, Read::Broadcast),
+            Expr::Str(_) => (Kind::Str, Read::Broadcast),
+            Expr::Bool(_) => (Kind::Bool, Read::Broadcast),
+            Expr::Binary {
+                op: BinOp::And | BinOp::Or,
+                ..
+            }
+            | Expr::Not(_) => {
+                self.select(expr, rel, read, live);
+                (Kind::Bool, Read::Identity)
+            }
+            Expr::Binary { op, lhs, rhs } => {
+                let (l, r) = (
+                    self.vector(lhs, rel, read, live),
+                    self.vector(rhs, rel, read, live),
+                );
+                if op.is_predicate() {
+                    self.record(live, format!("compare {l:?} {r:?}"));
+                    return (Kind::Bool, Read::Identity);
+                }
+                self.record(live, format!("arith {l:?} {r:?}"));
+                self.record(live, format!("arith {} {:?} {:?}", op.symbol(), l.0, r.0));
+                let kind = match (l.0, r.0) {
+                    (Kind::Int, Kind::Int) if *op != BinOp::Div => Kind::Int,
+                    (Kind::Int | Kind::Float, Kind::Int | Kind::Float) => Kind::Float,
+                    _ => Kind::Values,
+                };
+                (kind, Read::Identity)
+            }
+            Expr::Neg(inner) => match self.vector(inner, rel, read, live).0 {
+                kind @ (Kind::Int | Kind::Float) => (kind, Read::Identity),
+                _ => (Kind::Values, Read::Identity),
+            },
+            Expr::Agg { .. } => (Kind::Values, Read::Identity),
+        }
+    }
+
+    /// What selecting the rows `expr` holds on reads: `AND` and `OR`
+    /// take their right side on a row list.
+    fn select(&mut self, expr: &Expr, rel: &Shape, read: Read, live: bool) {
+        match expr {
+            Expr::Binary {
+                op: BinOp::And | BinOp::Or,
+                lhs,
+                rhs,
+            } => {
+                self.select(lhs, rel, read, live);
+                self.select(rhs, rel, Read::Via, live);
+            }
+            Expr::Not(inner) => self.select(inner, rel, read, live),
+            _ => {
+                self.vector(expr, rel, read, live);
+            }
+        }
+    }
+
+    fn shape(&mut self, plan: &LogicalPlan) -> Option<Shape> {
+        let rows = naive::execute(plan, self.catalog).ok()?.rows.len();
+        Some(match plan {
+            LogicalPlan::Scan {
+                table, projection, ..
+            } => {
+                let t = self.catalog.get(table).expect("registered");
+                let kind_of = |i: usize| {
+                    let ty = t.schema.fields[i].ty;
+                    let typed = t.rows.iter().all(|row| row[i].data_type() == ty);
+                    match ty {
+                        _ if !typed => Kind::Values,
+                        DataType::Int => Kind::Int,
+                        DataType::Float => Kind::Float,
+                        DataType::Str => Kind::Str,
+                        DataType::Bool => Kind::Bool,
+                    }
+                };
+                let all: Vec<usize> = (0..t.schema.fields.len()).collect();
+                let indices = projection.as_ref().unwrap_or(&all);
+                Shape {
+                    names: plan.schema(),
+                    kinds: indices.iter().map(|&i| kind_of(i)).collect(),
+                    via: false,
+                    rows,
+                }
+            }
+            LogicalPlan::Filter { input, predicate } => {
+                let rel = self.shape(input)?;
+                self.select(predicate, &rel, rel.read(), rel.rows > 0);
+                Shape {
+                    via: true,
+                    rows,
+                    ..rel
+                }
+            }
+            LogicalPlan::Project { input, exprs } => {
+                let rel = self.shape(input)?;
+                let plain = exprs.iter().all(|(e, _)| matches!(e, Expr::Column(_)));
+                let kinds = exprs
+                    .iter()
+                    .map(|(e, _)| self.vector(e, &rel, rel.read(), rel.rows > 0).0)
+                    .collect();
+                Shape {
+                    names: plan.schema(),
+                    kinds,
+                    via: plain && rel.via,
+                    rows,
+                }
+            }
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let rel = self.shape(input)?;
+                let live = rel.rows > 0;
+                let mut kinds: Vec<Kind> = group_by
+                    .iter()
+                    .map(|e| self.vector(e, &rel, rel.read(), live).0)
+                    .collect();
+                for agg in aggs {
+                    let Expr::Agg { func, arg } = agg else {
+                        return None;
+                    };
+                    let arg = arg
+                        .as_ref()
+                        .map(|a| self.vector(a, &rel, rel.read(), live).0);
+                    kinds.push(match func {
+                        AggFunc::Count => Kind::Int,
+                        AggFunc::Sum | AggFunc::Avg => Kind::Float,
+                        _ if !live => Kind::Float,
+                        _ => arg.unwrap_or(Kind::Values),
+                    });
+                    if group_by.is_empty() {
+                        self.loops.insert(format!(
+                            "global {func:?} over {}",
+                            if live { "rows" } else { "nothing" }
+                        ));
+                    }
+                    if *func == AggFunc::Sum && arg == Some(Kind::Float) && rel.rows > 1 {
+                        let sums = naive::execute(plan, self.catalog).expect("ran above");
+                        let at =
+                            group_by.len() + aggs.iter().position(|a| a == agg).expect("listed");
+                        let big = |row: &Vec<Value>| matches!(row[at], Value::Float(x) if x.is_finite() && x.abs() > 1e15);
+                        let groups = if group_by.is_empty() {
+                            "global"
+                        } else {
+                            "grouped"
+                        };
+                        self.record(
+                            sums.rows.iter().any(big),
+                            format!("a {groups} float sum past 1e15"),
+                        );
+                    }
+                }
+                self.record(
+                    live && group_by.len() > 1,
+                    "groups of several keys".to_string(),
+                );
+                self.record(
+                    group_by.len() == 1 && rows >= 8,
+                    "eight or more groups".to_string(),
+                );
+                Shape {
+                    names: plan.schema(),
+                    kinds,
+                    via: false,
+                    rows,
+                }
+            }
+            LogicalPlan::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+            } => {
+                let (l, r) = (self.shape(left)?, self.shape(right)?);
+                let values = |side: &LogicalPlan, key: &str| -> Vec<Value> {
+                    let batch = naive::execute(side, self.catalog).expect("ran above");
+                    let at = batch.columns.iter().position(|c| c == key).expect("bound");
+                    batch.rows.into_iter().map(|row| row[at].clone()).collect()
+                };
+                let (lv, rv) = (values(left, left_key), values(right, right_key));
+                let twice =
+                    |values: &[Value], v: &Value| values.iter().filter(|w| *w == v).count() > 1;
+                let both = lv.iter().any(|v| twice(&lv, v) && twice(&rv, v));
+                self.record(both, "a key twice on both sides of a join".to_string());
+                Shape {
+                    names: plan.schema(),
+                    kinds: l.kinds.iter().chain(&r.kinds).copied().collect(),
+                    via: false,
+                    rows,
+                }
+            }
+            LogicalPlan::Sort { input, keys } => {
+                let rel = self.shape(input)?;
+                for (key, _) in keys {
+                    self.vector(key, &rel, rel.read(), rel.rows > 0);
+                }
+                Shape {
+                    via: true,
+                    rows,
+                    ..rel
+                }
+            }
+            LogicalPlan::Limit { input, n } => {
+                let rel = self.shape(input)?;
+                if let LogicalPlan::Sort { keys, .. } = &**input {
+                    self.record(
+                        *n < rel.rows,
+                        "a limit under the rows of a sort".to_string(),
+                    );
+                    let sorted = naive::execute(input, self.catalog).expect("ran above");
+                    let key = |row: usize| -> Vec<Value> {
+                        let row = &sorted.rows[row];
+                        let value = |(k, _): &(Expr, bool)| naive::eval(k, &sorted.columns, row);
+                        keys.iter().map(|k| value(k).expect("ran above")).collect()
+                    };
+                    let tie = *n > 0 && *n < rel.rows && key(*n - 1) == key(*n);
+                    self.record(tie, "a limit cutting a tie of a sort".to_string());
+                }
+                Shape { rows, ..rel }
+            }
+        })
+    }
+}
+
+/// The draws case `case` of the property `test` in this file runs on.
+fn property_draws(test: &str, case: u32) -> Vec<u64> {
+    let mut rng = TestRng::for_case(&format!("query_props::{test}"), case);
+    proptest::collection::vec(any::<u64>(), 120..400).generate(&mut rng)
+}
+
+/// The generator behind the two executor properties reaches every typed
+/// loop the executor picks: comparisons and arithmetic over every pair
+/// of typed kinds and reads, each arithmetic operator on each pair of
+/// numeric kinds, every global aggregate over rows and over none, groups
+/// of several keys and of many, join keys repeated on both sides and a
+/// `LIMIT` cutting a tie of the `ORDER BY` above it. No executor path
+/// switches on a table's size, so its small tables reach them all.
+#[test]
+fn the_executor_properties_reach_every_typed_loop() {
+    const READS: [Read; 3] = [Read::Broadcast, Read::Identity, Read::Via];
+    const NUMBERS: [(Kind, Kind); 4] = [
+        (Kind::Int, Kind::Int),
+        (Kind::Int, Kind::Float),
+        (Kind::Float, Kind::Int),
+        (Kind::Float, Kind::Float),
+    ];
+    let mut want = std::collections::BTreeSet::new();
+    for (l, r) in NUMBERS.iter().chain(&[(Kind::Str, Kind::Str)]) {
+        for (lr, rr) in READS.iter().flat_map(|a| READS.iter().map(move |b| (a, b))) {
+            // Nothing computes a string, so the two string columns of a
+            // comparison are read through one selection alike.
+            let mixed = matches!(
+                (lr, rr),
+                (Read::Identity, Read::Via) | (Read::Via, Read::Identity)
+            );
+            if !(*l == Kind::Str && mixed) {
+                want.insert(format!("compare ({l:?}, {lr:?}) ({r:?}, {rr:?})"));
+            }
+            if *l != Kind::Str {
+                want.insert(format!("arith ({l:?}, {lr:?}) ({r:?}, {rr:?})"));
+            }
+        }
+        for op in [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div] {
+            if *l != Kind::Str {
+                want.insert(format!("arith {} {l:?} {r:?}", op.symbol()));
+            }
+        }
+    }
+    want.insert("compare (Bool, Broadcast) (Bool, Broadcast)".to_string());
+    for func in [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+    ] {
+        for input in ["rows", "nothing"] {
+            want.insert(format!("global {func:?} over {input}"));
+        }
+    }
+    for case in [
+        "a global float sum past 1e15",
+        "a grouped float sum past 1e15",
+        "groups of several keys",
+        "eight or more groups",
+        "a key twice on both sides of a join",
+        "a limit under the rows of a sort",
+        "a limit cutting a tie of a sort",
+    ] {
+        want.insert(case.to_string());
+    }
+
+    let mut reached = std::collections::BTreeSet::new();
+    let properties = [
+        ("columnar_executor_matches_the_row_reference", false),
+        ("altered_tables_run_on_untyped_columns", true),
+    ];
+    for (test, alter) in properties {
+        for case in 0..EXECUTOR_CASES {
+            let (catalog, plans) = generated_case(&property_draws(test, case), alter);
+            let mut reach = Reach {
+                catalog: &catalog,
+                loops: std::collections::BTreeSet::new(),
+            };
+            for plan in &plans {
+                reach.shape(plan);
+            }
+            reached.append(&mut reach.loops);
+        }
+    }
+    let missing: Vec<&String> = want.difference(&reached).collect();
+    assert!(missing.is_empty(), "never reached: {missing:#?}");
 }
 
 // ---------------------------------------------------------------------------
