@@ -30,8 +30,9 @@
 //! On-fabric crossings (device ↔ PLM) are normal datapath traffic and
 //! are never reported.
 
+use everest_ir::constraint::{Effect, Port};
 use everest_ir::ids::{OpId, ValueId};
-use everest_ir::module::Module;
+use everest_ir::module::{Module, Operation};
 use everest_ir::registry::Context;
 use everest_ir::types::{MemorySpace, Type};
 
@@ -114,7 +115,7 @@ fn declared_space(module: &Module, value: ValueId) -> Option<MemorySpace> {
 /// then uniform — its seed unioned with the facts of what it reads —
 /// which keeps the transfer trivially monotone, and "what it reads" is
 /// the flow graph's predecessor list, so no second copy is kept.
-fn flow_edges(module: &Module, walk: &[OpId]) -> Vec<(u32, u32)> {
+fn flow_edges(ctx: &Context, module: &Module, walk: &[OpId]) -> Vec<(u32, u32)> {
     let mut edges = Vec::with_capacity(2 * module.num_values());
     let mut flow = |source: ValueId, target: ValueId| {
         edges.push((source.index() as u32, target.index() as u32));
@@ -124,19 +125,6 @@ fn flow_edges(module: &Module, walk: &[OpId]) -> Vec<(u32, u32)> {
             continue;
         };
         match operation.name.as_str() {
-            // Stores flow the stored value's provenance into the buffer.
-            "memref.store" => {
-                if let [value, base, ..] = operation.operands.as_slice() {
-                    flow(*value, *base);
-                }
-            }
-            // Copies flow the source buffer's provenance into the
-            // destination buffer.
-            "memref.copy" => {
-                if let [src, dst, ..] = operation.operands.as_slice() {
-                    flow(*src, *dst);
-                }
-            }
             // DMA is the sanctioned crossing: provenance is laundered,
             // nothing propagates.
             "olympus.dma" => {}
@@ -166,10 +154,17 @@ fn flow_edges(module: &Module, walk: &[OpId]) -> Vec<(u32, u32)> {
                     }
                 }
             }
-            // Default: every result's data may come from any operand
-            // (loads inherit the buffer, arithmetic unions inputs,
-            // selects and casts alias).
+            // Default: a buffer written at operand `b` takes the data of
+            // the operands before it (a store's value, a copy's
+            // source), and every result's data may come from any
+            // operand (loads inherit the buffer, arithmetic unions
+            // inputs, selects and casts alias).
             _ => {
+                for (written, data) in written_data(ctx, operation) {
+                    for &source in data {
+                        flow(source, written);
+                    }
+                }
                 for &result in &operation.results {
                     for &operand in &operation.operands {
                         flow(operand, result);
@@ -181,13 +176,26 @@ fn flow_edges(module: &Module, walk: &[OpId]) -> Vec<(u32, u32)> {
     edges
 }
 
+/// The buffers `operation` writes at a declared operand `b`, each with
+/// the operands before it: the data written into it.
+fn written_data<'o>(
+    ctx: &Context,
+    operation: &'o Operation,
+) -> impl Iterator<Item = (ValueId, &'o [ValueId])> + 'o {
+    let operands = &operation.operands[..];
+    (ctx.effects(operation.name).iter()).filter_map(move |effect| match *effect {
+        Effect::Write(Port::Operand(b, _)) => Some((*operands.get(b)?, &operands[..b])),
+        _ => None,
+    })
+}
+
 /// Computes the provenance fixpoint for every SSA value.
 pub fn compute(module: &Module) -> Fixpoint<SpaceSet> {
-    compute_over(module, &module.walk_ops())
+    compute_over(&Context::with_all_dialects(), module, &module.walk_ops())
 }
 
 /// [`compute`] over `walk`, the module's ops in pre-order.
-fn compute_over(module: &Module, walk: &[OpId]) -> Fixpoint<SpaceSet> {
+fn compute_over(ctx: &Context, module: &Module, walk: &[OpId]) -> Fixpoint<SpaceSet> {
     let n = module.num_values();
     // Buffers seed their declared space (their initial contents live
     // there); everything else starts empty.
@@ -197,7 +205,7 @@ fn compute_over(module: &Module, walk: &[OpId]) -> Fixpoint<SpaceSet> {
                 .map_or_else(SpaceSet::bottom, SpaceSet::of)
         })
         .collect();
-    let edges = flow_edges(module, walk);
+    let edges = flow_edges(ctx, module, walk);
     // Height-3 lattice: a generous linear budget always converges.
     let budget = 8 * (n + edges.len()) + 8;
     let graph = FlowGraph::from_edges(n, edges);
@@ -233,22 +241,27 @@ impl Lint for MemorySpaceEscape {
         OPS
     }
 
-    fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
-        let facts = compute_over(module, out.walk()).states;
+    fn run(&self, ctx: &Context, module: &Module, out: &mut Collector<'_>) {
+        let facts = compute_over(ctx, module, out.walk()).states;
         let of = |v: ValueId| facts.get(v.index()).copied().unwrap_or_default();
         for &op_id in out.walk() {
             let Some(operation) = module.op(op_id) else {
                 continue;
             };
             match operation.name.as_str() {
-                "memref.store" => {
-                    let [value, base, ..] = operation.operands.as_slice() else {
+                // An element-wise store: an access that writes the value
+                // before its buffer.
+                _ if ctx
+                    .access(operation)
+                    .is_some_and(|(e, ..)| matches!(e, Effect::Write(_))) =>
+                {
+                    let Some((base, &[value])) = written_data(ctx, operation).next() else {
                         continue;
                     };
-                    let Some(dst_space) = declared_space(module, *base) else {
+                    let Some(dst_space) = declared_space(module, base) else {
                         continue;
                     };
-                    let provenance = of(*value);
+                    let provenance = of(value);
                     if dst_space != MemorySpace::Host && provenance.has_host() {
                         out.emit(
                             ID,

@@ -2,6 +2,7 @@
 //! interval or block loop pipelining when the module reaches the HLS
 //! engine.
 
+use everest_ir::constraint::Effect;
 use everest_ir::ids::{OpId, ValueId};
 use everest_ir::module::{Module, Operation, ValueDef};
 use everest_ir::registry::{Context, OpTrait};
@@ -50,10 +51,10 @@ impl Lint for HlsPreSynthesis {
                 continue;
             };
             if operation.name == "scf.for" {
-                let (inside, loaded) =
+                let (inside, buffers) =
                     sets.get_or_insert_with(|| (ValueSet::new(module), ValueSet::new(module)));
                 let body_ops = out.nested(at);
-                check_loop(ctx, module, operation, body_ops, inside, loaded, out);
+                check_loop(ctx, module, operation, body_ops, inside, buffers, out);
             }
         }
     }
@@ -90,27 +91,38 @@ impl ValueSet {
 }
 
 /// The checks of one loop, whose nested ops (at any depth, in
-/// pre-order) are `body_ops`.
+/// pre-order) are `body_ops`; `buffers` is scratch for the buffers the
+/// loop writes, then for those it loads.
 fn check_loop(
     ctx: &Context,
     module: &Module,
     operation: &Operation,
     body_ops: &[OpId],
     inside: &mut ValueSet,
-    loaded: &mut ValueSet,
+    buffers: &mut ValueSet,
     out: &mut Collector<'_>,
 ) {
-    // Everything defined inside the loop (op results and block args of
-    // every nested block, including inner loops).
+    // Everything defined inside the loop (the block args of its blocks
+    // and of every nested op's, and the nested ops' results), and what
+    // it may write: a region op's own ops are in `body_ops` too, so only
+    // what the ops without regions may write counts.
+    let ops = || body_ops.iter().filter_map(|&op| Some((op, module.op(op)?)));
     inside.clear();
-    for &region in &operation.regions {
-        collect_block_args(module, region, inside);
+    buffers.clear();
+    for o in std::iter::once(operation).chain(ops().map(|(_, o)| o)) {
+        let blocks = o.regions.iter().flat_map(|&r| &module.region(r).blocks);
+        for &arg in blocks.flat_map(|&b| &module.block(b).args) {
+            inside.insert(arg);
+        }
     }
-    for &op in body_ops {
-        if let Some(o) = module.op(op) {
-            for &r in &o.results {
-                inside.insert(r);
+    for (_, o) in ops() {
+        for &v in o.operands.iter().chain(&o.results) {
+            if o.regions.is_empty() && ctx.may_write(o, v) {
+                buffers.insert(v);
             }
+        }
+        for &r in &o.results {
+            inside.insert(r);
         }
     }
 
@@ -121,49 +133,37 @@ fn check_loop(
         .and_then(|&b| module.block(b).args.first())
         .copied();
 
-    for &op in body_ops {
-        let Some(o) = module.op(op) else {
-            continue;
-        };
-        check_invariant(ctx, op, o, inside, out);
+    for (op, o) in ops() {
+        check_invariant(ctx, op, o, inside, buffers, out);
         check_inner_trip_count(ctx, module, op, o, out);
     }
-    check_memory_dependency(module, body_ops, induction, loaded, out);
+    check_memory_dependency(ctx, module, body_ops, induction, buffers, out);
 }
 
-fn collect_block_args(module: &Module, region: everest_ir::ids::RegionId, inside: &mut ValueSet) {
-    for &block in &module.region(region).blocks {
-        for &arg in &module.block(block).args {
-            inside.insert(arg);
-        }
-        for &op in &module.block(block).ops {
-            if let Some(o) = module.op(op) {
-                for &nested in &o.regions {
-                    collect_block_args(module, nested, inside);
-                }
-            }
-        }
-    }
-}
-
-/// A pure, non-constant op whose operands all come from outside the
-/// loop recomputes the same value every iteration: HLS replicates the
-/// datapath (or lengthens the II) for work LICM could hoist.
+/// A read-only, non-constant op whose operands all come from outside
+/// the loop, and whose buffer, if it reads one, the loop does not write
+/// (`written`), recomputes the same value every iteration: HLS
+/// replicates the datapath (or lengthens the II) for work LICM could
+/// hoist.
 fn check_invariant(
     ctx: &Context,
     op: OpId,
     operation: &Operation,
     inside: &ValueSet,
+    written: &ValueSet,
     out: &mut Collector<'_>,
 ) {
-    if !ctx.has_trait(operation.name, OpTrait::Pure)
+    if !ctx.reads_only(operation.name)
         || ctx.has_trait(operation.name, OpTrait::ConstantLike)
         || !operation.regions.is_empty()
         || operation.operands.is_empty()
     {
         return;
     }
-    if operation.operands.iter().all(|&v| !inside.contains(v)) {
+    let mut reads = (ctx.effects(operation.name).iter()).flat_map(|e| e.port().values(operation));
+    if operation.operands.iter().all(|&v| !inside.contains(v))
+        && !reads.any(|buffer| written.contains(buffer))
+    {
         out.emit(
             "hls-loop-invariant",
             op,
@@ -214,6 +214,7 @@ fn check_inner_trip_count(
 /// loop body carries a potential inter-iteration dependency through
 /// memory, forcing II > 1.
 fn check_memory_dependency(
+    ctx: &Context,
     module: &Module,
     body_ops: &[OpId],
     induction: Option<ValueId>,
@@ -221,30 +222,22 @@ fn check_memory_dependency(
     out: &mut Collector<'_>,
 ) {
     loaded.clear();
-    for &op in body_ops {
-        let Some(o) = module.op(op) else {
-            continue;
-        };
-        if o.name == "memref.load" {
-            if let Some(&buf) = o.operands.first() {
-                loaded.insert(buf);
-            }
+    let accesses = || {
+        let ops = body_ops.iter().filter_map(|&op| Some((op, module.op(op)?)));
+        ops.filter_map(|(op, o)| Some((op, ctx.access(o)?)))
+    };
+    for (_, (effect, buf, _)) in accesses() {
+        if let Effect::Read(_) = effect {
+            loaded.insert(buf);
         }
     }
-    for &op in body_ops {
-        let Some(o) = module.op(op) else {
-            continue;
-        };
-        if o.name != "memref.store" || o.operands.len() < 3 {
+    for (op, (effect, buf, indices)) in accesses() {
+        if !matches!(effect, Effect::Write(_)) || indices.is_empty() || !loaded.contains(buf) {
             continue;
         }
-        let buf = o.operands[1];
-        if !loaded.contains(buf) {
-            continue;
-        }
-        let computed_index = o.operands[2..]
+        let computed_index = indices
             .iter()
-            .any(|&idx| Some(idx) != induction && !is_constant(module, idx));
+            .any(|&idx| Some(idx) != induction && module.constant(idx).is_none());
         if computed_index {
             out.emit(
                 "hls-unpipelinable",
@@ -254,13 +247,6 @@ fn check_memory_dependency(
             );
         }
     }
-}
-
-fn is_constant(module: &Module, v: ValueId) -> bool {
-    let ValueDef::OpResult { op, .. } = module.value(v).def else {
-        return false;
-    };
-    module.op(op).is_some_and(|o| o.name == "arith.constant")
 }
 
 #[cfg(test)]
@@ -312,6 +298,61 @@ mod tests {
         m.build_op("scf.yield", [], []).append_to(body);
         let report = run(&m);
         assert!(report.by_lint("hls-loop-invariant").is_empty());
+    }
+
+    /// `sum(j)(m[i, j] * a[i])` as `lower_to_loops` emits it: the `j`
+    /// loop loads `m[i, j]`, `a[i]` when `with_operand`, and the rank-0
+    /// accumulator, and stores the accumulator back.
+    fn sum_nest(with_operand: bool) -> Module {
+        let mut m = Module::new();
+        let top = m.top_block();
+        let matrix = core::alloc(
+            &mut m,
+            top,
+            Type::memref(&[8, 8], Type::F64, MemorySpace::Plm),
+        );
+        let a = core::alloc(&mut m, top, Type::memref(&[8], Type::F64, MemorySpace::Plm));
+        let acc = core::alloc(&mut m, top, Type::memref(&[], Type::F64, MemorySpace::Plm));
+        let (lb, ub, step) = loop_bounds(&mut m, top);
+        let (_i_loop, i_body) = core::build_for(&mut m, top, lb, ub, step);
+        let i = m.block(i_body).args[0];
+        let (_j_loop, body) = core::build_for(&mut m, i_body, lb, ub, step);
+        let j = m.block(body).args[0];
+        let load = |m: &mut Module, operands: &[ValueId]| {
+            let op = m
+                .build_op("memref.load", operands.to_vec(), [Type::F64])
+                .append_to(body);
+            everest_ir::module::single_result(m, op)
+        };
+        let mut term = load(&mut m, &[matrix, i, j]);
+        if with_operand {
+            let a_i = load(&mut m, &[a, i]);
+            term = core::binary(&mut m, body, "arith.mulf", term, a_i);
+        }
+        let partial = load(&mut m, &[acc]);
+        let total = core::binary(&mut m, body, "arith.addf", partial, term);
+        m.build_op("memref.store", [total, acc], []).append_to(body);
+        m.build_op("scf.yield", [], []).append_to(body);
+        m.build_op("scf.yield", [], []).append_to(i_body);
+        m
+    }
+
+    #[test]
+    fn an_accumulator_load_the_loop_stores_back_is_not_invariant() {
+        assert!(run(&sum_nest(false))
+            .by_lint("hls-loop-invariant")
+            .is_empty());
+    }
+
+    #[test]
+    fn an_operand_subscripted_by_outer_indices_only_is_still_invariant() {
+        let m = sum_nest(true);
+        let report = run(&m);
+        let found = report.by_lint("hls-loop-invariant");
+        assert_eq!(found.len(), 1, "{:?}", report.diagnostics);
+        // The load of `a[i]`, the second op of the `j` loop's body.
+        let path = found[0].path.as_ref().expect("anchored").to_string();
+        assert!(path.ends_with("op1(memref.load)"), "{path}");
     }
 
     #[test]

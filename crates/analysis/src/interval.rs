@@ -22,7 +22,7 @@
 //! constants, induction variables, values returned from callees).
 
 use everest_ir::ids::{OpId, ValueId};
-use everest_ir::module::{Module, Operation, ValueDef};
+use everest_ir::module::{Module, Operation};
 use everest_ir::registry::Context;
 use everest_ir::types::Type;
 
@@ -609,18 +609,13 @@ impl Lint for IntervalAnalysis {
         OPS
     }
 
-    fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
+    fn run(&self, ctx: &Context, module: &Module, out: &mut Collector<'_>) {
         let facts = out.interval_facts();
         for &op_id in out.walk() {
             let Some(operation) = module.op(op_id) else {
                 continue;
             };
             match operation.name.as_str() {
-                // Deny only when the facts are a sound
-                // over-approximation (the solver converged).
-                "memref.load" | "memref.store" if facts.converged => {
-                    check_access(module, facts, op_id, operation, out);
-                }
                 "arith.select" => {
                     if let Some(&cond) = operation.operands.first() {
                         match facts.of(cond).as_constant() {
@@ -658,40 +653,38 @@ impl Lint for IntervalAnalysis {
                         }
                     }
                 }
+                // Deny only when the facts are a sound
+                // over-approximation (the solver converged).
+                _ if facts.converged => {
+                    if let Some((_, base, indices)) = ctx.access(operation) {
+                        check_access(module, facts, op_id, (base, indices), out);
+                    }
+                }
                 _ => {}
             }
         }
     }
 }
 
+/// Checks the subscripts `indices` of an access to `base`.
 fn check_access(
     module: &Module,
     facts: &IntervalFacts,
     op_id: OpId,
-    operation: &Operation,
+    (base, indices): (ValueId, &[ValueId]),
     out: &mut Collector<'_>,
 ) {
-    let (base_pos, first_index) = if operation.name == "memref.load" {
-        (0, 1)
-    } else {
-        (1, 2)
-    };
-    let Some(&base) = operation.operands.get(base_pos) else {
-        return;
-    };
     let Type::MemRef { shape, .. } = module.value_type(base) else {
         return;
     };
-    for (dim, &index_value) in operation.operands.iter().skip(first_index).enumerate() {
+    for (dim, &index_value) in indices.iter().enumerate() {
         // Dynamic extents (`None`) cannot be checked statically.
         let Some(extent) = shape.get(dim).copied().flatten() else {
             continue;
         };
         // Direct constants belong to the syntactic lint.
-        if let ValueDef::OpResult { op, .. } = module.value(index_value).def {
-            if module.op(op).is_some_and(|o| o.name == "arith.constant") {
-                continue;
-            }
+        if module.constant(index_value).is_some() {
+            continue;
         }
         if let Interval::Range { lo, hi } = facts.of(index_value) {
             if hi < 0 || (lo != i64::MIN && lo >= 0 && lo as u64 >= extent) {

@@ -3,8 +3,10 @@
 
 use std::collections::HashSet;
 
+use everest_ir::attr::Attribute;
+use everest_ir::constraint::{Effect, Port};
 use everest_ir::ids::ValueId;
-use everest_ir::module::{Module, Operation, ValueDef};
+use everest_ir::module::{Module, Operation};
 use everest_ir::registry::Context;
 use everest_ir::types::Type;
 
@@ -43,18 +45,6 @@ const LIFETIME_LINTS: &[LintInfo] = &[
     },
 ];
 
-/// Ops whose use of a buffer hands it to another owner, so the
-/// allocation is not this scope's to free.
-const ESCAPE_OPS: &[&str] = &[
-    "func.return",
-    "olympus.dma",
-    "scf.yield",
-    "dfg.yield",
-    "olympus.yield",
-    "func.call",
-    "olympus.kernel",
-];
-
 impl Lint for MemrefLifetime {
     fn name(&self) -> &'static str {
         "memref-lifetime"
@@ -65,36 +55,47 @@ impl Lint for MemrefLifetime {
     }
 
     /// A use after free or a double free needs a dealloc, a leak an
-    /// alloc, an out-of-bounds access a load or a store.
+    /// allocation (`memref.alloc` or `olympus.plm`), an out-of-bounds
+    /// access a load or a store.
     fn ops(&self) -> OpKinds {
         const OPS: OpKinds = OpKinds::of(&[
             "memref.alloc",
             "memref.dealloc",
             "memref.load",
             "memref.store",
+            "olympus.plm",
         ]);
         OPS
     }
 
-    fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
-        check_free_order(module, out);
-        check_leaks(module, out);
-        check_bounds(module, out);
+    fn run(&self, ctx: &Context, module: &Module, out: &mut Collector<'_>) {
+        check_free_order(ctx, module, out);
+        check_leaks(ctx, module, out);
+        check_bounds(ctx, module, out);
     }
 }
 
+/// The values `operation` has the effect `kind` picks on.
+fn effect_values<'o>(
+    ctx: &Context,
+    operation: &'o Operation,
+    kind: fn(&Effect) -> bool,
+) -> impl Iterator<Item = ValueId> + 'o {
+    let effects = ctx.effects(operation.name).iter().filter(move |e| kind(e));
+    effects.flat_map(|e| e.port().values(operation))
+}
+
 /// Use-after-free and double-free, over the module's program order.
-fn check_free_order(module: &Module, out: &mut Collector<'_>) {
+fn check_free_order(ctx: &Context, module: &Module, out: &mut Collector<'_>) {
     let mut freed: HashSet<ValueId> = HashSet::new();
+    let frees = |e: &Effect| matches!(e, Effect::Free(_));
     for &op in out.walk() {
         let Some(operation) = module.op(op) else {
             continue;
         };
-        if operation.name == "memref.dealloc" {
-            let Some(&buf) = operation.operands.first() else {
-                continue;
-            };
-            if !freed.insert(buf) {
+        let mut freeing = effect_values(ctx, operation, frees).peekable();
+        if freeing.peek().is_some() {
+            if !freeing.all(|buf| freed.insert(buf)) {
                 out.emit(
                     "memref-double-free",
                     op,
@@ -116,30 +117,24 @@ fn check_free_order(module: &Module, out: &mut Collector<'_>) {
 }
 
 /// Allocations with no dealloc and no escaping use.
-fn check_leaks(module: &Module, out: &mut Collector<'_>) {
+fn check_leaks(ctx: &Context, module: &Module, out: &mut Collector<'_>) {
     // One sweep over every live op, attached or not, marks the values
-    // some user deallocates or hands to another owner.
+    // some user frees or hands to another owner: an op that declares no
+    // effects of its own (a call, a kernel, a return or a yield) may
+    // keep or free every buffer it takes.
+    let released_by = |e: &Effect| matches!(e, Effect::Free(_) | Effect::Write(Port::All));
     let mut released = vec![false; module.num_values()];
     for (_, user) in module.live_ops() {
-        if user.name == "memref.dealloc" || ESCAPE_OPS.contains(&user.name.as_str()) {
-            for v in &user.operands {
-                if let Some(slot) = released.get_mut(v.index()) {
-                    *slot = true;
-                }
-            }
+        for v in effect_values(ctx, user, released_by) {
+            released[v.index()] = true;
         }
     }
+    let allocates = |e: &Effect| matches!(e, Effect::Alloc(_));
     for &op in out.walk() {
         let Some(operation) = module.op(op) else {
             continue;
         };
-        if operation.name != "memref.alloc" {
-            continue;
-        }
-        let Some(&buf) = operation.results.first() else {
-            continue;
-        };
-        if !released[buf.index()] {
+        if effect_values(ctx, operation, allocates).any(|b| !released[b.index()]) {
             out.emit(
                 "memref-leak",
                 op,
@@ -150,25 +145,18 @@ fn check_leaks(module: &Module, out: &mut Collector<'_>) {
 }
 
 /// Constant-index accesses checked against static shapes.
-fn check_bounds(module: &Module, out: &mut Collector<'_>) {
+fn check_bounds(ctx: &Context, module: &Module, out: &mut Collector<'_>) {
     for &op in out.walk() {
-        let Some(operation) = module.op(op) else {
+        let Some((_, base, indices)) = module.op(op).and_then(|o| ctx.access(o)) else {
             continue;
         };
-        let (base_index, index_start) = match operation.name.as_str() {
-            "memref.load" => (0, 1),
-            "memref.store" => (1, 2),
-            _ => continue,
-        };
-        if operation.operands.len() <= base_index {
-            continue;
-        }
-        let Type::MemRef { shape, .. } = module.value_type(operation.operands[base_index]) else {
+        let Type::MemRef { shape, .. } = module.value_type(base) else {
             continue;
         };
-        let indices = &operation.operands[index_start..];
         for (dim, &idx) in shape.iter().zip(indices) {
-            let (Some(extent), Some(value)) = (dim, constant_index(module, idx)) else {
+            let (Some(extent), Some(value)) =
+                (dim, module.constant(idx).and_then(Attribute::as_int))
+            else {
                 continue;
             };
             if value < 0 || value as u64 >= *extent {
@@ -180,18 +168,6 @@ fn check_bounds(module: &Module, out: &mut Collector<'_>) {
             }
         }
     }
-}
-
-/// The constant value of `v`, when it is defined by an `arith.constant`.
-fn constant_index(module: &Module, v: ValueId) -> Option<i64> {
-    let ValueDef::OpResult { op, .. } = module.value(v).def else {
-        return None;
-    };
-    let operation: &Operation = module.op(op)?;
-    if operation.name != "arith.constant" {
-        return None;
-    }
-    operation.int_attr("value")
 }
 
 #[cfg(test)]

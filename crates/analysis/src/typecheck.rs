@@ -2,6 +2,7 @@
 //! its spec declares, and memory-space consistency at kernel
 //! boundaries.
 
+use everest_ir::constraint::{Effect, Port};
 use everest_ir::module::Module;
 use everest_ir::registry::Context;
 use everest_ir::types::{MemorySpace, Type};
@@ -38,7 +39,9 @@ impl Lint for TypeCheck {
                 continue;
             };
             for constraint in ctx.constraints(operation.name) {
-                if let Err(message) = constraint.check(module, operation) {
+                if let Err(message) =
+                    constraint.check(module, operation, ctx.effects(operation.name))
+                {
                     out.emit("type-mismatch", op, message);
                 }
             }
@@ -85,7 +88,7 @@ impl Lint for MemorySpaceCheck {
         OPS
     }
 
-    fn run(&self, _ctx: &Context, module: &Module, out: &mut Collector<'_>) {
+    fn run(&self, ctx: &Context, module: &Module, out: &mut Collector<'_>) {
         for &op in out.walk() {
             let Some(operation) = module.op(op) else {
                 continue;
@@ -131,13 +134,14 @@ impl Lint for MemorySpaceCheck {
                         );
                     }
                 }
-                "memref.copy" => {
-                    if operation.operands.len() != 2 {
+                // A copy: it reads one buffer and writes another.
+                _ => {
+                    let [Effect::Read(src), Effect::Write(dst)] = ctx.effects(operation.name)
+                    else {
                         continue;
-                    }
-                    let src = space_of(module, operation.operands[0]);
-                    let dst = space_of(module, operation.operands[1]);
-                    if let (Some(src), Some(dst)) = (src, dst) {
+                    };
+                    let space = |port: &Port| space_of(module, port.values(operation).next()?);
+                    if let (Some(src), Some(dst)) = (space(src), space(dst)) {
                         if src != dst {
                             out.emit(
                                 MS,
@@ -150,7 +154,6 @@ impl Lint for MemorySpaceCheck {
                         }
                     }
                 }
-                _ => {}
             }
         }
     }

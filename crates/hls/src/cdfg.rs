@@ -11,8 +11,9 @@
 //! `OpId::index()` / `ValueId::index()` that a `CdfgTables` sizes once
 //! and reuses for every block of a synthesis.
 
+use everest_ir::constraint::{Effect, Port};
 use everest_ir::module::{Module, ValueDef};
-use everest_ir::{BlockId, OpId, Symbol};
+use everest_ir::{BlockId, Context, OpId, Symbol};
 
 /// A dependence edge kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,34 +26,38 @@ pub enum DepKind {
 }
 
 /// What the synthesis flow distinguishes about an op, decided by its
-/// name alone (once per distinct name, see `CdfgTables`).
+/// name and the effects its kind declares (once per distinct name, see
+/// `CdfgTables`). Operand and result positions are the declared ports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
     /// `scf.for`.
     For,
     /// `scf.if`.
     If,
-    /// `memref.load`: reads the buffer in operand 0.
-    Load,
-    /// `memref.store`: writes the buffer in operand 1.
-    Store,
-    /// `memref.alloc`.
-    Alloc,
-    /// `memref.copy`: reads operand 0, writes operand 1.
-    Copy,
+    /// Reads the buffer in operand `.0` and nothing else (`memref.load`).
+    Load(usize),
+    /// Writes the buffer in operand `.0` and nothing else
+    /// (`memref.store`).
+    Store(usize),
+    /// Allocates its result `.0` (`memref.alloc`).
+    Alloc(usize),
+    /// Reads operand `.0` and writes operand `.1` (`memref.copy`).
+    Copy(usize, usize),
     /// Everything else.
     Other,
 }
 
 impl OpClass {
-    fn of(name: Symbol) -> OpClass {
-        match name.as_str() {
-            "scf.for" => OpClass::For,
-            "scf.if" => OpClass::If,
-            "memref.load" => OpClass::Load,
-            "memref.store" => OpClass::Store,
-            "memref.alloc" => OpClass::Alloc,
-            "memref.copy" => OpClass::Copy,
+    fn of(ctx: &Context, name: Symbol) -> OpClass {
+        match (name.as_str(), ctx.effects(name)) {
+            ("scf.for", _) => OpClass::For,
+            ("scf.if", _) => OpClass::If,
+            (_, &[Effect::Read(Port::Operand(buffer, _))]) => OpClass::Load(buffer),
+            (_, &[Effect::Write(Port::Operand(buffer, _))]) => OpClass::Store(buffer),
+            (_, &[Effect::Alloc(Port::Result(buffer, _)), ..]) => OpClass::Alloc(buffer),
+            (_, &[Effect::Read(Port::Operand(src, _)), Effect::Write(Port::Operand(dst, _))]) => {
+                OpClass::Copy(src, dst)
+            }
             _ => OpClass::Other,
         }
     }
@@ -198,6 +203,8 @@ pub(crate) struct CdfgTables {
     /// Names by kind id.
     kinds: Vec<Symbol>,
     classes: Vec<OpClass>,
+    /// Where the classes' effects are declared.
+    ctx: Context,
 }
 
 impl CdfgTables {
@@ -212,6 +219,7 @@ impl CdfgTables {
             region_preds: Vec::new(),
             kinds: Vec::new(),
             classes: Vec::new(),
+            ctx: Context::with_all_dialects(),
         }
     }
 
@@ -227,7 +235,7 @@ impl CdfgTables {
             Some(kind) => kind,
             None => {
                 self.kinds.push(name);
-                self.classes.push(OpClass::of(name));
+                self.classes.push(OpClass::of(&self.ctx, name));
                 self.kinds.len() - 1
             }
         };
@@ -272,8 +280,8 @@ impl CdfgTables {
             // Buffers are identified by their defining SSA value (allocs
             // or block args); nothing is walked through.
             match class {
-                OpClass::Load => {
-                    let buf = operation.operands[0].index();
+                OpClass::Load(buffer) => {
+                    let buf = operation.operands[buffer].index();
                     let state = self.buffers.slot(buf);
                     if state.last_store != NONE {
                         cdfg.pred_edges.push((state.last_store, DepKind::Memory));
@@ -286,8 +294,8 @@ impl CdfgTables {
                     }
                     state.last_load = i;
                 }
-                OpClass::Store => {
-                    let buf = operation.operands[1].index();
+                OpClass::Store(buffer) => {
+                    let buf = operation.operands[buffer].index();
                     let state = self.buffers.slot(buf);
                     if state.last_store == NONE {
                         self.stored.push(buf as u32);
@@ -304,9 +312,9 @@ impl CdfgTables {
                         ..BufferState::default()
                     };
                 }
-                OpClass::Copy => {
-                    let src = operation.operands[0].index();
-                    let dst = operation.operands[1].index();
+                OpClass::Copy(src, dst) => {
+                    let src = operation.operands[src].index();
+                    let dst = operation.operands[dst].index();
                     let read = self.buffers.slot(src).last_store;
                     if read != NONE {
                         cdfg.pred_edges.push((read, DepKind::Memory));

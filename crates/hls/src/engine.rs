@@ -359,21 +359,22 @@ impl<'m> Synthesizer<'m> {
                     }
                     (branch_max + 1, None, false)
                 }
-                OpClass::Load => (kind.latency, Some(operation.operands[0]), false),
-                OpClass::Store => (kind.latency, Some(operation.operands[1]), false),
-                OpClass::Alloc => {
-                    let ty = self.module.value_type(operation.results[0]);
+                OpClass::Load(buffer) | OpClass::Store(buffer) => {
+                    (kind.latency, Some(operation.operands[buffer]), false)
+                }
+                OpClass::Alloc(buffer) => {
+                    let ty = self.module.value_type(operation.results[buffer]);
                     self.bram += CostLibrary::bram_cost(ty);
                     (0, None, false)
                 }
-                OpClass::Copy => {
+                OpClass::Copy(src, dst) => {
                     // Burst copy: one element per cycle after setup.
                     let n = self
                         .module
-                        .value_type(operation.operands[0])
+                        .value_type(operation.operands[src])
                         .num_elements()
                         .unwrap_or(1);
-                    (n.saturating_add(2), Some(operation.operands[1]), false)
+                    (n.saturating_add(2), Some(operation.operands[dst]), false)
                 }
                 OpClass::Other => {
                     // Not scheduled into, but a loop in there still
@@ -460,7 +461,7 @@ impl<'m> Synthesizer<'m> {
         for (node, &scheduled) in cdfg.nodes.iter().zip(&costs.latency) {
             self.ii_latency.push(if node.has_regions {
                 1
-            } else if node.class == OpClass::Copy {
+            } else if matches!(node.class, OpClass::Copy(..)) {
                 self.kinds[node.kind as usize].latency
             } else {
                 scheduled
@@ -474,14 +475,14 @@ impl<'m> Synthesizer<'m> {
         self.accesses.reset();
         let mut busiest = 0;
         for (i, node) in cdfg.nodes.iter().enumerate() {
-            if !matches!(node.class, OpClass::Load | OpClass::Store) {
+            if !matches!(node.class, OpClass::Load(_) | OpClass::Store(_)) {
                 continue;
             }
             let buffer = costs.memory_buffer[i].expect("loads and stores name a buffer");
             let access = self.accesses.slot(buffer.index());
             access.count += 1;
             busiest = busiest.max(access.count);
-            if node.class == OpClass::Load {
+            if matches!(node.class, OpClass::Load(_)) {
                 access.first_load = access.first_load.min(start[i]);
             }
         }
@@ -496,7 +497,7 @@ impl<'m> Synthesizer<'m> {
         // earliest load of the buffer gives the longest such span.
         let mut rec_mii = 1u64;
         for (i, node) in cdfg.nodes.iter().enumerate() {
-            if node.class != OpClass::Store {
+            if !matches!(node.class, OpClass::Store(_)) {
                 continue;
             }
             let buffer = costs.memory_buffer[i].expect("stores name a buffer");

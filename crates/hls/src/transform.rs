@@ -6,23 +6,13 @@
 //! original by interpretation in the test suite.
 
 use everest_ir::attr::Attribute;
-use everest_ir::module::{single_result, Module, ValueDef};
+use everest_ir::module::{single_result, Module};
 use everest_ir::types::Type;
 use everest_ir::{IrError, IrResult, OpId, ValueId};
 
 /// Returns the constant integer feeding `value`, if any.
 fn const_operand(module: &Module, value: ValueId) -> Option<i64> {
-    match module.value(value).def {
-        ValueDef::OpResult { op, .. } => {
-            let operation = module.op(op)?;
-            if operation.name == "arith.constant" {
-                operation.attr("value").and_then(Attribute::as_int)
-            } else {
-                None
-            }
-        }
-        ValueDef::BlockArg { .. } => None,
-    }
+    module.constant(value).and_then(Attribute::as_int)
 }
 
 /// Trip count of an `scf.for` with constant bounds.

@@ -1,6 +1,6 @@
 //! Declared op contracts: the type and attribute rules an
 //! [`OpSpec`](crate::registry::OpSpec) lists beside its arity, regions
-//! and required attributes.
+//! and required attributes, and the [`Effect`]s it has on memory.
 //!
 //! Each rule is data, declared once in its op's spec, and [`Constraint::check`]
 //! is the one evaluator: the [verifier](crate::verify) stops at an op's
@@ -32,7 +32,7 @@ pub enum Port {
 
 impl Port {
     /// The port's values in `op`; none when `op` has no value there.
-    fn values(self, op: &Operation) -> impl Iterator<Item = ValueId> + '_ {
+    pub fn values(self, op: &Operation) -> impl Iterator<Item = ValueId> + '_ {
         let none: &[ValueId] = &[];
         let (operands, results) = match self {
             Port::Operand(i, _) => (op.operands.get(i..=i).unwrap_or(none), none),
@@ -49,6 +49,33 @@ impl Port {
             Port::Operands => "operands",
             Port::All => "ports",
         }
+    }
+}
+
+/// What an op does to memory at one of its ports, declared once in its
+/// [`OpSpec`](crate::registry::OpSpec) (MLIR's memory-effect interface).
+/// The port names the buffer or stream the effect is on. An op that
+/// declares none is free of effects; one that declares only `Read`s is
+/// read-only, which is what DCE, CSE and `licm` may erase, merge and
+/// hoist ([`Context::reads_only`](crate::registry::Context::reads_only)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Effect {
+    /// Reads the port's buffer.
+    Read(Port),
+    /// Writes the port's buffer.
+    Write(Port),
+    /// Allocates the port's buffer.
+    Alloc(Port),
+    /// Frees the port's buffer.
+    Free(Port),
+}
+
+impl Effect {
+    /// The port the effect is on.
+    pub fn port(self) -> Port {
+        let (Effect::Read(port) | Effect::Write(port) | Effect::Alloc(port) | Effect::Free(port)) =
+            self;
+        port
     }
 }
 
@@ -136,14 +163,11 @@ pub enum Constraint {
     Equal(Port, Port),
     /// The port's values are in the class.
     Class(Port, TypeClass),
-    /// A memref access: operand `base` is a memref, the operands after
-    /// it are its index-typed subscripts, one a dimension, and the
-    /// element type is that of result 0 (a load, base 0) or of operand
-    /// 0 (a store, base 1).
-    MemrefAccess {
-        /// Position of the memref operand.
-        base: usize,
-    },
+    /// A memref access: the operand the op's first [`Effect`] is on is
+    /// a memref, the operands after it are its index-typed subscripts,
+    /// one a dimension, and the element type is that of result 0 (a
+    /// `Read`) or of operand 0 (a `Write`).
+    MemrefAccess,
     /// The named attribute satisfies the rule.
     Attr(&'static str, AttrRule),
     /// `func.func`: `function_type` is a function type whose inputs the
@@ -158,13 +182,13 @@ pub enum Constraint {
 }
 
 impl Constraint {
-    /// Checks the rule against `op`, a live op of `module`; the error is
-    /// the message a diagnostic carries.
+    /// Checks the rule against `op`, a live op of `module` whose kind
+    /// declares `effects`; the error is the message a diagnostic carries.
     ///
     /// # Errors
     ///
     /// Returns what the op violates.
-    pub fn check(&self, module: &Module, op: &Operation) -> Result<(), String> {
+    pub fn check(&self, module: &Module, op: &Operation, effects: &[Effect]) -> Result<(), String> {
         match *self {
             Constraint::SameTypes => {
                 let mut types = op.operands.iter().chain(&op.results);
@@ -212,7 +236,7 @@ impl Constraint {
                     }
                 })
             }
-            Constraint::MemrefAccess { base } => memref_access(module, op, base),
+            Constraint::MemrefAccess => memref_access(module, op, effects),
             Constraint::Attr(name, rule) => attr_rule(op, name, rule),
             Constraint::FuncEntryArgs => func_entry_args(module, op),
             Constraint::ReturnsMatchSignature => returns_match_signature(module, op),
@@ -221,15 +245,29 @@ impl Constraint {
     }
 }
 
-fn memref_access(module: &Module, op: &Operation, base: usize) -> Result<(), String> {
-    let Some(&memref) = op.operands.get(base) else {
+/// The access `op` makes through the first of `effects`, when that one
+/// is on an operand `base`: the effect, `base`, the operand and the
+/// subscripts after it.
+pub(crate) fn first_access<'o>(
+    op: &'o Operation,
+    effects: &[Effect],
+) -> Option<(Effect, usize, ValueId, &'o [ValueId])> {
+    let &effect = effects.first()?;
+    let Port::Operand(base, _) = effect.port() else {
+        return None;
+    };
+    let (&buffer, indices) = op.operands.get(base..)?.split_first()?;
+    Some((effect, base, buffer, indices))
+}
+
+fn memref_access(module: &Module, op: &Operation, effects: &[Effect]) -> Result<(), String> {
+    let Some((effect, base, memref, indices)) = first_access(op, effects) else {
         return Ok(());
     };
     let ty = module.value_type(memref);
     let Type::MemRef { shape, elem, .. } = ty else {
         return Err(format!("operand {base} must be a memref, got {ty}"));
     };
-    let indices = &op.operands[base + 1..];
     if indices.len() != shape.len() {
         return Err(format!(
             "memref of rank {} indexed with {} indices",
@@ -244,8 +282,8 @@ fn memref_access(module: &Module, op: &Operation, base: usize) -> Result<(), Str
         let ty = module.value_type(v);
         return Err(format!("memref index must be index-typed, got {ty}"));
     }
-    let (what, value) = match base {
-        0 => ("result", op.results.first()),
+    let (what, value) = match effect {
+        Effect::Read(_) => ("result", op.results.first()),
         _ => ("stored", op.operands.first()),
     };
     match value.map(|&v| module.value_type(v)) {

@@ -6,7 +6,7 @@
 //! backend ([`everest-hls`](https://crates.io)) schedules.
 
 use crate::attr::Attribute;
-use crate::constraint::{Constraint, Port, TypeClass};
+use crate::constraint::{Constraint, Effect, Port, TypeClass};
 use crate::ids::{BlockId, OpId, ValueId};
 use crate::intern::Symbol;
 use crate::module::{single_result, Module};
@@ -30,7 +30,6 @@ pub(crate) fn func_dialect() -> Dialect {
             .with_regions(1)
             .with_attr("sym_name")
             .with_attr("function_type")
-            .with_trait(OpTrait::Symbol)
             .with_trait(OpTrait::IsolatedFromAbove)
             .with_constraints(&[Constraint::FuncEntryArgs, Constraint::ReturnsMatchSignature]),
     );
@@ -74,7 +73,7 @@ pub(crate) fn arith_dialect() -> Dialect {
     d.register(
         OpSpec::new("constant", Arity::Exact(0), Arity::Exact(1))
             .with_attr("value")
-            .with_trait(OpTrait::Pure)
+            .with_effects(&[])
             .with_trait(OpTrait::ConstantLike),
     );
     const FLOAT: &[Constraint] = &[
@@ -94,7 +93,7 @@ pub(crate) fn arith_dialect() -> Dialect {
     ] {
         for &name in names {
             let mut spec = OpSpec::new(name, Arity::Exact(arity), Arity::Exact(1))
-                .with_trait(OpTrait::Pure)
+                .with_effects(&[])
                 .with_constraints(rules);
             if commutative {
                 spec = spec.with_trait(OpTrait::Commutative);
@@ -106,13 +105,13 @@ pub(crate) fn arith_dialect() -> Dialect {
         d.register(
             OpSpec::new(name, Arity::Exact(2), Arity::Exact(1))
                 .with_attr("predicate")
-                .with_trait(OpTrait::Pure)
+                .with_effects(&[])
                 .with_constraints(&[Constraint::Class(Port::Result(0, "result"), TypeClass::I1)]),
         );
     }
     d.register(
         OpSpec::new("select", Arity::Exact(3), Arity::Exact(1))
-            .with_trait(OpTrait::Pure)
+            .with_effects(&[])
             .with_constraints(&[
                 Constraint::Class(Port::Operand(0, "condition"), TypeClass::I1),
                 Constraint::Equal(
@@ -122,7 +121,7 @@ pub(crate) fn arith_dialect() -> Dialect {
             ]),
     );
     for name in ["index_cast", "sitofp", "fptosi", "extf", "truncf"] {
-        d.register(OpSpec::new(name, Arity::Exact(1), Arity::Exact(1)).with_trait(OpTrait::Pure));
+        d.register(OpSpec::new(name, Arity::Exact(1), Arity::Exact(1)).with_effects(&[]));
     }
     d
 }
@@ -209,21 +208,38 @@ pub fn build_for(
 
 /// The `memref` dialect: mutable buffers.
 pub(crate) fn memref_dialect() -> Dialect {
+    const MEMREF: Port = Port::Operand(0, "memref");
     let mut d = Dialect::new("memref", "mutable buffers");
-    d.register(OpSpec::new("alloc", Arity::Exact(0), Arity::Exact(1)));
-    d.register(OpSpec::new("dealloc", Arity::Exact(1), Arity::Exact(0)));
+    d.register(OpSpec::new("alloc", Arity::Exact(0), Arity::Exact(1)).with_effects(ALLOC));
+    d.register(
+        OpSpec::new("dealloc", Arity::Exact(1), Arity::Exact(0))
+            .with_effects(&[Effect::Free(MEMREF)]),
+    );
     d.register(
         OpSpec::new("load", Arity::AtLeast(1), Arity::Exact(1))
-            .with_trait(OpTrait::Pure)
-            .with_constraints(&[Constraint::MemrefAccess { base: 0 }]),
+            .with_effects(&[Effect::Read(MEMREF)])
+            .with_constraints(&[Constraint::MemrefAccess]),
     );
     d.register(
         OpSpec::new("store", Arity::AtLeast(2), Arity::Exact(0))
-            .with_constraints(&[Constraint::MemrefAccess { base: 1 }]),
+            .with_effects(&[Effect::Write(Port::Operand(1, "memref"))])
+            .with_constraints(&[Constraint::MemrefAccess]),
     );
-    d.register(OpSpec::new("copy", Arity::Exact(2), Arity::Exact(0)));
+    d.register(
+        OpSpec::new("copy", Arity::Exact(2), Arity::Exact(0)).with_effects(&[
+            Effect::Read(Port::Operand(0, "source")),
+            Effect::Write(Port::Operand(1, "target")),
+        ]),
+    );
     d
 }
+
+/// What an allocation does: it makes the buffer and fills it (with
+/// zeros, or its `init` values).
+pub(crate) const ALLOC: &[Effect] = &[
+    Effect::Alloc(Port::Result(0, "memref")),
+    Effect::Write(Port::Result(0, "memref")),
+];
 
 /// Builds a `memref.alloc` of the given type; returns the buffer value.
 pub fn alloc(m: &mut Module, block: BlockId, ty: Type) -> ValueId {

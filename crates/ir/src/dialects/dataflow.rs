@@ -31,7 +31,6 @@ pub(crate) fn dfg_dialect() -> Dialect {
         OpSpec::new("graph", Arity::Exact(0), Arity::Exact(0))
             .with_regions(1)
             .with_attr("sym_name")
-            .with_trait(OpTrait::Symbol)
             .with_trait(OpTrait::IsolatedFromAbove),
     );
     d.register(

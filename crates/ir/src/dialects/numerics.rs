@@ -7,14 +7,14 @@
 //! no producer in this reproduction and are not registered.
 
 use crate::constraint::{Constraint, Port, TypeClass};
-use crate::registry::{Arity, Dialect, OpSpec, OpTrait};
+use crate::registry::{Arity, Dialect, OpSpec};
 
 /// The `base2` dialect.
 pub(crate) fn base2_dialect() -> Dialect {
     let mut d = Dialect::new("base2", "binary numeral types (fixed-point, posit)");
     d.register(
         OpSpec::new("quantize", Arity::Exact(1), Arity::Exact(1))
-            .with_trait(OpTrait::Pure)
+            .with_effects(&[])
             .with_constraints(&[
                 Constraint::Class(Port::Operand(0, "source"), TypeClass::Float),
                 Constraint::Class(Port::Result(0, "result"), TypeClass::Base2),
@@ -22,7 +22,7 @@ pub(crate) fn base2_dialect() -> Dialect {
     );
     d.register(
         OpSpec::new("dequantize", Arity::Exact(1), Arity::Exact(1))
-            .with_trait(OpTrait::Pure)
+            .with_effects(&[])
             .with_constraints(&[
                 Constraint::Class(Port::Operand(0, "source"), TypeClass::Base2),
                 Constraint::Class(Port::Result(0, "result"), TypeClass::Float),
@@ -31,7 +31,7 @@ pub(crate) fn base2_dialect() -> Dialect {
     for name in ["add", "sub", "mul", "div"] {
         d.register(
             OpSpec::new(name, Arity::Exact(2), Arity::Exact(1))
-                .with_trait(OpTrait::Pure)
+                .with_effects(&[])
                 .with_constraints(&[
                     Constraint::Class(Port::Operand(0, "lhs"), TypeClass::Base2),
                     Constraint::SameTypes,
@@ -39,7 +39,7 @@ pub(crate) fn base2_dialect() -> Dialect {
         );
     }
     // convert between two base2 formats
-    d.register(OpSpec::new("convert", Arity::Exact(1), Arity::Exact(1)).with_trait(OpTrait::Pure));
+    d.register(OpSpec::new("convert", Arity::Exact(1), Arity::Exact(1)).with_effects(&[]));
     d
 }
 

@@ -24,7 +24,6 @@ pub(crate) fn olympus_dialect() -> Dialect {
             .with_regions(1)
             .with_attr("sym_name")
             .with_attr("platform")
-            .with_trait(OpTrait::Symbol)
             .with_trait(OpTrait::IsolatedFromAbove),
     );
     // kernel(buffers...) {callee, impl = "hls"|"rtl"}
@@ -32,6 +31,7 @@ pub(crate) fn olympus_dialect() -> Dialect {
     d.register(
         OpSpec::new("plm", Arity::Exact(0), Arity::Exact(1))
             .with_attr("banks")
+            .with_effects(super::core::ALLOC)
             .with_constraints(&[
                 Constraint::Attr("banks", AttrRule::Positive),
                 Constraint::Class(Port::Result(0, "result"), TypeClass::PlmMemRef),

@@ -255,6 +255,16 @@ impl Module {
         &self.values[id.index()]
     }
 
+    /// The `value` of the `arith.constant` that defines `id`, if one does.
+    pub fn constant(&self, id: ValueId) -> Option<&Attribute> {
+        let ValueDef::OpResult { op, .. } = self.value(id).def else {
+            return None;
+        };
+        self.op(op)
+            .filter(|o| o.name == "arith.constant")?
+            .attr("value")
+    }
+
     /// Returns the type of a value.
     pub fn value_type(&self, id: ValueId) -> &Type {
         self.types.get(self.values[id.index()].ty)

@@ -7,23 +7,20 @@
 use std::hash::Hasher;
 
 use crate::attr::Attribute;
+use crate::constraint::Effect;
 use crate::error::{IrError, IrResult};
 use crate::ids::{BlockId, OpId, ValueId};
 use crate::intern::Symbol;
 use crate::module::{Module, Operation};
 use crate::registry::{Context, OpTrait};
 
-/// The one pure op that reads memory.
-const LOAD: Symbol = Symbol::registered("memref.load");
-
-/// Whether `op`, one that is not pure or has regions, may write the
-/// buffer a load at `base` reads: any buffer when it has regions, else
-/// each one it takes as an operand (`resolve` maps an operand to the
-/// value it stands for). Distinct SSA buffers are taken not to alias:
-/// allocations are fresh, and kernel arguments follow the HLS no-alias
-/// convention. `Cse` keeps loads and `licm` hoists them by this rule.
-fn may_write(op: &Operation, base: Option<ValueId>, resolve: impl Fn(ValueId) -> ValueId) -> bool {
-    !op.regions.is_empty() || base.is_some_and(|b| op.operands.iter().any(|&v| resolve(v) == b))
+/// The buffer `op` reads: the value at its first declared `Read` port.
+fn read_buffer(ctx: &Context, op: &Operation) -> Option<ValueId> {
+    let mut reads = ctx
+        .effects(op.name)
+        .iter()
+        .filter(|e| matches!(e, Effect::Read(_)));
+    reads.next()?.port().values(op).next()
 }
 
 /// Statistics reported by one pass execution.
@@ -232,7 +229,8 @@ pub fn canonicalization_pipeline() -> PassManager {
 // DCE
 // ---------------------------------------------------------------------------
 
-/// Dead-code elimination: erases [`OpTrait::Pure`] ops with no used results.
+/// Dead-code elimination: erases read-only ops
+/// ([`Context::reads_only`]) with no used results.
 ///
 /// Iterates to a fixed point so chains of dead ops disappear in one run.
 /// Each round is linear in module size: one dense use-count vector
@@ -263,7 +261,7 @@ impl Pass for Dce {
                 let Some(operation) = module.op(op) else {
                     continue;
                 };
-                if !ctx.has_trait(operation.name, OpTrait::Pure) || !operation.regions.is_empty() {
+                if !ctx.reads_only(operation.name) || !operation.regions.is_empty() {
                     continue;
                 }
                 if operation.results.iter().all(|r| use_counts[r.index()] == 0) {
@@ -287,20 +285,19 @@ impl Pass for Dce {
 // CSE
 // ---------------------------------------------------------------------------
 
-/// Common-subexpression elimination over pure ops within each block.
+/// Common-subexpression elimination over read-only ops
+/// ([`Context::reads_only`]) within each block.
 ///
-/// Two pure ops are equivalent when they share name, operands,
+/// Two read-only ops are equivalent when they share name, operands,
 /// attributes and result types — attributes by
 /// `Attribute::structural_eq`, so `0.0` and `-0.0`, or `Int(1)` and
 /// `Float(1.0)`, never merge, and neither do `{value = 1} : f64` and
 /// `{value = 1} : index`. Commutative ops compare on sorted operands.
 ///
-/// `memref.load` is pure but reads memory: an op that may write it — any
-/// op that is not pure and takes the buffer as an operand — ends the
-/// kept loads of that buffer, and a non-pure op with regions ends them
-/// all, so a load after a store reads what was stored. Distinct SSA
-/// buffers are taken not to alias: allocations are fresh, and kernel
-/// arguments follow the HLS no-alias convention.
+/// A read-only op may still read memory (`memref.load` does): every
+/// other op that may write its buffer ([`Context::may_write`]) ends the
+/// kept reads of that buffer, so a load after a store reads what was
+/// stored.
 ///
 /// The scan never mutates the module. A merge records
 /// `forward[duplicate result] = kept result` in a dense table, and
@@ -357,8 +354,9 @@ impl Hasher for OpHasher {
 
 /// The ops one block has kept so far, findable by what CSE compares.
 struct CseTable {
-    /// The entries that are `memref.load`s still live.
-    loads: Vec<u32>,
+    /// The entries that read memory and are still live, each with the
+    /// buffer it reads.
+    loads: Vec<(u32, ValueId)>,
     /// First entry of each bucket's chain, [`CseTable::END`] when empty;
     /// a power of two long, indexed by the hash's top bits.
     heads: Vec<u32>,
@@ -409,15 +407,11 @@ impl CseTable {
     }
 
     /// Forgets the kept loads `op` may have written.
-    fn forget_loads(&mut self, op: &Operation, forward: &[ValueId]) {
-        if self.loads.is_empty() {
-            return;
-        }
-        let resolve = |v: ValueId| forward.get(v.index()).copied().unwrap_or(v);
-        let (entries, operands) = (&mut self.entries, &self.operands);
-        self.loads.retain(|&at| {
+    fn forget_loads(&mut self, ctx: &Context, op: &Operation) {
+        let entries = &mut self.entries;
+        self.loads.retain(|&(at, buffer)| {
             let entry = &mut entries[at as usize];
-            entry.live = !may_write(op, operands.get(entry.operands_at).copied(), resolve);
+            entry.live = !ctx.may_write(op, buffer);
             entry.live
         });
     }
@@ -426,9 +420,8 @@ impl CseTable {
     /// when there is none, `op` is kept and `None` returned.
     fn kept_or_keep<'m>(
         &mut self,
-        module: &'m Module,
+        (ctx, module): (&Context, &'m Module),
         (op, operation): (OpId, &Operation),
-        commutative: bool,
         forward: &[ValueId],
     ) -> Option<&'m Operation> {
         let operands_at = self.operands.len();
@@ -438,7 +431,7 @@ impl CseTable {
                 .iter()
                 .map(|&v| forward.get(v.index()).copied().unwrap_or(v)),
         );
-        if commutative {
+        if ctx.has_trait(operation.name, OpTrait::Commutative) {
             self.operands[operands_at..].sort_unstable();
         }
         let mut hasher = OpHasher::default();
@@ -479,8 +472,8 @@ impl CseTable {
             live: true,
         });
         self.heads[bucket] = (self.entries.len() - 1) as u32;
-        if operation.name == LOAD {
-            self.loads.push(self.heads[bucket]);
+        if let Some(buffer) = read_buffer(ctx, operation) {
+            self.loads.push((self.heads[bucket], buffer));
         }
         None
     }
@@ -510,17 +503,11 @@ impl Pass for Cse {
                 let Some(operation) = module.op(op) else {
                     continue;
                 };
-                let Some(spec) = ctx.spec_of(operation.name) else {
-                    continue;
-                };
-                if !spec.has_trait(OpTrait::Pure) || !operation.regions.is_empty() {
-                    table.forget_loads(operation, &forward);
+                if !ctx.reads_only(operation.name) || !operation.regions.is_empty() {
+                    table.forget_loads(ctx, operation);
                     continue;
                 }
-                let commutative = spec.has_trait(OpTrait::Commutative);
-                if let Some(kept) =
-                    table.kept_or_keep(module, (op, operation), commutative, &forward)
-                {
+                if let Some(kept) = table.kept_or_keep((ctx, module), (op, operation), &forward) {
                     for (from, to) in operation.results.iter().zip(&kept.results) {
                         forward[from.index()] = *to;
                     }
@@ -541,10 +528,11 @@ impl Pass for Cse {
 // Loop-invariant code motion
 // ---------------------------------------------------------------------------
 
-/// Hoists pure, region-free operations out of `scf.for` bodies when all
-/// their operands are defined outside the loop. A `memref.load` stays
-/// when an op in the loop may write its buffer (see `may_write`): it
-/// reads what the iterations before it stored.
+/// Hoists read-only, region-free operations ([`Context::reads_only`])
+/// out of `scf.for` bodies when all their operands are defined outside
+/// the loop. One that reads a buffer stays when an op in the loop may
+/// write it ([`Context::may_write`]): it reads what the iterations
+/// before it stored.
 ///
 /// The EKL lowering materializes constants and loop-invariant index
 /// arithmetic inside loop bodies; hoisting them shortens the body
@@ -586,26 +574,19 @@ impl Pass for LoopInvariantCodeMotion {
                 // handled when the walk reaches them).
                 let body = module.region(region).blocks[0];
                 let body_ops = module.block(body).ops.clone();
-                let writers: Vec<&Operation> = (nested.iter())
-                    .filter_map(|&op| module.op(op))
-                    .filter(|o| !ctx.has_trait(o.name, OpTrait::Pure) || !o.regions.is_empty())
-                    .collect();
+                let writers: Vec<&Operation> =
+                    nested.iter().filter_map(|&op| module.op(op)).collect();
                 let clobbered_load = |o: &Operation| {
-                    let base = o.operands.first().copied();
-                    o.name == LOAD && writers.iter().any(|w| may_write(w, base, |v| v))
+                    read_buffer(ctx, o).is_some_and(|b| writers.iter().any(|w| ctx.may_write(w, b)))
                 };
                 let pinned: Vec<OpId> = (body_ops.iter().copied())
                     .filter(|&op| module.op(op).is_some_and(clobbered_load))
                     .collect();
                 for &op in &body_ops {
                     let Some(o) = module.op(op) else { continue };
-                    // Skip terminators by trait, not by position: passes may
-                    // leave non-terminator ops at the end of a block, and a
-                    // hoistable op there must still be considered.
-                    if ctx.has_trait(o.name, OpTrait::Terminator) {
-                        continue;
-                    }
-                    if !ctx.has_trait(o.name, OpTrait::Pure) || !o.regions.is_empty() {
+                    // Terminators declare effects, so this skips them by
+                    // kind, not by position.
+                    if !ctx.reads_only(o.name) || !o.regions.is_empty() {
                         continue;
                     }
                     if pinned.contains(&op) || o.operands.iter().any(|v| inside.contains(v)) {
@@ -638,20 +619,6 @@ impl Pass for LoopInvariantCodeMotion {
 pub struct ConstantFolding;
 
 impl ConstantFolding {
-    fn const_value(module: &Module, v: ValueId) -> Option<f64> {
-        match module.value(v).def {
-            crate::module::ValueDef::OpResult { op, .. } => {
-                let operation = module.op(op)?;
-                if operation.name == "arith.constant" {
-                    operation.attr("value")?.as_float()
-                } else {
-                    None
-                }
-            }
-            crate::module::ValueDef::BlockArg { .. } => None,
-        }
-    }
-
     fn fold_binary(name: &str, a: f64, b: f64) -> Option<f64> {
         Some(match name {
             "arith.addf" => a + b,
@@ -706,17 +673,12 @@ impl Pass for ConstantFolding {
                     continue;
                 };
                 let name = operation.name;
-                let folded = match operation.operands.len() {
-                    2 => {
-                        let a = Self::const_value(module, operation.operands[0]);
-                        let b = Self::const_value(module, operation.operands[1]);
-                        match (a, b) {
-                            (Some(a), Some(b)) => Self::fold_binary(&name, a, b),
-                            _ => None,
-                        }
+                let float = |v: ValueId| module.constant(v).and_then(Attribute::as_float);
+                let folded = match *operation.operands.as_slice() {
+                    [a, b] => {
+                        (float(a).zip(float(b))).and_then(|(a, b)| Self::fold_binary(&name, a, b))
                     }
-                    1 => Self::const_value(module, operation.operands[0])
-                        .and_then(|a| Self::fold_unary(&name, a)),
+                    [a] => float(a).and_then(|a| Self::fold_unary(&name, a)),
                     _ => None,
                 };
                 if let Some(value) = folded {
@@ -917,7 +879,7 @@ mod tests {
             let loads = m
                 .walk_ops()
                 .into_iter()
-                .filter(|&o| m.op(o).unwrap().name == LOAD);
+                .filter(|&o| m.op(o).unwrap().name == "memref.load");
             (run(&m), loads.count())
         };
         let same_buffer = build(false);
@@ -926,6 +888,38 @@ mod tests {
         let other_buffer = build(true);
         assert_eq!(run(&other_buffer), 3.0);
         assert_eq!(canonical(other_buffer), (3.0, 1));
+    }
+
+    #[test]
+    fn cse_does_not_merge_loads_across_an_unregistered_op_that_takes_their_buffer() {
+        // `Pass::run` does not verify, so an op no dialect declares may
+        // reach CSE: it may write every buffer it takes.
+        let mut m = Module::new();
+        let top = m.top_block();
+        let buf = core::alloc(
+            &mut m,
+            top,
+            Type::memref(&[2], Type::F64, crate::types::MemorySpace::Host),
+        );
+        let slot = core::const_index(&mut m, top, 0);
+        let mut loaded = Vec::new();
+        for clobber in [true, false] {
+            let load = m
+                .build_op("memref.load", [buf, slot], [Type::F64])
+                .append_to(top);
+            loaded.push(crate::module::single_result(&m, load));
+            if clobber {
+                m.build_op("toy.clobber", [buf], []).append_to(top);
+            }
+        }
+        let sum = core::binary(&mut m, top, "arith.addf", loaded[0], loaded[1]);
+        m.build_op("memref.store", [sum, buf, slot], [])
+            .append_to(top);
+        let stats = Cse.run(&ctx(), &mut m).unwrap();
+        assert_eq!(
+            stats.ops_erased, 0,
+            "the second load reads what toy.clobber left"
+        );
     }
 
     #[test]

@@ -2,28 +2,34 @@
 //!
 //! A [`Context`] holds the set of registered dialects. Each dialect
 //! declares its operations through [`OpSpec`]s: operand/result arity,
-//! region count, required attributes, structural traits and the op's
-//! type and attribute rules as a list of [`Constraint`]s. The
+//! region count, required attributes, structural traits, the op's
+//! type and attribute rules as a list of [`Constraint`]s and what it
+//! does to memory as a list of [`Effect`]s. The
 //! [verifier](crate::verify) checks every op in a module against these
 //! specs — exactly the role MLIR's ODS-generated verifiers play — and
 //! the `type-mismatch` lint of `everest-analysis` reads the same
 //! constraint lists, so each rule is declared once, beside its op.
+//! Passes, lints and HLS read the effects through
+//! [`Context::reads_only`], [`Context::may_write`] and
+//! [`Context::access`], never through op names.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock};
 
-use crate::constraint::Constraint;
+use crate::constraint::{Constraint, Effect, Port};
+use crate::ids::ValueId;
 use crate::intern::Symbol;
+use crate::module::Operation;
+
+/// The effects of an op that declares none of its own, and of an
+/// unregistered op: it may write every value it takes or defines.
+const UNKNOWN: &[Effect] = &[Effect::Write(Port::All)];
 
 /// Structural traits an operation can declare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum OpTrait {
-    /// No side effects; may be erased when unused and CSE'd.
-    Pure,
     /// Must be the last op in its block.
     Terminator,
-    /// Defines a symbol via a `sym_name` attribute.
-    Symbol,
     /// The op's regions may not capture values from enclosing scopes.
     IsolatedFromAbove,
     /// The op folds to a constant (has a `value` attribute).
@@ -71,6 +77,9 @@ pub struct OpSpec {
     pub traits: Vec<OpTrait>,
     /// Type and attribute rules, checked in order.
     pub constraints: &'static [Constraint],
+    /// What the op does to memory. An op that does not say may write
+    /// every value it takes or defines.
+    pub effects: &'static [Effect],
 }
 
 impl OpSpec {
@@ -84,6 +93,7 @@ impl OpSpec {
             required_attrs: Vec::new(),
             traits: Vec::new(),
             constraints: &[],
+            effects: UNKNOWN,
         }
     }
 
@@ -108,6 +118,12 @@ impl OpSpec {
     /// Sets the op's type and attribute rules.
     pub(crate) fn with_constraints(mut self, constraints: &'static [Constraint]) -> Self {
         self.constraints = constraints;
+        self
+    }
+
+    /// Sets what the op does to memory; `&[]` for none.
+    pub(crate) fn with_effects(mut self, effects: &'static [Effect]) -> Self {
+        self.effects = effects;
         self
     }
 
@@ -257,6 +273,42 @@ impl Context {
         self.spec_of(name).map_or(&[], |s| s.constraints)
     }
 
+    /// What an op kind does to memory; an unregistered one may write
+    /// every value it takes or defines.
+    pub fn effects(&self, name: Symbol) -> &'static [Effect] {
+        self.spec_of(name).map_or(UNKNOWN, |s| s.effects)
+    }
+
+    /// Whether an op kind is registered and declares no effect but
+    /// `Read`s: the ops DCE may erase, CSE merge and `licm` hoist.
+    pub fn reads_only(&self, name: Symbol) -> bool {
+        (self.spec_of(name)).is_some_and(|s| s.effects.iter().all(|e| matches!(e, Effect::Read(_))))
+    }
+
+    /// Whether `op` may write `buffer`: a declared `Write` or `Free` port
+    /// of it holds `buffer`, or it has regions (whose ops may name any
+    /// value). Distinct SSA buffers are taken not to alias: allocations
+    /// are fresh and kernel arguments follow the HLS no-alias
+    /// convention. A buffer a read-only op picks (an `arith.select` of
+    /// two) breaks that, and nothing here sees through it.
+    pub fn may_write(&self, op: &Operation, buffer: ValueId) -> bool {
+        !op.regions.is_empty()
+            || self.effects(op.name).iter().any(|e| {
+                matches!(e, Effect::Write(_) | Effect::Free(_))
+                    && e.port().values(op).any(|v| v == buffer)
+            })
+    }
+
+    /// The subscripted access `op` makes, when its kind declares a
+    /// [`Constraint::MemrefAccess`]: its first effect, the buffer that
+    /// effect's operand holds, and the subscripts after it.
+    pub fn access<'o>(&self, op: &'o Operation) -> Option<(Effect, ValueId, &'o [ValueId])> {
+        let spec = (self.spec_of(op.name))
+            .filter(|spec| spec.constraints.contains(&Constraint::MemrefAccess))?;
+        let (effect, _, buffer, indices) = crate::constraint::first_access(op, spec.effects)?;
+        Some((effect, buffer, indices))
+    }
+
     /// Names of all registered dialects.
     pub fn dialect_names(&self) -> Vec<&str> {
         self.registry.dialects.keys().map(String::as_str).collect()
@@ -269,7 +321,7 @@ mod tests {
 
     fn sample_dialect() -> Dialect {
         let mut d = Dialect::new("toy", "a test dialect");
-        d.register(OpSpec::new("add", Arity::Exact(2), Arity::Exact(1)).with_trait(OpTrait::Pure));
+        d.register(OpSpec::new("add", Arity::Exact(2), Arity::Exact(1)).with_effects(&[]));
         d.register(
             OpSpec::new("ret", Arity::Variadic, Arity::Exact(0)).with_trait(OpTrait::Terminator),
         );
@@ -289,8 +341,8 @@ mod tests {
     fn context_resolves_specs() {
         let mut ctx = Context::new();
         ctx.register_dialect(sample_dialect());
-        let spec = ctx.spec_of(Symbol::new("toy.add")).unwrap();
-        assert!(spec.has_trait(OpTrait::Pure));
+        assert!(ctx.spec_of(Symbol::new("toy.add")).is_some());
+        assert!(ctx.reads_only(Symbol::new("toy.add")));
         assert!(ctx.spec_of(Symbol::new("toy.mul")).is_none());
         assert!(ctx.spec_of(Symbol::new("other.add")).is_none());
         assert!(ctx.spec_of(Symbol::new("noperiod")).is_none());
@@ -299,7 +351,8 @@ mod tests {
     #[test]
     fn trait_query_on_unknown_op_is_false() {
         let ctx = Context::new();
-        assert!(!ctx.has_trait(Symbol::new("toy.add"), OpTrait::Pure));
+        assert!(!ctx.has_trait(Symbol::new("toy.ret"), OpTrait::Terminator));
+        assert!(!ctx.reads_only(Symbol::new("toy.add")));
     }
 
     /// Every full op name `ctx` registers, in dialect order.
@@ -370,7 +423,7 @@ mod tests {
         let add = Symbol::new("toy.add");
         assert!(extended.dialect("toy").is_some());
         assert!(extended.spec_of(add).is_some());
-        assert!(extended.has_trait(add, OpTrait::Pure));
+        assert!(extended.reads_only(add));
         assert!(extended.dialect("arith").is_some(), "the copy is complete");
         for other in [untouched, Context::with_all_dialects()] {
             assert!(other.dialect("toy").is_none());
@@ -402,7 +455,100 @@ mod tests {
         let after = Symbol::new("late.interned_after_registration");
         assert!(after.index() >= ctx.registry.specs.len());
         assert!(ctx.spec_of(after).is_none());
-        assert!(!ctx.has_trait(after, OpTrait::Pure));
+        assert!(!ctx.reads_only(after));
+    }
+
+    /// The ops DCE may erase, CSE merge and `licm` hoist, spelled out:
+    /// a declaration that moves one in or out of this set changes what
+    /// those passes do to every module that holds it.
+    const READS_ONLY: &[&str] = &[
+        "arith.absf",
+        "arith.addf",
+        "arith.addi",
+        "arith.andi",
+        "arith.cmpf",
+        "arith.cmpi",
+        "arith.constant",
+        "arith.divf",
+        "arith.divsi",
+        "arith.exp",
+        "arith.extf",
+        "arith.fptosi",
+        "arith.index_cast",
+        "arith.log",
+        "arith.maxf",
+        "arith.minf",
+        "arith.mulf",
+        "arith.muli",
+        "arith.negf",
+        "arith.ori",
+        "arith.remsi",
+        "arith.select",
+        "arith.sitofp",
+        "arith.sqrt",
+        "arith.subf",
+        "arith.subi",
+        "arith.truncf",
+        "arith.xori",
+        "base2.add",
+        "base2.convert",
+        "base2.dequantize",
+        "base2.div",
+        "base2.mul",
+        "base2.quantize",
+        "base2.sub",
+        "memref.load",
+    ];
+
+    #[test]
+    fn the_read_only_set_is_pinned_and_every_other_op_writes() {
+        let ctx = Context::with_all_dialects();
+        let names = op_names(&ctx);
+        let reads_only: Vec<&str> = (names.iter().map(String::as_str))
+            .filter(|&name| ctx.reads_only(Symbol::new(name)))
+            .collect();
+        let mut sorted = reads_only.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, READS_ONLY);
+        for name in names
+            .iter()
+            .filter(|name| !READS_ONLY.contains(&name.as_str()))
+        {
+            let effects = ctx.effects(Symbol::new(name));
+            assert!(
+                (effects.iter()).any(|e| matches!(e, Effect::Write(_) | Effect::Free(_))),
+                "{name} declares {effects:?}: DCE, CSE or licm could move it"
+            );
+        }
+        // A read-only op with effects reads through a subscripted access.
+        for name in READS_ONLY {
+            for effect in ctx.effects(Symbol::new(name)) {
+                assert!(
+                    matches!(effect, Effect::Read(Port::Operand(0, _))),
+                    "{name}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn may_write_reads_declared_ports_regions_and_unknown_ops() {
+        use crate::types::{MemorySpace, Type};
+        let ctx = Context::with_all_dialects();
+        let mut m = crate::module::Module::new();
+        let top = m.top_block();
+        let ty = Type::memref(&[4], Type::F64, MemorySpace::Plm);
+        let a = crate::dialects::core::alloc(&mut m, top, ty.clone());
+        let b = crate::dialects::core::alloc(&mut m, top, ty);
+        let copy = m.build_op("memref.copy", [a, b], []).append_to(top);
+        let free = m.build_op("memref.dealloc", [a], []).append_to(top);
+        let unknown = m.build_op("toy.touch", [b], []).append_to(top);
+        let op = |id| m.op(id).unwrap();
+        assert!(!ctx.may_write(op(copy), a) && ctx.may_write(op(copy), b));
+        assert!(ctx.may_write(op(free), a) && !ctx.may_write(op(free), b));
+        assert!(ctx.may_write(op(unknown), b) && !ctx.may_write(op(unknown), a));
+        assert!(!ctx.reads_only(Symbol::new("toy.touch")));
+        assert_eq!(ctx.access(op(copy)), None);
     }
 
     #[test]

@@ -198,7 +198,7 @@ fn verify_op<'c>(
     }
     for constraint in spec.constraints {
         constraint
-            .check(module, operation)
+            .check(module, operation, spec.effects)
             .map_err(|message| IrError::verification(operation.name.to_string(), message))?;
     }
     Ok(spec)

@@ -265,7 +265,7 @@ mod naive {
             for op in m.block(block).ops.clone() {
                 let Some(operation) = m.op(op) else { continue };
                 let name = operation.name;
-                if !ctx.has_trait(name, OpTrait::Pure) || !operation.regions.is_empty() {
+                if !ctx.reads_only(name) || !operation.regions.is_empty() {
                     // An op that may write a buffer ends the loads of it
                     // kept so far; one with regions ends them all.
                     let all = !operation.regions.is_empty();
@@ -308,7 +308,7 @@ mod naive {
             let before = stats.ops_erased;
             for op in m.walk_ops().into_iter().rev() {
                 let Some(operation) = m.op(op) else { continue };
-                let dead = ctx.has_trait(operation.name, OpTrait::Pure)
+                let dead = ctx.reads_only(operation.name)
                     && operation.regions.is_empty()
                     && operation.results.iter().all(|&r| m.is_unused(r));
                 if dead {
@@ -384,6 +384,103 @@ fn run_k(module: &Module, data: &[f64]) -> Vec<f64> {
         .run_function(module, "k", std::slice::from_ref(&arg))
         .expect("generated function interprets cleanly");
     interp.buffer(handle).data.clone()
+}
+
+/// Builds `func @k` over `buffers` (two or three) `memref<4xf64>`
+/// arguments: straight-line code and `scf.for` nests, up to two deep and
+/// one to three trips each, that load, compute and store over the shared
+/// buffers. Stores feed later loads (read after write), loads precede
+/// stores to their cell (write after read), and a loop reads the cells
+/// its earlier iterations stored (loop-carried).
+///
+/// Each step `(kind, a, b, c)` picks by `kind % 8`: a load (0, 1) or a
+/// store of value `c` (2, 3) at buffer `a`, index `b` — one of three
+/// constants made once at entry, or an enclosing induction variable —
+/// an arithmetic op on values `b` and `c` (4), a constant (5), a loop
+/// entered (6) or left (7).
+fn random_loop_function(buffers: usize, program: &[(u8, usize, usize, usize)]) -> Module {
+    let mut m = Module::new();
+    let top = m.top_block();
+    let buf_ty = Type::memref(&[4], Type::F64, MemorySpace::Host);
+    let (_f, entry) = core::build_func(&mut m, top, "k", &vec![buf_ty; buffers], &[]);
+    let args = m.block(entry).args.to_vec();
+    let mut indices: Vec<ValueId> = (0..3)
+        .map(|i| core::const_index(&mut m, entry, i))
+        .collect();
+    let mut values = vec![core::const_f64(&mut m, entry, 1.5)];
+    // Open loop bodies, innermost last, with the values and indices in
+    // scope when each was entered.
+    let mut open: Vec<(BlockId, usize, usize)> = Vec::new();
+    let mut block = entry;
+    let close = |m: &mut Module, open: &mut Vec<(BlockId, usize, usize)>| {
+        let (body, values, indices) = open.pop().expect("a loop is open");
+        m.build_op("scf.yield", [], []).append_to(body);
+        (values, indices)
+    };
+    for &(kind, a, b, c) in program {
+        let buffer = args[a % buffers];
+        let index = indices[b % indices.len()];
+        let value = values[c % values.len()];
+        match kind % 8 {
+            0 | 1 => {
+                let load = m
+                    .build_op("memref.load", [buffer, index], [Type::F64])
+                    .append_to(block);
+                values.push(single_result(&m, load));
+            }
+            2 | 3 => {
+                m.build_op("memref.store", [value, buffer, index], [])
+                    .append_to(block);
+            }
+            4 => {
+                let name = ["arith.addf", "arith.mulf", "arith.subf", "arith.maxf"][a % 4];
+                let lhs = values[b % values.len()];
+                values.push(core::binary(&mut m, block, name, lhs, value));
+            }
+            5 => values.push(core::const_f64(&mut m, block, (c % 5) as f64 - 2.0)),
+            6 if open.len() < 2 => {
+                let lb = core::const_index(&mut m, block, 0);
+                let ub = core::const_index(&mut m, block, 1 + (a % 3) as i64);
+                let step = core::const_index(&mut m, block, 1);
+                let (_loop, body) = core::build_for(&mut m, block, lb, ub, step);
+                open.push((body, values.len(), indices.len()));
+                indices.push(m.block(body).args[0]);
+                block = body;
+            }
+            7 if !open.is_empty() => {
+                let (v, i) = close(&mut m, &mut open);
+                values.truncate(v);
+                indices.truncate(i);
+                block = open.last().map_or(entry, |&(body, ..)| body);
+            }
+            _ => {}
+        }
+    }
+    while !open.is_empty() {
+        close(&mut m, &mut open);
+    }
+    m.build_op("func.return", [], []).append_to(entry);
+    m
+}
+
+/// Runs `@k` over buffers filled from `data`, four values each; returns
+/// every buffer's contents after the call, back to back.
+fn run_on_buffers(module: &Module, buffers: usize, data: &[f64]) -> Vec<f64> {
+    use everest_ir::interp::{Buffer, Interpreter, Value};
+    let mut interp = Interpreter::new();
+    let args: Vec<Value> = (data.chunks(4).take(buffers))
+        .map(|cells| interp.alloc_buffer(Buffer::from_data(&[4], cells.to_vec())))
+        .collect();
+    interp
+        .run_function(module, "k", &args)
+        .expect("generated function interprets cleanly");
+    let handle = |arg: &Value| match arg {
+        Value::Buffer(handle) => *handle,
+        _ => unreachable!("alloc_buffer returns a buffer handle"),
+    };
+    (args.iter())
+        .flat_map(|arg| interp.buffer(handle(arg)).data.clone())
+        .collect()
 }
 
 proptest! {
@@ -566,6 +663,53 @@ proptest! {
             prop_assert!(
                 x == y || (x.is_nan() && y.is_nan()),
                 "slot {i} diverged after canonicalization: {x} vs {y}"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every rewrite keeps what the interpreter computes, bit for bit,
+    /// on loop nests whose loads and stores meet in the same cells:
+    /// each pass alone, then `licm` followed by the canonicalization
+    /// pipeline.
+    #[test]
+    fn each_pass_keeps_loop_nests_over_shared_buffers_bit_exact(
+        buffers in 2usize..4,
+        program in proptest::collection::vec(
+            (any::<u8>(), any::<usize>(), any::<usize>(), any::<usize>()),
+            1..32,
+        ),
+        data in proptest::collection::vec(-8.0f64..8.0, 12..13),
+    ) {
+        let ctx = Context::with_all_dialects();
+        let m = random_loop_function(buffers, &program);
+        prop_assert!(verify_module(&ctx, &m).is_ok());
+        let want = run_on_buffers(&m, buffers, &data);
+        let passes: [&dyn Pass; 4] = [&LoopInvariantCodeMotion, &Cse, &ConstantFolding, &Dce];
+        let mut pipeline = m.clone();
+        LoopInvariantCodeMotion.run(&ctx, &mut pipeline).expect("licm runs");
+        canonicalization_pipeline()
+            .run(&ctx, &mut pipeline)
+            .expect("canonicalization of a verified module never fails");
+        let alone = passes.iter().map(|pass| {
+            let mut got = m.clone();
+            pass.run(&ctx, &mut got).expect("a pass runs on a verified module");
+            (pass.name(), got)
+        });
+        for (what, got) in alone.chain([("licm + canonicalization", pipeline)]) {
+            prop_assert!(verify_module(&ctx, &got).is_ok(), "{} broke the module", what);
+            let got = run_on_buffers(&got, buffers, &data);
+            let same = |(x, y): (&f64, &f64)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+            prop_assert!(
+                want.iter().zip(&got).all(same),
+                "{} changed the buffers: {:?} -> {:?}\n{}",
+                what,
+                want,
+                got,
+                print_module(&m)
             );
         }
     }

@@ -4,9 +4,10 @@
 //! against: for every rewrite rule, the property suite checks that
 //! optimized and unoptimized plans produce identical row sets on
 //! seeded tables. Determinism comes from ordering codes, stable sorts
-//! and `f64::total_cmp`: groups are numbered in ascending key order and
-//! join matches kept in row order, and the hash table that finds a key's
-//! group or matches is only ever looked up, never iterated.
+//! and `f64::total_cmp` with every `NaN` one value: groups are numbered
+//! in ascending key order and join matches kept in row order, and the
+//! hash table that finds a key's group or matches is only ever looked
+//! up, never iterated.
 //!
 //! Operators exchange a relation: columns shared with the catalog's
 //! column image (or computed, one typed vector per expression) and a
@@ -34,7 +35,7 @@ use std::sync::Arc;
 
 use crate::error::{QueryError, QueryResult};
 use crate::plan::{AggFunc, BinOp, Expr, LogicalPlan};
-use crate::table::{Catalog, Column, Value};
+use crate::table::{cmp_f64, Catalog, Column, Value};
 
 /// A result set: named columns plus row-major values.
 #[derive(Debug, Clone, PartialEq)]
@@ -385,11 +386,11 @@ fn int_code(x: i64) -> u64 {
     x as u64 ^ SIGN
 }
 
-/// The code of a `Float`: ordered as `f64::total_cmp` orders the floats
-/// (its own key, compared as `u64`).
+/// The code of a `Float`: ordered as [`cmp_f64`] orders the floats
+/// (`f64::total_cmp`'s own key, compared as `u64`, of one `NaN`).
 #[inline]
 fn float_code(x: f64) -> u64 {
-    let bits = x.to_bits() as i64;
+    let bits = if x.is_nan() { f64::NAN } else { x }.to_bits() as i64;
     (bits ^ (((bits >> 63) as u64) >> 1) as i64) as u64 ^ SIGN
 }
 
@@ -609,13 +610,13 @@ fn compare(op: BinOp, l: &Vector, r: &Vector, n: usize) -> Vec<usize> {
     match (&*l.col, &*r.col) {
         (Column::Int(a), Column::Int(b)) => rows_where((a, lm), (b, rm), n, |x, y| holds(x.cmp(y))),
         (Column::Float(a), Column::Float(b)) => {
-            rows_where((a, lm), (b, rm), n, |x, y| holds(x.total_cmp(y)))
+            rows_where((a, lm), (b, rm), n, |x, y| holds(cmp_f64(*x, *y)))
         }
         (Column::Int(a), Column::Float(b)) => {
-            rows_where((a, lm), (b, rm), n, |x, y| holds((*x as f64).total_cmp(y)))
+            rows_where((a, lm), (b, rm), n, |x, y| holds(cmp_f64(*x as f64, *y)))
         }
         (Column::Float(a), Column::Int(b)) => {
-            rows_where((a, lm), (b, rm), n, |x, y| holds(x.total_cmp(&(*y as f64))))
+            rows_where((a, lm), (b, rm), n, |x, y| holds(cmp_f64(*x, *y as f64)))
         }
         (Column::Str(a), Column::Str(b)) => rows_where((a, lm), (b, rm), n, |x, y| holds(x.cmp(y))),
         (Column::Bool(a), Column::Bool(b)) => {

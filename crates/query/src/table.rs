@@ -95,18 +95,26 @@ impl PartialOrd for Value {
     }
 }
 
+/// `f64::total_cmp` with every `NaN` one value, above infinity. Which
+/// `NaN` an operation on two of them returns is the compiler's choice,
+/// so no order or grouping may tell them apart.
+pub(crate) fn cmp_f64(a: f64, b: f64) -> Ordering {
+    let one_nan = |x: f64| if x.is_nan() { f64::NAN } else { x };
+    one_nan(a).total_cmp(&one_nan(b))
+}
+
 impl Ord for Value {
     /// Total order: bools < numerics < strings; numerics compare via
-    /// `f64::total_cmp` after widening, except int-int which compares
+    /// `cmp_f64` after widening, except int-int which compares
     /// exactly. Deterministic for any pair, NaN included.
     fn cmp(&self, other: &Value) -> Ordering {
         match (self, other) {
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
+            (Value::Int(a), Value::Float(b)) => cmp_f64(*a as f64, *b),
+            (Value::Float(a), Value::Int(b)) => cmp_f64(*a, *b as f64),
+            (Value::Float(a), Value::Float(b)) => cmp_f64(*a, *b),
             _ => self.rank().cmp(&other.rank()),
         }
     }

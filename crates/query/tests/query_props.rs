@@ -715,21 +715,39 @@ fn identical_batches(a: &Batch, b: &Batch) -> bool {
             .all(|(x, y)| x.len() == y.len() && x.iter().zip(y).all(|(p, q)| identical(p, q)))
 }
 
+/// The draws the plans of a case take: the case's own, each through
+/// SplitMix64's finalizer, so the plans start at the first draw however
+/// many the tables used, and do not read the values the tables read.
+fn plan_draws(draws: &[u64]) -> Vec<u64> {
+    let mix = |mut z: u64| {
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    draws.iter().map(|&d| mix(d)).collect()
+}
+
 /// One generated case: random tables `t` and `d`, then the SQL the
 /// draws render (when it plans) and one corpus query, each as planned
-/// and as optimized, and three plans built directly.
+/// and as optimized, and three plans built directly. The corpus pick
+/// and the three plans read [`plan_draws`].
 fn generated_case(draws: &[u64], alter: bool) -> (Catalog, Vec<LogicalPlan>) {
     // An altered column can hold an `Int` beside a `Float`; with ints
     // past 2^53 there too, `Value::cmp` is no longer transitive and a
     // sort's answer depends on its algorithm. Typed columns cannot.
-    let mut it = Draws {
+    let mut tables = Draws {
         raw: draws.iter(),
         extremes: !alter,
         finite: false,
     };
     let mut catalog = Catalog::new();
-    random_table(&mut catalog, "t", 40, alter, &mut it);
-    random_table(&mut catalog, "d", 12, alter, &mut it);
+    random_table(&mut catalog, "t", 40, alter, &mut tables);
+    random_table(&mut catalog, "d", 12, alter, &mut tables);
+    let plan_draws = plan_draws(draws);
+    let mut it = Draws {
+        raw: plan_draws.iter(),
+        ..tables
+    };
     let optimizer = Optimizer::for_catalog(&catalog);
     let mut plans = Vec::new();
     for sql in [&render_sql(draws), pick(EQUIVALENCE_QUERIES, it.next())] {
@@ -973,7 +991,7 @@ impl Reach<'_> {
                     .iter()
                     .map(|e| self.vector(e, &rel, rel.read(), live).0)
                     .collect();
-                for agg in aggs {
+                for (position, agg) in aggs.iter().enumerate() {
                     let Expr::Agg { func, arg } = agg else {
                         return None;
                     };
@@ -994,8 +1012,7 @@ impl Reach<'_> {
                     }
                     if *func == AggFunc::Sum && arg == Some(Kind::Float) && rel.rows > 1 {
                         let sums = naive::execute(plan, self.catalog).expect("ran above");
-                        let at =
-                            group_by.len() + aggs.iter().position(|a| a == agg).expect("listed");
+                        let at = group_by.len() + position;
                         let big = |row: &Vec<Value>| matches!(row[at], Value::Float(x) if x.is_finite() && x.abs() > 1e15);
                         let groups = if group_by.is_empty() {
                             "global"
