@@ -117,7 +117,7 @@ fn check_loop(
     }
     for (_, o) in ops() {
         for &v in o.operands.iter().chain(&o.results) {
-            if o.regions.is_empty() && ctx.may_write(o, v) {
+            if o.regions.is_empty() && ctx.may_write(module, o, v) {
                 buffers.insert(v);
             }
         }

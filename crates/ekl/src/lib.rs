@@ -11,9 +11,9 @@
 //! * [`token`] / [`parser`] — lexing and parsing EKL text;
 //! * [`mod@check`] — semantic analysis to a validated [`check::Program`];
 //! * [`interp`] — the evaluator defining the semantics: a [`Program`]
-//!   is bound once into an [`interp::Plan`] and run many times (the
-//!   tree-walking interpreter it replaced is the reference under
-//!   `tests/reference/`);
+//!   is bound and compiled once into an [`interp::Plan`], a flat
+//!   instruction list, and run many times (the tree-walking evaluators
+//!   it replaced are the references under `tests/reference/`);
 //! * [`lower`] — lowering to loop-level IR (`everest-ir`) for HLS;
 //! * [`rrtmg`] — the Fig. 3 major-absorber kernel: EKL template,
 //!   synthetic gas-optics inputs and the Fortran-shaped reference

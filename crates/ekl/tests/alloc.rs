@@ -1,6 +1,6 @@
 //! What `Plan::run` allocates is a function of the program's `let`s,
-//! not of how many elements they have: the result tensors and one
-//! scratch frame, nothing per element.
+//! not of how many elements or instructions they have: the result
+//! tensors and one scratch frame, nothing per element or per node.
 //!
 //! This test binary (and no other: the SDK itself never installs an
 //! allocator) counts heap allocations through its own global allocator.
@@ -84,8 +84,10 @@ fn run_allocates_per_let_and_the_tree_walker_per_element() {
         reference_counts.push(reference_count);
     }
     // Three lets of rank one or two: a shape and a data vector each, the
-    // vector that holds them, and the frame's three.
-    assert_eq!(plan_counts, [10, 10]);
+    // vector that holds them, and the frame's three (registers, loop
+    // slots, memo cells).
+    let lets = 3;
+    assert_eq!(plan_counts, [2 * lets + 4, 2 * lets + 4]);
     // The tree-walker: a subscript vector per load and a `String` per
     // index per iteration, so four times the layers is four times the
     // allocations.

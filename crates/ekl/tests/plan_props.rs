@@ -1,9 +1,11 @@
-//! The bound plan is the tree-walker: on random validated programs
-//! `interp::evaluate` (bind + run) and the interpreter it replaced
-//! (`reference/`) return the same tensors bit for bit, or the same
-//! error, message included. And the dense-slot lowering is the
-//! string-keyed one it replaced (`reference/lower.rs`): on the same
-//! programs both print the same IR byte for byte, or fail alike.
+//! The compiled plan is the tree-walker: on random validated programs
+//! `interp::evaluate` (bind + run) returns the same tensors bit for bit,
+//! or the same error, kind and message included, as the two evaluators
+//! it replaced — the name-probing tree-walker (`reference/mod.rs`) and
+//! the bound tree-walker with memo cells (`reference/plan.rs`). And the
+//! dense-slot lowering is the string-keyed one it replaced
+//! (`reference/lower.rs`): on the same programs both print the same IR
+//! byte for byte, or fail alike.
 //!
 //! Programs are drawn as ASTs, not text: einsum-shaped sums with
 //! post-ops, gather chains through integer tensors, subscripts guarded
@@ -12,22 +14,26 @@
 //! builtins and negation, over indices of extent 1 to 4 — and, in a
 //! share of the cases, a raw subscript that leaves its extent, a missing
 //! input or a mis-shaped one. Some kernels repeat one sub-expression in
-//! both arms of a `select`, as a subscript and as a value, or under two
-//! `sum`s: the positions where the plan may share one memo cell. `check`
+//! both arms of a `select`, as a subscript and as a value, under two
+//! `sum`s, or in two `let`s: the positions where the plan may share one
+//! memo cell. `check`
 //! is the oracle for kinds: the kernel is re-validated as each `let` is
 //! added, and every drawn kernel must validate.
 
 mod reference;
 #[path = "reference/lower.rs"]
 mod reference_lower;
+#[path = "reference/plan.rs"]
+mod reference_plan;
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
+use proptest::TestRng;
 
 use everest_ekl::ast::{BinOp, Builtin, CmpOp, Dim, Expr, Item, Kernel};
 use everest_ekl::check::{check, Program};
-use everest_ekl::interp::{evaluate, EvalError, Plan, Tensor};
+use everest_ekl::interp::{evaluate, EvalError, EvalErrorKind, Plan, Tensor, MAX_VOLUME};
 use everest_ekl::lower::lower_to_loops;
 use everest_ekl::rrtmg::{
     input_map, major_absorber_program, major_absorber_reference, synthetic_inputs, RrtmgDims,
@@ -78,6 +84,8 @@ struct Gen<'r> {
     scope: Vec<usize>,
     /// Sub-expressions repeated so far, by [`Repeat`] kind.
     repeats: [usize; 3],
+    /// Sub-expressions that read no index, for later `let`s to repeat.
+    unindexed: Vec<Expr>,
 }
 
 /// Where [`Gen::repeated`] puts the copies of one sub-expression.
@@ -313,6 +321,22 @@ impl Gen<'_> {
         }
     }
 
+    /// A sub-expression that reads no index, drawn afresh or repeated
+    /// from an earlier `let`, beside one that may: kept in one memo cell
+    /// for the whole run, shared between `let`s.
+    fn unindexed(&mut self, depth: u32) -> Expr {
+        if self.unindexed.is_empty() || self.rng.chance(40) {
+            let scope = std::mem::take(&mut self.scope);
+            let load = self.load(false, 1).unwrap_or(Expr::Float(0.5));
+            let drawn = binary(BinOp::Mul, load, Expr::Float(self.rng.float()));
+            self.scope = scope;
+            self.unindexed.push(drawn);
+        }
+        let kept = self.unindexed[self.rng.below(self.unindexed.len())].clone();
+        let op = self.pick(&[BinOp::Add, BinOp::Mul, BinOp::Max]);
+        binary(op, kept, self.value(depth))
+    }
+
     /// An expression `check` gives kind `Int`.
     fn int(&mut self, depth: u32) -> Expr {
         let literal = Expr::Int(self.rng.below(4) as i64);
@@ -359,7 +383,7 @@ impl Gen<'_> {
                 _ => literal,
             };
         }
-        match self.rng.below(18) {
+        match self.rng.below(19) {
             0 => literal,
             1..=3 => self.load(false, depth - 1).unwrap_or(literal),
             4..=6 => {
@@ -390,6 +414,7 @@ impl Gen<'_> {
             13 => self.guarded_load(depth - 1).unwrap_or(literal),
             14 => Expr::Neg(Box::new(self.value(depth - 1))),
             15 | 16 => self.repeated(depth - 1),
+            17 => self.unindexed(depth - 1),
             _ => self.int(depth - 1),
         }
     }
@@ -458,6 +483,7 @@ fn draw(seed: u64) -> (Program, HashMap<String, Tensor>, [usize; 3]) {
         tensors,
         scope: Vec::new(),
         repeats: [0; 3],
+        unindexed: Vec::new(),
     };
     let mut program = None;
     for n in 0..1 + gen.rng.below(4) {
@@ -540,8 +566,11 @@ fn same(plan: &Outcome, reference: &Outcome) -> Result<(), String> {
     }
 }
 
+/// Cases of each evaluation property.
+const PLAN_CASES: u32 = 512;
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases(PLAN_CASES))]
 
     #[test]
     fn plan_matches_the_tree_walking_reference(seed in any::<u64>()) {
@@ -564,6 +593,262 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(PLAN_CASES))]
+
+    /// The same against the bound tree-walker, memo cells and all.
+    #[test]
+    fn plan_matches_the_bound_tree_walker(seed in any::<u64>()) {
+        let (program, inputs, _) = draw(seed);
+        let plan = evaluate(&program, &inputs);
+        let walker = reference_plan::evaluate(&program, &inputs);
+        if let Err(difference) = same(&plan, &walker) {
+            prop_assert!(false, "seed {}: {}\n{:#?}", seed, difference, program.lets);
+        }
+    }
+}
+
+/// What evaluating a program reaches that decides its values or its
+/// first error: walked as the name-probing reference evaluates it, each
+/// value from `reference::eval_expr`, until the first error.
+struct Reach<'p> {
+    program: &'p Program,
+    store: BTreeMap<String, Tensor>,
+    env: HashMap<String, i64>,
+    reached: BTreeSet<&'static str>,
+}
+
+impl<'p> Reach<'p> {
+    fn run(program: &'p Program, inputs: &HashMap<String, Tensor>) -> BTreeSet<&'static str> {
+        let mut reach = Reach {
+            program,
+            store: BTreeMap::new(),
+            env: HashMap::new(),
+            reached: BTreeSet::new(),
+        };
+        for name in &program.inputs {
+            match inputs.get(name) {
+                Some(t) if t.shape == program.tensors[name].shape => {
+                    reach.store.insert(name.clone(), t.clone());
+                }
+                _ => return reach.reached,
+            }
+        }
+        for stmt in &program.lets {
+            let shape: Vec<u64> = stmt.indices.iter().map(|i| program.extent(i)).collect();
+            let mut data = Vec::new();
+            for idx in row_major(&shape) {
+                // A repeated index: the later position is the one read.
+                for (name, &value) in stmt.indices.iter().zip(&idx) {
+                    reach.env.insert(name.clone(), value);
+                }
+                match reach.eval(&stmt.value) {
+                    Ok(value) => data.push(value),
+                    Err(_) => return reach.reached,
+                }
+            }
+            reach
+                .store
+                .insert(stmt.name.clone(), Tensor::from_data(&shape, data));
+        }
+        reach.reached
+    }
+
+    /// `expr`'s value as the reference computes it.
+    fn probe(&self, expr: &Expr) -> Result<f64, EvalError> {
+        reference::eval_expr(self.program, &self.store, &mut self.env.clone(), expr)
+    }
+
+    /// Whether `expr` reads an integer input.
+    fn reads_integer_input(&self, expr: &Expr) -> bool {
+        match expr {
+            Expr::Int(_) | Expr::Float(_) => false,
+            Expr::Ref { name, subscripts } => {
+                (self.program.inputs.contains(name) && self.program.tensors[name].integer)
+                    || subscripts
+                        .iter()
+                        .flatten()
+                        .any(|s| self.reads_integer_input(s))
+            }
+            Expr::Binary { lhs, rhs, .. } | Expr::Compare { lhs, rhs, .. } => {
+                self.reads_integer_input(lhs) || self.reads_integer_input(rhs)
+            }
+            Expr::Select {
+                cond,
+                then,
+                otherwise,
+            } => [cond, then, otherwise]
+                .iter()
+                .any(|e| self.reads_integer_input(e)),
+            Expr::Sum { body: inner, .. } | Expr::Call { arg: inner, .. } | Expr::Neg(inner) => {
+                self.reads_integer_input(inner)
+            }
+        }
+    }
+
+    fn eval(&mut self, expr: &Expr) -> Result<f64, EvalError> {
+        match expr {
+            Expr::Ref {
+                name,
+                subscripts: Some(subscripts),
+            } if !self.env.contains_key(name) => {
+                let shape = self.store[name].shape.clone();
+                let mut own_error = false;
+                for (d, subscript) in subscripts.iter().enumerate() {
+                    if self.reads_integer_input(subscript) {
+                        self.reached.insert("an integer input read in a subscript");
+                    }
+                    match self.eval(subscript) {
+                        Ok(value) => own_error |= value as i64 as u64 >= shape[d],
+                        Err(e) => {
+                            if own_error {
+                                self.reached
+                                    .insert("a later subscript's error before the load's own");
+                            }
+                            return Err(e);
+                        }
+                    }
+                }
+                self.probe(expr)
+            }
+            Expr::Binary { lhs, rhs, .. } | Expr::Compare { lhs, rhs, .. } => {
+                self.eval(lhs)?;
+                self.eval(rhs)?;
+                self.probe(expr)
+            }
+            Expr::Select {
+                cond,
+                then,
+                otherwise,
+            } => {
+                let (taken, untaken) = if self.eval(cond)? != 0.0 {
+                    (then, otherwise)
+                } else {
+                    (otherwise, then)
+                };
+                let untaken = self.probe(untaken);
+                if matches!(untaken, Err(e) if e.kind == EvalErrorKind::OutOfRange) {
+                    self.reached
+                        .insert("a select whose untaken arm is out of range");
+                }
+                self.eval(taken)
+            }
+            Expr::Sum { indices, body } => {
+                if indices.iter().collect::<BTreeSet<_>>().len() < indices.len() {
+                    self.reached.insert("a sum over one index name twice");
+                }
+                let extents: Vec<u64> = indices.iter().map(|i| self.program.extent(i)).collect();
+                let mut total = 0.0;
+                for idx in row_major(&extents) {
+                    for (name, &value) in indices.iter().zip(&idx) {
+                        self.env.insert(name.clone(), value);
+                    }
+                    total += self.eval(body)?;
+                }
+                for name in indices {
+                    self.env.remove(name);
+                }
+                Ok(total)
+            }
+            Expr::Call { arg, .. } | Expr::Neg(arg) => {
+                self.eval(arg)?;
+                self.probe(expr)
+            }
+            Expr::Int(_) | Expr::Float(_) | Expr::Ref { .. } => self.probe(expr),
+        }
+    }
+}
+
+/// Every index of `shape`, row-major.
+fn row_major(shape: &[u64]) -> Vec<Vec<i64>> {
+    let volume: u64 = shape.iter().product();
+    (0..volume)
+        .map(|flat| {
+            let mut rem = flat;
+            let mut idx = vec![0; shape.len()];
+            for (k, &extent) in shape.iter().enumerate().rev() {
+                idx[k] = (rem % extent) as i64;
+                rem /= extent;
+            }
+            idx
+        })
+        .collect()
+}
+
+/// The draws the evaluation properties run on reach every instruction a
+/// compiled plan has, in plans that evaluate, and every case the first
+/// error and the memo cells depend on: a `select` whose untaken arm is
+/// out of range, a `sum` over one index name twice (two nested loops),
+/// a memo cell two `let`s read, a later subscript failing before the
+/// load it indexes leaves its own extent, and integer inputs as
+/// subscripts.
+#[test]
+fn the_plan_properties_reach_every_instruction_kind() {
+    const INSTRUCTIONS: [&str; 21] = [
+        "Add",
+        "Sub",
+        "Mul",
+        "Div",
+        "Min",
+        "Max",
+        "Compare",
+        "Call",
+        "Neg",
+        "Copy",
+        "Load",
+        "MulLoad",
+        "JumpIfZero",
+        "Jump",
+        "Enter",
+        "Next",
+        "AddNext",
+        "Store",
+        "End",
+        "Check",
+        "Return",
+    ];
+    let mut want: BTreeSet<&str> = INSTRUCTIONS.into_iter().collect();
+    want.extend([
+        "a select whose untaken arm is out of range",
+        "a sum over one index name twice",
+        "a memo cell read by two lets",
+        "a later subscript's error before the load's own",
+        "an integer input read in a subscript",
+    ]);
+    let mut reached = BTreeSet::new();
+    let properties = [
+        "plan_matches_the_tree_walking_reference",
+        "plan_matches_the_bound_tree_walker",
+    ];
+    for test in properties {
+        for case in 0..PLAN_CASES {
+            let mut rng = TestRng::for_case(&format!("plan_props::{test}"), case);
+            let (program, inputs, _) = draw(any::<u64>().generate(&mut rng));
+            if reference::evaluate(&program, &inputs).is_ok() {
+                let plan = format!(
+                    "{:?}",
+                    Plan::bind(&program).expect("validated programs bind")
+                );
+                let words: BTreeSet<&str> = plan.split(|c: char| !c.is_alphanumeric()).collect();
+                reached.extend(INSTRUCTIONS.iter().filter(|kind| words.contains(*kind)));
+            }
+            reached.extend(Reach::run(&program, &inputs));
+            let cells = reference_plan::Plan::bind(&program)
+                .expect("validated programs bind")
+                .cells_by_let();
+            let mut seen = BTreeSet::new();
+            if cells
+                .iter()
+                .any(|read| read.iter().any(|cell| !seen.insert(*cell)))
+            {
+                reached.insert("a memo cell read by two lets");
+            }
+        }
+    }
+    let missing: Vec<&&str> = want.difference(&reached).collect();
+    assert!(missing.is_empty(), "never reached: {missing:#?}");
 }
 
 /// The printed IR of `program` lowered by `lower`, or its error.
@@ -767,4 +1052,43 @@ fn errors_carry_the_tree_walkers_messages() {
         assert_eq!(plan.as_ref().unwrap_err().message, message);
         same(&plan, &reference::evaluate(&program, &inputs)).expect("same error");
     }
+}
+
+/// `check` takes index ranges of any size; `bind` refuses a `let` or a
+/// `sum` over more than `MAX_VOLUME` elements, before anything is
+/// allocated, where a run would have asked for 800 GB.
+#[test]
+fn bind_refuses_a_let_or_a_sum_over_the_volume_bound() {
+    let bind = |src: &str| {
+        let program = check(&everest_ekl::parser::parse(src).expect("parses")).expect("validates");
+        Plan::bind(&program).map(|_| ())
+    };
+    let refused = |src: &str| {
+        let e = bind(src).unwrap_err();
+        assert_eq!(e.kind, EvalErrorKind::TooLarge, "{e}");
+        e.message
+    };
+    assert_eq!(
+        refused("kernel k { index i : 0..99999999999 input a : [4] let y[i] = a[0] output y }"),
+        format!("'y' over [99999999999] holds more than {MAX_VOLUME} elements")
+    );
+    // (4 * 10^9)^3 wraps a u64.
+    assert_eq!(
+        refused(
+            "kernel k { index i : 0..4000000000 index j : 0..4000000000 \
+             index k : 0..4000000000 input a : [i] let d = sum(i, j, k)(a[i]) output d }"
+        ),
+        format!("sum(i, j, k) runs more than {MAX_VOLUME} iterations")
+    );
+    // [4096, 4096, 2] wraps nothing and is still one element too many.
+    let over = "kernel k { index i : 0..4096 index t : 0..2 input a : [4] \
+         let y[i, i, t] = a[0] output y }";
+    assert!(refused(over).starts_with("'y' over [4096, 4096, 2]"));
+    // At the bound itself, both bind.
+    let at = format!(
+        "kernel k {{ index i : 0..{MAX_VOLUME} input a : [4] let y = sum(i)(a[0]) output y }}"
+    );
+    bind(&at).expect("a sum at the bound binds");
+    bind("kernel k { index i : 0..4096 input a : [4] let y[i, i] = a[0] output y }")
+        .expect("a let at the bound binds");
 }

@@ -1,23 +1,25 @@
-//! The tree-walking interpreter `everest_ekl::interp` replaced, kept
-//! verbatim as the reference the bound plan is held to
+//! The first tree-walking interpreter of `everest_ekl::interp`, kept as
+//! the reference the compiled plan is held to
 //! (`plan_matches_the_tree_walking_reference` in `plan_props.rs`).
 //!
 //! Every `Ref` is a hash probe by name, every tensor load two map
 //! descents and a subscript vector, every loop iteration a `String` per
-//! index: slow, and obviously right. The only edit since it left `src/`
-//! is to a case `check` now refuses: a `let` over an empty index range
-//! ran its body once (`volume.max(1)`); it runs it zero times.
+//! index: slow, and obviously right. The edits since it left `src/`: a
+//! `let` over an empty index range, which `check` now refuses, ran its
+//! body once (`volume.max(1)`) and runs it zero times; and each error
+//! carries its `EvalErrorKind`.
 
 use std::collections::{BTreeMap, HashMap};
 
 use everest_ekl::ast::{BinOp, Builtin, CmpOp, Expr};
 use everest_ekl::check::Program;
-use everest_ekl::interp::{EvalError, Tensor};
+use everest_ekl::interp::{EvalError, EvalErrorKind, Tensor};
 
 /// Row-major linear offset with bounds checking.
 fn offset(tensor: &Tensor, indices: &[i64]) -> Result<usize, EvalError> {
     if indices.len() != tensor.shape.len() {
         return Err(EvalError {
+            kind: EvalErrorKind::Unchecked,
             message: format!(
                 "rank {} tensor indexed with {} subscripts",
                 tensor.shape.len(),
@@ -29,6 +31,7 @@ fn offset(tensor: &Tensor, indices: &[i64]) -> Result<usize, EvalError> {
     for (d, (&i, &extent)) in indices.iter().zip(&tensor.shape).enumerate() {
         if i < 0 || i as u64 >= extent {
             return Err(EvalError {
+                kind: EvalErrorKind::OutOfRange,
                 message: format!("subscript {i} out of range for dim {d} (extent {extent})"),
             });
         }
@@ -52,10 +55,12 @@ pub(crate) fn evaluate(
     for name in &program.inputs {
         let info = &program.tensors[name];
         let tensor = inputs.get(name).ok_or_else(|| EvalError {
+            kind: EvalErrorKind::Input,
             message: format!("missing input '{name}'"),
         })?;
         if tensor.shape != info.shape {
             return Err(EvalError {
+                kind: EvalErrorKind::Input,
                 message: format!(
                     "input '{name}' has shape {:?}, expected {:?}",
                     tensor.shape, info.shape
@@ -94,7 +99,7 @@ pub(crate) fn evaluate(
     Ok(store)
 }
 
-fn eval_expr(
+pub(crate) fn eval_expr(
     program: &Program,
     store: &BTreeMap<String, Tensor>,
     env: &mut HashMap<String, i64>,
@@ -108,6 +113,7 @@ fn eval_expr(
                 return Ok(iv as f64);
             }
             let tensor = store.get(name).ok_or_else(|| EvalError {
+                kind: EvalErrorKind::Unchecked,
                 message: format!("unknown tensor '{name}'"),
             })?;
             let subs = match subscripts {
@@ -120,6 +126,7 @@ fn eval_expr(
                 indices.push(v as i64);
             }
             let off = offset(&store[name], &indices).map_err(|e| EvalError {
+                kind: e.kind,
                 message: format!("in '{name}': {}", e.message),
             })?;
             Ok(tensor.data[off])

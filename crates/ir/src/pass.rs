@@ -407,11 +407,11 @@ impl CseTable {
     }
 
     /// Forgets the kept loads `op` may have written.
-    fn forget_loads(&mut self, ctx: &Context, op: &Operation) {
+    fn forget_loads(&mut self, (ctx, module): (&Context, &Module), op: &Operation) {
         let entries = &mut self.entries;
         self.loads.retain(|&(at, buffer)| {
             let entry = &mut entries[at as usize];
-            entry.live = !ctx.may_write(op, buffer);
+            entry.live = !ctx.may_write(module, op, buffer);
             entry.live
         });
     }
@@ -504,7 +504,7 @@ impl Pass for Cse {
                     continue;
                 };
                 if !ctx.reads_only(operation.name) || !operation.regions.is_empty() {
-                    table.forget_loads(ctx, operation);
+                    table.forget_loads((ctx, module), operation);
                     continue;
                 }
                 if let Some(kept) = table.kept_or_keep((ctx, module), (op, operation), &forward) {
@@ -577,7 +577,8 @@ impl Pass for LoopInvariantCodeMotion {
                 let writers: Vec<&Operation> =
                     nested.iter().filter_map(|&op| module.op(op)).collect();
                 let clobbered_load = |o: &Operation| {
-                    read_buffer(ctx, o).is_some_and(|b| writers.iter().any(|w| ctx.may_write(w, b)))
+                    read_buffer(ctx, o)
+                        .is_some_and(|b| writers.iter().any(|w| ctx.may_write(module, w, b)))
                 };
                 let pinned: Vec<OpId> = (body_ops.iter().copied())
                     .filter(|&op| module.op(op).is_some_and(clobbered_load))
@@ -888,6 +889,92 @@ mod tests {
         let other_buffer = build(true);
         assert_eq!(run(&other_buffer), 3.0);
         assert_eq!(canonical(other_buffer), (3.0, 1));
+    }
+
+    /// `x = a[0]; s = select(c, a, b); s[0] = 5.0; y = a[0]; b[0] = x + y`
+    /// over `a = [1.0]`, `b = [0.0]` and a true `c`: the store through
+    /// `s` writes `a`, so `y` is 5.0 and `b[0]` 6.0 — before CSE and
+    /// after it, which must not read `y` as `x`. And `licm` keeps
+    /// `x = a[0]` in a loop that stores through `s`.
+    #[test]
+    fn a_store_through_a_selected_buffer_ends_the_kept_loads_of_every_buffer() {
+        use crate::dialects::core::{build_for, build_func, const_f64, const_index};
+        use crate::interp::{Buffer, Interpreter, Value};
+        let build = |in_loop: bool| {
+            let mut m = Module::new();
+            let top = m.top_block();
+            let ty = Type::memref(&[1], Type::F64, crate::types::MemorySpace::Device);
+            let (_f, entry) = build_func(&mut m, top, "k", &[ty.clone(), ty.clone()], &[]);
+            let (a, b) = (m.block(entry).args[0], m.block(entry).args[1]);
+            let zero = const_index(&mut m, entry, 0);
+            let (one, two) = (const_f64(&mut m, entry, 1.0), const_f64(&mut m, entry, 2.0));
+            let c = m
+                .build_op("arith.cmpf", [one, two], [])
+                .result(crate::types::TypeId::I1)
+                .attr("predicate", "lt")
+                .append_to(entry);
+            let c = crate::module::single_result(&m, c);
+            let body = if in_loop {
+                let ub = const_index(&mut m, entry, 2);
+                let step = const_index(&mut m, entry, 1);
+                build_for(&mut m, entry, zero, ub, step).1
+            } else {
+                entry
+            };
+            let load = |m: &mut Module| {
+                let op = m
+                    .build_op("memref.load", [a, zero], [Type::F64])
+                    .append_to(body);
+                crate::module::single_result(m, op)
+            };
+            let x = load(&mut m);
+            let s = m.build_op("arith.select", [c, a, b], [ty]).append_to(body);
+            let s = crate::module::single_result(&m, s);
+            let five = const_f64(&mut m, body, 5.0);
+            let v = if in_loop {
+                core::binary(&mut m, body, "arith.addf", x, five)
+            } else {
+                five
+            };
+            m.build_op("memref.store", [v, s, zero], []).append_to(body);
+            if in_loop {
+                m.build_op("scf.yield", [], []).append_to(body);
+            } else {
+                let y = load(&mut m);
+                let sum = core::binary(&mut m, body, "arith.addf", x, y);
+                m.build_op("memref.store", [sum, b, zero], [])
+                    .append_to(body);
+            }
+            m.build_op("func.return", [], []).append_to(entry);
+            crate::verify::verify_module(&ctx(), &m).unwrap();
+            m
+        };
+        let run = |m: &Module| {
+            let mut interp = Interpreter::new();
+            let args = [1.0, 0.0].map(|v| interp.alloc_buffer(Buffer::from_data(&[1], vec![v])));
+            interp.run_function(m, "k", &args).unwrap();
+            args.map(|arg| {
+                let Value::Buffer(handle) = arg else {
+                    unreachable!()
+                };
+                interp.buffer(handle).data[0]
+            })
+        };
+        let straight = build(false);
+        assert_eq!(run(&straight), [5.0, 6.0]);
+        let mut merged = straight.clone();
+        Cse.run(&ctx(), &mut merged).unwrap();
+        assert_eq!(run(&merged), [5.0, 6.0], "CSE read a[0] across the store");
+        // for i in 0..2 { x = a[0]; s[0] = x + 5 }: 1 + 5 + 5.
+        let looped = build(true);
+        assert_eq!(run(&looped), [11.0, 0.0]);
+        let mut hoisted = looped.clone();
+        LoopInvariantCodeMotion.run(&ctx(), &mut hoisted).unwrap();
+        assert_eq!(
+            run(&hoisted),
+            [11.0, 0.0],
+            "licm hoisted a[0] out of the loop"
+        );
     }
 
     #[test]

@@ -19,7 +19,8 @@ use std::sync::{Arc, LazyLock};
 use crate::constraint::{Constraint, Effect, Port};
 use crate::ids::ValueId;
 use crate::intern::Symbol;
-use crate::module::Operation;
+use crate::module::{Module, Operation, ValueDef};
+use crate::types::Type;
 
 /// The effects of an op that declares none of its own, and of an
 /// unregistered op: it may write every value it takes or defines.
@@ -285,18 +286,37 @@ impl Context {
         (self.spec_of(name)).is_some_and(|s| s.effects.iter().all(|e| matches!(e, Effect::Read(_))))
     }
 
-    /// Whether `op` may write `buffer`: a declared `Write` or `Free` port
-    /// of it holds `buffer`, or it has regions (whose ops may name any
-    /// value). Distinct SSA buffers are taken not to alias: allocations
-    /// are fresh and kernel arguments follow the HLS no-alias
-    /// convention. A buffer a read-only op picks (an `arith.select` of
-    /// two) breaks that, and nothing here sees through it.
-    pub fn may_write(&self, op: &Operation, buffer: ValueId) -> bool {
+    /// Whether `op`, in `module`, may write `buffer`: it has regions
+    /// (whose ops may name any value), or a declared `Write` or `Free`
+    /// port of it holds `buffer` or a buffer that may be any buffer.
+    /// Distinct SSA buffers are taken not to alias when each is one
+    /// buffer of its own: a block argument (a kernel argument, by the
+    /// HLS no-alias convention) or what the op defining it allocates. A
+    /// buffer some other op picks — an `arith.select` of two — may be
+    /// either, so a write through it may write every buffer.
+    pub fn may_write(&self, module: &Module, op: &Operation, buffer: ValueId) -> bool {
         !op.regions.is_empty()
             || self.effects(op.name).iter().any(|e| {
                 matches!(e, Effect::Write(_) | Effect::Free(_))
-                    && e.port().values(op).any(|v| v == buffer)
+                    && e.port().values(op).any(|v| {
+                        v == buffer
+                            || (matches!(module.value_type(v), Type::MemRef { .. })
+                                && !self.is_own_buffer(module, v))
+                    })
             })
+    }
+
+    /// Whether `value` is one buffer of its own, by
+    /// [`Context::may_write`]'s rule.
+    fn is_own_buffer(&self, module: &Module, value: ValueId) -> bool {
+        match module.value(value).def {
+            ValueDef::BlockArg { .. } => true,
+            ValueDef::OpResult { op, .. } => module.op(op).is_some_and(|o| {
+                (self.effects(o.name).iter()).any(|e| {
+                    matches!(e, Effect::Alloc(_)) && e.port().values(o).any(|v| v == value)
+                })
+            }),
+        }
     }
 
     /// The subscripted access `op` makes, when its kind declares a
@@ -539,14 +559,30 @@ mod tests {
         let top = m.top_block();
         let ty = Type::memref(&[4], Type::F64, MemorySpace::Plm);
         let a = crate::dialects::core::alloc(&mut m, top, ty.clone());
-        let b = crate::dialects::core::alloc(&mut m, top, ty);
+        let b = crate::dialects::core::alloc(&mut m, top, ty.clone());
         let copy = m.build_op("memref.copy", [a, b], []).append_to(top);
         let free = m.build_op("memref.dealloc", [a], []).append_to(top);
         let unknown = m.build_op("toy.touch", [b], []).append_to(top);
+        // A store through a buffer an `arith.select` picks may write both.
+        let one = crate::dialects::core::const_f64(&mut m, top, 1.0);
+        let c = (m.build_op("arith.cmpf", [one, one], []))
+            .result(crate::types::TypeId::I1)
+            .attr("predicate", "eq")
+            .append_to(top);
+        let c = crate::module::single_result(&m, c);
+        let picked = m.build_op("arith.select", [c, a, b], [ty]).append_to(top);
+        let s = crate::module::single_result(&m, picked);
+        let zero = crate::dialects::core::const_index(&mut m, top, 0);
+        let store = m
+            .build_op("memref.store", [one, s, zero], [])
+            .append_to(top);
+        let m = &m;
         let op = |id| m.op(id).unwrap();
-        assert!(!ctx.may_write(op(copy), a) && ctx.may_write(op(copy), b));
-        assert!(ctx.may_write(op(free), a) && !ctx.may_write(op(free), b));
-        assert!(ctx.may_write(op(unknown), b) && !ctx.may_write(op(unknown), a));
+        assert!(!ctx.may_write(m, op(copy), a) && ctx.may_write(m, op(copy), b));
+        assert!(ctx.may_write(m, op(free), a) && !ctx.may_write(m, op(free), b));
+        assert!(ctx.may_write(m, op(unknown), b) && !ctx.may_write(m, op(unknown), a));
+        assert!(ctx.may_write(m, op(store), a) && ctx.may_write(m, op(store), b));
+        assert!(ctx.is_own_buffer(m, a) && !ctx.is_own_buffer(m, s));
         assert!(!ctx.reads_only(Symbol::new("toy.touch")));
         assert_eq!(ctx.access(op(copy)), None);
     }

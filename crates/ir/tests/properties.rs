@@ -19,7 +19,7 @@ use everest_ir::pass::{
 };
 use everest_ir::print::print_module;
 use everest_ir::registry::{Context, OpTrait};
-use everest_ir::types::{FixedFormat, PositFormat, Type};
+use everest_ir::types::{FixedFormat, PositFormat, Type, TypeId};
 use everest_ir::verify::verify_module;
 use everest_ir::{BlockId, IrError, IrResult, MemorySpace, OpId, ValueId, ValueList};
 
@@ -393,35 +393,40 @@ fn run_k(module: &Module, data: &[f64]) -> Vec<f64> {
 /// stores to their cell (write after read), and a loop reads the cells
 /// its earlier iterations stored (loop-carried).
 ///
-/// Each step `(kind, a, b, c)` picks by `kind % 8`: a load (0, 1) or a
+/// Each step `(kind, a, b, c)` picks by `kind % 9`: a load (0, 1) or a
 /// store of value `c` (2, 3) at buffer `a`, index `b` — one of three
 /// constants made once at entry, or an enclosing induction variable —
 /// an arithmetic op on values `b` and `c` (4), a constant (5), a loop
-/// entered (6) or left (7).
+/// entered (6) or left (7), or a buffer picked by an `arith.select` of
+/// two arguments on a comparison of values `b` and `c` (8). Loads and
+/// stores then take a picked buffer as they take an argument: through
+/// it they read and write the argument it picked.
 fn random_loop_function(buffers: usize, program: &[(u8, usize, usize, usize)]) -> Module {
     let mut m = Module::new();
     let top = m.top_block();
     let buf_ty = Type::memref(&[4], Type::F64, MemorySpace::Host);
-    let (_f, entry) = core::build_func(&mut m, top, "k", &vec![buf_ty; buffers], &[]);
+    let (_f, entry) = core::build_func(&mut m, top, "k", &vec![buf_ty.clone(); buffers], &[]);
     let args = m.block(entry).args.to_vec();
     let mut indices: Vec<ValueId> = (0..3)
         .map(|i| core::const_index(&mut m, entry, i))
         .collect();
     let mut values = vec![core::const_f64(&mut m, entry, 1.5)];
-    // Open loop bodies, innermost last, with the values and indices in
-    // scope when each was entered.
-    let mut open: Vec<(BlockId, usize, usize)> = Vec::new();
+    // The arguments, then the buffers picked so far.
+    let mut pool = args.clone();
+    // Open loop bodies, innermost last, with the values, indices and
+    // buffers in scope when each was entered.
+    let mut open: Vec<(BlockId, usize, usize, usize)> = Vec::new();
     let mut block = entry;
-    let close = |m: &mut Module, open: &mut Vec<(BlockId, usize, usize)>| {
-        let (body, values, indices) = open.pop().expect("a loop is open");
+    let close = |m: &mut Module, open: &mut Vec<(BlockId, usize, usize, usize)>| {
+        let (body, values, indices, pool) = open.pop().expect("a loop is open");
         m.build_op("scf.yield", [], []).append_to(body);
-        (values, indices)
+        (values, indices, pool)
     };
     for &(kind, a, b, c) in program {
-        let buffer = args[a % buffers];
+        let buffer = pool[a % pool.len()];
         let index = indices[b % indices.len()];
         let value = values[c % values.len()];
-        match kind % 8 {
+        match kind % 9 {
             0 | 1 => {
                 let load = m
                     .build_op("memref.load", [buffer, index], [Type::F64])
@@ -443,15 +448,30 @@ fn random_loop_function(buffers: usize, program: &[(u8, usize, usize, usize)]) -
                 let ub = core::const_index(&mut m, block, 1 + (a % 3) as i64);
                 let step = core::const_index(&mut m, block, 1);
                 let (_loop, body) = core::build_for(&mut m, block, lb, ub, step);
-                open.push((body, values.len(), indices.len()));
+                open.push((body, values.len(), indices.len(), pool.len()));
                 indices.push(m.block(body).args[0]);
                 block = body;
             }
             7 if !open.is_empty() => {
-                let (v, i) = close(&mut m, &mut open);
+                let (v, i, p) = close(&mut m, &mut open);
                 values.truncate(v);
                 indices.truncate(i);
+                pool.truncate(p);
                 block = open.last().map_or(entry, |&(body, ..)| body);
+            }
+            8 => {
+                let lhs = values[b % values.len()];
+                let cond = m
+                    .build_op("arith.cmpf", [lhs, value], [])
+                    .result(TypeId::I1)
+                    .attr("predicate", "lt")
+                    .append_to(block);
+                let cond = single_result(&m, cond);
+                let (first, second) = (args[a % buffers], args[(a + 1) % buffers]);
+                let picked = m
+                    .build_op("arith.select", [cond, first, second], [buf_ty.clone()])
+                    .append_to(block);
+                pool.push(single_result(&m, picked));
             }
             _ => {}
         }
