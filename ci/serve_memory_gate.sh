@@ -13,9 +13,14 @@
 # Readings of peak_rss_mb, full / quick, on one host
 # (`--trace 0 --seconds 3`):
 #
-#   workload            before PR 17          PR 17
-#   serve_saturation    15.2 / 5.3 = 2.9      5.8 / 4.1 = 1.4
-#   serve_nominal       17.5 / 5.7 = 3.1      6.9 / 4.4 = 1.6
+#   workload            stored trace          streamed arrivals     arrival blocks
+#   serve_saturation    15.2 / 5.3 = 2.9      5.8 / 4.1 = 1.4       5.8 / 4.0 = 1.5
+#   serve_nominal       17.5 / 5.7 = 3.1      6.9 / 4.4 = 1.6       7.3 / 4.1 = 1.8
+#
+# "arrival blocks": each tenant lane of the arrival stream draws a
+# fixed block of arrivals ahead (the commit before it read 5.7 / 4.1
+# and 7.1 / 4.1 on the same host). A lane that held more than a block
+# would grow with the horizon and show here.
 #
 # What is left of the nominal ratio is the outcome's own vectors (about
 # 50,000 latencies and 18,000 batch records a campaign). Both figures

@@ -421,6 +421,7 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use everest_serve::MAX_EXPECTED_ARRIVALS;
 
     #[test]
     fn same_seed_yields_byte_identical_traces() {
@@ -638,6 +639,34 @@ mod tests {
         let idle = try_run_serve(&load(0.0)).expect("runs");
         assert_eq!(idle.outcome.offered, 0);
         assert!(idle.outcome.conserved());
+    }
+
+    #[test]
+    fn a_campaign_that_would_not_end_is_a_typed_error() {
+        // Gaps of about 1e-294 us vanish against the clock: without the
+        // bound this campaign never returns.
+        let error = refused(ServeOptions {
+            load: 1e300,
+            ..ServeOptions::default()
+        });
+        assert!(
+            matches!(error, ServeConfigError::ExpectedArrivals(n) if n > MAX_EXPECTED_ARRIVALS),
+            "{error}"
+        );
+        // 200 M arrivals: it would end, minutes later.
+        let error = refused(ServeOptions {
+            load: 1e5,
+            ..ServeOptions::default()
+        });
+        assert_eq!(error, ServeConfigError::ExpectedArrivals(2.0e8));
+        // The largest campaign the CLI's ranges allow runs.
+        let widest = build_config(&ServeOptions {
+            nodes: 32,
+            load: 8.0,
+            horizon_ms: 2_000.0,
+            ..ServeOptions::default()
+        });
+        assert_eq!(widest.validate(), Ok(()));
     }
 
     #[test]

@@ -81,6 +81,15 @@ impl Default for ServeConfig {
     }
 }
 
+/// The most arrivals a campaign may expect, `offered_rps × horizon_us /
+/// 1e6`: 2^24, the bound EKL puts on an evaluated volume. It is far
+/// above the benchmark's door-bound campaign (about 100 000 arrivals)
+/// and the largest the `basecamp serve` flags allow (1.28 M), and it
+/// bounds how long a run spends drawing arrivals: a campaign past it
+/// would run for minutes, and one whose gaps vanish against the clock
+/// would never end.
+pub const MAX_EXPECTED_ARRIVALS: f64 = 16_777_216.0;
+
 /// Why a [`ServeConfig`] cannot be run; see [`ServeConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ServeConfigError {
@@ -103,6 +112,17 @@ pub enum ServeConfigError {
     /// `offered_rps` is not a finite, non-negative rate (zero is valid:
     /// a run with no arrivals).
     OfferedRate(f64),
+    /// A tenant's weight is not finite, so its share of the load is
+    /// not a number.
+    TenantWeight {
+        /// Index into `tenants`.
+        tenant: usize,
+        /// The weight.
+        weight: f64,
+    },
+    /// The campaign expects more than [`MAX_EXPECTED_ARRIVALS`]
+    /// arrivals; the value is `offered_rps × horizon_us / 1e6`.
+    ExpectedArrivals(f64),
 }
 
 impl std::fmt::Display for ServeConfigError {
@@ -122,6 +142,14 @@ impl std::fmt::Display for ServeConfigError {
             ServeConfigError::OfferedRate(rps) => write!(
                 f,
                 "the offered load must be finite and not negative, got {rps} rps"
+            ),
+            ServeConfigError::TenantWeight { tenant, weight } => {
+                write!(f, "tenant {tenant}'s weight must be finite, got {weight}")
+            }
+            ServeConfigError::ExpectedArrivals(count) => write!(
+                f,
+                "the campaign expects {count} arrivals, more than the {MAX_EXPECTED_ARRIVALS} \
+                 a campaign may offer"
             ),
         }
     }
@@ -153,6 +181,18 @@ impl ServeConfig {
         }
         if !(self.offered_rps.is_finite() && self.offered_rps >= 0.0) {
             return Err(ServeConfigError::OfferedRate(self.offered_rps));
+        }
+        if let Some((tenant, spec)) =
+            (self.tenants.iter().enumerate()).find(|(_, t)| !t.weight.is_finite())
+        {
+            return Err(ServeConfigError::TenantWeight {
+                tenant,
+                weight: spec.weight,
+            });
+        }
+        let expected = self.offered_rps * self.horizon_us / 1.0e6;
+        if expected > MAX_EXPECTED_ARRIVALS {
+            return Err(ServeConfigError::ExpectedArrivals(expected));
         }
         Ok(())
     }

@@ -19,9 +19,12 @@
 //! engine keeps it allocation- and string-free:
 //!
 //! * arrivals are neither heap events nor a stored trace — the engine
-//!   draws them from an [`ArrivalStream`] one request ahead and merges
-//!   that look-ahead against [`everest_runtime::EventQueue::peek_time`]
-//!   (arrivals win timestamp ties);
+//!   takes them from an [`ArrivalStream`], whose tenant lanes each draw
+//!   a block of arrivals ahead in one tight loop and whose merge keeps
+//!   one flat array of head times, and compares the stream's next
+//!   arrival time (`ArrivalStream::peek_us`) with
+//!   [`everest_runtime::EventQueue::peek_time`] (arrivals win timestamp
+//!   ties);
 //! * dynamic events (batch timeouts, completions, faults) live in an
 //!   indexed [`everest_runtime::EventQueue`], and the engine *cancels*
 //!   events that can no longer matter — the wait-timeout of a batch
@@ -70,12 +73,13 @@
 //!
 //! Apart from the [`ServeOutcome`] it returns, the engine holds what is
 //! in flight and nothing else: the arrival stream keeps one drawn-ahead
-//! request per tenant, the fair queues are bounded by the admission
-//! depth limit, and the two tables keyed by batch id (in-flight batches,
-//! pending wait-timeouts) recycle a slot as soon as its batch settles,
-//! so they never outgrow one entry per node and one per class. A
-//! campaign four times as long needs no more memory to run, only a
-//! longer outcome.
+//! block of at most [`ArrivalStream::BLOCK`] arrivals per tenant, in
+//! arrays inline in its lanes, the fair queues are bounded by the
+//! admission depth limit, and the two tables keyed by batch id
+//! (in-flight batches, pending wait-timeouts) recycle a slot as soon as
+//! its batch settles, so they never outgrow one entry per node and one
+//! per class. A campaign four times as long needs no more memory to
+//! run, only a longer outcome.
 //!
 //! # What the loop holds, and what it asks
 //!
@@ -107,7 +111,6 @@
 //!   node's eventual result can never double-count) and its requests
 //!   re-enter the fair queue.
 
-use std::iter::Peekable;
 use std::sync::Arc;
 
 use everest_cluster::{ClusterController, GOSSIP_PERIOD_US};
@@ -365,9 +368,9 @@ struct Sim<'a> {
     registry: Arc<Registry>,
     metrics: ServeMetrics,
     queue: EventQueue<EventKind>,
-    /// The open-loop workload, drawn as the loop consumes it; the
-    /// peeked request is the merge's look-ahead.
-    arrivals: Peekable<ArrivalStream>,
+    /// The open-loop workload, drawn as the loop consumes it; its
+    /// `peek_us` is the merge's look-ahead.
+    arrivals: ArrivalStream,
     /// Max time any dynamic event was ever scheduled for; keeps
     /// `end_us` independent of which stale events were cancelled.
     max_sched_us: f64,
@@ -430,8 +433,7 @@ impl<'a> Sim<'a> {
                 &cfg.classes,
                 cfg.horizon_us,
                 cfg.offered_rps,
-            )
-            .peekable(),
+            ),
             max_sched_us: 0.0,
             admission: AdmissionController::new(&cfg.tenants, &cfg.classes, &cfg.admission),
             wfq: WeightedFairQueue::new(&weights),
@@ -491,8 +493,14 @@ impl<'a> Sim<'a> {
             // Merge the next arrival against the event queue; arrivals
             // win timestamp ties.
             let next_event_us = self.queue.peek_time();
-            let due = |next: &Request| next_event_us.is_none_or(|t| next.arrival_us <= t);
-            if let Some(request) = self.arrivals.next_if(due) {
+            let arrival_due = (self.arrivals.peek_us())
+                .is_some_and(|at_us| next_event_us.is_none_or(|t| at_us <= t));
+            let arrival = if arrival_due {
+                self.arrivals.next()
+            } else {
+                None
+            };
+            if let Some(request) = arrival {
                 now = now.max(request.arrival_us);
                 if !self.handle_arrival(request, now) {
                     // Shed at the door: no queue, batcher or node state
@@ -1117,7 +1125,7 @@ impl<'a> Sim<'a> {
         }
         self.apply_verdicts(now);
         self.health_moved(now);
-        let live = self.arrivals.peek().is_some()
+        let live = self.arrivals.peek_us().is_some()
             || self.queue_depth() > 0
             || self.inflight_count > 0
             || self.queue.peek_time().is_some();
@@ -1293,7 +1301,9 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchPolicy, ClassKind, ClusterConfig, KernelClass, ServeConfigError};
+    use crate::{
+        BatchPolicy, ClassKind, ClusterConfig, KernelClass, ServeConfigError, MAX_EXPECTED_ARRIVALS,
+    };
     use everest_faults::FaultSpec;
     use everest_health::HealthConfig;
 
@@ -2061,6 +2071,44 @@ mod tests {
             assert!(matches!(error, ServeConfigError::OfferedRate(_)), "{error}");
             assert!(error.to_string().contains("offered load"), "{error}");
         }
+        for weight in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let error = with_weight(1, weight).validate().expect_err("rejected");
+            assert!(
+                matches!(error, ServeConfigError::TenantWeight { tenant: 1, weight: w }
+                    if w.to_bits() == weight.to_bits()),
+                "{error}"
+            );
+            assert!(error.to_string().contains("tenant 1's weight"), "{error}");
+        }
+        // A negative or zero weight is a tenant with no share, not an
+        // error.
+        assert_eq!(with_weight(1, -3.0).validate(), Ok(()));
+        assert_eq!(with_weight(1, 0.0).validate(), Ok(()));
+        // Finite inputs whose campaign would never end (gaps of about
+        // 1e-294 us vanish against the clock) or run for minutes.
+        for (offered_rps, horizon_us) in [(1e304, 200_000.0), (1e9, 200_000.0), (1e300, 1e300)] {
+            let cfg = ServeConfig {
+                offered_rps,
+                horizon_us,
+                ..ServeConfig::default()
+            };
+            let expected = offered_rps * horizon_us / 1.0e6;
+            let error = cfg.validate().expect_err("rejected");
+            assert_eq!(error, ServeConfigError::ExpectedArrivals(expected));
+            assert!(error.to_string().contains("arrivals"), "{error}");
+        }
+        let at_the_bound = ServeConfig {
+            offered_rps: MAX_EXPECTED_ARRIVALS * 5.0,
+            horizon_us: 200_000.0,
+            ..ServeConfig::default()
+        };
+        assert_eq!(at_the_bound.validate(), Ok(()));
+    }
+
+    fn with_weight(tenant: usize, weight: f64) -> ServeConfig {
+        let mut cfg = ServeConfig::default();
+        cfg.tenants[tenant].weight = weight;
+        cfg
     }
 
     #[test]

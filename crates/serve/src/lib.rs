@@ -61,7 +61,7 @@ pub mod wfq;
 
 pub use admission::{AdmissionConfig, AdmissionController};
 pub use batcher::{Batch, BatchPolicy, DynamicBatcher, OfferOutcome};
-pub use config::{ClusterConfig, ServeConfig, ServeConfigError};
+pub use config::{ClusterConfig, ServeConfig, ServeConfigError, MAX_EXPECTED_ARRIVALS};
 pub use engine::ServeEngine;
 pub use ledger::{BatchRecord, Layer, LedgerRow, Metric, Role, ServeOutcome, TenantOutcome};
 pub use lifecycle::LifecycleConfig;

@@ -230,41 +230,74 @@ pub enum ShedReason {
     PartitionedAway,
 }
 
-/// One tenant's Poisson process inside an [`ArrivalStream`].
+/// One tenant's Poisson process inside an [`ArrivalStream`], drawn
+/// [`ArrivalStream::BLOCK`] arrivals ahead into inline arrays.
 #[derive(Debug, Clone)]
 struct TenantArrivals {
     tenant: usize,
     mean_gap_us: f64,
     rng: DetRng,
-    /// Arrival time and class of the tenant's next request, drawn one
-    /// ahead so the merge has a time to compare; `None` once the
-    /// tenant's clock has passed the horizon.
-    head: Option<(f64, usize)>,
+    /// The last arrival drawn: the clock the next gap is added to.
+    clock_us: f64,
+    /// The drawn block; entries `next..len` are still to be yielded.
+    at_us: [f64; ArrivalStream::BLOCK],
+    class: [usize; ArrivalStream::BLOCK],
+    next: usize,
+    len: usize,
+    /// Set once a gap has carried the clock past the horizon: the lane
+    /// draws nothing more.
+    ended: bool,
 }
 
 impl TenantArrivals {
-    /// Draws the request that follows an arrival at `clock_us` into
-    /// `head`.
-    fn draw(&mut self, clock_us: f64, classes: usize, horizon_us: f64) {
-        // Exponential interarrival via inverse transform; the draw is
-        // in [0, 1) so the argument to ln stays in (0, 1] and the gap
-        // is finite and positive.
-        let gap = -self.mean_gap_us * (1.0 - self.rng.next_unit()).ln();
-        let at_us = clock_us + gap;
-        self.head = (at_us < horizon_us).then(|| (at_us, self.rng.index(classes)));
+    /// Draws the lane's next block: for each arrival the gap, then the
+    /// class only while the arrival falls before `horizon_us` — the
+    /// draws, in the order, of drawing one arrival at a time.
+    fn refill(&mut self, classes: usize, horizon_us: f64) {
+        let mut len = 0;
+        while len < ArrivalStream::BLOCK && !self.ended {
+            // Exponential interarrival via inverse transform; the draw
+            // is in [0, 1) so the argument to ln stays in (0, 1] and
+            // the gap is finite and positive.
+            let gap = -self.mean_gap_us * (1.0 - self.rng.next_unit()).ln();
+            let at_us = self.clock_us + gap;
+            if at_us < horizon_us {
+                self.at_us[len] = at_us;
+                self.class[len] = self.rng.index(classes);
+                self.clock_us = at_us;
+                len += 1;
+            } else {
+                self.ended = true;
+            }
+        }
+        self.next = 0;
+        self.len = len;
+    }
+
+    /// The time of the lane's next arrival; infinite once it has none.
+    fn head_us(&self) -> f64 {
+        if self.next < self.len {
+            self.at_us[self.next]
+        } else {
+            f64::INFINITY
+        }
     }
 }
 
-/// The tenant whose head arrives first. Each tenant's arrivals are
-/// already time-ordered (gaps are non-negative), and `min_by` keeps the
-/// first of equal minima, so taking the earliest head in tenant order
-/// yields the `(arrival_us, tenant)` order a stable sort of the whole
-/// trace would give.
-fn earliest(tenants: &[TenantArrivals]) -> Option<usize> {
-    (tenants.iter().enumerate())
-        .filter_map(|(index, lane)| lane.head.map(|(at_us, _)| (index, at_us)))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(index, _)| index)
+/// The lane whose head arrives first, and its head time. Each lane's
+/// arrivals are already time-ordered (gaps are non-negative), and only
+/// a strictly earlier head replaces the leader, so taking the earliest
+/// head in tenant order yields the `(arrival_us, tenant)` order a
+/// stable sort of the whole trace would give. The time is infinite when
+/// every lane has ended, or there are none.
+fn leader(heads: &[f64]) -> (usize, f64) {
+    let mut leader = (0, f64::INFINITY);
+    for (index, &at_us) in heads.iter().enumerate() {
+        if at_us < leader.1 {
+            leader = (index, at_us);
+        }
+    }
+    leader
 }
 
 /// A seeded open-loop Poisson arrival process: the workload side of a
@@ -280,15 +313,21 @@ fn earliest(tenants: &[TenantArrivals]) -> Option<usize> {
 /// tenants' arrivals are unchanged.
 ///
 /// The stream yields the k-way merge of the tenants' processes —
-/// earliest `arrival_us` first (`f64::total_cmp`), ties to the lower
-/// tenant index — with ids dense from zero in that order. It holds one
-/// generator and one drawn-ahead arrival per tenant, whatever the
-/// horizon.
+/// earliest `arrival_us` first, ties to the lower tenant index — with
+/// ids dense from zero in that order. It holds one generator and one
+/// drawn-ahead block of at most [`ArrivalStream::BLOCK`] arrivals per
+/// tenant, whatever the horizon: a lane draws its next block in one
+/// tight loop when the merge has taken the last of the previous one,
+/// and the merge compares one head time per lane.
 ///
 /// A tenant with no share of the load (non-positive weight or rate)
 /// yields nothing, and neither does an empty class table. The stream
-/// ends only when `horizon_us` and `offered_rps` are finite, which
-/// [`crate::ServeConfig::validate`] checks on the engine's behalf.
+/// ends only when `horizon_us` and `offered_rps` are finite and the
+/// expected arrival count, `offered_rps × horizon_us / 1e6`, is small
+/// enough that a gap still moves the clock: at 1e300 rps the gaps
+/// vanish against it and the stream never ends.
+/// [`crate::ServeConfig::validate`] checks both on the engine's behalf,
+/// bounding the count by [`crate::MAX_EXPECTED_ARRIVALS`].
 ///
 /// ```
 /// use everest_serve::{ArrivalStream, KernelClass, TenantSpec};
@@ -303,13 +342,24 @@ fn earliest(tenants: &[TenantArrivals]) -> Option<usize> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ArrivalStream {
-    tenants: Vec<TenantArrivals>,
+    lanes: Vec<TenantArrivals>,
+    /// Each lane's next arrival time, parallel to `lanes`; infinite for
+    /// a lane that has ended.
+    heads: Vec<f64>,
+    /// The lane [`leader`] picks from `heads`, and its head time.
+    leader: usize,
+    leader_us: f64,
     classes: usize,
     horizon_us: f64,
     next_id: u64,
 }
 
 impl ArrivalStream {
+    /// How many arrivals a tenant lane draws ahead at once. A constant
+    /// of the stream, not a setting: the stream yields the same
+    /// requests at any block size.
+    pub const BLOCK: usize = 32;
+
     /// Starts the arrival process of `tenants` over `horizon_us`.
     pub fn new(
         seed: u64,
@@ -321,6 +371,7 @@ impl ArrivalStream {
         let total_weight: f64 = tenants.iter().map(|t| t.weight.max(0.0)).sum();
         let root = DetRng::new(seed);
         let mut lanes = Vec::with_capacity(tenants.len());
+        let mut heads = Vec::with_capacity(tenants.len());
         for (index, tenant) in tenants.iter().enumerate() {
             let share = if total_weight > 0.0 {
                 tenant.weight.max(0.0) / total_weight
@@ -335,17 +386,33 @@ impl ArrivalStream {
                 tenant: index,
                 mean_gap_us: 1.0e6 / rate_rps,
                 rng: root.fork(0x5E21_u64.wrapping_add(index as u64)),
-                head: None,
+                clock_us: 0.0,
+                at_us: [0.0; ArrivalStream::BLOCK],
+                class: [0; ArrivalStream::BLOCK],
+                next: 0,
+                len: 0,
+                ended: false,
             };
-            lane.draw(0.0, classes.len(), horizon_us);
+            lane.refill(classes.len(), horizon_us);
+            heads.push(lane.head_us());
             lanes.push(lane);
         }
+        let (leader, leader_us) = leader(&heads);
         ArrivalStream {
-            tenants: lanes,
+            lanes,
+            heads,
+            leader,
+            leader_us,
             classes: classes.len(),
             horizon_us,
             next_id: 0,
         }
+    }
+
+    /// The arrival time of the request [`Iterator::next`] yields next,
+    /// or `None` once the stream has ended.
+    pub(crate) fn peek_us(&self) -> Option<f64> {
+        (self.leader_us < f64::INFINITY).then_some(self.leader_us)
     }
 }
 
@@ -353,13 +420,19 @@ impl Iterator for ArrivalStream {
     type Item = Request;
 
     fn next(&mut self) -> Option<Request> {
-        let leader = earliest(&self.tenants)?;
-        let lane = &mut self.tenants[leader];
-        let (arrival_us, class) = lane.head.take().expect("the leader has a head");
-        lane.draw(arrival_us, self.classes, self.horizon_us);
+        let arrival_us = self.peek_us()?;
+        let lane = &mut self.lanes[self.leader];
+        let class = lane.class[lane.next];
+        lane.next += 1;
+        if lane.next == lane.len {
+            lane.refill(self.classes, self.horizon_us);
+        }
+        let tenant = lane.tenant;
+        self.heads[self.leader] = lane.head_us();
+        (self.leader, self.leader_us) = leader(&self.heads);
         let request = Request {
             id: self.next_id,
-            tenant: lane.tenant,
+            tenant,
             class,
             arrival_us,
             attempt: 0,
@@ -466,31 +539,18 @@ mod tests {
     }
 
     /// Seeded streams never tie (the gaps are continuous draws), so the
-    /// merge's tie rule is pinned on hand-made heads.
+    /// merge's tie rule is pinned on hand-made head arrays. An ended
+    /// lane's head is infinite; with every lane ended, or none, the
+    /// leader's time is infinite and its index means nothing.
     #[test]
     fn ties_go_to_the_lower_tenant_index() {
-        let lanes = |heads: &[Option<f64>]| -> Vec<TenantArrivals> {
-            (heads.iter().enumerate())
-                .map(|(tenant, head)| TenantArrivals {
-                    tenant,
-                    mean_gap_us: 1.0,
-                    rng: DetRng::new(0),
-                    head: head.map(|at_us| (at_us, 0)),
-                })
-                .collect()
-        };
-        assert_eq!(
-            earliest(&lanes(&[Some(5.0), Some(3.0), Some(3.0)])),
-            Some(1)
-        );
-        assert_eq!(
-            earliest(&lanes(&[Some(3.0), Some(3.0), Some(1.0)])),
-            Some(2)
-        );
-        assert_eq!(earliest(&lanes(&[None, Some(2.0), Some(2.0)])), Some(1));
-        assert_eq!(earliest(&lanes(&[Some(4.0), None, Some(4.0)])), Some(0));
-        assert_eq!(earliest(&lanes(&[None, None])), None);
-        assert_eq!(earliest(&[]), None);
+        const ENDED: f64 = f64::INFINITY;
+        assert_eq!(leader(&[5.0, 3.0, 3.0]), (1, 3.0));
+        assert_eq!(leader(&[3.0, 3.0, 1.0]), (2, 1.0));
+        assert_eq!(leader(&[ENDED, 2.0, 2.0]), (1, 2.0));
+        assert_eq!(leader(&[4.0, ENDED, 4.0]), (0, 4.0));
+        assert_eq!(leader(&[ENDED, ENDED]).1, ENDED);
+        assert_eq!(leader(&[]).1, ENDED);
     }
 
     #[test]

@@ -3,20 +3,30 @@
 //! materialising generator it replaced would have built — same
 //! requests, same order, same ids, arrival times equal to the bit.
 //!
-//! Mutation-checked when written: a merge comparator that sends ties to
-//! the later tenant (the old loop's `is_lt` turned `is_le`) fails
+//! Mutation-checked when written: a leader selection that sends ties to
+//! the later tenant (`leader`'s strict `<` turned `<=`) fails
 //! `ties_go_to_the_lower_tenant_index` (a unit test in `request.rs` —
-//! seeded streams never tie, so the rule is pinned on hand-made heads
-//! there); forking tenant `index`'s substream from
+//! seeded streams never tie, so the rule is pinned on hand-made head
+//! arrays there); forking tenant `index`'s substream from
 //! `index + 1`, or from its position among the lanes that carry load,
 //! fails the reference property at its first case; forking it from
 //! `tenants.len() - index` fails both properties.
+//!
+//! Each tenant lane draws [`ArrivalStream::BLOCK`] arrivals ahead, so
+//! the reference property is only as good as the lane shapes its cases
+//! reach; `the_reference_property_reaches_every_lane_shape` replays
+//! them.
 
 mod reference;
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use everest_serve::{ArrivalStream, KernelClass, Request, TenantSpec};
+
+/// Cases of `stream_matches_the_materialising_reference`.
+const REFERENCE_CASES: u32 = 192;
 
 fn tenants(weights: &[i32]) -> Vec<TenantSpec> {
     weights
@@ -39,7 +49,7 @@ fn same(a: &Request, b: &Request) -> bool {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(REFERENCE_CASES))]
 
     /// Weights span negative, zero and positive (a single tenant, or
     /// several unlucky ones, make the all-zero table whose load is
@@ -108,4 +118,64 @@ proptest! {
             prop_assert!(same(&Request { id: want.id, ..*got }, want), "{got:?} vs {want:?}");
         }
     }
+}
+
+/// The cases of `stream_matches_the_materialising_reference` reach
+/// every shape a lane's blocks can take: a lane that draws a third
+/// block, one whose arrivals end exactly on a block boundary (so the
+/// refill after its last full block yields nothing), one that ends
+/// mid-block, and a tenant with a zero share of a positive load, which
+/// gets no lane at all.
+#[test]
+fn the_reference_property_reaches_every_lane_shape() {
+    const BLOCK: usize = ArrivalStream::BLOCK;
+    let mut reached = BTreeSet::new();
+    for case in 0..REFERENCE_CASES {
+        let mut rng = TestRng::for_case(
+            "arrival_props::stream_matches_the_materialising_reference",
+            case,
+        );
+        // The property's strategies, in its argument order.
+        let weights = proptest::collection::vec(-2i32..6, 1..7).generate(&mut rng);
+        let class_count = (1usize..5).generate(&mut rng);
+        let krps = (0u32..51).generate(&mut rng);
+        let horizon_us = (100.0f64..200_000.0).generate(&mut rng);
+        let seed = any::<u64>().generate(&mut rng);
+
+        let tenants = tenants(&weights);
+        let offered_rps = f64::from(krps) * 1_000.0;
+        let mut arrivals = vec![0usize; tenants.len()];
+        for request in ArrivalStream::new(
+            seed,
+            &tenants,
+            &classes(class_count),
+            horizon_us,
+            offered_rps,
+        ) {
+            arrivals[request.tenant] += 1;
+        }
+        let positive = weights.iter().any(|&w| w > 0);
+        for (&weight, &count) in weights.iter().zip(&arrivals) {
+            if krps > 0 && positive && weight <= 0 {
+                reached.insert("a tenant with a zero share");
+            }
+            if count > 2 * BLOCK {
+                reached.insert("a lane that refills at least twice");
+            }
+            if count > 0 && count % BLOCK == 0 {
+                reached.insert("a lane that ends on a block boundary");
+            }
+            if count % BLOCK != 0 {
+                reached.insert("a lane that ends mid-block");
+            }
+        }
+    }
+    let want = BTreeSet::from([
+        "a tenant with a zero share",
+        "a lane that refills at least twice",
+        "a lane that ends on a block boundary",
+        "a lane that ends mid-block",
+    ]);
+    let missing: Vec<_> = want.difference(&reached).collect();
+    assert!(missing.is_empty(), "never reached: {missing:?}");
 }

@@ -1,7 +1,7 @@
 //! The engine's memory is what is in flight: a campaign four times as
 //! long must not need more memory to *run*, only a longer outcome; and
 //! once warm, its per-batch completion path (health monitor included)
-//! allocates nothing.
+//! and its arrival stream allocate nothing.
 //!
 //! This test binary (and no other: the SDK itself never installs an
 //! allocator) counts live heap bytes and allocations through its own
@@ -18,7 +18,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use everest_health::{HealthConfig, HealthMonitor};
-use everest_serve::{BatchRecord, ServeConfig, ServeEngine, ServeOutcome, TenantOutcome};
+use everest_serve::{
+    ArrivalStream, BatchRecord, ServeConfig, ServeEngine, ServeOutcome, TenantOutcome,
+};
 use everest_telemetry::Registry;
 
 struct Counting;
@@ -173,6 +175,24 @@ fn a_warm_health_monitor_allocates_nothing_per_sample() {
     assert_eq!(
         allocations, 0,
         "40 000 warm samples allocated {allocations} times"
+    );
+}
+
+#[test]
+fn an_arrival_stream_allocates_its_lanes_once_and_nothing_per_arrival() {
+    let _measuring = measuring();
+    // The door-bound load: 40 k rps over 250 ms, about 10 000 arrivals,
+    // so every lane refills its block dozens of times or more.
+    let cfg = ServeConfig::default();
+    let (mut stream, at_start) = allocations(|| {
+        ArrivalStream::new(cfg.seed, &cfg.tenants, &cfg.classes, 250_000.0, 40_000.0)
+    });
+    assert_eq!(at_start, 2, "one lane vector and one head vector");
+    let (arrivals, per_run) = allocations(|| stream.by_ref().count());
+    assert!(arrivals > 8_000, "{arrivals} arrivals");
+    assert_eq!(
+        per_run, 0,
+        "{arrivals} arrivals allocated {per_run} times after the start"
     );
 }
 
