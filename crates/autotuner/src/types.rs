@@ -105,7 +105,7 @@ impl OperatingPoint {
     }
 
     /// Whether the point applies under the given features.
-    pub fn applies(&self, features: &Features) -> bool {
+    pub(crate) fn applies(&self, features: &Features) -> bool {
         self.region.iter().all(|(name, (lo, hi))| {
             features
                 .get(name)

@@ -1,10 +1,10 @@
 //! What a [`FaultPlan`] costs node *n* at virtual time *t*.
 //!
-//! The scheduler, the serve engine and the XRT device model all replay
-//! the same plan, and all three charge its *standing* node-scoped
-//! effects — typed link flaps, gray lossy links, gray slow nodes,
-//! creeping VF latency, VF loss. [`FaultEffects`] compiles those out of
-//! a plan once and is the only place that knows the rules:
+//! The scheduler and the serve engine both replay the same plan, and
+//! both charge its *standing* node-scoped effects — typed link flaps,
+//! gray lossy links, gray slow nodes, creeping VF latency, VF loss.
+//! [`FaultEffects`] compiles those out of a plan once and is the only
+//! place that knows the rules:
 //!
 //! * a window is active for `from <= t < until`;
 //! * the worst active factor wins, and a factor never drops below 1.0;

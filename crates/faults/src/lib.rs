@@ -16,10 +16,7 @@
 //!   are only catchable by online detection;
 //! * [`FaultEffects`] — what a plan's standing effects (link, slow-node
 //!   and creep windows, VF loss) cost node *n* at time *t*, declared
-//!   once for the scheduler, the serve engine and the device model;
-//! * [`FaultInjector`] — arms a plan against one node; platform
-//!   operations ([`FaultOp`]) consult it and turn fired faults into
-//!   typed errors or latency penalties;
+//!   once for the scheduler and the serve engine;
 //! * [`RetryPolicy`] — per-task retry budgets with deterministic
 //!   exponential backoff + jitter;
 //! * [`RecoveryStats`] — what recovery cost a run (retries, backoff
@@ -27,35 +24,35 @@
 //! * [`DetRng`] — the SplitMix64 stream everything draws from, so a
 //!   seed replays a whole chaos campaign byte-identically.
 //!
-//! Every fired fault is also recorded to `everest-telemetry` (counter
-//! `faults.injected`, event `faults.inject`); the stable names are
-//! documented in `docs/OBSERVABILITY.md`, and the fault model itself in
-//! `docs/RESILIENCE.md`.
+//! Crashes and transients are events each tier handles when they fire
+//! (the scheduler's `apply_faults`, the serve engine's `handle_fault`);
+//! the fault model is documented in `docs/RESILIENCE.md`.
 //!
 //! # Examples
 //!
 //! ```
-//! use everest_faults::{FaultInjector, FaultKind, FaultOp, FaultPlan, FaultSpec};
+//! use everest_faults::{FaultEffects, FaultKind, FaultPlan, FaultSpec};
 //!
-//! let plan = FaultPlan::new(42)
-//!     .with_fault(FaultSpec::new(1_000.0, 0, FaultKind::TransientKernelError));
-//! let injector = FaultInjector::for_node(plan, 0);
-//! assert!(injector.fire(FaultOp::Kernel, 500.0).is_none()); // not due
-//! let fault = injector.fire(FaultOp::Kernel, 1_500.0).unwrap();
-//! assert_eq!(fault.kind.id(), "transient_kernel_error");
-//! assert!(injector.fire(FaultOp::Kernel, 1_500.0).is_none()); // fires once
+//! let plan = FaultPlan::new(42).with_fault(FaultSpec::new(
+//!     1_000.0,
+//!     0,
+//!     FaultKind::SlowNode { factor: 3.0, duration_us: 500.0 },
+//! ));
+//! let effects = FaultEffects::from_plan(&plan, 2);
+//! assert_eq!(effects.slow_factor(0, 500.0), 1.0); // not yet
+//! assert_eq!(effects.slow_factor(0, 1_200.0), 3.0); // in the window
+//! assert_eq!(effects.slow_factor(0, 1_500.0), 1.0); // window over
+//! assert_eq!(effects.slow_factor(1, 1_200.0), 1.0); // another node
 //! ```
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod effects;
-pub(crate) mod inject;
 pub mod plan;
 pub mod retry;
 pub mod rng;
 
 pub use effects::FaultEffects;
-pub use inject::{FaultInjector, FaultOp};
 pub use plan::{FaultKind, FaultPlan, FaultSpec};
 pub use retry::{RecoveryStats, RetryPolicy};
 pub use rng::DetRng;

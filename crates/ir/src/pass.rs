@@ -34,11 +34,10 @@ pub struct PassStats {
 
 /// A module transformation.
 ///
-/// Passes take `&self` and are stored as `Send + Sync` trait objects so
-/// one [`PassManager`] can drive several worker threads at once (see
-/// [`PassManager::run_batch_threaded`]). A pass that accumulates state
-/// across runs must therefore use interior mutability that is safe to
-/// share (`Mutex`, atomics), not `RefCell`.
+/// Passes take `&self` and are stored as `Send + Sync` trait objects, so
+/// a [`PassManager`] can be shared across threads. A pass that
+/// accumulates state across runs must therefore use interior mutability
+/// that is safe to share (`Mutex`, atomics), not `RefCell`.
 pub trait Pass {
     /// Unique pass name used in diagnostics and pipelines.
     fn name(&self) -> &str;
@@ -124,91 +123,6 @@ impl PassManager {
             all.push((pass.name().to_string(), stats));
         }
         Ok(all)
-    }
-
-    /// Runs the full pipeline over each module independently, returning
-    /// per-module statistics in input order.
-    ///
-    /// Equivalent to calling [`PassManager::run`] on every module (each
-    /// is verified when it changed, on its own revision); the threaded
-    /// variant [`PassManager::run_batch_threaded`] produces
-    /// byte-identical modules and identical statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the failing module with the lowest index.
-    /// Modules after a failing one may or may not have been transformed.
-    pub fn run_batch(
-        &self,
-        ctx: &Context,
-        modules: &mut [Module],
-    ) -> IrResult<Vec<Vec<(String, PassStats)>>> {
-        modules.iter_mut().map(|m| self.run(ctx, m)).collect()
-    }
-
-    /// Runs the full pipeline over each module on up to `threads`
-    /// worker threads.
-    ///
-    /// Modules are independent, so the batch splits into contiguous
-    /// chunks — one per worker — and results are joined back in input
-    /// order. The output is deterministic regardless of thread count:
-    /// each module sees exactly the pass sequence [`PassManager::run`]
-    /// would apply, and the per-module results are reassembled by
-    /// index, never by completion order. `threads <= 1` (or a
-    /// single-module batch) degenerates to [`PassManager::run_batch`]
-    /// with no threads spawned.
-    ///
-    /// ```
-    /// use everest_ir::pass::canonicalization_pipeline;
-    /// use everest_ir::registry::Context;
-    /// use everest_ir::Module;
-    ///
-    /// let ctx = Context::with_all_dialects();
-    /// let pm = canonicalization_pipeline();
-    /// let mut batch = vec![Module::new(), Module::new(), Module::new()];
-    /// let stats = pm.run_batch_threaded(&ctx, &mut batch, 2).unwrap();
-    /// assert_eq!(stats.len(), 3);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the failing module with the lowest index,
-    /// matching the sequential variant. Workers finish their chunks
-    /// even when another chunk fails.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from pass implementations.
-    pub fn run_batch_threaded(
-        &self,
-        ctx: &Context,
-        modules: &mut [Module],
-        threads: usize,
-    ) -> IrResult<Vec<Vec<(String, PassStats)>>> {
-        let threads = threads.clamp(1, modules.len().max(1));
-        if threads <= 1 {
-            return self.run_batch(ctx, modules);
-        }
-        let chunk_len = modules.len().div_ceil(threads);
-        let mut results: Vec<IrResult<Vec<(String, PassStats)>>> =
-            Vec::with_capacity(modules.len());
-        std::thread::scope(|scope| {
-            let mut workers = Vec::with_capacity(threads);
-            for chunk in modules.chunks_mut(chunk_len) {
-                workers.push(scope.spawn(move || {
-                    chunk
-                        .iter_mut()
-                        .map(|m| self.run(ctx, m))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            // Chunks are contiguous and workers joined in spawn order,
-            // so this concatenation restores input order exactly.
-            for worker in workers {
-                results.extend(worker.join().expect("pass worker panicked"));
-            }
-        });
-        results.into_iter().collect()
     }
 }
 
@@ -1270,58 +1184,5 @@ mod tests {
         pm.add(Box::new(Breaker));
         let err = pm.run(&ctx(), &mut m).unwrap_err();
         assert!(err.to_string().contains("breaker"));
-    }
-
-    #[test]
-    fn threaded_batch_reports_error_of_lowest_failing_module() {
-        // Modules 1 and 3 fail verification with distinct op names; every
-        // thread count must surface module 1's error, like the
-        // sequential run does.
-        let build = |bad: Option<&str>| {
-            let mut m = Module::new();
-            let top = m.top_block();
-            core::const_f64(&mut m, top, 1.0);
-            if let Some(name) = bad {
-                m.build_op(name, [], []).append_to(top);
-            }
-            m
-        };
-        let make_batch = || {
-            vec![
-                build(None),
-                build(Some("nosuch.first")),
-                build(None),
-                build(Some("nosuch.second")),
-            ]
-        };
-        let pm = canonicalization_pipeline();
-        let sequential = pm.run_batch(&ctx(), &mut make_batch()).unwrap_err();
-        assert!(sequential.to_string().contains("nosuch.first"));
-        for threads in [1, 2, 3, 4, 7] {
-            let err = pm
-                .run_batch_threaded(&ctx(), &mut make_batch(), threads)
-                .unwrap_err();
-            assert!(
-                err.to_string().contains("nosuch.first"),
-                "threads={threads} surfaced the wrong module: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn threaded_batch_handles_degenerate_shapes() {
-        let pm = canonicalization_pipeline();
-        // Empty batch, zero threads, and more threads than modules.
-        assert!(pm
-            .run_batch_threaded(&ctx(), &mut [], 4)
-            .unwrap()
-            .is_empty());
-        let mut one = vec![Module::new()];
-        assert_eq!(pm.run_batch_threaded(&ctx(), &mut one, 0).unwrap().len(), 1);
-        let mut few = vec![Module::new(), Module::new()];
-        assert_eq!(
-            pm.run_batch_threaded(&ctx(), &mut few, 16).unwrap().len(),
-            2
-        );
     }
 }

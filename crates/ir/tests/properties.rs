@@ -636,33 +636,6 @@ proptest! {
     }
 
     #[test]
-    fn threaded_batch_is_byte_identical_to_sequential(
-        consts in proptest::collection::vec(-100.0f64..100.0, 1..5),
-        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..10),
-        keeps in proptest::collection::vec(any::<usize>(), 1..7),
-        threads in 2usize..5,
-    ) {
-        // The replay-equality contract: running the pipeline over a batch
-        // on N worker threads must produce byte-identical modules and
-        // identical stats to the 1-thread run, for any batch size and
-        // thread count (including threads > batch size).
-        let ctx = Context::with_all_dialects();
-        let mut sequential: Vec<Module> =
-            keeps.iter().map(|&k| random_module(&consts, &ops, k)).collect();
-        let mut threaded: Vec<Module> =
-            keeps.iter().map(|&k| random_module(&consts, &ops, k)).collect();
-        let pm = canonicalization_pipeline();
-        let seq_stats = pm.run_batch(&ctx, &mut sequential).expect("sequential batch runs");
-        let thr_stats = pm
-            .run_batch_threaded(&ctx, &mut threaded, threads)
-            .expect("threaded batch runs");
-        prop_assert_eq!(seq_stats, thr_stats);
-        for (a, b) in sequential.iter().zip(&threaded) {
-            prop_assert_eq!(print_module(a), print_module(b));
-        }
-    }
-
-    #[test]
     fn canonicalization_preserves_interpreter_semantics(
         consts in proptest::collection::vec(-100.0f64..100.0, 1..5),
         ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>()), 0..12),

@@ -92,51 +92,6 @@ impl NetworkModel {
     }
 }
 
-/// Transient link-health state: a flap or congestion episode that
-/// multiplies transfer costs until a virtual deadline passes. Fed by
-/// `LinkDegrade` faults from `everest-faults`; consulted by the
-/// simulated XRT session on every sync.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct LinkHealth {
-    /// Cost multiplier while degraded (≥ 1).
-    pub factor: f64,
-    /// Virtual time at which the link recovers, in µs.
-    pub until_us: f64,
-}
-
-impl Default for LinkHealth {
-    fn default() -> LinkHealth {
-        LinkHealth::healthy()
-    }
-}
-
-impl LinkHealth {
-    /// A fully healthy link.
-    pub(crate) fn healthy() -> LinkHealth {
-        LinkHealth {
-            factor: 1.0,
-            until_us: 0.0,
-        }
-    }
-
-    /// Registers a degradation episode: `factor`× cost until
-    /// `until_us`. Overlapping episodes keep the worse factor and the
-    /// later deadline.
-    pub(crate) fn degrade(&mut self, factor: f64, until_us: f64) {
-        self.factor = self.factor.max(factor.max(1.0));
-        self.until_us = self.until_us.max(until_us);
-    }
-
-    /// The cost multiplier in effect at `now_us` (1.0 once recovered).
-    pub(crate) fn factor_at(&self, now_us: f64) -> f64 {
-        if now_us < self.until_us {
-            self.factor
-        } else {
-            1.0
-        }
-    }
-}
-
 /// Builds the appropriate link model for a device attachment.
 pub fn link_for(attachment: &Attachment) -> LinkModel {
     match attachment {
@@ -219,21 +174,5 @@ mod tests {
         let p = pcie.transfer_time_us(256);
         let n = net.transfer_time_us(256);
         assert!(n < p * 4.0, "pcie {p} vs net {n}");
-    }
-
-    #[test]
-    fn link_health_degrades_and_recovers() {
-        let mut health = LinkHealth::healthy();
-        assert_eq!(health.factor_at(0.0), 1.0);
-        health.degrade(4.0, 1_000.0);
-        assert_eq!(health.factor_at(500.0), 4.0);
-        assert_eq!(health.factor_at(999.9), 4.0);
-        assert_eq!(health.factor_at(1_000.0), 1.0, "recovered at deadline");
-        // overlapping episode keeps the worse factor and later deadline
-        health.degrade(2.0, 2_000.0);
-        assert_eq!(health.factor_at(1_500.0), 4.0);
-        // degrade never improves the link
-        health.degrade(0.5, 3_000.0);
-        assert!(health.factor_at(2_500.0) >= 1.0);
     }
 }

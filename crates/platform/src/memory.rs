@@ -69,14 +69,6 @@ impl MemoryModel {
         per_lane * lanes
     }
 
-    /// Stall charged to the node when a correctable ECC event fires
-    /// (`FaultKind::MemoryEcc`): the controller re-reads the line,
-    /// scrubs the row and replays the in-flight bursts. Modelled as a
-    /// fixed controller cost plus a latency-proportional replay term.
-    pub(crate) fn ecc_scrub_us(&self) -> f64 {
-        50.0 + self.system.latency_ns * 0.25
-    }
-
     /// Time to move `bytes` with the given pattern, in microseconds.
     pub fn transfer_time_us(&self, bytes: u64, pattern: &AccessPattern) -> f64 {
         if bytes == 0 {
@@ -138,14 +130,6 @@ mod tests {
         let t2 = m.transfer_time_us(1 << 24, &p);
         assert!(t2 > t1);
         assert_eq!(m.transfer_time_us(0, &p), 0.0);
-    }
-
-    #[test]
-    fn ecc_scrub_is_a_visible_stall() {
-        let m = hbm();
-        let scrub = m.ecc_scrub_us();
-        // Noticeable against a typical kernel, far from catastrophic.
-        assert!((50.0..1_000.0).contains(&scrub), "got {scrub}");
     }
 
     #[test]

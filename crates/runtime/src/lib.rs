@@ -62,9 +62,7 @@ pub use virt::{IoMode, NodeStatus, PhysicalNode, VirtError};
 
 // Fault-plan vocabulary, re-exported so runtime users can drive
 // `Scheduler::run_with_plan` without naming `everest-faults` directly.
-pub use everest_faults::{
-    DetRng, FaultInjector, FaultKind, FaultOp, FaultPlan, FaultSpec, RecoveryStats, RetryPolicy,
-};
+pub use everest_faults::{DetRng, FaultKind, FaultPlan, FaultSpec, RecoveryStats, RetryPolicy};
 
 // Health vocabulary, re-exported so runtime users can tune
 // `Scheduler::run_self_healing` without naming `everest-health`

@@ -31,16 +31,20 @@ use everest_health::{
     Admission, BreakerConfig, BreakerState, CircuitBreaker, HealthConfig, HealthMonitor,
     HealthVerdict,
 };
-use everest_platform::xrt::DMA_TIMEOUT_PENALTY_US;
 use everest_telemetry::Registry;
 
 use crate::cluster::Cluster;
 use crate::task::{TaskGraph, TaskId};
 
+/// Virtual time a DMA engine hangs before the driver declares a
+/// timeout (`FaultKind::DmaTimeout`), in µs. Matches the order of
+/// magnitude of XRT's default ERT timeout handling.
+pub(crate) const DMA_TIMEOUT_PENALTY_US: f64 = 1_000.0;
+
 /// Stall charged when a correctable memory ECC event
-/// (`FaultKind::MemoryEcc`) hits a running task, in µs. Matches the
-/// order of magnitude of the platform model's scrub-and-replay cost
-/// (`MemoryModel::ecc_scrub_us`).
+/// (`FaultKind::MemoryEcc`) hits a running task, in µs: the memory
+/// controller re-reads the line, scrubs the row and replays the
+/// in-flight bursts.
 pub(crate) const ECC_STALL_US: f64 = 60.0;
 
 /// Repair cost after a failed partial reconfiguration, in µs: the
@@ -1266,6 +1270,36 @@ mod tests {
         assert!(faulty.recovery.backoff_us_total > 0.0);
         assert!(!faulty.recovery.is_clean());
         assert!(clean.recovery.is_clean());
+    }
+
+    #[test]
+    fn transient_faults_charge_their_fixed_costs() {
+        use everest_faults::{FaultKind, FaultPlan, FaultSpec};
+        let mut g = TaskGraph::new();
+        g.add(TaskSpec::new("t", 2_000.0)).unwrap();
+        let s = Scheduler::new(Cluster::homogeneous(1, 1), Policy::Heft);
+        let healthy = s.run(&g).makespan_us;
+        // With no retry budget a faulted CPU task re-runs in full from
+        // the fault instant, after the kind's fixed cost.
+        let config = RecoveryConfig {
+            retry: RetryPolicy::none(),
+            ..RecoveryConfig::default()
+        };
+        let at = 500.0;
+        for (kind, expected) in [
+            (FaultKind::MemoryEcc, healthy + ECC_STALL_US),
+            (FaultKind::TransientKernelError, at + healthy),
+            (FaultKind::DmaTimeout, at + DMA_TIMEOUT_PENALTY_US + healthy),
+            (
+                FaultKind::PartialReconfigFail,
+                at + RECONFIG_REPAIR_US + healthy,
+            ),
+        ] {
+            let plan = FaultPlan::new(3).with_fault(FaultSpec::new(at, 0, kind.clone()));
+            let r = s.run_with_plan(&g, &plan, &config);
+            assert_eq!(r.makespan_us, expected, "{kind:?}");
+            assert_eq!(r.recovery.faults_injected, 1, "{kind:?}");
+        }
     }
 
     #[test]

@@ -46,9 +46,11 @@ pub(crate) struct VirtualFunction {
     pub index: u32,
     /// The VM currently holding it, if any.
     pub assigned_to: Option<u32>,
-    /// Whether the VF is failed (surprise-unplugged by a fault) and
-    /// unavailable until repaired.
-    pub failed: bool,
+}
+
+/// How many VFs no VM holds.
+fn free_count(vfs: &[VirtualFunction]) -> usize {
+    vfs.iter().filter(|f| f.assigned_to.is_none()).count()
 }
 
 /// Virtualization-layer errors.
@@ -115,10 +117,8 @@ pub struct PhysicalNode {
 pub struct NodeStatus {
     /// Total VFs configured on the PF.
     pub total_vfs: u32,
-    /// Unassigned, healthy VFs.
+    /// Unassigned VFs.
     pub free_vfs: u32,
-    /// VFs currently failed (surprise-unplugged, awaiting repair).
-    pub failed_vfs: u32,
     /// Running VMs.
     pub vms: u32,
     /// Host cores not reserved by VMs.
@@ -138,7 +138,6 @@ impl PhysicalNode {
                     .map(|index| VirtualFunction {
                         index,
                         assigned_to: None,
-                        failed: false,
                     })
                     .collect(),
             ),
@@ -175,12 +174,7 @@ impl PhysicalNode {
     /// Mirrors the current free-VF count into the shared telemetry
     /// registry so contention is visible on a timeline.
     fn publish_free_vfs(&self) {
-        let free = self
-            .vfs
-            .lock()
-            .iter()
-            .filter(|f| f.assigned_to.is_none() && !f.failed)
-            .count();
+        let free = free_count(&self.vfs.lock());
         everest_telemetry::gauge_set("virt.free_vfs", free as f64);
     }
 
@@ -196,10 +190,7 @@ impl PhysicalNode {
             VirtError::UnknownVm(vm)
         })?;
         let mut vfs = self.vfs.lock();
-        let Some(free) = vfs
-            .iter_mut()
-            .find(|f| f.assigned_to.is_none() && !f.failed)
-        else {
+        let Some(free) = vfs.iter_mut().find(|f| f.assigned_to.is_none()) else {
             everest_telemetry::counter_add("virt.vf_plug_failures", 1);
             everest_telemetry::event(
                 "virt.vf_contention",
@@ -216,11 +207,7 @@ impl PhysicalNode {
             "virt.vf_plug",
             format!("node={} vm={vm} vf={index}", self.name),
         );
-        let now_free = vfs
-            .iter()
-            .filter(|f| f.assigned_to.is_none() && !f.failed)
-            .count();
-        everest_telemetry::gauge_set("virt.free_vfs", now_free as f64);
+        everest_telemetry::gauge_set("virt.free_vfs", free_count(&vfs) as f64);
         Ok(index)
     }
 
@@ -249,77 +236,7 @@ impl PhysicalNode {
             "virt.vf_unplug",
             format!("node={} vm={vm} vf={vf}", self.name),
         );
-        let now_free = vfs
-            .iter()
-            .filter(|f| f.assigned_to.is_none() && !f.failed)
-            .count();
-        everest_telemetry::gauge_set("virt.free_vfs", now_free as f64);
-        Ok(())
-    }
-
-    /// Surprise-unplugs a VF (a `VfUnplug` fault): the function drops
-    /// off the PCI bus without the orderly hot-unplug handshake. It is
-    /// ripped out of the holding VM (whose passthrough sessions lose
-    /// their device) and marked failed until [`repair_vf`](Self::repair_vf).
-    /// Returns the VM that held it, if any.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VirtError::UnknownVf`] for an unknown index.
-    pub fn surprise_unplug_vf(&self, vf: u32) -> Result<Option<u32>, VirtError> {
-        let mut vms = self.vms.lock();
-        let mut vfs = self.vfs.lock();
-        let entry = vfs
-            .iter_mut()
-            .find(|f| f.index == vf)
-            .ok_or(VirtError::UnknownVf(vf))?;
-        let holder = entry.assigned_to.take();
-        entry.failed = true;
-        if let Some(vm) = holder {
-            if let Some(vm_entry) = vms.get_mut(&vm) {
-                vm_entry.vfs.retain(|&x| x != vf);
-            }
-        }
-        everest_telemetry::counter_add("virt.vf_faults", 1);
-        everest_telemetry::event(
-            "virt.vf_surprise_unplug",
-            format!(
-                "node={} vf={vf} vm={}",
-                self.name,
-                holder.map_or_else(|| "-".to_string(), |v| v.to_string())
-            ),
-        );
-        let now_free = vfs
-            .iter()
-            .filter(|f| f.assigned_to.is_none() && !f.failed)
-            .count();
-        everest_telemetry::gauge_set("virt.free_vfs", now_free as f64);
-        Ok(holder)
-    }
-
-    /// Repairs a failed VF (FLR + rescan in a real stack), returning it
-    /// to the free pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VirtError::UnknownVf`] for an unknown index.
-    pub fn repair_vf(&self, vf: u32) -> Result<(), VirtError> {
-        let mut vfs = self.vfs.lock();
-        let entry = vfs
-            .iter_mut()
-            .find(|f| f.index == vf)
-            .ok_or(VirtError::UnknownVf(vf))?;
-        if entry.failed {
-            entry.failed = false;
-            *self.mgmt_time_us.lock() += 250_000.0; // FLR + bus rescan
-            everest_telemetry::counter_add("virt.vf_repairs", 1);
-            everest_telemetry::event("virt.vf_repair", format!("node={} vf={vf}", self.name));
-        }
-        let now_free = vfs
-            .iter()
-            .filter(|f| f.assigned_to.is_none() && !f.failed)
-            .count();
-        everest_telemetry::gauge_set("virt.free_vfs", now_free as f64);
+        everest_telemetry::gauge_set("virt.free_vfs", free_count(&vfs) as f64);
         Ok(())
     }
 
@@ -350,11 +267,7 @@ impl PhysicalNode {
         let reserved: u32 = vms.values().map(|v| v.vcpus).sum();
         NodeStatus {
             total_vfs: vfs.len() as u32,
-            free_vfs: vfs
-                .iter()
-                .filter(|f| f.assigned_to.is_none() && !f.failed)
-                .count() as u32,
-            failed_vfs: vfs.iter().filter(|f| f.failed).count() as u32,
+            free_vfs: free_count(&vfs) as u32,
             vms: vms.len() as u32,
             free_cores: self.cores.saturating_sub(reserved),
         }
@@ -455,40 +368,6 @@ mod tests {
             "emulated I/O should cost >20%, got {:.1}%",
             em_overhead * 100.0
         );
-    }
-
-    #[test]
-    fn surprise_unplug_rips_the_vf_from_its_vm() {
-        let n = node();
-        let vm = n.start_vm(2, IoMode::VfPassthrough);
-        let vf = n.plug_vf(vm).unwrap();
-        assert!(n.open_accelerator(vm).is_ok());
-        let holder = n.surprise_unplug_vf(vf).unwrap();
-        assert_eq!(holder, Some(vm));
-        // the VM lost its only VF: passthrough sessions are gone
-        assert_eq!(n.open_accelerator(vm).unwrap_err(), VirtError::NoFreeVf);
-        let s = n.status();
-        assert_eq!(s.failed_vfs, 1);
-        assert_eq!(s.free_vfs, 3);
-        // a failed VF cannot be handed out again...
-        let replacement = n.plug_vf(vm).unwrap();
-        assert_ne!(replacement, vf);
-        // ...until repaired
-        n.repair_vf(vf).unwrap();
-        assert_eq!(n.status().failed_vfs, 0);
-        assert_eq!(n.surprise_unplug_vf(99), Err(VirtError::UnknownVf(99)));
-    }
-
-    #[test]
-    fn failed_vfs_exhaust_the_pool_until_repair() {
-        let n = node();
-        let vm = n.start_vm(2, IoMode::VfPassthrough);
-        for vf in 0..4 {
-            n.surprise_unplug_vf(vf).unwrap();
-        }
-        assert_eq!(n.plug_vf(vm), Err(VirtError::NoFreeVf));
-        n.repair_vf(2).unwrap();
-        assert_eq!(n.plug_vf(vm), Ok(2));
     }
 
     #[test]

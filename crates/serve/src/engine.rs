@@ -1464,9 +1464,8 @@ mod tests {
 
     #[test]
     fn a_second_steeper_creep_on_a_node_is_the_one_charged() {
-        // The scheduler and the device model have always charged the
-        // worst creep in effect; serve used to keep a node's first
-        // onset and drop the rest.
+        // The scheduler has always charged the worst creep in effect;
+        // serve used to keep a node's first onset and drop the rest.
         let cfg = small_config();
         let node = cfg.nodes - 1;
         let creep = |at_us, per_ms| FaultSpec {

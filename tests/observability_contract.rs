@@ -10,13 +10,12 @@ use everest_ir::pass::{ConstantFolding, Cse, Dce, LoopInvariantCodeMotion, PassM
 use everest_olympus::KernelSpec;
 use everest_platform::device::FpgaDevice;
 use everest_platform::link::NetworkModel;
-use everest_platform::memory::AccessPattern;
 use everest_platform::xrt::{Direction, XrtDevice};
 use everest_query::datasets::Dataset;
 use everest_runtime::virt::{IoMode, PhysicalNode};
 use everest_runtime::{
-    Cluster, DetRng, FaultInjector, FaultKind, FaultPlan, FaultSpec, Policy, RecoveryConfig,
-    RetryPolicy, Scheduler, TaskGraph, TaskSpec,
+    Cluster, FaultKind, FaultPlan, FaultSpec, Policy, RecoveryConfig, Scheduler, TaskGraph,
+    TaskSpec,
 };
 use everest_sdk::basecamp::{Basecamp, CompileOptions};
 use everest_sdk::chaos::{run_chaos, ChaosOptions};
@@ -185,7 +184,6 @@ fn exercise_sdk() -> [ServeReport; 3] {
             .sync_bo(bo.handle, Direction::HostToDevice)
             .expect("syncs");
         session.run_kernel("contract_probe", 10_000).expect("runs");
-        session.memory_stream_time_us(1 << 20, &AccessPattern::default());
     }
 
     // Scheduler with an injected failure.
@@ -204,36 +202,6 @@ fn exercise_sdk() -> [ServeReport; 3] {
         &graph,
         &FaultPlan::single_node_crash(0, 0, 1_500.0),
         &RecoveryConfig::default(),
-    );
-
-    // Fault injection across the platform session: DMA hang, transient
-    // kernel error with retry, ECC stall, failed partial reconfig.
-    let fault_plan = FaultPlan::new(99)
-        .with_fault(FaultSpec::new(50.0, 0, FaultKind::DmaTimeout))
-        .with_fault(FaultSpec::new(200.0, 0, FaultKind::TransientKernelError))
-        .with_fault(FaultSpec::new(400.0, 0, FaultKind::MemoryEcc))
-        .with_fault(FaultSpec::new(500.0, 0, FaultKind::PartialReconfigFail));
-    let mut faulty = XrtDevice::open(FpgaDevice::alveo_u55c())
-        .with_faults(FaultInjector::for_node(fault_plan, 0));
-    faulty.load_bitstream("contract.xclbin");
-    let bo = faulty.alloc_bo(1 << 20, 0).expect("fits");
-    assert!(
-        faulty.sync_bo(bo.handle, Direction::HostToDevice).is_err(),
-        "planned DMA timeout must surface"
-    );
-    faulty
-        .sync_bo(bo.handle, Direction::HostToDevice)
-        .expect("second sync succeeds, timeout already fired");
-    let mut rng = DetRng::new(99);
-    faulty
-        .run_kernel_with_retry("contract_probe", 100_000, &RetryPolicy::default(), &mut rng)
-        .expect("transient recovers under retry");
-    faulty
-        .run_kernel("contract_probe", 100_000)
-        .expect("ecc stalls but succeeds");
-    assert!(
-        faulty.partial_reconfig("role0").is_err(),
-        "planned reconfig failure must surface"
     );
 
     // Plan-driven multi-fault scheduling: retries with backoff, CPU
@@ -310,17 +278,14 @@ fn exercise_sdk() -> [ServeReport; 3] {
     // (basecamp.query): parse, optimize, execute, lower to kernels.
     run_query(&QueryOptions::default()).expect("contract query runs");
 
-    // SR-IOV virtualization: boots, plugs, contention, unplug, then the
-    // fault path — a surprise unplug and its repair.
+    // SR-IOV virtualization: boots, plugs, contention, unplug and replug.
     let node = PhysicalNode::new("contract0", 16, FpgaDevice::alveo_u55c(), 2);
     let vm = node.start_vm(4, IoMode::VfPassthrough);
     let vf = node.plug_vf(vm).expect("first plug");
     node.plug_vf(vm).expect("second plug");
     assert!(node.plug_vf(vm).is_err(), "third plug must hit contention");
     node.unplug_vf(vm, vf).expect("unplug");
-    let replug = node.plug_vf(vm).expect("replug");
-    node.surprise_unplug_vf(replug).expect("surprise unplug");
-    node.repair_vf(replug).expect("repair");
+    node.plug_vf(vm).expect("replug");
 
     // Autotuner sharing the global registry, forced to switch variants.
     let mut tuner = Autotuner::new().with_registry(Registry::global());
@@ -359,9 +324,6 @@ fn every_recorded_name_is_documented() {
         "olympus.partition",
         "platform.pcie.bytes",
         "platform.network.bytes",
-        "platform.faults.dma_timeouts",
-        "platform.kernel.retries",
-        "faults.injected",
         "scheduler.run",
         "scheduler.retries",
         "scheduler.degraded_tasks",
@@ -373,8 +335,6 @@ fn every_recorded_name_is_documented() {
         "scheduler.migrations",
         "scheduler.checkpoints",
         "virt.vf_plugs",
-        "virt.vf_faults",
-        "virt.vf_repairs",
         "autotuner.switches",
         "basecamp.serve",
         "serve.run",
