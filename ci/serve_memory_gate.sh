@@ -13,14 +13,19 @@
 # Readings of peak_rss_mb, full / quick, on one host
 # (`--trace 0 --seconds 3`):
 #
-#   workload            stored trace          streamed arrivals     arrival blocks
-#   serve_saturation    15.2 / 5.3 = 2.9      5.8 / 4.1 = 1.4       5.8 / 4.0 = 1.5
-#   serve_nominal       17.5 / 5.7 = 3.1      6.9 / 4.4 = 1.6       7.3 / 4.1 = 1.8
+#   workload            stored trace          streamed arrivals     arrival blocks        deadline lanes
+#   serve_saturation    15.2 / 5.3 = 2.9      5.8 / 4.1 = 1.4       5.8 / 4.0 = 1.5       5.9 / 4.0 = 1.5
+#   serve_nominal       17.5 / 5.7 = 3.1      6.9 / 4.4 = 1.6       7.3 / 4.1 = 1.8       6.7 / 4.0 = 1.7
 #
 # "arrival blocks": each tenant lane of the arrival stream draws a
 # fixed block of arrivals ahead (the commit before it read 5.7 / 4.1
 # and 7.1 / 4.1 on the same host). A lane that held more than a block
 # would grow with the horizon and show here.
+#
+# "deadline lanes": a batch's wait-deadline sits in one slot per class
+# instead of the event heap, admissions past an empty fair queue skip
+# it, and the health detector keeps a copy of the window it last fit
+# (the commit before it read 5.7 / 4.0 and 7.0 / 4.0 on the same host).
 #
 # What is left of the nominal ratio is the outcome's own vectors (about
 # 50,000 latencies and 18,000 batch records a campaign). Both figures

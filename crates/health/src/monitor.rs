@@ -18,7 +18,11 @@
 //! slice. While a node's window holds only samples of exactly `1.0` —
 //! every sample of a healthy node, whose achieved time is its modelled
 //! time — its mean is exactly `1.0` and its creep slope exactly `0.0`,
-//! so neither is summed.
+//! so neither is summed. The fit is a pure function of the window's
+//! values, so a refit whose window is bit for bit the one the model was
+//! last fit on keeps the model instead of fitting it again: in a
+//! healthy campaign that is every refit once the window holds nothing
+//! but exact ones.
 //!
 //! The telemetry mirror is buffered: a registry reader sees the
 //! `health.node<i>.*` windows and `health.*` histograms complete after
@@ -249,6 +253,10 @@ struct Detector {
     window: Vec<f64>,
     /// Calibration scratch, kept across refits.
     scores: Vec<f64>,
+    /// The window the model was last fit on (empty while it is still
+    /// the prior's): a refit on the same values, bit for bit, would
+    /// fit the same model.
+    fitted: Vec<f64>,
 }
 
 impl Detector {
@@ -261,18 +269,27 @@ impl Detector {
             contamination: cfg.contamination,
             window: Vec::new(),
             scores,
+            fitted: Vec::new(),
         }
     }
 
     /// Trims the window to its newest [`DETECTOR_WINDOW`] samples and,
-    /// when enough remain, refits the model on them.
+    /// when enough remain and they are not the ones the model was last
+    /// fit on, refits the model on them.
     fn refit(&mut self) {
         let excess = self.window.len().saturating_sub(DETECTOR_WINDOW);
         self.window.drain(..excess);
-        if self.window.len() >= DETECTOR_MIN_ROWS {
-            self.model = ScalarZScore::fit(&self.window, self.contamination, &mut self.scores);
+        if self.window.len() < DETECTOR_MIN_ROWS || same_bits(&self.window, &self.fitted) {
+            return;
         }
+        self.model = ScalarZScore::fit(&self.window, self.contamination, &mut self.scores);
+        self.fitted.clone_from(&self.window);
     }
+}
+
+/// Whether two sample slices hold the same values, bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The streaming monitor for one campaign. A clone carries every

@@ -1,14 +1,23 @@
 //! `HealthMonitor` against the `DetectionNode`-backed monitor it
 //! replaced (`tests/reference/`): on random inflation, link and creep
 //! streams — mostly exact `1.0` samples, some an ulp off, some noisy,
-//! some convicting — both reach the same verdicts (time, node, kind
-//! and score, bit for bit) and drain them at the same samples. At a
-//! random point the crate's monitor is cloned and the reference is
-//! restored from its own snapshot; from there on the uninterrupted
-//! monitor, the clone and the restored reference drain the same
-//! verdicts after every sample.
+//! some convicting, and in half of them a run of one repeated value
+//! long enough to fill the detector's window — both reach the same
+//! verdicts (time, node, kind and score, bit for bit) and drain them at
+//! the same samples. At a random point the crate's monitor is cloned
+//! and the reference is restored from its own snapshot; from there on
+//! the uninterrupted monitor, the clone and the restored reference
+//! drain the same verdicts after every sample.
+//!
+//! The crate's detector skips a refit whose window is bit for bit the
+//! one it last fit on, and the reference always refits, so the property
+//! only guards that skip on cases that reach it;
+//! `the_reference_property_reaches_skipped_and_performed_refits`
+//! replays them.
 
 mod reference;
+
+use std::collections::BTreeSet;
 
 use everest_health::{HealthConfig, HealthMonitor};
 use everest_telemetry::Registry;
@@ -60,9 +69,20 @@ enum Feed {
 
 /// A stream over `nodes` nodes in which one node may turn slow, one
 /// link gray and one accelerator creep part-way through; everything
-/// else is exactly `1.0` or close to it.
+/// else is exactly `1.0` or close to it. Half the streams hold a run of
+/// 160 to 400 steps that repeat one value, about half of them task
+/// samples: enough to fill the detector's 64-sample window with it,
+/// which independent draws almost never do (64 exact ones in a row
+/// have a probability of about 2e-4).
 fn random_stream(rng: &mut Rng, nodes: usize) -> Vec<(f64, Feed)> {
     let len = 20 + rng.below(400);
+    let run = (rng.below(2) == 0).then(|| {
+        let from = rng.below(len);
+        let noise = 1.0 + 0.1 * (rng.unit() - 0.5);
+        let value = rng.pick(&[1.0, 1.0, 1.0_f64.next_up(), noise]);
+        (from..from + 160 + rng.below(241), value)
+    });
+    let len = run.as_ref().map_or(len, |(steps, _)| len.max(steps.end));
     let slow = (rng.below(2) == 0).then(|| (rng.below(nodes), rng.below(len)));
     let gray = (rng.below(3) == 0).then(|| (rng.below(nodes), rng.below(len)));
     let creep = (rng.below(2) == 0).then(|| (rng.below(nodes), rng.below(len)));
@@ -82,6 +102,10 @@ fn random_stream(rng: &mut Rng, nodes: usize) -> Vec<(f64, Feed)> {
             1 => 1.0_f64.next_down(),
             2 => 1.0_f64.next_up(),
             _ => 1.0,
+        };
+        let base = match &run {
+            Some((steps, value)) if steps.contains(&step) => *value,
+            _ => base,
         };
         let feed = match rng.below(6) {
             0 => Feed::Link(
@@ -136,16 +160,26 @@ macro_rules! fed {
 fed!(HealthMonitor);
 fed!(reference::monitor::HealthMonitor);
 
+/// Cases of `monitor_matches_the_detection_node_reference_across_a_restore`.
+const REFERENCE_CASES: u64 = 400;
+
+/// One case of the reference property: its node count, configuration,
+/// seed, stream and cut, drawn in that order.
+fn reference_case(case: u64) -> (usize, HealthConfig, u64, Vec<(f64, Feed)>, usize) {
+    let mut rng = Rng(case);
+    let nodes = 1 + rng.below(4);
+    let cfg = random_config(&mut rng);
+    let seed = rng.next();
+    let stream = random_stream(&mut rng, nodes);
+    let cut = rng.below(stream.len() + 1);
+    (nodes, cfg, seed, stream, cut)
+}
+
 #[test]
 fn monitor_matches_the_detection_node_reference_across_a_restore() {
     let mut convicting = 0;
-    for case in 0..400_u64 {
-        let mut rng = Rng(case);
-        let nodes = 1 + rng.below(4);
-        let cfg = random_config(&mut rng);
-        let seed = rng.next();
-        let stream = random_stream(&mut rng, nodes);
-        let cut = rng.below(stream.len() + 1);
+    for case in 0..REFERENCE_CASES {
+        let (nodes, cfg, seed, stream, cut) = reference_case(case);
 
         let mut new = HealthMonitor::new(nodes, cfg.clone(), seed, Registry::new());
         let mut old = reference::monitor::HealthMonitor::new(nodes, cfg, seed, Registry::new());
@@ -186,4 +220,50 @@ fn monitor_matches_the_detection_node_reference_across_a_restore() {
     }
     // The streams exercise the verdict paths, not only the quiet one.
     assert!(convicting >= 100, "{convicting} of 400 cases convicted");
+}
+
+/// The cases of `monitor_matches_the_detection_node_reference_across_a_restore`
+/// reach both sides of the refit skip: refits on the rows of the last
+/// fit, which the crate's detector skips — on a window of exact ones
+/// and on a window of some other value — and refits on new rows, which
+/// it performs. The reference refits every time, so its detector rows
+/// after a refit are the rows that refit saw.
+#[test]
+fn the_reference_property_reaches_skipped_and_performed_refits() {
+    const MIN_ROWS: usize = 32;
+    let mut reached = BTreeSet::new();
+    for case in 0..REFERENCE_CASES {
+        let (nodes, cfg, seed, stream, _) = reference_case(case);
+        let refit_every = cfg.refit_every.max(1);
+        let mut monitor = reference::monitor::HealthMonitor::new(nodes, cfg, seed, Registry::new());
+        let mut tasks = 0;
+        let mut fitted: Option<Vec<u64>> = None;
+        for &(at_us, feed) in &stream {
+            monitor.feed(at_us, feed);
+            if !matches!(feed, Feed::Task(..)) {
+                continue;
+            }
+            tasks += 1;
+            let rows = monitor.detector_rows();
+            if tasks % refit_every != 0 || rows.len() < MIN_ROWS {
+                continue;
+            }
+            let bits: Vec<u64> = rows.iter().map(|row| row[0].to_bits()).collect();
+            if fitted.as_ref() != Some(&bits) {
+                reached.insert("a refit on new rows");
+            } else if bits.iter().all(|&b| b == 1.0_f64.to_bits()) {
+                reached.insert("a refit skipped on exact ones");
+            } else {
+                reached.insert("a refit skipped on another value");
+            }
+            fitted = Some(bits);
+        }
+    }
+    let want = BTreeSet::from([
+        "a refit on new rows",
+        "a refit skipped on exact ones",
+        "a refit skipped on another value",
+    ]);
+    let missing: Vec<_> = want.difference(&reached).collect();
+    assert!(missing.is_empty(), "never reached: {missing:?}");
 }

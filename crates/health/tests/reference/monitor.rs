@@ -306,6 +306,13 @@ impl HealthMonitor {
         num / den * 1_000.0
     }
 
+    /// The rows the detector holds: after a refit, the rows it was
+    /// fit on (`monitor_props.rs` reads which refits refit the same
+    /// rows).
+    pub(crate) fn detector_rows(&self) -> &[Vec<f64>] {
+        self.node.window_rows()
+    }
+
     /// Plain-data snapshot for checkpointing; see
     /// [`HealthMonitor::restore`].
     pub(crate) fn snapshot(&self) -> MonitorSnapshot {

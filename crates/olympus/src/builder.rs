@@ -1,13 +1,12 @@
 //! Architecture generation: validates a configuration against the
-//! platform and materializes it as `olympus`-dialect IR plus a host
-//! driver program for the simulated XRT runtime.
+//! platform and materializes it as `olympus`-dialect IR.
 
 use everest_ir::attr::Attribute;
 use everest_ir::dialects::system::build_system;
 use everest_ir::module::Module;
 use everest_ir::types::{MemorySpace, Type};
 use everest_platform::device::{DeviceResources, FpgaDevice};
-use everest_platform::xrt::{Direction, FabricAllocator, XrtDevice, XrtError};
+use everest_platform::xrt::FabricAllocator;
 
 use crate::arch::{KernelSpec, SystemArchitecture, SystemConfig};
 
@@ -187,33 +186,6 @@ pub fn emit_ir(arch: &SystemArchitecture) -> Module {
     module
 }
 
-/// Drives a full batch through the simulated XRT runtime using the host
-/// driver Olympus generates (load, stage, launch replicas, drain), and
-/// returns the virtual elapsed time in microseconds.
-///
-/// # Errors
-///
-/// Returns [`XrtError`] on resource exhaustion (batch too large).
-pub fn run_host_driver(
-    arch: &SystemArchitecture,
-    session: &mut XrtDevice,
-    items: u64,
-) -> Result<f64, XrtError> {
-    let t0 = session.now_us();
-    session.load_bitstream(&format!("{}.xclbin", arch.name));
-    let in_bo = session.alloc_bo(arch.kernel.bytes_in * items, 0)?;
-    let out_bo = session.alloc_bo(arch.kernel.bytes_out * items, 1)?;
-    session.sync_bo(in_bo.handle, Direction::HostToDevice)?;
-    let replicas = arch.config.replication.max(1) as u64;
-    let rounds = items.div_ceil(replicas);
-    // Replicas run concurrently: charge one kernel latency per round.
-    for _ in 0..rounds {
-        session.run_kernel(&arch.kernel.name, arch.kernel.report.cycles)?;
-    }
-    session.sync_bo(out_bo.handle, Direction::DeviceToHost)?;
-    Ok(session.now_us() - t0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,25 +300,5 @@ mod tests {
         assert!(text.contains("olympus.replicate"));
         assert!(text.contains("olympus.double_buffer"));
         assert!(text.contains("burst512"));
-    }
-
-    #[test]
-    fn host_driver_runs_and_replication_cuts_time() {
-        let dev = FpgaDevice::alveo_u55c();
-        let a1 = generate(spec(), &dev, SystemConfig::default()).unwrap();
-        let a4 = generate(
-            spec(),
-            &dev,
-            SystemConfig {
-                replication: 4,
-                ..SystemConfig::default()
-            },
-        )
-        .unwrap();
-        let mut s1 = XrtDevice::open(dev.clone());
-        let mut s4 = XrtDevice::open(dev);
-        let t1 = run_host_driver(&a1, &mut s1, 64).unwrap();
-        let t4 = run_host_driver(&a4, &mut s4, 64).unwrap();
-        assert!(t4 < t1, "replication must reduce wall time: {t4} vs {t1}");
     }
 }

@@ -10,8 +10,8 @@
 //!   and PLM sharing;
 //! * `perf` — batch makespan estimation with read/execute/write
 //!   overlap;
-//! * `builder` — feasibility checking, `olympus`-dialect IR emission
-//!   and a generated host driver for the simulated XRT runtime;
+//! * `builder` — feasibility checking and `olympus`-dialect IR
+//!   emission;
 //! * [`optimize`] — design-space exploration returning the
 //!   makespan-optimal feasible configuration;
 //! * `dosa` — DOSA-style pipeline partitioning across network-attached
@@ -55,7 +55,7 @@ pub mod optimize;
 pub(crate) mod perf;
 
 pub use arch::{KernelSpec, SystemArchitecture, SystemConfig};
-pub use builder::{emit_ir, generate, run_host_driver, BuildError};
+pub use builder::{emit_ir, generate, BuildError};
 pub use dosa::{partition, DosaError, Partitioning};
 pub use optimize::{explore, Exploration};
 pub use perf::{estimate_makespan, MakespanReport};

@@ -15,9 +15,8 @@
 //! * [`device`] — device descriptors and resource capacities;
 //! * [`memory`] — HBM/DDR burst-efficiency bandwidth model;
 //! * [`link`] — PCIe DMA and network-stack transfer models;
-//! * [`xrt`] — the simulated host runtime (bitstreams, partial
-//!   reconfiguration, buffer objects, kernel launches) and the fabric
-//!   allocator.
+//! * [`xrt`] — the simulated host runtime (bitstreams, buffer
+//!   objects, kernel launches) and the fabric allocator.
 //!
 //! # Examples
 //!

@@ -1,11 +1,10 @@
 //! A simulated XRT-style host runtime.
 //!
 //! Mirrors the Xilinx Runtime host API the EVEREST nodes use (§III):
-//! load a bitstream (or partially reconfigure), allocate buffer objects,
-//! sync them over the host link, and launch kernels. The simulation
-//! advances a virtual clock using the platform performance models and
-//! records an event trace that the virtualization layer and the
-//! experiments inspect.
+//! load a bitstream, allocate buffer objects, sync them over the host
+//! link, and launch kernels. The simulation advances a virtual clock
+//! using the platform performance models and records an event trace
+//! that the virtualization layer and the experiments inspect.
 
 use crate::device::{Attachment, DeviceResources, FpgaDevice};
 use crate::link::{link_for, LinkModel};
@@ -27,13 +26,6 @@ pub enum Event {
     LoadBitstream {
         /// Name of the configuration.
         name: String,
-        /// Virtual time at completion (µs).
-        at_us: f64,
-    },
-    /// Partial reconfiguration of one region.
-    PartialReconfig {
-        /// Region name.
-        region: String,
         /// Virtual time at completion (µs).
         at_us: f64,
     },
@@ -182,21 +174,6 @@ impl XrtDevice {
         time_us
     }
 
-    /// Partially reconfigures one region (paper ref \[20\]): roughly a
-    /// tenth of the full bitstream.
-    pub fn partial_reconfig(&mut self, region: &str) -> f64 {
-        let time_us = self.device.bitstream_mib * 0.1 * 1024.0 * 1024.0 / 800.0;
-        self.clock_us += time_us + self.per_op_overhead_us;
-        if self.bitstream.is_none() {
-            self.bitstream = Some(format!("pr:{region}"));
-        }
-        self.events.push(Event::PartialReconfig {
-            region: region.to_string(),
-            at_us: self.clock_us,
-        });
-        time_us
-    }
-
     /// Allocates a buffer object in the given bank.
     ///
     /// # Errors
@@ -330,7 +307,6 @@ mod tests {
             .iter()
             .map(|e| match e {
                 Event::LoadBitstream { at_us, .. }
-                | Event::PartialReconfig { at_us, .. }
                 | Event::Sync { at_us, .. }
                 | Event::KernelRun { at_us, .. } => *at_us,
             })
@@ -360,14 +336,6 @@ mod tests {
         dev.alloc_bo(15 << 30, 0).unwrap();
         let err = dev.alloc_bo(2 << 30, 0).unwrap_err();
         assert!(matches!(err, XrtError::OutOfMemory { .. }));
-    }
-
-    #[test]
-    fn partial_reconfig_is_much_faster_than_full() {
-        let mut dev = XrtDevice::open(FpgaDevice::alveo_u55c());
-        let full = dev.load_bitstream("full");
-        let partial = dev.partial_reconfig("role0");
-        assert!(partial * 5.0 < full, "partial {partial} vs full {full}");
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! free list (the slab), and tokens carry a generation so a stale
 //! token for a recycled slot can never cancel the wrong event.
 //!
+//! An event that a caller can hold more cheaply outside the heap (at
+//! most one pending per lane, say) takes its place in the pop order
+//! from [`EventQueue::claim_key`] instead of a push; the caller merges
+//! it with the heap's head by comparing [`EventKey`]s.
+//!
 //! # Determinism
 //!
 //! Events pop ordered by `(time, sequence)`: ties on the virtual clock
@@ -92,16 +97,15 @@ struct Slot<T> {
 
 const FREE: usize = usize::MAX;
 
-/// One heap entry: the event's ordering key inline beside its slot
-/// index, so a sift compares entries without reading the slot table.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// `(time, sequence)` as one integer whose unsigned order is the
-    /// pop order: the time's bits, mapped so that integer order is
-    /// `f64::total_cmp` order, above the sequence number.
-    key: u128,
-    slot: u32,
-}
+/// An event's place in the pop order: its virtual time and its
+/// sequence number as one integer whose unsigned order is the pop
+/// order — the time's bits, mapped so that integer order is
+/// `f64::total_cmp` order, above the sequence number. A caller that
+/// keeps an event outside the queue under a key from
+/// [`EventQueue::claim_key`] merges it with the queue's own events by
+/// comparing keys with [`EventQueue::peek_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey(u128);
 
 /// Flips the magnitude bits of a negative float: applied to a float's
 /// bits it gives an integer ordered as `f64::total_cmp` orders the
@@ -112,19 +116,27 @@ fn flip_negative(bits: u64) -> u64 {
 
 const SIGN: u64 = 1 << 63;
 
-impl Entry {
-    fn new(at_us: f64, seq: u64, slot: u32) -> Entry {
+impl EventKey {
+    fn new(at_us: f64, seq: u64) -> EventKey {
         let time = flip_negative(at_us.to_bits()) ^ SIGN;
-        Entry {
-            key: (u128::from(time) << 64) | u128::from(seq),
-            slot,
-        }
+        EventKey((u128::from(time) << 64) | u128::from(seq))
     }
 
-    fn at_us(&self) -> f64 {
-        f64::from_bits(flip_negative(((self.key >> 64) as u64) ^ SIGN))
+    /// The virtual time of the keyed event.
+    pub fn at_us(self) -> f64 {
+        f64::from_bits(flip_negative(((self.0 >> 64) as u64) ^ SIGN))
     }
+}
 
+/// One heap entry: the event's ordering key inline beside its slot
+/// index, so a sift compares entries without reading the slot table.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    key: EventKey,
+    slot: u32,
+}
+
+impl Entry {
     /// Whether `self` pops before `other`: earlier time, then earlier
     /// sequence.
     fn before(&self, other: &Entry) -> bool {
@@ -209,7 +221,10 @@ impl<T> EventQueue<T> {
             }
         };
         let pos = self.heap.len();
-        let entry = Entry::new(at_us, seq, token.slot);
+        let entry = Entry {
+            key: EventKey::new(at_us, seq),
+            slot: token.slot,
+        };
         self.heap.push(entry);
         self.sift_up(pos, entry);
         self.stats.pushes += 1;
@@ -218,12 +233,28 @@ impl<T> EventQueue<T> {
 
     /// Virtual time of the next event, if any.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.first().map(Entry::at_us)
+        self.peek_key().map(EventKey::at_us)
+    }
+
+    /// Pop-order key of the next event, if any.
+    pub fn peek_key(&self) -> Option<EventKey> {
+        self.heap.first().map(|entry| entry.key)
+    }
+
+    /// Takes the next sequence number for an event at `at_us` that the
+    /// caller keeps outside the queue: the returned key orders against
+    /// every event pushed before or after it exactly as the event would
+    /// if it had been pushed now. Nothing is scheduled, and no
+    /// [`QueueStats`] counter moves.
+    pub fn claim_key(&mut self, at_us: f64) -> EventKey {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        EventKey::new(at_us, seq)
     }
 
     /// Pops the earliest event as `(at_us, payload)`.
     pub fn pop(&mut self) -> Option<(f64, T)> {
-        let at_us = self.heap.first()?.at_us();
+        let at_us = self.peek_key()?.at_us();
         let payload = self.remove_at(0);
         self.stats.pops += 1;
         Some((at_us, payload))
@@ -252,7 +283,10 @@ impl<T> EventQueue<T> {
         let slot = &mut self.slots[token.slot as usize];
         slot.generation = slot.generation.wrapping_add(1);
         let generation = slot.generation;
-        let entry = Entry::new(at_us, seq, token.slot);
+        let entry = Entry {
+            key: EventKey::new(at_us, seq),
+            slot: token.slot,
+        };
         self.heap[pos] = entry;
         self.repair(pos, entry);
         self.stats.reschedules += 1;
@@ -420,6 +454,24 @@ mod tests {
         q.push(0.0, "pos");
         assert_eq!(q.pop(), Some((-0.0, "neg")));
         assert_eq!(q.pop(), Some((0.0, "pos")));
+    }
+
+    #[test]
+    fn a_claimed_key_orders_as_a_push_at_the_same_point() {
+        let mut q = EventQueue::new();
+        q.push(5.0, "pushed before");
+        let claimed = q.claim_key(5.0);
+        q.push(5.0, "pushed after");
+        q.push(1.0, "earlier");
+        assert_eq!(claimed.at_us(), 5.0);
+        assert!(q.peek_key() < Some(claimed));
+        assert_eq!(q.pop(), Some((1.0, "earlier")));
+        assert!(q.peek_key() < Some(claimed));
+        assert_eq!(q.pop(), Some((5.0, "pushed before")));
+        assert!(q.peek_key() > Some(claimed));
+        assert_eq!(q.peek_time(), Some(5.0));
+        // A claim schedules nothing and counts as no push.
+        assert_eq!((q.len(), q.stats().pushes), (1, 3));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod task;
 pub mod virt;
 
 pub use cluster::{Cluster, NodeSpec};
-pub use events::{EventQueue, EventToken, QueueStats};
+pub use events::{EventKey, EventQueue, EventToken, QueueStats};
 pub use scheduler::{
     CampaignCheckpoint, HealPolicy, HealStats, HealedOutcome, Policy, RecoveryConfig,
     ScheduleEntry, Scheduler, SimulationResult,

@@ -3,11 +3,12 @@
 //! `max_batch` requests or when `max_wait_us` elapses since it opened —
 //! whichever comes first.
 //!
-//! The batcher is passive on the clock: it never sleeps. The engine
-//! schedules a `BatchTimeout` event when [`DynamicBatcher::offer`]
-//! opens a new batch, and delivers it via [`DynamicBatcher::expire`];
-//! batch ids make stale timeouts (the batch already closed on size)
-//! harmless no-ops.
+//! The batcher is passive on the clock: it never sleeps. When
+//! [`DynamicBatcher::offer`] opens a new batch the engine sets a
+//! wait-deadline in the class's deadline lane, drops it when the batch
+//! closes on size, and delivers a deadline that comes due via
+//! [`DynamicBatcher::expire`]; batch ids make a stale deadline (the
+//! batcher's batches were drained) a harmless no-op.
 
 use std::collections::VecDeque;
 

@@ -22,16 +22,28 @@
 //!   takes them from an [`ArrivalStream`], whose tenant lanes each draw
 //!   a block of arrivals ahead in one tight loop and whose merge keeps
 //!   one flat array of head times, and compares the stream's next
-//!   arrival time (`ArrivalStream::peek_us`) with
-//!   [`everest_runtime::EventQueue::peek_time`] (arrivals win timestamp
-//!   ties);
-//! * dynamic events (batch timeouts, completions, faults) live in an
-//!   indexed [`everest_runtime::EventQueue`], and the engine *cancels*
-//!   events that can no longer matter — the wait-timeout of a batch
-//!   that closed on size, the completion of a batch a fault already
-//!   failed — instead of popping tombstones;
-//! * the event queue keeps each event's `(time, sequence)` key inline
-//!   in its heap, so sifting never reads the slot table;
+//!   arrival time (`ArrivalStream::peek_us`) with the next event's
+//!   (arrivals win timestamp ties);
+//! * batch wait-deadlines are not heap events either: a class has at
+//!   most one open batch, so its pending deadline sits in the class's
+//!   lane, keyed from the event queue's own sequence counter
+//!   ([`everest_runtime::EventQueue::claim_key`]) and merged with the
+//!   heap's head by key, and a batch that closes on size just empties
+//!   its lane — no push, no cancel;
+//! * the remaining dynamic events (completions, hedge timers, retries,
+//!   faults, gossip rounds) live in an indexed
+//!   [`everest_runtime::EventQueue`], and the engine *cancels* events
+//!   that can no longer matter — the completion of a batch a fault
+//!   already failed, the losing leg of a hedge race — instead of
+//!   popping tombstones; the queue keeps each event's `(time,
+//!   sequence)` key inline in its heap, so sifting never reads the slot
+//!   table;
+//! * an admitted request that nothing waits ahead of, arriving while
+//!   the batcher holds fewer ready batches than there are nodes, skips
+//!   the fair queue: its SFQ tags are booked as a push then pop would
+//!   book them (`WeightedFairQueue::pass_through`) and it goes
+//!   straight to the batcher, so the fair queue only ever holds a
+//!   backlog;
 //! * the pump stops at the first dispatch that starts nothing after a
 //!   pull, which is its fixed point, and an empty fair queue answers a
 //!   pop at once;
@@ -48,8 +60,9 @@
 //!   per 16 of them, flushed when the loop drains;
 //! * the [`HealthMonitor`] a completion feeds keeps bounded windows and
 //!   refits a one-feature z-score on a flat window that keeps its
-//!   capacity, and skips the mean and slope that a window of exact
-//!   `1.0` samples makes trivial;
+//!   capacity, skips the mean and slope that a window of exact `1.0`
+//!   samples makes trivial, and skips a refit whose window is bit for
+//!   bit the one it last fit on;
 //! * the autotuner is fed through resolved slots, cached per class
 //!   until a retune changes the active operating point, and decides by
 //!   point index.
@@ -61,13 +74,13 @@
 //! because `Autotuner::monitor` reads them back, and one per 16
 //! samples of each buffered handle.
 //!
-//! Cancelling stale events is outcome-preserving: a stale pop only
-//! re-runs the pull/dispatch pump at a later virtual time, and the
-//! pump is at a fixed point whenever no node freed and no breaker
-//! cooldown elapsed in between — conditions that can only change at a
-//! *live* event. `end_us` is the latest time any event was ever
-//! scheduled for, tracked as events are pushed, so it does not depend
-//! on which of them were cancelled.
+//! Cancelling stale events (and emptying a deadline lane) is
+//! outcome-preserving: a stale pop only re-runs the pull/dispatch pump
+//! at a later virtual time, and the pump is at a fixed point whenever
+//! no node freed and no breaker cooldown elapsed in between —
+//! conditions that can only change at a *live* event. `end_us` is the
+//! latest time any event or deadline was ever scheduled for, tracked as
+//! they are set, so it does not depend on which of them were cancelled.
 //!
 //! # Memory
 //!
@@ -75,10 +88,10 @@
 //! in flight and nothing else: the arrival stream keeps one drawn-ahead
 //! block of at most [`ArrivalStream::BLOCK`] arrivals per tenant, in
 //! arrays inline in its lanes, the fair queues are bounded by the
-//! admission depth limit, and the two tables keyed by batch id
-//! (in-flight batches, pending wait-timeouts) recycle a slot as soon as
-//! its batch settles, so they never outgrow one entry per node and one
-//! per class. A campaign four times as long needs no more memory to
+//! admission depth limit, the deadline lanes are one slot per class,
+//! and the one table keyed by batch id (in-flight batches) recycles a
+//! slot as soon as its batch settles, so it never outgrows one entry
+//! per node. A campaign four times as long needs no more memory to
 //! run, only a longer outcome.
 //!
 //! # What the loop holds, and what it asks
@@ -119,7 +132,7 @@ use everest_health::{
     Admission as BreakerAdmission, BreakerConfig, BreakerState, CircuitBreaker, HealthMonitor,
     VerdictKind,
 };
-use everest_runtime::{EventQueue, EventToken};
+use everest_runtime::{EventKey, EventQueue, EventToken};
 use everest_telemetry::{CounterHandle, GaugeHandle, HistogramHandle, Registry};
 
 use crate::admission::AdmissionController;
@@ -196,14 +209,11 @@ impl ServeEngine {
 // Events and telemetry
 // ---------------------------------------------------------------------
 
-/// Dynamic events on the indexed queue. Arrivals are deliberately not
-/// events: the arrival stream is merged in by look-ahead.
+/// Dynamic events on the indexed queue. Arrivals and batch
+/// wait-deadlines are deliberately not events: the arrival stream and
+/// the per-class deadline lanes are merged in by look-ahead.
 #[derive(Debug)]
 enum EventKind {
-    BatchTimeout {
-        class: usize,
-        batch: u64,
-    },
     /// A leg of `batch` finished. `hedged` marks the event scheduled
     /// for a hedge duplicate; after a primary-leg fault promotes the
     /// duplicate, its (still `hedged`) event completes the batch.
@@ -223,6 +233,27 @@ enum EventKind {
     /// fail over leases. Scheduled only when the cluster layer is on;
     /// reschedules itself while the run still has work to converge on.
     GossipRound,
+}
+
+/// A batch's pending wait-deadline. A class has at most one open batch,
+/// so it has at most one of these, kept in its lane of
+/// [`Sim::deadlines`] rather than pushed on the event queue and
+/// cancelled when the batch closes on size. Its key comes from the
+/// queue's own sequence counter ([`EventQueue::claim_key`]), so it
+/// pops against the queue's events exactly as a pushed event would.
+#[derive(Debug, Clone, Copy)]
+struct Deadline {
+    key: EventKey,
+    batch: u64,
+}
+
+/// What the loop handles next: the earliest of the arrival stream's
+/// head, the deadline lanes and the event queue's head.
+#[derive(Debug)]
+enum Next {
+    Arrival(Request),
+    Deadline { class: usize, batch: u64 },
+    Queued(EventKind),
 }
 
 /// Every Nth per-request observation lands in the `serve.queue_wait_us`
@@ -383,9 +414,8 @@ struct Sim<'a> {
     /// Batches currently executing (primary legs; hedge duplicates do
     /// not count — the limiter bounds admitted work, not copies).
     inflight_count: usize,
-    /// Pending wait-timeout per open batch, keyed by batch id: at most
-    /// one per class.
-    timeout_tokens: LiveTable<EventToken>,
+    /// The pending wait-deadline of each class's open batch, if any.
+    deadlines: Vec<Option<Deadline>>,
     pricing: Pricing,
     monitor: HealthMonitor,
     lifecycle: Lifecycle,
@@ -441,7 +471,7 @@ impl<'a> Sim<'a> {
             nodes,
             inflight: LiveTable(Vec::with_capacity(cfg.nodes)),
             inflight_count: 0,
-            timeout_tokens: LiveTable(Vec::with_capacity(cfg.classes.len())),
+            deadlines: vec![None; cfg.classes.len()],
             monitor,
             lifecycle: Lifecycle::new(cfg, plan),
             tuning: BatchTuning::new(cfg, &pricing, &registry),
@@ -490,35 +520,28 @@ impl<'a> Sim<'a> {
         loop {
             #[cfg(debug_assertions)]
             self.assert_running_conservation();
-            // Merge the next arrival against the event queue; arrivals
-            // win timestamp ties.
-            let next_event_us = self.queue.peek_time();
-            let arrival_due = (self.arrivals.peek_us())
-                .is_some_and(|at_us| next_event_us.is_none_or(|t| at_us <= t));
-            let arrival = if arrival_due {
-                self.arrivals.next()
-            } else {
-                None
+            let Some((at_us, next)) = self.next() else {
+                break;
             };
-            if let Some(request) = arrival {
-                now = now.max(request.arrival_us);
-                if !self.handle_arrival(request, now) {
-                    // Shed at the door: no queue, batcher or node state
-                    // changed, so the pump below would run straight to
-                    // its entry fixed point. Skipping it here keeps the
-                    // (dominant, at saturation) shed path free of the
-                    // pull/dispatch scan. The one time-dependent admit
-                    // condition — a breaker cooldown expiring — is
-                    // re-checked at the next state-changing event.
-                    continue;
-                }
-            } else if let Some((at_us, kind)) = self.queue.pop() {
-                now = now.max(at_us);
-                match kind {
-                    EventKind::BatchTimeout { class, batch } => {
-                        *self.timeout_tokens.slot(batch) = None;
-                        self.batcher.expire(class, batch, now);
+            now = now.max(at_us);
+            match next {
+                Next::Arrival(request) => {
+                    if !self.handle_arrival(request, now) {
+                        // Shed at the door: no queue, batcher or node
+                        // state changed, so the pump below would run
+                        // straight to its entry fixed point. Skipping it
+                        // here keeps the (dominant, at saturation) shed
+                        // path free of the pull/dispatch scan. The one
+                        // time-dependent admit condition — a breaker
+                        // cooldown expiring — is re-checked at the next
+                        // state-changing event.
+                        continue;
                     }
+                }
+                Next::Deadline { class, batch } => {
+                    self.batcher.expire(class, batch, now);
+                }
+                Next::Queued(kind) => match kind {
                     EventKind::Completion { batch, hedged } => {
                         self.handle_completion(batch, hedged, now);
                     }
@@ -526,13 +549,15 @@ impl<'a> Sim<'a> {
                     EventKind::HedgeTimer { batch } => self.handle_hedge_timer(batch, now),
                     EventKind::Retry(request) => self.handle_retry(request),
                     EventKind::GossipRound => self.handle_gossip(now),
-                }
-            } else {
-                break;
+                },
             }
             self.pump(now);
             self.metrics.publish_depth(self.queue_depth());
         }
+        debug_assert!(
+            self.deadlines.iter().all(Option::is_none),
+            "no deadline pending"
+        );
         debug_assert!(self.wfq.is_empty(), "fair queues drained");
         debug_assert_eq!(self.batcher.pending(), 0, "batcher drained");
         debug_assert!(
@@ -547,8 +572,45 @@ impl<'a> Sim<'a> {
             .collect();
     }
 
+    /// Takes what happens next, with its virtual time: the arrival
+    /// stream's head, the earliest deadline lane or the event queue's
+    /// head. Arrivals win timestamp ties. A deadline and a queued event
+    /// order by key, and their keys share the queue's sequence counter,
+    /// so at one virtual time they come out in the order they were
+    /// scheduled.
+    fn next(&mut self) -> Option<(f64, Next)> {
+        let lane = (self.deadlines.iter().enumerate())
+            .filter_map(|(class, deadline)| Some((class, (*deadline)?)))
+            .min_by_key(|(_, deadline)| deadline.key);
+        let event_key = match (self.queue.peek_key(), lane) {
+            (Some(queued), Some((_, deadline))) => Some(queued.min(deadline.key)),
+            (queued, lane) => queued.or(lane.map(|(_, deadline)| deadline.key)),
+        };
+        if (self.arrivals.peek_us())
+            .is_some_and(|at_us| event_key.is_none_or(|key| at_us <= key.at_us()))
+        {
+            let request = self.arrivals.next()?;
+            return Some((request.arrival_us, Next::Arrival(request)));
+        }
+        let key = event_key?;
+        match lane {
+            Some((class, deadline)) if deadline.key == key => {
+                self.deadlines[class] = None;
+                let batch = deadline.batch;
+                Some((key.at_us(), Next::Deadline { class, batch }))
+            }
+            _ => (self.queue.pop()).map(|(at_us, kind)| (at_us, Next::Queued(kind))),
+        }
+    }
+
     fn queue_depth(&self) -> usize {
         self.wfq.len() + self.batcher.pending()
+    }
+
+    /// Whether every node has crashed: the pump then fails the backlog
+    /// instead of moving it.
+    fn cluster_lost(&self) -> bool {
+        self.nodes.iter().all(|n| n.crashed)
     }
 
     /// The conservation equations, checked between events rather than
@@ -651,7 +713,19 @@ impl<'a> Sim<'a> {
         }
         self.outcome.admitted += 1;
         self.outcome.tenants[request.tenant].admitted += 1;
-        self.wfq.push(request);
+        // With nothing queued ahead and room among the ready batches,
+        // the pump's pull would pop this request straight back out:
+        // hand it to the batcher now, its fair-queue tags booked as
+        // that push and pop would book them.
+        if self.wfq.is_empty()
+            && self.batcher.ready_len() < self.nodes.len()
+            && !self.cluster_lost()
+        {
+            self.wfq.pass_through(&request);
+            self.enter_batcher(request, now);
+        } else {
+            self.wfq.push(request);
+        }
         true
     }
 
@@ -677,7 +751,7 @@ impl<'a> Sim<'a> {
     /// so another pull would find nothing to do: that is the fixed
     /// point, with no confirming pass.
     fn pump(&mut self, now: f64) {
-        if self.nodes.iter().all(|n| n.crashed) {
+        if self.cluster_lost() {
             self.drain_all_failed();
             return;
         }
@@ -694,27 +768,33 @@ impl<'a> Sim<'a> {
             let Some(request) = self.wfq.pop() else {
                 break;
             };
-            let class = request.class;
-            if now > request.arrival_us + self.cfg.classes[class].deadline_us {
-                self.shed(&request, ShedReason::DeadlineLapsed);
-                continue;
+            self.enter_batcher(request, now);
+        }
+    }
+
+    /// Moves a request the fair queue released into the batcher, or
+    /// sheds it if its deadline has lapsed. A batch the offer opens
+    /// gets a wait-deadline in its class's lane; a batch it closes on
+    /// size drops its deadline, which can no longer matter.
+    fn enter_batcher(&mut self, request: Request, now: f64) {
+        let class = request.class;
+        if now > request.arrival_us + self.cfg.classes[class].deadline_us {
+            self.shed(&request, ShedReason::DeadlineLapsed);
+            return;
+        }
+        match self.batcher.offer(request, now) {
+            OfferOutcome::Opened(batch) => {
+                let at_us = now + self.batcher.max_wait_us(class);
+                self.max_sched_us = self.max_sched_us.max(at_us);
+                let key = self.queue.claim_key(at_us);
+                debug_assert!(self.deadlines[class].is_none(), "one open batch a class");
+                self.deadlines[class] = Some(Deadline { key, batch });
             }
-            match self.batcher.offer(request, now) {
-                OfferOutcome::Opened(batch) => {
-                    let deadline = now + self.batcher.max_wait_us(class);
-                    let token = self.push_event(deadline, EventKind::BatchTimeout { class, batch });
-                    *self.timeout_tokens.slot(batch) = Some(token);
-                }
-                OfferOutcome::Closed(batch) => {
-                    // Closed on size: the wait-timeout (if one was ever
-                    // scheduled) can no longer matter — drop it from
-                    // the queue instead of popping a tombstone later.
-                    if let Some(token) = self.timeout_tokens.slot(batch).take() {
-                        self.queue.cancel(token);
-                    }
-                }
-                OfferOutcome::Joined => {}
+            OfferOutcome::Closed(batch) => {
+                let dropped = self.deadlines[class].take();
+                debug_assert!(dropped.is_none_or(|d| d.batch == batch), "the lane's batch");
             }
+            OfferOutcome::Joined => {}
         }
     }
 
@@ -1128,7 +1208,8 @@ impl<'a> Sim<'a> {
         let live = self.arrivals.peek_us().is_some()
             || self.queue_depth() > 0
             || self.inflight_count > 0
-            || self.queue.peek_time().is_some();
+            || self.queue.peek_time().is_some()
+            || self.deadlines.iter().any(Option::is_some);
         if live {
             self.push_event(now + GOSSIP_PERIOD_US, EventKind::GossipRound);
         }
@@ -1983,7 +2064,8 @@ mod tests {
     #[test]
     fn live_tables_never_outgrow_nodes_and_classes() {
         // Slots are recycled and never removed, so a table's length
-        // after the run is the most entries it ever held at once.
+        // after the run is the most entries it ever held at once. (The
+        // wait-deadlines are one lane per class by construction.)
         let all_on = ServeConfig {
             classes: vec![
                 KernelClass::new("infer", 400.0, 40.0, 120.0, 5_000.0, 4_096).latency_critical(),
@@ -2014,11 +2096,85 @@ mod tests {
                 "{}",
                 sim.inflight.0.len()
             );
-            assert!(
-                sim.timeout_tokens.0.len() <= cfg.classes.len(),
-                "{}",
-                sim.timeout_tokens.0.len()
-            );
+        }
+    }
+
+    /// The event queue's work, counted without a clock: in a
+    /// fault-free campaign without hedging or membership, the only
+    /// events pushed are the legs' completions, and nothing is ever
+    /// cancelled. Arrivals and batch wait-deadlines never touch the
+    /// heap.
+    #[test]
+    fn a_fault_free_campaign_pushes_one_event_a_leg_and_cancels_none() {
+        let cfg = small_config();
+        let plan = FaultPlan::new(1);
+        let mut sim = Sim::new(&cfg, &plan, Registry::new());
+        sim.drain();
+        let legs = sim.outcome.batches.len() as u64;
+        assert!(legs > 10 * cfg.nodes as u64, "a real campaign");
+        assert!(
+            sim.outcome
+                .batches
+                .iter()
+                .any(|b| b.size < cfg.batch[b.class].max_batch),
+            "some batch closed on its wait-deadline"
+        );
+        let stats = sim.queue.stats();
+        assert_eq!(
+            (stats.pushes, stats.pops, stats.cancels, stats.reschedules),
+            (legs, legs, 0, 0)
+        );
+    }
+
+    /// A batch wait-deadline and a completion at the same virtual time
+    /// come out in the order they were scheduled, whichever was first:
+    /// the deadline's key comes from the event queue's own counter.
+    #[test]
+    fn a_deadline_and_a_completion_at_one_time_pop_in_scheduling_order() {
+        let request = |id, class| Request {
+            id,
+            tenant: 0,
+            class,
+            arrival_us: 0.0,
+            attempt: 0,
+        };
+        // One CPU node; class 1 closes a batch at once, class 0 waits
+        // exactly as long as a one-request class-1 batch runs.
+        let probe = ServeConfig {
+            nodes: 1,
+            offered_rps: 0.0,
+            autotune: false,
+            ..ServeConfig::default()
+        };
+        let plan = FaultPlan::new(1);
+        let service_us = Sim::new(&probe, &plan, Registry::new()).healthy_service_us(0, 1, 1);
+        let cfg = ServeConfig {
+            batch: vec![BatchPolicy::new(2, service_us), BatchPolicy::new(1, 0.0)],
+            ..probe
+        };
+        for (first, second, want) in [
+            (1, 0, ["completion", "deadline"]),
+            (0, 1, ["deadline", "completion"]),
+        ] {
+            let mut sim = Sim::new(&cfg, &plan, Registry::new());
+            for (id, class) in [(0, first), (1, second)] {
+                assert!(sim.handle_arrival(request(id, class), 0.0));
+                sim.pump(0.0);
+            }
+            let mut popped = Vec::new();
+            for _ in 0..2 {
+                let (at_us, next) = sim.next().expect("two things pending");
+                assert_eq!(at_us, service_us, "one virtual time");
+                popped.push(match next {
+                    Next::Deadline { class: 0, batch } => {
+                        assert_eq!(batch, u64::from(first == 1));
+                        "deadline"
+                    }
+                    Next::Queued(EventKind::Completion { .. }) => "completion",
+                    other => panic!("{other:?}"),
+                });
+            }
+            assert_eq!(popped, want, "class {first} arrived first");
         }
     }
 
@@ -2132,9 +2288,9 @@ mod tests {
     #[test]
     fn cancelled_events_never_linger_in_the_queue() {
         // Under heavy batching, most batches close on size and their
-        // wait-timeouts are cancelled; the queue must end empty and the
-        // outcome must match a fresh run exactly (cancellation is not
-        // allowed to perturb the virtual clock).
+        // wait-deadlines are dropped; the run must end drained and
+        // conserved (dropping a deadline is not allowed to perturb the
+        // virtual clock).
         let outcome = ServeEngine::new(ServeConfig {
             offered_rps: 20_000.0,
             horizon_us: 100_000.0,
@@ -2146,9 +2302,9 @@ mod tests {
             outcome.end_us >= outcome.horizon_us,
             "end_us covers the horizon: {outcome:?}"
         );
-        // Timeout events land after the last dispatch when batches
-        // close early; end_us still reflects the maximum scheduled
-        // event, not just the last processed one.
+        // Deadlines land after the last dispatch when batches close
+        // early; end_us still reflects the latest deadline or event
+        // ever scheduled, not just the last one processed.
         let last_finish = outcome
             .batches
             .iter()

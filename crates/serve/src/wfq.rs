@@ -11,6 +11,11 @@
 //!
 //! Ties on the finish tag break toward the lower tenant index, and all
 //! comparisons use `f64::total_cmp`, so pop order is deterministic.
+//!
+//! A request that arrives at an empty queue would be popped straight
+//! back out; `WeightedFairQueue::pass_through` books it as served
+//! without queueing it, moving the tags and the virtual time exactly as
+//! that push and pop would, so the queue only ever holds a backlog.
 
 use std::collections::VecDeque;
 
@@ -64,16 +69,42 @@ impl WeightedFairQueue {
 
     /// Enqueues an admitted request into its tenant's lane.
     pub fn push(&mut self, request: Request) {
-        let tenant = &mut self.tenants[request.tenant];
-        let start_tag = self.virtual_time.max(tenant.last_finish);
-        let finish_tag = start_tag + 1.0 / tenant.weight;
-        tenant.last_finish = finish_tag;
-        tenant.fifo.push_back(Queued {
+        let (start_tag, finish_tag) = self.stamp(request.tenant);
+        self.tenants[request.tenant].fifo.push_back(Queued {
             request,
             start_tag,
             finish_tag,
         });
         self.len += 1;
+    }
+
+    /// Serves `request` at once, without queueing it: the virtual time,
+    /// the tenant's last finish tag and its served count move exactly
+    /// as a [`push`](Self::push) then [`pop`](Self::pop) would move
+    /// them. Only an empty queue may pass a request through — a
+    /// non-empty one might pop another request first.
+    pub(crate) fn pass_through(&mut self, request: &Request) {
+        debug_assert!(self.is_empty(), "a request passes only an empty queue");
+        let (start_tag, _) = self.stamp(request.tenant);
+        self.book_service(request.tenant, start_tag);
+    }
+
+    /// Stamps the next request of `tenant` with its SFQ tags, `start =
+    /// max(V, last finish)` and `finish = start + 1/weight`, and makes
+    /// the finish tag the tenant's last.
+    fn stamp(&mut self, tenant: usize) -> (f64, f64) {
+        let tenant = &mut self.tenants[tenant];
+        let start_tag = self.virtual_time.max(tenant.last_finish);
+        let finish_tag = start_tag + 1.0 / tenant.weight;
+        tenant.last_finish = finish_tag;
+        (start_tag, finish_tag)
+    }
+
+    /// Books the service of a request of `tenant` tagged `start_tag`:
+    /// the virtual time advances to the start tag.
+    fn book_service(&mut self, tenant: usize, start_tag: f64) {
+        self.virtual_time = self.virtual_time.max(start_tag);
+        self.tenants[tenant].served += 1;
     }
 
     /// Dequeues the request with the smallest head finish tag.
@@ -98,8 +129,7 @@ impl WeightedFairQueue {
         }
         let index = best?;
         let queued = self.tenants[index].fifo.pop_front().expect("head exists");
-        self.virtual_time = self.virtual_time.max(queued.start_tag);
-        self.tenants[index].served += 1;
+        self.book_service(index, queued.start_tag);
         self.len -= 1;
         Some(queued.request)
     }
@@ -132,7 +162,82 @@ impl WeightedFairQueue {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// Everything a later push or pop reads, bit for bit, in one flat
+    /// list: the virtual time and length, then per tenant its last
+    /// finish tag, served count, and the id and tags of each request it
+    /// holds.
+    fn state(wfq: &WeightedFairQueue) -> Vec<u64> {
+        let mut state = vec![wfq.virtual_time.to_bits(), wfq.len as u64];
+        for tenant in &wfq.tenants {
+            state.extend([
+                tenant.last_finish.to_bits(),
+                tenant.served,
+                tenant.fifo.len() as u64,
+            ]);
+            for queued in &tenant.fifo {
+                let (start, finish) = (queued.start_tag.to_bits(), queued.finish_tag.to_bits());
+                state.extend([queued.request.id, start, finish]);
+            }
+        }
+        state
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Direct admission is push then pop: over random weights and
+        /// random scripts of pushes, pops and direct admissions, a
+        /// queue that passes a directly admitted request through
+        /// whenever it is empty (and queues it otherwise, as the engine
+        /// does) and a queue that pushes it and pops it straight back
+        /// out hold the same state after every step, and so pop the
+        /// same requests from then on.
+        #[test]
+        fn passing_an_empty_queue_through_is_a_push_then_pop(
+            picks in proptest::collection::vec(0usize..6, 1..6),
+            script in proptest::collection::vec((0u8..3, 0usize..6), 1..300),
+        ) {
+            // Degenerate weights (clamped up) among ordinary ones.
+            let weights: Vec<f64> =
+                picks.iter().map(|&i| [-1.0, 0.0, 0.25, 1.0, 3.0, 7.5][i]).collect();
+            let mut passing = WeightedFairQueue::new(&weights);
+            let mut pushing = WeightedFairQueue::new(&weights);
+            for (step, (op, tenant)) in script.into_iter().enumerate() {
+                // Every script opens with a direct admission, on the
+                // empty queue; later ones pass through wherever pops
+                // emptied it.
+                let op = if step == 0 { 2 } else { op };
+                let request = Request {
+                    id: step as u64,
+                    tenant: tenant % weights.len(),
+                    class: 0,
+                    arrival_us: step as f64,
+                    attempt: 0,
+                };
+                match op {
+                    1 => prop_assert_eq!(passing.pop(), pushing.pop(), "step {}", step),
+                    2 if passing.is_empty() => {
+                        passing.pass_through(&request);
+                        pushing.push(request);
+                        prop_assert_eq!(pushing.pop(), Some(request), "step {}", step);
+                    }
+                    _ => {
+                        passing.push(request);
+                        pushing.push(request);
+                    }
+                }
+                prop_assert_eq!(state(&passing), state(&pushing), "step {}", step);
+            }
+            while let Some(request) = pushing.pop() {
+                prop_assert_eq!(passing.pop(), Some(request));
+            }
+            prop_assert!(passing.is_empty());
+        }
+    }
 
     fn request(id: u64, tenant: usize) -> Request {
         Request {
